@@ -27,84 +27,99 @@ run_scenario_bench_smoke() {
     test -s target/BENCH_scenarios_smoke.json
 }
 
-if [[ "${1:-}" == "--analyze" ]]; then
-    run_analyzer
-    echo "ANALYZE OK"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--scenarios" ]]; then
-    # Fast path while iterating on the scenario library: golden
-    # diagnoses + chaos matrix, the apps crate's own tests, and the
-    # scenario bench smoke — skips fmt/clippy/miri and the full suite.
-    echo "==> scenario tests (golden diagnoses + chaos matrix)"
-    cargo test -q -p sysprof-apps
-    cargo test -q --test scenarios
-    run_scenario_bench_smoke
-    echo "SCENARIOS OK"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--digest" ]]; then
-    # Fast path while iterating on the parallel digest plane: the
-    # digest fold + worker lifecycle + proptest suite, the GPA wiring,
-    # the kvstore differential, and a short hotpath bench run that
-    # exercises the sharded arms — skips fmt/clippy/miri and the full
-    # suite.
-    echo "==> sharded digest plane (pubsub)"
-    cargo test -q -p pubsub digest
-    echo "==> GPA digest wiring (core)"
-    cargo test -q -p sysprof digest
-    echo "==> sharded GPA end-to-end (kvstore differential)"
-    cargo test -q --test sharded_gpa
-    echo "==> bench smoke (hot path incl. sharded digest arms)"
+run_hotpath_bench_smoke() {
+    # Short hot-path run: exercises the emit->dispatch->VM->encode
+    # pipeline and the digest/cpa_eval arms in release mode and
+    # self-validates the JSON report it writes (the binary exits nonzero
+    # on a malformed file or a missed floor; the floors are the
+    # arguments). Uses a scratch path so the committed BENCH_hotpath.json
+    # baseline is only ever refreshed deliberately.
     cargo run -q --release -p sysprof-bench --bin hotpath -- --smoke \
-        --min-speedup 0.5 --out target/BENCH_hotpath_smoke.json
+        "$@" --out target/BENCH_hotpath_smoke.json
     test -s target/BENCH_hotpath_smoke.json
-    echo "DIGEST OK"
-    exit 0
-fi
+}
 
-if [[ "${1:-}" == "--jit" ]]; then
-    # Fast path while iterating on the compiled execution tier: the jit
-    # unit + fallback tests, the three-tier generative sweeps, the
-    # allocation-discipline proof, the CPA dispatch wiring, and a short
-    # hotpath bench run that exercises the cpa_eval arm — skips
-    # fmt/clippy/miri and the full suite.
-    echo "==> compiled-tier lowering + fallback tests (ecode)"
-    cargo test -q -p ecode jit
-    echo "==> three-tier generative sweeps (reference/fused/compiled)"
-    cargo test -q -p ecode --test verifier generated
-    echo "==> allocation discipline (counting allocator, release)"
-    cargo test -q --release -p ecode --test zero_alloc
-    echo "==> CPA dispatch + filter wiring (core, pubsub)"
-    cargo test -q -p sysprof cpa
-    cargo test -q -p pubsub publish
-    echo "==> bench smoke (hot path incl. cpa_eval arm)"
-    cargo run -q --release -p sysprof-bench --bin hotpath -- --smoke \
-        --min-speedup 0.5 --min-cpa 2.0 --out target/BENCH_hotpath_smoke.json
-    test -s target/BENCH_hotpath_smoke.json
-    echo "JIT OK"
+# Fast paths for iterating on one slice of the system: each runs only
+# the steps listed for its flag below — skipping fmt/clippy/miri and the
+# full suite — then prints "<LABEL> OK". A step that starts with "==>"
+# is a heading; anything else is a command line (plain words, no quoting).
+fast_path() {
+    local label="$1" step
+    shift
+    for step in "$@"; do
+        if [[ "$step" == "==>"* ]]; then
+            echo "$step"
+        else
+            $step
+        fi
+    done
+    echo "$label OK"
     exit 0
-fi
+}
 
-if [[ "${1:-}" == "--merge" ]]; then
-    # Fast path while iterating on the merge-lattice analysis and the
-    # sharded evaluation path: the classifier goldens + shard-differential
-    # sweep, the digest fold, the GPA wiring, and the end-to-end scenario
-    # differential — skips fmt/clippy/miri and the full suite.
-    echo "==> shard-safety analysis (classifier goldens + differential sweep)"
-    cargo test -q -p ecode --test verifier merge
-    cargo test -q -p ecode --test verifier shard
-    echo "==> sharded digest fold (pubsub)"
-    cargo test -q -p pubsub digest
-    echo "==> GPA digest wiring (core)"
-    cargo test -q -p sysprof digest
-    echo "==> sharded GPA end-to-end (kvstore differential)"
-    cargo test -q --test sharded_gpa
-    echo "MERGE OK"
-    exit 0
-fi
+# The GPA end of the digest, shared by --digest and --merge.
+gpa_digest_steps=(
+    "==> GPA digest wiring (core)"
+    "cargo test -q -p sysprof digest"
+    "==> sharded GPA end-to-end (kvstore differential)"
+    "cargo test -q --test sharded_gpa"
+)
+
+case "${1:-}" in
+--analyze)
+    fast_path ANALYZE run_analyzer
+    ;;
+--scenarios)
+    # The scenario library: golden diagnoses + chaos matrix, the apps
+    # crate's own tests, and the scenario bench smoke.
+    fast_path SCENARIOS \
+        "==> scenario tests (golden diagnoses + chaos matrix)" \
+        "cargo test -q -p sysprof-apps" \
+        "cargo test -q --test scenarios" \
+        run_scenario_bench_smoke
+    ;;
+--digest)
+    # The parallel digest plane: the digest fold + worker lifecycle +
+    # proptest suite, the GPA wiring, the kvstore differential, and a
+    # short hotpath bench run that exercises the sharded arms.
+    fast_path DIGEST \
+        "==> sharded digest plane (pubsub)" \
+        "cargo test -q -p pubsub digest" \
+        "${gpa_digest_steps[@]}" \
+        "==> bench smoke (hot path incl. sharded digest arms)" \
+        "run_hotpath_bench_smoke --min-speedup 0.5"
+    ;;
+--jit)
+    # The compiled execution tier: the jit unit + fallback tests, the
+    # three-tier generative sweeps, the allocation-discipline proof, the
+    # CPA dispatch wiring, and a short hotpath bench run that exercises
+    # the cpa_eval arm.
+    fast_path JIT \
+        "==> compiled-tier lowering + fallback tests (ecode)" \
+        "cargo test -q -p ecode jit" \
+        "==> three-tier generative sweeps (reference/fused/compiled)" \
+        "cargo test -q -p ecode --test verifier generated" \
+        "==> allocation discipline (counting allocator, release)" \
+        "cargo test -q --release -p ecode --test zero_alloc" \
+        "==> CPA dispatch + filter wiring (core, pubsub)" \
+        "cargo test -q -p sysprof cpa" \
+        "cargo test -q -p pubsub publish" \
+        "==> bench smoke (hot path incl. cpa_eval arm)" \
+        "run_hotpath_bench_smoke --min-speedup 0.5 --min-cpa 2.0"
+    ;;
+--merge)
+    # The merge-lattice analysis and the sharded evaluation path: the
+    # classifier goldens + shard-differential sweep, the digest fold, the
+    # GPA wiring, and the end-to-end scenario differential.
+    fast_path MERGE \
+        "==> shard-safety analysis (classifier goldens + differential sweep)" \
+        "cargo test -q -p ecode --test verifier merge" \
+        "cargo test -q -p ecode --test verifier shard" \
+        "==> sharded digest fold (pubsub)" \
+        "cargo test -q -p pubsub digest" \
+        "${gpa_digest_steps[@]}"
+    ;;
+esac
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -132,18 +147,12 @@ else
 fi
 
 echo "==> bench smoke (hot path)"
-# Short hot-path run: exercises the emit->dispatch->VM->encode pipeline in
-# release mode and self-validates the JSON report it writes (the binary
-# exits nonzero on a malformed file). Uses a scratch path so the committed
-# BENCH_hotpath.json baseline is only ever refreshed deliberately.
 # The speedup floor is deliberately loose for a 400k-event smoke run
 # (scheduler noise swings short runs +/-25%): 0.5x of the committed
 # baseline still fails CI on any real regression of the hot path. The
 # cpa_eval floor is the real 2.0x gate: its ring-resident best-of-5
 # alternating measurement is stable even at smoke length.
-cargo run -q --release -p sysprof-bench --bin hotpath -- --smoke \
-    --min-speedup 0.5 --min-cpa 2.0 --out target/BENCH_hotpath_smoke.json
-test -s target/BENCH_hotpath_smoke.json
+run_hotpath_bench_smoke --min-speedup 0.5 --min-cpa 2.0
 
 run_scenario_bench_smoke
 

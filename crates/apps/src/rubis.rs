@@ -379,19 +379,25 @@ impl KernelSink for LoadFeed {
         _msg: Message,
         data: simos::Bytes,
     ) -> KernelOutput {
-        let decoder = self.decoders.entry(src).or_default();
+        let decoder = self
+            .decoders
+            .entry(src)
+            .or_insert_with(|| ChannelDecoder::expecting(vec![LoadRecord::schema()]));
+        let mut row = Vec::new();
         for frame in sysprof::split_frames(&data) {
-            if let Ok(Some((_topic, values))) = decoder.decode(frame) {
-                if let Some(load) = LoadRecord::from_values(values.as_slice()) {
-                    self.loads.borrow_mut().update_load(
-                        load.node,
-                        ServerLoad {
-                            cpu_utilization: load.cpu_utilization,
-                            kernel_time_us: load.mean_kernel_us,
-                            reported_at: now_wall,
-                        },
-                    );
-                }
+            row.clear();
+            let Ok(Some((_topic, Some(0)))) = decoder.decode_row(frame, &mut row) else {
+                continue;
+            };
+            if let Some(load) = LoadRecord::from_raw_row(&row) {
+                self.loads.borrow_mut().update_load(
+                    load.node,
+                    ServerLoad {
+                        cpu_utilization: load.cpu_utilization,
+                        kernel_time_us: load.mean_kernel_us,
+                        reported_at: now_wall,
+                    },
+                );
             }
         }
         KernelOutput {

@@ -46,10 +46,9 @@ fn bench_cpa_eval(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-record `RecordWriter` vs the vectorized batch encoder over the
-/// all-U64 interaction schema — the `pbio_encode` win the vectorized
-/// hot loop exists for (identical output bytes, pinned by pbio's
-/// tests).
+/// Per-record `RecordWriter` vs the compiled row codec over the
+/// all-U64 interaction schema — the `pbio_encode` win the codec's hot
+/// loop exists for (identical output bytes, pinned by pbio's tests).
 fn bench_pbio_encode(c: &mut Criterion) {
     const RECORDS: usize = 1024;
     let schema = sysprof::InteractionRecord::schema();
@@ -77,14 +76,14 @@ fn bench_pbio_encode(c: &mut Criterion) {
             out.len()
         });
     });
-    g.bench_function("encode_batch_into", |b| {
+    g.bench_function("encode_row_into", |b| {
         let enc = pbio::BatchEncoder::new(&schema).unwrap();
         let mut out = Vec::new();
-        let mut offsets = Vec::new();
         b.iter(|| {
             out.clear();
-            offsets.clear();
-            pbio::encode_batch_into(&enc, &rows, &mut out, &mut offsets).unwrap();
+            for row in rows.chunks_exact(enc.stride()) {
+                enc.encode_row_into(row, &mut out).unwrap();
+            }
             out.len()
         });
     });

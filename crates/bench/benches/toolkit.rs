@@ -131,22 +131,18 @@ fn bench_pbio(c: &mut Criterion) {
         blocked_us: 1_500,
         blocked_io_us: 1_400,
     };
-    g.bench_function("encode_interaction", |b| {
-        b.iter(|| {
-            let mut w = RecordWriter::new(&schema);
-            for v in record.to_values() {
-                w.push_value(&v).expect("schema matches");
-            }
-            std::hint::black_box(w.finish().expect("complete"))
-        });
-    });
-    let encoded = {
+    let values = record.to_values();
+    let encode = || {
         let mut w = RecordWriter::new(&schema);
-        for v in record.to_values() {
-            w.push_value(&v).expect("schema matches");
+        for v in &values {
+            w.push_value(v).expect("schema matches");
         }
         w.finish().expect("complete")
     };
+    g.bench_function("encode_interaction", |b| {
+        b.iter(|| std::hint::black_box(encode()));
+    });
+    let encoded = encode();
     g.bench_function("decode_interaction", |b| {
         b.iter(|| {
             std::hint::black_box(
@@ -274,11 +270,12 @@ fn bench_ablations(c: &mut Criterion) {
         blocked_io_us: 1_400,
     };
     let schema = InteractionRecord::schema();
+    let values = record.to_values();
     g.bench_function("encoding/pbio_binary", |b| {
         b.iter(|| {
             let mut w = RecordWriter::new(&schema);
-            for v in record.to_values() {
-                w.push_value(&v).expect("matches");
+            for v in &values {
+                w.push_value(v).expect("matches");
             }
             std::hint::black_box(w.finish().expect("complete"))
         });

@@ -178,20 +178,6 @@ pub fn pump_digest_stream(
         .to_vec()
 }
 
-/// E-Code input signature of a CPA — the same names, order, and types
-/// `CpaAnalyzer` marshals events into (see `core::cpa::EVENT_INPUTS`),
-/// so `cpa_eval` measures exactly the program shapes the event hot path
-/// runs.
-pub const CPA_EVENT_INPUTS: [(&str, ecode::Type); 7] = [
-    ("kind", ecode::Type::Int),
-    ("pid", ecode::Type::Int),
-    ("wall", ecode::Type::Int),
-    ("size", ecode::Type::Int),
-    ("aux", ecode::Type::Int),
-    ("port_src", ecode::Type::Int),
-    ("port_dst", ecode::Type::Int),
-];
-
 /// The representative CPA set the `cpa_eval` bench arm measures: the
 /// hotpath pipeline's own ratio CPA, a gated counter with a
 /// short-circuit guard, and a min/max latency fold — one per hot
@@ -220,8 +206,8 @@ pub const CPA_EVAL_SET: [(&str, &str); 3] = [
         static int hi = 0;
         static int span = 0;
         events = events + 1;
-        lo = min(lo, wall);
-        hi = max(hi, wall);
+        lo = min(lo, wall_us);
+        hi = max(hi, wall_us);
         span = hi - lo;
         if (events % 1000 == 0) { out(1, span); }
         return 0;
@@ -230,14 +216,14 @@ pub const CPA_EVAL_SET: [(&str, &str); 3] = [
 ];
 
 /// The deterministic raw event row `i` the `cpa_eval` arm feeds every
-/// program of [`CPA_EVAL_SET`] ([`CPA_EVENT_INPUTS`] order). Mixes
+/// program of [`CPA_EVAL_SET`] ([`sysprof::EVENT_INPUTS`] order). Mixes
 /// matching and non-matching sizes/ports so guards branch both ways.
 pub fn cpa_event_row(i: u64) -> [i64; 7] {
     let i = i as i64;
     [
         (i % 4) + 1,                        // kind
         1 + (i >> 3) % 4,                   // pid
-        i * 7 % 1_000_003,                  // wall
+        i * 7 % 1_000_003,                  // wall_us
         200 + (i % 8) * 180,                // size
         i % 11,                             // aux
         5000 + (i % 16),                    // port_src
@@ -274,7 +260,7 @@ pub struct CpaEventStream {
 }
 
 impl CpaEventStream {
-    /// Values per event row (the [`CPA_EVENT_INPUTS`] arity).
+    /// Values per event row (the [`sysprof::EVENT_INPUTS`] arity).
     pub const STRIDE: usize = 7;
 
     /// Pre-generates rows for events `[from, from + n)`.
@@ -345,7 +331,8 @@ pub fn pump_cpa(
 /// selection doesn't match the request — a representative CPA that
 /// stopped compiling would silently turn the bench into fused-vs-fused.
 pub fn cpa_eval_instance(src: &str, tier: ecode::ExecTier) -> (ecode::Instance, u64) {
-    let program = ecode::Program::compile(src, &CPA_EVENT_INPUTS).expect("static CPA compiles");
+    let program =
+        ecode::Program::compile(src, &sysprof::EVENT_INPUTS).expect("static CPA compiles");
     let fuel = program.static_fuel_bound();
     let inst = match tier {
         ecode::ExecTier::Compiled => ecode::Instance::new(&program),
@@ -501,9 +488,7 @@ impl HotPipeline {
     fn seal_record(&mut self, i: u64) {
         let record = self.record_for(i);
         let now = SimTime::from_micros(i);
-        // Raw-row publish (vectorized PBIO encode): byte-identical to
-        // `publish` with `to_values()`, so the counters fingerprint —
-        // bytes_sealed included — is unchanged.
+        // The daemon's publish path: typed record → raw row → bytes.
         record.to_raw_row(&mut self.raw_row);
         let sends = self
             .hub

@@ -104,6 +104,11 @@ struct StreamRx {
     last_nack_at: Option<SimTime>,
 }
 
+/// Positions of the two record schemas in [`Gpa::record_schemas`], the
+/// list every stream's decoder is told to expect.
+const INTERACTION: usize = 0;
+const LOAD: usize = 1;
+
 /// Aggregate view of one service class on one node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClassSummary {
@@ -202,6 +207,9 @@ pub struct Gpa {
     load_stats: HashMap<NodeId, (OnlineStats, u64)>,
     load_history: Vec<LoadRecord>,
     decoders: HashMap<EndPoint, ChannelDecoder>,
+    /// The schemas this GPA ingests; a record under any other schema is
+    /// a decode failure.
+    record_schemas: [pbio::Schema; 2],
     streams: HashMap<EndPoint, StreamRx>,
     gstats: GpaStats,
     delivery_log: Vec<(EndPoint, u64)>,
@@ -211,8 +219,11 @@ pub struct Gpa {
     /// Optional sharded digest evaluated over every ingested interaction
     /// record (the first slice of the sharded GPA).
     digest: Option<ShardedDigest>,
-    /// Reusable scratch row for the digest's raw ingest path.
-    digest_row: Vec<i64>,
+    /// Reusable scratch: the interaction rows of the batch being
+    /// ingested, contiguous as the digest takes them, and the digest
+    /// shard key of each.
+    rows: Vec<i64>,
+    keys: Vec<u64>,
 }
 
 /// Deterministic digest partition key for an interaction: both
@@ -238,6 +249,7 @@ impl Gpa {
             load_stats: HashMap::new(),
             load_history: Vec::new(),
             decoders: HashMap::new(),
+            record_schemas: [InteractionRecord::schema(), LoadRecord::schema()],
             streams: HashMap::new(),
             gstats: GpaStats::default(),
             delivery_log: Vec::new(),
@@ -245,7 +257,8 @@ impl Gpa {
             decode_failures: 0,
             subscription_failures: Vec::new(),
             digest: None,
-            digest_row: Vec::new(),
+            rows: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -258,7 +271,7 @@ impl Gpa {
     pub fn install_digest(&mut self, src: &str, shards: usize) -> Result<(), PubSubError> {
         self.digest = Some(ShardedDigest::compile(
             src,
-            &InteractionRecord::schema(),
+            &self.record_schemas[INTERACTION],
             shards,
         )?);
         Ok(())
@@ -281,10 +294,12 @@ impl Gpa {
 
     /// Feeds one interaction record directly (bypassing the wire path);
     /// used by tests and benches that already hold decoded records.
-    /// Skips PBIO `Value` marshalling entirely: the digest sees the
-    /// record as a raw column row.
     pub fn ingest_record(&mut self, rec: &InteractionRecord) {
-        self.ingest_interaction(*rec);
+        self.store(*rec);
+        if let Some(digest) = self.digest.as_mut() {
+            rec.to_raw_row(&mut self.rows);
+            digest.ingest_raw(flow_shard_key(rec), &self.rows);
+        }
     }
 
     /// Feeds a batch of interaction records and then flushes any
@@ -296,7 +311,7 @@ impl Gpa {
         I: IntoIterator<Item = &'a InteractionRecord>,
     {
         for rec in recs {
-            self.ingest_interaction(*rec);
+            self.ingest_record(rec);
         }
         if let Some(digest) = self.digest.as_mut() {
             digest.flush();
@@ -446,55 +461,78 @@ impl Gpa {
     }
 
     /// Ingests one framed batch from a daemon. Returns records decoded.
+    ///
+    /// Every frame decodes straight to a raw row. Interaction rows stay
+    /// in one contiguous per-batch buffer: each becomes a typed record
+    /// for the store, and the buffer itself goes to the digest in one
+    /// call. What a row is follows from the schema its stream announced
+    /// (compared, field types included, once per announcement); a frame
+    /// that does not decode, or is under any other schema, is a decode
+    /// failure.
     pub fn ingest_batch(&mut self, src: EndPoint, data: &[u8]) -> usize {
+        let mut rows = std::mem::take(&mut self.rows);
+        let mut keys = std::mem::take(&mut self.keys);
+        rows.clear();
+        keys.clear();
+        let mut loads = Vec::new();
         let mut count = 0;
-        // Frame split first so the decoder borrow stays local.
-        let frames: Vec<Vec<u8>> = split_frames(data).into_iter().map(|f| f.to_vec()).collect();
-        for frame in frames {
-            let decoder = self.decoders.entry(src).or_default();
-            match decoder.decode(&frame) {
-                Ok(Some((_topic, values))) => {
-                    count += 1;
-                    self.ingest_values(&values);
+        let decoder = self
+            .decoders
+            .entry(src)
+            .or_insert_with(|| ChannelDecoder::expecting(self.record_schemas.to_vec()));
+        for frame in split_frames(data) {
+            let start = rows.len();
+            let known = match decoder.decode_row(frame, &mut rows) {
+                Ok(Some((_topic, known))) => known,
+                Ok(None) => continue,
+                Err(_) => {
+                    self.decode_failures += 1;
+                    continue;
                 }
-                Ok(None) => {}
-                Err(_) => self.decode_failures += 1,
+            };
+            count += 1;
+            match known {
+                Some(INTERACTION) => continue,
+                Some(LOAD) => loads.extend(LoadRecord::from_raw_row(&rows[start..])),
+                _ => self.decode_failures += 1,
             }
+            rows.truncate(start);
         }
-        // One daemon delivery is one digest pipeline boundary: ship any
-        // partial per-shard batches so records never linger in builders
-        // while the GPA waits for the next wire batch.
-        if count > 0 {
-            if let Some(digest) = self.digest.as_mut() {
-                digest.flush();
-            }
-        }
-        count
-    }
 
-    fn ingest_values(&mut self, values: &[pbio::Value]) {
-        if let Some(rec) = InteractionRecord::from_values(values) {
-            self.ingest_interaction(rec);
-        } else if let Some(load) = LoadRecord::from_values(values) {
+        for row in rows.chunks_exact(self.record_schemas[INTERACTION].len()) {
+            let rec = InteractionRecord::from_raw_row(row).expect("one interaction row");
+            if self.digest.is_some() {
+                keys.push(flow_shard_key(&rec));
+            }
+            self.store(rec);
+        }
+        for load in loads {
             self.ingested += 1;
             let (stats, n) = self.load_stats.entry(load.node).or_default();
             stats.record(load.cpu_utilization);
             *n += 1;
             self.latest_load.insert(load.node, load);
             self.load_history.push(load);
-        } else {
-            self.decode_failures += 1;
         }
+        if let Some(digest) = self.digest.as_mut() {
+            digest.ingest_raw_rows(&keys, &rows);
+            // One daemon delivery is one digest pipeline boundary: ship
+            // any partial per-shard batches so records never linger in
+            // builders while the GPA waits for the next wire batch.
+            if count > 0 {
+                digest.flush();
+            }
+        }
+        self.rows = rows;
+        self.keys = keys;
+        count
     }
 
-    /// The single interaction ingest path behind both the wire decoder
-    /// and the direct record entry points.
-    fn ingest_interaction(&mut self, rec: InteractionRecord) {
+    /// Adds one interaction to the store and its class aggregates — the
+    /// single path behind both the wire decoder and the direct record
+    /// entry points.
+    fn store(&mut self, rec: InteractionRecord) {
         self.ingested += 1;
-        if let Some(digest) = self.digest.as_mut() {
-            rec.to_raw_row(&mut self.digest_row);
-            digest.ingest_raw(flow_shard_key(&rec), &self.digest_row);
-        }
         let aggr = self.by_class.entry((rec.node, rec.class_port)).or_default();
         aggr.kernel_in.record(rec.kernel_in_us as f64);
         aggr.user.record(rec.user_us as f64);
@@ -793,10 +831,51 @@ mod tests {
 
     fn gpa_with(records: Vec<InteractionRecord>) -> Gpa {
         let mut g = Gpa::new(GpaConfig::default());
-        for r in records {
-            g.ingest_values(&r.to_values());
-        }
+        g.ingest_records(&records);
         g
+    }
+
+    const SRC: EndPoint = EndPoint::new(Ip(1), Port(9997));
+
+    /// A daemon's end of the channel: publishes rows through a real hub
+    /// and frames them into the batch payload `ingest_batch` takes.
+    struct Feed {
+        hub: pubsub::Hub,
+        batch: Vec<u8>,
+    }
+
+    impl Feed {
+        fn new() -> Feed {
+            let mut hub = pubsub::Hub::new();
+            let t = hub.topic("t");
+            hub.subscribe(t, EndPoint::new(Ip(99), Port(9999)), None)
+                .unwrap();
+            Feed {
+                hub,
+                batch: Vec::new(),
+            }
+        }
+
+        fn frame(&mut self, msg: &[u8]) {
+            pbio::write_u64(&mut self.batch, msg.len() as u64);
+            self.batch.extend_from_slice(msg);
+        }
+
+        fn push(&mut self, schema: &pbio::Schema, row: &[i64]) {
+            let t = self.hub.topic("t");
+            let msg = self.hub.publish_raw(t, schema, row).unwrap().remove(0).1;
+            self.frame(&msg);
+        }
+
+        fn push_load(&mut self, load: &LoadRecord) {
+            let mut row = Vec::new();
+            load.to_raw_row(&mut row);
+            self.push(&LoadRecord::schema(), &row);
+        }
+
+        fn take(&mut self) -> Vec<u8> {
+            std::mem::take(&mut self.batch)
+        }
     }
 
     #[test]
@@ -879,27 +958,25 @@ mod tests {
         // Beyond the bound, correlation refuses.
         let parent = rec(1, 10, 20, 80, 10_000, 19_000);
         let child = rec(2, 20, 30, 80, 8_000, 18_000);
-        let mut g2 = Gpa::new(GpaConfig::default());
-        for r in [parent, child] {
-            g2.ingest_values(&r.to_values());
-        }
+        let g2 = gpa_with(vec![parent, child]);
         assert_eq!(g2.correlate().len(), 0);
     }
 
     #[test]
     fn load_views_track_latest_and_mean() {
         let mut g = Gpa::new(GpaConfig::default());
+        let mut feed = Feed::new();
         for (i, util) in [0.2, 0.4, 0.9].iter().enumerate() {
-            let load = LoadRecord {
+            feed.push_load(&LoadRecord {
                 node: NodeId(5),
                 wall_us: i as u64 * 1000,
                 cpu_utilization: *util,
                 mean_kernel_us: 10.0,
                 interactions: 3,
                 monitor_us: 1,
-            };
-            g.ingest_values(&load.to_values());
+            });
         }
+        assert_eq!(g.ingest_batch(SRC, &feed.take()), 3);
         let view = g.node_load(NodeId(5)).unwrap();
         assert_eq!(view.reports, 3);
         assert_eq!(view.latest.cpu_utilization, 0.9);
@@ -915,34 +992,119 @@ mod tests {
             ..GpaConfig::default()
         });
         for i in 0..4 {
-            g.ingest_values(&rec(1, 10, 20, 80, i * 100, i * 100 + 50).to_values());
+            g.ingest_record(&rec(1, 10, 20, 80, i * 100, i * 100 + 50));
         }
         assert_eq!(g.interaction_count(), 2);
         assert_eq!(g.interactions()[0].start_us, 200);
     }
 
+    /// One wire batch mixing everything a stream can carry. What a row
+    /// is follows from the announced schema, field types included: an
+    /// 18-field schema that differs from the interaction schema in one
+    /// field's type must not be ingested as interactions.
     #[test]
-    fn garbage_counts_as_decode_failure() {
+    fn mixed_batch_sorts_records_by_announced_schema() {
         let mut g = Gpa::new(GpaConfig::default());
-        g.ingest_values(&[pbio::Value::U64(1)]);
-        assert_eq!(g.decode_failures(), 1);
-        assert_eq!(g.interaction_count(), 0);
+        g.install_digest(
+            "static int seen = 0; static int bytes = 0;
+             seen = seen + 1; bytes = bytes + req_bytes; return 0;",
+            2,
+        )
+        .unwrap();
+        let interaction = InteractionRecord::schema();
+        let mut lookalike = pbio::Schema::build(interaction.name());
+        for f in interaction.fields() {
+            let ty = match f.name.as_str() {
+                "pid" => pbio::FieldType::I64,
+                _ => f.ty,
+            };
+            lookalike = lookalike.field(&f.name, ty);
+        }
+        let lookalike = lookalike.finish().unwrap();
+        let load = LoadRecord {
+            node: NodeId(5),
+            wall_us: 7_000,
+            cpu_utilization: 0.25,
+            mean_kernel_us: 10.5,
+            interactions: 3,
+            monitor_us: 1,
+        };
+        let recs = [
+            rec(1, 10, 20, 80, 0, 100),
+            rec(1, 11, 20, 80, 200, 400),
+            rec(2, 20, 30, 443, 250, 300),
+        ];
+
+        let mut feed = Feed::new();
+        let mut row = Vec::new();
+        recs[0].to_raw_row(&mut row);
+        feed.push(&interaction, &row);
+        feed.push_load(&load);
+        recs[1].to_raw_row(&mut row);
+        feed.push(&interaction, &row);
+        feed.frame(&[0xFF; 5]);
+        feed.frame(&[]);
+        recs[2].to_raw_row(&mut row);
+        feed.push(&interaction, &row);
+        // Last, and from a second hub: the lookalike carries the
+        // interaction schema's name and so re-announces its id.
+        let mut other = Feed::new();
+        other.push(&lookalike, &row);
+        feed.batch.extend_from_slice(&other.take());
+
+        // Decoded: three interactions, the load, the lookalike's row.
+        assert_eq!(g.ingest_batch(SRC, &feed.take()), 5);
+        assert_eq!(g.interactions(), &recs);
+        assert_eq!(g.load_history(), &[load]);
+        assert_eq!(g.node_load(NodeId(5)).unwrap().latest, load);
+        assert_eq!(g.decode_failures(), 3, "lookalike + two garbage frames");
+        assert_eq!(g.digest_global("seen"), Some(ecode::Value::Int(3)));
+        assert_eq!(g.digest_global("bytes"), Some(ecode::Value::Int(300)));
+        assert_eq!(g.digest_stats().unwrap().skipped, 0);
+        assert_eq!(g.class_summary(NodeId(1), Port(80)).unwrap().count, 2);
+    }
+
+    /// A restarted daemon numbers its schemas afresh: the id that meant
+    /// "interaction" can come back announcing "load".
+    #[test]
+    fn reannounced_schema_id_is_reclassified() {
+        let mut g = Gpa::new(GpaConfig::default());
+        let load = LoadRecord {
+            node: NodeId(5),
+            wall_us: 7_000,
+            cpu_utilization: 0.25,
+            mean_kernel_us: 10.5,
+            interactions: 3,
+            monitor_us: 1,
+        };
+        let mut row = Vec::new();
+        rec(1, 10, 20, 80, 0, 100).to_raw_row(&mut row);
+        let mut before = Feed::new();
+        before.push(&InteractionRecord::schema(), &row);
+        assert_eq!(g.ingest_batch(SRC, &before.take()), 1);
+        let mut after = Feed::new();
+        after.push_load(&load);
+        assert_eq!(g.ingest_batch(SRC, &after.take()), 1);
+        assert_eq!(g.interaction_count(), 1);
+        assert_eq!(g.load_history(), &[load]);
+        assert_eq!(g.decode_failures(), 0);
     }
 
     #[test]
     fn silent_nodes_flags_stale_reporters() {
         let mut g = Gpa::new(GpaConfig::default());
+        let mut feed = Feed::new();
         for (node, at_ms) in [(1u32, 1_000u64), (2, 5_000)] {
-            let load = LoadRecord {
+            feed.push_load(&LoadRecord {
                 node: NodeId(node),
                 wall_us: at_ms * 1_000,
                 cpu_utilization: 0.5,
                 mean_kernel_us: 1.0,
                 interactions: 1,
                 monitor_us: 0,
-            };
-            g.ingest_values(&load.to_values());
+            });
         }
+        g.ingest_batch(SRC, &feed.take());
         let now = SimTime::from_secs(6);
         let silent = g.silent_nodes(now, SimDuration::from_secs(3));
         assert_eq!(silent, vec![NodeId(1)], "node 1's reports are stale");
@@ -953,7 +1115,7 @@ mod tests {
     fn percentiles_order_and_bracket_mean() {
         let mut g = Gpa::new(GpaConfig::default());
         for i in 1..=100u64 {
-            g.ingest_values(&rec(1, 10, 20, 80, 0, i * 100).to_values());
+            g.ingest_record(&rec(1, 10, 20, 80, 0, i * 100));
         }
         let s = g.class_summary(NodeId(1), Port(80)).unwrap();
         assert!(s.p50_total_us <= s.p95_total_us);

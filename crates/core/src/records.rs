@@ -87,36 +87,12 @@ impl InteractionRecord {
             .expect("static schema is valid")
     }
 
-    /// Encodes as PBIO values (schema field order).
-    pub fn to_values(&self) -> Vec<Value> {
-        vec![
-            Value::U64(self.node.0 as u64),
-            Value::U64(self.flow.src.ip.0 as u64),
-            Value::U64(self.flow.src.port.0 as u64),
-            Value::U64(self.flow.dst.ip.0 as u64),
-            Value::U64(self.flow.dst.port.0 as u64),
-            Value::U64(self.class_port.0 as u64),
-            Value::U64(self.pid as u64),
-            Value::U64(self.start_us),
-            Value::U64(self.end_us),
-            Value::U64(self.req_packets as u64),
-            Value::U64(self.req_bytes),
-            Value::U64(self.resp_packets as u64),
-            Value::U64(self.resp_bytes),
-            Value::U64(self.kernel_in_us),
-            Value::U64(self.user_us),
-            Value::U64(self.kernel_out_us),
-            Value::U64(self.blocked_us),
-            Value::U64(self.blocked_io_us),
-        ]
-    }
-
-    /// Encodes as a raw digest row: one `i64` per schema field, in
-    /// schema order, holding the same bits [`to_values`](Self::to_values)
-    /// would produce (all interaction fields are unsigned integers, so
-    /// the raw value is just the width-extended count). This is the
-    /// allocation-free hot-path form `ShardedDigest::ingest_raw`
-    /// consumes; `out` is a reusable scratch buffer.
+    /// Encodes as a raw row: one `i64` per schema field, in schema
+    /// order (all interaction fields are unsigned integers, so the raw
+    /// value is just the width-extended count). This is the form the
+    /// record travels in — what `Hub::publish_raw` encodes, the PBIO row
+    /// codec decodes and `ShardedDigest::ingest_raw_rows` consumes;
+    /// `out` is a reusable scratch buffer.
     pub fn to_raw_row(&self, out: &mut Vec<i64>) {
         out.clear();
         out.extend_from_slice(&[
@@ -141,34 +117,40 @@ impl InteractionRecord {
         ]);
     }
 
-    /// Decodes from PBIO values.
-    ///
-    /// Returns `None` if the values do not match the schema shape.
-    pub fn from_values(values: &[Value]) -> Option<InteractionRecord> {
-        if values.len() != 18 {
-            return None;
-        }
-        let u = |i: usize| values[i].as_u64();
+    /// Inverse of [`to_raw_row`](Self::to_raw_row). The caller vouches
+    /// that `row` was coded under [`schema`](Self::schema) (the GPA
+    /// compares the announced schema); `None` if it is not one value per
+    /// field.
+    pub fn from_raw_row(row: &[i64]) -> Option<InteractionRecord> {
+        let r: &[i64; 18] = row.try_into().ok()?;
         Some(InteractionRecord {
-            node: NodeId(u(0)? as u32),
+            node: NodeId(r[0] as u32),
             flow: FlowKey::new(
-                EndPoint::new(Ip(u(1)? as u32), Port(u(2)? as u16)),
-                EndPoint::new(Ip(u(3)? as u32), Port(u(4)? as u16)),
+                EndPoint::new(Ip(r[1] as u32), Port(r[2] as u16)),
+                EndPoint::new(Ip(r[3] as u32), Port(r[4] as u16)),
             ),
-            class_port: Port(u(5)? as u16),
-            pid: u(6)? as u32,
-            start_us: u(7)?,
-            end_us: u(8)?,
-            req_packets: u(9)? as u32,
-            req_bytes: u(10)?,
-            resp_packets: u(11)? as u32,
-            resp_bytes: u(12)?,
-            kernel_in_us: u(13)?,
-            user_us: u(14)?,
-            kernel_out_us: u(15)?,
-            blocked_us: u(16)?,
-            blocked_io_us: u(17)?,
+            class_port: Port(r[5] as u16),
+            pid: r[6] as u32,
+            start_us: r[7] as u64,
+            end_us: r[8] as u64,
+            req_packets: r[9] as u32,
+            req_bytes: r[10] as u64,
+            resp_packets: r[11] as u32,
+            resp_bytes: r[12] as u64,
+            kernel_in_us: r[13] as u64,
+            user_us: r[14] as u64,
+            kernel_out_us: r[15] as u64,
+            blocked_us: r[16] as u64,
+            blocked_io_us: r[17] as u64,
         })
+    }
+
+    /// The dynamic PBIO form of [`to_raw_row`](Self::to_raw_row), for the
+    /// general `RecordWriter`/`Hub::publish` path.
+    pub fn to_values(&self) -> Vec<Value> {
+        let mut row = Vec::new();
+        self.to_raw_row(&mut row);
+        pbio::row_to_values(&Self::schema(), &row).expect("one raw value per numeric field")
     }
 }
 
@@ -204,30 +186,31 @@ impl LoadRecord {
             .expect("static schema is valid")
     }
 
-    /// Encodes as PBIO values.
-    pub fn to_values(&self) -> Vec<Value> {
-        vec![
-            Value::U64(self.node.0 as u64),
-            Value::U64(self.wall_us),
-            Value::F64(self.cpu_utilization),
-            Value::F64(self.mean_kernel_us),
-            Value::U64(self.interactions),
-            Value::U64(self.monitor_us),
-        ]
+    /// Encodes as a raw row (see [`InteractionRecord::to_raw_row`]):
+    /// integers as-is, doubles as their IEEE-754 bits.
+    pub fn to_raw_row(&self, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend_from_slice(&[
+            self.node.0 as i64,
+            self.wall_us as i64,
+            self.cpu_utilization.to_bits() as i64,
+            self.mean_kernel_us.to_bits() as i64,
+            self.interactions as i64,
+            self.monitor_us as i64,
+        ]);
     }
 
-    /// Decodes from PBIO values.
-    pub fn from_values(values: &[Value]) -> Option<LoadRecord> {
-        if values.len() != 6 {
-            return None;
-        }
+    /// Inverse of [`to_raw_row`](Self::to_raw_row), for a row coded under
+    /// [`schema`](Self::schema); `None` if it is not one value per field.
+    pub fn from_raw_row(row: &[i64]) -> Option<LoadRecord> {
+        let r: &[i64; 6] = row.try_into().ok()?;
         Some(LoadRecord {
-            node: NodeId(values[0].as_u64()? as u32),
-            wall_us: values[1].as_u64()?,
-            cpu_utilization: values[2].as_f64()?,
-            mean_kernel_us: values[3].as_f64()?,
-            interactions: values[4].as_u64()?,
-            monitor_us: values[5].as_u64()?,
+            node: NodeId(r[0] as u32),
+            wall_us: r[1] as u64,
+            cpu_utilization: f64::from_bits(r[2] as u64),
+            mean_kernel_us: f64::from_bits(r[3] as u64),
+            interactions: r[4] as u64,
+            monitor_us: r[5] as u64,
         })
     }
 
@@ -265,12 +248,17 @@ mod tests {
     }
 
     #[test]
-    fn interaction_pbio_round_trip() {
+    fn interaction_raw_row_round_trip() {
         let rec = sample();
+        let mut row = Vec::new();
+        rec.to_raw_row(&mut row);
+        assert_eq!(row.len(), InteractionRecord::schema().len());
+        assert_eq!(InteractionRecord::from_raw_row(&row), Some(rec));
+        // The dynamic form is the same row, typed by the schema.
         let values = rec.to_values();
-        assert_eq!(values.len(), InteractionRecord::schema().len());
-        let back = InteractionRecord::from_values(&values).unwrap();
-        assert_eq!(back, rec);
+        assert!(values.iter().all(|v| v.as_u64().is_some()));
+        let raw: Vec<i64> = values.iter().map(|v| v.to_raw().unwrap()).collect();
+        assert_eq!(raw, row);
     }
 
     #[test]
@@ -281,11 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn from_values_rejects_wrong_shape() {
-        assert!(InteractionRecord::from_values(&[]).is_none());
-        let mut vals = sample().to_values();
-        vals[0] = Value::Str("oops".into());
-        assert!(InteractionRecord::from_values(&vals).is_none());
+    fn from_raw_row_rejects_wrong_arity() {
+        let mut row = Vec::new();
+        sample().to_raw_row(&mut row);
+        assert!(InteractionRecord::from_raw_row(&[]).is_none());
+        assert!(InteractionRecord::from_raw_row(&row[1..]).is_none());
+        assert!(LoadRecord::from_raw_row(&row).is_none());
     }
 
     #[test]
@@ -316,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn load_pbio_round_trip() {
+    fn load_raw_row_round_trip() {
         let rec = LoadRecord {
             node: NodeId(2),
             wall_us: 5_000_000,
@@ -325,9 +314,12 @@ mod tests {
             interactions: 230,
             monitor_us: 1_200,
         };
-        let back = LoadRecord::from_values(&rec.to_values()).unwrap();
+        let mut row = Vec::new();
+        rec.to_raw_row(&mut row);
+        let back = LoadRecord::from_raw_row(&row).unwrap();
         assert_eq!(back, rec);
         assert_eq!(back.wall(), SimTime::from_secs(5));
+        assert_eq!(row[2], 0.83f64.to_bits() as i64);
     }
 
     #[test]

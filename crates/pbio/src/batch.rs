@@ -1,32 +1,36 @@
-//! Vectorized batch encoding for numeric record streams.
+//! The raw-row codec for numeric record streams.
 //!
-//! The per-record [`RecordWriter`](crate::RecordWriter) pays, for every
-//! record: a fresh output `Vec`, a schema type check per field, a
-//! dynamic [`Value`](crate::Value) match per field, and a grow check per
-//! byte written. Monitoring hot paths (a dissemination daemon draining
-//! thousands of interaction records per wake) encode the *same*
-//! all-numeric schema over and over, so all of that is loop-invariant:
+//! The per-record [`RecordWriter`](crate::RecordWriter) /
+//! [`RecordReader`](crate::RecordReader) pair pays, for every record: a
+//! fresh output `Vec`, a schema type check per field, a dynamic
+//! [`Value`](crate::Value) match per field, and a grow check per byte
+//! written. Monitoring hot paths (a dissemination daemon draining
+//! thousands of interaction records per wake, a GPA ingesting them)
+//! code the *same* all-numeric schema over and over, so all of that is
+//! loop-invariant:
 //!
 //! * [`BatchEncoder::new`] validates the schema **once** and freezes the
-//!   per-field wire kinds — the encode loop has no type checks left.
-//! * [`encode_batch_into`] reserves worst-case capacity for the whole
-//!   batch up front, hoisting every grow/bounds check out of the
-//!   per-value loop, and encodes row-major raw values (the same `i64`
-//!   bit convention as digest raw rows) straight into one reusable
-//!   output buffer.
+//!   per-field wire kinds — neither direction has type checks left.
+//! * Records are *raw rows*: one `i64` per field, the same bit
+//!   convention as E-Code digest rows — a `U64` or `I64` field holds the
+//!   integer itself (width-extended), an `F64` field holds
+//!   `f64::to_bits`, a `Bool` field is nonzero-for-true (decoded as
+//!   0/1). Both directions append to a caller-owned, reusable buffer,
+//!   reserving the row's worst case up front.
 //! * All-`U64` schemas — the interaction-record hot case — take a
 //!   monomorphic inner loop with no per-field kind dispatch at all.
 //!
-//! Output bytes are **identical** to a `RecordWriter` run per row (the
-//! tests pin this), so receivers cannot tell which path encoded a
-//! record; the batch form is purely a producer-side optimization.
+//! Bytes are **identical** to a `RecordWriter`'s, and rows,
+//! accept/reject and errors identical to a `RecordReader`'s (the tests
+//! pin both), so neither peer can tell which path coded a record.
 
 use crate::schema::{FieldType, Schema};
+use crate::varint::{read_u64, zigzag_decode, zigzag_encode};
 use crate::PbioError;
 
 /// Per-field wire kind with the schema validation already spent.
-/// `repr(u8)` and kind-only (no names) so the encode loop's dispatch
-/// table is a dense byte array.
+/// `repr(u8)` and kind-only (no names) so the dispatch table is a dense
+/// byte array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum Kind {
@@ -36,9 +40,9 @@ enum Kind {
     Bool,
 }
 
-/// A schema compiled for batch encoding: field kinds frozen, type
-/// checks hoisted out of the encode loop. Build once per schema, reuse
-/// for every batch.
+/// A schema compiled to a raw-row codec: field kinds frozen, type
+/// checks hoisted out of the encode and decode loops. Build once per
+/// schema, reuse for every record.
 #[derive(Debug, Clone)]
 pub struct BatchEncoder {
     kinds: Box<[Kind]>,
@@ -47,8 +51,12 @@ pub struct BatchEncoder {
     all_u64: bool,
 }
 
+/// Worst-case encoded bytes per value (a 10-byte varint dominates the
+/// 8-byte fixed double and 1-byte bool).
+const MAX_VALUE_BYTES: usize = 10;
+
 impl BatchEncoder {
-    /// Compiles `schema` for batch encoding.
+    /// Compiles `schema` to its row codec.
     ///
     /// # Errors
     ///
@@ -79,9 +87,8 @@ impl BatchEncoder {
         self.kinds.len()
     }
 
-    /// Encodes one raw row (see [`encode_batch_into`] for the bit
-    /// convention), appending to `out`. The single-record form the
-    /// publish hot path uses; byte-identical to a `RecordWriter`.
+    /// Encodes one raw row, appending to `out`; byte-identical to a
+    /// [`RecordWriter`](crate::RecordWriter).
     ///
     /// # Errors
     ///
@@ -93,92 +100,79 @@ impl BatchEncoder {
                 want: self.stride(),
             });
         }
+        // One reservation for the row: every grow check in the pushes
+        // below is dead (capacity is proven sufficient).
         out.reserve(row.len() * MAX_VALUE_BYTES);
-        encode_row(&self.kinds, self.all_u64, row, out);
+        if self.all_u64 {
+            for &v in row {
+                put_varint(out, v as u64);
+            }
+            return Ok(());
+        }
+        for (&k, &v) in self.kinds.iter().zip(row) {
+            match k {
+                Kind::U64 => put_varint(out, v as u64),
+                Kind::I64 => put_varint(out, zigzag_encode(v)),
+                // Raw bits are already `f64::to_bits`; LE bytes match
+                // `RecordWriter::push_f64`'s `put_f64_le`.
+                Kind::F64 => out.extend_from_slice(&(v as u64).to_le_bytes()),
+                Kind::Bool => out.push((v != 0) as u8),
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes one record from the front of `buf`, appending its raw row
+    /// to `out`: the inverse of
+    /// [`encode_row_into`](BatchEncoder::encode_row_into), and value for
+    /// value what a [`RecordReader`](crate::RecordReader) yields. Like
+    /// it, bytes past the last field are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Exactly a `RecordReader`'s: [`PbioError::UnexpectedEof`] on a
+    /// truncated record, [`PbioError::BadVarint`] on an overlong varint.
+    /// `out` is left as it was.
+    pub fn decode_row_into(&self, buf: &[u8], out: &mut Vec<i64>) -> Result<(), PbioError> {
+        let start = out.len();
+        out.reserve(self.stride());
+        let decoded = self.decode_fields(buf, out);
+        if decoded.is_err() {
+            out.truncate(start);
+        }
+        decoded
+    }
+
+    fn decode_fields(&self, mut buf: &[u8], out: &mut Vec<i64>) -> Result<(), PbioError> {
+        if self.all_u64 {
+            for _ in 0..self.stride() {
+                out.push(get_varint(&mut buf)? as i64);
+            }
+            return Ok(());
+        }
+        for &k in self.kinds.iter() {
+            out.push(match k {
+                Kind::U64 => get_varint(&mut buf)? as i64,
+                Kind::I64 => zigzag_decode(get_varint(&mut buf)?),
+                Kind::F64 => {
+                    let (bits, rest) = buf
+                        .split_first_chunk::<8>()
+                        .ok_or(PbioError::UnexpectedEof)?;
+                    buf = rest;
+                    u64::from_le_bytes(*bits) as i64
+                }
+                Kind::Bool => {
+                    let (&b, rest) = buf.split_first().ok_or(PbioError::UnexpectedEof)?;
+                    buf = rest;
+                    (b != 0) as i64
+                }
+            });
+        }
         Ok(())
     }
 }
 
-/// Worst-case encoded bytes per value (a 10-byte varint dominates the
-/// 8-byte fixed double and 1-byte bool).
-const MAX_VALUE_BYTES: usize = 10;
-
-/// Encodes `rows` — row-major raw values, [`BatchEncoder::stride`] per
-/// record — into `out`, appending each record's **end offset** (within
-/// `out`) to `offsets` so callers can frame records individually.
-///
-/// The raw-value bit convention matches E-Code digest raw rows: a `U64`
-/// or `I64` field holds the integer itself (width-extended), an `F64`
-/// field holds `f64::to_bits` reinterpreted as `i64`, a `Bool` field is
-/// nonzero-for-true. Bytes appended to `out` are identical to running a
-/// [`RecordWriter`](crate::RecordWriter) per row.
-///
-/// `out` and `offsets` are *appended to*, not cleared — callers reuse
-/// them across batches and drain at their own pace.
-///
-/// # Errors
-///
-/// [`PbioError::MissingFields`] if `rows` is not a whole number of
-/// records. Nothing is written on error.
-pub fn encode_batch_into(
-    enc: &BatchEncoder,
-    rows: &[i64],
-    out: &mut Vec<u8>,
-    offsets: &mut Vec<usize>,
-) -> Result<(), PbioError> {
-    let stride = enc.stride();
-    if stride == 0 || !rows.len().is_multiple_of(stride) {
-        return Err(PbioError::MissingFields {
-            got: rows.len() % stride.max(1),
-            want: stride,
-        });
-    }
-    // One reservation for the whole batch: every grow check inside the
-    // per-value loop below is dead (capacity is proven sufficient), so
-    // the loop body is pure compute + append.
-    out.reserve(rows.len() * MAX_VALUE_BYTES);
-    offsets.reserve(rows.len() / stride);
-
-    if enc.all_u64 {
-        // Monomorphic hot loop: no kind dispatch, just varints.
-        for row in rows.chunks_exact(stride) {
-            for &v in row {
-                put_varint(out, v as u64);
-            }
-            offsets.push(out.len());
-        }
-    } else {
-        for row in rows.chunks_exact(stride) {
-            encode_row(&enc.kinds, false, row, out);
-            offsets.push(out.len());
-        }
-    }
-    Ok(())
-}
-
-/// Encodes one row; `row.len() == kinds.len()` is the caller's
-/// invariant, and capacity for the worst case is already reserved.
-#[inline]
-fn encode_row(kinds: &[Kind], all_u64: bool, row: &[i64], out: &mut Vec<u8>) {
-    if all_u64 {
-        for &v in row {
-            put_varint(out, v as u64);
-        }
-        return;
-    }
-    for (&k, &v) in kinds.iter().zip(row) {
-        match k {
-            Kind::U64 => put_varint(out, v as u64),
-            Kind::I64 => put_varint(out, crate::varint::zigzag_encode(v)),
-            // Raw bits are already `f64::to_bits`; LE bytes match
-            // `RecordWriter::push_f64`'s `put_f64_le`.
-            Kind::F64 => out.extend_from_slice(&(v as u64).to_le_bytes()),
-            Kind::Bool => out.push((v != 0) as u8),
-        }
-    }
-}
-
-/// LEB128 append tuned for the batch loop: one-byte values (the common
+/// LEB128 append tuned for the row loop: one-byte values (the common
 /// case for monitoring metrics) short-circuit; longer ones fill a stack
 /// scratch and land in a single `extend_from_slice` instead of a
 /// checked push per byte. Byte output is identical to
@@ -200,10 +194,23 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&scratch[..=i]);
 }
 
+/// LEB128 read mirroring [`put_varint`]: one-byte values short-circuit,
+/// longer ones take [`read_u64`] (so errors are its errors).
+#[inline]
+fn get_varint(buf: &mut &[u8]) -> Result<u64, PbioError> {
+    match buf.split_first() {
+        Some((&b, rest)) if b < 0x80 => {
+            *buf = rest;
+            Ok(b as u64)
+        }
+        _ => read_u64(buf),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordWriter;
+    use crate::record::{row_to_values, RecordReader, RecordWriter};
     use crate::varint::write_u64;
     use proptest::prelude::*;
 
@@ -218,8 +225,8 @@ mod tests {
     }
 
     /// Reference encoding: one RecordWriter per row.
-    fn reference(schema: &Schema, rows: &[i64]) -> (Vec<u8>, Vec<usize>) {
-        let (mut out, mut offsets) = (Vec::new(), Vec::new());
+    fn reference(schema: &Schema, rows: &[i64]) -> Vec<u8> {
+        let mut out = Vec::new();
         for row in rows.chunks_exact(schema.len()) {
             let mut w = RecordWriter::new(schema);
             for (f, &v) in schema.fields().iter().zip(row) {
@@ -232,13 +239,21 @@ mod tests {
                 }
             }
             out.extend_from_slice(&w.finish().unwrap());
-            offsets.push(out.len());
         }
-        (out, offsets)
+        out
+    }
+
+    /// The codec over a run of rows, appending to one buffer.
+    fn encode_rows(enc: &BatchEncoder, rows: &[i64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for row in rows.chunks_exact(enc.stride()) {
+            enc.encode_row_into(row, &mut out).unwrap();
+        }
+        out
     }
 
     #[test]
-    fn batch_bytes_identical_to_record_writer() {
+    fn row_bytes_identical_to_record_writer() {
         let schema = numeric_schema();
         let enc = BatchEncoder::new(&schema).unwrap();
         let mut rows = Vec::new();
@@ -250,11 +265,7 @@ mod tests {
                 i % 3,                             // Bool, non-canonical truthiness
             ]);
         }
-        let (mut out, mut offsets) = (Vec::new(), Vec::new());
-        encode_batch_into(&enc, &rows, &mut out, &mut offsets).unwrap();
-        let (want, want_offsets) = reference(&schema, &rows);
-        assert_eq!(out, want);
-        assert_eq!(offsets, want_offsets);
+        assert_eq!(encode_rows(&enc, &rows), reference(&schema, &rows));
     }
 
     #[test]
@@ -269,35 +280,7 @@ mod tests {
         let rows: Vec<i64> = (0..300)
             .map(|i| (i as i64).wrapping_mul(0x9e37_79b9_7f4a_7c15_u64 as i64))
             .collect();
-        let (mut out, mut offsets) = (Vec::new(), Vec::new());
-        encode_batch_into(&enc, &rows, &mut out, &mut offsets).unwrap();
-        let (want, want_offsets) = reference(&schema, &rows);
-        assert_eq!(out, want);
-        assert_eq!(offsets, want_offsets);
-    }
-
-    #[test]
-    fn appends_without_clearing() {
-        let schema = numeric_schema();
-        let enc = BatchEncoder::new(&schema).unwrap();
-        let mut out = vec![0xEE];
-        let mut offsets = vec![1usize];
-        encode_batch_into(&enc, &[1, -1, 0, 1], &mut out, &mut offsets).unwrap();
-        assert_eq!(out[0], 0xEE);
-        assert_eq!(offsets[0], 1);
-        assert_eq!(*offsets.last().unwrap(), out.len());
-    }
-
-    #[test]
-    fn ragged_batch_rejected() {
-        let schema = numeric_schema();
-        let enc = BatchEncoder::new(&schema).unwrap();
-        let (mut out, mut offsets) = (Vec::new(), Vec::new());
-        assert_eq!(
-            encode_batch_into(&enc, &[1, 2, 3], &mut out, &mut offsets),
-            Err(PbioError::MissingFields { got: 3, want: 4 })
-        );
-        assert!(out.is_empty() && offsets.is_empty());
+        assert_eq!(encode_rows(&enc, &rows), reference(&schema, &rows));
     }
 
     #[test]
@@ -314,19 +297,20 @@ mod tests {
     }
 
     #[test]
-    fn single_row_form_matches_batch() {
+    fn encode_appends_and_rejects_wrong_arity() {
         let schema = numeric_schema();
         let enc = BatchEncoder::new(&schema).unwrap();
         let row = [77, -5, 1.25f64.to_bits() as i64, 0];
-        let mut single = Vec::new();
-        enc.encode_row_into(&row, &mut single).unwrap();
-        let (mut batch, mut offsets) = (Vec::new(), Vec::new());
-        encode_batch_into(&enc, &row, &mut batch, &mut offsets).unwrap();
-        assert_eq!(single, batch);
+        let mut out = vec![0xEE];
+        enc.encode_row_into(&row, &mut out).unwrap();
+        assert_eq!(out[0], 0xEE);
+        assert_eq!(out[1..], reference(&schema, &row));
+        let len = out.len();
         assert_eq!(
-            enc.encode_row_into(&row[..2], &mut single),
+            enc.encode_row_into(&row[..2], &mut out),
             Err(PbioError::MissingFields { got: 2, want: 4 })
         );
+        assert_eq!(out.len(), len, "nothing is written on error");
     }
 
     #[test]
@@ -345,21 +329,107 @@ mod tests {
         }
     }
 
+    #[test]
+    fn decode_appends_and_restores_on_error() {
+        let schema = numeric_schema();
+        let enc = BatchEncoder::new(&schema).unwrap();
+        let row = [77, -5, 1.25f64.to_bits() as i64, 1];
+        let mut bytes = Vec::new();
+        enc.encode_row_into(&row, &mut bytes).unwrap();
+        let mut out = vec![9];
+        enc.decode_row_into(&bytes, &mut out).unwrap();
+        assert_eq!(out[0], 9);
+        assert_eq!(out[1..], row);
+        assert_eq!(
+            enc.decode_row_into(&bytes[..bytes.len() - 1], &mut out),
+            Err(PbioError::UnexpectedEof)
+        );
+        assert_eq!(out.len(), 5, "a failed decode leaves no partial row");
+        assert_eq!(
+            row_to_values(&schema, &row).unwrap(),
+            RecordReader::new(&schema, &bytes).read_all().unwrap()
+        );
+    }
+
+    /// A schema of `codes.len()` numeric fields (0..4 → U64/I64/F64/Bool).
+    fn schema_of(codes: &[u8]) -> Schema {
+        let mut b = Schema::build("gen");
+        for (i, c) in codes.iter().enumerate() {
+            let ty = [
+                FieldType::U64,
+                FieldType::I64,
+                FieldType::F64,
+                FieldType::Bool,
+            ][*c as usize];
+            b = b.field(&format!("f{i}"), ty);
+        }
+        b.finish().unwrap()
+    }
+
+    /// Reference decoding: a RecordReader, its values lowered to raw bits.
+    fn reference_decode(schema: &Schema, frame: &[u8]) -> Result<Vec<i64>, PbioError> {
+        let values = RecordReader::new(schema, frame).read_all()?;
+        Ok(values.iter().map(|v| v.to_raw().unwrap()).collect())
+    }
+
     proptest! {
-        /// Batch encoding is byte-identical to per-record RecordWriter
+        /// The row codec against RecordWriter/RecordReader over random
+        /// numeric schemas: same bytes out, and on intact, truncated,
+        /// overlong, junk and kind-mismatched (other-schema) frames the
+        /// same accept/reject, the same error, the same values.
+        #[test]
+        fn prop_row_codec_matches_reference(
+            codes in proptest::collection::vec(0u8..4, 1..12),
+            other in proptest::collection::vec(0u8..4, 1..12),
+            raw in proptest::collection::vec(any::<i64>(), 12),
+            cut in any::<usize>(),
+            junk in proptest::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let schema = schema_of(&codes);
+            let codec = BatchEncoder::new(&schema).unwrap();
+            let row = &raw[..codes.len()];
+            let mut bytes = Vec::new();
+            codec.encode_row_into(row, &mut bytes).unwrap();
+            prop_assert_eq!(&bytes, &reference(&schema, row));
+
+            let cut = cut % (bytes.len() + 1);
+            let frames = [
+                bytes.clone(),
+                bytes[..cut].to_vec(),
+                [&bytes[..], &junk[..]].concat(),
+                [&bytes[..cut], &[0xFF; 11][..]].concat(),
+                junk,
+            ];
+            let other = schema_of(&other);
+            let other_codec = BatchEncoder::new(&other).unwrap();
+            for (schema, codec) in [(&schema, &codec), (&other, &other_codec)] {
+                for frame in &frames {
+                    let mut got = vec![7];
+                    let res = codec.decode_row_into(frame, &mut got);
+                    match reference_decode(schema, frame) {
+                        Ok(want) => {
+                            prop_assert_eq!(res, Ok(()));
+                            prop_assert_eq!(&got[1..], &want[..]);
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(res, Err(e));
+                            prop_assert_eq!(&got[..], &[7][..]);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Row encoding is byte-identical to per-record RecordWriter
         /// encoding for arbitrary numeric rows.
         #[test]
-        fn prop_batch_matches_record_writer(
+        fn prop_rows_match_record_writer(
             raw in proptest::collection::vec(any::<i64>(), 0..25 * 4)
         ) {
             let rows = &raw[..raw.len() - raw.len() % 4];
             let schema = numeric_schema();
             let enc = BatchEncoder::new(&schema).unwrap();
-            let (mut out, mut offsets) = (Vec::new(), Vec::new());
-            encode_batch_into(&enc, rows, &mut out, &mut offsets).unwrap();
-            let (want, want_offsets) = reference(&schema, rows);
-            prop_assert_eq!(out, want);
-            prop_assert_eq!(offsets, want_offsets);
+            prop_assert_eq!(encode_rows(&enc, rows), reference(&schema, rows));
         }
     }
 }

@@ -12,9 +12,11 @@
 //! * [`Schema`] — an ordered list of named, typed fields,
 //! * [`SchemaRegistry`] — assigns stable ids; encodes/decodes schemas
 //!   themselves so receivers can learn formats dynamically,
-//! * [`RecordWriter`] / [`RecordReader`] — fast, compact record codecs
-//!   (varint-compressed integers, fixed-width floats),
-//! * [`Value`] — the dynamic decoded form.
+//! * [`RecordWriter`] / [`RecordReader`] — the general, string-capable
+//!   record codecs (varint-compressed integers, fixed-width floats),
+//!   with [`Value`] as their dynamic decoded form,
+//! * [`BatchEncoder`] — the same bytes to and from raw `i64` rows for
+//!   all-numeric schemas: the form monitoring records travel in.
 //!
 //! # Example
 //!
@@ -43,8 +45,8 @@ mod record;
 mod schema;
 mod varint;
 
-pub use batch::{encode_batch_into, BatchEncoder};
-pub use record::{RecordReader, RecordWriter, Value};
+pub use batch::BatchEncoder;
+pub use record::{row_to_values, RecordReader, RecordWriter, Value};
 pub use schema::{Field, FieldType, Schema, SchemaBuilder, SchemaId, SchemaRegistry};
 pub use varint::{read_u64, write_u64, zigzag_decode, zigzag_encode};
 

@@ -36,18 +36,24 @@ impl Value {
         }
     }
 
+    /// The value's raw-row bits (the convention of
+    /// [`BatchEncoder`](crate::BatchEncoder): integers as-is, doubles via
+    /// `f64::to_bits`, bools 0/1), or `None` for strings and bytes, which
+    /// have no raw form.
+    pub fn to_raw(&self) -> Option<i64> {
+        match self {
+            Value::U64(v) => Some(*v as i64),
+            Value::I64(v) => Some(*v),
+            Value::F64(v) => Some(v.to_bits() as i64),
+            Value::Bool(v) => Some(*v as i64),
+            Value::Str(_) | Value::Bytes(_) => None,
+        }
+    }
+
     /// The value as u64, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as f64, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
             _ => None,
         }
     }
@@ -59,6 +65,38 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Lifts a raw row (one `i64` per field of a numeric `schema`,
+/// [`Value::to_raw`]'s convention) to the dynamic form — what a
+/// [`RecordReader`] would decode from the row's encoding.
+///
+/// # Errors
+///
+/// [`PbioError::MissingFields`] if `row` is not one value per field;
+/// [`PbioError::TypeMismatch`] at a string/bytes field.
+pub fn row_to_values(schema: &Schema, row: &[i64]) -> Result<Vec<Value>, PbioError> {
+    if row.len() != schema.len() {
+        return Err(PbioError::MissingFields {
+            got: row.len(),
+            want: schema.len(),
+        });
+    }
+    schema
+        .fields()
+        .iter()
+        .zip(row)
+        .enumerate()
+        .map(|(index, (f, &bits))| match f.ty {
+            FieldType::U64 => Ok(Value::U64(bits as u64)),
+            FieldType::I64 => Ok(Value::I64(bits)),
+            FieldType::F64 => Ok(Value::F64(f64::from_bits(bits as u64))),
+            FieldType::Bool => Ok(Value::Bool(bits != 0)),
+            expected @ (FieldType::Str | FieldType::Bytes) => {
+                Err(PbioError::TypeMismatch { index, expected })
+            }
+        })
+        .collect()
 }
 
 /// Encodes one record against a schema, field by field, in order.
@@ -407,8 +445,7 @@ mod tests {
     #[test]
     fn value_accessors() {
         assert_eq!(Value::U64(3).as_u64(), Some(3));
-        assert_eq!(Value::U64(3).as_f64(), None);
-        assert_eq!(Value::F64(1.5).as_f64(), Some(1.5));
+        assert_eq!(Value::F64(1.5).as_u64(), None);
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert_eq!(Value::Bool(true).field_type(), FieldType::Bool);
     }

@@ -194,9 +194,9 @@ impl SchemaBuilder {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchemaId(pub u32);
 
-/// Assigns wire ids to schemas and resolves them on receipt. Both ends of
-/// a monitoring channel keep one; the sender transmits a schema
-/// description (once) before the first record of that type.
+/// Assigns wire ids to a sender's schemas; the sender transmits a schema
+/// description (once) before the first record of that type, and the
+/// receiver files it under the id it arrived with.
 #[derive(Debug, Default)]
 pub struct SchemaRegistry {
     by_id: HashMap<u32, Schema>,
@@ -221,13 +221,6 @@ impl SchemaRegistry {
         self.by_id.insert(id.0, schema.clone());
         self.by_name.insert(schema.name().to_owned(), id);
         id
-    }
-
-    /// Installs a schema received from a peer under the peer-chosen id.
-    pub fn install(&mut self, id: SchemaId, schema: Schema) {
-        self.by_name.insert(schema.name().to_owned(), id);
-        self.by_id.insert(id.0, schema);
-        self.next = self.next.max(id.0 + 1);
     }
 
     /// Looks up a schema by id.
@@ -327,19 +320,5 @@ mod tests {
     fn registry_unknown_id_errors() {
         let reg = SchemaRegistry::new();
         assert_eq!(reg.get(SchemaId(9)), Err(PbioError::UnknownSchema(9)));
-    }
-
-    #[test]
-    fn registry_install_respects_peer_ids() {
-        let mut reg = SchemaRegistry::new();
-        reg.install(SchemaId(7), sample());
-        assert!(reg.get(SchemaId(7)).is_ok());
-        // Next locally assigned id does not collide.
-        let other = Schema::build("other")
-            .field("x", FieldType::U64)
-            .finish()
-            .unwrap();
-        let id = reg.register(&other);
-        assert!(id.0 > 7);
     }
 }

@@ -30,8 +30,8 @@ mod plane;
 
 use std::cell::RefCell;
 
-use ecode::{Instance, MergeError, MergePlan, Type, Value as EValue, VerifyLimits, VerifyReport};
-use pbio::{FieldType, Schema, Value};
+use ecode::{Instance, MergeError, MergePlan, Value as EValue, VerifyLimits, VerifyReport};
+use pbio::Schema;
 
 use crate::PubSubError;
 use plane::Plane;
@@ -71,8 +71,8 @@ pub struct DigestStats {
     pub events: u64,
     /// Records ingested per shard, in shard order.
     pub per_shard_events: Vec<u64>,
-    /// Records skipped because their values did not match the schema
-    /// the digest was compiled against.
+    /// Records skipped because their rows did not have the arity of
+    /// the schema the digest was compiled against.
     pub skipped: u64,
     /// Total E-Code fuel burned (host converts to CPU cost).
     pub fuel_spent: u64,
@@ -172,24 +172,9 @@ impl ShardedDigest {
         shards: usize,
         config: DigestConfig,
     ) -> Result<ShardedDigest, PubSubError> {
-        let mut inputs: Vec<(&str, Type)> = Vec::new();
-        let mut field_indices = Vec::new();
-        for (i, f) in schema.fields().iter().enumerate() {
-            let ty = match f.ty {
-                FieldType::U64 | FieldType::I64 => Type::Int,
-                FieldType::F64 => Type::Double,
-                FieldType::Bool => Type::Bool,
-                FieldType::Str | FieldType::Bytes => continue,
-            };
-            inputs.push((f.name.as_str(), ty));
-            field_indices.push(i);
-        }
-        let verified = ecode::verify(
-            src,
-            &inputs,
-            &VerifyLimits::with_max_fuel(DIGEST_FUEL_BUDGET),
-        )
-        .map_err(PubSubError::BadFilter)?;
+        let (inputs, field_indices) = crate::ecode_inputs(schema);
+        let limits = VerifyLimits::with_max_fuel(DIGEST_FUEL_BUDGET);
+        let verified = ecode::verify(src, &inputs, &limits).map_err(PubSubError::BadFilter)?;
         let (program, report) = verified.into_parts();
         let VerifyReport {
             fuel_bound,
@@ -273,106 +258,32 @@ impl ShardedDigest {
         }
     }
 
-    /// Feeds one record (dispatched by `key`) to its shard's replica.
+    /// Feeds one record (dispatched by `key`) to its shard's replica:
+    /// [`ingest_raw_rows`](ShardedDigest::ingest_raw_rows) with a batch
+    /// of one.
+    pub fn ingest_raw(&mut self, key: u64, row: &[i64]) {
+        self.ingest_raw_rows(&[key], row);
+    }
+
+    /// The digest's ingest: `keys[i]` dispatches the row at
+    /// `rows[i * stride..][..stride]` where `stride` is the schema field
+    /// count. Each row holds one raw `i64` per schema field, in schema
+    /// order (ints/bools as-is, doubles via `f64::to_bits`; entries at
+    /// string/bytes positions are ignored) — the caller owns that bit
+    /// contract, which `InteractionRecord::to_raw_row` and the PBIO row
+    /// codec satisfy by construction.
     ///
-    /// The parallel engine buffers the record into a columnar batch;
-    /// effects become observable at the next barrier
+    /// Shard placement hashes run as a pre-pass over the contiguous key
+    /// slice — the FNV-1a rounds of different keys overlap in flight
+    /// instead of serializing behind one record's dispatch — and the
+    /// per-call bookkeeping (cache invalidation, engine dispatch) is
+    /// paid once per batch. The parallel engine buffers the records into
+    /// columnar batches; effects become observable at the next barrier
     /// ([`merged`](ShardedDigest::merged) / [`stats`](ShardedDigest::stats)),
     /// which is where batches are flushed and workers quiesced.
-    pub fn ingest(&mut self, key: u64, values: &[Value]) {
-        self.raw_row.clear();
-        for &i in &self.field_indices {
-            let v = match values.get(i) {
-                Some(Value::U64(v)) => *v as i64,
-                Some(Value::I64(v)) => *v,
-                Some(Value::F64(v)) => v.to_bits() as i64,
-                Some(Value::Bool(v)) => *v as i64,
-                // The record does not match the schema this digest was
-                // compiled for; count and move on rather than trap.
-                _ => {
-                    self.skipped += 1;
-                    return;
-                }
-            };
-            self.raw_row.push(v);
-        }
-        // The replicas' statics are about to change; drop the stale fold.
-        self.merged_cache.get_mut().take();
-        match &mut self.engine {
-            Engine::Single {
-                inst,
-                events,
-                fuel_spent,
-                aborted,
-            } => run_single(
-                inst,
-                &self.raw_row,
-                self.fuel_bound,
-                events,
-                fuel_spent,
-                aborted,
-            ),
-            Engine::Parallel(p) => {
-                let p = p.get_mut();
-                let shard = place(fnv1a(key), p.shards());
-                p.ingest_mapped(shard, &self.raw_row);
-            }
-        }
-    }
-
-    /// Hot-path ingest: `row` holds one raw `i64` per schema field, in
-    /// schema order (ints/bools as-is, doubles via `f64::to_bits`;
-    /// entries at string/bytes positions are ignored). Skips the
-    /// `Value` marshalling and per-field type checks of
-    /// [`ingest`](ShardedDigest::ingest) — the caller owns the bit
-    /// contract, which record types like `InteractionRecord::to_raw_row`
-    /// satisfy by construction.
-    pub fn ingest_raw(&mut self, key: u64, row: &[i64]) {
-        if row.len() != self.n_schema_fields {
-            self.skipped += 1;
-            return;
-        }
-        self.merged_cache.get_mut().take();
-        match &mut self.engine {
-            Engine::Single {
-                inst,
-                events,
-                fuel_spent,
-                aborted,
-            } => {
-                self.raw_row.clear();
-                for &i in &self.field_indices {
-                    self.raw_row.push(row[i]);
-                }
-                run_single(
-                    inst,
-                    &self.raw_row,
-                    self.fuel_bound,
-                    events,
-                    fuel_spent,
-                    aborted,
-                );
-            }
-            Engine::Parallel(p) => {
-                let p = p.get_mut();
-                let shard = place(fnv1a(key), p.shards());
-                p.ingest_row(shard, row);
-            }
-        }
-    }
-
-    /// Batch form of [`ingest_raw`](ShardedDigest::ingest_raw):
-    /// `keys[i]` dispatches the row at `rows[i * stride..][..stride]`
-    /// where `stride` is the schema field count. This is the digest
-    /// plane's preferred entry point: shard placement hashes run as a
-    /// pre-pass over the contiguous key slice — the FNV-1a rounds of
-    /// different keys overlap in flight instead of serializing behind
-    /// one record's dispatch — and the per-call bookkeeping (cache
-    /// invalidation, engine dispatch) is paid once per batch.
     ///
     /// A `rows` length that is not `keys.len() * stride` skips the
-    /// whole call (counted per record), mirroring the per-record
-    /// arity rule.
+    /// whole call (counted per record) rather than trap.
     pub fn ingest_raw_rows(&mut self, keys: &[u64], rows: &[i64]) {
         let stride = self.n_schema_fields;
         if keys.len().checked_mul(stride) != Some(rows.len()) {
@@ -382,6 +293,7 @@ impl ShardedDigest {
         if keys.is_empty() {
             return;
         }
+        // The replicas' statics are about to change; drop the stale fold.
         self.merged_cache.get_mut().take();
         match &mut self.engine {
             Engine::Single {
@@ -543,7 +455,7 @@ fn run_single(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbio::Schema;
+    use pbio::{FieldType, Schema};
 
     fn schema() -> Schema {
         Schema::build("rec")
@@ -579,12 +491,9 @@ mod tests {
         assert_eq!(sharded.tier(), seq.tier());
 
         for i in 0..100u64 {
-            let rec = [
-                Value::U64(i * 37 % 91),
-                Value::U64(if i % 5 == 0 { 80 } else { 9000 }),
-            ];
-            seq.ingest(i % 7, &rec);
-            sharded.ingest(i % 7, &rec);
+            let rec = [(i * 37 % 91) as i64, if i % 5 == 0 { 80 } else { 9000 }];
+            seq.ingest_raw(i % 7, &rec);
+            sharded.ingest_raw(i % 7, &rec);
         }
         let a = seq.merged().unwrap();
         let b = sharded.merged().unwrap();
@@ -624,12 +533,12 @@ mod tests {
     fn merged_cache_invalidates_on_ingest() {
         let schema = schema();
         let mut d = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
-        d.ingest(1, &[Value::U64(5), Value::U64(80)]);
+        d.ingest_raw(1, &[5, 80]);
         assert_eq!(d.merged_global("count"), Some(EValue::Int(1)));
         // Second read between ingests is served by the cached fold.
         assert_eq!(d.merged_global("bytes"), Some(EValue::Int(5)));
         // A new record must drop the stale fold.
-        d.ingest(2, &[Value::U64(7), Value::U64(9000)]);
+        d.ingest_raw(2, &[7, 9000]);
         assert_eq!(d.merged_global("count"), Some(EValue::Int(2)));
         assert_eq!(d.merged_global("bytes"), Some(EValue::Int(12)));
     }
@@ -643,24 +552,34 @@ mod tests {
         }
     }
 
+    /// One call with the whole stream and one call per record are the
+    /// same ingest; wrong-arity input is counted, not evaluated.
     #[test]
-    fn raw_ingest_matches_value_ingest_bitwise() {
+    fn batch_ingest_matches_per_record_ingest_bitwise() {
         let schema = schema();
-        let mut by_value = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
-        let mut by_raw = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
+        let mut by_record = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
+        let mut by_batch = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
+        let (mut keys, mut rows) = (Vec::new(), Vec::new());
         for i in 0..300u64 {
-            let size = i * 131 % 7919;
-            let port = if i % 11 == 0 { 443 } else { 8080 };
-            by_value.ingest(i, &[Value::U64(size), Value::U64(port)]);
-            by_raw.ingest_raw(i, &[size as i64, port as i64]);
+            let row = [
+                (i * 131 % 7919) as i64,
+                if i % 11 == 0 { 443 } else { 8080 },
+            ];
+            by_record.ingest_raw(i, &row);
+            keys.push(i);
+            rows.extend_from_slice(&row);
         }
+        by_batch.ingest_raw_rows(&keys, &rows);
         assert_eq!(
-            by_value.merged().unwrap().raw_globals(),
-            by_raw.merged().unwrap().raw_globals()
+            by_record.merged().unwrap().raw_globals(),
+            by_batch.merged().unwrap().raw_globals()
         );
-        // A wrong-arity raw row is counted, not evaluated.
-        by_raw.ingest_raw(0, &[1]);
-        assert_eq!(by_raw.stats().skipped, 1);
+        assert_eq!(by_record.stats(), by_batch.stats());
+        by_record.ingest_raw(0, &[1]);
+        assert_eq!(by_record.stats().skipped, 1);
+        by_batch.ingest_raw_rows(&keys, &rows[1..]);
+        assert_eq!(by_batch.stats().skipped, 300);
+        assert_eq!(by_batch.stats().events, 300);
     }
 
     /// Division by a record field bails the batch vectorizer (a zero

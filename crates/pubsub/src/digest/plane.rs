@@ -197,42 +197,11 @@ impl Plane {
         self.txs.len()
     }
 
-    /// Appends one record to its shard's builder, flushing the builder
-    /// to the worker when it reaches the batch size. `row` is a full
-    /// schema row of raw bits; the plane's field mapping selects the
-    /// (used) program inputs from it.
-    pub(super) fn ingest_row(&mut self, shard: usize, row: &[i64]) {
-        let b = &mut self.builders[shard];
-        let mut slot = b.rows;
-        for &(_, field) in &self.active {
-            b.buf[slot] = row[field];
-            slot += self.flush_rows;
-        }
-        b.rows += 1;
-        self.per_shard_events[shard] += 1;
-        if b.rows >= self.flush_rows {
-            self.flush_shard(shard);
-        }
-    }
-
-    /// Same as [`ingest_row`](Plane::ingest_row) for a row already in
-    /// program-input order (the `Value`-typed ingest path).
-    pub(super) fn ingest_mapped(&mut self, shard: usize, mapped: &[i64]) {
-        let b = &mut self.builders[shard];
-        let mut slot = b.rows;
-        for &(input, _) in &self.active {
-            b.buf[slot] = mapped[input];
-            slot += self.flush_rows;
-        }
-        b.rows += 1;
-        self.per_shard_events[shard] += 1;
-        if b.rows >= self.flush_rows {
-            self.flush_shard(shard);
-        }
-    }
-
-    /// Batch ingest: `keys[i]` dispatches `rows[i * stride..][..stride]`.
-    /// Shard placement hashes run as a pre-pass over the whole key
+    /// Appends records to their shards' builders, flushing a builder to
+    /// its worker when it reaches the batch size: `keys[i]` dispatches
+    /// `rows[i * stride..][..stride]`, a full schema row of raw bits from
+    /// which the plane's field mapping selects the (used) program
+    /// inputs. Shard placement hashes run as a pre-pass over the whole key
     /// slice, so the FNV-1a multiply chains of different keys overlap
     /// in the pipeline instead of serializing record by record; the
     /// builder-append loop then runs without per-record call overhead.

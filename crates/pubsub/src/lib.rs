@@ -53,10 +53,10 @@ pub mod reliable;
 use std::collections::HashMap;
 use std::fmt;
 
-use ecode::{Instance, Type, Value as EValue, VerifyLimits};
+use ecode::{Instance, Type, VerifyLimits};
 use pbio::{
-    read_u64, write_u64, BatchEncoder, FieldType, PbioError, RecordReader, RecordWriter, Schema,
-    SchemaId, SchemaRegistry, Value,
+    read_u64, row_to_values, write_u64, BatchEncoder, FieldType, PbioError, RecordReader,
+    RecordWriter, Schema, SchemaId, SchemaRegistry, Value,
 };
 use simnet::EndPoint;
 
@@ -102,100 +102,83 @@ impl From<PbioError> for PubSubError {
 /// filter that could exceed it is rejected before it ever runs.
 pub const FILTER_FUEL_BUDGET: u64 = 10_000;
 
-/// A compiled per-subscription filter. Filters see the record's numeric
-/// and boolean fields as E-Code inputs by field name; string/bytes fields
-/// are not visible to filters.
+/// The E-Code view of a record, shared by filters and digests: its
+/// numeric and boolean fields are inputs by field name, string/bytes
+/// fields are not visible. Returns the inputs and, in input order, the
+/// index of the field each one reads.
+fn ecode_inputs(schema: &Schema) -> (Vec<(&str, Type)>, Vec<usize>) {
+    let mut inputs = Vec::new();
+    let mut field_indices = Vec::new();
+    for (i, f) in schema.fields().iter().enumerate() {
+        let ty = match f.ty {
+            FieldType::U64 | FieldType::I64 => Type::Int,
+            FieldType::F64 => Type::Double,
+            FieldType::Bool => Type::Bool,
+            FieldType::Str | FieldType::Bytes => continue,
+        };
+        inputs.push((f.name.as_str(), ty));
+        field_indices.push(i);
+    }
+    (inputs, field_indices)
+}
+
+/// A compiled per-subscription filter over a record's
+/// [E-Code inputs](ecode_inputs).
 struct Filter {
     /// Persistent VM instance, reused (with fresh statics via
     /// `reset_globals`) across evaluations so the publish hot path does
     /// not clone the program per record.
     instance: Instance,
-    /// Indices of the record fields that are filter inputs, in input order.
-    field_indices: Vec<usize>,
-    /// Reusable input scratch, rebuilt from the record each evaluation.
-    inputs: Vec<EValue>,
+    /// The record fields that are filter inputs, in input order:
+    /// `(field index, is a bool)`.
+    columns: Vec<(usize, bool)>,
+    /// Reusable gather of `columns` out of the record's raw row.
+    gathered: Vec<i64>,
     /// Statically proven worst-case fuel per evaluation.
     fuel_bound: u64,
 }
 
 impl Filter {
     fn compile(src: &str, schema: &Schema) -> Result<Filter, PubSubError> {
-        let mut inputs: Vec<(&str, Type)> = Vec::new();
-        let mut field_indices = Vec::new();
-        for (i, f) in schema.fields().iter().enumerate() {
-            let ty = match f.ty {
-                FieldType::U64 | FieldType::I64 => Type::Int,
-                FieldType::F64 => Type::Double,
-                FieldType::Bool => Type::Bool,
-                FieldType::Str | FieldType::Bytes => continue,
-            };
-            inputs.push((f.name.as_str(), ty));
-            field_indices.push(i);
-        }
-        let verified = ecode::verify(
-            src,
-            &inputs,
-            &VerifyLimits::with_max_fuel(FILTER_FUEL_BUDGET),
-        )
-        .map_err(PubSubError::BadFilter)?;
+        let (inputs, field_indices) = ecode_inputs(schema);
+        let limits = VerifyLimits::with_max_fuel(FILTER_FUEL_BUDGET);
+        let verified = ecode::verify(src, &inputs, &limits).map_err(PubSubError::BadFilter)?;
         let (program, report) = verified.into_parts();
+        let is_bool = inputs.iter().map(|&(_, ty)| ty == Type::Bool);
         Ok(Filter {
             instance: Instance::new(&program),
-            field_indices,
-            inputs: Vec::new(),
+            columns: field_indices.into_iter().zip(is_bool).collect(),
+            gathered: Vec::new(),
             fuel_bound: report.fuel_bound,
         })
     }
 
     /// Returns whether the record passes, plus the fuel spent deciding.
-    fn passes(&mut self, values: &[Value]) -> (bool, u64) {
-        self.inputs.clear();
-        for &i in &self.field_indices {
-            self.inputs.push(match &values[i] {
-                Value::U64(v) => EValue::Int(*v as i64),
-                Value::I64(v) => EValue::Int(*v),
-                Value::F64(v) => EValue::Double(*v),
-                Value::Bool(v) => EValue::Bool(*v),
-                Value::Str(_) | Value::Bytes(_) => unreachable!("filtered out at compile"),
-            });
+    /// `row` is the record's raw row (one `i64` per schema field,
+    /// [`Hub::publish_raw`]'s bit convention); entries at string/bytes
+    /// positions are never read.
+    fn passes(&mut self, row: &[i64]) -> (bool, u64) {
+        self.gathered.clear();
+        for &(i, is_bool) in &self.columns {
+            // Any nonzero raw bool is true; the VM wants exactly 0/1.
+            let v = if is_bool {
+                (row[i] != 0) as i64
+            } else {
+                row[i]
+            };
+            self.gathered.push(v);
         }
-        self.eval()
-    }
-
-    /// [`passes`](Filter::passes) over a raw numeric row (digest bit
-    /// convention) — the `publish_raw` hot path, which never
-    /// materializes [`Value`]s. Decisions are identical to `passes` on
-    /// the equivalent values: both marshal the same bits into the same
-    /// E-Code inputs.
-    fn passes_raw(&mut self, schema: &Schema, row: &[i64]) -> (bool, u64) {
-        self.inputs.clear();
-        for &i in &self.field_indices {
-            let v = row[i];
-            self.inputs.push(match schema.fields()[i].ty {
-                FieldType::U64 | FieldType::I64 => EValue::Int(v),
-                FieldType::F64 => EValue::Double(f64::from_bits(v as u64)),
-                FieldType::Bool => EValue::Bool(v != 0),
-                FieldType::Str | FieldType::Bytes => {
-                    unreachable!("raw publish requires a numeric schema")
-                }
-            });
-        }
-        self.eval()
-    }
-
-    /// Runs the program over the marshalled `inputs` scratch.
-    fn eval(&mut self) -> (bool, u64) {
-        // Filters keep the original fresh-statics-per-evaluation
-        // semantics: reset, then run the persistent instance.
+        // Filters keep fresh-statics-per-evaluation semantics: reset,
+        // then run the persistent instance.
         self.instance.reset_globals();
         // The verifier proved `fuel_bound` suffices, so granting exactly
         // that much can never abort with OutOfFuel.
-        match self.instance.run(&self.inputs, self.fuel_bound) {
+        match self.instance.run_raw(&self.gathered, self.fuel_bound) {
             Ok(out) => (out.ret != 0, out.fuel_used),
             // Defense in depth: a runtime trap (e.g. an input-dependent
             // division by zero, which verification only warns about) fails
             // open — the subscriber gets the record rather than silently
-            // losing data.
+            // losing data — and is charged the worst case.
             Err(_) => (true, self.fuel_bound),
         }
     }
@@ -208,6 +191,45 @@ struct Subscription {
     sent_schemas: std::collections::HashSet<u32>,
     delivered: u64,
     filtered: u64,
+}
+
+/// The fan-out behind both publish entry points: runs each subscriber's
+/// filter over `row` (adding its cost to `filter_fuel`) and frames the
+/// already-encoded `record` for those that pass. Subscriptions for one
+/// topic are a slice: delivery walks them in registration order, never
+/// in hash order.
+fn deliver(
+    topic_subs: &mut [Subscription],
+    filter_fuel: &mut u64,
+    topic: TopicId,
+    schema: &Schema,
+    schema_id: SchemaId,
+    row: &[i64],
+    record: &[u8],
+) -> Vec<(EndPoint, Vec<u8>)> {
+    let mut out = Vec::new();
+    for sub in topic_subs {
+        if let Some(filter) = sub.filter.as_mut() {
+            let (pass, fuel) = filter.passes(row);
+            *filter_fuel += fuel;
+            if !pass {
+                sub.filtered += 1;
+                continue;
+            }
+        }
+        let include_schema = sub.sent_schemas.insert(schema_id.0);
+        let mut wire = Vec::with_capacity(record.len() + 8);
+        write_u64(&mut wire, topic.0 as u64);
+        write_u64(&mut wire, schema_id.0 as u64);
+        wire.push(include_schema as u8);
+        if include_schema {
+            schema.encode(&mut wire);
+        }
+        wire.extend_from_slice(record);
+        sub.delivered += 1;
+        out.push((sub.endpoint, wire));
+    }
+    out
 }
 
 /// The publisher half of a node's monitoring channels.
@@ -364,6 +386,9 @@ impl Hub {
     /// transport. The first delivery of a schema to a subscriber inlines
     /// the schema description (self-describing stream).
     ///
+    /// This is the general, string-capable entry point; all-numeric
+    /// records go through [`publish_raw`](Hub::publish_raw).
+    ///
     /// # Errors
     ///
     /// Codec errors if the values do not match the schema.
@@ -373,49 +398,20 @@ impl Hub {
         schema: &Schema,
         values: &[Value],
     ) -> Result<Vec<(EndPoint, Vec<u8>)>, PubSubError> {
-        if !self.subs.contains_key(&topic) {
-            return Err(PubSubError::UnknownTopic(topic));
-        }
-        self.compile_pending_filters(topic, schema);
-
-        if values.len() != schema.len() {
-            return Err(PubSubError::SchemaMismatch);
-        }
-        let schema_id = self.schemas.register(schema);
-
-        // Encode the record once.
+        let schema_id = self.admit(topic, schema, values.len())?;
         let mut rw = RecordWriter::new(schema);
         for v in values {
             rw.push_value(v)?;
         }
         let record = rw.finish()?;
-
-        // Subscriptions for one topic are a Vec: delivery walks them in
-        // registration order, never in hash order.
-        let topic_subs = self.subs.get_mut(&topic).expect("checked");
-        let mut out = Vec::new();
-        for sub in topic_subs.iter_mut() {
-            if let Some(filter) = sub.filter.as_mut() {
-                let (pass, fuel) = filter.passes(values);
-                self.filter_fuel += fuel;
-                if !pass {
-                    sub.filtered += 1;
-                    continue;
-                }
-            }
-            let include_schema = sub.sent_schemas.insert(schema_id.0);
-            let mut wire = Vec::with_capacity(record.len() + 8);
-            write_u64(&mut wire, topic.0 as u64);
-            write_u64(&mut wire, schema_id.0 as u64);
-            wire.push(include_schema as u8);
-            if include_schema {
-                schema.encode(&mut wire);
-            }
-            wire.extend_from_slice(&record);
-            sub.delivered += 1;
-            out.push((sub.endpoint, wire));
-        }
-        Ok(out)
+        // Filters read the raw row; string/bytes slots are placeholders
+        // no filter column points at.
+        let row: Vec<i64> = values.iter().map(|v| v.to_raw().unwrap_or(0)).collect();
+        let topic_subs = self.subs.get_mut(&topic).expect("admitted topic");
+        let fuel = &mut self.filter_fuel;
+        Ok(deliver(
+            topic_subs, fuel, topic, schema, schema_id, &row, &record,
+        ))
     }
 
     /// [`publish`](Hub::publish) over a raw numeric row (one `i64` per
@@ -426,9 +422,9 @@ impl Hub {
     /// Wire bytes, filter decisions, fuel accounting, and delivery
     /// counters are **identical** to `publish` with the equivalent
     /// [`Value`]s; the difference is purely cost: the schema is compiled
-    /// to a [`BatchEncoder`] once (cached per schema id), the record
+    /// to a [`BatchEncoder`] once (cached per schema id) and the record
     /// encodes through the vectorized bounds-check-hoisted loop into a
-    /// reusable scratch, and filters marshal straight from the row.
+    /// reusable scratch.
     ///
     /// # Errors
     ///
@@ -441,47 +437,37 @@ impl Hub {
         schema: &Schema,
         row: &[i64],
     ) -> Result<Vec<(EndPoint, Vec<u8>)>, PubSubError> {
-        if !self.subs.contains_key(&topic) {
-            return Err(PubSubError::UnknownTopic(topic));
-        }
-        self.compile_pending_filters(topic, schema);
-
-        if row.len() != schema.len() {
-            return Err(PubSubError::SchemaMismatch);
-        }
-        let schema_id = self.schemas.register(schema);
+        let schema_id = self.admit(topic, schema, row.len())?;
         let enc = match self.raw_encoders.entry(schema_id.0) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => v.insert(BatchEncoder::new(schema)?),
         };
         self.raw_record.clear();
         enc.encode_row_into(row, &mut self.raw_record)?;
+        let topic_subs = self.subs.get_mut(&topic).expect("admitted topic");
+        let (fuel, record) = (&mut self.filter_fuel, &self.raw_record);
+        Ok(deliver(
+            topic_subs, fuel, topic, schema, schema_id, row, record,
+        ))
+    }
 
-        let record = &self.raw_record;
-        let topic_subs = self.subs.get_mut(&topic).expect("checked");
-        let mut out = Vec::new();
-        for sub in topic_subs.iter_mut() {
-            if let Some(filter) = sub.filter.as_mut() {
-                let (pass, fuel) = filter.passes_raw(schema, row);
-                self.filter_fuel += fuel;
-                if !pass {
-                    sub.filtered += 1;
-                    continue;
-                }
-            }
-            let include_schema = sub.sent_schemas.insert(schema_id.0);
-            let mut wire = Vec::with_capacity(record.len() + 8);
-            write_u64(&mut wire, topic.0 as u64);
-            write_u64(&mut wire, schema_id.0 as u64);
-            wire.push(include_schema as u8);
-            if include_schema {
-                schema.encode(&mut wire);
-            }
-            wire.extend_from_slice(record);
-            sub.delivered += 1;
-            out.push((sub.endpoint, wire));
+    /// What every publish does before encoding: the topic must exist,
+    /// its pending filters compile against `schema`, the record must
+    /// have one entry per field, and the schema gets its wire id.
+    fn admit(
+        &mut self,
+        topic: TopicId,
+        schema: &Schema,
+        n_fields: usize,
+    ) -> Result<SchemaId, PubSubError> {
+        if !self.subs.contains_key(&topic) {
+            return Err(PubSubError::UnknownTopic(topic));
         }
-        Ok(out)
+        self.compile_pending_filters(topic, schema);
+        if n_fields != schema.len() {
+            return Err(PubSubError::SchemaMismatch);
+        }
+        Ok(self.schemas.register(schema))
     }
 
     /// Late-compiles any pending filters for `topic` now that a schema
@@ -562,16 +548,90 @@ impl Hub {
     }
 }
 
+/// A schema learned from the stream.
+struct Learned {
+    schema: Schema,
+    /// Its row codec, compiled once (or why it has none: string/bytes
+    /// fields).
+    codec: Result<BatchEncoder, PbioError>,
+    /// Its index among the expected schemas, compared once.
+    known: Option<usize>,
+}
+
 /// The subscriber half: decodes the self-describing stream.
 #[derive(Default)]
 pub struct ChannelDecoder {
-    schemas: SchemaRegistry,
+    expected: Vec<Schema>,
+    /// Schemas learned from the stream, by wire id.
+    schemas: HashMap<u32, Learned>,
+    /// Row scratch behind [`decode`](ChannelDecoder::decode).
+    row: Vec<i64>,
 }
 
 impl ChannelDecoder {
     /// An empty decoder (learns schemas from the stream).
     pub fn new() -> Self {
         ChannelDecoder::default()
+    }
+
+    /// A decoder for a consumer that understands exactly `expected`:
+    /// each schema the stream announces is compared against them once —
+    /// name, field names and field types — and
+    /// [`decode_row`](ChannelDecoder::decode_row) reports which one (if
+    /// any) a record is under.
+    pub fn expecting(expected: Vec<Schema>) -> Self {
+        ChannelDecoder {
+            expected,
+            ..ChannelDecoder::default()
+        }
+    }
+
+    /// Parses a message header, learning an inlined schema. Returns the
+    /// header fields and the still-encoded record bytes (none for a
+    /// schema-only announcement).
+    fn open<'w>(&mut self, wire: &'w [u8]) -> Result<(TopicId, u32, &'w [u8]), PbioError> {
+        let mut buf = wire;
+        let topic = TopicId(read_u64(&mut buf)? as u32);
+        let schema_id = read_u64(&mut buf)? as u32;
+        let (&announces, mut buf) = buf.split_first().ok_or(PbioError::UnexpectedEof)?;
+        if announces != 0 {
+            let schema = Schema::decode(&mut buf)?;
+            let learned = Learned {
+                codec: BatchEncoder::new(&schema),
+                known: self.expected.iter().position(|s| *s == schema),
+                schema,
+            };
+            self.schemas.insert(schema_id, learned);
+        }
+        Ok((topic, schema_id, buf))
+    }
+
+    /// [`decode`](ChannelDecoder::decode) for all-numeric schemas, without
+    /// the `Value`s: appends the record's raw row (one `i64` per field,
+    /// [`Hub::publish_raw`]'s bit convention) to `row` and returns the
+    /// topic and the record's schema as an index into the
+    /// [expected](ChannelDecoder::expecting) ones. This is the receive
+    /// hot path: nothing is allocated once `row` has grown to size, and
+    /// a message that fails to decode leaves `row` as it was.
+    ///
+    /// # Errors
+    ///
+    /// As `decode`, plus [`PbioError::BadSchema`] for a schema with
+    /// string/bytes fields.
+    pub fn decode_row(
+        &mut self,
+        wire: &[u8],
+        row: &mut Vec<i64>,
+    ) -> Result<Option<(TopicId, Option<usize>)>, PubSubError> {
+        let (topic, schema_id, record) = self.open(wire)?;
+        if record.is_empty() {
+            return Ok(None);
+        }
+        let learned = self.schemas.get(&schema_id);
+        let learned = learned.ok_or(PbioError::UnknownSchema(schema_id))?;
+        let codec = learned.codec.as_ref().map_err(Clone::clone)?;
+        codec.decode_row_into(record, row)?;
+        Ok(Some((topic, learned.known)))
     }
 
     /// Decodes one published message into `(topic, values)`. Returns
@@ -581,29 +641,22 @@ impl ChannelDecoder {
     ///
     /// Codec errors on malformed input or unknown schema ids.
     pub fn decode(&mut self, wire: &[u8]) -> Result<Option<(TopicId, Vec<Value>)>, PubSubError> {
-        let mut buf = wire;
-        let topic = TopicId(read_u64(&mut buf)? as u32);
-        let schema_id = SchemaId(read_u64(&mut buf)? as u32);
-        if buf.is_empty() {
-            return Err(PubSubError::Codec(PbioError::UnexpectedEof));
-        }
-        let has_schema = buf[0] != 0;
-        buf = &buf[1..];
-        if has_schema {
-            let schema = Schema::decode(&mut buf)?;
-            self.schemas.install(schema_id, schema);
-        }
-        if buf.is_empty() {
+        let (topic, schema_id, record) = self.open(wire)?;
+        if record.is_empty() {
             return Ok(None);
         }
-        let schema = self.schemas.get(schema_id)?.clone();
-        let values = RecordReader::new(&schema, buf).read_all()?;
+        let learned = self.schemas.get(&schema_id);
+        let learned = learned.ok_or(PbioError::UnknownSchema(schema_id))?;
+        let values = match &learned.codec {
+            // Numeric records take the row codec, as `decode_row` does.
+            Ok(codec) => {
+                self.row.clear();
+                codec.decode_row_into(record, &mut self.row)?;
+                row_to_values(&learned.schema, &self.row)?
+            }
+            Err(_) => RecordReader::new(&learned.schema, record).read_all()?,
+        };
         Ok(Some((topic, values)))
-    }
-
-    /// The schema most recently associated with an id, if known.
-    pub fn schema(&self, id: SchemaId) -> Option<&Schema> {
-        self.schemas.get(id).ok()
     }
 }
 
@@ -712,6 +765,41 @@ mod tests {
             .unwrap();
         assert!(hub.publish(t, &schema(), &rec(1, 0.5)).unwrap().is_empty());
         assert_eq!(hub.publish(t, &schema(), &rec(1, 0.95)).unwrap().len(), 1);
+    }
+
+    /// A filter that traps at run time (the verifier only warns about an
+    /// input-dependent division by zero) fails open — the record is
+    /// delivered — and is charged its proven worst case.
+    #[test]
+    fn trapping_filter_delivers_and_is_charged_its_bound() {
+        let mut hub = Hub::new();
+        let t = hub.topic("x");
+        let bound = hub
+            .subscribe_with_schema(t, ep(1), Some("return 1000 / latency_us > 5;"), &schema())
+            .unwrap()
+            .unwrap();
+        assert_eq!(hub.publish(t, &schema(), &rec(0, 0.0)).unwrap().len(), 1);
+        assert_eq!(hub.filter_fuel(), bound);
+        assert_eq!(hub.delivery_stats(t, ep(1)), Some((1, 0)));
+        // The same filter still decides records that do not trap.
+        assert!(hub
+            .publish(t, &schema(), &rec(500, 0.0))
+            .unwrap()
+            .is_empty());
+        assert_eq!(hub.delivery_stats(t, ep(1)), Some((1, 1)));
+        // The raw entry point shares the filter path.
+        let numeric = numeric_schema();
+        let mut hub = Hub::new();
+        let t = hub.topic("m");
+        let bound = hub
+            .subscribe_with_schema(t, ep(1), Some("return 1000 / latency_us > 5;"), &numeric)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            hub.publish_raw(t, &numeric, &[0, 0, 0, 0]).unwrap().len(),
+            1
+        );
+        assert_eq!(hub.filter_fuel(), bound);
     }
 
     #[test]
@@ -829,6 +917,68 @@ mod tests {
         assert!(by_rows.filter_fuel() > 0);
     }
 
+    /// `decode_row` yields the published row (bools normalized), borrows
+    /// the schema it learned, and agrees with `decode` value for value.
+    #[test]
+    fn decode_row_round_trips_and_matches_decode() {
+        let schema = numeric_schema();
+        let mut hub = Hub::new();
+        let t = hub.topic("m");
+        hub.subscribe(t, ep(1), None).unwrap();
+        let mut dec = ChannelDecoder::expecting(vec![self::schema(), schema.clone()]);
+        let mut rows = Vec::new();
+        for i in 0..5i64 {
+            let row = [i * 1000, -i, (0.5 * i as f64).to_bits() as i64, i % 2 * 7];
+            let wire = &hub.publish_raw(t, &schema, &row).unwrap()[0].1;
+            let start = rows.len();
+            let frame = dec.decode_row(wire, &mut rows).unwrap();
+            assert_eq!(frame, Some((t, Some(1))));
+            assert_eq!(rows[start..], [row[0], row[1], row[2], i % 2]);
+            let (topic, values) = dec.decode(wire).unwrap().unwrap();
+            assert_eq!(topic, t);
+            assert_eq!(
+                values,
+                pbio::row_to_values(&schema, &rows[start..]).unwrap()
+            );
+        }
+        assert_eq!(rows.len(), 5 * schema.len());
+    }
+
+    #[test]
+    fn decode_row_rejects_what_decode_rejects_and_string_schemas() {
+        let mut hub = Hub::new();
+        let t = hub.topic("x");
+        hub.subscribe(t, ep(1), None).unwrap();
+        let numeric = numeric_schema();
+        let first = hub.publish_raw(t, &numeric, &[1, 2, 3, 1]).unwrap();
+        let second = hub.publish_raw(t, &numeric, &[4, 5, 6, 0]).unwrap();
+        let strings = hub.publish(t, &schema(), &rec(5, 0.1)).unwrap();
+        let mut rows = vec![42];
+
+        let mut dec = ChannelDecoder::new();
+        assert!(matches!(
+            dec.decode_row(&second[0].1, &mut rows),
+            Err(PubSubError::Codec(PbioError::UnknownSchema(_)))
+        ));
+        dec.decode_row(&first[0].1, &mut rows).unwrap();
+        let truncated = &second[0].1[..second[0].1.len() - 1];
+        assert_eq!(
+            dec.decode_row(truncated, &mut rows),
+            Err(PubSubError::Codec(PbioError::UnexpectedEof))
+        );
+        assert_eq!(
+            dec.decode(truncated).unwrap_err(),
+            PubSubError::Codec(PbioError::UnexpectedEof)
+        );
+        // A string schema is learned (so `decode` works) but has no row form.
+        assert!(matches!(
+            dec.decode_row(&strings[0].1, &mut rows),
+            Err(PubSubError::Codec(PbioError::BadSchema(_)))
+        ));
+        assert_eq!(dec.decode(&strings[0].1).unwrap().unwrap().1, rec(5, 0.1));
+        assert_eq!(rows, [42, 1, 2, 3, 1], "failed frames leave the rows alone");
+    }
+
     #[test]
     fn publish_raw_rejects_string_schemas() {
         let mut hub = Hub::new();
@@ -859,6 +1009,7 @@ mod wire_fuzz {
         fn prop_decoder_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let mut dec = ChannelDecoder::new();
             let _ = dec.decode(&bytes);
+            let _ = dec.decode_row(&bytes, &mut Vec::new());
         }
 
         /// Publish → decode round-trips arbitrary numeric records.

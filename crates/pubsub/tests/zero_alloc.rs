@@ -1,0 +1,110 @@
+//! Regression test for the receive path's allocation discipline: once
+//! a stream's schema is learned and the caller's row buffer has grown
+//! to size, `ChannelDecoder::decode_row` must never touch the heap —
+//! the schema and its compiled row codec are borrowed, and rows append
+//! into the caller's buffer. (The `Value` path it replaced allocated a
+//! vector per record.)
+//!
+//! This file is its own test binary so the counting `#[global_allocator]`
+//! observes only this test. Same pattern as `crates/{kprof,ecode}/tests/
+//! zero_alloc.rs`, with the count kept thread-local: only the test
+//! thread's allocations matter, and a `Cell` needs no atomics.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pbio::{FieldType, Schema};
+use pubsub::{ChannelDecoder, Hub};
+use simnet::{EndPoint, Ip, Port};
+
+struct CountingAlloc;
+
+thread_local! {
+    // const-initialized so the first access inside `alloc` itself never
+    // allocates. `None` = not tracking.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_if_tracking() {
+    ALLOCATIONS.with(|a| a.set(a.get().map(|n| n + 1)));
+}
+
+// SAFETY: pure pass-through to `System`, which upholds the GlobalAlloc
+// contract; the only addition is a thread-local counter bump that never
+// allocates or touches the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_if_tracking();
+        // SAFETY: caller upholds GlobalAlloc's contract for `layout`;
+        // forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: caller guarantees `ptr` came from this allocator with
+        // this `layout`; forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_if_tracking();
+        // SAFETY: caller guarantees `ptr`/`layout` validity per the
+        // GlobalAlloc contract; forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[test]
+fn decode_row_into_a_warm_buffer_never_allocates() {
+    let schema = Schema::build("mix")
+        .field("a", FieldType::U64)
+        .field("b", FieldType::I64)
+        .field("c", FieldType::F64)
+        .field("d", FieldType::Bool)
+        .finish()
+        .unwrap();
+    let mut hub = Hub::new();
+    let topic = hub.topic("t");
+    hub.subscribe(topic, EndPoint::new(Ip(1), Port(9999)), None)
+        .unwrap();
+    const BATCH: i64 = 64;
+    let wires: Vec<Vec<u8>> = (0..BATCH)
+        .map(|i| {
+            let row = [i << 40, -i * 1_000_003, (i as f64).to_bits() as i64, i % 2];
+            hub.publish_raw(topic, &schema, &row).unwrap().remove(0).1
+        })
+        .collect();
+
+    let mut dec = ChannelDecoder::new();
+    let mut rows = Vec::new();
+    let mut run = |wires: &[Vec<u8>], rows: &mut Vec<i64>| {
+        rows.clear();
+        for wire in wires {
+            dec.decode_row(wire, rows).unwrap();
+        }
+    };
+    // Warm-up: learns the schema (the first frame inlines it, which
+    // allocates, once per stream) and grows the row buffer to a batch.
+    run(&wires, &mut rows);
+
+    ALLOCATIONS.with(|a| a.set(Some(0)));
+    for _ in 0..1_000 {
+        run(&wires[1..], &mut rows);
+    }
+    let allocations = ALLOCATIONS.with(|a| a.replace(None)).unwrap();
+
+    assert_eq!(rows.len(), (wires.len() - 1) * schema.len());
+    assert_eq!(
+        rows[rows.len() - 4..],
+        [63 << 40, -63 * 1_000_003, 63f64.to_bits() as i64, 1]
+    );
+    assert_eq!(allocations, 0, "decode_row allocated on a warm stream");
+
+    // Control: the counter sees the `Value` adapter's per-record vector.
+    ALLOCATIONS.with(|a| a.set(Some(0)));
+    dec.decode(&wires[1]).unwrap();
+    assert!(ALLOCATIONS.with(|a| a.replace(None)).unwrap() > 0);
+}
