@@ -19,7 +19,7 @@
 //! | D0004 | real threads/atomics outside the simulation model |
 //! | D0005 | `Instant::now()`/`SystemTime::now()` calls anywhere (no path exemption) |
 //! | U0001 | `unsafe` without an adjacent `// SAFETY:` comment |
-//! | U0002 | raw-pointer arithmetic outside the E-Code VM |
+//! | U0002 | raw-pointer arithmetic (no file is exempt) |
 //!
 //! Findings are fixed, not silenced; the rare genuinely-sound site is
 //! waived in `analyzer.toml` with a written justification ([`waiver`]).

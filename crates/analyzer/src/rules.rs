@@ -526,13 +526,6 @@ fn u0001(file: &Path, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
 
 // ---------------------------------------------------------------- U0002
 
-/// The one sanctioned home for raw-pointer arithmetic: the E-Code VM's
-/// interpreter loops, whose indices are validated by `verify()` before
-/// execution.
-fn ptr_math_sanctioned(file: &Path) -> bool {
-    file.to_string_lossy().ends_with("crates/ecode/src/vm.rs")
-}
-
 const PTR_MATH: &[&str] = &[
     "add",
     "sub",
@@ -587,9 +580,6 @@ fn raw_ptr_names(t: &[SpannedTok]) -> BTreeSet<String> {
 }
 
 fn u0002(file: &Path, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if ptr_math_sanctioned(file) {
-        return;
-    }
     let t = &lexed.toks;
     let names = raw_ptr_names(t);
     if names.is_empty() {
@@ -611,11 +601,10 @@ fn u0002(file: &Path, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
                 "U0002",
                 file.to_path_buf(),
                 t[i + 1].line,
-                format!("raw-pointer arithmetic `{recv}.{m}(...)` outside the E-Code VM"),
-                "unchecked pointer math is only auditable where every index is \
-                 validated first; the VM interpreter is the single sanctioned site",
-                "use slice indexing or iterators here; pointer arithmetic belongs \
-                 only in crates/ecode/src/vm.rs behind verify()",
+                format!("raw-pointer arithmetic `{recv}.{m}(...)`"),
+                "unchecked pointer math cannot be audited by reading one site; no \
+                 file in this workspace is exempt",
+                "use slice indexing or iterators here",
             ));
         }
     }
@@ -712,7 +701,7 @@ impl S {
     }
 
     #[test]
-    fn u0002_ptr_math_flagged_outside_vm() {
+    fn u0002_ptr_math_flagged() {
         let src = "
 fn f(v: &[u8]) -> u8 {
     let p = v.as_ptr();
@@ -720,8 +709,6 @@ fn f(v: &[u8]) -> u8 {
     unsafe { *p.add(1) }
 }";
         assert_eq!(codes(src), vec!["U0002"]);
-        let in_vm = run_all(&PathBuf::from("crates/ecode/src/vm.rs"), &lex(src), src);
-        assert!(in_vm.iter().all(|d| d.code != "U0002"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-// Fixture: U0002 — raw-pointer arithmetic outside the E-Code VM.
+// Fixture: U0002 — raw-pointer arithmetic.
 // Exact expected (code, line) pairs live in tests/golden.rs.
 
 fn second(v: &[u8]) -> u8 {

@@ -116,14 +116,6 @@ fn u0002_ptr_math_golden() {
 }
 
 #[test]
-fn u0002_is_silent_inside_the_vm() {
-    // The same pointer arithmetic is sanctioned in the VM interpreter.
-    let src = include_str!("fixtures/u0002_ptr_math.rs");
-    let diags = analyze_source(&PathBuf::from("crates/ecode/src/vm.rs"), src);
-    assert!(diags.iter().all(|d| d.code != "U0002"), "{diags:?}");
-}
-
-#[test]
 fn d0001_is_silent_in_bench_and_bin_paths() {
     let src = include_str!("fixtures/d0001_wall_clock.rs");
     for path in [

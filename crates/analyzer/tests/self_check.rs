@@ -73,32 +73,31 @@ fn scan_covers_the_scenario_library_and_it_is_clean() {
     }
 }
 
-/// The compiled execution tier runs inside the event hot path, where a
-/// determinism or hygiene slip would corrupt results silently — so its
-/// coverage is asserted explicitly, like the scenario library's: the
-/// jit module and the VM driver it plugs into are in the scan set, and
-/// the jit analyzes clean on its own with no waiver absorbing a finding
-/// there.
+/// E-Code executes inside the event hot path, where a determinism or
+/// hygiene slip would corrupt results silently — so its coverage is
+/// asserted explicitly, like the scenario library's: every file of the
+/// crate is in the scan set, analyzes clean on its own with no waiver
+/// absorbing a finding there, and contains no `unsafe` (the indexing
+/// the interpreter and the jit rely on is pre-proven by `validate`).
 #[test]
-fn scan_covers_the_jit_and_it_is_clean() {
+fn scan_covers_ecode_and_it_is_clean_and_safe() {
     let root = workspace_root();
     let files = sysprof_analyzer::scan::rust_sources(&root).unwrap();
-    for f in ["jit.rs", "vm.rs"] {
+    let ecode: Vec<&PathBuf> = files
+        .iter()
+        .filter(|p| p.starts_with("crates/ecode/src"))
+        .collect();
+    for f in ["jit.rs", "vm.rs", "batch.rs"] {
         let rel = PathBuf::from("crates/ecode/src").join(f);
+        assert!(ecode.contains(&&rel), "scan missed executor file {rel:?}");
+    }
+    for rel in ecode {
+        let src = std::fs::read_to_string(root.join(rel)).unwrap();
+        let diags = sysprof_analyzer::analyze_source(rel, &src);
+        assert!(diags.is_empty(), "findings in {rel:?}:\n{diags:#?}");
         assert!(
-            files.contains(&rel),
-            "scan missed execution-tier file {rel:?}"
+            !src.contains("unsafe {") && !src.contains("unsafe fn") && !src.contains("unsafe impl"),
+            "{rel:?} grew unsafe code"
         );
     }
-    let rel = PathBuf::from("crates/ecode/src/jit.rs");
-    let src = std::fs::read_to_string(root.join(&rel)).unwrap();
-    let diags = sysprof_analyzer::analyze_source(&rel, &src);
-    assert!(diags.is_empty(), "findings in {rel:?}:\n{diags:#?}");
-    // The jit deliberately contains no unsafe code: the safe slice
-    // indexing is pre-proven by `validate`, and keeping the module safe
-    // means the per-op interpreter stays the only unsafe surface.
-    assert!(
-        !src.contains("unsafe "),
-        "ecode::jit grew unsafe code; move it behind the audited VM instead"
-    );
 }

@@ -24,24 +24,18 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fused VM vs closure-compiled tier over the representative CPA set —
-/// the statistically careful companion to the `cpa_eval` arm of the
-/// `hotpath` binary (which records the committed baseline and gate).
+/// The representative CPA set on the compiled tier — the statistically
+/// careful companion to the `cpa_eval` arm of the `hotpath` binary
+/// (which records the committed baseline and gate).
 fn bench_cpa_eval(c: &mut Criterion) {
     let mut g = c.benchmark_group("cpa_eval");
     g.throughput(Throughput::Elements(BLOCK));
     let stream = CpaEventStream::generate(0, BLOCK);
     for (name, src) in CPA_EVAL_SET {
-        for tier in [ecode::ExecTier::Fused, ecode::ExecTier::Compiled] {
-            let label = match tier {
-                ecode::ExecTier::Fused => format!("{name}/fused"),
-                ecode::ExecTier::Compiled => format!("{name}/compiled"),
-            };
-            g.bench_function(&label, |b| {
-                let (mut inst, fuel) = cpa_eval_instance(src, tier);
-                b.iter(|| pump_cpa(&mut inst, &stream, fuel, 1).flagged);
-            });
-        }
+        g.bench_function(name, |b| {
+            let (mut inst, fuel) = cpa_eval_instance(src);
+            b.iter(|| pump_cpa(&mut inst, &stream, fuel, 1).flagged);
+        });
     }
     g.finish();
 }

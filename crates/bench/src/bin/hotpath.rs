@@ -17,9 +17,10 @@ use std::time::Instant;
 use serde::Serialize;
 use simcore::SimDuration;
 use sysprof_bench::hotpath::{
-    compile_digest, cpa_eval_instance, pump_cpa, pump_digest, pump_digest_stream, CpaEventStream,
-    CpaFingerprint, DigestStream, HotPipeline, HotpathCounters, BASELINE_EVENTS_PER_SEC,
-    CPA_EVAL_SET, CPA_RING_EVENTS, DIGEST_GLOBALS,
+    compile_digest, cpa_eval_instance, pump_cpa, pump_cpa_reference, pump_digest,
+    pump_digest_stream, CpaEventStream, CpaFingerprint, DigestStream, HotPipeline, HotpathCounters,
+    BASELINE_CPA_EVENTS_PER_SEC, BASELINE_EVENTS_PER_SEC, CPA_EVAL_SET, CPA_RING_EVENTS,
+    DIGEST_GLOBALS,
 };
 use sysprof_bench::{exp_e1_linpack, exp_e2_iperf, exp_f6_dwcs};
 
@@ -46,15 +47,13 @@ struct CpaEvalBench {
     events: u64,
     /// Program names of the representative set, report order.
     programs: Vec<&'static str>,
-    /// Committed reference for `compiled_vs_fused` (the ≥2.0× gate).
-    baseline_compiled_vs_fused: f64,
-    fused_events_per_sec: f64,
+    /// Aggregate over the set, best of 5 reps.
     compiled_events_per_sec: f64,
-    /// Aggregate speedup over the set: total fused time / total
-    /// compiled time (best-of-5 per arm).
-    compiled_vs_fused: f64,
+    /// Committed reference for `compiled_events_per_sec`.
+    baseline_compiled_events_per_sec: f64,
+    compiled_vs_baseline: f64,
     /// Every rep's fingerprint (flags, out() fold, fuel, statics)
-    /// matched between tiers.
+    /// matched the `run_per_op` reference.
     bit_identical: bool,
 }
 
@@ -74,11 +73,6 @@ struct BenchReport {
     counters: HotpathCounters,
 }
 
-/// Committed floor for `cpa_eval.compiled_vs_fused` on the
-/// representative CPA set (full mode gates on it; measured full runs
-/// land well above).
-const CPA_EVAL_BASELINE: f64 = 2.0;
-
 struct Opts {
     smoke: bool,
     events: Option<u64>,
@@ -90,9 +84,7 @@ struct Opts {
     /// Defaults to 1.5 for full runs (the headline number this repo
     /// gates on); smoke runs gate only when asked.
     min_sharded: Option<f64>,
-    /// Fail unless `cpa_eval.compiled_vs_fused` reaches this floor.
-    /// Defaults to [`CPA_EVAL_BASELINE`] for full runs; smoke runs gate
-    /// only when asked.
+    /// Fail unless `cpa_eval.compiled_vs_baseline` reaches this floor.
     min_cpa: Option<f64>,
 }
 
@@ -128,9 +120,6 @@ fn parse_args() -> Opts {
     }
     if opts.min_sharded.is_none() && !opts.smoke {
         opts.min_sharded = Some(1.5);
-    }
-    if opts.min_cpa.is_none() && !opts.smoke {
-        opts.min_cpa = Some(CPA_EVAL_BASELINE);
     }
     opts
 }
@@ -288,28 +277,33 @@ fn main() {
         );
     }
 
-    // Compiled-tier CPA evaluation: the representative CPA set run on
-    // the fused VM and on the closure-compiled tier over identical
-    // event windows. Instance creation (which includes the jit
+    // Compiled-tier CPA evaluation: the representative CPA set over a
+    // fixed event window. Instance creation (which includes the jit
     // lowering) and event-row synthesis both stay outside the timer —
     // installs are rare, rows come off the ring pre-formed, runs are
     // the hot path. The window is ring-buffer sized and replayed to
     // cover the event budget: the deployment drains a bounded
     // cache-resident ring in place, and a one-shot multi-hundred-MB
-    // array would floor both tiers at DRAM bandwidth instead of
-    // measuring evaluation. Best-of-5 alternating reps per arm; every
-    // rep's fingerprint (flags, out() fold, fuel, statics) must match
-    // across tiers *and* across reps — repetition for variance must
-    // not hide nondeterminism.
+    // array would floor at DRAM bandwidth instead of measuring
+    // evaluation. Best of 5 reps; every rep's fingerprint (flags, out()
+    // fold, fuel, statics) must match the `run_per_op` reference —
+    // repetition for variance must not hide nondeterminism.
     let ring_events = CPA_RING_EVENTS.min(events / 2).max(1);
     let cpa_reps = (events / 2 / ring_events).max(1);
     let cpa_events = ring_events * cpa_reps;
     let cpa_stream = CpaEventStream::generate(0, ring_events);
-    let run_set = |tier: ecode::ExecTier| -> (f64, Vec<CpaFingerprint>) {
+    let reference: Vec<CpaFingerprint> = CPA_EVAL_SET
+        .iter()
+        .map(|(_, src)| {
+            let (mut inst, fuel) = cpa_eval_instance(src);
+            pump_cpa_reference(&mut inst, &cpa_stream, fuel, cpa_reps)
+        })
+        .collect();
+    let run_set = || -> (f64, Vec<CpaFingerprint>) {
         let mut total = 0.0;
         let mut fps = Vec::new();
         for (_, src) in CPA_EVAL_SET {
-            let (mut inst, fuel) = cpa_eval_instance(src, tier);
+            let (mut inst, fuel) = cpa_eval_instance(src);
             let t = Instant::now();
             let fp = pump_cpa(&mut inst, &cpa_stream, fuel, cpa_reps);
             total += t.elapsed().as_secs_f64();
@@ -317,46 +311,38 @@ fn main() {
         }
         (total, fps)
     };
-    // Warm both tiers once before the timed reps.
-    let _ = run_set(ecode::ExecTier::Fused);
-    let _ = run_set(ecode::ExecTier::Compiled);
-    let mut fused_s = f64::INFINITY;
+    let _ = run_set(); // warm-up
     let mut compiled_s = f64::INFINITY;
-    let mut pinned: Option<Vec<CpaFingerprint>> = None;
     for _ in 0..5 {
-        let (fs, ffp) = run_set(ecode::ExecTier::Fused);
-        let (cs, cfp) = run_set(ecode::ExecTier::Compiled);
-        assert_eq!(ffp, cfp, "compiled tier fingerprint diverged from fused");
-        if let Some(p) = &pinned {
-            assert_eq!(p, &ffp, "cpa_eval replay diverged across reps");
-        }
-        pinned = Some(ffp);
-        fused_s = fused_s.min(fs);
+        let (cs, cfp) = run_set();
+        assert_eq!(
+            cfp, reference,
+            "compiled tier fingerprint diverged from run_per_op"
+        );
         compiled_s = compiled_s.min(cs);
     }
     let set_events = cpa_events * CPA_EVAL_SET.len() as u64;
+    let compiled_events_per_sec = set_events as f64 / compiled_s;
     let cpa_eval = CpaEvalBench {
         events: cpa_events,
         programs: CPA_EVAL_SET.iter().map(|(name, _)| *name).collect(),
-        baseline_compiled_vs_fused: CPA_EVAL_BASELINE,
-        fused_events_per_sec: set_events as f64 / fused_s,
-        compiled_events_per_sec: set_events as f64 / compiled_s,
-        compiled_vs_fused: fused_s / compiled_s,
+        compiled_events_per_sec,
+        baseline_compiled_events_per_sec: BASELINE_CPA_EVENTS_PER_SEC,
+        compiled_vs_baseline: compiled_events_per_sec / BASELINE_CPA_EVENTS_PER_SEC,
         bit_identical: true, // asserted above; a divergence aborts the run
     };
     println!(
-        "  cpa eval: {} events x {} programs, fused {:.0}/s vs compiled {:.0}/s ({:.2}x), bit-identical",
+        "  cpa eval: {} events x {} programs, compiled {:.0}/s ({:.2}x of baseline {BASELINE_CPA_EVENTS_PER_SEC:.0}/s), bit-identical to run_per_op",
         cpa_eval.events,
         CPA_EVAL_SET.len(),
-        cpa_eval.fused_events_per_sec,
         cpa_eval.compiled_events_per_sec,
-        cpa_eval.compiled_vs_fused
+        cpa_eval.compiled_vs_baseline
     );
     if let Some(floor) = opts.min_cpa {
         assert!(
-            cpa_eval.compiled_vs_fused >= floor,
-            "compiled-tier speedup {:.2}x over fused is below the {floor:.2}x floor",
-            cpa_eval.compiled_vs_fused
+            cpa_eval.compiled_vs_baseline >= floor,
+            "compiled-tier CPA eval {:.2}x vs baseline is below the {floor:.2}x floor",
+            cpa_eval.compiled_vs_baseline
         );
     }
 

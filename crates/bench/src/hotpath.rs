@@ -28,6 +28,12 @@ use sysprof::{CpaAnalyzer, Gpa, GpaConfig, InteractionRecord};
 /// it to 24–28M on the same hardware.
 pub const BASELINE_EVENTS_PER_SEC: f64 = 30_000_000.0;
 
+/// Reference throughput of the `cpa_eval` arm (events/sec over
+/// [`CPA_EVAL_SET`] on the compiled tier, release mode, same hardware):
+/// the conservative end of full runs. Reported and gated exactly like
+/// [`BASELINE_EVENTS_PER_SEC`].
+pub const BASELINE_CPA_EVENTS_PER_SEC: f64 = 60_000_000.0;
+
 /// The E-Code program the pipeline's CPA runs on every matching event.
 const CPA_PROGRAM: &str = r#"
     static int n = 0;
@@ -181,7 +187,7 @@ pub fn pump_digest_stream(
 /// The representative CPA set the `cpa_eval` bench arm measures: the
 /// hotpath pipeline's own ratio CPA, a gated counter with a
 /// short-circuit guard, and a min/max latency fold — one per hot
-/// analyzer idiom, all within the default `CompileBudget`.
+/// analyzer idiom, all of which compile.
 pub const CPA_EVAL_SET: [(&str, &str); 3] = [
     ("ratio", CPA_PROGRAM),
     (
@@ -232,9 +238,10 @@ pub fn cpa_event_row(i: u64) -> [i64; 7] {
 }
 
 /// Behavior fingerprint of a CPA run: everything the host can observe,
-/// folded. Two tiers replaying the same event window must produce
-/// **equal** fingerprints — the `cpa_eval` arm asserts it every rep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// folded. The compiled tier and the `run_per_op` reference replaying
+/// the same event window must produce **equal** fingerprints — the
+/// `cpa_eval` arm asserts it every rep.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CpaFingerprint {
     /// Events the program flagged (nonzero return).
     pub flagged: u64,
@@ -253,7 +260,7 @@ pub const CPA_RING_EVENTS: u64 = 8192;
 
 /// A pre-generated CPA event window: [`cpa_event_row`]s back to back,
 /// stride [`CpaEventStream::STRIDE`]. The timed `cpa_eval` loop replays
-/// it, so both tier arms measure program evaluation — not the integer
+/// it, so the arm measures program evaluation — not the integer
 /// multiply/mod synthesis inside [`cpa_event_row`].
 pub struct CpaEventStream {
     rows: Vec<i64>,
@@ -283,62 +290,86 @@ impl CpaEventStream {
     }
 }
 
+impl CpaFingerprint {
+    fn absorb(&mut self, out: &ecode::RunOutcome<'_>) {
+        if out.ret != 0 {
+            self.flagged += 1;
+        }
+        self.fuel += out.fuel_used;
+        for &(slot, v) in out.outputs {
+            self.out_fold = self
+                .out_fold
+                .wrapping_mul(0x100_0000_01b3)
+                .wrapping_add(slot ^ v.to_bits() as i64);
+        }
+    }
+}
+
 /// Pumps the pre-generated window through a CPA instance `reps` times
 /// (via the batch ingest entry, `run_raw_batch` — the call shape the
 /// columnar hot path uses) and returns the fingerprint of the whole
 /// replay. The window models the deployment's ring buffer: a bounded,
 /// cache-resident slab the consumer drains in place, so the timed loop
 /// measures program evaluation rather than DRAM streaming over a
-/// one-shot giant array (which floors both tiers at memory bandwidth
-/// and says nothing about the VM). Statics persist across reps —
-/// counters keep counting, exactly as a long-lived CPA would over a
-/// live ring. The caller picks the tier at instance creation
-/// (`Instance::new` vs `Instance::new_fused`); this loop is tier-blind
-/// — it is the timed body of both `cpa_eval` arms.
+/// one-shot giant array (which floors at memory bandwidth and says
+/// nothing about the executor). Statics persist across reps — counters
+/// keep counting, exactly as a long-lived CPA would over a live ring.
+/// This is the timed body of the `cpa_eval` arm.
 pub fn pump_cpa(
     inst: &mut ecode::Instance,
     stream: &CpaEventStream,
     fuel: u64,
     reps: u64,
 ) -> CpaFingerprint {
-    let mut fp = CpaFingerprint {
-        flagged: 0,
-        out_fold: 0,
-        fuel: 0,
-        globals: Vec::new(),
-    };
+    let mut fp = CpaFingerprint::default();
     for _ in 0..reps {
-        inst.run_raw_batch(&stream.rows, fuel, |out| {
-            if out.ret != 0 {
-                fp.flagged += 1;
-            }
-            fp.fuel += out.fuel_used;
-            for &(slot, v) in out.outputs {
-                fp.out_fold = fp
-                    .out_fold
-                    .wrapping_mul(0x100_0000_01b3)
-                    .wrapping_add(slot ^ v.to_bits() as i64);
-            }
-        })
-        .expect("representative CPAs never trap");
+        inst.run_raw_batch(&stream.rows, fuel, |out| fp.absorb(&out))
+            .expect("representative CPAs never trap");
     }
     fp.globals = inst.raw_globals().to_vec();
     fp
 }
 
-/// Compiles one [`CPA_EVAL_SET`] program and returns the instance for
-/// the requested tier plus its proven fuel bound. Panics if tier
-/// selection doesn't match the request — a representative CPA that
-/// stopped compiling would silently turn the bench into fused-vs-fused.
-pub fn cpa_eval_instance(src: &str, tier: ecode::ExecTier) -> (ecode::Instance, u64) {
+/// The same replay one event at a time through `run_per_op`, the
+/// checked interpreter every tier is held to: the fingerprint each
+/// timed [`pump_cpa`] rep is asserted against. Untimed.
+pub fn pump_cpa_reference(
+    inst: &mut ecode::Instance,
+    stream: &CpaEventStream,
+    fuel: u64,
+    reps: u64,
+) -> CpaFingerprint {
+    let mut fp = CpaFingerprint::default();
+    let mut vals = [ecode::Value::Int(0); CpaEventStream::STRIDE];
+    for _ in 0..reps {
+        for row in stream.rows.chunks_exact(CpaEventStream::STRIDE) {
+            for (v, &raw) in vals.iter_mut().zip(row) {
+                *v = ecode::Value::Int(raw);
+            }
+            let out = inst
+                .run_per_op(&vals, fuel)
+                .expect("representative CPAs never trap");
+            fp.absorb(&out);
+        }
+    }
+    fp.globals = inst.raw_globals().to_vec();
+    fp
+}
+
+/// Compiles one [`CPA_EVAL_SET`] program and returns its instance plus
+/// its proven fuel bound. Panics unless it landed on the compiled tier
+/// — a representative CPA that stopped compiling would silently turn
+/// the bench into a measurement of the interpreter.
+pub fn cpa_eval_instance(src: &str) -> (ecode::Instance, u64) {
     let program =
         ecode::Program::compile(src, &sysprof::EVENT_INPUTS).expect("static CPA compiles");
     let fuel = program.static_fuel_bound();
-    let inst = match tier {
-        ecode::ExecTier::Compiled => ecode::Instance::new(&program),
-        ecode::ExecTier::Fused => ecode::Instance::new_fused(&program),
-    };
-    assert_eq!(inst.tier(), tier, "tier selection changed for:\n{src}");
+    let inst = ecode::Instance::new(&program);
+    assert_eq!(
+        inst.tier(),
+        ecode::ExecTier::Compiled,
+        "representative CPA no longer compiles:\n{src}"
+    );
     (inst, fuel)
 }
 

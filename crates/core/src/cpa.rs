@@ -151,9 +151,9 @@ impl CpaAnalyzer {
     }
 
     /// Which execution tier the program was installed on: `Compiled` when
-    /// it passed the [`ecode::CompileBudget`] heuristic and was lowered to
-    /// closures, `Fused` when it fell back to the fused VM. Either way the
-    /// observable behavior (globals, outputs, flags, fuel) is identical.
+    /// it was lowered to closures, `Fused` when it was not and runs on
+    /// the checked per-op interpreter. Either way the observable behavior
+    /// (globals, outputs, flags, fuel) is identical.
     pub fn tier(&self) -> ExecTier {
         self.instance.tier()
     }

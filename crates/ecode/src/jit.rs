@@ -1,9 +1,8 @@
 //! The compiled execution tier: closure-compiled basic blocks.
 //!
 //! The paper's CPAs were *natively* code-generated into the running
-//! kernel; the fused VM (superinstructions + block-granular fuel
-//! precharge) is the last interpreter tax on that path. This module
-//! removes it for the programs that matter: [`compile`] lowers
+//! kernel; a bytecode interpreter taxes that path with a dispatch per
+//! opcode. This module removes the tax: [`compile`] lowers
 //! already-validated bytecode into **one monomorphized Rust closure per
 //! basic block** — constant operands baked into the closure's captures,
 //! per-statement expression trees reconstructed from the stack code so a
@@ -14,11 +13,11 @@
 //! # Tier selection and fallback
 //!
 //! [`Instance::new`](crate::Instance::new) compiles every program that
-//! passes `validate()` and fits [`CompileBudget`]; anything else
-//! transparently falls back to the fused VM. The lowering itself also
-//! bails (returns `None`) on shapes it cannot prove equivalent — an
-//! operand-stack residue at a store, or more cross-block stack carries
-//! than [`CompileBudget::max_carry`] — rather than guess.
+//! passes `validate()` and stays within `MAX_OPS` / `MAX_BLOCKS`;
+//! anything else transparently runs on the checked per-op interpreter.
+//! The lowering itself also bails (returns `None`) on shapes it cannot
+//! prove equivalent — an operand-stack residue at a store, or more
+//! cross-block stack carries than `MAX_CARRY` — rather than guess.
 //!
 //! # Observable equivalence
 //!
@@ -26,17 +25,17 @@
 //! reference VM on every observable: return value, `fuel_used`, trap
 //! kind and partial statics at the trap point, and `out()` ordering.
 //! The driver ([`Instance::run`](crate::Instance::run) routes here when
-//! a program compiled) reuses the same `block_fuel` precharge as the
-//! fused VM, so fuel accounting is identical by construction; when the
-//! remaining budget cannot cover a block, the driver spills the carried
-//! stack values and executes that one block on the checked per-op
-//! interpreter instead, preserving exact abort points. Within a block,
+//! a program compiled) precharges each block's op count, so fuel
+//! accounting is identical by construction; when the remaining budget
+//! cannot cover a block, the driver spills the carried stack values and
+//! executes that one block on the checked per-op interpreter instead,
+//! preserving exact abort points. Within a block,
 //! expression trees evaluate in bytecode push order (left subtree, right
 //! subtree, operator), statements flush in program order, and values
 //! carried across block boundaries (short-circuit `&&`/`||` joins)
 //! evaluate before the branch condition — the same order the stack
 //! machine produced them. The generative sweeps in
-//! `tests/verifier.rs` assert this equivalence across all three tiers
+//! `tests/verifier.rs` assert this equivalence against the reference
 //! for hundreds of programs.
 
 use std::fmt;
@@ -51,35 +50,18 @@ use crate::EcodeError;
 /// allocation-free.
 pub(crate) const MAX_CARRY: usize = 4;
 
-/// Size heuristic gating the compiled tier. Programs beyond these
-/// bounds still run — on the fused VM — they just aren't worth the
+/// Size limits gating the compiled tier. Programs beyond them still
+/// run — on the checked interpreter — they just aren't worth the
 /// per-block closure graph (compile time and memory scale with block
 /// count, and CPAs installed on the event hot path are small by
 /// doctrine: the verifier already bounds their fuel).
-#[derive(Debug, Clone)]
-pub struct CompileBudget {
-    /// Maximum basic blocks (entry points) to compile.
-    pub max_blocks: usize,
-    /// Maximum bytecode length to consider compiling.
-    pub max_ops: usize,
-    /// Maximum cross-block stack carries (clamped to an internal cap of
-    /// 4; joins deeper than that fall back to the fused VM).
-    pub max_carry: usize,
-}
+const MAX_OPS: usize = 4096;
+const MAX_BLOCKS: usize = 256;
 
-impl Default for CompileBudget {
-    fn default() -> Self {
-        CompileBudget {
-            max_blocks: 256,
-            max_ops: 4096,
-            max_carry: MAX_CARRY,
-        }
-    }
-}
-
-/// Mutable run state a block closure executes against. Borrows the
-/// instance's reusable arenas, so a compiled run allocates nothing
-/// post-warmup (proven by `tests/zero_alloc.rs`).
+/// Mutable run state a block closure — or the interpreter, on a block
+/// the driver hands it — executes against. Borrows the instance's
+/// reusable arenas, so a compiled run allocates nothing post-warmup
+/// (proven by `tests/zero_alloc.rs`).
 pub(crate) struct Ctx<'a> {
     pub(crate) globals: &'a mut [i64],
     pub(crate) locals: &'a mut [i64],
@@ -117,7 +99,7 @@ type BlockFn = Box<dyn Fn(&mut Ctx<'_>, u64) -> (u64, Exit) + Send + Sync>;
 /// One compiled basic block: the closure plus the coordinates the
 /// driver needs for fuel precharge and the checked per-op fallback.
 pub(crate) struct Block {
-    /// Original-bytecode pc of the block entry (indexes `block_fuel`).
+    /// Original-bytecode pc of the block entry.
     pub(crate) entry_pc: u32,
     /// Operand-stack values this block consumes from `Ctx::carry`.
     pub(crate) carry_in: u8,
@@ -359,28 +341,23 @@ fn exec_step(s: &Step, ctx: &mut Ctx<'_>) -> Result<(), EcodeError> {
 }
 
 /// Lowers every reachable basic block of `program` and compiles each to
-/// a closure. Returns `None` when the program exceeds `budget` or a
-/// block's stack discipline can't be proven statement-shaped — the
-/// caller falls back to the fused VM.
+/// a closure. Returns `None` when the program exceeds [`MAX_OPS`] /
+/// [`MAX_BLOCKS`] or a block's stack discipline can't be proven
+/// statement-shaped — the caller falls back to the checked interpreter.
 ///
 /// `depth_at[pc]` is the operand-stack depth on entry to `pc` computed
 /// by `validate` (−1 = unreachable).
-pub(crate) fn compile(
-    program: &Program,
-    depth_at: &[i32],
-    budget: &CompileBudget,
-) -> Option<CompiledProgram> {
+pub(crate) fn compile(program: &Program, depth_at: &[i32]) -> Option<CompiledProgram> {
     let code = &program.code;
-    if code.len() > budget.max_ops {
+    if code.len() > MAX_OPS {
         return None;
     }
-    let max_carry = budget.max_carry.min(MAX_CARRY);
 
     // Block entries: program start, every jump target, and the
     // fall-through edge of every conditional branch — exactly the pcs
-    // where the fused VM's outer loop can land. Interior jump targets
-    // do not split a block: like the fused VM, a block runs from its
-    // entry through the next real terminator, and `block_fuel[entry]`
+    // where the interpreter's block loop can land. Interior jump
+    // targets do not split a block: as in the interpreter, a block runs
+    // from its entry through the next real terminator, and its `fuel`
     // covers that same span.
     let mut entries: Vec<usize> = Vec::new();
     let mut seen = vec![false; code.len()];
@@ -405,7 +382,7 @@ pub(crate) fn compile(
         }
     }
     entries.sort_unstable();
-    if entries.len() > budget.max_blocks {
+    if entries.len() > MAX_BLOCKS {
         return None;
     }
     let mut pc2block = vec![u32::MAX; code.len()];
@@ -415,12 +392,7 @@ pub(crate) fn compile(
 
     let mut lowered = Vec::with_capacity(entries.len());
     for &entry in &entries {
-        lowered.push(lower_block(
-            code,
-            entry,
-            depth_at[entry] as usize,
-            max_carry,
-        )?);
+        lowered.push(lower_block(code, entry, depth_at[entry] as usize)?);
     }
     merge_chains(&mut lowered, &pc2block);
     // Link terminator targets from pc space to block indices.
@@ -579,8 +551,8 @@ fn subst_step(s: &Step, carries: &[Ex]) -> Step {
 
 /// Symbolically executes one block (entry through its real terminator),
 /// reconstructing per-statement expression trees from the stack code.
-fn lower_block(code: &[Op], entry: usize, carry_in: usize, max_carry: usize) -> Option<Lowered> {
-    if carry_in > max_carry {
+fn lower_block(code: &[Op], entry: usize, carry_in: usize) -> Option<Lowered> {
+    if carry_in > MAX_CARRY {
         return None;
     }
     let mut sym: Vec<Ex> = (0..carry_in).map(|i| Ex::Carry(i as u8)).collect();
@@ -677,7 +649,7 @@ fn lower_block(code: &[Op], entry: usize, carry_in: usize, max_carry: usize) -> 
             Op::GtF => cmp_f(&mut sym, Cmp::Gt)?,
             Op::GeF => cmp_f(&mut sym, Cmp::Ge)?,
             Op::Jmp(t) => {
-                if sym.len() > max_carry {
+                if sym.len() > MAX_CARRY {
                     return None;
                 }
                 return Some(Lowered {
@@ -691,12 +663,11 @@ fn lower_block(code: &[Op], entry: usize, carry_in: usize, max_carry: usize) -> 
             }
             Op::JmpIfFalse(t) => {
                 let cond = sym.pop()?;
-                if sym.len() > max_carry {
+                if sym.len() > MAX_CARRY {
                     return None;
                 }
                 // `push 0; jump-if-false` is the `&&` false arm feeding
-                // an `if` — an unconditional jump, same fold the fused
-                // VM applies.
+                // an `if` — an unconditional jump.
                 let term = match cond {
                     Ex::ConstI(0) => Term::Jmp(t),
                     Ex::ConstI(_) => Term::Jmp(pc as u32),
@@ -717,7 +688,7 @@ fn lower_block(code: &[Op], entry: usize, carry_in: usize, max_carry: usize) -> 
             }
             Op::Ret => {
                 let e = sym.pop()?;
-                if sym.len() > max_carry {
+                if sym.len() > MAX_CARRY {
                     return None;
                 }
                 let term = match e {
@@ -734,7 +705,7 @@ fn lower_block(code: &[Op], entry: usize, carry_in: usize, max_carry: usize) -> 
                 });
             }
             Op::RetVoid => {
-                if sym.len() > max_carry {
+                if sym.len() > MAX_CARRY {
                     return None;
                 }
                 return Some(Lowered {
@@ -919,7 +890,7 @@ enum ValK {
     /// 2⁶⁴) ≤ ⌊(2⁶⁴−1)/odd⌋. The epoch tests CPAs gate their reports
     /// on (`events % 1000 == 0`) hit this every event, and `idiv` is
     /// the single most expensive instruction the hot path would
-    /// otherwise retire; the fused VM can't do this because its
+    /// otherwise retire; an interpreter can't do this because its
     /// divisor is a stack operand, not a compile-time capture.
     DivC {
         g: u16,
@@ -1758,13 +1729,13 @@ mod tests {
         Program::compile(src, &INPUTS).unwrap()
     }
 
-    /// Runs both tiers over the same input stream and asserts every
-    /// observable matches bit-for-bit.
+    /// Runs `Instance::new`'s tier and the checked interpreter over the
+    /// same input stream and asserts every observable matches
+    /// bit-for-bit.
     fn assert_tiers_agree(src: &str) {
         let p = program(src);
         let mut compiled = Instance::new(&p);
-        let mut fused = Instance::new_fused(&p);
-        assert_eq!(fused.tier(), ExecTier::Fused);
+        let mut interp = Instance::new_fused(&p);
         for i in 0..50i64 {
             let inputs = [
                 Value::Int(i * 500 % 3000),
@@ -1773,11 +1744,11 @@ mod tests {
             let a = compiled
                 .run(&inputs, 1_000)
                 .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
-            let b = fused
+            let b = interp
                 .run(&inputs, 1_000)
                 .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
             assert_eq!(a, b, "tier divergence at event {i}");
-            assert_eq!(compiled.raw_globals(), fused.raw_globals());
+            assert_eq!(compiled.raw_globals(), interp.raw_globals());
         }
     }
 
@@ -1857,69 +1828,53 @@ mod tests {
     }
 
     #[test]
-    fn default_budget_compiles_the_canonical_cpa() {
+    fn canonical_cpa_compiles_and_agrees_with_the_interpreter() {
         let p = program(CPA_SRC);
         assert_eq!(Instance::new(&p).tier(), ExecTier::Compiled);
-        assert_tiers_agree(CPA_SRC);
-    }
-
-    #[test]
-    fn new_fused_opts_out_of_compilation() {
-        let p = program(CPA_SRC);
         assert_eq!(Instance::new_fused(&p).tier(), ExecTier::Fused);
+        assert_tiers_agree(CPA_SRC);
+        // One carried stack value across the short-circuit join.
+        let carry = "return port != 0 && size / port > 3;";
+        assert_eq!(Instance::new(&program(carry)).tier(), ExecTier::Compiled);
+        assert_tiers_agree(carry);
     }
 
     #[test]
-    fn block_budget_exceeded_falls_back_to_fused() {
-        let p = program(CPA_SRC);
-        let tiny = CompileBudget {
-            max_blocks: 1,
-            ..CompileBudget::default()
-        };
-        let mut inst = Instance::with_budget(&p, &tiny);
+    fn over_limit_program_falls_back_and_agrees() {
+        // Enough straight-line statements to pass MAX_OPS: too big to be
+        // worth a closure graph, so it must run — and run correctly — on
+        // the checked interpreter.
+        let divisors: Vec<i64> = (0..MAX_OPS as i64 / 4).map(|k| k % 61 + 2).collect();
+        let mut src = String::from("static int n = 0;\n");
+        for d in &divisors {
+            src.push_str(&format!("n = n + size % {d};\n"));
+        }
+        src.push_str("return n;");
+        let p = program(&src);
+        assert!(p.code.len() > MAX_OPS);
+        let mut inst = Instance::new(&p);
         assert_eq!(inst.tier(), ExecTier::Fused);
-        // Fallback is transparent: the instance still runs correctly.
-        let out = inst
-            .run(&[Value::Int(1500), Value::Int(2049)], 1_000)
-            .unwrap();
-        assert_eq!(out.ret, 0); // n == 1, not a multiple of 10
-    }
-
-    #[test]
-    fn op_budget_exceeded_falls_back_to_fused() {
-        let p = program(CPA_SRC);
-        let tiny = CompileBudget {
-            max_ops: 2,
-            ..CompileBudget::default()
-        };
-        assert_eq!(Instance::with_budget(&p, &tiny).tier(), ExecTier::Fused);
-    }
-
-    #[test]
-    fn carry_budget_exceeded_falls_back_to_fused() {
-        // `port != 0 && size / port > 3` joins with one carried stack
-        // value, so a zero-carry budget cannot lower it.
-        let src = "return port != 0 && size / port > 3;";
-        let p = program(src);
-        let zero_carry = CompileBudget {
-            max_carry: 0,
-            ..CompileBudget::default()
-        };
-        assert_eq!(
-            Instance::with_budget(&p, &zero_carry).tier(),
-            ExecTier::Fused
-        );
-        // ... while the default budget takes it compiled, identically.
-        assert_eq!(Instance::new(&p).tier(), ExecTier::Compiled);
-        assert_tiers_agree(src);
+        let mut reference = Instance::new(&p);
+        let fuel = p.static_fuel_bound();
+        let mut want = 0i64;
+        for size in [0i64, 7, 1500] {
+            want += divisors.iter().map(|d| size % d).sum::<i64>();
+            let inputs = [Value::Int(size), Value::Int(80)];
+            let a = inst.run(&inputs, fuel).map(|o| (o.ret, o.fuel_used));
+            let b = reference
+                .run_per_op(&inputs, fuel)
+                .map(|o| (o.ret, o.fuel_used));
+            assert_eq!(a, b, "size={size}");
+            assert_eq!(a.unwrap().0, want);
+        }
     }
 
     #[test]
     fn deep_carry_shape_falls_back_even_on_default_budget() {
         // Four pending booleans below the short-circuit join put five
         // values on the stack at the join entry — past MAX_CARRY. This
-        // shape is non-compilable by design and must run fused —
-        // correctly — without the host doing anything.
+        // shape is non-compilable by design and must run on the
+        // interpreter — correctly — without the host doing anything.
         let src =
             "return size > 0 == (port > 0 == (size > 1 == (port > 1 == (size > 2 && port > 2))));";
         let p = program(src);

@@ -66,6 +66,7 @@
 //! # Ok::<(), ecode::EcodeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analysis;
@@ -83,7 +84,6 @@ pub use analysis::{
     VerifyLimits, VerifyReport,
 };
 pub use compile::{Program, Type};
-pub use jit::CompileBudget;
 pub use vm::{ExecTier, Instance, MergeError, RunOutcome, Value};
 
 use std::fmt;

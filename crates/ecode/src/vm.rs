@@ -185,8 +185,8 @@ fn stack_effect(op: Op) -> (u32, i32) {
 ///
 /// The compiler upholds all of this by construction; validating it here
 /// turns that contract into a checked invariant the interpreter can
-/// rely on — the run loop then uses unchecked stack and table accesses
-/// with no per-op bounds tests. A violation is a compiler bug
+/// rely on: its `expect`s and indexing, and the compiled tier's, can
+/// then only fail on a bug in this crate. A violation is a compiler bug
 /// ([`Program`] cannot be built outside this crate), so it panics at
 /// instance creation rather than surfacing mid-run.
 ///
@@ -243,8 +243,7 @@ fn validate(program: &Program) -> (usize, Vec<i32>) {
     (max_depth as usize, depth_at)
 }
 
-/// Comparison kind carried by fused compare ops and the compiled
-/// tier's expression trees.
+/// Comparison kind carried by the compiled tier's expression trees.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Cmp {
     Eq,
@@ -256,18 +255,6 @@ pub(crate) enum Cmp {
 }
 
 impl Cmp {
-    fn from_op(op: Op) -> Option<Cmp> {
-        Some(match op {
-            Op::EqI => Cmp::Eq,
-            Op::NeI => Cmp::Ne,
-            Op::LtI => Cmp::Lt,
-            Op::LeI => Cmp::Le,
-            Op::GtI => Cmp::Gt,
-            Op::GeI => Cmp::Ge,
-            _ => return None,
-        })
-    }
-
     #[inline(always)]
     pub(crate) fn eval(self, l: i64, r: i64) -> bool {
         match self {
@@ -295,169 +282,6 @@ impl Cmp {
     }
 }
 
-/// The fast-path instruction stream: original ops plus superinstructions
-/// fused from the sequences the E-Code compiler emits for the most
-/// common analyzer idioms (counter bumps, accumulations, input-vs-const
-/// guards). Fusing cuts the interpreter's dispatches per run to roughly
-/// a third for typical CPAs.
-///
-/// Fuel is never charged in fast coordinates: the precharge driver reads
-/// `block_fuel` of the *original* code (via `fast2orig`), so `fuel_used`
-/// is identical to per-op metering of the unfused program. Jump variants
-/// carry both coordinate spaces so the driver can fall back to the
-/// checked per-op interpreter (which runs original code) mid-run when
-/// the remaining budget gets tight.
-#[derive(Debug, Clone, Copy)]
-enum FastOp {
-    /// An original non-jump op, executed verbatim.
-    Plain(Op),
-    Jmp {
-        fast: u32,
-        orig: u32,
-    },
-    JmpIfFalse {
-        fast: u32,
-        orig: u32,
-    },
-    /// `g = g + c` on an int global (LoadGlobal ConstI AddI StoreGlobal).
-    IncGlobalI {
-        g: u16,
-        c: i64,
-    },
-    /// `g = g + input`, int input promoted into a double global
-    /// (LoadGlobal LoadInput I2F AddF StoreGlobal).
-    AccGlobalInputF {
-        g: u16,
-        input: u16,
-    },
-    /// `g = g + input` on int global and input.
-    AccGlobalInputI {
-        g: u16,
-        input: u16,
-    },
-    /// Push `input <cmp> c` (LoadInput ConstI CmpI).
-    CmpInputCI {
-        input: u16,
-        cmp: Cmp,
-        c: i64,
-    },
-    /// `if (!(input <cmp> c)) jump` (LoadInput ConstI CmpI JmpIfFalse).
-    BrInputCmpCI {
-        input: u16,
-        cmp: Cmp,
-        c: i64,
-        fast: u32,
-        orig: u32,
-    },
-    /// `return c` (ConstI Ret).
-    RetCI(i64),
-}
-
-/// Builds the fused fast-code stream plus the pc maps between the two
-/// coordinate spaces. A sequence is only fused when no interior op is a
-/// jump target (control could enter mid-sequence otherwise), so every
-/// original block start has a fast-code twin — `orig2fast` is defined
-/// exactly where the driver needs it.
-fn fuse(code: &[Op]) -> (Vec<FastOp>, Vec<u32>, Vec<u32>) {
-    let mut is_target = vec![false; code.len()];
-    for op in code {
-        match *op {
-            Op::Jmp(t) | Op::JmpIfFalse(t) => is_target[t as usize] = true,
-            _ => {}
-        }
-    }
-    let mut fast: Vec<FastOp> = Vec::new();
-    let mut fast2orig: Vec<u32> = Vec::new();
-    let mut orig2fast = vec![u32::MAX; code.len()];
-    let mut pc = 0usize;
-    while pc < code.len() {
-        orig2fast[pc] = fast.len() as u32;
-        fast2orig.push(pc as u32);
-        let w = &code[pc..];
-        let fusable = |k: usize| w.len() >= k && (1..k).all(|j| !is_target[pc + j]);
-        // Longest pattern first; jump targets are emitted in original
-        // coordinates here and rewritten to fast ones below.
-        let (op, len) = 'fused: {
-            if fusable(5) {
-                if let [Op::LoadGlobal(g), Op::LoadInput(i), Op::I2F, Op::AddF, Op::StoreGlobal(g2), ..] =
-                    *w
-                {
-                    if g == g2 {
-                        break 'fused (FastOp::AccGlobalInputF { g, input: i }, 5);
-                    }
-                }
-            }
-            if fusable(4) {
-                match *w {
-                    [Op::LoadGlobal(g), Op::ConstI(c), Op::AddI, Op::StoreGlobal(g2), ..]
-                        if g == g2 =>
-                    {
-                        break 'fused (FastOp::IncGlobalI { g, c }, 4)
-                    }
-                    [Op::LoadGlobal(g), Op::LoadInput(i), Op::AddI, Op::StoreGlobal(g2), ..]
-                        if g == g2 =>
-                    {
-                        break 'fused (FastOp::AccGlobalInputI { g, input: i }, 4)
-                    }
-                    [Op::LoadInput(i), Op::ConstI(c), cmp, Op::JmpIfFalse(t), ..] => {
-                        if let Some(cmp) = Cmp::from_op(cmp) {
-                            break 'fused (
-                                FastOp::BrInputCmpCI {
-                                    input: i,
-                                    cmp,
-                                    c,
-                                    fast: t,
-                                    orig: t,
-                                },
-                                4,
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if fusable(3) {
-                if let [Op::LoadInput(i), Op::ConstI(c), cmp, ..] = *w {
-                    if let Some(cmp) = Cmp::from_op(cmp) {
-                        break 'fused (FastOp::CmpInputCI { input: i, cmp, c }, 3);
-                    }
-                }
-            }
-            if fusable(2) {
-                match *w {
-                    [Op::ConstI(c), Op::Ret, ..] => break 'fused (FastOp::RetCI(c), 2),
-                    // `push false; jump-if-false` is an unconditional jump
-                    // (the `&&` false arm feeding an `if`).
-                    [Op::ConstI(0), Op::JmpIfFalse(t), ..] => {
-                        break 'fused (FastOp::Jmp { fast: t, orig: t }, 2)
-                    }
-                    _ => {}
-                }
-            }
-            match w[0] {
-                Op::Jmp(t) => (FastOp::Jmp { fast: t, orig: t }, 1),
-                Op::JmpIfFalse(t) => (FastOp::JmpIfFalse { fast: t, orig: t }, 1),
-                op => (FastOp::Plain(op), 1),
-            }
-        };
-        fast.push(op);
-        pc += len;
-    }
-    for f in &mut fast {
-        match f {
-            FastOp::Jmp { fast: ft, orig }
-            | FastOp::JmpIfFalse { fast: ft, orig }
-            | FastOp::BrInputCmpCI { fast: ft, orig, .. } => {
-                let mapped = orig2fast[*orig as usize];
-                assert!(mapped != u32::MAX, "E-Code jump into a fused sequence");
-                *ft = mapped;
-            }
-            _ => {}
-        }
-    }
-    (fast, fast2orig, orig2fast)
-}
-
 /// Which execution tier an [`Instance`] selected at creation.
 ///
 /// Tier selection is an implementation detail for correctness (all
@@ -470,34 +294,23 @@ pub enum ExecTier {
     /// the checked per-op interpreter mid-run only when the remaining
     /// fuel budget cannot cover a block.
     Compiled,
-    /// The fused superinstruction VM with block-granular fuel
-    /// precharge.
+    /// Not compiled: every block runs on the checked per-op
+    /// interpreter. (The name predates the interpreter it now denotes;
+    /// the benchmark harness matches on it, so the spelling stays.)
     Fused,
 }
 
-/// Per-analyzer program state: the persistent `static` variables, plus
-/// the reusable run arenas (operand stack, locals, raw inputs, outputs)
-/// and the block-fuel table. Create one instance per installed CPA; run
-/// it once per event — after the first run the hot path never allocates.
+/// Per-analyzer program state: the persistent `static` variables plus
+/// the reusable run arenas (operand stack, locals, raw inputs, outputs).
+/// Create one instance per installed CPA; run it once per event — after
+/// the first run the hot path never allocates.
 #[derive(Debug, Clone)]
 pub struct Instance {
     program: Program,
     globals: Vec<i64>,
-    /// `block_fuel[pc]`: ops from `pc` through its block terminator
-    /// (`Jmp` / `JmpIfFalse` / `Ret` / `RetVoid`), inclusive. `run`
-    /// precharges a whole block when it fits in the remaining budget,
-    /// replacing the per-op fuel comparison with one check per block.
-    block_fuel: Vec<u32>,
-    /// Maximum operand-stack depth, proved by [`validate`] at creation.
-    max_stack: usize,
-    /// Fused fast-path code (see [`FastOp`]) and the pc maps between
-    /// fast and original coordinates.
-    fast: Vec<FastOp>,
-    fast2orig: Vec<u32>,
-    orig2fast: Vec<u32>,
-    /// The closure-compiled tier, when the program fit the
-    /// [`jit::CompileBudget`] — `None` means every run uses the fused
-    /// VM. Shared via `Arc` so cloning an instance into digest-plane
+    /// The closure-compiled tier, when [`jit::compile`] could lower the
+    /// program — `None` means every run uses the checked interpreter.
+    /// Shared via `Arc` so cloning an instance into digest-plane
     /// replicas doesn't recompile.
     compiled: Option<Arc<jit::CompiledProgram>>,
     stack: Vec<i64>,
@@ -514,55 +327,37 @@ impl Instance {
     /// Creates an instance with statics at their declared initial values.
     /// The program is cheap to clone (bytecode + layout tables).
     ///
-    /// Programs within the default [`jit::CompileBudget`] are lowered
-    /// to the closure-compiled tier here; everything else runs on the
-    /// fused VM. Both are bit-identical on every observable
+    /// Every program [`jit::compile`] can lower runs on the
+    /// closure-compiled tier; the rest run on the checked per-op
+    /// interpreter. Both are bit-identical on every observable
     /// ([`tier`](Instance::tier) reports which one was selected).
     pub fn new(program: &Program) -> Self {
-        Self::with_budget(program, &jit::CompileBudget::default())
+        Self::build(program, true)
     }
 
-    /// [`new`](Instance::new) with an explicit compile budget — hosts
-    /// that want to cap compiled-tier memory (or force fallback in
-    /// tests) size the budget themselves.
-    pub fn with_budget(program: &Program, budget: &jit::CompileBudget) -> Self {
-        Self::build(program, Some(budget))
-    }
-
-    /// Creates an instance pinned to the fused VM, never the compiled
-    /// tier. The differential sweeps use this to run the same program
-    /// on both tiers; hosts normally want [`new`](Instance::new).
+    /// Creates an instance that is never compiled: every run uses the
+    /// checked per-op interpreter, the tier [`ExecTier::Fused`] names.
+    /// The differential tests and benches use this to run one program
+    /// on both tiers; hosts want [`new`](Instance::new).
     pub fn new_fused(program: &Program) -> Self {
-        Self::build(program, None)
+        Self::build(program, false)
     }
 
-    fn build(program: &Program, budget: Option<&jit::CompileBudget>) -> Self {
+    fn build(program: &Program, compile: bool) -> Self {
         let globals = program
             .globals
             .iter()
             .map(|(_, _, i)| init_raw(i))
             .collect();
-        // Backward pass: the compiler guarantees the last op is a
-        // terminator, so every non-terminator has a successor.
-        let code = &program.code;
-        let mut block_fuel = vec![0u32; code.len()];
-        for pc in (0..code.len()).rev() {
-            block_fuel[pc] = match code[pc] {
-                Op::Jmp(_) | Op::JmpIfFalse(_) | Op::Ret | Op::RetVoid => 1,
-                _ => block_fuel[pc + 1] + 1,
-            };
-        }
         let (max_stack, depth_at) = validate(program);
-        let (fast, fast2orig, orig2fast) = fuse(&program.code);
-        let compiled = budget.and_then(|b| jit::compile(program, &depth_at, b).map(Arc::new));
+        let compiled = if compile {
+            jit::compile(program, &depth_at).map(Arc::new)
+        } else {
+            None
+        };
         Instance {
             program: program.clone(),
             globals,
-            block_fuel,
-            max_stack,
-            fast,
-            fast2orig,
-            orig2fast,
             compiled,
             stack: Vec::with_capacity(max_stack),
             locals: Vec::new(),
@@ -573,7 +368,7 @@ impl Instance {
     }
 
     /// `(specialized, total)` compiled-block counts, `None` when the
-    /// instance runs fused. Introspection for tests — the perf suite
+    /// instance is not compiled. Introspection for tests — the perf suite
     /// pins that the representative CPA shapes never regress to the
     /// generic tree-walking closures.
     #[cfg(test)]
@@ -582,7 +377,7 @@ impl Instance {
     }
 
     /// Whether the compiled program carries the whole-program
-    /// straight-line fast path (`None` when running fused).
+    /// straight-line fast path (`None` when not compiled).
     /// Introspection for tests — the perf suite pins that the
     /// representative CPA shapes parse into it.
     #[cfg(test)]
@@ -700,10 +495,10 @@ impl Instance {
 
     /// Runs the program once over `inputs` with the given fuel budget.
     ///
-    /// Fuel is metered per basic block: on entering a block whose
-    /// straight-line cost fits the remaining budget, the per-op fuel
-    /// comparison is skipped for the whole block. `fuel_used` and the
-    /// abort point are bit-identical to per-op metering
+    /// On the compiled tier fuel is metered per basic block: on entering
+    /// a block whose straight-line cost fits the remaining budget, the
+    /// per-op fuel comparison is skipped for the whole block. `fuel_used`
+    /// and the abort point are bit-identical to per-op metering
     /// ([`run_per_op`](Instance::run_per_op) is the reference).
     ///
     /// # Errors
@@ -715,20 +510,20 @@ impl Instance {
     /// * [`EcodeError::DivideByZero`] on integer division/modulo by zero.
     pub fn run(&mut self, inputs: &[Value], fuel: u64) -> Result<RunOutcome<'_>, EcodeError> {
         self.marshal(inputs)?;
-        self.dispatch(fuel)
+        self.execute(fuel, false)
     }
 
-    /// Reference metering path: charges and checks fuel before every
-    /// opcode, exactly as the VM did before block precharging. Exists so
-    /// tests can pin `run`'s exactness claim; hosts should call
-    /// [`run`](Instance::run).
+    /// Reference path: the checked interpreter on every block, whatever
+    /// tier the instance selected — fuel charged and checked before every
+    /// opcode. Exists so tests can pin `run`'s exactness claim; hosts
+    /// should call [`run`](Instance::run).
     pub fn run_per_op(
         &mut self,
         inputs: &[Value],
         fuel: u64,
     ) -> Result<RunOutcome<'_>, EcodeError> {
         self.marshal(inputs)?;
-        self.run_metered(fuel, true)
+        self.execute(fuel, true)
     }
 
     /// Runs the program over pre-marshalled raw input bits, skipping the
@@ -761,17 +556,7 @@ impl Instance {
             self.raw_inputs.clear();
             self.raw_inputs.extend_from_slice(raw);
         }
-        self.dispatch(fuel)
-    }
-
-    /// Routes a marshalled run to the tier selected at creation.
-    #[inline]
-    fn dispatch(&mut self, fuel: u64) -> Result<RunOutcome<'_>, EcodeError> {
-        if self.compiled.is_some() {
-            self.run_compiled(fuel)
-        } else {
-            self.run_metered(fuel, false)
-        }
+        self.execute(fuel, false)
     }
 
     /// One pass validates input types and marshals the raw bits into the
@@ -804,16 +589,12 @@ impl Instance {
         &mut self.globals
     }
 
-    /// The compiled-tier driver: direct-threaded block chaining with the
-    /// same block-granular fuel precharge as the fused VM. Entering a
-    /// block whose straight-line cost fits the remaining budget charges
-    /// it up front and runs the block's closure; a block that doesn't
-    /// fit runs on the checked per-op interpreter instead (spilling the
-    /// carried stack values first), so abort points, `fuel_used`, and
-    /// partial statics stay bit-identical to [`run_per_op`](Instance::run_per_op).
-    fn run_compiled(&mut self, fuel: u64) -> Result<RunOutcome<'_>, EcodeError> {
-        // Split borrows, same discipline as `run_metered`: arenas are
-        // reused, so post-warmup this path performs no heap allocation.
+    /// One marshalled event on the tier selected at creation, or — for
+    /// the `per_op` reference — on the checked interpreter regardless.
+    /// Arenas are reused, so post-warmup this performs no heap
+    /// allocation.
+    #[inline]
+    fn execute(&mut self, fuel: u64, per_op: bool) -> Result<RunOutcome<'_>, EcodeError> {
         let Instance {
             program,
             globals,
@@ -823,9 +604,8 @@ impl Instance {
             raw_inputs,
             outputs,
             carry,
-            ..
         } = self;
-        let cp = compiled.as_deref().expect("dispatch checked compiled");
+        let cp = compiled.as_deref().filter(|_| !per_op);
         locals.clear();
         locals.resize(program.n_locals as usize, 0);
         outputs.clear();
@@ -840,7 +620,7 @@ impl Instance {
         // Whole-program fast path: valid only when the budget covers the
         // worst-case path, so no fuel abort is reachable anywhere and the
         // per-block bookkeeping can be skipped outright.
-        if let Some(w) = &cp.whole {
+        if let Some(w) = cp.and_then(|cp| cp.whole.as_ref()) {
             if fuel >= w.max_fuel {
                 let (ret, fuel_used) = w.exec(&mut ctx);
                 return Ok(RunOutcome {
@@ -850,7 +630,7 @@ impl Instance {
                 });
             }
         }
-        let (ret, fuel_used) = drive_compiled(cp, &program.code, stack, &mut ctx, fuel)?;
+        let (ret, fuel_used) = drive(cp, &program.code, stack, &mut ctx, fuel)?;
         Ok(RunOutcome {
             ret,
             fuel_used,
@@ -897,17 +677,6 @@ impl Instance {
                 stride
             )));
         }
-        if self.compiled.is_none() {
-            // Fused tier: the interpreter rebuilds its operand stack per
-            // run anyway, so there is nothing more to hoist than the
-            // entry checks above.
-            self.raw_inputs.resize(stride, 0);
-            for row in rows.chunks_exact(stride) {
-                self.raw_inputs.copy_from_slice(row);
-                sink(self.run_metered(fuel, false)?);
-            }
-            return Ok(());
-        }
         let Instance {
             program,
             globals,
@@ -918,7 +687,7 @@ impl Instance {
             carry,
             ..
         } = self;
-        let cp = compiled.as_deref().expect("checked above");
+        let cp = compiled.as_deref();
         let code = &program.code;
         let n_locals = program.n_locals as usize;
         locals.clear();
@@ -936,7 +705,7 @@ impl Instance {
         // Whole-program fast path: the budget is fixed across the
         // window, so the `max_fuel` gate hoists out of the loop — each
         // row is one straight-line call with baked fuel constants.
-        if let Some(w) = &cp.whole {
+        if let Some(w) = cp.and_then(|cp| cp.whole.as_ref()) {
             if fuel >= w.max_fuel {
                 for row in rows.chunks_exact(stride) {
                     ctx.inputs = row;
@@ -960,7 +729,7 @@ impl Instance {
                 ctx.locals.iter_mut().for_each(|l| *l = 0);
             }
             ctx.outputs.clear();
-            let (ret, fuel_used) = drive_compiled(cp, code, stack, &mut ctx, fuel)?;
+            let (ret, fuel_used) = drive(cp, code, stack, &mut ctx, fuel)?;
             sink(RunOutcome {
                 ret,
                 fuel_used,
@@ -969,383 +738,50 @@ impl Instance {
         }
         Ok(())
     }
-
-    fn run_metered(&mut self, fuel: u64, force_per_op: bool) -> Result<RunOutcome<'_>, EcodeError> {
-        // Split borrows: the arenas are reused across runs, so after the
-        // first run this path performs no heap allocation.
-        let Instance {
-            program,
-            globals,
-            block_fuel,
-            max_stack,
-            fast,
-            fast2orig,
-            orig2fast,
-            stack,
-            locals,
-            raw_inputs,
-            outputs,
-            ..
-        } = self;
-        locals.clear();
-        locals.resize(program.n_locals as usize, 0);
-        stack.clear();
-        // `Clone` resets a Vec's capacity to its (zero) length, so
-        // re-establish it; once warm this is a single compare.
-        stack.reserve(*max_stack);
-        outputs.clear();
-        let mut fuel_used = 0u64;
-        let code = program.code.as_ptr();
-        let fcode = fast.as_ptr();
-
-        // Every `unsafe` below carries its own SAFETY argument; all of
-        // them lean on the same foundation: `validate` proved at program
-        // load that control flow stays inside `code`, that the operand
-        // stack depth at each pc is consistent (never underflows, never
-        // exceeds `max_stack`), and that every input/global/local index
-        // is in bounds of the counts these buffers were sized with.
-        let sbase = stack.as_mut_ptr();
-        let mut sp = 0usize;
-        let gbase = globals.as_mut_ptr();
-        let lbase = locals.as_mut_ptr();
-        let ibase = raw_inputs.as_ptr();
-
-        macro_rules! popi {
-            () => {{
-                sp -= 1;
-                // SAFETY: `validate` proved no pc pops an empty stack, so
-                // `sp` was >= 1 and slot `sp - 1` was written by a prior
-                // matching push inside the reserved capacity.
-                unsafe { *sbase.add(sp) }
-            }};
-        }
-        macro_rules! pushi {
-            ($v:expr) => {{
-                let v: i64 = $v;
-                // SAFETY: `validate` bounds the depth at every pc by
-                // `max_stack` and the Vec reserved exactly that capacity,
-                // so slot `sp` is inside the allocation.
-                unsafe { *sbase.add(sp) = v };
-                sp += 1;
-            }};
-        }
-        macro_rules! popf {
-            () => {
-                f64::from_bits(popi!() as u64)
-            };
-        }
-        macro_rules! pushf {
-            ($v:expr) => {
-                pushi!(($v).to_bits() as i64)
-            };
-        }
-        macro_rules! binf {
-            ($op:tt) => {{ let r = popf!(); let l = popf!(); pushf!(l $op r); }};
-        }
-        macro_rules! cmpi {
-            ($op:tt) => {{ let r = popi!(); let l = popi!(); pushi!((l $op r) as i64); }};
-        }
-        macro_rules! cmpf {
-            ($op:tt) => {{ let r = popf!(); let l = popf!(); pushi!((l $op r) as i64); }};
-        }
-
-        // Executes one original non-jump op. Expanded by both the fast
-        // loop (for `FastOp::Plain`) and the checked per-op loop; returns
-        // exit the function with `outputs` reborrowed from the arena.
-        macro_rules! exec_plain {
-            ($op:expr) => {
-            match $op {
-                Op::ConstI(v) => pushi!(v),
-                Op::ConstF(v) => pushf!(v),
-                // SAFETY: `validate` checked this input index against the
-                // input count `raw_inputs` was marshaled to.
-                Op::LoadInput(i) => pushi!(unsafe { *ibase.add(i as usize) }),
-                // SAFETY: `validate` checked this global index against the
-                // schema's global count, which sized `globals`.
-                Op::LoadGlobal(i) => pushi!(unsafe { *gbase.add(i as usize) }),
-                // SAFETY: `validate` checked this local index against
-                // `n_locals`, which sized `locals` above.
-                Op::LoadLocal(i) => pushi!(unsafe { *lbase.add(i as usize) }),
-                Op::StoreGlobal(i) => {
-                    let v = popi!();
-                    // SAFETY: same bound as LoadGlobal — `i` is within the
-                    // global count that sized `globals`.
-                    unsafe { *gbase.add(i as usize) = v };
-                }
-                Op::StoreLocal(i) => {
-                    let v = popi!();
-                    // SAFETY: same bound as LoadLocal — `i` is within
-                    // `n_locals`, which sized `locals`.
-                    unsafe { *lbase.add(i as usize) = v };
-                }
-                Op::AddI => {
-                    let r = popi!();
-                    let l = popi!();
-                    pushi!(l.wrapping_add(r));
-                }
-                Op::SubI => {
-                    let r = popi!();
-                    let l = popi!();
-                    pushi!(l.wrapping_sub(r));
-                }
-                Op::MulI => {
-                    let r = popi!();
-                    let l = popi!();
-                    pushi!(l.wrapping_mul(r));
-                }
-                Op::DivI => {
-                    let r = popi!();
-                    let l = popi!();
-                    if r == 0 {
-                        return Err(EcodeError::DivideByZero);
-                    }
-                    pushi!(l.wrapping_div(r));
-                }
-                Op::ModI => {
-                    let r = popi!();
-                    let l = popi!();
-                    if r == 0 {
-                        return Err(EcodeError::DivideByZero);
-                    }
-                    pushi!(l.wrapping_rem(r));
-                }
-                Op::NegI => {
-                    let v = popi!();
-                    pushi!(v.wrapping_neg());
-                }
-                Op::AddF => binf!(+),
-                Op::SubF => binf!(-),
-                Op::MulF => binf!(*),
-                Op::DivF => binf!(/),
-                Op::NegF => {
-                    let v = popf!();
-                    pushf!(-v);
-                }
-                Op::I2F => {
-                    let v = popi!();
-                    pushf!(v as f64);
-                }
-                Op::I2FUnder => {
-                    let top = popi!();
-                    let under = popi!();
-                    pushf!(under as f64);
-                    pushi!(top);
-                }
-                Op::EqI => cmpi!(==),
-                Op::NeI => cmpi!(!=),
-                Op::LtI => cmpi!(<),
-                Op::LeI => cmpi!(<=),
-                Op::GtI => cmpi!(>),
-                Op::GeI => cmpi!(>=),
-                Op::EqF => cmpf!(==),
-                Op::NeF => cmpf!(!=),
-                Op::LtF => cmpf!(<),
-                Op::LeF => cmpf!(<=),
-                Op::GtF => cmpf!(>),
-                Op::GeF => cmpf!(>=),
-                Op::NotB => {
-                    let v = popi!();
-                    pushi!((v == 0) as i64);
-                }
-                Op::AbsI => {
-                    let v = popi!();
-                    pushi!(v.wrapping_abs());
-                }
-                Op::AbsF => {
-                    let v = popf!();
-                    pushf!(v.abs());
-                }
-                Op::MinI => {
-                    let r = popi!();
-                    let l = popi!();
-                    pushi!(l.min(r));
-                }
-                Op::MinF => {
-                    let r = popf!();
-                    let l = popf!();
-                    pushf!(l.min(r));
-                }
-                Op::MaxI => {
-                    let r = popi!();
-                    let l = popi!();
-                    pushi!(l.max(r));
-                }
-                Op::MaxF => {
-                    let r = popf!();
-                    let l = popf!();
-                    pushf!(l.max(r));
-                }
-                Op::Out => {
-                    let value = popf!();
-                    let slot = popi!();
-                    outputs.push((slot, value));
-                }
-                Op::Jmp(_) | Op::JmpIfFalse(_) => {
-                    unreachable!("jumps are handled by the dispatch loops")
-                }
-                Op::Pop => {
-                    sp -= 1;
-                }
-                Op::Ret => {
-                    let ret = popi!();
-                    return Ok(RunOutcome {
-                        ret,
-                        fuel_used,
-                        outputs,
-                    });
-                }
-                Op::RetVoid => {
-                    return Ok(RunOutcome {
-                        ret: 0,
-                        fuel_used,
-                        outputs,
-                    })
-                }
-            }
-            };
-        }
-
-        let mut fpc = 0usize;
-        loop {
-            // Both pc maps are checked indexes: a corrupted block-entry
-            // pc fails loudly here instead of reaching unchecked code.
-            let opc = fast2orig[fpc] as usize;
-            let blk = u64::from(block_fuel[opc]);
-            if !force_per_op && fuel_used + blk <= fuel {
-                // The whole block fits: charge its original op count up
-                // front and run the fused code with no per-op
-                // accounting. Every exit from the block is its
-                // terminator (traps discard fuel), so `fuel_used` at any
-                // observable point matches per-op metering of the
-                // unfused program bit for bit.
-                fuel_used += blk;
-                loop {
-                    // SAFETY: fused jump targets were rewritten into
-                    // `fast`'s index space from originals `validate`
-                    // proved in bounds, so `fpc` stays inside `fast`.
-                    let op = unsafe { *fcode.add(fpc) };
-                    fpc += 1;
-                    match op {
-                        FastOp::Plain(op) => exec_plain!(op),
-                        FastOp::Jmp { fast: t, .. } => {
-                            fpc = t as usize;
-                            break;
-                        }
-                        FastOp::JmpIfFalse { fast: t, .. } => {
-                            if popi!() == 0 {
-                                fpc = t as usize;
-                            }
-                            break;
-                        }
-                        // SAFETY: `g` came from a validated StoreGlobal,
-                        // so it is within the count that sized `globals`.
-                        FastOp::IncGlobalI { g, c } => unsafe {
-                            let p = gbase.add(g as usize);
-                            *p = (*p).wrapping_add(c);
-                        },
-                        // SAFETY: `g` and `input` came from a validated
-                        // StoreGlobal/LoadInput pair, so both indices are
-                        // within the counts that sized their buffers.
-                        FastOp::AccGlobalInputF { g, input } => unsafe {
-                            let p = gbase.add(g as usize);
-                            let sum =
-                                f64::from_bits(*p as u64) + (*ibase.add(input as usize)) as f64;
-                            *p = sum.to_bits() as i64;
-                        },
-                        // SAFETY: same provenance as AccGlobalInputF —
-                        // both indices were validated before fusion.
-                        FastOp::AccGlobalInputI { g, input } => unsafe {
-                            let p = gbase.add(g as usize);
-                            *p = (*p).wrapping_add(*ibase.add(input as usize));
-                        },
-                        FastOp::CmpInputCI { input, cmp, c } => {
-                            // SAFETY: `input` came from a validated
-                            // LoadInput, within the marshaled input count.
-                            pushi!(cmp.eval(unsafe { *ibase.add(input as usize) }, c) as i64);
-                        }
-                        FastOp::BrInputCmpCI {
-                            input,
-                            cmp,
-                            c,
-                            fast: t,
-                            ..
-                        } => {
-                            // SAFETY: `input` came from a validated
-                            // LoadInput, within the marshaled input count.
-                            if !cmp.eval(unsafe { *ibase.add(input as usize) }, c) {
-                                fpc = t as usize;
-                            }
-                            break;
-                        }
-                        FastOp::RetCI(c) => {
-                            return Ok(RunOutcome {
-                                ret: c,
-                                fuel_used,
-                                outputs,
-                            });
-                        }
-                    }
-                }
-            } else {
-                // Budget is tight (or the caller asked for the reference
-                // path): run the original code, charging and checking
-                // fuel before every op.
-                let mut pc = opc;
-                loop {
-                    fuel_used += 1;
-                    if fuel_used > fuel {
-                        return Err(EcodeError::OutOfFuel);
-                    }
-                    // SAFETY: `validate` proved every jump target and
-                    // fall-through stays inside `code`.
-                    let op = unsafe { *code.add(pc) };
-                    pc += 1;
-                    match op {
-                        Op::Jmp(t) => {
-                            pc = t as usize;
-                            break;
-                        }
-                        Op::JmpIfFalse(t) => {
-                            if popi!() == 0 {
-                                pc = t as usize;
-                            }
-                            break;
-                        }
-                        op => exec_plain!(op),
-                    }
-                }
-                let nf = orig2fast[pc];
-                assert!(nf != u32::MAX, "block entry has no fast-code twin");
-                fpc = nf as usize;
-            }
-        }
-    }
 }
 
-/// One event through the compiled tier: the direct-threaded block loop
-/// shared by [`Instance::run_compiled`] (one context per scalar call)
-/// and [`Instance::run_raw_batch`] (one context per row, arenas hoisted
-/// across the window). Returns `(ret, fuel_used)`; `out()` values land
-/// in `ctx.outputs`.
-fn drive_compiled(
-    cp: &jit::CompiledProgram,
+/// One event, block by block: the loop shared by [`Instance::execute`]
+/// (one context per scalar call) and [`Instance::run_raw_batch`] (one
+/// context per row, arenas hoisted across the window). Returns
+/// `(ret, fuel_used)`; `out()` values land in `ctx.outputs`.
+///
+/// With a compiled program this is direct-threaded block chaining with
+/// block-granular fuel precharge: a block whose straight-line cost fits
+/// the remaining budget is charged up front and runs its closure; one
+/// that doesn't fit runs on the checked interpreter instead (spilling
+/// the carried stack values first), so abort points, `fuel_used` and
+/// partial statics stay bit-identical to
+/// [`run_per_op`](Instance::run_per_op). Without one, every block runs
+/// on the interpreter.
+fn drive(
+    cp: Option<&jit::CompiledProgram>,
     code: &[Op],
     stack: &mut Vec<i64>,
     ctx: &mut jit::Ctx<'_>,
     fuel: u64,
 ) -> Result<(i64, u64), EcodeError> {
     let mut fuel_used = 0u64;
+    let Some(cp) = cp else {
+        stack.clear();
+        let mut pc = 0usize;
+        loop {
+            match exec_block_checked(code, pc, fuel, &mut fuel_used, stack, ctx)? {
+                BlockExit::Next(next) => pc = next,
+                BlockExit::Ret(ret) => return Ok((ret, fuel_used)),
+            }
+        }
+    };
     let mut bi = 0usize;
     loop {
         let b = &cp.blocks[bi];
         if fuel_used + b.fuel <= fuel {
             // Precharge the block's whole span (chain-merged successors
             // included) and run its closure. Every exit is a real
-            // terminator (traps discard fuel), exactly as the fused VM
-            // meters it. The closure may additionally charge inlined
-            // successor spans against the remaining budget — identical
-            // decisions to this loop's own precharge — and reports them
-            // in `extra`.
+            // terminator (traps discard fuel), so `fuel_used` at any
+            // observable point matches per-op metering bit for bit. The
+            // closure may additionally charge inlined successor spans
+            // against the remaining budget — identical decisions to this
+            // loop's own precharge — and reports them in `extra`.
             fuel_used += b.fuel;
             let (extra, exit) = (b.run)(ctx, fuel - fuel_used);
             fuel_used += extra;
@@ -1363,18 +799,7 @@ fn drive_compiled(
             let opc = b.entry_pc as usize;
             stack.clear();
             stack.extend_from_slice(&ctx.carry[..b.carry_in as usize]);
-            let exit = exec_block_checked(
-                code,
-                opc,
-                fuel,
-                &mut fuel_used,
-                stack,
-                ctx.globals,
-                ctx.locals,
-                ctx.inputs,
-                ctx.outputs,
-            )?;
-            match exit {
+            match exec_block_checked(code, opc, fuel, &mut fuel_used, stack, ctx)? {
                 BlockExit::Ret(ret) => return Ok((ret, fuel_used)),
                 BlockExit::Next(pc) => {
                     // Checked map: a corrupted pc fails loudly instead
@@ -1399,26 +824,20 @@ enum BlockExit {
     Ret(i64),
 }
 
-/// Executes one basic block (from `pc` through its real terminator) of
-/// original bytecode, charging and checking fuel before every opcode —
-/// the compiled driver's tight-budget fallback. Entirely safe code: the
-/// cold path can afford the bounds checks, and keeping it safe means
-/// the only unsafe interpreter is the one Miri already covers.
-///
-/// Semantics must match `run_metered`'s per-op arm exactly: same
-/// wrapping arithmetic, same trap points, same fuel charge on the op
-/// that exhausts the budget.
-#[allow(clippy::too_many_arguments)]
+/// The interpreter: executes one basic block (from `pc` through its real
+/// terminator) of bytecode, charging and checking fuel before every
+/// opcode. This is the semantics every other executor is held to — the
+/// [`run_per_op`](Instance::run_per_op) reference, the not-compiled
+/// tier and the compiled driver's tight-budget fallback are all loops
+/// over it. Safe code throughout; [`validate`] is why its indexing and
+/// `expect`s cannot fail.
 fn exec_block_checked(
     code: &[Op],
     mut pc: usize,
     fuel: u64,
     fuel_used: &mut u64,
     stack: &mut Vec<i64>,
-    globals: &mut [i64],
-    locals: &mut [i64],
-    inputs: &[i64],
-    outputs: &mut Vec<(i64, f64)>,
+    ctx: &mut jit::Ctx<'_>,
 ) -> Result<BlockExit, EcodeError> {
     macro_rules! popi {
         () => {
@@ -1461,11 +880,11 @@ fn exec_block_checked(
         match op {
             Op::ConstI(v) => stack.push(v),
             Op::ConstF(v) => pushf!(v),
-            Op::LoadInput(i) => stack.push(inputs[i as usize]),
-            Op::LoadGlobal(i) => stack.push(globals[i as usize]),
-            Op::LoadLocal(i) => stack.push(locals[i as usize]),
-            Op::StoreGlobal(i) => globals[i as usize] = popi!(),
-            Op::StoreLocal(i) => locals[i as usize] = popi!(),
+            Op::LoadInput(i) => stack.push(ctx.inputs[i as usize]),
+            Op::LoadGlobal(i) => stack.push(ctx.globals[i as usize]),
+            Op::LoadLocal(i) => stack.push(ctx.locals[i as usize]),
+            Op::StoreGlobal(i) => ctx.globals[i as usize] = popi!(),
+            Op::StoreLocal(i) => ctx.locals[i as usize] = popi!(),
             Op::AddI => bini!(wrapping_add),
             Op::SubI => bini!(wrapping_sub),
             Op::MulI => bini!(wrapping_mul),
@@ -1546,7 +965,7 @@ fn exec_block_checked(
             Op::Out => {
                 let value = popf!();
                 let slot = popi!();
-                outputs.push((slot, value));
+                ctx.outputs.push((slot, value));
             }
             Op::Pop => {
                 popi!();
@@ -1771,41 +1190,47 @@ mod tests {
         assert_eq!(r.outputs, vec![(0, 150.0)]);
     }
 
-    /// The fused fast path and the unfused per-op reference must agree on
-    /// everything observable — return value, fuel, outputs, statics —
-    /// across every control-flow path of the canonical CPA shape (all
-    /// the fuser's patterns fire: counter bump, accumulate, fused
-    /// compare-branches, fused constant return).
+    /// A trap leaves the instance usable on either tier: arenas are reset
+    /// per run, not poisoned by the run that aborted.
     #[test]
-    fn fused_fast_path_matches_per_op_reference() {
-        let src = r#"
-            static int n = 0;
-            static double acc = 0.0;
-            n = n + 1;
-            acc = acc + size;
-            if (size > 800 && port_dst == 80) {
-                out(0, acc / n);
-                return 1;
-            }
-            return 0;
-        "#;
-        let p = Program::compile(src, &[("size", Type::Int), ("port_dst", Type::Int)]).unwrap();
-        let mut fast = Instance::new(&p);
-        let mut reference = Instance::new(&p);
-        for (size, port) in [(200, 80), (920, 80), (1200, 5000), (920, 80), (0, 0)] {
-            let vals = [Value::Int(size), Value::Int(port)];
-            let a = {
-                let r = fast.run(&vals, 2000).unwrap();
-                (r.ret, r.fuel_used, r.outputs.to_vec())
-            };
-            let b = {
-                let r = reference.run_per_op(&vals, 2000).unwrap();
-                (r.ret, r.fuel_used, r.outputs.to_vec())
-            };
-            assert_eq!(a, b, "fast and reference diverge on ({size}, {port})");
+    fn instance_is_reusable_after_a_trap() {
+        let p = Program::compile(
+            "static int n = 0; n = n + size + size + size; return 10 / n;",
+            &[("size", Type::Int)],
+        )
+        .unwrap();
+        for mut inst in [Instance::new(&p), Instance::new_fused(&p)] {
+            assert_eq!(inst.run(&[Value::Int(1)], 1), Err(EcodeError::OutOfFuel));
+            assert_eq!(
+                inst.run_per_op(&[Value::Int(1)], 1),
+                Err(EcodeError::OutOfFuel)
+            );
+            assert_eq!(
+                inst.run(&[Value::Int(0)], 1_000),
+                Err(EcodeError::DivideByZero)
+            );
+            assert_eq!(inst.run(&[Value::Int(1)], 1_000).unwrap().ret, 3);
         }
-        assert_eq!(fast.global("n"), reference.global("n"));
-        assert_eq!(fast.global("acc"), reference.global("acc"));
+    }
+
+    /// `reset_globals` restores the declared initial values while the
+    /// run arenas keep being reused, on either tier.
+    #[test]
+    fn reset_globals_and_arena_reuse() {
+        let p = Program::compile(
+            "static int n = 0; n = n + 1; out(0, n); return n;",
+            &[("size", Type::Int)],
+        )
+        .unwrap();
+        for mut inst in [Instance::new(&p), Instance::new_fused(&p)] {
+            for _ in 0..3 {
+                inst.run(&[Value::Int(0)], 1_000).unwrap();
+            }
+            assert_eq!(inst.global("n"), Some(Value::Int(3)));
+            inst.reset_globals();
+            let r = inst.run(&[Value::Int(0)], 1_000).unwrap();
+            assert_eq!((r.ret, r.outputs), (1, &[(0, 1.0)][..]));
+        }
     }
 
     /// The load-time validator rejects bytecode whose control flow leaves

@@ -606,13 +606,14 @@ impl Gen {
 ///   original and the optimized program;
 /// * the optimized program is observationally identical to the original
 ///   (return value, `out()` stream, and trap behavior per run);
-/// * all three execution tiers agree on every observable, at the full
-///   budget and at starved budgets that force mid-program aborts.
+/// * the tier `Instance::new` selects agrees with the per-op reference
+///   on every observable, at the full budget and at starved budgets
+///   that force mid-program aborts.
 ///
 /// Returns whether the (unoptimized) program landed on the compiled
 /// tier, so sweeps can assert a coverage floor — a silent
-/// fall-back-to-fused-everywhere regression would otherwise keep this
-/// green without testing the jit.
+/// nothing-compiles regression would otherwise keep this green by
+/// comparing the interpreter with itself.
 fn check_soundness(src: &str, history: &[(i64, i64)]) -> bool {
     let orig = Program::compile(src, &INPUTS)
         .unwrap_or_else(|e| panic!("generator emitted invalid program: {e}\n{src}"));
@@ -649,41 +650,32 @@ fn check_soundness(src: &str, history: &[(i64, i64)]) -> bool {
         }
     }
 
-    // Tier-matrix exactness: all three execution tiers — the checked
-    // per-op reference, the fused VM with block-granular precharge, and
-    // the closure-compiled tier (when selected) — must report identical
-    // results, outputs, statics, traps, and fuel. Over the same history,
-    // at the full bound and at starved budgets that force mid-program
-    // aborts (which also drive the compiled tier's per-op fallback).
+    // Tier exactness: the closure-compiled tier (when selected) and
+    // the checked per-op reference must report identical results,
+    // outputs, statics, traps, and fuel. Over the same history, at the
+    // full bound and at starved budgets that force mid-program aborts
+    // (which also drive the compiled tier's per-op fallback).
     let tier = Instance::new(&orig).tier();
     for budget in [orig_bound, orig_bound / 2 + 1, 3, 1] {
         let mut top_inst = Instance::new(&orig); // compiled when eligible
-        let mut fus_inst = Instance::new_fused(&orig);
         let mut ref_inst = Instance::new(&orig);
         assert_eq!(
             top_inst.tier(),
             tier,
             "tier selection must be deterministic"
         );
-        assert_eq!(fus_inst.tier(), ExecTier::Fused);
         for &(a, b) in history {
             let inputs = [Value::Int(a), Value::Int(b)];
             let r_top = run_sig(top_inst.run(&inputs, budget));
-            let r_fus = run_sig(fus_inst.run(&inputs, budget));
             let r_ref = run_sig(ref_inst.run_per_op(&inputs, budget));
             assert_eq!(
                 r_top, r_ref,
                 "{tier:?} tier diverged from per-op reference (budget {budget}, inputs ({a}, {b})) on\n{src}"
             );
-            assert_eq!(
-                r_fus, r_ref,
-                "fused tier diverged from per-op reference (budget {budget}, inputs ({a}, {b})) on\n{src}"
-            );
             if let Ok((_, fuel, _)) = &r_ref {
                 assert!(*fuel <= budget, "metering overdraft on\n{src}");
             }
             assert_eq!(top_inst.raw_globals(), ref_inst.raw_globals(), "{src}");
-            assert_eq!(fus_inst.raw_globals(), ref_inst.raw_globals(), "{src}");
         }
     }
     tier == ExecTier::Compiled
@@ -718,11 +710,11 @@ fn generated_programs_bound_sound_and_optimizer_equivalent() {
             compiled += 1;
         }
     }
-    // Coverage floor: the sweep is only a jit test if generated programs
-    // actually take the compiled tier. A drop below this floor means
-    // tier selection silently regressed to fused-everywhere.
-    assert!(
-        compiled >= 250,
+    // Every generated program compiles today. One that stops compiling
+    // lands on the interpreter — slower, and no longer a jit test — so a
+    // lowering regression must fail here rather than slip under a floor.
+    assert_eq!(
+        compiled, 300,
         "only {compiled}/300 generated programs compiled; jit coverage regressed"
     );
 }
@@ -749,22 +741,23 @@ fn check_shard_exactness(src: &str, history: &[(i64, i64)], rng: &mut Rng) -> bo
         return false;
     }
     let mut seq = Instance::new(&program);
-    let mut seq_fused = Instance::new_fused(&program);
+    let mut seq_ref = Instance::new(&program);
     for &(a, b) in history {
         // Generated programs never trap (divisors are provably nonzero),
         // so the trap-free precondition of the exactness claim holds.
         seq.run(&[Value::Int(a), Value::Int(b)], report.fuel_bound)
             .unwrap_or_else(|e| panic!("generated program trapped: {e}\n{src}"));
-        seq_fused
-            .run(&[Value::Int(a), Value::Int(b)], report.fuel_bound)
+        seq_ref
+            .run_per_op(&[Value::Int(a), Value::Int(b)], report.fuel_bound)
             .unwrap();
     }
     // The sharded fold below is compared against the tier `Instance::new`
-    // selected; the fused VM must agree with it bit-for-bit first, so
-    // shard exactness holds regardless of which tier replicas run on.
+    // selected; the per-op reference must agree with it bit-for-bit
+    // first, so shard exactness holds regardless of which tier replicas
+    // run on.
     assert_eq!(
         seq.raw_globals(),
-        seq_fused.raw_globals(),
+        seq_ref.raw_globals(),
         "tier divergence in sequential statics on\n{src}"
     );
     for k in [2usize, 3, 8] {

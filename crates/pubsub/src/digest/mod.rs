@@ -238,10 +238,10 @@ impl ShardedDigest {
     }
 
     /// The execution tier every replica runs on — `Compiled` when the
-    /// program passed the [`ecode::CompileBudget`] heuristic, `Fused`
-    /// otherwise. Per-shard replicas all make the same (deterministic)
-    /// choice, and the tiers are observably identical, so `merge_from`
-    /// folds stay bit-identical regardless of tier.
+    /// program was lowered to closures, `Fused` (the checked per-op
+    /// interpreter) otherwise. Per-shard replicas all make the same
+    /// (deterministic) choice, and the tiers are observably identical,
+    /// so `merge_from` folds stay bit-identical regardless of tier.
     pub fn tier(&self) -> ecode::ExecTier {
         self.tier
     }
