@@ -59,8 +59,8 @@ fast_path() {
 
 # The GPA end of the digest, shared by --digest and --merge.
 gpa_digest_steps=(
-    "==> GPA digest wiring (core)"
-    "cargo test -q -p sysprof digest"
+    "==> GPA (core): digest wiring, eviction window, sweep vs all-pairs, work bound"
+    "cargo test -q -p sysprof gpa::"
     "==> sharded GPA end-to-end (kvstore differential)"
     "cargo test -q --test sharded_gpa"
 )

@@ -35,7 +35,9 @@ pub struct GpaConfig {
     pub clock_error_bound: SimDuration,
     /// CPU cost per ingested record (charged on the GPA node).
     pub per_record_cost: SimDuration,
-    /// Cap on retained interaction records (oldest evicted first).
+    /// Cap on retained interaction records, and separately on retained
+    /// load reports (oldest evicted first, each eviction counted in
+    /// [`GpaStats::records_evicted`]).
     pub max_records: usize,
     /// How many NACKs to send for one gap before abandoning it (the
     /// sender has evicted the range, or the path is dead). Abandoned
@@ -90,6 +92,54 @@ pub struct GpaStats {
     /// Batches that carried no sequence header (legacy/foreign senders);
     /// ingested directly with no reliability guarantees.
     pub unsequenced_batches: u64,
+    /// Records (interaction or load) dropped from the old end of their
+    /// retained window because it was at [`GpaConfig::max_records`].
+    /// They stay in the class aggregates, load statistics and digest;
+    /// only the per-record history lets go of them.
+    pub records_evicted: u64,
+}
+
+/// A [`Window`] drops its evicted prefix once that is longer than its
+/// cap over this: an eviction then costs two item moves amortised, and
+/// the backing `Vec` never holds more than 1.5 × cap + 1 items.
+const COMPACT_DIVISOR: usize = 2;
+
+/// The most recent items pushed, oldest evicted first, readable as one
+/// contiguous slice in push order.
+///
+/// Invariant: `items[head..]` is the retained window and `items[..head]`
+/// is evicted, awaiting compaction, with `head <= cap / COMPACT_DIVISOR`.
+struct Window<T> {
+    items: Vec<T>,
+    head: usize,
+}
+
+impl<T> Window<T> {
+    fn new() -> Self {
+        Window {
+            items: Vec::new(),
+            head: 0,
+        }
+    }
+
+    /// Appends `item`. Returns whether that took the window past `cap`
+    /// and evicted its oldest item.
+    fn push(&mut self, item: T, cap: usize) -> bool {
+        self.items.push(item);
+        if self.items.len() - self.head <= cap {
+            return false;
+        }
+        self.head += 1;
+        if self.head > cap / COMPACT_DIVISOR {
+            self.items.drain(..self.head);
+            self.head = 0;
+        }
+        true
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[self.head..]
+    }
 }
 
 /// Receive-side state of one daemon→GPA stream.
@@ -201,11 +251,11 @@ pub struct SubscriptionFailure {
 /// to [`GpaSink`]; keep a clone for queries.
 pub struct Gpa {
     config: GpaConfig,
-    records: Vec<InteractionRecord>,
+    records: Window<InteractionRecord>,
     by_class: HashMap<(NodeId, Port), ClassAggr>,
     latest_load: HashMap<NodeId, LoadRecord>,
     load_stats: HashMap<NodeId, (OnlineStats, u64)>,
-    load_history: Vec<LoadRecord>,
+    load_history: Window<LoadRecord>,
     decoders: HashMap<EndPoint, ChannelDecoder>,
     /// The schemas this GPA ingests; a record under any other schema is
     /// a decode failure.
@@ -243,11 +293,11 @@ impl Gpa {
     pub fn new(config: GpaConfig) -> Self {
         Gpa {
             config,
-            records: Vec::new(),
+            records: Window::new(),
             by_class: HashMap::new(),
             latest_load: HashMap::new(),
             load_stats: HashMap::new(),
-            load_history: Vec::new(),
+            load_history: Window::new(),
             decoders: HashMap::new(),
             record_schemas: [InteractionRecord::schema(), LoadRecord::schema()],
             streams: HashMap::new(),
@@ -512,7 +562,8 @@ impl Gpa {
             stats.record(load.cpu_utilization);
             *n += 1;
             self.latest_load.insert(load.node, load);
-            self.load_history.push(load);
+            let evicted = self.load_history.push(load, self.config.max_records);
+            self.gstats.records_evicted += u64::from(evicted);
         }
         if let Some(digest) = self.digest.as_mut() {
             digest.ingest_raw_rows(&keys, &rows);
@@ -542,15 +593,14 @@ impl Gpa {
             .record(rec.end_us.saturating_sub(rec.start_us) as f64);
         aggr.total_hist
             .record(rec.end_us.saturating_sub(rec.start_us) as f64);
-        if self.records.len() >= self.config.max_records {
-            self.records.remove(0);
-        }
-        self.records.push(rec);
+        let evicted = self.records.push(rec, self.config.max_records);
+        self.gstats.records_evicted += u64::from(evicted);
     }
 
-    /// Interaction records ingested so far.
+    /// Interaction records currently retained: everything ingested up
+    /// to [`GpaConfig::max_records`], the most recent that many after.
     pub fn interaction_count(&self) -> u64 {
-        self.records.len() as u64
+        self.interactions().len() as u64
     }
 
     /// Records that failed to decode or match a known schema.
@@ -572,12 +622,12 @@ impl Gpa {
 
     /// All retained interaction records (ingest order).
     pub fn interactions(&self) -> &[InteractionRecord] {
-        &self.records
+        self.records.as_slice()
     }
 
     /// Interactions measured on `node` for `class_port`.
     pub fn interactions_of(&self, node: NodeId, class_port: Port) -> Vec<&InteractionRecord> {
-        self.records
+        self.interactions()
             .iter()
             .filter(|r| r.node == node && r.class_port == class_port)
             .collect()
@@ -622,9 +672,10 @@ impl Gpa {
         })
     }
 
-    /// All load reports received, in arrival order.
+    /// The retained load reports (the most recent
+    /// [`GpaConfig::max_records`]), in arrival order.
     pub fn load_history(&self) -> &[LoadRecord] {
-        &self.load_history
+        self.load_history.as_slice()
     }
 
     /// Nodes whose load reports have gone silent: their last report is
@@ -642,41 +693,29 @@ impl Gpa {
         out
     }
 
-    /// Correlates interactions across nodes into end-to-end paths: a
-    /// child belongs to a parent when the child's initiator IP equals the
-    /// parent's responder IP, both carry the same conversation direction,
-    /// and the child's span nests inside the parent's span widened by the
-    /// configured clock-error bound.
+    /// Correlates interactions across nodes into end-to-end paths.
     ///
-    /// Only parents measured responder-side (non-zero attribution) on a
-    /// different node than the child are considered.
+    /// Every retained record is a candidate parent and a candidate
+    /// child. `child` belongs to `parent` when it was measured on a
+    /// different node, its initiator IP is the parent's responder IP,
+    /// and its span nests in the parent's widened by the configured
+    /// clock-error bound `eps`: `child.start_us >= parent.start_us - eps`
+    /// and `child.end_us <= parent.end_us + eps`, both saturating at the
+    /// ends of `u64`. Nothing else is compared: not ports, not
+    /// direction, not which side measured.
+    ///
+    /// Returns one path per parent that has a child, parents in ingest
+    /// order, each parent's children in ingest order.
+    ///
+    /// O(n log n + candidates examined) over n retained records: an
+    /// index built and dropped inside the call, searched once per
+    /// parent and swept only across the children that start inside the
+    /// parent's widened span. Records with `end_us < start_us` (only a
+    /// hostile or broken sender produces one) are each compared with
+    /// every parent.
     pub fn correlate(&self) -> Vec<CorrelatedPath> {
         let eps = self.config.clock_error_bound.as_micros();
-        let mut paths = Vec::new();
-        for parent in &self.records {
-            let mut children = Vec::new();
-            for child in &self.records {
-                if child.node == parent.node {
-                    continue;
-                }
-                // Child request initiated by the parent's responder host.
-                if child.flow.src.ip != parent.flow.dst.ip {
-                    continue;
-                }
-                let nests =
-                    child.start_us + eps >= parent.start_us && child.end_us <= parent.end_us + eps;
-                if nests {
-                    children.push(*child);
-                }
-            }
-            if !children.is_empty() {
-                paths.push(CorrelatedPath {
-                    parent: *parent,
-                    children,
-                });
-            }
-        }
-        paths
+        sweep(self.interactions(), eps).0
     }
 
     /// Serializes the GPA's state summary as JSON — the periodic "dump …
@@ -692,10 +731,70 @@ impl Gpa {
         serde_json::to_string_pretty(&Dump {
             interaction_count: self.interaction_count(),
             class_summaries: self.all_class_summaries(),
-            load_history: &self.load_history,
+            load_history: self.load_history(),
         })
         .expect("dump serializes")
     }
+}
+
+/// The predicate of [`Gpa::correlate`].
+fn nests(parent: &InteractionRecord, child: &InteractionRecord, eps: u64) -> bool {
+    child.node != parent.node
+        && child.flow.src.ip == parent.flow.dst.ip
+        && child.start_us >= parent.start_us.saturating_sub(eps)
+        && child.end_us <= parent.end_us.saturating_add(eps)
+}
+
+/// [`Gpa::correlate`] over `records`, and how many candidate children
+/// it examined to get there (what the work-bound test holds it to).
+fn sweep(records: &[InteractionRecord], eps: u64) -> (Vec<CorrelatedPath>, u64) {
+    // Candidate children by (initiator IP, start, ingest position). A
+    // child that nests starts no later than it ends, which is no later
+    // than the parent's widened end, so a sweep in start order can stop
+    // there. An inverted span breaks the first step; those few are
+    // kept aside and compared with every parent.
+    let mut by_start = Vec::with_capacity(records.len());
+    let mut inverted = Vec::new();
+    for (i, rec) in records.iter().enumerate() {
+        if rec.end_us < rec.start_us {
+            inverted.push(i);
+        } else {
+            by_start.push((rec.flow.src.ip, rec.start_us, i));
+        }
+    }
+    by_start.sort_unstable();
+
+    let mut paths = Vec::new();
+    let mut examined = 0u64;
+    let mut found = Vec::new();
+    for parent in records {
+        let ip = parent.flow.dst.ip;
+        let lo = parent.start_us.saturating_sub(eps);
+        let hi = parent.end_us.saturating_add(eps);
+        let first = by_start.partition_point(|&(src, start, _)| (src, start) < (ip, lo));
+        let swept = by_start[first..]
+            .iter()
+            .take_while(|&&(src, start, _)| src == ip && start <= hi)
+            .map(|&(_, _, i)| i);
+        found.clear();
+        for i in swept.chain(inverted.iter().copied()) {
+            examined += 1;
+            if nests(parent, &records[i], eps) {
+                found.push(i);
+            }
+        }
+        if found.is_empty() {
+            continue;
+        }
+        // The sweep ran in start order; children are reported in ingest
+        // order.
+        found.sort_unstable();
+        paths.push(CorrelatedPath {
+            parent: *parent,
+            children: found.iter().map(|&i| records[i]).collect(),
+        });
+    }
+    (paths, examined)
 }
 
 /// The kernel sink that feeds a shared [`Gpa`] from daemon publications,
@@ -797,6 +896,7 @@ impl KernelSink for ControlReplySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simnet::{FlowKey, Ip};
 
     fn rec(
@@ -964,7 +1064,12 @@ mod tests {
 
     #[test]
     fn load_views_track_latest_and_mean() {
-        let mut g = Gpa::new(GpaConfig::default());
+        // A cap of 2 on 3 reports: the views cover all of them, the
+        // history the last two.
+        let mut g = Gpa::new(GpaConfig {
+            max_records: 2,
+            ..GpaConfig::default()
+        });
         let mut feed = Feed::new();
         for (i, util) in [0.2, 0.4, 0.9].iter().enumerate() {
             feed.push_load(&LoadRecord {
@@ -981,21 +1086,131 @@ mod tests {
         assert_eq!(view.reports, 3);
         assert_eq!(view.latest.cpu_utilization, 0.9);
         assert!((view.mean_utilization - 0.5).abs() < 1e-9);
-        assert_eq!(g.load_history().len(), 3);
+        let history: Vec<u64> = g.load_history().iter().map(|l| l.wall_us).collect();
+        assert_eq!(history, [1000, 2000]);
+        assert_eq!(g.gpa_stats().records_evicted, 1);
+        assert_eq!(g.ingested, 2 + g.gpa_stats().records_evicted);
         assert!(g.node_load(NodeId(6)).is_none());
     }
 
     #[test]
     fn record_cap_evicts_oldest() {
+        // 92 evictions at a cap of 8 compact the store 18 times.
+        let fed: Vec<_> = (0..100)
+            .map(|i| rec(1, 10, 20, 80, i * 100, i * 100 + 50))
+            .collect();
         let mut g = Gpa::new(GpaConfig {
-            max_records: 2,
+            max_records: 8,
             ..GpaConfig::default()
         });
-        for i in 0..4 {
-            g.ingest_record(&rec(1, 10, 20, 80, i * 100, i * 100 + 50));
+        for (i, r) in fed.iter().enumerate() {
+            g.ingest_record(r);
+            let held = (i + 1).min(8);
+            assert_eq!(g.interactions(), &fed[i + 1 - held..=i]);
+            assert_eq!(g.interaction_count(), held as u64);
+            assert_eq!(g.gpa_stats().records_evicted, (i + 1 - held) as u64);
         }
-        assert_eq!(g.interaction_count(), 2);
-        assert_eq!(g.interactions()[0].start_us, 200);
+        assert_eq!(
+            g.ingested,
+            g.interaction_count() + g.gpa_stats().records_evicted
+        );
+        // Evicted records stay in the aggregates.
+        assert_eq!(g.class_summary(NodeId(1), Port(80)).unwrap().count, 100);
+
+        // A cap of zero retains nothing and counts everything.
+        let mut g = Gpa::new(GpaConfig {
+            max_records: 0,
+            ..GpaConfig::default()
+        });
+        g.ingest_records(&fed[..3]);
+        assert!(g.interactions().is_empty());
+        assert_eq!(g.gpa_stats().records_evicted, 3);
+    }
+
+    /// The all-pairs loop `correlate()` ran before it had an index, its
+    /// two additions made saturating: what the sweep must reproduce.
+    fn all_pairs(records: &[InteractionRecord], eps: u64) -> Vec<CorrelatedPath> {
+        let mut paths = Vec::new();
+        for parent in records {
+            let mut children = Vec::new();
+            for child in records {
+                if child.node == parent.node {
+                    continue;
+                }
+                if child.flow.src.ip != parent.flow.dst.ip {
+                    continue;
+                }
+                let nests = child.start_us.saturating_add(eps) >= parent.start_us
+                    && child.end_us <= parent.end_us.saturating_add(eps);
+                if nests {
+                    children.push(*child);
+                }
+            }
+            if !children.is_empty() {
+                paths.push(CorrelatedPath {
+                    parent: *parent,
+                    children,
+                });
+            }
+        }
+        paths
+    }
+
+    /// `CorrelatedPath` in a comparable form.
+    fn flat(paths: Vec<CorrelatedPath>) -> Vec<(InteractionRecord, Vec<InteractionRecord>)> {
+        paths.into_iter().map(|p| (p.parent, p.children)).collect()
+    }
+
+    /// Timestamps within `eps` of `u64::MAX` arrive like any others: the
+    /// wire carries 64 bits and the GPA does not own the sender.
+    #[test]
+    fn correlation_saturates_at_the_end_of_time() {
+        const END: u64 = u64::MAX;
+        let parent = rec(1, 10, 20, 80, END - 900, END - 100);
+        let child = rec(2, 20, 30, 80, END - 950, END);
+        let early = rec(2, 20, 30, 80, END - 2_000, END - 500);
+        let mut feed = Feed::new();
+        let mut row = Vec::new();
+        for r in [parent, child, early] {
+            r.to_raw_row(&mut row);
+            feed.push(&InteractionRecord::schema(), &row);
+        }
+        let mut g = Gpa::new(GpaConfig::default());
+        assert_eq!(g.ingest_batch(SRC, &feed.take()), 3);
+        assert_eq!(g.interactions(), &[parent, child, early]);
+        let paths = flat(g.correlate());
+        assert_eq!(paths, vec![(parent, vec![child])]);
+        assert_eq!(paths, flat(all_pairs(g.interactions(), 1_000)));
+    }
+
+    /// The regression guard for the sweep's complexity, in candidates
+    /// examined and not in seconds: 25,000 requests through 8 front
+    /// ends 320 µs apart on each, so every span widened by `eps` holds
+    /// several neighbours' back-end calls, and every fourth call
+    /// outlasts all of them (examined, then rejected).
+    #[test]
+    fn sweep_examines_candidates_in_proportion_to_its_output() {
+        let mut records = Vec::with_capacity(50_000);
+        for i in 0..25_000u64 {
+            let front = 20 + (i % 8) as u32;
+            let back = 30 + (i % 5) as u32;
+            let t = i * 40;
+            let call = if i % 4 == 0 { 5_000 } else { 150 };
+            records.push(rec(front, 10, front, 80, t, t + 300));
+            records.push(rec(back, front, back, 6379, t + 50, t + 50 + call));
+        }
+        let (paths, examined) = sweep(&records, 1_000);
+        let children: usize = paths.iter().map(|p| p.children.len()).sum();
+        assert!(children >= 25_000, "{children} children");
+        assert!(examined > children as u64, "some candidates are rejected");
+        let bound = 2 * (records.len() + children) as u64;
+        assert!(
+            examined <= bound,
+            "examined {examined} candidates for {} records and {children} children \
+             (bound {bound}); all pairs would be {}",
+            records.len(),
+            records.len() * records.len(),
+        );
     }
 
     /// One wire batch mixing everything a stream can carry. What a row
@@ -1258,5 +1473,56 @@ mod tests {
         let dump = g.dump_json();
         let parsed: serde_json::Value = serde_json::from_str(&dump).unwrap();
         assert_eq!(parsed["interaction_count"], 1);
+    }
+
+    /// Records built to collide: three nodes and three IPs, so every
+    /// index group is dense and same-node pairs are common; starts on a
+    /// 500 µs grid one step either side, so equal timestamps and spans
+    /// exactly `eps` apart (and one off) are common for every `eps` the
+    /// test uses; starts below `eps`; an eighth of the records within
+    /// `eps` of `u64::MAX`; zero-length spans; a sixth inverted.
+    fn arb_record() -> impl Strategy<Value = InteractionRecord> {
+        let lens = prop::sample::select(vec![0u64, 1, 499, 500, 501, 1_000, 1_001, 2_000, 5_000]);
+        (
+            (1u32..4, 1u32..4, 1u32..4),
+            (0u64..8, 0u64..3, 0u8..8),
+            (lens, 0u8..6),
+        )
+            .prop_map(|((node, src, dst), (slot, step, far), (len, inverted))| {
+                let origin = if far == 0 { u64::MAX - 4_000 } else { 0 };
+                let start = (origin + slot * 500 + step).saturating_sub(1);
+                let end = if inverted == 0 {
+                    start.saturating_sub(len)
+                } else {
+                    start.saturating_add(len)
+                };
+                rec(node, src, dst, 80, start, end)
+            })
+    }
+
+    proptest! {
+        /// `correlate()` is the all-pairs loop: same paths in the same
+        /// order, same children in the same order, on stores below
+        /// their cap and on stores that have evicted and compacted.
+        #[test]
+        fn prop_correlate_equals_all_pairs(
+            records in proptest::collection::vec(arb_record(), 0..200),
+            eps in prop::sample::select(vec![0u64, 1, 500, 1_000, 3_000]),
+            cap in prop::option::of(1usize..64),
+        ) {
+            let mut g = Gpa::new(GpaConfig {
+                clock_error_bound: SimDuration::from_micros(eps),
+                max_records: cap.unwrap_or(usize::MAX),
+                ..GpaConfig::default()
+            });
+            g.ingest_records(&records);
+            let held = records.len().min(cap.unwrap_or(usize::MAX));
+            prop_assert!(g.interactions() == &records[records.len() - held..]);
+            prop_assert!(
+                flat(g.correlate()) == flat(all_pairs(g.interactions(), eps)),
+                "correlate() is not the all-pairs loop on {} records, eps {eps}, cap {cap:?}",
+                records.len()
+            );
+        }
     }
 }
