@@ -416,9 +416,13 @@ fn d0003(file: &Path, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
                     st.line,
                     format!("OS entropy source `{name}` bypasses the seeded SimRng streams"),
                     "randomness outside the forked SimRng streams cannot be replayed \
-                     from a scenario seed",
+                     from a scenario seed; `RandomState` is the same thing inside a hash \
+                     table (a per-process SipHash key from the OS), which is why tables on \
+                     the per-event path use the seedless `simcore::hash` aliases and only \
+                     string-keyed or per-batch tables stay on std's default hasher",
                     "fork a named stream from the scenario's SimRng (`rng.fork(\"...\")`) \
-                     and thread it to the use site",
+                     and thread it to the use site; for a keyed table use \
+                     `simcore::hash::{HashMap, HashSet}`",
                 ));
             }
         }

@@ -80,6 +80,17 @@ fn d0002_hash_order_golden() {
 }
 
 #[test]
+fn d0002_fixed_hasher_alias_golden() {
+    // `simcore::hash::{HashMap, HashSet}` keep std's names so the rule
+    // keeps seeing them, by import, by full path and by `default()`.
+    expect(
+        "d0002_alias.rs",
+        include_str!("fixtures/d0002_fixed_hasher_alias.rs"),
+        &[("D0002", 26), ("D0002", 39), ("D0002", 47)],
+    );
+}
+
+#[test]
 fn d0003_entropy_golden() {
     expect(
         "d0003.rs",

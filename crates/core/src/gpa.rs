@@ -51,8 +51,8 @@ pub struct GpaConfig {
     /// network RTT.
     pub nack_pace: SimDuration,
     /// Record every in-order batch delivery `(source, seq)` for
-    /// test-harness monotonicity assertions. Off by default (unbounded
-    /// memory growth).
+    /// test-harness monotonicity assertions. Off by default; when on, the
+    /// log keeps the last [`max_records`](GpaConfig::max_records) entries.
     pub log_deliveries: bool,
 }
 
@@ -97,6 +97,12 @@ pub struct GpaStats {
     /// They stay in the class aggregates, load statistics and digest;
     /// only the per-record history lets go of them.
     pub records_evicted: u64,
+    /// Subscribe NACKs dropped from the old end of
+    /// [`Gpa::subscription_failures`] because it was at
+    /// [`GpaConfig::max_records`] (a daemon can send them without limit).
+    pub subscription_failures_evicted: u64,
+    /// Entries dropped from the old end of [`Gpa::delivery_log`], likewise.
+    pub deliveries_evicted: u64,
 }
 
 /// A [`Window`] drops its evicted prefix once that is longer than its
@@ -252,7 +258,7 @@ pub struct SubscriptionFailure {
 pub struct Gpa {
     config: GpaConfig,
     records: Window<InteractionRecord>,
-    by_class: HashMap<(NodeId, Port), ClassAggr>,
+    by_class: simcore::hash::HashMap<(NodeId, Port), ClassAggr>,
     latest_load: HashMap<NodeId, LoadRecord>,
     load_stats: HashMap<NodeId, (OnlineStats, u64)>,
     load_history: Window<LoadRecord>,
@@ -262,10 +268,10 @@ pub struct Gpa {
     record_schemas: [pbio::Schema; 2],
     streams: HashMap<EndPoint, StreamRx>,
     gstats: GpaStats,
-    delivery_log: Vec<(EndPoint, u64)>,
+    delivery_log: Window<(EndPoint, u64)>,
     ingested: u64,
     decode_failures: u64,
-    subscription_failures: Vec<SubscriptionFailure>,
+    subscription_failures: Window<SubscriptionFailure>,
     /// Optional sharded digest evaluated over every ingested interaction
     /// record (the first slice of the sharded GPA).
     digest: Option<ShardedDigest>,
@@ -294,7 +300,7 @@ impl Gpa {
         Gpa {
             config,
             records: Window::new(),
-            by_class: HashMap::new(),
+            by_class: simcore::hash::HashMap::default(),
             latest_load: HashMap::new(),
             load_stats: HashMap::new(),
             load_history: Window::new(),
@@ -302,10 +308,10 @@ impl Gpa {
             record_schemas: [InteractionRecord::schema(), LoadRecord::schema()],
             streams: HashMap::new(),
             gstats: GpaStats::default(),
-            delivery_log: Vec::new(),
+            delivery_log: Window::new(),
             ingested: 0,
             decode_failures: 0,
-            subscription_failures: Vec::new(),
+            subscription_failures: Window::new(),
             digest: None,
             rows: Vec::new(),
             keys: Vec::new(),
@@ -401,9 +407,7 @@ impl Gpa {
         match offer {
             Offer::Delivered(batches) => {
                 for (dseq, p) in batches {
-                    if self.config.log_deliveries {
-                        self.delivery_log.push((src, dseq));
-                    }
+                    self.log_delivery(src, dseq);
                     count += self.ingest_batch(src, &p);
                 }
             }
@@ -471,9 +475,7 @@ impl Gpa {
                 st.last_nack_at = None;
                 self.gstats.gaps_abandoned += 1;
                 for (dseq, p) in drained {
-                    if self.config.log_deliveries {
-                        self.delivery_log.push((src, dseq));
-                    }
+                    self.log_delivery(src, dseq);
                     count += self.ingest_batch(src, &p);
                 }
             }
@@ -507,7 +509,14 @@ impl Gpa {
     /// In-order `(source, seq)` deliveries, when
     /// [`GpaConfig::log_deliveries`] is set.
     pub fn delivery_log(&self) -> &[(EndPoint, u64)] {
-        &self.delivery_log
+        self.delivery_log.as_slice()
+    }
+
+    fn log_delivery(&mut self, src: EndPoint, seq: u64) {
+        if self.config.log_deliveries {
+            let evicted = self.delivery_log.push((src, seq), self.config.max_records);
+            self.gstats.deliveries_evicted += u64::from(evicted);
+        }
     }
 
     /// Ingests one framed batch from a daemon. Returns records decoded.
@@ -611,13 +620,16 @@ impl Gpa {
     /// Subscribe requests remote daemons rejected (NACKs received), with
     /// the verifier diagnostics explaining each rejection.
     pub fn subscription_failures(&self) -> &[SubscriptionFailure] {
-        &self.subscription_failures
+        self.subscription_failures.as_slice()
     }
 
     /// Records a NACK received from a daemon (called by
     /// [`ControlReplySink`]).
     pub fn record_subscription_failure(&mut self, failure: SubscriptionFailure) {
-        self.subscription_failures.push(failure);
+        let evicted = self
+            .subscription_failures
+            .push(failure, self.config.max_records);
+        self.gstats.subscription_failures_evicted += u64::from(evicted);
     }
 
     /// All retained interaction records (ingest order).
@@ -1422,6 +1434,47 @@ mod tests {
             &[(src, 1), (src, 2), (src, 3), (src, 4)],
             "exactly-once, in order"
         );
+    }
+
+    #[test]
+    fn nack_and_delivery_logs_keep_the_newest_and_count_the_rest() {
+        use pubsub::reliable::encode_batch;
+        let mut g = Gpa::new(GpaConfig {
+            max_records: 8,
+            log_deliveries: true,
+            ..GpaConfig::default()
+        });
+        let me = EndPoint::new(Ip(99), Port(9999));
+        let src = EndPoint::new(Ip(1), Port(9997));
+        // A daemon that rejects every subscribe, 100 times over.
+        for i in 0..100u16 {
+            g.record_subscription_failure(SubscriptionFailure {
+                topic: format!("topic-{i}"),
+                subscriber: me,
+                from: src,
+                diagnostics: vec!["E0001".into()],
+            });
+            g.ingest_wire(
+                SimTime::from_millis(u64::from(i)),
+                me,
+                src,
+                &encode_batch(u64::from(i) + 1, &[]),
+            );
+        }
+        let topics: Vec<&str> = g
+            .subscription_failures()
+            .iter()
+            .map(|f| f.topic.as_str())
+            .collect();
+        assert_eq!(topics.len(), 8);
+        assert_eq!((topics[0], topics[7]), ("topic-92", "topic-99"));
+        let seqs: Vec<u64> = g.delivery_log().iter().map(|&(_, seq)| seq).collect();
+        assert_eq!(seqs, (93..=100).collect::<Vec<u64>>());
+        let s = g.gpa_stats();
+        assert_eq!(s.subscription_failures_evicted, 92);
+        assert_eq!(s.deliveries_evicted, 92);
+        // Window's bound on what it buffers behind the slice.
+        assert!(g.subscription_failures.items.len() <= 8 + 8 / COMPACT_DIVISOR + 1);
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! requests on one flow collapse into a single message, so their
 //! interactions cannot be separated without domain knowledge.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use kprof::{
     Analyzer, AnalyzerOutcome, BlockReason, Event, EventMask, EventPayload, Interest, NetPoint,
     PerCpuBuffers, Pid, Predicate,
 };
+use simcore::hash::{HashMap, HashSet};
 use simcore::stats::OnlineStats;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FlowKey, Ip, Port};
@@ -134,6 +135,80 @@ struct FlowState {
     window_pid: Option<Pid>,
 }
 
+impl FlowState {
+    /// Nothing accumulated and nothing owed: indistinguishable from the
+    /// state a first packet would create.
+    fn is_empty(&self) -> bool {
+        self.cur.is_none()
+            && self.prev.is_none()
+            && self.deliver_snap.is_none()
+            && self.window_pid.is_none()
+    }
+}
+
+/// The black-box flow states, keyed by canonical flow.
+///
+/// States live in a slab and `index` names their slots, so the slot of
+/// the previous lookup can be remembered: a message is by definition a
+/// run of packets on one flow, and the next network event almost always
+/// belongs to the flow of the last one.
+#[derive(Default)]
+struct FlowTable {
+    index: HashMap<FlowKey, u32>,
+    slab: Vec<FlowState>,
+    /// Slab slots whose state is empty and unnamed by `index`.
+    free: Vec<u32>,
+    last: Option<(FlowKey, u32)>,
+}
+
+impl FlowTable {
+    #[inline]
+    fn get_mut(&mut self, canon: FlowKey) -> Option<&mut FlowState> {
+        let slot = match self.last {
+            Some((key, slot)) if key == canon => slot,
+            _ => {
+                let slot = *self.index.get(&canon)?;
+                self.last = Some((canon, slot));
+                slot
+            }
+        };
+        Some(&mut self.slab[slot as usize])
+    }
+
+    /// The slot of `canon`'s state, created empty on first sight.
+    #[inline]
+    fn slot_or_insert(&mut self, canon: FlowKey) -> u32 {
+        if let Some((key, slot)) = self.last {
+            if key == canon {
+                return slot;
+            }
+        }
+        let slot = *self.index.entry(canon).or_insert_with(|| {
+            self.free.pop().unwrap_or_else(|| {
+                self.slab.push(FlowState::default());
+                u32::try_from(self.slab.len() - 1).expect("under 2^32 flows tracked")
+            })
+        });
+        self.last = Some((canon, slot));
+        slot
+    }
+
+    /// Forgets every flow whose state is empty.
+    fn evict_empty(&mut self) {
+        let FlowTable {
+            index, slab, free, ..
+        } = self;
+        index.retain(|_, slot| {
+            let keep = !slab[*slot as usize].is_empty();
+            if !keep {
+                free.push(*slot);
+            }
+            keep
+        });
+        self.last = None;
+    }
+}
+
 /// Per-correlator tracking state used when ARM hints are active: the
 /// request and response accumulate independently per application message
 /// id, so interleaved requests on one flow stay separate.
@@ -201,13 +276,21 @@ pub(crate) struct ClassAggr {
     pub bytes: u64,
 }
 
+fn sorted_ports(set: &HashSet<Port>) -> Box<[Port]> {
+    let mut ports: Vec<Port> = set.iter().copied().collect();
+    ports.sort_unstable();
+    ports.into_boxed_slice()
+}
+
 /// The Local Performance Analyzer. One per monitored node; registered
 /// with the node's [`kprof::Kprof`].
 pub struct Lpa {
     node: NodeId,
     node_ip: Ip,
     config: LpaConfig,
-    flows: HashMap<FlowKey, FlowState>,
+    /// `config.exclude_ports`, sorted: probed twice per network event.
+    excluded_ports: Box<[Port]>,
+    flows: FlowTable,
     /// ARM-correlated tracking, keyed by (canonical flow, correlator).
     arm_flows: HashMap<(FlowKey, u64), ArmState>,
     pids: HashMap<Pid, PidClock>,
@@ -216,6 +299,8 @@ pub struct Lpa {
     /// across concurrently served requests.
     open_windows: HashMap<Pid, u32>,
     buffers: PerCpuBuffers<InteractionRecord>,
+    /// Losses counted by buffers that `reconfigure` has since replaced.
+    overwritten_before: u64,
     /// "a window containing the past several interactions" — queryable
     /// recent history for procfs and the controller.
     window: VecDeque<InteractionRecord>,
@@ -241,15 +326,17 @@ impl Lpa {
         Lpa {
             node,
             node_ip,
+            excluded_ports: sorted_ports(&config.exclude_ports),
             config,
-            flows: HashMap::new(),
-            arm_flows: HashMap::new(),
-            pids: HashMap::new(),
-            open_windows: HashMap::new(),
+            flows: FlowTable::default(),
+            arm_flows: HashMap::default(),
+            pids: HashMap::default(),
+            open_windows: HashMap::default(),
             buffers,
+            overwritten_before: 0,
             window: VecDeque::new(),
-            class_aggr: HashMap::new(),
-            class_window: HashMap::new(),
+            class_aggr: HashMap::default(),
+            class_window: HashMap::default(),
             records_completed: 0,
             events_seen: 0,
             pending_switch: false,
@@ -257,16 +344,19 @@ impl Lpa {
     }
 
     /// Reconfigures at runtime (controller action). Buffer sizes apply to
-    /// newly created buffers; staged records are preserved.
+    /// newly created buffers; staged records move to the new ones, and
+    /// those a smaller buffer cannot hold are counted as overwritten there.
     pub fn reconfigure(&mut self, config: LpaConfig) {
         if config.window != self.config.window || config.cpus != self.config.cpus {
             let staged = self.buffers.drain_all();
+            self.overwritten_before += self.buffers.overwritten();
             let mut fresh = PerCpuBuffers::new(config.cpus, config.window);
             for r in staged {
                 fresh.cpu_mut(0).push(r);
             }
             self.buffers = fresh;
         }
+        self.excluded_ports = sorted_ports(&config.exclude_ports);
         self.config = config;
     }
 
@@ -287,44 +377,48 @@ impl Lpa {
     /// daemon's periodic wake (the "window contents are evicted … after
     /// some time" behavior of §2).
     pub fn flush_idle(&mut self, now: SimTime) -> usize {
-        let mut stale: Vec<FlowKey> = self
+        let mut stale: Vec<(FlowKey, u32)> = self
             .flows
+            .index
             .iter()
-            .filter(|(_, st)| {
-                st.cur
+            .filter(|(_, &slot)| {
+                self.flows.slab[slot as usize]
+                    .cur
                     .as_ref()
                     .map(|c| now.saturating_since(c.last_wall) >= self.config.idle_close)
                     .unwrap_or(false)
             })
-            .map(|(k, _)| *k)
+            .map(|(k, &slot)| (*k, slot))
             .collect();
         // Close in key order: each close emits a record, and record order
         // must be identical across replays of the same seed.
         stale.sort();
         let mut closed = 0;
-        for canon in stale {
-            let Some(state) = self.flows.get_mut(&canon) else {
-                continue;
-            };
+        for (_, slot) in stale {
+            let state = &mut self.flows.slab[slot as usize];
             let Some(acc) = state.cur.take() else {
                 continue;
             };
             let snap = state.deliver_snap.take();
-            let share = Self::close_window(
-                &mut self.open_windows,
-                self.flows.get_mut(&canon).expect("state exists"),
-            );
+            let share = Self::close_window(&mut self.open_windows, state);
             closed += 1;
-            self.close_message(canon, ClosedMsg { acc, snap, share }, now, 0);
+            self.close_message(slot, ClosedMsg { acc, snap, share }, now, 0);
         }
         closed += self.flush_idle_arm(now);
+        // A flow that ended leaves an empty state behind, and a window
+        // count that reached zero a dead entry; `or_default()` /
+        // `or_insert` recreate exactly those, so dropping them changes no
+        // record while keeping both tables (and this scan) at the size of
+        // the live conversations rather than of every port ever seen.
+        self.flows.evict_empty();
+        self.open_windows.retain(|_, open| *open > 0);
         closed
     }
 
     /// Records lost because the daemon was too slow ("if the data is not
     /// picked up in a timely fashion, it may be overwritten").
     pub fn overwritten(&self) -> u64 {
-        self.buffers.overwritten()
+        self.overwritten_before + self.buffers.overwritten()
     }
 
     /// Total interaction records completed.
@@ -400,8 +494,8 @@ impl Lpa {
     }
 
     fn excluded(&self, flow: &FlowKey) -> bool {
-        self.config.exclude_ports.contains(&flow.src.port)
-            || self.config.exclude_ports.contains(&flow.dst.port)
+        let ports = &*self.excluded_ports;
+        ports.binary_search(&flow.src.port).is_ok() || ports.binary_search(&flow.dst.port).is_ok()
     }
 
     fn matches_service(&self, class_port: Port) -> bool {
@@ -451,8 +545,8 @@ impl Lpa {
         cpu: u16,
     ) -> bool {
         let dir = self.dir_of(&flow);
-        let canon = flow.canonical();
-        let state = self.flows.entry(canon).or_default();
+        let slot = self.flows.slot_or_insert(flow.canonical());
+        let state = &mut self.flows.slab[slot as usize];
 
         match &mut state.cur {
             Some(cur) if cur.dir == dir => {
@@ -466,8 +560,7 @@ impl Lpa {
             }
             cur_slot => {
                 // Direction change (or first packet): close current, start new.
-                let closed = cur_slot.take();
-                *cur_slot = Some(MsgAcc {
+                let closed = cur_slot.replace(MsgAcc {
                     dir,
                     flow,
                     first_wall: wall,
@@ -478,20 +571,12 @@ impl Lpa {
                     tx_last_nic: None,
                     pid,
                 });
-                if let Some(closed) = closed {
-                    let snap = state.deliver_snap.take();
-                    let share = Self::close_window(
-                        &mut self.open_windows,
-                        self.flows.get_mut(&canon).expect("state exists"),
-                    );
-                    let closed = ClosedMsg {
-                        acc: closed,
-                        snap,
-                        share,
-                    };
-                    return self.close_message(canon, closed, wall, cpu);
-                }
-                false
+                let Some(acc) = closed else {
+                    return false;
+                };
+                let snap = state.deliver_snap.take();
+                let share = Self::close_window(&mut self.open_windows, state);
+                self.close_message(slot, ClosedMsg { acc, snap, share }, wall, cpu)
             }
         }
     }
@@ -499,8 +584,8 @@ impl Lpa {
     /// A message just closed; pair it with the previous opposite message
     /// into an interaction, or hold it as the next candidate. Returns
     /// whether a record was completed.
-    fn close_message(&mut self, canon: FlowKey, closed: ClosedMsg, now: SimTime, cpu: u16) -> bool {
-        let state = self.flows.get_mut(&canon).expect("state exists");
+    fn close_message(&mut self, slot: u32, closed: ClosedMsg, now: SimTime, cpu: u16) -> bool {
+        let state = &mut self.flows.slab[slot as usize];
         match state.prev.take() {
             None => {
                 state.prev = Some(closed);
@@ -735,7 +820,7 @@ impl Lpa {
                 // snapshot fresh from the socket-buffer point instead.
                 let canon = flow.canonical();
                 let snap = self.pid_snapshot(pid, ev.wall);
-                if let Some(state) = self.flows.get_mut(&canon) {
+                if let Some(state) = self.flows.get_mut(canon) {
                     if let Some(cur) = &mut state.cur {
                         if cur.dir == Dir::In {
                             if cur.pid.is_none() {
@@ -760,7 +845,7 @@ impl Lpa {
                 let canon = flow.canonical();
                 let snap = self.pid_snapshot(pid, ev.wall);
                 let mut opened = None;
-                if let Some(state) = self.flows.get_mut(&canon) {
+                if let Some(state) = self.flows.get_mut(canon) {
                     if let Some(cur) = &mut state.cur {
                         if cur.dir == Dir::In {
                             cur.deliver_last = Some(ev.wall);
@@ -782,7 +867,7 @@ impl Lpa {
             }
             NetPoint::TxNicDone => {
                 let canon = flow.canonical();
-                if let Some(state) = self.flows.get_mut(&canon) {
+                if let Some(state) = self.flows.get_mut(canon) {
                     if let Some(cur) = &mut state.cur {
                         if cur.dir == Dir::Out {
                             cur.tx_last_nic = Some(ev.wall);
@@ -1104,9 +1189,13 @@ mod tests {
         )
     }
 
-    /// Feeds one full request/response exchange; returns completion state.
+    /// Feeds one full request/response exchange on the default flow.
     fn one_exchange(l: &mut Lpa, base_us: u64) {
-        let rf = req_flow();
+        exchange_on(l, req_flow(), base_us);
+    }
+
+    /// Feeds one full request/response exchange whose request runs on `rf`.
+    fn exchange_on(l: &mut Lpa, rf: FlowKey, base_us: u64) {
         let tf = rf.reversed();
         let pid = Some(Pid(7));
         // Request: two packets arrive, get buffered, get delivered.
@@ -1542,6 +1631,99 @@ mod tests {
         l.reconfigure(cfg);
         assert_eq!(l.drain().len(), 1, "record survives reconfiguration");
     }
+
+    #[test]
+    fn reconfigure_keeps_the_loss_count() {
+        let cfg = LpaConfig {
+            window: 4,
+            ..Default::default()
+        };
+        let mut l = Lpa::new(NodeId(1), ME, cfg);
+        // Nobody drains: 20 records through 2 x 4 slots overflow.
+        for i in 0..20 {
+            one_exchange(&mut l, 1_000 + i * 10_000);
+        }
+        l.flush_idle(SimTime::from_secs(1));
+        assert_eq!(l.records_completed(), 20);
+        let lost = l.overwritten();
+        assert!(lost > 0, "the small buffers overflowed");
+        // Shrinking keeps what was lost and adds what no longer fits.
+        let mut cfg = l.config().clone();
+        cfg.window = 1;
+        l.reconfigure(cfg);
+        assert!(
+            l.overwritten() > lost,
+            "staged records met a smaller buffer"
+        );
+        let mut drained = l.drain().len() as u64;
+        assert_eq!(drained + l.overwritten(), 20);
+        // Growing again loses nothing and forgets nothing.
+        let mut cfg = l.config().clone();
+        cfg.window = 64;
+        l.reconfigure(cfg);
+        for i in 20..30 {
+            one_exchange(&mut l, 1_000 + i * 10_000);
+        }
+        l.flush_idle(SimTime::from_secs(2));
+        drained += l.drain().len() as u64;
+        assert_eq!(drained + l.overwritten(), l.records_completed());
+    }
+
+    /// FNV-1a over the raw rows: a fingerprint of a record stream that
+    /// needs nothing from the code under test.
+    fn fingerprint(records: &[InteractionRecord], mut h: u64) -> u64 {
+        let mut row = Vec::new();
+        for r in records {
+            r.to_raw_row(&mut row);
+            for byte in row.iter().flat_map(|v| v.to_le_bytes()) {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn ended_flows_leave_the_table_and_records_do_not_change() {
+        let mut l = lpa();
+        let server = EndPoint::new(ME, Port(2049));
+        let client = |i: u64| EndPoint::new(CLIENT, Port(20_000 + (i % 7_000) as u16));
+        let (mut count, mut print) = (0, 0xCBF2_9CE4_8422_2325);
+        let mut peak = 0;
+        // 10,000 one-exchange connections, 1 ms apart, on ephemeral ports
+        // that come round again after 7,000; the daemon wakes every 100.
+        for i in 0..10_000u64 {
+            exchange_on(&mut l, FlowKey::new(client(i), server), i * 1_000);
+            if i % 100 == 99 {
+                l.flush_idle(SimTime::from_micros(i * 1_000 + 500));
+                let records = l.drain();
+                count += records.len();
+                print = fingerprint(&records, print);
+                peak = peak.max(l.flows.index.len());
+            }
+        }
+        // Only conversations younger than `idle_close` (50 ms = 50 of
+        // them) are live at a wake, and one pid ever had a window open.
+        assert!(peak <= 51, "{peak} flow states held at a daemon wake");
+        assert!(l.open_windows.len() <= 1);
+        // Three conversations stop half way; everything else ends.
+        for i in 10_000..10_003u64 {
+            let rf = FlowKey::new(client(i), server);
+            l.on_event(&net(20_000_000, NetPoint::RxNic, rf, 100, None));
+        }
+        l.flush_idle(SimTime::from_micros(20_010_000));
+        let records = l.drain();
+        count += records.len();
+        print = fingerprint(&records, print);
+        assert_eq!(l.flows.index.len(), 3, "the live flows, nothing else");
+        assert_eq!(l.flows.slab.len(), l.flows.index.len() + l.flows.free.len());
+        // 100 arrivals between wakes on top of the 51 still live.
+        assert!(l.flows.slab.len() <= 151, "freed slots are reused");
+        assert!(l.open_windows.is_empty());
+        // The same stream through the parent commit's table, which never
+        // forgot a flow, gives this count and this fingerprint.
+        assert_eq!(count, 10_000);
+        assert_eq!(print, 0x1906_619F_0DBE_15D6);
+    }
 }
 
 #[cfg(test)]
@@ -1641,7 +1823,101 @@ mod proptests {
             })
     }
 
+    /// One event of a conversation between `peer` and this node's port
+    /// 2049, served by `pid`, at `wall_us`: a packet observation at one of
+    /// the five network points, or a scheduling event of `pid`.
+    fn conversation_event(wall_us: u64, sel: u8, size: u32, peer: EndPoint, pid: Pid) -> Event {
+        let inbound = FlowKey::new(peer, EndPoint::new(ME, Port(2049)));
+        let net = |point, flow, pid| EventPayload::Net {
+            point,
+            flow,
+            packet: PacketId(wall_us),
+            size,
+            pid,
+            arm: None,
+        };
+        let payload = match sel {
+            0 | 1 => net(NetPoint::RxNic, inbound, None),
+            2 => net(NetPoint::RxSocketBuffer, inbound, Some(pid)),
+            3 => net(NetPoint::RxDeliverUser, inbound, Some(pid)),
+            4 | 5 => net(NetPoint::TxFromUser, inbound.reversed(), Some(pid)),
+            6 => net(NetPoint::TxNicDone, inbound.reversed(), None),
+            7 => EventPayload::ContextSwitch {
+                from: None,
+                to: Some(pid),
+            },
+            8 => EventPayload::ContextSwitch {
+                from: Some(pid),
+                to: None,
+            },
+            9 => EventPayload::ProcessBlock {
+                pid,
+                reason: BlockReason::DiskIo,
+            },
+            _ => EventPayload::ProcessWake { pid },
+        };
+        Event {
+            seq: wall_us,
+            node: NodeId(1),
+            cpu: 0,
+            wall: SimTime::from_micros(wall_us),
+            payload,
+        }
+    }
+
+    /// Runs `events` (in wall order) with the daemon waking every 20 ms,
+    /// and returns the records whose request ran from `peer`.
+    fn records_of(peer: EndPoint, events: &[Event]) -> Vec<InteractionRecord> {
+        const WAKE: SimDuration = SimDuration::from_millis(20);
+        let mut lpa = Lpa::new(NodeId(1), ME, LpaConfig::default());
+        let mut out = Vec::new();
+        let mut next_wake = SimTime::ZERO + WAKE;
+        for ev in events {
+            while ev.wall >= next_wake {
+                lpa.flush_idle(next_wake);
+                out.extend(lpa.drain());
+                next_wake += WAKE;
+            }
+            lpa.on_event(ev);
+        }
+        lpa.flush_idle(SimTime::from_secs(10));
+        out.extend(lpa.drain());
+        out.retain(|r| r.flow.src == peer || r.flow.dst == peer);
+        out
+    }
+
     proptest! {
+        /// What the LPA reports about one conversation does not depend on
+        /// what else the node is doing: events of other flows and other
+        /// processes between its packets change none of its records. With
+        /// them the remembered flow slot misses, without them it hits, and
+        /// the daemon wakes evict ended flows in between.
+        #[test]
+        fn prop_records_ignore_unrelated_interleaving(
+            subject in proptest::collection::vec((0u64..300_000, 0u8..11, 64u32..1500), 1..120),
+            noise in proptest::collection::vec(
+                (0u64..300_000, 0u8..11, 64u32..1500, 1u16..5, 10u32..14),
+                0..240,
+            ),
+        ) {
+            let peer = EndPoint::new(Ip(0x0A00_0001), Port(40_000));
+            let mut alone: Vec<Event> = subject
+                .iter()
+                .map(|&(wall, sel, size)| conversation_event(2 * wall, sel, size, peer, Pid(1)))
+                .collect();
+            alone.sort_by_key(|e| e.wall);
+            // Other clients (same address, other ports: the table tells
+            // them apart by port alone) served by other processes, at odd
+            // microseconds so the merge order is unambiguous.
+            let mut mixed = alone.clone();
+            mixed.extend(noise.iter().map(|&(wall, sel, size, port, pid)| {
+                let other = EndPoint::new(peer.ip, Port(peer.port.0 + port));
+                conversation_event(2 * wall + 1, sel, size, other, Pid(pid))
+            }));
+            mixed.sort_by_key(|e| e.wall);
+            prop_assert_eq!(records_of(peer, &alone), records_of(peer, &mixed));
+        }
+
         /// The LPA is total: any event sequence (in any order, including
         /// time going backwards between flows) processes without panics,
         /// and every produced record satisfies basic invariants.

@@ -1,8 +1,7 @@
 //! The per-node Kprof registry: event generation, selective dispatch, and
 //! overhead accounting.
 
-use std::collections::HashMap;
-
+use simcore::hash::HashMap;
 use simcore::{NodeId, SimDuration, SimTime};
 
 use crate::{
@@ -113,7 +112,7 @@ impl Kprof {
             next_seq: 0,
             cost_model: CostModel::default(),
             stats: KprofStats::default(),
-            pid_groups: HashMap::new(),
+            pid_groups: HashMap::default(),
         }
     }
 

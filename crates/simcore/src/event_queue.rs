@@ -10,11 +10,18 @@ use crate::SimTime;
 /// Handle returned by [`EventQueue::schedule`]; can be used to cancel the
 /// event before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
+pub struct EventHandle {
+    seq: u64,
+    slot: u32,
+}
+
+/// Marks a slot whose event fired or was cancelled.
+const VACANT: u64 = u64::MAX;
 
 struct Entry<E> {
     time: SimTime,
     seq: u64,
+    slot: u32,
     event: E,
 }
 
@@ -62,9 +69,13 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    // Seq numbers still live in the heap. Cancellation removes a seq from
-    // here; pop lazily discards heap entries whose seq is no longer pending.
-    pending: std::collections::HashSet<u64>,
+    // `slots[entry.slot] == entry.seq` while a heap entry is pending.
+    // Firing or cancelling vacates the slot and frees it for reuse, so no
+    // event pays for a lookup table; pop lazily discards heap entries whose
+    // slot has moved on (seqs are unique, so a reused slot never matches).
+    slots: Vec<u64>,
+    free: Vec<u32>,
+    pending: usize,
     now: SimTime,
 }
 
@@ -74,7 +85,9 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pending: std::collections::HashSet::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            pending: 0,
             now: SimTime::ZERO,
         }
     }
@@ -98,23 +111,52 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.heap.push(Entry { time, seq, event });
-        EventHandle(seq)
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = seq;
+                slot
+            }
+            None => {
+                self.slots.push(seq);
+                u32::try_from(self.slots.len() - 1).expect("under 2^32 events pending at once")
+            }
+        };
+        self.pending += 1;
+        self.heap.push(Entry {
+            time,
+            seq,
+            slot,
+            event,
+        });
+        EventHandle { seq, slot }
+    }
+
+    /// Vacates `slot` if it still belongs to `seq`; false when that event
+    /// already fired or was cancelled.
+    fn release(&mut self, seq: u64, slot: u32) -> bool {
+        match self.slots.get_mut(slot as usize) {
+            Some(owner) if *owner == seq => {
+                *owner = VACANT;
+                self.free.push(slot);
+                self.pending -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event had
     /// not yet fired (cancellation took effect), `false` if it already fired
     /// or was already cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.pending.remove(&handle.0)
+        self.release(handle.seq, handle.slot)
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if !self.pending.remove(&entry.seq) {
+            if !self.release(entry.seq, entry.slot) {
                 continue; // cancelled
             }
             self.now = entry.time;
@@ -127,7 +169,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
             let entry = self.heap.peek()?;
-            if !self.pending.contains(&entry.seq) {
+            if self.slots[entry.slot as usize] != entry.seq {
                 self.heap.pop();
                 continue;
             }
@@ -137,7 +179,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// True if no events are pending.
@@ -210,7 +252,24 @@ mod tests {
     #[test]
     fn cancel_unknown_handle_is_noop() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
+        assert!(!q.cancel(EventHandle { seq: 42, slot: 7 }));
+    }
+
+    #[test]
+    fn cancel_after_fire_is_refused_even_once_the_slot_is_reused() {
+        let mut q = EventQueue::new();
+        let fired = q.schedule(SimTime::from_micros(1), "a");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert!(!q.cancel(fired), "already fired");
+        // "b" takes over the slot "a" vacated; the stale handle must not
+        // reach it.
+        let b = q.schedule(SimTime::from_micros(2), "b");
+        assert!(!q.cancel(fired));
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(b));
+        assert!(!q.cancel(b), "double cancel");
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -262,13 +321,63 @@ mod tests {
             for (i, t) in times.iter().enumerate() {
                 q.schedule(SimTime::from_nanos(*t), i);
             }
-            let mut last_seen: std::collections::HashMap<u64, usize> = Default::default();
+            let mut last_seen: crate::hash::HashMap<u64, usize> = Default::default();
             while let Some((t, i)) = q.pop() {
                 if let Some(&prev) = last_seen.get(&t.as_nanos()) {
                     prop_assert!(i > prev, "tie broken out of FIFO order");
                 }
                 last_seen.insert(t.as_nanos(), i);
             }
+        }
+
+        /// Any mix of schedule, cancel (of live, fired and already
+        /// cancelled handles) and pop agrees with a list that is searched
+        /// linearly: same events out in the same order, same `cancel`
+        /// answers, same `len()` and `peek_time()` after every step.
+        #[test]
+        fn prop_matches_linear_model(
+            ops in proptest::collection::vec((0u8..5, 0u64..40, 0usize..64), 1..300),
+        ) {
+            let mut q = EventQueue::new();
+            let mut handles = Vec::new();
+            // (time, id), in schedule order; removed on fire or cancel.
+            let mut model: Vec<(SimTime, usize)> = Vec::new();
+            for (op, dt, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        let t = q.now() + crate::SimDuration::from_nanos(dt);
+                        handles.push(q.schedule(t, handles.len()));
+                        model.push((t, handles.len() - 1));
+                    }
+                    2 | 3 if !handles.is_empty() => {
+                        let id = pick % handles.len();
+                        let live = model.iter().position(|&(_, m)| m == id);
+                        prop_assert_eq!(q.cancel(handles[id]), live.is_some());
+                        if let Some(at) = live {
+                            model.remove(at);
+                        }
+                    }
+                    _ => {
+                        // Earliest time, first scheduled among equals.
+                        let first = model
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|&(at, &(t, _))| (t, at))
+                            .map(|(at, _)| at);
+                        let want = first.map(|at| model.remove(at));
+                        prop_assert_eq!(q.pop(), want);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+            }
+            // Every handle is dead once the queue has drained.
+            while q.pop().is_some() {}
+            for h in handles {
+                prop_assert!(!q.cancel(h));
+            }
+            prop_assert_eq!(q.len(), 0);
         }
     }
 }

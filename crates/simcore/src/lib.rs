@@ -9,7 +9,9 @@
 //! * [`stats`] — online statistics (Welford mean/variance, log-scale
 //!   histograms with percentile queries, time-weighted averages),
 //! * [`BoundedQueue`] — a capacity-limited FIFO with drop accounting, used to
-//!   model kernel socket buffers and device queues.
+//!   model kernel socket buffers and device queues,
+//! * [`hash`] — `HashMap`/`HashSet` on one fixed, seedless hash function, for
+//!   every table the simulator or the monitor touches per event.
 //!
 //! Everything here is deterministic given a seed: two runs of the same
 //! experiment produce bit-identical results, which is what makes the
@@ -33,6 +35,7 @@
 
 mod bounded_queue;
 mod event_queue;
+pub mod hash;
 mod rng;
 pub mod stats;
 mod time;

@@ -149,6 +149,20 @@ mod tests {
     }
 
     #[test]
+    fn flow_key_hashes_as_its_four_integers() {
+        // `simcore::hash`'s spread tests stand in for flow keys with this
+        // tuple; a hand-written `Hash` here would silently unhook them.
+        use std::hash::BuildHasher;
+        let state = simcore::hash::FixedState::default();
+        let k = FlowKey::new(ep(0x0A00_0001, 40_000), ep(0x0A00_0002, 2049));
+        assert_eq!(
+            state.hash_one(k),
+            state.hash_one((0x0A00_0001u32, 40_000u16, 0x0A00_0002u32, 2049u16))
+        );
+        assert_eq!(state.hash_one(k), 0x1B00_AD65_69D2_B44E);
+    }
+
+    #[test]
     fn endpoint_display() {
         assert_eq!(ep(0x0A000001, 2049).to_string(), "10.0.0.1:2049");
     }

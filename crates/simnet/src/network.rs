@@ -1,8 +1,8 @@
 //! Topologies: named nodes, addressed interfaces, and the link fabric.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use simcore::hash::HashMap;
 use simcore::{NodeId, SimRng, SimTime};
 
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
@@ -141,7 +141,7 @@ impl NetworkBuilder {
     /// duplicate links.
     pub fn build(self) -> Result<Network, TopologyError> {
         let n = self.nodes.len() as u32;
-        let mut link_map = HashMap::new();
+        let mut link_map = HashMap::default();
         for (a, b, spec) in self.link_list {
             if a == b {
                 return Err(TopologyError::SelfLink(a));

@@ -1,8 +1,9 @@
 //! Per-node kernel state and statistics.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use kprof::{FileId, Kprof, Pid};
+use simcore::hash::{HashMap, HashSet};
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FlowKey, Port};
 
@@ -127,17 +128,17 @@ impl Node {
             config,
             kprof: Kprof::new(id),
             disk: Disk::new(config.disk),
-            procs: HashMap::new(),
+            procs: HashMap::default(),
             runq: VecDeque::new(),
             running: None,
             cpu_busy_until: SimTime::ZERO,
             last_pid: None,
             dispatch_pending: false,
-            sockets: HashMap::new(),
-            flows: HashMap::new(),
-            listeners: HashMap::new(),
-            sink_ports: HashSet::new(),
-            sink_socks: HashMap::new(),
+            sockets: HashMap::default(),
+            flows: HashMap::default(),
+            listeners: HashMap::default(),
+            sink_ports: HashSet::default(),
+            sink_socks: HashMap::default(),
             next_sock: 1,
             next_msg: 1,
             next_ephemeral: 32768,
@@ -145,7 +146,7 @@ impl Node {
             tx_waiters: Vec::new(),
             softirq_busy_until: SimTime::ZERO,
             rx_backlog: 0,
-            opened: HashSet::new(),
+            opened: HashSet::default(),
             stats: NodeStats::default(),
         }
     }

@@ -9,9 +9,8 @@
 //! foreign assembly is evicted first — the moral equivalent of the kernel
 //! reclaiming a stalled stream's buffers.
 
-use std::collections::HashMap;
-
 use kprof::Pid;
+use simcore::hash::HashMap;
 use simcore::SimTime;
 use simnet::{EndPoint, FlowKey, Packet};
 
@@ -96,7 +95,7 @@ impl Socket {
             rx_high_water: 0,
             dropped: 0,
             evicted_assemblies: 0,
-            assemblies: HashMap::new(),
+            assemblies: HashMap::default(),
             ready: Vec::new(),
         }
     }

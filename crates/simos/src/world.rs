@@ -8,10 +8,9 @@
 //! the emission cost to the node's CPU. Monitoring is therefore never
 //! free: it perturbs exactly the system it observes.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use kprof::{AnalyzerId, BlockReason, EventPayload, GroupId, Kprof, NetPoint, Pid, SyscallKind};
+use simcore::hash::HashMap;
 use simcore::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
 use simnet::{
     ClockSpec, EndPoint, FaultPlan, FlowKey, LinkSpec, NetOutcome, Network, NetworkBuilder, Packet,
@@ -287,9 +286,9 @@ impl WorldBuilder {
             rng,
             next_pid: 1,
             next_packet: 1,
-            sinks: HashMap::new(),
-            daemon_hooks: HashMap::new(),
-            inflight_data: HashMap::new(),
+            sinks: HashMap::default(),
+            daemon_hooks: HashMap::default(),
+            inflight_data: HashMap::default(),
             conn_setup_delay: SimDuration::from_micros(200),
         })
     }
