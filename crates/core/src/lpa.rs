@@ -50,6 +50,8 @@ pub struct LpaConfig {
     pub service_ports: Option<HashSet<Port>>,
     /// Flows touching these ports are ignored entirely (SysProf's own
     /// dissemination traffic must not be diagnosed as interactions).
+    /// Probed twice per network event, which is why both port sets are
+    /// [`crate::hash::HashSet`]s (fixed hasher) and not std's.
     pub exclude_ports: HashSet<Port>,
     /// A message with no packets for this long is considered closed (the
     /// eviction that lets the *last* interaction of a conversation
@@ -146,69 +148,6 @@ impl FlowState {
     }
 }
 
-/// The black-box flow states, keyed by canonical flow.
-///
-/// States live in a slab and `index` names their slots, so the slot of
-/// the previous lookup can be remembered: a message is by definition a
-/// run of packets on one flow, and the next network event almost always
-/// belongs to the flow of the last one.
-#[derive(Default)]
-struct FlowTable {
-    index: HashMap<FlowKey, u32>,
-    slab: Vec<FlowState>,
-    /// Slab slots whose state is empty and unnamed by `index`.
-    free: Vec<u32>,
-    last: Option<(FlowKey, u32)>,
-}
-
-impl FlowTable {
-    #[inline]
-    fn get_mut(&mut self, canon: FlowKey) -> Option<&mut FlowState> {
-        let slot = match self.last {
-            Some((key, slot)) if key == canon => slot,
-            _ => {
-                let slot = *self.index.get(&canon)?;
-                self.last = Some((canon, slot));
-                slot
-            }
-        };
-        Some(&mut self.slab[slot as usize])
-    }
-
-    /// The slot of `canon`'s state, created empty on first sight.
-    #[inline]
-    fn slot_or_insert(&mut self, canon: FlowKey) -> u32 {
-        if let Some((key, slot)) = self.last {
-            if key == canon {
-                return slot;
-            }
-        }
-        let slot = *self.index.entry(canon).or_insert_with(|| {
-            self.free.pop().unwrap_or_else(|| {
-                self.slab.push(FlowState::default());
-                u32::try_from(self.slab.len() - 1).expect("under 2^32 flows tracked")
-            })
-        });
-        self.last = Some((canon, slot));
-        slot
-    }
-
-    /// Forgets every flow whose state is empty.
-    fn evict_empty(&mut self) {
-        let FlowTable {
-            index, slab, free, ..
-        } = self;
-        index.retain(|_, slot| {
-            let keep = !slab[*slot as usize].is_empty();
-            if !keep {
-                free.push(*slot);
-            }
-            keep
-        });
-        self.last = None;
-    }
-}
-
 /// Per-correlator tracking state used when ARM hints are active: the
 /// request and response accumulate independently per application message
 /// id, so interleaved requests on one flow stay separate.
@@ -276,21 +215,14 @@ pub(crate) struct ClassAggr {
     pub bytes: u64,
 }
 
-fn sorted_ports(set: &HashSet<Port>) -> Box<[Port]> {
-    let mut ports: Vec<Port> = set.iter().copied().collect();
-    ports.sort_unstable();
-    ports.into_boxed_slice()
-}
-
 /// The Local Performance Analyzer. One per monitored node; registered
 /// with the node's [`kprof::Kprof`].
 pub struct Lpa {
     node: NodeId,
     node_ip: Ip,
     config: LpaConfig,
-    /// `config.exclude_ports`, sorted: probed twice per network event.
-    excluded_ports: Box<[Port]>,
-    flows: FlowTable,
+    /// Black-box tracking, keyed by canonical flow.
+    flows: HashMap<FlowKey, FlowState>,
     /// ARM-correlated tracking, keyed by (canonical flow, correlator).
     arm_flows: HashMap<(FlowKey, u64), ArmState>,
     pids: HashMap<Pid, PidClock>,
@@ -326,9 +258,8 @@ impl Lpa {
         Lpa {
             node,
             node_ip,
-            excluded_ports: sorted_ports(&config.exclude_ports),
             config,
-            flows: FlowTable::default(),
+            flows: HashMap::default(),
             arm_flows: HashMap::default(),
             pids: HashMap::default(),
             open_windows: HashMap::default(),
@@ -356,7 +287,6 @@ impl Lpa {
             }
             self.buffers = fresh;
         }
-        self.excluded_ports = sorted_ports(&config.exclude_ports);
         self.config = config;
     }
 
@@ -377,32 +307,32 @@ impl Lpa {
     /// daemon's periodic wake (the "window contents are evicted … after
     /// some time" behavior of §2).
     pub fn flush_idle(&mut self, now: SimTime) -> usize {
-        let mut stale: Vec<(FlowKey, u32)> = self
+        let mut stale: Vec<FlowKey> = self
             .flows
-            .index
             .iter()
-            .filter(|(_, &slot)| {
-                self.flows.slab[slot as usize]
-                    .cur
+            .filter(|(_, st)| {
+                st.cur
                     .as_ref()
                     .map(|c| now.saturating_since(c.last_wall) >= self.config.idle_close)
                     .unwrap_or(false)
             })
-            .map(|(k, &slot)| (*k, slot))
+            .map(|(k, _)| *k)
             .collect();
         // Close in key order: each close emits a record, and record order
         // must be identical across replays of the same seed.
         stale.sort();
         let mut closed = 0;
-        for (_, slot) in stale {
-            let state = &mut self.flows.slab[slot as usize];
+        for canon in stale {
+            let Some(state) = self.flows.get_mut(&canon) else {
+                continue;
+            };
             let Some(acc) = state.cur.take() else {
                 continue;
             };
             let snap = state.deliver_snap.take();
             let share = Self::close_window(&mut self.open_windows, state);
             closed += 1;
-            self.close_message(slot, ClosedMsg { acc, snap, share }, now, 0);
+            self.close_message(canon, ClosedMsg { acc, snap, share }, now, 0);
         }
         closed += self.flush_idle_arm(now);
         // A flow that ended leaves an empty state behind, and a window
@@ -410,7 +340,7 @@ impl Lpa {
         // `or_insert` recreate exactly those, so dropping them changes no
         // record while keeping both tables (and this scan) at the size of
         // the live conversations rather than of every port ever seen.
-        self.flows.evict_empty();
+        self.flows.retain(|_, state| !state.is_empty());
         self.open_windows.retain(|_, open| *open > 0);
         closed
     }
@@ -494,8 +424,8 @@ impl Lpa {
     }
 
     fn excluded(&self, flow: &FlowKey) -> bool {
-        let ports = &*self.excluded_ports;
-        ports.binary_search(&flow.src.port).is_ok() || ports.binary_search(&flow.dst.port).is_ok()
+        self.config.exclude_ports.contains(&flow.src.port)
+            || self.config.exclude_ports.contains(&flow.dst.port)
     }
 
     fn matches_service(&self, class_port: Port) -> bool {
@@ -545,8 +475,8 @@ impl Lpa {
         cpu: u16,
     ) -> bool {
         let dir = self.dir_of(&flow);
-        let slot = self.flows.slot_or_insert(flow.canonical());
-        let state = &mut self.flows.slab[slot as usize];
+        let canon = flow.canonical();
+        let state = self.flows.entry(canon).or_default();
 
         match &mut state.cur {
             Some(cur) if cur.dir == dir => {
@@ -576,7 +506,7 @@ impl Lpa {
                 };
                 let snap = state.deliver_snap.take();
                 let share = Self::close_window(&mut self.open_windows, state);
-                self.close_message(slot, ClosedMsg { acc, snap, share }, wall, cpu)
+                self.close_message(canon, ClosedMsg { acc, snap, share }, wall, cpu)
             }
         }
     }
@@ -584,8 +514,8 @@ impl Lpa {
     /// A message just closed; pair it with the previous opposite message
     /// into an interaction, or hold it as the next candidate. Returns
     /// whether a record was completed.
-    fn close_message(&mut self, slot: u32, closed: ClosedMsg, now: SimTime, cpu: u16) -> bool {
-        let state = &mut self.flows.slab[slot as usize];
+    fn close_message(&mut self, canon: FlowKey, closed: ClosedMsg, now: SimTime, cpu: u16) -> bool {
+        let state = self.flows.get_mut(&canon).expect("state exists");
         match state.prev.take() {
             None => {
                 state.prev = Some(closed);
@@ -820,7 +750,7 @@ impl Lpa {
                 // snapshot fresh from the socket-buffer point instead.
                 let canon = flow.canonical();
                 let snap = self.pid_snapshot(pid, ev.wall);
-                if let Some(state) = self.flows.get_mut(canon) {
+                if let Some(state) = self.flows.get_mut(&canon) {
                     if let Some(cur) = &mut state.cur {
                         if cur.dir == Dir::In {
                             if cur.pid.is_none() {
@@ -845,7 +775,7 @@ impl Lpa {
                 let canon = flow.canonical();
                 let snap = self.pid_snapshot(pid, ev.wall);
                 let mut opened = None;
-                if let Some(state) = self.flows.get_mut(canon) {
+                if let Some(state) = self.flows.get_mut(&canon) {
                     if let Some(cur) = &mut state.cur {
                         if cur.dir == Dir::In {
                             cur.deliver_last = Some(ev.wall);
@@ -867,7 +797,7 @@ impl Lpa {
             }
             NetPoint::TxNicDone => {
                 let canon = flow.canonical();
-                if let Some(state) = self.flows.get_mut(canon) {
+                if let Some(state) = self.flows.get_mut(&canon) {
                     if let Some(cur) = &mut state.cur {
                         if cur.dir == Dir::Out {
                             cur.tx_last_nic = Some(ev.wall);
@@ -1698,7 +1628,7 @@ mod tests {
                 let records = l.drain();
                 count += records.len();
                 print = fingerprint(&records, print);
-                peak = peak.max(l.flows.index.len());
+                peak = peak.max(l.flows.len());
             }
         }
         // Only conversations younger than `idle_close` (50 ms = 50 of
@@ -1714,10 +1644,7 @@ mod tests {
         let records = l.drain();
         count += records.len();
         print = fingerprint(&records, print);
-        assert_eq!(l.flows.index.len(), 3, "the live flows, nothing else");
-        assert_eq!(l.flows.slab.len(), l.flows.index.len() + l.flows.free.len());
-        // 100 arrivals between wakes on top of the 51 still live.
-        assert!(l.flows.slab.len() <= 151, "freed slots are reused");
+        assert_eq!(l.flows.len(), 3, "the live flows, nothing else");
         assert!(l.open_windows.is_empty());
         // The same stream through the parent commit's table, which never
         // forgot a flow, gives this count and this fingerprint.
@@ -1889,9 +1816,8 @@ mod proptests {
     proptest! {
         /// What the LPA reports about one conversation does not depend on
         /// what else the node is doing: events of other flows and other
-        /// processes between its packets change none of its records. With
-        /// them the remembered flow slot misses, without them it hits, and
-        /// the daemon wakes evict ended flows in between.
+        /// processes between its packets change none of its records, and
+        /// neither do the daemon wakes evicting ended flows in between.
         #[test]
         fn prop_records_ignore_unrelated_interleaving(
             subject in proptest::collection::vec((0u64..300_000, 0u8..11, 64u32..1500), 1..120),
