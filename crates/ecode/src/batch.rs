@@ -1,12 +1,13 @@
-//! Vectorized batch evaluation for fully-mergeable digest programs.
+//! Vectorized batch evaluation for fully-mergeable digest programs: the
+//! column backend of the one lowering ([`crate::ir`]).
 //!
 //! The sharded GPA feeds each shard worker *columns* of raw input bits
 //! (one `&[i64]` per declared input, one lane per record). Running the
 //! scalar VM row-at-a-time from those columns pays interpreter dispatch,
 //! stack traffic, and fuel checks per record. This module compiles the
-//! same bytecode once into a short linear program of *vector ops* that
-//! each sweep a whole batch, so the dispatch cost amortizes across ~1k
-//! lanes and the inner loops autovectorize.
+//! program's block graph once into a short linear program of *vector
+//! ops* that each sweep a whole batch, so the dispatch cost amortizes
+//! across ~1k lanes and the inner loops autovectorize.
 //!
 //! # Why this is legal, and exactly when
 //!
@@ -23,32 +24,96 @@
 //! computations depend only on that lane's inputs — they evaluate
 //! full-width with no cross-lane hazard — and static updates become
 //! masked *reductions* whose fold order cannot change the result.
-//! Anything outside that shape (reads of mutable statics escaping their
-//! accumulation pattern, `out()` streams, non-constant divisors,
-//! float accumulation) makes [`BatchEval::try_compile`] return `None`
-//! and the caller falls back to the scalar VM.
+//! Anything outside that shape makes [`BatchEval::compile`] refuse with
+//! a [`BatchBail`] saying what and where, and the caller falls back to
+//! the scalar VM.
 //!
 //! # Bit-exactness contract
 //!
 //! For a batch of `n` rows, [`BatchEval::run`] leaves the instance's
 //! statics bit-identical to `n` scalar [`Instance::run_raw`] calls in
 //! row order, and returns the exact total `fuel_used` those calls would
-//! have reported. Control flow is compiled to 0/1 lane masks
-//! (`JmpIfFalse` splits a mask, joins OR them back and blend divergent
-//! stack values), and fuel is metered exactly: every original opcode
-//! charges 1 per lane that executes it, accumulated per straight-line
-//! segment as `ops × popcount(mask)`. Programs whose verified worst-case
-//! fuel bound exceeds the host's budget are not vectorized at all, so
-//! the vector path can never hit `OutOfFuel` mid-batch — and because
+//! have reported. Control flow is compiled to 0/1 lane masks (a branch
+//! splits a mask, joins OR them back and blend divergent carried
+//! values), and fuel is metered exactly: each IR block charges its
+//! `fuel` — the ops it covers — once per lane that enters it, as
+//! `fuel × popcount(mask)`. Programs whose verified worst-case fuel
+//! bound exceeds the host's budget are not vectorized at all, so the
+//! vector path can never hit `OutOfFuel` mid-batch — and because
 //! non-constant divisors bail at compile time it can never trap — which
 //! is why it needs no per-lane abort story. Return values and `out()`
 //! are *not* produced: the digest plane only observes statics and fuel.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::fmt;
 
-use crate::analysis::{fuel, MergeClass, MergePlan, MinMaxOp};
+use crate::analysis::{MergeClass, MergePlan, MinMaxOp};
 use crate::compile::Program;
-use crate::vm::{Instance, Op};
+use crate::ir::{bits_of, Bail, Bin, Block, Cmp, Ex, Ir, Step, Term, Un};
+use crate::vm::Instance;
+
+/// Why a program was not vectorized, and therefore runs row-at-a-time
+/// on the scalar VM. `pc` fields are the bytecode pc of the basic block
+/// the offending construct sits in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchBail {
+    /// The merge plan is not fully shard-safe (or is not this
+    /// program's): lanes could observe each other through a static.
+    NotMergeable,
+    /// The verified worst-case fuel exceeds the per-row budget, so a
+    /// lane could abort mid-batch.
+    FuelOverBudget,
+    /// The program was not lowered at all; the reason is the scalar
+    /// tier's too.
+    NotLowered(Bail),
+    /// `out()` publishes a per-row stream the batch path does not
+    /// reproduce.
+    Out {
+        /// Entry pc of the block.
+        pc: u32,
+    },
+    /// An integer division or modulo whose divisor is not a nonzero
+    /// constant: one zero lane would have to trap mid-batch.
+    NonConstDivisor {
+        /// Entry pc of the block.
+        pc: u32,
+    },
+    /// Mutable static `slot` is read outside its own accumulation
+    /// pattern.
+    MutableRead {
+        /// Global slot index.
+        slot: u16,
+        /// Entry pc of the block.
+        pc: u32,
+    },
+    /// Control-flow edges meet with carried values that cannot be
+    /// blended lane-wise.
+    JoinShape {
+        /// Entry pc of the join block.
+        pc: u32,
+    },
+}
+
+impl fmt::Display for BatchBail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BatchBail::NotMergeable => f.write_str("merge plan is not fully shard-safe"),
+            BatchBail::FuelOverBudget => f.write_str("worst-case fuel exceeds the row budget"),
+            BatchBail::NotLowered(b) => write!(f, "not lowered: {b}"),
+            BatchBail::Out { pc } => write!(f, "out() in the block at pc {pc}"),
+            BatchBail::NonConstDivisor { pc } => {
+                write!(f, "non-constant divisor in the block at pc {pc}")
+            }
+            BatchBail::MutableRead { slot, pc } => write!(
+                f,
+                "static slot {slot} read outside its accumulation in the block at pc {pc}"
+            ),
+            BatchBail::JoinShape { pc } => {
+                write!(f, "carried values cannot be blended at the join at pc {pc}")
+            }
+        }
+    }
+}
 
 /// Where a vector operand's column lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,79 +131,95 @@ enum Src {
 /// Lane mask: `None` means "all lanes", otherwise a 0/1 column.
 type Mask = Option<Src>;
 
-/// Two-operand lane-wise kernels. Each mirrors one scalar opcode's
-/// semantics exactly (wrapping integer arithmetic, IEEE doubles via
-/// `to_bits`/`from_bits`, comparisons producing 0/1).
+/// Mask algebra over 0/1 lanes.
 #[derive(Debug, Clone, Copy)]
-enum BinK {
-    AddI,
-    SubI,
-    MulI,
-    DivI,
-    ModI,
-    AddF,
-    SubF,
-    MulF,
-    DivF,
-    EqI,
-    NeI,
-    LtI,
-    LeI,
-    GtI,
-    GeI,
-    EqF,
-    NeF,
-    LtF,
-    LeF,
-    GtF,
-    GeF,
-    MinI,
-    MinF,
-    MaxI,
-    MaxF,
-    /// Mask AND (operands are 0/1 lanes).
-    AndB,
-    /// `a AND NOT b` (operands are 0/1 lanes) — the else-mask split.
-    AndNotB,
-    /// Mask OR (operands are 0/1 lanes) — the join.
-    OrB,
+enum MaskK {
+    And,
+    /// `a AND NOT b` — the else-mask split.
+    AndNot,
+    /// The join.
+    Or,
 }
 
-/// One-operand lane-wise kernels.
-#[derive(Debug, Clone, Copy)]
-enum UnK {
-    NegI,
-    NegF,
-    NotB,
-    AbsI,
-    AbsF,
-    I2F,
-}
-
-/// A compiled vector instruction.
+/// A compiled vector instruction. The lane-wise ones are unmasked:
+/// lane-pure values may be computed for lanes that never use them.
 #[derive(Debug, Clone, Copy)]
 enum VOp {
-    /// `dst[l] = k(a[l], b[l])` for every lane (unmasked: lane-pure).
-    Bin { k: BinK, a: Src, b: Src, dst: u16 },
-    /// `dst[l] = k(a[l])` for every lane.
-    Un { k: UnK, a: Src, dst: u16 },
-    /// `dst[l] = if m[l] != 0 { b[l] } else { a[l] }` — stack join.
-    Blend { m: Src, a: Src, b: Src, dst: u16 },
+    /// `dst[l] = op(a[l], b[l])`.
+    Bin {
+        op: Bin,
+        a: Src,
+        b: Src,
+        dst: u16,
+    },
+    /// `dst[l] = op(a[l])`.
+    Un {
+        op: Un,
+        a: Src,
+        dst: u16,
+    },
+    /// `dst[l] = cmp(a[l], b[l])` as integers or (`float`) doubles.
+    Cmp {
+        cmp: Cmp,
+        float: bool,
+        a: Src,
+        b: Src,
+        dst: u16,
+    },
+    Mask {
+        k: MaskK,
+        a: Src,
+        b: Src,
+        dst: u16,
+    },
+    /// `dst[l] = if m[l] != 0 { b[l] } else { a[l] }` — carried-value join.
+    Blend {
+        m: Src,
+        a: Src,
+        b: Src,
+        dst: u16,
+    },
     /// `dst[l] = a[l]` — materializes a local snapshot before the local
     /// is overwritten.
-    Copy { a: Src, dst: u16 },
+    Copy {
+        a: Src,
+        dst: u16,
+    },
     /// `local[l] = a[l]` where the mask is set.
-    StoreLocal { local: u16, a: Src, m: Mask },
+    StoreLocal {
+        local: u16,
+        a: Src,
+        m: Mask,
+    },
     /// Counter fold: `g += Σ delta[l]` over masked lanes (wrapping).
-    ReduceAdd { slot: u16, delta: Src, m: Mask },
+    ReduceAdd {
+        slot: u16,
+        delta: Src,
+        m: Mask,
+    },
     /// Min fold: `g = min(g, v[l])` over masked lanes.
-    ReduceMin { slot: u16, v: Src, m: Mask },
+    ReduceMin {
+        slot: u16,
+        v: Src,
+        m: Mask,
+    },
     /// Max fold: `g = max(g, v[l])` over masked lanes.
-    ReduceMax { slot: u16, v: Src, m: Mask },
+    ReduceMax {
+        slot: u16,
+        v: Src,
+        m: Mask,
+    },
     /// Gated latch: `g = bits` if any masked lane reached the store.
-    GatedStore { slot: u16, bits: i64, m: Mask },
+    GatedStore {
+        slot: u16,
+        bits: i64,
+        m: Mask,
+    },
     /// Fuel meter: charge `ops` per lane in the mask.
-    Fuel { ops: u32, m: Mask },
+    Fuel {
+        ops: u32,
+        m: Mask,
+    },
 }
 
 /// How a pool column gets its value.
@@ -166,18 +247,18 @@ enum AccK {
     Max,
 }
 
-/// Abstract stack cell during vectorization.
+/// What an IR tree evaluates to during vectorization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Cell {
     /// Lane-pure value.
     P(PV),
-    /// `LoadGlobal` of a mutable static, not yet folded into an update.
+    /// Read of a mutable static, not yet folded into an update.
     G(u16),
     /// Partially-built accumulation: `global[slot] <fold> operand`.
     A { slot: u16, k: AccK, d: PV },
 }
 
-/// A control-flow edge parked at a forward jump target.
+/// A control-flow edge parked at its (forward) target block.
 #[derive(Debug, Clone)]
 struct Edge {
     mask: Mask,
@@ -186,7 +267,7 @@ struct Edge {
 
 /// A digest program compiled for whole-batch evaluation, plus its
 /// reusable column arenas. Create one per worker with
-/// [`try_compile`](BatchEval::try_compile); call
+/// [`compile`](BatchEval::compile) (or clone one); call
 /// [`run`](BatchEval::run) per batch.
 #[derive(Debug, Clone)]
 pub struct BatchEval {
@@ -205,17 +286,30 @@ pub struct BatchEval {
 }
 
 impl BatchEval {
-    /// Compiles `program` for batch evaluation. Returns `None` when the
-    /// program is outside the vectorizable class — the caller must then
-    /// evaluate rows with the scalar VM. `fuel_budget` is the per-row
-    /// budget the host would pass to [`Instance::run_raw`]; programs
-    /// whose statically-proven worst-case fuel exceeds it are rejected
-    /// here so the batch path never needs a per-lane abort.
-    pub fn try_compile(program: &Program, plan: &MergePlan, fuel_budget: u64) -> Option<BatchEval> {
-        if !plan.fully_mergeable() || fuel::max_fuel(&program.code) > fuel_budget {
-            return None;
+    /// Compiles `program` for batch evaluation, or says why it is
+    /// outside the vectorizable class — the caller must then evaluate
+    /// rows with the scalar VM. `fuel_budget` is the per-row budget the
+    /// host would pass to [`Instance::run_raw`]; programs whose
+    /// statically-proven worst-case fuel exceeds it are rejected here so
+    /// the batch path never needs a per-lane abort.
+    pub fn compile(
+        program: &Program,
+        plan: &MergePlan,
+        fuel_budget: u64,
+    ) -> Result<BatchEval, BatchBail> {
+        if !plan.fully_mergeable() || plan.slots.len() != program.globals.len() {
+            return Err(BatchBail::NotMergeable);
         }
-        Vectorizer::new(program, plan).compile()
+        if program.static_fuel_bound() > fuel_budget {
+            return Err(BatchBail::FuelOverBudget);
+        }
+        let ir = program.lowered().ir.as_ref();
+        Vectorizer::new(program, plan).compile(ir.map_err(|b| BatchBail::NotLowered(*b))?)
+    }
+
+    /// [`compile`](BatchEval::compile) without the reason.
+    pub fn try_compile(program: &Program, plan: &MergePlan, fuel_budget: u64) -> Option<BatchEval> {
+        Self::compile(program, plan, fuel_budget).ok()
     }
 
     /// Evaluates `rows` lanes against `inst`'s statics and returns the
@@ -251,14 +345,40 @@ impl BatchEval {
             // SSA register allocation guarantees `dst` is never also an
             // operand of the same op.
             match self.vops[vi] {
-                VOp::Bin { k, a, b, dst } => {
+                // Divisors are compile-time constants proven nonzero,
+                // so the full-lane sweep cannot trap.
+                VOp::Bin { op, a, b, dst } => {
                     let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    bin_kernel(k, &mut d[..rows], self.col(a, cols), self.col(b, cols));
+                    op.sweep(&mut d[..rows], self.col(a, cols), self.col(b, cols));
                     self.regs[dst as usize] = d;
                 }
-                VOp::Un { k, a, dst } => {
+                VOp::Un { op, a, dst } => {
                     let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    un_kernel(k, &mut d[..rows], self.col(a, cols));
+                    op.sweep(&mut d[..rows], self.col(a, cols));
+                    self.regs[dst as usize] = d;
+                }
+                VOp::Cmp {
+                    cmp,
+                    float,
+                    a,
+                    b,
+                    dst,
+                } => {
+                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
+                    cmp.sweep(float, &mut d[..rows], self.col(a, cols), self.col(b, cols));
+                    self.regs[dst as usize] = d;
+                }
+                VOp::Mask { k, a, b, dst } => {
+                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
+                    {
+                        let (a, b) = (&self.col(a, cols)[..rows], &self.col(b, cols)[..rows]);
+                        let lanes = d.iter_mut().zip(a).zip(b);
+                        match k {
+                            MaskK::And => lanes.for_each(|((d, &x), &y)| *d = x & y),
+                            MaskK::AndNot => lanes.for_each(|((d, &x), &y)| *d = x & (y ^ 1)),
+                            MaskK::Or => lanes.for_each(|((d, &x), &y)| *d = x | y),
+                        }
+                    }
                     self.regs[dst as usize] = d;
                 }
                 VOp::Blend { m, a, b, dst } => {
@@ -396,76 +516,9 @@ impl BatchEval {
     }
 }
 
-fn bin_kernel(k: BinK, d: &mut [i64], a: &[i64], b: &[i64]) {
-    #[inline(always)]
-    fn lanes(d: &mut [i64], a: &[i64], b: &[i64], f: impl Fn(i64, i64) -> i64) {
-        let n = d.len();
-        for ((d, &x), &y) in d.iter_mut().zip(&a[..n]).zip(&b[..n]) {
-            *d = f(x, y);
-        }
-    }
-    #[inline(always)]
-    fn f(x: i64) -> f64 {
-        f64::from_bits(x as u64)
-    }
-    #[inline(always)]
-    fn fb(x: f64) -> i64 {
-        x.to_bits() as i64
-    }
-    match k {
-        BinK::AddI => lanes(d, a, b, |x, y| x.wrapping_add(y)),
-        BinK::SubI => lanes(d, a, b, |x, y| x.wrapping_sub(y)),
-        BinK::MulI => lanes(d, a, b, |x, y| x.wrapping_mul(y)),
-        // Divisors are compile-time constants proven nonzero, so the
-        // full-lane sweep cannot trap.
-        BinK::DivI => lanes(d, a, b, |x, y| x.wrapping_div(y)),
-        BinK::ModI => lanes(d, a, b, |x, y| x.wrapping_rem(y)),
-        BinK::AddF => lanes(d, a, b, |x, y| fb(f(x) + f(y))),
-        BinK::SubF => lanes(d, a, b, |x, y| fb(f(x) - f(y))),
-        BinK::MulF => lanes(d, a, b, |x, y| fb(f(x) * f(y))),
-        BinK::DivF => lanes(d, a, b, |x, y| fb(f(x) / f(y))),
-        BinK::EqI => lanes(d, a, b, |x, y| (x == y) as i64),
-        BinK::NeI => lanes(d, a, b, |x, y| (x != y) as i64),
-        BinK::LtI => lanes(d, a, b, |x, y| (x < y) as i64),
-        BinK::LeI => lanes(d, a, b, |x, y| (x <= y) as i64),
-        BinK::GtI => lanes(d, a, b, |x, y| (x > y) as i64),
-        BinK::GeI => lanes(d, a, b, |x, y| (x >= y) as i64),
-        BinK::EqF => lanes(d, a, b, |x, y| (f(x) == f(y)) as i64),
-        BinK::NeF => lanes(d, a, b, |x, y| (f(x) != f(y)) as i64),
-        BinK::LtF => lanes(d, a, b, |x, y| (f(x) < f(y)) as i64),
-        BinK::LeF => lanes(d, a, b, |x, y| (f(x) <= f(y)) as i64),
-        BinK::GtF => lanes(d, a, b, |x, y| (f(x) > f(y)) as i64),
-        BinK::GeF => lanes(d, a, b, |x, y| (f(x) >= f(y)) as i64),
-        BinK::MinI => lanes(d, a, b, |x, y| x.min(y)),
-        BinK::MinF => lanes(d, a, b, |x, y| fb(f(x).min(f(y)))),
-        BinK::MaxI => lanes(d, a, b, |x, y| x.max(y)),
-        BinK::MaxF => lanes(d, a, b, |x, y| fb(f(x).max(f(y)))),
-        BinK::AndB => lanes(d, a, b, |x, y| x & y),
-        BinK::AndNotB => lanes(d, a, b, |x, y| x & (y ^ 1)),
-        BinK::OrB => lanes(d, a, b, |x, y| x | y),
-    }
-}
-
-fn un_kernel(k: UnK, d: &mut [i64], a: &[i64]) {
-    #[inline(always)]
-    fn lanes(d: &mut [i64], a: &[i64], f: impl Fn(i64) -> i64) {
-        let n = d.len();
-        for (d, &x) in d.iter_mut().zip(&a[..n]) {
-            *d = f(x);
-        }
-    }
-    match k {
-        UnK::NegI => lanes(d, a, |x| x.wrapping_neg()),
-        UnK::NegF => lanes(d, a, |x| (-f64::from_bits(x as u64)).to_bits() as i64),
-        UnK::NotB => lanes(d, a, |x| (x == 0) as i64),
-        UnK::AbsI => lanes(d, a, |x| x.wrapping_abs()),
-        UnK::AbsF => lanes(d, a, |x| f64::from_bits(x as u64).abs().to_bits() as i64),
-        UnK::I2F => lanes(d, a, |x| ((x as f64).to_bits()) as i64),
-    }
-}
-
-/// One-pass abstract interpreter that lowers bytecode to [`VOp`]s.
-/// Returns `None` ("bail") on any shape outside the vectorizable class.
+/// Lowers the IR's block graph to [`VOp`]s, one pass in `entry_pc`
+/// order (every edge is forward, so each block's incoming edges are all
+/// parked before it is reached).
 struct Vectorizer<'a> {
     program: &'a Program,
     plan: &'a MergePlan,
@@ -474,11 +527,15 @@ struct Vectorizer<'a> {
     pool_init: Vec<PoolEntry>,
     pool_ix: HashMap<i64, u16>,
     gsplat_ix: HashMap<u16, u16>,
+    /// Lanes executing the current block, the values they carried in,
+    /// and whether any lane got here at all.
     cur_mask: Mask,
     stack: Vec<Cell>,
     live: bool,
-    pending: BTreeMap<u32, Vec<Edge>>,
-    fuel_pending: u32,
+    /// Edges parked per target block.
+    pending: Vec<Vec<Edge>>,
+    /// Entry pc of the current block, for bail reasons.
+    pc: u32,
 }
 
 impl<'a> Vectorizer<'a> {
@@ -494,8 +551,8 @@ impl<'a> Vectorizer<'a> {
             cur_mask: None,
             stack: Vec::new(),
             live: true,
-            pending: BTreeMap::new(),
-            fuel_pending: 0,
+            pending: Vec::new(),
+            pc: 0,
         }
     }
 
@@ -532,154 +589,237 @@ impl<'a> Vectorizer<'a> {
         }
     }
 
-    /// Emits a lane-wise binary op, constant-folding when both operands
-    /// are known. Folding uses the scalar VM's exact semantics; a folded
-    /// division by zero bails (the scalar path must trap instead).
-    fn bin(&mut self, k: BinK, a: PV, b: PV) -> Option<PV> {
-        if let (PV::C(x), PV::C(y)) = (a, b) {
-            let mut d = [0i64];
-            if matches!(k, BinK::DivI | BinK::ModI) && y == 0 {
-                return None;
-            }
-            bin_kernel(k, &mut d, &[x], &[y]);
-            return Some(PV::C(d[0]));
-        }
-        // Non-constant division can hit a zero lane the scalar path
-        // would trap on; only constant nonzero divisors vectorize.
-        if matches!(k, BinK::DivI | BinK::ModI) && !matches!(b, PV::C(c) if c != 0) {
-            return None;
-        }
-        let (a, b) = (self.src(a), self.src(b));
+    /// Emits a lane-wise op writing a fresh register.
+    fn emit(&mut self, mk: impl FnOnce(u16) -> VOp) -> PV {
         let dst = self.reg();
-        self.vops.push(VOp::Bin { k, a, b, dst });
-        Some(PV::S(Src::Reg(dst)))
-    }
-
-    fn un(&mut self, k: UnK, a: PV) -> PV {
-        if let PV::C(x) = a {
-            let mut d = [0i64];
-            un_kernel(k, &mut d, &[x]);
-            return PV::C(d[0]);
-        }
-        let a = self.src(a);
-        let dst = self.reg();
-        self.vops.push(VOp::Un { k, a, dst });
+        self.vops.push(mk(dst));
         PV::S(Src::Reg(dst))
     }
 
-    fn pop(&mut self) -> Option<Cell> {
-        self.stack.pop()
+    /// A lane-wise binary op, constant-folded when both operands are
+    /// known. Division vectorizes only under a constant nonzero divisor:
+    /// anything else can hit a zero lane the scalar path would trap on.
+    fn bin(&mut self, op: Bin, a: PV, b: PV) -> Result<PV, BatchBail> {
+        if op.can_trap() && !matches!(b, PV::C(c) if c != 0) {
+            return Err(BatchBail::NonConstDivisor { pc: self.pc });
+        }
+        if let (PV::C(x), PV::C(y)) = (a, b) {
+            let folded = op.apply(x, y).expect("divisor checked nonzero");
+            return Ok(PV::C(folded));
+        }
+        let (a, b) = (self.src(a), self.src(b));
+        Ok(self.emit(|dst| VOp::Bin { op, a, b, dst }))
     }
 
-    fn pop_pv(&mut self) -> Option<PV> {
-        match self.pop()? {
-            Cell::P(pv) => Some(pv),
+    fn un(&mut self, op: Un, a: PV) -> PV {
+        match a {
+            PV::C(x) => PV::C(op.apply(x)),
+            PV::S(a) => self.emit(|dst| VOp::Un { op, a, dst }),
+        }
+    }
+
+    fn cmp(&mut self, cmp: Cmp, float: bool, a: PV, b: PV) -> PV {
+        if let (PV::C(x), PV::C(y)) = (a, b) {
+            let mut d = [0];
+            cmp.sweep(float, &mut d, &[x], &[y]);
+            return PV::C(d[0]);
+        }
+        let (a, b) = (self.src(a), self.src(b));
+        self.emit(|dst| VOp::Cmp {
+            cmp,
+            float,
+            a,
+            b,
+            dst,
+        })
+    }
+
+    fn mask(&mut self, k: MaskK, a: Src, b: Src) -> Src {
+        let dst = self.reg();
+        self.vops.push(VOp::Mask { k, a, b, dst });
+        Src::Reg(dst)
+    }
+
+    /// Evaluates a tree in bytecode order (left, right, operator).
+    fn cell(&mut self, e: &Ex) -> Result<Cell, BatchBail> {
+        Ok(match e {
+            Ex::Carry(i) => self.stack[*i as usize].clone(),
+            Ex::ConstI(v) => Cell::P(PV::C(*v)),
+            Ex::ConstF(v) => Cell::P(PV::C(bits_of(*v))),
+            Ex::Input(i) => Cell::P(PV::S(Src::Input(*i))),
+            Ex::Local(i) => Cell::P(PV::S(Src::Local(*i))),
+            Ex::Global(i) => match self.plan.slots[*i as usize].class {
+                MergeClass::ReadOnly => Cell::P(PV::S(self.gpool(*i))),
+                _ => Cell::G(*i),
+            },
+            Ex::Bin(op, l, r) => {
+                let (l, r) = (self.cell(l)?, self.cell(r)?);
+                self.acc_or_bin(*op, l, r)?
+            }
+            Ex::Un(op, e) => {
+                let a = self.pv(e)?;
+                Cell::P(self.un(*op, a))
+            }
+            Ex::CmpI(c, l, r) | Ex::CmpF(c, l, r) => {
+                let (l, r) = (self.pv(l)?, self.pv(r)?);
+                Cell::P(self.cmp(*c, matches!(e, Ex::CmpF(..)), l, r))
+            }
+        })
+    }
+
+    /// Evaluates a tree that must be lane-pure.
+    fn pv(&mut self, e: &Ex) -> Result<PV, BatchBail> {
+        let cell = self.cell(e)?;
+        self.pure(cell)
+    }
+
+    fn pure(&self, cell: Cell) -> Result<PV, BatchBail> {
+        match cell {
+            Cell::P(pv) => Ok(pv),
+            Cell::G(slot) | Cell::A { slot, .. } => {
+                Err(BatchBail::MutableRead { slot, pc: self.pc })
+            }
+        }
+    }
+
+    /// A binary op over cells that may carry an in-flight accumulation.
+    /// Compositions mirror the fold algebra: `(g + a) + b ≡ g + (a + b)`
+    /// (wrapping), `g - a ≡ g + (-a)`, `min(min(g,a),b) ≡ min(g,
+    /// min(a,b))`, so collapsing the operand side is exact.
+    fn acc_or_bin(&mut self, op: Bin, l: Cell, r: Cell) -> Result<Cell, BatchBail> {
+        let fam = match op {
+            Bin::AddI | Bin::SubI => Some(AccK::Add),
+            Bin::MinI => Some(AccK::Min),
+            Bin::MaxI => Some(AccK::Max),
             _ => None,
-        }
+        };
+        // Subtraction only folds with the static on the left.
+        let commutes = op != Bin::SubI;
+        Ok(match (fam, l, r) {
+            (_, Cell::P(l), Cell::P(r)) => Cell::P(self.bin(op, l, r)?),
+            (Some(k), Cell::G(slot), Cell::P(p)) => {
+                let d = if commutes { p } else { self.un(Un::NegI, p) };
+                Cell::A { slot, k, d }
+            }
+            (Some(k), Cell::P(d), Cell::G(slot)) if commutes => Cell::A { slot, k, d },
+            (Some(k), Cell::A { slot, k: k2, d }, Cell::P(p)) if k == k2 => Cell::A {
+                slot,
+                k,
+                d: self.bin(op, d, p)?,
+            },
+            (Some(k), Cell::P(p), Cell::A { slot, k: k2, d }) if k == k2 && commutes => Cell::A {
+                slot,
+                k,
+                d: self.bin(op, d, p)?,
+            },
+            (_, l, r) => {
+                // Whichever side is impure names the escaping static.
+                self.pure(l)?;
+                return Err(self.pure(r).expect_err("one side is impure"));
+            }
+        })
     }
 
-    fn push(&mut self, c: Cell) {
-        self.stack.push(c);
-    }
-
-    /// Charges the ops accumulated since the last mask change.
-    fn flush_fuel(&mut self) {
-        if self.fuel_pending > 0 {
-            let m = self.cur_mask;
-            self.vops.push(VOp::Fuel {
-                ops: self.fuel_pending,
-                m,
-            });
-            self.fuel_pending = 0;
+    fn step(&mut self, s: &Step) -> Result<(), BatchBail> {
+        let m = self.cur_mask;
+        match s {
+            Step::StoreLocal(i, e) => {
+                let pv = self.pv(e)?;
+                let a = self.src(pv);
+                // `x = x` is the identity under any mask.
+                if a != Src::Local(*i) {
+                    self.protect_local(*i);
+                    self.vops.push(VOp::StoreLocal { local: *i, a, m });
+                }
+            }
+            Step::StoreGlobal(s, e) => {
+                let (s, cell) = (*s, self.cell(e)?);
+                match (cell, &self.plan.slots[s as usize].class) {
+                    // `g = g` — identity.
+                    (Cell::G(t), _) if t == s => {}
+                    (Cell::A { slot, k, d }, class) if slot == s => {
+                        let v = self.src(d);
+                        self.vops.push(match (k, class) {
+                            (AccK::Add, MergeClass::Counter) => VOp::ReduceAdd {
+                                slot: s,
+                                delta: v,
+                                m,
+                            },
+                            (AccK::Min, MergeClass::MinMax(MinMaxOp::Min)) => {
+                                VOp::ReduceMin { slot: s, v, m }
+                            }
+                            (AccK::Max, MergeClass::MinMax(MinMaxOp::Max)) => {
+                                VOp::ReduceMax { slot: s, v, m }
+                            }
+                            _ => {
+                                return Err(BatchBail::MutableRead {
+                                    slot: s,
+                                    pc: self.pc,
+                                })
+                            }
+                        });
+                    }
+                    (Cell::P(PV::C(bits)), MergeClass::GatedWrite { value_bits })
+                        if *value_bits == bits =>
+                    {
+                        self.vops.push(VOp::GatedStore { slot: s, bits, m })
+                    }
+                    // A store the plan did not promise: not this
+                    // program's plan.
+                    _ => {
+                        return Err(BatchBail::MutableRead {
+                            slot: s,
+                            pc: self.pc,
+                        })
+                    }
+                }
+            }
+            Step::Out(..) => return Err(BatchBail::Out { pc: self.pc }),
+            // Evaluated for its bails only: it cannot trap here, and a
+            // discarded value (even a static read) has no side effect.
+            Step::Eval(e) => drop(self.cell(e)?),
         }
+        Ok(())
     }
 
     /// A local is about to be overwritten: any live reference to its
-    /// column (current stack, parked edges) still means the *old* value,
-    /// so snapshot it into a register first. Masks never reference
-    /// locals (conditions are copied to registers before becoming
-    /// masks), so only cells need rewriting.
+    /// column (current carries, parked edges) still means the *old*
+    /// value, so snapshot it into a register first. Masks never
+    /// reference locals (conditions are copied to registers before
+    /// becoming masks), so only cells need rewriting.
     fn protect_local(&mut self, local: u16) {
-        let uses = |c: &Cell| {
-            let pv_uses = |pv: &PV| matches!(pv, PV::S(Src::Local(l)) if *l == local);
+        fn refers(c: &mut Cell, local: u16) -> Option<&mut PV> {
             match c {
-                Cell::P(pv) => pv_uses(pv),
-                Cell::G(_) => false,
-                Cell::A { d, .. } => pv_uses(d),
+                Cell::P(pv) | Cell::A { d: pv, .. } if *pv == PV::S(Src::Local(local)) => Some(pv),
+                _ => None,
             }
-        };
-        let needed = self.stack.iter().any(uses)
-            || self
-                .pending
-                .values()
-                .flatten()
-                .any(|e| e.stack.iter().any(uses));
-        if !needed {
+        }
+        let mut cells: Vec<&mut PV> = self
+            .stack
+            .iter_mut()
+            .chain(self.pending.iter_mut().flatten().flat_map(|e| &mut e.stack))
+            .filter_map(|c| refers(c, local))
+            .collect();
+        if cells.is_empty() {
             return;
         }
-        let dst = self.reg();
+        let dst = self.n_regs;
+        self.n_regs += 1;
         self.vops.push(VOp::Copy {
             a: Src::Local(local),
             dst,
         });
-        let r = PV::S(Src::Reg(dst));
-        let fix = |pv: &mut PV| {
-            if matches!(pv, PV::S(Src::Local(l)) if *l == local) {
-                *pv = r;
-            }
-        };
-        let fix_cell = |c: &mut Cell| match c {
-            Cell::P(pv) => fix(pv),
-            Cell::G(_) => {}
-            Cell::A { d, .. } => fix(d),
-        };
-        for c in self.stack.iter_mut() {
-            fix_cell(c);
-        }
-        for e in self.pending.values_mut().flatten() {
-            for c in e.stack.iter_mut() {
-                fix_cell(c);
-            }
+        for pv in &mut cells {
+            **pv = PV::S(Src::Reg(dst));
         }
     }
 
-    /// A condition becoming part of mask algebra must not alias a
-    /// mutable local column; snapshot it if it does.
-    fn mask_safe(&mut self, s: Src) -> Src {
-        if let Src::Local(_) = s {
-            let dst = self.reg();
-            self.vops.push(VOp::Copy { a: s, dst });
-            Src::Reg(dst)
-        } else {
-            s
-        }
-    }
-
-    fn or_mask(&mut self, a: Mask, b: Mask) -> Mask {
-        match (a, b) {
-            (None, _) | (_, None) => None,
-            (Some(x), Some(y)) => {
-                let dst = self.reg();
-                self.vops.push(VOp::Bin {
-                    k: BinK::OrB,
-                    a: x,
-                    b: y,
-                    dst,
-                });
-                Some(Src::Reg(dst))
-            }
-        }
-    }
-
-    /// Merges every edge parked at `pc` into the live state. Rows arrive
-    /// via exactly one incoming path, so blending per-edge is exact and
-    /// merge order cannot matter.
-    fn merge_at(&mut self, pc: u32) -> Option<()> {
-        let Some(edges) = self.pending.remove(&pc) else {
-            return Some(());
-        };
-        self.flush_fuel();
-        for edge in edges {
+    /// Merges every edge parked at block `bi` into the live state. Rows
+    /// arrive via exactly one incoming path, so blending per-edge is
+    /// exact and merge order cannot matter.
+    fn merge_at(&mut self, bi: usize) -> Result<(), BatchBail> {
+        let bail = BatchBail::JoinShape { pc: self.pc };
+        for edge in std::mem::take(&mut self.pending[bi]) {
             if !self.live {
                 self.cur_mask = edge.mask;
                 self.stack = edge.stack;
@@ -687,230 +827,131 @@ impl<'a> Vectorizer<'a> {
                 continue;
             }
             if edge.stack.len() != self.stack.len() {
-                return None;
+                return Err(bail);
             }
-            for i in 0..self.stack.len() {
-                let cur = self.stack[i].clone();
-                let inc = edge.stack[i].clone();
-                if cur == inc {
+            for (i, inc) in edge.stack.into_iter().enumerate() {
+                if self.stack[i] == inc {
                     continue;
                 }
                 // Divergent values must be lane-pure to blend; the
                 // incoming edge always carries a real mask (a fall-
                 // through with all lanes leaves nothing to park).
-                let (Cell::P(a), Cell::P(b)) = (cur, inc) else {
-                    return None;
+                let (Cell::P(a), Cell::P(b), Some(m)) = (self.stack[i].clone(), inc, edge.mask)
+                else {
+                    return Err(bail);
                 };
-                let m = edge.mask?;
                 let (a, b) = (self.src(a), self.src(b));
-                let dst = self.reg();
-                self.vops.push(VOp::Blend { m, a, b, dst });
-                self.stack[i] = Cell::P(PV::S(Src::Reg(dst)));
+                self.stack[i] = Cell::P(self.emit(|dst| VOp::Blend { m, a, b, dst }));
             }
-            self.cur_mask = self.or_mask(self.cur_mask, edge.mask);
+            self.cur_mask = match (self.cur_mask, edge.mask) {
+                (Some(x), Some(y)) => Some(self.mask(MaskK::Or, x, y)),
+                _ => None,
+            };
         }
-        Some(())
+        Ok(())
     }
 
-    fn park(&mut self, target: u32) {
-        let edge = Edge {
-            mask: self.cur_mask,
-            stack: self.stack.clone(),
+    /// Hands the current lanes to block `target`: the next block in
+    /// order simply stays live, any other edge is parked.
+    fn goto(&mut self, target: u32, next: usize) {
+        if target as usize != next {
+            let edge = Edge {
+                mask: self.cur_mask,
+                stack: std::mem::take(&mut self.stack),
+            };
+            self.pending[target as usize].push(edge);
+            self.live = false;
+        }
+    }
+
+    fn block(&mut self, b: &Block, next: usize) -> Result<(), BatchBail> {
+        self.vops.push(VOp::Fuel {
+            ops: b.fuel as u32,
+            m: self.cur_mask,
+        });
+        for s in &b.steps {
+            self.step(s)?;
+        }
+        let carries = b
+            .carry_out
+            .iter()
+            .map(|e| self.cell(e))
+            .collect::<Result<Vec<_>, _>>()?;
+        match &b.term {
+            Term::Jmp(t) => {
+                self.stack = carries;
+                self.goto(*t, next);
+            }
+            Term::Br {
+                cond,
+                on_false,
+                on_true,
+            } => {
+                let cond = self.pv(cond)?;
+                self.stack = carries;
+                match cond {
+                    // A condition that folded: every live lane goes one way.
+                    PV::C(0) => self.goto(*on_false, next),
+                    PV::C(_) => self.goto(*on_true, next),
+                    PV::S(c) => {
+                        // A condition becoming part of mask algebra must
+                        // not alias a mutable local column.
+                        let c = match c {
+                            Src::Local(_) => self.src_of_copy(c),
+                            c => c,
+                        };
+                        let (m_then, m_else) = match self.cur_mask {
+                            None => (c, self.un(Un::NotB, PV::S(c))),
+                            Some(m) => (
+                                self.mask(MaskK::And, m, c),
+                                PV::S(self.mask(MaskK::AndNot, m, c)),
+                            ),
+                        };
+                        let PV::S(m_else) = m_else else {
+                            unreachable!("a column's negation is a column")
+                        };
+                        self.pending[*on_false as usize].push(Edge {
+                            mask: Some(m_else),
+                            stack: self.stack.clone(),
+                        });
+                        self.cur_mask = Some(m_then);
+                        self.goto(*on_true, next);
+                    }
+                }
+            }
+            // Return values are not observable through the batch API,
+            // but the tree is still held to the lane-purity rules.
+            Term::Ret(e) => {
+                self.cell(e)?;
+                self.live = false;
+            }
+            Term::RetC(_) => self.live = false,
+        }
+        Ok(())
+    }
+
+    fn src_of_copy(&mut self, a: Src) -> Src {
+        let PV::S(s) = self.emit(|dst| VOp::Copy { a, dst }) else {
+            unreachable!("emit returns a register")
         };
-        self.pending.entry(target).or_default().push(edge);
+        s
     }
 
-    fn compile(mut self) -> Option<BatchEval> {
-        let code = self.program.code.clone();
-        for (pc, op) in code.iter().enumerate() {
-            self.merge_at(pc as u32)?;
-            if !self.live {
-                continue;
-            }
-            self.fuel_pending += 1;
-            match *op {
-                Op::ConstI(v) => self.push(Cell::P(PV::C(v))),
-                Op::ConstF(v) => self.push(Cell::P(PV::C(v.to_bits() as i64))),
-                Op::LoadInput(i) => self.push(Cell::P(PV::S(Src::Input(i)))),
-                Op::LoadLocal(i) => self.push(Cell::P(PV::S(Src::Local(i)))),
-                Op::LoadGlobal(i) => match self.plan.slots.get(i as usize)?.class {
-                    MergeClass::ReadOnly => {
-                        let s = self.gpool(i);
-                        self.push(Cell::P(PV::S(s)));
-                    }
-                    MergeClass::Counter | MergeClass::MinMax(_) | MergeClass::GatedWrite { .. } => {
-                        self.push(Cell::G(i))
-                    }
-                    _ => return None,
-                },
-                Op::StoreLocal(i) => {
-                    let Cell::P(pv) = self.pop()? else {
-                        return None;
-                    };
-                    let a = self.src(pv);
-                    if a == Src::Local(i) {
-                        // `x = x` — identity under any mask.
-                        continue;
-                    }
-                    self.protect_local(i);
-                    let m = self.cur_mask;
-                    self.vops.push(VOp::StoreLocal { local: i, a, m });
-                }
-                Op::StoreGlobal(s) => {
-                    let cell = self.pop()?;
-                    let class = &self.plan.slots.get(s as usize)?.class;
-                    let m = self.cur_mask;
-                    match cell {
-                        // `g = g` — identity.
-                        Cell::G(t) if t == s => {}
-                        Cell::A { slot, k, d } if slot == s => {
-                            let v = self.src(d);
-                            match (k, class) {
-                                (AccK::Add, MergeClass::Counter) => {
-                                    self.vops.push(VOp::ReduceAdd {
-                                        slot: s,
-                                        delta: v,
-                                        m,
-                                    })
-                                }
-                                (AccK::Min, MergeClass::MinMax(MinMaxOp::Min)) => {
-                                    self.vops.push(VOp::ReduceMin { slot: s, v, m })
-                                }
-                                (AccK::Max, MergeClass::MinMax(MinMaxOp::Max)) => {
-                                    self.vops.push(VOp::ReduceMax { slot: s, v, m })
-                                }
-                                _ => return None,
-                            }
-                        }
-                        Cell::P(PV::C(bits)) => match class {
-                            MergeClass::GatedWrite { value_bits } if *value_bits == bits => {
-                                self.vops.push(VOp::GatedStore { slot: s, bits, m })
-                            }
-                            _ => return None,
-                        },
-                        _ => return None,
-                    }
-                }
-                Op::AddI | Op::SubI | Op::MinI | Op::MaxI => {
-                    let r = self.pop()?;
-                    let l = self.pop()?;
-                    let cell = self.acc_or_bin(*op, l, r)?;
-                    self.push(cell);
-                }
-                Op::MulI => {
-                    let r = self.pop_pv()?;
-                    let l = self.pop_pv()?;
-                    let v = self.bin(BinK::MulI, l, r)?;
-                    self.push(Cell::P(v));
-                }
-                Op::DivI | Op::ModI => {
-                    let r = self.pop_pv()?;
-                    let l = self.pop_pv()?;
-                    let k = if matches!(*op, Op::DivI) {
-                        BinK::DivI
-                    } else {
-                        BinK::ModI
-                    };
-                    let v = self.bin(k, l, r)?;
-                    self.push(Cell::P(v));
-                }
-                Op::NegI => self.unop(UnK::NegI)?,
-                Op::AddF => self.binop(BinK::AddF)?,
-                Op::SubF => self.binop(BinK::SubF)?,
-                Op::MulF => self.binop(BinK::MulF)?,
-                Op::DivF => self.binop(BinK::DivF)?,
-                Op::NegF => self.unop(UnK::NegF)?,
-                Op::I2F => self.unop(UnK::I2F)?,
-                Op::I2FUnder => {
-                    let top = self.pop()?;
-                    let under = self.pop_pv()?;
-                    let conv = self.un(UnK::I2F, under);
-                    self.push(Cell::P(conv));
-                    self.push(top);
-                }
-                Op::EqI => self.binop(BinK::EqI)?,
-                Op::NeI => self.binop(BinK::NeI)?,
-                Op::LtI => self.binop(BinK::LtI)?,
-                Op::LeI => self.binop(BinK::LeI)?,
-                Op::GtI => self.binop(BinK::GtI)?,
-                Op::GeI => self.binop(BinK::GeI)?,
-                Op::EqF => self.binop(BinK::EqF)?,
-                Op::NeF => self.binop(BinK::NeF)?,
-                Op::LtF => self.binop(BinK::LtF)?,
-                Op::LeF => self.binop(BinK::LeF)?,
-                Op::GtF => self.binop(BinK::GtF)?,
-                Op::GeF => self.binop(BinK::GeF)?,
-                Op::NotB => self.unop(UnK::NotB)?,
-                Op::AbsI => self.unop(UnK::AbsI)?,
-                Op::AbsF => self.unop(UnK::AbsF)?,
-                Op::MinF => self.binop(BinK::MinF)?,
-                Op::MaxF => self.binop(BinK::MaxF)?,
-                // `out()` streams are per-row observable side effects the
-                // batch path does not reproduce — scalar fallback.
-                Op::Out => return None,
-                Op::Pop => {
-                    self.pop()?;
-                }
-                Op::Jmp(t) => {
-                    self.flush_fuel();
-                    self.park(t);
-                    self.stack.clear();
-                    self.live = false;
-                }
-                Op::JmpIfFalse(t) => {
-                    let cond = self.pop_pv()?;
-                    self.flush_fuel();
-                    match cond {
-                        PV::C(c) => {
-                            if c == 0 {
-                                // Every live lane jumps.
-                                self.park(t);
-                                self.stack.clear();
-                                self.live = false;
-                            }
-                            // Constant-true: straight fall-through.
-                        }
-                        PV::S(s) => {
-                            let c = self.mask_safe(s);
-                            let (m_then, m_else) = match self.cur_mask {
-                                None => {
-                                    let not = self.un(UnK::NotB, PV::S(c));
-                                    (Some(c), Some(self.src(not)))
-                                }
-                                Some(m) => {
-                                    let t_ = self.bin(BinK::AndB, PV::S(m), PV::S(c))?;
-                                    let e_ = self.bin(BinK::AndNotB, PV::S(m), PV::S(c))?;
-                                    (Some(self.src(t_)), Some(self.src(e_)))
-                                }
-                            };
-                            self.cur_mask = m_else;
-                            self.park(t);
-                            self.cur_mask = m_then;
-                        }
-                    }
-                }
-                Op::Ret => {
-                    // Return values are not observable through the batch
-                    // API; discarding any cell (even a static read) has
-                    // no side effect.
-                    self.pop()?;
-                    self.flush_fuel();
-                    self.stack.clear();
-                    self.live = false;
-                }
-                Op::RetVoid => {
-                    self.flush_fuel();
-                    self.stack.clear();
-                    self.live = false;
-                }
+    fn compile(mut self, ir: &Ir) -> Result<BatchEval, BatchBail> {
+        self.pending = vec![Vec::new(); ir.blocks.len()];
+        for (bi, b) in ir.blocks.iter().enumerate() {
+            self.pc = b.entry_pc;
+            self.merge_at(bi)?;
+            // No lane reaches a block whose every predecessor folded away.
+            if self.live {
+                self.block(b, bi + 1)?;
             }
         }
-        // A parked edge past the end would mean the validator let a jump
-        // escape the program — treat as non-vectorizable, not UB.
-        if !self.pending.is_empty() || self.live {
-            return None;
+        // Forward edges are all consumed by now; a parked one means the
+        // bytecode jumped backwards — not vectorizable, not UB.
+        if self.live || self.pending.iter().any(|p| !p.is_empty()) {
+            return Err(BatchBail::JoinShape { pc: self.pc });
         }
-        let n_pool = self.pool_init.len();
         let gsplats = self
             .pool_init
             .iter()
@@ -920,7 +961,7 @@ impl<'a> Vectorizer<'a> {
                 PoolEntry::Const(_) => None,
             })
             .collect();
-        Some(BatchEval {
+        Ok(BatchEval {
             vops: self.vops,
             n_inputs: self.program.inputs.len(),
             used_inputs: self
@@ -931,78 +972,13 @@ impl<'a> Vectorizer<'a> {
                 .filter(|(_, &u)| u)
                 .map(|(i, _)| i as u16)
                 .collect(),
-            pool_init: self.pool_init,
             gsplats,
             regs: vec![Vec::new(); self.n_regs as usize],
             locals: vec![Vec::new(); self.program.n_locals as usize],
-            pool: vec![Vec::new(); n_pool],
+            pool: vec![Vec::new(); self.pool_init.len()],
+            pool_init: self.pool_init,
             width: 0,
         })
-    }
-
-    /// Lane-wise binary op on two popped pure values.
-    fn binop(&mut self, k: BinK) -> Option<()> {
-        let r = self.pop_pv()?;
-        let l = self.pop_pv()?;
-        let v = self.bin(k, l, r)?;
-        self.push(Cell::P(v));
-        Some(())
-    }
-
-    /// Lane-wise unary op on a popped pure value.
-    fn unop(&mut self, k: UnK) -> Option<()> {
-        let a = self.pop_pv()?;
-        let v = self.un(k, a);
-        self.push(Cell::P(v));
-        Some(())
-    }
-
-    /// `AddI`/`SubI`/`MinI`/`MaxI` over cells that may carry an
-    /// in-flight accumulation. Compositions mirror the fold algebra:
-    /// `(g + a) + b ≡ g + (a + b)` (wrapping), `min(min(g,a),b) ≡
-    /// min(g, min(a,b))`, so collapsing the operand side is exact.
-    fn acc_or_bin(&mut self, op: Op, l: Cell, r: Cell) -> Option<Cell> {
-        use AccK::*;
-        let acc = |slot, k, d| Some(Cell::A { slot, k, d });
-        match (op, l, r) {
-            (Op::AddI, Cell::G(s), Cell::P(p)) | (Op::AddI, Cell::P(p), Cell::G(s)) => {
-                acc(s, Add, p)
-            }
-            (Op::AddI, Cell::A { slot, k: Add, d }, Cell::P(p))
-            | (Op::AddI, Cell::P(p), Cell::A { slot, k: Add, d }) => {
-                let d = self.bin(BinK::AddI, d, p)?;
-                acc(slot, Add, d)
-            }
-            (Op::SubI, Cell::G(s), Cell::P(p)) => {
-                let d = self.un(UnK::NegI, p);
-                acc(s, Add, d)
-            }
-            (Op::SubI, Cell::A { slot, k: Add, d }, Cell::P(p)) => {
-                let d = self.bin(BinK::SubI, d, p)?;
-                acc(slot, Add, d)
-            }
-            (Op::MinI, Cell::G(s), Cell::P(p)) | (Op::MinI, Cell::P(p), Cell::G(s)) => {
-                acc(s, Min, p)
-            }
-            (Op::MinI, Cell::A { slot, k: Min, d }, Cell::P(p))
-            | (Op::MinI, Cell::P(p), Cell::A { slot, k: Min, d }) => {
-                let d = self.bin(BinK::MinI, d, p)?;
-                acc(slot, Min, d)
-            }
-            (Op::MaxI, Cell::G(s), Cell::P(p)) | (Op::MaxI, Cell::P(p), Cell::G(s)) => {
-                acc(s, Max, p)
-            }
-            (Op::MaxI, Cell::A { slot, k: Max, d }, Cell::P(p))
-            | (Op::MaxI, Cell::P(p), Cell::A { slot, k: Max, d }) => {
-                let d = self.bin(BinK::MaxI, d, p)?;
-                acc(slot, Max, d)
-            }
-            (Op::AddI, Cell::P(l), Cell::P(r)) => Some(Cell::P(self.bin(BinK::AddI, l, r)?)),
-            (Op::SubI, Cell::P(l), Cell::P(r)) => Some(Cell::P(self.bin(BinK::SubI, l, r)?)),
-            (Op::MinI, Cell::P(l), Cell::P(r)) => Some(Cell::P(self.bin(BinK::MinI, l, r)?)),
-            (Op::MaxI, Cell::P(l), Cell::P(r)) => Some(Cell::P(self.bin(BinK::MaxI, l, r)?)),
-            _ => None,
-        }
     }
 }
 

@@ -1,7 +1,9 @@
 //! Type checking and bytecode generation.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
+use crate::ir::Lowered;
 use crate::lexer::lex;
 use crate::parser::{AstType, BinOp, Expr, Parser, Stmt, UnOp};
 use crate::vm::Op;
@@ -51,6 +53,9 @@ pub struct Program {
     pub(crate) inputs: Vec<(String, Type)>,
     pub(crate) globals: Vec<(String, Type, GlobalInit)>,
     pub(crate) n_locals: u16,
+    /// Validation, lowering and closure graph, derived from `code` on
+    /// first use and shared by every clone (see [`Program::lowered`]).
+    lowered: Arc<OnceLock<Lowered>>,
 }
 
 /// Initial value of a static variable.
@@ -78,6 +83,35 @@ impl Program {
     pub fn compile(src: &str, inputs: &[(&str, Type)]) -> Result<Program, EcodeError> {
         let stmts = Parser::new(lex(src)?).program()?;
         compile_stmts(&stmts, inputs)
+    }
+
+    /// Assembles a program from compiler (or hand-written test) output.
+    pub(crate) fn from_parts(
+        code: Vec<Op>,
+        inputs: Vec<(String, Type)>,
+        globals: Vec<(String, Type, GlobalInit)>,
+        n_locals: u16,
+    ) -> Program {
+        Program {
+            code,
+            inputs,
+            globals,
+            n_locals,
+            lowered: Arc::default(),
+        }
+    }
+
+    /// What every executor built from this program shares: the
+    /// load-time validation, the one lowering ([`crate::ir`]) and the
+    /// closure graph. Computed once, on first use, however many
+    /// `Instance`s and `BatchEval`s (or clones of the program) ask.
+    ///
+    /// # Panics
+    ///
+    /// If the bytecode fails validation — a compiler bug, since a
+    /// `Program` cannot be built outside this crate.
+    pub(crate) fn lowered(&self) -> &Lowered {
+        self.lowered.get_or_init(|| Lowered::new(self))
     }
 
     /// The declared inputs (name, type) in positional order.
@@ -136,12 +170,7 @@ pub(crate) fn compile_stmts(
     }
     c.stmts(stmts)?;
     c.code.push(Op::RetVoid);
-    Ok(Program {
-        code: c.code,
-        inputs: c.inputs,
-        globals: c.globals,
-        n_locals: c.n_locals,
-    })
+    Ok(Program::from_parts(c.code, c.inputs, c.globals, c.n_locals))
 }
 
 fn terr(line: u32, msg: impl Into<String>) -> EcodeError {

@@ -40,23 +40,8 @@
 
 use std::fmt;
 
-use crate::compile::Program;
-use crate::vm::{Cmp, Op};
+use crate::ir::{self, bits_of, f64_of, Bin, Cmp, Ex, Ir, Step, Term, Un, MAX_CARRY};
 use crate::EcodeError;
-
-/// Hard cap on operand-stack values carried across a block boundary.
-/// Short-circuit joins in real E-Code carry one or two; the array lives
-/// in the driver's stack frame, so the cap keeps block entry/exit
-/// allocation-free.
-pub(crate) const MAX_CARRY: usize = 4;
-
-/// Size limits gating the compiled tier. Programs beyond them still
-/// run — on the checked interpreter — they just aren't worth the
-/// per-block closure graph (compile time and memory scale with block
-/// count, and CPAs installed on the event hot path are small by
-/// doctrine: the verifier already bounds their fuel).
-const MAX_OPS: usize = 4096;
-const MAX_BLOCKS: usize = 256;
 
 /// Mutable run state a block closure — or the interpreter, on a block
 /// the driver hands it — executes against. Borrows the instance's
@@ -154,105 +139,6 @@ impl fmt::Debug for CompiledProgram {
     }
 }
 
-/// Reconstructed expression tree for one stack value. Evaluation order
-/// (left subtree, right subtree, operator) is exactly the bytecode's
-/// push order, so traps fire at the same point with the same partial
-/// state.
-#[derive(Debug, Clone, PartialEq)]
-enum Ex {
-    /// Value carried in from the predecessor block (`Ctx::carry` slot).
-    Carry(u8),
-    ConstI(i64),
-    ConstF(f64),
-    Input(u16),
-    Global(u16),
-    Local(u16),
-    Bin(Bin, Box<Ex>, Box<Ex>),
-    Un(Un, Box<Ex>),
-    CmpI(Cmp, Box<Ex>, Box<Ex>),
-    CmpF(Cmp, Box<Ex>, Box<Ex>),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Bin {
-    AddI,
-    SubI,
-    MulI,
-    DivI,
-    ModI,
-    AddF,
-    SubF,
-    MulF,
-    DivF,
-    MinI,
-    MinF,
-    MaxI,
-    MaxF,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Un {
-    NegI,
-    NegF,
-    NotB,
-    AbsI,
-    AbsF,
-    I2F,
-}
-
-/// One statement's effect, flushed from the symbolic stack in program
-/// order.
-#[derive(Debug, Clone, PartialEq)]
-enum Step {
-    StoreGlobal(u16, Ex),
-    StoreLocal(u16, Ex),
-    /// `out(slot, value)` — slot expression evaluates first (it was
-    /// pushed first).
-    Out(Ex, Ex),
-    /// Expression statement: evaluate for effect (traps), discard.
-    Eval(Ex),
-}
-
-/// Block terminator, after constant-folding `JmpIfFalse` on a constant
-/// condition. Targets are block indices after linking.
-#[derive(Debug, Clone, PartialEq)]
-enum Term {
-    Jmp(u32),
-    /// `if (cond == 0) goto f_target else goto t_target` — E-Code's
-    /// `JmpIfFalse` with the fall-through edge made explicit.
-    Br {
-        cond: Ex,
-        on_false: u32,
-        on_true: u32,
-    },
-    Ret(Ex),
-    RetC(i64),
-}
-
-/// A block between symbolic lowering and closure codegen.
-struct Lowered {
-    entry_pc: u32,
-    carry_in: u8,
-    steps: Vec<Step>,
-    /// Stack values live across the terminator, bottom-up. For
-    /// `Jmp`/`Br` they become the successor's carries; for returns they
-    /// are evaluated for traps and discarded (the bytecode computed
-    /// them before the return value).
-    carry_out: Vec<Ex>,
-    term: Term,
-    /// Fuel of the covered span: this block's op count, plus every
-    /// chain-merged successor's.
-    fuel: u64,
-}
-
-fn f64_of(bits: i64) -> f64 {
-    f64::from_bits(bits as u64)
-}
-
-fn bits_of(v: f64) -> i64 {
-    v.to_bits() as i64
-}
-
 /// Evaluates an expression tree against the run state. All indices were
 /// proven in bounds by `validate` at instance creation, so the safe
 /// slice indexing below never panics (and the branch predictor eats the
@@ -265,56 +151,12 @@ fn eval(ex: &Ex, ctx: &Ctx<'_>) -> Result<i64, EcodeError> {
         Ex::Input(i) => ctx.inputs[*i as usize],
         Ex::Global(i) => ctx.globals[*i as usize],
         Ex::Local(i) => ctx.locals[*i as usize],
-        Ex::Bin(op, l, r) => {
-            let l = eval(l, ctx)?;
-            let r = eval(r, ctx)?;
-            match op {
-                Bin::AddI => l.wrapping_add(r),
-                Bin::SubI => l.wrapping_sub(r),
-                Bin::MulI => l.wrapping_mul(r),
-                Bin::DivI => {
-                    if r == 0 {
-                        return Err(EcodeError::DivideByZero);
-                    }
-                    l.wrapping_div(r)
-                }
-                Bin::ModI => {
-                    if r == 0 {
-                        return Err(EcodeError::DivideByZero);
-                    }
-                    l.wrapping_rem(r)
-                }
-                Bin::AddF => bits_of(f64_of(l) + f64_of(r)),
-                Bin::SubF => bits_of(f64_of(l) - f64_of(r)),
-                Bin::MulF => bits_of(f64_of(l) * f64_of(r)),
-                Bin::DivF => bits_of(f64_of(l) / f64_of(r)),
-                Bin::MinI => l.min(r),
-                Bin::MinF => bits_of(f64_of(l).min(f64_of(r))),
-                Bin::MaxI => l.max(r),
-                Bin::MaxF => bits_of(f64_of(l).max(f64_of(r))),
-            }
-        }
-        Ex::Un(op, e) => {
-            let v = eval(e, ctx)?;
-            match op {
-                Un::NegI => v.wrapping_neg(),
-                Un::NegF => bits_of(-f64_of(v)),
-                Un::NotB => (v == 0) as i64,
-                Un::AbsI => v.wrapping_abs(),
-                Un::AbsF => bits_of(f64_of(v).abs()),
-                Un::I2F => bits_of(v as f64),
-            }
-        }
-        Ex::CmpI(cmp, l, r) => {
-            let l = eval(l, ctx)?;
-            let r = eval(r, ctx)?;
-            cmp.eval(l, r) as i64
-        }
-        Ex::CmpF(cmp, l, r) => {
-            let l = eval(l, ctx)?;
-            let r = eval(r, ctx)?;
-            cmp.eval_f(f64_of(l), f64_of(r)) as i64
-        }
+        Ex::Bin(op, l, r) => op
+            .apply(eval(l, ctx)?, eval(r, ctx)?)
+            .ok_or(EcodeError::DivideByZero)?,
+        Ex::Un(op, e) => op.apply(eval(e, ctx)?),
+        Ex::CmpI(cmp, l, r) => cmp.eval(eval(l, ctx)?, eval(r, ctx)?) as i64,
+        Ex::CmpF(cmp, l, r) => cmp.eval(f64_of(eval(l, ctx)?), f64_of(eval(r, ctx)?)) as i64,
     })
 }
 
@@ -340,102 +182,33 @@ fn exec_step(s: &Step, ctx: &mut Ctx<'_>) -> Result<(), EcodeError> {
     Ok(())
 }
 
-/// Lowers every reachable basic block of `program` and compiles each to
-/// a closure. Returns `None` when the program exceeds [`MAX_OPS`] /
-/// [`MAX_BLOCKS`] or a block's stack discipline can't be proven
-/// statement-shaped — the caller falls back to the checked interpreter.
-///
-/// `depth_at[pc]` is the operand-stack depth on entry to `pc` computed
-/// by `validate` (−1 = unreachable).
-pub(crate) fn compile(program: &Program, depth_at: &[i32]) -> Option<CompiledProgram> {
-    let code = &program.code;
-    if code.len() > MAX_OPS {
-        return None;
-    }
-
-    // Block entries: program start, every jump target, and the
-    // fall-through edge of every conditional branch — exactly the pcs
-    // where the interpreter's block loop can land. Interior jump
-    // targets do not split a block: as in the interpreter, a block runs
-    // from its entry through the next real terminator, and its `fuel`
-    // covers that same span.
-    let mut entries: Vec<usize> = Vec::new();
-    let mut seen = vec![false; code.len()];
-    let mark = |pc: usize, entries: &mut Vec<usize>, seen: &mut Vec<bool>| {
-        if depth_at[pc] >= 0 && !seen[pc] {
-            seen[pc] = true;
-            entries.push(pc);
-        }
-    };
-    mark(0, &mut entries, &mut seen);
-    for (pc, op) in code.iter().enumerate() {
-        if depth_at[pc] < 0 {
-            continue; // dead code: never entered, never lowered
-        }
-        match *op {
-            Op::Jmp(t) => mark(t as usize, &mut entries, &mut seen),
-            Op::JmpIfFalse(t) => {
-                mark(t as usize, &mut entries, &mut seen);
-                mark(pc + 1, &mut entries, &mut seen);
-            }
-            _ => {}
-        }
-    }
-    entries.sort_unstable();
-    if entries.len() > MAX_BLOCKS {
-        return None;
-    }
-    let mut pc2block = vec![u32::MAX; code.len()];
-    for (bi, &pc) in entries.iter().enumerate() {
-        pc2block[pc] = bi as u32;
-    }
-
-    let mut lowered = Vec::with_capacity(entries.len());
-    for &entry in &entries {
-        lowered.push(lower_block(code, entry, depth_at[entry] as usize)?);
-    }
-    merge_chains(&mut lowered, &pc2block);
-    // Link terminator targets from pc space to block indices.
-    for lb in &mut lowered {
-        let link = |pc: &mut u32| -> Option<()> {
-            let b = pc2block[*pc as usize];
-            debug_assert!(b != u32::MAX, "branch to a non-entry pc");
-            *pc = b;
-            Some(())
-        };
-        match &mut lb.term {
-            Term::Jmp(t) => link(t)?,
-            Term::Br {
-                on_false, on_true, ..
-            } => {
-                link(on_false)?;
-                link(on_true)?;
-            }
-            Term::Ret(_) | Term::RetC(_) => {}
-        }
-    }
-
-    // Specialization runs after linking so `spec_node` can follow
-    // branch edges and inline small specialized successors, and so
-    // `parse_whole` sees merged spans and block-index targets.
-    let whole = parse_whole(&lowered);
-    let specs: Vec<Option<BlockFn>> = (0..lowered.len())
+/// Compiles every block of the lowered program to a closure: the IR's
+/// fall-through and jump chains are merged back into the interpreter's
+/// longer spans ([`merge_chains`]), merged blocks are specialized where
+/// they fit the monomorphized universe, and the rest get the generic
+/// tree-walking closure.
+pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
+    // The IR itself stays unmerged — the column backend wants the
+    // partition — so merging rewrites a copy.
+    let mut blocks = ir.blocks.clone();
+    merge_chains(&mut blocks);
+    let whole = parse_whole(&blocks);
+    let specs: Vec<Option<BlockFn>> = (0..blocks.len())
         .map(|i| {
-            spec_node(&lowered, i, INLINE_DEPTH).map(|root| -> BlockFn {
+            spec_node(&blocks, i, INLINE_DEPTH).map(|root| -> BlockFn {
                 Box::new(move |ctx: &mut Ctx<'_>, fuel_left: u64| root.exec(ctx, fuel_left))
             })
         })
         .collect();
-    let blocks = lowered
-        .into_iter()
-        .zip(specs)
-        .map(|(lb, spec)| codegen(lb, spec))
-        .collect();
-    Some(CompiledProgram {
-        blocks,
-        pc2block,
+    CompiledProgram {
+        blocks: blocks
+            .into_iter()
+            .zip(specs)
+            .map(|(b, spec)| codegen(b, spec))
+            .collect(),
+        pc2block: ir.pc2block.clone(),
         whole,
-    })
+    }
 }
 
 /// Inlines unconditional-jump chains: a block ending in `Jmp(T)` runs
@@ -458,17 +231,17 @@ pub(crate) fn compile(program: &Program, depth_at: &[i32]) -> Option<CompiledPro
 /// expression is invariant over anything a statement can write (inputs
 /// and constants; no globals/locals, no traps), so merging is skipped
 /// otherwise.
-fn merge_chains(lowered: &mut [Lowered], pc2block: &[u32]) {
+fn merge_chains(lowered: &mut [ir::Block]) {
     // Reverse order makes single-pass transitive: forward jump targets
     // are fully merged before their predecessors consider them.
     for i in (0..lowered.len()).rev() {
         // A cycle of empty blocks could ping-pong; the fuse cap bounds
         // the work (and any real chain is far shorter).
         for _ in 0..8 {
-            let Term::Jmp(t_pc) = lowered[i].term else {
+            let Term::Jmp(j) = lowered[i].term else {
                 break;
             };
-            let j = pc2block[t_pc as usize] as usize;
+            let j = j as usize;
             if j == i
                 || !lowered[i].carry_out.iter().all(invariant)
                 || lowered[i].steps.len() + lowered[j].steps.len() > 8
@@ -487,19 +260,16 @@ fn merge_chains(lowered: &mut [Lowered], pc2block: &[u32]) {
                 .iter()
                 .map(|e| subst(e, &carries))
                 .collect();
+            // A substituted literal folds the branch, as it did when one
+            // symbolic run covered both spans.
             let term = match &lowered[j].term {
-                Term::Jmp(t) => Term::Jmp(*t),
                 Term::Br {
                     cond,
                     on_false,
                     on_true,
-                } => Term::Br {
-                    cond: subst(cond, &carries),
-                    on_false: *on_false,
-                    on_true: *on_true,
-                },
-                Term::Ret(e) => Term::Ret(subst(e, &carries)),
-                Term::RetC(c) => Term::RetC(*c),
+                } => Term::br(subst(cond, &carries), *on_false, *on_true),
+                Term::Ret(e) => Term::ret(subst(e, &carries)),
+                t => t.clone(),
             };
             let fuel = lowered[j].fuel;
             let lb = &mut lowered[i];
@@ -549,230 +319,14 @@ fn subst_step(s: &Step, carries: &[Ex]) -> Step {
     }
 }
 
-/// Symbolically executes one block (entry through its real terminator),
-/// reconstructing per-statement expression trees from the stack code.
-fn lower_block(code: &[Op], entry: usize, carry_in: usize) -> Option<Lowered> {
-    if carry_in > MAX_CARRY {
-        return None;
-    }
-    let mut sym: Vec<Ex> = (0..carry_in).map(|i| Ex::Carry(i as u8)).collect();
-    let mut steps = Vec::new();
-    // A store/out/pop must leave only entry carries pending beneath it:
-    // anything else would reorder evaluation (the pending tree would
-    // run *after* the store where the bytecode ran it before). The
-    // compiler's statement discipline guarantees this; bail, don't
-    // trust.
-    let carries_only = |sym: &[Ex]| sym.iter().all(|e| matches!(e, Ex::Carry(_)));
-    let mut pc = entry;
-    loop {
-        let op = code[pc];
-        pc += 1;
-        match op {
-            Op::ConstI(v) => sym.push(Ex::ConstI(v)),
-            Op::ConstF(v) => sym.push(Ex::ConstF(v)),
-            Op::LoadInput(i) => sym.push(Ex::Input(i)),
-            Op::LoadGlobal(i) => sym.push(Ex::Global(i)),
-            Op::LoadLocal(i) => sym.push(Ex::Local(i)),
-            Op::StoreGlobal(g) => {
-                let e = sym.pop()?;
-                if !carries_only(&sym) {
-                    return None;
-                }
-                steps.push(Step::StoreGlobal(g, e));
-            }
-            Op::StoreLocal(l) => {
-                let e = sym.pop()?;
-                if !carries_only(&sym) {
-                    return None;
-                }
-                steps.push(Step::StoreLocal(l, e));
-            }
-            Op::Out => {
-                let value = sym.pop()?;
-                let slot = sym.pop()?;
-                if !carries_only(&sym) {
-                    return None;
-                }
-                steps.push(Step::Out(slot, value));
-            }
-            Op::Pop => {
-                let e = sym.pop()?;
-                if !carries_only(&sym) {
-                    return None;
-                }
-                // Evaluate for effect: a discarded `1 / x` still traps.
-                // A provably trap-free discard (no int div/mod inside)
-                // is dropped outright — nothing can observe it, and fuel
-                // was precharged for the whole block either way.
-                if can_trap(&e) {
-                    steps.push(Step::Eval(e));
-                }
-            }
-            Op::I2F => {
-                let e = sym.pop()?;
-                sym.push(Ex::Un(Un::I2F, Box::new(e)));
-            }
-            Op::I2FUnder => {
-                let top = sym.pop()?;
-                let under = sym.pop()?;
-                sym.push(Ex::Un(Un::I2F, Box::new(under)));
-                sym.push(top);
-            }
-            Op::NegI => un(&mut sym, Un::NegI)?,
-            Op::NegF => un(&mut sym, Un::NegF)?,
-            Op::NotB => un(&mut sym, Un::NotB)?,
-            Op::AbsI => un(&mut sym, Un::AbsI)?,
-            Op::AbsF => un(&mut sym, Un::AbsF)?,
-            Op::AddI => bin(&mut sym, Bin::AddI)?,
-            Op::SubI => bin(&mut sym, Bin::SubI)?,
-            Op::MulI => bin(&mut sym, Bin::MulI)?,
-            Op::DivI => bin(&mut sym, Bin::DivI)?,
-            Op::ModI => bin(&mut sym, Bin::ModI)?,
-            Op::AddF => bin(&mut sym, Bin::AddF)?,
-            Op::SubF => bin(&mut sym, Bin::SubF)?,
-            Op::MulF => bin(&mut sym, Bin::MulF)?,
-            Op::DivF => bin(&mut sym, Bin::DivF)?,
-            Op::MinI => bin(&mut sym, Bin::MinI)?,
-            Op::MinF => bin(&mut sym, Bin::MinF)?,
-            Op::MaxI => bin(&mut sym, Bin::MaxI)?,
-            Op::MaxF => bin(&mut sym, Bin::MaxF)?,
-            Op::EqI => cmp_i(&mut sym, Cmp::Eq)?,
-            Op::NeI => cmp_i(&mut sym, Cmp::Ne)?,
-            Op::LtI => cmp_i(&mut sym, Cmp::Lt)?,
-            Op::LeI => cmp_i(&mut sym, Cmp::Le)?,
-            Op::GtI => cmp_i(&mut sym, Cmp::Gt)?,
-            Op::GeI => cmp_i(&mut sym, Cmp::Ge)?,
-            Op::EqF => cmp_f(&mut sym, Cmp::Eq)?,
-            Op::NeF => cmp_f(&mut sym, Cmp::Ne)?,
-            Op::LtF => cmp_f(&mut sym, Cmp::Lt)?,
-            Op::LeF => cmp_f(&mut sym, Cmp::Le)?,
-            Op::GtF => cmp_f(&mut sym, Cmp::Gt)?,
-            Op::GeF => cmp_f(&mut sym, Cmp::Ge)?,
-            Op::Jmp(t) => {
-                if sym.len() > MAX_CARRY {
-                    return None;
-                }
-                return Some(Lowered {
-                    entry_pc: entry as u32,
-                    carry_in: carry_in as u8,
-                    steps,
-                    carry_out: sym,
-                    term: Term::Jmp(t),
-                    fuel: (pc - entry) as u64,
-                });
-            }
-            Op::JmpIfFalse(t) => {
-                let cond = sym.pop()?;
-                if sym.len() > MAX_CARRY {
-                    return None;
-                }
-                // `push 0; jump-if-false` is the `&&` false arm feeding
-                // an `if` — an unconditional jump.
-                let term = match cond {
-                    Ex::ConstI(0) => Term::Jmp(t),
-                    Ex::ConstI(_) => Term::Jmp(pc as u32),
-                    cond => Term::Br {
-                        cond,
-                        on_false: t,
-                        on_true: pc as u32,
-                    },
-                };
-                return Some(Lowered {
-                    entry_pc: entry as u32,
-                    carry_in: carry_in as u8,
-                    steps,
-                    carry_out: sym,
-                    term,
-                    fuel: (pc - entry) as u64,
-                });
-            }
-            Op::Ret => {
-                let e = sym.pop()?;
-                if sym.len() > MAX_CARRY {
-                    return None;
-                }
-                let term = match e {
-                    Ex::ConstI(c) => Term::RetC(c),
-                    e => Term::Ret(e),
-                };
-                return Some(Lowered {
-                    entry_pc: entry as u32,
-                    carry_in: carry_in as u8,
-                    steps,
-                    carry_out: sym,
-                    term,
-                    fuel: (pc - entry) as u64,
-                });
-            }
-            Op::RetVoid => {
-                if sym.len() > MAX_CARRY {
-                    return None;
-                }
-                return Some(Lowered {
-                    entry_pc: entry as u32,
-                    carry_in: carry_in as u8,
-                    steps,
-                    carry_out: sym,
-                    term: Term::RetC(0),
-                    fuel: (pc - entry) as u64,
-                });
-            }
-        }
-    }
-}
-
-fn bin(sym: &mut Vec<Ex>, op: Bin) -> Option<()> {
-    let r = sym.pop()?;
-    let l = sym.pop()?;
-    sym.push(Ex::Bin(op, Box::new(l), Box::new(r)));
-    Some(())
-}
-
-fn un(sym: &mut Vec<Ex>, op: Un) -> Option<()> {
-    let e = sym.pop()?;
-    sym.push(Ex::Un(op, Box::new(e)));
-    Some(())
-}
-
-fn cmp_i(sym: &mut Vec<Ex>, cmp: Cmp) -> Option<()> {
-    let r = sym.pop()?;
-    let l = sym.pop()?;
-    sym.push(Ex::CmpI(cmp, Box::new(l), Box::new(r)));
-    Some(())
-}
-
-fn cmp_f(sym: &mut Vec<Ex>, cmp: Cmp) -> Option<()> {
-    let r = sym.pop()?;
-    let l = sym.pop()?;
-    sym.push(Ex::CmpF(cmp, Box::new(l), Box::new(r)));
-    Some(())
-}
-
-/// Whether evaluating `ex` can raise a trap. Only integer division and
-/// modulo trap; everything else (float ops included — IEEE divides by
-/// zero quietly) is pure.
-fn can_trap(ex: &Ex) -> bool {
-    match ex {
-        Ex::Bin(op, l, r) => matches!(op, Bin::DivI | Bin::ModI) || can_trap(l) || can_trap(r),
-        Ex::Un(_, e) => can_trap(e),
-        Ex::CmpI(_, l, r) | Ex::CmpF(_, l, r) => can_trap(l) || can_trap(r),
-        Ex::Carry(_)
-        | Ex::ConstI(_)
-        | Ex::ConstF(_)
-        | Ex::Input(_)
-        | Ex::Global(_)
-        | Ex::Local(_) => false,
-    }
-}
-
 /// Turns one lowered block into its closure. The hot analyzer idioms
 /// (counter bump + accumulate + guard, short-circuit arms and joins,
 /// ratio publication, constant returns) get fully monomorphized
 /// closures — straight-line machine code, one indirect call per block;
 /// everything else gets the generic tree-walking closure, which is
 /// still correct for arbitrary shapes.
-fn codegen(lb: Lowered, spec: Option<BlockFn>) -> Block {
-    let Lowered {
+fn codegen(lb: ir::Block, spec: Option<BlockFn>) -> Block {
+    let ir::Block {
         entry_pc,
         carry_in,
         steps,
@@ -1184,7 +738,7 @@ impl SpecNode {
 /// the generic tree-walking closure instead, which is still correct for
 /// arbitrary shapes. Runs after `merge_chains` and terminator linking,
 /// so targets are block indices and `fuel` values are merged spans.
-fn spec_node(lowered: &[Lowered], i: usize, depth: usize) -> Option<SpecNode> {
+fn spec_node(lowered: &[ir::Block], i: usize, depth: usize) -> Option<SpecNode> {
     let lb = &lowered[i];
     let fsteps = as_fsteps(&lb.steps)?;
     // Carried values feeding a successor must be materialized; the
@@ -1215,7 +769,7 @@ fn spec_node(lowered: &[Lowered], i: usize, depth: usize) -> Option<SpecNode> {
     Some(SpecNode { fsteps, term })
 }
 
-fn spec_arm(lowered: &[Lowered], block: u32, depth: usize) -> SpecArm {
+fn spec_arm(lowered: &[ir::Block], block: u32, depth: usize) -> SpecArm {
     let node = if depth > 0 {
         spec_node(lowered, block as usize, depth - 1).map(Box::new)
     } else {
@@ -1391,7 +945,7 @@ impl Whole {
 /// `return carry` join pair the short-circuit lowering leaves when the
 /// carried value reads mutable state (so `merge_chains` couldn't fold
 /// it). Returns the leaf and the block-span fuel it covers.
-fn parse_ret_leaf(lowered: &[Lowered], j: u32) -> Option<(WLeaf, u64)> {
+fn parse_ret_leaf(lowered: &[ir::Block], j: u32) -> Option<(WLeaf, u64)> {
     let b = &lowered[j as usize];
     if b.carry_in != 0 || !b.steps.is_empty() {
         return None;
@@ -1419,7 +973,7 @@ fn parse_ret_leaf(lowered: &[Lowered], j: u32) -> Option<(WLeaf, u64)> {
 /// where the tail may be one conditional-return level (both the merged
 /// `Br`-on-condition form and the unmerged carry-compute → `Br`-on-carry
 /// join form).
-fn parse_cont(lowered: &[Lowered], j: u32) -> Option<WCont> {
+fn parse_cont(lowered: &[ir::Block], j: u32) -> Option<WCont> {
     let b = &lowered[j as usize];
     if b.carry_in != 0 {
         return None;
@@ -1492,7 +1046,7 @@ fn parse_cont(lowered: &[Lowered], j: u32) -> Option<WCont> {
 /// fully general). Runs after `merge_chains` and linking, so `fuel`
 /// values are merged spans and targets are block indices — the per-path
 /// totals baked here are exactly the driver's precharge sums.
-fn parse_whole(lowered: &[Lowered]) -> Option<Whole> {
+fn parse_whole(lowered: &[ir::Block]) -> Option<Whole> {
     let b0 = &lowered[0];
     let (cond, on_false, on_true) = match &b0.term {
         Term::Br {
@@ -1707,8 +1261,8 @@ fn as_gupd(step: &Step) -> Option<GUpd> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{ExecTier, Instance, Type, Value};
+    use crate::ir::MAX_OPS;
+    use crate::{ExecTier, Instance, Program, Type, Value};
 
     const INPUTS: [(&str, Type); 2] = [("size", Type::Int), ("port", Type::Int)];
 

@@ -72,18 +72,20 @@
 mod analysis;
 mod batch;
 mod compile;
+mod ir;
 pub mod jit;
 mod lexer;
 mod parser;
 mod vm;
 
-pub use batch::BatchEval;
+pub use batch::{BatchBail, BatchEval};
 
 pub use analysis::{
     verify, Diagnostic, MergeClass, MergePlan, MinMaxOp, Severity, SlotPlan, Verified, VerifyError,
     VerifyLimits, VerifyReport,
 };
 pub use compile::{Program, Type};
+pub use ir::Bail;
 pub use vm::{ExecTier, Instance, MergeError, RunOutcome, Value};
 
 use std::fmt;

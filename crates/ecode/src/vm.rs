@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use crate::analysis::{MergeClass, MergePlan, MinMaxOp};
 use crate::compile::{GlobalInit, Program, Type};
+use crate::ir::{Bail, MAX_CARRY};
 use crate::jit;
 use crate::EcodeError;
 
@@ -192,7 +193,7 @@ fn stack_effect(op: Op) -> (u32, i32) {
 ///
 /// Also returns the per-pc entry depths (`-1` = unreachable): the
 /// compiled tier seeds its cross-block carry tracking from them.
-fn validate(program: &Program) -> (usize, Vec<i32>) {
+pub(crate) fn validate(program: &Program) -> (usize, Vec<i32>) {
     let code = &program.code;
     assert!(!code.is_empty(), "E-Code compiler emitted no code");
     let n_inputs = program.inputs.len();
@@ -243,45 +244,6 @@ fn validate(program: &Program) -> (usize, Vec<i32>) {
     (max_depth as usize, depth_at)
 }
 
-/// Comparison kind carried by the compiled tier's expression trees.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Cmp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl Cmp {
-    #[inline(always)]
-    pub(crate) fn eval(self, l: i64, r: i64) -> bool {
-        match self {
-            Cmp::Eq => l == r,
-            Cmp::Ne => l != r,
-            Cmp::Lt => l < r,
-            Cmp::Le => l <= r,
-            Cmp::Gt => l > r,
-            Cmp::Ge => l >= r,
-        }
-    }
-
-    /// Float comparison with IEEE semantics (identical to the `*F`
-    /// compare opcodes).
-    #[inline(always)]
-    pub(crate) fn eval_f(self, l: f64, r: f64) -> bool {
-        match self {
-            Cmp::Eq => l == r,
-            Cmp::Ne => l != r,
-            Cmp::Lt => l < r,
-            Cmp::Le => l <= r,
-            Cmp::Gt => l > r,
-            Cmp::Ge => l >= r,
-        }
-    }
-}
-
 /// Which execution tier an [`Instance`] selected at creation.
 ///
 /// Tier selection is an implementation detail for correctness (all
@@ -308,10 +270,9 @@ pub enum ExecTier {
 pub struct Instance {
     program: Program,
     globals: Vec<i64>,
-    /// The closure-compiled tier, when [`jit::compile`] could lower the
-    /// program — `None` means every run uses the checked interpreter.
-    /// Shared via `Arc` so cloning an instance into digest-plane
-    /// replicas doesn't recompile.
+    /// The closure-compiled tier, when the program lowered
+    /// ([`Program::lowered`]) — `None` means every run uses the checked
+    /// interpreter. One graph per program, shared by every instance.
     compiled: Option<Arc<jit::CompiledProgram>>,
     stack: Vec<i64>,
     locals: Vec<i64>,
@@ -320,17 +281,18 @@ pub struct Instance {
     /// Compiled-tier scratch: operand-stack values crossing a block
     /// boundary. Lives in the instance (not the driver's frame) so the
     /// whole [`jit::Ctx`] borrows at one lifetime.
-    carry: [i64; jit::MAX_CARRY],
+    carry: [i64; MAX_CARRY],
 }
 
 impl Instance {
     /// Creates an instance with statics at their declared initial values.
     /// The program is cheap to clone (bytecode + layout tables).
     ///
-    /// Every program [`jit::compile`] can lower runs on the
-    /// closure-compiled tier; the rest run on the checked per-op
-    /// interpreter. Both are bit-identical on every observable
-    /// ([`tier`](Instance::tier) reports which one was selected).
+    /// Every program the lowering accepts runs on the closure-compiled
+    /// tier; the rest run on the checked per-op interpreter. Both are
+    /// bit-identical on every observable ([`tier`](Instance::tier)
+    /// reports which one was selected,
+    /// [`compile_bail`](Instance::compile_bail) why).
     pub fn new(program: &Program) -> Self {
         Self::build(program, true)
     }
@@ -349,21 +311,16 @@ impl Instance {
             .iter()
             .map(|(_, _, i)| init_raw(i))
             .collect();
-        let (max_stack, depth_at) = validate(program);
-        let compiled = if compile {
-            jit::compile(program, &depth_at).map(Arc::new)
-        } else {
-            None
-        };
+        let lowered = program.lowered();
         Instance {
             program: program.clone(),
             globals,
-            compiled,
-            stack: Vec::with_capacity(max_stack),
+            compiled: lowered.compiled.clone().filter(|_| compile),
+            stack: Vec::with_capacity(lowered.max_stack),
             locals: Vec::new(),
             raw_inputs: Vec::new(),
             outputs: Vec::new(),
-            carry: [0; jit::MAX_CARRY],
+            carry: [0; MAX_CARRY],
         }
     }
 
@@ -393,6 +350,15 @@ impl Instance {
         } else {
             ExecTier::Fused
         }
+    }
+
+    /// Why the program could not be lowered — the reason
+    /// [`new`](Instance::new) selected [`ExecTier::Fused`] — or `None`
+    /// when it was (an instance built with
+    /// [`new_fused`](Instance::new_fused) is interpreted by request, not
+    /// by bail).
+    pub fn compile_bail(&self) -> Option<Bail> {
+        self.program.lowered().ir.as_ref().err().copied()
     }
 
     /// Resets the `static` variables to their declared initial values, as
@@ -1238,12 +1204,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "control flow escapes")]
     fn malformed_bytecode_is_rejected_at_instance_creation() {
-        let p = Program {
-            code: vec![Op::Jmp(9)],
-            inputs: vec![],
-            globals: vec![],
-            n_locals: 0,
-        };
+        let p = Program::from_parts(vec![Op::Jmp(9)], vec![], vec![], 0);
         let _ = Instance::new(&p);
     }
 
