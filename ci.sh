@@ -39,6 +39,15 @@ run_hotpath_bench_smoke() {
     test -s target/BENCH_hotpath_smoke.json
 }
 
+check_one_lowering() {
+    # `ecode::ir::lower` is the one bytecode→tree lowering; a backend
+    # that names a stack op has started walking bytecode on its own.
+    if grep -nE '\bOp::' crates/ecode/src/jit.rs crates/ecode/src/batch.rs; then
+        echo "jit.rs / batch.rs must consume ecode::ir, not stack bytecode" >&2
+        return 1
+    fi
+}
+
 # Fast paths for iterating on one slice of the system: each runs only
 # the steps listed for its flag below — skipping fmt/clippy and the
 # full suite — then prints "<LABEL> OK". A step that starts with "==>"
@@ -90,15 +99,23 @@ case "${1:-}" in
         "run_hotpath_bench_smoke --min-speedup 0.5"
     ;;
 --jit)
-    # The compiled execution tier: the jit unit + fallback tests, the
-    # compiled-vs-reference generative sweeps, the allocation-discipline
-    # proof, the CPA dispatch wiring, and a short hotpath bench run that
-    # exercises the cpa_eval arm.
+    # The compiled execution tier and the lowering under it: the IR's
+    # partition + path-fuel check and bail reasons, the jit unit +
+    # fallback tests, the generative sweeps (compiled vs reference, and
+    # the column backend vs the scalar row loop), the hostile-source
+    # limits, the allocation-discipline proof, the CPA dispatch wiring,
+    # and a short hotpath bench run that exercises the cpa_eval arm.
     fast_path JIT \
+        "==> one lowering (no stack ops in the backends; IR partition, path fuel, bails)" \
+        check_one_lowering \
+        "cargo test -q -p ecode ir::" \
         "==> compiled-tier lowering + fallback tests (ecode)" \
         "cargo test -q -p ecode jit" \
-        "==> generative sweeps (compiled vs per-op reference)" \
+        "==> generative sweeps (compiled vs per-op reference, batch vs scalar rows)" \
         "cargo test -q -p ecode --test verifier generated" \
+        "==> hostile source (parse error, not a stack overflow; NACK, not an abort)" \
+        "cargo test -q -p ecode --test verifier hostile" \
+        "cargo test -q --test verifier_integration hostile" \
         "==> allocation discipline (counting allocator, release)" \
         "cargo test -q --release -p ecode --test zero_alloc" \
         "==> CPA dispatch + filter wiring (core, pubsub)" \
@@ -128,6 +145,12 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 run_analyzer
+
+echo "==> one lowering (no stack ops in the ecode backends)"
+check_one_lowering
+
+echo "==> cargo doc (ecode's docs are its design: no stale links)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode
 
 echo "==> cargo test"
 cargo test --workspace -q

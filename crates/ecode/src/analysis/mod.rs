@@ -45,8 +45,7 @@ pub use diag::{Diagnostic, Severity};
 pub use merge::{MergeClass, MergePlan, MinMaxOp, SlotPlan};
 
 use crate::compile::{compile_stmts, Program, Type};
-use crate::lexer::lex;
-use crate::parser::Parser;
+use crate::parser::parse;
 use crate::EcodeError;
 use std::fmt;
 
@@ -226,7 +225,7 @@ pub fn verify(
 ) -> Result<Verified<Program>, VerifyError> {
     // Pass 1: compile. Anything the compiler rejects is E0004; the later
     // passes may then assume a well-typed AST.
-    let stmts = match lex(src).and_then(|t| Parser::new(t).program()) {
+    let stmts = match parse(src) {
         Ok(stmts) => stmts,
         Err(e) => return Err(VerifyError::new(src, vec![compile_diag(&e)])),
     };

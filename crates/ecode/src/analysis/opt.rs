@@ -314,11 +314,10 @@ fn fold_call(name: &str, args: Vec<Expr>, line: u32) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::parser::Parser;
+    use crate::parser::parse;
 
     fn opt(src: &str) -> Vec<Stmt> {
-        optimize(&Parser::new(lex(src).unwrap()).program().unwrap())
+        optimize(&parse(src).unwrap())
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::fmt;
 
 use crate::analysis::{MergeClass, MergePlan, MinMaxOp};
 use crate::compile::Program;
-use crate::ir::{bits_of, Bail, Bin, Block, Cmp, Ex, Ir, Step, Term, Un};
+use crate::ir::{bits_of, Bail, Bin, Block, Ex, Ir, Step, Term, Un};
 use crate::vm::Instance;
 
 /// Why a program was not vectorized, and therefore runs row-at-a-time
@@ -158,14 +158,6 @@ enum VOp {
         a: Src,
         dst: u16,
     },
-    /// `dst[l] = cmp(a[l], b[l])` as integers or (`float`) doubles.
-    Cmp {
-        cmp: Cmp,
-        float: bool,
-        a: Src,
-        b: Src,
-        dst: u16,
-    },
     Mask {
         k: MaskK,
         a: Src,
@@ -191,20 +183,10 @@ enum VOp {
         a: Src,
         m: Mask,
     },
-    /// Counter fold: `g += Σ delta[l]` over masked lanes (wrapping).
-    ReduceAdd {
-        slot: u16,
-        delta: Src,
-        m: Mask,
-    },
-    /// Min fold: `g = min(g, v[l])` over masked lanes.
-    ReduceMin {
-        slot: u16,
-        v: Src,
-        m: Mask,
-    },
-    /// Max fold: `g = max(g, v[l])` over masked lanes.
-    ReduceMax {
+    /// Static fold over masked lanes: `g += Σ v[l]` (wrapping),
+    /// `g = min(g, v[l])` or `g = max(g, v[l])`.
+    Reduce {
+        k: AccK,
         slot: u16,
         v: Src,
         m: Mask,
@@ -340,131 +322,56 @@ impl BatchEval {
 
         let mut fuel_used = 0u64;
         for vi in 0..self.vops.len() {
-            // `dst` columns are taken out of the arena for the duration
-            // of one vector op so operands can be borrowed from `self`;
-            // SSA register allocation guarantees `dst` is never also an
-            // operand of the same op.
             match self.vops[vi] {
                 // Divisors are compile-time constants proven nonzero,
                 // so the full-lane sweep cannot trap.
-                VOp::Bin { op, a, b, dst } => {
-                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    op.sweep(&mut d[..rows], self.col(a, cols), self.col(b, cols));
-                    self.regs[dst as usize] = d;
-                }
+                VOp::Bin { op, a, b, dst } => self.into_reg(dst, rows, |s, d| {
+                    op.sweep(d, s.col(a, cols), s.col(b, cols));
+                }),
                 VOp::Un { op, a, dst } => {
-                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    op.sweep(&mut d[..rows], self.col(a, cols));
-                    self.regs[dst as usize] = d;
+                    self.into_reg(dst, rows, |s, d| op.sweep(d, s.col(a, cols)));
                 }
-                VOp::Cmp {
-                    cmp,
-                    float,
-                    a,
-                    b,
-                    dst,
-                } => {
-                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    cmp.sweep(float, &mut d[..rows], self.col(a, cols), self.col(b, cols));
-                    self.regs[dst as usize] = d;
-                }
-                VOp::Mask { k, a, b, dst } => {
-                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    {
-                        let (a, b) = (&self.col(a, cols)[..rows], &self.col(b, cols)[..rows]);
-                        let lanes = d.iter_mut().zip(a).zip(b);
-                        match k {
-                            MaskK::And => lanes.for_each(|((d, &x), &y)| *d = x & y),
-                            MaskK::AndNot => lanes.for_each(|((d, &x), &y)| *d = x & (y ^ 1)),
-                            MaskK::Or => lanes.for_each(|((d, &x), &y)| *d = x | y),
-                        }
+                VOp::Mask { k, a, b, dst } => self.into_reg(dst, rows, |s, d| {
+                    let lanes = d.iter_mut().zip(s.col(a, cols)).zip(s.col(b, cols));
+                    match k {
+                        MaskK::And => lanes.for_each(|((d, &x), &y)| *d = x & y),
+                        MaskK::AndNot => lanes.for_each(|((d, &x), &y)| *d = x & (y ^ 1)),
+                        MaskK::Or => lanes.for_each(|((d, &x), &y)| *d = x | y),
                     }
-                    self.regs[dst as usize] = d;
-                }
-                VOp::Blend { m, a, b, dst } => {
-                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    {
-                        let (m, a, b) = (self.col(m, cols), self.col(a, cols), self.col(b, cols));
-                        for l in 0..rows {
-                            d[l] = if m[l] != 0 { b[l] } else { a[l] };
-                        }
+                }),
+                VOp::Blend { m, a, b, dst } => self.into_reg(dst, rows, |s, d| {
+                    let (m, a, b) = (s.col(m, cols), s.col(a, cols), s.col(b, cols));
+                    for l in 0..rows {
+                        d[l] = if m[l] != 0 { b[l] } else { a[l] };
                     }
-                    self.regs[dst as usize] = d;
-                }
+                }),
                 VOp::Copy { a, dst } => {
-                    let mut d = std::mem::take(&mut self.regs[dst as usize]);
-                    d[..rows].copy_from_slice(&self.col(a, cols)[..rows]);
-                    self.regs[dst as usize] = d;
+                    self.into_reg(dst, rows, |s, d| d.copy_from_slice(&s.col(a, cols)[..rows]));
                 }
                 VOp::StoreLocal { local, a, m } => {
                     let mut d = std::mem::take(&mut self.locals[local as usize]);
-                    {
-                        let a = self.col(a, cols);
-                        match m.map(|m| self.col(m, cols)) {
-                            None => d[..rows].copy_from_slice(&a[..rows]),
-                            Some(m) => {
-                                for l in 0..rows {
-                                    if m[l] != 0 {
-                                        d[l] = a[l];
-                                    }
+                    let a = self.col(a, cols);
+                    match m.map(|m| self.col(m, cols)) {
+                        None => d[..rows].copy_from_slice(&a[..rows]),
+                        Some(m) => {
+                            for l in 0..rows {
+                                if m[l] != 0 {
+                                    d[l] = a[l];
                                 }
                             }
                         }
                     }
                     self.locals[local as usize] = d;
                 }
-                VOp::ReduceAdd { slot, delta, m } => {
-                    let mut acc = 0i64;
-                    let d = self.col(delta, cols);
-                    match m.map(|m| self.col(m, cols)) {
-                        None => {
-                            for &v in &d[..rows] {
-                                acc = acc.wrapping_add(v);
-                            }
-                        }
-                        Some(m) => {
-                            for l in 0..rows {
-                                let keep = -((m[l] != 0) as i64);
-                                acc = acc.wrapping_add(d[l] & keep);
-                            }
-                        }
-                    }
+                VOp::Reduce { k, slot, v, m } => {
+                    let v = &self.col(v, cols)[..rows];
+                    let m = m.map(|m| &self.col(m, cols)[..rows]);
                     let g = &mut inst.globals_mut()[slot as usize];
-                    *g = g.wrapping_add(acc);
-                }
-                VOp::ReduceMin { slot, v, m } => {
-                    let mut cur = inst.raw_globals()[slot as usize];
-                    let d = self.col(v, cols);
-                    match m.map(|m| self.col(m, cols)) {
-                        None => {
-                            for &v in &d[..rows] {
-                                cur = cur.min(v);
-                            }
-                        }
-                        Some(m) => {
-                            for l in 0..rows {
-                                cur = cur.min(if m[l] != 0 { d[l] } else { i64::MAX });
-                            }
-                        }
-                    }
-                    inst.globals_mut()[slot as usize] = cur;
-                }
-                VOp::ReduceMax { slot, v, m } => {
-                    let mut cur = inst.raw_globals()[slot as usize];
-                    let d = self.col(v, cols);
-                    match m.map(|m| self.col(m, cols)) {
-                        None => {
-                            for &v in &d[..rows] {
-                                cur = cur.max(v);
-                            }
-                        }
-                        Some(m) => {
-                            for l in 0..rows {
-                                cur = cur.max(if m[l] != 0 { d[l] } else { i64::MIN });
-                            }
-                        }
-                    }
-                    inst.globals_mut()[slot as usize] = cur;
+                    *g = match k {
+                        AccK::Add => fold(v, m, *g, 0, i64::wrapping_add),
+                        AccK::Min => fold(v, m, *g, i64::MAX, i64::min),
+                        AccK::Max => fold(v, m, *g, i64::MIN, i64::max),
+                    };
                 }
                 VOp::GatedStore { slot, bits, m } => {
                     let fired = match m.map(|m| self.col(m, cols)) {
@@ -485,6 +392,17 @@ impl BatchEval {
             }
         }
         fuel_used
+    }
+
+    /// Runs one lane-wise op into register `dst`. The column is taken
+    /// out of the arena for the duration so operands can be borrowed
+    /// from `self`; SSA register allocation guarantees `dst` is never
+    /// also an operand of the same op.
+    #[inline(always)]
+    fn into_reg(&mut self, dst: u16, rows: usize, op: impl FnOnce(&Self, &mut [i64])) {
+        let mut d = std::mem::take(&mut self.regs[dst as usize]);
+        op(self, &mut d[..rows]);
+        self.regs[dst as usize] = d;
     }
 
     fn ensure_width(&mut self, rows: usize) {
@@ -514,6 +432,25 @@ impl BatchEval {
             Src::Pool(i) => &self.pool[i as usize],
         }
     }
+}
+
+/// Folds the lanes of `v` that mask `m` selects into `acc` with `f`;
+/// masked-off lanes contribute the fold's identity `id`.
+#[inline(always)]
+fn fold(v: &[i64], m: Option<&[i64]>, mut acc: i64, id: i64, f: impl Fn(i64, i64) -> i64) -> i64 {
+    match m {
+        None => {
+            for &x in v {
+                acc = f(acc, x);
+            }
+        }
+        Some(m) => {
+            for (&x, &on) in v.iter().zip(m) {
+                acc = f(acc, if on != 0 { x } else { id });
+            }
+        }
+    }
+    acc
 }
 
 /// Lowers the IR's block graph to [`VOp`]s, one pass in `entry_pc`
@@ -556,12 +493,6 @@ impl<'a> Vectorizer<'a> {
         }
     }
 
-    fn reg(&mut self) -> u16 {
-        let r = self.n_regs;
-        self.n_regs += 1;
-        r
-    }
-
     fn cpool(&mut self, bits: i64) -> Src {
         if let Some(&ix) = self.pool_ix.get(&bits) {
             return Src::Pool(ix);
@@ -590,10 +521,11 @@ impl<'a> Vectorizer<'a> {
     }
 
     /// Emits a lane-wise op writing a fresh register.
-    fn emit(&mut self, mk: impl FnOnce(u16) -> VOp) -> PV {
-        let dst = self.reg();
+    fn emit(&mut self, mk: impl FnOnce(u16) -> VOp) -> Src {
+        let dst = self.n_regs;
+        self.n_regs += 1;
         self.vops.push(mk(dst));
-        PV::S(Src::Reg(dst))
+        Src::Reg(dst)
     }
 
     /// A lane-wise binary op, constant-folded when both operands are
@@ -608,36 +540,18 @@ impl<'a> Vectorizer<'a> {
             return Ok(PV::C(folded));
         }
         let (a, b) = (self.src(a), self.src(b));
-        Ok(self.emit(|dst| VOp::Bin { op, a, b, dst }))
+        Ok(PV::S(self.emit(|dst| VOp::Bin { op, a, b, dst })))
     }
 
     fn un(&mut self, op: Un, a: PV) -> PV {
         match a {
             PV::C(x) => PV::C(op.apply(x)),
-            PV::S(a) => self.emit(|dst| VOp::Un { op, a, dst }),
+            PV::S(a) => PV::S(self.emit(|dst| VOp::Un { op, a, dst })),
         }
-    }
-
-    fn cmp(&mut self, cmp: Cmp, float: bool, a: PV, b: PV) -> PV {
-        if let (PV::C(x), PV::C(y)) = (a, b) {
-            let mut d = [0];
-            cmp.sweep(float, &mut d, &[x], &[y]);
-            return PV::C(d[0]);
-        }
-        let (a, b) = (self.src(a), self.src(b));
-        self.emit(|dst| VOp::Cmp {
-            cmp,
-            float,
-            a,
-            b,
-            dst,
-        })
     }
 
     fn mask(&mut self, k: MaskK, a: Src, b: Src) -> Src {
-        let dst = self.reg();
-        self.vops.push(VOp::Mask { k, a, b, dst });
-        Src::Reg(dst)
+        self.emit(|dst| VOp::Mask { k, a, b, dst })
     }
 
     /// Evaluates a tree in bytecode order (left, right, operator).
@@ -659,10 +573,6 @@ impl<'a> Vectorizer<'a> {
             Ex::Un(op, e) => {
                 let a = self.pv(e)?;
                 Cell::P(self.un(*op, a))
-            }
-            Ex::CmpI(c, l, r) | Ex::CmpF(c, l, r) => {
-                let (l, r) = (self.pv(l)?, self.pv(r)?);
-                Cell::P(self.cmp(*c, matches!(e, Ex::CmpF(..)), l, r))
             }
         })
     }
@@ -738,26 +648,17 @@ impl<'a> Vectorizer<'a> {
                     // `g = g` — identity.
                     (Cell::G(t), _) if t == s => {}
                     (Cell::A { slot, k, d }, class) if slot == s => {
+                        let fits = matches!(
+                            (k, class),
+                            (AccK::Add, MergeClass::Counter)
+                                | (AccK::Min, MergeClass::MinMax(MinMaxOp::Min))
+                                | (AccK::Max, MergeClass::MinMax(MinMaxOp::Max))
+                        );
+                        if !fits {
+                            return Err(BatchBail::MutableRead { slot, pc: self.pc });
+                        }
                         let v = self.src(d);
-                        self.vops.push(match (k, class) {
-                            (AccK::Add, MergeClass::Counter) => VOp::ReduceAdd {
-                                slot: s,
-                                delta: v,
-                                m,
-                            },
-                            (AccK::Min, MergeClass::MinMax(MinMaxOp::Min)) => {
-                                VOp::ReduceMin { slot: s, v, m }
-                            }
-                            (AccK::Max, MergeClass::MinMax(MinMaxOp::Max)) => {
-                                VOp::ReduceMax { slot: s, v, m }
-                            }
-                            _ => {
-                                return Err(BatchBail::MutableRead {
-                                    slot: s,
-                                    pc: self.pc,
-                                })
-                            }
-                        });
+                        self.vops.push(VOp::Reduce { k, slot, v, m });
                     }
                     (Cell::P(PV::C(bits)), MergeClass::GatedWrite { value_bits })
                         if *value_bits == bits =>
@@ -794,21 +695,21 @@ impl<'a> Vectorizer<'a> {
                 _ => None,
             }
         }
+        let parked = self.pending.iter_mut().flatten().flat_map(|e| &mut e.stack);
         let mut cells: Vec<&mut PV> = self
             .stack
             .iter_mut()
-            .chain(self.pending.iter_mut().flatten().flat_map(|e| &mut e.stack))
+            .chain(parked)
             .filter_map(|c| refers(c, local))
             .collect();
         if cells.is_empty() {
             return;
         }
+        // `emit`, inlined: `cells` holds the borrow of `self`.
         let dst = self.n_regs;
         self.n_regs += 1;
-        self.vops.push(VOp::Copy {
-            a: Src::Local(local),
-            dst,
-        });
+        let a = Src::Local(local);
+        self.vops.push(VOp::Copy { a, dst });
         for pv in &mut cells {
             **pv = PV::S(Src::Reg(dst));
         }
@@ -841,7 +742,7 @@ impl<'a> Vectorizer<'a> {
                     return Err(bail);
                 };
                 let (a, b) = (self.src(a), self.src(b));
-                self.stack[i] = Cell::P(self.emit(|dst| VOp::Blend { m, a, b, dst }));
+                self.stack[i] = Cell::P(PV::S(self.emit(|dst| VOp::Blend { m, a, b, dst })));
             }
             self.cur_mask = match (self.cur_mask, edge.mask) {
                 (Some(x), Some(y)) => Some(self.mask(MaskK::Or, x, y)),
@@ -897,18 +798,17 @@ impl<'a> Vectorizer<'a> {
                         // A condition becoming part of mask algebra must
                         // not alias a mutable local column.
                         let c = match c {
-                            Src::Local(_) => self.src_of_copy(c),
+                            Src::Local(_) => self.emit(|dst| VOp::Copy { a: c, dst }),
                             c => c,
                         };
                         let (m_then, m_else) = match self.cur_mask {
-                            None => (c, self.un(Un::NotB, PV::S(c))),
-                            Some(m) => (
-                                self.mask(MaskK::And, m, c),
-                                PV::S(self.mask(MaskK::AndNot, m, c)),
-                            ),
-                        };
-                        let PV::S(m_else) = m_else else {
-                            unreachable!("a column's negation is a column")
+                            None => {
+                                let op = Un::NotB;
+                                (c, self.emit(|dst| VOp::Un { op, a: c, dst }))
+                            }
+                            Some(m) => {
+                                (self.mask(MaskK::And, m, c), self.mask(MaskK::AndNot, m, c))
+                            }
                         };
                         self.pending[*on_false as usize].push(Edge {
                             mask: Some(m_else),
@@ -928,13 +828,6 @@ impl<'a> Vectorizer<'a> {
             Term::RetC(_) => self.live = false,
         }
         Ok(())
-    }
-
-    fn src_of_copy(&mut self, a: Src) -> Src {
-        let PV::S(s) = self.emit(|dst| VOp::Copy { a, dst }) else {
-            unreachable!("emit returns a register")
-        };
-        s
     }
 
     fn compile(mut self, ir: &Ir) -> Result<BatchEval, BatchBail> {
@@ -1126,33 +1019,91 @@ mod tests {
         differential(src, inputs, &rows);
     }
 
+    /// Why `src` (which verifies) is refused by the column backend.
+    fn bail(src: &str, inputs: &[(&str, Type)]) -> BatchBail {
+        let limits = VerifyLimits::with_max_fuel(BUDGET);
+        let (p, report) = verify(src, inputs, &limits).expect("verifies").into_parts();
+        BatchEval::compile(&p, &report.merge_plan, BUDGET).expect_err("must not vectorize")
+    }
+
+    // One test per `BatchBail` variant: a refusal always says why.
+
     #[test]
-    fn out_and_nonconst_division_bail_to_scalar() {
-        let (p, plan) = compiled(
-            "static int n = 0; n = n + 1; out(0, 1.0); return n;",
+    fn bail_out_stream() {
+        let why = bail(
+            "static int n = 0; n = n + 1; if (x > 3) { out(0, 1.0); } return n;",
             &[("x", Type::Int)],
         );
-        assert!(BatchEval::try_compile(&p, &plan, BUDGET).is_none(), "out()");
-
-        let (p, plan) = compiled(
-            "static int n = 0; n = n + a / b; return n;",
-            &[("a", Type::Int), ("b", Type::Int)],
-        );
-        assert!(
-            BatchEval::try_compile(&p, &plan, BUDGET).is_none(),
-            "non-constant divisor"
-        );
+        assert!(matches!(why, BatchBail::Out { pc } if pc > 0), "{why:?}");
+        assert!(why.to_string().contains("out()"), "{why}");
     }
 
     #[test]
-    fn tiny_fuel_budget_bails_instead_of_aborting_mid_batch() {
+    fn bail_non_constant_divisor() {
+        let ab = [("a", Type::Int), ("b", Type::Int)];
+        let why = bail("static int n = 0; n = n + a / b; return n;", &ab);
+        assert_eq!(why, BatchBail::NonConstDivisor { pc: 0 });
+    }
+
+    #[test]
+    fn bail_fuel_over_budget_instead_of_aborting_mid_batch() {
         let (p, plan) = compiled(
             "static int n = 0; n = n + 1; return n;",
             &[("x", Type::Int)],
         );
-        assert!(BatchEval::try_compile(&p, &plan, 2).is_none());
+        assert_eq!(
+            BatchEval::compile(&p, &plan, 2).unwrap_err(),
+            BatchBail::FuelOverBudget
+        );
         assert!(BatchEval::try_compile(&p, &plan, BUDGET).is_some());
     }
+
+    #[test]
+    fn bail_not_mergeable() {
+        // Last write wins: lanes would race on `last`.
+        let why = bail(
+            "static int last = 0; last = x; return 0;",
+            &[("x", Type::Int)],
+        );
+        assert_eq!(why, BatchBail::NotMergeable);
+        // Someone else's plan is not a plan for this program either.
+        let (p, _) = compiled(
+            "static int n = 0; n = n + 1; return n;",
+            &[("x", Type::Int)],
+        );
+        let (_, other) = compiled("return x;", &[("x", Type::Int)]);
+        assert_eq!(
+            BatchEval::compile(&p, &other, BUDGET).unwrap_err(),
+            BatchBail::NotMergeable
+        );
+    }
+
+    #[test]
+    fn bail_mutable_read_outside_the_accumulation() {
+        // `n` is a sound counter and returning it is fine, but scaling
+        // the read needs its per-row value, which lanes do not have.
+        let why = bail(
+            "static int n = 0; n = n + x; return n * 2;",
+            &[("x", Type::Int)],
+        );
+        assert_eq!(why, BatchBail::MutableRead { slot: 0, pc: 0 });
+    }
+
+    #[test]
+    fn bail_not_lowered() {
+        // Over the lowering's op limit: no IR for either backend.
+        let mut src = String::from("static int n = 0;\n");
+        for d in 0..crate::ir::MAX_OPS / 4 {
+            src.push_str(&format!("n = n + x % {};\n", d % 61 + 2));
+        }
+        src.push_str("return n;");
+        let why = bail(&src, &[("x", Type::Int)]);
+        assert_eq!(why, BatchBail::NotLowered(Bail::TooManyOps));
+    }
+
+    // `BatchBail::JoinShape` needs hand-assembled bytecode the compiler
+    // never emits; its test sits with the other hand-assembled program
+    // in `ir.rs`, the one module that may name stack ops.
 
     #[test]
     fn empty_batch_is_a_no_op() {

@@ -4,8 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::ir::Lowered;
-use crate::lexer::lex;
-use crate::parser::{AstType, BinOp, Expr, Parser, Stmt, UnOp};
+use crate::parser::{parse, AstType, BinOp, Expr, Stmt, UnOp};
 use crate::vm::Op;
 use crate::EcodeError;
 
@@ -53,7 +52,7 @@ pub struct Program {
     pub(crate) inputs: Vec<(String, Type)>,
     pub(crate) globals: Vec<(String, Type, GlobalInit)>,
     pub(crate) n_locals: u16,
-    /// Validation, lowering and closure graph, derived from `code` on
+    /// Validation, lowering and compiled graph, derived from `code` on
     /// first use and shared by every clone (see [`Program::lowered`]).
     lowered: Arc<OnceLock<Lowered>>,
 }
@@ -81,8 +80,7 @@ impl Program {
     ///
     /// Lex, parse, or type errors, each carrying a source line.
     pub fn compile(src: &str, inputs: &[(&str, Type)]) -> Result<Program, EcodeError> {
-        let stmts = Parser::new(lex(src)?).program()?;
-        compile_stmts(&stmts, inputs)
+        compile_stmts(&parse(src)?, inputs)
     }
 
     /// Assembles a program from compiler (or hand-written test) output.
@@ -103,7 +101,7 @@ impl Program {
 
     /// What every executor built from this program shares: the
     /// load-time validation, the one lowering ([`crate::ir`]) and the
-    /// closure graph. Computed once, on first use, however many
+    /// compiled graph. Computed once, on first use, however many
     /// `Instance`s and `BatchEval`s (or clones of the program) ask.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! The one lowering: validated stack bytecode → basic blocks of
 //! statement trees.
 //!
-//! Both fast backends — the closure tier ([`crate::jit`]) and the column
+//! Both fast backends — the compiled tier ([`crate::jit`]) and the column
 //! evaluator ([`crate::batch`]) — need the same three things the stack
 //! code hides: where the basic blocks are, what each statement computes
 //! as a tree, and how much fuel each block costs. [`lower`] derives them
@@ -18,7 +18,7 @@
 //! second case is a fall-through, made explicit as a `Term::Jmp` that
 //! costs no fuel. (The interpreter's notion of a block — entry through
 //! the next real terminator — overlaps its successors at interior jump
-//! targets; the closure tier recovers those longer spans with
+//! targets; the compiled tier recovers those longer spans with
 //! `merge_chains`, the column backend wants the partition as is.)
 //!
 //! Within a block, expression trees evaluate in bytecode push order
@@ -30,8 +30,8 @@
 //! op at a time — so fuels summed along any path equal `fuel_used`.
 //!
 //! Operators get their single scalar meaning here too: [`Bin::apply`],
-//! [`Un::apply`], [`Cmp::eval`], each with a lane-wise `sweep` generated
-//! from the same table.
+//! [`Un::apply`] and [`Cmp::eval`], with a lane-wise `sweep` generated
+//! from the same table rows.
 
 use std::fmt;
 use std::sync::Arc;
@@ -156,6 +156,19 @@ operators! {
         MinF => bits_of(f64_of(l).min(f64_of(r))),
         MaxI => l.max(r),
         MaxF => bits_of(f64_of(l).max(f64_of(r))),
+        // Comparisons produce 0/1: words as integers, or as IEEE doubles.
+        EqI => Cmp::Eq.eval(l, r) as i64,
+        NeI => Cmp::Ne.eval(l, r) as i64,
+        LtI => Cmp::Lt.eval(l, r) as i64,
+        LeI => Cmp::Le.eval(l, r) as i64,
+        GtI => Cmp::Gt.eval(l, r) as i64,
+        GeI => Cmp::Ge.eval(l, r) as i64,
+        EqF => Cmp::Eq.eval(f64_of(l), f64_of(r)) as i64,
+        NeF => Cmp::Ne.eval(f64_of(l), f64_of(r)) as i64,
+        LtF => Cmp::Lt.eval(f64_of(l), f64_of(r)) as i64,
+        LeF => Cmp::Le.eval(f64_of(l), f64_of(r)) as i64,
+        GtF => Cmp::Gt.eval(f64_of(l), f64_of(r)) as i64,
+        GeF => Cmp::Ge.eval(f64_of(l), f64_of(r)) as i64,
     }
 }
 
@@ -178,6 +191,19 @@ impl Bin {
         matches!(self, Bin::DivI | Bin::ModI)
     }
 
+    /// The comparison an integer-compare operator performs.
+    pub(crate) fn int_cmp(self) -> Option<Cmp> {
+        Some(match self {
+            Bin::EqI => Cmp::Eq,
+            Bin::NeI => Cmp::Ne,
+            Bin::LtI => Cmp::Lt,
+            Bin::LeI => Cmp::Le,
+            Bin::GtI => Cmp::Gt,
+            Bin::GeI => Cmp::Ge,
+            _ => return None,
+        })
+    }
+
     /// The operator's value, or `None` for the divide-by-zero trap.
     #[inline(always)]
     pub(crate) fn apply(self, l: i64, r: i64) -> Option<i64> {
@@ -195,8 +221,8 @@ impl Un {
     }
 }
 
-/// Comparison kind; [`Ex::CmpI`] compares words as integers, [`Ex::CmpF`]
-/// as IEEE doubles. Both produce 0/1.
+/// Comparison kind: the one meaning of `==`, `<`, … for the `Bin`
+/// compare rows and the compiled tier's specialized conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Cmp {
     Eq,
@@ -219,28 +245,6 @@ impl Cmp {
             Cmp::Ge => l >= r,
         }
     }
-
-    /// Lane-wise comparison into 0/1, as integers or (`float`) doubles.
-    pub(crate) fn sweep(self, float: bool, d: &mut [i64], l: &[i64], r: &[i64]) {
-        #[inline(always)]
-        fn lanes(d: &mut [i64], l: &[i64], r: &[i64], f: impl Fn(i64, i64) -> bool) {
-            let n = d.len();
-            for ((d, &x), &y) in d.iter_mut().zip(&l[..n]).zip(&r[..n]) {
-                *d = f(x, y) as i64;
-            }
-        }
-        macro_rules! hoist {
-            ($($V:ident)+) => {
-                match (self, float) {
-                    $((Cmp::$V, false) => lanes(d, l, r, |x, y| Cmp::$V.eval(x, y)),
-                    (Cmp::$V, true) => {
-                        lanes(d, l, r, |x, y| Cmp::$V.eval(f64_of(x), f64_of(y)))
-                    })+
-                }
-            };
-        }
-        hoist!(Eq Ne Lt Le Gt Ge)
-    }
 }
 
 /// Expression tree for one stack value.
@@ -256,8 +260,6 @@ pub(crate) enum Ex {
     Local(u16),
     Bin(Bin, Box<Ex>, Box<Ex>),
     Un(Un, Box<Ex>),
-    CmpI(Cmp, Box<Ex>, Box<Ex>),
-    CmpF(Cmp, Box<Ex>, Box<Ex>),
 }
 
 impl Ex {
@@ -266,7 +268,6 @@ impl Ex {
         match self {
             Ex::Bin(op, l, r) => op.can_trap() || l.can_trap() || r.can_trap(),
             Ex::Un(_, e) => e.can_trap(),
-            Ex::CmpI(_, l, r) | Ex::CmpF(_, l, r) => l.can_trap() || r.can_trap(),
             Ex::Carry(_)
             | Ex::ConstI(_)
             | Ex::ConstF(_)
@@ -355,7 +356,7 @@ pub(crate) struct Ir {
 
 /// Everything derived from a program's bytecode at first use: the
 /// load-time validation result, the lowering (or why there is none) and
-/// the closure graph built from it.
+/// the compiled graph built from it.
 #[derive(Debug)]
 pub(crate) struct Lowered {
     /// Maximum operand-stack depth (`validate`).
@@ -426,11 +427,10 @@ fn pop(sym: &mut Vec<Ex>) -> Ex {
     sym.pop().expect("validate proved no stack underflow")
 }
 
-/// Replaces the top two stack values with the node `mk(k, left, right)`.
-fn node2<K>(sym: &mut Vec<Ex>, k: K, mk: fn(K, Box<Ex>, Box<Ex>) -> Ex) {
+fn node2(sym: &mut Vec<Ex>, op: Bin) {
     let r = Box::new(pop(sym));
     let l = Box::new(pop(sym));
-    sym.push(mk(k, l, r));
+    sym.push(Ex::Bin(op, l, r));
 }
 
 fn node1(sym: &mut Vec<Ex>, op: Un) {
@@ -505,31 +505,31 @@ fn lower_block(
             Op::NotB => node1(sym, Un::NotB),
             Op::AbsI => node1(sym, Un::AbsI),
             Op::AbsF => node1(sym, Un::AbsF),
-            Op::AddI => node2(sym, Bin::AddI, Ex::Bin),
-            Op::SubI => node2(sym, Bin::SubI, Ex::Bin),
-            Op::MulI => node2(sym, Bin::MulI, Ex::Bin),
-            Op::DivI => node2(sym, Bin::DivI, Ex::Bin),
-            Op::ModI => node2(sym, Bin::ModI, Ex::Bin),
-            Op::AddF => node2(sym, Bin::AddF, Ex::Bin),
-            Op::SubF => node2(sym, Bin::SubF, Ex::Bin),
-            Op::MulF => node2(sym, Bin::MulF, Ex::Bin),
-            Op::DivF => node2(sym, Bin::DivF, Ex::Bin),
-            Op::MinI => node2(sym, Bin::MinI, Ex::Bin),
-            Op::MinF => node2(sym, Bin::MinF, Ex::Bin),
-            Op::MaxI => node2(sym, Bin::MaxI, Ex::Bin),
-            Op::MaxF => node2(sym, Bin::MaxF, Ex::Bin),
-            Op::EqI => node2(sym, Cmp::Eq, Ex::CmpI),
-            Op::NeI => node2(sym, Cmp::Ne, Ex::CmpI),
-            Op::LtI => node2(sym, Cmp::Lt, Ex::CmpI),
-            Op::LeI => node2(sym, Cmp::Le, Ex::CmpI),
-            Op::GtI => node2(sym, Cmp::Gt, Ex::CmpI),
-            Op::GeI => node2(sym, Cmp::Ge, Ex::CmpI),
-            Op::EqF => node2(sym, Cmp::Eq, Ex::CmpF),
-            Op::NeF => node2(sym, Cmp::Ne, Ex::CmpF),
-            Op::LtF => node2(sym, Cmp::Lt, Ex::CmpF),
-            Op::LeF => node2(sym, Cmp::Le, Ex::CmpF),
-            Op::GtF => node2(sym, Cmp::Gt, Ex::CmpF),
-            Op::GeF => node2(sym, Cmp::Ge, Ex::CmpF),
+            Op::AddI => node2(sym, Bin::AddI),
+            Op::SubI => node2(sym, Bin::SubI),
+            Op::MulI => node2(sym, Bin::MulI),
+            Op::DivI => node2(sym, Bin::DivI),
+            Op::ModI => node2(sym, Bin::ModI),
+            Op::AddF => node2(sym, Bin::AddF),
+            Op::SubF => node2(sym, Bin::SubF),
+            Op::MulF => node2(sym, Bin::MulF),
+            Op::DivF => node2(sym, Bin::DivF),
+            Op::MinI => node2(sym, Bin::MinI),
+            Op::MinF => node2(sym, Bin::MinF),
+            Op::MaxI => node2(sym, Bin::MaxI),
+            Op::MaxF => node2(sym, Bin::MaxF),
+            Op::EqI => node2(sym, Bin::EqI),
+            Op::NeI => node2(sym, Bin::NeI),
+            Op::LtI => node2(sym, Bin::LtI),
+            Op::LeI => node2(sym, Bin::LeI),
+            Op::GtI => node2(sym, Bin::GtI),
+            Op::GeI => node2(sym, Bin::GeI),
+            Op::EqF => node2(sym, Bin::EqF),
+            Op::NeF => node2(sym, Bin::NeF),
+            Op::LtF => node2(sym, Bin::LtF),
+            Op::LeF => node2(sym, Bin::LeF),
+            Op::GtF => node2(sym, Bin::GtF),
+            Op::GeF => node2(sym, Bin::GeF),
             Op::Jmp(t) => break Term::Jmp(pc2block[t as usize]),
             Op::JmpIfFalse(t) => break Term::br(pop(sym), pc2block[t as usize], pc2block[pc]),
             Op::Ret => break Term::ret(pop(sym)),
@@ -547,4 +547,268 @@ fn lower_block(
         term,
         fuel: (pc - entry) as u64,
     })
+}
+
+// The sweeps' generators live with the integration tests; the IR is
+// crate-private, so its checks over the same programs live here.
+#[cfg(test)]
+#[path = "../tests/gen/mod.rs"]
+mod gen;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::GlobalInit;
+    use crate::{Instance, Type, Value};
+
+    use super::gen;
+
+    const INPUTS: [(&str, Type); 2] = [("size", Type::Int), ("port", Type::Int)];
+
+    fn lowered(src: &str) -> Program {
+        let p = Program::compile(src, &INPUTS).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        p.lowered();
+        p
+    }
+
+    // One test per `Bail` variant: a refusal always says why, and the
+    // instance reports it.
+
+    #[test]
+    fn bail_too_many_ops() {
+        let body = "n = n + size % 7;\n".repeat(MAX_OPS / 4);
+        let p = lowered(&format!("static int n = 0;\n{body}return n;"));
+        assert_eq!(p.lowered().ir.as_ref().unwrap_err(), &Bail::TooManyOps);
+        assert_eq!(Instance::new(&p).compile_bail(), Some(Bail::TooManyOps));
+    }
+
+    #[test]
+    fn bail_too_many_blocks() {
+        // 130 guarded bumps: ~1,200 ops (under the op limit), 261 blocks.
+        let body = "if (size > 3) { n = n + 1; }\n".repeat(130);
+        let p = lowered(&format!("static int n = 0;\n{body}return n;"));
+        assert!(p.code.len() <= MAX_OPS);
+        assert_eq!(Instance::new(&p).compile_bail(), Some(Bail::TooManyBlocks));
+    }
+
+    #[test]
+    fn bail_carry_overflow() {
+        // Four pending booleans below the short-circuit join put five
+        // values on the stack where the `&&` branches.
+        let p = lowered(
+            "return size > 0 == (port > 0 == (size > 1 == (port > 1 == (size > 2 && port > 2))));",
+        );
+        let why = Instance::new(&p).compile_bail().expect("does not lower");
+        assert!(
+            matches!(why, Bail::CarryOverflow { pc } if pc > 0),
+            "{why:?}"
+        );
+        assert!(why.to_string().contains("block boundary"), "{why}");
+    }
+
+    #[test]
+    fn bail_stack_residue() {
+        // Hand-assembled: a store while an unevaluated constant is still
+        // pending beneath it. The compiler's statement discipline never
+        // emits this; the lowering must refuse rather than reorder.
+        let code = vec![
+            Op::ConstI(1),
+            Op::ConstI(2),
+            Op::StoreGlobal(0),
+            Op::Pop,
+            Op::RetVoid,
+        ];
+        let globals = vec![("g".to_owned(), Type::Int, GlobalInit::Int(0))];
+        let p = Program::from_parts(code, vec![], globals, 0);
+        assert_eq!(
+            Instance::new(&p).compile_bail(),
+            Some(Bail::StackResidue { pc: 2 })
+        );
+    }
+
+    #[test]
+    fn column_backend_bails_on_an_unblendable_join() {
+        use crate::analysis::{MergeClass, MergePlan, SlotPlan};
+        use crate::{BatchBail, BatchEval};
+        // Hand-assembled: the two arms of a branch leave *different*
+        // mutable statics on the stack for the join to pick from — a
+        // value that depends on the path, which no lane blend can
+        // express. (The compiler never emits this; the vectorizer must
+        // still refuse it rather than trust that.)
+        let code = vec![
+            Op::LoadInput(0),
+            Op::JmpIfFalse(4),
+            Op::LoadGlobal(0),
+            Op::Jmp(5),
+            Op::LoadGlobal(1),
+            Op::Pop,
+            Op::RetVoid,
+        ];
+        let global = |n: &str| (n.to_owned(), Type::Int, GlobalInit::Int(0));
+        let p = Program::from_parts(
+            code,
+            vec![("x".to_owned(), Type::Bool)],
+            vec![global("a"), global("b")],
+            0,
+        );
+        let slot = |n: &str| SlotPlan {
+            name: n.to_owned(),
+            class: MergeClass::Counter,
+            escapes: false,
+        };
+        let plan = MergePlan {
+            slots: vec![slot("a"), slot("b")],
+        };
+        assert_eq!(
+            BatchEval::compile(&p, &plan, 1_000).unwrap_err(),
+            BatchBail::JoinShape { pc: 5 }
+        );
+    }
+
+    #[test]
+    fn a_lowered_program_reports_no_bail() {
+        let p = lowered("static int n = 0; n = n + 1; return n;");
+        assert_eq!(Instance::new(&p).compile_bail(), None);
+        assert_eq!(Instance::new_fused(&p).compile_bail(), None);
+    }
+
+    /// Reference evaluation of the IR itself (not of either backend):
+    /// walks blocks from block 0 over `inputs`, returning the value
+    /// returned and the fuels of the blocks entered, or `None` on a
+    /// divide-by-zero trap.
+    fn walk(ir: &Ir, globals: &mut [i64], n_locals: usize, inputs: &[i64]) -> Option<(i64, u64)> {
+        struct Env<'a> {
+            globals: &'a mut [i64],
+            locals: Vec<i64>,
+            inputs: &'a [i64],
+            carry: Vec<i64>,
+        }
+        fn eval(e: &Ex, env: &Env<'_>) -> Option<i64> {
+            Some(match e {
+                Ex::Carry(i) => env.carry[*i as usize],
+                Ex::ConstI(v) => *v,
+                Ex::ConstF(v) => bits_of(*v),
+                Ex::Input(i) => env.inputs[*i as usize],
+                Ex::Global(i) => env.globals[*i as usize],
+                Ex::Local(i) => env.locals[*i as usize],
+                Ex::Bin(op, l, r) => op.apply(eval(l, env)?, eval(r, env)?)?,
+                Ex::Un(op, e) => op.apply(eval(e, env)?),
+            })
+        }
+        let mut env = Env {
+            globals,
+            locals: vec![0; n_locals],
+            inputs,
+            carry: Vec::new(),
+        };
+        let (mut bi, mut fuel) = (0usize, 0u64);
+        loop {
+            let b = &ir.blocks[bi];
+            assert_eq!(
+                env.carry.len(),
+                b.carry_in as usize,
+                "carry depth at block {bi}"
+            );
+            fuel += b.fuel;
+            for s in &b.steps {
+                match s {
+                    Step::StoreGlobal(g, e) => env.globals[*g as usize] = eval(e, &env)?,
+                    Step::StoreLocal(l, e) => env.locals[*l as usize] = eval(e, &env)?,
+                    Step::Out(slot, value) => drop((eval(slot, &env)?, eval(value, &env)?)),
+                    Step::Eval(e) => drop(eval(e, &env)?),
+                }
+            }
+            let carries = b
+                .carry_out
+                .iter()
+                .map(|e| eval(e, &env))
+                .collect::<Option<Vec<_>>>()?;
+            bi = match &b.term {
+                Term::Jmp(t) => *t,
+                Term::Br {
+                    cond,
+                    on_false,
+                    on_true,
+                } => {
+                    if eval(cond, &env)? == 0 {
+                        *on_false
+                    } else {
+                        *on_true
+                    }
+                }
+                Term::Ret(e) => return Some((eval(e, &env)?, fuel)),
+                Term::RetC(c) => return Some((*c, fuel)),
+            } as usize;
+            env.carry = carries;
+        }
+    }
+
+    /// The IR's two structural promises, over the sweeps' generated
+    /// programs (the tier sweep's 300 are the `Gen` half of the shard
+    /// sweep's 600): blocks partition the reachable bytecode, and block
+    /// fuels summed along the path a run takes equal what the per-op
+    /// reference charges for it.
+    #[test]
+    fn generated_programs_lower_to_a_partition_with_exact_path_fuel() {
+        let mut rng = gen::Rng::new(0x1e_70ad);
+        let programs: Vec<String> = (0..300u64)
+            .map(|seed| seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 1)
+            .flat_map(|per| {
+                [
+                    gen::MergeGen::new(per).program(),
+                    gen::Gen::new(per).program(),
+                ]
+            })
+            .collect();
+        let mut runs = 0;
+        for src in &programs {
+            let p = lowered(src);
+            let (_, depth_at) = crate::vm::validate(&p);
+            let ir = p
+                .lowered()
+                .ir
+                .as_ref()
+                .unwrap_or_else(|b| panic!("{b}\n{src}"));
+
+            // Partition: walking each block's span marks every reachable
+            // pc exactly once, and nothing unreachable.
+            let mut owner = vec![u32::MAX; p.code.len()];
+            for (bi, b) in ir.blocks.iter().enumerate() {
+                assert_eq!(ir.pc2block[b.entry_pc as usize], bi as u32, "{src}");
+                let end = b.entry_pc as usize + b.fuel as usize;
+                for (pc, slot) in owner
+                    .iter_mut()
+                    .enumerate()
+                    .take(end)
+                    .skip(b.entry_pc as usize)
+                {
+                    assert_eq!(*slot, u32::MAX, "pc {pc} lies in two blocks\n{src}");
+                    *slot = bi as u32;
+                }
+            }
+            for (pc, depth) in depth_at.iter().enumerate() {
+                assert_eq!(*depth >= 0, owner[pc] != u32::MAX, "pc {pc} on\n{src}");
+            }
+
+            // Path fuel: the IR walk and the per-op interpreter agree on
+            // return value, fuel and statics, run after run.
+            let mut reference = Instance::new_fused(&p);
+            let mut globals = reference.raw_globals().to_vec();
+            for _ in 0..6 {
+                let (a, b) = (rng.next() as i64 % 5_000, rng.next() as i64 % 70_000);
+                let want = reference
+                    .run_per_op(&[Value::Int(a), Value::Int(b)], u64::MAX)
+                    .ok()
+                    .map(|o| (o.ret, o.fuel_used));
+                let got = walk(ir, &mut globals, p.n_locals as usize, &[a, b]);
+                assert_eq!(got, want, "inputs ({a}, {b}) on\n{src}");
+                if want.is_none() {
+                    break; // a trap leaves statics mid-statement
+                }
+                assert_eq!(globals, reference.raw_globals(), "{src}");
+                runs += 1;
+            }
+        }
+        assert!(runs > 3_000, "only {runs} trap-free runs checked");
+    }
 }

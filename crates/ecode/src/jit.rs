@@ -1,23 +1,29 @@
-//! The compiled execution tier: closure-compiled basic blocks.
+//! The compiled execution tier: the scalar backend of the one lowering
+//! (`ecode::ir`).
 //!
 //! The paper's CPAs were *natively* code-generated into the running
 //! kernel; a bytecode interpreter taxes that path with a dispatch per
-//! opcode. This module removes the tax: [`compile`] lowers
-//! already-validated bytecode into **one monomorphized Rust closure per
-//! basic block** — constant operands baked into the closure's captures,
-//! per-statement expression trees reconstructed from the stack code so a
-//! whole `acc = acc + size;` costs one store instead of five dispatches
-//! — chained by direct-threaded block indices (each block's closure
-//! returns the next block to run).
+//! opcode. This module removes the tax for the shapes analyzers are
+//! actually written in: the IR's basic blocks are merged back into
+//! straight-line spans, and every span that fits a small universe of
+//! **monomorphized forms** — constant operands baked in, a whole
+//! `acc = acc + size;` as one update instead of five dispatches —
+//! becomes a node of a graph the driver walks without touching
+//! bytecode. A program whose whole graph is the canonical
+//! guarded-reporter shape additionally gets one straight-line
+//! structure with its fuel totals precomputed (`Whole`).
 //!
 //! # Tier selection and fallback
 //!
-//! [`Instance::new`](crate::Instance::new) compiles every program that
-//! passes `validate()` and stays within `MAX_OPS` / `MAX_BLOCKS`;
-//! anything else transparently runs on the checked per-op interpreter.
-//! The lowering itself also bails (returns `None`) on shapes it cannot
-//! prove equivalent — an operand-stack residue at a store, or more
-//! cross-block stack carries than `MAX_CARRY` — rather than guess.
+//! [`Instance::new`](crate::Instance::new) compiles every program the
+//! lowering accepts; anything else transparently runs on the checked
+//! per-op interpreter, and
+//! [`Instance::compile_bail`](crate::Instance::compile_bail) says why.
+//! Inside a compiled program, a block with no specialized form runs on
+//! the interpreter too: measured over the generated sweeps, walking an
+//! unspecialized block's expression trees was slower than interpreting
+//! its bytecode, so the tree-walker that used to sit between the two
+//! is gone.
 //!
 //! # Observable equivalence
 //!
@@ -29,21 +35,17 @@
 //! accounting is identical by construction; when the remaining budget
 //! cannot cover a block, the driver spills the carried stack values and
 //! executes that one block on the checked per-op interpreter instead,
-//! preserving exact abort points. Within a block,
-//! expression trees evaluate in bytecode push order (left subtree, right
-//! subtree, operator), statements flush in program order, and values
-//! carried across block boundaries (short-circuit `&&`/`||` joins)
-//! evaluate before the branch condition — the same order the stack
-//! machine produced them. The generative sweeps in
-//! `tests/verifier.rs` assert this equivalence against the reference
-//! for hundreds of programs.
+//! preserving exact abort points. Specialized forms are trap-free by
+//! construction (they admit no integer division by a runtime value), so
+//! every trap is raised by the interpreter, at the interpreter's point.
+//! The generative sweeps in `tests/verifier.rs` assert this equivalence
+//! against the reference for hundreds of programs.
 
 use std::fmt;
 
 use crate::ir::{self, bits_of, f64_of, Bin, Cmp, Ex, Ir, Step, Term, Un, MAX_CARRY};
-use crate::EcodeError;
 
-/// Mutable run state a block closure — or the interpreter, on a block
+/// Mutable run state specialized code — or the interpreter, on a block
 /// the driver hands it — executes against. Borrows the instance's
 /// reusable arenas, so a compiled run allocates nothing post-warmup
 /// (proven by `tests/zero_alloc.rs`).
@@ -56,57 +58,41 @@ pub(crate) struct Ctx<'a> {
     pub(crate) carry: &'a mut [i64; MAX_CARRY],
 }
 
-/// How a block closure left the block. Kept two words with no drop
-/// glue — the driver matches on this once per block, so a `Result`
-/// carrying the (String-bearing) `EcodeError` would put an allocation's
-/// worth of move/drop bookkeeping on the hot path.
+/// How specialized code handed control back. Specialized blocks are
+/// trap-free by construction, so there is no trap exit; fuel is the
+/// driver's job, input marshalling the caller's.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Exit {
-    /// Continue at this block index (direct-threaded chaining).
+    /// Continue at this block index.
     Jump(u32),
     /// The program returned this value.
     Ret(i64),
-    /// Integer division/modulo by zero — the only trap a block body can
-    /// raise (fuel is the driver's job, input marshalling the caller's).
-    Trap,
 }
 
-/// A block closure. The `u64` argument is the fuel budget remaining
-/// *after* the block's own precharged span; specialized closures that
-/// inlined conditional successors (see [`spec_node`]) charge each taken
-/// arm against it and report the extra consumption in the returned
-/// `u64` (always `0` for closures that never execute past their own
-/// span). An arm that doesn't fit is not entered — the closure exits
-/// with `Exit::Jump` at that boundary and the driver re-decides there,
-/// exactly as if the arm had never been inlined.
-type BlockFn = Box<dyn Fn(&mut Ctx<'_>, u64) -> (u64, Exit) + Send + Sync>;
-
-/// One compiled basic block: the closure plus the coordinates the
-/// driver needs for fuel precharge and the checked per-op fallback.
+/// One block of the compiled program: the coordinates the driver needs
+/// for fuel precharge and the checked per-op fallback, plus the block's
+/// monomorphized form when it has one.
 pub(crate) struct Block {
     /// Original-bytecode pc of the block entry.
     pub(crate) entry_pc: u32,
     /// Operand-stack values this block consumes from `Ctx::carry`.
     pub(crate) carry_in: u8,
-    /// Whether [`specialize`] produced this closure (fully
-    /// monomorphized straight-line code) as opposed to the generic
-    /// tree-walking fallback. Introspection only — tests pin that the
-    /// representative CPA shapes never regress to the tree-walker.
-    pub(crate) specialized: bool,
-    /// Total fuel this closure's span covers: the block's own ops plus
-    /// every chain-merged successor's (see `merge_chains`). The driver
+    /// Total fuel the block's span covers: its own ops plus every
+    /// chain-merged successor's (see [`merge_chains`]). The driver
     /// precharges this against the remaining budget; when it doesn't
     /// fit, execution re-enters at `entry_pc` on the checked per-op
     /// interpreter, which meters the original unmerged ops — so merged
     /// and unmerged runs stay bit-identical on every abort path.
     pub(crate) fuel: u64,
-    /// Executes the block body and terminator.
-    pub(crate) run: BlockFn,
+    /// `None` runs the block on the interpreter: measured over the
+    /// generated sweeps, walking an unspecialized block's trees was
+    /// slower than interpreting its bytecode.
+    pub(crate) spec: Option<SpecNode>,
 }
 
-/// A program lowered to a graph of per-block closures. Built once at
-/// [`Instance::new`](crate::Instance::new) behind an `Arc` (instances
-/// clone into digest-plane worker threads), immutable thereafter.
+/// A program lowered to a graph of specialized blocks. Built once per
+/// [`Program`](crate::Program) behind an `Arc` (instances clone into
+/// digest-plane worker threads), immutable thereafter.
 pub struct CompiledProgram {
     pub(crate) blocks: Vec<Block>,
     /// Original pc → block index (`u32::MAX` where no block starts);
@@ -121,10 +107,57 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// `(specialized, total)` block counts — how much of the program is
-    /// straight-line monomorphized code vs the generic tree-walker.
+    /// straight-line monomorphized code vs interpreted.
     pub(crate) fn specialization(&self) -> (usize, usize) {
-        let spec = self.blocks.iter().filter(|b| b.specialized).count();
+        let spec = self.blocks.iter().filter(|b| b.spec.is_some()).count();
         (spec, self.blocks.len())
+    }
+
+    /// Runs a specialized block, whose span the driver has already
+    /// precharged, with `fuel_left` the budget remaining after it. The
+    /// run keeps going through specialized successors, charging each
+    /// one's span against `fuel_left` exactly as the driver's own
+    /// precharge would, and reports that extra consumption in the
+    /// returned `u64`; a successor that is not specialized or does not
+    /// fit is not entered — `Exit::Jump` hands it to the driver, which
+    /// re-decides there. So chained and unchained runs are bit-identical
+    /// on every path, fuel-exhaustion aborts included.
+    pub(crate) fn run_spec<'a>(
+        &'a self,
+        mut node: &'a SpecNode,
+        ctx: &mut Ctx<'_>,
+        mut fuel_left: u64,
+    ) -> (u64, Exit) {
+        let mut extra = 0u64;
+        loop {
+            run_fsteps(&node.fsteps, ctx);
+            let next = match &node.term {
+                SpecTerm::RetC(c) => return (extra, Exit::Ret(*c)),
+                SpecTerm::RetV(v) => return (extra, Exit::Ret(v.get(ctx))),
+                SpecTerm::CarryJmp { v, to } => {
+                    // The carry materializes whether or not the successor
+                    // is entered: on a handoff the driver (or the per-op
+                    // fallback, which spills it) picks it up from `ctx`.
+                    ctx.carry[0] = v.get(ctx);
+                    *to
+                }
+                SpecTerm::Br { cond, f, t } => {
+                    if cond.truthy(ctx) {
+                        *t
+                    } else {
+                        *f
+                    }
+                }
+            };
+            match &self.blocks[next as usize].spec {
+                Some(n) if n.fuel <= fuel_left => {
+                    fuel_left -= n.fuel;
+                    extra += n.fuel;
+                    node = n;
+                }
+                _ => return (extra, Exit::Jump(next)),
+            }
+        }
     }
 }
 
@@ -139,81 +172,33 @@ impl fmt::Debug for CompiledProgram {
     }
 }
 
-/// Evaluates an expression tree against the run state. All indices were
-/// proven in bounds by `validate` at instance creation, so the safe
-/// slice indexing below never panics (and the branch predictor eats the
-/// checks); this module deliberately contains no `unsafe`.
-fn eval(ex: &Ex, ctx: &Ctx<'_>) -> Result<i64, EcodeError> {
-    Ok(match ex {
-        Ex::Carry(i) => ctx.carry[*i as usize],
-        Ex::ConstI(v) => *v,
-        Ex::ConstF(v) => bits_of(*v),
-        Ex::Input(i) => ctx.inputs[*i as usize],
-        Ex::Global(i) => ctx.globals[*i as usize],
-        Ex::Local(i) => ctx.locals[*i as usize],
-        Ex::Bin(op, l, r) => op
-            .apply(eval(l, ctx)?, eval(r, ctx)?)
-            .ok_or(EcodeError::DivideByZero)?,
-        Ex::Un(op, e) => op.apply(eval(e, ctx)?),
-        Ex::CmpI(cmp, l, r) => cmp.eval(eval(l, ctx)?, eval(r, ctx)?) as i64,
-        Ex::CmpF(cmp, l, r) => cmp.eval(f64_of(eval(l, ctx)?), f64_of(eval(r, ctx)?)) as i64,
-    })
-}
-
-fn exec_step(s: &Step, ctx: &mut Ctx<'_>) -> Result<(), EcodeError> {
-    match s {
-        Step::StoreGlobal(g, e) => {
-            let v = eval(e, ctx)?;
-            ctx.globals[*g as usize] = v;
-        }
-        Step::StoreLocal(l, e) => {
-            let v = eval(e, ctx)?;
-            ctx.locals[*l as usize] = v;
-        }
-        Step::Out(slot, value) => {
-            let s = eval(slot, ctx)?;
-            let v = eval(value, ctx)?;
-            ctx.outputs.push((s, f64_of(v)));
-        }
-        Step::Eval(e) => {
-            eval(e, ctx)?;
-        }
-    }
-    Ok(())
-}
-
-/// Compiles every block of the lowered program to a closure: the IR's
-/// fall-through and jump chains are merged back into the interpreter's
-/// longer spans ([`merge_chains`]), merged blocks are specialized where
-/// they fit the monomorphized universe, and the rest get the generic
-/// tree-walking closure.
+/// Builds the compiled form of a lowered program: the IR's fall-through
+/// and jump chains are merged back into the interpreter's longer spans
+/// ([`merge_chains`]) and every merged block that fits the
+/// monomorphized universe is specialized ([`spec_node`]).
 pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
     // The IR itself stays unmerged — the column backend wants the
     // partition — so merging rewrites a copy.
     let mut blocks = ir.blocks.clone();
     merge_chains(&mut blocks);
-    let whole = parse_whole(&blocks);
-    let specs: Vec<Option<BlockFn>> = (0..blocks.len())
-        .map(|i| {
-            spec_node(&blocks, i, INLINE_DEPTH).map(|root| -> BlockFn {
-                Box::new(move |ctx: &mut Ctx<'_>, fuel_left: u64| root.exec(ctx, fuel_left))
-            })
-        })
-        .collect();
     CompiledProgram {
+        whole: parse_whole(&blocks),
         blocks: blocks
-            .into_iter()
-            .zip(specs)
-            .map(|(b, spec)| codegen(b, spec))
+            .iter()
+            .map(|b| Block {
+                entry_pc: b.entry_pc,
+                carry_in: b.carry_in,
+                fuel: b.fuel,
+                spec: spec_node(b),
+            })
             .collect(),
         pc2block: ir.pc2block.clone(),
-        whole,
     }
 }
 
 /// Inlines unconditional-jump chains: a block ending in `Jmp(T)` runs
 /// `T` unconditionally, so `T`'s statements and terminator are copied
-/// into the predecessor and the two closures become one — the
+/// into the predecessor and the two blocks become one — the
 /// short-circuit lowering's trampoline blocks (`[] → Jmp`, carry-compute
 /// → join, `Jmp → RetC`) collapse into their destinations, saving an
 /// indirect call per hop on every event.
@@ -221,7 +206,7 @@ pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
 /// `T` itself stays in the block list: other edges (and the per-op
 /// fallback, which re-enters at original pc boundaries) still target it.
 /// The merged block's `fuel` grows by `T`'s span, so the driver's
-/// precharge covers exactly the ops the merged closure executes — when
+/// precharge covers exactly the ops the merged block executes — when
 /// that doesn't fit the remaining budget, the driver re-enters at the
 /// *original* entry pc per-op, which stops at the unmerged `Jmp` and
 /// re-decides at `T`; both routes are bit-identical to the reference.
@@ -290,7 +275,6 @@ fn invariant(ex: &Ex) -> bool {
         Ex::Global(_) | Ex::Local(_) | Ex::Carry(_) => false,
         Ex::Bin(op, l, r) => !matches!(op, Bin::DivI | Bin::ModI) && invariant(l) && invariant(r),
         Ex::Un(_, e) => invariant(e),
-        Ex::CmpI(_, l, r) | Ex::CmpF(_, l, r) => invariant(l) && invariant(r),
     }
 }
 
@@ -304,8 +288,6 @@ fn subst(ex: &Ex, carries: &[Ex]) -> Ex {
             Box::new(subst(r, carries)),
         ),
         Ex::Un(op, e) => Ex::Un(*op, Box::new(subst(e, carries))),
-        Ex::CmpI(c, l, r) => Ex::CmpI(*c, Box::new(subst(l, carries)), Box::new(subst(r, carries))),
-        Ex::CmpF(c, l, r) => Ex::CmpF(*c, Box::new(subst(l, carries)), Box::new(subst(r, carries))),
         other => other.clone(),
     }
 }
@@ -319,88 +301,15 @@ fn subst_step(s: &Step, carries: &[Ex]) -> Step {
     }
 }
 
-/// Turns one lowered block into its closure. The hot analyzer idioms
-/// (counter bump + accumulate + guard, short-circuit arms and joins,
-/// ratio publication, constant returns) get fully monomorphized
-/// closures — straight-line machine code, one indirect call per block;
-/// everything else gets the generic tree-walking closure, which is
-/// still correct for arbitrary shapes.
-fn codegen(lb: ir::Block, spec: Option<BlockFn>) -> Block {
-    let ir::Block {
-        entry_pc,
-        carry_in,
-        steps,
-        carry_out,
-        term,
-        fuel,
-    } = lb;
-    let specialized = spec.is_some();
-    let run = spec.unwrap_or_else(|| {
-        Box::new(move |ctx: &mut Ctx<'_>, _fuel_left: u64| {
-            for s in &steps {
-                if exec_step(s, ctx).is_err() {
-                    return (0, Exit::Trap);
-                }
-            }
-            // Pre-terminator stack values evaluate before the
-            // condition/return expression (bytecode computed them
-            // first), into a scratch so reads of the *current* carries
-            // still see entry values.
-            let mut tmp = [0i64; MAX_CARRY];
-            let k = carry_out.len();
-            for (slot, e) in tmp.iter_mut().zip(carry_out.iter()) {
-                match eval(e, ctx) {
-                    Ok(v) => *slot = v,
-                    Err(_) => return (0, Exit::Trap),
-                }
-            }
-            let exit = match &term {
-                Term::Jmp(t) => {
-                    ctx.carry[..k].copy_from_slice(&tmp[..k]);
-                    Exit::Jump(*t)
-                }
-                Term::Br {
-                    cond,
-                    on_false,
-                    on_true,
-                } => {
-                    let c = match eval(cond, ctx) {
-                        Ok(c) => c,
-                        Err(_) => return (0, Exit::Trap),
-                    };
-                    ctx.carry[..k].copy_from_slice(&tmp[..k]);
-                    Exit::Jump(if c == 0 { *on_false } else { *on_true })
-                }
-                Term::Ret(e) => match eval(e, ctx) {
-                    Ok(v) => Exit::Ret(v),
-                    Err(_) => return (0, Exit::Trap),
-                },
-                Term::RetC(c) => Exit::Ret(*c),
-            };
-            (0, exit)
-        })
-    });
-    Block {
-        entry_pc,
-        carry_in,
-        specialized,
-        fuel,
-        run,
-    }
-}
-
-/// A trap-free scalar the specialized closures read directly — the
-/// operand universe of the CPA hot path: inputs, globals, constants,
-/// carried join values, and the `global % nonzero-const` epoch test.
+/// A trap-free scalar the specialized forms read directly — the
+/// operand universe of the CPA hot path: inputs, globals, constants
+/// and carried join values.
 #[derive(Debug, Clone, Copy)]
 enum Scal {
     In(u16),
     Gl(u16),
     C(i64),
     Carry(u8),
-    /// `global % c` with a nonzero constant — trap-free by construction
-    /// (`as_scal` refuses `c == 0` so the generic path raises the trap).
-    GlModC(u16, i64),
 }
 
 impl Scal {
@@ -411,7 +320,6 @@ impl Scal {
             Scal::Gl(g) => ctx.globals[g as usize],
             Scal::C(c) => c,
             Scal::Carry(i) => ctx.carry[i as usize],
-            Scal::GlModC(g, c) => ctx.globals[g as usize].wrapping_rem(c),
         }
     }
 }
@@ -422,10 +330,6 @@ fn as_scal(ex: &Ex) -> Option<Scal> {
         Ex::Global(g) => Scal::Gl(*g),
         Ex::ConstI(c) => Scal::C(*c),
         Ex::Carry(i) => Scal::Carry(*i),
-        Ex::Bin(Bin::ModI, l, r) => match (&**l, &**r) {
-            (Ex::Global(g), Ex::ConstI(c)) if *c != 0 => Scal::GlModC(*g, *c),
-            _ => return None,
-        },
         _ => return None,
     })
 }
@@ -492,7 +396,7 @@ impl ValK {
 }
 
 /// Builds the divisibility test for constant divisor `c` (`None` only
-/// for `c == 0`, which `as_scal` already refused).
+/// for `c == 0`).
 fn div_test(g: u16, c: i64, ne: bool) -> Option<ValK> {
     let d = c.unsigned_abs();
     if d == 0 {
@@ -517,21 +421,21 @@ fn div_test(g: u16, c: i64, ne: bool) -> Option<ValK> {
 }
 
 fn as_valk(ex: &Ex) -> Option<ValK> {
-    if let Ex::CmpI(cmp, l, r) = ex {
-        let l = as_scal(l)?;
-        let r = as_scal(r)?;
-        // Strength-reduce `g % c == 0` / `!= 0` to a multiply-and-mask
-        // divisibility test (either operand order).
-        match (*cmp, l, r) {
-            (Cmp::Eq | Cmp::Ne, Scal::GlModC(g, c), Scal::C(0))
-            | (Cmp::Eq | Cmp::Ne, Scal::C(0), Scal::GlModC(g, c)) => {
-                return div_test(g, c, *cmp == Cmp::Ne)
-            }
-            _ => {}
+    let Ex::Bin(op, l, r) = ex else {
+        return Some(ValK::S(as_scal(ex)?));
+    };
+    let cmp = op.int_cmp()?;
+    // Strength-reduce `g % c == 0` / `!= 0` to a multiply-and-mask
+    // divisibility test (either operand order; `c == 0` is left to the
+    // generic path, which raises the trap).
+    if let (Cmp::Eq | Cmp::Ne, (Ex::ConstI(0), Ex::Bin(Bin::ModI, g, c)))
+    | (Cmp::Eq | Cmp::Ne, (Ex::Bin(Bin::ModI, g, c), Ex::ConstI(0))) = (cmp, (&**l, &**r))
+    {
+        if let (Ex::Global(g), Ex::ConstI(c)) = (&**g, &**c) {
+            return div_test(*g, *c, cmp == Cmp::Ne);
         }
-        return Some(ValK::Cmp(*cmp, l, r));
     }
-    Some(ValK::S(as_scal(ex)?))
+    Some(ValK::Cmp(cmp, as_scal(l)?, as_scal(r)?))
 }
 
 /// The published value of a specialized `out(const-slot, ...)` — the
@@ -542,10 +446,6 @@ enum OutK {
     RatioFI { num: u16, den: u16 },
     /// An int global, promoted to double.
     IntGl(u16),
-    /// A double global, raw bits.
-    DblGl(u16),
-    /// A constant.
-    Const(f64),
 }
 
 impl OutK {
@@ -556,21 +456,16 @@ impl OutK {
                 f64_of(ctx.globals[num as usize]) / ctx.globals[den as usize] as f64
             }
             OutK::IntGl(g) => ctx.globals[g as usize] as f64,
-            OutK::DblGl(g) => f64_of(ctx.globals[g as usize]),
-            OutK::Const(v) => v,
         }
     }
 }
 
 fn as_outk(ex: &Ex) -> Option<OutK> {
     Some(match ex {
-        Ex::ConstF(v) => OutK::Const(*v),
         Ex::Un(Un::I2F, inner) => match &**inner {
             Ex::Global(g) => OutK::IntGl(*g),
-            Ex::ConstI(c) => OutK::Const(*c as f64),
             _ => return None,
         },
-        Ex::Global(g) => OutK::DblGl(*g),
         Ex::Bin(Bin::DivF, l, r) => match (&**l, &**r) {
             (Ex::Global(num), Ex::Un(Un::I2F, d)) => match &**d {
                 Ex::Global(den) => OutK::RatioFI {
@@ -607,7 +502,7 @@ fn run_fsteps(fsteps: &[FStep], ctx: &mut Ctx<'_>) {
 }
 
 /// Classifies every step as a packable trap-free statement, or refuses
-/// the specialization (`None` → generic closure). Capped so the `Vec`
+/// the specialization (`None` → interpreted). Capped so the `Vec`
 /// stays small; longer runs are rare and the generic path handles them.
 fn as_fsteps(steps: &[Step]) -> Option<Vec<FStep>> {
     if steps.len() > 6 {
@@ -625,29 +520,22 @@ fn as_fsteps(steps: &[Step]) -> Option<Vec<FStep>> {
         .collect()
 }
 
-/// How deep [`spec_node`] follows branch/carry edges when inlining
-/// specialized successors into one closure. Three levels cover the
-/// canonical CPA control shapes (guard → `&&` arm → join → report)
-/// end-to-end, so a whole event costs one indirect call.
-const INLINE_DEPTH: usize = 3;
-
-/// A fully-monomorphized block body plus terminator — the unit
-/// [`spec_node`] builds and one closure executes. Unlike the generic
-/// tree-walker, a node's terminator can *inline* its successors (see
-/// [`SpecArm`]), so control flows through `exec`'s loop instead of
-/// bouncing back to the driver at every block boundary. Everything in a
+/// A fully-monomorphized block body plus terminator. Everything in a
 /// node is trap-free by construction ([`FStep`]/[`ValK`]/[`OutK`] admit
-/// no int div/mod), so specialized closures never exit with
-/// [`Exit::Trap`].
-struct SpecNode {
+/// no int div/mod), so specialized blocks never exit with
+/// [`Exit::Trap`]. Terminator targets are block indices; control flows
+/// from node to node inside [`CompiledProgram::run_spec`]'s loop
+/// instead of bouncing back to the driver at every block boundary.
+#[derive(Debug)]
+pub(crate) struct SpecNode {
+    /// The block's merged-span fuel — what entering it charges.
+    fuel: u64,
     fsteps: Vec<FStep>,
     term: SpecTerm,
 }
 
+#[derive(Debug, Clone, Copy)]
 enum SpecTerm {
-    /// Unconditional handoff to the driver (target not inlined —
-    /// `merge_chains` already folded the foldable ones).
-    Jump(u32),
     RetC(i64),
     /// `return <scalar or cmp>;` — the `&&`/`||` join value or a final
     /// comparison returned directly.
@@ -656,96 +544,26 @@ enum SpecTerm {
     /// comparison flag) into carry slot 0, then continue into the join.
     CarryJmp {
         v: ValK,
-        arm: SpecArm,
+        to: u32,
     },
     /// Guard branch — `if (size > 1000)`, `if (n % 100 == 0)`, the `&&`
     /// join on a carried flag.
     Br {
         cond: ValK,
-        f: SpecArm,
-        t: SpecArm,
+        f: u32,
+        t: u32,
     },
 }
 
-/// One successor edge of a specialized terminator. When the target
-/// block specialized too (`node` is `Some`), taking the edge *enters*
-/// the target inside the same closure invocation — after charging the
-/// target's full precharge span (`fuel`, its merged-span fuel, exactly
-/// what the driver would have precharged on dispatch) against the
-/// remaining budget. When the target didn't specialize, or the charge
-/// doesn't fit, the closure exits with `Exit::Jump(block)` *without
-/// executing any of the target*, and the driver re-decides there — so
-/// inlined and non-inlined runs are bit-identical on every path,
-/// including fuel-exhaustion aborts.
-struct SpecArm {
-    fuel: u64,
-    block: u32,
-    node: Option<Box<SpecNode>>,
-}
-
-impl SpecArm {
-    #[inline(always)]
-    fn enter(&self, fuel_left: &mut u64, extra: &mut u64) -> Option<&SpecNode> {
-        let node = self.node.as_deref()?;
-        if self.fuel > *fuel_left {
-            return None;
-        }
-        *fuel_left -= self.fuel;
-        *extra += self.fuel;
-        Some(node)
-    }
-}
-
-impl SpecNode {
-    /// Executes the node graph iteratively. `fuel_left` is the budget
-    /// remaining after the root block's own precharged span; the
-    /// returned `u64` is the extra fuel charged for inlined successors
-    /// that were entered.
-    fn exec(&self, ctx: &mut Ctx<'_>, mut fuel_left: u64) -> (u64, Exit) {
-        let mut extra = 0u64;
-        let mut cur = self;
-        loop {
-            run_fsteps(&cur.fsteps, ctx);
-            match &cur.term {
-                SpecTerm::Jump(t) => return (extra, Exit::Jump(*t)),
-                SpecTerm::RetC(c) => return (extra, Exit::Ret(*c)),
-                SpecTerm::RetV(v) => return (extra, Exit::Ret(v.get(ctx))),
-                SpecTerm::CarryJmp { v, arm } => {
-                    // The carry materializes whether or not the arm is
-                    // entered: on a bail the driver (or the per-op
-                    // fallback, which spills it) picks it up from `ctx`.
-                    ctx.carry[0] = v.get(ctx);
-                    match arm.enter(&mut fuel_left, &mut extra) {
-                        Some(node) => cur = node,
-                        None => return (extra, Exit::Jump(arm.block)),
-                    }
-                }
-                SpecTerm::Br { cond, f, t } => {
-                    let arm = if cond.truthy(ctx) { t } else { f };
-                    match arm.enter(&mut fuel_left, &mut extra) {
-                        Some(node) => cur = node,
-                        None => return (extra, Exit::Jump(arm.block)),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Builds the specialized node graph for block `i`, inlining successor
-/// blocks up to `depth` edges deep. Returns `None` when any step or
-/// terminator falls outside the monomorphized universe — the block gets
-/// the generic tree-walking closure instead, which is still correct for
-/// arbitrary shapes. Runs after `merge_chains` and terminator linking,
-/// so targets are block indices and `fuel` values are merged spans.
-fn spec_node(lowered: &[ir::Block], i: usize, depth: usize) -> Option<SpecNode> {
-    let lb = &lowered[i];
-    let fsteps = as_fsteps(&lb.steps)?;
+/// Specializes one merged block, or returns `None` when any step or its
+/// terminator falls outside the monomorphized universe — the block then
+/// runs on the interpreter, which is correct for arbitrary shapes.
+fn spec_node(b: &ir::Block) -> Option<SpecNode> {
+    let fsteps = as_fsteps(&b.steps)?;
     // Carried values feeding a successor must be materialized; the
     // specialized shapes handle the two carry layouts the short-circuit
     // lowering produces (none, or one trap-free value).
-    let term = match (&lb.carry_out[..], &lb.term) {
-        ([], Term::Jmp(t)) => SpecTerm::Jump(*t),
+    let term = match (&b.carry_out[..], &b.term) {
         ([], Term::RetC(c)) => SpecTerm::RetC(*c),
         ([], Term::Ret(e)) => SpecTerm::RetV(as_valk(e)?),
         (
@@ -757,29 +575,20 @@ fn spec_node(lowered: &[ir::Block], i: usize, depth: usize) -> Option<SpecNode> 
             },
         ) => SpecTerm::Br {
             cond: as_valk(cond)?,
-            f: spec_arm(lowered, *on_false, depth),
-            t: spec_arm(lowered, *on_true, depth),
+            f: *on_false,
+            t: *on_true,
         },
         ([one], Term::Jmp(t)) => SpecTerm::CarryJmp {
             v: as_valk(one)?,
-            arm: spec_arm(lowered, *t, depth),
+            to: *t,
         },
         _ => return None,
     };
-    Some(SpecNode { fsteps, term })
-}
-
-fn spec_arm(lowered: &[ir::Block], block: u32, depth: usize) -> SpecArm {
-    let node = if depth > 0 {
-        spec_node(lowered, block as usize, depth - 1).map(Box::new)
-    } else {
-        None
-    };
-    SpecArm {
-        fuel: lowered[block as usize].fuel,
-        block,
-        node,
-    }
+    Some(SpecNode {
+        fuel: b.fuel,
+        fsteps,
+        term,
+    })
 }
 
 /// Whole-program fast path: the "guarded reporter" shape canonical CPAs
@@ -1142,121 +951,59 @@ fn parse_whole(lowered: &[ir::Block]) -> Option<Whole> {
 
 /// A trap-free single-global update statement, monomorphized. These are
 /// the statements CPAs spend their lives in; `apply` is branchless
-/// straight-line code over validated indices.
+/// straight-line code over validated indices. Fields are the updated
+/// global's slot, then the operands.
 #[derive(Debug, Clone, Copy)]
 enum GUpd {
     /// `g = g + c` (int).
-    IncC {
-        g: u16,
-        c: i64,
-    },
-    /// `g = g + input` (int).
-    AccInI {
-        g: u16,
-        i: u16,
-    },
+    IncC(u16, i64),
     /// `g = g + input` (int input promoted into a double global).
-    AccInF {
-        g: u16,
-        i: u16,
-    },
+    AccInF(u16, u16),
     /// `g = min(g, input)` / `g = max(g, input)` (int).
-    MinIn {
-        g: u16,
-        i: u16,
-    },
-    MaxIn {
-        g: u16,
-        i: u16,
-    },
+    MinIn(u16, u16),
+    MaxIn(u16, u16),
     /// `g = a - b` over two globals (int) — span/delta folds like
     /// `span = hi - lo`.
-    SubGG {
-        g: u16,
-        a: u16,
-        b: u16,
-    },
-    /// `g = <constant>` (raw bits — int, bool, or double).
-    SetC {
-        g: u16,
-        raw: i64,
-    },
-    /// `g = input` (raw bits match: int/bool input into same-typed global).
-    SetIn {
-        g: u16,
-        i: u16,
-    },
+    SubGG(u16, u16, u16),
 }
 
 impl GUpd {
     #[inline(always)]
     fn apply(self, ctx: &mut Ctx<'_>) {
-        match self {
-            GUpd::IncC { g, c } => {
-                let p = &mut ctx.globals[g as usize];
-                *p = p.wrapping_add(c);
-            }
-            GUpd::AccInI { g, i } => {
-                let v = ctx.inputs[i as usize];
-                let p = &mut ctx.globals[g as usize];
-                *p = p.wrapping_add(v);
-            }
-            GUpd::AccInF { g, i } => {
-                let v = ctx.inputs[i as usize] as f64;
-                let p = &mut ctx.globals[g as usize];
-                *p = bits_of(f64_of(*p) + v);
-            }
-            GUpd::MinIn { g, i } => {
-                let v = ctx.inputs[i as usize];
-                let p = &mut ctx.globals[g as usize];
-                *p = (*p).min(v);
-            }
-            GUpd::MaxIn { g, i } => {
-                let v = ctx.inputs[i as usize];
-                let p = &mut ctx.globals[g as usize];
-                *p = (*p).max(v);
-            }
-            GUpd::SubGG { g, a, b } => {
-                let v = ctx.globals[a as usize].wrapping_sub(ctx.globals[b as usize]);
-                ctx.globals[g as usize] = v;
-            }
-            GUpd::SetC { g, raw } => ctx.globals[g as usize] = raw,
-            GUpd::SetIn { g, i } => ctx.globals[g as usize] = ctx.inputs[i as usize],
-        }
+        let (GUpd::IncC(g, _)
+        | GUpd::AccInF(g, _)
+        | GUpd::MinIn(g, _)
+        | GUpd::MaxIn(g, _)
+        | GUpd::SubGG(g, ..)) = self;
+        let old = ctx.globals[g as usize];
+        ctx.globals[g as usize] = match self {
+            GUpd::IncC(_, c) => old.wrapping_add(c),
+            GUpd::AccInF(_, i) => bits_of(f64_of(old) + ctx.inputs[i as usize] as f64),
+            GUpd::MinIn(_, i) => old.min(ctx.inputs[i as usize]),
+            GUpd::MaxIn(_, i) => old.max(ctx.inputs[i as usize]),
+            GUpd::SubGG(_, a, b) => ctx.globals[a as usize].wrapping_sub(ctx.globals[b as usize]),
+        };
     }
 }
 
 fn as_gupd(step: &Step) -> Option<GUpd> {
-    let Step::StoreGlobal(g, ex) = step else {
+    let Step::StoreGlobal(g, Ex::Bin(op, l, r)) = step else {
         return None;
     };
     let g = *g;
-    match ex {
-        Ex::ConstI(c) => Some(GUpd::SetC { g, raw: *c }),
-        Ex::ConstF(v) => Some(GUpd::SetC {
-            g,
-            raw: bits_of(*v),
-        }),
-        Ex::Input(i) => Some(GUpd::SetIn { g, i: *i }),
-        Ex::Bin(op, l, r) => match (op, &**l, &**r) {
-            (Bin::AddI, Ex::Global(g2), Ex::ConstI(c)) if *g2 == g => Some(GUpd::IncC { g, c: *c }),
-            (Bin::AddI, Ex::Global(g2), Ex::Input(i)) if *g2 == g => {
-                Some(GUpd::AccInI { g, i: *i })
-            }
-            (Bin::AddF, Ex::Global(g2), Ex::Un(Un::I2F, inner)) if *g2 == g => {
-                if let Ex::Input(i) = &**inner {
-                    Some(GUpd::AccInF { g, i: *i })
-                } else {
-                    None
-                }
-            }
-            (Bin::MinI, Ex::Global(g2), Ex::Input(i)) if *g2 == g => Some(GUpd::MinIn { g, i: *i }),
-            (Bin::MaxI, Ex::Global(g2), Ex::Input(i)) if *g2 == g => Some(GUpd::MaxIn { g, i: *i }),
-            (Bin::SubI, Ex::Global(a), Ex::Global(b)) => Some(GUpd::SubGG { g, a: *a, b: *b }),
-            _ => None,
+    Some(match (op, &**l, &**r) {
+        (Bin::SubI, Ex::Global(a), Ex::Global(b)) => GUpd::SubGG(g, *a, *b),
+        // Everything else updates `g` from its own old value.
+        (_, old, _) if *old != Ex::Global(g) => return None,
+        (Bin::AddI, _, Ex::ConstI(c)) => GUpd::IncC(g, *c),
+        (Bin::MinI, _, Ex::Input(i)) => GUpd::MinIn(g, *i),
+        (Bin::MaxI, _, Ex::Input(i)) => GUpd::MaxIn(g, *i),
+        (Bin::AddF, _, Ex::Un(Un::I2F, inner)) => match &**inner {
+            Ex::Input(i) => GUpd::AccInF(g, *i),
+            _ => return None,
         },
-        _ => None,
-    }
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1278,6 +1025,9 @@ mod tests {
         }
         return n % 10 == 0 && n > 0;
     "#;
+
+    /// One carried stack value across the short-circuit join.
+    const CARRY_SRC: &str = "return port != 0 && size / port > 3;";
 
     fn program(src: &str) -> Program {
         Program::compile(src, &INPUTS).unwrap()
@@ -1307,7 +1057,7 @@ mod tests {
     }
 
     /// The perf claim rests on the hot CPA idioms getting monomorphized
-    /// closures, not the generic tree-walker — pin it so a lowering or
+    /// forms, not the interpreter — pin it so a lowering or
     /// specialization change can't silently regress `cpa_eval` to 1x.
     #[test]
     fn canonical_cpa_shapes_fully_specialize() {
@@ -1387,16 +1137,17 @@ mod tests {
         assert_eq!(Instance::new(&p).tier(), ExecTier::Compiled);
         assert_eq!(Instance::new_fused(&p).tier(), ExecTier::Fused);
         assert_tiers_agree(CPA_SRC);
-        // One carried stack value across the short-circuit join.
-        let carry = "return port != 0 && size / port > 3;";
-        assert_eq!(Instance::new(&program(carry)).tier(), ExecTier::Compiled);
-        assert_tiers_agree(carry);
+        assert_eq!(
+            Instance::new(&program(CARRY_SRC)).tier(),
+            ExecTier::Compiled
+        );
+        assert_tiers_agree(CARRY_SRC);
     }
 
     #[test]
     fn over_limit_program_falls_back_and_agrees() {
         // Enough straight-line statements to pass MAX_OPS: too big to be
-        // worth a closure graph, so it must run — and run correctly — on
+        // worth a block graph, so it must run — and run correctly — on
         // the checked interpreter.
         let divisors: Vec<i64> = (0..MAX_OPS as i64 / 4).map(|k| k % 61 + 2).collect();
         let mut src = String::from("static int n = 0;\n");
@@ -1465,4 +1216,123 @@ mod tests {
             }
         }
     }
+
+    /// Every string the repo actually installs: the raw-string and
+    /// named plain-string E-Code literals of the examples and the bench
+    /// crate (whose CPA/filter/digest sources sysbench's `install_churn`
+    /// corpus mirrors), read from the files themselves so the census
+    /// follows the traffic, plus this module's canonical CPA.
+    fn traffic() -> Vec<String> {
+        let files = [
+            include_str!("../../../examples/custom_analyzer.rs"),
+            include_str!("../../../examples/verify_cpa.rs"),
+            include_str!("../../bench/src/hotpath.rs"),
+        ];
+        let mut out = vec![CPA_SRC.to_owned(), CARRY_SRC.to_owned()];
+        for file in files {
+            let mut rest = file;
+            while let Some(at) = rest.find("r#\"") {
+                let body = &rest[at + 3..];
+                let end = body.find("\"#").expect("raw string closes");
+                out.push(body[..end].to_owned());
+                rest = &body[end..];
+            }
+            for name in ["SUB_FILTER", "DIGEST_PROGRAM"] {
+                if let Some(at) = file.find(&format!("const {name}: &str = \"")) {
+                    let body = &file[at..][file[at..].find('"').unwrap() + 1..];
+                    out.push(body[..body.find("\";").unwrap()].to_owned());
+                }
+            }
+        }
+        out
+    }
+
+    /// Fast-form census: which specialized variants the in-repo traffic
+    /// reaches. A variant no program reaches is dead weight on the hot
+    /// path's match arms — delete it rather than keep it for a shape
+    /// nobody writes. (PR 16 deleted seven this way: `GUpd::{AccInI,
+    /// SetC, SetIn}`, `OutK::{DblGl, Const}`, `Scal::GlModC`,
+    /// `SpecTerm::Jump`.)
+    #[test]
+    fn every_fast_form_is_reached_by_in_repo_traffic() {
+        // Event inputs and interaction-record fields together: names
+        // only resolve loads, the forms do not depend on them.
+        let names = [
+            "kind",
+            "pid",
+            "wall_us",
+            "size",
+            "aux",
+            "port_src",
+            "port_dst",
+            "port",
+            "node",
+            "src_ip",
+            "src_port",
+            "dst_ip",
+            "dst_port",
+            "class_port",
+            "start_us",
+            "end_us",
+            "req_packets",
+            "req_bytes",
+            "resp_packets",
+            "resp_bytes",
+            "kernel_in_us",
+            "user_us",
+            "kernel_out_us",
+            "blocked_us",
+            "blocked_io_us",
+        ];
+        let inputs: Vec<(&str, Type)> = names.iter().map(|n| (*n, Type::Int)).collect();
+        let mut census = std::collections::BTreeMap::new();
+        let mut programs = 0;
+        for src in traffic() {
+            // Only what a host would install: the examples also hold a
+            // deliberately rejected program.
+            let Ok(v) = crate::verify(&src, &inputs, &crate::VerifyLimits::default()) else {
+                continue;
+            };
+            programs += 1;
+            let cp = v
+                .get()
+                .lowered()
+                .compiled
+                .clone()
+                .expect("traffic compiles");
+            let nodes: Vec<_> = cp.blocks.iter().filter_map(|b| b.spec.as_ref()).collect();
+            // Variant names as the derived `Debug` spells them.
+            let dump = format!("{nodes:?}");
+            for (family, variants) in FORMS {
+                for v in *variants {
+                    let ends = [" {", "(", ","];
+                    if ends.iter().any(|e| dump.contains(&format!("{v}{e}"))) {
+                        *census.entry(format!("{family}::{v}")).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        eprintln!("fast forms reached, of {programs} programs: {census:#?}");
+        assert!(
+            programs >= 8,
+            "traffic extraction broke: {programs} programs"
+        );
+        for (family, variants) in FORMS {
+            for v in *variants {
+                let form = format!("{family}::{v}");
+                assert!(
+                    census.contains_key(&form),
+                    "no in-repo program lowers to {form}"
+                );
+            }
+        }
+    }
+
+    const FORMS: &[(&str, &[&str])] = &[
+        ("GUpd", &["IncC", "AccInF", "MinIn", "MaxIn", "SubGG"]),
+        ("OutK", &["RatioFI", "IntGl"]),
+        ("Scal", &["In", "Gl", "C", "Carry"]),
+        ("ValK", &["S", "Cmp", "DivC"]),
+        ("SpecTerm", &["RetC", "RetV", "CarryJmp", "Br"]),
+    ];
 }

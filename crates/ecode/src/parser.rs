@@ -1,7 +1,33 @@
 //! Recursive-descent parser producing the E-Code AST.
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{lex, Tok, Token};
 use crate::EcodeError;
+
+/// Fixed limits on program text. Source arrives over the wire (a remote
+/// `Subscribe`, a digest install) and every pass after this one recurses
+/// on the AST, so the parser is where a hostile string must stop: past
+/// either limit it is a parse error, never a stack overflow.
+pub(crate) const MAX_SOURCE_BYTES: usize = 64 * 1024;
+/// Parser recursion depth: nested parentheses, unary operators, call
+/// arguments and `if`s each count one level, and so does every link of
+/// a binary-operator chain (`a + b + c` builds a left spine as deep as
+/// it is long). No AST path is longer than twice this.
+pub(crate) const MAX_AST_DEPTH: u32 = 32;
+
+/// Lexes and parses a whole program: the one entry for program text, so
+/// the limits hold for `Program::compile` and `verify` alike.
+pub fn parse(src: &str) -> Result<Vec<Stmt>, EcodeError> {
+    if src.len() > MAX_SOURCE_BYTES {
+        return Err(EcodeError::Parse {
+            line: 1,
+            msg: format!(
+                "source is {} bytes; the limit is {MAX_SOURCE_BYTES}",
+                src.len()
+            ),
+        });
+    }
+    Parser::new(lex(src)?).program()
+}
 
 /// Declared types in source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,14 +118,50 @@ pub enum Stmt {
     },
 }
 
-pub struct Parser {
+struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Current recursion depth, bounded by [`MAX_AST_DEPTH`].
+    depth: u32,
+}
+
+/// The binary operator `tok` spells and its precedence level, loosest
+/// first: `||` < `&&` < `== !=` < relational < additive < multiplicative.
+fn bin_op(tok: &Tok) -> Option<(BinOp, u32)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::Or, 0),
+        Tok::AndAnd => (BinOp::And, 1),
+        Tok::EqEq => (BinOp::Eq, 2),
+        Tok::NotEq => (BinOp::Ne, 2),
+        Tok::Lt => (BinOp::Lt, 3),
+        Tok::LtEq => (BinOp::Le, 3),
+        Tok::Gt => (BinOp::Gt, 3),
+        Tok::GtEq => (BinOp::Ge, 3),
+        Tok::Plus => (BinOp::Add, 4),
+        Tok::Minus => (BinOp::Sub, 4),
+        Tok::Star => (BinOp::Mul, 5),
+        Tok::Slash => (BinOp::Div, 5),
+        Tok::Percent => (BinOp::Mod, 5),
+        _ => return None,
+    })
 }
 
 impl Parser {
-    pub fn new(toks: Vec<Token>) -> Self {
-        Parser { toks, pos: 0 }
+    fn new(toks: Vec<Token>) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enters one more level of nesting, or refuses.
+    fn descend(&mut self) -> Result<(), EcodeError> {
+        if self.depth == MAX_AST_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_AST_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> &Tok {
@@ -135,7 +197,7 @@ impl Parser {
     }
 
     /// Parses a whole program (a statement list up to EOF).
-    pub fn program(&mut self) -> Result<Vec<Stmt>, EcodeError> {
+    fn program(&mut self) -> Result<Vec<Stmt>, EcodeError> {
         let mut stmts = Vec::new();
         while *self.peek() != Tok::Eof {
             stmts.push(self.stmt()?);
@@ -219,6 +281,7 @@ impl Parser {
 
     fn if_stmt(&mut self) -> Result<Stmt, EcodeError> {
         let line = self.line();
+        self.descend()?;
         self.expect(Tok::KwIf, "'if'")?;
         self.expect(Tok::LParen, "'('")?;
         let cond = self.expr()?;
@@ -234,6 +297,7 @@ impl Parser {
         } else {
             Vec::new()
         };
+        self.depth -= 1;
         Ok(Stmt::If {
             cond,
             then_block,
@@ -255,122 +319,21 @@ impl Parser {
         Ok(stmts)
     }
 
-    // Precedence climbing: || < && < == != < relational < additive <
-    // multiplicative < unary < primary.
-
     fn expr(&mut self) -> Result<Expr, EcodeError> {
-        self.or_expr()
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, EcodeError> {
-        let mut lhs = self.and_expr()?;
-        while *self.peek() == Tok::OrOr {
-            let line = self.line();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Bin {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, EcodeError> {
-        let mut lhs = self.eq_expr()?;
-        while *self.peek() == Tok::AndAnd {
-            let line = self.line();
-            self.bump();
-            let rhs = self.eq_expr()?;
-            lhs = Expr::Bin {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn eq_expr(&mut self) -> Result<Expr, EcodeError> {
-        let mut lhs = self.rel_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinOp::Eq,
-                Tok::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.rel_expr()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, EcodeError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOp::Lt,
-                Tok::LtEq => BinOp::Le,
-                Tok::Gt => BinOp::Gt,
-                Tok::GtEq => BinOp::Ge,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.add_expr()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, EcodeError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, EcodeError> {
+    /// Precedence climbing: a chain of left-associative operators at
+    /// `min` level or tighter; unary and primary expressions bind
+    /// tightest.
+    fn binary(&mut self, min: u32) -> Result<Expr, EcodeError> {
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => break,
-            };
+        let entry = self.depth;
+        while let Some((op, level)) = bin_op(self.peek()).filter(|&(_, level)| level >= min) {
             let line = self.line();
             self.bump();
-            let rhs = self.unary_expr()?;
+            self.descend()?; // the left spine grows one level per link
+            let rhs = self.binary(level + 1)?;
             lhs = Expr::Bin {
                 op,
                 lhs: Box::new(lhs),
@@ -378,30 +341,22 @@ impl Parser {
                 line,
             };
         }
+        self.depth = entry;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, EcodeError> {
         let line = self.line();
-        match self.peek() {
-            Tok::Minus => {
-                self.bump();
-                Ok(Expr::Un {
-                    op: UnOp::Neg,
-                    expr: Box::new(self.unary_expr()?),
-                    line,
-                })
-            }
-            Tok::Not => {
-                self.bump();
-                Ok(Expr::Un {
-                    op: UnOp::Not,
-                    expr: Box::new(self.unary_expr()?),
-                    line,
-                })
-            }
-            _ => self.primary(),
-        }
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Not => UnOp::Not,
+            _ => return self.primary(),
+        };
+        self.bump();
+        self.descend()?;
+        let expr = Box::new(self.unary_expr()?);
+        self.depth -= 1;
+        Ok(Expr::Un { op, expr, line })
     }
 
     fn primary(&mut self) -> Result<Expr, EcodeError> {
@@ -415,6 +370,7 @@ impl Parser {
                 if *self.peek() == Tok::LParen {
                     self.bump();
                     let mut args = Vec::new();
+                    self.descend()?;
                     if *self.peek() != Tok::RParen {
                         loop {
                             args.push(self.expr()?);
@@ -425,6 +381,7 @@ impl Parser {
                             }
                         }
                     }
+                    self.depth -= 1;
                     self.expect(Tok::RParen, "')'")?;
                     Ok(Expr::Call { name, args, line })
                 } else {
@@ -432,7 +389,9 @@ impl Parser {
                 }
             }
             Tok::LParen => {
+                self.descend()?;
                 let e = self.expr()?;
+                self.depth -= 1;
                 self.expect(Tok::RParen, "')'")?;
                 Ok(e)
             }
@@ -447,11 +406,6 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-
-    fn parse(src: &str) -> Result<Vec<Stmt>, EcodeError> {
-        Parser::new(lex(src)?).program()
-    }
 
     #[test]
     fn parses_declarations() {

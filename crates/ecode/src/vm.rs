@@ -252,9 +252,9 @@ pub(crate) fn validate(program: &Program) -> (usize, Vec<i32>) {
 /// event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecTier {
-    /// Closure-compiled basic blocks ([`crate::jit`]); falls back to
-    /// the checked per-op interpreter mid-run only when the remaining
-    /// fuel budget cannot cover a block.
+    /// Specialized basic blocks ([`crate::jit`]); a block falls back to
+    /// the checked per-op interpreter mid-run when it has no specialized
+    /// form or the remaining fuel budget cannot cover it.
     Compiled,
     /// Not compiled: every block runs on the checked per-op
     /// interpreter. (The name predates the interpreter it now denotes;
@@ -270,7 +270,7 @@ pub enum ExecTier {
 pub struct Instance {
     program: Program,
     globals: Vec<i64>,
-    /// The closure-compiled tier, when the program lowered
+    /// The compiled tier, when the program lowered
     /// ([`Program::lowered`]) — `None` means every run uses the checked
     /// interpreter. One graph per program, shared by every instance.
     compiled: Option<Arc<jit::CompiledProgram>>,
@@ -288,7 +288,7 @@ impl Instance {
     /// Creates an instance with statics at their declared initial values.
     /// The program is cheap to clone (bytecode + layout tables).
     ///
-    /// Every program the lowering accepts runs on the closure-compiled
+    /// Every program the lowering accepts runs on the compiled
     /// tier; the rest run on the checked per-op interpreter. Both are
     /// bit-identical on every observable ([`tier`](Instance::tier)
     /// reports which one was selected,
@@ -326,8 +326,8 @@ impl Instance {
 
     /// `(specialized, total)` compiled-block counts, `None` when the
     /// instance is not compiled. Introspection for tests — the perf suite
-    /// pins that the representative CPA shapes never regress to the
-    /// generic tree-walking closures.
+    /// pins that every block of the representative CPA shapes
+    /// specializes.
     #[cfg(test)]
     pub(crate) fn compiled_specialization(&self) -> Option<(usize, usize)> {
         self.compiled.as_deref().map(|cp| cp.specialization())
@@ -493,7 +493,7 @@ impl Instance {
     }
 
     /// Runs the program over pre-marshalled raw input bits, skipping the
-    /// per-value type check. The caller owns the contract [`run`] enforces
+    /// per-value type check. The caller owns the contract [`run`](Instance::run) enforces
     /// dynamically: `raw[i]` must hold the bit pattern of declared input
     /// `i` (ints/bools as-is, doubles via `f64::to_bits`). Hot ingest
     /// paths that produce columns of raw bits use this to avoid building
@@ -575,7 +575,7 @@ impl Instance {
         locals.clear();
         locals.resize(program.n_locals as usize, 0);
         outputs.clear();
-        // One context for the whole run; each closure call reborrows it.
+        // One context for the whole run; each block reborrows it.
         let mut ctx = jit::Ctx {
             globals,
             locals,
@@ -712,13 +712,13 @@ impl Instance {
 /// `(ret, fuel_used)`; `out()` values land in `ctx.outputs`.
 ///
 /// With a compiled program this is direct-threaded block chaining with
-/// block-granular fuel precharge: a block whose straight-line cost fits
-/// the remaining budget is charged up front and runs its closure; one
-/// that doesn't fit runs on the checked interpreter instead (spilling
-/// the carried stack values first), so abort points, `fuel_used` and
-/// partial statics stay bit-identical to
-/// [`run_per_op`](Instance::run_per_op). Without one, every block runs
-/// on the interpreter.
+/// block-granular fuel precharge: a specialized block whose
+/// straight-line cost fits the remaining budget is charged up front and
+/// run compiled; one that doesn't fit, or has no specialized form, runs
+/// on the checked interpreter instead (spilling the carried stack values
+/// first), so abort points, `fuel_used` and partial statics stay
+/// bit-identical to [`run_per_op`](Instance::run_per_op). Without one,
+/// every block runs on the interpreter.
 fn drive(
     cp: Option<&jit::CompiledProgram>,
     code: &[Op],
@@ -740,28 +740,29 @@ fn drive(
     let mut bi = 0usize;
     loop {
         let b = &cp.blocks[bi];
-        if fuel_used + b.fuel <= fuel {
+        if let Some(node) = b.spec.as_ref().filter(|_| fuel_used + b.fuel <= fuel) {
             // Precharge the block's whole span (chain-merged successors
-            // included) and run its closure. Every exit is a real
-            // terminator (traps discard fuel), so `fuel_used` at any
+            // included) and run it. Every exit is a real terminator and
+            // specialized code cannot trap, so `fuel_used` at any
             // observable point matches per-op metering bit for bit. The
-            // closure may additionally charge inlined successor spans
-            // against the remaining budget — identical decisions to this
-            // loop's own precharge — and reports them in `extra`.
+            // run may additionally charge the specialized successors it
+            // continues into against the remaining budget — identical
+            // decisions to this loop's own precharge — and reports them
+            // in `extra`.
             fuel_used += b.fuel;
-            let (extra, exit) = (b.run)(ctx, fuel - fuel_used);
+            let (extra, exit) = cp.run_spec(node, ctx, fuel - fuel_used);
             fuel_used += extra;
             match exit {
                 jit::Exit::Jump(n) => bi = n as usize,
                 jit::Exit::Ret(ret) => return Ok((ret, fuel_used)),
-                jit::Exit::Trap => return Err(EcodeError::DivideByZero),
             }
         } else {
-            // Budget too tight for a precharge: materialize the carried
-            // values on the operand stack and run one
-            // original-granularity block per-op with a fuel check
-            // before every opcode (merged spans re-enter the loop at
-            // each original boundary, re-deciding per block).
+            // No specialized form, or a budget too tight for a
+            // precharge: materialize the carried values on the operand
+            // stack and run one original-granularity block per-op with
+            // a fuel check before every opcode (merged spans re-enter
+            // the loop at each original boundary, re-deciding per
+            // block).
             let opc = b.entry_pc as usize;
             stack.clear();
             stack.extend_from_slice(&ctx.carry[..b.carry_in as usize]);
@@ -769,7 +770,7 @@ fn drive(
                 BlockExit::Ret(ret) => return Ok((ret, fuel_used)),
                 BlockExit::Next(pc) => {
                     // Checked map: a corrupted pc fails loudly instead
-                    // of reaching a wrong closure.
+                    // of reaching a wrong block.
                     let nb = cp.pc2block[pc];
                     assert!(nb != u32::MAX, "block entry has no compiled twin");
                     bi = nb as usize;

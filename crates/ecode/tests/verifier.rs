@@ -441,6 +441,80 @@ fn w0009_mergeable_but_unused_golden() {
 }
 
 // ---------------------------------------------------------------------
+// Hostile source: program text arrives over the wire, and every pass
+// after the parser recurses on the AST. Past the fixed limits the answer
+// must be a parse error (E0004 → SubscribeNack), never a stack overflow
+// — which is an abort, not a panic, and takes the daemon with it.
+// ---------------------------------------------------------------------
+
+/// The four shapes that used to overflow the stack, `n` levels deep:
+/// nested parentheses, a `!` tower, nested `if`s and a left-leaning
+/// `1 + 1 + …` spine.
+fn hostile_shapes(n: usize) -> [String; 4] {
+    [
+        format!("return {}1{};", "(".repeat(n), ")".repeat(n)),
+        format!("return {}true;", "!".repeat(n)),
+        format!("{}{}return 0;", "if (true) {".repeat(n), "}".repeat(n)),
+        format!("return 1{};", " + 1".repeat(n)),
+    ]
+}
+
+/// Runs `f` on a thread with a deliberately small stack — smaller than
+/// any the product runs on (digest workers and test threads get 2 MiB).
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("a hostile source must not panic either")
+}
+
+#[test]
+fn hostile_source_is_a_parse_error_not_a_stack_overflow() {
+    // 100,000 trips the byte limit; 5,000 fits in it and must trip the
+    // depth limit instead.
+    for n in [100_000, 5_000] {
+        for src in hostile_shapes(n) {
+            let (compiled, verified) = on_small_stack(move || {
+                (
+                    Program::compile(&src, &INPUTS).map(|_| ()),
+                    verify(&src, &INPUTS, &VerifyLimits::default()).map(|_| ()),
+                )
+            });
+            assert!(
+                matches!(compiled, Err(ecode::EcodeError::Parse { .. })),
+                "n={n}: {compiled:?}"
+            );
+            let err = verified.expect_err("hostile source verified");
+            assert_eq!(err.errors().next().unwrap().code, "E0004", "n={n}");
+        }
+    }
+}
+
+#[test]
+fn hostile_limits_admit_everything_up_to_the_limit() {
+    // Exactly at the depth limit every shape still compiles — on the
+    // same small stack, so the limit itself is shown to be safe.
+    for src in hostile_shapes(32) {
+        on_small_stack(move || {
+            Program::compile(&src, &INPUTS).unwrap_or_else(|e| panic!("{e}\n{src}"));
+            verify(&src, &INPUTS, &VerifyLimits::with_max_fuel(10_000))
+                .unwrap_or_else(|e| panic!("{e}\n{src}"));
+        });
+    }
+    let one_more = &hostile_shapes(33)[0];
+    assert!(Program::compile(one_more, &INPUTS).is_err());
+    // A long flat program is not deep: size is bounded by bytes alone.
+    let flat = format!(
+        "static int n = 0;\n{}return n;",
+        "n = n + 1;\n".repeat(4_000)
+    );
+    assert!(flat.len() < 64 * 1024);
+    Program::compile(&flat, &INPUTS).expect("flat program compiles");
+}
+
+// ---------------------------------------------------------------------
 // Soundness: generated programs.
 // ---------------------------------------------------------------------
 

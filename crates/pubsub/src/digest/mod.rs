@@ -30,7 +30,9 @@ mod plane;
 
 use std::cell::RefCell;
 
-use ecode::{Instance, MergeError, MergePlan, Value as EValue, VerifyLimits, VerifyReport};
+use ecode::{
+    BatchEval, Instance, MergeError, MergePlan, Value as EValue, VerifyLimits, VerifyReport,
+};
 use pbio::Schema;
 
 use crate::PubSubError;
@@ -118,6 +120,9 @@ pub struct ShardedDigest {
     /// function of the program, so one probe at compile time speaks for
     /// all shards (including the parallel plane's worker-local replicas).
     tier: ecode::ExecTier,
+    /// Why sharded evaluation does not run column-wise (see
+    /// [`batch_bail`](ShardedDigest::batch_bail)).
+    batch_bail: Option<ecode::BatchBail>,
     skipped: u64,
     /// Lazily computed fold of the replicas, invalidated on ingest.
     /// `merged()`/`merged_global()` sit on the stats/query path and are
@@ -182,10 +187,14 @@ impl ShardedDigest {
             ..
         } = report;
         let tier = Instance::new(&program).tier();
+        // Vectorize once, for every worker: each gets a clone, and the
+        // refusal (if any) is kept for `batch_bail`.
+        let batch = (shards > 1).then(|| BatchEval::compile(&program, &merge_plan, fuel_bound));
+        let batch_bail = batch.as_ref().and_then(|b| b.as_ref().err().copied());
         let engine = if shards > 1 && merge_plan.fully_mergeable() {
             Engine::Parallel(RefCell::new(Plane::spawn(
                 &program,
-                &merge_plan,
+                batch.and_then(Result::ok),
                 fuel_bound,
                 &field_indices,
                 shards,
@@ -209,6 +218,7 @@ impl ShardedDigest {
             raw_row: Vec::new(),
             fuel_bound,
             tier,
+            batch_bail,
             skipped: 0,
             merged_cache: RefCell::new(None),
         })
@@ -244,6 +254,16 @@ impl ShardedDigest {
     /// so `merge_from` folds stay bit-identical regardless of tier.
     pub fn tier(&self) -> ecode::ExecTier {
         self.tier
+    }
+
+    /// Why records of a digest asked to shard are evaluated row-at-a-time
+    /// on the scalar VM instead of column-wise by [`ecode::BatchEval`]:
+    /// `NotMergeable` when the plan kept it on the single engine,
+    /// anything else is what the vectorizer refused in the workers'
+    /// program. `None` when the workers vectorize — or when a single
+    /// shard was requested, and batching never came up.
+    pub fn batch_bail(&self) -> Option<ecode::BatchBail> {
+        self.batch_bail
     }
 
     /// Which shard a flow key lands on. Deterministic: identical across
@@ -477,6 +497,32 @@ mod tests {
         return count;
     ";
 
+    /// A digest that does not run column-wise says why: the plan kept it
+    /// off the plane, or the vectorizer refused the workers' program.
+    #[test]
+    fn scalar_fallback_reports_its_reason() {
+        let schema = schema();
+        let lww = "static int last = 0; last = size; return last;";
+        let d = ShardedDigest::compile(lww, &schema, 4).unwrap();
+        assert!(!d.is_sharded());
+        assert_eq!(d.batch_bail(), Some(ecode::BatchBail::NotMergeable));
+
+        // Shard-safe, but a zero `port` lane would have to trap
+        // mid-batch: sharded, each worker on the scalar VM.
+        let div = "static int n = 0; n = n + size / port; return n;";
+        let mut d = ShardedDigest::compile(div, &schema, 4).unwrap();
+        assert!(d.is_sharded());
+        assert_eq!(
+            d.batch_bail(),
+            Some(ecode::BatchBail::NonConstDivisor { pc: 0 })
+        );
+        for i in 0..64u64 {
+            d.ingest_raw(i, &[i as i64 * 10, 1 + (i % 3) as i64]);
+        }
+        let want: i64 = (0..64i64).map(|i| i * 10 / (1 + i % 3)).sum();
+        assert_eq!(d.merged_global("n"), Some(EValue::Int(want)));
+    }
+
     #[test]
     fn mergeable_digest_shards_and_folds_exactly() {
         let schema = schema();
@@ -489,6 +535,9 @@ mod tests {
         // and the canonical mergeable digest fits the default budget.
         assert_eq!(seq.tier(), ecode::ExecTier::Compiled);
         assert_eq!(sharded.tier(), seq.tier());
+        // The workers evaluate it column-wise; one shard never batches.
+        assert_eq!(sharded.batch_bail(), None);
+        assert_eq!(seq.batch_bail(), None);
 
         for i in 0..100u64 {
             let rec = [(i * 37 % 91) as i64, if i % 5 == 0 { 80 } else { 9000 }];

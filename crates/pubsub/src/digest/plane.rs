@@ -35,7 +35,7 @@
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use ecode::{BatchEval, Instance, MergePlan, Program};
+use ecode::{BatchEval, Instance, Program};
 
 /// Full batches staged coordinator-side per shard before they are
 /// shipped as one burst. Hash placement spreads consecutive records
@@ -131,7 +131,7 @@ impl Plane {
     /// program input `i`.
     pub(super) fn spawn(
         program: &Program,
-        plan: &MergePlan,
+        batch_eval: Option<BatchEval>,
         fuel_bound: u64,
         field_indices: &[usize],
         shards: usize,
@@ -155,14 +155,14 @@ impl Plane {
             let (tx, rx) = bounded::<WorkerMsg>(CHANNEL_BATCHES);
             let (back_tx, back_rx) = unbounded::<ColumnBatch>();
             let program = program.clone();
-            let plan = plan.clone();
+            let batch_eval = batch_eval.clone();
             let active_inputs = active_inputs.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("digest-worker-{shard}"))
                 .spawn(move || {
                     worker_loop(
                         &program,
-                        &plan,
+                        batch_eval,
                         fuel_bound,
                         n_inputs,
                         &active_inputs,
@@ -407,7 +407,7 @@ impl std::fmt::Debug for Plane {
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     program: &Program,
-    plan: &MergePlan,
+    mut batch_eval: Option<BatchEval>,
     fuel_bound: u64,
     n_inputs: usize,
     active_inputs: &[usize],
@@ -416,7 +416,6 @@ fn worker_loop(
     back_tx: &Sender<ColumnBatch>,
 ) {
     let mut inst = Instance::new(program);
-    let mut batch_eval = BatchEval::try_compile(program, plan, fuel_bound);
     let mut fuel_spent = 0u64;
     let mut aborted = 0u64;
     let mut row_scratch = Vec::new();

@@ -13,7 +13,7 @@
 //! cargo run --example verify_cpa
 //! ```
 
-use ecode::{verify, VerifyLimits};
+use ecode::{verify, BatchEval, ExecTier, Instance, Program, Type, VerifyLimits};
 use sysprof::EVENT_INPUTS;
 
 /// First attempt: a per-port byte ratio. Three problems hide in it — a
@@ -46,6 +46,26 @@ if (1 == 1) {
 return reqs;
 "#;
 
+/// An analyzer the loader admits but does not lower: four comparisons
+/// pending beneath a short-circuit join are more stack than a block
+/// boundary carries.
+const DEEP_JOIN: &str =
+    "return size > 0 == (pid > 0 == (size > 1 == (pid > 1 == (size > 2 && pid > 2))));";
+
+/// Prints which execution path the loader chose for `program`, and why.
+fn explain_paths(name: &str, program: &Program, report: &ecode::VerifyReport) {
+    let inst = Instance::new(program);
+    match (inst.tier(), inst.compile_bail()) {
+        (ExecTier::Compiled, _) => println!("  {name}: compiled tier"),
+        (ExecTier::Fused, Some(why)) => println!("  {name}: interpreter — {why}"),
+        (ExecTier::Fused, None) => println!("  {name}: interpreter (by request)"),
+    }
+    match BatchEval::compile(program, &report.merge_plan, report.fuel_bound) {
+        Ok(_) => println!("  {name}: digest workers would evaluate it column-wise"),
+        Err(why) => println!("  {name}: no column evaluation — {why}"),
+    }
+}
+
 fn main() {
     let limits = VerifyLimits::default();
 
@@ -76,4 +96,18 @@ fn main() {
         r.fuel_bound
     );
     println!("machine-checked bound, not a runtime abort after the fact.");
+
+    println!("\nand the loader says which path each program takes, and why:\n");
+    let (program, report) = verified.into_parts();
+    explain_paths("fixed analyzer", &program, &report);
+    let inputs: Vec<(&str, Type)> = EVENT_INPUTS.to_vec();
+    let (program, report) = verify(DEEP_JOIN, &inputs, &limits)
+        .expect("admitted")
+        .into_parts();
+    explain_paths("deep join", &program, &report);
+    let counter = "static int big = 0; if (size > 1000) { big = big + 1; } return 0;";
+    let (program, report) = verify(counter, &inputs, &limits)
+        .expect("admitted")
+        .into_parts();
+    explain_paths("gated counter", &program, &report);
 }

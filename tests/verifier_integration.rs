@@ -175,3 +175,52 @@ fn verified_filter_ships_records_and_exposes_its_fuel_bound() {
     assert!(sysprof.gpa().borrow().interaction_count() >= 1);
     assert!(sysprof.gpa().borrow().subscription_failures().is_empty());
 }
+
+/// A remote Subscribe carrying source built to overflow a recursive
+/// parser (10,000 nested parentheses: 20 KB, which used to abort the
+/// process) is answered like any other bad filter — NACKed and counted —
+/// and the daemon goes on to accept the next valid Subscribe.
+#[test]
+fn hostile_filter_source_is_nacked_and_the_daemon_keeps_serving() {
+    let mut world = small_world(2);
+    let hostile = format!("return {}1{} > 0;", "(".repeat(10_000), ")".repeat(10_000));
+    let config = MonitorConfig {
+        interaction_filter: Some(hostile),
+        ..Default::default()
+    };
+    let sysprof = SysProf::deploy(&mut world, &[NodeId(0)], NodeId(1), config);
+    world.run_until(SimTime::from_millis(100));
+
+    let stats = sysprof.daemon_stats(NodeId(0)).expect("stats");
+    assert_eq!(stats.subscribes_rejected, 1, "{stats:#?}");
+    {
+        let gpa = sysprof.gpa();
+        let gpa = gpa.borrow();
+        let failures = gpa.subscription_failures();
+        assert_eq!(failures.len(), 1, "{failures:#?}");
+        assert!(
+            failures[0]
+                .diagnostics
+                .iter()
+                .any(|d| d.contains("E0004") && d.contains("nesting deeper")),
+            "NACK should say why: {:#?}",
+            failures[0].diagnostics
+        );
+    }
+
+    // Same daemon, next Subscribe: a valid filter is admitted.
+    let before = stats.subscribes_ok;
+    let reply_to = simnet::EndPoint::new(world.network().node_ip(NodeId(1)), simnet::Port(9_999));
+    sysprof.subscribe(
+        &mut world,
+        NodeId(1),
+        NodeId(0),
+        INTERACTION_TOPIC,
+        reply_to,
+        Some("return req_bytes >= 0;"),
+    );
+    world.run_until(SimTime::from_millis(200));
+    let stats = sysprof.daemon_stats(NodeId(0)).expect("stats");
+    assert_eq!(stats.subscribes_ok, before + 1, "{stats:#?}");
+    assert_eq!(stats.subscribes_rejected, 1, "{stats:#?}");
+}
