@@ -114,7 +114,7 @@ case "${1:-}" in
         "==> generative sweeps (compiled vs per-op reference, batch vs scalar rows)" \
         "cargo test -q -p ecode --test verifier generated" \
         "==> hostile source (parse error, not a stack overflow; NACK, not an abort)" \
-        "cargo test -q -p ecode --test verifier hostile" \
+        "env RUST_MIN_STACK=262144 cargo test -q -p ecode --test verifier hostile" \
         "cargo test -q --test verifier_integration hostile" \
         "==> allocation discipline (counting allocator, release)" \
         "cargo test -q --release -p ecode --test zero_alloc" \

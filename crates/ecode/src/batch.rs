@@ -325,13 +325,13 @@ impl BatchEval {
             match self.vops[vi] {
                 // Divisors are compile-time constants proven nonzero,
                 // so the full-lane sweep cannot trap.
-                VOp::Bin { op, a, b, dst } => self.into_reg(dst, rows, |s, d| {
+                VOp::Bin { op, a, b, dst } => self.lanes_to_reg(dst, rows, |s, d| {
                     op.sweep(d, s.col(a, cols), s.col(b, cols));
                 }),
                 VOp::Un { op, a, dst } => {
-                    self.into_reg(dst, rows, |s, d| op.sweep(d, s.col(a, cols)));
+                    self.lanes_to_reg(dst, rows, |s, d| op.sweep(d, s.col(a, cols)));
                 }
-                VOp::Mask { k, a, b, dst } => self.into_reg(dst, rows, |s, d| {
+                VOp::Mask { k, a, b, dst } => self.lanes_to_reg(dst, rows, |s, d| {
                     let lanes = d.iter_mut().zip(s.col(a, cols)).zip(s.col(b, cols));
                     match k {
                         MaskK::And => lanes.for_each(|((d, &x), &y)| *d = x & y),
@@ -339,14 +339,14 @@ impl BatchEval {
                         MaskK::Or => lanes.for_each(|((d, &x), &y)| *d = x | y),
                     }
                 }),
-                VOp::Blend { m, a, b, dst } => self.into_reg(dst, rows, |s, d| {
+                VOp::Blend { m, a, b, dst } => self.lanes_to_reg(dst, rows, |s, d| {
                     let (m, a, b) = (s.col(m, cols), s.col(a, cols), s.col(b, cols));
                     for l in 0..rows {
                         d[l] = if m[l] != 0 { b[l] } else { a[l] };
                     }
                 }),
                 VOp::Copy { a, dst } => {
-                    self.into_reg(dst, rows, |s, d| d.copy_from_slice(&s.col(a, cols)[..rows]));
+                    self.lanes_to_reg(dst, rows, |s, d| d.copy_from_slice(&s.col(a, cols)[..rows]));
                 }
                 VOp::StoreLocal { local, a, m } => {
                     let mut d = std::mem::take(&mut self.locals[local as usize]);
@@ -399,7 +399,7 @@ impl BatchEval {
     /// from `self`; SSA register allocation guarantees `dst` is never
     /// also an operand of the same op.
     #[inline(always)]
-    fn into_reg(&mut self, dst: u16, rows: usize, op: impl FnOnce(&Self, &mut [i64])) {
+    fn lanes_to_reg(&mut self, dst: u16, rows: usize, op: impl FnOnce(&Self, &mut [i64])) {
         let mut d = std::mem::take(&mut self.regs[dst as usize]);
         op(self, &mut d[..rows]);
         self.regs[dst as usize] = d;
@@ -678,7 +678,9 @@ impl<'a> Vectorizer<'a> {
             Step::Out(..) => return Err(BatchBail::Out { pc: self.pc }),
             // Evaluated for its bails only: it cannot trap here, and a
             // discarded value (even a static read) has no side effect.
-            Step::Eval(e) => drop(self.cell(e)?),
+            Step::Eval(e) => {
+                self.cell(e)?;
+            }
         }
         Ok(())
     }

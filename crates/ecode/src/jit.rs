@@ -149,10 +149,11 @@ impl CompiledProgram {
                     }
                 }
             };
-            match &self.blocks[next as usize].spec {
-                Some(n) if n.fuel <= fuel_left => {
-                    fuel_left -= n.fuel;
-                    extra += n.fuel;
+            let b = &self.blocks[next as usize];
+            match &b.spec {
+                Some(n) if b.fuel <= fuel_left => {
+                    fuel_left -= b.fuel;
+                    extra += b.fuel;
                     node = n;
                 }
                 _ => return (extra, Exit::Jump(next)),
@@ -528,8 +529,6 @@ fn as_fsteps(steps: &[Step]) -> Option<Vec<FStep>> {
 /// instead of bouncing back to the driver at every block boundary.
 #[derive(Debug)]
 pub(crate) struct SpecNode {
-    /// The block's merged-span fuel — what entering it charges.
-    fuel: u64,
     fsteps: Vec<FStep>,
     term: SpecTerm,
 }
@@ -584,11 +583,7 @@ fn spec_node(b: &ir::Block) -> Option<SpecNode> {
         },
         _ => return None,
     };
-    Some(SpecNode {
-        fuel: b.fuel,
-        fsteps,
-        term,
-    })
+    Some(SpecNode { fsteps, term })
 }
 
 /// Whole-program fast path: the "guarded reporter" shape canonical CPAs

@@ -493,11 +493,11 @@ impl Instance {
     }
 
     /// Runs the program over pre-marshalled raw input bits, skipping the
-    /// per-value type check. The caller owns the contract [`run`](Instance::run) enforces
-    /// dynamically: `raw[i]` must hold the bit pattern of declared input
-    /// `i` (ints/bools as-is, doubles via `f64::to_bits`). Hot ingest
-    /// paths that produce columns of raw bits use this to avoid building
-    /// `Value`s per record.
+    /// per-value type check. The caller owns the contract
+    /// [`run`](Instance::run) enforces dynamically: `raw[i]` must hold
+    /// the bit pattern of declared input `i` (ints/bools as-is, doubles
+    /// via `f64::to_bits`). Hot ingest paths that produce columns of raw
+    /// bits use this to avoid building `Value`s per record.
     ///
     /// # Errors
     ///

@@ -13,7 +13,7 @@
 //! cargo run --example verify_cpa
 //! ```
 
-use ecode::{verify, BatchEval, ExecTier, Instance, Program, Type, VerifyLimits};
+use ecode::{verify, BatchEval, ExecTier, Instance, Program, VerifyLimits};
 use sysprof::EVENT_INPUTS;
 
 /// First attempt: a per-port byte ratio. Three problems hide in it — a
@@ -98,16 +98,15 @@ fn main() {
     println!("machine-checked bound, not a runtime abort after the fact.");
 
     println!("\nand the loader says which path each program takes, and why:\n");
-    let (program, report) = verified.into_parts();
-    explain_paths("fixed analyzer", &program, &report);
-    let inputs: Vec<(&str, Type)> = EVENT_INPUTS.to_vec();
-    let (program, report) = verify(DEEP_JOIN, &inputs, &limits)
-        .expect("admitted")
-        .into_parts();
-    explain_paths("deep join", &program, &report);
     let counter = "static int big = 0; if (size > 1000) { big = big + 1; } return 0;";
-    let (program, report) = verify(counter, &inputs, &limits)
-        .expect("admitted")
-        .into_parts();
-    explain_paths("gated counter", &program, &report);
+    for (name, src) in [
+        ("fixed analyzer", GOOD),
+        ("deep join", DEEP_JOIN),
+        ("gated counter", counter),
+    ] {
+        let (program, report) = verify(src, &EVENT_INPUTS, &limits)
+            .expect("admitted")
+            .into_parts();
+        explain_paths(name, &program, &report);
+    }
 }
