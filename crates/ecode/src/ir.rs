@@ -94,10 +94,12 @@ impl fmt::Display for Bail {
     }
 }
 
+#[inline(always)]
 pub(crate) fn f64_of(bits: i64) -> f64 {
     f64::from_bits(bits as u64)
 }
 
+#[inline(always)]
 pub(crate) fn bits_of(v: f64) -> i64 {
     v.to_bits() as i64
 }

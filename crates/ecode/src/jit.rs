@@ -717,7 +717,7 @@ enum WKind {
 
 impl Whole {
     /// Runs the whole program. Caller must hold `budget >= max_fuel`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn exec(&self, ctx: &mut Ctx<'_>) -> (i64, u64) {
         run_fsteps(&self.pro, ctx);
         match &self.kind {
@@ -965,19 +965,31 @@ enum GUpd {
 impl GUpd {
     #[inline(always)]
     fn apply(self, ctx: &mut Ctx<'_>) {
-        let (GUpd::IncC(g, _)
-        | GUpd::AccInF(g, _)
-        | GUpd::MinIn(g, _)
-        | GUpd::MaxIn(g, _)
-        | GUpd::SubGG(g, ..)) = self;
-        let old = ctx.globals[g as usize];
-        ctx.globals[g as usize] = match self {
-            GUpd::IncC(_, c) => old.wrapping_add(c),
-            GUpd::AccInF(_, i) => bits_of(f64_of(old) + ctx.inputs[i as usize] as f64),
-            GUpd::MinIn(_, i) => old.min(ctx.inputs[i as usize]),
-            GUpd::MaxIn(_, i) => old.max(ctx.inputs[i as usize]),
-            GUpd::SubGG(_, a, b) => ctx.globals[a as usize].wrapping_sub(ctx.globals[b as usize]),
-        };
+        match self {
+            GUpd::IncC(g, c) => {
+                let p = &mut ctx.globals[g as usize];
+                *p = p.wrapping_add(c);
+            }
+            GUpd::AccInF(g, i) => {
+                let v = ctx.inputs[i as usize] as f64;
+                let p = &mut ctx.globals[g as usize];
+                *p = bits_of(f64_of(*p) + v);
+            }
+            GUpd::MinIn(g, i) => {
+                let v = ctx.inputs[i as usize];
+                let p = &mut ctx.globals[g as usize];
+                *p = (*p).min(v);
+            }
+            GUpd::MaxIn(g, i) => {
+                let v = ctx.inputs[i as usize];
+                let p = &mut ctx.globals[g as usize];
+                *p = (*p).max(v);
+            }
+            GUpd::SubGG(g, a, b) => {
+                let v = ctx.globals[a as usize].wrapping_sub(ctx.globals[b as usize]);
+                ctx.globals[g as usize] = v;
+            }
+        }
     }
 }
 
