@@ -18,6 +18,41 @@ pub struct EventHandle {
 /// Marks a slot whose event fired or was cancelled.
 const VACANT: u64 = u64::MAX;
 
+/// One pending event's bookkeeping. `live` is the seq its current handle
+/// carries; `key` is the seq of the heap entry that stands for it. The two
+/// differ only between a [`EventQueue::defer`] and the moment that (now
+/// stale) heap entry surfaces and is re-keyed at `(time, live)`.
+struct Slot {
+    live: u64,
+    key: u64,
+    time: SimTime,
+}
+
+/// Exact, deterministic counts of what the calendar did: a function of
+/// the calls made, never of the host.
+///
+/// Heap traffic reads off directly: `scheduled + rekeyed` keys were pushed
+/// and `fired + stale_popped` were popped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CalendarStats {
+    /// [`EventQueue::schedule`] calls.
+    pub scheduled: u64,
+    /// Events handed out by [`EventQueue::pop`].
+    pub fired: u64,
+    /// [`EventQueue::cancel`] calls that took effect.
+    pub cancelled: u64,
+    /// [`EventQueue::defer`] calls that took effect.
+    pub deferred: u64,
+    /// Deferred events whose stale heap key surfaced and was pushed again
+    /// at the event's recorded due time.
+    pub rekeyed: u64,
+    /// Heap keys popped that fired nothing: their event was cancelled, or
+    /// deferred (and, if still live, re-keyed).
+    pub stale_popped: u64,
+    /// Most events pending at once.
+    pub max_pending: u64,
+}
+
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -69,14 +104,16 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    // `slots[entry.slot] == entry.seq` while a heap entry is pending.
-    // Firing or cancelling vacates the slot and frees it for reuse, so no
-    // event pays for a lookup table; pop lazily discards heap entries whose
-    // slot has moved on (seqs are unique, so a reused slot never matches).
-    slots: Vec<u64>,
+    // A heap entry stands for the event in `slots[entry.slot]` while
+    // `slot.key == entry.seq`. Firing or cancelling vacates the slot and
+    // frees it for reuse, so no event pays for a lookup table; pop lazily
+    // discards heap entries whose slot has moved on (seqs are unique, so a
+    // reused slot never matches).
+    slots: Vec<Slot>,
     free: Vec<u32>,
     pending: usize,
     now: SimTime,
+    stats: CalendarStats,
 }
 
 impl<E> EventQueue<E> {
@@ -89,6 +126,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             pending: 0,
             now: SimTime::ZERO,
+            stats: CalendarStats::default(),
         }
     }
 
@@ -111,17 +149,24 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        let fresh = Slot {
+            live: seq,
+            key: seq,
+            time,
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = seq;
+                self.slots[slot as usize] = fresh;
                 slot
             }
             None => {
-                self.slots.push(seq);
+                self.slots.push(fresh);
                 u32::try_from(self.slots.len() - 1).expect("under 2^32 events pending at once")
             }
         };
         self.pending += 1;
+        self.stats.scheduled += 1;
+        self.stats.max_pending = self.stats.max_pending.max(self.pending as u64);
         self.heap.push(Entry {
             time,
             seq,
@@ -131,50 +176,107 @@ impl<E> EventQueue<E> {
         EventHandle { seq, slot }
     }
 
-    /// Vacates `slot` if it still belongs to `seq`; false when that event
-    /// already fired or was cancelled.
-    fn release(&mut self, seq: u64, slot: u32) -> bool {
-        match self.slots.get_mut(slot as usize) {
-            Some(owner) if *owner == seq => {
-                *owner = VACANT;
-                self.free.push(slot);
-                self.pending -= 1;
-                true
-            }
-            _ => false,
-        }
+    /// The slot `handle` names, if its event is still pending.
+    fn live_slot(&mut self, handle: EventHandle) -> Option<&mut Slot> {
+        self.slots
+            .get_mut(handle.slot as usize)
+            .filter(|s| s.live == handle.seq)
+    }
+
+    /// Vacates `slot` and frees it for reuse.
+    fn release(&mut self, slot: u32) {
+        self.slots[slot as usize].live = VACANT;
+        self.free.push(slot);
+        self.pending -= 1;
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event had
     /// not yet fired (cancellation took effect), `false` if it already fired
     /// or was already cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.release(handle.seq, handle.slot)
+        if self.live_slot(handle).is_none() {
+            return false;
+        }
+        self.release(handle.slot);
+        self.stats.cancelled += 1;
+        true
+    }
+
+    /// Moves a pending event to the later instant `time`, exactly as if it
+    /// had been cancelled and scheduled again: the old handle dies, the
+    /// returned one replaces it, one sequence number is consumed, and the
+    /// event pops after everything already scheduled for `time`. Returns
+    /// `None` (and changes nothing) if the event already fired or was
+    /// cancelled, or if `handle` was itself replaced by an earlier `defer`.
+    ///
+    /// Unlike cancel + schedule this touches no heap. The key already in
+    /// the heap keeps standing for the event; because `time` is no earlier
+    /// than the event's current due time and sequence numbers only grow,
+    /// that key orders before the event's new place, so it surfaces in
+    /// `pop`/`peek_time` before anything ordered after the new place can
+    /// pop, and is re-keyed there then.
+    ///
+    /// Deferring to an *earlier* time is a simulation bug; this panics in
+    /// debug builds and leaves the due time unchanged in release builds.
+    pub fn defer(&mut self, handle: EventHandle, time: SimTime) -> Option<EventHandle> {
+        let seq = self.next_seq;
+        let slot = self.live_slot(handle)?;
+        debug_assert!(
+            time >= slot.time,
+            "deferred event to an earlier time: {time} < due {}",
+            slot.time
+        );
+        slot.time = time.max(slot.time);
+        slot.live = seq;
+        self.next_seq += 1;
+        self.stats.deferred += 1;
+        Some(EventHandle {
+            seq,
+            slot: handle.slot,
+        })
+    }
+
+    /// Pops heap entries until the top one stands for a live event at its
+    /// own `(time, seq)`: cancelled entries are dropped, and the stale key
+    /// of a deferred event is pushed back at the event's recorded place.
+    fn settle(&mut self) {
+        while let Some(top) = self.heap.peek() {
+            let slot = &mut self.slots[top.slot as usize];
+            if slot.key == top.seq && slot.live == top.seq {
+                return;
+            }
+            let mut entry = self.heap.pop().expect("peeked");
+            self.stats.stale_popped += 1;
+            if slot.key == entry.seq && slot.live != VACANT {
+                slot.key = slot.live;
+                entry.time = slot.time;
+                entry.seq = slot.live;
+                self.heap.push(entry);
+                self.stats.rekeyed += 1;
+            }
+        }
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.release(entry.seq, entry.slot) {
-                continue; // cancelled
-            }
-            self.now = entry.time;
-            return Some((entry.time, entry.event));
-        }
-        None
+        self.settle();
+        let entry = self.heap.pop()?;
+        self.release(entry.slot);
+        self.stats.fired += 1;
+        self.now = entry.time;
+        Some((entry.time, entry.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let entry = self.heap.peek()?;
-            if self.slots[entry.slot as usize] != entry.seq {
-                self.heap.pop();
-                continue;
-            }
-            return Some(entry.time);
-        }
+        self.settle();
+        self.heap.peek().map(|entry| entry.time)
+    }
+
+    /// What the calendar has done so far.
+    pub fn stats(&self) -> CalendarStats {
+        self.stats
     }
 
     /// Number of pending (non-cancelled) events.
@@ -294,6 +396,102 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    #[test]
+    fn defer_moves_an_event_behind_everything_already_at_its_new_time() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_micros(1), "a");
+        q.schedule(SimTime::from_micros(5), "b");
+        let a2 = q.defer(a, SimTime::from_micros(5)).expect("a is pending");
+        assert_ne!(a, a2);
+        assert_eq!(q.len(), 2, "defer neither adds nor removes an event");
+        assert!(!q.cancel(a), "the old handle died");
+        assert_eq!(q.defer(a, SimTime::from_micros(9)), None);
+        // Like cancel + schedule, "a" now queues behind "b" at t=5.
+        assert_eq!(q.pop(), Some((SimTime::from_micros(5), "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(5), "a")));
+        assert!(!q.cancel(a2), "fired");
+        assert_eq!(q.defer(a2, SimTime::from_micros(9)), None);
+    }
+
+    #[test]
+    fn defer_twice_before_the_stale_key_surfaces() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_micros(1), "a");
+        q.schedule(SimTime::from_micros(4), "b");
+        q.schedule(SimTime::from_micros(8), "c");
+        let a = q.defer(a, SimTime::from_micros(3)).unwrap();
+        let a = q.defer(a, SimTime::from_micros(6)).unwrap();
+        assert_eq!(q.stats().rekeyed, 0, "no heap traffic yet");
+        // One stale key stands for both moves and is re-keyed once, at
+        // the latest place.
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(4), "b"));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(6), "a"));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(8), "c"));
+        assert!(!q.cancel(a));
+        let s = q.stats();
+        assert_eq!((s.deferred, s.rekeyed, s.stale_popped), (2, 1, 1));
+        assert_eq!((s.scheduled, s.fired, s.max_pending), (3, 3, 3));
+    }
+
+    #[test]
+    fn defer_then_cancel_fires_nothing() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_micros(1), "a");
+        q.schedule(SimTime::from_micros(2), "b");
+        let a2 = q.defer(a, SimTime::from_micros(3)).unwrap();
+        assert!(q.cancel(a2));
+        assert!(!q.cancel(a2));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert!(q.pop().is_none());
+        assert_eq!(q.stats().rekeyed, 0, "a cancelled event is not re-keyed");
+    }
+
+    #[test]
+    fn stale_key_of_a_previous_tenant_does_not_rekey_the_slots_next_one() {
+        let mut q = EventQueue::new();
+        // "a" is deferred and then fires: its stale key was consumed on
+        // the way, so the slot's next tenant starts clean.
+        let a = q.schedule(SimTime::from_micros(1), "a");
+        q.defer(a, SimTime::from_micros(2)).unwrap();
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(2), "a"));
+        let b = q.schedule(SimTime::from_micros(3), "b");
+        assert_eq!(b.slot, a.slot, "slot reused");
+        // "b" is deferred and cancelled with its stale key (t=3) still in
+        // the heap; "c" takes the slot over with a later due time.
+        let b = q.defer(b, SimTime::from_micros(4)).unwrap();
+        assert!(q.cancel(b));
+        let c = q.schedule(SimTime::from_micros(9), "c");
+        assert_eq!(c.slot, a.slot, "slot reused again");
+        q.schedule(SimTime::from_micros(5), "d");
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(5), "d"));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(9), "c"));
+        assert!(q.pop().is_none());
+        assert_eq!(q.stats().rekeyed, 1, "only a's own stale key was re-keyed");
+    }
+
+    #[test]
+    fn peek_time_reports_the_deferred_due_time_not_the_stale_key() {
+        // The `run_until(t)` shape: a stale key at or before `t` whose
+        // event is really due after `t` must not look runnable.
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_micros(1), "a");
+        q.defer(a, SimTime::from_micros(50)).unwrap();
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(50)));
+        assert_eq!(q.now(), SimTime::ZERO, "peeking never advances the clock");
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(50), "a"));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "earlier time")]
+    fn defer_to_an_earlier_time_is_a_bug() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_micros(5), "a");
+        q.defer(a, SimTime::from_micros(4));
+    }
+
     proptest! {
         /// Popping always yields a non-decreasing time sequence, regardless
         /// of the insertion order.
@@ -330,32 +528,64 @@ mod tests {
             }
         }
 
-        /// Any mix of schedule, cancel (of live, fired and already
-        /// cancelled handles) and pop agrees with a list that is searched
-        /// linearly: same events out in the same order, same `cancel`
-        /// answers, same `len()` and `peek_time()` after every step.
+        /// Any mix of schedule, cancel, defer (of live, fired, cancelled
+        /// and already replaced handles) and pop agrees with a list that
+        /// is searched linearly: same events out in the same order, same
+        /// `cancel`/`defer` answers, same `len()` and `peek_time()` after
+        /// every step. A twin queue that spells every `defer` as cancel +
+        /// schedule must hand out the same handles and pops.
         #[test]
         fn prop_matches_linear_model(
-            ops in proptest::collection::vec((0u8..5, 0u64..40, 0usize..64), 1..300),
+            ops in proptest::collection::vec((0u8..8, 0u64..40, 0usize..64), 1..300),
         ) {
             let mut q = EventQueue::new();
+            let mut twin = EventQueue::new();
+            // The current handle of each event id, and every handle a
+            // defer replaced.
             let mut handles = Vec::new();
-            // (time, id), in schedule order; removed on fire or cancel.
+            let mut replaced = Vec::new();
+            // (time, id), in schedule order; removed on fire or cancel,
+            // moved to the back with its new time on defer.
             let mut model: Vec<(SimTime, usize)> = Vec::new();
             for (op, dt, pick) in ops {
+                let dt = crate::SimDuration::from_nanos(dt);
                 match op {
                     0 | 1 => {
-                        let t = q.now() + crate::SimDuration::from_nanos(dt);
+                        let t = q.now() + dt;
                         handles.push(q.schedule(t, handles.len()));
+                        prop_assert_eq!(twin.schedule(t, handles.len() - 1), handles[handles.len() - 1]);
                         model.push((t, handles.len() - 1));
                     }
                     2 | 3 if !handles.is_empty() => {
                         let id = pick % handles.len();
                         let live = model.iter().position(|&(_, m)| m == id);
                         prop_assert_eq!(q.cancel(handles[id]), live.is_some());
+                        prop_assert_eq!(twin.cancel(handles[id]), live.is_some());
                         if let Some(at) = live {
                             model.remove(at);
                         }
+                    }
+                    4 | 5 if !handles.is_empty() => {
+                        let id = pick % handles.len();
+                        match model.iter().position(|&(_, m)| m == id) {
+                            Some(at) => {
+                                let t = model[at].0 + dt;
+                                let new = q.defer(handles[id], t);
+                                prop_assert!(new.is_some());
+                                prop_assert!(twin.cancel(handles[id]));
+                                prop_assert_eq!(new, Some(twin.schedule(t, id)));
+                                replaced.push(handles[id]);
+                                handles[id] = new.expect("checked");
+                                model.remove(at);
+                                model.push((t, id));
+                            }
+                            None => prop_assert_eq!(q.defer(handles[id], q.now() + dt), None),
+                        }
+                    }
+                    6 if !replaced.is_empty() => {
+                        let dead = replaced[pick % replaced.len()];
+                        prop_assert!(!q.cancel(dead));
+                        prop_assert_eq!(q.defer(dead, q.now() + dt), None);
                     }
                     _ => {
                         // Earliest time, first scheduled among equals.
@@ -366,15 +596,23 @@ mod tests {
                             .map(|(at, _)| at);
                         let want = first.map(|at| model.remove(at));
                         prop_assert_eq!(q.pop(), want);
+                        prop_assert_eq!(twin.pop(), want);
                     }
                 }
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(q.is_empty(), model.is_empty());
                 prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+                let s = q.stats();
+                prop_assert_eq!(
+                    s.scheduled + s.rekeyed,
+                    s.fired + s.stale_popped + q.heap.len() as u64,
+                    "every key pushed is popped or still in the heap"
+                );
+                prop_assert_eq!(s.scheduled, s.fired + s.cancelled + q.len() as u64);
             }
             // Every handle is dead once the queue has drained.
             while q.pop().is_some() {}
-            for h in handles {
+            for h in handles.into_iter().chain(replaced) {
                 prop_assert!(!q.cancel(h));
             }
             prop_assert_eq!(q.len(), 0);

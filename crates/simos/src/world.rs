@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use kprof::{AnalyzerId, BlockReason, EventPayload, GroupId, Kprof, NetPoint, Pid, SyscallKind};
 use simcore::hash::HashMap;
-use simcore::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
+use simcore::{CalendarStats, EventQueue, NodeId, SimDuration, SimRng, SimTime};
 use simnet::{
     ClockSpec, EndPoint, FaultPlan, FlowKey, LinkSpec, NetOutcome, Network, NetworkBuilder, Packet,
     PacketId, PayloadTag, Port, TopologyError,
@@ -453,6 +453,13 @@ impl World {
         n.procs.get(&pid).filter(|p| p.arm_enabled).map(|_| msg_id)
     }
 
+    /// What the event calendar has done so far: exact counts of events
+    /// scheduled, fired, cancelled and stretched in place, and of the heap
+    /// traffic that took.
+    pub fn calendar_stats(&self) -> CalendarStats {
+        self.queue.stats()
+    }
+
     /// Borrows a node's Kprof registry (to register analyzers, set masks,
     /// read monitoring stats).
     ///
@@ -709,17 +716,12 @@ impl World {
         if let Some(rq) = n.running.as_mut() {
             rq.stolen += cost;
             rq.end_time += cost;
-            let new_end = rq.end_time;
-            let node_id = n.id;
-            self.queue.cancel(rq.end_handle);
-            let handle = self
+            // Stretch the pending QuantumEnd in place: observably a cancel
+            // + schedule, without the heap push per instrumentation hit.
+            rq.end_handle = self
                 .queue
-                .schedule(new_end, Ev::QuantumEnd { node: node_id });
-            self.nodes[node.0 as usize]
-                .running
-                .as_mut()
-                .expect("still running")
-                .end_handle = handle;
+                .defer(rq.end_handle, rq.end_time)
+                .expect("a running quantum's end is pending");
         } else {
             n.cpu_busy_until = n.cpu_busy_until.max(now) + cost;
         }
