@@ -3,7 +3,7 @@
 //! cancellation.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::SimTime;
 
@@ -18,14 +18,16 @@ pub struct EventHandle {
 /// Marks a slot whose event fired or was cancelled.
 const VACANT: u64 = u64::MAX;
 
-/// One pending event's bookkeeping. `live` is the seq its current handle
-/// carries; `key` is the seq of the heap entry that stands for it. The two
-/// differ only between a [`EventQueue::defer`] and the moment that (now
-/// stale) heap entry surfaces and is re-keyed at `(time, live)`.
-struct Slot {
+/// One pending event and its bookkeeping. `live` is the seq its current
+/// handle carries; `key` is the seq of the heap key that stands for it. The
+/// two differ only between a [`EventQueue::defer`] and the moment that (now
+/// stale) key surfaces and is re-keyed at `(time, live)`.
+struct Slot<E> {
     live: u64,
     key: u64,
     time: SimTime,
+    /// `Some` while the event is pending.
+    event: Option<E>,
 }
 
 /// Exact, deterministic counts of what the calendar did: a function of
@@ -53,32 +55,26 @@ pub struct CalendarStats {
     pub max_pending: u64,
 }
 
-struct Entry<E> {
+/// What the heap orders: 24 bytes, so a sift moves keys and the events
+/// stay put in the slot table.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     time: SimTime,
     seq: u64,
     slot: u32,
-    event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. seq breaks ties FIFO, which keeps runs deterministic.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // first. seq breaks ties FIFO, which keeps runs deterministic (and,
+        // being unique, decides before `slot` is ever compared).
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
@@ -102,14 +98,14 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Default)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Key>,
     next_seq: u64,
-    // A heap entry stands for the event in `slots[entry.slot]` while
-    // `slot.key == entry.seq`. Firing or cancelling vacates the slot and
+    // A heap key stands for the event in `slots[key.slot]` while
+    // `slot.key == key.seq`. Firing or cancelling vacates the slot and
     // frees it for reuse, so no event pays for a lookup table; pop lazily
-    // discards heap entries whose slot has moved on (seqs are unique, so a
-    // reused slot never matches).
-    slots: Vec<Slot>,
+    // discards keys whose slot has moved on (seqs are unique, so a reused
+    // slot never matches).
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     pending: usize,
     now: SimTime,
@@ -153,6 +149,7 @@ impl<E> EventQueue<E> {
             live: seq,
             key: seq,
             time,
+            event: Some(event),
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -167,27 +164,24 @@ impl<E> EventQueue<E> {
         self.pending += 1;
         self.stats.scheduled += 1;
         self.stats.max_pending = self.stats.max_pending.max(self.pending as u64);
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            event,
-        });
+        self.heap.push(Key { time, seq, slot });
         EventHandle { seq, slot }
     }
 
     /// The slot `handle` names, if its event is still pending.
-    fn live_slot(&mut self, handle: EventHandle) -> Option<&mut Slot> {
+    fn live_slot(&mut self, handle: EventHandle) -> Option<&mut Slot<E>> {
         self.slots
             .get_mut(handle.slot as usize)
             .filter(|s| s.live == handle.seq)
     }
 
-    /// Vacates `slot` and frees it for reuse.
-    fn release(&mut self, slot: u32) {
-        self.slots[slot as usize].live = VACANT;
+    /// Vacates `slot` and frees it for reuse, handing back its event.
+    fn release(&mut self, slot: u32) -> Option<E> {
+        let vacated = &mut self.slots[slot as usize];
+        vacated.live = VACANT;
         self.free.push(slot);
         self.pending -= 1;
+        vacated.event.take()
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event had
@@ -236,23 +230,24 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Pops heap entries until the top one stands for a live event at its
-    /// own `(time, seq)`: cancelled entries are dropped, and the stale key
-    /// of a deferred event is pushed back at the event's recorded place.
+    /// Clears the top of the heap until it stands for a live event at its
+    /// own `(time, seq)`: keys of cancelled events are dropped, and the
+    /// stale key of a deferred event is replaced by the event's recorded
+    /// place (one sift down, not a pop and a push).
     fn settle(&mut self) {
-        while let Some(top) = self.heap.peek() {
+        while let Some(mut top) = self.heap.peek_mut() {
             let slot = &mut self.slots[top.slot as usize];
             if slot.key == top.seq && slot.live == top.seq {
                 return;
             }
-            let mut entry = self.heap.pop().expect("peeked");
             self.stats.stale_popped += 1;
-            if slot.key == entry.seq && slot.live != VACANT {
+            if slot.key == top.seq && slot.live != VACANT {
                 slot.key = slot.live;
-                entry.time = slot.time;
-                entry.seq = slot.live;
-                self.heap.push(entry);
+                top.time = slot.time;
+                top.seq = slot.live;
                 self.stats.rekeyed += 1;
+            } else {
+                PeekMut::pop(top);
             }
         }
     }
@@ -261,17 +256,19 @@ impl<E> EventQueue<E> {
     /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
-        let entry = self.heap.pop()?;
-        self.release(entry.slot);
+        let key = self.heap.pop()?;
+        let event = self
+            .release(key.slot)
+            .expect("a live key's slot holds its event");
         self.stats.fired += 1;
-        self.now = entry.time;
-        Some((entry.time, entry.event))
+        self.now = key.time;
+        Some((key.time, event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle();
-        self.heap.peek().map(|entry| entry.time)
+        self.heap.peek().map(|key| key.time)
     }
 
     /// What the calendar has done so far.
