@@ -91,6 +91,11 @@ pub(crate) struct Node {
     pub kprof: Kprof,
     pub disk: Disk,
     pub procs: HashMap<Pid, Process>,
+    /// How many entries of `procs` have `arm_enabled` set. Zero on every
+    /// node of a black-box run, which lets a packet event skip resolving
+    /// its flow to a socket and an owner just to learn that nobody opted
+    /// in.
+    pub arm_procs: u32,
     pub runq: VecDeque<Pid>,
     pub running: Option<RunningQuantum>,
     /// CPU committed through this time by interrupt work while idle.
@@ -129,6 +134,7 @@ impl Node {
             kprof: Kprof::new(id),
             disk: Disk::new(config.disk),
             procs: HashMap::default(),
+            arm_procs: 0,
             runq: VecDeque::new(),
             running: None,
             cpu_busy_until: SimTime::ZERO,

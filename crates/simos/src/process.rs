@@ -49,7 +49,7 @@ pub struct Process {
     pub name: String,
     /// Scheduler state.
     pub state: ProcState,
-    /// The application logic. Taken out while a callback runs.
+    /// The application logic.
     pub program: Option<Box<dyn Program>>,
     /// Kernel operations queued by the program, executed in order.
     pub ops: VecDeque<Action>,

@@ -64,6 +64,9 @@ pub struct Socket {
     pub tx_blocked: bool,
     /// True once closed; late packets are dropped.
     pub closed: bool,
+    /// The owner's `arm_enabled`, kept in step by the kernel so a packet
+    /// event reads it here instead of resolving the owner.
+    pub(crate) owner_arm: bool,
     rx_capacity: u64,
     rx_bytes: u64,
     rx_high_water: u64,
@@ -90,6 +93,7 @@ impl Socket {
             tx_inflight: 0,
             tx_blocked: false,
             closed: false,
+            owner_arm: false,
             rx_capacity: rx_capacity_bytes,
             rx_bytes: 0,
             rx_high_water: 0,

@@ -421,36 +421,51 @@ impl World {
     /// LPA separate interleaved requests (the paper's "ARM support"
     /// escape hatch). Returns false if the process does not exist.
     pub fn enable_arm(&mut self, node: NodeId, pid: Pid) -> bool {
-        match self.nodes[node.0 as usize].procs.get_mut(&pid) {
-            Some(p) => {
-                p.arm_enabled = true;
-                true
+        let n = &mut self.nodes[node.0 as usize];
+        let Some(p) = n.procs.get_mut(&pid) else {
+            return false;
+        };
+        if !p.arm_enabled {
+            p.arm_enabled = true;
+            n.arm_procs += 1;
+            for s in n.sockets.values_mut().filter(|s| s.owner == pid) {
+                s.owner_arm = true;
             }
-            None => false,
         }
+        true
     }
 
     /// The ARM correlator for a packet on `flow`, if the process that owns
-    /// the matching socket opted in. `pid_hint` short-circuits the socket
-    /// lookup when the caller already knows the process.
-    fn arm_of(
-        &self,
-        node: NodeId,
-        flow: FlowKey,
-        pid_hint: Option<Pid>,
-        msg_id: u64,
-    ) -> Option<u64> {
+    /// the matching socket opted in.
+    fn arm_of_flow(&self, node: NodeId, flow: FlowKey, msg_id: u64) -> Option<u64> {
         let n = &self.nodes[node.0 as usize];
-        let pid = pid_hint.or_else(|| {
-            // Inbound events carry the rx flow directly; outbound events
-            // carry the tx flow, whose socket is keyed by its reverse.
-            n.flows
-                .get(&flow)
-                .or_else(|| n.flows.get(&flow.reversed()))
-                .and_then(|sid| n.sockets.get(sid))
-                .map(|s| s.owner)
-        })?;
+        if n.arm_procs == 0 {
+            return None;
+        }
+        // Inbound events carry the rx flow directly; outbound events
+        // carry the tx flow, whose socket is keyed by its reverse.
+        n.flows
+            .get(&flow)
+            .or_else(|| n.flows.get(&flow.reversed()))
+            .and_then(|sid| n.sockets.get(sid))
+            .filter(|s| s.owner_arm)
+            .map(|_| msg_id)
+    }
+
+    /// The ARM correlator for a message `pid` itself sends or receives.
+    fn arm_of_proc(&self, node: NodeId, pid: Pid, msg_id: u64) -> Option<u64> {
+        let n = &self.nodes[node.0 as usize];
+        if n.arm_procs == 0 {
+            return None;
+        }
         n.procs.get(&pid).filter(|p| p.arm_enabled).map(|_| msg_id)
+    }
+
+    /// Creates a socket for `owner`, carrying the owner's ARM opt-in.
+    fn new_socket(n: &Node, id: SocketId, owner: Pid, local: EndPoint, peer: EndPoint) -> Socket {
+        let mut s = Socket::new(id, owner, local, peer, n.config.costs.socket_rx_bytes);
+        s.owner_arm = n.arm_procs > 0 && n.procs.get(&owner).is_some_and(|p| p.arm_enabled);
+        s
     }
 
     /// What the event calendar has done so far: exact counts of events
@@ -582,7 +597,11 @@ impl World {
         n.runq.clear();
         n.dispatch_pending = false;
         n.last_pid = None;
+        // Dead processes are unreachable (no sockets, no listeners, never
+        // scheduled), so their opt-in goes with them.
+        n.arm_procs = 0;
         for p in n.procs.values_mut() {
+            p.arm_enabled = false;
             if !p.is_exited() {
                 // Power loss: no exit events, no reaping — the process
                 // just stops existing.
@@ -776,22 +795,17 @@ impl World {
                 return;
             };
 
-            match self.next_quantum(node, pid, now) {
-                NextQuantum::Run {
-                    kind,
-                    work,
-                    syscall,
-                } => {
-                    self.start_quantum(node, pid, now, kind, work, syscall);
-                    return;
-                }
-                NextQuantum::Blocked => continue,
-                NextQuantum::Gone => continue,
+            // A process that blocked in place or is gone yields to the
+            // next runnable one.
+            if let Some((kind, work, syscall)) = self.next_quantum(node, pid) {
+                self.start_quantum(node, pid, now, kind, work, syscall);
+                return;
             }
         }
     }
 
-    /// Starts one quantum for `pid`.
+    /// Starts one quantum for `pid` (which [`World::next_quantum`] already
+    /// marked running).
     fn start_quantum(
         &mut self,
         node: NodeId,
@@ -801,33 +815,27 @@ impl World {
         work: SimDuration,
         syscall: Option<SyscallKind>,
     ) {
-        let cfg = self.costs(node);
+        let n = &mut self.nodes[node.0 as usize];
+        let from = n.last_pid;
+        let switching = from != Some(pid);
         let mut total = work;
-        let switching = self.nodes[node.0 as usize].last_pid != Some(pid);
         if switching {
-            total += cfg.context_switch;
+            let context_switch = n.config.costs.context_switch;
+            total += context_switch;
+            n.stats.cpu.kernel += context_switch;
+            n.stats.context_switches += 1;
+            n.last_pid = Some(pid);
         }
         let end_time = now + total;
         let handle = self.queue.schedule(end_time, Ev::QuantumEnd { node });
-        let from = self.nodes[node.0 as usize].last_pid;
-        {
-            let n = &mut self.nodes[node.0 as usize];
-            if switching {
-                n.stats.cpu.kernel += cfg.context_switch;
-                n.stats.context_switches += 1;
-                n.last_pid = Some(pid);
-            }
-            let proc = n.procs.get_mut(&pid).expect("runnable process exists");
-            proc.state = ProcState::Running;
-            n.running = Some(RunningQuantum {
-                pid,
-                end_handle: handle,
-                end_time,
-                kind,
-                work,
-                stolen: SimDuration::ZERO,
-            });
-        }
+        n.running = Some(RunningQuantum {
+            pid,
+            end_handle: handle,
+            end_time,
+            kind,
+            work,
+            stolen: SimDuration::ZERO,
+        });
         if switching {
             self.emit_ev(
                 node,
@@ -842,201 +850,130 @@ impl World {
         }
     }
 
-    /// Decides what `pid` does next (without yet starting it).
-    fn next_quantum(&mut self, node: NodeId, pid: Pid, _now: SimTime) -> NextQuantum {
-        let cfg = self.costs(node);
-        let i = node.0 as usize;
-        loop {
-            // Gone/exited?
-            match self.nodes[i].procs.get(&pid) {
-                None => return NextQuantum::Gone,
-                Some(p) if p.is_exited() => return NextQuantum::Gone,
-                _ => {}
-            }
-
+    /// Decides what `pid` does next and marks it running, or blocks it in
+    /// place (`None`, also for a process that is gone) when it has nothing
+    /// to do. One process-table probe: everything the decision reads hangs
+    /// off the process or the node.
+    fn next_quantum(
+        &mut self,
+        node: NodeId,
+        pid: Pid,
+    ) -> Option<(QuantumKind, SimDuration, Option<SyscallKind>)> {
+        let n = &mut self.nodes[node.0 as usize];
+        let cfg = &n.config.costs;
+        let p = n.procs.get_mut(&pid).filter(|p| !p.is_exited())?;
+        let blocked_on = loop {
             // Resume preempted compute first.
-            {
-                let p = self.nodes[i].procs.get(&pid).expect("checked above");
-                if !p.remaining_compute.is_zero() {
-                    let work = p.remaining_compute.min(cfg.timeslice);
-                    return NextQuantum::Run {
-                        kind: QuantumKind::Compute,
-                        work,
-                        syscall: None,
-                    };
-                }
+            if !p.remaining_compute.is_zero() {
+                p.state = ProcState::Running;
+                let work = p.remaining_compute.min(cfg.timeslice);
+                return Some((QuantumKind::Compute, work, None));
             }
 
             // Next queued op. Sends block first on tx backpressure.
-            let front_is_send = matches!(
-                self.nodes[i].procs.get(&pid).expect("checked").ops.front(),
-                Some(Action::Send { .. })
-            );
-            if front_is_send && self.nodes[i].tx_queue_bytes >= cfg.socket_tx_bytes {
-                {
-                    let n = &mut self.nodes[i];
-                    n.procs.get_mut(&pid).expect("checked").state =
-                        ProcState::Blocked(BlockReason::SocketSend);
-                    n.tx_waiters.push(pid);
-                }
-                self.emit_ev(
-                    node,
-                    EventPayload::ProcessBlock {
-                        pid,
-                        reason: BlockReason::SocketSend,
-                    },
-                );
-                return NextQuantum::Blocked;
+            if matches!(p.ops.front(), Some(Action::Send { .. }))
+                && n.tx_queue_bytes >= cfg.socket_tx_bytes
+            {
+                n.tx_waiters.push(pid);
+                break BlockReason::SocketSend;
             }
-            let op_opt = self.nodes[i]
-                .procs
-                .get_mut(&pid)
-                .expect("checked")
-                .ops
-                .pop_front();
-            if let Some(op) = op_opt {
-                if let Action::Compute(d) = op {
-                    self.nodes[i]
-                        .procs
-                        .get_mut(&pid)
-                        .expect("checked")
-                        .remaining_compute = d;
-                    continue; // resume-compute branch picks it up
-                }
+            if let Some(op) = p.ops.pop_front() {
                 let (work, syscall) = match &op {
-                    Action::Compute(_) => unreachable!("handled above"),
+                    Action::Compute(d) => {
+                        p.remaining_compute = *d;
+                        continue; // resume-compute branch picks it up
+                    }
                     Action::Send { bytes, .. } => {
                         let packets = Packet::count_for_payload(*bytes);
                         (
                             cfg.syscall_base + cfg.copy_cost(*bytes) + cfg.tx_stack * packets,
-                            Some(SyscallKind::Send),
+                            SyscallKind::Send,
                         )
                     }
-                    Action::Listen { .. } => (cfg.syscall_base, Some(SyscallKind::Open)),
-                    Action::Connect { .. } => (cfg.syscall_base * 2, Some(SyscallKind::Open)),
-                    Action::Close { .. } => (cfg.syscall_base, Some(SyscallKind::Close)),
-                    Action::FileRead { bytes, .. } => (
-                        cfg.syscall_base + cfg.copy_cost(*bytes),
-                        Some(SyscallKind::Read),
-                    ),
-                    Action::FileWrite { bytes, .. } => (
-                        cfg.syscall_base + cfg.copy_cost(*bytes),
-                        Some(SyscallKind::Write),
-                    ),
-                    Action::Sleep { .. } => (cfg.syscall_base, Some(SyscallKind::Sleep)),
-                    Action::Spawn { .. } => (SimDuration::from_micros(50), Some(SyscallKind::Fork)),
-                    Action::Exit => (cfg.syscall_base, Some(SyscallKind::Exit)),
+                    Action::Listen { .. } => (cfg.syscall_base, SyscallKind::Open),
+                    Action::Connect { .. } => (cfg.syscall_base * 2, SyscallKind::Open),
+                    Action::Close { .. } => (cfg.syscall_base, SyscallKind::Close),
+                    Action::FileRead { bytes, .. } => {
+                        (cfg.syscall_base + cfg.copy_cost(*bytes), SyscallKind::Read)
+                    }
+                    Action::FileWrite { bytes, .. } => {
+                        (cfg.syscall_base + cfg.copy_cost(*bytes), SyscallKind::Write)
+                    }
+                    Action::Sleep { .. } => (cfg.syscall_base, SyscallKind::Sleep),
+                    Action::Spawn { .. } => (SimDuration::from_micros(50), SyscallKind::Fork),
+                    Action::Exit => (cfg.syscall_base, SyscallKind::Exit),
                 };
-                return NextQuantum::Run {
-                    kind: QuantumKind::Syscall(op),
-                    work,
-                    syscall,
-                };
+                p.state = ProcState::Running;
+                return Some((QuantumKind::Syscall(op), work, Some(syscall)));
             }
 
             // Pending kernel→program work.
-            let item_opt = self.nodes[i]
-                .procs
-                .get_mut(&pid)
-                .expect("checked")
-                .pending
-                .pop_front();
-            if let Some(work_item) = item_opt {
-                let kernel_daemon = self.nodes[i]
-                    .procs
-                    .get(&pid)
-                    .expect("checked")
-                    .kernel_daemon;
-                let decided = match work_item {
+            if let Some(item) = p.pending.pop_front() {
+                let (work, syscall) = match item {
                     PendingWork::MsgReady(sock) => {
-                        match self.nodes[i]
-                            .sockets
-                            .get(&sock)
-                            .and_then(|s| s.peek_ready())
-                        {
+                        match n.sockets.get(&sock).and_then(|s| s.peek_ready()) {
                             Some((msg, npackets)) => {
-                                let cost = if kernel_daemon {
+                                let cost = if p.kernel_daemon {
                                     cfg.syscall_base
                                 } else {
                                     cfg.syscall_base
                                         + cfg.rx_deliver * npackets as u64
                                         + cfg.copy_cost(msg.bytes)
                                 };
-                                Some((cost, Some(SyscallKind::Recv)))
+                                (cost, Some(SyscallKind::Recv))
                             }
                             // Stale notification (socket closed or message
                             // already consumed): skip it and look again.
-                            None => None,
+                            None => continue,
                         }
                     }
                     PendingWork::Start
                     | PendingWork::Connected(_)
                     | PendingWork::IoDone(_)
-                    | PendingWork::Timer(_) => Some((cfg.syscall_base, None)),
+                    | PendingWork::Timer(_) => (cfg.syscall_base, None),
                 };
-                match decided {
-                    Some((work, syscall)) => {
-                        return NextQuantum::Run {
-                            kind: QuantumKind::Deliver(work_item),
-                            work,
-                            syscall,
-                        }
-                    }
-                    None => continue,
-                }
+                p.state = ProcState::Running;
+                return Some((QuantumKind::Deliver(item), work, syscall));
             }
 
             // Nothing to do: block waiting for events.
-            self.nodes[i].procs.get_mut(&pid).expect("checked").state =
-                ProcState::Blocked(BlockReason::SocketRecv);
-            self.emit_ev(
-                node,
-                EventPayload::ProcessBlock {
-                    pid,
-                    reason: BlockReason::SocketRecv,
-                },
-            );
-            return NextQuantum::Blocked;
-        }
+            break BlockReason::SocketRecv;
+        };
+        p.state = ProcState::Blocked(blocked_on);
+        self.emit_ev(
+            node,
+            EventPayload::ProcessBlock {
+                pid,
+                reason: blocked_on,
+            },
+        );
+        None
     }
 
     /// QuantumEnd handler: account the work, apply the op/deliver effect,
     /// requeue or block the process, and dispatch the next quantum.
     fn quantum_end(&mut self, node: NodeId, now: SimTime) {
-        let Some(rq) = self.nodes[node.0 as usize].running.take() else {
+        let n = &mut self.nodes[node.0 as usize];
+        let Some(rq) = n.running.take() else {
             return; // stale (cancelled) event
         };
         let pid = rq.pid;
         let work = rq.work;
-        let kernel_daemon = self.nodes[node.0 as usize]
-            .procs
-            .get(&pid)
-            .map(|p| p.kernel_daemon)
-            .unwrap_or(false);
+        let proc = n.procs.get_mut(&pid).expect("running process exists");
+        proc.state = ProcState::Runnable;
 
         match rq.kind {
             QuantumKind::Compute => {
-                {
-                    let n = &mut self.nodes[node.0 as usize];
-                    let compute = work;
-                    if kernel_daemon {
-                        n.stats.cpu.kernel += compute;
-                    } else {
-                        n.stats.cpu.user += compute;
-                    }
-                    let proc = n.procs.get_mut(&pid).expect("running process exists");
-                    if kernel_daemon {
-                        proc.kernel_time += compute;
-                    } else {
-                        proc.user_time += compute;
-                    }
-                    proc.remaining_compute = proc.remaining_compute.saturating_sub(compute);
-                    proc.state = ProcState::Runnable;
+                if proc.kernel_daemon {
+                    n.stats.cpu.kernel += work;
+                    proc.kernel_time += work;
+                } else {
+                    n.stats.cpu.user += work;
+                    proc.user_time += work;
                 }
+                proc.remaining_compute = proc.remaining_compute.saturating_sub(work);
                 // Round-robin: preempted compute goes to the back; a
                 // finished compute continues promptly at the front.
-                let n = &mut self.nodes[node.0 as usize];
-                let proc = n.procs.get(&pid).expect("still here");
                 if proc.remaining_compute.is_zero() {
                     n.runq.push_front(pid);
                 } else {
@@ -1044,15 +981,9 @@ impl World {
                 }
             }
             QuantumKind::Syscall(op) => {
-                {
-                    let n = &mut self.nodes[node.0 as usize];
-                    n.stats.cpu.kernel += work;
-                    let proc = n.procs.get_mut(&pid).expect("running process exists");
-                    proc.kernel_time += work;
-                    proc.state = ProcState::Runnable;
-                }
-                let syscall_kind = syscall_kind_of(&op);
-                if let Some(kind) = syscall_kind {
+                n.stats.cpu.kernel += work;
+                proc.kernel_time += work;
+                if let Some(kind) = syscall_kind_of(&op) {
                     self.emit_ev(
                         node,
                         EventPayload::SyscallExit {
@@ -1062,19 +993,16 @@ impl World {
                         },
                     );
                 }
+                // An exit reports itself as blocked, so a process that is
+                // not blocked here is still alive.
                 let blocked = self.apply_op(node, pid, op, now);
-                if !blocked && !self.process_exited(node, pid) {
+                if !blocked {
                     self.nodes[node.0 as usize].runq.push_front(pid);
                 }
             }
             QuantumKind::Deliver(item) => {
-                {
-                    let n = &mut self.nodes[node.0 as usize];
-                    n.stats.cpu.kernel += work;
-                    let proc = n.procs.get_mut(&pid).expect("running process exists");
-                    proc.kernel_time += work;
-                    proc.state = ProcState::Runnable;
-                }
+                n.stats.cpu.kernel += work;
+                proc.kernel_time += work;
                 if matches!(item, PendingWork::MsgReady(_)) {
                     self.emit_ev(
                         node,
@@ -1085,10 +1013,9 @@ impl World {
                         },
                     );
                 }
-                self.apply_deliver(node, pid, item, work, now);
-                if !self.process_exited(node, pid) {
-                    self.nodes[node.0 as usize].runq.push_front(pid);
-                }
+                // A callback only queues actions; it cannot end the process.
+                self.apply_deliver(node, pid, item);
+                self.nodes[node.0 as usize].runq.push_front(pid);
             }
         }
         self.try_dispatch(node, now);
@@ -1234,7 +1161,6 @@ impl World {
             return;
         };
 
-        let cfg = self.costs(node);
         let local_ip = self.net.node_ip(node);
         let local_port = self.nodes[node.0 as usize].alloc_ephemeral();
         let local_ep = EndPoint::new(local_ip, local_port);
@@ -1242,23 +1168,16 @@ impl World {
         // Local half.
         {
             let n = &mut self.nodes[node.0 as usize];
-            let s = Socket::new(sock, pid, local_ep, remote_ep, cfg.socket_rx_bytes);
+            let s = Self::new_socket(n, sock, pid, local_ep, remote_ep);
             n.flows.insert(s.rx_flow(), sock);
             n.sockets.insert(sock, s);
         }
 
         // Remote half.
         {
-            let remote_cfg = self.costs(remote);
             let rn = &mut self.nodes[remote.0 as usize];
             let rsock = rn.alloc_sock();
-            let s = Socket::new(
-                rsock,
-                listener,
-                remote_ep,
-                local_ep,
-                remote_cfg.socket_rx_bytes,
-            );
+            let s = Self::new_socket(rn, rsock, listener, remote_ep, local_ep);
             rn.flows.insert(s.rx_flow(), rsock);
             rn.sockets.insert(rsock, s);
         }
@@ -1353,18 +1272,23 @@ impl World {
     }
 
     fn wake(&mut self, node: NodeId, pid: Pid, now: SimTime) {
-        let should = {
-            let n = &mut self.nodes[node.0 as usize];
-            match n.procs.get_mut(&pid) {
-                Some(p) if matches!(p.state, ProcState::Blocked(_)) => {
-                    p.state = ProcState::Runnable;
-                    n.runq.push_back(pid);
-                    true
-                }
-                _ => false,
-            }
+        self.post(node, pid, None, now);
+    }
+
+    /// Queues kernel→program work for `pid` (`times` copies of it) and
+    /// wakes the process if it was blocked, on one process-table probe.
+    fn post(&mut self, node: NodeId, pid: Pid, work: Option<(PendingWork, usize)>, now: SimTime) {
+        let n = &mut self.nodes[node.0 as usize];
+        // A dead process takes no work and cannot wake.
+        let Some(p) = n.procs.get_mut(&pid).filter(|p| !p.is_exited()) else {
+            return;
         };
-        if should {
+        if let Some((item, times)) = work {
+            p.pending.extend(std::iter::repeat_n(item, times));
+        }
+        if matches!(p.state, ProcState::Blocked(_)) {
+            p.state = ProcState::Runnable;
+            n.runq.push_back(pid);
             self.emit_ev(node, EventPayload::ProcessWake { pid });
             self.try_dispatch(node, now);
         }
@@ -1374,114 +1298,79 @@ impl World {
     // Deliver effects (program callbacks)
     // ------------------------------------------------------------------
 
-    fn apply_deliver(
-        &mut self,
-        node: NodeId,
-        pid: Pid,
-        item: PendingWork,
-        work: SimDuration,
-        now: SimTime,
-    ) {
+    fn apply_deliver(&mut self, node: NodeId, pid: Pid, item: PendingWork) {
         let callback = match item {
-            PendingWork::Start => Some(Callback::Start),
-            PendingWork::Connected(sock) => Some(Callback::Connected { sock }),
-            PendingWork::IoDone(token) => Some(Callback::IoDone { token }),
-            PendingWork::Timer(token) => Some(Callback::Timer { token }),
+            PendingWork::Start => Callback::Start,
+            PendingWork::Connected(sock) => Callback::Connected { sock },
+            PendingWork::IoDone(token) => Callback::IoDone { token },
+            PendingWork::Timer(token) => Callback::Timer { token },
             PendingWork::MsgReady(sock) => {
-                let taken = self.nodes[node.0 as usize]
-                    .sockets
-                    .get_mut(&sock)
-                    .and_then(|s| s.take_ready());
-                match taken {
-                    Some((msg, packets, _first_enqueue)) => {
-                        // The user copy: per-packet delivery events.
-                        let kernel_daemon = self.nodes[node.0 as usize]
-                            .procs
-                            .get(&pid)
-                            .map(|p| p.kernel_daemon)
-                            .unwrap_or(false);
-                        let flow = self.nodes[node.0 as usize]
-                            .sockets
-                            .get(&sock)
-                            .map(|s| s.rx_flow());
-                        if let Some(flow) = flow {
-                            if !kernel_daemon {
-                                let arm = self.arm_of(node, flow, Some(pid), msg.msg_id);
-                                for (pkt_id, size) in &packets {
-                                    self.emit_ev(
-                                        node,
-                                        EventPayload::Net {
-                                            point: NetPoint::RxDeliverUser,
-                                            flow,
-                                            packet: *pkt_id,
-                                            size: *size,
-                                            pid: Some(pid),
-                                            arm,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        let n = &mut self.nodes[node.0 as usize];
-                        n.stats.bytes_received += msg.bytes;
-                        n.stats.messages_delivered += 1;
-                        Some(Callback::Message { sock, msg })
+                let n = &mut self.nodes[node.0 as usize];
+                let Some(s) = n.sockets.get_mut(&sock) else {
+                    return;
+                };
+                let Some((msg, packets, _first_enqueue)) = s.take_ready() else {
+                    return;
+                };
+                let flow = s.rx_flow();
+                n.stats.bytes_received += msg.bytes;
+                n.stats.messages_delivered += 1;
+                // The user copy: per-packet delivery events.
+                let (kernel_daemon, arm_enabled) = n
+                    .procs
+                    .get(&pid)
+                    .map_or((false, false), |p| (p.kernel_daemon, p.arm_enabled));
+                if !kernel_daemon {
+                    let arm = arm_enabled.then_some(msg.msg_id);
+                    for (pkt_id, size) in &packets {
+                        self.emit_ev(
+                            node,
+                            EventPayload::Net {
+                                point: NetPoint::RxDeliverUser,
+                                flow,
+                                packet: *pkt_id,
+                                size: *size,
+                                pid: Some(pid),
+                                arm,
+                            },
+                        );
                     }
-                    None => None,
                 }
+                Callback::Message { sock, msg }
             }
         };
-        let _ = work;
-        let _ = now;
-        if let Some(cb) = callback {
-            self.invoke_program(node, pid, cb);
-        }
+        self.invoke_program(node, pid, callback);
     }
 
-    /// Runs a program callback, collecting the actions it queues.
+    /// Runs a program callback and queues the actions it asks for.
     fn invoke_program(&mut self, node: NodeId, pid: Pid, cb: Callback) {
         let wall = self.wall(node);
         let n = &mut self.nodes[node.0 as usize];
         let Some(proc) = n.procs.get_mut(&pid) else {
             return;
         };
-        let Some(mut program) = proc.program.take() else {
+        let Some(program) = proc.program.as_mut() else {
             return;
         };
-        let mut rng = std::mem::replace(&mut proc.rng, SimRng::seed(0));
-        let mut next_sock = n.next_sock;
-        let mut next_msg = n.next_msg;
-        let node_id = n.id;
-
         let mut actions = Vec::new();
-        {
-            let mut ctx = ProcCtx::new(
-                &mut actions,
-                &mut rng,
-                wall,
-                node_id,
-                &mut next_sock,
-                &mut next_msg,
-            );
-            match cb {
-                Callback::Start => program.on_start(&mut ctx),
-                Callback::Message { sock, msg } => program.on_message(&mut ctx, sock, msg),
-                Callback::Connected { sock } => program.on_connected(&mut ctx, sock),
-                Callback::IoDone { token } => program.on_io_done(&mut ctx, token),
-                Callback::Timer { token } => program.on_timer(&mut ctx, token),
-            }
+        let mut ctx = ProcCtx::new(
+            &mut actions,
+            &mut proc.rng,
+            wall,
+            n.id,
+            &mut n.next_sock,
+            &mut n.next_msg,
+        );
+        match cb {
+            Callback::Start => program.on_start(&mut ctx),
+            Callback::Message { sock, msg } => program.on_message(&mut ctx, sock, msg),
+            Callback::Connected { sock } => program.on_connected(&mut ctx, sock),
+            Callback::IoDone { token } => program.on_io_done(&mut ctx, token),
+            Callback::Timer { token } => program.on_timer(&mut ctx, token),
         }
-
-        let n = &mut self.nodes[node.0 as usize];
-        n.next_sock = next_sock;
-        n.next_msg = next_msg;
-        if let Some(proc) = n.procs.get_mut(&pid) {
-            proc.program = Some(program);
-            proc.rng = rng;
-            // Socket ids pre-allocated by connect() must exist before the
-            // op is applied; apply_connect creates them, so just queue.
-            proc.ops.extend(actions);
-        }
+        // Socket ids pre-allocated by connect() must exist before the op
+        // is applied; apply_connect creates them, so just queue.
+        proc.ops.extend(actions);
     }
 
     // ------------------------------------------------------------------
@@ -1511,15 +1400,11 @@ impl World {
         };
         let npackets = Packet::count_for_payload(bytes);
         let tag = PayloadTag::new(msg_id, kind, bytes);
-        let arm = if kernel {
-            None
-        } else {
-            self.arm_of(node, flow, pid, msg_id)
-        };
+        let arm = pid.and_then(|pid| self.arm_of_proc(node, pid, msg_id));
         let mut remaining = bytes;
         if kernel {
-            let cfg = self.costs(node);
-            self.steal(node, now, cfg.tx_stack * npackets, CpuCat::Monitor);
+            let tx_stack = self.costs(node).tx_stack;
+            self.steal(node, now, tx_stack * npackets, CpuCat::Monitor);
         }
         for _ in 0..npackets {
             let payload = remaining.min(Packet::MAX_PAYLOAD as u64) as u32;
@@ -1611,7 +1496,7 @@ impl World {
     }
 
     fn nic_tx_done(&mut self, node: NodeId, packet: Packet, now: SimTime) {
-        let arm = self.arm_of(node, packet.flow, None, packet.payload.msg_id);
+        let arm = self.arm_of_flow(node, packet.flow, packet.payload.msg_id);
         self.emit_ev(
             node,
             EventPayload::Net {
@@ -1623,36 +1508,28 @@ impl World {
                 arm,
             },
         );
-        let cfg = self.costs(node);
-        let waiters = {
-            let n = &mut self.nodes[node.0 as usize];
-            n.tx_queue_bytes = n.tx_queue_bytes.saturating_sub(packet.size as u64);
-            if n.tx_queue_bytes < cfg.socket_tx_bytes / 2 && !n.tx_waiters.is_empty() {
-                std::mem::take(&mut n.tx_waiters)
-            } else {
-                Vec::new()
+        let n = &mut self.nodes[node.0 as usize];
+        n.tx_queue_bytes = n.tx_queue_bytes.saturating_sub(packet.size as u64);
+        if n.tx_queue_bytes < n.config.costs.socket_tx_bytes / 2 && !n.tx_waiters.is_empty() {
+            for pid in std::mem::take(&mut n.tx_waiters) {
+                self.wake(node, pid, now);
             }
-        };
-        for pid in waiters {
-            self.wake(node, pid, now);
         }
     }
 
     fn packet_arrival(&mut self, node: NodeId, packet: Packet, now: SimTime) {
-        let cfg = self.costs(node);
-        {
-            let n = &mut self.nodes[node.0 as usize];
-            n.stats.packets_in += 1;
-            if n.rx_backlog >= cfg.rx_ring_packets {
-                n.stats.ring_drops += 1;
-                // NIC ring overflow: silently dropped by hardware — the
-                // kernel never sees it, so no Kprof event fires. This is
-                // the receive-livelock regime.
-                return;
-            }
-            n.rx_backlog += 1;
+        let n = &mut self.nodes[node.0 as usize];
+        let (rx_irq, rx_stack) = (n.config.costs.rx_irq, n.config.costs.rx_stack);
+        n.stats.packets_in += 1;
+        if n.rx_backlog >= n.config.costs.rx_ring_packets {
+            n.stats.ring_drops += 1;
+            // NIC ring overflow: silently dropped by hardware — the
+            // kernel never sees it, so no Kprof event fires. This is
+            // the receive-livelock regime.
+            return;
         }
-        let arm = self.arm_of(node, packet.flow, None, packet.payload.msg_id);
+        n.rx_backlog += 1;
+        let arm = self.arm_of_flow(node, packet.flow, packet.payload.msg_id);
         self.emit_ev(
             node,
             EventPayload::Net {
@@ -1664,27 +1541,37 @@ impl World {
                 arm,
             },
         );
-        self.steal(node, now, cfg.rx_irq, CpuCat::Irq);
+        self.steal(node, now, rx_irq, CpuCat::Irq);
         // Softirq protocol processing pipeline.
-        let start = now.max(self.nodes[node.0 as usize].softirq_busy_until);
-        let done = start + cfg.rx_stack;
-        self.nodes[node.0 as usize].softirq_busy_until = done;
-        self.steal(node, now, cfg.rx_stack, CpuCat::Irq);
+        let n = &mut self.nodes[node.0 as usize];
+        let done = now.max(n.softirq_busy_until) + rx_stack;
+        n.softirq_busy_until = done;
+        self.steal(node, now, rx_stack, CpuCat::Irq);
         self.queue.schedule(done, Ev::RxStackDone { node, packet });
     }
 
     fn rx_stack_done(&mut self, node: NodeId, packet: Packet, now: SimTime) {
-        self.nodes[node.0 as usize].rx_backlog =
-            self.nodes[node.0 as usize].rx_backlog.saturating_sub(1);
+        let wall = self.wall(node);
+        let n = &mut self.nodes[node.0 as usize];
+        n.rx_backlog = n.rx_backlog.saturating_sub(1);
 
         let flow = packet.flow;
-        // 1. Established socket?
-        if let Some(&sid) = self.nodes[node.0 as usize].flows.get(&flow) {
-            let owner = self.nodes[node.0 as usize]
+        // 1. Established socket? One probe each of the flow, socket and
+        //    process tables: the socket takes the packet first, and what
+        //    that did is reported afterwards in the original order.
+        if let Some(&sid) = n.flows.get(&flow) {
+            let sock = n
                 .sockets
-                .get(&sid)
-                .map(|s| s.owner);
-            let arm = self.arm_of(node, flow, owner, packet.payload.msg_id);
+                .get_mut(&sid)
+                .expect("a flow names a socket until the node crashes");
+            let owner = sock.owner;
+            let arm = (n.arm_procs > 0 && sock.owner_arm).then_some(packet.payload.msg_id);
+            let ready_before = sock.ready_count();
+            let accepted = sock.offer(packet, wall);
+            let newly_ready = sock.ready_count() - ready_before;
+            if !accepted {
+                n.stats.socket_drops += 1;
+            }
             self.emit_ev(
                 node,
                 EventPayload::Net {
@@ -1692,18 +1579,11 @@ impl World {
                     flow,
                     packet: packet.id,
                     size: packet.size,
-                    pid: owner,
+                    pid: Some(owner),
                     arm,
                 },
             );
-            let wall = self.wall(node);
-            let n = &mut self.nodes[node.0 as usize];
-            let Some(sock) = n.sockets.get_mut(&sid) else {
-                return;
-            };
-            let ready_before = sock.ready_count();
-            if !sock.offer(packet, wall) {
-                n.stats.socket_drops += 1;
+            if !accepted {
                 self.emit_ev(
                     node,
                     EventPayload::Net {
@@ -1711,41 +1591,28 @@ impl World {
                         flow,
                         packet: packet.id,
                         size: packet.size,
-                        pid: owner,
+                        pid: Some(owner),
                         arm,
                     },
                 );
-                return;
-            }
-            let ready_after = n.sockets.get(&sid).expect("just offered").ready_count();
-            if ready_after > ready_before {
-                let owner = owner.expect("socket has owner");
-                for _ in ready_before..ready_after {
-                    if let Some(p) = n.procs.get_mut(&owner) {
-                        p.pending.push_back(PendingWork::MsgReady(sid));
-                    }
-                }
-                self.wake(node, owner, now);
+            } else if newly_ready > 0 {
+                let ready = (PendingWork::MsgReady(sid), newly_ready);
+                self.post(node, owner, Some(ready), now);
             }
             return;
         }
 
         // 2. Kernel sink port?
-        if self.nodes[node.0 as usize]
-            .sink_ports
-            .contains(&flow.dst.port)
-        {
+        if n.sink_ports.contains(&flow.dst.port) {
             self.sink_ingest(node, packet, now);
             return;
         }
 
         // 3. Listener without an established flow (data racing ahead of the
         //    connect bookkeeping, or connectionless sends): auto-accept.
-        if let Some(&listener) = self.nodes[node.0 as usize].listeners.get(&flow.dst.port) {
-            let cfg = self.costs(node);
-            let n = &mut self.nodes[node.0 as usize];
+        if let Some(&listener) = n.listeners.get(&flow.dst.port) {
             let sid = n.alloc_sock();
-            let s = Socket::new(sid, listener, flow.dst, flow.src, cfg.socket_rx_bytes);
+            let s = Self::new_socket(n, sid, listener, flow.dst, flow.src);
             n.flows.insert(flow, sid);
             n.sockets.insert(sid, s);
             // Re-run as an established flow.
@@ -1782,16 +1649,10 @@ impl World {
         );
         let wall = self.wall(node);
         let completed = {
-            let cfg = self.costs(node);
             let n = &mut self.nodes[node.0 as usize];
+            let rx_capacity = n.config.costs.socket_rx_bytes.max(16 * 1024 * 1024);
             let sock = n.sink_socks.entry(flow).or_insert_with(|| {
-                Socket::new(
-                    SocketId(u64::MAX),
-                    Pid(0),
-                    flow.dst,
-                    flow.src,
-                    cfg.socket_rx_bytes.max(16 * 1024 * 1024),
-                )
+                Socket::new(SocketId(u64::MAX), Pid(0), flow.dst, flow.src, rx_capacity)
             });
             if !sock.offer(packet, wall) {
                 n.stats.socket_drops += 1;
@@ -1870,19 +1731,10 @@ impl World {
                         pid: Some(pid),
                     },
                 );
-                if let Some(p) = self.nodes[node.0 as usize].procs.get_mut(&pid) {
-                    p.pending.push_back(PendingWork::IoDone(token));
-                }
-                self.wake(node, pid, now);
+                self.post(node, pid, Some((PendingWork::IoDone(token), 1)), now);
             }
             Ev::TimerFire { node, pid, token } => {
-                if let Some(p) = self.nodes[node.0 as usize].procs.get_mut(&pid) {
-                    if p.is_exited() {
-                        return;
-                    }
-                    p.pending.push_back(PendingWork::Timer(token));
-                }
-                self.wake(node, pid, now);
+                self.post(node, pid, Some((PendingWork::Timer(token), 1)), now);
             }
             Ev::ConnRetry {
                 node,
@@ -1895,10 +1747,7 @@ impl World {
                 self.try_connect(node, pid, sock, remote, port, now, attempt);
             }
             Ev::ConnEstablished { node, pid, sock } => {
-                if let Some(p) = self.nodes[node.0 as usize].procs.get_mut(&pid) {
-                    p.pending.push_back(PendingWork::Connected(sock));
-                }
-                self.wake(node, pid, now);
+                self.post(node, pid, Some((PendingWork::Connected(sock), 1)), now);
             }
             Ev::DaemonWake { node, analyzer } => {
                 let wall = self.wall(node);
@@ -1926,19 +1775,9 @@ impl World {
         }
     }
 
-    fn costs(&self, node: NodeId) -> CostConfig {
-        self.nodes[node.0 as usize].config.costs
+    fn costs(&self, node: NodeId) -> &CostConfig {
+        &self.nodes[node.0 as usize].config.costs
     }
-}
-
-enum NextQuantum {
-    Run {
-        kind: QuantumKind,
-        work: SimDuration,
-        syscall: Option<SyscallKind>,
-    },
-    Blocked,
-    Gone,
 }
 
 fn syscall_kind_of(op: &Action) -> Option<SyscallKind> {
@@ -2570,6 +2409,75 @@ mod tests {
         );
         w.run_until(SimTime::from_secs(1));
         assert!(!w.node_is_down(NodeId(1)), "restarted at 200ms");
+    }
+
+    #[test]
+    fn crash_cancels_the_stretched_quantum_end_for_good() {
+        use simnet::FaultPlan;
+        let plan = FaultPlan::default().with_crash(
+            NodeId(1),
+            SimTime::from_millis(1),
+            Some(SimTime::from_millis(2)),
+        );
+        let mut w = WorldBuilder::new(32)
+            .node("a")
+            .node("b")
+            .link(NodeId(0), NodeId(1), LinkSpec::gigabit_lan())
+            .faults(plan)
+            .build()
+            .unwrap();
+        w.spawn(
+            NodeId(1),
+            "burn",
+            Box::new(ComputeLoop::new(
+                SimDuration::from_millis(50),
+                SimDuration::from_millis(50),
+            )),
+        );
+        // Unsolicited traffic: every arrival interrupts node 1 and
+        // stretches the compute quantum it is running.
+        let dst = EndPoint::new(w.network().node_ip(NodeId(1)), Port(9));
+        w.kernel_send(NodeId(0), Port(9998), dst, 0, vec![0u8; 100_000]);
+        w.run_until(SimTime::from_micros(999));
+        let rq = w.nodes[1].running.as_ref().expect("mid-quantum");
+        assert!(rq.stolen > SimDuration::from_micros(100), "{:?}", rq.stolen);
+        let dead_end = rq.end_time;
+        let before = w.calendar_stats();
+        assert!(before.deferred > 10, "stretched in place: {before:?}");
+
+        w.run_until(SimTime::from_millis(1));
+        assert!(w.node_is_down(NodeId(1)));
+        assert_eq!(
+            w.calendar_stats().cancelled,
+            before.cancelled + 1,
+            "the live handle, not the one the first stretch replaced"
+        );
+
+        // Back up with a fresh process whose first compute quantum spans
+        // the instant the dead quantum would have ended. A QuantumEnd
+        // left over from before the crash would end this one early.
+        w.run_until(SimTime::from_millis(2));
+        assert!(!w.node_is_down(NodeId(1)));
+        let fresh = w.spawn(
+            NodeId(1),
+            "fresh",
+            Box::new(ComputeLoop::new(
+                SimDuration::from_millis(4),
+                SimDuration::from_millis(4),
+            )),
+        );
+        assert!(
+            dead_end > SimTime::from_millis(5) && dead_end < SimTime::from_millis(6),
+            "{dead_end}"
+        );
+        w.run_until(SimTime::from_millis(20));
+        let exited = w.process_exit_time(NodeId(1), fresh).expect("ran out");
+        assert!(
+            exited >= SimTime::from_millis(6),
+            "4 ms of compute from t=2 ms cannot finish at {exited}"
+        );
+        let (user, _) = w.process_times(NodeId(1), fresh).unwrap();
+        assert_eq!(user, SimDuration::from_millis(4));
     }
 
     #[test]
