@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use kprof::{FileId, Kprof, Pid};
 use simcore::hash::{HashMap, HashSet};
-use simcore::{NodeId, SimDuration, SimTime};
+use simcore::{LaneId, NodeId, SimDuration, SimTime};
 use simnet::{FlowKey, Port};
 
 use crate::process::Process;
@@ -84,9 +84,23 @@ pub(crate) struct RunningQuantum {
     pub stolen: SimDuration,
 }
 
+/// Calendar lanes for the event streams a node produces in due-time order
+/// (each is FIFO by construction; anything that is not falls back to the
+/// heap on its own).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeLanes {
+    /// `RxStackDone`: the softirq pipeline's horizon only moves forward.
+    pub rx_stack: LaneId,
+    /// `NicTxDone`: a link serializes packets in the order it gets them.
+    pub nic_tx: LaneId,
+    /// `PacketArrival` of what this node sent: departure plus latency.
+    pub wire: LaneId,
+}
+
 /// One simulated machine: kernel state + instrumentation.
 pub(crate) struct Node {
     pub id: NodeId,
+    pub lanes: NodeLanes,
     pub config: NodeConfig,
     pub kprof: Kprof,
     pub disk: Disk,
@@ -127,9 +141,10 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    pub fn new(id: NodeId, config: NodeConfig) -> Self {
+    pub fn new(id: NodeId, config: NodeConfig, lanes: NodeLanes) -> Self {
         Node {
             id,
+            lanes,
             config,
             kprof: Kprof::new(id),
             disk: Disk::new(config.disk),

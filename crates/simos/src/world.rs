@@ -17,7 +17,7 @@ use simnet::{
     PacketId, PayloadTag, Port, TopologyError,
 };
 
-use crate::node::{Node, NodeStats, RunningQuantum};
+use crate::node::{Node, NodeLanes, NodeStats, RunningQuantum};
 use crate::process::{PendingWork, ProcState, Process};
 use crate::program::{Action, Callback, Message, ProcCtx, Program};
 use crate::socket::{Socket, SocketId};
@@ -257,14 +257,21 @@ impl WorldBuilder {
     /// Returns [`TopologyError`] for invalid topologies.
     pub fn build(self) -> Result<World, TopologyError> {
         let mut net = self.net.build()?;
+        let mut queue = EventQueue::new();
         let nodes: Vec<Node> = self
             .configs
             .into_iter()
             .enumerate()
-            .map(|(i, cfg)| Node::new(NodeId(i as u32), cfg))
+            .map(|(i, cfg)| {
+                let lanes = NodeLanes {
+                    rx_stack: queue.lane(),
+                    nic_tx: queue.lane(),
+                    wire: queue.lane(),
+                };
+                Node::new(NodeId(i as u32), cfg, lanes)
+            })
             .collect();
         let mut rng = SimRng::seed(self.seed);
-        let mut queue = EventQueue::new();
         if let Some(plan) = self.faults {
             for cs in &plan.crashes {
                 queue.schedule(cs.crash_at, Ev::NodeCrash { node: cs.node });
@@ -1462,14 +1469,17 @@ impl World {
                     departure,
                     arrivals,
                 } => {
-                    self.nodes[node.0 as usize].tx_queue_bytes += packet.size as u64;
+                    let n = &mut self.nodes[node.0 as usize];
+                    n.tx_queue_bytes += packet.size as u64;
+                    let lanes = n.lanes;
                     self.queue
-                        .schedule(departure, Ev::NicTxDone { node, packet });
+                        .schedule_in(lanes.nic_tx, departure, Ev::NicTxDone { node, packet });
                     // One arrival per surviving copy. An empty list is a
                     // silent in-flight loss: the sender paid the full
                     // transmit cost and learns nothing.
                     for arrival in arrivals {
-                        self.queue.schedule(
+                        self.queue.schedule_in(
+                            lanes.wire,
                             arrival,
                             Ev::PacketArrival {
                                 node: dst_node,
@@ -1547,7 +1557,9 @@ impl World {
         let done = now.max(n.softirq_busy_until) + rx_stack;
         n.softirq_busy_until = done;
         self.steal(node, now, rx_stack, CpuCat::Irq);
-        self.queue.schedule(done, Ev::RxStackDone { node, packet });
+        let lane = self.nodes[node.0 as usize].lanes.rx_stack;
+        self.queue
+            .schedule_in(lane, done, Ev::RxStackDone { node, packet });
     }
 
     fn rx_stack_done(&mut self, node: NodeId, packet: Packet, now: SimTime) {
