@@ -9,6 +9,7 @@
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest plane: digest tests + sharded bench smoke
 #   ./ci.sh --jit        only the compiled execution tier: tier sweeps + bench smoke
+#   ./ci.sh --substrate  only the simulator under the monitor: calendar, simos, fingerprints
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -46,6 +47,33 @@ check_one_lowering() {
         echo "jit.rs / batch.rs must consume ecode::ir, not stack bytecode" >&2
         return 1
     fi
+}
+
+# The substrate's own gates, shared by --substrate and the full run: the
+# calendar's model proptests and simos, the two count-not-clock pins
+# (heap pushes per hit, allocations per packet), the replay referees, and
+# the sysbench quick fingerprints of both cluster workloads on the seed
+# and the held-out seed (byte-identical or the harness exits nonzero).
+substrate_steps=(
+    "==> substrate: calendar + simos (defer/lanes vs the linear model, crash after a stretch)"
+    "cargo test -q -p simcore -p simos"
+    "==> substrate: allocations per packet, heap pushes per hit (counts, not clocks)"
+    "cargo test -q --release -p simos --test alloc_budget"
+    "cargo test -q --test calendar_count"
+    "==> substrate: replay referees"
+    "cargo test -q --test determinism"
+    "cargo test -q --test chaos"
+    "==> substrate: sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)"
+    check_cluster_fingerprints
+)
+
+check_cluster_fingerprints() {
+    local wl seed
+    for wl in cluster_kv cluster_iperf; do
+        for seed in 7 11; do
+            benchmark/run.sh --quick --workload "$wl" --seed "$seed" --seconds 1 --trace 0 >/dev/null
+        done
+    done
 }
 
 # Fast paths for iterating on one slice of the system: each runs only
@@ -123,6 +151,9 @@ case "${1:-}" in
         "cargo test -q -p pubsub publish" \
         "==> bench smoke (hot path incl. cpa_eval arm)" \
         "run_hotpath_bench_smoke --min-speedup 0.5 --min-cpa 0.5"
+    ;;
+--substrate)
+    fast_path SUBSTRATE "${substrate_steps[@]}"
     ;;
 --merge)
     # The merge-lattice analysis and the sharded evaluation path: the

@@ -261,44 +261,45 @@ impl FaultInjector {
     }
 
     /// Maps one successful link transmit to the arrival times of the
-    /// copies actually delivered: empty means lost in flight, two means
-    /// duplicated, and jitter/reorder perturb (and may swap) arrivals.
+    /// copies actually delivered, the original first: none means lost in
+    /// flight, two means duplicated, and jitter/reorder perturb (and may
+    /// swap) arrivals. A packet is never copied more than once, so the
+    /// answer is an inline pair and the packet path allocates nothing.
     pub fn deliveries(
         &mut self,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         arrival: SimTime,
-    ) -> Vec<SimTime> {
+    ) -> [Option<SimTime>; 2] {
         self.stats.packets_offered += 1;
         if self.partitioned(now, from, to) {
             self.stats.partition_drops += 1;
-            return Vec::new();
+            return [None; 2];
         }
         let f = self.plan.faults_between(from, to);
         if f.is_none() {
             // No draws at all: fault-free links replay identically to a
             // run with no injector installed.
             self.stats.delivered_copies += 1;
-            return vec![arrival];
+            return [Some(arrival), None];
         }
         if f.loss > 0.0 && self.rng.chance(f.loss) {
             self.stats.injected_losses += 1;
-            return Vec::new();
+            return [None; 2];
         }
         let mut first = arrival + self.draw_jitter(f.jitter);
         if f.reorder > 0.0 && self.rng.chance(f.reorder) {
             first += f.reorder_delay;
             self.stats.reorders += 1;
         }
-        let mut out = vec![first];
+        let mut dup = None;
         if f.duplicate > 0.0 && self.rng.chance(f.duplicate) {
-            let dup = first + DUPLICATE_GAP + self.draw_jitter(f.jitter);
-            out.push(dup);
+            dup = Some(first + DUPLICATE_GAP + self.draw_jitter(f.jitter));
             self.stats.duplicates += 1;
         }
-        self.stats.delivered_copies += out.len() as u64;
-        out
+        self.stats.delivered_copies += 1 + u64::from(dup.is_some());
+        [Some(first), dup]
     }
 
     fn draw_jitter(&mut self, jitter: SimDuration) -> SimDuration {
@@ -318,14 +319,24 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn copies(arrivals: [Option<SimTime>; 2]) -> usize {
+        arrivals.iter().flatten().count()
+    }
+
     #[test]
     fn empty_plan_passes_through_without_randomness() {
         let mut a = FaultInjector::new(FaultPlan::new(), SimRng::seed(7));
         let mut b = FaultInjector::new(FaultPlan::new(), SimRng::seed(999));
         for i in 0..50 {
             let arr = t(i);
-            assert_eq!(a.deliveries(t(i), NodeId(0), NodeId(1), arr), vec![arr]);
-            assert_eq!(b.deliveries(t(i), NodeId(0), NodeId(1), arr), vec![arr]);
+            assert_eq!(
+                a.deliveries(t(i), NodeId(0), NodeId(1), arr),
+                [Some(arr), None]
+            );
+            assert_eq!(
+                b.deliveries(t(i), NodeId(0), NodeId(1), arr),
+                [Some(arr), None]
+            );
         }
         assert_eq!(
             a.stats(),
@@ -353,7 +364,7 @@ mod tests {
         let mut inj = FaultInjector::new(plan, SimRng::seed(11));
         let mut copies = 0u64;
         for i in 0..5_000 {
-            copies += inj.deliveries(t(i), NodeId(0), NodeId(1), t(i)).len() as u64;
+            copies += self::copies(inj.deliveries(t(i), NodeId(0), NodeId(1), t(i))) as u64;
         }
         let s = inj.stats();
         assert_eq!(s.packets_offered, 5_000);
@@ -374,7 +385,7 @@ mod tests {
         let mut inj = FaultInjector::new(plan, SimRng::seed(1));
         let mut lost = 0;
         for i in 0..10_000 {
-            if inj.deliveries(t(i), NodeId(0), NodeId(1), t(i)).is_empty() {
+            if copies(inj.deliveries(t(i), NodeId(0), NodeId(1), t(i))) == 0 {
                 lost += 1;
             }
         }
@@ -387,18 +398,26 @@ mod tests {
         let plan = FaultPlan::new().with_partition(vec![NodeId(0)], vec![NodeId(1)], t(10), t(20));
         let mut inj = FaultInjector::new(plan, SimRng::seed(2));
         // Before, cross-group flows fine.
-        assert_eq!(inj.deliveries(t(5), NodeId(0), NodeId(1), t(5)).len(), 1);
+        assert_eq!(copies(inj.deliveries(t(5), NodeId(0), NodeId(1), t(5))), 1);
         // During, both directions are cut…
-        assert!(inj
-            .deliveries(t(10), NodeId(0), NodeId(1), t(10))
-            .is_empty());
-        assert!(inj
-            .deliveries(t(15), NodeId(1), NodeId(0), t(15))
-            .is_empty());
+        assert_eq!(
+            copies(inj.deliveries(t(10), NodeId(0), NodeId(1), t(10))),
+            0
+        );
+        assert_eq!(
+            copies(inj.deliveries(t(15), NodeId(1), NodeId(0), t(15))),
+            0
+        );
         // …but unrelated pairs are not.
-        assert_eq!(inj.deliveries(t(15), NodeId(1), NodeId(2), t(15)).len(), 1);
+        assert_eq!(
+            copies(inj.deliveries(t(15), NodeId(1), NodeId(2), t(15))),
+            1
+        );
         // After healing, traffic resumes.
-        assert_eq!(inj.deliveries(t(20), NodeId(0), NodeId(1), t(20)).len(), 1);
+        assert_eq!(
+            copies(inj.deliveries(t(20), NodeId(0), NodeId(1), t(20))),
+            1
+        );
         assert_eq!(inj.stats().partition_drops, 2);
     }
 
@@ -409,9 +428,10 @@ mod tests {
             ..LinkFaults::NONE
         });
         let mut inj = FaultInjector::new(plan, SimRng::seed(3));
-        let out = inj.deliveries(t(1), NodeId(0), NodeId(1), t(1));
-        assert_eq!(out.len(), 2);
-        assert!(out[1] >= out[0] + DUPLICATE_GAP);
+        let [Some(first), Some(dup)] = inj.deliveries(t(1), NodeId(0), NodeId(1), t(1)) else {
+            panic!("two copies");
+        };
+        assert!(dup >= first + DUPLICATE_GAP);
         assert_eq!(inj.stats().duplicates, 1);
     }
 
@@ -427,14 +447,11 @@ mod tests {
         let mut inj = FaultInjector::new(plan, SimRng::seed(4));
         for i in 0..100 {
             let arr = t(i);
-            let out = inj.deliveries(t(i), NodeId(0), NodeId(1), arr);
-            assert_eq!(out.len(), 1);
+            let [Some(got), None] = inj.deliveries(t(i), NodeId(0), NodeId(1), arr) else {
+                panic!("one copy");
+            };
             let lo = arr + SimDuration::from_millis(1);
-            assert!(
-                out[0] >= lo && out[0] <= lo + jitter,
-                "arrival {:?}",
-                out[0]
-            );
+            assert!(got >= lo && got <= lo + jitter, "arrival {got:?}");
         }
         assert_eq!(inj.stats().reorders, 100);
     }
@@ -446,9 +463,9 @@ mod tests {
             .with_link(NodeId(1), NodeId(0), LinkFaults::NONE);
         let mut inj = FaultInjector::new(plan, SimRng::seed(5));
         // Overridden link (looked up in either order) never loses.
-        assert_eq!(inj.deliveries(t(1), NodeId(0), NodeId(1), t(1)).len(), 1);
+        assert_eq!(copies(inj.deliveries(t(1), NodeId(0), NodeId(1), t(1))), 1);
         // Other links always lose.
-        assert!(inj.deliveries(t(1), NodeId(0), NodeId(2), t(1)).is_empty());
+        assert_eq!(copies(inj.deliveries(t(1), NodeId(0), NodeId(2), t(1))), 0);
     }
 
     #[test]

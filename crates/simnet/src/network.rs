@@ -12,16 +12,15 @@ use crate::{ClockSpec, Ip, Link, LinkSpec, NtpClock, TransmitOutcome};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetOutcome {
     /// The packet was serialized onto the wire. `arrivals` holds the
-    /// arrival time of every copy actually delivered: empty means it was
+    /// arrival time of every copy actually delivered: none means it was
     /// lost in flight (injected loss or partition — the sender still paid
-    /// for serialization and gets no signal), more than one means it was
-    /// duplicated.
+    /// for serialization and gets no signal), two means it was duplicated.
     Sent {
         /// When the sender's NIC finishes serializing the packet.
         departure: SimTime,
         /// Arrival time of each delivered copy, possibly perturbed by
         /// jitter or reordering.
-        arrivals: Vec<SimTime>,
+        arrivals: [Option<SimTime>; 2],
     },
     /// Dropped at the sender's drop-tail queue; never serialized.
     QueueDrop,
@@ -267,7 +266,7 @@ impl Network {
             TransmitOutcome::Sent { departure, arrival } => {
                 let arrivals = match &mut self.injector {
                     Some(inj) => inj.deliveries(now, from, to, arrival),
-                    None => vec![arrival],
+                    None => [Some(arrival), None],
                 };
                 NetOutcome::Sent {
                     departure,
@@ -448,7 +447,7 @@ mod tests {
             .transmit_with_faults(SimTime::ZERO, NodeId(0), NodeId(1), 1500)
             .unwrap()
         {
-            NetOutcome::Sent { arrivals, .. } => assert_eq!(arrivals, vec![raw]),
+            NetOutcome::Sent { arrivals, .. } => assert_eq!(arrivals, [Some(raw), None]),
             NetOutcome::QueueDrop => panic!("unexpected drop"),
         }
         assert_eq!(net.fault_stats(), FaultStats::default());
@@ -466,7 +465,7 @@ mod tests {
             .unwrap()
         {
             NetOutcome::Sent { arrivals, .. } => {
-                assert!(arrivals.is_empty(), "lost in flight");
+                assert_eq!(arrivals, [None; 2], "lost in flight");
             }
             NetOutcome::QueueDrop => panic!("loss must not look like a queue drop"),
         }

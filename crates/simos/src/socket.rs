@@ -9,6 +9,8 @@
 //! foreign assembly is evicted first — the moral equivalent of the kernel
 //! reclaiming a stalled stream's buffers.
 
+use std::collections::VecDeque;
+
 use kprof::Pid;
 use simcore::hash::HashMap;
 use simcore::SimTime;
@@ -73,7 +75,7 @@ pub struct Socket {
     dropped: u64,
     evicted_assemblies: u64,
     assemblies: HashMap<u64, Assembly>,
-    ready: Vec<ReadyMessage>,
+    ready: VecDeque<ReadyMessage>,
 }
 
 impl Socket {
@@ -100,7 +102,7 @@ impl Socket {
             dropped: 0,
             evicted_assemblies: 0,
             assemblies: HashMap::default(),
-            ready: Vec::new(),
+            ready: VecDeque::new(),
         }
     }
 
@@ -174,7 +176,7 @@ impl Socket {
         asm.packets.push((packet.id, packet.size));
         if asm.received >= asm.total {
             let asm = self.assemblies.remove(&tag.msg_id).expect("just inserted");
-            self.ready.push((
+            self.ready.push_back((
                 Message {
                     msg_id: tag.msg_id,
                     kind: asm.kind,
@@ -201,17 +203,14 @@ impl Socket {
     /// Peeks at the oldest complete message without consuming it: the
     /// message and its packet count (for costing the `recv` copy).
     pub fn peek_ready(&self) -> Option<(Message, usize)> {
-        self.ready.first().map(|(m, pkts, _, _)| (*m, pkts.len()))
+        self.ready.front().map(|(m, pkts, _, _)| (*m, pkts.len()))
     }
 
     /// Takes the oldest complete message: the message, its packets
     /// (id + size, for per-packet delivery events), and the time its first
     /// packet entered the socket buffer. Frees the message's buffer bytes.
     pub fn take_ready(&mut self) -> Option<(Message, MessagePackets, SimTime)> {
-        if self.ready.is_empty() {
-            return None;
-        }
-        let (msg, packets, t, bytes) = self.ready.remove(0);
+        let (msg, packets, t, bytes) = self.ready.pop_front()?;
         self.rx_bytes = self.rx_bytes.saturating_sub(bytes);
         Some((msg, packets, t))
     }
@@ -337,6 +336,29 @@ mod tests {
             "undelivered message occupies buffer"
         );
         s.take_ready();
+        assert_eq!(s.rx_backlog_bytes(), 0);
+    }
+
+    #[test]
+    fn a_receiver_far_behind_drains_in_order() {
+        // 10,000 complete messages queued before the first recv: the
+        // ready queue is a deque, so each take is O(1) where
+        // `Vec::remove(0)` shifted everything behind it (5·10^7 element
+        // moves here). What a test can count is that nothing is lost,
+        // reordered or left accounted for.
+        const N: u64 = 10_000;
+        let mut s = Socket::new(SocketId(1), Pid(1), ep(1, 80), ep(2, 9000), 1 << 30);
+        for i in 0..N {
+            assert!(s.offer(pkt(i, i, 100, 100), SimTime::from_nanos(i)));
+        }
+        assert_eq!(s.ready_count(), N as usize);
+        assert_eq!(s.peek_ready().map(|(m, n)| (m.msg_id, n)), Some((0, 1)));
+        for i in 0..N {
+            let (msg, packets, first) = s.take_ready().expect("queued");
+            assert_eq!((msg.msg_id, first), (i, SimTime::from_nanos(i)));
+            assert_eq!(packets, vec![(PacketId(i), 100 + Packet::HEADER_BYTES)]);
+        }
+        assert!(s.take_ready().is_none());
         assert_eq!(s.rx_backlog_bytes(), 0);
     }
 

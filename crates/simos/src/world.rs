@@ -296,6 +296,7 @@ impl WorldBuilder {
             sinks: HashMap::default(),
             daemon_hooks: HashMap::default(),
             inflight_data: HashMap::default(),
+            actions: Vec::new(),
             conn_setup_delay: SimDuration::from_micros(200),
         })
     }
@@ -313,9 +314,12 @@ pub struct World {
     next_packet: u64,
     sinks: HashMap<(NodeId, Port), Box<dyn KernelSink>>,
     daemon_hooks: HashMap<NodeId, Box<dyn DaemonHook>>,
-    /// Out-of-band payloads for sink-bound messages, keyed by (rx flow,
-    /// msg id).
-    inflight_data: HashMap<(FlowKey, u64), Vec<Bytes>>,
+    /// Out-of-band payloads of sink-bound messages in flight, keyed by
+    /// (rx flow, msg id) — unique, since a node numbers its own messages.
+    /// The entry goes when the message is delivered.
+    inflight_data: HashMap<(FlowKey, u64), Bytes>,
+    /// Scratch for the actions one program callback queues.
+    actions: Vec<Action>,
     conn_setup_delay: SimDuration,
 }
 
@@ -670,10 +674,7 @@ impl World {
         let src = EndPoint::new(self.net.node_ip(node), src_port);
         let flow = FlowKey::new(src, dst);
         let bytes = data.len() as u64;
-        self.inflight_data
-            .entry((flow, msg_id))
-            .or_default()
-            .push(data);
+        self.inflight_data.insert((flow, msg_id), data);
         self.transmit_message(node, flow, msg_id, kind, bytes, None, now, true);
         msg_id
     }
@@ -1359,9 +1360,8 @@ impl World {
         let Some(program) = proc.program.as_mut() else {
             return;
         };
-        let mut actions = Vec::new();
         let mut ctx = ProcCtx::new(
-            &mut actions,
+            &mut self.actions,
             &mut proc.rng,
             wall,
             n.id,
@@ -1377,7 +1377,7 @@ impl World {
         }
         // Socket ids pre-allocated by connect() must exist before the op
         // is applied; apply_connect creates them, so just queue.
-        proc.ops.extend(actions);
+        proc.ops.extend(self.actions.drain(..));
     }
 
     // ------------------------------------------------------------------
@@ -1474,10 +1474,10 @@ impl World {
                     let lanes = n.lanes;
                     self.queue
                         .schedule_in(lanes.nic_tx, departure, Ev::NicTxDone { node, packet });
-                    // One arrival per surviving copy. An empty list is a
+                    // One arrival per surviving copy. None at all is a
                     // silent in-flight loss: the sender paid the full
                     // transmit cost and learns nothing.
-                    for arrival in arrivals {
+                    for arrival in arrivals.into_iter().flatten() {
                         self.queue.schedule_in(
                             lanes.wire,
                             arrival,
@@ -1660,40 +1660,29 @@ impl World {
             },
         );
         let wall = self.wall(node);
-        let completed = {
-            let n = &mut self.nodes[node.0 as usize];
-            let rx_capacity = n.config.costs.socket_rx_bytes.max(16 * 1024 * 1024);
-            let sock = n.sink_socks.entry(flow).or_insert_with(|| {
-                Socket::new(SocketId(u64::MAX), Pid(0), flow.dst, flow.src, rx_capacity)
-            });
-            if !sock.offer(packet, wall) {
-                n.stats.socket_drops += 1;
-                return;
-            }
-            let mut done = Vec::new();
-            while let Some((msg, _pkts, _t)) = sock.take_ready() {
-                done.push(msg);
-            }
-            done
+        let n = &mut self.nodes[node.0 as usize];
+        let rx_capacity = n.config.costs.socket_rx_bytes.max(16 * 1024 * 1024);
+        let sock = n.sink_socks.entry(flow).or_insert_with(|| {
+            Socket::new(SocketId(u64::MAX), Pid(0), flow.dst, flow.src, rx_capacity)
+        });
+        if !sock.offer(packet, wall) {
+            n.stats.socket_drops += 1;
+            return;
+        }
+        // A packet completes at most its own message, and the queue is
+        // emptied after every offer.
+        let Some((msg, ..)) = sock.take_ready() else {
+            return;
         };
-        for msg in completed {
-            let data = self
-                .inflight_data
-                .get_mut(&(flow, msg.msg_id))
-                .and_then(|v| {
-                    if v.is_empty() {
-                        None
-                    } else {
-                        Some(v.remove(0))
-                    }
-                })
-                .unwrap_or_default();
-            let key = (node, flow.dst.port);
-            if let Some(mut sink) = self.sinks.remove(&key) {
-                let out = sink.on_message(wall, node, flow.src, msg, data);
-                self.sinks.insert(key, sink);
-                self.apply_kernel_output(node, out, now);
-            }
+        debug_assert_eq!(sock.ready_count(), 0);
+        // A late duplicate of a delivered message finds no payload left.
+        let data = self
+            .inflight_data
+            .remove(&(flow, msg.msg_id))
+            .unwrap_or_default();
+        if let Some(sink) = self.sinks.get_mut(&(node, flow.dst.port)) {
+            let out = sink.on_message(wall, node, flow.src, msg, data);
+            self.apply_kernel_output(node, out, now);
         }
     }
 
@@ -1763,13 +1752,10 @@ impl World {
             }
             Ev::DaemonWake { node, analyzer } => {
                 let wall = self.wall(node);
-                if let Some(mut hook) = self.daemon_hooks.remove(&node) {
-                    let out = {
-                        let n = &mut self.nodes[node.0 as usize];
-                        let stats = n.stats;
-                        hook.on_wake(wall, node, analyzer, &mut n.kprof, &stats)
-                    };
-                    self.daemon_hooks.insert(node, hook);
+                if let Some(hook) = self.daemon_hooks.get_mut(&node) {
+                    let n = &mut self.nodes[node.0 as usize];
+                    let stats = n.stats;
+                    let out = hook.on_wake(wall, node, analyzer, &mut n.kprof, &stats);
                     if let Some(delay) = out.rearm_after {
                         self.queue.schedule(
                             now + delay,
@@ -2490,6 +2476,78 @@ mod tests {
         );
         let (user, _) = w.process_times(NodeId(1), fresh).unwrap();
         assert_eq!(user, SimDuration::from_millis(4));
+    }
+
+    #[test]
+    fn sink_payloads_leave_the_in_flight_table_when_delivered() {
+        /// Sends one kernel message per wake, 1 ms apart.
+        struct Beacon {
+            left: u32,
+            dst: EndPoint,
+        }
+        impl DaemonHook for Beacon {
+            fn on_wake(
+                &mut self,
+                _now: SimTime,
+                _node: NodeId,
+                _analyzer: Option<AnalyzerId>,
+                _kprof: &mut Kprof,
+                _stats: &NodeStats,
+            ) -> KernelOutput {
+                self.left -= 1;
+                KernelOutput {
+                    cost: SimDuration::from_micros(1),
+                    sends: vec![KernelSend {
+                        dst: self.dst,
+                        src_port: Port(9998),
+                        kind: 7,
+                        data: Bytes::from(vec![self.left as u8; 3000]),
+                    }],
+                    rearm_after: (self.left > 0).then_some(SimDuration::from_millis(1)),
+                }
+            }
+        }
+        struct Count(std::rc::Rc<std::cell::Cell<usize>>);
+        impl KernelSink for Count {
+            fn on_message(
+                &mut self,
+                _now: SimTime,
+                _node: NodeId,
+                _src: EndPoint,
+                _msg: Message,
+                data: Bytes,
+            ) -> KernelOutput {
+                assert_eq!(data.len(), 3000);
+                self.0.set(self.0.get() + 1);
+                KernelOutput::default()
+            }
+        }
+
+        let got = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut w = two_nodes(33);
+        let dst = EndPoint::new(w.network().node_ip(NodeId(1)), Port(9999));
+        w.install_sink(NodeId(1), Port(9999), Box::new(Count(got.clone())));
+        w.set_daemon_hook(NodeId(0), Box::new(Beacon { left: 100, dst }));
+        w.schedule_daemon_wake(NodeId(0), SimDuration::from_millis(1));
+        // The monitored stream the beacons share the link with.
+        w.spawn(NodeId(1), "sink", Box::new(SinkServer::new(Port(5001))));
+        w.spawn(
+            NodeId(0),
+            "iperf",
+            Box::new(BulkSender::new(
+                NodeId(1),
+                Port(5001),
+                64 * 1024,
+                SimDuration::from_millis(100),
+            )),
+        );
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(got.get(), 100, "every beacon arrived with its payload");
+        assert!(
+            w.inflight_data.is_empty(),
+            "{} payload entries outlived their delivery",
+            w.inflight_data.len()
+        );
     }
 
     #[test]
