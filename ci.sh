@@ -195,6 +195,10 @@ echo "==> sysbench harness (benchmark/ builds against this tree; quick tests)"
 # bench driver.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
+echo "==> substrate: sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)"
+# The workspace test runs above already cover the rest of --substrate.
+check_cluster_fingerprints
+
 echo "==> bench smoke (hot path)"
 # Both floors are deliberately loose for a 400k-event smoke run
 # (scheduler noise swings short runs +/-25%): 0.5x of the committed

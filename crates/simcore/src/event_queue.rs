@@ -54,8 +54,9 @@ struct Slot<E> {
 /// Exact, deterministic counts of what the calendar did: a function of
 /// the calls made, never of the host.
 ///
-/// Heap traffic reads off directly: `scheduled + rekeyed` keys were pushed
-/// and `fired + stale_popped` were popped.
+/// Heap traffic reads off directly: `scheduled + rekeyed` keys were made,
+/// each entering the heap once (a lane's key when it reaches the lane's
+/// head), and `fired + stale_popped` have left it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarStats {
     /// [`EventQueue::schedule`] calls.
@@ -66,8 +67,8 @@ pub struct CalendarStats {
     pub cancelled: u64,
     /// [`EventQueue::defer`] calls that took effect.
     pub deferred: u64,
-    /// Deferred events whose stale heap key surfaced and was pushed again
-    /// at the event's recorded due time.
+    /// Deferred events whose stale heap key surfaced and was replaced by
+    /// one at the event's recorded due time.
     pub rekeyed: u64,
     /// Heap keys popped that fired nothing: their event was cancelled, or
     /// deferred (and, if still live, re-keyed).
@@ -85,6 +86,15 @@ struct Key {
     slot: u32,
     /// The lane to draw the next key from when this one leaves the heap.
     lane: u32,
+}
+
+impl Key {
+    fn handle(&self) -> EventHandle {
+        EventHandle {
+            seq: self.seq,
+            slot: self.slot,
+        }
+    }
 }
 
 impl PartialOrd for Key {
@@ -164,10 +174,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
         let key = self.admit(time, event);
         self.heap.push(key);
-        EventHandle {
-            seq: key.seq,
-            slot: key.slot,
-        }
+        key.handle()
     }
 
     /// Makes a new, empty FIFO lane.
@@ -190,14 +197,10 @@ impl<E> EventQueue<E> {
     /// Panics if `lane` was not made by this queue's [`lane`](EventQueue::lane).
     pub fn schedule_in(&mut self, lane: LaneId, time: SimTime, event: E) -> EventHandle {
         let mut key = self.admit(time, event);
-        let handle = EventHandle {
-            seq: key.seq,
-            slot: key.slot,
-        };
         let l = &mut self.lanes[lane.0 as usize];
         if l.in_heap && key.time < l.tail {
             self.heap.push(key);
-            return handle;
+            return key.handle();
         }
         key.lane = lane.0;
         l.tail = key.time;
@@ -207,7 +210,7 @@ impl<E> EventQueue<E> {
             l.in_heap = true;
             self.heap.push(key);
         }
-        handle
+        key.handle()
     }
 
     /// Gives `event` a sequence number and a slot; the returned key is
@@ -347,19 +350,16 @@ impl<E> EventQueue<E> {
                     lane: NO_LANE,
                 }
             });
+            self.stats.rekeyed += u64::from(moved.is_some());
             match moved {
                 // The common case (a stretched quantum end) is in no lane:
                 // overwrite in place.
-                Some(rekeyed) if top.lane == NO_LANE => {
-                    *top = rekeyed;
-                    self.stats.rekeyed += 1;
-                }
+                Some(rekeyed) if top.lane == NO_LANE => *top = rekeyed,
                 // A lane's key moved out of the lane's order: the lane
                 // carries on with its next key, this one goes it alone.
                 Some(rekeyed) => {
                     Self::leave(&mut self.lanes, top);
                     self.heap.push(rekeyed);
-                    self.stats.rekeyed += 1;
                 }
                 None => Self::leave(&mut self.lanes, top),
             }

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use kprof::{FileId, Kprof, Pid};
 use simcore::hash::{HashMap, HashSet};
 use simcore::{LaneId, NodeId, SimDuration, SimTime};
-use simnet::{FlowKey, Port};
+use simnet::{EndPoint, FlowKey, Port};
 
 use crate::process::Process;
 use crate::socket::{Socket, SocketId};
@@ -170,6 +170,13 @@ impl Node {
             opened: HashSet::default(),
             stats: NodeStats::default(),
         }
+    }
+
+    /// Creates a socket for `owner`, carrying the owner's ARM opt-in.
+    pub fn new_socket(&self, id: SocketId, owner: Pid, local: EndPoint, peer: EndPoint) -> Socket {
+        let mut s = Socket::new(id, owner, local, peer, self.config.costs.socket_rx_bytes);
+        s.owner_arm = self.arm_procs > 0 && self.procs.get(&owner).is_some_and(|p| p.arm_enabled);
+        s
     }
 
     /// Allocates a node-local socket id.

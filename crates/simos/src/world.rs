@@ -21,7 +21,7 @@ use crate::node::{Node, NodeLanes, NodeStats, RunningQuantum};
 use crate::process::{PendingWork, ProcState, Process};
 use crate::program::{Action, Callback, Message, ProcCtx, Program};
 use crate::socket::{Socket, SocketId};
-use crate::{CostConfig, NodeConfig};
+use crate::NodeConfig;
 
 /// CPU-time category charged by [`World::steal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,13 +470,6 @@ impl World {
             return None;
         }
         n.procs.get(&pid).filter(|p| p.arm_enabled).map(|_| msg_id)
-    }
-
-    /// Creates a socket for `owner`, carrying the owner's ARM opt-in.
-    fn new_socket(n: &Node, id: SocketId, owner: Pid, local: EndPoint, peer: EndPoint) -> Socket {
-        let mut s = Socket::new(id, owner, local, peer, n.config.costs.socket_rx_bytes);
-        s.owner_arm = n.arm_procs > 0 && n.procs.get(&owner).is_some_and(|p| p.arm_enabled);
-        s
     }
 
     /// What the event calendar has done so far: exact counts of events
@@ -1176,7 +1169,7 @@ impl World {
         // Local half.
         {
             let n = &mut self.nodes[node.0 as usize];
-            let s = Self::new_socket(n, sock, pid, local_ep, remote_ep);
+            let s = n.new_socket(sock, pid, local_ep, remote_ep);
             n.flows.insert(s.rx_flow(), sock);
             n.sockets.insert(sock, s);
         }
@@ -1185,7 +1178,7 @@ impl World {
         {
             let rn = &mut self.nodes[remote.0 as usize];
             let rsock = rn.alloc_sock();
-            let s = Self::new_socket(rn, rsock, listener, remote_ep, local_ep);
+            let s = rn.new_socket(rsock, listener, remote_ep, local_ep);
             rn.flows.insert(s.rx_flow(), rsock);
             rn.sockets.insert(rsock, s);
         }
@@ -1410,7 +1403,7 @@ impl World {
         let arm = pid.and_then(|pid| self.arm_of_proc(node, pid, msg_id));
         let mut remaining = bytes;
         if kernel {
-            let tx_stack = self.costs(node).tx_stack;
+            let tx_stack = self.nodes[node.0 as usize].config.costs.tx_stack;
             self.steal(node, now, tx_stack * npackets, CpuCat::Monitor);
         }
         for _ in 0..npackets {
@@ -1624,7 +1617,7 @@ impl World {
         //    connect bookkeeping, or connectionless sends): auto-accept.
         if let Some(&listener) = n.listeners.get(&flow.dst.port) {
             let sid = n.alloc_sock();
-            let s = Self::new_socket(n, sid, listener, flow.dst, flow.src);
+            let s = n.new_socket(sid, listener, flow.dst, flow.src);
             n.flows.insert(flow, sid);
             n.sockets.insert(sid, s);
             // Re-run as an established flow.
@@ -1771,10 +1764,6 @@ impl World {
             Ev::NodeCrash { node } => self.do_crash(node, now),
             Ev::NodeRestart { node } => self.do_restart(node, now),
         }
-    }
-
-    fn costs(&self, node: NodeId) -> &CostConfig {
-        &self.nodes[node.0 as usize].config.costs
     }
 }
 
