@@ -4,7 +4,6 @@
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::collections::VecDeque;
 
 use crate::SimTime;
 
@@ -18,26 +17,6 @@ pub struct EventHandle {
 
 /// Marks a slot whose event fired or was cancelled.
 const VACANT: u64 = u64::MAX;
-
-/// Names a FIFO lane made by [`EventQueue::lane`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LaneId(u32);
-
-/// Marks a key that belongs to no lane.
-const NO_LANE: u32 = u32::MAX;
-
-/// A producer whose events mostly come due in the order it schedules
-/// them (a NIC's serializations, a softirq pipeline). Only the lane's
-/// earliest key is in the heap; the rest wait here, already in order.
-#[derive(Default)]
-struct Lane {
-    /// Keys behind the one in the heap, in `(time, seq)` order.
-    waiting: VecDeque<Key>,
-    /// Whether a key of this lane is in the heap.
-    in_heap: bool,
-    /// Due time of the last key the lane took.
-    tail: SimTime,
-}
 
 /// One pending event and its bookkeeping. `live` is the seq its current
 /// handle carries; `key` is the seq of the heap key that stands for it. The
@@ -54,9 +33,8 @@ struct Slot<E> {
 /// Exact, deterministic counts of what the calendar did: a function of
 /// the calls made, never of the host.
 ///
-/// Heap traffic reads off directly: `scheduled + rekeyed` keys were made,
-/// each entering the heap once (a lane's key when it reaches the lane's
-/// head), and `fired + stale_popped` have left it.
+/// Heap traffic reads off directly: `scheduled + rekeyed` keys were pushed
+/// and `fired + stale_popped` were popped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarStats {
     /// [`EventQueue::schedule`] calls.
@@ -84,17 +62,6 @@ struct Key {
     time: SimTime,
     seq: u64,
     slot: u32,
-    /// The lane to draw the next key from when this one leaves the heap.
-    lane: u32,
-}
-
-impl Key {
-    fn handle(&self) -> EventHandle {
-        EventHandle {
-            seq: self.seq,
-            slot: self.slot,
-        }
-    }
 }
 
 impl PartialOrd for Key {
@@ -140,7 +107,6 @@ pub struct EventQueue<E> {
     // slot never matches).
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    lanes: Vec<Lane>,
     pending: usize,
     now: SimTime,
     stats: CalendarStats,
@@ -154,7 +120,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            lanes: Vec::new(),
             pending: 0,
             now: SimTime::ZERO,
             stats: CalendarStats::default(),
@@ -172,50 +137,6 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is a simulation bug; this panics in debug
     /// builds and clamps to `now` in release builds.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
-        let key = self.admit(time, event);
-        self.heap.push(key);
-        key.handle()
-    }
-
-    /// Makes a new, empty FIFO lane.
-    pub fn lane(&mut self) -> LaneId {
-        self.lanes.push(Lane::default());
-        LaneId(u32::try_from(self.lanes.len() - 1).expect("under 2^32 lanes"))
-    }
-
-    /// [`schedule`](EventQueue::schedule) for a producer that mostly
-    /// schedules in due-time order: same handle, same pop order, but an
-    /// event due no earlier than the lane's previous one is appended to
-    /// the lane's queue instead of sifted into the heap, which then holds
-    /// one key per busy lane rather than one per pending event. An event
-    /// that *is* earlier than its lane's previous one goes to the heap
-    /// like any other, so a lane is a hint about the input, never a
-    /// promise the caller must keep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` was not made by this queue's [`lane`](EventQueue::lane).
-    pub fn schedule_in(&mut self, lane: LaneId, time: SimTime, event: E) -> EventHandle {
-        let mut key = self.admit(time, event);
-        let l = &mut self.lanes[lane.0 as usize];
-        if l.in_heap && key.time < l.tail {
-            self.heap.push(key);
-            return key.handle();
-        }
-        key.lane = lane.0;
-        l.tail = key.time;
-        if l.in_heap {
-            l.waiting.push_back(key);
-        } else {
-            l.in_heap = true;
-            self.heap.push(key);
-        }
-        key.handle()
-    }
-
-    /// Gives `event` a sequence number and a slot; the returned key is
-    /// not in the heap yet.
-    fn admit(&mut self, time: SimTime, event: E) -> Key {
         debug_assert!(
             time >= self.now,
             "scheduled event in the past: {time} < now {}",
@@ -243,26 +164,8 @@ impl<E> EventQueue<E> {
         self.pending += 1;
         self.stats.scheduled += 1;
         self.stats.max_pending = self.stats.max_pending.max(self.pending as u64);
-        Key {
-            time,
-            seq,
-            slot,
-            lane: NO_LANE,
-        }
-    }
-
-    /// Takes `top` out of the heap. If it was its lane's key the lane's
-    /// next key takes its place (one sift down, not a pop and a push).
-    fn leave(lanes: &mut [Lane], mut top: PeekMut<'_, Key>) {
-        if top.lane != NO_LANE {
-            let l = &mut lanes[top.lane as usize];
-            if let Some(next) = l.waiting.pop_front() {
-                *top = next;
-                return;
-            }
-            l.in_heap = false;
-        }
-        PeekMut::pop(top);
+        self.heap.push(Key { time, seq, slot });
+        EventHandle { seq, slot }
     }
 
     /// The slot `handle` names, if its event is still pending.
@@ -332,36 +235,19 @@ impl<E> EventQueue<E> {
     /// stale key of a deferred event is replaced by the event's recorded
     /// place (one sift down, not a pop and a push).
     fn settle(&mut self) {
-        loop {
-            let Some(mut top) = self.heap.peek_mut() else {
-                return;
-            };
+        while let Some(mut top) = self.heap.peek_mut() {
             let slot = &mut self.slots[top.slot as usize];
             if slot.key == top.seq && slot.live == top.seq {
                 return;
             }
             self.stats.stale_popped += 1;
-            let moved = (slot.key == top.seq && slot.live != VACANT).then(|| {
+            if slot.key == top.seq && slot.live != VACANT {
                 slot.key = slot.live;
-                Key {
-                    time: slot.time,
-                    seq: slot.live,
-                    slot: top.slot,
-                    lane: NO_LANE,
-                }
-            });
-            self.stats.rekeyed += u64::from(moved.is_some());
-            match moved {
-                // The common case (a stretched quantum end) is in no lane:
-                // overwrite in place.
-                Some(rekeyed) if top.lane == NO_LANE => *top = rekeyed,
-                // A lane's key moved out of the lane's order: the lane
-                // carries on with its next key, this one goes it alone.
-                Some(rekeyed) => {
-                    Self::leave(&mut self.lanes, top);
-                    self.heap.push(rekeyed);
-                }
-                None => Self::leave(&mut self.lanes, top),
+                top.time = slot.time;
+                top.seq = slot.live;
+                self.stats.rekeyed += 1;
+            } else {
+                PeekMut::pop(top);
             }
         }
     }
@@ -370,9 +256,7 @@ impl<E> EventQueue<E> {
     /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
-        let top = self.heap.peek_mut()?;
-        let key = *top;
-        Self::leave(&mut self.lanes, top);
+        let key = self.heap.pop()?;
         let event = self
             .release(key.slot)
             .expect("a live key's slot holds its event");
@@ -605,69 +489,6 @@ mod tests {
         q.defer(a, SimTime::from_micros(4));
     }
 
-    #[test]
-    fn a_lane_keeps_one_key_in_the_heap_and_the_pop_order_of_plain_schedule() {
-        let mut q = EventQueue::new();
-        let lane = q.lane();
-        for i in 0..100u64 {
-            // Pairs of equal times: FIFO ties inside the lane too.
-            q.schedule_in(lane, SimTime::from_micros(i / 2), i);
-        }
-        assert_eq!(q.heap.len(), 1, "99 keys wait in the lane");
-        // Plain events interleave by (time, seq) as if there were no lane.
-        q.schedule(SimTime::from_micros(10), 1000);
-        q.schedule(SimTime::from_micros(0), 1001);
-        let mut got = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            got.push(e);
-        }
-        let mut want: Vec<u64> = (0..100).collect();
-        want.insert(22, 1000); // after both lane events at t=10 (20, 21)
-        want.insert(2, 1001); // after both lane events at t=0
-        assert_eq!(got, want);
-        assert_eq!(q.stats().scheduled, 102);
-        assert_eq!(q.stats().stale_popped, 0);
-    }
-
-    #[test]
-    fn an_event_earlier_than_its_lanes_tail_falls_back_to_the_heap() {
-        let mut q = EventQueue::new();
-        let lane = q.lane();
-        q.schedule_in(lane, SimTime::from_micros(5), "a");
-        q.schedule_in(lane, SimTime::from_micros(9), "b");
-        q.schedule_in(lane, SimTime::from_micros(7), "early");
-        q.schedule_in(lane, SimTime::from_micros(9), "c");
-        assert_eq!(q.heap.len(), 2, "the lane's head and the out-of-order one");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, ["a", "early", "b", "c"]);
-        // Drained, the lane takes an earlier time again.
-        q.schedule_in(lane, SimTime::from_micros(9), "d");
-        assert_eq!(q.heap.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "d");
-    }
-
-    #[test]
-    fn cancel_and_defer_reach_events_waiting_in_a_lane() {
-        let mut q = EventQueue::new();
-        let lane = q.lane();
-        let head = q.schedule_in(lane, SimTime::from_micros(1), "head");
-        let mid = q.schedule_in(lane, SimTime::from_micros(2), "mid");
-        let late = q.schedule_in(lane, SimTime::from_micros(3), "late");
-        q.schedule_in(lane, SimTime::from_micros(4), "last");
-        assert!(q.cancel(head), "the key in the heap");
-        assert!(q.cancel(mid), "a key waiting behind it");
-        // A deferred lane event leaves the lane's order; the lane carries
-        // on without it.
-        let late = q.defer(late, SimTime::from_micros(6)).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(4)));
-        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(4), "last"));
-        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(6), "late"));
-        assert!(!q.cancel(late));
-        assert!(q.pop().is_none());
-        assert!(!q.lanes[0].in_heap && q.lanes[0].waiting.is_empty());
-    }
-
     proptest! {
         /// Popping always yields a non-decreasing time sequence, regardless
         /// of the insertion order.
@@ -716,7 +537,6 @@ mod tests {
         ) {
             let mut q = EventQueue::new();
             let mut twin = EventQueue::new();
-            let lanes = [q.lane(), q.lane(), q.lane()];
             // The current handle of each event id, and every handle a
             // defer replaced.
             let mut handles = Vec::new();
@@ -728,17 +548,10 @@ mod tests {
                 let dt = crate::SimDuration::from_nanos(dt);
                 match op {
                     0 | 1 => {
-                        // Through a lane or not, in lane order or not: the
-                        // twin never uses one.
                         let t = q.now() + dt;
-                        let id = handles.len();
-                        handles.push(if op == 0 {
-                            q.schedule(t, id)
-                        } else {
-                            q.schedule_in(lanes[pick % lanes.len()], t, id)
-                        });
-                        prop_assert_eq!(twin.schedule(t, id), handles[id]);
-                        model.push((t, id));
+                        handles.push(q.schedule(t, handles.len()));
+                        prop_assert_eq!(twin.schedule(t, handles.len() - 1), handles[handles.len() - 1]);
+                        model.push((t, handles.len() - 1));
                     }
                     2 | 3 if !handles.is_empty() => {
                         let id = pick % handles.len();
@@ -789,11 +602,8 @@ mod tests {
                 let s = q.stats();
                 prop_assert_eq!(
                     s.scheduled + s.rekeyed,
-                    s.fired
-                        + s.stale_popped
-                        + q.heap.len() as u64
-                        + q.lanes.iter().map(|l| l.waiting.len() as u64).sum::<u64>(),
-                    "every key made is popped, in the heap or waiting in its lane"
+                    s.fired + s.stale_popped + q.heap.len() as u64,
+                    "every key pushed is popped or still in the heap"
                 );
                 prop_assert_eq!(s.scheduled, s.fired + s.cancelled + q.len() as u64);
             }

@@ -41,7 +41,7 @@ pub mod stats;
 mod time;
 
 pub use bounded_queue::{BoundedQueue, EnqueueError};
-pub use event_queue::{CalendarStats, EventHandle, EventQueue, LaneId};
+pub use event_queue::{CalendarStats, EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 

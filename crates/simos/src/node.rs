@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use kprof::{FileId, Kprof, Pid};
 use simcore::hash::{HashMap, HashSet};
-use simcore::{LaneId, NodeId, SimDuration, SimTime};
+use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, FlowKey, Port};
 
 use crate::process::Process;
@@ -84,23 +84,9 @@ pub(crate) struct RunningQuantum {
     pub stolen: SimDuration,
 }
 
-/// Calendar lanes for the event streams a node produces in due-time order
-/// (each is FIFO by construction; anything that is not falls back to the
-/// heap on its own).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeLanes {
-    /// `RxStackDone`: the softirq pipeline's horizon only moves forward.
-    pub rx_stack: LaneId,
-    /// `NicTxDone`: a link serializes packets in the order it gets them.
-    pub nic_tx: LaneId,
-    /// `PacketArrival` of what this node sent: departure plus latency.
-    pub wire: LaneId,
-}
-
 /// One simulated machine: kernel state + instrumentation.
 pub(crate) struct Node {
     pub id: NodeId,
-    pub lanes: NodeLanes,
     pub config: NodeConfig,
     pub kprof: Kprof,
     pub disk: Disk,
@@ -108,7 +94,9 @@ pub(crate) struct Node {
     /// How many entries of `procs` have `arm_enabled` set. Zero on every
     /// node of a black-box run, which lets a packet event skip resolving
     /// its flow to a socket and an owner just to learn that nobody opted
-    /// in.
+    /// in. An exit leaves the flag (and so the count) alone: the port an
+    /// exited process listened on still auto-accepts flows for it, and
+    /// their events keep the tag they always had. A crash clears both.
     pub arm_procs: u32,
     pub runq: VecDeque<Pid>,
     pub running: Option<RunningQuantum>,
@@ -141,10 +129,9 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    pub fn new(id: NodeId, config: NodeConfig, lanes: NodeLanes) -> Self {
+    pub fn new(id: NodeId, config: NodeConfig) -> Self {
         Node {
             id,
-            lanes,
             config,
             kprof: Kprof::new(id),
             disk: Disk::new(config.disk),

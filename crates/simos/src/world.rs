@@ -22,7 +22,7 @@ use simnet::{
     TopologyError,
 };
 
-use crate::node::{Node, NodeLanes, NodeStats};
+use crate::node::{Node, NodeStats};
 use crate::process::PendingWork;
 use crate::program::{Action, Message};
 use crate::socket::SocketId;
@@ -267,21 +267,14 @@ impl WorldBuilder {
     /// Returns [`TopologyError`] for invalid topologies.
     pub fn build(self) -> Result<World, TopologyError> {
         let mut net = self.net.build()?;
-        let mut queue = EventQueue::new();
         let nodes: Vec<Node> = self
             .configs
             .into_iter()
             .enumerate()
-            .map(|(i, cfg)| {
-                let lanes = NodeLanes {
-                    rx_stack: queue.lane(),
-                    nic_tx: queue.lane(),
-                    wire: queue.lane(),
-                };
-                Node::new(NodeId(i as u32), cfg, lanes)
-            })
+            .map(|(i, cfg)| Node::new(NodeId(i as u32), cfg))
             .collect();
         let mut rng = SimRng::seed(self.seed);
+        let mut queue = EventQueue::new();
         if let Some(plan) = self.faults {
             for cs in &plan.crashes {
                 queue.schedule(cs.crash_at, Ev::NodeCrash { node: cs.node });

@@ -148,17 +148,14 @@ impl World {
                     departure,
                     arrivals,
                 } => {
-                    let n = &mut self.nodes[node.0 as usize];
-                    n.tx_queue_bytes += packet.size as u64;
-                    let lanes = n.lanes;
+                    self.nodes[node.0 as usize].tx_queue_bytes += packet.size as u64;
                     self.queue
-                        .schedule_in(lanes.nic_tx, departure, Ev::NicTxDone { node, packet });
+                        .schedule(departure, Ev::NicTxDone { node, packet });
                     // One arrival per surviving copy. None at all is a
                     // silent in-flight loss: the sender paid the full
                     // transmit cost and learns nothing.
                     for arrival in arrivals.into_iter().flatten() {
-                        self.queue.schedule_in(
-                            lanes.wire,
+                        self.queue.schedule(
                             arrival,
                             Ev::PacketArrival {
                                 node: dst_node,
@@ -236,9 +233,7 @@ impl World {
         let done = now.max(n.softirq_busy_until) + rx_stack;
         n.softirq_busy_until = done;
         self.steal(node, now, rx_stack, CpuCat::Irq);
-        let lane = self.nodes[node.0 as usize].lanes.rx_stack;
-        self.queue
-            .schedule_in(lane, done, Ev::RxStackDone { node, packet });
+        self.queue.schedule(done, Ev::RxStackDone { node, packet });
     }
 
     pub(super) fn rx_stack_done(&mut self, node: NodeId, packet: Packet, now: SimTime) {
