@@ -55,7 +55,7 @@ check_one_lowering() {
 # the sysbench quick fingerprints of both cluster workloads on the seed
 # and the held-out seed (byte-identical or the harness exits nonzero).
 substrate_steps=(
-    "==> substrate: calendar + simos (defer/lanes vs the linear model, crash after a stretch)"
+    "==> substrate: calendar + simos (defer vs the linear model, crash after a stretch)"
     "cargo test -q -p simcore -p simos"
     "==> substrate: allocations per packet, heap pushes per hit (counts, not clocks)"
     "cargo test -q --release -p simos --test alloc_budget"

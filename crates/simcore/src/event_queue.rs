@@ -1,6 +1,6 @@
 //! The event calendar: a priority queue of `(SimTime, event)` pairs with
-//! deterministic FIFO ordering for simultaneous events and support for
-//! cancellation.
+//! deterministic FIFO ordering for simultaneous events, cancellation, and
+//! in-place deferral of a pending event to a later time.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
