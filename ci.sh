@@ -5,10 +5,10 @@
 #
 #   ./ci.sh              full pipeline
 #   ./ci.sh --analyze    only the static-analysis gate (fast pre-commit check)
-#   ./ci.sh --scenarios  only the scenario library: tests + bench smoke
+#   ./ci.sh --scenarios  only the scenario library: golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
-#   ./ci.sh --digest     only the digest plane: digest tests + sharded bench smoke
-#   ./ci.sh --jit        only the compiled execution tier: tier sweeps + bench smoke
+#   ./ci.sh --digest     only the digest plane: digest tests + sharded GPA differential
+#   ./ci.sh --jit        only the compiled execution tier: lowering checks + tier sweeps
 #   ./ci.sh --substrate  only the simulator under the monitor: calendar, simos, fingerprints
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -17,27 +17,6 @@ run_analyzer() {
     echo "==> sysprof-analyzer (determinism + unsafe hygiene, hard gate)"
     # Exit 1 = unwaived findings, 2 = bad analyzer.toml; both fail CI.
     cargo run -q -p sysprof-analyzer -- --quiet
-}
-
-run_scenario_bench_smoke() {
-    echo "==> bench smoke (scenario suite)"
-    # Short run over every workload scenario; the binary self-validates
-    # the JSON report. Scratch path, same policy as the hotpath smoke.
-    cargo run -q --release -p sysprof-bench --bin scenarios -- --smoke \
-        --out target/BENCH_scenarios_smoke.json
-    test -s target/BENCH_scenarios_smoke.json
-}
-
-run_hotpath_bench_smoke() {
-    # Short hot-path run: exercises the emit->dispatch->VM->encode
-    # pipeline and the digest/cpa_eval arms in release mode and
-    # self-validates the JSON report it writes (the binary exits nonzero
-    # on a malformed file or a missed floor; the floors are the
-    # arguments). Uses a scratch path so the committed BENCH_hotpath.json
-    # baseline is only ever refreshed deliberately.
-    cargo run -q --release -p sysprof-bench --bin hotpath -- --smoke \
-        "$@" --out target/BENCH_hotpath_smoke.json
-    test -s target/BENCH_hotpath_smoke.json
 }
 
 check_one_lowering() {
@@ -107,32 +86,27 @@ case "${1:-}" in
     fast_path ANALYZE run_analyzer
     ;;
 --scenarios)
-    # The scenario library: golden diagnoses + chaos matrix, the apps
-    # crate's own tests, and the scenario bench smoke.
+    # The scenario library: golden diagnoses + chaos matrix and the apps
+    # crate's own tests.
     fast_path SCENARIOS \
         "==> scenario tests (golden diagnoses + chaos matrix)" \
         "cargo test -q -p sysprof-apps" \
-        "cargo test -q --test scenarios" \
-        run_scenario_bench_smoke
+        "cargo test -q --test scenarios"
     ;;
 --digest)
     # The parallel digest plane: the digest fold + worker lifecycle +
-    # proptest suite, the GPA wiring, the kvstore differential, and a
-    # short hotpath bench run that exercises the sharded arms.
+    # proptest suite, the GPA wiring, and the kvstore differential.
     fast_path DIGEST \
         "==> sharded digest plane (pubsub)" \
         "cargo test -q -p pubsub digest" \
-        "${gpa_digest_steps[@]}" \
-        "==> bench smoke (hot path incl. sharded digest arms)" \
-        "run_hotpath_bench_smoke --min-speedup 0.5"
+        "${gpa_digest_steps[@]}"
     ;;
 --jit)
     # The compiled execution tier and the lowering under it: the IR's
     # partition + path-fuel check and bail reasons, the jit unit +
     # fallback tests, the generative sweeps (compiled vs reference, and
     # the column backend vs the scalar row loop), the hostile-source
-    # limits, the allocation-discipline proof, the CPA dispatch wiring,
-    # and a short hotpath bench run that exercises the cpa_eval arm.
+    # limits, the allocation-discipline proof, and the CPA dispatch wiring.
     fast_path JIT \
         "==> one lowering (no stack ops in the backends; IR partition, path fuel, bails)" \
         check_one_lowering \
@@ -148,9 +122,7 @@ case "${1:-}" in
         "cargo test -q --release -p ecode --test zero_alloc" \
         "==> CPA dispatch + filter wiring (core, pubsub)" \
         "cargo test -q -p sysprof cpa" \
-        "cargo test -q -p pubsub publish" \
-        "==> bench smoke (hot path incl. cpa_eval arm)" \
-        "run_hotpath_bench_smoke --min-speedup 0.5 --min-cpa 0.5"
+        "cargo test -q -p pubsub publish"
     ;;
 --substrate)
     fast_path SUBSTRATE "${substrate_steps[@]}"
@@ -198,15 +170,6 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir
 echo "==> substrate: sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)"
 # The workspace test runs above already cover the rest of --substrate.
 check_cluster_fingerprints
-
-echo "==> bench smoke (hot path)"
-# Both floors are deliberately loose for a 400k-event smoke run
-# (scheduler noise swings short runs +/-25%): 0.5x of the committed
-# baselines (hot path, compiled cpa_eval) still fails CI on any real
-# regression.
-run_hotpath_bench_smoke --min-speedup 0.5 --min-cpa 0.5
-
-run_scenario_bench_smoke
 
 echo "==> examples"
 cargo build -q --examples

@@ -738,7 +738,7 @@ fn f(v: &[u8]) -> u8 {
     fn d0001_exempt_in_bench_paths_but_d0005_is_not() {
         let src = "let t = Instant::now();";
         let d = run_all(
-            &PathBuf::from("crates/bench/src/bin/hotpath.rs"),
+            &PathBuf::from("crates/bench/src/bin/figures.rs"),
             &lex(src),
             src,
         );

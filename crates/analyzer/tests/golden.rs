@@ -64,7 +64,7 @@ fn d0005_wall_clock_calls_golden() {
 #[test]
 fn d0005_fires_even_in_bench_paths() {
     let src = include_str!("fixtures/d0005_wall_clock_calls.rs");
-    let diags = analyze_source(&PathBuf::from("crates/bench/src/bin/hotpath.rs"), src);
+    let diags = analyze_source(&PathBuf::from("crates/bench/src/bin/figures.rs"), src);
     let got: Vec<(&str, u32)> = diags.iter().map(|d| (d.code, d.line)).collect();
     // D0001 honors the bench exemption; D0005 does not.
     assert_eq!(got, vec![("D0005", 7), ("D0005", 12)]);
@@ -131,7 +131,7 @@ fn d0001_is_silent_in_bench_and_bin_paths() {
     let src = include_str!("fixtures/d0001_wall_clock.rs");
     for path in [
         "crates/bench/src/lib.rs",
-        "crates/bench/src/bin/hotpath.rs",
+        "crates/bench/src/bin/figures.rs",
         "src/bin/cli.rs",
     ] {
         let diags = analyze_source(&PathBuf::from(path), src);

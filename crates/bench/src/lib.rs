@@ -1,6 +1,5 @@
-//! Experiment drivers shared by the `figures` binary and the Criterion
-//! benches: one function per paper table/figure, each returning a typed,
-//! serializable result.
+//! Experiment drivers behind the `figures` binary: one function per
+//! paper table/figure, each returning a typed, serializable result.
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|
@@ -14,8 +13,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod hotpath;
 
 use kprof::EventMask;
 use serde::Serialize;

@@ -1065,7 +1065,7 @@ mod tests {
 
     /// The perf claim rests on the hot CPA idioms getting monomorphized
     /// forms, not the interpreter — pin it so a lowering or
-    /// specialization change can't silently regress `cpa_eval` to 1x.
+    /// specialization change can't silently regress the compiled tier to 1x.
     #[test]
     fn canonical_cpa_shapes_fully_specialize() {
         let inputs: [(&str, Type); 7] = [
@@ -1225,15 +1225,16 @@ mod tests {
     }
 
     /// Every string the repo actually installs: the raw-string and
-    /// named plain-string E-Code literals of the examples and the bench
-    /// crate (whose CPA/filter/digest sources sysbench's `install_churn`
-    /// corpus mirrors), read from the files themselves so the census
-    /// follows the traffic, plus this module's canonical CPA.
+    /// named plain-string E-Code literals of the examples and of
+    /// sysbench's `install_churn` corpus (what the benchmark installs is
+    /// what a fast form must justify itself against), read from the
+    /// files themselves so the census follows the traffic, plus this
+    /// module's canonical CPA.
     fn traffic() -> Vec<String> {
         let files = [
             include_str!("../../../examples/custom_analyzer.rs"),
             include_str!("../../../examples/verify_cpa.rs"),
-            include_str!("../../bench/src/hotpath.rs"),
+            include_str!("../../../benchmark/src/corpus.rs"),
         ];
         let mut out = vec![CPA_SRC.to_owned(), CARRY_SRC.to_owned()];
         for file in files {
@@ -1241,10 +1242,17 @@ mod tests {
             while let Some(at) = rest.find("r#\"") {
                 let body = &rest[at + 3..];
                 let end = body.find("\"#").expect("raw string closes");
-                out.push(body[..end].to_owned());
+                // The corpus's `latency_minmax` is a `format!` template
+                // over the timestamp's name; `wall_us` is the product's.
+                let mut src = body[..end].to_owned();
+                if src.contains("{wall}") {
+                    src = src.replace("{wall}", "wall_us");
+                    src = src.replace("{{", "{").replace("}}", "}");
+                }
+                out.push(src);
                 rest = &body[end..];
             }
-            for name in ["SUB_FILTER", "DIGEST_PROGRAM"] {
+            for name in ["FILTER_RESP", "DIGEST_FOUR", "DIGEST_SLO", "DIGEST_SEEN"] {
                 if let Some(at) = file.find(&format!("const {name}: &str = \"")) {
                     let body = &file[at..][file[at..].find('"').unwrap() + 1..];
                     out.push(body[..body.find("\";").unwrap()].to_owned());

@@ -136,10 +136,19 @@ struct Filter {
     gathered: Vec<i64>,
     /// Statically proven worst-case fuel per evaluation.
     fuel_bound: u64,
+    /// The schema `columns` index into: the only one whose records this
+    /// filter can decide.
+    schema_id: SchemaId,
 }
 
 impl Filter {
-    fn compile(src: &str, schema: &Schema) -> Result<Filter, PubSubError> {
+    /// Verifies `src` against `schema` and, if it passes, takes the
+    /// schema's wire id from `schemas`.
+    fn compile(
+        src: &str,
+        schema: &Schema,
+        schemas: &mut SchemaRegistry,
+    ) -> Result<Filter, PubSubError> {
         let (inputs, field_indices) = ecode_inputs(schema);
         let limits = VerifyLimits::with_max_fuel(FILTER_FUEL_BUDGET);
         let verified = ecode::verify(src, &inputs, &limits).map_err(PubSubError::BadFilter)?;
@@ -150,6 +159,7 @@ impl Filter {
             columns: field_indices.into_iter().zip(is_bool).collect(),
             gathered: Vec::new(),
             fuel_bound: report.fuel_bound,
+            schema_id: schemas.register(schema),
         })
     }
 
@@ -157,7 +167,12 @@ impl Filter {
     /// `row` is the record's raw row (one `i64` per schema field,
     /// [`Hub::publish_raw`]'s bit convention); entries at string/bytes
     /// positions are never read.
-    fn passes(&mut self, row: &[i64]) -> (bool, u64) {
+    fn passes(&mut self, schema_id: SchemaId, row: &[i64]) -> (bool, u64) {
+        // A record of another schema on the topic is not this filter's
+        // to decide: same policy as a runtime trap, below.
+        if schema_id != self.schema_id {
+            return (true, self.fuel_bound);
+        }
         self.gathered.clear();
         for &(i, is_bool) in &self.columns {
             // Any nonzero raw bool is true; the VM wants exactly 0/1.
@@ -187,6 +202,8 @@ impl Filter {
 struct Subscription {
     endpoint: EndPoint,
     filter: Option<Filter>,
+    /// Source of a filter awaiting the topic's next publish (its schema).
+    pending_filter: Option<String>,
     /// Schema ids already announced to this subscriber.
     sent_schemas: std::collections::HashSet<u32>,
     delivered: u64,
@@ -210,7 +227,7 @@ fn deliver(
     let mut out = Vec::new();
     for sub in topic_subs {
         if let Some(filter) = sub.filter.as_mut() {
-            let (pass, fuel) = filter.passes(row);
+            let (pass, fuel) = filter.passes(schema_id, row);
             *filter_fuel += fuel;
             if !pass {
                 sub.filtered += 1;
@@ -243,9 +260,6 @@ pub struct Hub {
     /// Late-compiled filters that failed verification (the subscription
     /// then delivers unfiltered rather than silently dropping records).
     filter_failures: u64,
-    /// Filters awaiting their topic's first schema: (topic, sub index,
-    /// source).
-    pending_filters: Vec<(TopicId, usize, String)>,
     /// Per-schema batch encoders for the raw publish path, keyed by
     /// registered schema id (schema validation is loop-invariant; spend
     /// it once).
@@ -270,7 +284,6 @@ impl Hub {
             next_topic: 0,
             filter_fuel: 0,
             filter_failures: 0,
-            pending_filters: Vec::new(),
             raw_encoders: HashMap::new(),
             raw_record: Vec::new(),
         }
@@ -297,9 +310,11 @@ impl Hub {
     /// inputs are the numeric/boolean fields of published records; a
     /// nonzero return delivers the record.
     ///
-    /// The filter is compiled lazily against the first published schema —
-    /// pass `schema_hint` via [`subscribe_with_schema`](Hub::subscribe_with_schema)
-    /// to compile eagerly and catch errors at subscribe time.
+    /// The filter is compiled lazily against the schema of the topic's
+    /// next publish — use [`subscribe_with_schema`](Hub::subscribe_with_schema)
+    /// to compile eagerly and catch errors at subscribe time. Either way
+    /// it decides records of that one schema: a record of another schema
+    /// on the topic is delivered and charged the filter's fuel bound.
     ///
     /// # Errors
     ///
@@ -317,15 +332,12 @@ impl Hub {
         subs.push(Subscription {
             endpoint,
             filter: None,
+            // Compiled on the next publish (schema known).
+            pending_filter: filter.map(str::to_owned),
             sent_schemas: Default::default(),
             delivered: 0,
             filtered: 0,
         });
-        if let Some(src) = filter {
-            // Remember the source; compile on first publish (schema known).
-            let idx = subs.len() - 1;
-            self.pending_filters.push((topic, idx, src.to_owned()));
-        }
         Ok(())
     }
 
@@ -347,7 +359,7 @@ impl Hub {
         schema: &Schema,
     ) -> Result<Option<u64>, PubSubError> {
         let compiled = match filter {
-            Some(src) => Some(Filter::compile(src, schema)?),
+            Some(src) => Some(Filter::compile(src, schema, &mut self.schemas)?),
             None => None,
         };
         let subs = self
@@ -358,6 +370,7 @@ impl Hub {
         subs.push(Subscription {
             endpoint,
             filter: compiled,
+            pending_filter: None,
             sent_schemas: Default::default(),
             delivered: 0,
             filtered: 0,
@@ -452,45 +465,36 @@ impl Hub {
     }
 
     /// What every publish does before encoding: the topic must exist,
-    /// its pending filters compile against `schema`, the record must
-    /// have one entry per field, and the schema gets its wire id.
+    /// the record must have one entry per field, the schema gets its
+    /// wire id, and the topic's pending filters compile against it. A
+    /// filter that fails verification must not abort the publish (that
+    /// would drop the record for *every* subscriber on the topic): the
+    /// failure is counted and that one subscription delivers unfiltered,
+    /// consistent with the fail-open policy in `passes`.
     fn admit(
         &mut self,
         topic: TopicId,
         schema: &Schema,
         n_fields: usize,
     ) -> Result<SchemaId, PubSubError> {
-        if !self.subs.contains_key(&topic) {
-            return Err(PubSubError::UnknownTopic(topic));
-        }
-        self.compile_pending_filters(topic, schema);
+        let topic_subs = self
+            .subs
+            .get_mut(&topic)
+            .ok_or(PubSubError::UnknownTopic(topic))?;
         if n_fields != schema.len() {
             return Err(PubSubError::SchemaMismatch);
         }
-        Ok(self.schemas.register(schema))
-    }
-
-    /// Late-compiles any pending filters for `topic` now that a schema
-    /// is known. A filter that fails verification must not abort the
-    /// publish (that would drop the record for *every* subscriber on the
-    /// topic): the failure is counted and that one subscription delivers
-    /// unfiltered, consistent with the fail-open policy in `passes`.
-    fn compile_pending_filters(&mut self, topic: TopicId, schema: &Schema) {
-        let pending = std::mem::take(&mut self.pending_filters);
-        for (t, idx, src) in pending {
-            if t == topic {
-                match Filter::compile(&src, schema) {
-                    Ok(filter) => {
-                        if let Some(sub) = self.subs.get_mut(&t).and_then(|v| v.get_mut(idx)) {
-                            sub.filter = Some(filter);
-                        }
-                    }
-                    Err(_) => self.filter_failures += 1,
-                }
-            } else {
-                self.pending_filters.push((t, idx, src));
+        let schema_id = self.schemas.register(schema);
+        for sub in topic_subs {
+            let Some(src) = sub.pending_filter.take() else {
+                continue;
+            };
+            match Filter::compile(&src, schema, &mut self.schemas) {
+                Ok(filter) => sub.filter = Some(filter),
+                Err(_) => self.filter_failures += 1,
             }
         }
+        Ok(schema_id)
     }
 
     /// Total E-Code fuel burned by subscription filters so far (the host
@@ -663,6 +667,7 @@ impl ChannelDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simnet::{Ip, Port};
 
     fn schema() -> Schema {
@@ -976,6 +981,117 @@ mod tests {
         ));
         assert_eq!(dec.decode(&strings[0].1).unwrap().unwrap().1, rec(5, 0.1));
         assert_eq!(rows, [42, 1, 2, 3, 1], "failed frames leave the rows alone");
+    }
+
+    /// `(threshold, eager schema)` of the filter `return x > threshold;`:
+    /// compiled at subscribe time against that schema or, with `None`,
+    /// lazily at the next publish. Schemas are named by index: 0 is
+    /// `narrow`, 1 is `wide`.
+    type ModelFilter = Option<(i64, Option<usize>)>;
+
+    /// One step of a hub's life, for [`hub_matches_model`].
+    #[derive(Debug, Clone, Copy)]
+    enum HubOp {
+        /// Host and its filter.
+        Subscribe(u32, ModelFilter),
+        Unsubscribe(u32),
+        /// A record of that schema with this `x`.
+        Publish(usize, i64),
+    }
+    use HubOp::{Publish, Subscribe, Unsubscribe};
+
+    /// A lazily compiled filter stays with its subscriber when an earlier
+    /// one leaves: the record goes to the unfiltered host 3 and is held
+    /// back from host 2.
+    const LAZY_FILTER_AFTER_AN_UNSUBSCRIBE: [HubOp; 5] = [
+        Subscribe(1, None),
+        Subscribe(2, Some((100, None))),
+        Subscribe(3, None),
+        Unsubscribe(1),
+        Publish(0, 5),
+    ];
+
+    /// A filter compiled against the two-field schema meets a one-field
+    /// record of the topic's other schema.
+    const WIDE_FILTER_MEETS_A_NARROW_RECORD: [HubOp; 2] =
+        [Subscribe(1, Some((0, Some(1)))), Publish(0, 1)];
+
+    /// Drives a hub through `ops` beside a model in which each endpoint's
+    /// own predicate decides: no filter delivers, a filter decides records
+    /// of the schema it was compiled for (a lazy one, the first published
+    /// after it joined) and fails open on the other. The two schemas put
+    /// `x` at different positions, and the field beside it would fail
+    /// every threshold if it were read as `x`.
+    fn hub_matches_model(case: &str, ops: &[HubOp]) {
+        let narrow = Schema::build("narrow").field("x", FieldType::I64);
+        let wide = Schema::build("wide")
+            .field("y", FieldType::I64)
+            .field("x", FieldType::I64);
+        let schemas = [narrow.finish().unwrap(), wide.finish().unwrap()];
+        let mut hub = Hub::new();
+        let t = hub.topic("t");
+        // (host, filter, publishes since it joined), registration order.
+        let mut model: Vec<(u32, ModelFilter, u64)> = Vec::new();
+        for (step, &op) in ops.iter().enumerate() {
+            match op {
+                Subscribe(host, _) if model.iter().any(|m| m.0 == host) => {}
+                Subscribe(host, filter) => {
+                    let src = filter.map(|(threshold, _)| format!("return x > {threshold};"));
+                    match filter {
+                        Some((_, Some(eager))) => hub
+                            .subscribe_with_schema(t, ep(host), src.as_deref(), &schemas[eager])
+                            .map(drop),
+                        _ => hub.subscribe(t, ep(host), src.as_deref()),
+                    }
+                    .unwrap();
+                    model.push((host, filter, 0));
+                }
+                Unsubscribe(host) => {
+                    let before = model.len();
+                    model.retain(|m| m.0 != host);
+                    assert_eq!(hub.unsubscribe(t, ep(host)), before - model.len());
+                }
+                Publish(schema, x) => {
+                    let row = [vec![x], vec![i64::MIN, x]];
+                    let sends = hub.publish_raw(t, &schemas[schema], &row[schema]).unwrap();
+                    let got: Vec<EndPoint> = sends.iter().map(|s| s.0).collect();
+                    let mut want = Vec::new();
+                    for (host, filter, seen) in &mut model {
+                        *seen += 1;
+                        let passes = filter.as_mut().is_none_or(|(threshold, compiled)| {
+                            *compiled.get_or_insert(schema) != schema || x > *threshold
+                        });
+                        if passes {
+                            want.push(ep(*host));
+                        }
+                        let (delivered, filtered) = hub.delivery_stats(t, ep(*host)).unwrap();
+                        assert_eq!(delivered + filtered, *seen, "{case}, step {step}: {op:?}");
+                    }
+                    assert_eq!(got, want, "{case}, step {step}: {op:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_each_endpoints_own_filter_decides(
+            ops in prop::collection::vec((0u8..4, 1u32..5, 0u8..4, -4i64..4, 0usize..2), 0..40),
+        ) {
+            hub_matches_model("lazy filter after an unsubscribe", &LAZY_FILTER_AFTER_AN_UNSUBSCRIBE);
+            hub_matches_model("wide filter meets a narrow record", &WIDE_FILTER_MEETS_A_NARROW_RECORD);
+            let ops: Vec<HubOp> = ops
+                .into_iter()
+                .map(|(op, host, kind, x, schema)| match (op, kind) {
+                    (0, 0) => Subscribe(host, None),
+                    (0, 1) => Subscribe(host, Some((x, None))),
+                    (0, _) => Subscribe(host, Some((x, Some(schema)))),
+                    (1, _) => Unsubscribe(host),
+                    _ => Publish(schema, x),
+                })
+                .collect();
+            hub_matches_model("generated", &ops);
+        }
     }
 
     #[test]
