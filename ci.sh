@@ -20,10 +20,14 @@ run_analyzer() {
 }
 
 check_one_lowering() {
-    # `ecode::ir::lower` is the one bytecode→tree lowering; a backend
-    # that names a stack op has started walking bytecode on its own.
-    if grep -nE '\bOp::' crates/ecode/src/jit.rs crates/ecode/src/batch.rs; then
-        echo "jit.rs / batch.rs must consume ecode::ir, not stack bytecode" >&2
+    # `ecode::ir::lower` is the one bytecode→tree lowering; a backend or
+    # the merge analysis naming a stack op has started walking bytecode
+    # on its own.
+    if grep -nE '\bOp::|vm::Op' crates/ecode/src/jit.rs crates/ecode/src/batch.rs \
+        crates/ecode/src/analysis/merge.rs; then
+        echo "jit.rs / batch.rs / analysis/merge.rs must consume ecode::ir, not stack" \
+            "bytecode; the only Op walkers are the interpreter + validate (vm.rs)," \
+            "ir::lower, analysis/fuel.rs, Program::used_inputs and the emitter (compile.rs)" >&2
         return 1
     fi
 }
@@ -132,6 +136,8 @@ case "${1:-}" in
     # classifier goldens + shard-differential sweep, the digest fold, the
     # GPA wiring, and the end-to-end scenario differential.
     fast_path MERGE \
+        "==> one lowering (the classifier reads ecode::ir, not stack ops)" \
+        check_one_lowering \
         "==> shard-safety analysis (classifier goldens + differential sweep)" \
         "cargo test -q -p ecode --test verifier merge" \
         "cargo test -q -p ecode --test verifier shard" \
@@ -149,7 +155,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 run_analyzer
 
-echo "==> one lowering (no stack ops in the ecode backends)"
+echo "==> one lowering (no stack ops in the ecode backends or the merge analysis)"
 check_one_lowering
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"

@@ -6,9 +6,12 @@
 //! produced. That fold is only legal when every static's update pattern
 //! commutes across the partition. This pass *proves* the property per
 //! slot at load time, with a forward abstract interpretation over the
-//! compiled bytecode: E-Code has no loops, so the code is a
-//! forward-jump DAG and a single pass in pc order visits every
-//! instruction after all of its predecessors.
+//! program's lowering ([`crate::ir`]: basic blocks of statement trees,
+//! the same ones the compiled tier and the column evaluator run).
+//! E-Code has no loops, so the blocks are a forward-jump DAG and a
+//! single pass in block order visits every block after all of its
+//! predecessors. A program the lowering refuses has no block graph to
+//! classify on: every slot is `Opaque`, and it runs single-instance.
 //!
 //! Classification is deliberately bit-exact, not approximately-right:
 //!
@@ -42,7 +45,7 @@
 //! leaves statics partially updated, sequentially or sharded).
 
 use crate::compile::Program;
-use crate::vm::Op;
+use crate::ir::{bits_of, Bin, Block, Ex, Step, Term, Un, MAX_BLOCKS};
 
 /// Which fold a [`MergeClass::MinMax`] slot uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +83,11 @@ pub enum MergeClass {
     /// update families, accumulates floats, or executes under a
     /// static-influenced branch.
     Opaque {
-        /// Bytecode pc of the offending instruction.
+        /// Entry pc of the basic block holding the offending store (the
+        /// [`BatchBail`](crate::BatchBail) convention; 0 when the whole
+        /// program is refused).
         pc: u32,
-        /// Human-readable explanation, naming the offending pc.
+        /// Human-readable explanation, naming that block.
         reason: String,
     },
 }
@@ -213,10 +218,12 @@ fn acc_side(v: Abs, fam: Upd) -> Option<u16> {
     }
 }
 
-/// Abstract machine state on entry to a pc.
+/// Abstract machine state on entry to a block.
 #[derive(Debug, Clone, PartialEq)]
 struct State {
-    stack: Vec<Abs>,
+    /// The operand-stack values the predecessor left for this block
+    /// (its `carry_out`), bottom-up.
+    carries: Vec<Abs>,
     locals: Vec<Abs>,
 }
 
@@ -233,6 +240,7 @@ enum SiteKind {
 
 #[derive(Debug, Clone)]
 struct Site {
+    /// Entry pc of the block holding the store.
     pc: u32,
     kind: SiteKind,
 }
@@ -249,48 +257,33 @@ fn get_bit(s: &[u64], i: usize) -> bool {
     s[i / 64] & (1 << (i % 64)) != 0
 }
 
-fn successors(code: &[Op], pc: usize, out: &mut Vec<usize>) {
-    out.clear();
-    match code[pc] {
-        Op::Jmp(t) => out.push(t as usize),
-        Op::JmpIfFalse(t) => {
-            out.push(pc + 1);
-            out.push(t as usize);
-        }
-        Op::Ret | Op::RetVoid => {}
-        _ => out.push(pc + 1),
-    }
+/// Out-edges of a block, fall-through first.
+fn successors(term: &Term) -> impl Iterator<Item = usize> {
+    let (a, b) = match *term {
+        Term::Jmp(t) => (Some(t), None),
+        Term::Br {
+            on_true, on_false, ..
+        } => (Some(on_true), Some(on_false)),
+        Term::Ret(_) | Term::RetC(_) => (None, None),
+    };
+    a.into_iter().chain(b).map(|t| t as usize)
 }
 
-/// `pd[pc]`: bitset of pcs (plus bit `n` = the virtual exit) that lie on
-/// *every* path from `pc` to program exit. Because all jumps are
-/// forward, one reverse pass computes the exact solution:
-/// `pd(p) = {p} ∪ ⋂ pd(succ)`.
-fn postdominators(code: &[Op]) -> Vec<Vec<u64>> {
-    let n = code.len();
-    let words = n / 64 + 1;
-    let mut pd: Vec<Vec<u64>> = vec![Vec::new(); n];
-    let mut succ = Vec::new();
-    for pc in (0..n).rev() {
-        successors(code, pc, &mut succ);
-        let mut set = match succ.first() {
-            None => {
-                let mut s = vec![0u64; words];
-                set_bit(&mut s, n);
-                s
-            }
-            Some(&first) => {
-                let mut s = pd[first].clone();
-                for &other in &succ[1..] {
-                    for (a, b) in s.iter_mut().zip(&pd[other]) {
-                        *a &= *b;
-                    }
-                }
-                s
-            }
-        };
-        set_bit(&mut set, pc);
-        pd[pc] = set;
+/// A set of blocks; the lowering caps a program at [`MAX_BLOCKS`].
+type BlockSet = [u64; MAX_BLOCKS / 64];
+
+/// `pd[b]`: the blocks that lie on *every* path from `b` to program
+/// exit. Because all jumps are forward, one reverse pass computes the
+/// exact solution: `pd(b) = {b} ∪ ⋂ pd(succ)`.
+fn postdominators(blocks: &[Block]) -> Vec<BlockSet> {
+    let mut pd = vec![BlockSet::default(); blocks.len()];
+    for b in (0..blocks.len()).rev() {
+        let mut set = successors(&blocks[b].term)
+            .map(|s| pd[s])
+            .reduce(|x, y| std::array::from_fn(|w| x[w] & y[w]))
+            .unwrap_or_default();
+        set_bit(&mut set, b);
+        pd[b] = set;
     }
     pd
 }
@@ -300,45 +293,39 @@ fn postdominators(code: &[Op]) -> Vec<Vec<u64>> {
 // ---------------------------------------------------------------------
 
 struct Pass<'a> {
-    code: &'a [Op],
+    blocks: &'a [Block],
+    /// Static names, for the reasons.
+    names: Vec<&'a str>,
     /// Post-dominator sets (see [`postdominators`]).
-    pd: Vec<Vec<u64>>,
-    /// `in_state[pc]`: joined abstract state on entry (None = unreachable).
+    pd: Vec<BlockSet>,
+    /// `in_state[b]`: joined abstract state on entry (None = no live
+    /// in-edge).
     in_state: Vec<Option<State>>,
-    /// pcs control-dependent on a static-influenced branch.
+    /// Blocks control-dependent on a static-influenced branch. Branches
+    /// end blocks and their targets start them, so a block is
+    /// control-dependent as a whole.
     ctrl_tainted: Vec<bool>,
-    /// `edge_tainted[pc]`: some incoming edge leaves a ctrl-tainted pc,
+    /// `edge_tainted[b]`: some incoming edge leaves a ctrl-tainted block,
     /// so differing cells at this join diverge because of static state.
     edge_tainted: Vec<bool>,
     /// Per-slot: value observed outside its own update.
     escapes: Vec<bool>,
     /// Per-slot store sites.
     sites: Vec<Vec<Site>>,
-    /// Abstract interpretation hit an internal inconsistency; the
-    /// caller degrades every slot to Opaque rather than guessing.
-    failed: bool,
 }
 
 impl<'a> Pass<'a> {
-    fn new(program: &'a Program) -> Pass<'a> {
-        let code = &program.code[..];
+    fn new(program: &'a Program, blocks: &'a [Block]) -> Pass<'a> {
         Pass {
-            code,
-            pd: postdominators(code),
-            in_state: vec![None; code.len()],
-            ctrl_tainted: vec![false; code.len()],
-            edge_tainted: vec![false; code.len()],
+            blocks,
+            names: program.globals.iter().map(|(n, _, _)| &n[..]).collect(),
+            pd: postdominators(blocks),
+            in_state: vec![None; blocks.len()],
+            ctrl_tainted: vec![false; blocks.len()],
+            edge_tainted: vec![false; blocks.len()],
             escapes: vec![false; program.globals.len()],
             sites: vec![Vec::new(); program.globals.len()],
-            failed: false,
         }
-    }
-
-    fn pop(&mut self, st: &mut State) -> Abs {
-        st.stack.pop().unwrap_or_else(|| {
-            self.failed = true;
-            Abs::Mixed { tainted: true }
-        })
     }
 
     /// `v` is consumed by something other than its own slot's update —
@@ -380,306 +367,210 @@ impl<'a> Pass<'a> {
         self.opaque2(lhs, rhs)
     }
 
-    /// Marks every pc control-dependent (transitively) on the branch at
-    /// `b`: reachable from `b` without first passing a post-dominator of
-    /// `b`. Handles both balanced if/else regions and early-return arms
-    /// (where everything after the branch is control-dependent).
+    /// Abstract value of the tree `e` in state `st`.
+    fn eval(&mut self, e: &Ex, st: &State) -> Abs {
+        match e {
+            Ex::Carry(i) => st.carries[*i as usize],
+            Ex::ConstI(k) => Abs::Const(*k),
+            Ex::ConstF(v) => Abs::Const(bits_of(*v)),
+            Ex::Input(_) => Abs::Mixed { tainted: false },
+            Ex::Global(g) => Abs::Global(*g),
+            Ex::Local(i) => st.locals[*i as usize],
+            Ex::Bin(op, l, r) => {
+                let (a, b) = (self.eval(l, st), self.eval(r, st));
+                let (fam, rhs_may_acc) = match op {
+                    Bin::AddI => (Upd::Add, true),
+                    // `g - d` adds the delta `-d`; `d - g` is not a counter.
+                    Bin::SubI => (Upd::Add, false),
+                    Bin::MinI => (Upd::Min, true),
+                    Bin::MaxI => (Upd::Max, true),
+                    // Float folds stay in the (never-mergeable) FloatAcc
+                    // family so the store site can explain *why* it is
+                    // opaque.
+                    Bin::AddF | Bin::MinF | Bin::MaxF => (Upd::FloatAcc, true),
+                    Bin::SubF => (Upd::FloatAcc, false),
+                    // Structure-destroying binary ops: multiplication
+                    // scales the accumulated state, comparisons observe
+                    // it, etc.
+                    _ => return self.opaque2(a, b),
+                };
+                match (a, b) {
+                    (Abs::Const(x), Abs::Const(y)) if fam != Upd::FloatAcc => {
+                        Abs::Const(op.apply(x, y).expect("integer add/sub/min/max is total"))
+                    }
+                    _ => self.upd2(a, b, fam, rhs_may_acc),
+                }
+            }
+            Ex::Un(op, e) => match (op, self.eval(e, st)) {
+                (Un::NegI | Un::I2F, Abs::Const(k)) => Abs::Const(op.apply(k)),
+                (_, v) => {
+                    self.observe(v);
+                    Abs::Mixed {
+                        tainted: v.tainted(),
+                    }
+                }
+            },
+        }
+    }
+
+    /// Marks every block control-dependent (transitively) on the branch
+    /// ending block `b`: reachable from `b` without first passing a
+    /// post-dominator of `b`. Handles both balanced if/else regions and
+    /// early-return arms (where everything after the branch is
+    /// control-dependent).
     fn mark_ctrl_region(&mut self, b: usize) {
-        let mut seen = vec![false; self.code.len()];
-        let mut work = Vec::new();
-        let mut succ = Vec::new();
-        successors(self.code, b, &mut succ);
-        work.extend(succ.iter().copied());
+        // Never entered: a post-dominator executes no matter which way
+        // `b` went; nodes beyond it are controlled by later branches,
+        // not `b`.
+        let mut seen = self.pd[b];
+        let mut work: Vec<usize> = successors(&self.blocks[b].term).collect();
         while let Some(p) = work.pop() {
-            if p >= self.code.len() || seen[p] {
+            if get_bit(&seen, p) {
                 continue;
             }
-            seen[p] = true;
-            if get_bit(&self.pd[b], p) {
-                // Executes no matter which way `b` went; nodes beyond it
-                // are controlled by later branches, not `b`.
-                continue;
-            }
+            set_bit(&mut seen, p);
             self.ctrl_tainted[p] = true;
-            successors(self.code, p, &mut succ);
-            work.extend(succ.iter().copied());
+            work.extend(successors(&self.blocks[p].term));
         }
     }
 
     /// Propagates `st` along the edge `from → to`, joining cell-wise
     /// with whatever already flowed into `to`.
     fn flow(&mut self, from: usize, to: usize, st: &State) {
-        if to >= self.code.len() {
-            self.failed = true;
-            return;
-        }
         self.edge_tainted[to] |= self.ctrl_tainted[from];
         let edge_tainted = self.edge_tainted[to];
-        match self.in_state[to].take() {
-            None => self.in_state[to] = Some(st.clone()),
-            Some(mut existing) => {
-                if existing.stack.len() != st.stack.len() {
-                    self.failed = true;
-                    return;
-                }
-                let join_cells = |pass: &mut Pass, a: &mut [Abs], b: &[Abs]| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        if *x != *y {
-                            // The cell's value depends on which path ran.
-                            pass.observe(*x);
-                            pass.observe(*y);
-                            *x = Abs::Mixed {
-                                tainted: x.tainted() || y.tainted() || edge_tainted,
-                            };
-                        } else if edge_tainted && !matches!(*x, Abs::Const(_) | Abs::Global(_)) {
-                            // Equal abstractions are not equal values.
-                            // `Mixed` and `Upd` cells carry no provenance:
-                            // `x = size` in one arm and `x = port` in the
-                            // other both abstract to Mixed{tainted:false}
-                            // and compare equal, yet the runtime value
-                            // depends on which way the static-influenced
-                            // branch went. Only identical `Const` bits
-                            // (the same value outright) and identical
-                            // `Global` (the same slot's current value on
-                            // either path) are provably path-invariant;
-                            // everything else degrades to tainted.
-                            pass.observe(*x);
-                            *x = Abs::Mixed { tainted: true };
-                        }
-                    }
-                };
-                join_cells(self, &mut existing.stack, &st.stack);
-                join_cells(self, &mut existing.locals, &st.locals);
-                self.in_state[to] = Some(existing);
-            }
-        }
-    }
-
-    fn record_site(&mut self, slot: u16, pc: usize, kind: SiteKind) {
-        self.sites[slot as usize].push(Site {
-            pc: pc as u32,
-            kind,
-        });
-    }
-
-    /// Transfer function for the op at `pc`; returns the out-state (for
-    /// `JmpIfFalse`, both edges carry the same out-state).
-    fn step(&mut self, pc: usize, mut st: State, names: &[String]) -> State {
-        match self.code[pc] {
-            Op::ConstI(k) => st.stack.push(Abs::Const(k)),
-            Op::ConstF(v) => st.stack.push(Abs::Const(v.to_bits() as i64)),
-            Op::LoadInput(_) => st.stack.push(Abs::Mixed { tainted: false }),
-            Op::LoadGlobal(g) => st.stack.push(Abs::Global(g)),
-            Op::LoadLocal(i) => {
-                let v = st.locals.get(i as usize).copied().unwrap_or_else(|| {
-                    self.failed = true;
-                    Abs::Mixed { tainted: true }
-                });
-                st.stack.push(v);
-            }
-            Op::StoreLocal(i) => {
-                let v = self.pop(&mut st);
-                match st.locals.get_mut(i as usize) {
-                    Some(cell) => *cell = v,
-                    None => self.failed = true,
-                }
-            }
-            Op::Pop => {
-                // Discarded, not observed.
-                let _ = self.pop(&mut st);
-            }
-            Op::StoreGlobal(g) => {
-                let v = self.pop(&mut st);
-                if v.slot() == Some(g) && matches!(v, Abs::Global(_)) {
-                    // `g = g;` — a no-op, not an update site.
-                } else if self.ctrl_tainted[pc] {
-                    self.observe(v);
-                    self.record_site(
-                        g,
-                        pc,
-                        SiteKind::Opaque(format!(
-                            "store at pc {pc} is control-dependent on static state"
-                        )),
-                    );
-                } else {
-                    let kind = match v {
-                        Abs::Global(h) => {
-                            self.observe(v);
-                            SiteKind::Opaque(format!(
-                                "store at pc {pc} copies static \"{}\"",
-                                names[h as usize]
-                            ))
-                        }
-                        Abs::Upd(h, fam) if h == g => match fam {
-                            Upd::Add => SiteKind::Counter,
-                            Upd::Min => SiteKind::Min,
-                            Upd::Max => SiteKind::Max,
-                            Upd::FloatAcc => SiteKind::Opaque(format!(
-                                "floating-point fold at pc {pc} is not bit-exact \
-                                 across shard counts"
-                            )),
-                        },
-                        Abs::Upd(h, _) => {
-                            self.observe(v);
-                            SiteKind::Opaque(format!(
-                                "store at pc {pc} mixes in static \"{}\"",
-                                names[h as usize]
-                            ))
-                        }
-                        Abs::Const(k) => SiteKind::Gated(k),
-                        Abs::Mixed { tainted: false } => SiteKind::Lww,
-                        Abs::Mixed { tainted: true } => SiteKind::Opaque(format!(
-                            "value stored at pc {pc} depends on static state"
-                        )),
+        let Some(mut existing) = self.in_state[to].take() else {
+            self.in_state[to] = Some(st.clone());
+            return;
+        };
+        let join_cells = |pass: &mut Pass, a: &mut [Abs], b: &[Abs]| {
+            for (x, y) in a.iter_mut().zip(b) {
+                if *x != *y {
+                    // The cell's value depends on which path ran.
+                    pass.observe(*x);
+                    pass.observe(*y);
+                    *x = Abs::Mixed {
+                        tainted: x.tainted() || y.tainted() || edge_tainted,
                     };
-                    self.record_site(g, pc, kind);
+                } else if edge_tainted && !matches!(*x, Abs::Const(_) | Abs::Global(_)) {
+                    // Equal abstractions are not equal values.
+                    // `Mixed` and `Upd` cells carry no provenance:
+                    // `x = size` in one arm and `x = port` in the
+                    // other both abstract to Mixed{tainted:false}
+                    // and compare equal, yet the runtime value
+                    // depends on which way the static-influenced
+                    // branch went. Only identical `Const` bits
+                    // (the same value outright) and identical
+                    // `Global` (the same slot's current value on
+                    // either path) are provably path-invariant;
+                    // everything else degrades to tainted.
+                    pass.observe(*x);
+                    *x = Abs::Mixed { tainted: true };
                 }
             }
-            Op::AddI => {
-                let b = self.pop(&mut st);
-                let a = self.pop(&mut st);
-                let r = match (a, b) {
-                    (Abs::Const(x), Abs::Const(y)) => Abs::Const(x.wrapping_add(y)),
-                    _ => self.upd2(a, b, Upd::Add, true),
-                };
-                st.stack.push(r);
-            }
-            Op::SubI => {
-                let b = self.pop(&mut st);
-                let a = self.pop(&mut st);
-                let r = match (a, b) {
-                    (Abs::Const(x), Abs::Const(y)) => Abs::Const(x.wrapping_sub(y)),
-                    // `g - d` adds the delta `-d`; `d - g` is not a counter.
-                    _ => self.upd2(a, b, Upd::Add, false),
-                };
-                st.stack.push(r);
-            }
-            Op::MinI => {
-                let b = self.pop(&mut st);
-                let a = self.pop(&mut st);
-                let r = match (a, b) {
-                    (Abs::Const(x), Abs::Const(y)) => Abs::Const(x.min(y)),
-                    _ => self.upd2(a, b, Upd::Min, true),
-                };
-                st.stack.push(r);
-            }
-            Op::MaxI => {
-                let b = self.pop(&mut st);
-                let a = self.pop(&mut st);
-                let r = match (a, b) {
-                    (Abs::Const(x), Abs::Const(y)) => Abs::Const(x.max(y)),
-                    _ => self.upd2(a, b, Upd::Max, true),
-                };
-                st.stack.push(r);
-            }
-            // Float folds stay in the (never-mergeable) FloatAcc family
-            // so the store site can explain *why* it is opaque.
-            Op::AddF | Op::MinF | Op::MaxF => {
-                let b = self.pop(&mut st);
-                let a = self.pop(&mut st);
-                let r = self.upd2(a, b, Upd::FloatAcc, true);
-                st.stack.push(r);
-            }
-            Op::SubF => {
-                let b = self.pop(&mut st);
-                let a = self.pop(&mut st);
-                let r = self.upd2(a, b, Upd::FloatAcc, false);
-                st.stack.push(r);
-            }
-            // Structure-destroying binary ops: multiplication scales the
-            // accumulated state, comparisons observe it, etc.
-            Op::MulI
-            | Op::DivI
-            | Op::ModI
-            | Op::MulF
-            | Op::DivF
-            | Op::EqI
-            | Op::NeI
-            | Op::LtI
-            | Op::LeI
-            | Op::GtI
-            | Op::GeI
-            | Op::EqF
-            | Op::NeF
-            | Op::LtF
-            | Op::LeF
-            | Op::GtF
-            | Op::GeF => {
-                let b = self.pop(&mut st);
-                let a = self.pop(&mut st);
-                let r = self.opaque2(a, b);
-                st.stack.push(r);
-            }
-            Op::NegI | Op::NegF | Op::NotB | Op::AbsI | Op::AbsF | Op::I2F => {
-                let v = self.pop(&mut st);
-                let r = match (self.code[pc], v) {
-                    (Op::NegI, Abs::Const(k)) => Abs::Const(k.wrapping_neg()),
-                    (Op::I2F, Abs::Const(k)) => Abs::Const((k as f64).to_bits() as i64),
-                    _ => {
-                        self.observe(v);
-                        Abs::Mixed {
-                            tainted: v.tainted(),
-                        }
-                    }
-                };
-                st.stack.push(r);
-            }
-            Op::I2FUnder => {
-                let top = self.pop(&mut st);
-                let v = self.pop(&mut st);
-                let r = match v {
-                    Abs::Const(k) => Abs::Const((k as f64).to_bits() as i64),
-                    _ => {
-                        self.observe(v);
-                        Abs::Mixed {
-                            tainted: v.tainted(),
-                        }
-                    }
-                };
-                st.stack.push(r);
-                st.stack.push(top);
-            }
-            Op::Out => {
-                let value = self.pop(&mut st);
-                let slot = self.pop(&mut st);
-                self.observe(value);
-                self.observe(slot);
-            }
-            Op::Ret => {
-                let v = self.pop(&mut st);
-                self.observe(v);
-            }
-            Op::RetVoid | Op::Jmp(_) => {}
-            Op::JmpIfFalse(_) => {
-                let cond = self.pop(&mut st);
-                self.observe(cond);
-                if cond.tainted() {
-                    self.mark_ctrl_region(pc);
-                }
-            }
-        }
-        st
+        };
+        join_cells(self, &mut existing.carries, &st.carries);
+        join_cells(self, &mut existing.locals, &st.locals);
+        self.in_state[to] = Some(existing);
     }
 
-    fn run(&mut self, program: &Program) {
-        let names: Vec<String> = program.globals.iter().map(|(n, _, _)| n.clone()).collect();
-        self.in_state[0] = Some(State {
-            stack: Vec::new(),
-            // The VM zeroes locals at the start of every run.
-            locals: vec![Abs::Const(0); program.n_locals as usize],
-        });
-        let mut succ = Vec::new();
-        for pc in 0..self.code.len() {
-            let Some(st) = self.in_state[pc].clone() else {
-                continue; // unreachable
-            };
-            let out = self.step(pc, st, &names);
-            successors(self.code, pc, &mut succ);
-            for &to in &succ {
-                self.flow(pc, to, &out);
+    /// Classifies the store of `v` to slot `g` in block `b`.
+    fn store_global(&mut self, b: usize, g: u16, v: Abs) {
+        let pc = self.blocks[b].entry_pc;
+        let kind = if v == Abs::Global(g) {
+            return; // `g = g;` — a no-op, not an update site.
+        } else if self.ctrl_tainted[b] {
+            self.observe(v);
+            SiteKind::Opaque(format!(
+                "store in the block at pc {pc} is control-dependent on static state"
+            ))
+        } else {
+            match v {
+                Abs::Global(h) => {
+                    self.observe(v);
+                    SiteKind::Opaque(format!(
+                        "store in the block at pc {pc} copies static \"{}\"",
+                        self.names[h as usize]
+                    ))
+                }
+                Abs::Upd(h, fam) if h == g => match fam {
+                    Upd::Add => SiteKind::Counter,
+                    Upd::Min => SiteKind::Min,
+                    Upd::Max => SiteKind::Max,
+                    Upd::FloatAcc => SiteKind::Opaque(format!(
+                        "floating-point fold in the block at pc {pc} is not bit-exact \
+                         across shard counts"
+                    )),
+                },
+                Abs::Upd(h, _) => {
+                    self.observe(v);
+                    SiteKind::Opaque(format!(
+                        "store in the block at pc {pc} mixes in static \"{}\"",
+                        self.names[h as usize]
+                    ))
+                }
+                Abs::Const(k) => SiteKind::Gated(k),
+                Abs::Mixed { tainted: false } => SiteKind::Lww,
+                Abs::Mixed { tainted: true } => SiteKind::Opaque(format!(
+                    "value stored in the block at pc {pc} depends on static state"
+                )),
             }
-            if self.failed {
-                return;
+        };
+        self.sites[g as usize].push(Site { pc, kind });
+    }
+
+    /// One pass in block order: blocks sit in ascending pc order and
+    /// every jump is forward, so each block is visited after all of its
+    /// predecessors.
+    fn run(&mut self, n_locals: usize) {
+        self.in_state[0] = Some(State {
+            carries: Vec::new(),
+            // The VM zeroes locals at the start of every run.
+            locals: vec![Abs::Const(0); n_locals],
+        });
+        for (b, block) in self.blocks.iter().enumerate() {
+            // `Term::br` folds literal conditions, so a lowered block
+            // can have no live in-edge.
+            let Some(mut st) = self.in_state[b].take() else {
+                continue;
+            };
+            for step in &block.steps {
+                match step {
+                    Step::StoreLocal(i, e) => st.locals[*i as usize] = self.eval(e, &st),
+                    Step::StoreGlobal(g, e) => {
+                        let v = self.eval(e, &st);
+                        self.store_global(b, *g, v);
+                    }
+                    Step::Out(slot, value) => {
+                        let (slot, value) = (self.eval(slot, &st), self.eval(value, &st));
+                        self.observe(slot);
+                        self.observe(value);
+                    }
+                    // Evaluated for what it observes; the value itself
+                    // is discarded, not observed.
+                    Step::Eval(e) => drop(self.eval(e, &st)),
+                }
+            }
+            // `carry_out` and the terminator's operand both read the
+            // *incoming* carries; only the out-edges see the new ones.
+            let carries = block.carry_out.iter().map(|e| self.eval(e, &st)).collect();
+            match &block.term {
+                Term::Br { cond, .. } => {
+                    let cond = self.eval(cond, &st);
+                    self.observe(cond);
+                    if cond.tainted() {
+                        self.mark_ctrl_region(b);
+                    }
+                }
+                Term::Ret(e) => {
+                    let v = self.eval(e, &st);
+                    self.observe(v);
+                }
+                Term::Jmp(_) | Term::RetC(_) => {}
+            }
+            st.carries = carries;
+            for to in successors(&block.term) {
+                self.flow(b, to, &st);
             }
         }
     }
@@ -720,7 +611,7 @@ impl<'a> Pass<'a> {
             return MergeClass::Opaque {
                 pc: s.pc,
                 reason: format!(
-                    "conflicting update patterns (pc {} vs pc {})",
+                    "conflicting update patterns (blocks at pc {} and pc {})",
                     first.pc, s.pc
                 ),
             };
@@ -750,53 +641,47 @@ impl<'a> Pass<'a> {
     }
 }
 
-/// Every slot Opaque — the conservative answer when the bytecode breaks
-/// an invariant the analysis relies on.
-fn opaque_all(program: &Program, reason: &str) -> MergePlan {
+/// A plan with `slot(i)` as the class and `escapes` of static `i`.
+fn plan(program: &Program, mut slot: impl FnMut(usize) -> (MergeClass, bool)) -> MergePlan {
+    let slots = program.globals.iter().enumerate();
+    let slots = slots.map(|(i, (name, _, _))| {
+        let (class, escapes) = slot(i);
+        SlotPlan {
+            name: name.clone(),
+            class,
+            escapes,
+        }
+    });
     MergePlan {
-        slots: program
-            .globals
-            .iter()
-            .map(|(name, _, _)| SlotPlan {
-                name: name.clone(),
-                class: MergeClass::Opaque {
-                    pc: 0,
-                    reason: reason.to_owned(),
-                },
-                escapes: true,
-            })
-            .collect(),
+        slots: slots.collect(),
     }
 }
 
-/// Classifies every static slot of `program`. Total: never fails, never
-/// panics — inconsistencies degrade to [`MergeClass::Opaque`].
+/// Classifies every static slot of `program` on its lowering
+/// ([`Program::lowered`], so stack discipline and operand indices are
+/// already proven). One rule for a program the lowering refused: not
+/// lowered ⇒ checked interpreter, never vectorized, never sharded —
+/// every slot is [`MergeClass::Opaque`] with the [`Bail`](crate::Bail)
+/// as the reason.
 pub(crate) fn classify(program: &Program) -> MergePlan {
-    let code = &program.code;
+    // Every slot Opaque: the conservative answer when there is no block
+    // graph to classify on.
+    let opaque_all = |reason: String| {
+        let class = MergeClass::Opaque { pc: 0, reason };
+        plan(program, |_| (class.clone(), true))
+    };
+    let ir = match &program.lowered().ir {
+        Ok(ir) => ir,
+        Err(bail) => return opaque_all(format!("not lowered: {bail}")),
+    };
     // The whole pass (and `postdominators`) relies on the compiler's
     // forward-jump invariant; double-check it instead of trusting it.
-    for (pc, op) in code.iter().enumerate() {
-        if let Op::Jmp(t) | Op::JmpIfFalse(t) = op {
-            if (*t as usize) <= pc || (*t as usize) >= code.len() {
-                return opaque_all(program, "control flow is not a forward DAG");
-            }
+    for (b, block) in ir.blocks.iter().enumerate() {
+        if successors(&block.term).any(|to| to <= b || to >= ir.blocks.len()) {
+            return opaque_all("control flow is not a forward DAG".to_owned());
         }
     }
-    let mut pass = Pass::new(program);
-    pass.run(program);
-    if pass.failed {
-        return opaque_all(program, "abstract interpretation failed");
-    }
-    MergePlan {
-        slots: program
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _, _))| SlotPlan {
-                name: name.clone(),
-                class: pass.combine(i),
-                escapes: pass.escapes[i],
-            })
-            .collect(),
-    }
+    let mut pass = Pass::new(program, &ir.blocks);
+    pass.run(program.n_locals as usize);
+    plan(program, |i| (pass.combine(i), pass.escapes[i]))
 }

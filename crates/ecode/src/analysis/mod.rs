@@ -25,8 +25,10 @@
 //!    jumps forward; the worst-case fuel is the longest path through the
 //!    DAG, computed exactly and proven to fit the host's budget
 //!    (`E0003` otherwise).
-//! 5. **Merge** — a shard-safety dataflow classifies every static slot
-//!    into the merge lattice ([`MergeClass`]), producing the
+//! 5. **Merge** — a shard-safety dataflow over the program's lowering
+//!    (`crate::ir`; of the passes only 4 walks stack ops) classifies
+//!    every static slot into the merge lattice ([`MergeClass`]; all
+//!    `Opaque` when the lowering refused the program), producing the
 //!    [`MergePlan`] the sharded GPA uses to fold replica instances.
 //!    Advisory by default (`W0009` for write-only mergeable state);
 //!    with [`VerifyLimits::require_mergeable`] a non-mergeable slot
@@ -266,8 +268,9 @@ pub fn verify(
     }
 
     // Pass 5: shard-safety. Classified on the program that would
-    // actually be installed, so optimizations (constant folding, dead
-    // branches) can only make slots *more* mergeable, never less.
+    // actually be installed (its lowering, which `Instance::new` then
+    // finds cached), so optimizations (constant folding, dead branches)
+    // can only make slots *more* mergeable, never less.
     let merge_plan = merge::classify(&program);
     for slot in &merge_plan.slots {
         match &slot.class {

@@ -279,14 +279,17 @@ impl BatchEval {
         plan: &MergePlan,
         fuel_budget: u64,
     ) -> Result<BatchEval, BatchBail> {
+        // First, so the refusal names the cause: an unlowered program's
+        // plan is all-`Opaque` *because* it did not lower.
+        let ir = program.lowered().ir.as_ref();
+        let ir = ir.map_err(|b| BatchBail::NotLowered(*b))?;
         if !plan.fully_mergeable() || plan.slots.len() != program.globals.len() {
             return Err(BatchBail::NotMergeable);
         }
         if program.static_fuel_bound() > fuel_budget {
             return Err(BatchBail::FuelOverBudget);
         }
-        let ir = program.lowered().ir.as_ref();
-        Vectorizer::new(program, plan).compile(ir.map_err(|b| BatchBail::NotLowered(*b))?)
+        Vectorizer::new(program, plan).compile(ir)
     }
 
     /// [`compile`](BatchEval::compile) without the reason.

@@ -2,13 +2,15 @@
 //! statement trees.
 //!
 //! Both fast backends — the compiled tier ([`crate::jit`]) and the column
-//! evaluator ([`crate::batch`]) — need the same three things the stack
-//! code hides: where the basic blocks are, what each statement computes
-//! as a tree, and how much fuel each block costs. [`lower`] derives them
-//! once per [`Program`] (cached behind [`Program::lowered`], so every
-//! `Instance` and `BatchEval` built from one program shares it) and is
-//! the only function outside the reference interpreter and `analysis/`
-//! that walks `Op`s.
+//! evaluator ([`crate::batch`]) — and the verifier's shard-safety pass
+//! (`analysis/merge.rs`) need the same three things the stack code
+//! hides: where the basic blocks are, what each statement computes as a
+//! tree, and how much fuel each block costs. [`lower`] derives them
+//! once per [`Program`] (cached behind [`Program::lowered`], so the
+//! verifier and every `Instance` and `BatchEval` built from one program
+//! share it). Besides it, the only `Op` walkers are the reference
+//! interpreter and `validate` (`vm.rs`), the longest-path fuel bound
+//! (`analysis/fuel.rs`), [`Program::used_inputs`] and the emitter.
 //!
 //! # What a block is
 //!
@@ -52,7 +54,7 @@ pub(crate) const MAX_CARRY: usize = 4;
 /// on the event hot path are small by doctrine: the verifier already
 /// bounds their fuel).
 pub(crate) const MAX_OPS: usize = 4096;
-const MAX_BLOCKS: usize = 256;
+pub(crate) const MAX_BLOCKS: usize = 256;
 
 /// Why a program was not lowered, and therefore runs on the checked
 /// interpreter ([`ExecTier::Fused`](crate::ExecTier::Fused)) and is

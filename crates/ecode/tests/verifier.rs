@@ -411,7 +411,35 @@ fn m0001_opaque_slot_golden() {
     assert_eq!(
         d.message,
         "static variable \"n\" is not shard-mergeable: \
-         store at pc 7 is control-dependent on static state"
+         store in the block at pc 4 is control-dependent on static state"
+    );
+}
+
+/// One rule for a program the lowering refuses (here: over its 4096-op
+/// limit): it runs on the checked interpreter, is never vectorized and
+/// never sharded — every slot is `Opaque`, and the reason is the bail.
+#[test]
+fn m0001_not_lowered_golden() {
+    let mut src = String::from("static int n = 0;\nstatic int hi = 0;\n");
+    for d in 0..1024 {
+        src.push_str(&format!("n = n + size % {};\n", d % 61 + 2));
+    }
+    src.push_str("hi = max(hi, port);\nreturn n;");
+    let limits = VerifyLimits::with_max_fuel(10_000);
+    let v = verify(&src, &INPUTS, &limits).expect("admissible single-instance");
+    assert!(v.get().code_len() > 4096);
+    assert_eq!(v.report().merge_plan.slots.len(), 2);
+    for slot in &v.report().merge_plan.slots {
+        let MergeClass::Opaque { reason, .. } = &slot.class else {
+            panic!("unlowered program classified {slot:?}");
+        };
+        assert_eq!(reason, "not lowered: more than 4096 bytecode ops");
+    }
+    let err = verify(&src, &INPUTS, &limits.require_mergeable()).unwrap_err();
+    assert_eq!(
+        find(&err.diagnostics, "M0001").message,
+        "static variable \"n\" is not shard-mergeable: \
+         not lowered: more than 4096 bytecode ops"
     );
 }
 
@@ -639,9 +667,9 @@ fn generated_programs_bound_sound_and_optimizer_equivalent() {
 // is a soundness bug in the classifier, not in the test.
 // ---------------------------------------------------------------------
 
-/// Runs the differential check. Returns whether the program was fully
-/// mergeable with at least one updatable slot (coverage accounting).
-fn check_shard_exactness(src: &str, history: &[(i64, i64)], rng: &mut Rng) -> bool {
+/// Runs the differential check on a fully mergeable program. Returns the
+/// plan either way (coverage and precision accounting).
+fn check_shard_exactness(src: &str, history: &[(i64, i64)], rng: &mut Rng) -> ecode::MergePlan {
     let limits = VerifyLimits {
         max_fuel: u64::MAX,
         ..VerifyLimits::default()
@@ -651,7 +679,7 @@ fn check_shard_exactness(src: &str, history: &[(i64, i64)], rng: &mut Rng) -> bo
     let (program, report) = verified.into_parts();
     let plan = &report.merge_plan;
     if !plan.fully_mergeable() {
-        return false;
+        return report.merge_plan;
     }
     let mut seq = Instance::new(&program);
     let mut seq_ref = Instance::new(&program);
@@ -698,13 +726,14 @@ fn check_shard_exactness(src: &str, history: &[(i64, i64)], rng: &mut Rng) -> bo
             "K={k} shard fold diverged from sequential on\n{src}\nplan: {plan:#?}"
         );
     }
-    plan.slots.iter().any(|s| s.class != MergeClass::ReadOnly)
+    report.merge_plan
 }
 
 #[test]
 fn generated_mergeable_programs_shard_exactly() {
     let mut rng = Rng::new(0xd1f7_5eed);
-    let (mut mergeable, mut fallback) = (0u32, 0u32);
+    let (mut mergeable, mut fallback, mut read_only_plans) = (0u32, 0u32, 0u32);
+    let mut slots = std::collections::BTreeMap::<&str, u32>::new();
     for seed in 0..300u64 {
         let per = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 1;
         // Both generators share the sweep's seed schedule: MergeGen for
@@ -714,10 +743,16 @@ fn generated_mergeable_programs_shard_exactly() {
             for _ in 0..8 {
                 history.push((rng.next() as i64, rng.next() as i64 % 10_000));
             }
-            if check_shard_exactness(&src, &history, &mut rng) {
+            let plan = check_shard_exactness(&src, &history, &mut rng);
+            for slot in &plan.slots {
+                *slots.entry(slot.class.describe()).or_default() += 1;
+            }
+            if !plan.fully_mergeable() {
+                fallback += 1;
+            } else if plan.slots.iter().any(|s| s.class != MergeClass::ReadOnly) {
                 mergeable += 1;
             } else {
-                fallback += 1;
+                read_only_plans += 1;
             }
         }
     }
@@ -725,7 +760,26 @@ fn generated_mergeable_programs_shard_exactly() {
     // be exercised substantially, or the sweep is vacuous.
     assert!(mergeable >= 50, "only {mergeable} mergeable programs swept");
     assert!(fallback >= 50, "only {fallback} fallback programs swept");
-    assert_eq!(mergeable + fallback, 600);
+    assert_eq!(mergeable + read_only_plans + fallback, 600);
+    // Precision, not just soundness: a classifier that answered `Opaque`
+    // everywhere would pass every check above. Generators and seeds are
+    // fixed, so these are exact; they move only when the classifier (or
+    // a generator) deliberately changes, with the reason stated.
+    assert_eq!(
+        (mergeable, read_only_plans, fallback),
+        (184, 207, 209),
+        "plans: updatable and fully mergeable, all read-only, not mergeable"
+    );
+    let want = [
+        ("counter", 193),
+        ("gated write", 76),
+        ("last-write-wins", 132),
+        ("max-fold", 107),
+        ("min-fold", 119),
+        ("opaque", 118),
+        ("read-only", 471),
+    ];
+    assert_eq!(slots.into_iter().collect::<Vec<_>>(), want);
 }
 
 // ---------------------------------------------------------------------
@@ -816,6 +870,100 @@ fn generated_programs_batch_eval_matches_scalar_rows() {
     assert!(
         vectorized >= 76,
         "only {vectorized}/600 generated programs vectorized (floor 76)"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Near-valid wire text: program text arrives over the wire, and `verify`
+// runs it through `validate` and the lowering, whose internal `expect`s
+// assume compiler output. Random bytes (`prop_verify_total`) die in the
+// parser; sweep programs with a token or two edited do not.
+// ---------------------------------------------------------------------
+
+/// `src` split the way the lexer would, near enough to edit: runs of
+/// word characters (identifiers, keywords, literals), two-character
+/// operators, and single punctuation marks.
+fn tokens(src: &str) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    let word = |c: char| c.is_alphanumeric() || c == '_' || c == '.';
+    let mut prev = ' ';
+    for c in src.chars() {
+        let joins = (word(prev) && word(c))
+            || (matches!(prev, '=' | '!' | '<' | '>') && c == '=')
+            || (matches!(prev, '&' | '|') && c == prev);
+        match out.last_mut() {
+            Some(last) if joins => last.push(c),
+            _ if !c.is_whitespace() => out.push(c.to_string()),
+            _ => {}
+        }
+        prev = c;
+    }
+    out
+}
+
+/// One token-level edit: delete, duplicate, swap two, or overwrite a
+/// literal (any token, if there is no literal) with an extreme one.
+fn mutate(tokens: &mut Vec<String>, rng: &mut Rng) {
+    const EXTREME: [&str; 8] = [
+        "0",
+        "9223372036854775807",
+        "9223372036854775808",
+        "4294967296",
+        "65536",
+        "0.0",
+        "1e308",
+        "1e-320",
+    ];
+    if tokens.is_empty() {
+        return;
+    }
+    let n = tokens.len() as u64;
+    let at = rng.below(n) as usize;
+    match rng.below(4) {
+        0 => drop(tokens.remove(at)),
+        1 => tokens.insert(at, tokens[at].clone()),
+        2 => tokens.swap(at, rng.below(n) as usize),
+        _ => {
+            let literals: Vec<usize> = (0..tokens.len())
+                .filter(|&i| tokens[i].starts_with(|c: char| c.is_ascii_digit()))
+                .collect();
+            let at = match literals.len() {
+                0 => at,
+                n => literals[rng.below(n as u64) as usize],
+            };
+            tokens[at] = EXTREME[rng.below(8) as usize].to_owned();
+        }
+    }
+}
+
+/// 64 seeds × 2 generators × 16 mutants, each a sweep program with one
+/// or two token-level edits. A panic anywhere fails the test; the floor
+/// keeps it from going vacuous (mutants that no longer parse exercise
+/// nothing past the parser).
+#[test]
+fn generated_programs_mutated_never_panic_the_verifier() {
+    let mut rng = Rng::new(0x6d75_7461_7465);
+    let (mut cases, mut compiled) = (0u32, 0u32);
+    for seed in 0..64u64 {
+        let per = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 1;
+        for base in [Gen::new(per).program(), MergeGen::new(per).program()] {
+            let tokens = tokens(&base);
+            for _ in 0..16 {
+                let mut mutant = tokens.clone();
+                for _ in 0..1 + rng.below(2) {
+                    mutate(&mut mutant, &mut rng);
+                }
+                let src = mutant.join(" ");
+                let _ = verify(&src, &INPUTS, &VerifyLimits::default().require_mergeable());
+                cases += 1;
+                compiled += Program::compile(&src, &INPUTS).is_ok() as u32;
+            }
+        }
+    }
+    assert_eq!(cases, 2048);
+    assert!(
+        compiled >= 200,
+        "only {compiled} of {cases} mutants compiled"
     );
 }
 

@@ -15,7 +15,8 @@
 //! [`ShardedDigest::merged`] quiesces the workers (flush + drain
 //! barrier) and folds the replicas into the exact statics a single
 //! sequential instance would hold. Programs with any
-//! `Opaque`/`LastWriteWins` slot silently fall back to one inline
+//! `Opaque`/`LastWriteWins` slot (every slot of a program `ecode` did
+//! not lower is `Opaque`) silently fall back to one inline
 //! instance — no threads, no batching, no flow-key hashing —
 //! correctness never depends on the caller checking the plan first.
 //!
@@ -43,22 +44,12 @@ use plane::Plane;
 /// hot for exactly the same reason the publish path is.
 pub const DIGEST_FUEL_BUDGET: u64 = 10_000;
 
-/// Tuning knobs for the parallel digest plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DigestConfig {
-    /// Records buffered per shard before the batch ships to its worker.
-    /// The default amortizes worker wake-ups and dispatch overhead
-    /// across ~4k rows while keeping per-shard columns comfortably
-    /// inside L2; sizes past ~16k rows spill the builders out of cache
-    /// and cost more than the wake-ups they save.
-    pub flush_rows: usize,
-}
-
-impl Default for DigestConfig {
-    fn default() -> Self {
-        DigestConfig { flush_rows: 4096 }
-    }
-}
+/// Records buffered per shard before the batch ships to its worker.
+/// 4096 amortizes worker wake-ups and dispatch overhead across ~4k rows
+/// while keeping per-shard columns comfortably inside L2; sizes past
+/// ~16k rows spill the builders out of cache and cost more than the
+/// wake-ups they save.
+const FLUSH_ROWS: usize = 4096;
 
 /// Evaluation statistics, for overhead accounting and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,8 +146,7 @@ fn place(h: u64, n: usize) -> usize {
 }
 
 impl ShardedDigest {
-    /// Compiles `src` against `schema` and provisions replicas with the
-    /// default [`DigestConfig`].
+    /// Compiles `src` against `schema` and provisions replicas.
     ///
     /// `shards` is the *requested* replica count; the digest actually
     /// shards only when the verifier proves every static shard-safe.
@@ -167,15 +157,17 @@ impl ShardedDigest {
         schema: &Schema,
         shards: usize,
     ) -> Result<ShardedDigest, PubSubError> {
-        Self::compile_with(src, schema, shards, DigestConfig::default())
+        Self::compile_flushing(src, schema, shards, FLUSH_ROWS)
     }
 
-    /// [`compile`](ShardedDigest::compile) with explicit plane tuning.
-    pub fn compile_with(
+    /// [`compile`](ShardedDigest::compile) with the plane's batch size
+    /// spelled out, so the tests can put a batch boundary anywhere in a
+    /// short stream.
+    fn compile_flushing(
         src: &str,
         schema: &Schema,
         shards: usize,
-        config: DigestConfig,
+        flush_rows: usize,
     ) -> Result<ShardedDigest, PubSubError> {
         let (inputs, field_indices) = crate::ecode_inputs(schema);
         let limits = VerifyLimits::with_max_fuel(DIGEST_FUEL_BUDGET);
@@ -198,7 +190,7 @@ impl ShardedDigest {
                 fuel_bound,
                 &field_indices,
                 shards,
-                config.flush_rows.max(1),
+                flush_rows,
             )))
         } else {
             Engine::Single {
@@ -258,7 +250,8 @@ impl ShardedDigest {
 
     /// Why records of a digest asked to shard are evaluated row-at-a-time
     /// on the scalar VM instead of column-wise by [`ecode::BatchEval`]:
-    /// `NotMergeable` when the plan kept it on the single engine,
+    /// `NotMergeable` or `NotLowered` when the plan kept it on the single
+    /// engine (a program the lowering refused has an all-`Opaque` plan),
     /// anything else is what the vectorizer refused in the workers'
     /// program. `None` when the workers vectorize — or when a single
     /// shard was requested, and batching never came up.
@@ -578,6 +571,33 @@ mod tests {
         assert_eq!(stats.shards, 1);
     }
 
+    /// Not lowered ⇒ interpreter, never vectorized, never sharded: a
+    /// digest past `ecode`'s 4096-op lowering limit is all counters, yet
+    /// runs as one replica and says why.
+    #[test]
+    fn unlowered_digest_falls_back_to_one_instance() {
+        let mut src = String::from("static int n = 0;\n");
+        for d in 0..1024 {
+            src.push_str(&format!("n = n + size % {};\n", d % 61 + 2));
+        }
+        src.push_str("return n;");
+        let mut d = ShardedDigest::compile(&src, &schema(), 4).unwrap();
+        assert_eq!(d.tier(), ecode::ExecTier::Fused);
+        assert_eq!(d.shard_count(), 1);
+        assert_eq!(
+            d.batch_bail(),
+            Some(ecode::BatchBail::NotLowered(ecode::Bail::TooManyOps))
+        );
+        let mut seq = Instance::new(&d.program);
+        for i in 0..50u64 {
+            let row = [(i * 7919 % 10_007) as i64, 80];
+            d.ingest_raw(i, &row);
+            seq.run_raw(&row, d.fuel_bound()).unwrap();
+        }
+        assert_eq!(d.merged().unwrap().raw_globals(), seq.raw_globals());
+        assert_eq!(d.stats().aborted, 0);
+    }
+
     #[test]
     fn merged_cache_invalidates_on_ingest() {
         let schema = schema();
@@ -672,9 +692,7 @@ mod tests {
     /// through a merge: `merged()` is a flush + drain barrier.
     #[test]
     fn merge_drains_partial_batches() {
-        let mut d =
-            ShardedDigest::compile_with(MERGEABLE, &schema(), 4, DigestConfig { flush_rows: 4096 })
-                .unwrap();
+        let mut d = ShardedDigest::compile_flushing(MERGEABLE, &schema(), 4, 4096).unwrap();
         for i in 0..17u64 {
             d.ingest_raw(i, &[10, 80]);
         }
@@ -742,8 +760,7 @@ mod tests {
         let schema = schema();
         let mut seq = ShardedDigest::compile(MERGEABLE, &schema, 1).unwrap();
         let mut par =
-            ShardedDigest::compile_with(MERGEABLE, &schema, shards, DigestConfig { flush_rows })
-                .unwrap();
+            ShardedDigest::compile_flushing(MERGEABLE, &schema, shards, flush_rows).unwrap();
         for &(key, size, port) in records {
             seq.ingest_raw(key, &[size, port]);
             par.ingest_raw(key, &[size, port]);
