@@ -14,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 run_analyzer() {
-    echo "==> sysprof-analyzer (determinism + unsafe hygiene, hard gate)"
+    echo "==> sysprof-analyzer (determinism, unsafe hygiene, unreached public surface; hard gate)"
     # Exit 1 = unwaived findings, 2 = bad analyzer.toml; both fail CI.
     cargo run -q -p sysprof-analyzer -- --quiet
 }

@@ -30,7 +30,7 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub severity: Severity,
-    /// Stable rule code (`D0001`..`U0002`).
+    /// Stable rule code (`D0001`..`U0002`, `P0001`).
     pub code: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: PathBuf,

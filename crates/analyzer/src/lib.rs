@@ -1,4 +1,5 @@
-//! sysprof-analyzer: workspace determinism and unsafe-code hygiene.
+//! sysprof-analyzer: workspace determinism, unsafe-code hygiene and
+//! the public-surface census.
 //!
 //! The reproduction's headline property is that a scenario seed fully
 //! determines every trace, dump, and wire byte. That property is easy
@@ -20,6 +21,7 @@
 //! | D0005 | `Instant::now()`/`SystemTime::now()` calls anywhere (no path exemption) |
 //! | U0001 | `unsafe` without an adjacent `// SAFETY:` comment |
 //! | U0002 | raw-pointer arithmetic (no file is exempt) |
+//! | P0001 | `pub` items under `crates/*/src` that nothing outside their own unit tests names |
 //!
 //! Findings are fixed, not silenced; the rare genuinely-sound site is
 //! waived in `analyzer.toml` with a written justification ([`waiver`]).
@@ -36,7 +38,7 @@ pub mod scan;
 pub mod waiver;
 
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use diag::Diagnostic;
 use waiver::Waiver;
@@ -87,31 +89,62 @@ pub fn gate(report: &Report, allow_stale_waivers: bool) -> u8 {
     }
 }
 
-/// Analyzes a single file's source text (workspace-relative `rel` path
-/// decides path-based rule exemptions). Excerpts are captured; waivers
-/// are applied by the caller.
+/// Analyzes a single file's source text with the per-file rules
+/// (workspace-relative `rel` path decides path-based rule exemptions).
+/// Excerpts are captured; waivers are applied by the caller.
 pub fn analyze_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
-    let lexed = lexer::lex(src);
+    let mut diags = rules::run_all(rel, &lexer::lex(src), src);
+    capture_excerpts(&mut diags, src);
+    diags
+}
+
+fn capture_excerpts(diags: &mut [Diagnostic], src: &str) {
     let lines: Vec<&str> = src.lines().collect();
-    let mut diags = rules::run_all(rel, &lexed, src);
-    for d in &mut diags {
+    for d in diags {
         d.excerpt = lines
             .get(d.line.saturating_sub(1) as usize)
             .map(|l| l.to_string());
     }
-    diags
 }
 
-/// Runs the full pass: discover sources under `root`, analyze each,
-/// then apply `waivers` (first matching waiver wins per finding).
-pub fn analyze_workspace(root: &Path, waivers: &[Waiver]) -> io::Result<Report> {
-    let files = scan::rust_sources(root)?;
-    let files_scanned = files.len();
+/// Analyzes a set of `(workspace-relative path, source)` files as one
+/// workspace: the per-file rules on each, then the cross-file
+/// public-surface census ([`rules::p0001`]) over all of them.
+/// Diagnostics come back in (file, line, code) order.
+pub fn analyze_sources(files: &[(PathBuf, String)]) -> Vec<Diagnostic> {
+    let lexed: Vec<lexer::Lexed> = files.iter().map(|(_, src)| lexer::lex(src)).collect();
     let mut diagnostics = Vec::new();
-    for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))?;
-        diagnostics.extend(analyze_source(rel, &src));
+    for ((rel, src), lexed) in files.iter().zip(&lexed) {
+        let mut diags = rules::run_all(rel, lexed, src);
+        capture_excerpts(&mut diags, src);
+        diagnostics.extend(diags);
     }
+    let scan_set: Vec<(&Path, &lexer::Lexed)> = files
+        .iter()
+        .zip(&lexed)
+        .map(|((rel, _), lexed)| (rel.as_path(), lexed))
+        .collect();
+    for mut d in rules::p0001(&scan_set) {
+        if let Some((_, src)) = files.iter().find(|(rel, _)| *rel == d.file) {
+            capture_excerpts(std::slice::from_mut(&mut d), src);
+        }
+        diagnostics.push(d);
+    }
+    diagnostics.sort_by(|a, b| (&a.file, a.line, a.code).cmp(&(&b.file, b.line, b.code)));
+    diagnostics
+}
+
+/// Runs the full pass: discover sources under `root`, analyze them as
+/// one workspace, then apply `waivers` (first matching waiver wins per
+/// finding).
+pub fn analyze_workspace(root: &Path, waivers: &[Waiver]) -> io::Result<Report> {
+    let mut files = Vec::new();
+    for rel in scan::rust_sources(root)? {
+        let src = std::fs::read_to_string(root.join(&rel))?;
+        files.push((rel, src));
+    }
+    let files_scanned = files.len();
+    let mut diagnostics = analyze_sources(&files);
     let mut used = vec![false; waivers.len()];
     for d in &mut diagnostics {
         if let Some((i, w)) = waivers.iter().enumerate().find(|(_, w)| w.covers(d)) {
@@ -135,7 +168,6 @@ pub fn analyze_workspace(root: &Path, waivers: &[Waiver]) -> io::Result<Report> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     #[test]
     fn analyze_source_captures_excerpts() {

@@ -40,7 +40,8 @@ fn main() -> ExitCode {
                 println!(
                     "sysprof-analyzer [--root DIR] [--config FILE] [--quiet] [--json] \
                      [--allow-stale-waivers]\n\
-                     Static determinism (D-rules) and unsafe-hygiene (U-rules) pass.\n\
+                     Static determinism (D-rules), unsafe-hygiene (U-rules) and\n\
+                     public-surface (P-rules) pass.\n\
                      Exit: 0 clean, 1 unwaived findings, 2 config/I-O error.\n\
                      Stale (unmatched) waivers exit 2 unless --allow-stale-waivers."
                 );

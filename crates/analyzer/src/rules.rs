@@ -3,7 +3,9 @@
 //! Determinism rules (`D`) guard the property the whole reproduction
 //! rests on: two runs of the same scenario must produce byte-identical
 //! traces, dumps, and wire bytes. Unsafe-hygiene rules (`U`) guard the
-//! one crate that is allowed to hold `unsafe` code (the E-Code VM).
+//! one crate that is allowed to hold `unsafe` code (the E-Code VM). The
+//! public-surface rule (`P`) is the one pass that reads the whole scan
+//! set at once ([`p0001`]).
 //!
 //! All rules are token-stream heuristics over [`crate::lexer::lex`]
 //! output — there is no type information, so each rule is written to
@@ -612,6 +614,179 @@ fn u0002(file: &Path, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
+}
+
+// ---------------------------------------------------------------- P0001
+
+/// Item keywords whose `pub` definitions the census covers.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type"];
+
+/// Whether `file` is product source whose public items P0001 audits
+/// (`crates/<name>/src/...`); every other scanned file is read for
+/// callers only.
+fn is_crate_src(file: &Path) -> bool {
+    let mut parts = file.components().map(|c| c.as_os_str());
+    parts.next().is_some_and(|p| p == "crates")
+        && parts.next().is_some()
+        && parts.next().is_some_and(|p| p == "src")
+}
+
+/// Marks the tokens of every item gated by `#[cfg(test)]`: from the
+/// attribute through the item's closing `}` (or `;`).
+fn mark_test_items(t: &[SpannedTok], skip: &mut [bool]) {
+    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let matches_at = |i: usize| {
+        CFG_TEST
+            .iter()
+            .enumerate()
+            .all(|(k, want)| match t.get(i + k).map(|s| &s.tok) {
+                Some(Tok::Ident(s)) => s == want,
+                Some(Tok::Punct(c)) => want.len() == 1 && want.starts_with(*c),
+                _ => false,
+            })
+    };
+    let mut i = 0;
+    while i < t.len() {
+        if !matches_at(i) {
+            i += 1;
+            continue;
+        }
+        // Further attributes, then the item header up to its body.
+        let mut j = i + CFG_TEST.len();
+        while j < t.len() {
+            match t[j].tok {
+                Tok::Punct('(' | '[') => j = after_group(t, j),
+                Tok::Punct('{') => {
+                    j = after_group(t, j);
+                    break;
+                }
+                Tok::Punct(';') => {
+                    j += 1;
+                    break;
+                }
+                _ => j += 1,
+            }
+        }
+        skip[i..j.min(t.len())].fill(true);
+        i = j;
+    }
+}
+
+/// Marks the tokens of every `use` declaration: an import (or a
+/// re-export) names an item without calling it.
+fn mark_use_decls(t: &[SpannedTok], skip: &mut [bool]) {
+    let mut i = 0;
+    while i < t.len() {
+        if ident(t, i) == Some("use") {
+            while i < t.len() && !is_punct(t, i, ';') {
+                skip[i] = true;
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+}
+
+/// The name token of the plain-`pub` item starting at `t[i] == pub`, if
+/// it is one of [`ITEM_KEYWORDS`]. `pub(crate)`/`pub(super)` items are
+/// rustc's `dead_code` lint's to police.
+fn pub_item_name(t: &[SpannedTok], i: usize) -> Option<usize> {
+    if ident(t, i) != Some("pub") || is_punct(t, i + 1, '(') {
+        return None;
+    }
+    let mut j = i + 1;
+    loop {
+        match ident(t, j)? {
+            "unsafe" | "async" => j += 1,
+            "const" if matches!(ident(t, j + 1), Some("fn" | "unsafe" | "async" | "extern")) => {
+                j += 1
+            }
+            "extern" => {
+                j += if matches!(t.get(j + 1)?.tok, Tok::Literal) {
+                    2
+                } else {
+                    1
+                }
+            }
+            kw => {
+                return (ITEM_KEYWORDS.contains(&kw) && ident(t, j + 1).is_some()).then_some(j + 1)
+            }
+        }
+    }
+}
+
+/// The public-surface census, a pass over the whole scan set: a plain
+/// `pub fn/struct/enum/trait/const/type` defined outside test code under
+/// `crates/*/src` is a finding when its name is used in no other scanned
+/// file and nowhere else in its own file's non-test code. `use`
+/// declarations do not count as uses, so a re-export cannot keep an
+/// uncalled item alive. Names are compared as bare identifiers — there
+/// is no path resolution — so an item that shares its name with
+/// anything used elsewhere stays silent.
+pub fn p0001(files: &[(&Path, &Lexed)]) -> Vec<Diagnostic> {
+    // Per file: which tokens count as uses at all, and which of those
+    // are outside test items.
+    let masks: Vec<(Vec<bool>, Vec<bool>)> = files
+        .iter()
+        .map(|(_, lexed)| {
+            let mut in_use = vec![false; lexed.toks.len()];
+            mark_use_decls(&lexed.toks, &mut in_use);
+            let mut in_test = vec![false; lexed.toks.len()];
+            mark_test_items(&lexed.toks, &mut in_test);
+            (in_use, in_test)
+        })
+        .collect();
+    // Name -> the files it is used in (indices into `files`, ascending).
+    let mut used_in: std::collections::BTreeMap<&str, Vec<usize>> = Default::default();
+    for (f, (_, lexed)) in files.iter().enumerate() {
+        for (i, st) in lexed.toks.iter().enumerate() {
+            if let (Tok::Ident(name), false) = (&st.tok, masks[f].0[i]) {
+                let seen = used_in.entry(name).or_default();
+                if seen.last() != Some(&f) {
+                    seen.push(f);
+                }
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    for (f, (file, lexed)) in files.iter().enumerate() {
+        if !is_crate_src(file) {
+            continue;
+        }
+        let t = &lexed.toks;
+        let (in_use, in_test) = &masks[f];
+        for i in 0..t.len() {
+            let Some(def) = pub_item_name(t, i).filter(|_| !in_test[i]) else {
+                continue;
+            };
+            let name = ident(t, def).expect("pub_item_name returns an identifier");
+            let elsewhere = used_in
+                .get(name)
+                .is_some_and(|fs| fs.iter().any(|&g| g != f));
+            let own_code = (0..t.len())
+                .any(|k| k != def && !in_use[k] && !in_test[k] && ident(t, k) == Some(name));
+            if elsewhere || own_code {
+                continue;
+            }
+            out.push(Diagnostic::error(
+                "P0001",
+                file.to_path_buf(),
+                t[def].line,
+                format!(
+                    "`pub {} {name}` is named nowhere outside its own file's test code",
+                    ident(t, def - 1).unwrap_or("item")
+                ),
+                "public surface nothing reaches is code every reader must still \
+                 understand and every refactor must still carry; a unit test that is \
+                 the item's only caller tests nothing the product does",
+                "delete the item together with the tests that exist only to call it; \
+                 if a remaining test needs it to reach a safety behaviour of reachable \
+                 code, waive it in analyzer.toml and say which",
+            ));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use sysprof_analyzer::analyze_source;
+use sysprof_analyzer::{analyze_source, analyze_sources};
 
 /// Analyzes a fixture as if it lived at a normal workspace path (rule
 /// path-exemptions must not apply to it).
@@ -167,4 +167,51 @@ fn scenario_library_fixture_golden() {
             ("D0003", 50),
         ],
     );
+}
+
+/// P0001 is the one cross-file rule: the fixture is two files, product
+/// source and a caller, analyzed as one workspace.
+#[test]
+fn p0001_unreachable_pub_golden() {
+    let files = [
+        (
+            PathBuf::from("crates/fixture/src/p0001.rs"),
+            include_str!("fixtures/p0001_unreachable_pub.rs").to_owned(),
+        ),
+        (
+            PathBuf::from("tests/p0001_callers.rs"),
+            include_str!("fixtures/p0001_callers.rs").to_owned(),
+        ),
+    ];
+    let got: Vec<(String, &str, u32)> = analyze_sources(&files)
+        .into_iter()
+        .map(|d| (d.file.display().to_string(), d.code, d.line))
+        .collect();
+    let src = "crates/fixture/src/p0001.rs".to_owned();
+    let want: Vec<(String, &str, u32)> = [5, 9, 11, 13, 17]
+        .into_iter()
+        .map(|line| (src.clone(), "P0001", line))
+        .collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn p0001_reads_callers_everywhere_but_audits_only_crate_sources() {
+    // The same product file with no caller file: everything only the
+    // caller named (two fns, the colliding `len`, `Knobs`) is a finding too.
+    let alone = [(
+        PathBuf::from("crates/fixture/src/p0001.rs"),
+        include_str!("fixtures/p0001_unreachable_pub.rs").to_owned(),
+    )];
+    let lines: Vec<u32> = analyze_sources(&alone).iter().map(|d| d.line).collect();
+    assert_eq!(lines, [5, 9, 11, 13, 17, 19, 23, 29, 31]);
+    // Outside crates/*/src nothing is audited, whatever it defines.
+    for path in [
+        "tests/p0001.rs",
+        "benchmark/src/p0001.rs",
+        "examples/p0001.rs",
+    ] {
+        let elsewhere = [(PathBuf::from(path), alone[0].1.clone())];
+        assert!(analyze_sources(&elsewhere).is_empty(), "{path}");
+    }
 }

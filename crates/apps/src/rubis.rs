@@ -207,12 +207,8 @@ impl RubisDriver {
             // SysProf reports.
             None => {
                 let loads = self.loads.borrow();
-                let score = |s: &NodeId| -> f64 {
-                    loads
-                        .load_of(*s)
-                        .map(|l| l.cpu_utilization + l.kernel_time_us / 10_000.0)
-                        .unwrap_or(0.5)
-                };
+                let score =
+                    |s: &NodeId| -> f64 { loads.load_of(*s).map(ServerLoad::score).unwrap_or(0.5) };
                 self.servers
                     .iter()
                     .copied()
@@ -441,7 +437,7 @@ fn run_rubis_inner(
         SysProf::deploy(&mut world, &servers, gpa_node, mc)
     });
 
-    let loads = Rc::new(RefCell::new(RaDispatcher::new(servers.clone())));
+    let loads = Rc::new(RefCell::new(RaDispatcher::new()));
     if config.resource_aware {
         let sp = sysprof.as_ref().expect("forced on");
         world.install_sink(

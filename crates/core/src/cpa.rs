@@ -17,6 +17,8 @@ use ecode::{ExecTier, Instance, Type, Value, VerifyError, VerifyLimits, VerifyRe
 use kprof::{Analyzer, AnalyzerOutcome, Event, EventMask, EventPayload, Interest, Predicate};
 use simcore::SimDuration;
 
+use crate::cost;
+
 /// The per-event inputs every CPA program sees, in order:
 ///
 /// | name       | meaning                                              |
@@ -58,7 +60,6 @@ pub struct CpaAnalyzer {
     mask: EventMask,
     predicate: Predicate,
     fuel_budget: u64,
-    ns_per_instr: f64,
     report: VerifyReport,
     /// Events whose program run returned nonzero.
     flagged: u64,
@@ -90,7 +91,6 @@ impl CpaAnalyzer {
             mask,
             predicate: Predicate::new(),
             fuel_budget,
-            ns_per_instr: 2.0,
             report,
             flagged: 0,
             events: 0,
@@ -216,7 +216,7 @@ impl Analyzer for CpaAnalyzer {
             }
         };
         AnalyzerOutcome {
-            cost: SimDuration::from_nanos((fuel_used as f64 * self.ns_per_instr) as u64),
+            cost: SimDuration::from_nanos((fuel_used as f64 * cost::NS_PER_ECODE_INSTR) as u64),
             buffer_full: false,
         }
     }

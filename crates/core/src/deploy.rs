@@ -178,7 +178,7 @@ impl SysProf {
     /// Compiles and installs a Custom Performance Analyzer (E-Code) on a
     /// node at runtime — §2's "custom analyzers can be dynamically
     /// created and downloaded into the kernel". Returns the analyzer id
-    /// for later inspection or removal.
+    /// for later inspection or deactivation (`Kprof::set_active`).
     ///
     /// # Errors
     ///
@@ -193,17 +193,6 @@ impl SysProf {
     ) -> Result<AnalyzerId, crate::CpaError> {
         let cpa = crate::CpaAnalyzer::compile(name, source, mask)?;
         Ok(world.kprof_mut(node).register(Box::new(cpa)))
-    }
-
-    /// Writes the GPA's state summary to disk as JSON — the paper's
-    /// "periodically dumps its information onto local disk … for purposes
-    /// of auditing, workload prediction, and system modeling".
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn dump_gpa_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.gpa.borrow().dump_json())
     }
 
     /// Subscribes an additional consumer endpoint to a topic on a

@@ -23,6 +23,7 @@ use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, Port};
 use simos::{KernelOutput, KernelSend, KernelSink, Message};
 
+use crate::cost;
 use crate::daemon::{split_frames, CONTROL_PORT};
 use crate::records::{InteractionRecord, LoadRecord};
 
@@ -33,8 +34,6 @@ pub struct GpaConfig {
     /// (choose ≥ the deployed `ClockSpec` bound; the paper's testbed is
     /// NTP-disciplined).
     pub clock_error_bound: SimDuration,
-    /// CPU cost per ingested record (charged on the GPA node).
-    pub per_record_cost: SimDuration,
     /// Cap on retained interaction records, and separately on retained
     /// load reports (oldest evicted first, each eviction counted in
     /// [`GpaStats::records_evicted`]).
@@ -43,13 +42,6 @@ pub struct GpaConfig {
     /// sender has evicted the range, or the path is dead). Abandoned
     /// gaps are counted in [`GpaStats::gaps_abandoned`], never silent.
     pub gap_nack_limit: u32,
-    /// Minimum wall-clock spacing between NACKs for the same gap. A
-    /// retransmit burst after a partition heals can deliver many batches
-    /// within microseconds; without pacing each one would burn a NACK
-    /// from the gap budget before the first NACK's retransmit has had a
-    /// round trip's chance to arrive. Must comfortably exceed the
-    /// network RTT.
-    pub nack_pace: SimDuration,
     /// Record every in-order batch delivery `(source, seq)` for
     /// test-harness monotonicity assertions. Off by default; when on, the
     /// log keeps the last [`max_records`](GpaConfig::max_records) entries.
@@ -60,14 +52,20 @@ impl Default for GpaConfig {
     fn default() -> Self {
         GpaConfig {
             clock_error_bound: SimDuration::from_millis(1),
-            per_record_cost: SimDuration::from_nanos(600),
             max_records: 1_000_000,
             gap_nack_limit: 5,
-            nack_pace: SimDuration::from_millis(5),
             log_deliveries: false,
         }
     }
 }
+
+/// Minimum wall-clock spacing between NACKs for the same gap. A
+/// retransmit burst after a partition heals can deliver many batches
+/// within microseconds; without pacing each one would burn a NACK from
+/// the gap budget before the first NACK's retransmit has had a round
+/// trip's chance to arrive. Comfortably exceeds the simulated networks'
+/// RTTs.
+const NACK_PACE: SimDuration = SimDuration::from_millis(5);
 
 /// Reliable-delivery counters on the GPA's receive side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,9 +87,6 @@ pub struct GpaStats {
     pub nacks_sent: u64,
     /// Cumulative data ACKs sent back to daemons.
     pub acks_sent: u64,
-    /// Batches that carried no sequence header (legacy/foreign senders);
-    /// ingested directly with no reliability guarantees.
-    pub unsequenced_batches: u64,
     /// Records (interaction or load) dropped from the old end of their
     /// retained window because it was at [`GpaConfig::max_records`].
     /// They stay in the class aggregates, load statistics and digest;
@@ -381,8 +376,8 @@ impl Gpa {
     /// control port. `self_ep` is this GPA's data endpoint, named in
     /// replies so the daemon knows which subscription stream they govern.
     ///
-    /// Unsequenced input (no valid header) is ingested directly and
-    /// produces no replies.
+    /// Input whose sequence header does not parse is a decode failure:
+    /// nothing is ingested and nothing is replied.
     ///
     /// Returns `(records_decoded, replies)`.
     pub fn ingest_wire(
@@ -393,8 +388,8 @@ impl Gpa {
         data: &[u8],
     ) -> (usize, Vec<ControlMsg>) {
         let Some((seq, payload)) = decode_batch(data) else {
-            self.gstats.unsequenced_batches += 1;
-            return (self.ingest_batch(src, data), Vec::new());
+            self.decode_failures += 1;
+            return (0, Vec::new());
         };
         self.gstats.batches_received += 1;
         let offer = self
@@ -433,9 +428,7 @@ impl Gpa {
                         st.last_nack_at = None;
                         self.gstats.gaps_detected += 1;
                     }
-                    let paced_out = st
-                        .last_nack_at
-                        .is_some_and(|t| now_wall < t + self.config.nack_pace);
+                    let paced_out = st.last_nack_at.is_some_and(|t| now_wall < t + NACK_PACE);
                     if paced_out {
                         // An outstanding NACK's retransmit may still be in
                         // flight; don't burn budget on burst arrivals.
@@ -690,21 +683,6 @@ impl Gpa {
         self.load_history.as_slice()
     }
 
-    /// Nodes whose load reports have gone silent: their last report is
-    /// older than `timeout` as of `now_wall` (GPA-node wall clock). The
-    /// heartbeat-style failure detector the §3.2 motivation asks for —
-    /// a crashed or partitioned server stops publishing.
-    pub fn silent_nodes(&self, now_wall: SimTime, timeout: SimDuration) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .latest_load
-            .iter()
-            .filter(|(_, load)| now_wall.saturating_since(load.wall()) > timeout)
-            .map(|(n, _)| *n)
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Correlates interactions across nodes into end-to-end paths.
     ///
     /// Every retained record is a candidate parent and a candidate
@@ -835,12 +813,21 @@ impl KernelSink for GpaSink {
         _msg: Message,
         data: simos::Bytes,
     ) -> KernelOutput {
+        // `simos` hands a sink the late network duplicate of an already
+        // delivered kernel message with its payload gone: a duplicate,
+        // not a batch whose header does not parse.
+        if data.is_empty() {
+            self.gpa.borrow_mut().gstats.duplicate_batches += 1;
+            return KernelOutput {
+                cost: cost::GPA_RECORD,
+                ..Default::default()
+            };
+        }
         let (n, replies) = {
             let mut gpa = self.gpa.borrow_mut();
             gpa.ingest_wire(now_wall, self.self_ep, src, &data)
         };
-        let cost = self.gpa.borrow().config.per_record_cost * (n as u64 + 1)
-            + SimDuration::from_micros(replies.len() as u64);
+        let cost = cost::GPA_RECORD * (n as u64 + 1) + cost::GPA_REPLY * replies.len() as u64;
         let sends = replies
             .into_iter()
             .map(|msg| KernelSend {
@@ -899,7 +886,7 @@ impl KernelSink for ControlReplySink {
                 });
         }
         KernelOutput {
-            cost: SimDuration::from_micros(1),
+            cost: cost::GPA_SUBSCRIBE_NACK,
             ..Default::default()
         }
     }
@@ -960,8 +947,7 @@ mod tests {
         fn new() -> Feed {
             let mut hub = pubsub::Hub::new();
             let t = hub.topic("t");
-            hub.subscribe(t, EndPoint::new(Ip(99), Port(9999)), None)
-                .unwrap();
+            hub.subscribe(t, EndPoint::new(Ip(99), Port(9999))).unwrap();
             Feed {
                 hub,
                 batch: Vec::new(),
@@ -1318,27 +1304,6 @@ mod tests {
     }
 
     #[test]
-    fn silent_nodes_flags_stale_reporters() {
-        let mut g = Gpa::new(GpaConfig::default());
-        let mut feed = Feed::new();
-        for (node, at_ms) in [(1u32, 1_000u64), (2, 5_000)] {
-            feed.push_load(&LoadRecord {
-                node: NodeId(node),
-                wall_us: at_ms * 1_000,
-                cpu_utilization: 0.5,
-                mean_kernel_us: 1.0,
-                interactions: 1,
-                monitor_us: 0,
-            });
-        }
-        g.ingest_batch(SRC, &feed.take());
-        let now = SimTime::from_secs(6);
-        let silent = g.silent_nodes(now, SimDuration::from_secs(3));
-        assert_eq!(silent, vec![NodeId(1)], "node 1's reports are stale");
-        assert!(g.silent_nodes(now, SimDuration::from_secs(10)).is_empty());
-    }
-
-    #[test]
     fn percentiles_order_and_bracket_mean() {
         let mut g = Gpa::new(GpaConfig::default());
         for i in 1..=100u64 {
@@ -1511,13 +1476,19 @@ mod tests {
     }
 
     #[test]
-    fn unsequenced_batches_still_ingest() {
+    fn unparseable_sequence_header_is_a_decode_failure() {
         let mut g = Gpa::new(GpaConfig::default());
         let me = EndPoint::new(Ip(99), Port(9999));
         let src = EndPoint::new(Ip(1), Port(9997));
-        let (_, replies) = g.ingest_wire(SimTime::from_millis(1), me, src, &[]);
-        assert!(replies.is_empty(), "no reliability chatter for legacy data");
-        assert_eq!(g.gpa_stats().unsequenced_batches, 1);
+        // A truncated varint and one that never ends.
+        for data in [&[][..], &[0x80][..], &[0xFF; 11][..]] {
+            let (n, replies) = g.ingest_wire(SimTime::from_millis(1), me, src, data);
+            assert_eq!(n, 0);
+            assert!(replies.is_empty(), "nothing to acknowledge");
+        }
+        assert_eq!(g.decode_failures(), 3);
+        assert_eq!(g.interaction_count(), 0);
+        assert_eq!(g.gpa_stats(), GpaStats::default(), "no stream was opened");
     }
 
     #[test]

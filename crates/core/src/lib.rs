@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod controller;
+pub mod cost;
 mod cpa;
 mod daemon;
 mod deploy;
@@ -81,5 +82,5 @@ pub use gpa::{
 pub use lpa::{Lpa, LpaConfig};
 pub use query::{GpaAnswer, GpaQuery, GpaQuerySink, QueryClient, QUERY_PORT, QUERY_REPLY_PORT};
 pub use records::{InteractionRecord, LoadRecord, INTERACTION_TOPIC};
-/// The fixed-hasher tables; `LpaConfig`'s port sets are this module's `HashSet`.
+/// The fixed-hasher tables; `LpaConfig::service_ports` is this module's `HashSet`.
 pub use simcore::hash;

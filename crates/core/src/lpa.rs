@@ -24,7 +24,15 @@ use simcore::stats::OnlineStats;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FlowKey, Ip, Port};
 
+use crate::cost;
+use crate::daemon::{CONTROL_PORT, DATA_PORT};
 use crate::records::InteractionRecord;
+
+/// A message with no packets for this long is considered closed — the
+/// eviction that lets the *last* interaction of a conversation complete
+/// without waiting for a next request. Applied by [`Lpa::flush_idle`],
+/// which the dissemination daemon calls on its periodic wake.
+const IDLE_CLOSE: SimDuration = SimDuration::from_millis(50);
 
 /// LPA configuration — the knobs the SysProf controller turns.
 #[derive(Debug, Clone)]
@@ -34,10 +42,6 @@ pub struct LpaConfig {
     pub window: usize,
     /// CPUs on the node (one double buffer each).
     pub cpus: usize,
-    /// Base analysis cost reported per delivered event.
-    pub per_event_cost: SimDuration,
-    /// Additional cost when an interaction record is completed.
-    pub per_record_cost: SimDuration,
     /// Track scheduling events for user/blocked attribution. Turning this
     /// off halves event volume but zeroes `user_us`/`blocked_us`.
     pub track_scheduling: bool,
@@ -46,26 +50,9 @@ pub struct LpaConfig {
     /// for individual interactions" mode).
     pub class_only: bool,
     /// Only diagnose flows whose responder port is in this set (None =
-    /// all). Maps to a Kprof predicate.
+    /// all). Probed per completed interaction, which is why it is a
+    /// [`crate::hash::HashSet`] (fixed hasher) and not std's.
     pub service_ports: Option<HashSet<Port>>,
-    /// Flows touching these ports are ignored entirely (SysProf's own
-    /// dissemination traffic must not be diagnosed as interactions).
-    /// Probed twice per network event, which is why both port sets are
-    /// [`crate::hash::HashSet`]s (fixed hasher) and not std's.
-    pub exclude_ports: HashSet<Port>,
-    /// A message with no packets for this long is considered closed (the
-    /// eviction that lets the *last* interaction of a conversation
-    /// complete without waiting for a next request). Applied by
-    /// [`Lpa::flush_idle`], which the dissemination daemon calls on its
-    /// periodic wake.
-    pub idle_close: SimDuration,
-    /// Use ARM-style application correlators when events carry them
-    /// (processes opted in via `World::enable_arm`). Separates interleaved
-    /// requests on one flow — the paper's §2 caveat: "Multiple requests
-    /// may interleave, in which case domain-specific knowledge and/or ARM
-    /// support would be necessary." Flows without correlators fall back
-    /// to black-box message pairing.
-    pub use_arm_hints: bool,
 }
 
 impl Default for LpaConfig {
@@ -73,16 +60,9 @@ impl Default for LpaConfig {
         LpaConfig {
             window: 256,
             cpus: 1,
-            per_event_cost: SimDuration::from_nanos(350),
-            per_record_cost: SimDuration::from_nanos(500),
             track_scheduling: true,
             class_only: false,
             service_ports: None,
-            exclude_ports: [crate::daemon::DATA_PORT, crate::daemon::CONTROL_PORT]
-                .into_iter()
-                .collect(),
-            idle_close: SimDuration::from_millis(50),
-            use_arm_hints: false,
         }
     }
 }
@@ -148,9 +128,14 @@ impl FlowState {
     }
 }
 
-/// Per-correlator tracking state used when ARM hints are active: the
-/// request and response accumulate independently per application message
-/// id, so interleaved requests on one flow stay separate.
+/// Per-correlator tracking state for events that carry an ARM-style
+/// application correlator (their process opted in via
+/// `World::enable_arm`): the request and response accumulate
+/// independently per application message id, so interleaved requests on
+/// one flow stay separate — the paper's §2 caveat: "Multiple requests may
+/// interleave, in which case domain-specific knowledge and/or ARM support
+/// would be necessary." Events without a correlator take black-box
+/// message pairing.
 #[derive(Debug)]
 struct ArmState {
     req: Option<MsgAcc>,
@@ -301,8 +286,8 @@ impl Lpa {
         self.buffers.drain_all()
     }
 
-    /// Closes messages that have been idle for at least the configured
-    /// [`LpaConfig::idle_close`], completing any interactions they end.
+    /// Closes messages that have been idle for at least `IDLE_CLOSE`
+    /// (50 ms), completing any interactions they end.
     /// Returns how many messages were closed. Called by the dissemination
     /// daemon's periodic wake (the "window contents are evicted … after
     /// some time" behavior of §2).
@@ -313,7 +298,7 @@ impl Lpa {
             .filter(|(_, st)| {
                 st.cur
                     .as_ref()
-                    .map(|c| now.saturating_since(c.last_wall) >= self.config.idle_close)
+                    .map(|c| now.saturating_since(c.last_wall) >= IDLE_CLOSE)
                     .unwrap_or(false)
             })
             .map(|(k, _)| *k)
@@ -423,9 +408,11 @@ impl Lpa {
         }
     }
 
-    fn excluded(&self, flow: &FlowKey) -> bool {
-        self.config.exclude_ports.contains(&flow.src.port)
-            || self.config.exclude_ports.contains(&flow.dst.port)
+    /// SysProf's own dissemination traffic must not be diagnosed as
+    /// interactions.
+    fn excluded(flow: &FlowKey) -> bool {
+        let monitor = |p: Port| p == DATA_PORT || p == CONTROL_PORT;
+        monitor(flow.src.port) || monitor(flow.dst.port)
     }
 
     fn matches_service(&self, class_port: Port) -> bool {
@@ -663,9 +650,7 @@ impl Lpa {
 
     fn staged_push(&mut self, cpu: u16, record: InteractionRecord) {
         let cpu = (cpu as usize % self.buffers.cpus()) as u16;
-        // The buffer-full switch cost is folded into the analyzer cost
-        // reported for this event (see on_event).
-        self.pending_switch |= self.buffers.cpu_mut(cpu).push(record).is_some();
+        self.pending_switch |= self.buffers.cpu_mut(cpu).push(record);
     }
 }
 
@@ -734,13 +719,11 @@ impl Lpa {
         else {
             return false;
         };
-        if self.excluded(&flow) {
+        if Self::excluded(&flow) {
             return false;
         }
-        if self.config.use_arm_hints {
-            if let Some(arm) = arm {
-                return self.arm_event(point, flow, ev.wall, size, pid, arm, ev.cpu);
-            }
+        if let Some(arm) = arm {
+            return self.arm_event(point, flow, ev.wall, size, pid, arm, ev.cpu);
         }
         match point {
             NetPoint::RxNic => self.observe_packet(flow, ev.wall, size, pid, ev.cpu),
@@ -1011,7 +994,7 @@ impl Lpa {
         let mut stale: Vec<((FlowKey, u64), bool)> = self
             .arm_flows
             .iter()
-            .filter(|(_, st)| now.saturating_since(st.last_wall) >= self.config.idle_close)
+            .filter(|(_, st)| now.saturating_since(st.last_wall) >= IDLE_CLOSE)
             .map(|(k, st)| (*k, st.req.is_some() && st.resp.is_some()))
             .collect();
         // Completions emit records; flush in key order, not hash order.
@@ -1053,11 +1036,11 @@ impl Analyzer for Lpa {
     fn on_event(&mut self, event: &Event) -> AnalyzerOutcome {
         self.events_seen += 1;
         self.pending_switch = false;
-        let mut cost = self.config.per_event_cost;
+        let mut cost = cost::LPA_EVENT;
         match event.class() {
             kprof::EventClass::Scheduling => self.sched_event(event),
             kprof::EventClass::Network if self.net_event(event) => {
-                cost += self.config.per_record_cost;
+                cost += cost::LPA_RECORD;
             }
             _ => {}
         }
@@ -1426,20 +1409,12 @@ mod tests {
         )
     }
 
-    fn arm_lpa() -> Lpa {
-        let cfg = LpaConfig {
-            use_arm_hints: true,
-            ..Default::default()
-        };
-        Lpa::new(NodeId(1), ME, cfg)
-    }
-
     #[test]
     fn arm_hints_separate_interleaved_requests() {
         // The exact scenario the black-box tracker collapses (see
         // interleaved_requests_collapse_into_one_message): two pipelined
         // requests on one flow. With ARM correlators they separate.
-        let mut l = arm_lpa();
+        let mut l = lpa();
         let rf = req_flow();
         let tf = rf.reversed();
         let pid = Some(Pid(1));
@@ -1465,7 +1440,7 @@ mod tests {
 
     #[test]
     fn arm_completion_triggers_on_next_correlator() {
-        let mut l = arm_lpa();
+        let mut l = lpa();
         let rf = req_flow();
         let tf = rf.reversed();
         // Full exchange for id 1…
@@ -1486,7 +1461,7 @@ mod tests {
 
     #[test]
     fn arm_kernel_and_user_attribution() {
-        let mut l = arm_lpa();
+        let mut l = lpa();
         let rf = req_flow();
         let tf = rf.reversed();
         let pid = Pid(5);
@@ -1524,7 +1499,7 @@ mod tests {
 
     #[test]
     fn arm_request_without_response_is_evicted_silently() {
-        let mut l = arm_lpa();
+        let mut l = lpa();
         l.on_event(&net_arm(1_000, NetPoint::RxNic, req_flow(), 500, None, 7));
         l.flush_idle(SimTime::from_secs(1));
         assert_eq!(l.records_completed(), 0);
@@ -1543,11 +1518,29 @@ mod tests {
 
     #[test]
     fn untagged_flows_fall_back_to_blackbox_pairing() {
-        let mut l = arm_lpa();
-        // No arm on these events even though hints are enabled.
+        let mut l = lpa();
+        // Another client's process on this node links against ARM: its
+        // exchange is tracked per correlator…
+        let tagged = FlowKey::new(
+            EndPoint::new(CLIENT, Port(40001)),
+            EndPoint::new(ME, Port(2049)),
+        );
+        l.on_event(&net_arm(900, NetPoint::RxNic, tagged, 500, None, 1));
+        l.on_event(&net_arm(
+            1_900,
+            NetPoint::TxFromUser,
+            tagged.reversed(),
+            100,
+            Some(Pid(1)),
+            1,
+        ));
+        // …while the correlator-free flow beside it still pairs black-box.
         one_exchange(&mut l, 1_000);
         l.on_event(&net(50_000, NetPoint::RxNic, req_flow(), 1, None));
         assert_eq!(l.records_completed(), 1, "black-box path still works");
+        assert_eq!(l.window_snapshot().next().unwrap().flow, req_flow());
+        l.flush_idle(SimTime::from_secs(1));
+        assert_eq!(l.records_completed(), 2, "and the tagged exchange closed");
     }
 
     #[test]
@@ -1631,7 +1624,7 @@ mod tests {
                 peak = peak.max(l.flows.len());
             }
         }
-        // Only conversations younger than `idle_close` (50 ms = 50 of
+        // Only conversations younger than `IDLE_CLOSE` (50 ms = 50 of
         // them) are live at a wake, and one pid ever had a window open.
         assert!(peak <= 51, "{peak} flow states held at a daemon wake");
         assert!(l.open_windows.len() <= 1);
@@ -1850,15 +1843,10 @@ mod proptests {
         #[test]
         fn prop_lpa_total_and_records_sane(
             mut events in proptest::collection::vec(arb_event(), 0..300),
-            use_arm in any::<bool>(),
         ) {
             // Deliver in wall order (the kernel emits in order).
             events.sort_by_key(|e| e.wall);
-            let cfg = LpaConfig {
-                use_arm_hints: use_arm,
-                ..LpaConfig::default()
-            };
-            let mut lpa = Lpa::new(NodeId(1), ME, cfg);
+            let mut lpa = Lpa::new(NodeId(1), ME, LpaConfig::default());
             for (i, ev) in events.iter().enumerate() {
                 let out = lpa.on_event(ev);
                 prop_assert!(out.cost > SimDuration::ZERO);

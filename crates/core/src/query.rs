@@ -12,10 +12,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
-use simcore::{NodeId, SimDuration, SimTime};
+use simcore::{NodeId, SimTime};
 use simnet::{EndPoint, Port};
 use simos::{KernelOutput, KernelSend, KernelSink, Message, World};
 
+use crate::cost;
 use crate::gpa::Gpa;
 use crate::{ClassSummary, NodeLoadView};
 
@@ -97,7 +98,7 @@ impl KernelSink for GpaQuerySink {
         _msg: Message,
         data: simos::Bytes,
     ) -> KernelOutput {
-        let cost = SimDuration::from_micros(10); // lookup + encode
+        let cost = cost::GPA_QUERY;
         let Ok(envelope) = serde_json::from_slice::<QueryEnvelope>(&data) else {
             return KernelOutput {
                 cost,
@@ -163,7 +164,7 @@ impl KernelSink for ReplySink {
                 .push((envelope.id, envelope.answer));
         }
         KernelOutput {
-            cost: SimDuration::from_micros(3),
+            cost: cost::QUERY_ANSWER,
             ..Default::default()
         }
     }

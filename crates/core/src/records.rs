@@ -1,6 +1,6 @@
 //! The monitoring records SysProf produces, and their PBIO schemas.
 
-use pbio::{FieldType, Schema, Value};
+use pbio::{FieldType, Schema};
 use serde::{Deserialize, Serialize};
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, FlowKey, Ip, Port};
@@ -55,11 +55,6 @@ impl InteractionRecord {
     /// Total wall-clock latency at this node.
     pub fn total(&self) -> SimDuration {
         SimDuration::from_micros(self.end_us.saturating_sub(self.start_us))
-    }
-
-    /// Total kernel-level time (in + out).
-    pub fn kernel_total(&self) -> SimDuration {
-        SimDuration::from_micros(self.kernel_in_us + self.kernel_out_us)
     }
 
     /// The PBIO schema for interaction records.
@@ -143,14 +138,6 @@ impl InteractionRecord {
             blocked_us: r[16] as u64,
             blocked_io_us: r[17] as u64,
         })
-    }
-
-    /// The dynamic PBIO form of [`to_raw_row`](Self::to_raw_row), for the
-    /// general `RecordWriter`/`Hub::publish` path.
-    pub fn to_values(&self) -> Vec<Value> {
-        let mut row = Vec::new();
-        self.to_raw_row(&mut row);
-        pbio::row_to_values(&Self::schema(), &row).expect("one raw value per numeric field")
     }
 }
 
@@ -254,18 +241,12 @@ mod tests {
         rec.to_raw_row(&mut row);
         assert_eq!(row.len(), InteractionRecord::schema().len());
         assert_eq!(InteractionRecord::from_raw_row(&row), Some(rec));
-        // The dynamic form is the same row, typed by the schema.
-        let values = rec.to_values();
-        assert!(values.iter().all(|v| v.as_u64().is_some()));
-        let raw: Vec<i64> = values.iter().map(|v| v.to_raw().unwrap()).collect();
-        assert_eq!(raw, row);
     }
 
     #[test]
     fn interaction_derived_metrics() {
         let rec = sample();
         assert_eq!(rec.total(), SimDuration::from_micros(2_500));
-        assert_eq!(rec.kernel_total(), SimDuration::from_micros(780));
     }
 
     #[test]
@@ -285,8 +266,10 @@ mod tests {
         // the same record.
         let rec = sample();
         let schema = InteractionRecord::schema();
+        let mut row = Vec::new();
+        rec.to_raw_row(&mut row);
         let mut w = pbio::RecordWriter::new(&schema);
-        for v in rec.to_values() {
+        for v in pbio::row_to_values(&schema, &row).unwrap() {
             w.push_value(&v).unwrap();
         }
         let binary = w.finish().unwrap();

@@ -323,23 +323,9 @@ impl<R> Scheduler<R> {
         st
     }
 
-    /// The stream's current (dynamic) window constraint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream` is unknown.
-    pub fn current_window(&self, stream: StreamId) -> WindowConstraint {
-        self.streams[stream.0 as usize].cur
-    }
-
     /// Total requests queued across streams.
     pub fn pending(&self) -> usize {
         self.streams.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Number of registered streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 }
 
@@ -347,6 +333,11 @@ impl<R> Scheduler<R> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The stream's current (dynamic) window constraint.
+    fn window(s: &Scheduler<u32>, stream: StreamId) -> WindowConstraint {
+        s.streams[stream.0 as usize].cur
+    }
 
     fn spec(name: &str, period_ms: u64, x: u32, y: u32) -> StreamSpec {
         StreamSpec {
@@ -418,13 +409,13 @@ mod tests {
     fn window_resets_after_y_services() {
         let mut s: Scheduler<u32> = Scheduler::new();
         let st = s.add_stream(spec("s", 10, 1, 3));
-        assert_eq!(s.current_window(st), WindowConstraint { x: 1, y: 3 });
+        assert_eq!(window(&s, st), WindowConstraint { x: 1, y: 3 });
         for i in 0..2 {
             s.enqueue(st, i, SimTime::ZERO);
             s.next(SimTime::ZERO);
         }
         // After two services: y' went 3 -> 2 -> 1 == x' -> reset to 1/3.
-        assert_eq!(s.current_window(st), WindowConstraint { x: 1, y: 3 });
+        assert_eq!(window(&s, st), WindowConstraint { x: 1, y: 3 });
     }
 
     #[test]
@@ -434,11 +425,11 @@ mod tests {
         s.enqueue(st, 1, SimTime::ZERO);
         s.expire(SimTime::from_secs(1));
         // One miss: 2/5 -> 1/4.
-        assert_eq!(s.current_window(st), WindowConstraint { x: 1, y: 4 });
+        assert_eq!(window(&s, st), WindowConstraint { x: 1, y: 4 });
         s.enqueue(st, 2, SimTime::from_secs(2));
         s.expire(SimTime::from_secs(10));
         // Second miss: 1/4 -> 0/3.
-        assert_eq!(s.current_window(st), WindowConstraint { x: 0, y: 3 });
+        assert_eq!(window(&s, st), WindowConstraint { x: 0, y: 3 });
         assert_eq!(s.stats(st).violations, 0);
     }
 
@@ -454,7 +445,7 @@ mod tests {
         s.expire(SimTime::from_millis(50));
         s.enqueue(a, 0, SimTime::from_millis(60));
         s.expire(SimTime::from_millis(200));
-        assert_eq!(s.current_window(a).x, 0);
+        assert_eq!(window(&s, a).x, 0);
         // Now equal-deadline requests: `a` (0/2) beats `b` (1/4).
         let t = SimTime::from_millis(300);
         s.enqueue(a, 1, t);
@@ -602,7 +593,7 @@ mod tests {
                     now += SimDuration::from_millis(100);
                     s.expire(now);
                 }
-                let w = s.current_window(st);
+                let w = window(&s, st);
                 prop_assert!(w.x <= w.y, "x'={} y'={}", w.x, w.y);
                 prop_assert!(w.y <= 7);
                 prop_assert!(w.y >= 1);

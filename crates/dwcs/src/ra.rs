@@ -25,41 +25,27 @@ pub struct ServerLoad {
     pub reported_at: SimTime,
 }
 
-/// Weighted load score; higher = more loaded.
-fn score(load: &ServerLoad) -> f64 {
-    // CPU utilization dominates; kernel queueing time breaks ties and
-    // catches saturation that utilization alone under-reports.
-    load.cpu_utilization + load.kernel_time_us / 10_000.0
+impl ServerLoad {
+    /// Weighted load score; higher = more loaded. CPU utilization
+    /// dominates; kernel queueing time breaks ties and catches saturation
+    /// that utilization alone under-reports.
+    pub fn score(&self) -> f64 {
+        self.cpu_utilization + self.kernel_time_us / 10_000.0
+    }
 }
 
-/// The resource-aware dispatcher: tracks the most recent load report per
-/// server and picks targets for dispatched requests.
+/// The resource-aware dispatcher's view of the back end: the most recent
+/// load report per server. The dispatcher itself (which also knows each
+/// server's connection capacity) picks the least-[`score`](ServerLoad::score)d.
 #[derive(Debug, Default)]
 pub struct RaDispatcher {
     loads: HashMap<NodeId, ServerLoad>,
-    servers: Vec<NodeId>,
-    rr_next: usize,
-    /// Reports older than this are distrusted (stale servers look idle).
-    staleness: Option<simcore::SimDuration>,
 }
 
 impl RaDispatcher {
-    /// A dispatcher over the given servers, initially with no load
-    /// information (falls back to round-robin).
-    pub fn new(servers: Vec<NodeId>) -> Self {
-        RaDispatcher {
-            loads: HashMap::new(),
-            servers,
-            rr_next: 0,
-            staleness: Some(simcore::SimDuration::from_secs(5)),
-        }
-    }
-
-    /// Disables staleness checking (for tests).
-    #[must_use]
-    pub fn without_staleness(mut self) -> Self {
-        self.staleness = None;
-        self
+    /// No load information yet.
+    pub fn new() -> Self {
+        RaDispatcher::default()
     }
 
     /// Ingests a load report (from the GPA subscription).
@@ -71,50 +57,11 @@ impl RaDispatcher {
     pub fn load_of(&self, server: NodeId) -> Option<&ServerLoad> {
         self.loads.get(&server)
     }
-
-    /// Picks the dispatch target: the least-loaded server with a fresh
-    /// report. Servers without fresh reports participate via round-robin
-    /// when *no* fresh report exists at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if constructed with no servers.
-    pub fn pick(&mut self, now: SimTime) -> NodeId {
-        assert!(!self.servers.is_empty(), "dispatcher has no servers");
-        let fresh = |l: &ServerLoad| match self.staleness {
-            None => true,
-            Some(max_age) => now.saturating_since(l.reported_at) <= max_age,
-        };
-        let best = self
-            .servers
-            .iter()
-            .filter_map(|&s| {
-                self.loads
-                    .get(&s)
-                    .filter(|l| fresh(l))
-                    .map(|l| (s, score(l)))
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"));
-        match best {
-            Some((server, _)) => server,
-            None => {
-                let s = self.servers[self.rr_next % self.servers.len()];
-                self.rr_next += 1;
-                s
-            }
-        }
-    }
-
-    /// The servers being dispatched across.
-    pub fn servers(&self) -> &[NodeId] {
-        &self.servers
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimDuration;
 
     fn load(cpu: f64, ktime: f64, at_ms: u64) -> ServerLoad {
         ServerLoad {
@@ -125,65 +72,17 @@ mod tests {
     }
 
     #[test]
-    fn falls_back_to_round_robin_without_reports() {
-        let mut d = RaDispatcher::new(vec![NodeId(1), NodeId(2)]);
-        assert_eq!(d.pick(SimTime::ZERO), NodeId(1));
-        assert_eq!(d.pick(SimTime::ZERO), NodeId(2));
-        assert_eq!(d.pick(SimTime::ZERO), NodeId(1));
-    }
-
-    #[test]
-    fn picks_least_loaded() {
-        let mut d = RaDispatcher::new(vec![NodeId(1), NodeId(2)]).without_staleness();
-        d.update_load(NodeId(1), load(0.9, 100.0, 0));
-        d.update_load(NodeId(2), load(0.2, 100.0, 0));
-        assert_eq!(d.pick(SimTime::from_millis(1)), NodeId(2));
-        // Load flips: decision flips.
-        d.update_load(NodeId(2), load(0.95, 100.0, 0));
-        assert_eq!(d.pick(SimTime::from_millis(2)), NodeId(1));
-    }
-
-    #[test]
     fn kernel_time_breaks_cpu_ties() {
-        let mut d = RaDispatcher::new(vec![NodeId(1), NodeId(2)]).without_staleness();
-        d.update_load(NodeId(1), load(0.5, 9_000.0, 0));
-        d.update_load(NodeId(2), load(0.5, 100.0, 0));
-        assert_eq!(d.pick(SimTime::from_millis(1)), NodeId(2));
-    }
-
-    #[test]
-    fn stale_reports_are_ignored() {
-        let mut d = RaDispatcher::new(vec![NodeId(1), NodeId(2)]);
-        d.update_load(NodeId(1), load(0.1, 0.0, 0));
-        // 10 s later the report is stale; round-robin resumes.
-        let now = SimTime::from_secs(10);
-        let picks: Vec<NodeId> = (0..2).map(|_| d.pick(now)).collect();
-        assert_eq!(picks, vec![NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn fresh_report_beats_missing_report() {
-        let mut d = RaDispatcher::new(vec![NodeId(1), NodeId(2)]);
-        d.update_load(NodeId(2), load(0.99, 0.0, 100));
-        // Only node 2 has a fresh report; it is chosen even though loaded
-        // (known-state beats unknown-state).
-        assert_eq!(d.pick(SimTime::from_millis(200)), NodeId(2));
+        assert!(load(0.5, 9_000.0, 0).score() > load(0.5, 100.0, 0).score());
+        assert!(load(0.9, 100.0, 0).score() > load(0.2, 100.0, 0).score());
     }
 
     #[test]
     fn load_of_returns_latest() {
-        let mut d = RaDispatcher::new(vec![NodeId(1)]);
+        let mut d = RaDispatcher::new();
         assert!(d.load_of(NodeId(1)).is_none());
         d.update_load(NodeId(1), load(0.4, 1.0, 5));
         d.update_load(NodeId(1), load(0.6, 2.0, 6));
         assert_eq!(d.load_of(NodeId(1)).unwrap().cpu_utilization, 0.6);
-    }
-
-    #[test]
-    fn staleness_window_exact_boundary() {
-        let mut d = RaDispatcher::new(vec![NodeId(1), NodeId(2)]);
-        d.update_load(NodeId(1), load(0.1, 0.0, 0));
-        // Exactly at the boundary (5 s) the report still counts.
-        assert_eq!(d.pick(SimTime::ZERO + SimDuration::from_secs(5)), NodeId(1));
     }
 }

@@ -136,11 +136,6 @@ impl<T> Verified<T> {
     pub fn into_parts(self) -> (T, VerifyReport) {
         (self.value, self.report)
     }
-
-    /// Consumes the wrapper, returning just the value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 /// Verification failure: at least one error-severity [`Diagnostic`].

@@ -86,24 +86,13 @@ pub trait Analyzer: std::any::Any {
 pub struct CountingAnalyzer {
     mask: EventMask,
     seen: u64,
-    per_event_cost: SimDuration,
 }
 
 impl CountingAnalyzer {
-    /// Counts events matching `mask` at the default (60 ns) per-event cost.
+    /// Counts events matching `mask`, reporting
+    /// [`cost::COUNTING_EVENT`](crate::cost::COUNTING_EVENT) for each.
     pub fn new(mask: EventMask) -> Self {
-        CountingAnalyzer {
-            mask,
-            seen: 0,
-            per_event_cost: SimDuration::from_nanos(60),
-        }
-    }
-
-    /// Overrides the cost the analyzer reports per event.
-    #[must_use]
-    pub fn with_cost(mut self, cost: SimDuration) -> Self {
-        self.per_event_cost = cost;
-        self
+        CountingAnalyzer { mask, seen: 0 }
     }
 
     /// Number of events delivered so far.
@@ -123,7 +112,7 @@ impl Analyzer for CountingAnalyzer {
 
     fn on_event(&mut self, _event: &Event) -> AnalyzerOutcome {
         self.seen += 1;
-        AnalyzerOutcome::cost(self.per_event_cost)
+        AnalyzerOutcome::cost(crate::cost::COUNTING_EVENT)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -143,7 +132,7 @@ mod tests {
 
     #[test]
     fn counting_analyzer_counts_and_costs() {
-        let mut a = CountingAnalyzer::new(EventMask::ALL).with_cost(SimDuration::from_nanos(10));
+        let mut a = CountingAnalyzer::new(EventMask::ALL);
         let ev = Event {
             seq: 0,
             node: NodeId(0),
@@ -152,7 +141,7 @@ mod tests {
             payload: EventPayload::ProcessWake { pid: Pid(1) },
         };
         let out = a.on_event(&ev);
-        assert_eq!(out.cost, SimDuration::from_nanos(10));
+        assert_eq!(out.cost, crate::cost::COUNTING_EVENT);
         assert!(!out.buffer_full);
         assert_eq!(a.events_seen(), 1);
         assert_eq!(a.name(), "counting");

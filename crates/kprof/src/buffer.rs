@@ -5,17 +5,13 @@
 //! the LPA switches to the next buffer. Each such buffer switch requires
 //! interrupts to be disabled locally to avoid data corruption." (§2)
 //!
-//! The simulation models the interrupt-disable window as a fixed cost the
-//! caller charges when [`DoubleBuffer::push`] reports a switch.
-
-use simcore::SimDuration;
+//! [`DoubleBuffer::push`] reports each switch so the caller can notify the
+//! daemon; the interrupt-disable window itself is not charged.
 
 /// Which of the two buffers is currently active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufferSide {
-    /// Buffer A is active.
+enum BufferSide {
     A,
-    /// Buffer B is active.
     B,
 }
 
@@ -43,8 +39,6 @@ pub struct DoubleBuffer<T> {
     capacity: usize,
     overwritten: u64,
     switches: u64,
-    /// Modeled cost of the interrupt-disable window around a switch.
-    switch_cost: SimDuration,
 }
 
 impl<T> DoubleBuffer<T> {
@@ -62,15 +56,7 @@ impl<T> DoubleBuffer<T> {
             capacity,
             overwritten: 0,
             switches: 0,
-            switch_cost: SimDuration::from_nanos(400),
         }
-    }
-
-    /// Overrides the modeled interrupt-disable cost per switch.
-    #[must_use]
-    pub fn with_switch_cost(mut self, cost: SimDuration) -> Self {
-        self.switch_cost = cost;
-        self
     }
 
     fn side(&self, side: BufferSide) -> &Vec<T> {
@@ -87,10 +73,10 @@ impl<T> DoubleBuffer<T> {
         }
     }
 
-    /// Appends a record to the active side. Returns `Some(cost)` when this
-    /// push filled the active buffer and triggered a switch (the caller
-    /// should notify the daemon and charge the cost); `None` otherwise.
-    pub fn push(&mut self, record: T) -> Option<SimDuration> {
+    /// Appends a record to the active side. Returns whether this push
+    /// filled the active buffer and triggered a switch (the caller should
+    /// notify the daemon).
+    pub fn push(&mut self, record: T) -> bool {
         let active = self.active;
         self.side_mut(active).push(record);
         if self.side(active).len() >= self.capacity {
@@ -102,35 +88,18 @@ impl<T> DoubleBuffer<T> {
             }
             self.active = inactive;
             self.switches += 1;
-            Some(self.switch_cost)
+            true
         } else {
-            None
+            false
         }
     }
 
-    /// Drains the **inactive** (full) side — what the daemon copies out on a
-    /// buffer-full notification.
-    pub fn drain_inactive(&mut self) -> Vec<T> {
-        let inactive = self.active.other();
-        std::mem::take(self.side_mut(inactive))
-    }
-
-    /// Drains both sides (used at shutdown / end of experiment so the tail
-    /// of the data is not lost).
+    /// Drains both sides, the full one first — what the daemon copies out
+    /// on a wake.
     pub fn drain_all(&mut self) -> Vec<T> {
         let mut out = std::mem::take(self.side_mut(self.active.other()));
         out.append(self.side_mut(self.active));
         out
-    }
-
-    /// Records in the active side.
-    pub fn active_len(&self) -> usize {
-        self.side(self.active).len()
-    }
-
-    /// Records waiting in the inactive side.
-    pub fn inactive_len(&self) -> usize {
-        self.side(self.active.other()).len()
     }
 
     /// Per-side capacity.
@@ -146,11 +115,6 @@ impl<T> DoubleBuffer<T> {
     /// Number of buffer switches so far.
     pub fn switches(&self) -> u64 {
         self.switches
-    }
-
-    /// Currently active side.
-    pub fn active_side(&self) -> BufferSide {
-        self.active
     }
 }
 
@@ -172,15 +136,6 @@ impl<T> PerCpuBuffers<T> {
         PerCpuBuffers {
             buffers: (0..cpus).map(|_| DoubleBuffer::new(capacity)).collect(),
         }
-    }
-
-    /// The buffer for a CPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    pub fn cpu(&self, cpu: u16) -> &DoubleBuffer<T> {
-        &self.buffers[cpu as usize]
     }
 
     /// The mutable buffer for a CPU.
@@ -219,14 +174,11 @@ mod tests {
     #[test]
     fn push_until_switch() {
         let mut db = DoubleBuffer::new(3);
-        assert!(db.push(1).is_none());
-        assert!(db.push(2).is_none());
-        let cost = db.push(3);
-        assert!(cost.is_some(), "third push fills and switches");
+        assert!(!db.push(1));
+        assert!(!db.push(2));
+        assert!(db.push(3), "third push fills and switches");
         assert_eq!(db.switches(), 1);
-        assert_eq!(db.active_side(), BufferSide::B);
-        assert_eq!(db.inactive_len(), 3);
-        assert_eq!(db.drain_inactive(), vec![1, 2, 3]);
+        assert_eq!(db.drain_all(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -237,7 +189,7 @@ mod tests {
         db.push(3);
         db.push(4); // switch #2: A not drained -> overwritten
         assert_eq!(db.overwritten(), 2);
-        assert_eq!(db.drain_inactive(), vec![3, 4]);
+        assert_eq!(db.drain_all(), vec![3, 4]);
     }
 
     #[test]
@@ -248,14 +200,7 @@ mod tests {
         }
         // Side A filled with 0,1,2 (switched), active B holds 3,4.
         assert_eq!(db.drain_all(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(db.active_len(), 0);
-        assert_eq!(db.inactive_len(), 0);
-    }
-
-    #[test]
-    fn switch_cost_is_configurable() {
-        let mut db = DoubleBuffer::new(1).with_switch_cost(SimDuration::from_micros(1));
-        assert_eq!(db.push(0), Some(SimDuration::from_micros(1)));
+        assert!(db.drain_all().is_empty());
     }
 
     #[test]
@@ -269,8 +214,6 @@ mod tests {
         let mut pc = PerCpuBuffers::new(2, 2);
         pc.cpu_mut(0).push(10);
         pc.cpu_mut(1).push(20);
-        assert_eq!(pc.cpu(0).active_len(), 1);
-        assert_eq!(pc.cpu(1).active_len(), 1);
         assert_eq!(pc.cpus(), 2);
         let mut all = pc.drain_all();
         all.sort_unstable();
@@ -284,9 +227,9 @@ mod tests {
             let mut db = DoubleBuffer::new(cap);
             let mut drained = 0u64;
             for i in 0..n {
-                if db.push(i).is_some() && i % 3 == 0 {
+                if db.push(i) && i % 3 == 0 {
                     // Daemon keeps up only sometimes.
-                    drained += db.drain_inactive().len() as u64;
+                    drained += db.drain_all().len() as u64;
                 }
             }
             drained += db.drain_all().len() as u64;

@@ -45,16 +45,6 @@ pub enum NetPoint {
     Drop,
 }
 
-impl NetPoint {
-    /// True for points on the receive path.
-    pub fn is_rx(self) -> bool {
-        matches!(
-            self,
-            NetPoint::RxNic | NetPoint::RxSocketBuffer | NetPoint::RxDeliverUser
-        )
-    }
-}
-
 /// Discriminant of an instrumentation point; each kind is one bit in an
 /// [`EventMask`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -131,7 +121,7 @@ impl EventKind {
 ///
 /// ```
 /// use kprof::{EventKind, EventMask};
-/// let m = EventMask::NETWORK | EventMask::only(EventKind::ContextSwitch);
+/// let m = EventMask::NETWORK.with(EventKind::ContextSwitch);
 /// assert!(m.contains(EventKind::NetRxNic));
 /// assert!(m.contains(EventKind::ContextSwitch));
 /// assert!(!m.contains(EventKind::FileRead));
@@ -153,11 +143,6 @@ impl EventMask {
     /// All FileSystem-class kinds.
     pub const FILESYSTEM: EventMask = EventMask(0b11_1111 << 14);
 
-    /// A mask with exactly one kind.
-    pub const fn only(kind: EventKind) -> EventMask {
-        EventMask(1 << kind as u32)
-    }
-
     /// A mask covering a whole class.
     pub fn class(class: EventClass) -> EventMask {
         match class {
@@ -177,12 +162,6 @@ impl EventMask {
     #[must_use]
     pub const fn with(self, kind: EventKind) -> EventMask {
         EventMask(self.0 | (1 << kind as u32))
-    }
-
-    /// Removes a kind, returning the reduced mask.
-    #[must_use]
-    pub const fn without(self, kind: EventKind) -> EventMask {
-        EventMask(self.0 & !(1 << kind as u32))
     }
 
     /// Set intersection.
@@ -484,18 +463,10 @@ mod tests {
     }
 
     #[test]
-    fn mask_with_without() {
+    fn mask_with_adds_one_kind() {
         let m = EventMask::NONE.with(EventKind::FileRead);
         assert!(m.contains(EventKind::FileRead));
         assert_eq!(m.len(), 1);
-        assert!(m.without(EventKind::FileRead).is_empty());
-    }
-
-    #[test]
-    fn only_mask_is_single_bit() {
-        for kind in EventKind::ALL {
-            assert_eq!(EventMask::only(kind).len(), 1);
-        }
     }
 
     #[test]
@@ -515,8 +486,6 @@ mod tests {
         assert_eq!(make(NetPoint::RxNic).kind(), EventKind::NetRxNic);
         assert_eq!(make(NetPoint::Drop).kind(), EventKind::NetDrop);
         assert_eq!(make(NetPoint::TxNicDone).kind(), EventKind::NetTxNicDone);
-        assert!(NetPoint::RxDeliverUser.is_rx());
-        assert!(!NetPoint::TxFromUser.is_rx());
     }
 
     #[test]

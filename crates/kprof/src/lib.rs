@@ -16,12 +16,12 @@
 //!   report their own cost,
 //! * [`Kprof`] — the per-node registry that dispatches events to
 //!   subscribed analyzers and accounts for every nanosecond of monitoring
-//!   overhead (the [`CostModel`]),
+//!   overhead (priced by the constants in [`cost`]),
 //! * [`DoubleBuffer`] / [`PerCpuBuffers`] — the per-CPU double-buffering
 //!   scheme LPAs use to hand data to the dissemination daemon.
 //!
 //! When no analyzer subscribes to an event kind, the instrumentation point
-//! costs only [`CostModel::disabled_hook`] — "almost negligible
+//! costs only [`cost::DISABLED_HOOK`] — "almost negligible
 //! perturbation for Kprof-instrumented operating system kernels".
 //!
 //! # Example
@@ -39,7 +39,7 @@
 //! );
 //! let result = kprof.emit(&ev);
 //! assert!(result.cost > simcore::SimDuration::ZERO);
-//! assert_eq!(kprof.counting_analyzer(id).unwrap().events_seen(), 1);
+//! assert_eq!(kprof.analyzer_as::<CountingAnalyzer>(id).unwrap().events_seen(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,6 +47,7 @@
 
 mod analyzer;
 mod buffer;
+pub mod cost;
 mod event;
 mod ids;
 mod predicate;
@@ -54,9 +55,9 @@ mod registry;
 mod trace;
 
 pub use analyzer::{Analyzer, AnalyzerId, AnalyzerOutcome, CountingAnalyzer, Interest};
-pub use buffer::{BufferSide, DoubleBuffer, PerCpuBuffers};
+pub use buffer::{DoubleBuffer, PerCpuBuffers};
 pub use event::{Event, EventClass, EventKind, EventMask, EventPayload, NetPoint};
 pub use ids::{BlockReason, DiskId, Fd, FileId, GroupId, Pid, SyscallKind};
 pub use predicate::{CompiledPredicate, Predicate};
-pub use registry::{CostModel, EmitResult, Kprof, KprofStats};
+pub use registry::{EmitResult, Kprof, KprofStats};
 pub use trace::TraceAnalyzer;

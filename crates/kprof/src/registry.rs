@@ -5,33 +5,9 @@ use simcore::hash::HashMap;
 use simcore::{NodeId, SimDuration, SimTime};
 
 use crate::{
-    Analyzer, AnalyzerId, CompiledPredicate, CountingAnalyzer, Event, EventKind, EventMask,
-    EventPayload, GroupId, Pid,
+    cost, Analyzer, AnalyzerId, CompiledPredicate, Event, EventKind, EventMask, EventPayload,
+    GroupId, Pid,
 };
-
-/// How much CPU time each piece of the monitoring path costs. All overhead
-/// in the simulation flows through this model, so experiments can quantify
-/// perturbation (the paper's "<1% … >10%" configurability claim).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Cost of an instrumentation point whose kind no analyzer subscribes
-    /// to (a branch on a mask word — "almost negligible perturbation").
-    pub disabled_hook: SimDuration,
-    /// Cost of assembling a binary event at an enabled point.
-    pub enabled_hook: SimDuration,
-    /// Dispatch cost per analyzer delivery (predicate check + call).
-    pub per_delivery: SimDuration,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            disabled_hook: SimDuration::from_nanos(5),
-            enabled_hook: SimDuration::from_nanos(150),
-            per_delivery: SimDuration::from_nanos(100),
-        }
-    }
-}
 
 /// Counters describing what the monitoring layer did on this node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,14 +68,13 @@ pub struct Kprof {
     full_scratch: Vec<AnalyzerId>,
     next_analyzer: u32,
     next_seq: u64,
-    cost_model: CostModel,
     stats: KprofStats,
     pid_groups: HashMap<Pid, GroupId>,
 }
 
 impl Kprof {
-    /// Creates a registry for `node` with the default cost model and all
-    /// event kinds globally enabled (but nothing subscribed).
+    /// Creates a registry for `node` with all event kinds globally enabled
+    /// (but nothing subscribed).
     pub fn new(node: NodeId) -> Self {
         Kprof {
             node,
@@ -110,20 +85,9 @@ impl Kprof {
             full_scratch: Vec::new(),
             next_analyzer: 0,
             next_seq: 0,
-            cost_model: CostModel::default(),
             stats: KprofStats::default(),
             pid_groups: HashMap::default(),
         }
-    }
-
-    /// Replaces the cost model (experiment configuration).
-    pub fn set_cost_model(&mut self, model: CostModel) {
-        self.cost_model = model;
-    }
-
-    /// The active cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
     }
 
     /// The node this registry instruments.
@@ -132,7 +96,7 @@ impl Kprof {
     }
 
     /// Registers an analyzer; its [`Interest`](crate::Interest) is read
-    /// immediately. Returns the id used for later updates or removal.
+    /// immediately. Returns the id used for later updates.
     pub fn register(&mut self, analyzer: Box<dyn Analyzer>) -> AnalyzerId {
         let id = AnalyzerId(self.next_analyzer);
         self.next_analyzer += 1;
@@ -148,16 +112,8 @@ impl Kprof {
         id
     }
 
-    /// Unregisters an analyzer, returning it if present.
-    pub fn unregister(&mut self, id: AnalyzerId) -> Option<Box<dyn Analyzer>> {
-        let pos = self.slots.iter().position(|s| s.id == id)?;
-        let slot = self.slots.remove(pos);
-        self.recompute_mask();
-        Some(slot.analyzer)
-    }
-
-    /// Enables or disables an analyzer without unregistering it (the
-    /// controller's on/off switch). Returns false if the id is unknown.
+    /// Enables or disables an analyzer (the controller's on/off switch).
+    /// Returns false if the id is unknown.
     pub fn set_active(&mut self, id: AnalyzerId, active: bool) -> bool {
         let Some(slot) = self.slots.iter_mut().find(|s| s.id == id) else {
             return false;
@@ -248,14 +204,14 @@ impl Kprof {
         let kind = event.kind();
         if !self.effective_mask.contains(kind) {
             self.stats.events_suppressed += 1;
-            self.stats.total_overhead += self.cost_model.disabled_hook;
+            self.stats.total_overhead += cost::DISABLED_HOOK;
             return EmitResult {
-                cost: self.cost_model.disabled_hook,
+                cost: cost::DISABLED_HOOK,
                 buffer_full: Vec::new(),
             };
         }
 
-        let mut cost = self.cost_model.enabled_hook;
+        let mut cost = cost::ENABLED_HOOK;
         self.stats.events_generated += 1;
 
         // Split borrows: the dispatch table and pid table are read while
@@ -265,7 +221,7 @@ impl Kprof {
         let pid_groups = &self.pid_groups;
         for &idx in &self.dispatch[kind as usize] {
             let slot = &mut self.slots[idx as usize];
-            cost += self.cost_model.per_delivery;
+            cost += cost::PER_DELIVERY;
             if !slot
                 .compiled
                 .matches(event, |pid| pid_groups.get(&pid).copied())
@@ -329,11 +285,6 @@ impl Kprof {
     pub fn analyzer_as_mut<T: 'static>(&mut self, id: AnalyzerId) -> Option<&mut T> {
         self.analyzer_mut(id)?.as_any_mut().downcast_mut::<T>()
     }
-
-    /// Convenience downcast: borrows a [`CountingAnalyzer`].
-    pub fn counting_analyzer(&self, id: AnalyzerId) -> Option<&CountingAnalyzer> {
-        self.analyzer_as::<CountingAnalyzer>(id)
-    }
 }
 
 impl std::fmt::Debug for Kprof {
@@ -350,7 +301,7 @@ impl std::fmt::Debug for Kprof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnalyzerOutcome, BlockReason, Interest, Predicate};
+    use crate::{AnalyzerOutcome, BlockReason, CountingAnalyzer, Interest, Predicate};
     use simcore::SimTime;
 
     fn wake(kprof: &mut Kprof, pid: u32) -> EmitResult {
@@ -366,7 +317,7 @@ mod tests {
     fn no_subscribers_means_disabled_hook_cost() {
         let mut kprof = Kprof::new(NodeId(0));
         let r = wake(&mut kprof, 1);
-        assert_eq!(r.cost, kprof.cost_model().disabled_hook);
+        assert_eq!(r.cost, cost::DISABLED_HOOK);
         assert_eq!(kprof.stats().events_suppressed, 1);
         assert_eq!(kprof.stats().events_generated, 0);
     }
@@ -376,10 +327,9 @@ mod tests {
         let mut kprof = Kprof::new(NodeId(0));
         kprof.register(Box::new(CountingAnalyzer::new(EventMask::SCHEDULING)));
         let r = wake(&mut kprof, 1);
-        let m = kprof.cost_model();
         assert_eq!(
             r.cost,
-            m.enabled_hook + m.per_delivery + SimDuration::from_nanos(60)
+            cost::ENABLED_HOOK + cost::PER_DELIVERY + cost::COUNTING_EVENT
         );
         assert_eq!(kprof.stats().events_delivered, 1);
     }
@@ -389,7 +339,7 @@ mod tests {
         let mut kprof = Kprof::new(NodeId(0));
         kprof.register(Box::new(CountingAnalyzer::new(EventMask::FILESYSTEM)));
         let r = wake(&mut kprof, 1);
-        assert_eq!(r.cost, kprof.cost_model().disabled_hook);
+        assert_eq!(r.cost, cost::DISABLED_HOOK);
         assert_eq!(kprof.stats().events_suppressed, 1);
     }
 
@@ -400,7 +350,7 @@ mod tests {
         kprof.set_global_mask(EventMask::NONE);
         assert!(kprof.effective_mask().is_empty());
         let r = wake(&mut kprof, 1);
-        assert_eq!(r.cost, kprof.cost_model().disabled_hook);
+        assert_eq!(r.cost, cost::DISABLED_HOOK);
     }
 
     #[test]
@@ -414,15 +364,6 @@ mod tests {
         wake(&mut kprof, 1);
         assert_eq!(kprof.stats().events_delivered, 1);
         assert!(!kprof.set_active(AnalyzerId(99), true));
-    }
-
-    #[test]
-    fn unregister_removes_subscription() {
-        let mut kprof = Kprof::new(NodeId(0));
-        let id = kprof.register(Box::new(CountingAnalyzer::new(EventMask::SCHEDULING)));
-        assert!(kprof.unregister(id).is_some());
-        assert!(kprof.unregister(id).is_none());
-        assert!(kprof.effective_mask().is_empty());
     }
 
     /// Analyzer with a predicate, for registry-level predicate tests.

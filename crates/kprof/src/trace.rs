@@ -8,8 +8,6 @@
 
 use std::collections::VecDeque;
 
-use simcore::SimDuration;
-
 use crate::{Analyzer, AnalyzerOutcome, Event, EventMask, Interest, Predicate};
 
 /// An analyzer that captures raw events into a bounded ring buffer.
@@ -36,7 +34,6 @@ pub struct TraceAnalyzer {
     ring: VecDeque<Event>,
     captured: u64,
     dropped: u64,
-    per_event_cost: SimDuration,
 }
 
 impl TraceAnalyzer {
@@ -55,7 +52,6 @@ impl TraceAnalyzer {
             ring: VecDeque::with_capacity(capacity),
             captured: 0,
             dropped: 0,
-            per_event_cost: SimDuration::from_nanos(90),
         }
     }
 
@@ -132,7 +128,7 @@ impl Analyzer for TraceAnalyzer {
         }
         self.ring.push_back(*event);
         self.captured += 1;
-        AnalyzerOutcome::cost(self.per_event_cost)
+        AnalyzerOutcome::cost(crate::cost::TRACE_EVENT)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -24,18 +24,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The wire type of this value.
-    pub fn field_type(&self) -> FieldType {
-        match self {
-            Value::U64(_) => FieldType::U64,
-            Value::I64(_) => FieldType::I64,
-            Value::F64(_) => FieldType::F64,
-            Value::Bool(_) => FieldType::Bool,
-            Value::Str(_) => FieldType::Str,
-            Value::Bytes(_) => FieldType::Bytes,
-        }
-    }
-
     /// The value's raw-row bits (the convention of
     /// [`BatchEncoder`](crate::BatchEncoder): integers as-is, doubles via
     /// `f64::to_bits`, bools 0/1), or `None` for strings and bytes, which
@@ -447,7 +435,6 @@ mod tests {
         assert_eq!(Value::U64(3).as_u64(), Some(3));
         assert_eq!(Value::F64(1.5).as_u64(), None);
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
-        assert_eq!(Value::Bool(true).field_type(), FieldType::Bool);
     }
 
     proptest! {

@@ -96,11 +96,6 @@ impl Schema {
         false
     }
 
-    /// The index of a field by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
     /// Serializes the schema description (for the registry handshake).
     pub fn encode(&self, buf: &mut impl BufMut) {
         write_u64(buf, self.name.len() as u64);
@@ -232,11 +227,6 @@ impl SchemaRegistry {
         self.by_id.get(&id.0).ok_or(PbioError::UnknownSchema(id.0))
     }
 
-    /// Looks up a schema id by record-type name.
-    pub fn id_of(&self, name: &str) -> Option<SchemaId> {
-        self.by_name.get(name).copied()
-    }
-
     /// Number of registered schemas.
     pub fn len(&self) -> usize {
         self.by_id.len()
@@ -278,16 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn index_of_finds_fields() {
-        let s = sample();
-        assert_eq!(s.index_of("latency"), Some(0));
-        assert_eq!(s.index_of("ok"), Some(3));
-        assert_eq!(s.index_of("nope"), None);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.name(), "iact");
-    }
-
-    #[test]
     fn schema_encode_decode_round_trip() {
         let s = sample();
         let mut buf = Vec::new();
@@ -312,7 +292,6 @@ mod tests {
         let id2 = reg.register(&s);
         assert_eq!(id1, id2);
         assert_eq!(reg.get(id1).unwrap(), &s);
-        assert_eq!(reg.id_of("iact"), Some(id1));
         assert_eq!(reg.len(), 1);
     }
 

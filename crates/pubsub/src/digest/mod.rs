@@ -216,19 +216,6 @@ impl ShardedDigest {
         })
     }
 
-    /// Whether the plan admitted more than one replica.
-    pub fn is_sharded(&self) -> bool {
-        self.shard_count() > 1
-    }
-
-    /// Number of replicas actually running.
-    pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            Engine::Single { .. } => 1,
-            Engine::Parallel(p) => p.borrow().shards(),
-        }
-    }
-
     /// The shard-safety classification the replica count was decided by.
     pub fn plan(&self) -> &MergePlan {
         &self.plan
@@ -257,18 +244,6 @@ impl ShardedDigest {
     /// shard was requested, and batching never came up.
     pub fn batch_bail(&self) -> Option<ecode::BatchBail> {
         self.batch_bail
-    }
-
-    /// Which shard a flow key lands on. Deterministic: identical across
-    /// runs and shard-local (a flow's records always meet the same
-    /// replica, so per-flow sequential semantics are preserved). The
-    /// single-replica engine never hashes — one shard needs no
-    /// placement.
-    pub fn shard_of(&self, key: u64) -> usize {
-        match self.shard_count() {
-            1 => 0,
-            n => place(fnv1a(key), n),
-        }
     }
 
     /// Feeds one record (dispatched by `key`) to its shard's replica:
@@ -497,14 +472,14 @@ mod tests {
         let schema = schema();
         let lww = "static int last = 0; last = size; return last;";
         let d = ShardedDigest::compile(lww, &schema, 4).unwrap();
-        assert!(!d.is_sharded());
+        assert_eq!(d.stats().shards, 1);
         assert_eq!(d.batch_bail(), Some(ecode::BatchBail::NotMergeable));
 
         // Shard-safe, but a zero `port` lane would have to trap
         // mid-batch: sharded, each worker on the scalar VM.
         let div = "static int n = 0; n = n + size / port; return n;";
         let mut d = ShardedDigest::compile(div, &schema, 4).unwrap();
-        assert!(d.is_sharded());
+        assert!(d.stats().shards > 1);
         assert_eq!(
             d.batch_bail(),
             Some(ecode::BatchBail::NonConstDivisor { pc: 0 })
@@ -521,9 +496,9 @@ mod tests {
         let schema = schema();
         let mut seq = ShardedDigest::compile(MERGEABLE, &schema, 1).unwrap();
         let mut sharded = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
-        assert!(!seq.is_sharded());
-        assert!(sharded.is_sharded());
-        assert_eq!(sharded.shard_count(), 4);
+        assert_eq!(seq.stats().shards, 1);
+        assert!(sharded.stats().shards > 1);
+        assert_eq!(sharded.stats().shards, 4);
         // Both engines must agree on the (deterministic) execution tier,
         // and the canonical mergeable digest fits the default budget.
         assert_eq!(seq.tier(), ecode::ExecTier::Compiled);
@@ -563,8 +538,7 @@ mod tests {
             return acc;
         ";
         let d = ShardedDigest::compile(src, &schema(), 8).unwrap();
-        assert!(!d.is_sharded());
-        assert_eq!(d.shard_count(), 1);
+        assert_eq!(d.stats().shards, 1);
         assert!(!d.plan().fully_mergeable());
         let stats = d.stats();
         assert_eq!(stats.requested_shards, 8);
@@ -583,7 +557,7 @@ mod tests {
         src.push_str("return n;");
         let mut d = ShardedDigest::compile(&src, &schema(), 4).unwrap();
         assert_eq!(d.tier(), ecode::ExecTier::Fused);
-        assert_eq!(d.shard_count(), 1);
+        assert_eq!(d.stats().shards, 1);
         assert_eq!(
             d.batch_bail(),
             Some(ecode::BatchBail::NotLowered(ecode::Bail::TooManyOps))
@@ -610,15 +584,6 @@ mod tests {
         d.ingest_raw(2, &[7, 9000]);
         assert_eq!(d.merged_global("count"), Some(EValue::Int(2)));
         assert_eq!(d.merged_global("bytes"), Some(EValue::Int(12)));
-    }
-
-    #[test]
-    fn same_key_always_meets_the_same_shard() {
-        let d = ShardedDigest::compile(MERGEABLE, &schema(), 8).unwrap();
-        for key in 0..64u64 {
-            assert_eq!(d.shard_of(key), d.shard_of(key));
-            assert!(d.shard_of(key) < 8);
-        }
     }
 
     /// One call with the whole stream and one call per record are the
@@ -667,7 +632,7 @@ mod tests {
         let schema = schema();
         let mut seq = ShardedDigest::compile(src, &schema, 1).unwrap();
         let mut sharded = ShardedDigest::compile(src, &schema, 4).unwrap();
-        assert!(sharded.is_sharded(), "program must stay shardable");
+        assert!(sharded.stats().shards > 1, "program must stay shardable");
         for i in 0..200u64 {
             let size = (i * 97 % 5000) as i64;
             let port = if i == 137 { 0 } else { (1 + i % 17) as i64 };

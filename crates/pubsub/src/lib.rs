@@ -29,7 +29,7 @@
 //! let topic = hub.topic("interactions");
 //! let sub = EndPoint::new(Ip(2), Port(9999));
 //! // Only deliver latencies over 1 ms:
-//! hub.subscribe(topic, sub, Some("return latency_us > 1000;"))?;
+//! hub.subscribe_with_schema(topic, sub, Some("return latency_us > 1000;"), &schema)?;
 //!
 //! let sends = hub.publish(topic, &schema, &[Value::U64(5_000)])?;
 //! assert_eq!(sends.len(), 1);
@@ -202,8 +202,6 @@ impl Filter {
 struct Subscription {
     endpoint: EndPoint,
     filter: Option<Filter>,
-    /// Source of a filter awaiting the topic's next publish (its schema).
-    pending_filter: Option<String>,
     /// Schema ids already announced to this subscriber.
     sent_schemas: std::collections::HashSet<u32>,
     delivered: u64,
@@ -257,9 +255,6 @@ pub struct Hub {
     next_topic: u32,
     /// Total E-Code fuel burned in filters (host converts to CPU cost).
     filter_fuel: u64,
-    /// Late-compiled filters that failed verification (the subscription
-    /// then delivers unfiltered rather than silently dropping records).
-    filter_failures: u64,
     /// Per-schema batch encoders for the raw publish path, keyed by
     /// registered schema id (schema validation is loop-invariant; spend
     /// it once).
@@ -283,7 +278,6 @@ impl Hub {
             schemas: SchemaRegistry::new(),
             next_topic: 0,
             filter_fuel: 0,
-            filter_failures: 0,
             raw_encoders: HashMap::new(),
             raw_record: Vec::new(),
         }
@@ -306,45 +300,26 @@ impl Hub {
         self.topics.get(name).copied()
     }
 
-    /// Adds a subscription. `filter` is an optional E-Code source whose
-    /// inputs are the numeric/boolean fields of published records; a
-    /// nonzero return delivers the record.
-    ///
-    /// The filter is compiled lazily against the schema of the topic's
-    /// next publish — use [`subscribe_with_schema`](Hub::subscribe_with_schema)
-    /// to compile eagerly and catch errors at subscribe time. Either way
-    /// it decides records of that one schema: a record of another schema
-    /// on the topic is delivered and charged the filter's fuel bound.
+    /// Subscribes `endpoint` unfiltered: every record published on `topic`
+    /// is delivered to it. Replaces the endpoint's subscription on the
+    /// topic if it has one.
     ///
     /// # Errors
     ///
     /// [`PubSubError::UnknownTopic`] if the topic does not exist.
-    pub fn subscribe(
-        &mut self,
-        topic: TopicId,
-        endpoint: EndPoint,
-        filter: Option<&str>,
-    ) -> Result<(), PubSubError> {
-        let subs = self
-            .subs
-            .get_mut(&topic)
-            .ok_or(PubSubError::UnknownTopic(topic))?;
-        subs.push(Subscription {
-            endpoint,
-            filter: None,
-            // Compiled on the next publish (schema known).
-            pending_filter: filter.map(str::to_owned),
-            sent_schemas: Default::default(),
-            delivered: 0,
-            filtered: 0,
-        });
-        Ok(())
+    pub fn subscribe(&mut self, topic: TopicId, endpoint: EndPoint) -> Result<(), PubSubError> {
+        self.set_subscription(topic, endpoint, None)
     }
 
-    /// Adds a subscription with an eagerly compiled and **statically
-    /// verified** filter. Returns the filter's proven worst-case fuel per
-    /// record (`None` when no filter was given), which hosts use to
-    /// pre-size cost accounting.
+    /// Subscribes `endpoint` with an optional `filter`: E-Code source over
+    /// the numeric/boolean fields of `schema`, compiled and **statically
+    /// verified** now; a nonzero return delivers the record. The filter
+    /// decides records of that one schema: a record of another schema on
+    /// the topic is delivered and charged the filter's fuel bound.
+    /// Replaces the endpoint's subscription on the topic if it has one.
+    /// Returns the filter's proven worst-case fuel per record (`None`
+    /// when no filter was given), which hosts use to pre-size cost
+    /// accounting.
     ///
     /// # Errors
     ///
@@ -362,24 +337,40 @@ impl Hub {
             Some(src) => Some(Filter::compile(src, schema, &mut self.schemas)?),
             None => None,
         };
-        let subs = self
-            .subs
-            .get_mut(&topic)
-            .ok_or(PubSubError::UnknownTopic(topic))?;
         let fuel_bound = compiled.as_ref().map(|f| f.fuel_bound);
-        subs.push(Subscription {
-            endpoint,
-            filter: compiled,
-            pending_filter: None,
-            sent_schemas: Default::default(),
-            delivered: 0,
-            filtered: 0,
-        });
+        self.set_subscription(topic, endpoint, compiled)?;
         Ok(fuel_bound)
     }
 
-    /// Removes all subscriptions of `endpoint` on `topic`. Returns how
-    /// many were removed.
+    fn set_subscription(
+        &mut self,
+        topic: TopicId,
+        endpoint: EndPoint,
+        filter: Option<Filter>,
+    ) -> Result<(), PubSubError> {
+        let topic_subs = self
+            .subs
+            .get_mut(&topic)
+            .ok_or(PubSubError::UnknownTopic(topic))?;
+        let sub = Subscription {
+            endpoint,
+            filter,
+            sent_schemas: Default::default(),
+            delivered: 0,
+            filtered: 0,
+        };
+        // One subscription per endpoint: asking again replaces the filter
+        // in place (and re-announces schemas, as for a subscriber that
+        // restarted), so repeated Subscribes cannot grow the list.
+        match topic_subs.iter_mut().find(|s| s.endpoint == endpoint) {
+            Some(existing) => *existing = sub,
+            None => topic_subs.push(sub),
+        }
+        Ok(())
+    }
+
+    /// Removes the subscription of `endpoint` on `topic`. Returns how
+    /// many were removed (0 or 1).
     pub fn unsubscribe(&mut self, topic: TopicId, endpoint: EndPoint) -> usize {
         let Some(subs) = self.subs.get_mut(&topic) else {
             return 0;
@@ -387,11 +378,6 @@ impl Hub {
         let before = subs.len();
         subs.retain(|s| s.endpoint != endpoint);
         before - subs.len()
-    }
-
-    /// Number of subscriptions on a topic.
-    pub fn subscriber_count(&self, topic: TopicId) -> usize {
-        self.subs.get(&topic).map(|s| s.len()).unwrap_or(0)
     }
 
     /// Encodes and fans a record out to every passing subscriber. Returns
@@ -465,48 +451,27 @@ impl Hub {
     }
 
     /// What every publish does before encoding: the topic must exist,
-    /// the record must have one entry per field, the schema gets its
-    /// wire id, and the topic's pending filters compile against it. A
-    /// filter that fails verification must not abort the publish (that
-    /// would drop the record for *every* subscriber on the topic): the
-    /// failure is counted and that one subscription delivers unfiltered,
-    /// consistent with the fail-open policy in `passes`.
+    /// the record must have one entry per field, and the schema gets its
+    /// wire id.
     fn admit(
         &mut self,
         topic: TopicId,
         schema: &Schema,
         n_fields: usize,
     ) -> Result<SchemaId, PubSubError> {
-        let topic_subs = self
-            .subs
-            .get_mut(&topic)
-            .ok_or(PubSubError::UnknownTopic(topic))?;
+        if !self.subs.contains_key(&topic) {
+            return Err(PubSubError::UnknownTopic(topic));
+        }
         if n_fields != schema.len() {
             return Err(PubSubError::SchemaMismatch);
         }
-        let schema_id = self.schemas.register(schema);
-        for sub in topic_subs {
-            let Some(src) = sub.pending_filter.take() else {
-                continue;
-            };
-            match Filter::compile(&src, schema, &mut self.schemas) {
-                Ok(filter) => sub.filter = Some(filter),
-                Err(_) => self.filter_failures += 1,
-            }
-        }
-        Ok(schema_id)
+        Ok(self.schemas.register(schema))
     }
 
     /// Total E-Code fuel burned by subscription filters so far (the host
     /// converts this to CPU time and charges it as monitoring overhead).
     pub fn filter_fuel(&self) -> u64 {
         self.filter_fuel
-    }
-
-    /// How many lazily-compiled filters failed verification (those
-    /// subscriptions deliver unfiltered instead of silently dropping).
-    pub fn filter_failures(&self) -> u64 {
-        self.filter_failures
     }
 
     /// The largest statically proven per-record fuel bound across all
@@ -703,18 +668,17 @@ mod tests {
     fn fanout_to_multiple_subscribers() {
         let mut hub = Hub::new();
         let t = hub.topic("x");
-        hub.subscribe(t, ep(1), None).unwrap();
-        hub.subscribe(t, ep(2), None).unwrap();
+        hub.subscribe(t, ep(1)).unwrap();
+        hub.subscribe(t, ep(2)).unwrap();
         let out = hub.publish(t, &schema(), &rec(5, 0.1)).unwrap();
         assert_eq!(out.len(), 2);
-        assert_eq!(hub.subscriber_count(t), 2);
     }
 
     #[test]
     fn schema_travels_once_per_subscriber() {
         let mut hub = Hub::new();
         let t = hub.topic("x");
-        hub.subscribe(t, ep(1), None).unwrap();
+        hub.subscribe(t, ep(1)).unwrap();
         let first = hub.publish(t, &schema(), &rec(5, 0.1)).unwrap();
         let second = hub.publish(t, &schema(), &rec(6, 0.2)).unwrap();
         assert!(
@@ -735,7 +699,7 @@ mod tests {
     fn decoder_without_schema_errors() {
         let mut hub = Hub::new();
         let t = hub.topic("x");
-        hub.subscribe(t, ep(1), None).unwrap();
+        hub.subscribe(t, ep(1)).unwrap();
         let first = hub.publish(t, &schema(), &rec(5, 0.1)).unwrap();
         let second = hub.publish(t, &schema(), &rec(6, 0.2)).unwrap();
         let _ = first;
@@ -807,16 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn late_compiled_filter_works() {
-        let mut hub = Hub::new();
-        let t = hub.topic("x");
-        hub.subscribe(t, ep(1), Some("return latency_us >= 10;"))
-            .unwrap();
-        assert!(hub.publish(t, &schema(), &rec(5, 0.0)).unwrap().is_empty());
-        assert_eq!(hub.publish(t, &schema(), &rec(10, 0.0)).unwrap().len(), 1);
-    }
-
-    #[test]
     fn bad_filter_is_reported_eagerly() {
         let mut hub = Hub::new();
         let t = hub.topic("x");
@@ -830,10 +784,10 @@ mod tests {
     fn unsubscribe_removes() {
         let mut hub = Hub::new();
         let t = hub.topic("x");
-        hub.subscribe(t, ep(1), None).unwrap();
-        hub.subscribe(t, ep(2), None).unwrap();
+        hub.subscribe(t, ep(1)).unwrap();
+        hub.subscribe(t, ep(2)).unwrap();
         assert_eq!(hub.unsubscribe(t, ep(1)), 1);
-        assert_eq!(hub.subscriber_count(t), 1);
+        assert_eq!(hub.publish(t, &schema(), &rec(5, 0.1)).unwrap().len(), 1);
         assert_eq!(hub.unsubscribe(t, ep(1)), 0);
     }
 
@@ -842,7 +796,7 @@ mod tests {
         let mut hub = Hub::new();
         let bogus = TopicId(99);
         assert!(matches!(
-            hub.subscribe(bogus, ep(1), None),
+            hub.subscribe(bogus, ep(1)),
             Err(PubSubError::UnknownTopic(_))
         ));
         assert!(matches!(
@@ -895,7 +849,7 @@ mod tests {
             let t = hub.topic("m");
             hub.subscribe_with_schema(t, ep(1), Some("return latency_us > 100 && hot;"), &schema)
                 .unwrap();
-            hub.subscribe(t, ep(2), None).unwrap();
+            hub.subscribe(t, ep(2)).unwrap();
         }
         let t = by_values.topic("m");
         for i in 0..20u64 {
@@ -928,7 +882,7 @@ mod tests {
         let schema = numeric_schema();
         let mut hub = Hub::new();
         let t = hub.topic("m");
-        hub.subscribe(t, ep(1), None).unwrap();
+        hub.subscribe(t, ep(1)).unwrap();
         let mut dec = ChannelDecoder::expecting(vec![self::schema(), schema.clone()]);
         let mut rows = Vec::new();
         for i in 0..5i64 {
@@ -952,7 +906,7 @@ mod tests {
     fn decode_row_rejects_what_decode_rejects_and_string_schemas() {
         let mut hub = Hub::new();
         let t = hub.topic("x");
-        hub.subscribe(t, ep(1), None).unwrap();
+        hub.subscribe(t, ep(1)).unwrap();
         let numeric = numeric_schema();
         let first = hub.publish_raw(t, &numeric, &[1, 2, 3, 1]).unwrap();
         let second = hub.publish_raw(t, &numeric, &[4, 5, 6, 0]).unwrap();
@@ -983,11 +937,10 @@ mod tests {
         assert_eq!(rows, [42, 1, 2, 3, 1], "failed frames leave the rows alone");
     }
 
-    /// `(threshold, eager schema)` of the filter `return x > threshold;`:
-    /// compiled at subscribe time against that schema or, with `None`,
-    /// lazily at the next publish. Schemas are named by index: 0 is
-    /// `narrow`, 1 is `wide`.
-    type ModelFilter = Option<(i64, Option<usize>)>;
+    /// `(threshold, schema)` of the filter `return x > threshold;`,
+    /// compiled at subscribe time against that schema. Schemas are named
+    /// by index: 0 is `narrow`, 1 is `wide`.
+    type ModelFilter = Option<(i64, usize)>;
 
     /// One step of a hub's life, for [`hub_matches_model`].
     #[derive(Debug, Clone, Copy)]
@@ -1000,26 +953,15 @@ mod tests {
     }
     use HubOp::{Publish, Subscribe, Unsubscribe};
 
-    /// A lazily compiled filter stays with its subscriber when an earlier
-    /// one leaves: the record goes to the unfiltered host 3 and is held
-    /// back from host 2.
-    const LAZY_FILTER_AFTER_AN_UNSUBSCRIBE: [HubOp; 5] = [
-        Subscribe(1, None),
-        Subscribe(2, Some((100, None))),
-        Subscribe(3, None),
-        Unsubscribe(1),
-        Publish(0, 5),
-    ];
-
     /// A filter compiled against the two-field schema meets a one-field
     /// record of the topic's other schema.
     const WIDE_FILTER_MEETS_A_NARROW_RECORD: [HubOp; 2] =
-        [Subscribe(1, Some((0, Some(1)))), Publish(0, 1)];
+        [Subscribe(1, Some((0, 1))), Publish(0, 1)];
 
     /// Drives a hub through `ops` beside a model in which each endpoint's
     /// own predicate decides: no filter delivers, a filter decides records
-    /// of the schema it was compiled for (a lazy one, the first published
-    /// after it joined) and fails open on the other. The two schemas put
+    /// of the schema it was compiled for and fails open on the other. The
+    /// two schemas put
     /// `x` at different positions, and the field beside it would fail
     /// every threshold if it were read as `x`.
     fn hub_matches_model(case: &str, ops: &[HubOp]) {
@@ -1034,17 +976,25 @@ mod tests {
         let mut model: Vec<(u32, ModelFilter, u64)> = Vec::new();
         for (step, &op) in ops.iter().enumerate() {
             match op {
-                Subscribe(host, _) if model.iter().any(|m| m.0 == host) => {}
                 Subscribe(host, filter) => {
-                    let src = filter.map(|(threshold, _)| format!("return x > {threshold};"));
                     match filter {
-                        Some((_, Some(eager))) => hub
-                            .subscribe_with_schema(t, ep(host), src.as_deref(), &schemas[eager])
+                        Some((threshold, compiled)) => hub
+                            .subscribe_with_schema(
+                                t,
+                                ep(host),
+                                Some(&format!("return x > {threshold};")),
+                                &schemas[compiled],
+                            )
                             .map(drop),
-                        _ => hub.subscribe(t, ep(host), src.as_deref()),
+                        None => hub.subscribe(t, ep(host)),
                     }
                     .unwrap();
-                    model.push((host, filter, 0));
+                    // A host that asks again keeps its place in the
+                    // delivery order and starts over.
+                    match model.iter_mut().find(|m| m.0 == host) {
+                        Some(m) => *m = (host, filter, 0),
+                        None => model.push((host, filter, 0)),
+                    }
                 }
                 Unsubscribe(host) => {
                     let before = model.len();
@@ -1058,8 +1008,8 @@ mod tests {
                     let mut want = Vec::new();
                     for (host, filter, seen) in &mut model {
                         *seen += 1;
-                        let passes = filter.as_mut().is_none_or(|(threshold, compiled)| {
-                            *compiled.get_or_insert(schema) != schema || x > *threshold
+                        let passes = filter.is_none_or(|(threshold, compiled)| {
+                            compiled != schema || x > threshold
                         });
                         if passes {
                             want.push(ep(*host));
@@ -1078,14 +1028,12 @@ mod tests {
         fn prop_each_endpoints_own_filter_decides(
             ops in prop::collection::vec((0u8..4, 1u32..5, 0u8..4, -4i64..4, 0usize..2), 0..40),
         ) {
-            hub_matches_model("lazy filter after an unsubscribe", &LAZY_FILTER_AFTER_AN_UNSUBSCRIBE);
             hub_matches_model("wide filter meets a narrow record", &WIDE_FILTER_MEETS_A_NARROW_RECORD);
             let ops: Vec<HubOp> = ops
                 .into_iter()
                 .map(|(op, host, kind, x, schema)| match (op, kind) {
                     (0, 0) => Subscribe(host, None),
-                    (0, 1) => Subscribe(host, Some((x, None))),
-                    (0, _) => Subscribe(host, Some((x, Some(schema)))),
+                    (0, _) => Subscribe(host, Some((x, schema))),
                     (1, _) => Unsubscribe(host),
                     _ => Publish(schema, x),
                 })
@@ -1098,7 +1046,7 @@ mod tests {
     fn publish_raw_rejects_string_schemas() {
         let mut hub = Hub::new();
         let t = hub.topic("m");
-        hub.subscribe(t, ep(1), None).unwrap();
+        hub.subscribe(t, ep(1)).unwrap();
         assert!(matches!(
             hub.publish_raw(t, &schema(), &[1, 2, 3]),
             Err(PubSubError::Codec(PbioError::BadSchema(_)))
@@ -1138,7 +1086,7 @@ mod wire_fuzz {
                 .unwrap();
             let mut hub = Hub::new();
             let t = hub.topic("x");
-            hub.subscribe(t, EndPoint::new(Ip(1), Port(9)), None).unwrap();
+            hub.subscribe(t, EndPoint::new(Ip(1), Port(9))).unwrap();
             let values = vec![Value::U64(a), Value::I64(b), Value::F64(c)];
             let sends = hub.publish(t, &schema, &values).unwrap();
             prop_assert_eq!(sends.len(), 1);

@@ -208,11 +208,6 @@ impl ResendBuffer {
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
-
-    /// The oldest held sequence number, if any.
-    pub fn lowest_seq(&self) -> Option<u64> {
-        self.entries.front().map(|e| e.seq)
-    }
 }
 
 /// What a [`Reassembler`] did with an offered batch.
@@ -396,7 +391,6 @@ mod tests {
         }
         assert_eq!(buf.len(), 5);
         assert_eq!(buf.ack_upto(2), 2);
-        assert_eq!(buf.lowest_seq(), Some(3));
         let rt = buf.retransmit_range(t(100), 3, 4);
         assert_eq!(rt.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![3, 4]);
         // Acked and never-held ranges retransmit nothing.
@@ -437,7 +431,9 @@ mod tests {
         }
         assert!(buf.buffered_bytes() <= 250);
         assert_eq!(buf.evictions(), 2);
-        assert_eq!(buf.lowest_seq(), Some(3));
+        // The oldest two went; the newest two are still retransmittable.
+        assert!(buf.retransmit_range(t(9), 1, 2).is_empty());
+        assert_eq!(buf.retransmit_range(t(9), 3, 4).len(), 2);
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn decode_row_into_a_warm_buffer_never_allocates() {
         .unwrap();
     let mut hub = Hub::new();
     let topic = hub.topic("t");
-    hub.subscribe(topic, EndPoint::new(Ip(1), Port(9999)), None)
+    hub.subscribe(topic, EndPoint::new(Ip(1), Port(9999)))
         .unwrap();
     const BATCH: i64 = 64;
     let wires: Vec<Vec<u8>> = (0..BATCH)

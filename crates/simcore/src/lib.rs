@@ -5,11 +5,9 @@
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution virtual clock,
 //! * [`EventQueue`] — a deterministic event calendar with FIFO tie-breaking,
 //! * [`SimRng`] — seeded randomness with the distributions the workloads need
-//!   (exponential, normal, Pareto, Zipf) implemented from first principles,
+//!   (exponential, Zipf) implemented from first principles,
 //! * [`stats`] — online statistics (Welford mean/variance, log-scale
-//!   histograms with percentile queries, time-weighted averages),
-//! * [`BoundedQueue`] — a capacity-limited FIFO with drop accounting, used to
-//!   model kernel socket buffers and device queues,
+//!   histograms with percentile queries, windowed rates),
 //! * [`hash`] — `HashMap`/`HashSet` on one fixed, seedless hash function, for
 //!   every table the simulator or the monitor touches per event.
 //!
@@ -33,14 +31,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bounded_queue;
 mod event_queue;
 pub mod hash;
 mod rng;
 pub mod stats;
 mod time;
 
-pub use bounded_queue::{BoundedQueue, EnqueueError};
 pub use event_queue::{CalendarStats, EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,7 @@
 //! Seeded randomness for deterministic simulations.
 //!
 //! Only `rand`'s uniform primitives are used; the shaped distributions
-//! (exponential, normal, Pareto, Zipf) are implemented here so the workspace
+//! (exponential, Zipf) are implemented here so the workspace
 //! does not need `rand_distr`.
 
 use rand::rngs::StdRng;
@@ -69,19 +69,6 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or either bound is not finite.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "bad uniform range [{lo}, {hi})"
-        );
-        lo + (hi - lo) * self.unit_f64()
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p.clamp(0.0, 1.0)
@@ -106,43 +93,6 @@ impl SimRng {
     /// Poisson arrival processes (inter-arrival times).
     pub fn exponential_duration(&mut self, mean: SimDuration) -> SimDuration {
         SimDuration::from_secs_f64(self.exponential(mean.as_secs_f64()))
-    }
-
-    /// Normally distributed value (Box–Muller transform).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or either parameter is not finite.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(
-            mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0,
-            "bad normal parameters mean={mean} std_dev={std_dev}"
-        );
-        let u1 = (1.0 - self.unit_f64()).max(f64::MIN_POSITIVE);
-        let u2 = self.unit_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
-    /// Normally distributed duration, truncated below at zero.
-    pub fn normal_duration(&mut self, mean: SimDuration, std_dev: SimDuration) -> SimDuration {
-        let v = self.normal(mean.as_secs_f64(), std_dev.as_secs_f64());
-        SimDuration::from_secs_f64(v.max(0.0))
-    }
-
-    /// Pareto-distributed value with scale `x_min` and shape `alpha`
-    /// (heavy-tailed; used for file-size and think-time models).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_min` or `alpha` is not positive and finite.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        assert!(
-            x_min.is_finite() && x_min > 0.0 && alpha.is_finite() && alpha > 0.0,
-            "bad pareto parameters x_min={x_min} alpha={alpha}"
-        );
-        let u = (1.0 - self.unit_f64()).max(f64::MIN_POSITIVE);
-        x_min / u.powf(1.0 / alpha)
     }
 
     /// Zipf-distributed rank in `[0, n)` with skew `s`, via rejection-free
@@ -216,25 +166,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.exponential(mean)).sum();
         let observed = sum / n as f64;
         assert!((observed - mean).abs() < 0.15, "observed mean {observed}");
-    }
-
-    #[test]
-    fn normal_moments_converge() {
-        let mut rng = SimRng::seed(8);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = SimRng::seed(9);
-        for _ in 0..1000 {
-            assert!(rng.pareto(3.0, 1.5) >= 3.0);
-        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! without storing every sample (they run "in the kernel" where buffers are
 //! scarce), so everything here is O(1) or O(bins) per observation:
 //! [`OnlineStats`] (Welford), [`Histogram`] (log-scale bins with percentile
-//! queries), [`TimeWeighted`] (time-weighted averages for gauge-style
-//! metrics like queue depth) and [`RateMeter`] (windowed event rates).
+//! queries) and [`RateMeter`] (windowed event rates).
 
 use serde::{Deserialize, Serialize};
 
@@ -57,11 +56,6 @@ impl OnlineStats {
         self.max = self.max.max(value);
     }
 
-    /// Adds a duration observation in milliseconds.
-    pub fn record_duration_ms(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -83,11 +77,6 @@ impl OnlineStats {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (`None` when empty).
@@ -244,61 +233,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a gauge (queue depth, outstanding requests).
-///
-/// Call [`update`](TimeWeighted::update) every time the gauge changes; the
-/// average weights each value by how long it was held.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: f64,
-    total_time: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial gauge `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            last_value: value,
-            weighted_sum: 0.0,
-            total_time: 0.0,
-            max: value,
-        }
-    }
-
-    /// Records that the gauge changed to `value` at time `now`.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        let dt = now.saturating_since(self.last_time).as_secs_f64();
-        self.weighted_sum += self.last_value * dt;
-        self.total_time += dt;
-        self.last_time = now;
-        self.last_value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// The time-weighted average up to the last update.
-    pub fn average(&self) -> f64 {
-        if self.total_time == 0.0 {
-            self.last_value
-        } else {
-            self.weighted_sum / self.total_time
-        }
-    }
-
-    /// Largest gauge value seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The gauge value as of the last update.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-}
-
 /// Windowed event-rate meter: counts events per fixed window and reports
 /// the completed-window series (used for the throughput-over-time figures).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -355,15 +289,6 @@ impl RateMeter {
             .iter()
             .map(|&(t, c)| (t, c as f64 / w))
             .collect()
-    }
-
-    /// Overall mean rate across completed windows (events/sec).
-    pub fn mean_rate(&self) -> f64 {
-        if self.series.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.series.iter().map(|&(_, c)| c).sum();
-        total as f64 / (self.series.len() as f64 * self.window.as_secs_f64())
     }
 }
 
@@ -470,17 +395,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert!(a.mean() > 500.0);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        // 0 for 1s, then 10 for 1s => average 5.
-        tw.update(SimTime::from_secs(1), 10.0);
-        tw.update(SimTime::from_secs(2), 0.0);
-        assert!((tw.average() - 5.0).abs() < 1e-12);
-        assert_eq!(tw.max(), 10.0);
-        assert_eq!(tw.current(), 0.0);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction: `None` if `earlier` is later than `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -159,11 +154,6 @@ impl SimDuration {
     /// The duration in fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// The duration in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// True if this is the zero duration.
@@ -322,8 +312,6 @@ mod tests {
         assert_eq!(b - a, SimDuration::from_micros(5));
         assert_eq!(b.saturating_since(a).as_micros(), 5);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_micros(5)));
     }
 
     #[test]

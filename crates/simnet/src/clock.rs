@@ -6,7 +6,7 @@
 //! is essential for testing GPA correlation honestly.
 
 use serde::{Deserialize, Serialize};
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 
 /// Static description of a node clock's error model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,23 +25,6 @@ impl ClockSpec {
         offset_ns: 0,
         drift_ppm: 0.0,
     };
-
-    /// A typical LAN NTP-disciplined clock: offset within ±`bound_us`
-    /// microseconds, drift within ±2 ppm, drawn deterministically from the
-    /// node index.
-    pub fn typical_ntp(node_index: u32, bound_us: i64) -> ClockSpec {
-        // Cheap deterministic hash of the index; avoids needing an RNG here.
-        let h = (node_index as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17);
-        let span = (bound_us.max(1) * 2_000) as u64; // ns range width
-        let offset_ns = (h % span) as i64 - bound_us * 1_000;
-        let drift_ppm = ((h >> 32) % 4_000) as f64 / 1_000.0 - 2.0;
-        ClockSpec {
-            offset_ns,
-            drift_ppm,
-        }
-    }
 }
 
 /// A node's wall clock: converts between global simulation time and the
@@ -72,23 +55,6 @@ impl NtpClock {
         let wall = true_ns + self.spec.offset_ns as i128 + drift_ns;
         SimTime::from_nanos(wall.clamp(0, u64::MAX as i128) as u64)
     }
-
-    /// Inverts [`wall`](NtpClock::wall): estimates the global time at which
-    /// this node's clock read `w`. Exact up to rounding of the drift term.
-    pub fn true_time(&self, w: SimTime) -> SimTime {
-        let wall_ns = w.as_nanos() as i128;
-        let base = wall_ns - self.spec.offset_ns as i128;
-        // wall = true * (1 + d) + offset  =>  true = (wall - offset)/(1 + d)
-        let t = base as f64 / (1.0 + self.spec.drift_ppm / 1e6);
-        SimTime::from_nanos(t.clamp(0.0, u64::MAX as f64) as u64)
-    }
-
-    /// The worst-case absolute error between wall and true time over a run
-    /// of the given length — the bound GPA correlation windows must absorb.
-    pub fn max_error(&self, run_length: SimDuration) -> SimDuration {
-        let drift_ns = (run_length.as_nanos() as f64 * self.spec.drift_ppm.abs() / 1e6) as u64;
-        SimDuration::from_nanos(self.spec.offset_ns.unsigned_abs() + drift_ns)
-    }
 }
 
 impl Default for NtpClock {
@@ -100,14 +66,12 @@ impl Default for NtpClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn perfect_clock_is_identity() {
         let c = NtpClock::default();
         let t = SimTime::from_secs(12);
         assert_eq!(c.wall(t), t);
-        assert_eq!(c.true_time(t), t);
     }
 
     #[test]
@@ -140,34 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn max_error_bounds_observed_error() {
-        for idx in 0..50u32 {
-            let spec = ClockSpec::typical_ntp(idx, 500);
-            let c = NtpClock::new(spec);
-            let run = SimDuration::from_secs(300);
-            let bound = c.max_error(run);
-            for s in [0u64, 10, 100, 300] {
-                let t = SimTime::from_secs(s);
-                let w = c.wall(t);
-                let err = if w >= t { w - t } else { t - w };
-                assert!(
-                    err <= bound + SimDuration::from_nanos(1),
-                    "node {idx}: err {err} > bound {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn typical_ntp_within_configured_bound() {
-        for idx in 0..200u32 {
-            let spec = ClockSpec::typical_ntp(idx, 500);
-            assert!(spec.offset_ns.abs() <= 500_000, "offset {}", spec.offset_ns);
-            assert!(spec.drift_ppm.abs() <= 2.0, "drift {}", spec.drift_ppm);
-        }
-    }
-
-    #[test]
     fn zero_skew_spec_is_exactly_the_perfect_clock() {
         let explicit = NtpClock::new(ClockSpec {
             offset_ns: 0,
@@ -176,79 +112,6 @@ mod tests {
         for s in [0u64, 1, 60, 86_400] {
             let t = SimTime::from_secs(s);
             assert_eq!(explicit.wall(t), t);
-            assert_eq!(explicit.true_time(t), t);
-        }
-        assert_eq!(
-            explicit.max_error(SimDuration::from_secs(3_600)),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn max_error_with_zero_drift_is_the_offset_magnitude() {
-        let c = NtpClock::new(ClockSpec {
-            offset_ns: -73_000,
-            drift_ppm: 0.0,
-        });
-        assert_eq!(
-            c.max_error(SimDuration::from_secs(100)),
-            SimDuration::from_nanos(73_000)
-        );
-    }
-
-    #[test]
-    fn negative_offset_true_time_of_early_wall_readings() {
-        let c = NtpClock::new(ClockSpec {
-            offset_ns: -500_000,
-            drift_ppm: 0.0,
-        });
-        // A wall reading of w maps back to w + 500 µs of true time.
-        assert_eq!(c.true_time(SimTime::from_millis(1)).as_nanos(), 1_500_000);
-        // And the saturated region stays well-defined (never underflows).
-        assert_eq!(c.true_time(SimTime::ZERO).as_nanos(), 500_000);
-    }
-
-    /// The cross-node guarantee GPA correlation relies on: a packet sent
-    /// at sender-wall time `ws` and delivered `d` later reads receiver-wall
-    /// time `wr` with `wr - ws` within `d ± (max_error_s + max_error_r)`.
-    #[test]
-    fn delivered_packet_timestamps_stay_within_documented_bound() {
-        let run = SimDuration::from_secs(120);
-        for si in 0..20u32 {
-            for ri in 20..40u32 {
-                let sender = NtpClock::new(ClockSpec::typical_ntp(si, 400));
-                let receiver = NtpClock::new(ClockSpec::typical_ntp(ri, 400));
-                let bound = sender.max_error(run) + receiver.max_error(run);
-                for (send_s, flight_us) in [(1u64, 80u64), (30, 250), (119, 999)] {
-                    let sent = SimTime::from_secs(send_s);
-                    let flight = SimDuration::from_micros(flight_us);
-                    let ws = sender.wall(sent).as_nanos() as i128;
-                    let wr = receiver.wall(sent + flight).as_nanos() as i128;
-                    let measured = wr - ws;
-                    let err = (measured - flight.as_nanos() as i128).unsigned_abs() as u64;
-                    assert!(
-                        err <= bound.as_nanos() + 1,
-                        "clocks {si}/{ri}: measured flight off by {err} ns > bound {bound}"
-                    );
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn prop_true_time_inverts_wall(offset in -1_000_000i64..1_000_000,
-                                       drift in -50.0f64..50.0,
-                                       secs in 1u64..10_000) {
-            let c = NtpClock::new(ClockSpec { offset_ns: offset, drift_ppm: drift });
-            let t = SimTime::from_secs(secs);
-            let w = c.wall(t);
-            // Skip the saturated-at-zero corner.
-            prop_assume!(w > SimTime::ZERO);
-            let back = c.true_time(w);
-            let err = if back >= t { back - t } else { t - back };
-            // f64 round-trip error stays under a microsecond for these ranges.
-            prop_assert!(err < simcore::SimDuration::from_micros(1), "err {err}");
         }
     }
 }

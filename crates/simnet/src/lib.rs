@@ -51,4 +51,4 @@ pub use clock::{ClockSpec, NtpClock};
 pub use fault::{CrashSchedule, FaultInjector, FaultPlan, FaultStats, LinkFaults, Partition};
 pub use link::{Link, LinkSpec, TransmitOutcome};
 pub use network::{NetOutcome, Network, NetworkBuilder, NoRouteError, TopologyError};
-pub use packet::{Packet, PacketDirection, PacketId, PayloadTag};
+pub use packet::{Packet, PacketId, PayloadTag};

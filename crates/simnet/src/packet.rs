@@ -10,15 +10,6 @@ use crate::FlowKey;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PacketId(pub u64);
 
-/// Which way a packet moved relative to an observing node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PacketDirection {
-    /// The packet arrived at the observing node.
-    Inbound,
-    /// The packet left the observing node.
-    Outbound,
-}
-
 /// Application-level payload tag.
 ///
 /// This is *application* state used to dispatch a delivered packet to the
@@ -85,12 +76,6 @@ impl Packet {
             payload_bytes.div_ceil(Self::MAX_PAYLOAD as u64)
         }
     }
-
-    /// Total wire bytes (payload + per-packet headers) for an application
-    /// message of `payload_bytes`.
-    pub fn wire_bytes_for_payload(payload_bytes: u64) -> u64 {
-        payload_bytes + Self::count_for_payload(payload_bytes) * Self::HEADER_BYTES as u64
-    }
 }
 
 impl fmt::Display for Packet {
@@ -102,7 +87,6 @@ impl fmt::Display for Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn packet_count_rounds_up() {
@@ -114,23 +98,5 @@ mod tests {
             Packet::count_for_payload(10 * Packet::MAX_PAYLOAD as u64),
             10
         );
-    }
-
-    #[test]
-    fn wire_bytes_include_headers() {
-        let one = Packet::wire_bytes_for_payload(100);
-        assert_eq!(one, 100 + Packet::HEADER_BYTES as u64);
-        let two = Packet::wire_bytes_for_payload(2 * Packet::MAX_PAYLOAD as u64);
-        assert_eq!(two, 2 * Packet::MTU as u64);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_segmentation_never_exceeds_mtu(bytes in 0u64..10_000_000) {
-            let n = Packet::count_for_payload(bytes);
-            let wire = Packet::wire_bytes_for_payload(bytes);
-            prop_assert!(wire <= n * Packet::MTU as u64);
-            prop_assert!(n >= 1);
-        }
     }
 }

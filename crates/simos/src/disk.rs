@@ -44,7 +44,6 @@ pub struct Disk {
     busy_until: SimTime,
     requests: u64,
     bytes: u64,
-    busy_time: SimDuration,
 }
 
 impl Disk {
@@ -55,7 +54,6 @@ impl Disk {
             busy_until: SimTime::ZERO,
             requests: 0,
             bytes: 0,
-            busy_time: SimDuration::ZERO,
         }
     }
 
@@ -80,14 +78,7 @@ impl Disk {
         self.busy_until = start + service;
         self.requests += 1;
         self.bytes += bytes;
-        self.busy_time += service;
         self.busy_until
-    }
-
-    /// Outstanding queue delay as of `now` (how long a new request would
-    /// wait before service starts).
-    pub fn queue_delay(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_since(now)
     }
 
     /// Total requests ever submitted.
@@ -98,11 +89,6 @@ impl Disk {
     /// Total bytes ever transferred.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Cumulative time the disk has spent servicing requests.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
     }
 }
 
@@ -143,7 +129,6 @@ mod tests {
         let later = t1 + SimDuration::from_secs(1);
         let t2 = disk.submit(later, 4096);
         assert_eq!(t2 - later, DiskSpec::default().service_time(4096));
-        assert_eq!(disk.queue_delay(t2), SimDuration::ZERO);
     }
 
     proptest! {

@@ -31,15 +31,6 @@ impl CpuUsage {
     pub fn busy(&self) -> SimDuration {
         self.user + self.kernel + self.irq + self.monitor
     }
-
-    /// Busy fraction of a window.
-    pub fn utilization(&self, window: SimDuration) -> f64 {
-        if window.is_zero() {
-            0.0
-        } else {
-            self.busy().as_secs_f64() / window.as_secs_f64()
-        }
-    }
 }
 
 /// Observable per-node counters.

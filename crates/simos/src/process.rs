@@ -105,12 +105,6 @@ impl Process {
         }
     }
 
-    /// Whether the process has nothing to do and should block waiting for
-    /// events (the event-driven server's `epoll_wait`).
-    pub fn is_idle(&self) -> bool {
-        self.ops.is_empty() && self.pending.is_empty() && self.remaining_compute.is_zero()
-    }
-
     /// True if the process has exited.
     pub fn is_exited(&self) -> bool {
         matches!(self.state, ProcState::Exited)
@@ -150,22 +144,6 @@ mod tests {
         );
         assert_eq!(p.state, ProcState::Runnable);
         assert_eq!(p.pending.len(), 1);
-        assert!(!p.is_idle());
         assert!(!p.is_exited());
-    }
-
-    #[test]
-    fn idle_after_draining() {
-        let mut p = Process::new(
-            Pid(1),
-            GroupId(0),
-            "t".into(),
-            Box::new(Nop),
-            SimRng::seed(0),
-        );
-        p.pending.clear();
-        assert!(p.is_idle());
-        p.remaining_compute = SimDuration::from_micros(1);
-        assert!(!p.is_idle());
     }
 }

@@ -13,7 +13,7 @@
 
 use kprof::FileId;
 use simcore::{NodeId, SimDuration, SimRng};
-use simnet::{PayloadTag, Port};
+use simnet::Port;
 
 use crate::SocketId;
 
@@ -26,13 +26,6 @@ pub struct Message {
     pub kind: u32,
     /// Payload length in bytes.
     pub bytes: u64,
-}
-
-impl Message {
-    /// The wire tag corresponding to this message.
-    pub fn tag(&self) -> PayloadTag {
-        PayloadTag::new(self.msg_id, self.kind, self.bytes)
-    }
 }
 
 /// Kernel-to-program callbacks, delivered in order while the process runs.
@@ -390,18 +383,5 @@ mod tests {
         assert!(matches!(actions[3], Action::Exit));
         assert_eq!(next_sock, 11);
         assert_eq!(next_msg, 101);
-    }
-
-    #[test]
-    fn message_tag_round_trip() {
-        let m = Message {
-            msg_id: 9,
-            kind: 2,
-            bytes: 512,
-        };
-        let t = m.tag();
-        assert_eq!(t.msg_id, 9);
-        assert_eq!(t.kind, 2);
-        assert_eq!(t.total_bytes, 512);
     }
 }

@@ -190,11 +190,6 @@ impl Socket {
         true
     }
 
-    /// Whether a complete message awaits delivery.
-    pub fn has_ready(&self) -> bool {
-        !self.ready.is_empty()
-    }
-
     /// Number of complete messages awaiting delivery.
     pub fn ready_count(&self) -> usize {
         self.ready.len()
@@ -213,11 +208,6 @@ impl Socket {
         let (msg, packets, t, bytes) = self.ready.pop_front()?;
         self.rx_bytes = self.rx_bytes.saturating_sub(bytes);
         Some((msg, packets, t))
-    }
-
-    /// Bytes currently held in the kernel receive buffer.
-    pub fn rx_backlog_bytes(&self) -> u64 {
-        self.rx_bytes
     }
 
     /// Largest buffer occupancy seen.
@@ -262,13 +252,13 @@ mod tests {
     fn single_packet_message_completes() {
         let mut s = sock();
         assert!(s.offer(pkt(1, 5, 100, 100), SimTime::from_micros(3)));
-        assert!(s.has_ready());
+        assert!(s.ready_count() > 0);
         let (msg, packets, t) = s.take_ready().unwrap();
         assert_eq!(msg.msg_id, 5);
         assert_eq!(msg.bytes, 100);
         assert_eq!(packets.len(), 1);
         assert_eq!(t, SimTime::from_micros(3));
-        assert_eq!(s.rx_backlog_bytes(), 0);
+        assert_eq!(s.rx_bytes, 0);
     }
 
     #[test]
@@ -276,11 +266,11 @@ mod tests {
         let mut s = sock();
         let total = 3000u64;
         assert!(s.offer(pkt(1, 7, 1434, total), SimTime::from_micros(1)));
-        assert!(!s.has_ready());
+        assert_eq!(s.ready_count(), 0);
         assert!(s.offer(pkt(2, 7, 1434, total), SimTime::from_micros(2)));
-        assert!(!s.has_ready());
+        assert_eq!(s.ready_count(), 0);
         assert!(s.offer(pkt(3, 7, 132, total), SimTime::from_micros(3)));
-        assert!(s.has_ready());
+        assert!(s.ready_count() > 0);
         let (msg, packets, first) = s.take_ready().unwrap();
         assert_eq!(msg.bytes, total);
         assert_eq!(packets.len(), 3);
@@ -292,7 +282,7 @@ mod tests {
         let mut s = sock();
         s.offer(pkt(1, 1, 1434, 2000), SimTime::ZERO);
         s.offer(pkt(2, 2, 500, 500), SimTime::ZERO);
-        assert!(s.has_ready(), "small message completed first");
+        assert!(s.ready_count() > 0, "small message completed first");
         s.offer(pkt(3, 1, 566, 2000), SimTime::ZERO);
         let (m2, ..) = s.take_ready().unwrap();
         assert_eq!(m2.msg_id, 2);
@@ -322,7 +312,7 @@ mod tests {
         assert!(s.offer(pkt(2, 2, 1434, 1434), SimTime::from_micros(9)));
         assert_eq!(s.evicted_assemblies(), 1);
         assert_eq!(s.dropped(), 1, "the zombie's packet counts as dropped");
-        assert!(s.has_ready(), "message 2 completed");
+        assert!(s.ready_count() > 0, "message 2 completed");
         let (m, ..) = s.take_ready().unwrap();
         assert_eq!(m.msg_id, 2);
     }
@@ -331,12 +321,9 @@ mod tests {
     fn ready_messages_hold_bytes_until_taken() {
         let mut s = sock();
         s.offer(pkt(1, 1, 100, 100), SimTime::ZERO);
-        assert!(
-            s.rx_backlog_bytes() > 0,
-            "undelivered message occupies buffer"
-        );
+        assert!(s.rx_bytes > 0, "undelivered message occupies buffer");
         s.take_ready();
-        assert_eq!(s.rx_backlog_bytes(), 0);
+        assert_eq!(s.rx_bytes, 0);
     }
 
     #[test]
@@ -359,7 +346,7 @@ mod tests {
             assert_eq!(packets, vec![(PacketId(i), 100 + Packet::HEADER_BYTES)]);
         }
         assert!(s.take_ready().is_none());
-        assert_eq!(s.rx_backlog_bytes(), 0);
+        assert_eq!(s.rx_bytes, 0);
     }
 
     #[test]
@@ -381,7 +368,7 @@ mod tests {
     fn zero_byte_message_is_one_packet() {
         let mut s = sock();
         assert!(s.offer(pkt(1, 3, 0, 0), SimTime::ZERO));
-        assert!(s.has_ready());
+        assert!(s.ready_count() > 0);
         let (msg, ..) = s.take_ready().unwrap();
         assert_eq!(msg.bytes, 0);
     }

@@ -7,7 +7,7 @@ use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{LinkSpec, Port};
 use simos::programs::EchoServer;
 use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
-use sysprof::{LpaConfig, MonitorConfig, SysProf};
+use sysprof::{MonitorConfig, SysProf};
 
 /// Keeps `depth` requests in flight on one socket (pipelining).
 struct PipelinedClient {
@@ -40,6 +40,9 @@ impl Program for PipelinedClient {
 }
 
 /// Returns (responses received, LPA records, mean interaction total µs).
+/// `use_arm` is whether both applications "link against ARM"
+/// (`World::enable_arm`), so their packets carry correlators; the monitor
+/// is deployed identically either way.
 fn run(use_arm: bool) -> (u32, u64, f64) {
     let mut world = WorldBuilder::new(31)
         .node("client")
@@ -48,14 +51,12 @@ fn run(use_arm: bool) -> (u32, u64, f64) {
         .full_mesh(LinkSpec::gigabit_lan())
         .build()
         .unwrap();
-    let mc = MonitorConfig {
-        lpa: LpaConfig {
-            use_arm_hints: use_arm,
-            ..LpaConfig::default()
-        },
-        ..MonitorConfig::default()
-    };
-    let sysprof = SysProf::deploy(&mut world, &[NodeId(1)], NodeId(2), mc);
+    let sysprof = SysProf::deploy(
+        &mut world,
+        &[NodeId(1)],
+        NodeId(2),
+        MonitorConfig::default(),
+    );
 
     // Slow enough that pipelined requests genuinely queue at the server.
     let server_pid = world.spawn(
@@ -77,8 +78,6 @@ fn run(use_arm: bool) -> (u32, u64, f64) {
         }),
     );
     if use_arm {
-        // Both applications "link against ARM": their packets carry
-        // correlators.
         world.enable_arm(NodeId(0), client_pid);
         world.enable_arm(NodeId(1), server_pid);
     }
@@ -104,8 +103,9 @@ fn black_box_mispairs_pipelined_requests() {
     // The black-box monitor pairs each arriving request with the *next*
     // response — which answers an earlier request — so its measured spans
     // are mostly one service gap (~2 ms): systematically wrong.
-    let (received, _records, mean_total) = run(false);
+    let (received, records, mean_total) = run(false);
     assert_eq!(received, 60, "application completed");
+    assert_eq!(records, 57, "a run of pipelined requests pairs as one");
     assert!(
         mean_total < 5_000.0,
         "black-box underestimates pipelined latency: measured {mean_total} µs"
@@ -116,10 +116,7 @@ fn black_box_mispairs_pipelined_requests() {
 fn arm_hints_recover_true_pipelined_latency() {
     let (received, records, mean_total) = run(true);
     assert_eq!(received, 60);
-    assert!(
-        (55..=60).contains(&records),
-        "ARM hints separate (nearly) all 60 interactions: got {records}"
-    );
+    assert_eq!(records, 60, "ARM hints separate all 60 interactions");
     assert!(
         mean_total > 6_000.0,
         "true per-request latency includes pipeline queueing: {mean_total} µs"
@@ -141,14 +138,12 @@ fn arm_interactions_have_sane_per_request_latency() {
         .full_mesh(LinkSpec::gigabit_lan())
         .build()
         .unwrap();
-    let mc = MonitorConfig {
-        lpa: LpaConfig {
-            use_arm_hints: true,
-            ..LpaConfig::default()
-        },
-        ..MonitorConfig::default()
-    };
-    let sysprof = SysProf::deploy(&mut world, &[NodeId(1)], NodeId(2), mc);
+    let sysprof = SysProf::deploy(
+        &mut world,
+        &[NodeId(1)],
+        NodeId(2),
+        MonitorConfig::default(),
+    );
     let server_pid = world.spawn(
         NodeId(1),
         "echo",
