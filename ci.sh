@@ -7,7 +7,7 @@
 #   ./ci.sh --analyze    only the static-analysis gate (fast pre-commit check)
 #   ./ci.sh --scenarios  only the scenario library: golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
-#   ./ci.sh --digest     only the digest plane: digest tests + sharded GPA differential
+#   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering checks + tier sweeps
 #   ./ci.sh --substrate  only the simulator under the monitor: calendar, simos, fingerprints
 set -euo pipefail
@@ -98,11 +98,13 @@ case "${1:-}" in
         "cargo test -q --test scenarios"
     ;;
 --digest)
-    # The parallel digest plane: the digest fold + worker lifecycle +
-    # proptest suite, the GPA wiring, and the kvstore differential.
+    # The digest engine: the fold and the K-replica differential against
+    # the scalar VM (unit sweep + proptest), its allocation discipline,
+    # the GPA wiring, and the kvstore differential.
     fast_path DIGEST \
-        "==> sharded digest plane (pubsub)" \
+        "==> digest engine: fold + replica differential (pubsub)" \
         "cargo test -q -p pubsub digest" \
+        "cargo test -q --release -p pubsub --test zero_alloc" \
         "${gpa_digest_steps[@]}"
     ;;
 --jit)

@@ -348,24 +348,34 @@ impl Gpa {
     pub fn ingest_record(&mut self, rec: &InteractionRecord) {
         self.store(*rec);
         if let Some(digest) = self.digest.as_mut() {
-            rec.to_raw_row(&mut self.rows);
-            digest.ingest_raw(flow_shard_key(rec), &self.rows);
+            digest.ingest_raw(flow_shard_key(rec), &rec.raw_row());
         }
     }
 
-    /// Feeds a batch of interaction records and then flushes any
-    /// partially-filled digest batches to their shard workers, so the
-    /// batch boundary the caller sees (one daemon delivery, one bench
-    /// chunk) is also a digest pipeline boundary.
+    /// Feeds a batch of interaction records; the digest takes their
+    /// rows a chunk at a time, not a call per record.
     pub fn ingest_records<'a, I>(&mut self, recs: I)
     where
         I: IntoIterator<Item = &'a InteractionRecord>,
     {
+        // Bounds the staging buffers however long `recs` is.
+        const CHUNK: usize = 4096;
+        self.rows.clear();
+        self.keys.clear();
         for rec in recs {
-            self.ingest_record(rec);
+            self.store(*rec);
+            if let Some(digest) = self.digest.as_mut() {
+                self.rows.extend_from_slice(&rec.raw_row());
+                self.keys.push(flow_shard_key(rec));
+                if self.keys.len() == CHUNK {
+                    digest.ingest_raw_rows(&self.keys, &self.rows);
+                    self.rows.clear();
+                    self.keys.clear();
+                }
+            }
         }
         if let Some(digest) = self.digest.as_mut() {
-            digest.flush();
+            digest.ingest_raw_rows(&self.keys, &self.rows);
         }
     }
 
@@ -569,12 +579,6 @@ impl Gpa {
         }
         if let Some(digest) = self.digest.as_mut() {
             digest.ingest_raw_rows(&keys, &rows);
-            // One daemon delivery is one digest pipeline boundary: ship
-            // any partial per-shard batches so records never linger in
-            // builders while the GPA waits for the next wire batch.
-            if count > 0 {
-                digest.flush();
-            }
         }
         self.rows = rows;
         self.keys = keys;

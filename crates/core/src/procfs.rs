@@ -97,6 +97,50 @@ pub fn render_gpa_summary(gpa: &Gpa) -> String {
     out
 }
 
+/// Renders what the installed digest compiled to and why, and what it
+/// has cost: one `key: value` line each, keys sorted. A slot that keeps
+/// the digest on one replica is named with the analysis's reason.
+pub fn render_digest(gpa: &Gpa) -> String {
+    let Some(digest) = gpa.digest() else {
+        return String::from("digest: none\n");
+    };
+    let stats = digest.stats();
+    let evaluator = match digest.batch_bail() {
+        None => String::from("vectorized"),
+        Some(bail) => format!("scalar ({bail})"),
+    };
+    let fuel_per_record = match stats.events {
+        0 => String::from("-"),
+        n => format!("{:.1}", stats.fuel_spent as f64 / n as f64),
+    };
+    let per_replica: Vec<String> = stats.per_shard_events.iter().map(u64::to_string).collect();
+    let tier = match digest.tier() {
+        ecode::ExecTier::Compiled => "compiled",
+        ecode::ExecTier::Fused => "interpreted",
+    };
+    let mut lines = vec![
+        format!("aborted: {}", stats.aborted),
+        format!("evaluator: {evaluator}"),
+        format!("events: {}", stats.events),
+        format!("events_per_replica: {}", per_replica.join(" ")),
+        format!("fuel_bound: {}", digest.fuel_bound()),
+        format!("fuel_per_record: {fuel_per_record}"),
+        format!("replicas_requested: {}", stats.requested_shards),
+        format!("replicas_running: {}", stats.shards),
+        format!("skipped: {}", stats.skipped),
+        format!("tier: {tier}"),
+    ];
+    for slot in digest.plan().unsafe_slots() {
+        let why = match &slot.class {
+            ecode::MergeClass::Opaque { reason, .. } => reason,
+            class => class.describe(),
+        };
+        lines.push(format!("unmergeable.{}: {why}", slot.name));
+    }
+    lines.sort();
+    lines.join("\n") + "\n"
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,5 +156,6 @@ mod tests {
         assert!(render_classes(&lpa).starts_with("# class_port"));
         assert!(render_status(NodeId(0), &kprof, &lpa).contains("events_generated: 0"));
         assert!(render_gpa_summary(&gpa).starts_with("# node"));
+        assert_eq!(render_digest(&gpa), "digest: none\n");
     }
 }

@@ -82,15 +82,13 @@ impl InteractionRecord {
             .expect("static schema is valid")
     }
 
-    /// Encodes as a raw row: one `i64` per schema field, in schema
+    /// The record as a raw row: one `i64` per schema field, in schema
     /// order (all interaction fields are unsigned integers, so the raw
     /// value is just the width-extended count). This is the form the
     /// record travels in — what `Hub::publish_raw` encodes, the PBIO row
-    /// codec decodes and `ShardedDigest::ingest_raw_rows` consumes;
-    /// `out` is a reusable scratch buffer.
-    pub fn to_raw_row(&self, out: &mut Vec<i64>) {
-        out.clear();
-        out.extend_from_slice(&[
+    /// codec decodes and `ShardedDigest::ingest_raw_rows` consumes.
+    pub fn raw_row(&self) -> [i64; 18] {
+        [
             self.node.0 as i64,
             self.flow.src.ip.0 as i64,
             self.flow.src.port.0 as i64,
@@ -109,10 +107,16 @@ impl InteractionRecord {
             self.kernel_out_us as i64,
             self.blocked_us as i64,
             self.blocked_io_us as i64,
-        ]);
+        ]
     }
 
-    /// Inverse of [`to_raw_row`](Self::to_raw_row). The caller vouches
+    /// [`raw_row`](Self::raw_row) into a reusable scratch buffer.
+    pub fn to_raw_row(&self, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend_from_slice(&self.raw_row());
+    }
+
+    /// Inverse of [`raw_row`](Self::raw_row). The caller vouches
     /// that `row` was coded under [`schema`](Self::schema) (the GPA
     /// compares the announced schema); `None` if it is not one value per
     /// field.

@@ -1,7 +1,7 @@
 //! Vectorized batch evaluation for fully-mergeable digest programs: the
 //! column backend of the one lowering ([`crate::ir`]).
 //!
-//! The sharded GPA feeds each shard worker *columns* of raw input bits
+//! The GPA's digest feeds each shard replica *columns* of raw input bits
 //! (one `&[i64]` per declared input, one lane per record). Running the
 //! scalar VM row-at-a-time from those columns pays interpreter dispatch,
 //! stack traffic, and fuel checks per record. This module compiles the
@@ -42,7 +42,7 @@
 //! vector path can never hit `OutOfFuel` mid-batch — and because
 //! non-constant divisors bail at compile time it can never trap — which
 //! is why it needs no per-lane abort story. Return values and `out()`
-//! are *not* produced: the digest plane only observes statics and fuel.
+//! are *not* produced: the digest only observes statics and fuel.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -248,8 +248,8 @@ struct Edge {
 }
 
 /// A digest program compiled for whole-batch evaluation, plus its
-/// reusable column arenas. Create one per worker with
-/// [`compile`](BatchEval::compile) (or clone one); call
+/// reusable column arenas. Create one with
+/// [`compile`](BatchEval::compile); call
 /// [`run`](BatchEval::run) per batch.
 #[derive(Debug, Clone)]
 pub struct BatchEval {

@@ -91,8 +91,8 @@ pub(crate) struct Block {
 }
 
 /// A program lowered to a graph of specialized blocks. Built once per
-/// [`Program`](crate::Program) behind an `Arc` (instances clone into
-/// digest-plane worker threads), immutable thereafter.
+/// [`Program`](crate::Program) behind an `Arc` (every instance of the
+/// program shares it), immutable thereafter.
 pub struct CompiledProgram {
     pub(crate) blocks: Vec<Block>,
     /// Original pc → block index (`u32::MAX` where no block starts);

@@ -613,8 +613,8 @@ impl Instance {
     /// the per-call setup (input marshalling, arena resets, driver
     /// entry) is hoisted out of the row loop, which is where a scalar
     /// call spends a large fraction of its time on small CPAs. Hot
-    /// ingest paths that already hold columnar batches (the GPA digest
-    /// plane, the bench rings) use this; one-event-at-a-time hosts keep
+    /// ingest paths that already hold row batches (the bench rings)
+    /// use this; one-event-at-a-time hosts keep
     /// calling `run_raw`.
     ///
     /// # Errors

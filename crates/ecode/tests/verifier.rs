@@ -818,7 +818,7 @@ fn check_batch_exactness(src: &str, history: &[[i64; 2]]) -> bool {
         history.iter().map(|r| r[1]).collect(),
     ];
     // Width 1 (degenerate lanes), 7 (odd, never a SIMD multiple) and
-    // the plane's default flush of 4096 with a ragged tail.
+    // the digest's chunk size of 4096 with a ragged tail.
     for width in [1usize, 7, 4096] {
         let mut vector = Instance::new(&program);
         let mut vector_fuel = 0u64;

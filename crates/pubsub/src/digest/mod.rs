@@ -1,4 +1,4 @@
-//! Sharded digest evaluation: N replica instances of one E-Code
+//! Sharded digest evaluation: K replica instances of one E-Code
 //! program, partitioned by flow key, folded back with the program's
 //! [`MergePlan`].
 //!
@@ -6,30 +6,24 @@
 //! every ingested record — unlike a subscription [`Filter`](crate::Hub),
 //! which resets its statics per record. When the verifier proves every
 //! static shard-safe ([`MergePlan::fully_mergeable`]), the digest runs
-//! as `shards` independent replicas, each owned by a dedicated worker
-//! thread (see [`plane`]); records are dispatched by a deterministic
-//! FNV-1a hash of their flow key into per-shard *columnar batches*
-//! (one column of raw input bits per program input), and the workers
-//! evaluate whole batches at a time — vectorized via
-//! [`ecode::BatchEval`] when the program admits it, scalar otherwise.
-//! [`ShardedDigest::merged`] quiesces the workers (flush + drain
-//! barrier) and folds the replicas into the exact statics a single
-//! sequential instance would hold. Programs with any
-//! `Opaque`/`LastWriteWins` slot (every slot of a program `ecode` did
-//! not lower is `Opaque`) silently fall back to one inline
-//! instance — no threads, no batching, no flow-key hashing —
-//! correctness never depends on the caller checking the plan first.
+//! as `shards` independent replicas, all owned by the caller's thread:
+//! each [`ShardedDigest::ingest_raw_rows`] call dispatches its records
+//! by a deterministic FNV-1a hash of their flow key into per-replica
+//! *column scratch* (one column of raw input bits per input the program
+//! reads) and evaluates them before it returns — column-wise through
+//! one shared [`ecode::BatchEval`] when the program vectorizes,
+//! row-at-a-time on the scalar VM otherwise. Nothing is pending between
+//! calls, so [`ShardedDigest::merged`] is a plain fold of the replicas,
+//! in shard order, into the exact statics a single sequential instance
+//! would hold. Programs with any `Opaque`/`LastWriteWins` slot (every
+//! slot of a program `ecode` did not lower is `Opaque`) silently run as
+//! one replica — correctness never depends on the caller checking the
+//! plan first.
 //!
-//! Why thread scheduling cannot leak into results: batches reach each
-//! shard in ingest order over a FIFO channel, each shard's statics
-//! evolve only from its own stream, and the fold algebra is proven
-//! order-insensitive per slot — so the only nondeterminism threads add
-//! (who runs when) is invisible to the folded statics. DESIGN.md §11
-//! develops the full argument.
-
-mod plane;
-
-use std::cell::RefCell;
+//! Replicas buy no speed on one thread; they exist because the merge
+//! proof needs a runtime differential: the same stream through K
+//! replicas and through one must fold to the same bits
+//! (`tests/sharded_gpa.rs`, sysbench's `gpa_wire`). DESIGN.md §11.
 
 use ecode::{
     BatchEval, Instance, MergeError, MergePlan, Value as EValue, VerifyLimits, VerifyReport,
@@ -37,26 +31,27 @@ use ecode::{
 use pbio::Schema;
 
 use crate::PubSubError;
-use plane::Plane;
 
 /// Worst-case fuel a digest program may cost per record. Same budget as
 /// subscription filters: digests run on the GPA's ingest path, which is
 /// hot for exactly the same reason the publish path is.
 pub const DIGEST_FUEL_BUDGET: u64 = 10_000;
 
-/// Records buffered per shard before the batch ships to its worker.
-/// 4096 amortizes worker wake-ups and dispatch overhead across ~4k rows
-/// while keeping per-shard columns comfortably inside L2; sizes past
-/// ~16k rows spill the builders out of cache and cost more than the
-/// wake-ups they save.
+/// Most rows scattered and evaluated at a time. 4096 rows keep every
+/// replica's columns and the evaluator's registers inside L2; longer
+/// calls are cut into chunks of this size.
 const FLUSH_ROWS: usize = 4096;
+
+/// Most replicas that run: shard ids are staged as `u8`.
+const MAX_SHARDS: usize = 256;
 
 /// Evaluation statistics, for overhead accounting and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestStats {
     /// Shard count the caller asked for.
     pub requested_shards: usize,
-    /// Shard count actually running (1 when the plan forced fallback).
+    /// Shard count actually running (1 when the plan forced fallback,
+    /// at most 256).
     pub shards: usize,
     /// Whether the digest is running more than one replica.
     pub sharded: bool,
@@ -74,20 +69,16 @@ pub struct DigestStats {
     pub aborted: u64,
 }
 
-/// The evaluation engine behind a digest.
-enum Engine {
-    /// One inline replica, evaluated on the caller's thread with the
-    /// scalar VM. Used for `shards == 1` and for non-mergeable
-    /// programs; pays no flow-key hash, no batching, no channels.
-    Single {
-        inst: Instance,
-        events: u64,
-        fuel_spent: u64,
-        aborted: u64,
-    },
-    /// K worker threads fed columnar batches. Behind a `RefCell` so
-    /// `&self` accessors (`merged`, `stats`) can run drain barriers.
-    Parallel(RefCell<Plane>),
+/// One shard: its replica of the program's statics and the rows of the
+/// chunk being ingested that hashed to it.
+struct Replica {
+    inst: Instance,
+    events: u64,
+    /// Column scratch, used only when the digest vectorizes: the `j`-th
+    /// *active* column (see [`ShardedDigest::active_fields`]) occupies
+    /// `cols[j * scratch_rows ..][.. rows]`. Slots past `rows` are stale.
+    cols: Vec<i64>,
+    rows: usize,
 }
 
 /// A compiled digest program running as one or more shard replicas.
@@ -98,28 +89,37 @@ enum Engine {
 pub struct ShardedDigest {
     program: ecode::Program,
     plan: MergePlan,
-    engine: Engine,
+    replicas: Vec<Replica>,
+    /// The column evaluator every replica's rows go through; `None`
+    /// when the vectorizer refused the program (see `batch_bail`).
+    batch: Option<BatchEval>,
     requested_shards: usize,
     n_schema_fields: usize,
     /// Indices of the record fields that are program inputs, in input order.
     field_indices: Vec<usize>,
-    /// Reusable program-input-ordered scratch row.
+    /// Input position and schema field index of every input the program
+    /// actually reads. Only these columns are materialized, which
+    /// matters when a digest reads 4 fields of an 18-field record.
+    active_inputs: Vec<usize>,
+    active_fields: Vec<usize>,
+    /// Rows each replica's column scratch holds per column: the largest
+    /// chunk seen so far (64 on the GPA's wire path), so `compile`
+    /// allocates none and a small-batch caller stays in L1.
+    scratch_rows: usize,
+    /// Reusable per-chunk shard ids.
+    shard_ids: Vec<u8>,
+    /// Reusable program-input-ordered row for the scalar VM.
     raw_row: Vec<i64>,
     /// Statically proven worst-case fuel per evaluation.
     fuel_bound: u64,
     /// Execution tier every replica runs on. Tier selection is a pure
     /// function of the program, so one probe at compile time speaks for
-    /// all shards (including the parallel plane's worker-local replicas).
+    /// all replicas.
     tier: ecode::ExecTier,
-    /// Why sharded evaluation does not run column-wise (see
-    /// [`batch_bail`](ShardedDigest::batch_bail)).
     batch_bail: Option<ecode::BatchBail>,
     skipped: u64,
-    /// Lazily computed fold of the replicas, invalidated on ingest.
-    /// `merged()`/`merged_global()` sit on the stats/query path and are
-    /// typically called several times between ingests; one fold (and,
-    /// for the parallel engine, one drain barrier) serves them all.
-    merged_cache: RefCell<Option<Instance>>,
+    fuel_spent: u64,
+    aborted: u64,
 }
 
 /// Deterministic 64-bit FNV-1a over the key's little-endian bytes.
@@ -149,25 +149,14 @@ impl ShardedDigest {
     /// Compiles `src` against `schema` and provisions replicas.
     ///
     /// `shards` is the *requested* replica count; the digest actually
-    /// shards only when the verifier proves every static shard-safe.
+    /// shards only when the verifier proves every static shard-safe,
+    /// and never past 256 replicas.
     /// The verification itself is ordinary (no `require_mergeable`):
     /// non-mergeable digests are legal, they just run single-instance.
     pub fn compile(
         src: &str,
         schema: &Schema,
         shards: usize,
-    ) -> Result<ShardedDigest, PubSubError> {
-        Self::compile_flushing(src, schema, shards, FLUSH_ROWS)
-    }
-
-    /// [`compile`](ShardedDigest::compile) with the plane's batch size
-    /// spelled out, so the tests can put a batch boundary anywhere in a
-    /// short stream.
-    fn compile_flushing(
-        src: &str,
-        schema: &Schema,
-        shards: usize,
-        flush_rows: usize,
     ) -> Result<ShardedDigest, PubSubError> {
         let (inputs, field_indices) = crate::ecode_inputs(schema);
         let limits = VerifyLimits::with_max_fuel(DIGEST_FUEL_BUDGET);
@@ -178,41 +167,49 @@ impl ShardedDigest {
             merge_plan,
             ..
         } = report;
-        let tier = Instance::new(&program).tier();
-        // Vectorize once, for every worker: each gets a clone, and the
-        // refusal (if any) is kept for `batch_bail`.
-        let batch = (shards > 1).then(|| BatchEval::compile(&program, &merge_plan, fuel_bound));
-        let batch_bail = batch.as_ref().and_then(|b| b.as_ref().err().copied());
-        let engine = if shards > 1 && merge_plan.fully_mergeable() {
-            Engine::Parallel(RefCell::new(Plane::spawn(
-                &program,
-                batch.and_then(Result::ok),
-                fuel_bound,
-                &field_indices,
-                shards,
-                flush_rows,
-            )))
+        let running = if merge_plan.fully_mergeable() {
+            shards.clamp(1, MAX_SHARDS)
         } else {
-            Engine::Single {
+            1
+        };
+        let (batch, batch_bail) = match BatchEval::compile(&program, &merge_plan, fuel_bound) {
+            Ok(batch) => (Some(batch), None),
+            Err(bail) => (None, Some(bail)),
+        };
+        let used = program.used_inputs();
+        let (active_inputs, active_fields) = field_indices
+            .iter()
+            .enumerate()
+            .filter(|(input, _)| used[*input])
+            .map(|(input, &field)| (input, field))
+            .unzip();
+        let replicas: Vec<Replica> = (0..running)
+            .map(|_| Replica {
                 inst: Instance::new(&program),
                 events: 0,
-                fuel_spent: 0,
-                aborted: 0,
-            }
-        };
+                cols: Vec::new(),
+                rows: 0,
+            })
+            .collect();
         Ok(ShardedDigest {
+            tier: replicas[0].inst.tier(),
             program,
             plan: merge_plan,
-            engine,
+            replicas,
+            batch,
             requested_shards: shards,
             n_schema_fields: schema.fields().len(),
             field_indices,
+            active_inputs,
+            active_fields,
+            scratch_rows: 0,
+            shard_ids: Vec::new(),
             raw_row: Vec::new(),
             fuel_bound,
-            tier,
             batch_bail,
             skipped: 0,
-            merged_cache: RefCell::new(None),
+            fuel_spent: 0,
+            aborted: 0,
         })
     }
 
@@ -235,13 +232,12 @@ impl ShardedDigest {
         self.tier
     }
 
-    /// Why records of a digest asked to shard are evaluated row-at-a-time
-    /// on the scalar VM instead of column-wise by [`ecode::BatchEval`]:
-    /// `NotMergeable` or `NotLowered` when the plan kept it on the single
-    /// engine (a program the lowering refused has an all-`Opaque` plan),
-    /// anything else is what the vectorizer refused in the workers'
-    /// program. `None` when the workers vectorize — or when a single
-    /// shard was requested, and batching never came up.
+    /// Why records are evaluated row-at-a-time on the scalar VM instead
+    /// of column-wise by [`ecode::BatchEval`]: `NotMergeable` or
+    /// `NotLowered` when the plan also keeps the digest on one replica
+    /// (a program the lowering refused has an all-`Opaque` plan),
+    /// anything else is what the vectorizer refused in a program that
+    /// still shards. `None` when the digest vectorizes.
     pub fn batch_bail(&self) -> Option<ecode::BatchBail> {
         self.batch_bail
     }
@@ -261,14 +257,8 @@ impl ShardedDigest {
     /// contract, which `InteractionRecord::to_raw_row` and the PBIO row
     /// codec satisfy by construction.
     ///
-    /// Shard placement hashes run as a pre-pass over the contiguous key
-    /// slice — the FNV-1a rounds of different keys overlap in flight
-    /// instead of serializing behind one record's dispatch — and the
-    /// per-call bookkeeping (cache invalidation, engine dispatch) is
-    /// paid once per batch. The parallel engine buffers the records into
-    /// columnar batches; effects become observable at the next barrier
-    /// ([`merged`](ShardedDigest::merged) / [`stats`](ShardedDigest::stats)),
-    /// which is where batches are flushed and workers quiesced.
+    /// Every row is evaluated before the call returns, so any read that
+    /// follows sees it. A warm digest allocates nothing here.
     ///
     /// A `rows` length that is not `keys.len() * stride` skips the
     /// whole call (counted per record) rather than trap.
@@ -278,166 +268,198 @@ impl ShardedDigest {
             self.skipped += keys.len() as u64;
             return;
         }
-        if keys.is_empty() {
-            return;
+        if self.batch.is_none() {
+            return self.ingest_scalar(keys, rows, stride);
         }
-        // The replicas' statics are about to change; drop the stale fold.
-        self.merged_cache.get_mut().take();
-        match &mut self.engine {
-            Engine::Single {
-                inst,
-                events,
-                fuel_spent,
-                aborted,
-            } => {
-                for row in rows.chunks_exact(stride) {
-                    self.raw_row.clear();
-                    for &i in &self.field_indices {
-                        self.raw_row.push(row[i]);
-                    }
-                    run_single(
-                        inst,
-                        &self.raw_row,
-                        self.fuel_bound,
-                        events,
-                        fuel_spent,
-                        aborted,
-                    );
-                }
-            }
-            Engine::Parallel(p) => p.get_mut().ingest_rows(keys, rows, stride),
+        for (keys, rows) in keys
+            .chunks(FLUSH_ROWS)
+            .zip(rows.chunks(FLUSH_ROWS * stride))
+        {
+            self.scatter(keys, rows, stride);
+            self.evaluate();
         }
     }
 
-    /// Ships any partially-filled per-shard batches to the workers
-    /// without waiting for them to be evaluated. Hosts call this at
-    /// report boundaries (the plane's "time threshold" — the simulator
-    /// has no wall clock) so records do not linger in builders between
-    /// barriers. No-op for the single-replica engine.
-    pub fn flush(&mut self) {
-        if let Engine::Parallel(p) = &mut self.engine {
-            p.get_mut().flush_all();
+    /// Row-at-a-time ingest on the scalar VM, for programs the
+    /// vectorizer refused. Statics persist across records — that is the
+    /// point of a digest.
+    fn ingest_scalar(&mut self, keys: &[u64], rows: &[i64], stride: usize) {
+        let shards = self.replicas.len();
+        for (&key, row) in keys.iter().zip(rows.chunks_exact(stride)) {
+            let shard = if shards == 1 {
+                0
+            } else {
+                place(fnv1a(key), shards)
+            };
+            self.raw_row.clear();
+            self.raw_row
+                .extend(self.field_indices.iter().map(|&i| row[i]));
+            let replica = &mut self.replicas[shard];
+            match replica.inst.run_raw(&self.raw_row, self.fuel_bound) {
+                Ok(out) => self.fuel_spent += out.fuel_used,
+                Err(_) => {
+                    // A runtime trap (input-dependent division by zero,
+                    // say) leaves the statics partially updated, just as
+                    // it would a sequential instance.
+                    self.aborted += 1;
+                    self.fuel_spent += self.fuel_bound;
+                }
+            }
+            replica.events += 1;
+        }
+    }
+
+    /// Copies one chunk's active fields into its rows' replicas' column
+    /// scratch. Shard placement hashes run as a pre-pass over the key
+    /// slice, so the FNV-1a multiply chains of different keys overlap in
+    /// the pipeline; one replica takes every row and needs no hash.
+    fn scatter(&mut self, keys: &[u64], rows: &[i64], stride: usize) {
+        if keys.len() > self.scratch_rows {
+            self.scratch_rows = keys.len();
+            let words = self.active_fields.len() * self.scratch_rows;
+            for replica in &mut self.replicas {
+                replica.cols.resize(words, 0);
+            }
+        }
+        let shards = self.replicas.len();
+        if shards == 1 {
+            self.replicas[0].events += keys.len() as u64;
+            return self.scatter_by(std::iter::repeat(0), rows, stride);
+        }
+        let mut ids = std::mem::take(&mut self.shard_ids);
+        ids.clear();
+        ids.extend(keys.iter().map(|&k| place(fnv1a(k), shards) as u8));
+        // Event accounting runs as its own pass over the (L1-resident)
+        // id slice, keeping the scatter loop to copy work only.
+        for &id in &ids {
+            self.replicas[id as usize].events += 1;
+        }
+        self.scatter_by(ids.iter().map(|&id| id as usize), rows, stride);
+        self.shard_ids = ids;
+    }
+
+    /// The copy loop is monomorphized per active-column count so the
+    /// compiler unrolls it and keeps the field indices in registers.
+    fn scatter_by(&mut self, ids: impl Iterator<Item = usize>, rows: &[i64], stride: usize) {
+        let (replicas, column) = (&mut self.replicas[..], self.scratch_rows);
+        let fields = &self.active_fields[..];
+        match fields.len() {
+            1 => scatter_rows::<1>(replicas, column, fields, ids, rows, stride),
+            2 => scatter_rows::<2>(replicas, column, fields, ids, rows, stride),
+            3 => scatter_rows::<3>(replicas, column, fields, ids, rows, stride),
+            4 => scatter_rows::<4>(replicas, column, fields, ids, rows, stride),
+            5 => scatter_rows::<5>(replicas, column, fields, ids, rows, stride),
+            6 => scatter_rows::<6>(replicas, column, fields, ids, rows, stride),
+            _ => scatter_fields(replicas, column, fields, ids, rows, stride),
+        }
+    }
+
+    /// Runs every replica's scattered rows through the column evaluator
+    /// and empties the scratch.
+    fn evaluate(&mut self) {
+        let batch = self.batch.as_mut().expect("column path has an evaluator");
+        // One column view per program input, on the stack for any
+        // schema the workspace ships. Unused inputs keep an empty
+        // column: the evaluator length-checks only the inputs it reads.
+        let mut inline: [&[i64]; 32] = [&[]; 32];
+        let mut spilled = Vec::new();
+        let n_inputs = self.field_indices.len();
+        let cols = match inline.get_mut(..n_inputs) {
+            Some(cols) => cols,
+            None => {
+                spilled.resize(n_inputs, &[][..]);
+                &mut spilled[..]
+            }
+        };
+        for replica in &mut self.replicas {
+            if replica.rows == 0 {
+                continue;
+            }
+            for (j, &input) in self.active_inputs.iter().enumerate() {
+                cols[input] = &replica.cols[j * self.scratch_rows..][..replica.rows];
+            }
+            self.fuel_spent += batch.run(&mut replica.inst, cols, replica.rows);
+            replica.rows = 0;
         }
     }
 
     /// Folds every replica's statics into a fresh instance per the plan.
     ///
-    /// For the parallel engine this is a *drain barrier*: partial
-    /// batches are flushed, every worker answers a FIFO drain message,
-    /// and the snapshots are folded in shard order. A fresh instance
-    /// (statics at their declared initial values) is the identity
-    /// element of each shard-safe fold, so folding shards into it
-    /// yields exactly the sequential statics. With one replica this
-    /// degenerates to a copy, so the accessor works uniformly for
-    /// fallback digests too.
+    /// A fresh instance (statics at their declared initial values) is
+    /// the identity element of each shard-safe fold, so folding the
+    /// replicas into it, in shard order, yields exactly the sequential
+    /// statics. One replica needs no folding — which is also what lets
+    /// fallback digests, whose plans do not fold, answer uniformly.
     pub fn merged(&self) -> Result<Instance, MergeError> {
-        if let Engine::Single { inst, .. } = &self.engine {
-            // Fallback digests may hold non-mergeable plans; a single
-            // replica needs no folding.
-            return Ok(inst.clone());
+        if let [only] = &self.replicas[..] {
+            return Ok(only.inst.clone());
         }
-        self.ensure_merged()?;
-        Ok(self
-            .merged_cache
-            .borrow()
-            .as_ref()
-            .expect("ensure_merged filled the cache")
-            .clone())
-    }
-
-    /// Runs the drain-and-fold into the cache unless it is already fresh.
-    fn ensure_merged(&self) -> Result<(), MergeError> {
-        if self.merged_cache.borrow().is_some() {
-            return Ok(());
-        }
-        let Engine::Parallel(p) = &self.engine else {
-            return Ok(());
-        };
-        let snapshots = p.borrow_mut().drain();
         let mut acc = Instance::new(&self.program);
-        for snap in &snapshots {
-            acc.merge_from(&snap.inst, &self.plan)?;
+        for replica in &self.replicas {
+            acc.merge_from(&replica.inst, &self.plan)?;
         }
-        *self.merged_cache.borrow_mut() = Some(acc);
-        Ok(())
+        Ok(acc)
     }
 
-    /// Reads a static variable of the *merged* state by name. Repeated
-    /// reads between ingests share one drain + fold via the cache.
+    /// Reads a static variable of the *merged* state by name.
     pub fn merged_global(&self, name: &str) -> Option<EValue> {
-        if let Engine::Single { inst, .. } = &self.engine {
-            return inst.global(name);
+        if let [only] = &self.replicas[..] {
+            return only.inst.global(name);
         }
-        self.ensure_merged().ok()?;
-        self.merged_cache.borrow().as_ref()?.global(name)
+        self.merged().ok()?.global(name)
     }
 
-    /// Current evaluation statistics. For the parallel engine this is a
-    /// drain barrier (fuel and abort counts live in the workers).
+    /// Current evaluation statistics.
     pub fn stats(&self) -> DigestStats {
-        match &self.engine {
-            Engine::Single {
-                events,
-                fuel_spent,
-                aborted,
-                ..
-            } => DigestStats {
-                requested_shards: self.requested_shards,
-                shards: 1,
-                sharded: false,
-                events: *events,
-                per_shard_events: vec![*events],
-                skipped: self.skipped,
-                fuel_spent: *fuel_spent,
-                aborted: *aborted,
-            },
-            Engine::Parallel(p) => {
-                let mut p = p.borrow_mut();
-                let snapshots = p.drain();
-                DigestStats {
-                    requested_shards: self.requested_shards,
-                    shards: p.shards(),
-                    sharded: true,
-                    events: p.per_shard_events.iter().sum(),
-                    per_shard_events: p.per_shard_events.clone(),
-                    skipped: self.skipped,
-                    fuel_spent: snapshots.iter().map(|s| s.fuel_spent).sum(),
-                    aborted: snapshots.iter().map(|s| s.aborted).sum(),
-                }
-            }
-        }
-    }
-
-    /// Test hook: make one worker panic to exercise propagation.
-    #[cfg(test)]
-    fn inject_panic(&mut self, shard: usize) {
-        if let Engine::Parallel(p) = &mut self.engine {
-            p.get_mut().inject_panic(shard);
+        let per_shard_events: Vec<u64> = self.replicas.iter().map(|r| r.events).collect();
+        DigestStats {
+            requested_shards: self.requested_shards,
+            shards: self.replicas.len(),
+            sharded: self.replicas.len() > 1,
+            events: per_shard_events.iter().sum(),
+            per_shard_events,
+            skipped: self.skipped,
+            fuel_spent: self.fuel_spent,
+            aborted: self.aborted,
         }
     }
 }
 
-/// Inline scalar evaluation for the single-replica engine.
-fn run_single(
-    inst: &mut Instance,
-    row: &[i64],
-    fuel_bound: u64,
-    events: &mut u64,
-    fuel_spent: &mut u64,
-    aborted: &mut u64,
+/// Scatter for programs reading exactly `N` inputs: the field list
+/// lives in a fixed array, so the per-record copy is branch-free
+/// straight-line code after unrolling.
+fn scatter_rows<const N: usize>(
+    replicas: &mut [Replica],
+    column: usize,
+    fields: &[usize],
+    ids: impl Iterator<Item = usize>,
+    rows: &[i64],
+    stride: usize,
 ) {
-    // Statics persist across records — that is the point of a digest.
-    match inst.run_raw(row, fuel_bound) {
-        Ok(out) => *fuel_spent += out.fuel_used,
-        Err(_) => {
-            // A runtime trap (input-dependent division by zero, say)
-            // leaves the statics partially updated, just as it would a
-            // sequential instance.
-            *aborted += 1;
-            *fuel_spent += fuel_bound;
+    let fields: [usize; N] = fields.try_into().expect("dispatched on the field count");
+    scatter_fields(replicas, column, &fields, ids, rows, stride);
+}
+
+/// Appends `row[fields]` of every row to the columns of the replica its
+/// id names; `column` is the scratch's rows per column.
+#[inline(always)]
+fn scatter_fields(
+    replicas: &mut [Replica],
+    column: usize,
+    fields: &[usize],
+    ids: impl Iterator<Item = usize>,
+    rows: &[i64],
+    stride: usize,
+) {
+    for (shard, row) in ids.zip(rows.chunks_exact(stride)) {
+        let replica = &mut replicas[shard];
+        let mut slot = replica.rows;
+        for &field in fields {
+            replica.cols[slot] = row[field];
+            slot += column;
         }
+        replica.rows += 1;
     }
-    *events += 1;
 }
 
 #[cfg(test)]
@@ -465,8 +487,18 @@ mod tests {
         return count;
     ";
 
+    /// Division by a record field bails the batch vectorizer (a zero
+    /// lane would have to trap mid-batch), but the accumulator is still
+    /// sum-mergeable — so this program shards, with every replica on
+    /// the scalar VM, and a `port == 0` row traps.
+    const DIVIDING: &str = "
+        static int ratio_sum = 0;
+        ratio_sum = ratio_sum + size / port;
+        return ratio_sum;
+    ";
+
     /// A digest that does not run column-wise says why: the plan kept it
-    /// off the plane, or the vectorizer refused the workers' program.
+    /// on one replica, or the vectorizer refused the program.
     #[test]
     fn scalar_fallback_reports_its_reason() {
         let schema = schema();
@@ -476,9 +508,8 @@ mod tests {
         assert_eq!(d.batch_bail(), Some(ecode::BatchBail::NotMergeable));
 
         // Shard-safe, but a zero `port` lane would have to trap
-        // mid-batch: sharded, each worker on the scalar VM.
-        let div = "static int n = 0; n = n + size / port; return n;";
-        let mut d = ShardedDigest::compile(div, &schema, 4).unwrap();
+        // mid-batch: sharded, each replica on the scalar VM.
+        let mut d = ShardedDigest::compile(DIVIDING, &schema, 4).unwrap();
         assert!(d.stats().shards > 1);
         assert_eq!(
             d.batch_bail(),
@@ -488,7 +519,7 @@ mod tests {
             d.ingest_raw(i, &[i as i64 * 10, 1 + (i % 3) as i64]);
         }
         let want: i64 = (0..64i64).map(|i| i * 10 / (1 + i % 3)).sum();
-        assert_eq!(d.merged_global("n"), Some(EValue::Int(want)));
+        assert_eq!(d.merged_global("ratio_sum"), Some(EValue::Int(want)));
     }
 
     #[test]
@@ -499,11 +530,11 @@ mod tests {
         assert_eq!(seq.stats().shards, 1);
         assert!(sharded.stats().shards > 1);
         assert_eq!(sharded.stats().shards, 4);
-        // Both engines must agree on the (deterministic) execution tier,
-        // and the canonical mergeable digest fits the default budget.
+        // Every replica count agrees on the (deterministic) execution
+        // tier, and the canonical mergeable digest fits the default budget.
         assert_eq!(seq.tier(), ecode::ExecTier::Compiled);
         assert_eq!(sharded.tier(), seq.tier());
-        // The workers evaluate it column-wise; one shard never batches.
+        // Both evaluate it column-wise.
         assert_eq!(sharded.batch_bail(), None);
         assert_eq!(seq.batch_bail(), None);
 
@@ -573,65 +604,26 @@ mod tests {
     }
 
     #[test]
-    fn merged_cache_invalidates_on_ingest() {
+    fn reads_between_ingests_stay_current() {
         let schema = schema();
         let mut d = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
         d.ingest_raw(1, &[5, 80]);
         assert_eq!(d.merged_global("count"), Some(EValue::Int(1)));
-        // Second read between ingests is served by the cached fold.
         assert_eq!(d.merged_global("bytes"), Some(EValue::Int(5)));
-        // A new record must drop the stale fold.
+        // A new record must show in the next read.
         d.ingest_raw(2, &[7, 9000]);
         assert_eq!(d.merged_global("count"), Some(EValue::Int(2)));
         assert_eq!(d.merged_global("bytes"), Some(EValue::Int(12)));
     }
 
-    /// One call with the whole stream and one call per record are the
-    /// same ingest; wrong-arity input is counted, not evaluated.
+    /// The same program with every replica on the scalar VM: the fold
+    /// must stay bit-exact with sequential, and a genuinely trapping
+    /// record must surface in `aborted` identically at any replica count.
     #[test]
-    fn batch_ingest_matches_per_record_ingest_bitwise() {
+    fn non_vectorizable_digest_uses_scalar_fallback() {
         let schema = schema();
-        let mut by_record = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
-        let mut by_batch = ShardedDigest::compile(MERGEABLE, &schema, 4).unwrap();
-        let (mut keys, mut rows) = (Vec::new(), Vec::new());
-        for i in 0..300u64 {
-            let row = [
-                (i * 131 % 7919) as i64,
-                if i % 11 == 0 { 443 } else { 8080 },
-            ];
-            by_record.ingest_raw(i, &row);
-            keys.push(i);
-            rows.extend_from_slice(&row);
-        }
-        by_batch.ingest_raw_rows(&keys, &rows);
-        assert_eq!(
-            by_record.merged().unwrap().raw_globals(),
-            by_batch.merged().unwrap().raw_globals()
-        );
-        assert_eq!(by_record.stats(), by_batch.stats());
-        by_record.ingest_raw(0, &[1]);
-        assert_eq!(by_record.stats().skipped, 1);
-        by_batch.ingest_raw_rows(&keys, &rows[1..]);
-        assert_eq!(by_batch.stats().skipped, 300);
-        assert_eq!(by_batch.stats().events, 300);
-    }
-
-    /// Division by a record field bails the batch vectorizer (a zero
-    /// lane would have to trap mid-batch), but the accumulator is still
-    /// sum-mergeable — so this program runs sharded with every worker
-    /// on the scalar-VM fallback. The fold must stay bit-exact with
-    /// sequential, and a genuinely trapping record must surface in
-    /// `aborted` identically on both engines.
-    #[test]
-    fn non_vectorizable_digest_uses_worker_scalar_fallback() {
-        let src = "
-            static int ratio_sum = 0;
-            ratio_sum = ratio_sum + size / port;
-            return ratio_sum;
-        ";
-        let schema = schema();
-        let mut seq = ShardedDigest::compile(src, &schema, 1).unwrap();
-        let mut sharded = ShardedDigest::compile(src, &schema, 4).unwrap();
+        let mut seq = ShardedDigest::compile(DIVIDING, &schema, 1).unwrap();
+        let mut sharded = ShardedDigest::compile(DIVIDING, &schema, 4).unwrap();
         assert!(sharded.stats().shards > 1, "program must stay shardable");
         for i in 0..200u64 {
             let size = (i * 97 % 5000) as i64;
@@ -649,98 +641,124 @@ mod tests {
         assert_eq!(s1.fuel_spent, s2.fuel_spent, "abort accounting is exact");
     }
 
-    // ---------------------------------------------------------------
-    // Worker lifecycle
-    // ---------------------------------------------------------------
-
-    /// Records buffered below the flush threshold must still be visible
-    /// through a merge: `merged()` is a flush + drain barrier.
+    /// Nothing is pending between calls: a read sees every row ingested
+    /// before it, however few.
     #[test]
-    fn merge_drains_partial_batches() {
-        let mut d = ShardedDigest::compile_flushing(MERGEABLE, &schema(), 4, 4096).unwrap();
+    fn read_sees_every_row_ingested_before_it() {
+        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 4).unwrap();
         for i in 0..17u64 {
             d.ingest_raw(i, &[10, 80]);
         }
         assert_eq!(d.merged_global("count"), Some(EValue::Int(17)));
         let stats = d.stats();
         assert_eq!(stats.events, 17);
-        assert!(stats.fuel_spent > 0, "drain must surface worker fuel");
+        assert!(stats.fuel_spent > 0);
     }
 
-    /// Dropping a sharded digest with buffered records and live workers
-    /// must terminate promptly (channels close, workers join).
+    /// Shard ids are staged as bytes, so no more than 256 replicas run:
+    /// asking for 300 must not fold replicas 256.. onto 0.. and leave
+    /// the rest idle behind a `shards` that still says 300.
     #[test]
-    fn drop_shuts_workers_down_cleanly() {
-        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 8).unwrap();
-        for i in 0..100u64 {
-            d.ingest_raw(i, &[i as i64, 80]);
-        }
-        drop(d); // must not hang or leak threads
-    }
-
-    /// A panicking worker must surface at the next barrier as a panic
-    /// carrying the worker's payload — never a hung fold.
-    #[test]
-    fn worker_panic_propagates_to_merge() {
-        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 4).unwrap();
-        for i in 0..8u64 {
-            d.ingest_raw(i, &[1, 80]);
-        }
-        d.inject_panic(2);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.merged()))
-            .expect_err("merge after a worker panic must panic, not hang");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+    fn replica_count_is_capped_where_shard_ids_fit() {
+        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 300).unwrap();
+        let records: Vec<_> = (0..20_000u64).map(stream_record).collect();
+        let (keys, rows) = staged(&records);
+        d.ingest_raw_rows(&keys, &rows);
+        let stats = d.stats();
+        assert_eq!(stats.requested_shards, 300);
+        assert_eq!(stats.shards, 256);
+        assert_eq!(stats.per_shard_events.len(), 256);
         assert!(
-            msg.contains("poisoned"),
-            "payload should be the worker's: {msg}"
+            stats.per_shard_events.iter().all(|&n| n > 0),
+            "every running replica can receive a record: {stats:?}"
         );
-        // The digest is broken but must still drop without aborting.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(d)));
-    }
-
-    /// A panicking worker surfaces at drop too (propagated, not lost),
-    /// when no barrier runs first.
-    #[test]
-    fn worker_panic_propagates_at_drop() {
-        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 4).unwrap();
-        d.ingest_raw(1, &[1, 80]);
-        d.inject_panic(0);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(d)))
-            .expect_err("drop must re-raise the worker panic");
-        drop(err);
+        assert_matches_sequential(&d, &records);
     }
 
     // ---------------------------------------------------------------
-    // Parallel ≡ sequential (property)
+    // K replicas ≡ one sequential instance
     // ---------------------------------------------------------------
 
-    /// One digest per (shards, flush_rows) configuration, same stream,
-    /// same statics — regardless of batch boundaries and scheduling.
-    fn assert_stream_invariant(records: &[(u64, i64, i64)], shards: usize, flush_rows: usize) {
-        let schema = schema();
-        let mut seq = ShardedDigest::compile(MERGEABLE, &schema, 1).unwrap();
-        let mut par =
-            ShardedDigest::compile_flushing(MERGEABLE, &schema, shards, flush_rows).unwrap();
-        for &(key, size, port) in records {
-            seq.ingest_raw(key, &[size, port]);
-            par.ingest_raw(key, &[size, port]);
+    /// `(flow key, size, port)`.
+    type Record = (u64, i64, i64);
+
+    /// Record `i` of a fixed stream: ~6k flows, ports on both sides of
+    /// MERGEABLE's gate, every seventh a zero DIVIDING traps on.
+    fn stream_record(i: u64) -> Record {
+        let key = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 6007;
+        let port = [0, 1, 3, 80, 443, 8080, 9000][(i % 7) as usize];
+        (key, (i * 131 % 7919) as i64, port)
+    }
+
+    fn staged(records: &[Record]) -> (Vec<u64>, Vec<i64>) {
+        let keys = records.iter().map(|r| r.0).collect();
+        let rows = records.iter().flat_map(|r| [r.1, r.2]).collect();
+        (keys, rows)
+    }
+
+    /// The oracle is the scalar VM, not another `ShardedDigest`: `d`
+    /// must hold exactly the statics, fuel and abort count one bare
+    /// `Instance` reaches running `records` in order.
+    fn assert_matches_sequential(d: &ShardedDigest, records: &[Record]) {
+        let mut seq = Instance::new(&d.program);
+        let (mut fuel_spent, mut aborted) = (0u64, 0u64);
+        for &(_, size, port) in records {
+            match seq.run_raw(&[size, port], d.fuel_bound()) {
+                Ok(out) => fuel_spent += out.fuel_used,
+                Err(_) => {
+                    aborted += 1;
+                    fuel_spent += d.fuel_bound();
+                }
+            }
         }
-        let a = seq.merged().unwrap();
-        let b = par.merged().unwrap();
+        let stats = d.stats();
+        let ctx = format!("shards={} of {}", stats.shards, stats.requested_shards);
         assert_eq!(
-            a.raw_globals(),
-            b.raw_globals(),
-            "shards={shards} flush_rows={flush_rows}"
+            d.merged().unwrap().raw_globals(),
+            seq.raw_globals(),
+            "{ctx}"
         );
-        let (sa, sb) = (seq.stats(), par.stats());
-        assert_eq!(sa.events, sb.events);
-        assert_eq!(sa.fuel_spent, sb.fuel_spent, "fuel metering must be exact");
-        assert_eq!(sa.aborted, sb.aborted);
+        assert_eq!(stats.events, records.len() as u64, "{ctx}");
+        assert_eq!(stats.fuel_spent, fuel_spent, "fuel is exact, {ctx}");
+        assert_eq!(stats.aborted, aborted, "{ctx}");
+    }
+
+    /// `records` through `shards` replicas in calls of `call` rows, for
+    /// the vectorized program and for the one on the scalar fallback.
+    fn assert_stream_invariant(records: &[Record], shards: usize, call: usize) {
+        let (keys, rows) = staged(records);
+        for src in [MERGEABLE, DIVIDING] {
+            let mut d = ShardedDigest::compile(src, &schema(), shards).unwrap();
+            assert_eq!(d.stats().shards, shards);
+            assert_eq!(d.batch_bail().is_none(), src == MERGEABLE);
+            for (k, r) in keys.chunks(call).zip(rows.chunks(call * 2)) {
+                d.ingest_raw_rows(k, r);
+            }
+            assert_matches_sequential(&d, records);
+        }
+    }
+
+    /// One call per record, one call with the whole stream and every
+    /// size between are the same ingest, at every replica count — the
+    /// 4,096-row chunk boundary falls inside the longer calls.
+    /// Wrong-arity input is counted, not evaluated.
+    #[test]
+    fn batch_ingest_matches_per_record_ingest_bitwise() {
+        let records: Vec<_> = (0..10_500u64).map(stream_record).collect();
+        for shards in 1..9 {
+            for call in [1, 7, 64, 4096, 4097, 10_000] {
+                assert_stream_invariant(&records, shards, call);
+            }
+        }
+
+        let (keys, rows) = staged(&records[..300]);
+        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 4).unwrap();
+        d.ingest_raw_rows(&keys, &rows);
+        d.ingest_raw(0, &[1]);
+        assert_eq!(d.stats().skipped, 1);
+        d.ingest_raw_rows(&keys, &rows[1..]);
+        assert_eq!(d.stats().skipped, 301);
+        assert_eq!(d.stats().events, 300);
     }
 
     #[allow(unused)] // a typecheck-only proptest elides macro bodies, orphaning these imports
@@ -749,17 +767,19 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Parallel batched ingest ≡ sequential ingest on
-            /// `raw_globals`, for random record streams, shard counts,
-            /// and batch sizes (including 1: every record its own batch).
+            /// K replicas fed in batches ≡ one sequential scalar
+            /// instance, for random record streams (trapping rows
+            /// included), replica counts and call sizes.
             #[test]
             fn prop_parallel_batched_equals_sequential(
                 records in proptest::collection::vec(
-                    (0u64..64, 0i64..100_000, 0i64..10_000), 0..400),
-                shards in 2usize..9,
-                flush_rows in 1usize..130,
+                    (0u64..64, 0i64..100_000,
+                     proptest::sample::select(vec![0i64, 1, 80, 1023, 1024, 9000])),
+                    0..400),
+                shards in 1usize..9,
+                call in proptest::sample::select(vec![1usize, 7, 64, 4096, 4097, 10_000]),
             ) {
-                assert_stream_invariant(&records, shards, flush_rows);
+                assert_stream_invariant(&records, shards, call);
             }
         }
     }

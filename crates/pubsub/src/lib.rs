@@ -14,6 +14,10 @@
 //! * [`ChannelDecoder`] — the subscriber side: learns schemas from the
 //!   stream (self-describing) and decodes records,
 //! * [`control`] — SUBSCRIBE/UNSUBSCRIBE control-message codecs.
+//! * [`digest`] — the consumer-side fold: an E-Code program whose
+//!   statics accumulate over every record, run as K replicas on the
+//!   caller's thread and folded back exactly
+//!   ([`digest::ShardedDigest`]).
 //!
 //! # Example
 //!

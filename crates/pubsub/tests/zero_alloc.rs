@@ -1,9 +1,10 @@
-//! Regression test for the receive path's allocation discipline: once
+//! Regression tests for the receive path's allocation discipline: once
 //! a stream's schema is learned and the caller's row buffer has grown
 //! to size, `ChannelDecoder::decode_row` must never touch the heap —
 //! the schema and its compiled row codec are borrowed, and rows append
 //! into the caller's buffer. (The `Value` path it replaced allocated a
-//! vector per record.)
+//! vector per record.) Likewise a digest whose column scratch has grown
+//! to the caller's batch size ingests without allocating.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! observes only this test. Same pattern as `crates/{kprof,ecode}/tests/
@@ -14,6 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pbio::{FieldType, Schema};
+use pubsub::digest::ShardedDigest;
 use pubsub::{ChannelDecoder, Hub};
 use simnet::{EndPoint, Ip, Port};
 
@@ -106,5 +108,50 @@ fn decode_row_into_a_warm_buffer_never_allocates() {
     // Control: the counter sees the `Value` adapter's per-record vector.
     ALLOCATIONS.with(|a| a.set(Some(0)));
     dec.decode(&wires[1]).unwrap();
+    assert!(ALLOCATIONS.with(|a| a.replace(None)).unwrap() > 0);
+}
+
+/// The `gpa_wire` shape: 64-row deliveries into a two-replica digest.
+/// After the first call sized the scratch, ingest is allocation-free
+/// (the engine once built a vector of column views per evaluated
+/// batch), and a read folds into one fresh instance.
+#[test]
+fn warm_digest_ingest_never_allocates() {
+    let schema = Schema::build("rec")
+        .field("size", FieldType::U64)
+        .field("port", FieldType::U64)
+        .finish()
+        .unwrap();
+    let src = "
+        static int count = 0;
+        static int bytes = 0;
+        count = count + 1;
+        bytes = bytes + size;
+        if (port < 1024) { bytes = bytes + 1; }
+        return count;
+    ";
+    let mut digest = ShardedDigest::compile(src, &schema, 2).unwrap();
+    assert_eq!(digest.stats().shards, 2);
+    assert_eq!(digest.batch_bail(), None, "the column path is under test");
+    let keys: Vec<u64> = (0..64).collect();
+    let rows: Vec<i64> = (0..64).flat_map(|i| [i * 100, 80 + i * 40]).collect();
+    digest.ingest_raw_rows(&keys, &rows);
+
+    ALLOCATIONS.with(|a| a.set(Some(0)));
+    for _ in 0..1_000 {
+        digest.ingest_raw_rows(&keys, &rows);
+    }
+    let ingest = ALLOCATIONS.with(|a| a.replace(Some(0))).unwrap();
+    let count = digest.merged_global("count");
+    let read = ALLOCATIONS.with(|a| a.replace(None)).unwrap();
+
+    assert_eq!(count, Some(ecode::Value::Int(64 * 1_001)));
+    assert_eq!(ingest, 0, "ingest_raw_rows allocated on a warm digest");
+    assert!(read <= 16, "one fold allocated {read} times");
+
+    // Control: the counter sees a cold digest size its scratch.
+    let mut cold = ShardedDigest::compile(src, &schema, 2).unwrap();
+    ALLOCATIONS.with(|a| a.set(Some(0)));
+    cold.ingest_raw_rows(&keys, &rows);
     assert!(ALLOCATIONS.with(|a| a.replace(None)).unwrap() > 0);
 }

@@ -1,6 +1,7 @@
 //! Quickstart: deploy SysProf on a tiny client/server cluster, generate
 //! some traffic, and inspect what the monitor saw — per-interaction
-//! records, `/proc`-style views, and the cluster-wide GPA summary.
+//! records, `/proc`-style views, the cluster-wide GPA summary and what
+//! the GPA's digest program compiled to.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -11,6 +12,16 @@ use simnet::{LinkSpec, Port};
 use simos::programs::EchoServer;
 use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
 use sysprof::{procfs, MonitorConfig, SysProf};
+
+/// A GPA-side digest: request volume and worst service time, folded
+/// over every interaction record the GPA ingests.
+const DIGEST: &str = "
+    static int requests = 0;
+    static int worst_us = 0;
+    requests = requests + 1;
+    worst_us = max(worst_us, end_us - start_us);
+    return requests;
+";
 
 /// A client that sends a request every 5 ms and reads the reply.
 struct PeriodicClient {
@@ -65,6 +76,11 @@ fn main() {
         NodeId(2),
         MonitorConfig::default(),
     );
+    sysprof
+        .gpa()
+        .borrow_mut()
+        .install_digest(DIGEST, 2)
+        .expect("the digest verifies");
 
     // 3. The application under diagnosis: an echo server with 300 µs of
     //    per-request compute, driven by a periodic client. Neither is
@@ -109,6 +125,8 @@ fn main() {
     let gpa = gpa.borrow();
     println!("\n--- GPA summary ---");
     println!("{}", procfs::render_gpa_summary(&gpa));
+    println!("--- GPA digest ---");
+    println!("{}", procfs::render_digest(&gpa));
     let summary = gpa
         .class_summary(NodeId(1), Port(80))
         .expect("interactions were observed");

@@ -61,7 +61,7 @@ fn explain_paths(name: &str, program: &Program, report: &ecode::VerifyReport) {
         (ExecTier::Fused, None) => println!("  {name}: interpreter (by request)"),
     }
     match BatchEval::compile(program, &report.merge_plan, report.fuel_bound) {
-        Ok(_) => println!("  {name}: digest workers would evaluate it column-wise"),
+        Ok(_) => println!("  {name}: a digest would evaluate it column-wise"),
         Err(why) => println!("  {name}: no column evaluation — {why}"),
     }
 }

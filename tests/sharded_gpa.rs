@@ -11,7 +11,7 @@
 //! The numbers asserted here back the sharded-vs-sequential row in
 //! EXPERIMENTS.md.
 
-use sysprof::{Gpa, GpaConfig, InteractionRecord};
+use sysprof::{procfs, Gpa, GpaConfig, InteractionRecord};
 use sysprof_apps::{KvStoreScenario, ScenarioSpec};
 
 /// A representative GPA digest: request volume, byte totals, worst
@@ -112,4 +112,62 @@ fn sharded_digest_is_replay_stable() {
     for name in ["requests", "bytes", "worst_us", "slo_misses"] {
         assert_eq!(a.digest_global(name), b.digest_global(name));
     }
+}
+
+/// The digest explains itself: what it compiled to, why, and what it
+/// cost, from one deterministic surface.
+#[test]
+fn digest_render_is_golden() {
+    let records = kvstore_records();
+    assert_eq!(
+        procfs::render_digest(&digest_gpa(&records, 1)),
+        "aborted: 0\n\
+         evaluator: vectorized\n\
+         events: 10428\n\
+         events_per_replica: 10428\n\
+         fuel_bound: 28\n\
+         fuel_per_record: 24.0\n\
+         replicas_requested: 1\n\
+         replicas_running: 1\n\
+         skipped: 0\n\
+         tier: compiled\n"
+    );
+    assert_eq!(
+        procfs::render_digest(&digest_gpa(&records, 3)),
+        "aborted: 0\n\
+         evaluator: vectorized\n\
+         events: 10428\n\
+         events_per_replica: 2670 6460 1298\n\
+         fuel_bound: 28\n\
+         fuel_per_record: 24.0\n\
+         replicas_requested: 3\n\
+         replicas_running: 3\n\
+         skipped: 0\n\
+         tier: compiled\n"
+    );
+
+    // A static scaled by its own state cannot be folded: one replica,
+    // the scalar VM, and the slot that decided it named with its reason.
+    let mut opaque = Gpa::new(GpaConfig::default());
+    opaque
+        .install_digest(
+            "static int acc = 0; acc = acc * 2 + req_bytes; return acc;",
+            3,
+        )
+        .expect("digest verifies");
+    opaque.ingest_records(&records);
+    assert_eq!(
+        procfs::render_digest(&opaque),
+        "aborted: 0\n\
+         evaluator: scalar (merge plan is not fully shard-safe)\n\
+         events: 10428\n\
+         events_per_replica: 10428\n\
+         fuel_bound: 8\n\
+         fuel_per_record: 8.0\n\
+         replicas_requested: 3\n\
+         replicas_running: 1\n\
+         skipped: 0\n\
+         tier: compiled\n\
+         unmergeable.acc: value stored in the block at pc 0 depends on static state\n"
+    );
 }
