@@ -4,7 +4,7 @@
 # pipeline would do.
 #
 #   ./ci.sh              full pipeline
-#   ./ci.sh --analyze    only the static-analysis gate (fast pre-commit check)
+#   ./ci.sh --analyze    only the static gates: analyzer + one-receiver check (fast pre-commit check)
 #   ./ci.sh --scenarios  only the scenario library: golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
@@ -28,6 +28,25 @@ check_one_lowering() {
         echo "jit.rs / batch.rs / analysis/merge.rs must consume ecode::ir, not stack" \
             "bytecode; the only Op walkers are the interpreter + validate (vm.rs)," \
             "ir::lower, analysis/fuel.rs, Program::used_inputs and the emitter (compile.rs)" >&2
+        return 1
+    fi
+}
+
+check_one_receiver() {
+    # `pubsub::reliable::{Sender, Receiver}` are the two halves of the
+    # reliable stream; a subscriber or the daemon naming what is under
+    # them (outside its unit tests and comments) has started a copy.
+    local f found=0
+    for f in $(find crates/core/src crates/apps/src -name '*.rs' | sort); do
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\b(decode_batch|Reassembler|ResendBuffer|ChannelDecoder)\b|\bsplit_frames\('; then
+            found=1
+        fi
+    done
+    if [[ $found == 1 ]]; then
+        echo "crates/core and crates/apps reach the reliable stream only through" \
+            "pubsub::reliable::{Sender, Receiver} (and sysprof::receive_stream)" >&2
         return 1
     fi
 }
@@ -87,7 +106,9 @@ gpa_digest_steps=(
 
 case "${1:-}" in
 --analyze)
-    fast_path ANALYZE run_analyzer
+    fast_path ANALYZE run_analyzer \
+        "==> one receiver (core and apps reach the stream through Sender/Receiver)" \
+        check_one_receiver
     ;;
 --scenarios)
     # The scenario library: golden diagnoses + chaos matrix and the apps
@@ -159,6 +180,9 @@ run_analyzer
 
 echo "==> one lowering (no stack ops in the ecode backends or the merge analysis)"
 check_one_lowering
+
+echo "==> one receiver (core and apps reach the stream through Sender/Receiver)"
+check_one_receiver
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode

@@ -24,14 +24,14 @@ use std::rc::Rc;
 
 use dwcs::ra::{RaDispatcher, ServerLoad};
 use dwcs::{Scheduler, StreamId, StreamSpec, WindowConstraint};
-use pubsub::ChannelDecoder;
+use pubsub::reliable::Receiver;
 use serde::Serialize;
 use simcore::stats::RateMeter;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, FaultPlan, LinkSpec, Port};
 use simos::programs::ComputeLoop;
 use simos::{KernelOutput, KernelSink, Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::{LoadRecord, MonitorConfig, SysProf, LOAD_TOPIC};
+use sysprof::{GpaConfig, LoadRecord, MonitorConfig, SysProf, LOAD_TOPIC};
 
 use crate::scenario::{Diagnosis, ScenarioRun, ScenarioSpec};
 
@@ -359,11 +359,18 @@ impl Program for RubisDriver {
     }
 }
 
+/// Every load report the RA feed applied, with when it applied it.
+type FeedLog = Vec<(SimTime, LoadRecord)>;
+
 /// Kernel sink on the client node that feeds SysProf load reports into
-/// the RA dispatcher's view.
+/// the RA dispatcher's view: the subscriber end of each servlet
+/// daemon's load stream.
 struct LoadFeed {
     loads: Rc<RefCell<RaDispatcher>>,
-    decoders: HashMap<EndPoint, ChannelDecoder>,
+    rx: Receiver,
+    /// This sink's own endpoint, the subscriber the daemons' streams name.
+    self_ep: EndPoint,
+    applied: Rc<RefCell<FeedLog>>,
 }
 
 impl KernelSink for LoadFeed {
@@ -375,17 +382,8 @@ impl KernelSink for LoadFeed {
         _msg: Message,
         data: simos::Bytes,
     ) -> KernelOutput {
-        let decoder = self
-            .decoders
-            .entry(src)
-            .or_insert_with(|| ChannelDecoder::expecting(vec![LoadRecord::schema()]));
-        let mut row = Vec::new();
-        for frame in sysprof::split_frames(&data) {
-            row.clear();
-            let Ok(Some((_topic, Some(0)))) = decoder.decode_row(frame, &mut row) else {
-                continue;
-            };
-            if let Some(load) = LoadRecord::from_raw_row(&row) {
+        let mut on_batch = |_seq, rows: &[Vec<i64>]| {
+            for load in LoadRecord::from_raw_rows(&rows[0]) {
                 self.loads.borrow_mut().update_load(
                     load.node,
                     ServerLoad {
@@ -394,12 +392,17 @@ impl KernelSink for LoadFeed {
                         reported_at: now_wall,
                     },
                 );
+                self.applied.borrow_mut().push((now_wall, load));
             }
-        }
-        KernelOutput {
-            cost: SimDuration::from_micros(2),
-            ..Default::default()
-        }
+        };
+        sysprof::receive_stream(
+            &mut self.rx,
+            now_wall,
+            self.self_ep,
+            src,
+            &data,
+            &mut on_batch,
+        )
     }
 }
 
@@ -409,13 +412,38 @@ impl KernelSink for LoadFeed {
 
 /// Runs the RUBiS experiment.
 pub fn run_rubis(config: RubisConfig) -> RubisResult {
-    run_rubis_inner(config, FaultPlan::default()).2
+    run_rubis_inner(config, FaultPlan::default()).result
 }
 
-fn run_rubis_inner(
+/// A monitored RUBiS run under a fault plan, keeping the world and the
+/// deployment, and every load report the RA feed applied (none unless
+/// `config.resource_aware`) with when it applied it, in that order.
+pub fn run_rubis_under(
     config: RubisConfig,
     faults: FaultPlan,
-) -> (World, Option<SysProf>, RubisResult) {
+) -> (ScenarioRun<RubisResult>, Vec<(SimTime, LoadRecord)>) {
+    let monitored = RubisConfig {
+        monitored: true,
+        ..config
+    };
+    let run = run_rubis_inner(monitored, faults);
+    let scenario = ScenarioRun {
+        world: run.world,
+        sysprof: run.sysprof.expect("config.monitored is set"),
+        output: run.result,
+    };
+    (scenario, run.applied)
+}
+
+/// Everything one run leaves behind.
+struct Run {
+    world: World,
+    sysprof: Option<SysProf>,
+    result: RubisResult,
+    applied: FeedLog,
+}
+
+fn run_rubis_inner(config: RubisConfig, faults: FaultPlan) -> Run {
     let monitored = config.monitored || config.resource_aware;
     let mut world = WorldBuilder::new(config.seed)
         .node("client")
@@ -438,17 +466,23 @@ fn run_rubis_inner(
     });
 
     let loads = Rc::new(RefCell::new(RaDispatcher::new()));
+    let applied = Rc::new(RefCell::new(FeedLog::new()));
     if config.resource_aware {
         let sp = sysprof.as_ref().expect("forced on");
+        let reply_to = EndPoint::new(world.network().node_ip(client), RA_FEED_PORT);
         world.install_sink(
             client,
             RA_FEED_PORT,
             Box::new(LoadFeed {
                 loads: loads.clone(),
-                decoders: HashMap::new(),
+                rx: Receiver::new(
+                    vec![LoadRecord::schema()],
+                    GpaConfig::default().gap_nack_limit,
+                ),
+                self_ep: reply_to,
+                applied: applied.clone(),
             }),
         );
-        let reply_to = EndPoint::new(world.network().node_ip(client), RA_FEED_PORT);
         for &s in &servers {
             sp.subscribe(&mut world, client, s, LOAD_TOPIC, reply_to, None);
         }
@@ -604,7 +638,12 @@ fn run_rubis_inner(
         total_rps,
         server_overhead_fraction,
     };
-    (world, sysprof, result)
+    Run {
+        world,
+        sysprof,
+        result,
+        applied: applied.take(),
+    }
 }
 
 /// RUBiS as a [`ScenarioSpec`]: the mid-run background load lands on
@@ -642,12 +681,7 @@ impl ScenarioSpec for RubisScenario {
             disturbance_at: None,
             seed,
         };
-        let (world, sysprof, output) = run_rubis_inner(config, faults);
-        ScenarioRun {
-            world,
-            sysprof: sysprof.expect("config.monitored is set"),
-            output,
-        }
+        run_rubis_under(config, faults).0
     }
 
     fn diagnose(&self, run: &ScenarioRun<RubisResult>) -> Diagnosis {
@@ -758,6 +792,53 @@ mod tests {
             ra.total_rps,
             plain.total_rps
         );
+    }
+
+    /// What the RA dispatcher is fed. Once batches carried a sequence
+    /// header the feed's own decoder decoded nothing and ACKed nothing,
+    /// and each daemon retransmitted every report until it was evicted.
+    #[test]
+    fn ra_feed_applies_every_report_and_acks_every_batch() {
+        let run = run_rubis_inner(
+            RubisConfig {
+                resource_aware: true,
+                duration: SimDuration::from_secs(10),
+                seed: 3,
+                ..RubisConfig::default()
+            },
+            FaultPlan::default(),
+        );
+        let sysprof = run.sysprof.expect("RA forces monitoring on");
+        let feed = EndPoint::new(run.world.network().node_ip(NodeId(0)), RA_FEED_PORT);
+        let flush = SimDuration::from_millis(50);
+        for server in [NodeId(1), NodeId(2)] {
+            let applied = run.applied.iter().filter(|(_, load)| load.node == server);
+            let (reported_at, _) = applied
+                .clone()
+                .next_back()
+                .expect("the dispatcher saw this server");
+            assert!(
+                run.world.now().saturating_since(*reported_at) <= flush + flush,
+                "{server}'s load was last refreshed at {reported_at}"
+            );
+            let daemon = sysprof.daemon_stats(server).expect("deployed");
+            assert_eq!(daemon.retransmits, 0, "{daemon:?}");
+            // The sender's side of the feed stream: every batch it
+            // sealed (one load report each) was applied once and is
+            // acknowledged, but for the one sealed as the run stops.
+            let streams = sysprof::procfs::render_streams(sysprof.sender(server).as_deref(), None);
+            let value = |key: &str| -> u64 {
+                let line = format!("tx[{feed}].{key}: ");
+                let at = streams.find(&line).expect("a feed stream") + line.len();
+                let rest = &streams[at..];
+                rest[..rest.find('\n').expect("a whole line")]
+                    .parse()
+                    .expect("a count")
+            };
+            assert!(value("acked_upto") > 100, "{streams}");
+            assert_eq!(value("acked_upto"), applied.count() as u64, "{streams}");
+            assert_eq!(value("next_seq") - 1, value("acked_upto") + 1, "{streams}");
+        }
     }
 
     #[test]

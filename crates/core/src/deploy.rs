@@ -1,12 +1,13 @@
 //! One-call deployment of the whole SysProf stack onto a simulated
 //! cluster.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use kprof::AnalyzerId;
 use pubsub::control::ControlMsg;
+use pubsub::reliable::Sender;
 use pubsub::Hub;
 use simcore::NodeId;
 use simnet::EndPoint;
@@ -39,6 +40,7 @@ pub struct SysProf {
     gpa_node: NodeId,
     lpa_ids: HashMap<NodeId, AnalyzerId>,
     daemon_stats: HashMap<NodeId, Rc<RefCell<DaemonStats>>>,
+    senders: HashMap<NodeId, Rc<RefCell<Sender>>>,
     gpa: Rc<RefCell<Gpa>>,
 }
 
@@ -79,6 +81,7 @@ impl SysProf {
 
         let mut lpa_ids = HashMap::new();
         let mut daemon_stats = HashMap::new();
+        let mut senders = HashMap::new();
         for &node in monitored {
             let ip = world.network().node_ip(node);
             let lpa = Lpa::new(node, ip, config.lpa.clone());
@@ -90,6 +93,7 @@ impl SysProf {
             let stats = daemon.stats_handle();
             let tx = daemon.resend_handle();
             daemon_stats.insert(node, stats.clone());
+            senders.insert(node, tx.clone());
             world.set_daemon_hook(node, Box::new(daemon));
             world.install_sink(
                 node,
@@ -128,6 +132,7 @@ impl SysProf {
             gpa_node,
             lpa_ids,
             daemon_stats,
+            senders,
             gpa,
         }
     }
@@ -161,6 +166,11 @@ impl SysProf {
     /// A node's daemon counters.
     pub fn daemon_stats(&self, node: NodeId) -> Option<DaemonStats> {
         self.daemon_stats.get(&node).map(|s| *s.borrow())
+    }
+
+    /// A node's daemon's half of the streams it publishes.
+    pub fn sender(&self, node: NodeId) -> Option<Ref<'_, Sender>> {
+        self.senders.get(&node).map(|tx| tx.borrow())
     }
 
     /// The monitoring CPU overhead on a node as a fraction of elapsed

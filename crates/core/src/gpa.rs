@@ -15,8 +15,8 @@ use std::rc::Rc;
 
 use pubsub::control::ControlMsg;
 use pubsub::digest::{DigestStats, ShardedDigest};
-use pubsub::reliable::{decode_batch, Offer, Reassembler};
-use pubsub::{ChannelDecoder, PubSubError};
+use pubsub::reliable::Receiver;
+use pubsub::PubSubError;
 use serde::{Deserialize, Serialize};
 use simcore::stats::OnlineStats;
 use simcore::{NodeId, SimDuration, SimTime};
@@ -24,7 +24,7 @@ use simnet::{EndPoint, Port};
 use simos::{KernelOutput, KernelSend, KernelSink, Message};
 
 use crate::cost;
-use crate::daemon::{split_frames, CONTROL_PORT};
+use crate::daemon::CONTROL_PORT;
 use crate::records::{InteractionRecord, LoadRecord};
 
 /// GPA configuration.
@@ -59,14 +59,6 @@ impl Default for GpaConfig {
     }
 }
 
-/// Minimum wall-clock spacing between NACKs for the same gap. A
-/// retransmit burst after a partition heals can deliver many batches
-/// within microseconds; without pacing each one would burn a NACK from
-/// the gap budget before the first NACK's retransmit has had a round
-/// trip's chance to arrive. Comfortably exceeds the simulated networks'
-/// RTTs.
-const NACK_PACE: SimDuration = SimDuration::from_millis(5);
-
 /// Reliable-delivery counters on the GPA's receive side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GpaStats {
@@ -76,6 +68,9 @@ pub struct GpaStats {
     pub duplicate_batches: u64,
     /// Batches that arrived ahead of a gap and were buffered.
     pub out_of_order: u64,
+    /// Batches dropped for being [`pubsub::reliable::REORDER_WINDOW`] or
+    /// more ahead of the next expected sequence number.
+    pub out_of_window: u64,
     /// Distinct gaps observed (a missing sequence range opened).
     pub gaps_detected: u64,
     /// Gaps closed by a retransmission arriving.
@@ -143,20 +138,8 @@ impl<T> Window<T> {
     }
 }
 
-/// Receive-side state of one daemon→GPA stream.
-#[derive(Default)]
-struct StreamRx {
-    reasm: Reassembler,
-    /// Whether a gap is currently open (for detected/recovered edges).
-    gap_open: bool,
-    /// NACKs sent for the currently open gap.
-    nacks_for_gap: u32,
-    /// When the last NACK for the open gap went out, for pacing.
-    last_nack_at: Option<SimTime>,
-}
-
-/// Positions of the two record schemas in [`Gpa::record_schemas`], the
-/// list every stream's decoder is told to expect.
+/// Positions of the two record schemas in the list the GPA's
+/// [`Receiver`] is told to expect.
 const INTERACTION: usize = 0;
 const LOAD: usize = 1;
 
@@ -257,22 +240,19 @@ pub struct Gpa {
     latest_load: HashMap<NodeId, LoadRecord>,
     load_stats: HashMap<NodeId, (OnlineStats, u64)>,
     load_history: Window<LoadRecord>,
-    decoders: HashMap<EndPoint, ChannelDecoder>,
-    /// The schemas this GPA ingests; a record under any other schema is
-    /// a decode failure.
-    record_schemas: [pbio::Schema; 2],
-    streams: HashMap<EndPoint, StreamRx>,
+    /// The receive half of every daemon's stream.
+    rx: Receiver,
+    /// The store's own counters; [`Gpa::gpa_stats`] adds the receiver's.
     gstats: GpaStats,
     delivery_log: Window<(EndPoint, u64)>,
     ingested: u64,
-    decode_failures: u64,
     subscription_failures: Window<SubscriptionFailure>,
     /// Optional sharded digest evaluated over every ingested interaction
     /// record (the first slice of the sharded GPA).
     digest: Option<ShardedDigest>,
-    /// Reusable scratch: the interaction rows of the batch being
-    /// ingested, contiguous as the digest takes them, and the digest
-    /// shard key of each.
+    /// Reusable scratch: the rows of the records being ingested,
+    /// contiguous as the digest takes them, and the digest shard key of
+    /// each.
     rows: Vec<i64>,
     keys: Vec<u64>,
 }
@@ -299,13 +279,13 @@ impl Gpa {
             latest_load: HashMap::new(),
             load_stats: HashMap::new(),
             load_history: Window::new(),
-            decoders: HashMap::new(),
-            record_schemas: [InteractionRecord::schema(), LoadRecord::schema()],
-            streams: HashMap::new(),
+            rx: Receiver::new(
+                vec![InteractionRecord::schema(), LoadRecord::schema()],
+                config.gap_nack_limit,
+            ),
             gstats: GpaStats::default(),
             delivery_log: Window::new(),
             ingested: 0,
-            decode_failures: 0,
             subscription_failures: Window::new(),
             digest: None,
             rows: Vec::new(),
@@ -320,11 +300,8 @@ impl Gpa {
     /// shard-safe, evaluation silently falls back to a single instance
     /// (check [`Gpa::digest_stats`]).
     pub fn install_digest(&mut self, src: &str, shards: usize) -> Result<(), PubSubError> {
-        self.digest = Some(ShardedDigest::compile(
-            src,
-            &self.record_schemas[INTERACTION],
-            shards,
-        )?);
+        let schema = InteractionRecord::schema();
+        self.digest = Some(ShardedDigest::compile(src, &schema, shards)?);
         Ok(())
     }
 
@@ -379,12 +356,12 @@ impl Gpa {
         }
     }
 
-    /// Runs one wire batch from a daemon through the reliability layer:
-    /// decodes the sequence header, delivers in-order batches exactly
-    /// once, and produces the control replies (cumulative ACK, plus a
-    /// gap NACK when a hole is visible) to send back to the daemon's
-    /// control port. `self_ep` is this GPA's data endpoint, named in
-    /// replies so the daemon knows which subscription stream they govern.
+    /// Runs one wire batch from a daemon through its stream's
+    /// [`Receiver`] — sequence header, exactly-once in-order delivery,
+    /// gap repair — and ingests what is delivered. `self_ep` is this
+    /// GPA's data endpoint, named in the replies (a gap NACK when a hole
+    /// is visible, then the cumulative ACK) so the daemon knows which
+    /// subscription stream they govern.
     ///
     /// Input whose sequence header does not parse is a decode failure:
     /// nothing is ingested and nothing is replied.
@@ -397,116 +374,47 @@ impl Gpa {
         src: EndPoint,
         data: &[u8],
     ) -> (usize, Vec<ControlMsg>) {
-        let Some((seq, payload)) = decode_batch(data) else {
-            self.decode_failures += 1;
-            return (0, Vec::new());
-        };
-        self.gstats.batches_received += 1;
-        let offer = self
-            .streams
-            .entry(src)
-            .or_default()
-            .reasm
-            .offer(seq, payload.to_vec());
-        let mut count = 0;
-        match offer {
-            Offer::Delivered(batches) => {
-                for (dseq, p) in batches {
-                    self.log_delivery(src, dseq);
-                    count += self.ingest_batch(src, &p);
-                }
-            }
-            Offer::Duplicate => self.gstats.duplicate_batches += 1,
-            Offer::Buffered => self.gstats.out_of_order += 1,
-        }
+        self.with_rx(|gpa, rx| {
+            rx.ingest(now_wall, self_ep, src, data, &mut |seq, rows| {
+                gpa.ingest_batch(src, seq, rows)
+            })
+        })
+    }
 
-        // Gap bookkeeping: NACK an open hole, or abandon it once the
-        // NACK budget is spent (the sender evicted the range).
-        let mut replies = Vec::new();
-        enum GapAction {
-            None,
-            Nack(u64, u64),
-            Abandon(u64),
-        }
-        let action = {
-            let st = self.streams.get_mut(&src).expect("stream just touched");
-            match st.reasm.gap() {
-                Some((from, to)) => {
-                    if !st.gap_open {
-                        st.gap_open = true;
-                        st.nacks_for_gap = 0;
-                        st.last_nack_at = None;
-                        self.gstats.gaps_detected += 1;
-                    }
-                    let paced_out = st.last_nack_at.is_some_and(|t| now_wall < t + NACK_PACE);
-                    if paced_out {
-                        // An outstanding NACK's retransmit may still be in
-                        // flight; don't burn budget on burst arrivals.
-                        GapAction::None
-                    } else if st.nacks_for_gap < self.config.gap_nack_limit {
-                        st.nacks_for_gap += 1;
-                        st.last_nack_at = Some(now_wall);
-                        GapAction::Nack(from, to)
-                    } else {
-                        GapAction::Abandon(to + 1)
-                    }
-                }
-                None => {
-                    if st.gap_open {
-                        st.gap_open = false;
-                        st.last_nack_at = None;
-                        self.gstats.gaps_recovered += 1;
-                    }
-                    GapAction::None
-                }
-            }
-        };
-        match action {
-            GapAction::None => {}
-            GapAction::Nack(from, to) => {
-                self.gstats.nacks_sent += 1;
-                replies.push(ControlMsg::DataNack {
-                    subscriber: self_ep,
-                    from_seq: from,
-                    to_seq: to,
-                });
-            }
-            GapAction::Abandon(skip_to) => {
-                let st = self.streams.get_mut(&src).expect("stream just touched");
-                let drained = st.reasm.skip_to(skip_to);
-                st.gap_open = false;
-                st.last_nack_at = None;
-                self.gstats.gaps_abandoned += 1;
-                for (dseq, p) in drained {
-                    self.log_delivery(src, dseq);
-                    count += self.ingest_batch(src, &p);
-                }
-            }
-        }
+    /// Lends the receiver out beside the store it delivers into.
+    fn with_rx<R>(&mut self, f: impl FnOnce(&mut Gpa, &mut Receiver) -> R) -> R {
+        let mut rx = std::mem::take(&mut self.rx);
+        let out = f(self, &mut rx);
+        self.rx = rx;
+        out
+    }
 
-        // Cumulative ACK on every sequenced batch (duplicates included —
-        // a re-ACK is how a daemon retransmitting into an already-healed
-        // stream learns to stop).
-        self.gstats.acks_sent += 1;
-        replies.push(ControlMsg::DataAck {
-            subscriber: self_ep,
-            upto: self.streams[&src].reasm.ack_value(),
-        });
-        (count, replies)
+    /// The receive half of every daemon's stream.
+    pub fn receiver(&self) -> &Receiver {
+        &self.rx
     }
 
     /// Reliable-delivery counters.
     pub fn gpa_stats(&self) -> GpaStats {
-        self.gstats
+        GpaStats {
+            batches_received: self.rx.batches_received,
+            duplicate_batches: self.rx.duplicate_batches,
+            out_of_order: self.rx.out_of_order,
+            out_of_window: self.rx.out_of_window,
+            gaps_detected: self.rx.gaps_detected,
+            gaps_recovered: self.rx.gaps_recovered,
+            gaps_abandoned: self.rx.gaps_abandoned,
+            nacks_sent: self.rx.nacks_sent,
+            acks_sent: self.rx.acks_sent,
+            ..self.gstats
+        }
     }
 
     /// Whether every stream has fully converged: no open gaps and no
     /// out-of-order batches still buffered. True once retransmissions
     /// (or abandonments) have caught the GPA up after a fault episode.
     pub fn streams_converged(&self) -> bool {
-        self.streams
-            .values()
-            .all(|st| st.reasm.gap().is_none() && st.reasm.pending_len() == 0)
+        self.rx.converged()
     }
 
     /// In-order `(source, seq)` deliveries, when
@@ -515,60 +423,23 @@ impl Gpa {
         self.delivery_log.as_slice()
     }
 
-    fn log_delivery(&mut self, src: EndPoint, seq: u64) {
+    /// Ingests one delivered batch: `rows` as
+    /// [`Receiver::ingest`] sorts them. Interaction rows arrive in one
+    /// contiguous buffer: each becomes a typed record for the store, and
+    /// the buffer itself goes to the digest in one call.
+    fn ingest_batch(&mut self, src: EndPoint, seq: u64, rows: &[Vec<i64>]) {
         if self.config.log_deliveries {
             let evicted = self.delivery_log.push((src, seq), self.config.max_records);
             self.gstats.deliveries_evicted += u64::from(evicted);
         }
-    }
-
-    /// Ingests one framed batch from a daemon. Returns records decoded.
-    ///
-    /// Every frame decodes straight to a raw row. Interaction rows stay
-    /// in one contiguous per-batch buffer: each becomes a typed record
-    /// for the store, and the buffer itself goes to the digest in one
-    /// call. What a row is follows from the schema its stream announced
-    /// (compared, field types included, once per announcement); a frame
-    /// that does not decode, or is under any other schema, is a decode
-    /// failure.
-    pub fn ingest_batch(&mut self, src: EndPoint, data: &[u8]) -> usize {
-        let mut rows = std::mem::take(&mut self.rows);
-        let mut keys = std::mem::take(&mut self.keys);
-        rows.clear();
-        keys.clear();
-        let mut loads = Vec::new();
-        let mut count = 0;
-        let decoder = self
-            .decoders
-            .entry(src)
-            .or_insert_with(|| ChannelDecoder::expecting(self.record_schemas.to_vec()));
-        for frame in split_frames(data) {
-            let start = rows.len();
-            let known = match decoder.decode_row(frame, &mut rows) {
-                Ok(Some((_topic, known))) => known,
-                Ok(None) => continue,
-                Err(_) => {
-                    self.decode_failures += 1;
-                    continue;
-                }
-            };
-            count += 1;
-            match known {
-                Some(INTERACTION) => continue,
-                Some(LOAD) => loads.extend(LoadRecord::from_raw_row(&rows[start..])),
-                _ => self.decode_failures += 1,
-            }
-            rows.truncate(start);
-        }
-
-        for row in rows.chunks_exact(self.record_schemas[INTERACTION].len()) {
-            let rec = InteractionRecord::from_raw_row(row).expect("one interaction row");
+        self.keys.clear();
+        for rec in InteractionRecord::from_raw_rows(&rows[INTERACTION]) {
             if self.digest.is_some() {
-                keys.push(flow_shard_key(&rec));
+                self.keys.push(flow_shard_key(&rec));
             }
             self.store(rec);
         }
-        for load in loads {
+        for load in LoadRecord::from_raw_rows(&rows[LOAD]) {
             self.ingested += 1;
             let (stats, n) = self.load_stats.entry(load.node).or_default();
             stats.record(load.cpu_utilization);
@@ -578,11 +449,8 @@ impl Gpa {
             self.gstats.records_evicted += u64::from(evicted);
         }
         if let Some(digest) = self.digest.as_mut() {
-            digest.ingest_raw_rows(&keys, &rows);
+            digest.ingest_raw_rows(&self.keys, &rows[INTERACTION]);
         }
-        self.rows = rows;
-        self.keys = keys;
-        count
     }
 
     /// Adds one interaction to the store and its class aggregates — the
@@ -611,7 +479,7 @@ impl Gpa {
 
     /// Records that failed to decode or match a known schema.
     pub fn decode_failures(&self) -> u64 {
-        self.decode_failures
+        self.rx.decode_failures
     }
 
     /// Subscribe requests remote daemons rejected (NACKs received), with
@@ -791,9 +659,47 @@ fn sweep(records: &[InteractionRecord], eps: u64) -> (Vec<CorrelatedPath>, u64) 
     (paths, examined)
 }
 
-/// The kernel sink that feeds a shared [`Gpa`] from daemon publications,
-/// running every batch through the reliability layer and answering with
-/// ACK/NACK control messages to the publishing daemon.
+/// The data sink every subscriber puts around its [`Receiver`]: runs one
+/// delivery from `src` through [`Receiver::ingest`], addresses the
+/// replies to the publishing daemon's control port, and prices the work
+/// from [`crate::cost`].
+pub fn receive_stream(
+    rx: &mut Receiver,
+    now_wall: SimTime,
+    self_ep: EndPoint,
+    src: EndPoint,
+    data: &[u8],
+    on_batch: &mut dyn FnMut(u64, &[Vec<i64>]),
+) -> KernelOutput {
+    // `simos` hands a sink the late network duplicate of an already
+    // delivered kernel message with its payload gone: a duplicate, not a
+    // batch whose header does not parse.
+    if data.is_empty() {
+        rx.duplicate_batches += 1;
+        return KernelOutput {
+            cost: cost::GPA_RECORD,
+            ..Default::default()
+        };
+    }
+    let (n, replies) = rx.ingest(now_wall, self_ep, src, data, on_batch);
+    let cost = cost::GPA_RECORD * (n as u64 + 1) + cost::GPA_REPLY * replies.len() as u64;
+    let sends = replies
+        .into_iter()
+        .map(|msg| KernelSend {
+            dst: EndPoint::new(src.ip, CONTROL_PORT),
+            src_port: self_ep.port,
+            kind: 0,
+            data: msg.encode().into(),
+        })
+        .collect();
+    KernelOutput {
+        cost,
+        sends,
+        ..Default::default()
+    }
+}
+
+/// The kernel sink that feeds a shared [`Gpa`] from daemon publications.
 pub struct GpaSink {
     gpa: Rc<RefCell<Gpa>>,
     /// This sink's own data endpoint, named in ACK/NACK replies so the
@@ -817,35 +723,11 @@ impl KernelSink for GpaSink {
         _msg: Message,
         data: simos::Bytes,
     ) -> KernelOutput {
-        // `simos` hands a sink the late network duplicate of an already
-        // delivered kernel message with its payload gone: a duplicate,
-        // not a batch whose header does not parse.
-        if data.is_empty() {
-            self.gpa.borrow_mut().gstats.duplicate_batches += 1;
-            return KernelOutput {
-                cost: cost::GPA_RECORD,
-                ..Default::default()
-            };
-        }
-        let (n, replies) = {
-            let mut gpa = self.gpa.borrow_mut();
-            gpa.ingest_wire(now_wall, self.self_ep, src, &data)
-        };
-        let cost = cost::GPA_RECORD * (n as u64 + 1) + cost::GPA_REPLY * replies.len() as u64;
-        let sends = replies
-            .into_iter()
-            .map(|msg| KernelSend {
-                dst: EndPoint::new(src.ip, CONTROL_PORT),
-                src_port: self.self_ep.port,
-                kind: 0,
-                data: msg.encode().into(),
+        self.gpa.borrow_mut().with_rx(|gpa, rx| {
+            receive_stream(rx, now_wall, self.self_ep, src, &data, &mut |seq, rows| {
+                gpa.ingest_batch(src, seq, rows)
             })
-            .collect();
-        KernelOutput {
-            cost,
-            sends,
-            ..Default::default()
-        }
+        })
     }
 }
 
@@ -940,11 +822,14 @@ mod tests {
 
     const SRC: EndPoint = EndPoint::new(Ip(1), Port(9997));
 
-    /// A daemon's end of the channel: publishes rows through a real hub
-    /// and frames them into the batch payload `ingest_batch` takes.
+    const ME: EndPoint = EndPoint::new(Ip(99), Port(9999));
+
+    /// A daemon's end of the channel: publishes rows through a real hub,
+    /// frames them into a batch payload and seals it.
     struct Feed {
         hub: pubsub::Hub,
         batch: Vec<u8>,
+        sealed: u64,
     }
 
     impl Feed {
@@ -955,12 +840,12 @@ mod tests {
             Feed {
                 hub,
                 batch: Vec::new(),
+                sealed: 0,
             }
         }
 
         fn frame(&mut self, msg: &[u8]) {
-            pbio::write_u64(&mut self.batch, msg.len() as u64);
-            self.batch.extend_from_slice(msg);
+            pubsub::frame_into(&mut self.batch, msg);
         }
 
         fn push(&mut self, schema: &pbio::Schema, row: &[i64]) {
@@ -975,8 +860,14 @@ mod tests {
             self.push(&LoadRecord::schema(), &row);
         }
 
-        fn take(&mut self) -> Vec<u8> {
-            std::mem::take(&mut self.batch)
+        /// Seals the batch as the stream's next and ingests it from
+        /// [`SRC`]. Returns the records decoded.
+        fn ingest_into(&mut self, g: &mut Gpa) -> usize {
+            self.sealed += 1;
+            let wire = pubsub::reliable::encode_batch(self.sealed, &self.batch);
+            self.batch.clear();
+            g.ingest_wire(SimTime::from_millis(self.sealed), ME, SRC, &wire)
+                .0
         }
     }
 
@@ -1083,7 +974,7 @@ mod tests {
                 monitor_us: 1,
             });
         }
-        assert_eq!(g.ingest_batch(SRC, &feed.take()), 3);
+        assert_eq!(feed.ingest_into(&mut g), 3);
         let view = g.node_load(NodeId(5)).unwrap();
         assert_eq!(view.reports, 3);
         assert_eq!(view.latest.cpu_utilization, 0.9);
@@ -1178,7 +1069,7 @@ mod tests {
             feed.push(&InteractionRecord::schema(), &row);
         }
         let mut g = Gpa::new(GpaConfig::default());
-        assert_eq!(g.ingest_batch(SRC, &feed.take()), 3);
+        assert_eq!(feed.ingest_into(&mut g), 3);
         assert_eq!(g.interactions(), &[parent, child, early]);
         let paths = flat(g.correlate());
         assert_eq!(paths, vec![(parent, vec![child])]);
@@ -1267,10 +1158,10 @@ mod tests {
         // interaction schema's name and so re-announces its id.
         let mut other = Feed::new();
         other.push(&lookalike, &row);
-        feed.batch.extend_from_slice(&other.take());
+        feed.batch.extend_from_slice(&other.batch);
 
         // Decoded: three interactions, the load, the lookalike's row.
-        assert_eq!(g.ingest_batch(SRC, &feed.take()), 5);
+        assert_eq!(feed.ingest_into(&mut g), 5);
         assert_eq!(g.interactions(), &recs);
         assert_eq!(g.load_history(), &[load]);
         assert_eq!(g.node_load(NodeId(5)).unwrap().latest, load);
@@ -1298,10 +1189,11 @@ mod tests {
         rec(1, 10, 20, 80, 0, 100).to_raw_row(&mut row);
         let mut before = Feed::new();
         before.push(&InteractionRecord::schema(), &row);
-        assert_eq!(g.ingest_batch(SRC, &before.take()), 1);
+        assert_eq!(before.ingest_into(&mut g), 1);
         let mut after = Feed::new();
         after.push_load(&load);
-        assert_eq!(g.ingest_batch(SRC, &after.take()), 1);
+        after.sealed = before.sealed;
+        assert_eq!(after.ingest_into(&mut g), 1);
         assert_eq!(g.interaction_count(), 1);
         assert_eq!(g.load_history(), &[load]);
         assert_eq!(g.decode_failures(), 0);
@@ -1327,85 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn sequenced_ingest_dedups_nacks_gaps_and_acks() {
-        use pubsub::reliable::encode_batch;
-        let mut g = Gpa::new(GpaConfig {
-            log_deliveries: true,
-            ..GpaConfig::default()
-        });
-        let me = EndPoint::new(Ip(99), Port(9999));
-        let src = EndPoint::new(Ip(1), Port(9997));
-        let t = SimTime::from_millis;
-        // An empty payload still counts as a delivered batch.
-        let b = |seq| encode_batch(seq, &[]);
-
-        let (_, replies) = g.ingest_wire(t(10), me, src, &b(1));
-        assert_eq!(
-            replies,
-            vec![ControlMsg::DataAck {
-                subscriber: me,
-                upto: 1
-            }]
-        );
-        // 2 lost; 3 arrives → buffered, NACK for [2,2], ACK still 1.
-        let (_, replies) = g.ingest_wire(t(20), me, src, &b(3));
-        assert_eq!(
-            replies,
-            vec![
-                ControlMsg::DataNack {
-                    subscriber: me,
-                    from_seq: 2,
-                    to_seq: 2
-                },
-                ControlMsg::DataAck {
-                    subscriber: me,
-                    upto: 1
-                },
-            ]
-        );
-        assert!(!g.streams_converged());
-        // A burst arrival 1 ms later is inside the NACK pace: no budget
-        // burned, just the cumulative ACK.
-        let (_, replies) = g.ingest_wire(t(21), me, src, &b(4));
-        assert_eq!(
-            replies,
-            vec![ControlMsg::DataAck {
-                subscriber: me,
-                upto: 1
-            }],
-            "paced out: no second NACK within nack_pace"
-        );
-        // Duplicate of 1 → counted, re-ACKed, never re-delivered; the
-        // pace has elapsed, so the still-open gap is NACKed again.
-        let (_, replies) = g.ingest_wire(t(30), me, src, &b(1));
-        assert_eq!(replies.len(), 2, "NACK for the still-open gap + ACK");
-        // Retransmit of 2 heals the gap and unblocks 3 and 4.
-        let (_, replies) = g.ingest_wire(t(40), me, src, &b(2));
-        assert_eq!(
-            replies,
-            vec![ControlMsg::DataAck {
-                subscriber: me,
-                upto: 4
-            }]
-        );
-        let s = g.gpa_stats();
-        assert_eq!(s.batches_received, 5);
-        assert_eq!(s.duplicate_batches, 1);
-        assert_eq!(s.out_of_order, 2);
-        assert_eq!(s.gaps_detected, 1);
-        assert_eq!(s.gaps_recovered, 1);
-        assert_eq!(s.gaps_abandoned, 0);
-        assert_eq!(s.nacks_sent, 2);
-        assert!(g.streams_converged());
-        // Delivery log is strictly monotonic per source.
-        assert_eq!(
-            g.delivery_log(),
-            &[(src, 1), (src, 2), (src, 3), (src, 4)],
-            "exactly-once, in order"
-        );
-    }
-
-    #[test]
     fn nack_and_delivery_logs_keep_the_newest_and_count_the_rest() {
         use pubsub::reliable::encode_batch;
         let mut g = Gpa::new(GpaConfig {
@@ -1413,20 +1226,18 @@ mod tests {
             log_deliveries: true,
             ..GpaConfig::default()
         });
-        let me = EndPoint::new(Ip(99), Port(9999));
-        let src = EndPoint::new(Ip(1), Port(9997));
         // A daemon that rejects every subscribe, 100 times over.
         for i in 0..100u16 {
             g.record_subscription_failure(SubscriptionFailure {
                 topic: format!("topic-{i}"),
-                subscriber: me,
-                from: src,
+                subscriber: ME,
+                from: SRC,
                 diagnostics: vec!["E0001".into()],
             });
             g.ingest_wire(
                 SimTime::from_millis(u64::from(i)),
-                me,
-                src,
+                ME,
+                SRC,
                 &encode_batch(u64::from(i) + 1, &[]),
             );
         }
@@ -1444,55 +1255,14 @@ mod tests {
         assert_eq!(s.deliveries_evicted, 92);
         // Window's bound on what it buffers behind the slice.
         assert!(g.subscription_failures.items.len() <= 8 + 8 / COMPACT_DIVISOR + 1);
-    }
 
-    #[test]
-    fn unanswered_nacks_abandon_the_gap_with_counting() {
-        use pubsub::reliable::encode_batch;
-        let mut g = Gpa::new(GpaConfig {
-            gap_nack_limit: 2,
-            ..GpaConfig::default()
-        });
-        let me = EndPoint::new(Ip(99), Port(9999));
-        let src = EndPoint::new(Ip(1), Port(9997));
-        let t = SimTime::from_millis;
-        g.ingest_wire(t(10), me, src, &encode_batch(1, &[]));
-        // 2 is lost forever; each later (pace-spaced) arrival re-NACKs
-        // until the budget runs out, then the stream skips ahead.
-        for (i, seq) in [3u64, 4, 5].into_iter().enumerate() {
-            g.ingest_wire(t(20 + 10 * i as u64), me, src, &encode_batch(seq, &[]));
-        }
-        let s = g.gpa_stats();
-        assert_eq!(s.gaps_detected, 1);
-        assert_eq!(s.nacks_sent, 2, "budget of 2");
-        assert_eq!(s.gaps_abandoned, 1);
-        assert_eq!(s.gaps_recovered, 0);
-        assert!(g.streams_converged(), "stream moved past the dead gap");
-        // The skip delivered the buffered 3..=5.
-        let (_, replies) = g.ingest_wire(t(60), me, src, &encode_batch(6, &[]));
-        assert_eq!(
-            replies,
-            vec![ControlMsg::DataAck {
-                subscriber: me,
-                upto: 6
-            }]
-        );
-    }
-
-    #[test]
-    fn unparseable_sequence_header_is_a_decode_failure() {
-        let mut g = Gpa::new(GpaConfig::default());
-        let me = EndPoint::new(Ip(99), Port(9999));
-        let src = EndPoint::new(Ip(1), Port(9997));
-        // A truncated varint and one that never ends.
-        for data in [&[][..], &[0x80][..], &[0xFF; 11][..]] {
-            let (n, replies) = g.ingest_wire(SimTime::from_millis(1), me, src, data);
-            assert_eq!(n, 0);
-            assert!(replies.is_empty(), "nothing to acknowledge");
-        }
-        assert_eq!(g.decode_failures(), 3);
-        assert_eq!(g.interaction_count(), 0);
-        assert_eq!(g.gpa_stats(), GpaStats::default(), "no stream was opened");
+        // The stream's own counters are its receiver's, read through
+        // the GPA; a header that does not parse opens nothing.
+        assert_eq!((s.batches_received, s.acks_sent), (100, 100));
+        let (n, replies) = g.ingest_wire(SimTime::from_millis(100), ME, SRC, &[0x80]);
+        assert_eq!((n, replies.len(), g.decode_failures()), (0, 0, 1));
+        assert_eq!(g.gpa_stats(), s);
+        assert!(g.streams_converged());
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //!   daemons' channels, correlates interaction records across nodes by
 //!   endpoints and (imperfect, NTP-disciplined) wall-clock timestamps into
 //!   end-to-end request paths, and answers queries,
+//! * [`receive_stream`] — the sink glue of any subscriber to a daemon's
+//!   channels (the GPA's [`GpaSink`], RA-DWCS's load feed): one delivery
+//!   through the subscriber's `pubsub::reliable::Receiver`, replies to
+//!   the daemon's control port, cost from [`cost`]. The stream itself —
+//!   sequence numbers, frames, retransmission, reassembly — is
+//!   `pubsub::reliable`'s; the daemon holds its `Sender`,
 //! * [`Controller`] — the knob panel: monitoring level (off / per-class /
 //!   per-interaction / full), buffer and window sizes, event masks,
 //! * [`procfs`] — `/proc`-style textual views of the collected data,
@@ -71,15 +77,17 @@ mod records;
 pub use controller::{Controller, MonitorLevel};
 pub use cpa::{CpaAnalyzer, CpaError, EVENT_INPUTS};
 pub use daemon::{
-    split_frames, ControlSink, Daemon, DaemonConfig, DaemonStats, ReliableTx, CONTROL_PORT,
-    DAEMON_SRC_PORT, DATA_PORT, LOAD_TOPIC,
+    ControlSink, Daemon, DaemonConfig, DaemonStats, CONTROL_PORT, DAEMON_SRC_PORT, DATA_PORT,
+    LOAD_TOPIC,
 };
 pub use deploy::{MonitorConfig, SysProf};
 pub use gpa::{
-    flow_shard_key, ClassSummary, ControlReplySink, CorrelatedPath, Gpa, GpaConfig, GpaSink,
-    GpaStats, NodeLoadView, SubscriptionFailure,
+    flow_shard_key, receive_stream, ClassSummary, ControlReplySink, CorrelatedPath, Gpa, GpaConfig,
+    GpaSink, GpaStats, NodeLoadView, SubscriptionFailure,
 };
 pub use lpa::{Lpa, LpaConfig};
+/// The frame layer of a batch payload, for tools that take one apart.
+pub use pubsub::split_frames;
 pub use query::{GpaAnswer, GpaQuery, GpaQuerySink, QueryClient, QUERY_PORT, QUERY_REPLY_PORT};
 pub use records::{InteractionRecord, LoadRecord, INTERACTION_TOPIC};
 /// The fixed-hasher tables; `LpaConfig::service_ports` is this module's `HashSet`.

@@ -6,6 +6,7 @@
 //! administrator would `cat`.
 
 use kprof::Kprof;
+use pubsub::reliable::{Receiver, Sender};
 use simcore::NodeId;
 
 use crate::gpa::Gpa;
@@ -141,6 +142,26 @@ pub fn render_digest(gpa: &Gpa) -> String {
     lines.join("\n") + "\n"
 }
 
+/// Renders where each reliable stream through a node stands, one
+/// `key: value` line per fact: the streams it subscribes to (`rx`, by
+/// source) before the streams it publishes (`tx`, by subscriber), keys
+/// sorted within a stream.
+pub fn render_streams(tx: Option<&Sender>, rx: Option<&Receiver>) -> String {
+    let sides = [
+        ("rx", rx.map(Receiver::streams)),
+        ("tx", tx.map(Sender::streams)),
+    ];
+    let mut out = String::new();
+    for (side, streams) in sides {
+        for (peer, state) in streams.into_iter().flatten() {
+            for (key, value) in state {
+                out.push_str(&format!("{side}[{peer}].{key}: {value}\n"));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +178,6 @@ mod tests {
         assert!(render_status(NodeId(0), &kprof, &lpa).contains("events_generated: 0"));
         assert!(render_gpa_summary(&gpa).starts_with("# node"));
         assert_eq!(render_digest(&gpa), "digest: none\n");
+        assert_eq!(render_streams(None, Some(gpa.receiver())), "");
     }
 }

@@ -143,6 +143,13 @@ impl InteractionRecord {
             blocked_io_us: r[17] as u64,
         })
     }
+
+    /// Every record in `rows`: rows coded under
+    /// [`schema`](Self::schema), back to back.
+    pub fn from_raw_rows(rows: &[i64]) -> impl Iterator<Item = InteractionRecord> + '_ {
+        let record = |row| Self::from_raw_row(row).expect("a whole row");
+        rows.chunks_exact(18).map(record)
+    }
 }
 
 /// A per-node load report published by the dissemination daemon — the
@@ -203,6 +210,13 @@ impl LoadRecord {
             interactions: r[4] as u64,
             monitor_us: r[5] as u64,
         })
+    }
+
+    /// Every record in `rows`: rows coded under
+    /// [`schema`](Self::schema), back to back.
+    pub fn from_raw_rows(rows: &[i64]) -> impl Iterator<Item = LoadRecord> + '_ {
+        let record = |row| Self::from_raw_row(row).expect("a whole row");
+        rows.chunks_exact(6).map(record)
     }
 
     /// The wall time as a [`SimTime`].

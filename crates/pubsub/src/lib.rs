@@ -13,7 +13,16 @@
 //!   paper's "dynamic data filters"), and PBIO encoding of records,
 //! * [`ChannelDecoder`] — the subscriber side: learns schemas from the
 //!   stream (self-describing) and decodes records,
-//! * [`control`] — SUBSCRIBE/UNSUBSCRIBE control-message codecs.
+//! * [`frame_into`] / [`split_frames`] — the frame layer that packs
+//!   published messages into one batch payload,
+//! * [`reliable`] — the sequenced stream a batch travels in, both halves:
+//!   the publisher's [`reliable::Sender`] (sequence numbers, resend
+//!   buffer, retransmits) and the subscriber's [`reliable::Receiver`]
+//!   (dedup, reorder, gap NACKs and abandonment, cumulative ACKs,
+//!   decoding into raw rows) — the one receive path every subscriber
+//!   uses,
+//! * [`control`] — SUBSCRIBE/UNSUBSCRIBE and data ACK/NACK
+//!   control-message codecs.
 //! * [`digest`] — the consumer-side fold: an E-Code program whose
 //!   statics accumulate over every record, run as K replicas on the
 //!   caller's thread and folded back exactly
@@ -633,6 +642,34 @@ impl ChannelDecoder {
     }
 }
 
+/// Appends one published message to a batch payload, length-prefixed:
+/// the frame layer between a batch's sequence header
+/// ([`reliable::encode_batch`]) and each message's own topic/schema
+/// header.
+pub fn frame_into(batch: &mut Vec<u8>, message: &[u8]) {
+    write_u64(batch, message.len() as u64);
+    batch.extend_from_slice(message);
+}
+
+/// Splits a batch payload back into the messages
+/// [`frame_into`] put there. A truncated tail is dropped.
+pub fn split_frames(mut data: &[u8]) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    while !data.is_empty() {
+        let Ok(len) = read_u64(&mut data) else {
+            break;
+        };
+        let len = len as usize;
+        if data.len() < len {
+            break;
+        }
+        let (frame, rest) = data.split_at(len);
+        out.push(frame);
+        data = rest;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,6 +695,19 @@ mod tests {
             Value::Str("proxy".into()),
             Value::F64(load),
         ]
+    }
+
+    #[test]
+    fn frames_round_trip_and_tolerate_truncation() {
+        let mut batch = Vec::new();
+        frame_into(&mut batch, &[1, 2, 3]);
+        frame_into(&mut batch, &[4, 5]);
+        assert_eq!(split_frames(&batch), [&[1u8, 2, 3][..], &[4u8, 5][..]]);
+        // A last frame that claims more bytes than follow is dropped.
+        assert_eq!(split_frames(&batch[..batch.len() - 1]), [&[1u8, 2, 3][..]]);
+        write_u64(&mut batch, 100);
+        assert_eq!(split_frames(&batch).len(), 2);
+        assert!(split_frames(&[]).is_empty());
     }
 
     #[test]

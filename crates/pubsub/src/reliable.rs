@@ -1,46 +1,43 @@
-//! Reliable delivery for monitoring channels: sequence-numbered batches,
-//! a bounded sender-side resend buffer with exponential backoff, and a
-//! receiver-side reassembler that detects gaps and duplicates.
+//! Reliable delivery for monitoring channels: one sequenced stream per
+//! (publisher, subscriber) pair, with a [`Sender`] at the publisher and a
+//! [`Receiver`] at the subscriber.
 //!
 //! The dissemination daemon's publications are fire-and-forget UDP-style
 //! kernel sends; under loss, a dropped batch would silently corrupt every
-//! downstream record. This module adds the minimal machinery to notice:
+//! downstream record. This module is everything that knows the stream:
 //!
-//! * every batch to a given subscriber carries a **per-subscription
-//!   sequence number** (`1, 2, 3, …`, prefixed to the wire bytes),
-//! * the sender keeps recent batches in a byte-bounded [`ResendBuffer`]
-//!   and retransmits on NACK or on retransmit-timeout with exponential
-//!   backoff,
-//! * the receiver runs batches through a [`Reassembler`] that delivers
-//!   in order, suppresses duplicates, and reports gaps for NACKing —
-//!   or abandons them after a deadline so one lost batch cannot stall
-//!   the stream forever (gaps are then *counted*, not silently eaten).
+//! * a batch is a varint **per-subscription sequence number**
+//!   (`1, 2, 3, …`, [`encode_batch`]) followed by length-prefixed
+//!   messages ([`crate::frame_into`]), each under its own topic/schema
+//!   header ([`crate::ChannelDecoder`]),
+//! * the [`Sender`] numbers each subscriber's batches, keeps them in a
+//!   byte-bounded [`ResendBuffer`] and retransmits on NACK or on
+//!   retransmit-timeout with exponential backoff,
+//! * the [`Receiver`] runs each source's batches through a
+//!   [`Reassembler`] that delivers in order, suppresses duplicates and
+//!   reports gaps; it NACKs a gap (paced), abandons it after a budget so
+//!   one lost batch cannot stall the stream forever (gaps are then
+//!   *counted*, not silently eaten), decodes what is delivered into raw
+//!   rows, and answers every batch with a cumulative ACK.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use pbio::{read_u64, write_u64};
+use pbio::{read_u64, write_u64, Schema};
 use simcore::{SimDuration, SimTime};
+use simnet::EndPoint;
 
-/// Upper bound on the bytes the (varint) sequence header adds per batch.
-pub const MAX_SEQ_HEADER_BYTES: usize = 10;
+use crate::control::ControlMsg;
+use crate::{split_frames, ChannelDecoder};
 
 /// Prefixes `payload` with its per-subscription sequence number
-/// (varint-encoded, like all pbio integers).
+/// (varint-encoded, like all pbio integers: ten bytes at most).
 pub fn encode_batch(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut wire = Vec::with_capacity(MAX_SEQ_HEADER_BYTES + payload.len());
-    encode_batch_into(seq, payload, &mut wire);
-    wire
-}
-
-/// [`encode_batch`] into a caller-owned buffer (cleared first), so batch
-/// encoding on the hot path can reuse one allocation across batches.
-pub fn encode_batch_into(seq: u64, payload: &[u8], wire: &mut Vec<u8>) {
-    wire.clear();
-    wire.reserve(MAX_SEQ_HEADER_BYTES + payload.len());
-    write_u64(wire, seq);
+    let mut wire = Vec::with_capacity(10 + payload.len());
+    write_u64(&mut wire, seq);
     wire.extend_from_slice(payload);
+    wire
 }
 
 /// Splits a wire batch into `(seq, payload)`. Returns `None` on truncated
@@ -210,6 +207,106 @@ impl ResendBuffer {
     }
 }
 
+/// The publisher's half of every stream it feeds: per-subscriber
+/// sequence numbers plus a bounded [`ResendBuffer`] each.
+pub struct Sender {
+    config: ResendConfig,
+    streams: BTreeMap<EndPoint, StreamTx>,
+}
+
+struct StreamTx {
+    next_seq: u64,
+    buffer: ResendBuffer,
+    /// Highest cumulative ACK applied, of the sequence numbers sealed.
+    acked_upto: u64,
+    retransmits: u64,
+}
+
+impl Sender {
+    /// Empty sender state.
+    pub fn new(config: ResendConfig) -> Self {
+        Sender {
+            config,
+            streams: BTreeMap::new(),
+        }
+    }
+
+    /// Assigns the next sequence number for `ep`, frames `payload` with
+    /// it, buffers the framed wire for retransmission, and returns it.
+    /// The returned [`Bytes`] and the buffered copy share one
+    /// allocation — sealing never duplicates the payload.
+    pub fn seal(&mut self, now: SimTime, ep: EndPoint, payload: &[u8]) -> Bytes {
+        let config = self.config;
+        let st = self.streams.entry(ep).or_insert_with(|| StreamTx {
+            next_seq: 1,
+            buffer: ResendBuffer::new(config),
+            acked_upto: 0,
+            retransmits: 0,
+        });
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        let wire = Bytes::from(encode_batch(seq, payload));
+        st.buffer.push(now, seq, wire.clone());
+        wire
+    }
+
+    /// Applies a cumulative ACK from `ep`.
+    pub fn ack(&mut self, ep: EndPoint, upto: u64) -> usize {
+        let Some(st) = self.streams.get_mut(&ep) else {
+            return 0;
+        };
+        st.acked_upto = st.acked_upto.max(upto.min(st.next_seq - 1));
+        st.buffer.ack_upto(upto)
+    }
+
+    /// Pulls retransmittable wire batches for a NACKed range from `ep`'s
+    /// buffer (evicted or acked batches are simply absent).
+    pub fn nack(&mut self, now: SimTime, ep: EndPoint, from: u64, to: u64) -> Vec<(u64, Bytes)> {
+        let Some(st) = self.streams.get_mut(&ep) else {
+            return Vec::new();
+        };
+        let resent = st.buffer.retransmit_range(now, from, to);
+        st.retransmits += resent.len() as u64;
+        resent
+    }
+
+    /// All batches past their retransmit deadline at `now`, in
+    /// deterministic (endpoint-sorted) order, marked re-sent with
+    /// exponential backoff.
+    pub fn due(&mut self, now: SimTime) -> Vec<(EndPoint, Bytes)> {
+        let mut out = Vec::new();
+        for (ep, st) in &mut self.streams {
+            let due = st.buffer.due(now);
+            st.retransmits += due.len() as u64;
+            out.extend(due.into_iter().map(|(_seq, wire)| (*ep, wire)));
+        }
+        out
+    }
+
+    /// Total un-acked batches evicted across all streams.
+    pub fn evictions(&self) -> u64 {
+        self.streams.values().map(|s| s.buffer.evictions()).sum()
+    }
+
+    /// Where each stream stands, by subscriber endpoint: its state as
+    /// `(name, value)` pairs, names sorted.
+    pub fn streams(&self) -> Vec<(EndPoint, [(&'static str, u64); 5])> {
+        let state = |st: &StreamTx| {
+            [
+                ("acked_upto", st.acked_upto),
+                ("buffered_bytes", st.buffer.buffered_bytes()),
+                ("evictions", st.buffer.evictions()),
+                ("next_seq", st.next_seq),
+                ("retransmits", st.retransmits),
+            ]
+        };
+        self.streams
+            .iter()
+            .map(|(ep, st)| (*ep, state(st)))
+            .collect()
+    }
+}
+
 /// What a [`Reassembler`] did with an offered batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Offer {
@@ -220,15 +317,33 @@ pub enum Offer {
     Duplicate,
     /// Ahead of a gap — buffered until the gap fills or is abandoned.
     Buffered,
+    /// [`REORDER_WINDOW`] or more ahead of the next expected sequence
+    /// number — dropped, not buffered.
+    OutOfWindow,
 }
+
+/// How far ahead of the next expected sequence number a batch may be and
+/// still be buffered. Sequence numbers come off the wire, so without a
+/// bound a peer could park one payload per far-future number it cares to
+/// name. An honest sender has at most [`ResendConfig::cap_bytes`] of
+/// un-acked batches it can still retransmit; at the default 512 KiB and
+/// 8 bytes a batch (sequence number, frame length, topic, schema id and
+/// announce flag are five before the record starts; the smallest batch a
+/// daemon does seal, a lone load report, is 27 or more) that is 65,536
+/// batches. A batch further ahead is one whose predecessors the sender
+/// has evicted: dropping it costs a retransmit after the gap is
+/// abandoned, never a record the stream could have kept.
+pub const REORDER_WINDOW: u64 = 65_536;
 
 /// Receiver-side per-subscription stream state: delivers batches exactly
 /// once and in order, buffers out-of-order arrivals, and exposes the
 /// current gap for NACKing.
 #[derive(Debug)]
 pub struct Reassembler {
-    /// Next sequence number not yet delivered (sequences start at 1).
+    /// Next sequence number not yet delivered: sequences start at 1 and
+    /// `u64::MAX` is never delivered, so this is in `1..=u64::MAX`.
     next: u64,
+    /// At most [`REORDER_WINDOW`] batches, all above `next`.
     pending: BTreeMap<u64, Vec<u8>>,
 }
 
@@ -252,17 +367,28 @@ impl Reassembler {
         if seq < self.next || self.pending.contains_key(&seq) {
             return Offer::Duplicate;
         }
+        // `u64::MAX` has no successor to expect after it.
+        if seq - self.next >= REORDER_WINDOW || seq == u64::MAX {
+            return Offer::OutOfWindow;
+        }
         if seq != self.next {
             self.pending.insert(seq, payload);
             return Offer::Buffered;
         }
-        let mut out = vec![(seq, payload)];
         self.next += 1;
+        let mut out = vec![(seq, payload)];
+        out.extend(self.drain_in_order());
+        Offer::Delivered(out)
+    }
+
+    /// Takes the buffered batches that are next in sequence.
+    fn drain_in_order(&mut self) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
         while let Some(p) = self.pending.remove(&self.next) {
             out.push((self.next, p));
             self.next += 1;
         }
-        Offer::Delivered(out)
+        out
     }
 
     /// The inclusive sequence range currently missing, if any batch is
@@ -276,16 +402,9 @@ impl Reassembler {
     /// that will never be filled (sender evicted it, or retries ran out)
     /// and delivers any buffered batches that become in-order.
     pub fn skip_to(&mut self, seq: u64) -> Vec<(u64, Vec<u8>)> {
-        if seq > self.next {
-            self.next = seq;
-        }
+        self.next = self.next.max(seq);
         self.pending.retain(|&s, _| s >= self.next);
-        let mut out = Vec::new();
-        while let Some(p) = self.pending.remove(&self.next) {
-            out.push((self.next, p));
-            self.next += 1;
-        }
-        out
+        self.drain_in_order()
     }
 
     /// The next sequence number the stream expects.
@@ -305,6 +424,246 @@ impl Reassembler {
     }
 }
 
+/// Minimum wall-clock spacing between NACKs for the same gap. A
+/// retransmit burst after a partition heals can deliver many batches
+/// within microseconds; without pacing each one would burn a NACK from
+/// the gap budget before the first NACK's retransmit has had a round
+/// trip's chance to arrive. Comfortably exceeds the simulated networks'
+/// RTTs.
+const NACK_PACE: SimDuration = SimDuration::from_millis(5);
+
+/// Receive-side state of one source's stream.
+#[derive(Default)]
+struct SourceRx {
+    reasm: Reassembler,
+    decoder: ChannelDecoder,
+    /// Whether a gap is currently open (for detected/recovered edges).
+    gap_open: bool,
+    /// NACKs sent for the currently open gap.
+    nacks_for_gap: u32,
+    /// When the last NACK for the open gap went out, for pacing.
+    last_nack_at: Option<SimTime>,
+    /// Gaps this stream skipped past.
+    abandoned: u64,
+}
+
+impl SourceRx {
+    fn close_gap(&mut self) {
+        self.gap_open = false;
+        self.nacks_for_gap = 0;
+        self.last_nack_at = None;
+    }
+}
+
+/// The subscriber's half of every stream it is fed: per-source
+/// reassembly, gap repair and decoding, and the counters of what became
+/// of every batch. The default receiver expects no schema and abandons a
+/// gap at once; it is what an owner leaves in place while it lends the
+/// real one out.
+#[derive(Default)]
+pub struct Receiver {
+    /// The schemas the subscriber ingests; a record under any other is a
+    /// decode failure.
+    expected: Vec<Schema>,
+    /// NACKs sent for one gap before it is abandoned.
+    gap_nack_limit: u32,
+    sources: BTreeMap<EndPoint, SourceRx>,
+    /// The rows of the batch being delivered, one contiguous buffer per
+    /// expected schema (one all the same if none is).
+    rows: Vec<Vec<i64>>,
+    /// Sequenced batches received (before dedup/reordering).
+    pub batches_received: u64,
+    /// Batches discarded as already-delivered duplicates.
+    pub duplicate_batches: u64,
+    /// Batches that arrived ahead of a gap and were buffered.
+    pub out_of_order: u64,
+    /// Batches dropped for being [`REORDER_WINDOW`] or more ahead.
+    pub out_of_window: u64,
+    /// Distinct gaps observed (a missing sequence range opened).
+    pub gaps_detected: u64,
+    /// Gaps closed by a retransmission arriving.
+    pub gaps_recovered: u64,
+    /// Gaps given up on after the NACK budget; the stream skipped past.
+    pub gaps_abandoned: u64,
+    /// Data NACKs sent back to publishers.
+    pub nacks_sent: u64,
+    /// Cumulative data ACKs sent back to publishers.
+    pub acks_sent: u64,
+    /// Batches whose sequence header did not parse, messages that did
+    /// not decode, and records under a schema that is not expected.
+    pub decode_failures: u64,
+}
+
+/// Decodes the records of one delivered batch into `rows` (cleared
+/// first), one buffer per expected schema. Returns how many decoded;
+/// what did not, or is under no expected schema, is counted in
+/// `failures`.
+fn decode_rows(
+    decoder: &mut ChannelDecoder,
+    payload: &[u8],
+    rows: &mut [Vec<i64>],
+    failures: &mut u64,
+) -> usize {
+    rows.iter_mut().for_each(Vec::clear);
+    let (first, others) = rows.split_first_mut().expect("at least one buffer");
+    let mut count = 0;
+    for frame in split_frames(payload) {
+        // Decoded in place as a row under the first expected schema,
+        // which most are; moved if under another, dropped if under none.
+        let start = first.len();
+        match decoder.decode_row(frame, first) {
+            Ok(Some((_topic, Some(0)))) => count += 1,
+            Ok(Some((_topic, known))) => {
+                count += 1;
+                match known {
+                    Some(k) => others[k - 1].extend_from_slice(&first[start..]),
+                    None => *failures += 1,
+                }
+                first.truncate(start);
+            }
+            Ok(None) => {}
+            Err(_) => *failures += 1,
+        }
+    }
+    count
+}
+
+impl Receiver {
+    /// A receiver for a subscriber that ingests exactly `expected`
+    /// (compared against what each stream announces, field types
+    /// included) and sends `gap_nack_limit` NACKs for one gap before
+    /// abandoning it.
+    pub fn new(expected: Vec<Schema>, gap_nack_limit: u32) -> Receiver {
+        Receiver {
+            rows: vec![Vec::new(); expected.len().max(1)],
+            expected,
+            gap_nack_limit,
+            ..Receiver::default()
+        }
+    }
+
+    /// Runs one wire batch from `src` through its stream: decodes the
+    /// sequence header, delivers in-order batches exactly once, and
+    /// produces the control replies (a gap NACK when a hole is visible,
+    /// then the cumulative ACK) to send back to the publisher's control
+    /// port. `self_ep` is the subscriber's data endpoint, named in
+    /// replies so the publisher knows which stream they govern.
+    ///
+    /// Each delivered batch is handed to `on_batch` as its sequence
+    /// number and its records' raw rows, `rows[k]` holding those under
+    /// the `k`th expected schema back to back in arrival order.
+    ///
+    /// Input whose sequence header does not parse is a decode failure:
+    /// nothing is delivered and nothing is replied.
+    ///
+    /// Returns `(records_decoded, replies)`.
+    pub fn ingest(
+        &mut self,
+        now_wall: SimTime,
+        self_ep: EndPoint,
+        src: EndPoint,
+        data: &[u8],
+        on_batch: &mut dyn FnMut(u64, &[Vec<i64>]),
+    ) -> (usize, Vec<ControlMsg>) {
+        let Some((seq, payload)) = decode_batch(data) else {
+            self.decode_failures += 1;
+            return (0, Vec::new());
+        };
+        self.batches_received += 1;
+        let st = self.sources.entry(src).or_insert_with(|| SourceRx {
+            decoder: ChannelDecoder::expecting(self.expected.clone()),
+            ..SourceRx::default()
+        });
+        let (rows, failures) = (&mut self.rows, &mut self.decode_failures);
+        let expected = self.expected.len();
+        let mut count = 0;
+        let mut deliver = |decoder: &mut ChannelDecoder, batches: Vec<(u64, Vec<u8>)>| {
+            for (seq, payload) in batches {
+                count += decode_rows(decoder, &payload, rows, failures);
+                on_batch(seq, &rows[..expected]);
+            }
+        };
+        match st.reasm.offer(seq, payload.to_vec()) {
+            Offer::Delivered(batches) => deliver(&mut st.decoder, batches),
+            Offer::Duplicate => self.duplicate_batches += 1,
+            Offer::Buffered => self.out_of_order += 1,
+            Offer::OutOfWindow => self.out_of_window += 1,
+        }
+
+        // Gap bookkeeping: NACK an open hole, or abandon it once the
+        // NACK budget is spent (the sender evicted the range).
+        let mut replies = Vec::new();
+        match st.reasm.gap() {
+            Some((from, to)) => {
+                if !st.gap_open {
+                    st.gap_open = true;
+                    self.gaps_detected += 1;
+                }
+                if st.last_nack_at.is_some_and(|t| now_wall < t + NACK_PACE) {
+                    // An outstanding NACK's retransmit may still be in
+                    // flight; don't burn budget on burst arrivals.
+                } else if st.nacks_for_gap < self.gap_nack_limit {
+                    st.nacks_for_gap += 1;
+                    st.last_nack_at = Some(now_wall);
+                    self.nacks_sent += 1;
+                    replies.push(ControlMsg::DataNack {
+                        subscriber: self_ep,
+                        from_seq: from,
+                        to_seq: to,
+                    });
+                } else {
+                    let drained = st.reasm.skip_to(to + 1);
+                    st.close_gap();
+                    st.abandoned += 1;
+                    self.gaps_abandoned += 1;
+                    deliver(&mut st.decoder, drained);
+                }
+            }
+            None if st.gap_open => {
+                st.close_gap();
+                self.gaps_recovered += 1;
+            }
+            None => {}
+        }
+
+        // Cumulative ACK on every sequenced batch (duplicates included —
+        // a re-ACK is how a publisher retransmitting into an
+        // already-healed stream learns to stop).
+        self.acks_sent += 1;
+        replies.push(ControlMsg::DataAck {
+            subscriber: self_ep,
+            upto: st.reasm.ack_value(),
+        });
+        (count, replies)
+    }
+
+    /// Whether every stream has fully converged: no open gaps and no
+    /// out-of-order batches still buffered. True once retransmissions
+    /// (or abandonments) have caught the subscriber up after a fault
+    /// episode.
+    pub fn converged(&self) -> bool {
+        self.sources.values().all(|st| st.reasm.pending_len() == 0)
+    }
+
+    /// Where each stream stands, by source endpoint: its state as
+    /// `(name, value)` pairs, names sorted.
+    pub fn streams(&self) -> Vec<(EndPoint, [(&'static str, u64); 5])> {
+        let state = |st: &SourceRx| {
+            [
+                ("abandoned", st.abandoned),
+                ("gap_open", u64::from(st.gap_open)),
+                ("nacks_for_gap", u64::from(st.nacks_for_gap)),
+                ("next_expected", st.reasm.next_expected()),
+                ("pending", st.reasm.pending_len() as u64),
+            ]
+        };
+        self.sources
+            .iter()
+            .map(|(ep, st)| (*ep, state(st)))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,7 +676,7 @@ mod tests {
     fn batch_encoding_round_trips() {
         for seq in [1u64, 42, 300, u64::MAX] {
             let wire = encode_batch(seq, b"payload");
-            assert!(wire.len() <= MAX_SEQ_HEADER_BYTES + 7);
+            assert!(wire.len() <= 10 + 7);
             assert_eq!(decode_batch(&wire), Some((seq, &b"payload"[..])));
         }
         assert_eq!(decode_batch(&[]), None, "empty input has no header");
@@ -456,6 +815,231 @@ mod tests {
         // ACK stops the cycle.
         buf.ack_upto(1);
         assert!(buf.due(t(10_000)).is_empty());
+    }
+
+    /// Sequence numbers come off the wire: none may overflow the
+    /// stream's arithmetic or park a payload arbitrarily far ahead.
+    #[test]
+    fn far_future_and_last_sequence_numbers_are_out_of_window() {
+        let mut r = Reassembler::new();
+        assert_eq!(r.offer(u64::MAX, vec![]), Offer::OutOfWindow);
+        assert_eq!(r.offer(1 + REORDER_WINDOW, vec![]), Offer::OutOfWindow);
+        assert_eq!(r.offer(REORDER_WINDOW, vec![]), Offer::Buffered);
+        assert_eq!((r.pending_len(), r.ack_value()), (1, 0));
+        assert_eq!(r.gap(), Some((1, REORDER_WINDOW - 1)));
+        // The end of the sequence space: skipping there delivers
+        // nothing and expects nothing more.
+        assert!(r.skip_to(u64::MAX).is_empty());
+        assert_eq!((r.next_expected(), r.ack_value()), (u64::MAX, u64::MAX - 1));
+        assert_eq!(r.offer(u64::MAX, vec![]), Offer::OutOfWindow);
+        assert_eq!(r.offer(u64::MAX - 1, vec![]), Offer::Duplicate);
+        assert_eq!(r.pending_len(), 0);
+    }
+
+    const A: EndPoint = EndPoint::new(simnet::Ip(1), simnet::Port(9999));
+    const B: EndPoint = EndPoint::new(simnet::Ip(2), simnet::Port(9999));
+
+    /// One named value of one stream's rendered state.
+    fn state_of(streams: &[(EndPoint, [(&'static str, u64); 5])], ep: EndPoint, key: &str) -> u64 {
+        let (_, state) = streams.iter().find(|(e, _)| *e == ep).expect("stream");
+        state.iter().find(|(k, _)| *k == key).expect("key").1
+    }
+
+    #[test]
+    fn sender_sequences_per_subscription_and_retransmits() {
+        let mut tx = Sender::new(ResendConfig {
+            cap_bytes: u64::MAX,
+            rto: SimDuration::from_millis(10),
+            max_backoff_exp: 2,
+        });
+        let w1 = tx.seal(SimTime::ZERO, A, b"x");
+        let w2 = tx.seal(SimTime::ZERO, A, b"y");
+        let w3 = tx.seal(SimTime::ZERO, B, b"z");
+        assert_eq!(decode_batch(&w1).unwrap().0, 1);
+        assert_eq!(decode_batch(&w2).unwrap().0, 2);
+        assert_eq!(
+            decode_batch(&w3).unwrap().0,
+            1,
+            "per-subscription numbering"
+        );
+        tx.ack(A, 1);
+        let due = tx.due(t(10));
+        assert_eq!(due.len(), 2, "a's seq 2 and b's seq 1 timed out");
+        assert_eq!(due[0].0, A, "endpoint-sorted retransmit order");
+        assert_eq!(due[1].0, B);
+        assert_eq!(tx.nack(t(11), A, 2, 2).len(), 1);
+        assert!(tx.nack(t(11), A, 1, 1).is_empty(), "acked range is gone");
+        assert_eq!(tx.evictions(), 0);
+        // An ACK past what was sealed acknowledges what was sealed.
+        tx.ack(B, u64::MAX);
+        let streams = tx.streams();
+        assert_eq!(
+            streams.iter().map(|(ep, _)| *ep).collect::<Vec<_>>(),
+            [A, B]
+        );
+        for (ep, key, want) in [
+            (A, "next_seq", 3),
+            (A, "acked_upto", 1),
+            (A, "retransmits", 2),
+            (A, "buffered_bytes", w2.len() as u64),
+            (B, "acked_upto", 1),
+            (B, "retransmits", 1),
+            (B, "buffered_bytes", 0),
+        ] {
+            assert_eq!(state_of(&streams, ep, key), want, "{ep} {key}");
+        }
+    }
+
+    #[test]
+    fn seal_shares_one_allocation_with_resend_buffer() {
+        let mut tx = Sender::new(ResendConfig::default());
+        let sent = tx.seal(SimTime::ZERO, A, &[0xAB; 256]);
+        // A NACK-triggered retransmit hands back the very allocation the
+        // original send used — sealing buffered a refcounted view, not a
+        // copy.
+        let rt = tx.nack(t(1), A, 1, 1);
+        assert_eq!(rt.len(), 1);
+        assert!(std::ptr::eq(
+            rt[0].1.as_ref().as_ptr(),
+            sent.as_ref().as_ptr()
+        ));
+        // Timeout-triggered retransmits share it too.
+        let due = tx.due(SimTime::from_secs(10));
+        assert_eq!(due.len(), 1);
+        assert!(std::ptr::eq(
+            due[0].1.as_ref().as_ptr(),
+            sent.as_ref().as_ptr()
+        ));
+        // The buffer holds exactly one copy's worth of bytes.
+        assert_eq!(
+            state_of(&tx.streams(), A, "buffered_bytes"),
+            sent.len() as u64
+        );
+    }
+
+    /// A receiver expecting nothing, fed batches with empty payloads (an
+    /// empty payload still counts as a delivered batch), and the
+    /// sequence numbers it delivered.
+    struct Fed {
+        rx: Receiver,
+        delivered: Vec<u64>,
+    }
+
+    impl Fed {
+        fn new(gap_nack_limit: u32) -> Fed {
+            Fed {
+                rx: Receiver::new(Vec::new(), gap_nack_limit),
+                delivered: Vec::new(),
+            }
+        }
+
+        fn ingest(&mut self, at_ms: u64, data: &[u8]) -> Vec<ControlMsg> {
+            let delivered = &mut self.delivered;
+            let mut on_batch = |seq, _: &[Vec<i64>]| delivered.push(seq);
+            self.rx.ingest(t(at_ms), A, B, data, &mut on_batch).1
+        }
+
+        fn offer(&mut self, at_ms: u64, seq: u64) -> Vec<ControlMsg> {
+            self.ingest(at_ms, &encode_batch(seq, &[]))
+        }
+    }
+
+    fn ack(upto: u64) -> ControlMsg {
+        ControlMsg::DataAck {
+            subscriber: A,
+            upto,
+        }
+    }
+
+    fn nack(from_seq: u64, to_seq: u64) -> ControlMsg {
+        ControlMsg::DataNack {
+            subscriber: A,
+            from_seq,
+            to_seq,
+        }
+    }
+
+    #[test]
+    fn sequenced_ingest_dedups_nacks_gaps_and_acks() {
+        let mut f = Fed::new(5);
+        assert_eq!(f.offer(10, 1), [ack(1)]);
+        // 2 lost; 3 arrives → buffered, NACK for [2,2], ACK still 1.
+        assert_eq!(f.offer(20, 3), [nack(2, 2), ack(1)]);
+        assert!(!f.rx.converged());
+        // A burst arrival 1 ms later is inside the NACK pace: no budget
+        // burned, just the cumulative ACK.
+        assert_eq!(f.offer(21, 4), [ack(1)], "paced out: no second NACK");
+        // Duplicate of 1 → counted, re-ACKed, never re-delivered; the
+        // pace has elapsed, so the still-open gap is NACKed again.
+        assert_eq!(f.offer(30, 1), [nack(2, 2), ack(1)]);
+        let open = f.rx.streams();
+        assert_eq!(state_of(&open, B, "gap_open"), 1);
+        assert_eq!(state_of(&open, B, "nacks_for_gap"), 2);
+        assert_eq!(state_of(&open, B, "pending"), 2);
+        assert_eq!(state_of(&open, B, "next_expected"), 2);
+        // Retransmit of 2 heals the gap and unblocks 3 and 4.
+        assert_eq!(f.offer(40, 2), [ack(4)]);
+        assert_eq!(f.rx.batches_received, 5);
+        assert_eq!(f.rx.duplicate_batches, 1);
+        assert_eq!(f.rx.out_of_order, 2);
+        assert_eq!(f.rx.gaps_detected, 1);
+        assert_eq!(f.rx.gaps_recovered, 1);
+        assert_eq!(f.rx.gaps_abandoned, 0);
+        assert_eq!((f.rx.nacks_sent, f.rx.acks_sent), (2, 5));
+        assert!(f.rx.converged());
+        assert_eq!(f.delivered, [1, 2, 3, 4], "exactly-once, in order");
+        let healed = f.rx.streams();
+        assert_eq!(state_of(&healed, B, "gap_open"), 0);
+        assert_eq!(state_of(&healed, B, "nacks_for_gap"), 0);
+        assert_eq!(state_of(&healed, B, "next_expected"), 5);
+    }
+
+    #[test]
+    fn unanswered_nacks_abandon_the_gap_with_counting() {
+        let mut f = Fed::new(2);
+        f.offer(10, 1);
+        // 2 is lost forever; each later (pace-spaced) arrival re-NACKs
+        // until the budget runs out, then the stream skips ahead.
+        for (i, seq) in [3u64, 4, 5].into_iter().enumerate() {
+            f.offer(20 + 10 * i as u64, seq);
+        }
+        assert_eq!(f.rx.gaps_detected, 1);
+        assert_eq!(f.rx.nacks_sent, 2, "budget of 2");
+        assert_eq!(f.rx.gaps_abandoned, 1);
+        assert_eq!(f.rx.gaps_recovered, 0);
+        assert_eq!(state_of(&f.rx.streams(), B, "abandoned"), 1);
+        assert!(f.rx.converged(), "stream moved past the dead gap");
+        // The skip delivered the buffered 3..=5.
+        assert_eq!(f.offer(60, 6), [ack(6)]);
+        assert_eq!(f.delivered, [1, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn unparseable_sequence_header_is_a_decode_failure() {
+        let mut f = Fed::new(5);
+        // Nothing at all, a truncated varint and one that never ends.
+        for data in [&[][..], &[0x80][..], &[0xFF; 11][..]] {
+            assert!(f.ingest(1, data).is_empty(), "nothing to acknowledge");
+        }
+        assert_eq!(f.rx.decode_failures, 3);
+        assert_eq!(f.rx.batches_received, 0);
+        assert!(f.rx.streams().is_empty(), "no stream was opened");
+    }
+
+    /// Five copies of one forged batch used to walk the gap budget down
+    /// and skip the stream to the end of the sequence space.
+    #[test]
+    fn forged_sequence_numbers_neither_wedge_nor_advance_the_stream() {
+        let mut f = Fed::new(5);
+        for i in 0..5 {
+            assert_eq!(f.offer(10 * (i + 1), u64::MAX), [ack(0)]);
+        }
+        assert_eq!(f.offer(60, 5 + REORDER_WINDOW), [ack(0)]);
+        assert_eq!(f.rx.out_of_window, 6);
+        assert_eq!((f.rx.gaps_detected, f.rx.nacks_sent), (0, 0));
+        assert!(f.rx.converged());
+        assert_eq!(f.offer(70, 1), [ack(1)], "an honest batch still lands");
+        assert_eq!(f.delivered, [1]);
     }
 
     /// Deterministic generative sweep: under arbitrary loss, duplication

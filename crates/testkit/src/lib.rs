@@ -186,6 +186,25 @@ pub fn check_invariants(gpa: &Gpa) -> usize {
     assert_no_duplicate_interactions(gpa)
 }
 
+/// One named value of the stream to or from `peer`, out of what
+/// `Sender::streams` or `Receiver::streams` returned. Panics if there is
+/// no such stream or name.
+pub fn stream_value(
+    streams: &[(simnet::EndPoint, [(&'static str, u64); 5])],
+    peer: simnet::EndPoint,
+    key: &str,
+) -> u64 {
+    let (_, state) = streams
+        .iter()
+        .find(|(ep, _)| *ep == peer)
+        .unwrap_or_else(|| panic!("no stream with {peer}"));
+    let (_, value) = state
+        .iter()
+        .find(|(k, _)| *k == key)
+        .unwrap_or_else(|| panic!("a stream has no {key}"));
+    *value
+}
+
 /// Asserts the mean end-to-end interaction time the GPA measured for one
 /// tier (a `(node, class_port)` request class) stays within `budget_us`.
 /// The per-tier latency budget is how scenario tests pin "this tier is

@@ -152,6 +152,14 @@ fn main() {
     );
     println!("streams converged: {}", gpa.streams_converged());
 
+    // 5. Where each end of the stream stands, as `/proc` would show it.
+    println!("\n--- streams ---");
+    let tx = sysprof.sender(server);
+    print!(
+        "{}",
+        sysprof::procfs::render_streams(tx.as_deref(), Some(gpa.receiver()))
+    );
+
     assert!(
         gpa.streams_converged(),
         "every gap must be repaired or accounted for"

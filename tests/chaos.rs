@@ -1,14 +1,19 @@
-//! Chaos tests: the dissemination path (daemon → wire → GPA) must
-//! survive packet loss, duplication, reordering and timed partitions on
-//! the monitoring links without ever delivering a record twice — and the
+//! Chaos tests: the dissemination path (daemon → wire → subscriber, the
+//! GPA or RA-DWCS's load feed) must survive packet loss, duplication,
+//! reordering, timed partitions and forged sequence numbers on the
+//! monitoring links without ever delivering a record twice — and the
 //! whole degraded run must replay bit-identically from its seed.
 
+use pubsub::control::ControlMsg;
+use pubsub::reliable::encode_batch;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{LinkFaults, LinkSpec, Port};
+use simnet::{EndPoint, FaultPlan, Ip, LinkFaults, LinkSpec, Port};
 use simos::programs::EchoServer;
 use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
-use sysprof::{GpaConfig, MonitorConfig, SysProf};
-use testkit::{chaos_report, check_invariants, uniform_loss};
+use sysprof::{procfs, Gpa, GpaConfig, MonitorConfig, SysProf};
+use sysprof_apps::rubis::{run_rubis_under, RubisConfig, RA_FEED_PORT};
+use sysprof_apps::{KvStoreScenario, ScenarioSpec};
+use testkit::{chaos_report, check_invariants, fault_matrix, stream_value, uniform_loss};
 
 /// A client issuing `count` sequential requests (NFS-proxy-style load).
 struct SerialClient {
@@ -292,4 +297,159 @@ fn crashed_and_restarted_node_resumes_publishing() {
         chaos_report(&world, &sysprof)
     };
     assert_eq!(run(7), run(7), "crash/restart replays deterministically");
+}
+
+/// RA-DWCS's load feed, the second subscriber of the servlet daemons'
+/// streams, under faults. The client↔servlet links carry the
+/// application too, which has no transport-level retry: a lost request
+/// leaks a dispatch slot for good. So the lossy mix goes on the links to
+/// the GPA, the feed's links duplicate and reorder (by more than a flush
+/// interval, so a late report really arrives behind its successor), and
+/// the partition that does drop feed traffic comes after the last
+/// request, while the daemons still report.
+#[test]
+fn ra_dwcs_load_feed_survives_reordering_duplication_and_a_partition() {
+    let (client, gpa_node) = (NodeId(0), NodeId(3));
+    let servlets = [NodeId(1), NodeId(2)];
+    let mix = LinkFaults {
+        loss: 0.03,
+        duplicate: 0.02,
+        reorder: 0.02,
+        jitter: SimDuration::from_micros(200),
+        reorder_delay: SimDuration::from_millis(1),
+    };
+    let late = LinkFaults {
+        loss: 0.0,
+        reorder_delay: SimDuration::from_millis(60),
+        ..mix
+    };
+    let to_gpa = servlets.iter().fold(FaultPlan::default(), |plan, &s| {
+        plan.with_link(s, gpa_node, mix)
+    });
+    let mixed = servlets
+        .iter()
+        .fold(to_gpa.clone(), |plan, &s| plan.with_link(s, client, late));
+    let partitioned = to_gpa.with_partition(
+        servlets.to_vec(),
+        vec![client],
+        SimTime::from_millis(10_600),
+        SimTime::from_millis(11_400),
+    );
+    let config = |resource_aware| RubisConfig {
+        resource_aware,
+        duration: SimDuration::from_secs(10),
+        seed: 3,
+        ..RubisConfig::default()
+    };
+
+    for (name, plan) in [("mix", mixed), ("partition", partitioned)] {
+        let plain = run_rubis_under(config(false), plan.clone()).0.output;
+        let (run, applied) = run_rubis_under(config(true), plan);
+        let faults = run.world.network().fault_stats();
+        assert!(faults.balances(), "{name}: {faults:?}");
+        assert!(faults.injected_losses > 0, "{name}: {faults:?}");
+        match name {
+            "mix" => assert!(faults.duplicates > 500 && faults.reorders > 500),
+            _ => assert!(faults.partition_drops > 0, "{faults:?}"),
+        }
+        check_invariants(&run.sysprof.gpa().borrow());
+
+        // The feed's streams converged: all but the report sealed as
+        // the run stops is acknowledged, after real repair work.
+        let feed = EndPoint::new(run.world.network().node_ip(client), RA_FEED_PORT);
+        let mut repaired = 0;
+        for &server in &servlets {
+            let streams = run.sysprof.sender(server).expect("deployed").streams();
+            let value = |key| stream_value(&streams, feed, key);
+            assert_eq!(value("next_seq") - 1, value("acked_upto") + 1, "{name}");
+            assert_eq!(value("evictions"), 0, "{name}");
+            repaired += value("retransmits");
+            // Every acknowledged report was applied exactly once and in
+            // the order it was measured, whatever order it arrived in.
+            let reports: Vec<u64> = applied
+                .iter()
+                .filter(|(_, load)| load.node == server)
+                .map(|(_, load)| load.wall_us)
+                .collect();
+            assert_eq!(reports.len() as u64, value("acked_upto"), "{name}");
+            assert!(reports.windows(2).all(|w| w[0] < w[1]), "{name}");
+        }
+        assert!(repaired > 0, "{name}: the plan never touched the feed");
+        assert!(applied.windows(2).all(|w| w[0].0 <= w[1].0), "{name}");
+
+        // And the dispatcher it feeds still protects the bidding class.
+        let ra = run.output;
+        assert_eq!(ra.bid.dropped, 0, "{name}");
+        assert!(
+            ra.bid.second_half_rps > 0.95 * ra.bid.first_half_rps,
+            "{name}: bids {} -> {}",
+            ra.bid.first_half_rps,
+            ra.bid.second_half_rps
+        );
+        assert!(
+            ra.bid.second_half_rps > plain.bid.second_half_rps && ra.total_rps > plain.total_rps,
+            "{name}: ra {} vs plain {}",
+            ra.bid.second_half_rps,
+            plain.bid.second_half_rps
+        );
+    }
+}
+
+/// A peer names any sequence number it likes. Five copies of one batch
+/// numbered `u64::MAX` used to spend the gap budget and skip the stream
+/// to the end of the sequence space: a panic in a debug build, a wrapped
+/// stream that ACKs `u64::MAX` in a release one.
+#[test]
+fn forged_sequence_numbers_cannot_wedge_or_advance_the_gpa() {
+    let me = EndPoint::new(Ip(99), Port(9999));
+    let src = EndPoint::new(Ip(1), Port(9997));
+    let ack = |upto| ControlMsg::DataAck {
+        subscriber: me,
+        upto,
+    };
+    let mut gpa = Gpa::new(GpaConfig::default());
+    let forged = encode_batch(u64::MAX, &[]);
+    for i in 1..=5 {
+        let (n, replies) = gpa.ingest_wire(SimTime::from_millis(10 * i), me, src, &forged);
+        assert_eq!((n, replies), (0, vec![ack(0)]), "copy {i}");
+    }
+    let stats = gpa.gpa_stats();
+    assert_eq!((stats.out_of_window, stats.nacks_sent), (5, 0), "{stats:?}");
+    assert!(gpa.streams_converged());
+    let (_, replies) = gpa.ingest_wire(SimTime::from_millis(60), me, src, &encode_batch(1, &[]));
+    assert_eq!(replies, [ack(1)], "an honest batch is still delivered");
+}
+
+/// `procfs::render_streams` after the chaos mix on a kvstore run: the
+/// hot shard's daemon, whose last two batches are still on the wire as
+/// the run stops, and the GPA, which has taken all but those.
+#[test]
+fn stream_render_is_golden_on_a_faulted_kvstore_run() {
+    let (_, plan) = fault_matrix().pop().expect("the chaos mix is last");
+    let run = KvStoreScenario::default().run_under(7, plan);
+    let shard = run.sysprof.monitored()[0];
+    assert_eq!(
+        procfs::render_streams(run.sysprof.sender(shard).as_deref(), None),
+        "tx[10.0.0.8:9999].acked_upto: 16\n\
+         tx[10.0.0.8:9999].buffered_bytes: 54\n\
+         tx[10.0.0.8:9999].evictions: 0\n\
+         tx[10.0.0.8:9999].next_seq: 19\n\
+         tx[10.0.0.8:9999].retransmits: 1\n"
+    );
+    let gpa = run.sysprof.gpa();
+    let rx = procfs::render_streams(None, Some(gpa.borrow().receiver()));
+    let per_source = |ip: u8, next_expected: u64| {
+        format!(
+            "rx[10.0.0.{ip}:9997].abandoned: 0\n\
+             rx[10.0.0.{ip}:9997].gap_open: 0\n\
+             rx[10.0.0.{ip}:9997].nacks_for_gap: 0\n\
+             rx[10.0.0.{ip}:9997].next_expected: {next_expected}\n\
+             rx[10.0.0.{ip}:9997].pending: 0\n"
+        )
+    };
+    let golden: String = [(3, 17), (4, 18), (5, 18), (6, 18), (7, 18)]
+        .into_iter()
+        .map(|(ip, next)| per_source(ip, next))
+        .collect();
+    assert_eq!(rx, golden);
 }
