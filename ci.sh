@@ -8,7 +8,7 @@
 #   ./ci.sh --scenarios  only the scenario library: golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
-#   ./ci.sh --jit        only the compiled execution tier: lowering checks + tier sweeps
+#   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
 #   ./ci.sh --substrate  only the simulator under the monitor: calendar, simos, fingerprints
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -28,6 +28,31 @@ check_one_lowering() {
         echo "jit.rs / batch.rs / analysis/merge.rs must consume ecode::ir, not stack" \
             "bytecode; the only Op walkers are the interpreter + validate (vm.rs)," \
             "ir::lower, analysis/fuel.rs, Program::used_inputs and the emitter (compile.rs)" >&2
+        return 1
+    fi
+}
+
+check_one_recognizer() {
+    # `spec_node` is the compiled tier's one recognizer: outside the unit
+    # tests the form classifiers are called from it and from each other
+    # only (`Whole` is assembled from its nodes, not re-parsed), and
+    # nothing after `merge_chains`' substitution helpers sees a carried
+    # stack value.
+    if ! awk '
+        /#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
+            fn = $0; sub(/^.*fn /, "", fn); sub(/[^a-z_0-9].*$/, "", fn)
+        }
+        /^fn subst_step/ { substituting = 1 }
+        substituting && /^}/ { substituting = 0; past = 1; next }
+        /as_(valk|fsteps|gupd|outk)\(/ && fn !~ /^(spec_node|as_valk|as_fsteps|as_gupd|as_outk)$/ ||
+            past && /Ex::Carry/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit bad }
+    ' crates/ecode/src/jit.rs; then
+        echo "jit.rs classifies a block once, in spec_node: as_valk/as_fsteps/as_gupd/as_outk" \
+            "are called from it and from each other only, and Ex::Carry is named only by" \
+            "merge_chains and its substitution helpers" >&2
         return 1
     fi
 }
@@ -138,6 +163,8 @@ case "${1:-}" in
         "==> one lowering (no stack ops in the backends; IR partition, path fuel, bails)" \
         check_one_lowering \
         "cargo test -q -p ecode ir::" \
+        "==> one recognizer (forms are classified in spec_node; no carries past merge_chains)" \
+        check_one_recognizer \
         "==> compiled-tier lowering + fallback tests (ecode)" \
         "cargo test -q -p ecode jit" \
         "==> generative sweeps (compiled vs per-op reference, batch vs scalar rows)" \
@@ -145,6 +172,7 @@ case "${1:-}" in
         "==> hostile source (parse error, not a stack overflow; NACK, not an abort)" \
         "env RUST_MIN_STACK=262144 cargo test -q -p ecode --test verifier hostile" \
         "cargo test -q --test verifier_integration hostile" \
+        "env RUST_MIN_STACK=262144 cargo test -q --test gpa_query hostile" \
         "==> allocation discipline (counting allocator, release)" \
         "cargo test -q --release -p ecode --test zero_alloc" \
         "==> CPA dispatch + filter wiring (core, pubsub)" \
@@ -180,6 +208,9 @@ run_analyzer
 
 echo "==> one lowering (no stack ops in the ecode backends or the merge analysis)"
 check_one_lowering
+
+echo "==> one recognizer (jit.rs classifies forms in spec_node only)"
+check_one_recognizer
 
 echo "==> one receiver (core and apps reach the stream through Sender/Receiver)"
 check_one_receiver

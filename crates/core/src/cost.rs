@@ -26,6 +26,11 @@ pub const LPA_RECORD: SimDuration = SimDuration::from_nanos(500);
 /// subscription filter burns.
 pub const NS_PER_ECODE_INSTR: f64 = 2.0;
 
+/// What `fuel` E-Code instructions cost.
+pub(crate) fn ecode(fuel: u64) -> SimDuration {
+    SimDuration::from_nanos((fuel as f64 * NS_PER_ECODE_INSTR) as u64)
+}
+
 /// `core.daemon.on_wake`: fixed cost of a wake (context switch + buffer
 /// copy setup), before any record is touched.
 pub const DAEMON_WAKE: SimDuration = SimDuration::from_micros(5);

@@ -15,7 +15,6 @@
 
 use ecode::{ExecTier, Instance, Type, Value, VerifyError, VerifyLimits, VerifyReport};
 use kprof::{Analyzer, AnalyzerOutcome, Event, EventMask, EventPayload, Interest, Predicate};
-use simcore::SimDuration;
 
 use crate::cost;
 
@@ -56,7 +55,7 @@ impl std::error::Error for CpaError {}
 /// A custom analyzer: an E-Code program behind the [`Analyzer`] interface.
 pub struct CpaAnalyzer {
     name: String,
-    instance: Instance,
+    pub(crate) instance: Instance,
     mask: EventMask,
     predicate: Predicate,
     fuel_budget: u64,
@@ -64,6 +63,8 @@ pub struct CpaAnalyzer {
     /// Events whose program run returned nonzero.
     flagged: u64,
     events: u64,
+    /// Fuel charged over all events (the whole budget for an aborted run).
+    pub(crate) fuel_spent: u64,
     aborted: u64,
     /// Latest value written to each output slot.
     outputs: std::collections::BTreeMap<i64, f64>,
@@ -94,6 +95,7 @@ impl CpaAnalyzer {
             report,
             flagged: 0,
             events: 0,
+            fuel_spent: 0,
             aborted: 0,
             outputs: Default::default(),
         })
@@ -151,9 +153,11 @@ impl CpaAnalyzer {
     }
 
     /// Which execution tier the program was installed on: `Compiled` when
-    /// it was lowered to closures, `Fused` when it was not and runs on
-    /// the checked per-op interpreter. Either way the observable behavior
-    /// (globals, outputs, flags, fuel) is identical.
+    /// it lowered to specialized blocks, `Fused` when it did not and runs
+    /// on the checked per-op interpreter. Either way the observable
+    /// behavior (globals, outputs, flags, fuel) is identical;
+    /// [`procfs::render_cpa`](crate::procfs::render_cpa) says why and
+    /// what it costs.
     pub fn tier(&self) -> ExecTier {
         self.instance.tier()
     }
@@ -215,8 +219,9 @@ impl Analyzer for CpaAnalyzer {
                 self.fuel_budget
             }
         };
+        self.fuel_spent += fuel_used;
         AnalyzerOutcome {
-            cost: SimDuration::from_nanos((fuel_used as f64 * cost::NS_PER_ECODE_INSTR) as u64),
+            cost: cost::ecode(fuel_used),
             buffer_full: false,
         }
     }
@@ -234,7 +239,7 @@ impl Analyzer for CpaAnalyzer {
 mod tests {
     use super::*;
     use kprof::{EventKind, Pid};
-    use simcore::{NodeId, SimTime};
+    use simcore::{NodeId, SimDuration, SimTime};
     use simnet::{EndPoint, FlowKey, Ip, PacketId, Port};
 
     fn net_event(size: u32, dst_port: u16) -> Event {

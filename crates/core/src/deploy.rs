@@ -41,6 +41,7 @@ pub struct SysProf {
     lpa_ids: HashMap<NodeId, AnalyzerId>,
     daemon_stats: HashMap<NodeId, Rc<RefCell<DaemonStats>>>,
     senders: HashMap<NodeId, Rc<RefCell<Sender>>>,
+    hubs: HashMap<NodeId, Rc<RefCell<Hub>>>,
     gpa: Rc<RefCell<Gpa>>,
 }
 
@@ -82,6 +83,7 @@ impl SysProf {
         let mut lpa_ids = HashMap::new();
         let mut daemon_stats = HashMap::new();
         let mut senders = HashMap::new();
+        let mut hubs = HashMap::new();
         for &node in monitored {
             let ip = world.network().node_ip(node);
             let lpa = Lpa::new(node, ip, config.lpa.clone());
@@ -89,6 +91,7 @@ impl SysProf {
             lpa_ids.insert(node, lpa_id);
 
             let hub = Rc::new(RefCell::new(Hub::new()));
+            hubs.insert(node, hub.clone());
             let daemon = Daemon::new(lpa_id, hub.clone(), config.daemon);
             let stats = daemon.stats_handle();
             let tx = daemon.resend_handle();
@@ -133,6 +136,7 @@ impl SysProf {
             lpa_ids,
             daemon_stats,
             senders,
+            hubs,
             gpa,
         }
     }
@@ -171,6 +175,12 @@ impl SysProf {
     /// A node's daemon's half of the streams it publishes.
     pub fn sender(&self, node: NodeId) -> Option<Ref<'_, Sender>> {
         self.senders.get(&node).map(|tx| tx.borrow())
+    }
+
+    /// A node's hub: its topics, subscriptions and their filters
+    /// ([`procfs::render_filters`](crate::procfs::render_filters)).
+    pub fn hub(&self, node: NodeId) -> Option<Ref<'_, Hub>> {
+        self.hubs.get(&node).map(|hub| hub.borrow())
     }
 
     /// The monitoring CPU overhead on a node as a fraction of elapsed

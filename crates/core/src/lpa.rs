@@ -317,7 +317,7 @@ impl Lpa {
             let snap = state.deliver_snap.take();
             let share = Self::close_window(&mut self.open_windows, state);
             closed += 1;
-            self.close_message(canon, ClosedMsg { acc, snap, share }, now, 0);
+            self.close_message(canon, ClosedMsg { acc, snap, share }, 0);
         }
         closed += self.flush_idle_arm(now);
         // A flow that ended leaves an empty state behind, and a window
@@ -493,7 +493,7 @@ impl Lpa {
                 };
                 let snap = state.deliver_snap.take();
                 let share = Self::close_window(&mut self.open_windows, state);
-                self.close_message(canon, ClosedMsg { acc, snap, share }, wall, cpu)
+                self.close_message(canon, ClosedMsg { acc, snap, share }, cpu)
             }
         }
     }
@@ -501,7 +501,7 @@ impl Lpa {
     /// A message just closed; pair it with the previous opposite message
     /// into an interaction, or hold it as the next candidate. Returns
     /// whether a record was completed.
-    fn close_message(&mut self, canon: FlowKey, closed: ClosedMsg, now: SimTime, cpu: u16) -> bool {
+    fn close_message(&mut self, canon: FlowKey, closed: ClosedMsg, cpu: u16) -> bool {
         let state = self.flows.get_mut(&canon).expect("state exists");
         match state.prev.take() {
             None => {
@@ -517,7 +517,7 @@ impl Lpa {
                 false
             }
             Some(first) => {
-                self.complete_interaction(first, closed, now, cpu);
+                self.complete_interaction(first, closed, cpu);
                 true
             }
         }
@@ -525,13 +525,7 @@ impl Lpa {
 
     /// Builds and stages the interaction record for a (first, second)
     /// message pair.
-    fn complete_interaction(
-        &mut self,
-        first: ClosedMsg,
-        second: ClosedMsg,
-        now: SimTime,
-        cpu: u16,
-    ) {
+    fn complete_interaction(&mut self, first: ClosedMsg, second: ClosedMsg, cpu: u16) {
         let responder_side = first.acc.dir == Dir::In;
         let request = &first.acc;
         let response = &second.acc;
@@ -620,7 +614,6 @@ impl Lpa {
         };
 
         self.records_completed += 1;
-        let _ = now;
 
         // Recent-history window.
         self.window.push_back(record);
@@ -824,10 +817,12 @@ impl Lpa {
                     .entry(key)
                     .or_insert_with(|| ArmState::new(wall));
                 st.last_wall = wall;
-                let slot = if dir == Dir::In {
-                    &mut st.req
-                } else {
-                    &mut st.resp
+                // The first message of a correlator is its request,
+                // whatever its direction: inbound where the server runs,
+                // outbound at the initiator. The opposite run answers it.
+                let slot = match &st.req {
+                    Some(req) if req.dir != dir => &mut st.resp,
+                    _ => &mut st.req,
                 };
                 match slot {
                     Some(acc) => {
@@ -868,7 +863,9 @@ impl Lpa {
                 let snap = self.pid_snapshot(pid, wall);
                 if let Some(st) = self.arm_flows.get_mut(&key) {
                     st.last_wall = wall;
-                    if let Some(req) = &mut st.req {
+                    // Only a request served here opens an attribution
+                    // window; the initiator's inbound run is the response.
+                    if let Some(req) = st.req.as_mut().filter(|m| m.dir == Dir::In) {
                         if req.pid.is_none() {
                             req.pid = pid;
                         }
@@ -890,35 +887,30 @@ impl Lpa {
                 let mut opened = None;
                 if let Some(st) = self.arm_flows.get_mut(&key) {
                     st.last_wall = wall;
-                    let resp_started = st.resp.is_some();
                     // The inbound message is the request at the responder
-                    // and the response at the initiator; update whichever
-                    // slot holds the inbound run.
-                    let inbound_is_req = st.req.as_ref().map(|m| m.dir == Dir::In).unwrap_or(false);
-                    if inbound_is_req {
-                        // A request delivery after its response started can
-                        // only come from a reordered stream; it must not
-                        // stretch the attribution window.
-                        if !resp_started {
-                            if let Some(req) = &mut st.req {
-                                req.deliver_last = Some(wall);
-                                if req.pid.is_none() {
-                                    req.pid = pid;
-                                }
-                                if st.window_pid.is_none() {
-                                    opened = pid.or(req.pid);
-                                    st.window_pid = opened;
-                                }
-                                st.snap = snap.or(st.snap);
+                    // and the response at the initiator.
+                    match (&mut st.req, &mut st.resp) {
+                        // A request delivery after its response started
+                        // can only come from a reordered stream; it must
+                        // not stretch the attribution window.
+                        (Some(req), None) if req.dir == Dir::In => {
+                            req.deliver_last = Some(wall);
+                            if req.pid.is_none() {
+                                req.pid = pid;
                             }
+                            if st.window_pid.is_none() {
+                                opened = pid.or(req.pid);
+                                st.window_pid = opened;
+                            }
+                            st.snap = snap.or(st.snap);
                         }
-                    } else if let Some(resp) = &mut st.resp {
-                        if resp.dir == Dir::In {
+                        (_, Some(resp)) if resp.dir == Dir::In => {
                             resp.deliver_last = Some(wall);
                             if resp.pid.is_none() {
                                 resp.pid = pid;
                             }
                         }
+                        _ => {}
                     }
                 }
                 if let Some(p) = opened {
@@ -929,7 +921,7 @@ impl Lpa {
             NetPoint::TxNicDone => {
                 if let Some(st) = self.arm_flows.get_mut(&key) {
                     st.last_wall = wall;
-                    if let Some(resp) = &mut st.resp {
+                    if let Some(resp) = st.resp.as_mut().filter(|m| m.dir == Dir::Out) {
                         resp.tx_last_nic = Some(wall);
                     }
                 }
@@ -984,7 +976,7 @@ impl Lpa {
             snap: None,
             share: 1,
         };
-        self.complete_interaction(first, second, st.last_wall, cpu);
+        self.complete_interaction(first, second, cpu);
         true
     }
 
@@ -1436,6 +1428,39 @@ mod tests {
         // Each interaction got its own timing, not a merged span.
         assert_eq!(recs[0].start_us, 1_000);
         assert_eq!(recs[1].start_us, 1_050);
+    }
+
+    /// The ARM twin of `initiator_side_records_round_trip`: tagging the
+    /// exchange changes nothing about what the client's node records.
+    #[test]
+    fn arm_initiator_side_records_round_trip() {
+        let exchange = |arm: Option<u64>| {
+            let mut l = Lpa::new(NodeId(0), CLIENT, LpaConfig::default());
+            let rf = req_flow(); // CLIENT -> ME: outbound from CLIENT's view
+            let back = rf.reversed();
+            for (wall, point, flow, size, pid) in [
+                (1_000, NetPoint::TxFromUser, rf, 300, Some(Pid(2))),
+                (1_020, NetPoint::TxNicDone, rf, 300, None),
+                (3_000, NetPoint::RxNic, back, 150, None),
+                (3_200, NetPoint::RxDeliverUser, back, 150, Some(Pid(2))),
+            ] {
+                l.on_event(&match arm {
+                    Some(id) => net_arm(wall, point, flow, size, pid, id),
+                    None => net(wall, point, flow, size, pid),
+                });
+            }
+            l.flush_idle(SimTime::from_secs(1));
+            assert_eq!(l.records_completed(), 1);
+            let rec = *l.window_snapshot().next().unwrap();
+            rec
+        };
+        let rec = exchange(Some(5));
+        assert_eq!(rec.flow.src.ip, CLIENT, "oriented from the initiator");
+        assert_eq!(rec.class_port, Port(2049));
+        assert_eq!((rec.start_us, rec.end_us), (1_000, 3_200));
+        assert_eq!((rec.req_bytes, rec.resp_bytes), (300, 150));
+        assert_eq!(rec.user_us, 0, "initiator cannot attribute server time");
+        assert_eq!(rec, exchange(None), "same record as the black-box path");
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //! with Dproc). These renderers produce the file contents an
 //! administrator would `cat`.
 
+use ecode::ExecTier;
 use kprof::Kprof;
 use pubsub::reliable::{Receiver, Sender};
+use pubsub::Hub;
 use simcore::NodeId;
 
+use crate::cost;
+use crate::cpa::CpaAnalyzer;
 use crate::gpa::Gpa;
 use crate::lpa::Lpa;
 
@@ -98,6 +102,71 @@ pub fn render_gpa_summary(gpa: &Gpa) -> String {
     out
 }
 
+fn tier_name(tier: ExecTier) -> &'static str {
+    match tier {
+        ExecTier::Compiled => "compiled",
+        ExecTier::Fused => "interpreted",
+    }
+}
+
+/// Mean fuel per evaluation, `-` before the first one.
+fn fuel_per(fuel: u64, n: u64) -> String {
+    match n {
+        0 => String::from("-"),
+        n => format!("{:.1}", fuel as f64 / n as f64),
+    }
+}
+
+/// Renders what an installed CPA compiled to and why, and what it has
+/// cost: one `key: value` line each, keys sorted. `bail` is why the
+/// program runs interpreted (`-` when it compiled), `blocks_specialized`
+/// how many of the blocks a run can enter have a monomorphized form.
+pub fn render_cpa(cpa: &CpaAnalyzer) -> String {
+    let (whole_path, blocks) = match cpa.instance.compiled_shape() {
+        Some((whole, k, n)) => (whole, format!("{k}/{n} reachable")),
+        None => (false, String::from("-")),
+    };
+    let bail = cpa.instance.compile_bail();
+    let mut lines = [
+        format!("aborted: {}", cpa.aborted()),
+        format!("bail: {}", bail.map_or("-".into(), |b| b.to_string())),
+        format!("blocks_specialized: {blocks}"),
+        format!("events: {}", cpa.events()),
+        format!("flagged: {}", cpa.flagged()),
+        format!("fuel_bound: {}", cpa.fuel_bound()),
+        format!("fuel_per_event: {}", fuel_per(cpa.fuel_spent, cpa.events())),
+        format!("ns_charged: {}", cost::ecode(cpa.fuel_spent).as_nanos()),
+        format!("tier: {}", tier_name(cpa.tier())),
+        format!("whole_path: {}", if whole_path { "yes" } else { "no" }),
+    ];
+    lines.sort();
+    lines.join("\n") + "\n"
+}
+
+/// Renders every subscription on a node's hub, by topic then subscriber:
+/// what it has delivered and suppressed, and, when it carries a filter,
+/// the filter's proven fuel bound and execution tier (`-` without one).
+pub fn render_filters(hub: &Hub) -> String {
+    let mut out = String::new();
+    for (topic, endpoint, filter) in hub.subscriptions() {
+        let (delivered, filtered) = hub
+            .topic_id(&topic)
+            .and_then(|t| hub.delivery_stats(t, endpoint))
+            .unwrap_or((0, 0));
+        let (fuel_bound, tier) = match filter {
+            Some((bound, tier)) => (bound.to_string(), tier_name(tier)),
+            None => (String::from("-"), "-"),
+        };
+        out.push_str(&format!(
+            "filter[{topic} {endpoint}].delivered: {delivered}\n\
+             filter[{topic} {endpoint}].filtered: {filtered}\n\
+             filter[{topic} {endpoint}].fuel_bound: {fuel_bound}\n\
+             filter[{topic} {endpoint}].tier: {tier}\n"
+        ));
+    }
+    out
+}
+
 /// Renders what the installed digest compiled to and why, and what it
 /// has cost: one `key: value` line each, keys sorted. A slot that keeps
 /// the digest on one replica is named with the analysis's reason.
@@ -110,15 +179,9 @@ pub fn render_digest(gpa: &Gpa) -> String {
         None => String::from("vectorized"),
         Some(bail) => format!("scalar ({bail})"),
     };
-    let fuel_per_record = match stats.events {
-        0 => String::from("-"),
-        n => format!("{:.1}", stats.fuel_spent as f64 / n as f64),
-    };
+    let fuel_per_record = fuel_per(stats.fuel_spent, stats.events);
     let per_replica: Vec<String> = stats.per_shard_events.iter().map(u64::to_string).collect();
-    let tier = match digest.tier() {
-        ecode::ExecTier::Compiled => "compiled",
-        ecode::ExecTier::Fused => "interpreted",
-    };
+    let tier = tier_name(digest.tier());
     let mut lines = vec![
         format!("aborted: {}", stats.aborted),
         format!("evaluator: {evaluator}"),

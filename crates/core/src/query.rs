@@ -141,12 +141,18 @@ pub struct QueryClient {
     node: NodeId,
     gpa_ep: EndPoint,
     reply_ep: EndPoint,
+    replies: Rc<RefCell<Replies>>,
+}
+
+/// What the client and its reply sink share: the ids handed out so far
+/// and the answers that came back for them.
+struct Replies {
     next_id: u64,
-    answers: Rc<RefCell<Vec<(u64, GpaAnswer)>>>,
+    answers: Vec<(u64, GpaAnswer)>,
 }
 
 struct ReplySink {
-    answers: Rc<RefCell<Vec<(u64, GpaAnswer)>>>,
+    replies: Rc<RefCell<Replies>>,
 }
 
 impl KernelSink for ReplySink {
@@ -159,9 +165,14 @@ impl KernelSink for ReplySink {
         data: simos::Bytes,
     ) -> KernelOutput {
         if let Ok(envelope) = serde_json::from_slice::<AnswerEnvelope>(&data) {
-            self.answers
-                .borrow_mut()
-                .push((envelope.id, envelope.answer));
+            // The reply port is open to the network: keep the first
+            // answer to an id this client sent and nothing else, so the
+            // table never outgrows the queries asked.
+            let mut replies = self.replies.borrow_mut();
+            let asked = (1..replies.next_id).contains(&envelope.id);
+            if asked && replies.answers.iter().all(|(id, _)| *id != envelope.id) {
+                replies.answers.push((envelope.id, envelope.answer));
+            }
         }
         KernelOutput {
             cost: cost::QUERY_ANSWER,
@@ -174,28 +185,33 @@ impl QueryClient {
     /// Sets up a query client on `node` targeting the GPA on `gpa_node`.
     /// Installs the reply sink at [`QUERY_REPLY_PORT`].
     pub fn install(world: &mut World, node: NodeId, gpa_node: NodeId) -> QueryClient {
-        let answers = Rc::new(RefCell::new(Vec::new()));
+        let replies = Rc::new(RefCell::new(Replies {
+            next_id: 1,
+            answers: Vec::new(),
+        }));
         world.install_sink(
             node,
             QUERY_REPLY_PORT,
             Box::new(ReplySink {
-                answers: answers.clone(),
+                replies: replies.clone(),
             }),
         );
         QueryClient {
             node,
             gpa_ep: EndPoint::new(world.network().node_ip(gpa_node), QUERY_PORT),
             reply_ep: EndPoint::new(world.network().node_ip(node), QUERY_REPLY_PORT),
-            next_id: 1,
-            answers,
+            replies,
         }
     }
 
     /// Sends a query; the answer arrives later (simulated time must
     /// advance). Returns the query id for matching.
     pub fn send(&mut self, world: &mut World, query: GpaQuery) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = {
+            let mut replies = self.replies.borrow_mut();
+            replies.next_id += 1;
+            replies.next_id - 1
+        };
         let envelope = QueryEnvelope {
             id,
             reply_to: self.reply_ep,
@@ -213,15 +229,13 @@ impl QueryClient {
 
     /// The answer to query `id`, if it has arrived.
     pub fn answer(&self, id: u64) -> Option<GpaAnswer> {
-        self.answers
-            .borrow()
-            .iter()
-            .find(|(aid, _)| *aid == id)
-            .map(|(_, a)| a.clone())
+        let replies = self.replies.borrow();
+        let found = replies.answers.iter().find(|(aid, _)| *aid == id);
+        found.map(|(_, a)| a.clone())
     }
 
     /// Number of answers received so far.
     pub fn answers_received(&self) -> usize {
-        self.answers.borrow().len()
+        self.replies.borrow().answers.len()
     }
 }

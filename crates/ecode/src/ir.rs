@@ -43,9 +43,8 @@ use crate::jit;
 use crate::vm::Op;
 
 /// Hard cap on operand-stack values carried across a block boundary.
-/// Short-circuit joins in real E-Code carry one or two; the array lives
-/// in the driver's stack frame, so the cap keeps block entry/exit
-/// allocation-free.
+/// Short-circuit joins in real E-Code carry one or two; a fixed cap lets
+/// the compiled tier count carry reads in an array when it folds a join.
 pub(crate) const MAX_CARRY: usize = 4;
 
 /// Size limits gating the lowering. Programs beyond them still run — on

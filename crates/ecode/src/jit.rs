@@ -9,9 +9,9 @@
 //! **monomorphized forms** — constant operands baked in, a whole
 //! `acc = acc + size;` as one update instead of five dispatches —
 //! becomes a node of a graph the driver walks without touching
-//! bytecode. A program whose whole graph is the canonical
-//! guarded-reporter shape additionally gets one straight-line
-//! structure with its fuel totals precomputed (`Whole`).
+//! bytecode. A program whose nodes form the canonical guarded-reporter
+//! shape is additionally assembled, from those same nodes, into one
+//! straight-line structure with its fuel totals precomputed (`Whole`).
 //!
 //! # Tier selection and fallback
 //!
@@ -20,10 +20,7 @@
 //! per-op interpreter, and
 //! [`Instance::compile_bail`](crate::Instance::compile_bail) says why.
 //! Inside a compiled program, a block with no specialized form runs on
-//! the interpreter too: measured over the generated sweeps, walking an
-//! unspecialized block's expression trees was slower than interpreting
-//! its bytecode, so the tree-walker that used to sit between the two
-//! is gone.
+//! the interpreter too.
 //!
 //! # Observable equivalence
 //!
@@ -33,11 +30,11 @@
 //! The driver ([`Instance::run`](crate::Instance::run) routes here when
 //! a program compiled) precharges each block's op count, so fuel
 //! accounting is identical by construction; when the remaining budget
-//! cannot cover a block, the driver spills the carried stack values and
-//! executes that one block on the checked per-op interpreter instead,
-//! preserving exact abort points. Specialized forms are trap-free by
-//! construction (they admit no integer division by a runtime value), so
-//! every trap is raised by the interpreter, at the interpreter's point.
+//! cannot cover a block, the driver executes that one block on the
+//! checked per-op interpreter instead, preserving exact abort points.
+//! Specialized forms are trap-free by construction (they admit no
+//! integer division by a runtime value), so every trap is raised by the
+//! interpreter, at the interpreter's point.
 //! The generative sweeps in `tests/verifier.rs` assert this equivalence
 //! against the reference for hundreds of programs.
 
@@ -54,8 +51,6 @@ pub(crate) struct Ctx<'a> {
     pub(crate) locals: &'a mut [i64],
     pub(crate) inputs: &'a [i64],
     pub(crate) outputs: &'a mut Vec<(i64, f64)>,
-    /// Operand-stack values crossing the current block boundary.
-    pub(crate) carry: &'a mut [i64; MAX_CARRY],
 }
 
 /// How specialized code handed control back. Specialized blocks are
@@ -75,8 +70,6 @@ pub(crate) enum Exit {
 pub(crate) struct Block {
     /// Original-bytecode pc of the block entry.
     pub(crate) entry_pc: u32,
-    /// Operand-stack values this block consumes from `Ctx::carry`.
-    pub(crate) carry_in: u8,
     /// Total fuel the block's span covers: its own ops plus every
     /// chain-merged successor's (see [`merge_chains`]). The driver
     /// precharges this against the remaining budget; when it doesn't
@@ -103,16 +96,15 @@ pub struct CompiledProgram {
     /// programs matching the guarded-reporter shape. Taken only when
     /// the fuel budget covers `Whole::max_fuel`.
     pub(crate) whole: Option<Whole>,
+    /// `(specialized, reachable)` block counts over the merged graph
+    /// from block 0 — how much of what a covered budget runs is
+    /// straight-line monomorphized code vs interpreted. Blocks that
+    /// merging folded into all their predecessors (trampolines, joins)
+    /// are entered only by the starved-budget fallback and not counted.
+    pub(crate) specialization: (usize, usize),
 }
 
 impl CompiledProgram {
-    /// `(specialized, total)` block counts — how much of the program is
-    /// straight-line monomorphized code vs interpreted.
-    pub(crate) fn specialization(&self) -> (usize, usize) {
-        let spec = self.blocks.iter().filter(|b| b.spec.is_some()).count();
-        (spec, self.blocks.len())
-    }
-
     /// Runs a specialized block, whose span the driver has already
     /// precharged, with `fuel_left` the budget remaining after it. The
     /// run keeps going through specialized successors, charging each
@@ -134,13 +126,6 @@ impl CompiledProgram {
             let next = match &node.term {
                 SpecTerm::RetC(c) => return (extra, Exit::Ret(*c)),
                 SpecTerm::RetV(v) => return (extra, Exit::Ret(v.get(ctx))),
-                SpecTerm::CarryJmp { v, to } => {
-                    // The carry materializes whether or not the successor
-                    // is entered: on a handoff the driver (or the per-op
-                    // fallback, which spills it) picks it up from `ctx`.
-                    ctx.carry[0] = v.get(ctx);
-                    *to
-                }
                 SpecTerm::Br { cond, f, t } => {
                     if cond.truthy(ctx) {
                         *t
@@ -164,10 +149,9 @@ impl CompiledProgram {
 
 impl fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (spec, total) = self.specialization();
         f.debug_struct("CompiledProgram")
-            .field("blocks", &total)
-            .field("specialized", &spec)
+            .field("blocks", &self.blocks.len())
+            .field("specialized", &self.specialization)
             .field("whole", &self.whole.is_some())
             .finish()
     }
@@ -175,24 +159,45 @@ impl fmt::Debug for CompiledProgram {
 
 /// Builds the compiled form of a lowered program: the IR's fall-through
 /// and jump chains are merged back into the interpreter's longer spans
-/// ([`merge_chains`]) and every merged block that fits the
-/// monomorphized universe is specialized ([`spec_node`]).
+/// ([`merge_chains`]), every merged block that fits the monomorphized
+/// universe is specialized ([`spec_node`]), and the nodes are assembled
+/// into the whole-program path when they form its shape
+/// ([`Whole::assemble`]).
 pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
     // The IR itself stays unmerged — the column backend wants the
     // partition — so merging rewrites a copy.
-    let mut blocks = ir.blocks.clone();
-    merge_chains(&mut blocks);
+    let mut merged = ir.blocks.clone();
+    merge_chains(&mut merged);
+    let blocks: Vec<Block> = merged
+        .iter()
+        .map(|b| Block {
+            entry_pc: b.entry_pc,
+            fuel: b.fuel,
+            spec: spec_node(b),
+        })
+        .collect();
+    // What a run with a covering budget can enter: the merged graph
+    // from block 0.
+    let mut reached = vec![false; merged.len()];
+    let mut work = vec![0u32];
+    while let Some(i) = work.pop() {
+        if !std::mem::replace(&mut reached[i as usize], true) {
+            match &merged[i as usize].term {
+                Term::Jmp(t) => work.push(*t),
+                Term::Br {
+                    on_false, on_true, ..
+                } => work.extend([*on_false, *on_true]),
+                Term::Ret(_) | Term::RetC(_) => {}
+            }
+        }
+    }
+    let specialized = (blocks.iter().zip(&reached))
+        .filter(|(b, r)| **r && b.spec.is_some())
+        .count();
     CompiledProgram {
-        whole: parse_whole(&blocks),
-        blocks: blocks
-            .iter()
-            .map(|b| Block {
-                entry_pc: b.entry_pc,
-                carry_in: b.carry_in,
-                fuel: b.fuel,
-                spec: spec_node(b),
-            })
-            .collect(),
+        specialization: (specialized, reached.iter().filter(|r| **r).count()),
+        whole: Whole::assemble(&blocks),
+        blocks,
         pc2block: ir.pc2block.clone(),
     }
 }
@@ -212,11 +217,11 @@ pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
 /// *original* entry pc per-op, which stops at the unmerged `Jmp` and
 /// re-decides at `T`; both routes are bit-identical to the reference.
 ///
-/// Carried values are substituted into the successor's expressions,
-/// which delays their evaluation past the jump — sound only when the
-/// expression is invariant over anything a statement can write (inputs
-/// and constants; no globals/locals, no traps), so merging is skipped
-/// otherwise.
+/// Carried values are substituted into the successor's expressions. Into
+/// a successor with no steps that is a move ([`movable`]); past steps it
+/// delays the evaluation, sound only when the expression is invariant
+/// over anything a statement can write ([`invariant`]). Merging is
+/// skipped otherwise.
 fn merge_chains(lowered: &mut [ir::Block]) {
     // Reverse order makes single-pass transitive: forward jump targets
     // are fully merged before their predecessors consider them.
@@ -229,7 +234,8 @@ fn merge_chains(lowered: &mut [ir::Block]) {
             };
             let j = j as usize;
             if j == i
-                || !lowered[i].carry_out.iter().all(invariant)
+                || !(movable(&lowered[i].carry_out, &lowered[j])
+                    || lowered[i].carry_out.iter().all(invariant))
                 || lowered[i].steps.len() + lowered[j].steps.len() > 8
             {
                 break;
@@ -265,6 +271,36 @@ fn merge_chains(lowered: &mut [ir::Block]) {
             lb.fuel += fuel;
         }
     }
+}
+
+/// The move rule: `succ` has no steps, so nothing can write between a
+/// carry's evaluation at the end of the predecessor and its read in
+/// `succ`'s carries or terminator — substituting moves the evaluation
+/// without reordering it against any store, whatever the carry reads. A
+/// stack value is read at most once; one that is never read folds only
+/// if it cannot trap, because dropping it would drop the trap.
+fn movable(carries: &[Ex], succ: &ir::Block) -> bool {
+    if !succ.steps.is_empty() {
+        return false;
+    }
+    fn count(ex: &Ex, reads: &mut [u8; MAX_CARRY]) {
+        match ex {
+            Ex::Carry(i) => reads[*i as usize] += 1,
+            Ex::Bin(_, l, r) => {
+                count(l, reads);
+                count(r, reads);
+            }
+            Ex::Un(_, e) => count(e, reads),
+            _ => {}
+        }
+    }
+    let mut reads = [0u8; MAX_CARRY];
+    succ.carry_out.iter().for_each(|e| count(e, &mut reads));
+    if let Term::Br { cond: e, .. } | Term::Ret(e) = &succ.term {
+        count(e, &mut reads);
+    }
+    let mut folds = carries.iter().zip(reads);
+    folds.all(|(c, n)| n == 1 || (n == 0 && !c.can_trap()))
 }
 
 /// Whether delaying `ex`'s evaluation past arbitrary statements is
@@ -303,14 +339,12 @@ fn subst_step(s: &Step, carries: &[Ex]) -> Step {
 }
 
 /// A trap-free scalar the specialized forms read directly — the
-/// operand universe of the CPA hot path: inputs, globals, constants
-/// and carried join values.
+/// operand universe of the CPA hot path: inputs, globals and constants.
 #[derive(Debug, Clone, Copy)]
 enum Scal {
     In(u16),
     Gl(u16),
     C(i64),
-    Carry(u8),
 }
 
 impl Scal {
@@ -320,7 +354,6 @@ impl Scal {
             Scal::In(i) => ctx.inputs[i as usize],
             Scal::Gl(g) => ctx.globals[g as usize],
             Scal::C(c) => c,
-            Scal::Carry(i) => ctx.carry[i as usize],
         }
     }
 }
@@ -330,15 +363,13 @@ fn as_scal(ex: &Ex) -> Option<Scal> {
         Ex::Input(i) => Scal::In(*i),
         Ex::Global(g) => Scal::Gl(*g),
         Ex::ConstI(c) => Scal::C(*c),
-        Ex::Carry(i) => Scal::Carry(*i),
         _ => return None,
     })
 }
 
 /// A trap-free int value: a scalar, an integer comparison of two
 /// scalars (producing 0/1), or a strength-reduced divisibility test.
-/// Serves as branch condition (`truthy`), carried join value, and
-/// return value (`get`).
+/// Serves as branch condition (`truthy`) and return value (`get`).
 #[derive(Debug, Clone, Copy)]
 enum ValK {
     S(Scal),
@@ -523,8 +554,8 @@ fn as_fsteps(steps: &[Step]) -> Option<Vec<FStep>> {
 
 /// A fully-monomorphized block body plus terminator. Everything in a
 /// node is trap-free by construction ([`FStep`]/[`ValK`]/[`OutK`] admit
-/// no int div/mod), so specialized blocks never exit with
-/// [`Exit::Trap`]. Terminator targets are block indices; control flows
+/// no int div/mod), so [`Exit`] has no trap case. Terminator targets
+/// are block indices; control flows
 /// from node to node inside [`CompiledProgram::run_spec`]'s loop
 /// instead of bouncing back to the driver at every block boundary.
 #[derive(Debug)]
@@ -539,14 +570,8 @@ enum SpecTerm {
     /// `return <scalar or cmp>;` — the `&&`/`||` join value or a final
     /// comparison returned directly.
     RetV(ValK),
-    /// The `&&` middle arm: compute the carried value (usually a
-    /// comparison flag) into carry slot 0, then continue into the join.
-    CarryJmp {
-        v: ValK,
-        to: u32,
-    },
-    /// Guard branch — `if (size > 1000)`, `if (n % 100 == 0)`, the `&&`
-    /// join on a carried flag.
+    /// Guard branch — `if (size > 1000)`, `if (n % 100 == 0)`, the folded
+    /// `&&` join re-branching on its second condition.
     Br {
         cond: ValK,
         f: u32,
@@ -556,32 +581,32 @@ enum SpecTerm {
 
 /// Specializes one merged block, or returns `None` when any step or its
 /// terminator falls outside the monomorphized universe — the block then
-/// runs on the interpreter, which is correct for arbitrary shapes.
+/// runs on the interpreter, which is correct for arbitrary shapes. This
+/// is the tier's one recognizer: the driver's arena and [`Whole`] are
+/// both built from its nodes.
+///
+/// A block that receives or leaves stack values is not specialized:
+/// after [`merge_chains`] a join is entered with live carries only from
+/// a predecessor it could not fold into, and both then run on the
+/// interpreter with the values kept on its operand stack.
 fn spec_node(b: &ir::Block) -> Option<SpecNode> {
+    if b.carry_in > 0 || !b.carry_out.is_empty() {
+        return None;
+    }
     let fsteps = as_fsteps(&b.steps)?;
-    // Carried values feeding a successor must be materialized; the
-    // specialized shapes handle the two carry layouts the short-circuit
-    // lowering produces (none, or one trap-free value).
-    let term = match (&b.carry_out[..], &b.term) {
-        ([], Term::RetC(c)) => SpecTerm::RetC(*c),
-        ([], Term::Ret(e)) => SpecTerm::RetV(as_valk(e)?),
-        (
-            [],
-            Term::Br {
-                cond,
-                on_false,
-                on_true,
-            },
-        ) => SpecTerm::Br {
+    let term = match &b.term {
+        Term::RetC(c) => SpecTerm::RetC(*c),
+        Term::Ret(e) => SpecTerm::RetV(as_valk(e)?),
+        Term::Br {
+            cond,
+            on_false,
+            on_true,
+        } => SpecTerm::Br {
             cond: as_valk(cond)?,
             f: *on_false,
             t: *on_true,
         },
-        ([one], Term::Jmp(t)) => SpecTerm::CarryJmp {
-            v: as_valk(one)?,
-            to: *t,
-        },
-        _ => return None,
+        Term::Jmp(_) => return None,
     };
     Some(SpecNode { fsteps, term })
 }
@@ -595,10 +620,11 @@ fn spec_node(b: &ir::Block) -> Option<SpecNode> {
 /// return <const | scalar | cond ? a : b>;
 /// ```
 ///
-/// — parsed off the linked block graph into one straight-line structure
-/// with **per-path fuel totals baked in at compile time**. Executing it
-/// costs a couple of predictable branches and the statements themselves:
-/// no per-block dispatch, no driver round-trips, no fuel bookkeeping.
+/// — assembled from the specialized nodes ([`Whole::assemble`]) into
+/// one straight-line structure with **per-path fuel totals baked in at
+/// compile time**. Executing it costs a couple of predictable branches
+/// and the statements themselves: no per-block dispatch, no driver
+/// round-trips, no fuel bookkeeping.
 ///
 /// That last elision is only sound because `exec` is gated: the driver
 /// takes this path **only when the caller's budget covers `max_fuel`**,
@@ -607,7 +633,7 @@ fn spec_node(b: &ir::Block) -> Option<SpecNode> {
 /// ([`FStep`]/[`ValK`] admit no int div/mod), and the returned
 /// `fuel_used` is the exact per-path block-span sum the block driver
 /// would have precharged — so outcomes are bit-identical to the other
-/// tiers. Budgets below `max_fuel` (and shapes that don't parse) run
+/// tiers. Budgets below `max_fuel` (and graphs of another shape) run
 /// the per-block driver with its exact abort semantics instead.
 pub(crate) struct Whole {
     pro: Box<[FStep]>,
@@ -743,204 +769,102 @@ impl Whole {
             }
         }
     }
+
+    /// Assembles the whole-program shape from the classified nodes,
+    /// walking from block 0, or `None` when they do not form it (the
+    /// per-block driver remains fully general). Nothing is recognized
+    /// here — statements and conditions are the forms [`spec_node`]
+    /// chose — and `fuel` values are merged spans, so the per-path
+    /// totals baked here are exactly the driver's precharge sums.
+    fn assemble(blocks: &[Block]) -> Option<Whole> {
+        let (n0, b0_fuel) = node(blocks, 0)?;
+        let SpecTerm::Br {
+            cond: c1,
+            f: on_false,
+            t: on_true,
+        } = n0.term
+        else {
+            let WCont { steps, tail, fuel } = cont(blocks, 0)?;
+            return Some(Whole {
+                pro: steps,
+                max_fuel: fuel + tail.max_fuel(),
+                kind: WKind::Plain { tail, fuel },
+            });
+        };
+        let els = cont(blocks, on_false)?;
+        // The true edge is either the guard's second short-circuit leg
+        // (the folded `&&` join: a bare re-branch before any statement
+        // runs) or the then-block itself.
+        let (tn, t_fuel) = node(blocks, on_true)?;
+        let (leg2, then) = match tn.term {
+            SpecTerm::Br { cond, f, t } if tn.fsteps.is_empty() => (
+                Some(WLeg {
+                    c: cond,
+                    fuel: t_fuel,
+                    els: cont(blocks, f)?,
+                }),
+                cont(blocks, t)?,
+            ),
+            _ => (None, cont(blocks, on_true)?),
+        };
+        let inner = match &leg2 {
+            Some(leg) => leg.fuel + then.max_fuel().max(leg.els.max_fuel()),
+            None => then.max_fuel(),
+        };
+        let max_fuel = b0_fuel + els.max_fuel().max(inner);
+        Some(Whole {
+            pro: n0.fsteps.clone().into_boxed_slice(),
+            kind: WKind::Guard {
+                b0_fuel,
+                c1,
+                leg2,
+                then,
+                els,
+            },
+            max_fuel,
+        })
+    }
 }
 
-/// A return leaf at block `j`: a bare return, or the carry-compute →
-/// `return carry` join pair the short-circuit lowering leaves when the
-/// carried value reads mutable state (so `merge_chains` couldn't fold
-/// it). Returns the leaf and the block-span fuel it covers.
-fn parse_ret_leaf(lowered: &[ir::Block], j: u32) -> Option<(WLeaf, u64)> {
-    let b = &lowered[j as usize];
-    if b.carry_in != 0 || !b.steps.is_empty() {
-        return None;
-    }
-    match (&b.carry_out[..], &b.term) {
-        ([], Term::RetC(c)) => Some((WLeaf::C(*c), b.fuel)),
-        ([], Term::Ret(e)) => Some((WLeaf::V(as_valk(e)?), b.fuel)),
-        ([e], Term::Jmp(jj)) => {
-            let jb = &lowered[*jj as usize];
-            if jb.carry_in == 1
-                && jb.steps.is_empty()
-                && jb.carry_out.is_empty()
-                && matches!(&jb.term, Term::Ret(Ex::Carry(0)))
-            {
-                Some((WLeaf::V(as_valk(e)?), b.fuel + jb.fuel))
-            } else {
-                None
-            }
-        }
+/// The specialized node at block `j` and the block-span fuel it covers.
+fn node(blocks: &[Block], j: u32) -> Option<(&SpecNode, u64)> {
+    let b = &blocks[j as usize];
+    Some((b.spec.as_ref()?, b.fuel))
+}
+
+/// A return leaf at block `j`: a node that only returns.
+fn ret_leaf(blocks: &[Block], j: u32) -> Option<(WLeaf, u64)> {
+    let (n, fuel) = node(blocks, j)?;
+    match n.term {
+        SpecTerm::RetC(c) if n.fsteps.is_empty() => Some((WLeaf::C(c), fuel)),
+        SpecTerm::RetV(v) if n.fsteps.is_empty() => Some((WLeaf::V(v), fuel)),
         _ => None,
     }
 }
 
 /// A continuation starting at block `j`: statements plus a return tail,
-/// where the tail may be one conditional-return level (both the merged
-/// `Br`-on-condition form and the unmerged carry-compute → `Br`-on-carry
-/// join form).
-fn parse_cont(lowered: &[ir::Block], j: u32) -> Option<WCont> {
-    let b = &lowered[j as usize];
-    if b.carry_in != 0 {
-        return None;
-    }
-    let steps = as_fsteps(&b.steps)?.into_boxed_slice();
-    let (tail, fuel) = match (&b.carry_out[..], &b.term) {
-        ([], Term::RetC(c)) => (WTail::Leaf(WLeaf::C(*c)), b.fuel),
-        ([], Term::Ret(e)) => (WTail::Leaf(WLeaf::V(as_valk(e)?)), b.fuel),
-        (
-            [],
-            Term::Br {
-                cond,
-                on_false,
-                on_true,
-            },
-        ) => {
-            let (f, ff) = parse_ret_leaf(lowered, *on_false)?;
-            let (t, ft) = parse_ret_leaf(lowered, *on_true)?;
-            (
-                WTail::Cond {
-                    c: as_valk(cond)?,
-                    t,
-                    ft,
-                    f,
-                    ff,
-                },
-                b.fuel,
-            )
-        }
-        ([e], Term::Jmp(jj)) => {
-            let jb = &lowered[*jj as usize];
-            if jb.carry_in != 1 || !jb.steps.is_empty() {
-                return None;
-            }
-            match (&jb.carry_out[..], &jb.term) {
-                ([], Term::Ret(Ex::Carry(0))) => {
-                    (WTail::Leaf(WLeaf::V(as_valk(e)?)), b.fuel + jb.fuel)
-                }
-                (
-                    [],
-                    Term::Br {
-                        cond: Ex::Carry(0),
-                        on_false,
-                        on_true,
-                    },
-                ) => {
-                    let (f, ff) = parse_ret_leaf(lowered, *on_false)?;
-                    let (t, ft) = parse_ret_leaf(lowered, *on_true)?;
-                    (
-                        WTail::Cond {
-                            c: as_valk(e)?,
-                            t,
-                            ft,
-                            f,
-                            ff,
-                        },
-                        b.fuel + jb.fuel,
-                    )
-                }
-                _ => return None,
+/// where the tail may be one conditional-return level.
+fn cont(blocks: &[Block], j: u32) -> Option<WCont> {
+    let (n, fuel) = node(blocks, j)?;
+    let tail = match n.term {
+        SpecTerm::RetC(c) => WTail::Leaf(WLeaf::C(c)),
+        SpecTerm::RetV(v) => WTail::Leaf(WLeaf::V(v)),
+        SpecTerm::Br { cond, f, t } => {
+            let (f, ff) = ret_leaf(blocks, f)?;
+            let (t, ft) = ret_leaf(blocks, t)?;
+            WTail::Cond {
+                c: cond,
+                t,
+                ft,
+                f,
+                ff,
             }
         }
-        _ => return None,
     };
-    Some(WCont { steps, tail, fuel })
-}
-
-/// Parses the linked block graph into the whole-program shape, or
-/// `None` when the program doesn't fit it (the per-block driver remains
-/// fully general). Runs after `merge_chains` and linking, so `fuel`
-/// values are merged spans and targets are block indices — the per-path
-/// totals baked here are exactly the driver's precharge sums.
-fn parse_whole(lowered: &[ir::Block]) -> Option<Whole> {
-    let b0 = &lowered[0];
-    let (cond, on_false, on_true) = match &b0.term {
-        Term::Br {
-            cond,
-            on_false,
-            on_true,
-        } if b0.carry_out.is_empty() => (cond, *on_false, *on_true),
-        _ => {
-            let cont = parse_cont(lowered, 0)?;
-            let max_fuel = cont.max_fuel();
-            return Some(Whole {
-                pro: cont.steps,
-                kind: WKind::Plain {
-                    tail: cont.tail,
-                    fuel: cont.fuel,
-                },
-                max_fuel,
-            });
-        }
-    };
-    let pro = as_fsteps(&b0.steps)?.into_boxed_slice();
-    let c1 = as_valk(cond)?;
-    let els = parse_cont(lowered, on_false)?;
-    // The true edge is either the guard's second short-circuit leg
-    // (re-branching before any statement runs) or the then-block itself.
-    let tb = &lowered[on_true as usize];
-    let (leg2, then) = match (&tb.steps[..], &tb.carry_out[..], &tb.term) {
-        // `merge_chains` folded the `&&` join: a bare re-branch.
-        (
-            [],
-            [],
-            Term::Br {
-                cond,
-                on_false: f2,
-                on_true: t2,
-            },
-        ) => (
-            Some(WLeg {
-                c: as_valk(cond)?,
-                fuel: tb.fuel,
-                els: parse_cont(lowered, *f2)?,
-            }),
-            parse_cont(lowered, *t2)?,
-        ),
-        // Unmerged leg: carry-compute into the join's branch-on-carry.
-        ([], [e2], Term::Jmp(jj))
-            if matches!(
-                &lowered[*jj as usize].term,
-                Term::Br {
-                    cond: Ex::Carry(0),
-                    ..
-                }
-            ) && lowered[*jj as usize].carry_in == 1
-                && lowered[*jj as usize].steps.is_empty()
-                && lowered[*jj as usize].carry_out.is_empty() =>
-        {
-            let Term::Br {
-                on_false: f2,
-                on_true: t2,
-                ..
-            } = &lowered[*jj as usize].term
-            else {
-                unreachable!("matched above");
-            };
-            (
-                Some(WLeg {
-                    c: as_valk(e2)?,
-                    fuel: tb.fuel + lowered[*jj as usize].fuel,
-                    els: parse_cont(lowered, *f2)?,
-                }),
-                parse_cont(lowered, *t2)?,
-            )
-        }
-        _ => (None, parse_cont(lowered, on_true)?),
-    };
-    let inner = match &leg2 {
-        Some(leg) => leg.fuel + then.max_fuel().max(leg.els.max_fuel()),
-        None => then.max_fuel(),
-    };
-    let max_fuel = b0.fuel + els.max_fuel().max(inner);
-    Some(Whole {
-        pro,
-        kind: WKind::Guard {
-            b0_fuel: b0.fuel,
-            c1,
-            leg2,
-            then,
-            els,
-        },
-        max_fuel,
+    Some(WCont {
+        steps: n.fsteps.clone().into_boxed_slice(),
+        tail,
+        fuel,
     })
 }
 
@@ -1063,79 +987,141 @@ mod tests {
         }
     }
 
+    /// The seven Kprof event inputs the canonical shapes are written over.
+    const EVENT_INPUTS: [(&str, Type); 7] = [
+        ("kind", Type::Int),
+        ("pid", Type::Int),
+        ("wall", Type::Int),
+        ("size", Type::Int),
+        ("aux", Type::Int),
+        ("port_src", Type::Int),
+        ("port_dst", Type::Int),
+    ];
+
+    const RATIO_SRC: &str = r#"
+        static int n = 0;
+        static double acc = 0.0;
+        n = n + 1;
+        acc = acc + size;
+        if (size > 800 && port_dst == 80) {
+            out(0, acc / n);
+            return 1;
+        }
+        return 0;
+    "#;
+
+    /// Its return join carries `seen % 100 == 0`, which reads a static.
+    const GATED_COUNTER_SRC: &str = r#"
+        static int seen = 0;
+        static int nfs = 0;
+        static int big = 0;
+        seen = seen + 1;
+        if (port_dst == 2049 && size > 1000) {
+            nfs = nfs + 1;
+            big = max(big, size);
+        }
+        return nfs > 0 && seen % 100 == 0;
+    "#;
+
+    const LATENCY_MINMAX_SRC: &str = r#"
+        static int events = 0;
+        static int lo = 9223372036854775807;
+        static int hi = 0;
+        static int span = 0;
+        events = events + 1;
+        lo = min(lo, wall);
+        hi = max(hi, wall);
+        span = hi - lo;
+        if (events % 1000 == 0) { out(1, span); }
+        return 0;
+    "#;
+
     /// The perf claim rests on the hot CPA idioms getting monomorphized
     /// forms, not the interpreter — pin it so a lowering or
-    /// specialization change can't silently regress the compiled tier to 1x.
+    /// specialization change can't silently regress the compiled tier to
+    /// 1x: every block a covered run can enter is specialized, and the
+    /// nodes assemble into the whole-program path.
     #[test]
     fn canonical_cpa_shapes_fully_specialize() {
-        let inputs: [(&str, Type); 7] = [
-            ("kind", Type::Int),
-            ("pid", Type::Int),
-            ("wall", Type::Int),
-            ("size", Type::Int),
-            ("aux", Type::Int),
-            ("port_src", Type::Int),
-            ("port_dst", Type::Int),
-        ];
         for (name, src) in [
-            (
-                "ratio",
-                r#"
-                static int n = 0;
-                static double acc = 0.0;
-                n = n + 1;
-                acc = acc + size;
-                if (size > 800 && port_dst == 80) {
-                    out(0, acc / n);
-                    return 1;
-                }
-                return 0;
-            "#,
-            ),
-            (
-                "gated_counter",
-                r#"
-                static int seen = 0;
-                static int nfs = 0;
-                static int big = 0;
-                seen = seen + 1;
-                if (port_dst == 2049 && size > 1000) {
-                    nfs = nfs + 1;
-                    big = max(big, size);
-                }
-                return nfs > 0 && seen % 100 == 0;
-            "#,
-            ),
-            (
-                "latency_minmax",
-                r#"
-                static int events = 0;
-                static int lo = 9223372036854775807;
-                static int hi = 0;
-                static int span = 0;
-                events = events + 1;
-                lo = min(lo, wall);
-                hi = max(hi, wall);
-                span = hi - lo;
-                if (events % 1000 == 0) { out(1, span); }
-                return 0;
-            "#,
-            ),
+            ("ratio", RATIO_SRC),
+            ("gated_counter", GATED_COUNTER_SRC),
+            ("latency_minmax", LATENCY_MINMAX_SRC),
         ] {
-            let p = Program::compile(src, &inputs).unwrap();
+            let p = Program::compile(src, &EVENT_INPUTS).unwrap();
             let inst = Instance::new(&p);
             assert_eq!(inst.tier(), ExecTier::Compiled, "{name} must compile");
-            let (spec, total) = inst.compiled_specialization().unwrap();
+            let (whole, spec, reachable) = inst.compiled_shape().unwrap();
             assert_eq!(
-                spec, total,
-                "{name}: only {spec}/{total} blocks specialized"
+                spec, reachable,
+                "{name}: only {spec}/{reachable} reachable blocks specialized"
             );
-            assert_eq!(
-                inst.compiled_whole_path(),
-                Some(true),
-                "{name} must parse into the whole-program fast path"
-            );
+            assert!(whole, "{name} must assemble into the whole-program path");
         }
+    }
+
+    /// Debug dump of every specialized node of `src`'s compiled graph.
+    fn nodes_of(src: &str, inputs: &[(&str, Type)]) -> String {
+        let p = Program::compile(src, inputs).unwrap();
+        let cp = p.lowered().compiled.clone().expect("compiles");
+        let nodes: Vec<_> = cp.blocks.iter().map(|b| b.spec.as_ref()).collect();
+        format!("{nodes:?}")
+    }
+
+    /// The move rule: a join with no steps folds into both predecessors
+    /// even though the carried `seen % 100 == 0` reads a static, so the
+    /// two arms of the return become plain return leaves.
+    #[test]
+    fn stepless_join_with_a_static_reading_carry_folds_into_both_predecessors() {
+        let src = "static int nfs = 0; static int seen = 0; return nfs > 0 && seen % 100 == 0;";
+        let dump = nodes_of(src, &INPUTS);
+        assert!(dump.contains("term: RetV(DivC"), "{dump}");
+        assert!(dump.contains("term: RetC(0)"), "{dump}");
+        let shape = Instance::new(&program(src)).compiled_shape();
+        assert_eq!(shape, Some((true, 3, 3)), "{dump}");
+        assert_tiers_agree(src);
+    }
+
+    /// A join that has steps keeps the invariance rule: the store could
+    /// write what a delayed carry reads, so a static-reading carry stays
+    /// a stack value, both blocks run interpreted, and the tiers agree.
+    #[test]
+    fn join_with_steps_and_a_mutable_carry_does_not_fold() {
+        let src = r#"
+            static int n = 0;
+            static int m = 0;
+            static bool f = false;
+            n = n + 1;
+            m = m + size;
+            f = (n > 0 && m % 3 == 0);
+            return f;
+        "#;
+        let (whole, spec, reachable) = Instance::new(&program(src)).compiled_shape().unwrap();
+        assert!(!whole && spec < reachable, "{spec}/{reachable}");
+        assert_tiers_agree(src);
+    }
+
+    /// The join of a discarded `&&` pops its carry unread. Folding it
+    /// would drop `10 / port`'s trap with the value, so the arm stays an
+    /// interpreted carry-compute block and the trap is raised.
+    #[test]
+    fn dropped_carry_that_can_trap_does_not_fold() {
+        let src = "size > 0 && 10 / port > 3; return 1;";
+        let p = program(src);
+        let mut compiled = Instance::new(&p);
+        let (_, spec, reachable) = compiled.compiled_shape().unwrap();
+        assert!(spec < reachable, "{spec}/{reachable}");
+        let mut reference = Instance::new_fused(&p);
+        for (size, port) in [(0, 0), (5, 2), (5, 0), (0, 7)] {
+            let inputs = [Value::Int(size), Value::Int(port)];
+            let a = compiled.run(&inputs, 1_000).map(|o| (o.ret, o.fuel_used));
+            let b = reference.run(&inputs, 1_000).map(|o| (o.ret, o.fuel_used));
+            assert_eq!(a, b, "size={size} port={port}");
+        }
+        assert_eq!(
+            compiled.run(&[Value::Int(5), Value::Int(0)], 1_000),
+            Err(crate::EcodeError::DivideByZero)
+        );
     }
 
     #[test]
@@ -1203,23 +1189,34 @@ mod tests {
     fn compiled_runs_match_per_op_reference_under_tight_fuel() {
         // Precharge fallback: when the remaining budget cannot cover a
         // block, the compiled driver must degrade to checked per-op
-        // execution with identical trap points and fuel accounting.
-        let p = program(CPA_SRC);
-        let bound = p.static_fuel_bound();
-        let mut compiled = Instance::new(&p);
-        let mut reference = Instance::new(&p);
-        assert_eq!(compiled.tier(), ExecTier::Compiled);
-        for fuel in [bound, bound / 2 + 1, 3, 1] {
-            for i in 0..20i64 {
-                let inputs = [Value::Int(i * 700 % 2500), Value::Int(2049)];
-                let a = compiled
-                    .run(&inputs, fuel)
-                    .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
-                let b = reference
-                    .run_per_op(&inputs, fuel)
-                    .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
-                assert_eq!(a, b, "fuel={fuel} event={i}");
-                assert_eq!(compiled.raw_globals(), reference.raw_globals());
+        // execution with identical trap points and fuel accounting. At
+        // every budget up to the bound, so a merged span is starved at
+        // each original block boundary and re-enters through the folded
+        // join blocks, which only the interpreter runs.
+        for (src, inputs) in [
+            (CPA_SRC, &INPUTS[..]),
+            (CARRY_SRC, &INPUTS[..]),
+            (GATED_COUNTER_SRC, &EVENT_INPUTS[..]),
+        ] {
+            let p = Program::compile(src, inputs).unwrap();
+            let mut compiled = Instance::new(&p);
+            let mut reference = Instance::new(&p);
+            assert_eq!(compiled.tier(), ExecTier::Compiled);
+            for fuel in 1..=p.static_fuel_bound() {
+                for i in 0..20i64 {
+                    // `size` cycles through the guards' thresholds; the
+                    // last input is the port (2049, or 0 for the trap).
+                    let mut row = vec![Value::Int(i * 700 % 2500); inputs.len()];
+                    row[inputs.len() - 1] = Value::Int(if i % 5 == 4 { 0 } else { 2049 });
+                    let a = compiled
+                        .run(&row, fuel)
+                        .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
+                    let b = reference
+                        .run_per_op(&row, fuel)
+                        .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
+                    assert_eq!(a, b, "fuel={fuel} event={i} on {src}");
+                    assert_eq!(compiled.raw_globals(), reference.raw_globals());
+                }
             }
         }
     }
@@ -1346,8 +1343,8 @@ mod tests {
     const FORMS: &[(&str, &[&str])] = &[
         ("GUpd", &["IncC", "AccInF", "MinIn", "MaxIn", "SubGG"]),
         ("OutK", &["RatioFI", "IntGl"]),
-        ("Scal", &["In", "Gl", "C", "Carry"]),
+        ("Scal", &["In", "Gl", "C"]),
         ("ValK", &["S", "Cmp", "DivC"]),
-        ("SpecTerm", &["RetC", "RetV", "CarryJmp", "Br"]),
+        ("SpecTerm", &["RetC", "RetV", "Br"]),
     ];
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::analysis::{MergeClass, MergePlan, MinMaxOp};
 use crate::compile::{GlobalInit, Program, Type};
-use crate::ir::{Bail, MAX_CARRY};
+use crate::ir::Bail;
 use crate::jit;
 use crate::EcodeError;
 
@@ -278,10 +278,6 @@ pub struct Instance {
     locals: Vec<i64>,
     raw_inputs: Vec<i64>,
     outputs: Vec<(i64, f64)>,
-    /// Compiled-tier scratch: operand-stack values crossing a block
-    /// boundary. Lives in the instance (not the driver's frame) so the
-    /// whole [`jit::Ctx`] borrows at one lifetime.
-    carry: [i64; MAX_CARRY],
 }
 
 impl Instance {
@@ -320,26 +316,18 @@ impl Instance {
             locals: Vec::new(),
             raw_inputs: Vec::new(),
             outputs: Vec::new(),
-            carry: [0; MAX_CARRY],
         }
     }
 
-    /// `(specialized, total)` compiled-block counts, `None` when the
-    /// instance is not compiled. Introspection for tests — the perf suite
-    /// pins that every block of the representative CPA shapes
-    /// specializes.
-    #[cfg(test)]
-    pub(crate) fn compiled_specialization(&self) -> Option<(usize, usize)> {
-        self.compiled.as_deref().map(|cp| cp.specialization())
-    }
-
-    /// Whether the compiled program carries the whole-program
-    /// straight-line fast path (`None` when not compiled).
-    /// Introspection for tests — the perf suite pins that the
-    /// representative CPA shapes parse into it.
-    #[cfg(test)]
-    pub(crate) fn compiled_whole_path(&self) -> Option<bool> {
-        self.compiled.as_deref().map(|cp| cp.whole.is_some())
+    /// What the program compiled to, `None` when the instance is not
+    /// compiled: whether it runs as the whole-program straight-line
+    /// path, then the `(specialized, reachable)` counts of blocks that
+    /// have a monomorphized form among those a run with a covering
+    /// budget can enter (the rest run on the per-op interpreter).
+    pub fn compiled_shape(&self) -> Option<(bool, usize, usize)> {
+        let cp = self.compiled.as_deref()?;
+        let (specialized, reachable) = cp.specialization;
+        Some((cp.whole.is_some(), specialized, reachable))
     }
 
     /// Which execution tier [`run`](Instance::run) uses for this
@@ -569,7 +557,6 @@ impl Instance {
             locals,
             raw_inputs,
             outputs,
-            carry,
         } = self;
         let cp = compiled.as_deref().filter(|_| !per_op);
         locals.clear();
@@ -581,22 +568,15 @@ impl Instance {
             locals,
             inputs: raw_inputs,
             outputs,
-            carry,
         };
         // Whole-program fast path: valid only when the budget covers the
         // worst-case path, so no fuel abort is reachable anywhere and the
         // per-block bookkeeping can be skipped outright.
-        if let Some(w) = cp.and_then(|cp| cp.whole.as_ref()) {
-            if fuel >= w.max_fuel {
-                let (ret, fuel_used) = w.exec(&mut ctx);
-                return Ok(RunOutcome {
-                    ret,
-                    fuel_used,
-                    outputs: ctx.outputs,
-                });
-            }
-        }
-        let (ret, fuel_used) = drive(cp, &program.code, stack, &mut ctx, fuel)?;
+        let whole = cp.and_then(|cp| cp.whole.as_ref());
+        let (ret, fuel_used) = match whole.filter(|w| fuel >= w.max_fuel) {
+            Some(w) => w.exec(&mut ctx),
+            None => drive(cp, &program.code, stack, &mut ctx, fuel)?,
+        };
         Ok(RunOutcome {
             ret,
             fuel_used,
@@ -650,7 +630,6 @@ impl Instance {
             stack,
             locals,
             outputs,
-            carry,
             ..
         } = self;
         let cp = compiled.as_deref();
@@ -666,7 +645,6 @@ impl Instance {
             locals,
             inputs: &[],
             outputs,
-            carry,
         };
         // Whole-program fast path: the budget is fixed across the
         // window, so the `max_fuel` gate hoists out of the loop — each
@@ -715,10 +693,10 @@ impl Instance {
 /// block-granular fuel precharge: a specialized block whose
 /// straight-line cost fits the remaining budget is charged up front and
 /// run compiled; one that doesn't fit, or has no specialized form, runs
-/// on the checked interpreter instead (spilling the carried stack values
-/// first), so abort points, `fuel_used` and partial statics stay
-/// bit-identical to [`run_per_op`](Instance::run_per_op). Without one,
-/// every block runs on the interpreter.
+/// on the checked interpreter instead, so abort points, `fuel_used` and
+/// partial statics stay bit-identical to
+/// [`run_per_op`](Instance::run_per_op). Without one, every block runs
+/// on the interpreter.
 fn drive(
     cp: Option<&jit::CompiledProgram>,
     code: &[Op],
@@ -727,8 +705,8 @@ fn drive(
     fuel: u64,
 ) -> Result<(i64, u64), EcodeError> {
     let mut fuel_used = 0u64;
+    stack.clear();
     let Some(cp) = cp else {
-        stack.clear();
         let mut pc = 0usize;
         loop {
             match exec_block_checked(code, pc, fuel, &mut fuel_used, stack, ctx)? {
@@ -741,6 +719,7 @@ fn drive(
     loop {
         let b = &cp.blocks[bi];
         if let Some(node) = b.spec.as_ref().filter(|_| fuel_used + b.fuel <= fuel) {
+            debug_assert!(stack.is_empty(), "a specialized block takes no carries");
             // Precharge the block's whole span (chain-merged successors
             // included) and run it. Every exit is a real terminator and
             // specialized code cannot trap, so `fuel_used` at any
@@ -758,14 +737,13 @@ fn drive(
             }
         } else {
             // No specialized form, or a budget too tight for a
-            // precharge: materialize the carried values on the operand
-            // stack and run one original-granularity block per-op with
+            // precharge: run one original-granularity block per-op with
             // a fuel check before every opcode (merged spans re-enter
             // the loop at each original boundary, re-deciding per
-            // block).
+            // block). Values a block leaves for its successor stay on
+            // the operand stack: only another interpreted block reads
+            // them, since a specialized one neither takes nor leaves any.
             let opc = b.entry_pc as usize;
-            stack.clear();
-            stack.extend_from_slice(&ctx.carry[..b.carry_in as usize]);
             match exec_block_checked(code, opc, fuel, &mut fuel_used, stack, ctx)? {
                 BlockExit::Ret(ret) => return Ok((ret, fuel_used)),
                 BlockExit::Next(pc) => {
@@ -774,9 +752,6 @@ fn drive(
                     let nb = cp.pc2block[pc];
                     assert!(nb != u32::MAX, "block entry has no compiled twin");
                     bi = nb as usize;
-                    let d = cp.blocks[bi].carry_in as usize;
-                    debug_assert_eq!(stack.len(), d, "carry depth diverged");
-                    ctx.carry[..d].copy_from_slice(&stack[..d]);
                 }
             }
         }

@@ -107,8 +107,8 @@ fn million_compiled_runs_allocate_nothing_after_warmup() {
             flagged += 1;
         }
     }
-    // The starved-budget per-op fallback spills carries to the (already
-    // warmed) stack arena; it must be allocation-free too.
+    // The starved-budget per-op fallback runs on the (already warmed)
+    // stack arena; it must be allocation-free too.
     for i in 0..1_000i64 {
         let raw = [i * 500 % 3000, 2049];
         let _ = inst.run_raw(&raw, 3);

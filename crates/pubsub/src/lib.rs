@@ -212,6 +212,9 @@ impl Filter {
     }
 }
 
+/// A filter as [`Hub::subscriptions`] reports it: `(fuel bound, tier)`.
+type FilterShape = (u64, ecode::ExecTier);
+
 struct Subscription {
     endpoint: EndPoint,
     filter: Option<Filter>,
@@ -518,6 +521,26 @@ impl Hub {
             tier_count(ecode::ExecTier::Compiled),
             tier_count(ecode::ExecTier::Fused),
         )
+    }
+
+    /// Every subscription as `(topic, subscriber, filter)`, sorted by
+    /// topic name then subscriber; a filter is its proven fuel bound and
+    /// the tier it runs on. [`delivery_stats`](Hub::delivery_stats) has
+    /// each one's counts.
+    pub fn subscriptions(&self) -> Vec<(String, EndPoint, Option<FilterShape>)> {
+        // Hash order in, `(topic, subscriber)` order out.
+        let mut all: Vec<_> = self
+            .topics
+            .iter()
+            .flat_map(|(name, id)| {
+                self.subs.get(id).into_iter().flatten().map(move |s| {
+                    let filter = s.filter.as_ref().map(|f| (f.fuel_bound, f.instance.tier()));
+                    (name.clone(), s.endpoint, filter)
+                })
+            })
+            .collect();
+        all.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+        all
     }
 
     /// (delivered, filtered) counts for a subscriber on a topic.

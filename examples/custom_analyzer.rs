@@ -102,4 +102,6 @@ fn main() {
         "monitoring CPU charged  : {}",
         world.node_stats(NodeId(1)).cpu.monitor
     );
+    println!("what it compiled to, and its cost (/proc/sysprof/cpa/rx-size-profile):");
+    print!("{}", sysprof::procfs::render_cpa(cpa));
 }

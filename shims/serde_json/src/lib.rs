@@ -279,6 +279,11 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
 
 // ---- parser ----
 
+/// Nesting budget of one parse, the real crate's: the 128th open
+/// container is refused, so untrusted bytes cannot recurse the parser
+/// off the stack.
+const RECURSION_LIMIT: u32 = 128;
+
 struct Parser<'s> {
     bytes: &'s [u8],
     pos: usize,
@@ -321,9 +326,10 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Content, Error> {
+    fn parse_value(&mut self, depth: u32) -> Result<Content, Error> {
         self.skip_ws();
         match self.peek() {
+            Some(b'[' | b'{') if depth <= 1 => self.err("recursion limit exceeded"),
             Some(b'n') => {
                 self.expect_keyword("null")?;
                 Ok(Content::Null)
@@ -346,7 +352,7 @@ impl<'s> Parser<'s> {
                     return Ok(Content::Seq(items));
                 }
                 loop {
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth - 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -371,7 +377,7 @@ impl<'s> Parser<'s> {
                     let key = self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let value = self.parse_value()?;
+                    let value = self.parse_value(depth - 1)?;
                     entries.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -496,7 +502,7 @@ impl<'s> Parser<'s> {
 
 fn parse(bytes: &[u8]) -> Result<Content, Error> {
     let mut p = Parser { bytes, pos: 0 };
-    let v = p.parse_value()?;
+    let v = p.parse_value(RECURSION_LIMIT)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return p.err("trailing characters");
@@ -529,6 +535,16 @@ mod tests {
         let text = to_string(&v).unwrap();
         let back: Value = from_str(&text).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(127)).is_ok());
+        let err = from_str::<Value>(&nested(128)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        assert!(from_slice::<Value>(&vec![b'['; 200_000]).is_err());
+        assert!(from_str::<Value>(&r#"{"k":"#.repeat(200_000)).is_err());
     }
 
     #[test]

@@ -39,11 +39,12 @@ impl Program for PipelinedClient {
     }
 }
 
-/// Returns (responses received, LPA records, mean interaction total µs).
-/// `use_arm` is whether both applications "link against ARM"
-/// (`World::enable_arm`), so their packets carry correlators; the monitor
-/// is deployed identically either way.
-fn run(use_arm: bool) -> (u32, u64, f64) {
+/// Runs the pipelined exchange with the monitor deployed on `monitored`
+/// and returns the responses the client received. `use_arm` is whether
+/// both applications "link against ARM" (`World::enable_arm`), so their
+/// packets carry correlators; the monitor is deployed identically either
+/// way.
+fn run_on(use_arm: bool, monitored: &[NodeId]) -> (u32, simos::World, SysProf) {
     let mut world = WorldBuilder::new(31)
         .node("client")
         .node("server")
@@ -51,12 +52,7 @@ fn run(use_arm: bool) -> (u32, u64, f64) {
         .full_mesh(LinkSpec::gigabit_lan())
         .build()
         .unwrap();
-    let sysprof = SysProf::deploy(
-        &mut world,
-        &[NodeId(1)],
-        NodeId(2),
-        MonitorConfig::default(),
-    );
+    let sysprof = SysProf::deploy(&mut world, monitored, NodeId(2), MonitorConfig::default());
 
     // Slow enough that pipelined requests genuinely queue at the server.
     let server_pid = world.spawn(
@@ -82,7 +78,13 @@ fn run(use_arm: bool) -> (u32, u64, f64) {
         world.enable_arm(NodeId(1), server_pid);
     }
     world.run_until(SimTime::from_secs(5));
+    (received.get(), world, sysprof)
+}
 
+/// The server node monitored alone: (responses received, LPA records,
+/// mean interaction total µs).
+fn run(use_arm: bool) -> (u32, u64, f64) {
+    let (received, world, sysprof) = run_on(use_arm, &[NodeId(1)]);
     let records = sysprof
         .lpa(&world, NodeId(1))
         .expect("deployed")
@@ -93,7 +95,7 @@ fn run(use_arm: bool) -> (u32, u64, f64) {
         .class_summary(NodeId(1), Port(80))
         .map(|s| s.mean_total_us)
         .unwrap_or(0.0);
-    (received.get(), records, mean_total)
+    (received, records, mean_total)
 }
 
 #[test]
@@ -126,6 +128,32 @@ fn arm_hints_recover_true_pipelined_latency() {
     assert!(
         mean_total > blackbox_mean * 2.0,
         "ARM {mean_total} vs black-box {blackbox_mean}"
+    );
+}
+
+/// The initiating node sees each tagged exchange as Out(request) then
+/// In(response). Its records must come out oriented like the server's —
+/// class port 80, one per request — and span the server's.
+#[test]
+fn arm_hints_at_the_initiator_are_oriented_from_the_client() {
+    let (received, world, sysprof) = run_on(true, &[NodeId(0), NodeId(1)]);
+    assert_eq!(received, 60);
+    let lpa = sysprof.lpa(&world, NodeId(0)).expect("deployed");
+    assert_eq!(lpa.records_completed(), 60);
+    let client_ip = world.network().node_ip(NodeId(0));
+    assert!(lpa
+        .window_snapshot()
+        .all(|r| r.flow.src.ip == client_ip && r.class_port == Port(80) && r.end_us > r.start_us));
+    let gpa = sysprof.gpa();
+    let gpa = gpa.borrow();
+    let at_client = gpa.class_summary(NodeId(0), Port(80)).expect("class 80");
+    let at_server = gpa.class_summary(NodeId(1), Port(80)).expect("class 80");
+    assert_eq!((at_client.count, at_server.count), (60, 60));
+    assert!(
+        at_client.mean_total_us > at_server.mean_total_us,
+        "the round trip contains the service span: {} vs {}",
+        at_client.mean_total_us,
+        at_server.mean_total_us
     );
 }
 

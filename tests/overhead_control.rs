@@ -10,6 +10,10 @@ use sysprof::{Controller, LpaConfig, MonitorConfig, MonitorLevel, SysProf};
 use sysprof_apps::iperf::{IperfClient, IperfServer};
 
 fn iperf_world(seed: u64) -> (simos::World, SysProf) {
+    iperf_world_with(seed, MonitorConfig::default())
+}
+
+fn iperf_world_with(seed: u64, config: MonitorConfig) -> (simos::World, SysProf) {
     let mut world = WorldBuilder::new(seed)
         .node("sender")
         .node("receiver")
@@ -17,12 +21,7 @@ fn iperf_world(seed: u64) -> (simos::World, SysProf) {
         .full_mesh(LinkSpec::gigabit_lan())
         .build()
         .unwrap();
-    let sysprof = SysProf::deploy(
-        &mut world,
-        &[NodeId(1)],
-        NodeId(2),
-        MonitorConfig::default(),
-    );
+    let sysprof = SysProf::deploy(&mut world, &[NodeId(1)], NodeId(2), config);
     world.spawn(NodeId(1), "srv", Box::new(IperfServer::new(Port(5001))));
     world.spawn(
         NodeId(0),
@@ -211,6 +210,83 @@ fn facade_installs_cpa_at_runtime() {
     assert!(
         analyzer.output(0).unwrap_or(0.0) > 100.0,
         "packets counted in-kernel"
+    );
+}
+
+/// An installed program says what it compiled to, why, and what it
+/// costs: the canonical ratio CPA runs as the whole-program path with
+/// every reachable block specialized; a join five values deep does not
+/// lower and names `Bail`'s reason; each subscription reports its filter.
+#[test]
+fn cpa_and_filter_renders_are_golden() {
+    let config = MonitorConfig {
+        interaction_filter: Some("return req_bytes > 100000;".to_owned()),
+        ..Default::default()
+    };
+    let (mut world, sysprof) = iperf_world_with(9, config);
+    let ratio = r#"
+        static int n = 0;
+        static double acc = 0.0;
+        n = n + 1;
+        acc = acc + size;
+        if (size > 800 && port_dst == 5001) {
+            out(0, acc / n);
+            return 1;
+        }
+        return 0;
+    "#;
+    let deep = "return size > 0 == (pid > 0 == (size > 1 == (pid > 1 == (size > 2 && pid > 2))));";
+    let mut install = |name: &str, src: &str| {
+        sysprof
+            .install_cpa(&mut world, NodeId(1), name, src, EventMask::NETWORK)
+            .expect("valid E-Code")
+    };
+    let (ratio, deep) = (install("ratio", ratio), install("deep", deep));
+    world.run_until(SimTime::from_secs(1));
+    let render = |id| {
+        let kprof = world.kprof(NodeId(1));
+        sysprof::procfs::render_cpa(kprof.analyzer_as(id).expect("installed"))
+    };
+    assert_eq!(
+        render(ratio),
+        "aborted: 0\n\
+         bail: -\n\
+         blocks_specialized: 5/5 reachable\n\
+         events: 101148\n\
+         flagged: 98946\n\
+         fuel_bound: 28\n\
+         fuel_per_event: 27.8\n\
+         ns_charged: 5615904\n\
+         tier: compiled\n\
+         whole_path: yes\n"
+    );
+    assert_eq!(
+        render(deep),
+        format!(
+            "aborted: 0\n\
+             bail: {}\n\
+             blocks_specialized: -\n\
+             events: 101148\n\
+             flagged: 67398\n\
+             fuel_bound: 25\n\
+             fuel_per_event: 25.0\n\
+             ns_charged: 5057400\n\
+             tier: interpreted\n\
+             whole_path: no\n",
+            ecode::Bail::CarryOverflow { pc: 20 }
+        )
+    );
+    let hub = sysprof.hub(NodeId(1)).expect("monitored");
+    assert_eq!(
+        sysprof::procfs::render_filters(&hub),
+        "filter[sysprof.interactions 10.0.0.3:9999].delivered: 240\n\
+         filter[sysprof.interactions 10.0.0.3:9999].filtered: 233\n\
+         filter[sysprof.interactions 10.0.0.3:9999].fuel_bound: 4\n\
+         filter[sysprof.interactions 10.0.0.3:9999].tier: compiled\n\
+         filter[sysprof.load 10.0.0.3:9999].delivered: 10\n\
+         filter[sysprof.load 10.0.0.3:9999].filtered: 0\n\
+         filter[sysprof.load 10.0.0.3:9999].fuel_bound: -\n\
+         filter[sysprof.load 10.0.0.3:9999].tier: -\n"
     );
 }
 
