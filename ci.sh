@@ -5,7 +5,7 @@
 #
 #   ./ci.sh              full pipeline
 #   ./ci.sh --analyze    only the static gates: analyzer + one-receiver check (fast pre-commit check)
-#   ./ci.sh --scenarios  only the scenario library: golden diagnoses + chaos matrix
+#   ./ci.sh --scenarios  only the scenario library: one-runner check, golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
@@ -76,6 +76,27 @@ check_one_receiver() {
     fi
 }
 
+check_one_runner() {
+    # `scenario.rs` is the workload kit: its runner holds the one
+    # `WorldBuilder::new` and the one `SysProf::deploy` of apps + bench,
+    # and its `Link` the one retry token. A workload naming any of them
+    # (outside its unit tests and comments) has started its own
+    # build->deploy->run sequence or its own retransmit loop.
+    local f found=0
+    for f in $(find crates/apps/src crates/bench/src -name '*.rs' ! -path crates/apps/src/scenario.rs | sort); do
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E 'SysProf::deploy|WorldBuilder::new|const TOK_RETRY'; then
+            found=1
+        fi
+    done
+    if [[ $found == 1 ]]; then
+        echo "crates/apps and crates/bench build worlds, deploy the monitor and retry" \
+            "RPCs only through crates/apps/src/scenario.rs (ScenarioSpec's runner, Link)" >&2
+        return 1
+    fi
+}
+
 # The substrate's own gates, shared by --substrate and the full run: the
 # calendar's model proptests and simos, the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
@@ -139,6 +160,8 @@ case "${1:-}" in
     # The scenario library: golden diagnoses + chaos matrix and the apps
     # crate's own tests.
     fast_path SCENARIOS \
+        "==> one runner (apps and bench build, deploy and retry through scenario.rs)" \
+        check_one_runner \
         "==> scenario tests (golden diagnoses + chaos matrix)" \
         "cargo test -q -p sysprof-apps" \
         "cargo test -q --test scenarios"
@@ -214,6 +237,9 @@ check_one_recognizer
 
 echo "==> one receiver (core and apps reach the stream through Sender/Receiver)"
 check_one_receiver
+
+echo "==> one runner (apps and bench build, deploy and retry through scenario.rs)"
+check_one_runner
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode

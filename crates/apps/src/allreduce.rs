@@ -21,18 +21,20 @@ use std::rc::Rc;
 
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{FaultPlan, LinkSpec, Port};
-use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
+use simnet::Port;
+use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::SysProf;
 
-use crate::scenario::{scenario_monitor_config, Diagnosis, ScenarioRun, ScenarioSpec};
+use crate::scenario::{
+    arm_retry, named_nodes, on_gigabit_lan, outlier_and_median, retry_tick, Diagnosis, Link,
+    Placement, ScenarioRun, ScenarioSpec,
+};
 
 /// The ring port every rank listens on.
 pub const RING_PORT: Port = Port(9000);
 
 const KIND_CHUNK_BASE: u32 = 10_000;
 const RESP_OFFSET: u32 = 1_000_000;
-const TOK_RETRY: u64 = 0xA11;
 
 /// Parameters of the allreduce scenario.
 #[derive(Debug, Clone)]
@@ -112,8 +114,9 @@ pub struct AllreduceResult {
 // Program
 // ---------------------------------------------------------------------
 
+/// What an allreduce run's ranks count.
 #[derive(Default)]
-struct RingShared {
+pub struct RingShared {
     chunks_reduced: Vec<u64>,
     finished_at_us: Vec<Option<u64>>,
     retries: u64,
@@ -126,39 +129,34 @@ struct RingShared {
 /// allreduce).
 struct RingRank {
     rank: usize,
-    next: NodeId,
+    next: Link,
     reduce: SimDuration,
     chunk_bytes: u64,
     total_steps: u64,
     retry_after: SimDuration,
-    sock: Option<SocketId>,
-    ready: bool,
     send_step: u64,
     recv_step: u64,
-    in_flight: Option<(u64, u64, SimTime)>, // (msg_id, step, last_tx)
     shared: Rc<RefCell<RingShared>>,
 }
 
 impl RingRank {
     fn try_send(&mut self, ctx: &mut ProcCtx<'_>) {
-        if !self.ready
-            || self.in_flight.is_some()
+        if !self.next.ready()
+            || self.next.busy()
             || self.send_step >= self.total_steps
             || self.recv_step < self.send_step
         {
             return;
         }
-        let sock = self.sock.expect("ready implies connected");
-        let step = self.send_step;
-        let id = ctx.send(sock, self.chunk_bytes, KIND_CHUNK_BASE + step as u32);
-        self.in_flight = Some((id, step, ctx.now()));
+        let kind = KIND_CHUNK_BASE + self.send_step as u32;
+        self.next.send(ctx, self.chunk_bytes, kind, ());
         self.send_step += 1;
     }
 
     fn maybe_finish(&mut self, ctx: &mut ProcCtx<'_>) {
         if self.send_step == self.total_steps
             && self.recv_step == self.total_steps
-            && self.in_flight.is_none()
+            && !self.next.busy()
         {
             let mut sh = self.shared.borrow_mut();
             if sh.finished_at_us[self.rank].is_none() {
@@ -172,26 +170,22 @@ impl RingRank {
 impl Program for RingRank {
     fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.listen(RING_PORT);
-        self.sock = Some(ctx.connect(self.next, RING_PORT));
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        self.next.connect(ctx);
+        arm_retry(ctx, self.retry_after);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
-        if self.sock == Some(sock) {
-            self.ready = true;
+        if self.next.connected(sock) {
             self.try_send(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId, msg: Message) {
-        if self.sock == Some(sock) {
+        if self.next.owns(sock) {
             // ACK from the next rank for our in-flight chunk.
-            if let Some((id, step, _)) = self.in_flight {
-                if msg.msg_id == id && msg.kind == KIND_CHUNK_BASE + step as u32 + RESP_OFFSET {
-                    self.in_flight = None;
-                    self.try_send(ctx);
-                    self.maybe_finish(ctx);
-                }
+            if self.next.accept(&msg).is_some() {
+                self.try_send(ctx);
+                self.maybe_finish(ctx);
             }
             return;
         }
@@ -217,17 +211,8 @@ impl Program for RingRank {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        if token != TOK_RETRY {
-            return;
-        }
-        if let (Some(sock), Some((id, step, last))) = (self.sock, self.in_flight) {
-            if ctx.now().saturating_since(last) >= self.retry_after {
-                ctx.send_with_id(sock, self.chunk_bytes, KIND_CHUNK_BASE + step as u32, id);
-                self.in_flight = Some((id, step, ctx.now()));
-                self.shared.borrow_mut().retries += 1;
-            }
-        }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        let retries = retry_tick(ctx, token, self.retry_after, [&mut self.next]);
+        self.shared.borrow_mut().retries += retries;
     }
 }
 
@@ -237,31 +222,22 @@ impl Program for RingRank {
 
 impl ScenarioSpec for AllreduceScenario {
     type Output = AllreduceResult;
+    type Probes = Rc<RefCell<RingShared>>;
 
     fn name(&self) -> &'static str {
         "allreduce"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<AllreduceResult> {
-        let mut builder = WorldBuilder::new(seed);
-        for r in 0..self.ranks {
-            builder = builder.node(&format!("rank{r}"));
-        }
-        let mut world = builder
-            .node("gpa")
-            .full_mesh(LinkSpec::gigabit_lan())
-            .faults(faults)
-            .build()
-            .expect("topology");
-
-        let monitored: Vec<NodeId> = (0..self.ranks).map(|r| self.rank_node(r)).collect();
-        let sysprof = SysProf::deploy(
-            &mut world,
-            &monitored,
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        let ranks = (0..self.ranks).map(|r| self.rank_node(r)).collect();
+        on_gigabit_lan(
+            named_nodes(nodes, "rank", self.ranks),
+            ranks,
             self.gpa_node(),
-            scenario_monitor_config(),
-        );
+        )
+    }
 
+    fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> Rc<RefCell<RingShared>> {
         let shared = Rc::new(RefCell::new(RingShared {
             chunks_reduced: vec![0; self.ranks],
             finished_at_us: vec![None; self.ranks],
@@ -280,23 +256,30 @@ impl ScenarioSpec for AllreduceScenario {
                 &format!("rank{r}"),
                 Box::new(RingRank {
                     rank: r,
-                    next: self.rank_node((r + 1) % self.ranks),
+                    next: Link::new(self.rank_node((r + 1) % self.ranks), RING_PORT),
                     reduce,
                     chunk_bytes: self.chunk_bytes,
                     total_steps: self.total_steps(),
                     retry_after: self.retry_after,
-                    sock: None,
-                    ready: false,
                     send_step: 0,
                     recv_step: 0,
-                    in_flight: None,
                     shared: shared.clone(),
                 }),
             );
         }
+        shared
+    }
 
-        world.run_until(SimTime::ZERO + self.deadline);
+    fn stop_at(&self) -> SimTime {
+        SimTime::ZERO + self.deadline
+    }
 
+    fn collect(
+        &self,
+        _: &World,
+        _: Option<&SysProf>,
+        shared: &Rc<RefCell<RingShared>>,
+    ) -> AllreduceResult {
         let sh = shared.borrow();
         let spi = self.steps_per_iteration() as u64;
         let iterations_completed = sh
@@ -314,7 +297,7 @@ impl ScenarioSpec for AllreduceScenario {
         } else {
             0
         };
-        let output = AllreduceResult {
+        AllreduceResult {
             iterations_completed,
             chunks_reduced: sh.chunks_reduced.clone(),
             finished_at_us,
@@ -324,12 +307,6 @@ impl ScenarioSpec for AllreduceScenario {
                 0
             },
             retries: sh.retries,
-        };
-        drop(sh);
-        ScenarioRun {
-            world,
-            sysprof,
-            output,
         }
     }
 
@@ -342,15 +319,7 @@ impl ScenarioSpec for AllreduceScenario {
                     .map_or(0.0, |s| s.mean_user_us)
             })
             .collect();
-        let straggler = user_us
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite").then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("at least one rank");
-        let mut sorted = user_us.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let median = sorted[sorted.len() / 2];
+        let (straggler, median) = outlier_and_median(&user_us);
         let evidence: Vec<String> = (0..self.ranks)
             .map(|r| {
                 let s = gpa.class_summary(self.rank_node(r), RING_PORT);

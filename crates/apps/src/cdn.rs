@@ -22,13 +22,14 @@ use std::rc::Rc;
 use kprof::FileId;
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{FaultPlan, LinkSpec, Port};
-use simos::{DiskSpec, Message, NodeConfig, ProcCtx, Program, SocketId, WorldBuilder};
+use simnet::Port;
+use simos::{DiskSpec, Message, NodeConfig, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::SysProf;
 
 use crate::scenario::{
-    percentile_us, scenario_monitor_config, ClientStats, Diagnosis, ScenarioRun, ScenarioSpec,
-    ZipfClient,
+    arm_retry, downstream_share_pct, named_nodes, on_gigabit_lan, percentile_us, retry_tick,
+    spawn_zipf_clients, ClientStats, Diagnosis, Link, Placement, ScenarioRun, ScenarioSpec,
+    ZipfLoad,
 };
 
 /// Edge cache client-facing port.
@@ -38,7 +39,6 @@ pub const ORIGIN_PORT: Port = Port(6100);
 
 const REQ_BASE: u32 = 1_000;
 const RESP_OFFSET: u32 = 100_000;
-const TOK_RETRY: u64 = 0xCD9;
 
 /// Parameters of the CDN scenario.
 #[derive(Debug, Clone)]
@@ -124,33 +124,29 @@ struct EdgeShared {
 /// The edge cache: TTL'd entries, request coalescing, a single
 /// ping-pong flow to the origin with a FIFO fetch queue.
 struct EdgeCache {
-    origin: NodeId,
+    /// The flow to the origin, tagged with the key being fetched.
+    origin: Link<u32>,
     ttl: SimDuration,
     object_bytes: u64,
     lookup_cost: SimDuration,
     retry_after: SimDuration,
-    sock: Option<SocketId>,
-    ready: bool,
     /// key → expiry time of the cached copy.
     cache: BTreeMap<u32, SimTime>,
     /// key → clients waiting on the in-flight or queued fetch.
     waiters: BTreeMap<u32, Vec<(SocketId, u64)>>,
     fetch_queue: VecDeque<u32>,
-    in_flight: Option<(u64, u32, SimTime)>, // (msg_id, key, last_tx)
     shared: Rc<RefCell<EdgeShared>>,
 }
 
 impl EdgeCache {
     fn pump(&mut self, ctx: &mut ProcCtx<'_>) {
-        if !self.ready || self.in_flight.is_some() {
+        if !self.origin.ready() || self.origin.busy() {
             return;
         }
         let Some(key) = self.fetch_queue.pop_front() else {
             return;
         };
-        let sock = self.sock.expect("ready implies connected");
-        let id = ctx.send(sock, 128, REQ_BASE + key);
-        self.in_flight = Some((id, key, ctx.now()));
+        self.origin.send(ctx, 128, REQ_BASE + key, key);
         self.shared.borrow_mut().origin_fetches += 1;
     }
 }
@@ -158,28 +154,21 @@ impl EdgeCache {
 impl Program for EdgeCache {
     fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.listen(EDGE_PORT);
-        self.sock = Some(ctx.connect(self.origin, ORIGIN_PORT));
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        self.origin.connect(ctx);
+        arm_retry(ctx, self.retry_after);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
-        if self.sock == Some(sock) {
-            self.ready = true;
+        if self.origin.connected(sock) {
             self.pump(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId, msg: Message) {
-        if self.sock == Some(sock) {
+        if self.origin.owns(sock) {
             // Origin response: fill the cache, release every waiter.
-            let done = match self.in_flight {
-                Some((id, key, _)) if id == msg.msg_id => {
-                    self.in_flight = None;
-                    Some(key)
-                }
-                _ => None, // duplicate of an already-filled fetch
-            };
-            if let Some(key) = done {
+            // (`None` is a duplicate of an already-filled fetch.)
+            if let Some(key) = self.origin.accept(&msg) {
                 self.cache.insert(key, ctx.now() + self.ttl);
                 for (client, req_id) in self.waiters.remove(&key).unwrap_or_default() {
                     ctx.compute(SimDuration::from_micros(5));
@@ -227,17 +216,8 @@ impl Program for EdgeCache {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        if token != TOK_RETRY {
-            return;
-        }
-        if let (Some(sock), Some((id, key, last))) = (self.sock, self.in_flight) {
-            if ctx.now().saturating_since(last) >= self.retry_after {
-                ctx.send_with_id(sock, 128, REQ_BASE + key, id);
-                self.in_flight = Some((id, key, ctx.now()));
-                self.shared.borrow_mut().retries += 1;
-            }
-        }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        let retries = retry_tick(ctx, token, self.retry_after, [&mut self.origin]);
+        self.shared.borrow_mut().retries += retries;
     }
 }
 
@@ -293,18 +273,22 @@ impl CdnScenario {
     }
 }
 
+/// What a CDN run's programs count: the edge's cache decisions and the
+/// clients' completions and latencies.
+pub struct CdnProbes {
+    edge: Rc<RefCell<EdgeShared>>,
+    clients: Rc<RefCell<ClientStats>>,
+}
+
 impl ScenarioSpec for CdnScenario {
     type Output = CdnResult;
+    type Probes = CdnProbes;
 
     fn name(&self) -> &'static str {
         "cdn"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<CdnResult> {
-        let mut builder = WorldBuilder::new(seed);
-        for i in 0..self.clients {
-            builder = builder.node(&format!("cdn-client{i}"));
-        }
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
         let origin_config = NodeConfig {
             disk: DiskSpec {
                 seek: self.origin_seek,
@@ -312,39 +296,28 @@ impl ScenarioSpec for CdnScenario {
             },
             ..NodeConfig::default()
         };
-        let mut world = builder
+        let nodes = named_nodes(nodes, "cdn-client", self.clients)
             .node("cdn-edge")
-            .node_with("cdn-origin", origin_config, simnet::ClockSpec::PERFECT)
-            .node("gpa")
-            .full_mesh(LinkSpec::gigabit_lan())
-            .faults(faults)
-            .build()
-            .expect("topology");
+            .node_with("cdn-origin", origin_config, simnet::ClockSpec::PERFECT);
+        let monitored = vec![self.edge_node(), self.origin_node()];
+        on_gigabit_lan(nodes, monitored, self.gpa_node())
+    }
 
-        let sysprof = SysProf::deploy(
-            &mut world,
-            &[self.edge_node(), self.origin_node()],
-            self.gpa_node(),
-            scenario_monitor_config(),
-        );
-
-        let shared = Rc::new(RefCell::new(EdgeShared::default()));
+    fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> CdnProbes {
+        let edge = Rc::new(RefCell::new(EdgeShared::default()));
         world.spawn(
             self.edge_node(),
             "cdn-edge",
             Box::new(EdgeCache {
-                origin: self.origin_node(),
+                origin: Link::new(self.origin_node(), ORIGIN_PORT),
                 ttl: self.ttl,
                 object_bytes: self.object_bytes,
                 lookup_cost: self.edge_lookup,
                 retry_after: self.retry_after,
-                sock: None,
-                ready: false,
                 cache: BTreeMap::new(),
                 waiters: BTreeMap::new(),
                 fetch_queue: VecDeque::new(),
-                in_flight: None,
-                shared: shared.clone(),
+                shared: edge.clone(),
             }),
         );
         world.spawn(
@@ -357,37 +330,33 @@ impl ScenarioSpec for CdnScenario {
                 inflight: BTreeMap::new(),
             }),
         );
+        let clients = spawn_zipf_clients(
+            world,
+            self.clients,
+            "cdn-client",
+            ZipfLoad {
+                server: self.edge_node(),
+                port: EDGE_PORT,
+                keys: self.keys,
+                skew: self.skew,
+                req_bytes: 128,
+                kind_base: REQ_BASE,
+                deadline: SimTime::ZERO + self.duration,
+                retry_after: self.retry_after,
+            },
+        );
+        CdnProbes { edge, clients }
+    }
 
-        let stats = ClientStats::shared(self.keys);
-        let deadline = SimTime::ZERO + self.duration;
-        for c in 0..self.clients {
-            world.spawn(
-                NodeId(c as u32),
-                &format!("cdn-client{c}"),
-                Box::new(ZipfClient {
-                    server: self.edge_node(),
-                    port: EDGE_PORT,
-                    keys: self.keys,
-                    skew: self.skew,
-                    req_bytes: 128,
-                    kind_base: REQ_BASE,
-                    resp_offset: RESP_OFFSET,
-                    deadline,
-                    retry_after: self.retry_after,
-                    shared: stats.clone(),
-                    sock: None,
-                    outstanding: None,
-                }),
-            );
-        }
+    fn stop_at(&self) -> SimTime {
+        SimTime::ZERO + self.duration + SimDuration::from_secs(1)
+    }
 
-        world.run_until(deadline + SimDuration::from_secs(1));
-
-        let sh = shared.borrow();
-        let mut st = stats.borrow_mut();
-        let mut lat = std::mem::take(&mut st.latencies_us);
+    fn collect(&self, _: &World, _: Option<&SysProf>, probes: &CdnProbes) -> CdnResult {
+        let sh = probes.edge.borrow();
+        let mut st = probes.clients.borrow_mut();
         let decided = sh.hits + sh.misses;
-        let output = CdnResult {
+        CdnResult {
             requests_completed: st.completed,
             hits: sh.hits,
             misses: sh.misses,
@@ -398,16 +367,9 @@ impl ScenarioSpec for CdnScenario {
             },
             coalesced: sh.coalesced,
             origin_fetches: sh.origin_fetches,
-            p50_us: percentile_us(&mut lat, 50.0),
-            p95_us: percentile_us(&mut lat, 95.0),
+            p50_us: percentile_us(&mut st.latencies_us, 50.0),
+            p95_us: percentile_us(&mut st.latencies_us, 95.0),
             retries: st.retries + sh.retries,
-        };
-        drop(st);
-        drop(sh);
-        ScenarioRun {
-            world,
-            sysprof,
-            output,
         }
     }
 
@@ -432,19 +394,7 @@ impl ScenarioSpec for CdnScenario {
                     && !p.children.is_empty()
             })
             .collect();
-        let miss_downstream_share = {
-            let (total, down) = paths.iter().fold((0u64, 0u64), |(t, d), p| {
-                (
-                    t + p.parent.end_us.saturating_sub(p.parent.start_us),
-                    d + p.downstream_us(),
-                )
-            });
-            if total > 0 {
-                100.0 * down.min(total) as f64 / total as f64
-            } else {
-                0.0
-            }
-        };
+        let miss_downstream_share = downstream_share_pct(&paths);
         let tail_ratio = if edge_p50 > 0.0 {
             edge_p95 / edge_p50
         } else {

@@ -14,18 +14,19 @@
 //! correlated request paths showing the frontend's latency is downstream
 //! time, not local work.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{FaultPlan, LinkSpec, Port};
-use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
+use simnet::Port;
+use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::SysProf;
 
 use crate::scenario::{
-    percentile_us, scenario_monitor_config, ClientStats, Diagnosis, ScenarioRun, ScenarioSpec,
-    ZipfClient,
+    arm_retry, downstream_share_pct, named_nodes, on_gigabit_lan, outlier_and_median,
+    percentile_us, retry_tick, spawn_zipf_clients, ClientStats, Diagnosis, Link, Placement,
+    ScenarioRun, ScenarioSpec, ZipfLoad,
 };
 
 /// Frontend user-request port.
@@ -39,7 +40,6 @@ const KIND_USER: u32 = 1_000;
 const KIND_MID: u32 = 2_000;
 const KIND_LEAF: u32 = 3_000;
 const RESP_OFFSET: u32 = 100_000;
-const TOK_RETRY: u64 = 0xFA2;
 
 /// Parameters of the fan-out scenario.
 #[derive(Debug, Clone)]
@@ -110,35 +110,22 @@ pub struct FanoutResult {
 // Programs
 // ---------------------------------------------------------------------
 
-/// One downstream ping-pong flow with retransmit state.
-struct Downstream {
-    node: NodeId,
-    sock: Option<SocketId>,
-    ready: bool,
-    in_flight: Option<(u64, SimTime)>, // (msg_id, last_tx)
-    rounds_done: usize,
-}
-
-#[derive(Default)]
-struct TierShared {
-    retries: u64,
-}
-
 /// The frontend: serializes user requests (one in service at a time, the
 /// rest queue) and fans each into one RPC per mid.
 struct Frontend {
-    mids: Vec<Downstream>,
+    mids: Vec<Link>,
     current: Option<(SocketId, u64)>, // the user request in service
     waiting: usize,                   // mids still outstanding
     queue: std::collections::VecDeque<(SocketId, u64)>,
     merge_cost: SimDuration,
     retry_after: SimDuration,
-    shared: Rc<RefCell<TierShared>>,
+    /// Retransmits across both inner tiers.
+    retries: Rc<Cell<u64>>,
 }
 
 impl Frontend {
     fn start_next(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.current.is_some() || self.mids.iter().any(|m| !m.ready) {
+        if self.current.is_some() || self.mids.iter().any(|m| !m.ready()) {
             return;
         }
         let Some(user) = self.queue.pop_front() else {
@@ -147,9 +134,7 @@ impl Frontend {
         self.current = Some(user);
         self.waiting = self.mids.len();
         for m in &mut self.mids {
-            let sock = m.sock.expect("ready implies connected");
-            let id = ctx.send(sock, 256, KIND_MID);
-            m.in_flight = Some((id, ctx.now()));
+            m.send(ctx, 256, KIND_MID, ());
         }
     }
 }
@@ -158,25 +143,22 @@ impl Program for Frontend {
     fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.listen(FRONT_PORT);
         for m in &mut self.mids {
-            m.sock = Some(ctx.connect(m.node, MID_PORT));
+            m.connect(ctx);
         }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        arm_retry(ctx, self.retry_after);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
-        if let Some(m) = self.mids.iter_mut().find(|m| m.sock == Some(sock)) {
-            m.ready = true;
+        for m in &mut self.mids {
+            m.connected(sock);
         }
         self.start_next(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId, msg: Message) {
-        if let Some(m) = self.mids.iter_mut().find(|m| m.sock == Some(sock)) {
+        if let Some(m) = self.mids.iter_mut().find(|m| m.owns(sock)) {
             // Mid response for the request in service?
-            if msg.kind == KIND_MID + RESP_OFFSET
-                && m.in_flight.map(|(id, _)| id) == Some(msg.msg_id)
-            {
-                m.in_flight = None;
+            if m.accept(&msg).is_some() {
                 self.waiting -= 1;
                 if self.waiting == 0 {
                     let (user_sock, user_id) = self.current.take().expect("in service");
@@ -201,54 +183,46 @@ impl Program for Frontend {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        if token != TOK_RETRY {
-            return;
-        }
-        let now = ctx.now();
-        for m in &mut self.mids {
-            if let (Some(sock), Some((id, last))) = (m.sock, m.in_flight) {
-                if now.saturating_since(last) >= self.retry_after {
-                    ctx.send_with_id(sock, 256, KIND_MID, id);
-                    m.in_flight = Some((id, now));
-                    self.shared.borrow_mut().retries += 1;
-                }
-            }
-        }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        let retries = retry_tick(ctx, token, self.retry_after, &mut self.mids);
+        self.retries.set(self.retries.get() + retries);
     }
+}
+
+/// One of a mid's leaf flows and the rounds the current request has
+/// completed on it.
+struct Leaf {
+    link: Link,
+    rounds_done: usize,
 }
 
 /// A mid-tier service: each request fans into `rounds` sequential RPCs
 /// to each of its leaves (leaves progress in parallel, rounds within a
 /// leaf are serial), then a merge compute and the response.
 struct MidService {
-    leaves: Vec<Downstream>,
+    leaves: Vec<Leaf>,
     rounds: usize,
     current: Option<(SocketId, u64)>,
     pending_start: bool,
     last_done: Option<(SocketId, u64)>,
     merge_cost: SimDuration,
     retry_after: SimDuration,
-    shared: Rc<RefCell<TierShared>>,
+    retries: Rc<Cell<u64>>,
 }
 
 impl MidService {
     fn outstanding(&self) -> usize {
         self.leaves
             .iter()
-            .filter(|l| l.in_flight.is_some() || l.rounds_done < self.rounds)
+            .filter(|l| l.link.busy() || l.rounds_done < self.rounds)
             .count()
     }
 
     fn send_round(&mut self, ctx: &mut ProcCtx<'_>, idx: usize) {
-        let l = &mut self.leaves[idx];
-        let sock = l.sock.expect("ready implies connected");
-        let id = ctx.send(sock, 200, KIND_LEAF);
-        l.in_flight = Some((id, ctx.now()));
+        self.leaves[idx].link.send(ctx, 200, KIND_LEAF, ());
     }
 
     fn try_begin(&mut self, ctx: &mut ProcCtx<'_>) {
-        if !self.pending_start || self.leaves.iter().any(|l| !l.ready) {
+        if !self.pending_start || self.leaves.iter().any(|l| !l.link.ready()) {
             return;
         }
         self.pending_start = false;
@@ -265,26 +239,23 @@ impl Program for MidService {
     fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.listen(MID_PORT);
         for l in &mut self.leaves {
-            l.sock = Some(ctx.connect(l.node, LEAF_PORT));
+            l.link.connect(ctx);
         }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        arm_retry(ctx, self.retry_after);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
-        if let Some(l) = self.leaves.iter_mut().find(|l| l.sock == Some(sock)) {
-            l.ready = true;
+        for l in &mut self.leaves {
+            l.link.connected(sock);
         }
         self.try_begin(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId, msg: Message) {
-        if let Some(idx) = self.leaves.iter().position(|l| l.sock == Some(sock)) {
-            let matches = msg.kind == KIND_LEAF + RESP_OFFSET
-                && self.leaves[idx].in_flight.map(|(id, _)| id) == Some(msg.msg_id);
-            if !matches {
+        if let Some(idx) = self.leaves.iter().position(|l| l.link.owns(sock)) {
+            if self.leaves[idx].link.accept(&msg).is_none() {
                 return;
             }
-            self.leaves[idx].in_flight = None;
             self.leaves[idx].rounds_done += 1;
             if self.leaves[idx].rounds_done < self.rounds {
                 self.send_round(ctx, idx);
@@ -314,20 +285,9 @@ impl Program for MidService {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        if token != TOK_RETRY {
-            return;
-        }
-        let now = ctx.now();
-        for l in &mut self.leaves {
-            if let (Some(sock), Some((id, last))) = (l.sock, l.in_flight) {
-                if now.saturating_since(last) >= self.retry_after {
-                    ctx.send_with_id(sock, 200, KIND_LEAF, id);
-                    l.in_flight = Some((id, now));
-                    self.shared.borrow_mut().retries += 1;
-                }
-            }
-        }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        let links = self.leaves.iter_mut().map(|l| &mut l.link);
+        let retries = retry_tick(ctx, token, self.retry_after, links);
+        self.retries.set(self.retries.get() + retries);
     }
 }
 
@@ -374,43 +334,33 @@ impl FanoutScenario {
     }
 }
 
+/// What a fan-out run's programs count: the clients' completions and
+/// latencies, and the two inner tiers' retransmits.
+pub struct FanoutProbes {
+    clients: Rc<RefCell<ClientStats>>,
+    tier_retries: Rc<Cell<u64>>,
+}
+
 impl ScenarioSpec for FanoutScenario {
     type Output = FanoutResult;
+    type Probes = FanoutProbes;
 
     fn name(&self) -> &'static str {
         "fanout"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<FanoutResult> {
-        let mut builder = WorldBuilder::new(seed);
-        for i in 0..self.clients {
-            builder = builder.node(&format!("fo-client{i}"));
-        }
-        builder = builder.node("fo-frontend");
-        for i in 0..self.mids {
-            builder = builder.node(&format!("fo-mid{i}"));
-        }
-        for i in 0..self.leaf_count() {
-            builder = builder.node(&format!("fo-leaf{i}"));
-        }
-        let mut world = builder
-            .node("gpa")
-            .full_mesh(LinkSpec::gigabit_lan())
-            .faults(faults)
-            .build()
-            .expect("topology");
-
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        let nodes = named_nodes(nodes, "fo-client", self.clients).node("fo-frontend");
+        let nodes = named_nodes(nodes, "fo-mid", self.mids);
+        let nodes = named_nodes(nodes, "fo-leaf", self.leaf_count());
         let mut monitored = vec![self.frontend_node()];
         monitored.extend((0..self.mids).map(|m| self.mid_node(m)));
         monitored.extend((0..self.leaf_count()).map(|l| self.leaf_node(l)));
-        let sysprof = SysProf::deploy(
-            &mut world,
-            &monitored,
-            self.gpa_node(),
-            scenario_monitor_config(),
-        );
+        on_gigabit_lan(nodes, monitored, self.gpa_node())
+    }
 
-        let shared = Rc::new(RefCell::new(TierShared::default()));
+    fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> FanoutProbes {
+        let tier_retries = Rc::new(Cell::new(0));
         for l in 0..self.leaf_count() {
             let service = if l == self.slow_leaf {
                 SimDuration::from_secs_f64(self.leaf_service.as_secs_f64() * self.slow_multiplier)
@@ -425,11 +375,8 @@ impl ScenarioSpec for FanoutScenario {
         }
         for m in 0..self.mids {
             let leaves = (0..self.leaves_per_mid)
-                .map(|i| Downstream {
-                    node: self.leaf_node(m * self.leaves_per_mid + i),
-                    sock: None,
-                    ready: false,
-                    in_flight: None,
+                .map(|i| Leaf {
+                    link: Link::new(self.leaf_node(m * self.leaves_per_mid + i), LEAF_PORT),
                     rounds_done: 0,
                 })
                 .collect();
@@ -444,7 +391,7 @@ impl ScenarioSpec for FanoutScenario {
                     last_done: None,
                     merge_cost: SimDuration::from_micros(40),
                     retry_after: self.retry_after,
-                    shared: shared.clone(),
+                    retries: tier_retries.clone(),
                 }),
             );
         }
@@ -453,62 +400,49 @@ impl ScenarioSpec for FanoutScenario {
             "fo-frontend",
             Box::new(Frontend {
                 mids: (0..self.mids)
-                    .map(|m| Downstream {
-                        node: self.mid_node(m),
-                        sock: None,
-                        ready: false,
-                        in_flight: None,
-                        rounds_done: 0,
-                    })
+                    .map(|m| Link::new(self.mid_node(m), MID_PORT))
                     .collect(),
                 current: None,
                 waiting: 0,
                 queue: std::collections::VecDeque::new(),
                 merge_cost: SimDuration::from_micros(50),
                 retry_after: self.retry_after,
-                shared: shared.clone(),
+                retries: tier_retries.clone(),
             }),
         );
-
-        let stats = ClientStats::shared(1);
-        let deadline = SimTime::ZERO + self.duration;
-        for c in 0..self.clients {
-            world.spawn(
-                NodeId(c as u32),
-                &format!("fo-client{c}"),
-                Box::new(ZipfClient {
-                    server: self.frontend_node(),
-                    port: FRONT_PORT,
-                    keys: 1, // a single "key": plain closed-loop requests
-                    skew: 0.0,
-                    req_bytes: 256,
-                    kind_base: KIND_USER,
-                    resp_offset: RESP_OFFSET,
-                    deadline,
-                    retry_after: self.retry_after,
-                    shared: stats.clone(),
-                    sock: None,
-                    outstanding: None,
-                }),
-            );
+        let clients = spawn_zipf_clients(
+            world,
+            self.clients,
+            "fo-client",
+            ZipfLoad {
+                server: self.frontend_node(),
+                port: FRONT_PORT,
+                keys: 1, // a single "key": plain closed-loop requests
+                skew: 0.0,
+                req_bytes: 256,
+                kind_base: KIND_USER,
+                deadline: SimTime::ZERO + self.duration,
+                retry_after: self.retry_after,
+            },
+        );
+        FanoutProbes {
+            clients,
+            tier_retries,
         }
+    }
 
-        world.run_until(deadline + SimDuration::from_secs(1));
+    fn stop_at(&self) -> SimTime {
+        SimTime::ZERO + self.duration + SimDuration::from_secs(1)
+    }
 
-        let mut st = stats.borrow_mut();
-        let mut lat = std::mem::take(&mut st.latencies_us);
-        let output = FanoutResult {
+    fn collect(&self, _: &World, _: Option<&SysProf>, probes: &FanoutProbes) -> FanoutResult {
+        let mut st = probes.clients.borrow_mut();
+        FanoutResult {
             requests_completed: st.completed,
             rpcs_per_request: self.rpcs_per_request(),
-            p50_us: percentile_us(&mut lat, 50.0),
-            p99_us: percentile_us(&mut lat, 99.0),
-            retries: st.retries + shared.borrow().retries,
-        };
-        drop(st);
-        ScenarioRun {
-            world,
-            sysprof,
-            output,
+            p50_us: percentile_us(&mut st.latencies_us, 50.0),
+            p99_us: percentile_us(&mut st.latencies_us, 99.0),
+            retries: st.retries + probes.tier_retries.get(),
         }
     }
 
@@ -522,15 +456,7 @@ impl ScenarioSpec for FanoutScenario {
                     .map_or(0.0, |s| s.mean_user_us)
             })
             .collect();
-        let slow = user_us
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite").then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("at least one leaf");
-        let mut sorted = user_us.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let median = sorted[sorted.len() / 2];
+        let (slow, median) = outlier_and_median(&user_us);
         // Correlated paths rooted at the frontend: how much of its
         // latency is downstream time at the mid tier.
         let fe = self.frontend_node();
@@ -540,19 +466,7 @@ impl ScenarioSpec for FanoutScenario {
             .filter(|p| p.parent.node == fe && p.parent.class_port == FRONT_PORT)
             .collect();
         let with_children = paths.iter().filter(|p| !p.children.is_empty()).count();
-        let downstream_share = {
-            let (total, down) = paths.iter().fold((0u64, 0u64), |(t, d), p| {
-                (
-                    t + p.parent.end_us.saturating_sub(p.parent.start_us),
-                    d + p.downstream_us(),
-                )
-            });
-            if total > 0 {
-                100.0 * down.min(total) as f64 / total as f64
-            } else {
-                0.0
-            }
-        };
+        let downstream_share = downstream_share_pct(&paths);
         let mut evidence: Vec<String> = user_us
             .iter()
             .enumerate()

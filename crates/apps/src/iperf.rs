@@ -16,11 +16,11 @@
 
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{FaultPlan, LinkSpec, Port};
+use simnet::{LinkSpec, Port};
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::{MonitorConfig, SysProf};
 
-use crate::scenario::{Diagnosis, ScenarioRun, ScenarioSpec};
+use crate::scenario::{Diagnosis, Placement, ScenarioRun, ScenarioSpec};
 
 const KIND_DATA: u32 = 10;
 const KIND_ACK: u32 = 11;
@@ -140,81 +140,10 @@ pub struct IperfResult {
     pub monitor_bytes_sent: u64,
 }
 
-/// Runs Iperf for `duration` over `link`, with SysProf deployed when
-/// `monitored`. Node 0 sends to node 1; node 2 hosts the GPA over a
-/// separate link so monitoring traffic does not share the measured link.
-pub fn run_iperf(link: LinkSpec, monitored: bool, duration: SimDuration, seed: u64) -> IperfResult {
-    run_iperf_inner(link, monitored, duration, seed, FaultPlan::default()).2
-}
-
-fn run_iperf_inner(
-    link: LinkSpec,
-    monitored: bool,
-    duration: SimDuration,
-    seed: u64,
-    faults: FaultPlan,
-) -> (World, Option<SysProf>, IperfResult) {
-    let mut world = WorldBuilder::new(seed)
-        .node("sender")
-        .node("receiver")
-        .node("gpa")
-        .link(NodeId(0), NodeId(1), link)
-        // Monitoring plane on its own gigabit links.
-        .link(NodeId(0), NodeId(2), LinkSpec::gigabit_lan())
-        .link(NodeId(1), NodeId(2), LinkSpec::gigabit_lan())
-        .faults(faults)
-        .build()
-        .expect("static topology is valid");
-
-    let sysprof = monitored.then(|| {
-        SysProf::deploy(
-            &mut world,
-            &[NodeId(0), NodeId(1)],
-            NodeId(2),
-            MonitorConfig::default(),
-        )
-    });
-
-    world.spawn(
-        NodeId(1),
-        "iperf-server",
-        Box::new(IperfServer::new(Port(5001))),
-    );
-    world.spawn(
-        NodeId(0),
-        "iperf-client",
-        Box::new(IperfClient::new(
-            NodeId(1),
-            Port(5001),
-            64 * 1024,
-            8,
-            duration,
-        )),
-    );
-
-    world.run_until(SimTime::ZERO + duration + SimDuration::from_secs(1));
-
-    let stats = world.node_stats(NodeId(1));
-    let goodput_mbps = stats.bytes_received as f64 * 8.0 / duration.as_secs_f64() / 1e6;
-    let monitor_bytes_sent = sysprof
-        .as_ref()
-        .and_then(|s| s.daemon_stats(NodeId(1)))
-        .map(|d| d.bytes_sent)
-        .unwrap_or(0);
-
-    let result = IperfResult {
-        goodput_mbps,
-        receiver_cpu_utilization: stats.cpu.busy().as_secs_f64() / world.now().as_secs_f64(),
-        ring_drops: stats.ring_drops,
-        overhead_fraction: stats.cpu.monitor.as_secs_f64() / world.now().as_secs_f64(),
-        monitor_bytes_sent,
-    };
-    (world, sysprof, result)
-}
-
-/// The Iperf microbenchmark as a [`ScenarioSpec`]: a monitored bulk
-/// stream whose diagnosis shows the monitoring tax is receiver CPU, not
-/// network usage.
+/// The Iperf microbenchmark as a [`ScenarioSpec`]: a bulk stream from
+/// node 0 to node 1 whose diagnosis shows the monitoring tax is receiver
+/// CPU, not network usage. Node 2 hosts the GPA over separate links so
+/// monitoring traffic does not share the measured one.
 #[derive(Debug, Clone)]
 pub struct IperfScenario {
     /// The measured link.
@@ -234,18 +163,66 @@ impl Default for IperfScenario {
 
 impl ScenarioSpec for IperfScenario {
     type Output = IperfResult;
+    type Probes = ();
 
     fn name(&self) -> &'static str {
         "iperf"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<IperfResult> {
-        let (world, sysprof, output) =
-            run_iperf_inner(self.link, true, self.duration, seed, faults);
-        ScenarioRun {
-            world,
-            sysprof: sysprof.expect("scenario runs monitored"),
-            output,
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        (
+            nodes
+                .node("sender")
+                .node("receiver")
+                .node("gpa")
+                .link(NodeId(0), NodeId(1), self.link)
+                // Monitoring plane on its own gigabit links.
+                .link(NodeId(0), NodeId(2), LinkSpec::gigabit_lan())
+                .link(NodeId(1), NodeId(2), LinkSpec::gigabit_lan()),
+            Placement {
+                monitored: vec![NodeId(0), NodeId(1)],
+                gpa: NodeId(2),
+            },
+        )
+    }
+
+    fn monitor_config(&self) -> MonitorConfig {
+        MonitorConfig::default()
+    }
+
+    fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) {
+        world.spawn(
+            NodeId(1),
+            "iperf-server",
+            Box::new(IperfServer::new(Port(5001))),
+        );
+        world.spawn(
+            NodeId(0),
+            "iperf-client",
+            Box::new(IperfClient::new(
+                NodeId(1),
+                Port(5001),
+                64 * 1024,
+                8,
+                self.duration,
+            )),
+        );
+    }
+
+    fn stop_at(&self) -> SimTime {
+        SimTime::ZERO + self.duration + SimDuration::from_secs(1)
+    }
+
+    fn collect(&self, world: &World, monitor: Option<&SysProf>, _: &()) -> IperfResult {
+        let stats = world.node_stats(NodeId(1));
+        IperfResult {
+            goodput_mbps: stats.bytes_received as f64 * 8.0 / self.duration.as_secs_f64() / 1e6,
+            receiver_cpu_utilization: stats.cpu.busy().as_secs_f64() / world.now().as_secs_f64(),
+            ring_drops: stats.ring_drops,
+            overhead_fraction: stats.cpu.monitor.as_secs_f64() / world.now().as_secs_f64(),
+            monitor_bytes_sent: monitor
+                .and_then(|s| s.daemon_stats(NodeId(1)))
+                .map_or(0, |d| d.bytes_sent),
         }
     }
 
@@ -283,15 +260,15 @@ mod tests {
 
     #[test]
     fn gigabit_baseline_approaches_line_rate() {
-        let r = run_iperf(LinkSpec::gigabit_lan(), false, SimDuration::from_secs(2), 7);
+        let (_, r) = IperfScenario::default().run_unmonitored(7);
         assert!(r.goodput_mbps > 850.0, "baseline {} Mbps", r.goodput_mbps);
         assert!(r.goodput_mbps < 1000.0);
     }
 
     #[test]
     fn monitoring_reduces_gigabit_goodput() {
-        let off = run_iperf(LinkSpec::gigabit_lan(), false, SimDuration::from_secs(2), 7);
-        let on = run_iperf(LinkSpec::gigabit_lan(), true, SimDuration::from_secs(2), 7);
+        let (_, off) = IperfScenario::default().run_unmonitored(7);
+        let on = IperfScenario::default().run(7).output;
         assert!(
             on.goodput_mbps < off.goodput_mbps,
             "monitored {} vs baseline {}",
@@ -302,18 +279,12 @@ mod tests {
 
     #[test]
     fn fast_ethernet_overhead_is_small() {
-        let off = run_iperf(
-            LinkSpec::fast_ethernet(),
-            false,
-            SimDuration::from_secs(2),
-            7,
-        );
-        let on = run_iperf(
-            LinkSpec::fast_ethernet(),
-            true,
-            SimDuration::from_secs(2),
-            7,
-        );
+        let spec = IperfScenario {
+            link: LinkSpec::fast_ethernet(),
+            ..IperfScenario::default()
+        };
+        let (_, off) = spec.run_unmonitored(7);
+        let on = spec.run(7).output;
         let loss = (off.goodput_mbps - on.goodput_mbps) / off.goodput_mbps;
         assert!(loss < 0.05, "100 Mbps loss {loss}");
     }

@@ -20,13 +20,13 @@ use std::rc::Rc;
 
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{FaultPlan, LinkSpec, Port};
-use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
+use simnet::Port;
+use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::SysProf;
 
 use crate::scenario::{
-    percentile_us, scenario_monitor_config, ClientStats, Diagnosis, ScenarioRun, ScenarioSpec,
-    ZipfClient,
+    arm_retry, named_nodes, on_gigabit_lan, percentile_us, retry_tick, spawn_zipf_clients,
+    ClientStats, Diagnosis, Link, Placement, ScenarioRun, ScenarioSpec, ZipfLoad,
 };
 
 /// Client-facing router port.
@@ -36,7 +36,6 @@ pub const SHARD_PORT: Port = Port(7100);
 
 const REQ_BASE: u32 = 1_000;
 const RESP_OFFSET: u32 = 100_000;
-const TOK_RETRY: u64 = 0x5E7;
 
 /// Parameters of the sharded KV scenario.
 #[derive(Debug, Clone)]
@@ -110,17 +109,10 @@ struct ClientReq {
     bytes: u64,
 }
 
-struct InFlight {
-    shard_msg_id: u64,
-    client: ClientReq,
-    since: SimTime,
-}
-
+/// One shard's flow, tagged with the client whose request is on it, and
+/// the FIFO of requests waiting for it.
 struct ShardConn {
-    node: NodeId,
-    sock: Option<SocketId>,
-    ready: bool,
-    busy: Option<InFlight>,
+    link: Link<ClientReq>,
     queue: VecDeque<ClientReq>,
 }
 
@@ -142,22 +134,17 @@ struct KvRouter {
 impl KvRouter {
     fn pump(&mut self, ctx: &mut ProcCtx<'_>, idx: usize) {
         let s = &mut self.shards[idx];
-        let (Some(sock), true, None) = (s.sock, s.ready, s.busy.as_ref()) else {
+        if !s.link.ready() || s.link.busy() {
             return;
-        };
+        }
         let Some(client) = s.queue.pop_front() else {
             return;
         };
-        let shard_msg_id = ctx.send(sock, client.bytes, client.kind);
-        s.busy = Some(InFlight {
-            shard_msg_id,
-            client,
-            since: ctx.now(),
-        });
+        s.link.send(ctx, client.bytes, client.kind, client);
     }
 
     fn shard_of_sock(&self, sock: SocketId) -> Option<usize> {
-        self.shards.iter().position(|s| s.sock == Some(sock))
+        self.shards.iter().position(|s| s.link.owns(sock))
     }
 }
 
@@ -165,14 +152,13 @@ impl Program for KvRouter {
     fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.listen(ROUTER_PORT);
         for s in &mut self.shards {
-            s.sock = Some(ctx.connect(s.node, SHARD_PORT));
+            s.link.connect(ctx);
         }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        arm_retry(ctx, self.retry_after);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
-        if let Some(idx) = self.shard_of_sock(sock) {
-            self.shards[idx].ready = true;
+        if let Some(idx) = self.shards.iter_mut().position(|s| s.link.connected(sock)) {
             self.pump(ctx, idx);
         }
     }
@@ -180,17 +166,14 @@ impl Program for KvRouter {
     fn on_message(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId, msg: Message) {
         if let Some(idx) = self.shard_of_sock(sock) {
             // Shard response: relay to the waiting client, advance queue.
-            let done = match &self.shards[idx].busy {
-                Some(f) if f.shard_msg_id == msg.msg_id => self.shards[idx].busy.take(),
-                _ => None, // duplicate of an already-relayed response
-            };
-            if let Some(f) = done {
+            // (`None` is a duplicate of an already-relayed response.)
+            if let Some(client) = self.shards[idx].link.accept(&msg) {
                 ctx.compute(SimDuration::from_micros(10));
                 ctx.send_with_id(
-                    f.client.sock,
+                    client.sock,
                     msg.bytes,
-                    f.client.kind + RESP_OFFSET,
-                    f.client.msg_id,
+                    client.kind + RESP_OFFSET,
+                    client.msg_id,
                 );
                 self.pump(ctx, idx);
             }
@@ -215,20 +198,8 @@ impl Program for KvRouter {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        if token != TOK_RETRY {
-            return;
-        }
-        let now = ctx.now();
-        for s in &mut self.shards {
-            if let (Some(sock), Some(f)) = (s.sock, s.busy.as_mut()) {
-                if now.saturating_since(f.since) >= self.retry_after {
-                    ctx.send_with_id(sock, f.client.bytes, f.client.kind, f.shard_msg_id);
-                    f.since = now;
-                    self.shared.borrow_mut().retries += 1;
-                }
-            }
-        }
-        ctx.sleep(self.retry_after, TOK_RETRY);
+        let links = self.shards.iter_mut().map(|s| &mut s.link);
+        self.shared.borrow_mut().retries += retry_tick(ctx, token, self.retry_after, links);
     }
 }
 
@@ -260,6 +231,17 @@ impl Program for KvShard {
 // Runner + diagnosis
 // ---------------------------------------------------------------------
 
+/// The busiest shard (the lowest index on a tie), its count, and the
+/// total it is a share of.
+fn hottest(per_shard: &[u64]) -> (usize, u64, u64) {
+    let (hot, &count) = per_shard
+        .iter()
+        .enumerate()
+        .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
+        .expect("at least one shard");
+    (hot, count, per_shard.iter().sum())
+}
+
 impl KvStoreScenario {
     /// The router's node id (spawn order: clients, router, shards, GPA).
     pub fn router_node(&self) -> NodeId {
@@ -275,43 +257,35 @@ impl KvStoreScenario {
     }
 }
 
+/// What a KV run's programs count: per-shard lookups, the router's queue
+/// depths and retransmits, the clients' completions and latencies.
+pub struct KvProbes {
+    ops: Rc<RefCell<Vec<u64>>>,
+    router: Rc<RefCell<RouterShared>>,
+    clients: Rc<RefCell<ClientStats>>,
+}
+
 impl ScenarioSpec for KvStoreScenario {
     type Output = KvStoreResult;
+    type Probes = KvProbes;
 
     fn name(&self) -> &'static str {
         "kvstore"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<KvStoreResult> {
-        let mut builder = WorldBuilder::new(seed);
-        for i in 0..self.clients {
-            builder = builder.node(&format!("kv-client{i}"));
-        }
-        builder = builder.node("kv-router");
-        for i in 0..self.shards {
-            builder = builder.node(&format!("kv-shard{i}"));
-        }
-        let mut world = builder
-            .node("gpa")
-            .full_mesh(LinkSpec::gigabit_lan())
-            .faults(faults)
-            .build()
-            .expect("topology");
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        let nodes = named_nodes(nodes, "kv-client", self.clients).node("kv-router");
+        let nodes = named_nodes(nodes, "kv-shard", self.shards);
+        let mut monitored = vec![self.router_node()];
+        monitored.extend((0..self.shards).map(|s| self.shard_node(s)));
+        on_gigabit_lan(nodes, monitored, self.gpa_node())
+    }
 
-        let router_node = NodeId(self.clients as u32);
-        let shard_nodes: Vec<NodeId> = (0..self.shards)
-            .map(|i| NodeId((self.clients + 1 + i) as u32))
-            .collect();
-        let gpa_node = NodeId((self.clients + 1 + self.shards) as u32);
-
-        let mut monitored = vec![router_node];
-        monitored.extend(shard_nodes.iter().copied());
-        let sysprof = SysProf::deploy(&mut world, &monitored, gpa_node, scenario_monitor_config());
-
+    fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> KvProbes {
         let ops = Rc::new(RefCell::new(vec![0u64; self.shards]));
-        for (i, &n) in shard_nodes.iter().enumerate() {
+        for i in 0..self.shards {
             world.spawn(
-                n,
+                self.shard_node(i),
                 &format!("kv-shard{i}"),
                 Box::new(KvShard {
                     idx: i,
@@ -321,106 +295,84 @@ impl ScenarioSpec for KvStoreScenario {
                 }),
             );
         }
-        let router_shared = Rc::new(RefCell::new(RouterShared {
+        let router = Rc::new(RefCell::new(RouterShared {
             max_queue_depth: vec![0; self.shards],
             retries: 0,
         }));
         world.spawn(
-            router_node,
+            self.router_node(),
             "kv-router",
             Box::new(KvRouter {
-                shards: shard_nodes
-                    .iter()
-                    .map(|&node| ShardConn {
-                        node,
-                        sock: None,
-                        ready: false,
-                        busy: None,
+                shards: (0..self.shards)
+                    .map(|s| ShardConn {
+                        link: Link::new(self.shard_node(s), SHARD_PORT),
                         queue: VecDeque::new(),
                     })
                     .collect(),
                 route_cost: SimDuration::from_micros(10),
                 retry_after: self.retry_after,
-                shared: router_shared.clone(),
+                shared: router.clone(),
             }),
         );
-
-        let stats = ClientStats::shared(self.keys);
-        let deadline = SimTime::ZERO + self.duration;
-        for c in 0..self.clients {
-            world.spawn(
-                NodeId(c as u32),
-                &format!("kv-client{c}"),
-                Box::new(ZipfClient {
-                    server: router_node,
-                    port: ROUTER_PORT,
-                    keys: self.keys,
-                    skew: self.skew,
-                    req_bytes: self.req_bytes,
-                    kind_base: REQ_BASE,
-                    resp_offset: RESP_OFFSET,
-                    deadline,
-                    retry_after: self.retry_after,
-                    shared: stats.clone(),
-                    sock: None,
-                    outstanding: None,
-                }),
-            );
+        let clients = spawn_zipf_clients(
+            world,
+            self.clients,
+            "kv-client",
+            ZipfLoad {
+                server: self.router_node(),
+                port: ROUTER_PORT,
+                keys: self.keys,
+                skew: self.skew,
+                req_bytes: self.req_bytes,
+                kind_base: REQ_BASE,
+                deadline: SimTime::ZERO + self.duration,
+                retry_after: self.retry_after,
+            },
+        );
+        KvProbes {
+            ops,
+            router,
+            clients,
         }
+    }
 
-        world.run_until(deadline + SimDuration::from_secs(1));
+    fn stop_at(&self) -> SimTime {
+        SimTime::ZERO + self.duration + SimDuration::from_secs(1)
+    }
 
-        let per_shard_ops = ops.borrow().clone();
-        let total: u64 = per_shard_ops.iter().sum();
-        let (hot_shard, &hot_ops) = per_shard_ops
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-            .expect("at least one shard");
-        let mut st = stats.borrow_mut();
-        let mut lat = std::mem::take(&mut st.latencies_us);
-        let rsh = router_shared.borrow();
-        let output = KvStoreResult {
+    fn collect(&self, _: &World, _: Option<&SysProf>, probes: &KvProbes) -> KvStoreResult {
+        let per_shard_ops = probes.ops.borrow().clone();
+        let (hot_shard, hot_ops, total) = hottest(&per_shard_ops);
+        let mut st = probes.clients.borrow_mut();
+        let rsh = probes.router.borrow();
+        KvStoreResult {
             ops_completed: st.completed,
-            per_shard_ops: per_shard_ops.clone(),
             hot_shard,
             hot_shard_share: if total > 0 {
                 hot_ops as f64 / total as f64
             } else {
                 0.0
             },
-            p50_us: percentile_us(&mut lat, 50.0),
-            p95_us: percentile_us(&mut lat, 95.0),
+            p50_us: percentile_us(&mut st.latencies_us, 50.0),
+            p95_us: percentile_us(&mut st.latencies_us, 95.0),
             max_queue_depth: rsh.max_queue_depth.clone(),
             retries: st.retries + rsh.retries,
-        };
-        drop(st);
-        drop(rsh);
-        ScenarioRun {
-            world,
-            sysprof,
-            output,
+            per_shard_ops,
         }
     }
 
     fn diagnose(&self, run: &ScenarioRun<KvStoreResult>) -> Diagnosis {
         let gpa = run.sysprof.gpa();
         let gpa = gpa.borrow();
-        let router_node = NodeId(self.clients as u32);
         // The GPA's view: responder-side interaction counts per shard
         // node — no application counters consulted.
         let counts: Vec<u64> = (0..self.shards)
             .map(|i| {
-                let node = NodeId((self.clients + 1 + i) as u32);
-                gpa.class_summary(node, SHARD_PORT).map_or(0, |s| s.count)
+                gpa.class_summary(self.shard_node(i), SHARD_PORT)
+                    .map_or(0, |s| s.count)
             })
             .collect();
-        let total: u64 = counts.iter().sum();
-        let (hot, &hot_count) = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-            .expect("at least one shard");
+        let (hot, hot_count, total) = hottest(&counts);
         let share = if total > 0 {
             100.0 * hot_count as f64 / total as f64
         } else {
@@ -430,7 +382,7 @@ impl ScenarioSpec for KvStoreScenario {
             .iter()
             .enumerate()
             .map(|(i, &n)| {
-                let node = NodeId((self.clients + 1 + i) as u32);
+                let node = self.shard_node(i);
                 let user = gpa
                     .class_summary(node, SHARD_PORT)
                     .map_or(0.0, |s| s.mean_user_us);
@@ -440,7 +392,7 @@ impl ScenarioSpec for KvStoreScenario {
                 )
             })
             .collect();
-        if let Some(r) = gpa.class_summary(router_node, ROUTER_PORT) {
+        if let Some(r) = gpa.class_summary(self.router_node(), ROUTER_PORT) {
             evidence.push(format!(
                 "router: {} interactions, p95 total {:.0}µs",
                 r.count, r.p95_total_us
@@ -498,14 +450,10 @@ mod tests {
     #[test]
     fn survives_loss_with_retries() {
         let spec = quick();
-        let run = spec.run_under(7, testplan_loss());
+        let run = spec.run_under(7, testkit::uniform_loss(0.01));
         // Every lost hop costs a retry-timeout stall, so the closed loop
         // slows by an order of magnitude — but it must keep moving.
         assert!(run.output.ops_completed > 50, "{:?}", run.output);
         assert!(run.output.retries > 0, "loss must trigger retries");
-    }
-
-    fn testplan_loss() -> FaultPlan {
-        FaultPlan::default().with_default_link(simnet::LinkFaults::lossy(0.01))
     }
 }

@@ -28,14 +28,24 @@
 //! * [`cdn`] — a CDN/cache tier with zipfian traffic, TTL expiry, and
 //!   origin fallback: the GPA must attribute the tail to origin disk.
 //!
-//! Every workload — legacy and new — implements [`ScenarioSpec`]: a
-//! seeded, fault-injectable run plus a deterministic golden
-//! [`Diagnosis`], so one chaos matrix and one bench harness cover them
-//! all.
+//! Every workload — paper and scenario library — is a [`ScenarioSpec`]:
+//! a topology with the monitor's placement, a spawn, a collect and a
+//! golden [`Diagnosis`]. None of them builds a world or deploys a
+//! monitor; the runner in [`scenario`] does that for all of them, so one
+//! chaos matrix, one bench harness and one monitoring-configuration axis
+//! cover the lot:
 //!
-//! Each module exposes a `run_*` function returning a typed result, used
-//! by the examples, the integration tests, and the `figures` harness in
-//! `sysprof-bench`.
+//! ```
+//! use sysprof_apps::{KvStoreScenario, ScenarioSpec};
+//! let spec = KvStoreScenario::default();
+//! let run = spec.run(7); // or run_under(seed, faults), run_with(.., config)
+//! println!("{}", spec.diagnose(&run));
+//! let (_world, baseline) = spec.run_unmonitored(7); // same world, no monitor
+//! assert!(baseline.ops_completed > 0);
+//! ```
+//!
+//! The examples, the integration tests and the `figures` harness in
+//! `sysprof-bench` all enter through that trait.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,9 +63,9 @@ pub mod storage;
 pub use allreduce::{AllreduceResult, AllreduceScenario};
 pub use cdn::{CdnResult, CdnScenario};
 pub use fanout::{FanoutResult, FanoutScenario};
-pub use iperf::{run_iperf, IperfResult, IperfScenario};
+pub use iperf::{IperfResult, IperfScenario};
 pub use kvstore::{KvStoreResult, KvStoreScenario};
-pub use linpack::{run_linpack, LinpackResult, LinpackScenario};
-pub use rubis::{run_rubis, RubisConfig, RubisResult, RubisScenario};
-pub use scenario::{Diagnosis, ScenarioRun, ScenarioSpec};
-pub use storage::{run_storage, StorageConfig, StorageResult, StorageScenario};
+pub use linpack::{LinpackResult, LinpackScenario};
+pub use rubis::{RubisResult, RubisScenario};
+pub use scenario::{Diagnosis, Placement, ScenarioRun, ScenarioSpec, Staged};
+pub use storage::{StorageResult, StorageScenario};

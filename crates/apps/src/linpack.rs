@@ -11,14 +11,14 @@
 //! / (wall time the work actually took), so any CPU stolen by monitoring
 //! lowers the score. With no network traffic, almost no events fire.
 
+use kprof::Pid;
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{FaultPlan, LinkSpec};
 use simos::programs::ComputeLoop;
 use simos::{World, WorldBuilder};
 use sysprof::{MonitorConfig, SysProf};
 
-use crate::scenario::{Diagnosis, ScenarioRun, ScenarioSpec};
+use crate::scenario::{on_gigabit_lan, Diagnosis, Placement, ScenarioRun, ScenarioSpec};
 
 /// Result of one linpack run.
 #[derive(Debug, Clone, Serialize)]
@@ -38,81 +38,57 @@ pub struct LinpackResult {
 /// useful cycle here; the absolute value only anchors the MFLOPS unit.
 const FLOPS_PER_COMPUTE_SEC: f64 = 1_400e6;
 
-/// Runs linpack on a two-node 1 Gbps testbed (matching the paper's
-/// setup), with SysProf deployed when `monitored`.
-pub fn run_linpack(monitored: bool, seed: u64) -> LinpackResult {
-    run_linpack_inner(monitored, seed, FaultPlan::default()).2
-}
-
-fn run_linpack_inner(
-    monitored: bool,
-    seed: u64,
-    faults: FaultPlan,
-) -> (World, Option<SysProf>, LinpackResult) {
-    let mut world = WorldBuilder::new(seed)
-        .node("bench")
-        .node("peer")
-        .node("gpa")
-        .full_mesh(LinkSpec::gigabit_lan())
-        .faults(faults)
-        .build()
-        .expect("static topology is valid");
-
-    let sysprof = monitored.then(|| {
-        SysProf::deploy(
-            &mut world,
-            &[NodeId(0), NodeId(1)],
-            NodeId(2),
-            MonitorConfig::default(),
-        )
-    });
-
-    // 10 s of compute in 10 ms slices.
-    let compute = SimDuration::from_secs(10);
-    let pid = world.spawn(
-        NodeId(0),
-        "linpack",
-        Box::new(ComputeLoop::new(compute, SimDuration::from_millis(10))),
-    );
-
-    world.run_until(SimTime::from_secs(60));
-    assert!(world.process_exited(NodeId(0), pid), "benchmark finished");
-
-    let (user, _kernel) = world.process_times(NodeId(0), pid).expect("process exists");
-    // The benchmark times its own solve phase: work done / wall time from
-    // start to the moment it exits.
-    let elapsed = world.process_exit_time(NodeId(0), pid).expect("exited") - SimTime::ZERO;
-    let flops = user.as_secs_f64() * FLOPS_PER_COMPUTE_SEC;
-    let mflops = flops / elapsed.as_secs_f64() / 1e6;
-
-    let stats = world.node_stats(NodeId(0));
-    let result = LinpackResult {
-        mflops,
-        elapsed,
-        overhead_fraction: stats.cpu.monitor.as_secs_f64() / elapsed.as_secs_f64(),
-        events_generated: world.kprof(NodeId(0)).stats().events_generated,
-    };
-    (world, sysprof, result)
-}
-
-/// Linpack as a [`ScenarioSpec`]: the compute-only control whose
-/// diagnosis must find *nothing* network-attributable.
+/// Linpack on a two-node 1 Gbps testbed (matching the paper's setup) as
+/// a [`ScenarioSpec`]: the compute-only control whose diagnosis must find
+/// *nothing* network-attributable.
 #[derive(Debug, Clone, Default)]
 pub struct LinpackScenario;
 
 impl ScenarioSpec for LinpackScenario {
     type Output = LinpackResult;
+    /// The benchmark process.
+    type Probes = Pid;
 
     fn name(&self) -> &'static str {
         "linpack"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<LinpackResult> {
-        let (world, sysprof, output) = run_linpack_inner(true, seed, faults);
-        ScenarioRun {
-            world,
-            sysprof: sysprof.expect("scenario runs monitored"),
-            output,
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        let nodes = nodes.node("bench").node("peer");
+        on_gigabit_lan(nodes, vec![NodeId(0), NodeId(1)], NodeId(2))
+    }
+
+    fn monitor_config(&self) -> MonitorConfig {
+        MonitorConfig::default()
+    }
+
+    fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> Pid {
+        // 10 s of compute in 10 ms slices.
+        let compute = SimDuration::from_secs(10);
+        world.spawn(
+            NodeId(0),
+            "linpack",
+            Box::new(ComputeLoop::new(compute, SimDuration::from_millis(10))),
+        )
+    }
+
+    fn stop_at(&self) -> SimTime {
+        SimTime::from_secs(60)
+    }
+
+    fn collect(&self, world: &World, _: Option<&SysProf>, &pid: &Pid) -> LinpackResult {
+        assert!(world.process_exited(NodeId(0), pid), "benchmark finished");
+        let (user, _kernel) = world.process_times(NodeId(0), pid).expect("process exists");
+        // The benchmark times its own solve phase: work done / wall time from
+        // start to the moment it exits.
+        let elapsed = world.process_exit_time(NodeId(0), pid).expect("exited") - SimTime::ZERO;
+        let flops = user.as_secs_f64() * FLOPS_PER_COMPUTE_SEC;
+        LinpackResult {
+            mflops: flops / elapsed.as_secs_f64() / 1e6,
+            elapsed,
+            overhead_fraction: world.node_stats(NodeId(0)).cpu.monitor.as_secs_f64()
+                / elapsed.as_secs_f64(),
+            events_generated: world.kprof(NodeId(0)).stats().events_generated,
         }
     }
 
@@ -138,8 +114,8 @@ mod tests {
 
     #[test]
     fn monitoring_does_not_change_mflops_measurably() {
-        let off = run_linpack(false, 42);
-        let on = run_linpack(true, 42);
+        let (_, off) = LinpackScenario.run_unmonitored(42);
+        let on = LinpackScenario.run(42).output;
         let rel = (off.mflops - on.mflops).abs() / off.mflops;
         // The paper: "There was no change in the mflops measured".
         assert!(
@@ -158,7 +134,7 @@ mod tests {
 
     #[test]
     fn mflops_is_in_a_sane_range() {
-        let r = run_linpack(false, 1);
+        let (_, r) = LinpackScenario.run_unmonitored(1);
         assert!(r.mflops > 500.0 && r.mflops < 1500.0, "mflops {}", r.mflops);
     }
 }

@@ -28,12 +28,12 @@ use pubsub::reliable::Receiver;
 use serde::Serialize;
 use simcore::stats::RateMeter;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{EndPoint, FaultPlan, LinkSpec, Port};
+use simnet::{EndPoint, FaultPlan, Port};
 use simos::programs::ComputeLoop;
 use simos::{KernelOutput, KernelSink, Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::{GpaConfig, LoadRecord, MonitorConfig, SysProf, LOAD_TOPIC};
 
-use crate::scenario::{Diagnosis, ScenarioRun, ScenarioSpec};
+use crate::scenario::{on_gigabit_lan, Diagnosis, Placement, ScenarioRun, ScenarioSpec};
 
 /// Servlet server port.
 pub const SERVLET_PORT: Port = Port(8009);
@@ -44,34 +44,31 @@ const KIND_BID: u32 = 1;
 const KIND_COMMENT: u32 = 2;
 const RESP_OFFSET: u32 = 100;
 
-/// Experiment parameters.
+/// RUBiS as a [`ScenarioSpec`]: the mid-run background load lands on
+/// servlet-a, and the GPA's load reports must indict it. Run monitored,
+/// SysProf sits on the two servlet servers; Figure 6's plain DWCS is the
+/// unmonitored run.
 #[derive(Debug, Clone)]
-pub struct RubisConfig {
+pub struct RubisScenario {
     /// Use resource-aware dispatch (Figure 7) instead of round-robin
-    /// (Figure 6).
+    /// (Figure 6). RA-DWCS steers by SysProf's load reports: run
+    /// unmonitored it has none, and every server scores the same.
     pub resource_aware: bool,
-    /// Deploy SysProf on the servlet servers. Forced on when
-    /// `resource_aware` (RA-DWCS needs the measurements).
-    pub monitored: bool,
     /// Run length.
     pub duration: SimDuration,
     /// Offered load per class, requests/second.
     pub rate_per_class: f64,
     /// When the background load starts (defaults to half the duration).
     pub disturbance_at: Option<SimDuration>,
-    /// Experiment seed.
-    pub seed: u64,
 }
 
-impl Default for RubisConfig {
+impl Default for RubisScenario {
     fn default() -> Self {
-        RubisConfig {
+        RubisScenario {
             resource_aware: false,
-            monitored: false,
-            duration: SimDuration::from_secs(60),
+            duration: SimDuration::from_secs(20),
             rate_per_class: 150.0,
             disturbance_at: None,
-            seed: 1,
         }
     }
 }
@@ -146,18 +143,22 @@ struct Req {
     target: Option<NodeId>,
 }
 
-/// Shared observable state of the client driver.
+/// The two request classes, bidding first. A class's message kind is
+/// also its arrival timer's token.
+const CLASSES: [u32; 2] = [KIND_BID, KIND_COMMENT];
+const TOKEN_POLL: u64 = 3;
+
+/// Observable state of one class at the client driver.
 #[derive(Default)]
-struct DriverShared {
-    bid_meter: Option<RateMeter>,
-    comment_meter: Option<RateMeter>,
-    bid_completed: u64,
-    comment_completed: u64,
-    bid_dropped: u64,
-    comment_dropped: u64,
-    bid_violations: u64,
-    comment_violations: u64,
+struct ClassShared {
+    meter: Option<RateMeter>,
+    completed: u64,
+    dropped: u64,
+    violations: u64,
 }
+
+/// Shared observable state of the client driver, in [`CLASSES`] order.
+type DriverShared = [ClassShared; 2];
 
 /// The httperf + DWCS driver on the client machine.
 struct RubisDriver {
@@ -165,12 +166,11 @@ struct RubisDriver {
     socks: HashMap<NodeId, SocketId>,
     connected: usize,
     sched: Scheduler<Req>,
-    bids: StreamId,
-    comments: StreamId,
+    /// The DWCS stream of each class, in [`CLASSES`] order.
+    streams: [StreamId; 2],
     rate: f64,
     duration: SimDuration,
     outstanding: HashMap<NodeId, usize>,
-    /// Which server each in-flight request (by socket) went to, FIFO.
     resource_aware: bool,
     loads: Rc<RefCell<RaDispatcher>>,
     shared: Rc<RefCell<DriverShared>>,
@@ -178,10 +178,6 @@ struct RubisDriver {
     max_outstanding_per_server: usize,
     started: bool,
 }
-
-const TOKEN_BID_ARRIVAL: u64 = 1;
-const TOKEN_COMMENT_ARRIVAL: u64 = 2;
-const TOKEN_POLL: u64 = 3;
 
 impl RubisDriver {
     fn arm_arrival(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
@@ -237,14 +233,12 @@ impl RubisDriver {
         {
             let mut sh = self.shared.borrow_mut();
             for (stream, _req) in dropped {
-                if stream == self.bids {
-                    sh.bid_dropped += 1;
-                } else {
-                    sh.comment_dropped += 1;
-                }
+                let c = self.streams.iter().position(|&s| s == stream);
+                sh[c.expect("a stream of ours")].dropped += 1;
             }
-            sh.bid_violations = self.sched.stats(self.bids).violations;
-            sh.comment_violations = self.sched.stats(self.comments).violations;
+            for (class, &stream) in sh.iter_mut().zip(&self.streams) {
+                class.violations = self.sched.stats(stream).violations;
+            }
         }
         while let Some((_stream, head)) = self.sched.peek(now) {
             let head = *head;
@@ -275,14 +269,12 @@ impl Program for RubisDriver {
         self.connected += 1;
         if self.connected == self.servers.len() && !self.started {
             self.started = true;
-            {
-                let mut sh = self.shared.borrow_mut();
-                let w = SimDuration::from_secs(1);
-                sh.bid_meter = Some(RateMeter::new(ctx.now(), w));
-                sh.comment_meter = Some(RateMeter::new(ctx.now(), w));
+            for class in self.shared.borrow_mut().iter_mut() {
+                class.meter = Some(RateMeter::new(ctx.now(), SimDuration::from_secs(1)));
             }
-            self.arm_arrival(ctx, TOKEN_BID_ARRIVAL);
-            self.arm_arrival(ctx, TOKEN_COMMENT_ARRIVAL);
+            for kind in CLASSES {
+                self.arm_arrival(ctx, kind as u64);
+            }
             ctx.sleep(SimDuration::from_millis(5), TOKEN_POLL);
         }
     }
@@ -290,32 +282,15 @@ impl Program for RubisDriver {
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
         let now = ctx.now();
         let over = now.saturating_since(SimTime::ZERO) >= self.duration;
-        match token {
-            TOKEN_BID_ARRIVAL if !over => {
+        match CLASSES.iter().position(|&kind| kind as u64 == token) {
+            Some(c) if !over => {
+                let class = CLASSES[c];
                 let target = self.static_target();
-                self.sched.enqueue(
-                    self.bids,
-                    Req {
-                        class: KIND_BID,
-                        target,
-                    },
-                    now,
-                );
-                self.arm_arrival(ctx, TOKEN_BID_ARRIVAL);
+                self.sched
+                    .enqueue(self.streams[c], Req { class, target }, now);
+                self.arm_arrival(ctx, token);
             }
-            TOKEN_COMMENT_ARRIVAL if !over => {
-                let target = self.static_target();
-                self.sched.enqueue(
-                    self.comments,
-                    Req {
-                        class: KIND_COMMENT,
-                        target,
-                    },
-                    now,
-                );
-                self.arm_arrival(ctx, TOKEN_COMMENT_ARRIVAL);
-            }
-            TOKEN_POLL if (!over || self.sched.pending() > 0) => {
+            None if token == TOKEN_POLL && (!over || self.sched.pending() > 0) => {
                 ctx.sleep(SimDuration::from_millis(5), TOKEN_POLL);
             }
             _ => {}
@@ -336,23 +311,11 @@ impl Program for RubisDriver {
                 *o = o.saturating_sub(1);
             }
         }
-        {
-            let mut sh = self.shared.borrow_mut();
-            let now = ctx.now();
-            match msg.kind.saturating_sub(RESP_OFFSET) {
-                KIND_BID => {
-                    sh.bid_completed += 1;
-                    if let Some(m) = sh.bid_meter.as_mut() {
-                        m.record(now);
-                    }
-                }
-                KIND_COMMENT => {
-                    sh.comment_completed += 1;
-                    if let Some(m) = sh.comment_meter.as_mut() {
-                        m.record(now);
-                    }
-                }
-                _ => {}
+        if let Some(c) = CLASSES.iter().position(|&k| k + RESP_OFFSET == msg.kind) {
+            let class = &mut self.shared.borrow_mut()[c];
+            class.completed += 1;
+            if let Some(m) = class.meter.as_mut() {
+                m.record(ctx.now());
             }
         }
         self.pump(ctx);
@@ -406,288 +369,229 @@ impl KernelSink for LoadFeed {
     }
 }
 
-// ---------------------------------------------------------------------
-// Runner
-// ---------------------------------------------------------------------
-
-/// Runs the RUBiS experiment.
-pub fn run_rubis(config: RubisConfig) -> RubisResult {
-    run_rubis_inner(config, FaultPlan::default()).result
+/// Lands the mid-run disturbance: after `delay`, three CPU-bound jobs —
+/// enough contention that the servlet can no longer cover its offered
+/// load on this server.
+struct DisturbanceSpawner {
+    delay: SimDuration,
+    work: SimDuration,
 }
 
-/// A monitored RUBiS run under a fault plan, keeping the world and the
-/// deployment, and every load report the RA feed applied (none unless
-/// `config.resource_aware`) with when it applied it, in that order.
+impl Program for DisturbanceSpawner {
+    fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+        ctx.sleep(self.delay, 0);
+    }
+    fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, _token: u64) {
+        for i in 0..3 {
+            ctx.spawn(
+                &format!("background-load-{i}"),
+                Box::new(ComputeLoop::new(self.work, SimDuration::from_millis(4))),
+            );
+        }
+        ctx.exit();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scenario
+// ---------------------------------------------------------------------
+
+const CLIENT: NodeId = NodeId(0);
+const SERVERS: [NodeId; 2] = [NodeId(1), NodeId(2)];
+
+impl RubisScenario {
+    fn disturbance_at(&self) -> SimDuration {
+        self.disturbance_at
+            .unwrap_or(SimDuration::from_nanos(self.duration.as_nanos() / 2))
+    }
+}
+
+/// What a RUBiS run leaves behind besides its result.
+pub struct RubisProbes {
+    driver: Rc<RefCell<DriverShared>>,
+    applied: Rc<RefCell<FeedLog>>,
+}
+
+/// A monitored RUBiS run under a fault plan, and every load report the
+/// RA feed applied (none unless `spec.resource_aware`) with when it
+/// applied it, in that order.
 pub fn run_rubis_under(
-    config: RubisConfig,
+    spec: RubisScenario,
+    seed: u64,
     faults: FaultPlan,
 ) -> (ScenarioRun<RubisResult>, Vec<(SimTime, LoadRecord)>) {
-    let monitored = RubisConfig {
-        monitored: true,
-        ..config
-    };
-    let run = run_rubis_inner(monitored, faults);
-    let scenario = ScenarioRun {
-        world: run.world,
-        sysprof: run.sysprof.expect("config.monitored is set"),
-        output: run.result,
-    };
-    (scenario, run.applied)
-}
-
-/// Everything one run leaves behind.
-struct Run {
-    world: World,
-    sysprof: Option<SysProf>,
-    result: RubisResult,
-    applied: FeedLog,
-}
-
-fn run_rubis_inner(config: RubisConfig, faults: FaultPlan) -> Run {
-    let monitored = config.monitored || config.resource_aware;
-    let mut world = WorldBuilder::new(config.seed)
-        .node("client")
-        .node("servlet-a")
-        .node("servlet-b")
-        .node("gpa")
-        .full_mesh(LinkSpec::gigabit_lan())
-        .faults(faults)
-        .build()
-        .expect("topology");
-    let client = NodeId(0);
-    let servers = vec![NodeId(1), NodeId(2)];
-    let gpa_node = NodeId(3);
-
-    let sysprof = monitored.then(|| {
-        let mut mc = MonitorConfig::default();
-        // Load reports every 50 ms keep RA-DWCS responsive.
-        mc.daemon.flush_interval = SimDuration::from_millis(50);
-        SysProf::deploy(&mut world, &servers, gpa_node, mc)
-    });
-
-    let loads = Rc::new(RefCell::new(RaDispatcher::new()));
-    let applied = Rc::new(RefCell::new(FeedLog::new()));
-    if config.resource_aware {
-        let sp = sysprof.as_ref().expect("forced on");
-        let reply_to = EndPoint::new(world.network().node_ip(client), RA_FEED_PORT);
-        world.install_sink(
-            client,
-            RA_FEED_PORT,
-            Box::new(LoadFeed {
-                loads: loads.clone(),
-                rx: Receiver::new(
-                    vec![LoadRecord::schema()],
-                    GpaConfig::default().gap_nack_limit,
-                ),
-                self_ep: reply_to,
-                applied: applied.clone(),
-            }),
-        );
-        for &s in &servers {
-            sp.subscribe(&mut world, client, s, LOAD_TOPIC, reply_to, None);
-        }
-    }
-
-    for &s in &servers {
-        world.spawn(s, "servlet", Box::new(ServletServer));
-    }
-
-    // DWCS streams: bidding tight (can lose 1 of 20 deadlines), comments
-    // loose (can lose 3 of 5).
-    let mut sched: Scheduler<Req> = Scheduler::new();
-    let bids = sched.add_stream(StreamSpec {
-        name: "bidding".into(),
-        period: SimDuration::from_millis(150),
-        window: WindowConstraint { x: 1, y: 20 },
-    });
-    let comments = sched.add_stream(StreamSpec {
-        name: "comment".into(),
-        period: SimDuration::from_millis(400),
-        window: WindowConstraint { x: 3, y: 5 },
-    });
-
-    let shared = Rc::new(RefCell::new(DriverShared::default()));
-    world.spawn(
-        client,
-        "httperf+dwcs",
-        Box::new(RubisDriver {
-            servers: servers.clone(),
-            socks: HashMap::new(),
-            connected: 0,
-            sched,
-            bids,
-            comments,
-            rate: config.rate_per_class,
-            duration: config.duration,
-            outstanding: HashMap::new(),
-            resource_aware: config.resource_aware,
-            loads,
-            shared: shared.clone(),
-            rr: 0,
-            max_outstanding_per_server: 8,
-            started: false,
-        }),
-    );
-
-    // The mid-run disturbance: a background job lands on servlet-a.
-    let disturbance_at = config
-        .disturbance_at
-        .unwrap_or(SimDuration::from_nanos(config.duration.as_nanos() / 2));
-    struct DisturbanceSpawner {
-        delay: SimDuration,
-        work: SimDuration,
-    }
-    impl Program for DisturbanceSpawner {
-        fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
-            ctx.sleep(self.delay, 0);
-        }
-        fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, _token: u64) {
-            // Three CPU-bound jobs: enough contention that the servlet
-            // can no longer cover its offered load on this server.
-            for i in 0..3 {
-                ctx.spawn(
-                    &format!("background-load-{i}"),
-                    Box::new(ComputeLoop::new(self.work, SimDuration::from_millis(4))),
-                );
-            }
-            ctx.exit();
-        }
-    }
-    world.spawn(
-        servers[0],
-        "disturbance",
-        Box::new(DisturbanceSpawner {
-            delay: disturbance_at,
-            // Enough CPU-bound work to stay saturating past the run's end.
-            work: config.duration,
-        }),
-    );
-
-    world.run_until(SimTime::ZERO + config.duration + SimDuration::from_secs(3));
-
-    let sh = shared.borrow();
-    let half_sec = disturbance_at.as_secs_f64();
-    let outcome = |meter: &Option<RateMeter>, completed, dropped, violations| {
-        let series: Vec<(f64, f64)> = meter
-            .as_ref()
-            .map(|m| {
-                m.rates_per_sec()
-                    .into_iter()
-                    .map(|(t, r)| (t.as_secs_f64(), r))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let duration_s = config.duration.as_secs_f64();
-        let in_run: Vec<&(f64, f64)> = series.iter().filter(|(t, _)| *t < duration_s).collect();
-        let first: Vec<f64> = in_run
-            .iter()
-            .filter(|(t, _)| *t < half_sec)
-            .map(|(_, r)| *r)
-            .collect();
-        let second: Vec<f64> = in_run
-            .iter()
-            .filter(|(t, _)| *t >= half_sec)
-            .map(|(_, r)| *r)
-            .collect();
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        ClassOutcome {
-            mean_rps: completed as f64 / duration_s,
-            first_half_rps: mean(&first),
-            second_half_rps: mean(&second),
-            completed,
-            dropped,
-            violations,
-            series,
-        }
-    };
-
-    let bid = outcome(
-        &sh.bid_meter,
-        sh.bid_completed,
-        sh.bid_dropped,
-        sh.bid_violations,
-    );
-    let comment = outcome(
-        &sh.comment_meter,
-        sh.comment_completed,
-        sh.comment_dropped,
-        sh.comment_violations,
-    );
-    let total_rps = bid.mean_rps + comment.mean_rps;
-
-    let server_overhead_fraction = match &sysprof {
-        Some(sp) => {
-            servers
-                .iter()
-                .map(|&s| sp.overhead_fraction(&world, s))
-                .sum::<f64>()
-                / servers.len() as f64
-        }
-        None => 0.0,
-    };
-
-    let result = RubisResult {
-        bid,
-        comment,
-        total_rps,
-        server_overhead_fraction,
-    };
-    Run {
-        world,
-        sysprof,
-        result,
-        applied: applied.take(),
-    }
-}
-
-/// RUBiS as a [`ScenarioSpec`]: the mid-run background load lands on
-/// servlet-a, and the GPA's load reports must indict it.
-#[derive(Debug, Clone)]
-pub struct RubisScenario {
-    /// Run length (the disturbance lands halfway through).
-    pub duration: SimDuration,
-    /// Offered load per class, requests/second.
-    pub rate_per_class: f64,
-}
-
-impl Default for RubisScenario {
-    fn default() -> Self {
-        RubisScenario {
-            duration: SimDuration::from_secs(20),
-            rate_per_class: 150.0,
-        }
-    }
+    let staged = spec.stage(seed, faults, spec.monitor_config());
+    let applied = staged.probes.applied.clone();
+    (staged.finish(&spec), applied.take())
 }
 
 impl ScenarioSpec for RubisScenario {
     type Output = RubisResult;
+    type Probes = RubisProbes;
 
     fn name(&self) -> &'static str {
         "rubis"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<RubisResult> {
-        let config = RubisConfig {
-            resource_aware: false,
-            monitored: true,
-            duration: self.duration,
-            rate_per_class: self.rate_per_class,
-            disturbance_at: None,
-            seed,
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        let nodes = nodes.node("client").node("servlet-a").node("servlet-b");
+        on_gigabit_lan(nodes, SERVERS.to_vec(), NodeId(3))
+    }
+
+    fn monitor_config(&self) -> MonitorConfig {
+        let mut mc = MonitorConfig::default();
+        // Load reports every 50 ms keep RA-DWCS responsive.
+        mc.daemon.flush_interval = SimDuration::from_millis(50);
+        mc
+    }
+
+    fn spawn(&self, world: &mut World, monitor: Option<&SysProf>) -> RubisProbes {
+        let loads = Rc::new(RefCell::new(RaDispatcher::new()));
+        let applied = Rc::new(RefCell::new(FeedLog::new()));
+        if let (true, Some(sp)) = (self.resource_aware, monitor) {
+            let reply_to = EndPoint::new(world.network().node_ip(CLIENT), RA_FEED_PORT);
+            world.install_sink(
+                CLIENT,
+                RA_FEED_PORT,
+                Box::new(LoadFeed {
+                    loads: loads.clone(),
+                    rx: Receiver::new(
+                        vec![LoadRecord::schema()],
+                        GpaConfig::default().gap_nack_limit,
+                    ),
+                    self_ep: reply_to,
+                    applied: applied.clone(),
+                }),
+            );
+            for s in SERVERS {
+                sp.subscribe(world, CLIENT, s, LOAD_TOPIC, reply_to, None);
+            }
+        }
+
+        for s in SERVERS {
+            world.spawn(s, "servlet", Box::new(ServletServer));
+        }
+
+        // DWCS streams: bidding tight (can lose 1 of 20 deadlines), comments
+        // loose (can lose 3 of 5).
+        let mut sched: Scheduler<Req> = Scheduler::new();
+        let bidding = sched.add_stream(StreamSpec {
+            name: "bidding".into(),
+            period: SimDuration::from_millis(150),
+            window: WindowConstraint { x: 1, y: 20 },
+        });
+        let comments = sched.add_stream(StreamSpec {
+            name: "comment".into(),
+            period: SimDuration::from_millis(400),
+            window: WindowConstraint { x: 3, y: 5 },
+        });
+
+        let driver = Rc::new(RefCell::new(DriverShared::default()));
+        world.spawn(
+            CLIENT,
+            "httperf+dwcs",
+            Box::new(RubisDriver {
+                servers: SERVERS.to_vec(),
+                socks: HashMap::new(),
+                connected: 0,
+                sched,
+                streams: [bidding, comments],
+                rate: self.rate_per_class,
+                duration: self.duration,
+                outstanding: HashMap::new(),
+                resource_aware: self.resource_aware,
+                loads,
+                shared: driver.clone(),
+                rr: 0,
+                max_outstanding_per_server: 8,
+                started: false,
+            }),
+        );
+
+        // The mid-run disturbance: a background job lands on servlet-a.
+        world.spawn(
+            SERVERS[0],
+            "disturbance",
+            Box::new(DisturbanceSpawner {
+                delay: self.disturbance_at(),
+                // Enough CPU-bound work to stay saturating past the run's end.
+                work: self.duration,
+            }),
+        );
+        RubisProbes { driver, applied }
+    }
+
+    fn stop_at(&self) -> SimTime {
+        SimTime::ZERO + self.duration + SimDuration::from_secs(3)
+    }
+
+    fn collect(
+        &self,
+        world: &World,
+        monitor: Option<&SysProf>,
+        probes: &RubisProbes,
+    ) -> RubisResult {
+        let sh = probes.driver.borrow();
+        let half_sec = self.disturbance_at().as_secs_f64();
+        let duration_s = self.duration.as_secs_f64();
+        let outcome = |class: &ClassShared| {
+            let series: Vec<(f64, f64)> = class
+                .meter
+                .as_ref()
+                .map(|m| {
+                    m.rates_per_sec()
+                        .into_iter()
+                        .map(|(t, r)| (t.as_secs_f64(), r))
+                        .collect()
+                })
+                .unwrap_or_default();
+            let in_run: Vec<&(f64, f64)> = series.iter().filter(|(t, _)| *t < duration_s).collect();
+            let first: Vec<f64> = in_run
+                .iter()
+                .filter(|(t, _)| *t < half_sec)
+                .map(|(_, r)| *r)
+                .collect();
+            let second: Vec<f64> = in_run
+                .iter()
+                .filter(|(t, _)| *t >= half_sec)
+                .map(|(_, r)| *r)
+                .collect();
+            let mean = |v: &[f64]| {
+                if v.is_empty() {
+                    0.0
+                } else {
+                    v.iter().sum::<f64>() / v.len() as f64
+                }
+            };
+            ClassOutcome {
+                mean_rps: class.completed as f64 / duration_s,
+                first_half_rps: mean(&first),
+                second_half_rps: mean(&second),
+                completed: class.completed,
+                dropped: class.dropped,
+                violations: class.violations,
+                series,
+            }
         };
-        run_rubis_under(config, faults).0
+        let (bid, comment) = (outcome(&sh[0]), outcome(&sh[1]));
+        RubisResult {
+            total_rps: bid.mean_rps + comment.mean_rps,
+            bid,
+            comment,
+            server_overhead_fraction: monitor.map_or(0.0, |sp| {
+                SERVERS
+                    .iter()
+                    .map(|&s| sp.overhead_fraction(world, s))
+                    .sum::<f64>()
+                    / SERVERS.len() as f64
+            }),
+        }
     }
 
     fn diagnose(&self, run: &ScenarioRun<RubisResult>) -> Diagnosis {
         let gpa = run.sysprof.gpa();
         let gpa = gpa.borrow();
-        let servers = [NodeId(1), NodeId(2)];
+        let servers = SERVERS;
         let names = ["servlet-a", "servlet-b"];
         // The disturbance saturates one server from mid-run on, so its
         // *latest* load report separates the servers far more sharply
@@ -735,15 +639,18 @@ impl ScenarioSpec for RubisScenario {
 mod tests {
     use super::*;
 
+    /// Figure 6 (plain DWCS, no monitor) or Figure 7 (RA-DWCS over a
+    /// deployed SysProf).
     fn quick(ra: bool, seed: u64) -> RubisResult {
-        run_rubis(RubisConfig {
+        let spec = RubisScenario {
             resource_aware: ra,
-            monitored: ra,
-            duration: SimDuration::from_secs(20),
-            rate_per_class: 150.0,
-            disturbance_at: None,
-            seed,
-        })
+            ..RubisScenario::default()
+        };
+        if ra {
+            spec.run(seed).output
+        } else {
+            spec.run_unmonitored(seed).1
+        }
     }
 
     #[test]
@@ -799,20 +706,20 @@ mod tests {
     /// and each daemon retransmitted every report until it was evicted.
     #[test]
     fn ra_feed_applies_every_report_and_acks_every_batch() {
-        let run = run_rubis_inner(
-            RubisConfig {
+        let (run, applied) = run_rubis_under(
+            RubisScenario {
                 resource_aware: true,
                 duration: SimDuration::from_secs(10),
-                seed: 3,
-                ..RubisConfig::default()
+                ..RubisScenario::default()
             },
+            3,
             FaultPlan::default(),
         );
-        let sysprof = run.sysprof.expect("RA forces monitoring on");
+        let sysprof = run.sysprof;
         let feed = EndPoint::new(run.world.network().node_ip(NodeId(0)), RA_FEED_PORT);
         let flush = SimDuration::from_millis(50);
         for server in [NodeId(1), NodeId(2)] {
-            let applied = run.applied.iter().filter(|(_, load)| load.node == server);
+            let applied = applied.iter().filter(|(_, load)| load.node == server);
             let (reported_at, _) = applied
                 .clone()
                 .next_back()

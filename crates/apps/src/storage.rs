@@ -20,12 +20,17 @@ use std::collections::{HashMap, VecDeque};
 
 use kprof::FileId;
 use serde::Serialize;
+use std::cell::Cell;
+use std::rc::Rc;
+
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{FaultPlan, LinkSpec, Port};
-use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
+use simnet::Port;
+use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::{MonitorConfig, SysProf};
 
-use crate::scenario::{Diagnosis, ScenarioRun, ScenarioSpec};
+use crate::scenario::{
+    named_nodes, on_gigabit_lan, Diagnosis, Placement, ScenarioRun, ScenarioSpec,
+};
 
 /// Client→proxy and proxy→backend request port numbers.
 pub const PROXY_PORT: Port = Port(2049);
@@ -35,9 +40,12 @@ pub const BACKEND_PORT: Port = Port(2050);
 const KIND_WRITE_REQ: u32 = 1;
 const KIND_WRITE_RESP: u32 = 2;
 
-/// Experiment parameters.
+/// The §3.2 storage service as a [`ScenarioSpec`]: the GPA must put the
+/// bottleneck behind the proxy, in the back-end's kernel (the disk).
+/// Node layout: clients, then the proxy, then the back-ends, then the
+/// GPA; the proxy and every back-end are monitored.
 #[derive(Debug, Clone)]
-pub struct StorageConfig {
+pub struct StorageScenario {
     /// Iozone writer threads per client node.
     pub threads_per_client: usize,
     /// Client nodes (the paper uses two).
@@ -48,19 +56,16 @@ pub struct StorageConfig {
     pub record_bytes: u64,
     /// Measurement duration.
     pub duration: SimDuration,
-    /// Experiment seed.
-    pub seed: u64,
 }
 
-impl Default for StorageConfig {
+impl Default for StorageScenario {
     fn default() -> Self {
-        StorageConfig {
+        StorageScenario {
             threads_per_client: 4,
             clients: 2,
             backends: 2,
             record_bytes: 8 * 1024,
-            duration: SimDuration::from_secs(20),
-            seed: 1,
+            duration: SimDuration::from_secs(5),
         }
     }
 }
@@ -98,7 +103,7 @@ struct IozoneThread {
     proxy: NodeId,
     record_bytes: u64,
     sock: Option<SocketId>,
-    completed: std::rc::Rc<std::cell::Cell<u64>>,
+    completed: Rc<Cell<u64>>,
     deadline: SimTime,
 }
 
@@ -246,200 +251,116 @@ impl Program for NfsServer {
 }
 
 // ---------------------------------------------------------------------
-// Runner
+// Scenario
 // ---------------------------------------------------------------------
 
-/// A built storage-service world, before running: lets callers inject
-/// faults, turn controller knobs, or add probes mid-scenario.
-pub struct StorageWorld {
-    /// The simulation.
-    pub world: WorldBuilderOutput,
-    /// The deployed monitor.
-    pub sysprof: SysProf,
-    /// The proxy node.
-    pub proxy_node: NodeId,
-    /// The back-end NFS server nodes.
-    pub backend_nodes: Vec<NodeId>,
-    /// The GPA node.
-    pub gpa_node: NodeId,
-    /// Requests completed by all Iozone threads (shared counter).
-    pub completed: std::rc::Rc<std::cell::Cell<u64>>,
-    /// When the client threads stop issuing requests.
-    pub deadline: SimTime,
-}
-
-/// Alias so the struct field reads naturally.
-pub type WorldBuilderOutput = simos::World;
-
-/// Builds the §3.2 topology with SysProf deployed on the proxy and every
-/// back-end, clients ready to run. Callers drive `world` themselves.
-pub fn build_storage_world(config: &StorageConfig) -> StorageWorld {
-    build_storage_world_under(config, FaultPlan::default())
-}
-
-/// [`build_storage_world`] with a network fault plan installed.
-pub fn build_storage_world_under(config: &StorageConfig, faults: FaultPlan) -> StorageWorld {
-    let mut builder = WorldBuilder::new(config.seed);
-    // Node layout: clients, then proxy, then backends, then GPA.
-    for i in 0..config.clients {
-        builder = builder.node(&format!("client{i}"));
+impl StorageScenario {
+    /// The proxy's node id.
+    pub fn proxy_node(&self) -> NodeId {
+        NodeId(self.clients as u32)
     }
-    builder = builder.node("proxy");
-    for i in 0..config.backends {
-        builder = builder.node(&format!("nfs{i}"));
+    /// Node id of back-end NFS server `b`.
+    pub fn backend_node(&self, b: usize) -> NodeId {
+        NodeId((self.clients + 1 + b) as u32)
     }
-    builder = builder.node("gpa");
-    let mut world = builder
-        .full_mesh(LinkSpec::gigabit_lan())
-        .faults(faults)
-        .build()
-        .expect("topology");
-
-    let proxy_node = NodeId(config.clients as u32);
-    let backend_nodes: Vec<NodeId> = (0..config.backends)
-        .map(|i| NodeId((config.clients + 1 + i) as u32))
-        .collect();
-    let gpa_node = NodeId((config.clients + 1 + config.backends) as u32);
-
-    // Monitor the proxy and every back-end.
-    let mut monitored = vec![proxy_node];
-    monitored.extend(backend_nodes.iter().copied());
-    let sysprof = SysProf::deploy(&mut world, &monitored, gpa_node, MonitorConfig::default());
-
-    world.spawn(
-        proxy_node,
-        "nfs-proxy",
-        Box::new(NfsProxy::new(backend_nodes.clone(), config.record_bytes)),
-    );
-    for &b in &backend_nodes {
-        world.spawn_kernel_daemon(b, "nfsd", Box::new(NfsServer::new()));
-    }
-
-    let completed = std::rc::Rc::new(std::cell::Cell::new(0u64));
-    let deadline = SimTime::ZERO + config.duration;
-    for c in 0..config.clients {
-        for t in 0..config.threads_per_client {
-            world.spawn(
-                NodeId(c as u32),
-                &format!("iozone-{c}-{t}"),
-                Box::new(IozoneThread {
-                    proxy: proxy_node,
-                    record_bytes: config.record_bytes,
-                    sock: None,
-                    completed: completed.clone(),
-                    deadline,
-                }),
-            );
-        }
-    }
-
-    StorageWorld {
-        world,
-        sysprof,
-        proxy_node,
-        backend_nodes,
-        gpa_node,
-        completed,
-        deadline,
-    }
-}
-
-/// Runs the virtual-storage experiment and reads the Figure 4/5 metrics
-/// from the GPA.
-pub fn run_storage(config: StorageConfig) -> StorageResult {
-    run_storage_inner(config, FaultPlan::default()).2
-}
-
-fn run_storage_inner(
-    config: StorageConfig,
-    faults: FaultPlan,
-) -> (WorldBuilderOutput, SysProf, StorageResult) {
-    let sw = build_storage_world_under(&config, faults);
-    let StorageWorld {
-        mut world,
-        sysprof,
-        proxy_node,
-        backend_nodes,
-        completed,
-        deadline,
-        ..
-    } = sw;
-
-    world.run_until(deadline + SimDuration::from_secs(2));
-
-    let gpa = sysprof.gpa();
-    let gpa = gpa.borrow();
-    let proxy_summary = gpa.class_summary(proxy_node, PROXY_PORT);
-    let backend_summary = gpa.class_summary(backend_nodes[0], BACKEND_PORT);
-
-    let (proxy_user_ms, proxy_kernel_ms, proxy_interactions) = proxy_summary
-        .map(|s| {
-            (
-                s.mean_user_us / 1e3,
-                (s.mean_kernel_in_us + s.mean_kernel_out_us) / 1e3,
-                s.count,
-            )
-        })
-        .unwrap_or((0.0, 0.0, 0));
-    let (backend_kernel_ms, backend_interactions) = backend_summary
-        .map(|s| ((s.mean_kernel_in_us + s.mean_kernel_out_us) / 1e3, s.count))
-        .unwrap_or((0.0, 0));
-
-    let result = StorageResult {
-        proxy_user_ms,
-        proxy_kernel_ms,
-        backend_kernel_ms,
-        proxy_interactions,
-        backend_interactions,
-        requests_completed: completed.get(),
-        network_rtt_ms: world
-            .network()
-            .estimated_rtt(NodeId(0), proxy_node)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(0.0),
-        proxy_overhead_fraction: sysprof.overhead_fraction(&world, proxy_node),
-    };
-    drop(gpa);
-    (world, sysprof, result)
-}
-
-/// The §3.2 storage service as a [`ScenarioSpec`]: the GPA must put the
-/// bottleneck behind the proxy, in the back-end's kernel (the disk).
-#[derive(Debug, Clone)]
-pub struct StorageScenario {
-    /// The experiment parameters (the config's own `seed` is ignored;
-    /// [`ScenarioSpec::run_under`]'s seed wins).
-    pub config: StorageConfig,
-}
-
-impl Default for StorageScenario {
-    fn default() -> Self {
-        StorageScenario {
-            config: StorageConfig {
-                duration: SimDuration::from_secs(5),
-                ..StorageConfig::default()
-            },
-        }
+    fn backend_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.backends).map(|b| self.backend_node(b))
     }
 }
 
 impl ScenarioSpec for StorageScenario {
     type Output = StorageResult;
+    /// Requests completed by all Iozone threads.
+    type Probes = Rc<Cell<u64>>;
 
     fn name(&self) -> &'static str {
         "storage"
     }
 
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<StorageResult> {
-        let config = StorageConfig {
-            seed,
-            ..self.config.clone()
-        };
-        let (world, sysprof, output) = run_storage_inner(config, faults);
-        ScenarioRun {
-            world,
-            sysprof,
-            output,
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        let nodes = named_nodes(nodes, "client", self.clients).node("proxy");
+        let nodes = named_nodes(nodes, "nfs", self.backends);
+        let mut monitored = vec![self.proxy_node()];
+        monitored.extend(self.backend_nodes());
+        // The GPA takes the id after the last back-end's.
+        on_gigabit_lan(nodes, monitored, self.backend_node(self.backends))
+    }
+
+    fn monitor_config(&self) -> MonitorConfig {
+        MonitorConfig::default()
+    }
+
+    fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> Rc<Cell<u64>> {
+        world.spawn(
+            self.proxy_node(),
+            "nfs-proxy",
+            Box::new(NfsProxy::new(
+                self.backend_nodes().collect(),
+                self.record_bytes,
+            )),
+        );
+        for b in self.backend_nodes() {
+            world.spawn_kernel_daemon(b, "nfsd", Box::new(NfsServer::new()));
+        }
+        let completed = Rc::new(Cell::new(0u64));
+        for c in 0..self.clients {
+            for t in 0..self.threads_per_client {
+                world.spawn(
+                    NodeId(c as u32),
+                    &format!("iozone-{c}-{t}"),
+                    Box::new(IozoneThread {
+                        proxy: self.proxy_node(),
+                        record_bytes: self.record_bytes,
+                        sock: None,
+                        completed: completed.clone(),
+                        deadline: SimTime::ZERO + self.duration,
+                    }),
+                );
+            }
+        }
+        completed
+    }
+
+    fn stop_at(&self) -> SimTime {
+        SimTime::ZERO + self.duration + SimDuration::from_secs(2)
+    }
+
+    /// Reads the Figure 4/5 metrics from the GPA (zeros when there is
+    /// none to read).
+    fn collect(
+        &self,
+        world: &World,
+        monitor: Option<&SysProf>,
+        completed: &Rc<Cell<u64>>,
+    ) -> StorageResult {
+        let summary = |node, port| monitor.and_then(|m| m.gpa().borrow().class_summary(node, port));
+        let (proxy_user_ms, proxy_kernel_ms, proxy_interactions) =
+            summary(self.proxy_node(), PROXY_PORT)
+                .map(|s| {
+                    (
+                        s.mean_user_us / 1e3,
+                        (s.mean_kernel_in_us + s.mean_kernel_out_us) / 1e3,
+                        s.count,
+                    )
+                })
+                .unwrap_or((0.0, 0.0, 0));
+        let (backend_kernel_ms, backend_interactions) = summary(self.backend_node(0), BACKEND_PORT)
+            .map(|s| ((s.mean_kernel_in_us + s.mean_kernel_out_us) / 1e3, s.count))
+            .unwrap_or((0.0, 0));
+        StorageResult {
+            proxy_user_ms,
+            proxy_kernel_ms,
+            backend_kernel_ms,
+            proxy_interactions,
+            backend_interactions,
+            requests_completed: completed.get(),
+            network_rtt_ms: world
+                .network()
+                .estimated_rtt(NodeId(0), self.proxy_node())
+                .map(|d| d.as_millis_f64())
+                .unwrap_or(0.0),
+            proxy_overhead_fraction: monitor
+                .map_or(0.0, |m| m.overhead_fraction(world, self.proxy_node())),
         }
     }
 
@@ -471,11 +392,11 @@ mod tests {
     use super::*;
 
     fn quick(threads: usize) -> StorageResult {
-        run_storage(StorageConfig {
+        let spec = StorageScenario {
             threads_per_client: threads,
-            duration: SimDuration::from_secs(5),
-            ..StorageConfig::default()
-        })
+            ..StorageScenario::default()
+        };
+        spec.run(1).output
     }
 
     #[test]

@@ -17,13 +17,13 @@
 use kprof::EventMask;
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{LinkSpec, Port};
-use simos::WorldBuilder;
-use sysprof::{Controller, MonitorConfig, SysProf};
-use sysprof_apps::iperf::{IperfClient, IperfServer};
-use sysprof_apps::rubis::{run_rubis, RubisConfig, RubisResult};
-use sysprof_apps::storage::{run_storage, StorageConfig, StorageResult};
-use sysprof_apps::{run_iperf, run_linpack, IperfResult, LinpackResult};
+use simnet::LinkSpec;
+use simos::{World, WorldBuilder};
+use sysprof::{Controller, SysProf};
+use sysprof_apps::{
+    Diagnosis, IperfResult, IperfScenario, LinpackResult, LinpackScenario, Placement, RubisResult,
+    RubisScenario, ScenarioRun, ScenarioSpec, StorageResult, StorageScenario,
+};
 
 /// E1: linpack with and without SysProf.
 #[derive(Debug, Serialize)]
@@ -37,8 +37,8 @@ pub struct E1Result {
 /// Runs E1.
 pub fn exp_e1_linpack(seed: u64) -> E1Result {
     E1Result {
-        off: run_linpack(false, seed),
-        on: run_linpack(true, seed),
+        off: LinpackScenario.run_unmonitored(seed).1,
+        on: LinpackScenario.run(seed).output,
     }
 }
 
@@ -69,11 +69,19 @@ impl E2Result {
 
 /// Runs E2.
 pub fn exp_e2_iperf(duration: SimDuration, seed: u64) -> E2Result {
+    let gigabit = IperfScenario {
+        link: LinkSpec::gigabit_lan(),
+        duration,
+    };
+    let fast_ethernet = IperfScenario {
+        link: LinkSpec::fast_ethernet(),
+        duration,
+    };
     E2Result {
-        gigabit_off: run_iperf(LinkSpec::gigabit_lan(), false, duration, seed),
-        gigabit_on: run_iperf(LinkSpec::gigabit_lan(), true, duration, seed),
-        fast_ethernet_off: run_iperf(LinkSpec::fast_ethernet(), false, duration, seed),
-        fast_ethernet_on: run_iperf(LinkSpec::fast_ethernet(), true, duration, seed),
+        gigabit_off: gigabit.run_unmonitored(seed).1,
+        gigabit_on: gigabit.run(seed).output,
+        fast_ethernet_off: fast_ethernet.run_unmonitored(seed).1,
+        fast_ethernet_on: fast_ethernet.run(seed).output,
     }
 }
 
@@ -88,6 +96,58 @@ pub struct GranularityRow {
     pub overhead_fraction: f64,
     /// Events generated on the receiver.
     pub events: u64,
+}
+
+/// One rung of T0: the Iperf world with only the receiver monitored and
+/// the controller's global gate set to `mask` before the stream starts.
+struct GatedIperf {
+    iperf: IperfScenario,
+    mask: EventMask,
+}
+
+impl ScenarioSpec for GatedIperf {
+    type Output = IperfResult;
+    type Probes = ();
+
+    fn name(&self) -> &'static str {
+        "iperf-gated"
+    }
+
+    fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
+        let (nodes, placement) = self.iperf.topology(nodes);
+        let receiver_only = Placement {
+            monitored: vec![NodeId(1)],
+            ..placement
+        };
+        (nodes, receiver_only)
+    }
+
+    fn monitor_config(&self) -> sysprof::MonitorConfig {
+        self.iperf.monitor_config()
+    }
+
+    fn spawn(&self, world: &mut World, monitor: Option<&SysProf>) {
+        // A raw event subscriber interested in everything, so the sweep
+        // measures true per-class event volume (the LPA itself only wants
+        // Network + Scheduling).
+        world
+            .kprof_mut(NodeId(1))
+            .register(Box::new(kprof::CountingAnalyzer::new(EventMask::ALL)));
+        Controller::new().set_global_mask(world, NodeId(1), self.mask);
+        self.iperf.spawn(world, monitor);
+    }
+
+    fn stop_at(&self) -> SimTime {
+        self.iperf.stop_at()
+    }
+
+    fn collect(&self, world: &World, monitor: Option<&SysProf>, probes: &()) -> IperfResult {
+        self.iperf.collect(world, monitor, probes)
+    }
+
+    fn diagnose(&self, run: &ScenarioRun<IperfResult>) -> Diagnosis {
+        self.iperf.diagnose(run)
+    }
 }
 
 /// T0: the controller's selective-enabling knob under Iperf load —
@@ -105,58 +165,26 @@ pub fn exp_t0_granularity(duration: SimDuration, seed: u64) -> Vec<GranularityRo
         ),
         ("+network (all)", EventMask::ALL),
     ];
-    let mut rows = Vec::new();
-    for (name, mask) in levels {
-        let mut world = WorldBuilder::new(seed)
-            .node("sender")
-            .node("receiver")
-            .node("gpa")
-            .link(NodeId(0), NodeId(1), LinkSpec::gigabit_lan())
-            .link(NodeId(0), NodeId(2), LinkSpec::gigabit_lan())
-            .link(NodeId(1), NodeId(2), LinkSpec::gigabit_lan())
-            .build()
-            .expect("topology");
-        let _sysprof = SysProf::deploy(
-            &mut world,
-            &[NodeId(1)],
-            NodeId(2),
-            MonitorConfig::default(),
-        );
-        // A raw event subscriber interested in everything, so the sweep
-        // measures true per-class event volume (the LPA itself only wants
-        // Network + Scheduling).
-        world
-            .kprof_mut(NodeId(1))
-            .register(Box::new(kprof::CountingAnalyzer::new(EventMask::ALL)));
-        Controller::new().set_global_mask(&mut world, NodeId(1), mask);
-
-        world.spawn(
-            NodeId(1),
-            "iperf-server",
-            Box::new(IperfServer::new(Port(5001))),
-        );
-        world.spawn(
-            NodeId(0),
-            "iperf-client",
-            Box::new(IperfClient::new(
-                NodeId(1),
-                Port(5001),
-                64 * 1024,
-                8,
-                duration,
-            )),
-        );
-        world.run_until(SimTime::ZERO + duration + SimDuration::from_secs(1));
-
-        let stats = world.node_stats(NodeId(1));
-        rows.push(GranularityRow {
-            level: name.to_owned(),
-            goodput_mbps: stats.bytes_received as f64 * 8.0 / duration.as_secs_f64() / 1e6,
-            overhead_fraction: stats.cpu.monitor.as_secs_f64() / world.now().as_secs_f64(),
-            events: world.kprof(NodeId(1)).stats().events_generated,
-        });
-    }
-    rows
+    let iperf = IperfScenario {
+        link: LinkSpec::gigabit_lan(),
+        duration,
+    };
+    levels
+        .into_iter()
+        .map(|(name, mask)| {
+            let gated = GatedIperf {
+                iperf: iperf.clone(),
+                mask,
+            };
+            let run = gated.run(seed);
+            GranularityRow {
+                level: name.to_owned(),
+                goodput_mbps: run.output.goodput_mbps,
+                overhead_fraction: run.output.overhead_fraction,
+                events: run.world.kprof(NodeId(1)).stats().events_generated,
+            }
+        })
+        .collect()
 }
 
 /// One row of the Figure 4 / Figure 5 thread sweep.
@@ -172,59 +200,45 @@ pub struct StorageRow {
 pub fn exp_f4_f5_storage(duration: SimDuration, seed: u64) -> Vec<StorageRow> {
     [1usize, 2, 4, 8, 16]
         .into_iter()
-        .map(|threads| StorageRow {
-            threads,
-            result: run_storage(StorageConfig {
+        .map(|threads| {
+            let spec = StorageScenario {
                 threads_per_client: threads,
                 duration,
-                seed,
-                ..StorageConfig::default()
-            }),
+                ..StorageScenario::default()
+            };
+            StorageRow {
+                threads,
+                result: spec.run(seed).output,
+            }
         })
         .collect()
 }
 
-/// Runs F6 (plain DWCS).
-pub fn exp_f6_dwcs(duration: SimDuration, seed: u64) -> RubisResult {
-    run_rubis(RubisConfig {
-        resource_aware: false,
-        monitored: false,
+fn rubis(resource_aware: bool, duration: SimDuration) -> RubisScenario {
+    RubisScenario {
+        resource_aware,
         duration,
-        seed,
-        ..RubisConfig::default()
-    })
+        ..RubisScenario::default()
+    }
+}
+
+/// Runs F6 (plain DWCS, no SysProf).
+pub fn exp_f6_dwcs(duration: SimDuration, seed: u64) -> RubisResult {
+    rubis(false, duration).run_unmonitored(seed).1
 }
 
 /// Runs F7 (RA-DWCS; SysProf deployed).
 pub fn exp_f7_ra_dwcs(duration: SimDuration, seed: u64) -> RubisResult {
-    run_rubis(RubisConfig {
-        resource_aware: true,
-        monitored: true,
-        duration,
-        seed,
-        ..RubisConfig::default()
-    })
+    rubis(true, duration).run(seed).output
 }
 
-/// F7's companion measurement: plain DWCS *with* SysProf deployed, to
-/// quantify the "<2% application performance decrease" claim.
+/// F7's companion measurement: plain DWCS without and *with* SysProf
+/// deployed, to quantify the "<2% application performance decrease"
+/// claim.
 pub fn exp_monitoring_cost_on_rubis(
     duration: SimDuration,
     seed: u64,
 ) -> (RubisResult, RubisResult) {
-    let unmonitored = run_rubis(RubisConfig {
-        resource_aware: false,
-        monitored: false,
-        duration,
-        seed,
-        ..RubisConfig::default()
-    });
-    let monitored = run_rubis(RubisConfig {
-        resource_aware: false,
-        monitored: true,
-        duration,
-        seed,
-        ..RubisConfig::default()
-    });
-    (unmonitored, monitored)
+    let plain = rubis(false, duration);
+    (plain.run_unmonitored(seed).1, plain.run(seed).output)
 }

@@ -225,14 +225,6 @@ impl Analyzer for CpaAnalyzer {
             buffer_full: false,
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

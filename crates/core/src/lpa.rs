@@ -1041,14 +1041,6 @@ impl Analyzer for Lpa {
             buffer_full: self.pending_switch,
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

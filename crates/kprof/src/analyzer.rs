@@ -71,13 +71,6 @@ pub trait Analyzer: std::any::Any {
 
     /// Handles one event. Runs in the kernel fast path.
     fn on_event(&mut self, event: &Event) -> AnalyzerOutcome;
-
-    /// Upcast for inspection (lets the daemon and tests reach the concrete
-    /// analyzer behind the trait object).
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable upcast (lets the daemon drain analyzer buffers).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
 /// A trivial analyzer that counts delivered events — useful in tests and
@@ -113,14 +106,6 @@ impl Analyzer for CountingAnalyzer {
     fn on_event(&mut self, _event: &Event) -> AnalyzerOutcome {
         self.seen += 1;
         AnalyzerOutcome::cost(crate::cost::COUNTING_EVENT)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -58,6 +58,6 @@ pub use analyzer::{Analyzer, AnalyzerId, AnalyzerOutcome, CountingAnalyzer, Inte
 pub use buffer::{DoubleBuffer, PerCpuBuffers};
 pub use event::{Event, EventClass, EventKind, EventMask, EventPayload, NetPoint};
 pub use ids::{BlockReason, DiskId, Fd, FileId, GroupId, Pid, SyscallKind};
-pub use predicate::{CompiledPredicate, Predicate};
+pub use predicate::Predicate;
 pub use registry::{EmitResult, Kprof, KprofStats};
 pub use trace::TraceAnalyzer;

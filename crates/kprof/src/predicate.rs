@@ -1,8 +1,6 @@
 //! Event pruning predicates: "Events can also be pruned on the basis of
 //! process IDs, group IDs, or other such predicates" (§2).
 
-use std::collections::BTreeSet;
-
 use simnet::Port;
 
 use crate::{Event, EventPayload, GroupId, Pid};
@@ -14,6 +12,12 @@ use crate::{Event, EventPayload, GroupId, Pid};
 /// pid (e.g. an idle context switch) fail pid/gid filters; network events
 /// match a port filter if either flow endpoint uses one of the ports.
 ///
+/// Each constrained dimension is kept as a sorted, deduplicated slice, so
+/// [`matches`](Predicate::matches) — what [`Kprof`](crate::Kprof) calls
+/// per delivery on the emit hot path — is a binary search that never
+/// touches the heap. `tests/matcher_equiv.rs` pins it against a naive
+/// linear-scan model.
+///
 /// # Example
 ///
 /// ```
@@ -23,9 +27,16 @@ use crate::{Event, EventPayload, GroupId, Pid};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Predicate {
-    pids: Option<BTreeSet<Pid>>,
-    gids: Option<BTreeSet<GroupId>>,
-    ports: Option<BTreeSet<Port>>,
+    pids: Option<Box<[Pid]>>,
+    gids: Option<Box<[GroupId]>>,
+    ports: Option<Box<[Port]>>,
+}
+
+fn sorted_slice<T: Ord>(items: impl IntoIterator<Item = T>) -> Option<Box<[T]>> {
+    let mut v: Vec<T> = items.into_iter().collect();
+    v.sort_unstable();
+    v.dedup();
+    Some(v.into_boxed_slice())
 }
 
 impl Predicate {
@@ -37,7 +48,7 @@ impl Predicate {
     /// Restricts to events about the given processes.
     #[must_use]
     pub fn pids(mut self, pids: impl IntoIterator<Item = Pid>) -> Self {
-        self.pids = Some(pids.into_iter().collect());
+        self.pids = sorted_slice(pids);
         self
     }
 
@@ -46,7 +57,7 @@ impl Predicate {
     /// which learns it from `ProcessCreate` events.
     #[must_use]
     pub fn gids(mut self, gids: impl IntoIterator<Item = GroupId>) -> Self {
-        self.gids = Some(gids.into_iter().collect());
+        self.gids = sorted_slice(gids);
         self
     }
 
@@ -54,7 +65,7 @@ impl Predicate {
     /// Non-network events are unaffected by a port filter.
     #[must_use]
     pub fn ports(mut self, ports: impl IntoIterator<Item = Port>) -> Self {
-        self.ports = Some(ports.into_iter().collect());
+        self.ports = sorted_slice(ports);
         self
     }
 
@@ -65,75 +76,6 @@ impl Predicate {
 
     /// Evaluates the predicate. `gid_of` resolves a pid to its process
     /// group (the registry's pid table).
-    pub fn matches(&self, event: &Event, gid_of: impl Fn(Pid) -> Option<GroupId>) -> bool {
-        if let Some(pids) = &self.pids {
-            match event.payload.pid() {
-                Some(pid) if pids.contains(&pid) => {}
-                _ => return false,
-            }
-        }
-        if let Some(gids) = &self.gids {
-            match event.payload.pid().and_then(&gid_of) {
-                Some(gid) if gids.contains(&gid) => {}
-                _ => return false,
-            }
-        }
-        if let Some(ports) = &self.ports {
-            if let EventPayload::Net { flow, .. } = &event.payload {
-                let touches = ports.contains(&flow.src.port) || ports.contains(&flow.dst.port);
-                if !touches {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-/// A [`Predicate`] compiled to flat sorted slices for allocation-free,
-/// cache-friendly evaluation on the emit hot path.
-///
-/// [`Kprof`](crate::Kprof) compiles each analyzer's predicate once at
-/// registration (and again on
-/// [`update_interest`](crate::Kprof::update_interest)), so the per-event
-/// dispatch loop probes sorted slices instead of cloning `BTreeSet`-backed
-/// predicates. Accept/reject behavior is **identical** to
-/// [`Predicate::matches`] — a property test in `tests/matcher_equiv.rs`
-/// pins the equivalence.
-#[derive(Debug, Clone, Default)]
-pub struct CompiledPredicate {
-    pids: Option<Box<[Pid]>>,
-    gids: Option<Box<[GroupId]>>,
-    ports: Option<Box<[Port]>>,
-}
-
-fn sorted_slice<T: Ord + Copy>(set: &Option<BTreeSet<T>>) -> Option<Box<[T]>> {
-    set.as_ref().map(|s| {
-        let mut v: Vec<T> = s.iter().copied().collect();
-        v.sort_unstable();
-        v.into_boxed_slice()
-    })
-}
-
-impl CompiledPredicate {
-    /// Compiles a predicate. An empty dimension stays "unconstrained";
-    /// constrained dimensions become sorted slices probed by binary
-    /// search.
-    pub fn compile(p: &Predicate) -> CompiledPredicate {
-        CompiledPredicate {
-            pids: sorted_slice(&p.pids),
-            gids: sorted_slice(&p.gids),
-            ports: sorted_slice(&p.ports),
-        }
-    }
-
-    /// True if this predicate has no constraints.
-    pub fn is_match_all(&self) -> bool {
-        self.pids.is_none() && self.gids.is_none() && self.ports.is_none()
-    }
-
-    /// Evaluates the compiled predicate; exact same semantics as
-    /// [`Predicate::matches`], without touching the heap.
     #[inline]
     pub fn matches(&self, event: &Event, gid_of: impl Fn(Pid) -> Option<GroupId>) -> bool {
         if let Some(pids) = &self.pids {
@@ -232,43 +174,6 @@ mod tests {
         assert!(!p.matches(&net_ev(777, 888), NO_GID));
         // Non-network events are unaffected by the port dimension.
         assert!(p.matches(&ev(EventPayload::ProcessWake { pid: Pid(1) }), NO_GID));
-    }
-
-    #[test]
-    fn compiled_predicate_mirrors_interpreted() {
-        let table = |pid: Pid| (pid == Pid(7)).then_some(GroupId(3));
-        let preds = [
-            Predicate::new(),
-            Predicate::new().pids([Pid(5)]),
-            Predicate::new().gids([GroupId(3)]),
-            Predicate::new().ports([Port(2049)]),
-            Predicate::new().pids([Pid(7)]).gids([GroupId(3)]),
-            Predicate::new().pids([Pid(1)]).ports([Port(80)]),
-        ];
-        let events = [
-            ev(EventPayload::ProcessWake { pid: Pid(5) }),
-            ev(EventPayload::ProcessWake { pid: Pid(7) }),
-            ev(EventPayload::ContextSwitch {
-                from: None,
-                to: None,
-            }),
-            net_ev(2049, 777),
-            net_ev(777, 2049),
-            net_ev(777, 888),
-            net_ev(80, 5),
-        ];
-        for p in &preds {
-            let c = CompiledPredicate::compile(p);
-            assert_eq!(c.is_match_all(), p.is_match_all());
-            for e in &events {
-                assert_eq!(
-                    c.matches(e, table),
-                    p.matches(e, table),
-                    "{p:?} vs compiled on {:?}",
-                    e.payload
-                );
-            }
-        }
     }
 
     #[test]

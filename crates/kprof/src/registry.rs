@@ -1,12 +1,13 @@
 //! The per-node Kprof registry: event generation, selective dispatch, and
 //! overhead accounting.
 
+use std::any::Any;
+
 use simcore::hash::HashMap;
 use simcore::{NodeId, SimDuration, SimTime};
 
 use crate::{
-    cost, Analyzer, AnalyzerId, CompiledPredicate, Event, EventKind, EventMask, EventPayload,
-    GroupId, Pid,
+    cost, Analyzer, AnalyzerId, Event, EventKind, EventMask, EventPayload, GroupId, Pid, Predicate,
 };
 
 /// Counters describing what the monitoring layer did on this node.
@@ -28,9 +29,9 @@ struct Slot {
     id: AnalyzerId,
     active: bool,
     mask: EventMask,
-    /// The analyzer's predicate, compiled to sorted slices at registration
-    /// so the emit loop never clones the `HashSet`-backed [`Interest`].
-    compiled: CompiledPredicate,
+    /// The analyzer's predicate as of registration or the last
+    /// `update_interest`, so the emit loop never asks for an [`Interest`].
+    predicate: Predicate,
     analyzer: Box<dyn Analyzer>,
 }
 
@@ -105,7 +106,7 @@ impl Kprof {
             id,
             active: true,
             mask: interest.mask,
-            compiled: CompiledPredicate::compile(&interest.predicate),
+            predicate: interest.predicate,
             analyzer,
         });
         self.recompute_mask();
@@ -131,7 +132,7 @@ impl Kprof {
         };
         let interest = slot.analyzer.interest();
         slot.mask = interest.mask;
-        slot.compiled = CompiledPredicate::compile(&interest.predicate);
+        slot.predicate = interest.predicate;
         self.recompute_mask();
         true
     }
@@ -223,7 +224,7 @@ impl Kprof {
             let slot = &mut self.slots[idx as usize];
             cost += cost::PER_DELIVERY;
             if !slot
-                .compiled
+                .predicate
                 .matches(event, |pid| pid_groups.get(&pid).copied())
             {
                 self.stats.predicate_rejections += 1;
@@ -278,12 +279,12 @@ impl Kprof {
 
     /// Borrows a registered analyzer downcast to its concrete type.
     pub fn analyzer_as<T: 'static>(&self, id: AnalyzerId) -> Option<&T> {
-        self.analyzer_ref(id)?.as_any().downcast_ref::<T>()
+        (self.analyzer_ref(id)? as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutably borrows a registered analyzer downcast to its concrete type.
     pub fn analyzer_as_mut<T: 'static>(&mut self, id: AnalyzerId) -> Option<&mut T> {
-        self.analyzer_mut(id)?.as_any_mut().downcast_mut::<T>()
+        (self.analyzer_mut(id)? as &mut dyn Any).downcast_mut::<T>()
     }
 }
 
@@ -386,12 +387,6 @@ mod tests {
             self.seen += 1;
             AnalyzerOutcome::cost(SimDuration::from_nanos(50))
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -445,12 +440,6 @@ mod tests {
                 self.seen += 1;
                 AnalyzerOutcome::default()
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut kprof = Kprof::new(NodeId(0));
         kprof.register(Box::new(GidFiltered { seen: 0 }));
@@ -489,12 +478,6 @@ mod tests {
                     cost: SimDuration::ZERO,
                     buffer_full: true,
                 }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut kprof = Kprof::new(NodeId(0));

@@ -130,14 +130,6 @@ impl Analyzer for TraceAnalyzer {
         self.captured += 1;
         AnalyzerOutcome::cost(crate::cost::TRACE_EVENT)
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Regression test for the zero-allocation emit hot path: after warmup,
 //! pushing a million events through `Kprof::emit` — mask dispatch,
-//! compiled-predicate checks, analyzer callbacks, and `EmitResult`
+//! predicate checks, analyzer callbacks, and `EmitResult`
 //! construction — must never touch the heap.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
@@ -100,7 +100,7 @@ fn million_event_emit_loop_allocates_nothing_after_warmup() {
     let mut kprof = Kprof::new(NodeId(0));
     kprof.register(Box::new(CountingAnalyzer::new(EventMask::SCHEDULING)));
     kprof.register(Box::new(CountingAnalyzer::new(EventMask::NETWORK)));
-    // A predicate-bearing analyzer so the compiled matcher runs too
+    // A predicate-bearing analyzer so the matcher runs too
     // (pid 3 events exercise the rejection path).
     struct Filtered;
     impl kprof::Analyzer for Filtered {
@@ -115,12 +115,6 @@ fn million_event_emit_loop_allocates_nothing_after_warmup() {
         }
         fn on_event(&mut self, _e: &kprof::Event) -> kprof::AnalyzerOutcome {
             kprof::AnalyzerOutcome::default()
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
     kprof.register(Box::new(Filtered));

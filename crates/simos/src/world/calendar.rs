@@ -236,12 +236,6 @@ mod tests {
                     buffer_full: self.n.is_multiple_of(10),
                 }
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
 
         struct CountingHook {

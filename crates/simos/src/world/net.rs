@@ -559,12 +559,6 @@ mod tests {
                 }
                 AnalyzerOutcome::default()
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
 
         for enable in [false, true] {

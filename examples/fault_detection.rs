@@ -8,31 +8,35 @@
 //! cargo run --release --example fault_detection
 //! ```
 
-use simcore::{SimDuration, SimTime};
-use sysprof_apps::storage::{build_storage_world, StorageConfig, BACKEND_PORT};
+use simcore::{NodeId, SimDuration, SimTime};
+use simnet::FaultPlan;
+use sysprof_apps::storage::BACKEND_PORT;
+use sysprof_apps::{ScenarioSpec, StorageScenario};
 
 fn main() {
-    let config = StorageConfig {
-        threads_per_client: 4,
+    let spec = StorageScenario {
         duration: SimDuration::from_secs(20),
-        ..StorageConfig::default()
+        ..StorageScenario::default()
     };
-    let mut sw = build_storage_world(&config);
-    let victim = sw.backend_nodes[1];
-    let healthy = sw.backend_nodes[0];
+    // Staged, not run: the example drives the world itself so it can
+    // break a disk halfway through.
+    let mut sw = spec.stage(1, FaultPlan::default(), spec.monitor_config());
+    let backend_nodes: Vec<NodeId> = (0..spec.backends).map(|b| spec.backend_node(b)).collect();
+    let victim = backend_nodes[1];
+    let healthy = backend_nodes[0];
 
     println!(
         "virtual storage service: 2 clients -> proxy -> {} back-ends",
-        sw.backend_nodes.len()
+        backend_nodes.len()
     );
     println!("running healthy for 10 s…");
     sw.world.run_until(SimTime::from_secs(10));
 
     // Snapshot the per-backend view before the fault.
-    let before: Vec<(simcore::NodeId, f64)> = {
+    let before: Vec<(NodeId, f64)> = {
         let gpa = sw.sysprof.gpa();
         let gpa = gpa.borrow();
-        sw.backend_nodes
+        backend_nodes
             .iter()
             .map(|&b| {
                 let t = gpa
@@ -67,7 +71,7 @@ fn main() {
     let mut suspect = None;
     let mut worst = 0.0f64;
     let mut readings = Vec::new();
-    for &b in &sw.backend_nodes {
+    for &b in &backend_nodes {
         let recs = gpa.interactions_of(b, BACKEND_PORT);
         let window: Vec<_> = recs
             .into_iter()

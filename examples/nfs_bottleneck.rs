@@ -12,7 +12,7 @@
 //! ```
 
 use simcore::SimDuration;
-use sysprof_apps::storage::{run_storage, StorageConfig};
+use sysprof_apps::{ScenarioSpec, StorageScenario};
 
 fn main() {
     println!("Diagnosing the virtual storage service (Figures 4 & 5)…\n");
@@ -28,11 +28,12 @@ fn main() {
     let duration = SimDuration::from_secs(10);
     let mut last = None;
     for threads in [1usize, 2, 4, 8, 16] {
-        let r = run_storage(StorageConfig {
+        let spec = StorageScenario {
             threads_per_client: threads,
             duration,
-            ..StorageConfig::default()
-        });
+            ..StorageScenario::default()
+        };
+        let r = spec.run(1).output;
         println!(
             "{:>18} | {:>12.3} {:>14.3} | {:>18.2} | {:>10.0}",
             threads,

@@ -13,7 +13,7 @@
 //! ```
 
 use simcore::SimDuration;
-use sysprof_apps::rubis::{run_rubis, RubisConfig};
+use sysprof_apps::{RubisScenario, ScenarioSpec};
 
 fn main() {
     let duration = SimDuration::from_secs(30);
@@ -23,18 +23,15 @@ fn main() {
         duration.as_secs_f64() / 2.0
     );
 
-    let plain = run_rubis(RubisConfig {
-        resource_aware: false,
-        monitored: false,
+    let spec = |resource_aware| RubisScenario {
+        resource_aware,
         duration,
-        ..RubisConfig::default()
-    });
-    let ra = run_rubis(RubisConfig {
-        resource_aware: true,
-        monitored: true,
-        duration,
-        ..RubisConfig::default()
-    });
+        ..RubisScenario::default()
+    };
+    // Plain DWCS needs no monitor; RA-DWCS dispatches on a deployed
+    // SysProf's load reports.
+    let (_, plain) = spec(false).run_unmonitored(1);
+    let ra = spec(true).run(1).output;
 
     for (name, r) in [
         ("plain DWCS (Figure 6)", &plain),

@@ -11,8 +11,8 @@ use simnet::{EndPoint, FaultPlan, Ip, LinkFaults, LinkSpec, Port};
 use simos::programs::EchoServer;
 use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
 use sysprof::{procfs, Gpa, GpaConfig, MonitorConfig, SysProf};
-use sysprof_apps::rubis::{run_rubis_under, RubisConfig, RA_FEED_PORT};
-use sysprof_apps::{KvStoreScenario, ScenarioSpec};
+use sysprof_apps::rubis::{run_rubis_under, RA_FEED_PORT};
+use sysprof_apps::{KvStoreScenario, RubisScenario, ScenarioSpec};
 use testkit::{chaos_report, check_invariants, fault_matrix, stream_value, uniform_loss};
 
 /// A client issuing `count` sequential requests (NFS-proxy-style load).
@@ -335,16 +335,15 @@ fn ra_dwcs_load_feed_survives_reordering_duplication_and_a_partition() {
         SimTime::from_millis(10_600),
         SimTime::from_millis(11_400),
     );
-    let config = |resource_aware| RubisConfig {
+    let config = |resource_aware| RubisScenario {
         resource_aware,
         duration: SimDuration::from_secs(10),
-        seed: 3,
-        ..RubisConfig::default()
+        ..RubisScenario::default()
     };
 
     for (name, plan) in [("mix", mixed), ("partition", partitioned)] {
-        let plain = run_rubis_under(config(false), plan.clone()).0.output;
-        let (run, applied) = run_rubis_under(config(true), plan);
+        let plain = run_rubis_under(config(false), 3, plan.clone()).0.output;
+        let (run, applied) = run_rubis_under(config(true), 3, plan);
         let faults = run.world.network().fault_stats();
         assert!(faults.balances(), "{name}: {faults:?}");
         assert!(faults.injected_losses > 0, "{name}: {faults:?}");

@@ -9,10 +9,11 @@
 //! attribution is only trustworthy if it is bit-stable under replay.
 
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::LinkFaults;
+use simnet::{FaultPlan, LinkFaults};
+use sysprof::{GpaConfig, LpaConfig, MonitorConfig};
 use sysprof_apps::{
     AllreduceScenario, CdnScenario, FanoutScenario, IperfScenario, KvStoreScenario,
-    LinpackScenario, RubisScenario, ScenarioSpec, StorageScenario,
+    LinpackScenario, RubisScenario, ScenarioRun, ScenarioSpec, StorageScenario,
 };
 use testkit::{
     assert_path_completeness, assert_tier_latency_budget, check_invariants, scenario_matrix,
@@ -179,6 +180,158 @@ fn allreduce_survives_the_fault_matrix() {
 #[test]
 fn cdn_survives_the_fault_matrix() {
     scenario_matrix!(quick_cdn());
+}
+
+/// A paper workload with delivery logging switched on through the
+/// runner's configuration override. Its own configuration deploys without
+/// the log, and `check_invariants`' in-order/exactly-once audit would
+/// pass on it without looking at a single delivery.
+struct Logged<S>(S);
+
+impl<S: ScenarioSpec> Logged<S> {
+    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<S::Output> {
+        let config = MonitorConfig {
+            gpa: GpaConfig {
+                log_deliveries: true,
+                ..GpaConfig::default()
+            },
+            ..self.0.monitor_config()
+        };
+        let run = self.0.run_with(seed, faults, config);
+        assert!(
+            !run.sysprof.gpa().borrow().delivery_log().is_empty(),
+            "the override reached the GPA"
+        );
+        run
+    }
+}
+
+#[test]
+fn storage_survives_the_fault_matrix() {
+    scenario_matrix!(Logged(StorageScenario {
+        duration: SimDuration::from_secs(1),
+        ..StorageScenario::default()
+    }));
+}
+
+#[test]
+fn iperf_survives_the_fault_matrix() {
+    scenario_matrix!(Logged(IperfScenario {
+        duration: SimDuration::from_millis(300),
+        ..IperfScenario::default()
+    }));
+}
+
+// ---------------------------------------------------------------------
+// Monitoring configuration as the third axis (ROADMAP item 1(a), first
+// column): scenario × LPA rung, through the runner's override
+// ---------------------------------------------------------------------
+
+/// The LPA's three rungs, fine to coarse, as `Controller::set_level`
+/// defines them.
+fn lpa_rungs() -> [(&'static str, LpaConfig); 3] {
+    let interactions = LpaConfig {
+        track_scheduling: false,
+        ..LpaConfig::default()
+    };
+    let class_aggregates = LpaConfig {
+        class_only: true,
+        ..interactions.clone()
+    };
+    [
+        ("full", LpaConfig::default()),
+        ("interactions", interactions),
+        ("class-aggregates", class_aggregates),
+    ]
+}
+
+/// Runs `spec` on every rung. Perturbation (mean monitoring CPU fraction
+/// over the monitored nodes) must not rise as the rungs coarsen, and the
+/// coarsest rung must ship the fewest bytes. Bytes are *not* monotone
+/// between the two per-interaction rungs: these workloads are closed
+/// loops, so a cheaper monitor lets more requests finish and each one is
+/// still a record on the wire. Returns the coarsest rung whose verdict is
+/// still the full-monitoring verdict, character for character.
+fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> &'static str {
+    let mut kept = "";
+    let mut full_verdict = None;
+    let mut finer: Vec<(f64, u64)> = Vec::new();
+    for (rung, lpa) in lpa_rungs() {
+        let config = MonitorConfig {
+            lpa,
+            ..spec.monitor_config()
+        };
+        let run = spec.run_with(7, FaultPlan::default(), config);
+        let nodes = run.sysprof.monitored();
+        let overhead = nodes
+            .iter()
+            .map(|&n| run.sysprof.overhead_fraction(&run.world, n))
+            .sum::<f64>()
+            / nodes.len() as f64;
+        let bytes: u64 = nodes
+            .iter()
+            .map(|&n| run.sysprof.daemon_stats(n).expect("deployed").bytes_sent)
+            .sum();
+        assert!(
+            finer.last().is_none_or(|&(o, _)| overhead <= o),
+            "{} at {rung}: overhead {overhead} after {finer:?}",
+            spec.name()
+        );
+        finer.push((overhead, bytes));
+        let verdict = spec.diagnose(&run).verdict;
+        if *full_verdict.get_or_insert_with(|| verdict.clone()) == verdict {
+            kept = rung;
+        }
+    }
+    let (_, coarsest_bytes) = finer.pop().expect("three rungs");
+    assert!(
+        finer.iter().all(|&(_, b)| coarsest_bytes < b),
+        "{}: class aggregates shipped {coarsest_bytes} bytes after {finer:?}",
+        spec.name()
+    );
+    kept
+}
+
+/// The first column of the frontier table. Every verdict carries the
+/// measurements behind it, so none survives a coarser rung to the
+/// character: without scheduling events the user/blocked attribution the
+/// fan-out, allreduce and CDN verdicts quote reads zero, and the KV
+/// store's counts move with the perturbation itself. EXPERIMENTS.md
+/// tabulates all twelve verdicts.
+#[test]
+fn coarser_lpa_rungs_cost_less_and_keep_these_verdicts() {
+    let table = [
+        ("kvstore", coarsest_rung_keeping_the_verdict(&quick_kv())),
+        ("fanout", coarsest_rung_keeping_the_verdict(&quick_fanout())),
+        (
+            "allreduce",
+            coarsest_rung_keeping_the_verdict(&quick_allreduce()),
+        ),
+        ("cdn", coarsest_rung_keeping_the_verdict(&quick_cdn())),
+    ];
+    let golden = [
+        ("kvstore", "full"),
+        ("fanout", "full"),
+        ("allreduce", "full"),
+        ("cdn", "full"),
+    ];
+    assert_eq!(table, golden);
+}
+
+/// The kv world with no monitor deployed (ROADMAP item 10(c)): the
+/// workload runs to completion, and every instrumentation point it hits
+/// takes the suppressed path — no node generates an event.
+#[test]
+fn unmonitored_kvstore_completes_and_generates_no_events() {
+    let (world, output) = quick_kv().run_unmonitored(7);
+    assert!(output.ops_completed > 0, "{output:?}");
+    let mut suppressed = 0;
+    for node in 0..world.node_count() {
+        let stats = world.kprof(NodeId(node as u32)).stats();
+        assert_eq!(stats.events_generated, 0, "node {node}: {stats:?}");
+        suppressed += stats.events_suppressed;
+    }
+    assert!(suppressed > 0, "the workload hit instrumentation points");
 }
 
 // ---------------------------------------------------------------------
