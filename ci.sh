@@ -4,7 +4,8 @@
 # pipeline would do.
 #
 #   ./ci.sh              full pipeline
-#   ./ci.sh --analyze    only the static gates: analyzer + one-receiver check (fast pre-commit check)
+#   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch checks (fast pre-commit check)
+#   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
 #   ./ci.sh --scenarios  only the scenario library: one-runner check, golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
@@ -97,6 +98,40 @@ check_one_runner() {
     fi
 }
 
+check_one_switch() {
+    # `LpaConfig::level` is the one level setting, `SysProf::reconfigure`
+    # the one runtime entry, and an analyzer is off when its interest is
+    # empty. Non-test code naming the deleted gate, booleans or controller
+    # type has started a second switch. In lpa.rs a pid's open-window
+    # count changes only in the attribution window's methods (`impl
+    # Window`): anything else calling a method on the table has started a
+    # second copy of the bookkeeping.
+    local f found=0
+    for f in $(find crates -path '*/src/*' -name '*.rs' | sort); do
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\b(set_active|track_scheduling|class_only|Controller)\b'; then
+            found=1
+        fi
+    done
+    if ! awk '
+        /#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /^impl Window / { inside = 1 }
+        inside && /^}/ { inside = 0; next }
+        !inside && /open_windows[[:space:]]*[.[]/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit bad }
+    ' crates/core/src/lpa.rs; then
+        found=1
+    fi
+    if [[ $found == 1 ]]; then
+        echo "the LPA's level is LpaConfig::level, changed at run time through" \
+            "SysProf::reconfigure (no Kprof on/off gate), and lpa.rs changes" \
+            "open-window counts only inside impl Window" >&2
+        return 1
+    fi
+}
+
 # The substrate's own gates, shared by --substrate and the full run: the
 # calendar's model proptests and simos, the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
@@ -154,7 +189,23 @@ case "${1:-}" in
 --analyze)
     fast_path ANALYZE run_analyzer \
         "==> one receiver (core and apps reach the stream through Sender/Receiver)" \
-        check_one_receiver
+        check_one_receiver \
+        "==> one switch (LpaConfig::level; open-window counts change in Window only)" \
+        check_one_switch
+    ;;
+--lpa)
+    # The LPA: both trackers' unit tests, the proptests and the seeded
+    # corpus pinned at the parent's records (release), ARM hints end to
+    # end, the runtime/deploy-time level tests and the scenario rungs.
+    fast_path LPA \
+        "==> one switch (LpaConfig::level; open-window counts change in Window only)" \
+        check_one_switch \
+        "==> LPA unit tests, proptests and seeded corpus (release)" \
+        "cargo test -q --release -p sysprof lpa::" \
+        "==> ARM hints, overhead control, the LPA rungs" \
+        "cargo test -q --test arm_hints" \
+        "cargo test -q --test overhead_control" \
+        "cargo test -q --test scenarios coarser_lpa_rungs"
     ;;
 --scenarios)
     # The scenario library: golden diagnoses + chaos matrix and the apps
@@ -240,6 +291,9 @@ check_one_receiver
 
 echo "==> one runner (apps and bench build, deploy and retry through scenario.rs)"
 check_one_runner
+
+echo "==> one switch (LpaConfig::level; open-window counts change in Window only)"
+check_one_switch
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode

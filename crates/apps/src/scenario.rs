@@ -86,8 +86,9 @@ pub struct Placement {
 }
 
 /// A scenario built, deployed and spawned but not yet run: for callers
-/// that drive the world themselves (inject a fault mid-run, turn a
-/// controller knob, read the GPA at two instants).
+/// that drive the world themselves (inject a fault mid-run, change a
+/// node's level through `SysProf::reconfigure`, read the GPA at two
+/// instants).
 pub struct Staged<P> {
     /// The simulation, at time zero.
     pub world: World,

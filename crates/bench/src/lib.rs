@@ -19,7 +19,7 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::LinkSpec;
 use simos::{World, WorldBuilder};
-use sysprof::{Controller, SysProf};
+use sysprof::SysProf;
 use sysprof_apps::{
     Diagnosis, IperfResult, IperfScenario, LinpackResult, LinpackScenario, Placement, RubisResult,
     RubisScenario, ScenarioRun, ScenarioSpec, StorageResult, StorageScenario,
@@ -99,7 +99,7 @@ pub struct GranularityRow {
 }
 
 /// One rung of T0: the Iperf world with only the receiver monitored and
-/// the controller's global gate set to `mask` before the stream starts.
+/// Kprof's global gate set to `mask` before the stream starts.
 struct GatedIperf {
     iperf: IperfScenario,
     mask: EventMask,
@@ -133,7 +133,7 @@ impl ScenarioSpec for GatedIperf {
         world
             .kprof_mut(NodeId(1))
             .register(Box::new(kprof::CountingAnalyzer::new(EventMask::ALL)));
-        Controller::new().set_global_mask(world, NodeId(1), self.mask);
+        world.kprof_mut(NodeId(1)).set_global_mask(self.mask);
         self.iperf.spawn(world, monitor);
     }
 
@@ -150,10 +150,10 @@ impl ScenarioSpec for GatedIperf {
     }
 }
 
-/// T0: the controller's selective-enabling knob under Iperf load —
+/// T0: Kprof's selective-enabling knob under Iperf load —
 /// reproducing "the overhead of SysProf can be varied ranging from less
 /// than 1% of the system resource to more than 10%". Each row enables one
-/// more event class through the controller's global gate mask.
+/// more event class through the receiver's global gate mask.
 pub fn exp_t0_granularity(duration: SimDuration, seed: u64) -> Vec<GranularityRow> {
     let levels = [
         ("off", EventMask::NONE),

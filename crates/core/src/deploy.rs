@@ -157,7 +157,7 @@ impl SysProf {
     }
 
     /// The LPA analyzer id on a node.
-    pub fn lpa_id(&self, node: NodeId) -> Option<AnalyzerId> {
+    fn lpa_id(&self, node: NodeId) -> Option<AnalyzerId> {
         self.lpa_ids.get(&node).copied()
     }
 
@@ -165,6 +165,33 @@ impl SysProf {
     pub fn lpa<'w>(&self, world: &'w World, node: NodeId) -> Option<&'w Lpa> {
         let id = self.lpa_id(node)?;
         world.kprof(node).analyzer_as::<Lpa>(id)
+    }
+
+    /// The controller (§2: it "can instruct the LPAs to collect
+    /// statistics for some client class rather than for individual
+    /// interactions. It can change the sizes of internal LPA buffers"):
+    /// applies `change` to a monitored node's LPA configuration at run
+    /// time and re-reads the LPA's Kprof interest in the same call, so a
+    /// [`MonitorLevel`](crate::MonitorLevel) change moves what the node's
+    /// instrumentation generates with it. A zero window clamps to 1.
+    /// Returns false if `node` is not monitored.
+    pub fn reconfigure(
+        &self,
+        world: &mut World,
+        node: NodeId,
+        change: impl FnOnce(&mut LpaConfig),
+    ) -> bool {
+        let Some(id) = self.lpa_id(node) else {
+            return false;
+        };
+        let kprof = world.kprof_mut(node);
+        let Some(lpa) = kprof.analyzer_as_mut::<Lpa>(id) else {
+            return false;
+        };
+        let mut config = lpa.config().clone();
+        change(&mut config);
+        lpa.reconfigure(config);
+        kprof.update_interest(id)
     }
 
     /// A node's daemon counters.
@@ -198,7 +225,7 @@ impl SysProf {
     /// Compiles and installs a Custom Performance Analyzer (E-Code) on a
     /// node at runtime — §2's "custom analyzers can be dynamically
     /// created and downloaded into the kernel". Returns the analyzer id
-    /// for later inspection or deactivation (`Kprof::set_active`).
+    /// for later inspection.
     ///
     /// # Errors
     ///

@@ -26,11 +26,13 @@
 //!   the daemon's control port, cost from [`cost`]. The stream itself —
 //!   sequence numbers, frames, retransmission, reassembly — is
 //!   `pubsub::reliable`'s; the daemon holds its `Sender`,
-//! * [`Controller`] — the knob panel: monitoring level (off / per-class /
-//!   per-interaction / full), buffer and window sizes, event masks,
 //! * [`procfs`] — `/proc`-style textual views of the collected data,
 //! * [`SysProf`] — the facade that deploys all of the above onto a
-//!   [`simos::World`] in one call.
+//!   [`simos::World`] in one call, and the controller:
+//!   [`SysProf::reconfigure`] changes a node's [`LpaConfig`] at run time —
+//!   its [`MonitorLevel`] (off / per-class / per-interaction / full, which
+//!   is also what the LPA asks Kprof for), window and buffer sizes,
+//!   service ports.
 //!
 //! # Example
 //!
@@ -63,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
 pub mod cost;
 mod cpa;
 mod daemon;
@@ -74,7 +75,6 @@ pub mod procfs;
 mod query;
 mod records;
 
-pub use controller::{Controller, MonitorLevel};
 pub use cpa::{CpaAnalyzer, CpaError, EVENT_INPUTS};
 pub use daemon::{
     ControlSink, Daemon, DaemonConfig, DaemonStats, CONTROL_PORT, DAEMON_SRC_PORT, DATA_PORT,
@@ -85,7 +85,7 @@ pub use gpa::{
     flow_shard_key, receive_stream, ClassSummary, ControlReplySink, CorrelatedPath, Gpa, GpaConfig,
     GpaSink, GpaStats, NodeLoadView, SubscriptionFailure,
 };
-pub use lpa::{Lpa, LpaConfig};
+pub use lpa::{Lpa, LpaConfig, MonitorLevel};
 /// The frame layer of a batch payload, for tools that take one apart.
 pub use pubsub::split_frames;
 pub use query::{GpaAnswer, GpaQuery, GpaQuerySink, QueryClient, QUERY_PORT, QUERY_REPLY_PORT};

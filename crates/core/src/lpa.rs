@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use kprof::{
     Analyzer, AnalyzerOutcome, BlockReason, Event, EventMask, EventPayload, Interest, NetPoint,
-    PerCpuBuffers, Pid, Predicate,
+    PerCpuBuffers, Pid,
 };
 use simcore::hash::{HashMap, HashSet};
 use simcore::stats::OnlineStats;
@@ -34,21 +34,40 @@ use crate::records::InteractionRecord;
 /// which the dissemination daemon calls on its periodic wake.
 const IDLE_CLOSE: SimDuration = SimDuration::from_millis(50);
 
-/// LPA configuration — the knobs the SysProf controller turns.
+/// Monitoring granularity, coarse → fine: what the LPA asks Kprof for and
+/// what it keeps. Each level trades diagnostic detail against
+/// perturbation (the "<1% … >10%" range of §3.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MonitorLevel {
+    /// Nothing: the LPA's interest is empty, so its instrumentation points
+    /// cost only the disabled-hook branch. The daemon still reports load.
+    Off,
+    /// Per-class aggregates only; network events, no scheduling
+    /// attribution, nothing staged per interaction.
+    ClassAggregates,
+    /// Per-interaction records with network events only (no user/blocked
+    /// attribution).
+    Interactions,
+    /// Per-interaction records with full scheduling attribution.
+    #[default]
+    Full,
+}
+
+/// LPA configuration — the knobs the SysProf controller turns, at deploy
+/// time (`MonitorConfig::lpa`) or at run time
+/// ([`SysProf::reconfigure`](crate::SysProf::reconfigure)).
 #[derive(Debug, Clone)]
 pub struct LpaConfig {
-    /// Per-CPU double-buffer side capacity, in records ("window size" —
-    /// changeable dynamically via the controller).
+    /// Per-CPU double-buffer side capacity, in records, and the length of
+    /// the recent-interaction window ("window size").
     pub window: usize,
     /// CPUs on the node (one double buffer each).
     pub cpus: usize,
-    /// Track scheduling events for user/blocked attribution. Turning this
-    /// off halves event volume but zeroes `user_us`/`blocked_us`.
-    pub track_scheduling: bool,
-    /// Aggregate per service class instead of staging every interaction
-    /// (the controller's "statistics for some client class rather than
-    /// for individual interactions" mode).
-    pub class_only: bool,
+    /// What the LPA watches and keeps: its Kprof interest and whether it
+    /// stages per-interaction records (the controller's "statistics for
+    /// some client class rather than for individual interactions" is
+    /// [`MonitorLevel::ClassAggregates`]).
+    pub level: MonitorLevel,
     /// Only diagnose flows whose responder port is in this set (None =
     /// all). Probed per completed interaction, which is why it is a
     /// [`crate::hash::HashSet`] (fixed hasher) and not std's.
@@ -60,12 +79,14 @@ impl Default for LpaConfig {
         LpaConfig {
             window: 256,
             cpus: 1,
-            track_scheduling: true,
-            class_only: false,
+            level: MonitorLevel::Full,
             service_ports: None,
         }
     }
 }
+
+/// A pid-clock snapshot: (run, blocked, blocked_io).
+type Snap = (SimDuration, SimDuration, SimDuration);
 
 /// Message direction relative to the observing node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,29 +113,143 @@ struct MsgAcc {
     pid: Option<Pid>,
 }
 
+impl MsgAcc {
+    /// A message's first packet.
+    fn start(dir: Dir, flow: FlowKey, wall: SimTime, size: u32, pid: Option<Pid>) -> MsgAcc {
+        MsgAcc {
+            dir,
+            flow,
+            first_wall: wall,
+            last_wall: wall,
+            packets: 1,
+            bytes: size as u64,
+            deliver_last: None,
+            tx_last_nic: None,
+            pid,
+        }
+    }
+
+    /// A further packet of the same message.
+    fn extend(&mut self, wall: SimTime, size: u32, pid: Option<Pid>) {
+        self.last_wall = wall;
+        self.packets += 1;
+        self.bytes += size as u64;
+        self.pid = self.pid.or(pid);
+    }
+
+    /// The inbound message reached user space.
+    fn delivered(&mut self, wall: SimTime, pid: Option<Pid>) {
+        self.deliver_last = Some(wall);
+        self.pid = self.pid.or(pid);
+    }
+}
+
 /// A closed message, kept as the candidate first half of an interaction.
 #[derive(Debug, Clone)]
 struct ClosedMsg {
     acc: MsgAcc,
-    /// Pid-clock snapshot at the message's "request delivered" moment
-    /// (run, blocked, blocked_io) — basis for user/blocked attribution.
-    snap: Option<(SimDuration, SimDuration, SimDuration)>,
+    /// Pid-clock snapshot at the message's "request delivered" moment —
+    /// basis for user/blocked attribution.
+    snap: Option<Snap>,
     /// How many interaction windows of the serving process were open when
     /// this message's window closed — the fair-share divisor for run-time
     /// attribution across interleaved requests.
     share: u32,
 }
 
+/// An interaction's attribution window, open from the request's delivery
+/// until its response starts: the serving pid whose count in
+/// `Lpa::open_windows` it holds, and the pid-clock snapshot taken at
+/// delivery. Both trackers keep one per exchange; its methods are the
+/// only place a pid's open-window count changes.
+#[derive(Debug, Default)]
+struct Window {
+    pid: Option<Pid>,
+    snap: Option<Snap>,
+}
+
+impl Window {
+    /// Opens the window for `pid`, unless it is open already.
+    fn open(&mut self, open_windows: &mut HashMap<Pid, u32>, pid: Option<Pid>) {
+        if let (None, Some(p)) = (self.pid, pid) {
+            self.pid = Some(p);
+            *open_windows.entry(p).or_insert(0) += 1;
+        }
+    }
+
+    /// `request` reached the socket buffer, the only delivery a kernel
+    /// daemon has: a fallback that real deliveries override. The first
+    /// snapshot opens the window; a later one replaces it unless
+    /// `keep_first`.
+    fn buffered(
+        &mut self,
+        open_windows: &mut HashMap<Pid, u32>,
+        request: &mut MsgAcc,
+        pid: Option<Pid>,
+        snap: Option<Snap>,
+        keep_first: bool,
+    ) {
+        request.pid = request.pid.or(pid);
+        if request.deliver_last.is_some() {
+            return;
+        }
+        if self.snap.is_none() {
+            self.open(open_windows, pid.or(request.pid));
+            self.snap = snap;
+        } else if !keep_first {
+            self.snap = snap.or(self.snap);
+        }
+    }
+
+    /// `request` was delivered to the serving process at `wall`: opens the
+    /// window and takes the latest snapshot.
+    fn delivered(
+        &mut self,
+        open_windows: &mut HashMap<Pid, u32>,
+        request: &mut MsgAcc,
+        wall: SimTime,
+        pid: Option<Pid>,
+        snap: Option<Snap>,
+    ) {
+        request.delivered(wall, pid);
+        self.open(open_windows, pid.or(request.pid));
+        self.snap = snap.or(self.snap);
+    }
+
+    /// The response started: closes the window and returns the fair-share
+    /// divisor, the windows its pid had open (this one included).
+    fn close(&mut self, open_windows: &mut HashMap<Pid, u32>) -> u32 {
+        let Some(p) = self.pid.take() else {
+            return 1;
+        };
+        let n = open_windows.entry(p).or_insert(1);
+        let share = (*n).max(1);
+        *n = n.saturating_sub(1);
+        share
+    }
+
+    /// The exchange ended without a response: gives the count back.
+    fn release(&mut self, open_windows: &mut HashMap<Pid, u32>) {
+        if let Some(p) = self.pid.take() {
+            if let Some(n) = open_windows.get_mut(&p) {
+                *n = n.saturating_sub(1);
+            }
+        }
+    }
+
+    /// Drops the pids whose count reached zero: `or_insert` recreates
+    /// exactly those, so no record changes.
+    fn sweep(open_windows: &mut HashMap<Pid, u32>) {
+        open_windows.retain(|_, open| *open > 0);
+    }
+}
+
 #[derive(Debug, Default)]
 struct FlowState {
     cur: Option<MsgAcc>,
     prev: Option<ClosedMsg>,
-    /// Latest snapshot taken at a delivery (or socket-buffer for kernel
-    /// daemons) event of the current inbound message.
-    deliver_snap: Option<(SimDuration, SimDuration, SimDuration)>,
-    /// The pid whose open-window count this flow's current inbound
-    /// message incremented (cleared when the window closes).
-    window_pid: Option<Pid>,
+    /// The current inbound message's attribution window.
+    window: Window,
 }
 
 impl FlowState {
@@ -123,8 +258,14 @@ impl FlowState {
     fn is_empty(&self) -> bool {
         self.cur.is_none()
             && self.prev.is_none()
-            && self.deliver_snap.is_none()
-            && self.window_pid.is_none()
+            && self.window.pid.is_none()
+            && self.window.snap.is_none()
+    }
+
+    /// The current message, if inbound, with its attribution window.
+    fn inbound(&mut self) -> Option<(&mut MsgAcc, &mut Window)> {
+        let cur = self.cur.as_mut().filter(|c| c.dir == Dir::In)?;
+        Some((cur, &mut self.window))
     }
 }
 
@@ -140,27 +281,14 @@ impl FlowState {
 struct ArmState {
     req: Option<MsgAcc>,
     resp: Option<MsgAcc>,
-    snap: Option<(SimDuration, SimDuration, SimDuration)>,
-    window_pid: Option<Pid>,
+    /// Opened only for a request served here, at its first snapshot.
+    window: Window,
     share: u32,
     last_wall: SimTime,
 }
 
-impl ArmState {
-    fn new(now: SimTime) -> Self {
-        ArmState {
-            req: None,
-            resp: None,
-            snap: None,
-            window_pid: None,
-            share: 1,
-            last_wall: now,
-        }
-    }
-}
-
 /// Per-process run/block clocks, maintained from scheduling events.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy)]
 struct PidClock {
     running_since: Option<SimTime>,
     blocked_since: Option<(SimTime, BlockReason)>,
@@ -170,34 +298,71 @@ struct PidClock {
 }
 
 impl PidClock {
-    /// (run, blocked, blocked_io) as of `now`, interpolating open spans.
-    fn snapshot(&self, now: SimTime) -> (SimDuration, SimDuration, SimDuration) {
-        let mut run = self.cum_run;
-        let mut blocked = self.cum_blocked;
-        let mut blocked_io = self.cum_blocked_io;
-        if let Some(since) = self.running_since {
-            run += now.saturating_since(since);
+    /// Closes the open run span at `now`.
+    fn stop_running(&mut self, now: SimTime) {
+        if let Some(since) = self.running_since.take() {
+            self.cum_run += now.saturating_since(since);
         }
-        if let Some((since, reason)) = self.blocked_since {
+    }
+
+    /// Closes the open blocked span at `now`.
+    fn stop_blocked(&mut self, now: SimTime) {
+        if let Some((since, reason)) = self.blocked_since.take() {
             let d = now.saturating_since(since);
-            blocked += d;
+            self.cum_blocked += d;
             if reason == BlockReason::DiskIo {
-                blocked_io += d;
+                self.cum_blocked_io += d;
             }
         }
-        (run, blocked, blocked_io)
+    }
+
+    /// The cumulative clocks as of `now`, open spans included.
+    fn snapshot(mut self, now: SimTime) -> Snap {
+        self.stop_running(now);
+        self.stop_blocked(now);
+        (self.cum_run, self.cum_blocked, self.cum_blocked_io)
     }
 }
 
 /// Per-class aggregation (the reduced-granularity mode).
 #[derive(Debug, Default, Clone)]
-pub(crate) struct ClassAggr {
-    pub count: u64,
-    pub kernel_in_us: OnlineStats,
-    pub user_us: OnlineStats,
-    pub kernel_out_us: OnlineStats,
-    pub total_us: OnlineStats,
-    pub bytes: u64,
+struct ClassAggr {
+    count: u64,
+    kernel_in_us: OnlineStats,
+    user_us: OnlineStats,
+    total_us: OnlineStats,
+}
+
+/// (count, mean kernel-in µs, mean user µs, mean total µs) per class port,
+/// sorted by port: consumers fold these with f64 accumulators, so the
+/// order must not depend on HashMap hash state.
+fn class_means(table: &HashMap<Port, ClassAggr>) -> Vec<(Port, u64, f64, f64, f64)> {
+    let mut out: Vec<_> = table
+        .iter()
+        .map(|(port, a)| {
+            let (kin, user, total) = (a.kernel_in_us.mean(), a.user_us.mean(), a.total_us.mean());
+            (*port, a.count, kin, user, total)
+        })
+        .collect();
+    out.sort_by_key(|(p, ..)| *p);
+    out
+}
+
+/// The keys of `table` whose entry's latest packet (`last`) is at least
+/// `IDLE_CLOSE` before `now`, in key order: each close emits a record,
+/// and record order must be identical across replays of the same seed.
+fn idle_keys<K: Copy + Ord, V>(
+    table: &HashMap<K, V>,
+    now: SimTime,
+    last: impl Fn(&V) -> Option<SimTime>,
+) -> Vec<K> {
+    let mut keys: Vec<K> = table
+        .iter()
+        .filter(|(_, v)| last(v).is_some_and(|t| now.saturating_since(t) >= IDLE_CLOSE))
+        .map(|(k, _)| *k)
+        .collect();
+    keys.sort_unstable();
+    keys
 }
 
 /// The Local Performance Analyzer. One per monitored node; registered
@@ -213,13 +378,15 @@ pub struct Lpa {
     pids: HashMap<Pid, PidClock>,
     /// Interaction windows currently open per pid (request delivered,
     /// response not yet started). Used to fair-share run-time attribution
-    /// across concurrently served requests.
+    /// across concurrently served requests; only [`Window`] changes it.
     open_windows: HashMap<Pid, u32>,
     buffers: PerCpuBuffers<InteractionRecord>,
     /// Losses counted by buffers that `reconfigure` has since replaced.
     overwritten_before: u64,
+    /// ARM correlators evicted idle without a response.
+    arm_dropped: u64,
     /// "a window containing the past several interactions" — queryable
-    /// recent history for procfs and the controller.
+    /// recent history for procfs.
     window: VecDeque<InteractionRecord>,
     /// Cumulative per-class aggregates (never reset; procfs reads these).
     class_aggr: HashMap<Port, ClassAggr>,
@@ -250,6 +417,7 @@ impl Lpa {
             open_windows: HashMap::default(),
             buffers,
             overwritten_before: 0,
+            arm_dropped: 0,
             window: VecDeque::new(),
             class_aggr: HashMap::default(),
             class_window: HashMap::default(),
@@ -259,10 +427,13 @@ impl Lpa {
         }
     }
 
-    /// Reconfigures at runtime (controller action). Buffer sizes apply to
-    /// newly created buffers; staged records move to the new ones, and
-    /// those a smaller buffer cannot hold are counted as overwritten there.
-    pub fn reconfigure(&mut self, config: LpaConfig) {
+    /// Reconfigures at run time; a zero window clamps to 1. Buffer sizes
+    /// apply to newly created buffers; staged records move to the new
+    /// ones, and those a smaller buffer cannot hold are counted as
+    /// overwritten there. The caller re-reads [`Analyzer::interest`]
+    /// (`SysProf::reconfigure` does both).
+    pub(crate) fn reconfigure(&mut self, mut config: LpaConfig) {
+        config.window = config.window.max(1);
         if config.window != self.config.window || config.cpus != self.config.cpus {
             let staged = self.buffers.drain_all();
             self.overwritten_before += self.buffers.overwritten();
@@ -292,41 +463,27 @@ impl Lpa {
     /// daemon's periodic wake (the "window contents are evicted … after
     /// some time" behavior of §2).
     pub fn flush_idle(&mut self, now: SimTime) -> usize {
-        let mut stale: Vec<FlowKey> = self
-            .flows
-            .iter()
-            .filter(|(_, st)| {
-                st.cur
-                    .as_ref()
-                    .map(|c| now.saturating_since(c.last_wall) >= IDLE_CLOSE)
-                    .unwrap_or(false)
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        // Close in key order: each close emits a record, and record order
-        // must be identical across replays of the same seed.
-        stale.sort();
         let mut closed = 0;
-        for canon in stale {
-            let Some(state) = self.flows.get_mut(&canon) else {
-                continue;
-            };
-            let Some(acc) = state.cur.take() else {
-                continue;
-            };
-            let snap = state.deliver_snap.take();
-            let share = Self::close_window(&mut self.open_windows, state);
-            closed += 1;
-            self.close_message(canon, ClosedMsg { acc, snap, share }, 0);
+        for canon in idle_keys(&self.flows, now, |st| st.cur.as_ref().map(|c| c.last_wall)) {
+            if let Some(acc) = self.flows.get_mut(&canon).and_then(|st| st.cur.take()) {
+                closed += 1;
+                self.close_message(canon, acc, 0);
+            }
         }
-        closed += self.flush_idle_arm(now);
+        // An idle correlator with both halves completes; one without a
+        // response is dropped (and counted).
+        for key in idle_keys(&self.arm_flows, now, |st| Some(st.last_wall)) {
+            if self.arm_finish(key, 0) {
+                closed += 1;
+            }
+        }
         // A flow that ended leaves an empty state behind, and a window
         // count that reached zero a dead entry; `or_default()` /
         // `or_insert` recreate exactly those, so dropping them changes no
         // record while keeping both tables (and this scan) at the size of
         // the live conversations rather than of every port ever seen.
         self.flows.retain(|_, state| !state.is_empty());
-        self.open_windows.retain(|_, open| *open > 0);
+        Window::sweep(&mut self.open_windows);
         closed
     }
 
@@ -334,6 +491,14 @@ impl Lpa {
     /// picked up in a timely fashion, it may be overwritten").
     pub fn overwritten(&self) -> u64 {
         self.overwritten_before + self.buffers.overwritten()
+    }
+
+    /// ARM correlators the idle sweep dropped without a response: a
+    /// response that starts after the next daemon wake is never recorded
+    /// (its late packets open a fresh state, which is dropped in turn),
+    /// where the black-box tracker parks the request and pairs it.
+    pub fn arm_dropped(&self) -> u64 {
+        self.arm_dropped
     }
 
     /// Total interaction records completed.
@@ -351,49 +516,18 @@ impl Lpa {
         self.window.iter()
     }
 
-    /// Per-class aggregates (populated in `class_only` mode; also usable
-    /// as cheap summaries in full mode). Returns (count, mean kernel-in
-    /// µs, mean user µs, mean total µs) per class port.
+    /// Per-class aggregates (all that [`MonitorLevel::ClassAggregates`]
+    /// keeps; cheap summaries at every level). Returns (class port, count,
+    /// mean kernel-in µs, mean user µs, mean total µs), by port.
     pub fn class_summaries(&self) -> Vec<(Port, u64, f64, f64, f64)> {
-        let mut out: Vec<_> = self
-            .class_aggr
-            .iter()
-            .map(|(port, a)| {
-                (
-                    *port,
-                    a.count,
-                    a.kernel_in_us.mean(),
-                    a.user_us.mean(),
-                    a.total_us.mean(),
-                )
-            })
-            .collect();
-        out.sort_by_key(|(p, ..)| *p);
-        out
+        class_means(&self.class_aggr)
     }
 
     /// Takes and resets the per-flush-window class aggregates (daemon
-    /// flush). The cumulative aggregates behind
-    /// [`class_summaries`](Lpa::class_summaries) are unaffected.
-    pub fn take_class_aggregates(&mut self) -> Vec<(Port, (u64, f64, f64, f64))> {
-        // Sorted by port: consumers fold these with f64 accumulators, so
-        // the iteration order must not depend on HashMap hash state.
-        let mut out: Vec<_> = self
-            .class_window
-            .iter()
-            .map(|(p, a)| {
-                (
-                    *p,
-                    (
-                        a.count,
-                        a.kernel_in_us.mean(),
-                        a.user_us.mean(),
-                        a.total_us.mean(),
-                    ),
-                )
-            })
-            .collect();
-        out.sort_by_key(|(p, _)| *p);
+    /// flush), in [`class_summaries`](Lpa::class_summaries)' shape. The
+    /// cumulative aggregates behind it are unaffected.
+    pub fn take_class_aggregates(&mut self) -> Vec<(Port, u64, f64, f64, f64)> {
+        let out = class_means(&self.class_window);
         self.class_window.clear();
         out
     }
@@ -422,34 +556,12 @@ impl Lpa {
         }
     }
 
-    /// Closes the current inbound window on a flow state, returning the
-    /// fair-share divisor observed at close.
-    fn close_window(open_windows: &mut HashMap<Pid, u32>, state: &mut FlowState) -> u32 {
-        match state.window_pid.take() {
-            Some(p) => {
-                let n = open_windows.entry(p).or_insert(1);
-                let share = (*n).max(1);
-                *n = n.saturating_sub(1);
-                share
-            }
-            None => 1,
-        }
-    }
-
-    fn pid_snapshot(
-        &self,
-        pid: Option<Pid>,
-        now: SimTime,
-    ) -> Option<(SimDuration, SimDuration, SimDuration)> {
-        let pid = pid?;
+    fn pid_snapshot(&self, pid: Option<Pid>, now: SimTime) -> Option<Snap> {
         // A process with no scheduling history yet has a zero clock (it
         // simply has not run since monitoring started) — that is a valid
         // snapshot, not an unknown one.
-        Some(self.pids.get(&pid).map(|c| c.snapshot(now)).unwrap_or((
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        )))
+        let clock = self.pids.get(&pid?).copied().unwrap_or_default();
+        Some(clock.snapshot(now))
     }
 
     /// Handles a packet observation that can open/extend/close messages.
@@ -463,62 +575,41 @@ impl Lpa {
     ) -> bool {
         let dir = self.dir_of(&flow);
         let canon = flow.canonical();
-        let state = self.flows.entry(canon).or_default();
-
-        match &mut state.cur {
+        match &mut self.flows.entry(canon).or_default().cur {
             Some(cur) if cur.dir == dir => {
-                cur.last_wall = wall;
-                cur.packets += 1;
-                cur.bytes += size as u64;
-                if cur.pid.is_none() {
-                    cur.pid = pid;
-                }
+                cur.extend(wall, size, pid);
                 false
             }
-            cur_slot => {
-                // Direction change (or first packet): close current, start new.
-                let closed = cur_slot.replace(MsgAcc {
-                    dir,
-                    flow,
-                    first_wall: wall,
-                    last_wall: wall,
-                    packets: 1,
-                    bytes: size as u64,
-                    deliver_last: None,
-                    tx_last_nic: None,
-                    pid,
-                });
-                let Some(acc) = closed else {
-                    return false;
-                };
-                let snap = state.deliver_snap.take();
-                let share = Self::close_window(&mut self.open_windows, state);
-                self.close_message(canon, ClosedMsg { acc, snap, share }, cpu)
-            }
+            // Direction change (or first packet): close current, start new.
+            cur => match cur.replace(MsgAcc::start(dir, flow, wall, size, pid)) {
+                Some(ended) => self.close_message(canon, ended, cpu),
+                None => false,
+            },
         }
     }
 
-    /// A message just closed; pair it with the previous opposite message
-    /// into an interaction, or hold it as the next candidate. Returns
-    /// whether a record was completed.
-    fn close_message(&mut self, canon: FlowKey, closed: ClosedMsg, cpu: u16) -> bool {
+    /// The flow's message `acc` just ended, and its window with it. Pair
+    /// it with the previous opposite message into an interaction, or hold
+    /// it as the next candidate. Returns whether a record was completed.
+    fn close_message(&mut self, canon: FlowKey, acc: MsgAcc, cpu: u16) -> bool {
         let state = self.flows.get_mut(&canon).expect("state exists");
+        let closed = ClosedMsg {
+            acc,
+            snap: state.window.snap.take(),
+            share: state.window.close(&mut self.open_windows),
+        };
         match state.prev.take() {
-            None => {
-                state.prev = Some(closed);
-                false
-            }
-            Some(first) if first.acc.dir == closed.acc.dir => {
-                // Two same-direction messages in a row (idle flush closed a
-                // request whose response never arrived, then another
-                // request). The stale candidate had no partner: drop it and
-                // keep the fresh message as the new candidate.
-                state.prev = Some(closed);
-                false
-            }
-            Some(first) => {
+            Some(first) if first.acc.dir != closed.acc.dir => {
                 self.complete_interaction(first, closed, cpu);
                 true
+            }
+            // No candidate yet, or two same-direction messages in a row
+            // (idle flush closed a request whose response never arrived,
+            // then another request): the stale candidate had no partner,
+            // and the fresh message is the new candidate.
+            _ => {
+                state.prev = Some(closed);
+                false
             }
         }
     }
@@ -630,68 +721,38 @@ impl Lpa {
             aggr.count += 1;
             aggr.kernel_in_us.record(record.kernel_in_us as f64);
             aggr.user_us.record(record.user_us as f64);
-            aggr.kernel_out_us.record(record.kernel_out_us as f64);
             aggr.total_us
                 .record(record.end_us.saturating_sub(record.start_us) as f64);
-            aggr.bytes += record.req_bytes + record.resp_bytes;
         }
 
-        if !self.config.class_only {
-            self.staged_push(cpu, record);
+        if self.config.level != MonitorLevel::ClassAggregates {
+            let cpu = (cpu as usize % self.buffers.cpus()) as u16;
+            self.pending_switch |= self.buffers.cpu_mut(cpu).push(record);
         }
     }
 
-    fn staged_push(&mut self, cpu: u16, record: InteractionRecord) {
-        let cpu = (cpu as usize % self.buffers.cpus()) as u16;
-        self.pending_switch |= self.buffers.cpu_mut(cpu).push(record);
-    }
-}
-
-// pending_switch is transient state between helpers within one on_event
-// call; declared here to keep the struct definition readable above.
-impl Lpa {
     fn sched_event(&mut self, ev: &Event) {
+        let now = ev.wall;
         match ev.payload {
             EventPayload::ContextSwitch { from, to } => {
-                let now = ev.wall;
                 if let Some(pid) = from {
-                    let clock = self.pids.entry(pid).or_default();
-                    if let Some(since) = clock.running_since.take() {
-                        clock.cum_run += now.saturating_since(since);
-                    }
+                    self.pids.entry(pid).or_default().stop_running(now);
                 }
                 if let Some(pid) = to {
                     let clock = self.pids.entry(pid).or_default();
                     clock.running_since = Some(now);
                     // Switching in ends any blocked span (wake may have
                     // been missed if masks changed at runtime).
-                    if let Some((since, reason)) = clock.blocked_since.take() {
-                        let d = now.saturating_since(since);
-                        clock.cum_blocked += d;
-                        if reason == BlockReason::DiskIo {
-                            clock.cum_blocked_io += d;
-                        }
-                    }
+                    clock.stop_blocked(now);
                 }
             }
             EventPayload::ProcessBlock { pid, reason } => {
-                let now = ev.wall;
                 let clock = self.pids.entry(pid).or_default();
-                if let Some(since) = clock.running_since.take() {
-                    clock.cum_run += now.saturating_since(since);
-                }
+                clock.stop_running(now);
                 clock.blocked_since = Some((now, reason));
             }
             EventPayload::ProcessWake { pid } => {
-                let now = ev.wall;
-                let clock = self.pids.entry(pid).or_default();
-                if let Some((since, reason)) = clock.blocked_since.take() {
-                    let d = now.saturating_since(since);
-                    clock.cum_blocked += d;
-                    if reason == BlockReason::DiskIo {
-                        clock.cum_blocked_io += d;
-                    }
-                }
+                self.pids.entry(pid).or_default().stop_blocked(now);
             }
             EventPayload::ProcessExit { pid } => {
                 self.pids.remove(&pid);
@@ -716,84 +777,67 @@ impl Lpa {
             return false;
         }
         if let Some(arm) = arm {
-            return self.arm_event(point, flow, ev.wall, size, pid, arm, ev.cpu);
+            return match point {
+                NetPoint::RxNic | NetPoint::TxFromUser => {
+                    self.arm_packet(flow, ev.wall, size, pid, arm, ev.cpu)
+                }
+                NetPoint::TxDeviceQueue | NetPoint::Drop => false,
+                _ => {
+                    self.arm_stack_event(point, (flow.canonical(), arm), ev.wall, pid);
+                    false
+                }
+            };
         }
         match point {
-            NetPoint::RxNic => self.observe_packet(flow, ev.wall, size, pid, ev.cpu),
-            NetPoint::TxFromUser => self.observe_packet(flow, ev.wall, size, pid, ev.cpu),
+            NetPoint::RxNic | NetPoint::TxFromUser => {
+                self.observe_packet(flow, ev.wall, size, pid, ev.cpu)
+            }
             NetPoint::RxSocketBuffer => {
-                // For kernel daemons there is no user delivery; keep the
-                // snapshot fresh from the socket-buffer point instead.
-                let canon = flow.canonical();
                 let snap = self.pid_snapshot(pid, ev.wall);
-                if let Some(state) = self.flows.get_mut(&canon) {
-                    if let Some(cur) = &mut state.cur {
-                        if cur.dir == Dir::In {
-                            if cur.pid.is_none() {
-                                cur.pid = pid;
-                            }
-                            if cur.deliver_last.is_none() {
-                                // Only a fallback: real deliveries override.
-                                if state.deliver_snap.is_none() && state.window_pid.is_none() {
-                                    if let Some(p) = pid.or(cur.pid) {
-                                        state.window_pid = Some(p);
-                                        *self.open_windows.entry(p).or_insert(0) += 1;
-                                    }
-                                }
-                                state.deliver_snap = snap.or(state.deliver_snap);
-                            }
-                        }
-                    }
+                if let Some((cur, window)) = self
+                    .flows
+                    .get_mut(&flow.canonical())
+                    .and_then(FlowState::inbound)
+                {
+                    // The black-box tracker keeps the last snapshot.
+                    window.buffered(&mut self.open_windows, cur, pid, snap, false);
                 }
                 false
             }
             NetPoint::RxDeliverUser => {
-                let canon = flow.canonical();
                 let snap = self.pid_snapshot(pid, ev.wall);
-                let mut opened = None;
-                if let Some(state) = self.flows.get_mut(&canon) {
-                    if let Some(cur) = &mut state.cur {
-                        if cur.dir == Dir::In {
-                            cur.deliver_last = Some(ev.wall);
-                            if cur.pid.is_none() {
-                                cur.pid = pid;
-                            }
-                            if state.window_pid.is_none() {
-                                opened = pid.or(cur.pid);
-                                state.window_pid = opened;
-                            }
-                            state.deliver_snap = snap.or(state.deliver_snap);
-                        }
-                    }
-                }
-                if let Some(p) = opened {
-                    *self.open_windows.entry(p).or_insert(0) += 1;
+                if let Some((cur, window)) = self
+                    .flows
+                    .get_mut(&flow.canonical())
+                    .and_then(FlowState::inbound)
+                {
+                    // Inbound is the request here and the response at an
+                    // initiator; either opens a window.
+                    window.delivered(&mut self.open_windows, cur, ev.wall, pid, snap);
                 }
                 false
             }
             NetPoint::TxNicDone => {
-                let canon = flow.canonical();
-                if let Some(state) = self.flows.get_mut(&canon) {
-                    if let Some(cur) = &mut state.cur {
-                        if cur.dir == Dir::Out {
-                            cur.tx_last_nic = Some(ev.wall);
-                        }
-                    }
+                let cur = self
+                    .flows
+                    .get_mut(&flow.canonical())
+                    .and_then(|state| state.cur.as_mut());
+                if let Some(cur) = cur.filter(|c| c.dir == Dir::Out) {
+                    cur.tx_last_nic = Some(ev.wall);
                 }
                 false
             }
             NetPoint::TxDeviceQueue | NetPoint::Drop => false,
         }
     }
-}
 
-impl Lpa {
-    /// Handles a network event that carries an ARM correlator. Returns
-    /// whether an interaction record completed.
-    #[allow(clippy::too_many_arguments)]
-    fn arm_event(
+    /// A packet observation that carries an ARM correlator: extends this
+    /// correlator's request or response run, after finishing any other
+    /// correlator on the same flow (responses are contiguous per send, so
+    /// a packet of a different id ends them). Returns whether an
+    /// interaction record completed.
+    fn arm_packet(
         &mut self,
-        point: NetPoint,
         flow: FlowKey,
         wall: SimTime,
         size: u32,
@@ -803,131 +847,82 @@ impl Lpa {
     ) -> bool {
         let dir = self.dir_of(&flow);
         let canon = flow.canonical();
-        let key = (canon, arm);
+        let completed = self.arm_complete_others(canon, arm, cpu);
+        let st = self
+            .arm_flows
+            .entry((canon, arm))
+            .or_insert_with(|| ArmState {
+                req: None,
+                resp: None,
+                window: Window::default(),
+                share: 1,
+                last_wall: wall,
+            });
+        st.last_wall = wall;
+        // The first message of a correlator is its request, whatever its
+        // direction: inbound where the server runs, outbound at the
+        // initiator. The opposite run answers it.
+        let responding = st.req.as_ref().is_some_and(|req| req.dir != dir);
+        let slot = if responding {
+            &mut st.resp
+        } else {
+            &mut st.req
+        };
+        match slot {
+            Some(acc) => acc.extend(wall, size, pid),
+            None => {
+                *slot = Some(MsgAcc::start(dir, flow, wall, size, pid));
+                // The response starting closes this correlator's
+                // attribution window.
+                if responding {
+                    st.share = st.window.close(&mut self.open_windows);
+                }
+            }
+        }
+        completed
+    }
 
+    /// A socket-buffer, delivery or NIC-done observation of an ARM
+    /// correlator's packet.
+    fn arm_stack_event(
+        &mut self,
+        point: NetPoint,
+        key: (FlowKey, u64),
+        wall: SimTime,
+        pid: Option<Pid>,
+    ) {
+        let snap = self.pid_snapshot(pid, wall);
+        let Some(st) = self.arm_flows.get_mut(&key) else {
+            return;
+        };
+        st.last_wall = wall;
         match point {
-            NetPoint::RxNic | NetPoint::TxFromUser => {
-                // A packet observation: extend this correlator's request
-                // or response run, then see whether it finishes any other
-                // correlator on the same flow (responses are contiguous
-                // per send, so a packet of a different id ends them).
-                let completed = self.arm_complete_others(canon, arm, cpu);
-                let st = self
-                    .arm_flows
-                    .entry(key)
-                    .or_insert_with(|| ArmState::new(wall));
-                st.last_wall = wall;
-                // The first message of a correlator is its request,
-                // whatever its direction: inbound where the server runs,
-                // outbound at the initiator. The opposite run answers it.
-                let slot = match &st.req {
-                    Some(req) if req.dir != dir => &mut st.resp,
-                    _ => &mut st.req,
-                };
-                match slot {
-                    Some(acc) => {
-                        acc.last_wall = wall;
-                        acc.packets += 1;
-                        acc.bytes += size as u64;
-                        if acc.pid.is_none() {
-                            acc.pid = pid;
-                        }
-                    }
-                    None => {
-                        *slot = Some(MsgAcc {
-                            dir,
-                            flow,
-                            first_wall: wall,
-                            last_wall: wall,
-                            packets: 1,
-                            bytes: size as u64,
-                            deliver_last: None,
-                            tx_last_nic: None,
-                            pid,
-                        });
-                        // The response starting closes this correlator's
-                        // attribution window.
-                        if dir == Dir::Out {
-                            let st = self.arm_flows.get_mut(&key).expect("just touched");
-                            if let Some(p) = st.window_pid.take() {
-                                let n = self.open_windows.entry(p).or_insert(1);
-                                st.share = (*n).max(1);
-                                *n = n.saturating_sub(1);
-                            }
-                        }
-                    }
-                }
-                completed
-            }
+            // Only a request served here opens an attribution window; the
+            // initiator's inbound run is the response.
             NetPoint::RxSocketBuffer => {
-                let snap = self.pid_snapshot(pid, wall);
-                if let Some(st) = self.arm_flows.get_mut(&key) {
-                    st.last_wall = wall;
-                    // Only a request served here opens an attribution
-                    // window; the initiator's inbound run is the response.
-                    if let Some(req) = st.req.as_mut().filter(|m| m.dir == Dir::In) {
-                        if req.pid.is_none() {
-                            req.pid = pid;
-                        }
-                        if req.deliver_last.is_none() && st.snap.is_none() {
-                            if let Some(p) = pid.or(req.pid) {
-                                if st.window_pid.is_none() {
-                                    st.window_pid = Some(p);
-                                    *self.open_windows.entry(p).or_insert(0) += 1;
-                                }
-                            }
-                            st.snap = snap;
-                        }
-                    }
+                if let Some(req) = st.req.as_mut().filter(|m| m.dir == Dir::In) {
+                    // The ARM tracker keeps the first snapshot.
+                    st.window
+                        .buffered(&mut self.open_windows, req, pid, snap, true);
                 }
-                false
             }
-            NetPoint::RxDeliverUser => {
-                let snap = self.pid_snapshot(pid, wall);
-                let mut opened = None;
-                if let Some(st) = self.arm_flows.get_mut(&key) {
-                    st.last_wall = wall;
-                    // The inbound message is the request at the responder
-                    // and the response at the initiator.
-                    match (&mut st.req, &mut st.resp) {
-                        // A request delivery after its response started
-                        // can only come from a reordered stream; it must
-                        // not stretch the attribution window.
-                        (Some(req), None) if req.dir == Dir::In => {
-                            req.deliver_last = Some(wall);
-                            if req.pid.is_none() {
-                                req.pid = pid;
-                            }
-                            if st.window_pid.is_none() {
-                                opened = pid.or(req.pid);
-                                st.window_pid = opened;
-                            }
-                            st.snap = snap.or(st.snap);
-                        }
-                        (_, Some(resp)) if resp.dir == Dir::In => {
-                            resp.deliver_last = Some(wall);
-                            if resp.pid.is_none() {
-                                resp.pid = pid;
-                            }
-                        }
-                        _ => {}
-                    }
+            NetPoint::RxDeliverUser => match (&mut st.req, &mut st.resp) {
+                // A request delivery after its response started can only
+                // come from a reordered stream; it must not stretch the
+                // attribution window.
+                (Some(req), None) if req.dir == Dir::In => {
+                    st.window
+                        .delivered(&mut self.open_windows, req, wall, pid, snap);
                 }
-                if let Some(p) = opened {
-                    *self.open_windows.entry(p).or_insert(0) += 1;
-                }
-                false
-            }
+                (_, Some(resp)) if resp.dir == Dir::In => resp.delivered(wall, pid),
+                _ => {}
+            },
             NetPoint::TxNicDone => {
-                if let Some(st) = self.arm_flows.get_mut(&key) {
-                    st.last_wall = wall;
-                    if let Some(resp) = st.resp.as_mut().filter(|m| m.dir == Dir::Out) {
-                        resp.tx_last_nic = Some(wall);
-                    }
+                if let Some(resp) = st.resp.as_mut().filter(|m| m.dir == Dir::Out) {
+                    resp.tx_last_nic = Some(wall);
                 }
-                false
             }
-            NetPoint::TxDeviceQueue | NetPoint::Drop => false,
+            _ => {}
         }
     }
 
@@ -952,23 +947,21 @@ impl Lpa {
         any
     }
 
-    /// Emits the interaction record for a finished correlator state.
+    /// Ends a correlator's state: emits its interaction record if it has
+    /// both halves, else drops it (counted in `arm_dropped`).
     fn arm_finish(&mut self, key: (FlowKey, u64), cpu: u16) -> bool {
-        let Some(st) = self.arm_flows.remove(&key) else {
+        let Some(mut st) = self.arm_flows.remove(&key) else {
             return false;
         };
         // Release an unclosed window (response never started).
-        if let Some(p) = st.window_pid {
-            if let Some(n) = self.open_windows.get_mut(&p) {
-                *n = n.saturating_sub(1);
-            }
-        }
+        st.window.release(&mut self.open_windows);
         let (Some(req), Some(resp)) = (st.req, st.resp) else {
+            self.arm_dropped += 1;
             return false;
         };
         let first = ClosedMsg {
             acc: req,
-            snap: st.snap,
+            snap: st.window.snap,
             share: st.share,
         };
         let second = ClosedMsg {
@@ -979,34 +972,6 @@ impl Lpa {
         self.complete_interaction(first, second, cpu);
         true
     }
-
-    /// Flushes idle ARM states: completed pairs emit records; stale
-    /// request-only states are evicted. Returns completions.
-    fn flush_idle_arm(&mut self, now: SimTime) -> usize {
-        let mut stale: Vec<((FlowKey, u64), bool)> = self
-            .arm_flows
-            .iter()
-            .filter(|(_, st)| now.saturating_since(st.last_wall) >= IDLE_CLOSE)
-            .map(|(k, st)| (*k, st.req.is_some() && st.resp.is_some()))
-            .collect();
-        // Completions emit records; flush in key order, not hash order.
-        stale.sort_by_key(|&(k, _)| k);
-        let mut completed = 0;
-        for (key, finishable) in stale {
-            if finishable {
-                if self.arm_finish(key, 0) {
-                    completed += 1;
-                }
-            } else if let Some(st) = self.arm_flows.remove(&key) {
-                if let Some(p) = st.window_pid {
-                    if let Some(n) = self.open_windows.get_mut(&p) {
-                        *n = n.saturating_sub(1);
-                    }
-                }
-            }
-        }
-        completed
-    }
 }
 
 impl Analyzer for Lpa {
@@ -1015,14 +980,11 @@ impl Analyzer for Lpa {
     }
 
     fn interest(&self) -> Interest {
-        let mut mask = EventMask::NETWORK;
-        if self.config.track_scheduling {
-            mask |= EventMask::SCHEDULING;
-        }
-        Interest {
-            mask,
-            predicate: Predicate::new(),
-        }
+        Interest::mask(match self.config.level {
+            MonitorLevel::Off => EventMask::NONE,
+            MonitorLevel::ClassAggregates | MonitorLevel::Interactions => EventMask::NETWORK,
+            MonitorLevel::Full => EventMask::NETWORK | EventMask::SCHEDULING,
+        })
     }
 
     fn on_event(&mut self, event: &Event) -> AnalyzerOutcome {
@@ -1046,6 +1008,7 @@ impl Analyzer for Lpa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimRng;
     use simnet::{EndPoint, PacketId};
 
     const ME: Ip = Ip(0x0A000002);
@@ -1265,9 +1228,9 @@ mod tests {
     }
 
     #[test]
-    fn class_only_mode_aggregates_without_staging() {
+    fn class_aggregates_level_aggregates_without_staging() {
         let cfg = LpaConfig {
-            class_only: true,
+            level: MonitorLevel::ClassAggregates,
             ..Default::default()
         };
         let mut l = Lpa::new(NodeId(1), ME, cfg);
@@ -1515,11 +1478,11 @@ mod tests {
     }
 
     #[test]
-    fn arm_request_without_response_is_evicted_silently() {
+    fn arm_request_without_response_is_evicted_and_counted() {
         let mut l = lpa();
         l.on_event(&net_arm(1_000, NetPoint::RxNic, req_flow(), 500, None, 7));
         l.flush_idle(SimTime::from_secs(1));
-        assert_eq!(l.records_completed(), 0);
+        assert_eq!((l.records_completed(), l.arm_dropped()), (0, 1));
         // The state is gone: a later response for the same id cannot pair.
         l.on_event(&net_arm(
             2_000_000,
@@ -1531,6 +1494,63 @@ mod tests {
         ));
         l.flush_idle(SimTime::from_secs(10));
         assert_eq!(l.records_completed(), 0, "orphan response never pairs");
+        assert_eq!(l.arm_dropped(), 2, "and is dropped in turn");
+    }
+
+    /// A server that answers 200 ms after the request, the daemon waking
+    /// every 100 ms. The black-box tracker parks the request at the first
+    /// wake and pairs it with the response; the ARM tracker drops the
+    /// unanswered correlator there, so the same exchange tagged is never
+    /// recorded (ROADMAP 5(d), 5(e)).
+    #[test]
+    fn a_response_after_the_next_wake_is_dropped_by_arm_and_paired_black_box() {
+        let run = |arm: Option<u64>| {
+            let mut l = lpa();
+            let (rf, pid) = (req_flow(), Some(Pid(1)));
+            let at = |wall, point, flow, pid, id: Option<u64>| match id {
+                Some(id) => net_arm(wall, point, flow, 200, pid, id),
+                None => net(wall, point, flow, 200, pid),
+            };
+            l.on_event(&at(1_000, NetPoint::RxNic, rf, None, arm));
+            l.on_event(&at(1_300, NetPoint::RxDeliverUser, rf, pid, arm));
+            l.flush_idle(SimTime::from_millis(100));
+            l.flush_idle(SimTime::from_millis(200));
+            l.on_event(&at(201_300, NetPoint::TxFromUser, rf.reversed(), pid, arm));
+            l.on_event(&at(201_320, NetPoint::TxNicDone, rf.reversed(), None, arm));
+            // The client's next request ends the response run.
+            let next = arm.map(|id| id + 1);
+            l.on_event(&at(202_000, NetPoint::RxNic, rf, None, next));
+            (l.records_completed(), l.arm_dropped())
+        };
+        assert_eq!(run(None), (1, 0), "black-box pairs the parked request");
+        assert_eq!(run(Some(1)), (0, 1), "ARM dropped it at the 100 ms wake");
+    }
+
+    /// The level is the LPA's Kprof interest and whether it stages
+    /// records; every level keeps class aggregates.
+    #[test]
+    fn the_level_sets_interest_and_staging() {
+        for (level, mask, staged) in [
+            (MonitorLevel::Off, EventMask::NONE, 1),
+            (MonitorLevel::ClassAggregates, EventMask::NETWORK, 0),
+            (MonitorLevel::Interactions, EventMask::NETWORK, 1),
+            (
+                MonitorLevel::Full,
+                EventMask::NETWORK | EventMask::SCHEDULING,
+                1,
+            ),
+        ] {
+            let cfg = LpaConfig {
+                level,
+                ..Default::default()
+            };
+            let mut l = Lpa::new(NodeId(1), ME, cfg);
+            assert_eq!(l.interest().mask, mask, "{level:?}");
+            one_exchange(&mut l, 1_000);
+            l.flush_idle(SimTime::from_secs(1));
+            assert_eq!(l.drain().len(), staged, "{level:?}");
+            assert_eq!(l.class_summaries().len(), 1, "{level:?}");
+        }
     }
 
     #[test]
@@ -1660,6 +1680,103 @@ mod tests {
         // forgot a flow, gives this count and this fingerprint.
         assert_eq!(count, 10_000);
         assert_eq!(print, 0x1906_619F_0DBE_15D6);
+    }
+
+    /// One event of a seeded stream, in `proptests::arb_event`'s shapes: a
+    /// packet of `inbound` or its reverse at one of the five network points
+    /// (or dropped), or a scheduling event of `pid`.
+    fn seeded_event(
+        rng: &mut SimRng,
+        wall_us: u64,
+        inbound: FlowKey,
+        pid: Pid,
+        arm: Option<u64>,
+    ) -> Event {
+        let size = rng.uniform_u64(64, 1_500) as u32;
+        let net = |point, flow, pid| EventPayload::Net {
+            point,
+            flow,
+            packet: PacketId(wall_us),
+            size,
+            pid,
+            arm,
+        };
+        let payload = match rng.index(10) {
+            0 => net(NetPoint::RxNic, inbound, None),
+            1 => net(NetPoint::RxSocketBuffer, inbound, Some(pid)),
+            2 => net(NetPoint::RxDeliverUser, inbound, Some(pid)),
+            3 => net(NetPoint::TxFromUser, inbound.reversed(), Some(pid)),
+            4 => net(NetPoint::TxNicDone, inbound.reversed(), None),
+            5 => EventPayload::ContextSwitch {
+                from: None,
+                to: Some(pid),
+            },
+            6 => EventPayload::ContextSwitch {
+                from: Some(pid),
+                to: None,
+            },
+            7 => EventPayload::ProcessBlock {
+                pid,
+                reason: BlockReason::DiskIo,
+            },
+            8 => EventPayload::ProcessWake { pid },
+            _ => net(NetPoint::Drop, inbound, None),
+        };
+        ev(wall_us, payload)
+    }
+
+    /// The exactness check of both trackers: 300 seeded streams of 300
+    /// events (over 20 ms, 200 ms or 2 s; no ARM ids, half of them or all
+    /// of them tagged 0..4), the last 100 with this node also initiating
+    /// (ME:30000+pid → peer:80) from the pids it serves with, the daemon
+    /// waking every 20 ms. Count and fingerprint are the parent commit's
+    /// (2ce6f26), before the two trackers shared one attribution window.
+    #[test]
+    fn seeded_streams_match_the_parent() {
+        const WAKE: SimDuration = SimDuration::from_millis(20);
+        let (mut count, mut print) = (0, 0xCBF2_9CE4_8422_2325);
+        for stream in 0..300u64 {
+            let mut rng = SimRng::seed(stream);
+            let span = [20_000, 200_000, 2_000_000][(stream % 3) as usize];
+            let tagged = [0.0, 0.5, 1.0][(stream / 3 % 3) as usize];
+            let initiates = stream >= 200;
+            let mut events: Vec<Event> = (0..300)
+                .map(|_| {
+                    let wall = rng.uniform_u64(0, span);
+                    let pid = Pid(1 + rng.index(3) as u32);
+                    let peer = Ip(1 + rng.index(3) as u32);
+                    let arm = rng.chance(tagged).then(|| rng.uniform_u64(0, 4));
+                    let inbound = if initiates && rng.chance(0.5) {
+                        let ephemeral = EndPoint::new(ME, Port(30_000 + pid.0 as u16));
+                        FlowKey::new(EndPoint::new(peer, Port(80)), ephemeral)
+                    } else {
+                        FlowKey::new(
+                            EndPoint::new(peer, Port(40_000)),
+                            EndPoint::new(ME, Port(2049)),
+                        )
+                    };
+                    seeded_event(&mut rng, wall, inbound, pid, arm)
+                })
+                .collect();
+            events.sort_by_key(|e| e.wall);
+            let mut l = lpa();
+            let mut records = Vec::new();
+            let mut next_wake = SimTime::ZERO + WAKE;
+            for e in &events {
+                while e.wall >= next_wake {
+                    l.flush_idle(next_wake);
+                    records.extend(l.drain());
+                    next_wake += WAKE;
+                }
+                l.on_event(e);
+            }
+            l.flush_idle(SimTime::from_secs(10));
+            records.extend(l.drain());
+            count += records.len();
+            print = fingerprint(&records, print);
+        }
+        assert_eq!(count, 3_781);
+        assert_eq!(print, 0x39E3_D9AB_1000_8AD5);
     }
 }
 

@@ -65,7 +65,8 @@ pub fn render_status(node: NodeId, kprof: &Kprof, lpa: &Lpa) -> String {
          monitoring_overhead: {}\n\
          lpa_events: {}\n\
          lpa_records: {}\n\
-         lpa_overwritten: {}\n",
+         lpa_overwritten: {}\n\
+         lpa_arm_dropped: {}\n",
         kprof.effective_mask().len(),
         s.events_generated,
         s.events_delivered,
@@ -75,6 +76,7 @@ pub fn render_status(node: NodeId, kprof: &Kprof, lpa: &Lpa) -> String {
         lpa.events_seen(),
         lpa.records_completed(),
         lpa.overwritten(),
+        lpa.arm_dropped(),
     )
 }
 

@@ -459,8 +459,8 @@ impl Instance {
     ///
     /// * [`EcodeError::BadInputs`] if inputs don't match the declaration.
     /// * [`EcodeError::OutOfFuel`] if the budget is exhausted (statics may
-    ///   have been partially updated — the analyzer is expected to be
-    ///   deactivated by the controller when this happens).
+    ///   have been partially updated; a CPA host counts the abort and
+    ///   charges the whole budget).
     /// * [`EcodeError::DivideByZero`] on integer division/modulo by zero.
     pub fn run(&mut self, inputs: &[Value], fuel: u64) -> Result<RunOutcome<'_>, EcodeError> {
         self.marshal(inputs)?;

@@ -27,7 +27,6 @@ pub struct KprofStats {
 
 struct Slot {
     id: AnalyzerId,
-    active: bool,
     mask: EventMask,
     /// The analyzer's predicate as of registration or the last
     /// `update_interest`, so the emit loop never asks for an [`Interest`].
@@ -49,20 +48,21 @@ pub struct EmitResult {
 /// The per-node monitoring registry.
 ///
 /// Owns the registered analyzers, knows which event kinds are wanted
-/// (union of analyzer interests, gated by the controller's global mask),
+/// (union of analyzer interests, gated by a global mask),
 /// maintains the pid→group table predicates need, and accounts every
 /// nanosecond of monitoring overhead.
 pub struct Kprof {
     node: NodeId,
-    /// Controller-set global gate; intersected with analyzer interest.
+    /// Global gate; intersected with analyzer interest.
     global_mask: EventMask,
     slots: Vec<Slot>,
     effective_mask: EventMask,
     /// Per-kind dispatch table: `dispatch[kind as usize]` holds the slot
-    /// indices of the active analyzers interested in that kind, in
-    /// registration order. Rebuilt on every (de)registration, activation
-    /// toggle, interest update, or global-mask change — so `emit` walks
-    /// exactly the interested analyzers instead of scanning every slot.
+    /// indices of the analyzers interested in that kind, in registration
+    /// order. Rebuilt on every registration, interest update, or
+    /// global-mask change — so `emit` walks exactly the interested
+    /// analyzers instead of scanning every slot. An analyzer whose
+    /// interest is empty is off.
     dispatch: Vec<Vec<u32>>,
     /// Scratch for buffer-full notifications, reused across emissions so
     /// the hot path performs no heap allocation.
@@ -104,7 +104,6 @@ impl Kprof {
         let interest = analyzer.interest();
         self.slots.push(Slot {
             id,
-            active: true,
             mask: interest.mask,
             predicate: interest.predicate,
             analyzer,
@@ -113,19 +112,9 @@ impl Kprof {
         id
     }
 
-    /// Enables or disables an analyzer (the controller's on/off switch).
-    /// Returns false if the id is unknown.
-    pub fn set_active(&mut self, id: AnalyzerId, active: bool) -> bool {
-        let Some(slot) = self.slots.iter_mut().find(|s| s.id == id) else {
-            return false;
-        };
-        slot.active = active;
-        self.recompute_mask();
-        true
-    }
-
-    /// Re-reads an analyzer's interest after a runtime reconfiguration.
-    /// Returns false if the id is unknown.
+    /// Re-reads an analyzer's interest after a runtime reconfiguration
+    /// (an empty interest turns it off). Returns false if the id is
+    /// unknown.
     pub fn update_interest(&mut self, id: AnalyzerId) -> bool {
         let Some(slot) = self.slots.iter_mut().find(|s| s.id == id) else {
             return false;
@@ -137,14 +126,14 @@ impl Kprof {
         true
     }
 
-    /// Sets the controller's global gate mask. Events outside it are
-    /// suppressed regardless of analyzer interest.
+    /// Sets the global gate mask. Events outside it are suppressed
+    /// regardless of analyzer interest.
     pub fn set_global_mask(&mut self, mask: EventMask) {
         self.global_mask = mask;
         self.recompute_mask();
     }
 
-    /// The union of active analyzer interests, gated by the global mask —
+    /// The union of analyzer interests, gated by the global mask —
     /// the set of kinds that will actually generate events.
     pub fn effective_mask(&self) -> EventMask {
         self.effective_mask
@@ -154,14 +143,14 @@ impl Kprof {
     /// table. Called on every registry mutation; `emit` only reads.
     fn recompute_mask(&mut self) {
         let mut m = EventMask::NONE;
-        for slot in self.slots.iter().filter(|s| s.active) {
+        for slot in &self.slots {
             m |= slot.mask;
         }
         self.effective_mask = m.intersect(self.global_mask);
         for (kind, table) in EventKind::ALL.iter().zip(self.dispatch.iter_mut()) {
             table.clear();
             for (idx, slot) in self.slots.iter().enumerate() {
-                if slot.active && slot.mask.contains(*kind) {
+                if slot.mask.contains(*kind) {
                     table.push(idx as u32);
                 }
             }
@@ -184,7 +173,7 @@ impl Kprof {
     }
 
     /// Emits an event through the instrumentation point: dispatches it to
-    /// every active, interested analyzer and returns the total CPU cost
+    /// every interested analyzer and returns the total CPU cost
     /// plus any buffer-full notifications.
     ///
     /// Also maintains the pid→group table from `ProcessCreate` /
@@ -354,17 +343,44 @@ mod tests {
         assert_eq!(r.cost, cost::DISABLED_HOOK);
     }
 
+    /// An analyzer whose mask the test turns, as an LPA's level does.
+    struct Switchable {
+        mask: EventMask,
+    }
+
+    impl Analyzer for Switchable {
+        fn name(&self) -> &str {
+            "switchable"
+        }
+        fn interest(&self) -> Interest {
+            Interest::mask(self.mask)
+        }
+        fn on_event(&mut self, _e: &Event) -> AnalyzerOutcome {
+            AnalyzerOutcome {
+                cost: SimDuration::ZERO,
+                buffer_full: true,
+            }
+        }
+    }
+
+    fn switch(kprof: &mut Kprof, id: AnalyzerId, mask: EventMask) -> bool {
+        kprof.analyzer_as_mut::<Switchable>(id).unwrap().mask = mask;
+        kprof.update_interest(id)
+    }
+
     #[test]
-    fn deactivate_and_reactivate() {
+    fn empty_interest_is_off() {
         let mut kprof = Kprof::new(NodeId(0));
-        let id = kprof.register(Box::new(CountingAnalyzer::new(EventMask::SCHEDULING)));
-        assert!(kprof.set_active(id, false));
-        wake(&mut kprof, 1);
-        assert_eq!(kprof.stats().events_delivered, 0);
-        assert!(kprof.set_active(id, true));
+        let id = kprof.register(Box::new(Switchable {
+            mask: EventMask::SCHEDULING,
+        }));
+        assert!(switch(&mut kprof, id, EventMask::NONE));
+        assert_eq!(wake(&mut kprof, 1).cost, cost::DISABLED_HOOK);
+        assert_eq!(kprof.stats().events_generated, 0);
+        assert!(switch(&mut kprof, id, EventMask::SCHEDULING));
         wake(&mut kprof, 1);
         assert_eq!(kprof.stats().events_delivered, 1);
-        assert!(!kprof.set_active(AnalyzerId(99), true));
+        assert!(!kprof.update_interest(AnalyzerId(99)));
     }
 
     /// Analyzer with a predicate, for registry-level predicate tests.
@@ -462,36 +478,19 @@ mod tests {
 
     #[test]
     fn buffer_full_ids_survive_scratch_reuse() {
-        struct AlwaysFull;
-        impl Analyzer for AlwaysFull {
-            fn name(&self) -> &str {
-                "always-full"
-            }
-            fn interest(&self) -> Interest {
-                Interest {
-                    mask: EventMask::SCHEDULING,
-                    predicate: Predicate::new(),
-                }
-            }
-            fn on_event(&mut self, _e: &Event) -> AnalyzerOutcome {
-                AnalyzerOutcome {
-                    cost: SimDuration::ZERO,
-                    buffer_full: true,
-                }
-            }
-        }
         let mut kprof = Kprof::new(NodeId(0));
-        let quiet = kprof.register(Box::new(CountingAnalyzer::new(EventMask::SCHEDULING)));
-        let full = kprof.register(Box::new(AlwaysFull));
+        kprof.register(Box::new(CountingAnalyzer::new(EventMask::SCHEDULING)));
+        let full = kprof.register(Box::new(Switchable {
+            mask: EventMask::SCHEDULING,
+        }));
         // The scratch is drained into each result, never carried over.
         for _ in 0..3 {
             let r = wake(&mut kprof, 1);
             assert_eq!(r.buffer_full, vec![full]);
         }
-        kprof.set_active(full, false);
+        switch(&mut kprof, full, EventMask::NONE);
         let r = wake(&mut kprof, 1);
         assert!(r.buffer_full.is_empty());
-        let _ = quiet;
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Integration tests of the overhead/granularity machinery: the
-//! controller's runtime knobs, the daemon's overwrite semantics, and the
-//! perturbation ordering between monitoring levels.
+//! controller's runtime knobs (`SysProf::reconfigure`), the daemon's
+//! overwrite semantics, and the perturbation ordering between monitoring
+//! levels.
 
 use kprof::EventMask;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{LinkSpec, Port};
 use simos::WorldBuilder;
-use sysprof::{Controller, LpaConfig, MonitorConfig, MonitorLevel, SysProf};
+use sysprof::{LpaConfig, MonitorConfig, MonitorLevel, SysProf};
 use sysprof_apps::iperf::{IperfClient, IperfServer};
 
 fn iperf_world(seed: u64) -> (simos::World, SysProf) {
@@ -14,6 +15,13 @@ fn iperf_world(seed: u64) -> (simos::World, SysProf) {
 }
 
 fn iperf_world_with(seed: u64, config: MonitorConfig) -> (simos::World, SysProf) {
+    let (mut world, sysprof) = iperf_deployed(seed, config);
+    spawn_iperf(&mut world);
+    (world, sysprof)
+}
+
+/// The iperf world with the receiver monitored, before anything runs.
+fn iperf_deployed(seed: u64, config: MonitorConfig) -> (simos::World, SysProf) {
     let mut world = WorldBuilder::new(seed)
         .node("sender")
         .node("receiver")
@@ -22,6 +30,10 @@ fn iperf_world_with(seed: u64, config: MonitorConfig) -> (simos::World, SysProf)
         .build()
         .unwrap();
     let sysprof = SysProf::deploy(&mut world, &[NodeId(1)], NodeId(2), config);
+    (world, sysprof)
+}
+
+fn spawn_iperf(world: &mut simos::World) {
     world.spawn(NodeId(1), "srv", Box::new(IperfServer::new(Port(5001))));
     world.spawn(
         NodeId(0),
@@ -34,15 +46,23 @@ fn iperf_world_with(seed: u64, config: MonitorConfig) -> (simos::World, SysProf)
             SimDuration::from_millis(500),
         )),
     );
-    (world, sysprof)
+}
+
+fn at_level(level: MonitorLevel) -> MonitorConfig {
+    MonitorConfig {
+        lpa: LpaConfig {
+            level,
+            ..LpaConfig::default()
+        },
+        ..MonitorConfig::default()
+    }
 }
 
 #[test]
 fn monitoring_levels_order_overhead() {
     let overhead_at = |level: MonitorLevel| {
         let (mut world, sysprof) = iperf_world(3);
-        let lpa = sysprof.lpa_id(NodeId(1)).unwrap();
-        Controller::new().set_level(&mut world, NodeId(1), lpa, level);
+        assert!(sysprof.reconfigure(&mut world, NodeId(1), |cfg| cfg.level = level));
         world.run_until(SimTime::from_secs(1));
         sysprof.overhead_fraction(&world, NodeId(1))
     };
@@ -61,11 +81,12 @@ fn monitoring_levels_order_overhead() {
 #[test]
 fn controller_changes_take_effect_mid_run() {
     let (mut world, sysprof) = iperf_world(4);
-    let lpa = sysprof.lpa_id(NodeId(1)).unwrap();
-    let ctl = Controller::new();
+    let set_level = |world: &mut simos::World, level| {
+        sysprof.reconfigure(world, NodeId(1), |cfg| cfg.level = level)
+    };
 
     // First quarter with monitoring off…
-    ctl.set_level(&mut world, NodeId(1), lpa, MonitorLevel::Off);
+    assert!(set_level(&mut world, MonitorLevel::Off));
     world.run_until(SimTime::from_millis(125));
     let before = world.kprof(NodeId(1)).stats().events_generated;
     // Only the spawn-time ProcessCreate events (emitted before the
@@ -73,13 +94,13 @@ fn controller_changes_take_effect_mid_run() {
     assert!(before <= 2, "nothing generated while off: {before}");
 
     // …switch it on in flight.
-    ctl.set_level(&mut world, NodeId(1), lpa, MonitorLevel::Full);
+    assert!(set_level(&mut world, MonitorLevel::Full));
     world.run_until(SimTime::from_millis(250));
     let after = world.kprof(NodeId(1)).stats().events_generated;
     assert!(after > 1_000, "events flow after enabling: {after}");
 
     // …and back off again.
-    ctl.set_level(&mut world, NodeId(1), lpa, MonitorLevel::Off);
+    assert!(set_level(&mut world, MonitorLevel::Off));
     let frozen = world.kprof(NodeId(1)).stats().events_generated;
     world.run_until(SimTime::from_millis(375));
     let later = world.kprof(NodeId(1)).stats().events_generated;
@@ -89,7 +110,9 @@ fn controller_changes_take_effect_mid_run() {
 #[test]
 fn global_mask_gates_event_classes() {
     let (mut world, _sysprof) = iperf_world(5);
-    Controller::new().set_global_mask(&mut world, NodeId(1), EventMask::SCHEDULING);
+    world
+        .kprof_mut(NodeId(1))
+        .set_global_mask(EventMask::SCHEDULING);
     world.run_until(SimTime::from_secs(1));
     let stats = world.kprof(NodeId(1)).stats();
     // Network events (the bulk) were suppressed by the gate.
@@ -293,13 +316,19 @@ fn cpa_and_filter_renders_are_golden() {
 #[test]
 fn window_size_is_reconfigurable_at_runtime() {
     let (mut world, sysprof) = iperf_world(8);
-    let lpa_id = sysprof.lpa_id(NodeId(1)).unwrap();
-    let ctl = Controller::new();
-    assert!(ctl.set_window(&mut world, NodeId(1), lpa_id, 16));
-    let cfg = ctl.lpa_config(&world, NodeId(1), lpa_id).unwrap();
-    assert_eq!(cfg.window, 16);
+    let window = |world: &simos::World| sysprof.lpa(world, NodeId(1)).unwrap().config().window;
+    assert!(sysprof.reconfigure(&mut world, NodeId(1), |cfg| cfg.window = 0));
+    assert_eq!(window(&world), 1, "a zero window clamps to one");
+    assert!(sysprof.reconfigure(&mut world, NodeId(1), |cfg| cfg.window = 16));
+    assert_eq!(window(&world), 16);
+    assert!(
+        !sysprof.reconfigure(&mut world, NodeId(0), |cfg| cfg.window = 16),
+        "the sender is not monitored"
+    );
     // Service-port restriction narrows what gets diagnosed.
-    assert!(ctl.set_service_ports(&mut world, NodeId(1), lpa_id, Some(vec![Port(9_000)])));
+    assert!(sysprof.reconfigure(&mut world, NodeId(1), |cfg| {
+        cfg.service_ports = Some([Port(9_000)].into_iter().collect());
+    }));
     world.run_until(SimTime::from_secs(1));
     let lpa = sysprof.lpa(&world, NodeId(1)).unwrap();
     assert_eq!(
@@ -307,4 +336,36 @@ fn window_size_is_reconfigurable_at_runtime() {
         0,
         "iperf traffic (port 5001) filtered out by the port predicate"
     );
+}
+
+/// A level is one value, whenever it is set: an LPA deployed at
+/// `ClassAggregates` and one deployed at `Full` and switched to
+/// `ClassAggregates` before the first spawn generate, ship and deliver
+/// the same.
+#[test]
+fn deploy_time_and_runtime_levels_agree() {
+    let run = |config: MonitorConfig, runtime: Option<MonitorLevel>| {
+        let (mut world, sysprof) = iperf_deployed(11, config);
+        if let Some(level) = runtime {
+            assert!(sysprof.reconfigure(&mut world, NodeId(1), |cfg| cfg.level = level));
+        }
+        spawn_iperf(&mut world);
+        world.run_until(SimTime::from_secs(1));
+        let gpa = sysprof.gpa();
+        let gpa = gpa.borrow();
+        (
+            *world.kprof(NodeId(1)).stats(),
+            sysprof.daemon_stats(NodeId(1)).unwrap().bytes_sent,
+            gpa.interaction_count(),
+            gpa.load_history().len(),
+        )
+    };
+    let deployed = run(at_level(MonitorLevel::ClassAggregates), None);
+    let switched = run(
+        at_level(MonitorLevel::Full),
+        Some(MonitorLevel::ClassAggregates),
+    );
+    assert_eq!(deployed, switched);
+    assert!(deployed.0.events_generated > 0, "{deployed:?}");
+    assert!(deployed.3 > 0, "load reports reached the GPA: {deployed:?}");
 }

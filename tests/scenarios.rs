@@ -10,7 +10,7 @@
 
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FaultPlan, LinkFaults};
-use sysprof::{GpaConfig, LpaConfig, MonitorConfig};
+use sysprof::{GpaConfig, LpaConfig, MonitorConfig, MonitorLevel};
 use sysprof_apps::{
     AllreduceScenario, CdnScenario, FanoutScenario, IperfScenario, KvStoreScenario,
     LinpackScenario, RubisScenario, ScenarioRun, ScenarioSpec, StorageScenario,
@@ -227,38 +227,35 @@ fn iperf_survives_the_fault_matrix() {
 // column): scenario × LPA rung, through the runner's override
 // ---------------------------------------------------------------------
 
-/// The LPA's three rungs, fine to coarse, as `Controller::set_level`
-/// defines them.
-fn lpa_rungs() -> [(&'static str, LpaConfig); 3] {
-    let interactions = LpaConfig {
-        track_scheduling: false,
-        ..LpaConfig::default()
-    };
-    let class_aggregates = LpaConfig {
-        class_only: true,
-        ..interactions.clone()
-    };
-    [
-        ("full", LpaConfig::default()),
-        ("interactions", interactions),
-        ("class-aggregates", class_aggregates),
-    ]
-}
+/// The LPA's rungs, fine to coarse: every `MonitorLevel`, each deployed
+/// as `LpaConfig::level`.
+const LPA_RUNGS: [MonitorLevel; 4] = [
+    MonitorLevel::Full,
+    MonitorLevel::Interactions,
+    MonitorLevel::ClassAggregates,
+    MonitorLevel::Off,
+];
 
 /// Runs `spec` on every rung. Perturbation (mean monitoring CPU fraction
-/// over the monitored nodes) must not rise as the rungs coarsen, and the
-/// coarsest rung must ship the fewest bytes. Bytes are *not* monotone
-/// between the two per-interaction rungs: these workloads are closed
-/// loops, so a cheaper monitor lets more requests finish and each one is
-/// still a record on the wire. Returns the coarsest rung whose verdict is
-/// still the full-monitoring verdict, character for character.
-fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> &'static str {
-    let mut kept = "";
+/// over the monitored nodes) must not rise as the rungs coarsen, and
+/// class aggregates must ship fewer bytes than either per-interaction
+/// rung. Bytes are *not* monotone between the two per-interaction rungs:
+/// these workloads are closed loops, so a cheaper monitor lets more
+/// requests finish and each one is still a record on the wire. `Off`
+/// generates no event on any monitored node, still reports load to the
+/// GPA, and ships no more than class aggregates. Returns the coarsest
+/// rung whose verdict is still the full-monitoring verdict, character for
+/// character.
+fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> MonitorLevel {
+    let mut kept = MonitorLevel::Full;
     let mut full_verdict = None;
     let mut finer: Vec<(f64, u64)> = Vec::new();
-    for (rung, lpa) in lpa_rungs() {
+    for level in LPA_RUNGS {
         let config = MonitorConfig {
-            lpa,
+            lpa: LpaConfig {
+                level,
+                ..LpaConfig::default()
+            },
             ..spec.monitor_config()
         };
         let run = spec.run_with(7, FaultPlan::default(), config);
@@ -274,21 +271,41 @@ fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> &'static str 
             .sum();
         assert!(
             finer.last().is_none_or(|&(o, _)| overhead <= o),
-            "{} at {rung}: overhead {overhead} after {finer:?}",
+            "{} at {level:?}: overhead {overhead} after {finer:?}",
             spec.name()
         );
+        match level {
+            MonitorLevel::ClassAggregates => assert!(
+                finer.iter().all(|&(_, b)| bytes < b),
+                "{}: class aggregates shipped {bytes} bytes after {finer:?}",
+                spec.name()
+            ),
+            MonitorLevel::Off => {
+                let (_, class_bytes) = finer.last().expect("class aggregates ran");
+                assert!(
+                    bytes <= *class_bytes,
+                    "{}: off shipped {bytes}",
+                    spec.name()
+                );
+                let gpa = run.sysprof.gpa();
+                for &n in nodes {
+                    let stats = run.world.kprof(n).stats();
+                    assert_eq!(stats.events_generated, 0, "{} node {n}", spec.name());
+                    assert!(
+                        gpa.borrow().node_load(n).is_some(),
+                        "{} node {n}",
+                        spec.name()
+                    );
+                }
+            }
+            _ => {}
+        }
         finer.push((overhead, bytes));
         let verdict = spec.diagnose(&run).verdict;
         if *full_verdict.get_or_insert_with(|| verdict.clone()) == verdict {
-            kept = rung;
+            kept = level;
         }
     }
-    let (_, coarsest_bytes) = finer.pop().expect("three rungs");
-    assert!(
-        finer.iter().all(|&(_, b)| coarsest_bytes < b),
-        "{}: class aggregates shipped {coarsest_bytes} bytes after {finer:?}",
-        spec.name()
-    );
     kept
 }
 
@@ -297,7 +314,7 @@ fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> &'static str 
 /// character: without scheduling events the user/blocked attribution the
 /// fan-out, allreduce and CDN verdicts quote reads zero, and the KV
 /// store's counts move with the perturbation itself. EXPERIMENTS.md
-/// tabulates all twelve verdicts.
+/// tabulates all sixteen verdicts.
 #[test]
 fn coarser_lpa_rungs_cost_less_and_keep_these_verdicts() {
     let table = [
@@ -310,10 +327,10 @@ fn coarser_lpa_rungs_cost_less_and_keep_these_verdicts() {
         ("cdn", coarsest_rung_keeping_the_verdict(&quick_cdn())),
     ];
     let golden = [
-        ("kvstore", "full"),
-        ("fanout", "full"),
-        ("allreduce", "full"),
-        ("cdn", "full"),
+        ("kvstore", MonitorLevel::Full),
+        ("fanout", MonitorLevel::Full),
+        ("allreduce", MonitorLevel::Full),
+        ("cdn", MonitorLevel::Full),
     ];
     assert_eq!(table, golden);
 }
