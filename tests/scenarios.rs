@@ -245,10 +245,10 @@ const LPA_RUNGS: [MonitorLevel; 4] = [
 /// generates no event on any monitored node, still reports load to the
 /// GPA, and ships no more than class aggregates. Returns the coarsest
 /// rung whose verdict is still the full-monitoring verdict, character for
-/// character.
-fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> MonitorLevel {
+/// character, and the verdict at every rung, finest first.
+fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> (MonitorLevel, Vec<String>) {
     let mut kept = MonitorLevel::Full;
-    let mut full_verdict = None;
+    let mut verdicts: Vec<String> = Vec::new();
     let mut finer: Vec<(f64, u64)> = Vec::new();
     for level in LPA_RUNGS {
         let config = MonitorConfig {
@@ -302,19 +302,22 @@ fn coarsest_rung_keeping_the_verdict<S: ScenarioSpec>(spec: &S) -> MonitorLevel 
         }
         finer.push((overhead, bytes));
         let verdict = spec.diagnose(&run).verdict;
-        if *full_verdict.get_or_insert_with(|| verdict.clone()) == verdict {
+        if verdicts.first().is_none_or(|full| *full == verdict) {
             kept = level;
         }
+        verdicts.push(verdict);
     }
-    kept
+    (kept, verdicts)
 }
 
 /// The first column of the frontier table. Every verdict carries the
 /// measurements behind it, so none survives a coarser rung to the
 /// character: without scheduling events the user/blocked attribution the
 /// fan-out, allreduce and CDN verdicts quote reads zero, and the KV
-/// store's counts move with the perturbation itself. EXPERIMENTS.md
-/// tabulates all sixteen verdicts.
+/// store's counts move with the perturbation itself. All sixteen
+/// verdicts are pinned, the degenerate ones too (EXPERIMENTS.md S3): they
+/// are what the detector's tie, median and zero rules produce on empty
+/// summaries.
 #[test]
 fn coarser_lpa_rungs_cost_less_and_keep_these_verdicts() {
     let table = [
@@ -326,13 +329,57 @@ fn coarser_lpa_rungs_cost_less_and_keep_these_verdicts() {
         ),
         ("cdn", coarsest_rung_keeping_the_verdict(&quick_cdn())),
     ];
-    let golden = [
-        ("kvstore", MonitorLevel::Full),
-        ("fanout", MonitorLevel::Full),
-        ("allreduce", MonitorLevel::Full),
-        ("cdn", MonitorLevel::Full),
+    let kv_empty = "hot shard 0: 0% of shard traffic (0/0 interactions)";
+    let leaf_empty = "slow leaf 0 (node 5): mean user 0µs vs leaf-tier median 0µs";
+    let rank_empty = "straggler rank 0: mean reduce 0µs vs ring median 0µs";
+    let cdn_empty =
+        "origin-bound tail: edge p95/p50 = 0x, misses blocked on origin disk (0µs mean)";
+    let golden: [(&str, [&str; 4]); 4] = [
+        (
+            "kvstore",
+            [
+                "hot shard 0: 46% of shard traffic (521/1142 interactions)",
+                "hot shard 0: 45% of shard traffic (633/1411 interactions)",
+                kv_empty,
+                kv_empty,
+            ],
+        ),
+        (
+            "fanout",
+            [
+                "slow leaf 4 (node 9): mean user 487µs vs leaf-tier median 66µs",
+                leaf_empty,
+                leaf_empty,
+                leaf_empty,
+            ],
+        ),
+        (
+            "allreduce",
+            [
+                "straggler rank 2: mean reduce 84µs vs ring median 63µs",
+                rank_empty,
+                rank_empty,
+                rank_empty,
+            ],
+        ),
+        (
+            "cdn",
+            [
+                "origin-bound tail: edge p95/p50 = 32x, misses blocked on origin disk (1497µs mean)",
+                "origin-bound tail: edge p95/p50 = 32x, misses blocked on origin disk (0µs mean)",
+                cdn_empty,
+                cdn_empty,
+            ],
+        ),
     ];
-    assert_eq!(table, golden);
+    for ((name, (kept, verdicts)), (golden_name, golden_verdicts)) in table.iter().zip(golden) {
+        assert_eq!(*name, golden_name);
+        assert_eq!(*kept, MonitorLevel::Full, "{name}");
+        assert_eq!(
+            verdicts, &golden_verdicts,
+            "{name}: full, interactions, class-aggregates, off"
+        );
+    }
 }
 
 /// The kv world with no monitor deployed (ROADMAP item 10(c)): the
