@@ -6,7 +6,7 @@
 #   ./ci.sh              full pipeline
 #   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch checks (fast pre-commit check)
 #   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
-#   ./ci.sh --scenarios  only the scenario library: one-runner check, golden diagnoses + chaos matrix
+#   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat checks, golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
@@ -132,6 +132,27 @@ check_one_switch() {
     fi
 }
 
+check_one_class_stat() {
+    # `records::ClassStats` is the one per-class statistic (the LPA's
+    # flush window, the GPA's table) and `sysprof::detect` the one code
+    # that turns a tier's summaries into an indictment. Non-test code
+    # defining a private aggregate or naming the deleted helpers has
+    # started a second copy.
+    local f found=0
+    for f in $(find crates -path '*/src/*' -name '*.rs' | sort); do
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\b(struct|enum|type)[[:space:]]+ClassAggr\b|\b(class_means|outlier_and_median|downstream_share_pct)\b'; then
+            found=1
+        fi
+    done
+    if [[ $found == 1 ]]; then
+        echo "per-class statistics are records::ClassStats, and a scenario's indictment" \
+            "comes from sysprof::detect over Gpa::tier" >&2
+        return 1
+    fi
+}
+
 # The substrate's own gates, shared by --substrate and the full run: the
 # calendar's model proptests and simos, the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
@@ -213,6 +234,8 @@ case "${1:-}" in
     fast_path SCENARIOS \
         "==> one runner (apps and bench build, deploy and retry through scenario.rs)" \
         check_one_runner \
+        "==> one class statistic (ClassStats; indictments through sysprof::detect)" \
+        check_one_class_stat \
         "==> scenario tests (golden diagnoses + chaos matrix)" \
         "cargo test -q -p sysprof-apps" \
         "cargo test -q --test scenarios"
@@ -294,6 +317,9 @@ check_one_runner
 
 echo "==> one switch (LpaConfig::level; open-window counts change in Window only)"
 check_one_switch
+
+echo "==> one class statistic (ClassStats; indictments through sysprof::detect)"
+check_one_class_stat
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode

@@ -23,11 +23,11 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::Port;
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::SysProf;
+use sysprof::{detect, SysProf};
 
 use crate::scenario::{
-    arm_retry, named_nodes, on_gigabit_lan, outlier_and_median, retry_tick, Diagnosis, Link,
-    Placement, ScenarioRun, ScenarioSpec,
+    arm_retry, named_nodes, on_gigabit_lan, retry_tick, Diagnosis, Link, Placement, ScenarioRun,
+    ScenarioSpec,
 };
 
 /// The ring port every rank listens on.
@@ -311,33 +311,14 @@ impl ScenarioSpec for AllreduceScenario {
     }
 
     fn diagnose(&self, run: &ScenarioRun<AllreduceResult>) -> Diagnosis {
-        let gpa = run.sysprof.gpa();
-        let gpa = gpa.borrow();
-        let user_us: Vec<f64> = (0..self.ranks)
-            .map(|r| {
-                gpa.class_summary(self.rank_node(r), RING_PORT)
-                    .map_or(0.0, |s| s.mean_user_us)
-            })
-            .collect();
-        let (straggler, median) = outlier_and_median(&user_us);
-        let evidence: Vec<String> = (0..self.ranks)
-            .map(|r| {
-                let s = gpa.class_summary(self.rank_node(r), RING_PORT);
-                format!(
-                    "rank {r}: mean user {:.0}µs, p95 total {:.0}µs, {} chunk interactions",
-                    s.as_ref().map_or(0.0, |s| s.mean_user_us),
-                    s.as_ref().map_or(0.0, |s| s.p95_total_us),
-                    s.as_ref().map_or(0, |s| s.count),
-                )
-            })
-            .collect();
-        Diagnosis {
-            verdict: format!(
-                "straggler rank {straggler}: mean reduce {:.0}µs vs ring median {:.0}µs",
-                user_us[straggler], median
-            ),
-            evidence,
-        }
+        let ranks = (0..self.ranks).map(|r| (self.rank_node(r), RING_PORT));
+        let tier = run.sysprof.gpa().borrow().tier(ranks);
+        Diagnosis::of([detect::user(&tier)], |[straggler]| {
+            format!(
+                "straggler rank {}: mean reduce {:.0}µs vs ring median {:.0}µs",
+                straggler.member, straggler.value, straggler.baseline
+            )
+        })
     }
 }
 

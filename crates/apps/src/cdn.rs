@@ -24,12 +24,11 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::Port;
 use simos::{DiskSpec, Message, NodeConfig, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::SysProf;
+use sysprof::{detect, SysProf};
 
 use crate::scenario::{
-    arm_retry, downstream_share_pct, named_nodes, on_gigabit_lan, percentile_us, retry_tick,
-    spawn_zipf_clients, ClientStats, Diagnosis, Link, Placement, ScenarioRun, ScenarioSpec,
-    ZipfLoad,
+    arm_retry, named_nodes, on_gigabit_lan, percentile_us, retry_tick, spawn_zipf_clients,
+    ClientStats, Diagnosis, Link, Placement, ScenarioRun, ScenarioSpec, ZipfLoad,
 };
 
 /// Edge cache client-facing port.
@@ -376,46 +375,21 @@ impl ScenarioSpec for CdnScenario {
     fn diagnose(&self, run: &ScenarioRun<CdnResult>) -> Diagnosis {
         let gpa = run.sysprof.gpa();
         let gpa = gpa.borrow();
-        let edge = gpa.class_summary(self.edge_node(), EDGE_PORT);
-        let origin = gpa.class_summary(self.origin_node(), ORIGIN_PORT);
-        let (edge_p50, edge_p95) = edge
-            .as_ref()
-            .map_or((0.0, 0.0), |s| (s.p50_total_us, s.p95_total_us));
-        let origin_blocked = origin.as_ref().map_or(0.0, |s| s.mean_blocked_us);
-        let origin_count = origin.as_ref().map_or(0, |s| s.count);
-        // Miss paths: edge interactions with a nested origin fetch.
-        let edge_node = self.edge_node();
-        let paths: Vec<_> = gpa
-            .correlate()
-            .into_iter()
-            .filter(|p| {
-                p.parent.node == edge_node
-                    && p.parent.class_port == EDGE_PORT
-                    && !p.children.is_empty()
-            })
-            .collect();
-        let miss_downstream_share = downstream_share_pct(&paths);
-        let tail_ratio = if edge_p50 > 0.0 {
-            edge_p95 / edge_p50
-        } else {
-            0.0
-        };
-        let evidence = vec![
-            format!("edge: p50 {edge_p50:.0}µs, p95 {edge_p95:.0}µs (bimodal hit/miss split)"),
-            format!(
-                "origin: {origin_count} fetches, mean blocked {origin_blocked:.0}µs (synchronous disk)"
-            ),
-            format!(
-                "{} edge interactions correlate to an origin fetch; {miss_downstream_share:.0}% of their latency is downstream",
-                paths.len()
-            ),
+        // The edge's bimodal hit/miss split, the origin's synchronous
+        // disk, and how much of the edge's miss paths is origin time.
+        let edge = gpa.tier([(self.edge_node(), EDGE_PORT)]);
+        let origin = gpa.tier([(self.origin_node(), ORIGIN_PORT)]);
+        let signals = [
+            detect::tail_ratio(&edge),
+            detect::blocked(&origin),
+            detect::downstream(&edge, &gpa.correlate()),
         ];
-        Diagnosis {
-            verdict: format!(
-                "origin-bound tail: edge p95/p50 = {tail_ratio:.0}x, misses blocked on origin disk ({origin_blocked:.0}µs mean)"
-            ),
-            evidence,
-        }
+        Diagnosis::of(signals, |[tail, disk, _]| {
+            format!(
+                "origin-bound tail: edge p95/p50 = {:.0}x, misses blocked on origin disk ({:.0}µs mean)",
+                tail.value, disk.value
+            )
+        })
     }
 }
 

@@ -21,12 +21,11 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::Port;
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::SysProf;
+use sysprof::{detect, SysProf};
 
 use crate::scenario::{
-    arm_retry, downstream_share_pct, named_nodes, on_gigabit_lan, outlier_and_median,
-    percentile_us, retry_tick, spawn_zipf_clients, ClientStats, Diagnosis, Link, Placement,
-    ScenarioRun, ScenarioSpec, ZipfLoad,
+    arm_retry, named_nodes, on_gigabit_lan, percentile_us, retry_tick, spawn_zipf_clients,
+    ClientStats, Diagnosis, Link, Placement, ScenarioRun, ScenarioSpec, ZipfLoad,
 };
 
 /// Frontend user-request port.
@@ -449,47 +448,20 @@ impl ScenarioSpec for FanoutScenario {
     fn diagnose(&self, run: &ScenarioRun<FanoutResult>) -> Diagnosis {
         let gpa = run.sysprof.gpa();
         let gpa = gpa.borrow();
-        // Leaf-tier user time per node, straight from GPA class summaries.
-        let user_us: Vec<f64> = (0..self.leaf_count())
-            .map(|l| {
-                gpa.class_summary(self.leaf_node(l), LEAF_PORT)
-                    .map_or(0.0, |s| s.mean_user_us)
-            })
-            .collect();
-        let (slow, median) = outlier_and_median(&user_us);
-        // Correlated paths rooted at the frontend: how much of its
-        // latency is downstream time at the mid tier.
-        let fe = self.frontend_node();
-        let paths: Vec<_> = gpa
-            .correlate()
-            .into_iter()
-            .filter(|p| p.parent.node == fe && p.parent.class_port == FRONT_PORT)
-            .collect();
-        let with_children = paths.iter().filter(|p| !p.children.is_empty()).count();
-        let downstream_share = downstream_share_pct(&paths);
-        let mut evidence: Vec<String> = user_us
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| {
-                format!(
-                    "leaf {i} (node {}): mean user {u:.0}µs",
-                    self.leaf_node(i).0
-                )
-            })
-            .collect();
-        evidence.push(format!(
-            "frontend paths: {with_children}/{} correlated to downstream RPCs, {downstream_share:.0}% of frontend latency is downstream",
-            paths.len()
-        ));
-        Diagnosis {
-            verdict: format!(
-                "slow leaf {slow} (node {}): mean user {:.0}µs vs leaf-tier median {:.0}µs",
-                self.leaf_node(slow).0,
-                user_us[slow],
-                median
-            ),
-            evidence,
-        }
+        // Leaf-tier user time per node, and how much of the frontend's
+        // latency its correlated paths spend downstream at the mid tier.
+        let leaves = gpa.tier((0..self.leaf_count()).map(|l| (self.leaf_node(l), LEAF_PORT)));
+        let front = gpa.tier([(self.frontend_node(), FRONT_PORT)]);
+        let signals = [
+            detect::user(&leaves),
+            detect::downstream(&front, &gpa.correlate()),
+        ];
+        Diagnosis::of(signals, |[slow, _]| {
+            format!(
+                "slow leaf {} (node {}): mean user {:.0}µs vs leaf-tier median {:.0}µs",
+                slow.member, slow.node.0, slow.value, slow.baseline
+            )
+        })
     }
 }
 

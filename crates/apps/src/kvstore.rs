@@ -15,6 +15,7 @@
 //! application counter.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -22,7 +23,7 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::Port;
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::SysProf;
+use sysprof::{detect, SysProf};
 
 use crate::scenario::{
     arm_retry, named_nodes, on_gigabit_lan, percentile_us, retry_tick, spawn_zipf_clients,
@@ -231,17 +232,6 @@ impl Program for KvShard {
 // Runner + diagnosis
 // ---------------------------------------------------------------------
 
-/// The busiest shard (the lowest index on a tie), its count, and the
-/// total it is a share of.
-fn hottest(per_shard: &[u64]) -> (usize, u64, u64) {
-    let (hot, &count) = per_shard
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-        .expect("at least one shard");
-    (hot, count, per_shard.iter().sum())
-}
-
 impl KvStoreScenario {
     /// The router's node id (spawn order: clients, router, shards, GPA).
     pub fn router_node(&self) -> NodeId {
@@ -342,7 +332,13 @@ impl ScenarioSpec for KvStoreScenario {
 
     fn collect(&self, _: &World, _: Option<&SysProf>, probes: &KvProbes) -> KvStoreResult {
         let per_shard_ops = probes.ops.borrow().clone();
-        let (hot_shard, hot_ops, total) = hottest(&per_shard_ops);
+        // The busiest shard, the lowest index on a tie.
+        let (hot_shard, &hot_ops) = per_shard_ops
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, &n)| (n, Reverse(i)))
+            .unwrap_or((0, &0));
+        let total: u64 = per_shard_ops.iter().sum();
         let mut st = probes.clients.borrow_mut();
         let rsh = probes.router.borrow();
         KvStoreResult {
@@ -362,48 +358,17 @@ impl ScenarioSpec for KvStoreScenario {
     }
 
     fn diagnose(&self, run: &ScenarioRun<KvStoreResult>) -> Diagnosis {
-        let gpa = run.sysprof.gpa();
-        let gpa = gpa.borrow();
         // The GPA's view: responder-side interaction counts per shard
         // node — no application counters consulted.
-        let counts: Vec<u64> = (0..self.shards)
-            .map(|i| {
-                gpa.class_summary(self.shard_node(i), SHARD_PORT)
-                    .map_or(0, |s| s.count)
-            })
-            .collect();
-        let (hot, hot_count, total) = hottest(&counts);
-        let share = if total > 0 {
-            100.0 * hot_count as f64 / total as f64
-        } else {
-            0.0
-        };
-        let mut evidence: Vec<String> = counts
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                let node = self.shard_node(i);
-                let user = gpa
-                    .class_summary(node, SHARD_PORT)
-                    .map_or(0.0, |s| s.mean_user_us);
-                format!(
-                    "shard {i} (node {}): {n} interactions, mean user {user:.0}µs",
-                    node.0
-                )
-            })
-            .collect();
-        if let Some(r) = gpa.class_summary(self.router_node(), ROUTER_PORT) {
-            evidence.push(format!(
-                "router: {} interactions, p95 total {:.0}µs",
-                r.count, r.p95_total_us
-            ));
-        }
-        Diagnosis {
-            verdict: format!(
-                "hot shard {hot}: {share:.0}% of shard traffic ({hot_count}/{total} interactions)"
-            ),
-            evidence,
-        }
+        let shards = (0..self.shards).map(|s| (self.shard_node(s), SHARD_PORT));
+        let tier = run.sysprof.gpa().borrow().tier(shards);
+        Diagnosis::of([detect::share(&tier)], |[hot]| {
+            let (share, count, total) = (hot.value, tier[hot.member].count, hot.baseline);
+            format!(
+                "hot shard {}: {share:.0}% of shard traffic ({count}/{total:.0} interactions)",
+                hot.member
+            )
+        })
     }
 }
 

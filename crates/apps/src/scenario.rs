@@ -38,7 +38,8 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FaultPlan, LinkSpec, Port};
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::{CorrelatedPath, GpaConfig, MonitorConfig, SysProf};
+use sysprof::detect::Finding;
+use sysprof::{GpaConfig, MonitorConfig, SysProf};
 
 /// A finished scenario run: the simulation, the deployed monitor, and
 /// the scenario's own measured output. Tests read application truth from
@@ -64,6 +65,29 @@ pub struct Diagnosis {
     pub verdict: String,
     /// Supporting per-component measurements, in a fixed order.
     pub evidence: Vec<String>,
+}
+
+impl Diagnosis {
+    /// The verdict `render` makes of the most indicted finding of each of
+    /// `signals` (the detector's, over the scenario's role map), with one
+    /// line of evidence per finding. A signal over an empty tier leaves
+    /// nothing to indict.
+    pub(crate) fn of<const N: usize>(
+        signals: [Option<Vec<Finding>>; N],
+        render: impl FnOnce([&Finding; N]) -> String,
+    ) -> Diagnosis {
+        let first: Option<Vec<&Finding>> = signals.iter().map(|s| s.as_ref()?.first()).collect();
+        let verdict = first.and_then(|first| first.try_into().ok());
+        Diagnosis {
+            verdict: verdict.map_or_else(|| "nothing to indict: an empty tier".into(), render),
+            evidence: signals
+                .iter()
+                .flatten()
+                .flatten()
+                .map(Finding::to_string)
+                .collect(),
+        }
+    }
 }
 
 impl std::fmt::Display for Diagnosis {
@@ -242,36 +266,6 @@ pub(crate) fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
     samples.sort_unstable();
     let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
     samples[rank.saturating_sub(1).min(samples.len() - 1)]
-}
-
-/// The share (%) of the parents' latency, summed over `paths`, that is
-/// time spent downstream in their children.
-pub(crate) fn downstream_share_pct(paths: &[CorrelatedPath]) -> f64 {
-    let (total, down) = paths.iter().fold((0u64, 0u64), |(t, d), p| {
-        (
-            t + p.parent.end_us.saturating_sub(p.parent.start_us),
-            d + p.downstream_us(),
-        )
-    });
-    if total > 0 {
-        100.0 * down.min(total) as f64 / total as f64
-    } else {
-        0.0
-    }
-}
-
-/// The index of the largest of `values` (the lowest on a tie) and the
-/// tier's median to hold it against.
-pub(crate) fn outlier_and_median(values: &[f64]) -> (usize, f64) {
-    let outlier = values
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite").then(b.0.cmp(&a.0)))
-        .map(|(i, _)| i)
-        .expect("at least one component");
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (outlier, sorted[sorted.len() / 2])
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 //! information onto local disk." (§2)
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -25,7 +26,7 @@ use simos::{KernelOutput, KernelSend, KernelSink, Message};
 
 use crate::cost;
 use crate::daemon::CONTROL_PORT;
-use crate::records::{InteractionRecord, LoadRecord};
+use crate::records::{ClassStats, ClassSummary, InteractionRecord, LoadRecord};
 
 /// GPA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +85,7 @@ pub struct GpaStats {
     pub acks_sent: u64,
     /// Records (interaction or load) dropped from the old end of their
     /// retained window because it was at [`GpaConfig::max_records`].
-    /// They stay in the class aggregates, load statistics and digest;
+    /// They stay in the class statistics, load statistics and digest;
     /// only the per-record history lets go of them.
     pub records_evicted: u64,
     /// Subscribe NACKs dropped from the old end of
@@ -93,7 +94,15 @@ pub struct GpaStats {
     pub subscription_failures_evicted: u64,
     /// Entries dropped from the old end of [`Gpa::delivery_log`], likewise.
     pub deliveries_evicted: u64,
+    /// Interaction records stored and correlated but left out of the
+    /// class statistics: their `(node, class)` arrived with the table
+    /// already at its cap of 4,096 (both come off the wire).
+    pub classes_refused: u64,
 }
+
+/// The most `(node, class)` statistics the GPA keeps, each up to a few
+/// KB of histogram: a sender varying either field cannot grow it further.
+const MAX_CLASSES: usize = 4_096;
 
 /// A [`Window`] drops its evicted prefix once that is longer than its
 /// cap over this: an eviction then costs two item moves amortised, and
@@ -143,33 +152,6 @@ impl<T> Window<T> {
 const INTERACTION: usize = 0;
 const LOAD: usize = 1;
 
-/// Aggregate view of one service class on one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClassSummary {
-    /// Measuring node.
-    pub node: NodeId,
-    /// Responder-side port.
-    pub class_port: Port,
-    /// Interactions observed.
-    pub count: u64,
-    /// Mean inbound kernel time, µs.
-    pub mean_kernel_in_us: f64,
-    /// Mean user time, µs.
-    pub mean_user_us: f64,
-    /// Mean outbound kernel time, µs.
-    pub mean_kernel_out_us: f64,
-    /// Mean blocked time, µs.
-    pub mean_blocked_us: f64,
-    /// Mean total latency, µs.
-    pub mean_total_us: f64,
-    /// Median total latency, µs (log-scale histogram estimate).
-    pub p50_total_us: f64,
-    /// 95th-percentile total latency, µs.
-    pub p95_total_us: f64,
-    /// 99th-percentile total latency, µs.
-    pub p99_total_us: f64,
-}
-
 /// Latest load information about one node, with history statistics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeLoadView {
@@ -196,23 +178,14 @@ pub struct CorrelatedPath {
 
 impl CorrelatedPath {
     /// Total child latency, µs (time the parent spent waiting on
-    /// downstream services, as measured at those services).
+    /// downstream services, as measured at those services), saturating:
+    /// spans come off the wire.
     pub fn downstream_us(&self) -> u64 {
         self.children
             .iter()
             .map(|c| c.end_us.saturating_sub(c.start_us))
-            .sum()
+            .fold(0, u64::saturating_add)
     }
-}
-
-#[derive(Default)]
-struct ClassAggr {
-    kernel_in: OnlineStats,
-    user: OnlineStats,
-    kernel_out: OnlineStats,
-    blocked: OnlineStats,
-    total: OnlineStats,
-    total_hist: simcore::stats::Histogram,
 }
 
 /// A subscribe request a remote daemon rejected (received as a NACK).
@@ -236,7 +209,7 @@ pub struct SubscriptionFailure {
 pub struct Gpa {
     config: GpaConfig,
     records: Window<InteractionRecord>,
-    by_class: simcore::hash::HashMap<(NodeId, Port), ClassAggr>,
+    by_class: simcore::hash::HashMap<(NodeId, Port), ClassStats>,
     latest_load: HashMap<NodeId, LoadRecord>,
     load_stats: HashMap<NodeId, (OnlineStats, u64)>,
     load_history: Window<LoadRecord>,
@@ -453,20 +426,17 @@ impl Gpa {
         }
     }
 
-    /// Adds one interaction to the store and its class aggregates — the
+    /// Adds one interaction to the store and its class statistics — the
     /// single path behind both the wire decoder and the direct record
     /// entry points.
     fn store(&mut self, rec: InteractionRecord) {
         self.ingested += 1;
-        let aggr = self.by_class.entry((rec.node, rec.class_port)).or_default();
-        aggr.kernel_in.record(rec.kernel_in_us as f64);
-        aggr.user.record(rec.user_us as f64);
-        aggr.kernel_out.record(rec.kernel_out_us as f64);
-        aggr.blocked.record(rec.blocked_us as f64);
-        aggr.total
-            .record(rec.end_us.saturating_sub(rec.start_us) as f64);
-        aggr.total_hist
-            .record(rec.end_us.saturating_sub(rec.start_us) as f64);
+        let full = self.by_class.len() >= MAX_CLASSES;
+        match self.by_class.entry((rec.node, rec.class_port)) {
+            Entry::Occupied(stats) => stats.into_mut().record(&rec),
+            Entry::Vacant(slot) if !full => slot.insert(ClassStats::default()).record(&rec),
+            Entry::Vacant(_) => self.gstats.classes_refused += 1,
+        }
         let evicted = self.records.push(rec, self.config.max_records);
         self.gstats.records_evicted += u64::from(evicted);
     }
@@ -513,20 +483,20 @@ impl Gpa {
     /// Aggregate summary for one (node, class) pair, if any interactions
     /// were seen.
     pub fn class_summary(&self, node: NodeId, class_port: Port) -> Option<ClassSummary> {
-        let aggr = self.by_class.get(&(node, class_port))?;
-        Some(ClassSummary {
-            node,
-            class_port,
-            count: aggr.total.count(),
-            mean_kernel_in_us: aggr.kernel_in.mean(),
-            mean_user_us: aggr.user.mean(),
-            mean_kernel_out_us: aggr.kernel_out.mean(),
-            mean_blocked_us: aggr.blocked.mean(),
-            mean_total_us: aggr.total.mean(),
-            p50_total_us: aggr.total_hist.percentile(50.0).unwrap_or(0.0),
-            p95_total_us: aggr.total_hist.percentile(95.0).unwrap_or(0.0),
-            p99_total_us: aggr.total_hist.percentile(99.0).unwrap_or(0.0),
-        })
+        let stats = self.by_class.get(&(node, class_port))?;
+        Some(stats.summary(node, class_port))
+    }
+
+    /// The summaries of a tier's `(node, class)` members, in member order
+    /// — what [`crate::detect`] reads. A member never heard from has an
+    /// empty summary.
+    pub fn tier(&self, members: impl IntoIterator<Item = (NodeId, Port)>) -> Vec<ClassSummary> {
+        let empty = ClassStats::default();
+        let summary = |(node, class)| {
+            let stats = self.by_class.get(&(node, class)).unwrap_or(&empty);
+            stats.summary(node, class)
+        };
+        members.into_iter().map(summary).collect()
     }
 
     /// Every (node, class) summary, sorted.
@@ -919,6 +889,25 @@ mod tests {
         assert_eq!(s.count, 2);
         assert!((s.mean_total_us - 150.0).abs() < 1e-9);
         assert!(g.class_summary(NodeId(2), Port(80)).is_none());
+    }
+
+    /// A sender naming a fresh class on every record grows the class
+    /// table to its cap and no further; the records past it are stored,
+    /// correlated and counted, not aggregated.
+    #[test]
+    fn class_table_is_bounded_and_counts_what_it_refuses() {
+        let recs: Vec<_> = (0..10_000u16)
+            .map(|port| rec(1, 10, 20, 1 + port, 0, 100))
+            .collect();
+        let g = gpa_with(recs);
+        assert_eq!(g.interaction_count(), 10_000);
+        assert_eq!(g.all_class_summaries().len(), MAX_CLASSES);
+        assert_eq!(g.gpa_stats().classes_refused, 10_000 - MAX_CLASSES as u64);
+        // Classes already held keep aggregating.
+        let mut g = g;
+        g.ingest_record(&rec(1, 10, 20, 1, 200, 300));
+        assert_eq!(g.class_summary(NodeId(1), Port(1)).unwrap().count, 2);
+        assert_eq!(g.gpa_stats().classes_refused, 10_000 - MAX_CLASSES as u64);
     }
 
     #[test]

@@ -19,7 +19,14 @@
 //! * [`Gpa`] — the **Global Performance Analyzer**: subscribes to the
 //!   daemons' channels, correlates interaction records across nodes by
 //!   endpoints and (imperfect, NTP-disciplined) wall-clock timestamps into
-//!   end-to-end request paths, and answers queries,
+//!   end-to-end request paths, and answers queries; per class it keeps
+//!   the same statistic (`ClassStats`, read as a [`ClassSummary`]) the
+//!   LPA keeps per flush window,
+//! * [`detect`] — the one detector: a few application-agnostic signals
+//!   (interaction share, mean user time against the tier median, p95/p50
+//!   tail, mean blocked time, downstream share of correlated paths) that
+//!   turn a tier's [`ClassSummary`]s ([`Gpa::tier`]) into typed
+//!   [`detect::Finding`]s, most indicted first,
 //! * [`receive_stream`] — the sink glue of any subscriber to a daemon's
 //!   channels (the GPA's [`GpaSink`], RA-DWCS's load feed): one delivery
 //!   through the subscriber's `pubsub::reliable::Receiver`, replies to
@@ -69,6 +76,7 @@ pub mod cost;
 mod cpa;
 mod daemon;
 mod deploy;
+pub mod detect;
 mod gpa;
 mod lpa;
 pub mod procfs;
@@ -82,13 +90,13 @@ pub use daemon::{
 };
 pub use deploy::{MonitorConfig, SysProf};
 pub use gpa::{
-    flow_shard_key, receive_stream, ClassSummary, ControlReplySink, CorrelatedPath, Gpa, GpaConfig,
-    GpaSink, GpaStats, NodeLoadView, SubscriptionFailure,
+    flow_shard_key, receive_stream, ControlReplySink, CorrelatedPath, Gpa, GpaConfig, GpaSink,
+    GpaStats, NodeLoadView, SubscriptionFailure,
 };
 pub use lpa::{Lpa, LpaConfig, MonitorLevel};
 /// The frame layer of a batch payload, for tools that take one apart.
 pub use pubsub::split_frames;
 pub use query::{GpaAnswer, GpaQuery, GpaQuerySink, QueryClient, QUERY_PORT, QUERY_REPLY_PORT};
-pub use records::{InteractionRecord, LoadRecord, INTERACTION_TOPIC};
+pub use records::{ClassSummary, InteractionRecord, LoadRecord, INTERACTION_TOPIC};
 /// The fixed-hasher tables; `LpaConfig::service_ports` is this module's `HashSet`.
 pub use simcore::hash;

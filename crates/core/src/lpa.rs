@@ -13,20 +13,19 @@
 //! requests on one flow collapse into a single message, so their
 //! interactions cannot be separated without domain knowledge.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use kprof::{
     Analyzer, AnalyzerOutcome, BlockReason, Event, EventMask, EventPayload, Interest, NetPoint,
     PerCpuBuffers, Pid,
 };
 use simcore::hash::{HashMap, HashSet};
-use simcore::stats::OnlineStats;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FlowKey, Ip, Port};
 
 use crate::cost;
 use crate::daemon::{CONTROL_PORT, DATA_PORT};
-use crate::records::InteractionRecord;
+use crate::records::{ClassStats, ClassSummary, InteractionRecord};
 
 /// A message with no packets for this long is considered closed — the
 /// eviction that lets the *last* interaction of a conversation complete
@@ -324,30 +323,6 @@ impl PidClock {
     }
 }
 
-/// Per-class aggregation (the reduced-granularity mode).
-#[derive(Debug, Default, Clone)]
-struct ClassAggr {
-    count: u64,
-    kernel_in_us: OnlineStats,
-    user_us: OnlineStats,
-    total_us: OnlineStats,
-}
-
-/// (count, mean kernel-in µs, mean user µs, mean total µs) per class port,
-/// sorted by port: consumers fold these with f64 accumulators, so the
-/// order must not depend on HashMap hash state.
-fn class_means(table: &HashMap<Port, ClassAggr>) -> Vec<(Port, u64, f64, f64, f64)> {
-    let mut out: Vec<_> = table
-        .iter()
-        .map(|(port, a)| {
-            let (kin, user, total) = (a.kernel_in_us.mean(), a.user_us.mean(), a.total_us.mean());
-            (*port, a.count, kin, user, total)
-        })
-        .collect();
-    out.sort_by_key(|(p, ..)| *p);
-    out
-}
-
 /// The keys of `table` whose entry's latest packet (`last`) is at least
 /// `IDLE_CLOSE` before `now`, in key order: each close emits a record,
 /// and record order must be identical across replays of the same seed.
@@ -388,10 +363,11 @@ pub struct Lpa {
     /// "a window containing the past several interactions" — queryable
     /// recent history for procfs.
     window: VecDeque<InteractionRecord>,
-    /// Cumulative per-class aggregates (never reset; procfs reads these).
-    class_aggr: HashMap<Port, ClassAggr>,
-    /// Per-class aggregates since the daemon last flushed.
-    class_window: HashMap<Port, ClassAggr>,
+    /// Per-class statistics since the daemon last took them: every
+    /// interaction completed is recorded here, once.
+    class_window: HashMap<Port, ClassStats>,
+    /// The merge of every window the daemon took.
+    class_taken: BTreeMap<Port, ClassStats>,
     records_completed: u64,
     events_seen: u64,
     /// Set when a buffer switch happened while handling the current event
@@ -419,8 +395,8 @@ impl Lpa {
             overwritten_before: 0,
             arm_dropped: 0,
             window: VecDeque::new(),
-            class_aggr: HashMap::default(),
             class_window: HashMap::default(),
+            class_taken: BTreeMap::new(),
             records_completed: 0,
             events_seen: 0,
             pending_switch: false,
@@ -516,20 +492,28 @@ impl Lpa {
         self.window.iter()
     }
 
-    /// Per-class aggregates (all that [`MonitorLevel::ClassAggregates`]
-    /// keeps; cheap summaries at every level). Returns (class port, count,
-    /// mean kernel-in µs, mean user µs, mean total µs), by port.
-    pub fn class_summaries(&self) -> Vec<(Port, u64, f64, f64, f64)> {
-        class_means(&self.class_aggr)
+    /// Per-class statistics of every interaction completed (all that
+    /// [`MonitorLevel::ClassAggregates`] keeps; kept at every level), by
+    /// port: the windows the daemon took merged with the open one.
+    pub fn class_summaries(&self) -> Vec<ClassSummary> {
+        let mut all = self.class_taken.clone();
+        let open: BTreeMap<&Port, &ClassStats> = self.class_window.iter().collect();
+        for (port, stats) in open {
+            all.entry(*port).or_default().merge(stats);
+        }
+        all.iter()
+            .map(|(port, stats)| stats.summary(self.node, *port))
+            .collect()
     }
 
-    /// Takes and resets the per-flush-window class aggregates (daemon
-    /// flush), in [`class_summaries`](Lpa::class_summaries)' shape. The
-    /// cumulative aggregates behind it are unaffected.
-    pub fn take_class_aggregates(&mut self) -> Vec<(Port, u64, f64, f64, f64)> {
-        let out = class_means(&self.class_window);
-        self.class_window.clear();
-        out
+    /// Takes the open window's per-class statistics, by port (the
+    /// daemon's periodic wake), and merges them into the cumulative view.
+    pub(crate) fn take_class_window(&mut self) -> BTreeMap<Port, ClassStats> {
+        let window: BTreeMap<Port, ClassStats> = self.class_window.drain().collect();
+        for (port, stats) in &window {
+            self.class_taken.entry(*port).or_default().merge(stats);
+        }
+        window
     }
 
     // ------------------------------------------------------------------
@@ -712,18 +696,12 @@ impl Lpa {
             self.window.pop_front();
         }
 
-        // Class aggregates are always cheap to keep: one cumulative copy
-        // (procfs) and one flush-window copy (daemon load reports).
-        for aggr in [
-            self.class_aggr.entry(class_port).or_default(),
-            self.class_window.entry(class_port).or_default(),
-        ] {
-            aggr.count += 1;
-            aggr.kernel_in_us.record(record.kernel_in_us as f64);
-            aggr.user_us.record(record.user_us as f64);
-            aggr.total_us
-                .record(record.end_us.saturating_sub(record.start_us) as f64);
-        }
+        // Class statistics are kept at every level: one record into the
+        // flush window (daemon load reports; procfs merges the taken ones).
+        self.class_window
+            .entry(class_port)
+            .or_default()
+            .record(&record);
 
         if self.config.level != MonitorLevel::ClassAggregates {
             let cpu = (cpu as usize % self.buffers.cpus()) as u16;
@@ -1242,12 +1220,51 @@ mod tests {
         assert!(l.drain().is_empty(), "nothing staged per interaction");
         let classes = l.class_summaries();
         assert_eq!(classes.len(), 1);
-        assert_eq!(classes[0].0, Port(2049));
-        assert_eq!(classes[0].1, 5);
+        assert_eq!((classes[0].class_port, classes[0].count), (Port(2049), 5));
         // take drains the flush window but leaves the cumulative view.
-        assert_eq!(l.take_class_aggregates().len(), 1);
-        assert!(l.take_class_aggregates().is_empty(), "window drained");
+        assert_eq!(l.take_class_window().len(), 1);
+        assert!(l.take_class_window().is_empty(), "window drained");
         assert_eq!(l.class_summaries().len(), 1, "cumulative view persists");
+    }
+
+    /// The cumulative view is the taken windows merged with the open one:
+    /// after a take every few exchanges, on three classes, it counts what
+    /// a sequential record of every completed interaction counts, and
+    /// means agree to rounding.
+    #[test]
+    fn cumulative_class_view_matches_a_sequential_record() {
+        let mut l = lpa();
+        let mut reference: BTreeMap<Port, ClassStats> = BTreeMap::new();
+        for i in 0..40u64 {
+            let port = Port(2049 + (i % 3) as u16);
+            let flow = FlowKey::new(EndPoint::new(CLIENT, Port(40_000)), EndPoint::new(ME, port));
+            exchange_on(&mut l, flow, 1_000 + i * 100_000);
+            l.flush_idle(SimTime::from_micros(i * 100_000 + 60_000));
+            for r in l.drain() {
+                reference.entry(r.class_port).or_default().record(&r);
+            }
+            if i % 7 == 6 {
+                l.take_class_window();
+            }
+        }
+        let view = l.class_summaries();
+        assert_eq!(view.len(), 3);
+        for (s, (port, stats)) in view.iter().zip(&reference) {
+            let want = stats.summary(NodeId(1), *port);
+            assert_eq!(
+                (s.node, s.class_port, s.count),
+                (want.node, want.class_port, want.count)
+            );
+            for (got, want) in [
+                (s.mean_kernel_in_us, want.mean_kernel_in_us),
+                (s.mean_user_us, want.mean_user_us),
+                (s.mean_total_us, want.mean_total_us),
+            ] {
+                assert!((got - want).abs() < 1e-9, "{port}: {got} vs {want}");
+            }
+            assert_eq!(s.p99_total_us, want.p99_total_us);
+        }
+        assert_eq!(view.iter().map(|s| s.count).sum::<u64>(), 40);
     }
 
     #[test]

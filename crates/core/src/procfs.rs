@@ -15,6 +15,7 @@ use crate::cost;
 use crate::cpa::CpaAnalyzer;
 use crate::gpa::Gpa;
 use crate::lpa::Lpa;
+use crate::records::ClassSummary;
 
 /// Renders `/proc/sysprof/interactions`: the LPA's recent-interaction
 /// window, one line per interaction.
@@ -39,17 +40,10 @@ pub fn render_interactions(lpa: &Lpa) -> String {
     out
 }
 
-/// Renders `/proc/sysprof/classes`: per-service-class aggregates.
+/// Renders `/proc/sysprof/classes`: the node's per-service-class
+/// statistics, in the GPA summary's table.
 pub fn render_classes(lpa: &Lpa) -> String {
-    let mut out =
-        String::from("# class_port  count   mean_kernel_in_us  mean_user_us  mean_total_us\n");
-    for (port, count, kin, user, total) in lpa.class_summaries() {
-        out.push_str(&format!(
-            "{:<12} {:<7} {:<18.1} {:<13.1} {:.1}\n",
-            port, count, kin, user, total
-        ));
-    }
-    out
+    render_class_table(&lpa.class_summaries())
 }
 
 /// Renders `/proc/sysprof/status`: monitoring-layer health for one node.
@@ -82,10 +76,15 @@ pub fn render_status(node: NodeId, kprof: &Kprof, lpa: &Lpa) -> String {
 
 /// Renders the GPA's cluster-wide summary table.
 pub fn render_gpa_summary(gpa: &Gpa) -> String {
+    render_class_table(&gpa.all_class_summaries())
+}
+
+/// One line per class summary, under a header.
+fn render_class_table(summaries: &[ClassSummary]) -> String {
     let mut out = String::from(
         "# node   class   count   kern_in_us  user_us  kern_out_us  blocked_us  total_us  p50_us   p95_us   p99_us\n",
     );
-    for s in gpa.all_class_summaries() {
+    for s in summaries {
         out.push_str(&format!(
             "{:<8} {:<7} {:<7} {:<11.1} {:<8.1} {:<12.1} {:<11.1} {:<9.1} {:<8.0} {:<8.0} {:.0}\n",
             s.node.to_string(),
@@ -239,7 +238,8 @@ mod tests {
         let kprof = Kprof::new(NodeId(0));
         let gpa = Gpa::new(crate::GpaConfig::default());
         assert!(render_interactions(&lpa).starts_with("# flow"));
-        assert!(render_classes(&lpa).starts_with("# class_port"));
+        assert_eq!(render_classes(&lpa), render_gpa_summary(&gpa));
+        assert!(render_classes(&lpa).starts_with("# node"));
         assert!(render_status(NodeId(0), &kprof, &lpa).contains("events_generated: 0"));
         assert!(render_gpa_summary(&gpa).starts_with("# node"));
         assert_eq!(render_digest(&gpa), "digest: none\n");

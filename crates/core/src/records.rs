@@ -2,6 +2,7 @@
 
 use pbio::{FieldType, Schema};
 use serde::{Deserialize, Serialize};
+use simcore::stats::{Histogram, OnlineStats};
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, FlowKey, Ip, Port};
 
@@ -225,6 +226,88 @@ impl LoadRecord {
     }
 }
 
+/// Aggregate view of one service class on one node.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ClassSummary {
+    /// Measuring node.
+    pub node: NodeId,
+    /// Responder-side port.
+    pub class_port: Port,
+    /// Interactions observed.
+    pub count: u64,
+    /// Mean inbound kernel time, µs.
+    pub mean_kernel_in_us: f64,
+    /// Mean user time, µs.
+    pub mean_user_us: f64,
+    /// Mean outbound kernel time, µs.
+    pub mean_kernel_out_us: f64,
+    /// Mean blocked time, µs.
+    pub mean_blocked_us: f64,
+    /// Mean total latency, µs.
+    pub mean_total_us: f64,
+    /// Median total latency, µs (log-scale histogram estimate).
+    pub p50_total_us: f64,
+    /// 95th-percentile total latency, µs.
+    pub p95_total_us: f64,
+    /// 99th-percentile total latency, µs.
+    pub p99_total_us: f64,
+}
+
+/// The statistic SysProf keeps per service class — the LPA per flush
+/// window, the GPA per `(node, class)` — and reads as a [`ClassSummary`]:
+/// one accumulator per attributed time and a histogram of total latency.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ClassStats {
+    kernel_in: OnlineStats,
+    user: OnlineStats,
+    kernel_out: OnlineStats,
+    blocked: OnlineStats,
+    total: OnlineStats,
+    total_hist: Histogram,
+}
+
+impl ClassStats {
+    /// Adds one interaction.
+    pub(crate) fn record(&mut self, rec: &InteractionRecord) {
+        let total = rec.end_us.saturating_sub(rec.start_us) as f64;
+        self.kernel_in.record(rec.kernel_in_us as f64);
+        self.user.record(rec.user_us as f64);
+        self.kernel_out.record(rec.kernel_out_us as f64);
+        self.blocked.record(rec.blocked_us as f64);
+        self.total.record(total);
+        self.total_hist.record(total);
+    }
+
+    /// Adds every interaction `other` holds: counts and histogram bins
+    /// exactly, means by parallel Welford.
+    pub(crate) fn merge(&mut self, other: &ClassStats) {
+        self.kernel_in.merge(&other.kernel_in);
+        self.user.merge(&other.user);
+        self.kernel_out.merge(&other.kernel_out);
+        self.blocked.merge(&other.blocked);
+        self.total.merge(&other.total);
+        self.total_hist.merge(&other.total_hist);
+    }
+
+    /// The statistic as `class_port`'s on `node`; all zeros when empty.
+    pub(crate) fn summary(&self, node: NodeId, class_port: Port) -> ClassSummary {
+        let total_at = |p| self.total_hist.percentile(p).unwrap_or(0.0);
+        ClassSummary {
+            node,
+            class_port,
+            count: self.total.count(),
+            mean_kernel_in_us: self.kernel_in.mean(),
+            mean_user_us: self.user.mean(),
+            mean_kernel_out_us: self.kernel_out.mean(),
+            mean_blocked_us: self.blocked.mean(),
+            mean_total_us: self.total.mean(),
+            p50_total_us: total_at(50.0),
+            p95_total_us: total_at(95.0),
+            p99_total_us: total_at(99.0),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +404,65 @@ mod tests {
         assert_eq!(back, rec);
         assert_eq!(back.wall(), SimTime::from_secs(5));
         assert_eq!(row[2], 0.83f64.to_bits() as i64);
+    }
+
+    /// 300 seeded streams, each cut at up to three random points: the
+    /// pieces' statistics merged in order are the whole stream's, counts
+    /// and histogram bins exactly and means to rounding.
+    #[test]
+    fn merged_class_stats_match_the_sequential_record() {
+        let bins = |h: &Histogram| {
+            let json: serde_json::Value =
+                serde_json::from_str(&serde_json::to_string(h).unwrap()).unwrap();
+            json.get("bins").cloned()
+        };
+        for seed in 0..300u64 {
+            let mut rng = simcore::SimRng::seed(seed);
+            let len = rng.index(200);
+            let mut stream = Vec::with_capacity(len);
+            for _ in 0..len {
+                let mut rec = sample();
+                rec.start_us = rng.uniform_u64(0, 1_000_000);
+                rec.end_us = rec.start_us + rng.uniform_u64(0, 100_000);
+                rec.kernel_in_us = rng.uniform_u64(0, 5_000);
+                rec.user_us = rng.uniform_u64(0, 50_000);
+                rec.kernel_out_us = rng.uniform_u64(0, 500);
+                rec.blocked_us = rng.uniform_u64(0, 20_000);
+                stream.push(rec);
+            }
+            let mut cuts: Vec<usize> = (0..rng.index(4)).map(|_| rng.index(len + 1)).collect();
+            cuts.extend([0, len]);
+            cuts.sort_unstable();
+            let (mut sequential, mut merged) = (ClassStats::default(), ClassStats::default());
+            for piece in cuts.windows(2) {
+                let mut part = ClassStats::default();
+                for rec in &stream[piece[0]..piece[1]] {
+                    sequential.record(rec);
+                    part.record(rec);
+                }
+                merged.merge(&part);
+            }
+            let (s, m) = (
+                sequential.summary(NodeId(1), Port(80)),
+                merged.summary(NodeId(1), Port(80)),
+            );
+            assert_eq!((m.count, s.count), (len as u64, len as u64), "seed {seed}");
+            assert_eq!(bins(&merged.total_hist), bins(&sequential.total_hist));
+            assert_eq!(merged.total_hist.count(), s.count);
+            for (got, want) in [
+                (m.mean_kernel_in_us, s.mean_kernel_in_us),
+                (m.mean_user_us, s.mean_user_us),
+                (m.mean_kernel_out_us, s.mean_kernel_out_us),
+                (m.mean_blocked_us, s.mean_blocked_us),
+                (m.mean_total_us, s.mean_total_us),
+            ] {
+                assert!((got - want).abs() < 1e-9, "seed {seed}: {got} vs {want}");
+            }
+            assert_eq!(
+                (m.p50_total_us, m.p99_total_us),
+                (s.p50_total_us, s.p99_total_us)
+            );
+        }
     }
 
     #[test]

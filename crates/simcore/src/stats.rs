@@ -21,7 +21,7 @@ use crate::{SimDuration, SimTime};
 /// assert_eq!(s.count(), 3);
 /// assert!((s.mean() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -111,6 +111,14 @@ impl OnlineStats {
         self.count = total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Default for OnlineStats {
+    /// [`OnlineStats::new`]: `min` and `max` start at the infinities, so
+    /// the first observation sets both.
+    fn default() -> Self {
+        OnlineStats::new()
     }
 }
 
@@ -308,6 +316,17 @@ mod tests {
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
+    }
+
+    /// A default-built accumulator is a new one: its first observation is
+    /// its min and its max, whatever the sign.
+    #[test]
+    fn default_online_stats_is_new() {
+        for v in [5.0, -5.0] {
+            let mut s = OnlineStats::default();
+            s.record(v);
+            assert_eq!((s.min(), s.max()), (Some(v), Some(v)));
+        }
     }
 
     #[test]
