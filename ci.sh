@@ -11,6 +11,7 @@
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
 #   ./ci.sh --substrate  only the simulator under the monitor: calendar, simos, fingerprints
+#   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -180,6 +181,16 @@ check_cluster_fingerprints() {
     done
 }
 
+# The GPA read the other way: sysbench's quick gpa_query on the seed and
+# the held-out seed pins correlate()'s paths (`correlate.paths_hash`,
+# `correlate.children`) and the dump (`dump_json.hash`) byte for byte.
+check_gpa_query_fingerprints() {
+    local seed
+    for seed in 7 11; do
+        benchmark/run.sh --quick --workload gpa_query --seed "$seed" --seconds 1 --trace 0 >/dev/null
+    done
+}
+
 # Fast paths for iterating on one slice of the system: each runs only
 # the steps listed for its flag below — skipping fmt/clippy and the
 # full suite — then prints "<LABEL> OK". A step that starts with "==>"
@@ -279,6 +290,22 @@ case "${1:-}" in
 --substrate)
     fast_path SUBSTRATE "${substrate_steps[@]}"
     ;;
+--gpa)
+    # The GPA's query side: the store, the sweep against the all-pairs
+    # reference and its work bound, borrowed paths, the detector over
+    # them, the query port and the cross-tier correlation end to end,
+    # then the gpa_query fingerprints.
+    fast_path GPA \
+        "==> GPA (core): store, correlate() vs all-pairs, work bound, borrowed paths" \
+        "cargo test -q -p sysprof gpa::" \
+        "==> detector (core): the five signals over class summaries and paths" \
+        "cargo test -q -p sysprof detect::" \
+        "==> query port and end-to-end correlation" \
+        "cargo test -q --test gpa_query" \
+        "cargo test -q --test end_to_end" \
+        "==> sysbench quick fingerprints (gpa_query; seeds 7, 11)" \
+        check_gpa_query_fingerprints
+    ;;
 --merge)
     # The merge-lattice analysis and the sharded evaluation path: the
     # classifier goldens + shard-differential sweep, the digest fold, the
@@ -339,6 +366,9 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir
 echo "==> substrate: sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)"
 # The workspace test runs above already cover the rest of --substrate.
 check_cluster_fingerprints
+
+echo "==> GPA: sysbench quick fingerprints (gpa_query; seeds 7, 11)"
+check_gpa_query_fingerprints
 
 echo "==> examples"
 cargo build -q --examples

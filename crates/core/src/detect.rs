@@ -97,7 +97,7 @@ pub fn blocked(tier: &[ClassSummary]) -> Option<Vec<Finding>> {
 /// For each member, the share of its correlated paths' latency spent
 /// downstream: `paths` (from [`Gpa::correlate`](crate::Gpa::correlate))
 /// whose parent the member measured.
-pub fn downstream(tier: &[ClassSummary], paths: &[CorrelatedPath]) -> Option<Vec<Finding>> {
+pub fn downstream(tier: &[ClassSummary], paths: &[CorrelatedPath<'_>]) -> Option<Vec<Finding>> {
     rank(Signal::Downstream, tier, |s| {
         let rooted = paths
             .iter()
@@ -295,10 +295,17 @@ mod tests {
             blocked_io_us: 0,
         };
         let path = |parent, children| CorrelatedPath { parent, children };
+        let recs = [
+            rec(1, 80, 0, 1_000),
+            rec(2, 90, 100, 400),
+            rec(2, 90, 0, 500),
+            rec(3, 80, 0, 100),
+        ];
+        let [front, short, long, brief] = &recs;
         let paths = [
-            path(rec(1, 80, 0, 1_000), vec![rec(2, 90, 100, 400)]),
-            path(rec(1, 80, 0, 1_000), vec![rec(2, 90, 0, 500)]),
-            path(rec(3, 80, 0, 100), vec![rec(2, 90, 0, 500)]),
+            path(front, vec![short]),
+            path(front, vec![long]),
+            path(brief, vec![long]),
         ];
         let tier = [member(1, 2, 0.0, 0.0, 0.0), member(9, 0, 0.0, 0.0, 0.0)];
         let findings = downstream(&tier, &paths).unwrap();
@@ -309,10 +316,8 @@ mod tests {
         // spans off the wire that sum past `u64::MAX` saturate.
         let over = [member(3, 1, 0.0, 0.0, 0.0)];
         assert_eq!(downstream(&over, &paths).unwrap()[0].value, 100.0);
-        let forged = [path(
-            rec(3, 80, 0, u64::MAX),
-            vec![rec(2, 90, 0, u64::MAX), rec(2, 90, 0, u64::MAX)],
-        )];
+        let (endless, endless_child) = (rec(3, 80, 0, u64::MAX), rec(2, 90, 0, u64::MAX));
+        let forged = [path(&endless, vec![&endless_child, &endless_child])];
         assert_eq!(downstream(&over, &forged).unwrap()[0].value, 100.0);
     }
 }

@@ -21,7 +21,7 @@ use pubsub::PubSubError;
 use serde::{Deserialize, Serialize};
 use simcore::stats::OnlineStats;
 use simcore::{NodeId, SimDuration, SimTime};
-use simnet::{EndPoint, Port};
+use simnet::{EndPoint, Ip, Port};
 use simos::{KernelOutput, KernelSend, KernelSink, Message};
 
 use crate::cost;
@@ -70,7 +70,9 @@ pub struct GpaStats {
     /// Batches that arrived ahead of a gap and were buffered.
     pub out_of_order: u64,
     /// Batches dropped for being [`pubsub::reliable::REORDER_WINDOW`] or
-    /// more ahead of the next expected sequence number.
+    /// more ahead of the next expected sequence number, or for not
+    /// fitting in what is left of the stream's
+    /// [`pubsub::reliable::REORDER_BYTES`].
     pub out_of_window: u64,
     /// Distinct gaps observed (a missing sequence range opened).
     pub gaps_detected: u64,
@@ -98,6 +100,9 @@ pub struct GpaStats {
     /// class statistics: their `(node, class)` arrived with the table
     /// already at its cap of 4,096 (both come off the wire).
     pub classes_refused: u64,
+    /// Batches refused unread: they came from a new source endpoint
+    /// with [`pubsub::reliable::MAX_SOURCES`] streams already open.
+    pub sources_refused: u64,
 }
 
 /// The most `(node, class)` statistics the GPA keeps, each up to a few
@@ -166,17 +171,18 @@ pub struct NodeLoadView {
 /// A cross-node correlated request path: a parent interaction (e.g.
 /// client→proxy, measured at the proxy) with the child interactions
 /// (e.g. proxy→server, measured at the server) nested within its time
-/// span.
+/// span. Both point into the store [`Gpa::correlate`] was asked; no
+/// record is copied.
 #[derive(Debug, Clone, Serialize)]
-pub struct CorrelatedPath {
+pub struct CorrelatedPath<'a> {
     /// The enclosing interaction.
-    pub parent: InteractionRecord,
+    pub parent: &'a InteractionRecord,
     /// Interactions nested inside the parent's span whose initiator is
     /// the parent's responder.
-    pub children: Vec<InteractionRecord>,
+    pub children: Vec<&'a InteractionRecord>,
 }
 
-impl CorrelatedPath {
+impl CorrelatedPath<'_> {
     /// Total child latency, µs (time the parent spent waiting on
     /// downstream services, as measured at those services), saturating:
     /// spans come off the wire.
@@ -379,6 +385,7 @@ impl Gpa {
             gaps_abandoned: self.rx.gaps_abandoned,
             nacks_sent: self.rx.nacks_sent,
             acks_sent: self.rx.acks_sent,
+            sources_refused: self.rx.sources_refused,
             ..self.gstats
         }
     }
@@ -537,7 +544,8 @@ impl Gpa {
     /// direction, not which side measured.
     ///
     /// Returns one path per parent that has a child, parents in ingest
-    /// order, each parent's children in ingest order.
+    /// order, each parent's children in ingest order. The paths borrow
+    /// the retained records.
     ///
     /// O(n log n + candidates examined) over n retained records: an
     /// index built and dropped inside the call, searched once per
@@ -545,7 +553,7 @@ impl Gpa {
     /// parent's widened span. Records with `end_us < start_us` (only a
     /// hostile or broken sender produces one) are each compared with
     /// every parent.
-    pub fn correlate(&self) -> Vec<CorrelatedPath> {
+    pub fn correlate(&self) -> Vec<CorrelatedPath<'_>> {
         let eps = self.config.clock_error_bound.as_micros();
         sweep(self.interactions(), eps).0
     }
@@ -577,21 +585,34 @@ fn nests(parent: &InteractionRecord, child: &InteractionRecord, eps: u64) -> boo
         && child.end_us <= parent.end_us.saturating_add(eps)
 }
 
+/// One candidate child in [`sweep`]'s index: initiator IP, start and
+/// ingest position packed so that one integer compare orders by all
+/// three, in that order.
+fn key(ip: Ip, start_us: u64, index: u32) -> u128 {
+    (u128::from(ip.0) << 96) | (u128::from(start_us) << 32) | u128::from(index)
+}
+
 /// [`Gpa::correlate`] over `records`, and how many candidate children
 /// it examined to get there (what the work-bound test holds it to).
-fn sweep(records: &[InteractionRecord], eps: u64) -> (Vec<CorrelatedPath>, u64) {
-    // Candidate children by (initiator IP, start, ingest position). A
-    // child that nests starts no later than it ends, which is no later
-    // than the parent's widened end, so a sweep in start order can stop
-    // there. An inverted span breaks the first step; those few are
-    // kept aside and compared with every parent.
+fn sweep(records: &[InteractionRecord], eps: u64) -> (Vec<CorrelatedPath<'_>>, u64) {
+    // An ingest position must fit the key's low 32 bits.
+    assert!(
+        u32::try_from(records.len()).is_ok(),
+        "correlate() indexes at most u32::MAX records, not {}",
+        records.len()
+    );
+    // Candidate children by key. A child that nests starts no later
+    // than it ends, which is no later than the parent's widened end, so
+    // a sweep in start order can stop there. An inverted span breaks
+    // the first step; those few are kept aside and compared with every
+    // parent.
     let mut by_start = Vec::with_capacity(records.len());
     let mut inverted = Vec::new();
-    for (i, rec) in records.iter().enumerate() {
+    for (i, rec) in (0u32..).zip(records) {
         if rec.end_us < rec.start_us {
-            inverted.push(i);
+            inverted.push(i as usize);
         } else {
-            by_start.push((rec.flow.src.ip, rec.start_us, i));
+            by_start.push(key(rec.flow.src.ip, rec.start_us, i));
         }
     }
     by_start.sort_unstable();
@@ -603,13 +624,21 @@ fn sweep(records: &[InteractionRecord], eps: u64) -> (Vec<CorrelatedPath>, u64) 
         let ip = parent.flow.dst.ip;
         let lo = parent.start_us.saturating_sub(eps);
         let hi = parent.end_us.saturating_add(eps);
-        let first = by_start.partition_point(|&(src, start, _)| (src, start) < (ip, lo));
-        let swept = by_start[first..]
-            .iter()
-            .take_while(|&&(src, start, _)| src == ip && start <= hi)
-            .map(|&(_, _, i)| i);
+        // Every key in `[first, last]` has the parent's responder IP
+        // and a start in `[lo, hi]`: of `nests`, only the node and the
+        // end are left to test.
+        let first = by_start.partition_point(|&k| k < key(ip, lo, 0));
+        let last = key(ip, hi, u32::MAX);
         found.clear();
-        for i in swept.chain(inverted.iter().copied()) {
+        for &k in by_start[first..].iter().take_while(|&&k| k <= last) {
+            examined += 1;
+            let i = k as u32 as usize;
+            let child = &records[i];
+            if child.node != parent.node && child.end_us <= hi {
+                found.push(i);
+            }
+        }
+        for &i in &inverted {
             examined += 1;
             if nests(parent, &records[i], eps) {
                 found.push(i);
@@ -622,8 +651,8 @@ fn sweep(records: &[InteractionRecord], eps: u64) -> (Vec<CorrelatedPath>, u64) 
         // order.
         found.sort_unstable();
         paths.push(CorrelatedPath {
-            parent: *parent,
-            children: found.iter().map(|&i| records[i]).collect(),
+            parent,
+            children: found.iter().map(|&i| &records[i]).collect(),
         });
     }
     (paths, examined)
@@ -910,6 +939,39 @@ mod tests {
         assert_eq!(g.gpa_stats().classes_refused, 10_000 - MAX_CLASSES as u64);
     }
 
+    /// A sender naming a fresh source endpoint on every batch opens
+    /// streams up to the receiver's cap and no further; the batches past
+    /// it are refused unread and counted, and the streams already open
+    /// keep delivering.
+    #[test]
+    fn source_table_is_bounded_and_counts_what_it_refuses() {
+        use pubsub::reliable::{encode_batch, MAX_SOURCES};
+        let mut g = Gpa::new(GpaConfig::default());
+        let mut row = Vec::new();
+        rec(1, 10, 20, 80, 0, 100).to_raw_row(&mut row);
+        let mut feed = Feed::new();
+        feed.push(&InteractionRecord::schema(), &row);
+        let first = encode_batch(1, &feed.batch);
+        feed.batch.clear();
+        feed.push(&InteractionRecord::schema(), &row);
+        let second = encode_batch(2, &feed.batch);
+        for i in 0..10_000u32 {
+            let src = EndPoint::new(Ip(1_000 + i), Port(9997));
+            let (n, replies) = g.ingest_wire(SimTime::ZERO, ME, src, &first);
+            let open = (i as usize) < MAX_SOURCES;
+            assert_eq!((n, replies.len()), if open { (1, 1) } else { (0, 0) });
+        }
+        assert_eq!(g.receiver().streams().len(), MAX_SOURCES);
+        assert_eq!(g.interaction_count(), MAX_SOURCES as u64);
+        let s = g.gpa_stats();
+        assert_eq!(s.sources_refused, 10_000 - MAX_SOURCES as u64);
+        assert_eq!(s.batches_received, MAX_SOURCES as u64);
+        assert_eq!(g.decode_failures(), 0);
+        assert!(format!("{s:?}").ends_with(", sources_refused: 8976 }"));
+        let open = EndPoint::new(Ip(1_000), Port(9997));
+        assert_eq!(g.ingest_wire(SimTime::ZERO, ME, open, &second).0, 1);
+    }
+
     #[test]
     fn correlation_nests_by_ip_and_time() {
         // Parent: client(10)→proxy(20), measured at proxy (node 1),
@@ -923,8 +985,8 @@ mod tests {
         let g = gpa_with(vec![parent, child, stranger, late]);
         let paths = g.correlate();
         assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].parent, parent);
-        assert_eq!(paths[0].children, vec![child]);
+        assert_eq!(*paths[0].parent, parent);
+        assert_eq!(paths[0].children, vec![&child]);
         assert_eq!(paths[0].downstream_us(), 6_000);
     }
 
@@ -1011,7 +1073,7 @@ mod tests {
 
     /// The all-pairs loop `correlate()` ran before it had an index, its
     /// two additions made saturating: what the sweep must reproduce.
-    fn all_pairs(records: &[InteractionRecord], eps: u64) -> Vec<CorrelatedPath> {
+    fn all_pairs(records: &[InteractionRecord], eps: u64) -> Vec<CorrelatedPath<'_>> {
         let mut paths = Vec::new();
         for parent in records {
             let mut children = Vec::new();
@@ -1025,14 +1087,11 @@ mod tests {
                 let nests = child.start_us.saturating_add(eps) >= parent.start_us
                     && child.end_us <= parent.end_us.saturating_add(eps);
                 if nests {
-                    children.push(*child);
+                    children.push(child);
                 }
             }
             if !children.is_empty() {
-                paths.push(CorrelatedPath {
-                    parent: *parent,
-                    children,
-                });
+                paths.push(CorrelatedPath { parent, children });
             }
         }
         paths
@@ -1040,7 +1099,44 @@ mod tests {
 
     /// `CorrelatedPath` in a comparable form.
     fn flat(paths: Vec<CorrelatedPath>) -> Vec<(InteractionRecord, Vec<InteractionRecord>)> {
-        paths.into_iter().map(|p| (p.parent, p.children)).collect()
+        let owned = |p: CorrelatedPath| (*p.parent, p.children.into_iter().copied().collect());
+        paths.into_iter().map(owned).collect()
+    }
+
+    /// `correlate()` answers from the store it holds: every parent and
+    /// child is a retained record itself, not a copy of one, and parents
+    /// come in store order. The store has evicted and compacted first.
+    #[test]
+    fn paths_point_into_the_store() {
+        let mut g = Gpa::new(GpaConfig {
+            max_records: 300,
+            ..GpaConfig::default()
+        });
+        for i in 0..1_000u64 {
+            let front = 20 + (i % 3) as u32;
+            g.ingest_record(&rec(front, 10, front, 80, i * 40, i * 40 + 300));
+            g.ingest_record(&rec(9, front, 9, 6379, i * 40 + 50, i * 40 + 200));
+        }
+        let store = g.interactions();
+        let position = |r: &InteractionRecord| {
+            let offset = (r as *const InteractionRecord as usize)
+                .checked_sub(store.as_ptr() as usize)
+                .expect("a record at or past the start of the store");
+            let k = offset / std::mem::size_of::<InteractionRecord>();
+            assert!(std::ptr::eq(r, &store[k]), "record {k} is a copy");
+            k
+        };
+        let paths = g.correlate();
+        assert!(paths.len() > 100, "{} paths", paths.len());
+        let mut last = None;
+        for p in &paths {
+            let k = position(p.parent);
+            assert!(last < Some(k), "parents in store order");
+            last = Some(k);
+            for &c in &p.children {
+                position(c);
+            }
+        }
     }
 
     /// Timestamps within `eps` of `u64::MAX` arrive like any others: the

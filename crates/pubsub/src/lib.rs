@@ -219,7 +219,7 @@ struct Subscription {
     endpoint: EndPoint,
     filter: Option<Filter>,
     /// Schema ids already announced to this subscriber.
-    sent_schemas: std::collections::HashSet<u32>,
+    sent_schemas: simcore::hash::HashSet<u32>,
     delivered: u64,
     filtered: u64,
 }
@@ -266,7 +266,7 @@ fn deliver(
 /// The publisher half of a node's monitoring channels.
 pub struct Hub {
     topics: HashMap<String, TopicId>,
-    subs: HashMap<TopicId, Vec<Subscription>>,
+    subs: simcore::hash::HashMap<TopicId, Vec<Subscription>>,
     schemas: SchemaRegistry,
     next_topic: u32,
     /// Total E-Code fuel burned in filters (host converts to CPU cost).
@@ -274,7 +274,7 @@ pub struct Hub {
     /// Per-schema batch encoders for the raw publish path, keyed by
     /// registered schema id (schema validation is loop-invariant; spend
     /// it once).
-    raw_encoders: HashMap<u32, BatchEncoder>,
+    raw_encoders: simcore::hash::HashMap<u32, BatchEncoder>,
     /// Reusable record-bytes scratch for `publish_raw`.
     raw_record: Vec<u8>,
 }
@@ -290,11 +290,11 @@ impl Hub {
     pub fn new() -> Self {
         Hub {
             topics: HashMap::new(),
-            subs: HashMap::new(),
+            subs: Default::default(),
             schemas: SchemaRegistry::new(),
             next_topic: 0,
             filter_fuel: 0,
-            raw_encoders: HashMap::new(),
+            raw_encoders: Default::default(),
             raw_record: Vec::new(),
         }
     }
@@ -563,12 +563,20 @@ struct Learned {
     known: Option<usize>,
 }
 
+/// The most schema ids one [`ChannelDecoder`] learns. Ids come off the
+/// wire, so without a bound a peer could grow the table by one schema
+/// per message, or aim any number of ids at one bucket of its fixed
+/// hash; a daemon announces one per topic it publishes. A new id past
+/// the bound is refused: its messages do not decode.
+pub const MAX_SCHEMAS: usize = 256;
+
 /// The subscriber half: decodes the self-describing stream.
 #[derive(Default)]
 pub struct ChannelDecoder {
     expected: Vec<Schema>,
-    /// Schemas learned from the stream, by wire id.
-    schemas: HashMap<u32, Learned>,
+    /// Schemas learned from the stream, by wire id; at most
+    /// [`MAX_SCHEMAS`].
+    schemas: simcore::hash::HashMap<u32, Learned>,
     /// Row scratch behind [`decode`](ChannelDecoder::decode).
     row: Vec<i64>,
 }
@@ -601,6 +609,9 @@ impl ChannelDecoder {
         let (&announces, mut buf) = buf.split_first().ok_or(PbioError::UnexpectedEof)?;
         if announces != 0 {
             let schema = Schema::decode(&mut buf)?;
+            if self.schemas.len() >= MAX_SCHEMAS && !self.schemas.contains_key(&schema_id) {
+                return Err(PbioError::UnknownSchema(schema_id));
+            }
             let learned = Learned {
                 codec: BatchEncoder::new(&schema),
                 known: self.expected.iter().position(|s| *s == schema),
@@ -676,21 +687,30 @@ pub fn frame_into(batch: &mut Vec<u8>, message: &[u8]) {
 
 /// Splits a batch payload back into the messages
 /// [`frame_into`] put there. A truncated tail is dropped.
-pub fn split_frames(mut data: &[u8]) -> Vec<&[u8]> {
-    let mut out = Vec::new();
-    while !data.is_empty() {
-        let Ok(len) = read_u64(&mut data) else {
-            break;
-        };
-        let len = len as usize;
-        if data.len() < len {
-            break;
+pub fn split_frames(data: &[u8]) -> Vec<&[u8]> {
+    frames(data).map_while(Result::ok).collect()
+}
+
+/// The messages [`frame_into`] put in a batch payload, in order; a tail
+/// that does not hold a whole frame ends the payload with one error.
+fn frames(mut data: &[u8]) -> impl Iterator<Item = Result<&[u8], PbioError>> {
+    std::iter::from_fn(move || {
+        if data.is_empty() {
+            return None;
         }
-        let (frame, rest) = data.split_at(len);
-        out.push(frame);
-        data = rest;
-    }
-    out
+        let len = read_u64(&mut data).map(|len| usize::try_from(len).unwrap_or(usize::MAX));
+        match len {
+            Ok(len) if len <= data.len() => {
+                let (frame, rest) = data.split_at(len);
+                data = rest;
+                Some(Ok(frame))
+            }
+            _ => {
+                data = &[];
+                Some(Err(PbioError::UnexpectedEof))
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -726,8 +746,12 @@ mod tests {
         frame_into(&mut batch, &[1, 2, 3]);
         frame_into(&mut batch, &[4, 5]);
         assert_eq!(split_frames(&batch), [&[1u8, 2, 3][..], &[4u8, 5][..]]);
-        // A last frame that claims more bytes than follow is dropped.
+        // A last frame that claims more bytes than follow is dropped,
+        // and is one error to a reader that counts it.
         assert_eq!(split_frames(&batch[..batch.len() - 1]), [&[1u8, 2, 3][..]]);
+        let read: Vec<_> = frames(&batch[..batch.len() - 1]).collect();
+        assert_eq!(read, [Ok(&[1u8, 2, 3][..]), Err(PbioError::UnexpectedEof)]);
+        assert_eq!(frames(&[0xFF; 11]).count(), 1, "a length that never ends");
         write_u64(&mut batch, 100);
         assert_eq!(split_frames(&batch).len(), 2);
         assert!(split_frames(&[]).is_empty());
@@ -1012,6 +1036,41 @@ mod tests {
         ));
         assert_eq!(dec.decode(&strings[0].1).unwrap().unwrap().1, rec(5, 0.1));
         assert_eq!(rows, [42, 1, 2, 3, 1], "failed frames leave the rows alone");
+    }
+
+    /// Schema ids come off the wire: a peer announcing a fresh one in
+    /// every message stops growing the decoder at its cap, and an id
+    /// already learned, announced again, still decodes.
+    #[test]
+    fn decoder_learns_at_most_max_schemas() {
+        let schema = numeric_schema();
+        let mut hub = Hub::new();
+        let t = hub.topic("m");
+        hub.subscribe(t, ep(1)).unwrap();
+        let wire = &hub.publish_raw(t, &schema, &[1, 2, 3, 1]).unwrap()[0].1;
+        let announce = |id: u32| {
+            let mut head = Vec::new();
+            write_u64(&mut head, u64::from(t.0));
+            write_u64(&mut head, u64::from(id));
+            head.push(1);
+            schema.encode(&mut head);
+            head
+        };
+        let record = &wire[announce(0).len()..];
+        let forged = |id| [announce(id), record.to_vec()].concat();
+        let mut dec = ChannelDecoder::new();
+        let mut rows = Vec::new();
+        for id in 0..MAX_SCHEMAS as u32 + 10 {
+            let got = dec.decode_row(&forged(id), &mut rows);
+            if (id as usize) < MAX_SCHEMAS {
+                assert_eq!(got, Ok(Some((t, None))));
+            } else {
+                assert_eq!(got, Err(PubSubError::Codec(PbioError::UnknownSchema(id))));
+            }
+        }
+        assert_eq!(dec.schemas.len(), MAX_SCHEMAS);
+        assert_eq!(dec.decode_row(&forged(3), &mut rows), Ok(Some((t, None))));
+        assert_eq!(rows.len(), (MAX_SCHEMAS + 1) * schema.len());
     }
 
     /// `(threshold, schema)` of the filter `return x > threshold;`,

@@ -20,6 +20,7 @@
 //!   *counted*, not silently eaten), decodes what is delivered into raw
 //!   rows, and answers every batch with a cumulative ACK.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -29,7 +30,7 @@ use simcore::{SimDuration, SimTime};
 use simnet::EndPoint;
 
 use crate::control::ControlMsg;
-use crate::{split_frames, ChannelDecoder};
+use crate::{frames, ChannelDecoder};
 
 /// Prefixes `payload` with its per-subscription sequence number
 /// (varint-encoded, like all pbio integers: ten bytes at most).
@@ -318,7 +319,8 @@ pub enum Offer {
     /// Ahead of a gap — buffered until the gap fills or is abandoned.
     Buffered,
     /// [`REORDER_WINDOW`] or more ahead of the next expected sequence
-    /// number — dropped, not buffered.
+    /// number, or too large for what is left of [`REORDER_BYTES`] —
+    /// dropped, not buffered.
     OutOfWindow,
 }
 
@@ -335,6 +337,20 @@ pub enum Offer {
 /// abandoned, never a record the stream could have kept.
 pub const REORDER_WINDOW: u64 = 65_536;
 
+/// How many payload bytes one stream may hold out of order, whatever
+/// their count. An honest sender at the default
+/// [`ResendConfig::cap_bytes`] never has more than this un-acked, so
+/// nothing it could still retransmit is refused; a peer sending large
+/// batches far ahead of a gap fills this, not the subscriber's memory.
+pub const REORDER_BYTES: usize = 512 * 1024;
+
+/// The most sources one [`Receiver`] keeps a stream for. Source
+/// endpoints come off the wire, so without a bound each datagram from
+/// a fresh endpoint would open a stream with its own decoder and
+/// reorder buffer. A batch from a new source past the bound is
+/// refused and counted in [`Receiver::sources_refused`].
+pub const MAX_SOURCES: usize = 1_024;
+
 /// Receiver-side per-subscription stream state: delivers batches exactly
 /// once and in order, buffers out-of-order arrivals, and exposes the
 /// current gap for NACKing.
@@ -345,6 +361,8 @@ pub struct Reassembler {
     next: u64,
     /// At most [`REORDER_WINDOW`] batches, all above `next`.
     pending: BTreeMap<u64, Vec<u8>>,
+    /// The payload bytes in `pending`, at most [`REORDER_BYTES`].
+    pending_bytes: usize,
 }
 
 impl Default for Reassembler {
@@ -359,6 +377,7 @@ impl Reassembler {
         Reassembler {
             next: 1,
             pending: BTreeMap::new(),
+            pending_bytes: 0,
         }
     }
 
@@ -372,6 +391,10 @@ impl Reassembler {
             return Offer::OutOfWindow;
         }
         if seq != self.next {
+            if payload.len() > REORDER_BYTES - self.pending_bytes {
+                return Offer::OutOfWindow;
+            }
+            self.pending_bytes += payload.len();
             self.pending.insert(seq, payload);
             return Offer::Buffered;
         }
@@ -385,6 +408,7 @@ impl Reassembler {
     fn drain_in_order(&mut self) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
         while let Some(p) = self.pending.remove(&self.next) {
+            self.pending_bytes -= p.len();
             out.push((self.next, p));
             self.next += 1;
         }
@@ -404,6 +428,7 @@ impl Reassembler {
     pub fn skip_to(&mut self, seq: u64) -> Vec<(u64, Vec<u8>)> {
         self.next = self.next.max(seq);
         self.pending.retain(|&s, _| s >= self.next);
+        self.pending_bytes = self.pending.values().map(Vec::len).sum();
         self.drain_in_order()
     }
 
@@ -477,7 +502,8 @@ pub struct Receiver {
     pub duplicate_batches: u64,
     /// Batches that arrived ahead of a gap and were buffered.
     pub out_of_order: u64,
-    /// Batches dropped for being [`REORDER_WINDOW`] or more ahead.
+    /// Batches dropped for being [`REORDER_WINDOW`] or more ahead, or
+    /// for not fitting in what is left of [`REORDER_BYTES`].
     pub out_of_window: u64,
     /// Distinct gaps observed (a missing sequence range opened).
     pub gaps_detected: u64,
@@ -490,8 +516,12 @@ pub struct Receiver {
     /// Cumulative data ACKs sent back to publishers.
     pub acks_sent: u64,
     /// Batches whose sequence header did not parse, messages that did
-    /// not decode, and records under a schema that is not expected.
+    /// not decode (a payload's truncated tail is one), and records
+    /// under a schema that is not expected.
     pub decode_failures: u64,
+    /// Batches refused unread because they came from a new source with
+    /// [`MAX_SOURCES`] streams already open.
+    pub sources_refused: u64,
 }
 
 /// Decodes the records of one delivered batch into `rows` (cleared
@@ -507,7 +537,11 @@ fn decode_rows(
     rows.iter_mut().for_each(Vec::clear);
     let (first, others) = rows.split_first_mut().expect("at least one buffer");
     let mut count = 0;
-    for frame in split_frames(payload) {
+    for frame in frames(payload) {
+        let Ok(frame) = frame else {
+            *failures += 1;
+            continue;
+        };
         // Decoded in place as a row under the first expected schema,
         // which most are; moved if under another, dropped if under none.
         let start = first.len();
@@ -569,11 +603,19 @@ impl Receiver {
             self.decode_failures += 1;
             return (0, Vec::new());
         };
+        let open = self.sources.len();
+        let st = match self.sources.entry(src) {
+            Entry::Occupied(st) => st.into_mut(),
+            Entry::Vacant(_) if open >= MAX_SOURCES => {
+                self.sources_refused += 1;
+                return (0, Vec::new());
+            }
+            Entry::Vacant(slot) => slot.insert(SourceRx {
+                decoder: ChannelDecoder::expecting(self.expected.clone()),
+                ..SourceRx::default()
+            }),
+        };
         self.batches_received += 1;
-        let st = self.sources.entry(src).or_insert_with(|| SourceRx {
-            decoder: ChannelDecoder::expecting(self.expected.clone()),
-            ..SourceRx::default()
-        });
         let (rows, failures) = (&mut self.rows, &mut self.decode_failures);
         let expected = self.expected.len();
         let mut count = 0;
@@ -1040,6 +1082,29 @@ mod tests {
         assert!(f.rx.converged());
         assert_eq!(f.offer(70, 1), [ack(1)], "an honest batch still lands");
         assert_eq!(f.delivered, [1]);
+    }
+
+    /// Large batches far ahead of a gap fill the stream's byte budget
+    /// and no more: what does not fit is dropped and counted, and the
+    /// gap's retransmit still delivers everything that was buffered.
+    #[test]
+    fn far_ahead_large_batches_stay_under_the_byte_bound() {
+        let mut f = Fed::new(u32::MAX);
+        let big = vec![0u8; 100_000];
+        for seq in 2..=40u64 {
+            f.ingest(seq, &encode_batch(seq, &big));
+            let pending = f.rx.sources[&B].reasm.pending_bytes;
+            assert!(pending <= REORDER_BYTES, "{pending} bytes buffered");
+        }
+        let fits = (REORDER_BYTES / big.len()) as u64;
+        assert_eq!(f.rx.out_of_order, fits);
+        assert_eq!(f.rx.out_of_window, 39 - fits);
+        assert_eq!(f.offer(100, 1), [ack(1 + fits)]);
+        assert_eq!(f.delivered, (1..=1 + fits).collect::<Vec<_>>());
+        assert_eq!(f.rx.sources[&B].reasm.pending_bytes, 0);
+        // A batch the budget refused arrives again once there is room.
+        f.ingest(101, &encode_batch(2 + fits, &big));
+        assert_eq!(*f.delivered.last().unwrap(), 2 + fits);
     }
 
     /// Deterministic generative sweep: under arbitrary loss, duplication

@@ -247,19 +247,14 @@ pub fn path_completeness(
     port: simnet::Port,
     min_children: usize,
 ) -> Option<f64> {
-    let paths: Vec<_> = gpa
-        .correlate()
-        .into_iter()
-        .filter(|p| p.parent.node == node && p.parent.class_port == port)
-        .collect();
-    if paths.is_empty() {
-        return None;
+    let (mut rooted, mut complete) = (0usize, 0usize);
+    for p in gpa.correlate() {
+        if p.parent.node == node && p.parent.class_port == port {
+            rooted += 1;
+            complete += usize::from(p.children.len() >= min_children);
+        }
     }
-    let complete = paths
-        .iter()
-        .filter(|p| p.children.len() >= min_children)
-        .count();
-    Some(complete as f64 / paths.len() as f64)
+    (rooted > 0).then(|| complete as f64 / rooted as f64)
 }
 
 /// Asserts at least `min_fraction` of the paths rooted at `(node, port)`
