@@ -4,7 +4,7 @@
 # pipeline would do.
 #
 #   ./ci.sh              full pipeline
-#   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch checks (fast pre-commit check)
+#   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch/one-daemon checks (fast pre-commit check)
 #   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
 #   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat checks, golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
@@ -12,6 +12,7 @@
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
 #   ./ci.sh --substrate  only the simulator under the monitor: calendar, simos, fingerprints
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
+#   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -154,6 +155,58 @@ check_one_class_stat() {
     fi
 }
 
+check_one_daemon() {
+    # Each monitored node has one dissemination object: `Daemon` is its
+    # hook *and* answers its CONTROL_PORT (no second control route), and
+    # what it publishes is `records::TOPICS`. Outside unit tests and
+    # comments: nothing under crates/ defines a `ControlSink` or makes
+    # `Daemon` a `KernelSink`; crates/core/src builds a
+    # `ControlMsg::Subscribe` only in `SysProf::subscribe` (a match-arm
+    # pattern, closed by `} =>`, is not a build) and names a topic
+    # constant only in records.rs and lib.rs.
+    local f found=0
+    for f in $(find crates -path '*/src/*' -name '*.rs' | sort); do
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\b(struct|enum|type|trait)[[:space:]]+ControlSink\b|impl[[:space:]]+([a-z_]+::)*KernelSink[[:space:]]+for[[:space:]]+Daemon\b'; then
+            found=1
+        fi
+    done
+    for f in $(find crates/core/src -name '*.rs' | sort); do
+        if ! awk '
+            /#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// { next }
+            /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
+                fn = $0; sub(/^.*fn /, "", fn); sub(/[^a-z_0-9].*$/, "", fn)
+            }
+            open {
+                if (/^[[:space:]]*}/) { if (!/^[[:space:]]*} =>/) { print site; bad = 1 }; open = 0 }
+                next
+            }
+            /ControlMsg::Subscribe([^A-Za-z0-9_]|$)/ && !/let[[:space:]]+ControlMsg::Subscribe/ &&
+                !(FILENAME ~ /\/deploy\.rs$/ && fn == "subscribe") && !/} =>/ {
+                site = FILENAME ":" FNR ": " $0
+                if (/ControlMsg::Subscribe \{[[:space:]]*$/) { open = 1 } else { print site; bad = 1 }
+            }
+            END { exit bad }
+        ' "$f"; then
+            found=1
+        fi
+        case "$f" in crates/core/src/records.rs | crates/core/src/lib.rs) continue ;; esac
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\b(INTERACTION_TOPIC|LOAD_TOPIC)\b'; then
+            found=1
+        fi
+    done
+    if [[ $found == 1 ]]; then
+        echo "one daemon per node: Daemon answers its own CONTROL_PORT (no ControlSink, no" \
+            "KernelSink for Daemon), SysProf::subscribe is the one Subscribe builder in core," \
+            "and the topics are records::TOPICS (named only in records.rs and lib.rs)" >&2
+        return 1
+    fi
+}
+
 # The substrate's own gates, shared by --substrate and the full run: the
 # calendar's model proptests and simos, the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
@@ -223,7 +276,25 @@ case "${1:-}" in
         "==> one receiver (core and apps reach the stream through Sender/Receiver)" \
         check_one_receiver \
         "==> one switch (LpaConfig::level; open-window counts change in Window only)" \
-        check_one_switch
+        check_one_switch \
+        "==> one daemon (Daemon answers CONTROL_PORT; topics are records::TOPICS)" \
+        check_one_daemon
+    ;;
+--daemon)
+    # The dissemination daemon: its wakes and its control port, the
+    # simos route that hands it both, the remote-filter NACK path, the
+    # chaos matrix and the cluster fingerprints its messages feed.
+    fast_path DAEMON \
+        "==> one daemon (Daemon answers CONTROL_PORT; topics are records::TOPICS)" \
+        check_one_daemon \
+        "==> daemon unit tests (control messages, endpoint cap) and simos" \
+        "cargo test -q -p sysprof daemon::" \
+        "cargo test -q -p simos" \
+        "==> remote filters and the chaos matrix" \
+        "cargo test -q --test verifier_integration" \
+        "cargo test -q --test chaos" \
+        "==> sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)" \
+        check_cluster_fingerprints
     ;;
 --lpa)
     # The LPA: both trackers' unit tests, the proptests and the seeded
@@ -347,6 +418,9 @@ check_one_switch
 
 echo "==> one class statistic (ClassStats; indictments through sysprof::detect)"
 check_one_class_stat
+
+echo "==> one daemon (Daemon answers CONTROL_PORT; topics are records::TOPICS)"
+check_one_daemon
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode

@@ -13,12 +13,10 @@ use simcore::NodeId;
 use simnet::EndPoint;
 use simos::World;
 
-use crate::daemon::{
-    ControlSink, Daemon, DaemonConfig, DaemonStats, CONTROL_PORT, DAEMON_SRC_PORT, DATA_PORT,
-};
+use crate::daemon::{Daemon, DaemonConfig, DaemonStats, CONTROL_PORT, DAEMON_SRC_PORT, DATA_PORT};
 use crate::gpa::{ControlReplySink, Gpa, GpaConfig, GpaSink};
 use crate::lpa::{Lpa, LpaConfig};
-use crate::records::INTERACTION_TOPIC;
+use crate::records::{INTERACTION, TOPICS};
 
 /// Configuration for a full SysProf deployment.
 #[derive(Debug, Clone, Default)]
@@ -38,18 +36,25 @@ pub struct MonitorConfig {
 pub struct SysProf {
     monitored: Vec<NodeId>,
     gpa_node: NodeId,
-    lpa_ids: HashMap<NodeId, AnalyzerId>,
-    daemon_stats: HashMap<NodeId, Rc<RefCell<DaemonStats>>>,
-    senders: HashMap<NodeId, Rc<RefCell<Sender>>>,
-    hubs: HashMap<NodeId, Rc<RefCell<Hub>>>,
+    nodes: HashMap<NodeId, Handles>,
     gpa: Rc<RefCell<Gpa>>,
+}
+
+/// What `SysProf` keeps of one monitored node: its LPA's id and the
+/// daemon's counters, stream state and hub.
+struct Handles {
+    lpa: AnalyzerId,
+    stats: Rc<RefCell<DaemonStats>>,
+    tx: Rc<RefCell<Sender>>,
+    hub: Rc<RefCell<Hub>>,
 }
 
 impl SysProf {
     /// Deploys SysProf: registers an LPA and dissemination daemon on each
-    /// node in `monitored`, installs the GPA on `gpa_node`, and issues the
-    /// subscription control messages (over the simulated wire) that
-    /// connect daemons to the GPA.
+    /// node in `monitored` (the daemon answering the node's
+    /// [`CONTROL_PORT`]), installs the GPA on `gpa_node`, and subscribes
+    /// the GPA to every topic each daemon publishes, over the simulated
+    /// wire, `MonitorConfig::interaction_filter` on the interaction topic.
     ///
     /// # Panics
     ///
@@ -80,65 +85,40 @@ impl SysProf {
             Box::new(ControlReplySink::new(gpa.clone())),
         );
 
-        let mut lpa_ids = HashMap::new();
-        let mut daemon_stats = HashMap::new();
-        let mut senders = HashMap::new();
-        let mut hubs = HashMap::new();
+        let mut nodes = HashMap::new();
         for &node in monitored {
             let ip = world.network().node_ip(node);
             let lpa = Lpa::new(node, ip, config.lpa.clone());
-            let lpa_id = world.kprof_mut(node).register(Box::new(lpa));
-            lpa_ids.insert(node, lpa_id);
-
+            let lpa = world.kprof_mut(node).register(Box::new(lpa));
             let hub = Rc::new(RefCell::new(Hub::new()));
-            hubs.insert(node, hub.clone());
-            let daemon = Daemon::new(lpa_id, hub.clone(), config.daemon);
-            let stats = daemon.stats_handle();
-            let tx = daemon.resend_handle();
-            daemon_stats.insert(node, stats.clone());
-            senders.insert(node, tx.clone());
-            world.set_daemon_hook(node, Box::new(daemon));
-            world.install_sink(
-                node,
-                CONTROL_PORT,
-                Box::new(ControlSink::new(hub, stats, tx)),
-            );
+            let daemon = Daemon::new(lpa, hub.clone(), config.daemon);
+            let handles = Handles {
+                lpa,
+                stats: daemon.stats_handle(),
+                tx: daemon.resend_handle(),
+                hub,
+            };
+            nodes.insert(node, handles);
+            world.set_daemon_hook(node, Some(CONTROL_PORT), Box::new(daemon));
             // Kick off the periodic flush cycle.
             world.schedule_daemon_wake(node, config.daemon.flush_interval);
         }
-
-        // Subscribe the GPA to every daemon's channels, over the wire.
-        for &node in monitored {
-            let ctl_ep = EndPoint::new(world.network().node_ip(node), CONTROL_PORT);
-            let sub_interactions = ControlMsg::Subscribe {
-                topic: INTERACTION_TOPIC.to_owned(),
-                reply_to: gpa_ep,
-                filter: config.interaction_filter.clone(),
-            };
-            let sub_load = ControlMsg::Subscribe {
-                topic: crate::daemon::LOAD_TOPIC.to_owned(),
-                reply_to: gpa_ep,
-                filter: None,
-            };
-            world.kernel_send(
-                gpa_node,
-                DAEMON_SRC_PORT,
-                ctl_ep,
-                0,
-                sub_interactions.encode(),
-            );
-            world.kernel_send(gpa_node, DAEMON_SRC_PORT, ctl_ep, 0, sub_load.encode());
-        }
-
-        SysProf {
+        let sysprof = SysProf {
             monitored: monitored.to_vec(),
             gpa_node,
-            lpa_ids,
-            daemon_stats,
-            senders,
-            hubs,
+            nodes,
             gpa,
+        };
+
+        // Subscribe the GPA to every daemon's topics, over the wire.
+        for &node in monitored {
+            for (row, &(topic, _)) in TOPICS.iter().enumerate() {
+                let filter = config.interaction_filter.as_deref();
+                let filter = if row == INTERACTION { filter } else { None };
+                sysprof.subscribe(world, gpa_node, node, topic, gpa_ep, filter);
+            }
         }
+        sysprof
     }
 
     /// The shared GPA handle (query with `.borrow()`).
@@ -156,14 +136,9 @@ impl SysProf {
         &self.monitored
     }
 
-    /// The LPA analyzer id on a node.
-    fn lpa_id(&self, node: NodeId) -> Option<AnalyzerId> {
-        self.lpa_ids.get(&node).copied()
-    }
-
     /// Borrows a node's LPA for inspection.
     pub fn lpa<'w>(&self, world: &'w World, node: NodeId) -> Option<&'w Lpa> {
-        let id = self.lpa_id(node)?;
+        let id = self.nodes.get(&node)?.lpa;
         world.kprof(node).analyzer_as::<Lpa>(id)
     }
 
@@ -181,7 +156,7 @@ impl SysProf {
         node: NodeId,
         change: impl FnOnce(&mut LpaConfig),
     ) -> bool {
-        let Some(id) = self.lpa_id(node) else {
+        let Some(id) = self.nodes.get(&node).map(|handles| handles.lpa) else {
             return false;
         };
         let kprof = world.kprof_mut(node);
@@ -196,18 +171,18 @@ impl SysProf {
 
     /// A node's daemon counters.
     pub fn daemon_stats(&self, node: NodeId) -> Option<DaemonStats> {
-        self.daemon_stats.get(&node).map(|s| *s.borrow())
+        self.nodes.get(&node).map(|handles| *handles.stats.borrow())
     }
 
     /// A node's daemon's half of the streams it publishes.
     pub fn sender(&self, node: NodeId) -> Option<Ref<'_, Sender>> {
-        self.senders.get(&node).map(|tx| tx.borrow())
+        self.nodes.get(&node).map(|handles| handles.tx.borrow())
     }
 
     /// A node's hub: its topics, subscriptions and their filters
     /// ([`procfs::render_filters`](crate::procfs::render_filters)).
     pub fn hub(&self, node: NodeId) -> Option<Ref<'_, Hub>> {
-        self.hubs.get(&node).map(|hub| hub.borrow())
+        self.nodes.get(&node).map(|handles| handles.hub.borrow())
     }
 
     /// The monitoring CPU overhead on a node as a fraction of elapsed
@@ -242,9 +217,9 @@ impl SysProf {
         Ok(world.kprof_mut(node).register(Box::new(cpa)))
     }
 
-    /// Subscribes an additional consumer endpoint to a topic on a
-    /// monitored node (e.g. an RA-DWCS dispatcher subscribing to load
-    /// reports), over the simulated wire.
+    /// Subscribes a consumer endpoint to a topic on a monitored node (the
+    /// GPA at deployment, or e.g. an RA-DWCS dispatcher subscribing to
+    /// load reports), over the simulated wire.
     pub fn subscribe(
         &self,
         world: &mut World,

@@ -26,7 +26,9 @@ use simos::{KernelOutput, KernelSend, KernelSink, Message};
 
 use crate::cost;
 use crate::daemon::CONTROL_PORT;
-use crate::records::{ClassStats, ClassSummary, InteractionRecord, LoadRecord};
+use crate::records::{
+    ClassStats, ClassSummary, InteractionRecord, LoadRecord, INTERACTION, LOAD, TOPICS,
+};
 
 /// GPA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -152,11 +154,6 @@ impl<T> Window<T> {
     }
 }
 
-/// Positions of the two record schemas in the list the GPA's
-/// [`Receiver`] is told to expect.
-const INTERACTION: usize = 0;
-const LOAD: usize = 1;
-
 /// Latest load information about one node, with history statistics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeLoadView {
@@ -259,7 +256,7 @@ impl Gpa {
             load_stats: HashMap::new(),
             load_history: Window::new(),
             rx: Receiver::new(
-                vec![InteractionRecord::schema(), LoadRecord::schema()],
+                TOPICS.iter().map(|(_, schema)| schema()).collect(),
                 config.gap_nack_limit,
             ),
             gstats: GpaStats::default(),

@@ -12,10 +12,12 @@
 //!   [`InteractionRecord`]s in per-CPU double buffers,
 //! * [`CpaAnalyzer`] — **Custom Performance Analyzers**: E-Code programs
 //!   installed at runtime, fuel-metered, run against every matching event,
-//! * [`Daemon`] — the **dissemination daemon**: woken on buffer-full
-//!   notifications, it drains LPA buffers, applies dynamic filters,
-//!   PBIO-encodes records and publishes them over kernel-level
-//!   pub/sub channels (consuming real simulated bandwidth and CPU),
+//! * [`Daemon`] — the **dissemination daemon**, one per node: woken on
+//!   buffer-full notifications, it drains LPA buffers, applies dynamic
+//!   filters, PBIO-encodes records and publishes them on
+//!   [`INTERACTION_TOPIC`] and [`LOAD_TOPIC`] over kernel-level pub/sub
+//!   channels (consuming real simulated bandwidth and CPU); it answers
+//!   the node's [`CONTROL_PORT`] (subscriptions, its streams' ACKs),
 //! * [`Gpa`] — the **Global Performance Analyzer**: subscribes to the
 //!   daemons' channels, correlates interaction records across nodes by
 //!   endpoints and (imperfect, NTP-disciplined) wall-clock timestamps into
@@ -84,10 +86,7 @@ mod query;
 mod records;
 
 pub use cpa::{CpaAnalyzer, CpaError, EVENT_INPUTS};
-pub use daemon::{
-    ControlSink, Daemon, DaemonConfig, DaemonStats, CONTROL_PORT, DAEMON_SRC_PORT, DATA_PORT,
-    LOAD_TOPIC,
-};
+pub use daemon::{Daemon, DaemonConfig, DaemonStats, CONTROL_PORT, DAEMON_SRC_PORT, DATA_PORT};
 pub use deploy::{MonitorConfig, SysProf};
 pub use gpa::{
     flow_shard_key, receive_stream, ControlReplySink, CorrelatedPath, Gpa, GpaConfig, GpaSink,
@@ -97,6 +96,6 @@ pub use lpa::{Lpa, LpaConfig, MonitorLevel};
 /// The frame layer of a batch payload, for tools that take one apart.
 pub use pubsub::split_frames;
 pub use query::{GpaAnswer, GpaQuery, GpaQuerySink, QueryClient, QUERY_PORT, QUERY_REPLY_PORT};
-pub use records::{ClassSummary, InteractionRecord, LoadRecord, INTERACTION_TOPIC};
+pub use records::{ClassSummary, InteractionRecord, LoadRecord, INTERACTION_TOPIC, LOAD_TOPIC};
 /// The fixed-hasher tables; `LpaConfig::service_ports` is this module's `HashSet`.
 pub use simcore::hash;

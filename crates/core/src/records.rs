@@ -8,6 +8,20 @@ use simnet::{EndPoint, FlowKey, Ip, Port};
 
 /// Topic name the dissemination daemons publish interaction records on.
 pub const INTERACTION_TOPIC: &str = "sysprof.interactions";
+/// Topic for per-node load reports.
+pub const LOAD_TOPIC: &str = "sysprof.load";
+
+/// A topic a daemon publishes: its name and its records' schema.
+pub(crate) type Topic = (&'static str, fn() -> Schema);
+/// Every topic a daemon publishes, in the order the GPA's `Receiver`
+/// expects their schemas; a Subscribe may name these and no other.
+pub(crate) const TOPICS: [Topic; 2] = [
+    (INTERACTION_TOPIC, InteractionRecord::schema),
+    (LOAD_TOPIC, LoadRecord::schema),
+];
+/// The [`TOPICS`] rows of the interaction records and the load reports.
+pub(crate) const INTERACTION: usize = 0;
+pub(crate) const LOAD: usize = 1;
 
 /// One diagnosed request/response interaction, as measured by the LPA on
 /// one node (§2 "Messages and Interactions").
@@ -469,7 +483,7 @@ mod tests {
     fn schemas_are_filterable() {
         // Every numeric field must be visible to E-Code filters: no Str
         // fields in the hot-path schemas.
-        for schema in [InteractionRecord::schema(), LoadRecord::schema()] {
+        for schema in TOPICS.map(|(_, schema)| schema()) {
             for f in schema.fields() {
                 assert!(
                     matches!(f.ty, FieldType::U64 | FieldType::F64),

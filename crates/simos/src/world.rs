@@ -183,6 +183,20 @@ pub trait DaemonHook {
         kprof: &mut Kprof,
         stats: &NodeStats,
     ) -> KernelOutput;
+
+    /// [`KernelSink::on_message`] for the port the hook was installed on,
+    /// with the node's Kprof. The default ignores the message.
+    fn on_message(
+        &mut self,
+        _now_wall: SimTime,
+        _node: NodeId,
+        _src: EndPoint,
+        _msg: Message,
+        _data: Bytes,
+        _kprof: &mut Kprof,
+    ) -> KernelOutput {
+        KernelOutput::default()
+    }
 }
 
 /// Builds a [`World`]: topology plus per-node OS configuration.
@@ -316,7 +330,8 @@ pub struct World {
     next_pid: u32,
     next_packet: u64,
     sinks: HashMap<(NodeId, Port), Box<dyn KernelSink>>,
-    daemon_hooks: HashMap<NodeId, Box<dyn DaemonHook>>,
+    /// Each node's daemon hook and the port it answers on, if any.
+    daemon_hooks: HashMap<NodeId, (Option<Port>, Box<dyn DaemonHook>)>,
     /// Out-of-band payloads of sink-bound messages in flight, keyed by
     /// (rx flow, msg id) — unique, since a node numbers its own messages.
     /// The entry goes when the message is delivered.
@@ -348,15 +363,25 @@ impl World {
     }
 
     /// Installs a kernel sink on `node:port` (the receive side of a
-    /// monitoring channel). Replaces any previous sink on that port.
+    /// monitoring channel). Replaces any previous sink on that port; the
+    /// port of `node`'s daemon hook is refused (a panic).
     pub fn install_sink(&mut self, node: NodeId, port: Port, sink: Box<dyn KernelSink>) {
+        let hook_port = self.daemon_hooks.get(&node).and_then(|(port, _)| *port);
+        assert_ne!(hook_port, Some(port), "the daemon hook answers on it");
         self.nodes[node.0 as usize].sink_ports.insert(port);
         self.sinks.insert((node, port), sink);
     }
 
-    /// Installs the dissemination-daemon hook for `node`.
-    pub fn set_daemon_hook(&mut self, node: NodeId, hook: Box<dyn DaemonHook>) {
-        self.daemon_hooks.insert(node, hook);
+    /// Installs the dissemination-daemon hook for `node`. Messages to
+    /// `port`, if given, go to its [`DaemonHook::on_message`] as they would
+    /// to a sink there; a port with a sink is refused (a panic).
+    pub fn set_daemon_hook(&mut self, node: NodeId, port: Option<Port>, hook: Box<dyn DaemonHook>) {
+        if let Some(port) = port {
+            let taken = self.sinks.contains_key(&(node, port));
+            assert!(!taken, "a sink answers on it");
+            self.nodes[node.0 as usize].sink_ports.insert(port);
+        }
+        self.daemon_hooks.insert(node, (port, hook));
     }
 
     /// Schedules a periodic-style daemon wake on `node` after `delay`.

@@ -142,7 +142,7 @@ impl World {
             }
             Ev::DaemonWake { node, analyzer } => {
                 let wall = self.wall(node);
-                if let Some(hook) = self.daemon_hooks.get_mut(&node) {
+                if let Some((_, hook)) = self.daemon_hooks.get_mut(&node) {
                     let n = &mut self.nodes[node.0 as usize];
                     let stats = n.stats;
                     let out = hook.on_wake(wall, node, analyzer, &mut n.kprof, &stats);
@@ -265,6 +265,7 @@ mod tests {
         w.kprof_mut(NodeId(1)).register(Box::new(Chunky { n: 0 }));
         w.set_daemon_hook(
             NodeId(1),
+            None,
             Box::new(CountingHook {
                 wakes: wakes.clone(),
             }),

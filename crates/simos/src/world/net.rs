@@ -354,10 +354,17 @@ impl World {
             .inflight_data
             .remove(&(flow, msg.msg_id))
             .unwrap_or_default();
-        if let Some(sink) = self.sinks.get_mut(&(node, flow.dst.port)) {
-            let out = sink.on_message(wall, node, flow.src, msg, data);
-            self.apply_kernel_output(node, out, now);
-        }
+        let (src, port) = (flow.src, flow.dst.port);
+        let sink = self.sinks.get_mut(&(node, port));
+        let out = match (sink, self.daemon_hooks.get_mut(&node)) {
+            (Some(sink), _) => sink.on_message(wall, node, src, msg, data),
+            (None, Some((hook_port, hook))) if *hook_port == Some(port) => {
+                let kprof = &mut self.nodes[node.0 as usize].kprof;
+                hook.on_message(wall, node, src, msg, data, kprof)
+            }
+            _ => return,
+        };
+        self.apply_kernel_output(node, out, now);
     }
 
     pub(super) fn apply_kernel_output(&mut self, node: NodeId, out: KernelOutput, now: SimTime) {
@@ -635,7 +642,7 @@ mod tests {
         let mut w = two_nodes(33);
         let dst = EndPoint::new(w.network().node_ip(NodeId(1)), Port(9999));
         w.install_sink(NodeId(1), Port(9999), Box::new(Count(got.clone())));
-        w.set_daemon_hook(NodeId(0), Box::new(Beacon { left: 100, dst }));
+        w.set_daemon_hook(NodeId(0), None, Box::new(Beacon { left: 100, dst }));
         w.schedule_daemon_wake(NodeId(0), SimDuration::from_millis(1));
         // The monitored stream the beacons share the link with.
         w.spawn(NodeId(1), "sink", Box::new(SinkServer::new(Port(5001))));
@@ -656,6 +663,165 @@ mod tests {
             "{} payload entries outlived their delivery",
             w.inflight_data.len()
         );
+    }
+
+    /// Logs every wake and message it sees, with the node its Kprof
+    /// belongs to and the events that Kprof generated by then; answers
+    /// each message with a 10-byte reply and a rearm, which a message
+    /// does not get (three wakes, however many messages).
+    struct Answering {
+        log: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+        wakes: u32,
+    }
+    impl DaemonHook for Answering {
+        fn on_wake(
+            &mut self,
+            now: SimTime,
+            _node: NodeId,
+            analyzer: Option<AnalyzerId>,
+            kprof: &mut Kprof,
+            _stats: &NodeStats,
+        ) -> KernelOutput {
+            self.wakes += 1;
+            let line = format!("wake {now} {analyzer:?} on {:?}", kprof.node());
+            self.log.borrow_mut().push(line);
+            KernelOutput {
+                cost: SimDuration::from_micros(1),
+                sends: Vec::new(),
+                rearm_after: (self.wakes < 3).then_some(SimDuration::from_millis(10)),
+            }
+        }
+        fn on_message(
+            &mut self,
+            _now: SimTime,
+            node: NodeId,
+            src: EndPoint,
+            msg: Message,
+            data: Bytes,
+            kprof: &mut Kprof,
+        ) -> KernelOutput {
+            let events = kprof.stats().events_generated;
+            let line = format!(
+                "message kind {} of {} bytes from {src:?} at {node:?} on {:?}, {} events",
+                msg.kind,
+                data.len(),
+                kprof.node(),
+                if events > 0 { "after" } else { "before" }
+            );
+            self.log.borrow_mut().push(line);
+            KernelOutput {
+                cost: SimDuration::from_micros(2),
+                sends: vec![KernelSend {
+                    dst: src,
+                    src_port: Port(9998),
+                    kind: 9,
+                    data: Bytes::from(vec![1u8; 10]),
+                }],
+                rearm_after: Some(SimDuration::from_secs(1)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_hook_on_a_port_answers_its_messages_with_the_nodes_kprof() {
+        struct Replies(std::rc::Rc<std::cell::Cell<usize>>);
+        impl KernelSink for Replies {
+            fn on_message(
+                &mut self,
+                _now: SimTime,
+                _node: NodeId,
+                _src: EndPoint,
+                msg: Message,
+                data: Bytes,
+            ) -> KernelOutput {
+                assert_eq!((msg.kind, data.len()), (9, 10));
+                self.0.set(self.0.get() + 1);
+                KernelOutput::default()
+            }
+        }
+        let run = |port: Option<Port>| {
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let replies = std::rc::Rc::new(std::cell::Cell::new(0));
+            let mut w = two_nodes(34);
+            w.kprof_mut(NodeId(1))
+                .register(Box::new(CountingAnalyzer::new(EventMask::ALL)));
+            let hook = Answering {
+                log: log.clone(),
+                wakes: 0,
+            };
+            w.set_daemon_hook(NodeId(1), port, Box::new(hook));
+            w.schedule_daemon_wake(NodeId(1), SimDuration::from_millis(1));
+            w.install_sink(NodeId(0), Port(9997), Box::new(Replies(replies.clone())));
+            let ip = w.network().node_ip(NodeId(1));
+            // A multi-packet message to the hook's port, and one to a
+            // port nobody claimed.
+            let to = |port| EndPoint::new(ip, Port(port));
+            w.kernel_send(NodeId(0), Port(9997), to(9998), 42, vec![0u8; 5000]);
+            w.kernel_send(NodeId(0), Port(9997), to(9996), 43, vec![0u8; 50]);
+            w.run_until(SimTime::from_secs(1));
+            let monitor = w.node_stats(NodeId(1)).cpu.monitor;
+            (log.take(), replies.get(), monitor)
+        };
+
+        let (log, replies, monitor) = run(Some(Port(9998)));
+        let from = EndPoint::new(two_nodes(34).network().node_ip(NodeId(0)), Port(9997));
+        let messages: Vec<&String> = log.iter().filter(|l| l.starts_with("message")).collect();
+        assert_eq!(
+            messages,
+            [&format!(
+                "message kind 42 of 5000 bytes from {from:?} at NodeId(1) on NodeId(1), after events"
+            )]
+        );
+        assert_eq!(replies, 1, "the hook's output was applied");
+
+        // The hook's wakes are what they are without a port; only the
+        // message's 2 µs (plus its reply's transmit) were added.
+        let (bare, no_replies, bare_monitor) = run(None);
+        let wakes: Vec<&String> = log.iter().filter(|l| l.starts_with("wake")).collect();
+        assert_eq!(wakes, bare.iter().collect::<Vec<_>>());
+        assert_eq!(wakes.len(), 3);
+        assert!(wakes.iter().all(|l| l.ends_with("None on NodeId(1)")));
+        assert_eq!(no_replies, 0);
+        assert!(monitor >= bare_monitor + SimDuration::from_micros(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "the daemon hook answers on it")]
+    fn a_sink_cannot_take_the_hooks_port() {
+        let mut w = two_nodes(35);
+        let hook = Answering {
+            log: Default::default(),
+            wakes: 0,
+        };
+        w.set_daemon_hook(NodeId(1), Some(Port(9998)), Box::new(hook));
+        w.install_sink(NodeId(1), Port(9998), Box::new(Ignore));
+    }
+
+    #[test]
+    #[should_panic(expected = "a sink answers on it")]
+    fn a_hook_cannot_take_a_sinks_port() {
+        let mut w = two_nodes(36);
+        w.install_sink(NodeId(1), Port(9998), Box::new(Ignore));
+        let hook = Answering {
+            log: Default::default(),
+            wakes: 0,
+        };
+        w.set_daemon_hook(NodeId(1), Some(Port(9998)), Box::new(hook));
+    }
+
+    /// A sink that drops what it gets.
+    struct Ignore;
+    impl KernelSink for Ignore {
+        fn on_message(
+            &mut self,
+            _now: SimTime,
+            _node: NodeId,
+            _src: EndPoint,
+            _msg: Message,
+            _data: Bytes,
+        ) -> KernelOutput {
+            KernelOutput::default()
+        }
     }
 
     #[test]
