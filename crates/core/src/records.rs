@@ -2,7 +2,7 @@
 
 use pbio::{FieldType, Schema};
 use serde::{Deserialize, Serialize};
-use simcore::stats::{Histogram, OnlineStats};
+use simcore::stats::Histogram;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, FlowKey, Ip, Port};
 
@@ -269,14 +269,19 @@ pub struct ClassSummary {
 
 /// The statistic SysProf keeps per service class — the LPA per flush
 /// window, the GPA per `(node, class)` — and reads as a [`ClassSummary`]:
-/// one accumulator per attributed time and a histogram of total latency.
+/// an interaction count, the mean of each attributed time and of total
+/// latency, and a histogram of total latency.
+///
+/// It keeps what the summary reads and nothing else. The means take
+/// [`OnlineStats`](simcore::stats::OnlineStats)' Welford steps in its
+/// operation order, so they are
+/// its means bit for bit; every input is a `u64` cast, always finite, so
+/// one count serves all five.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ClassStats {
-    kernel_in: OnlineStats,
-    user: OnlineStats,
-    kernel_out: OnlineStats,
-    blocked: OnlineStats,
-    total: OnlineStats,
+    count: u64,
+    /// Kernel-in, user, kernel-out, blocked and total time, µs.
+    means: [f64; 5],
     total_hist: Histogram,
 }
 
@@ -284,37 +289,52 @@ impl ClassStats {
     /// Adds one interaction.
     pub(crate) fn record(&mut self, rec: &InteractionRecord) {
         let total = rec.end_us.saturating_sub(rec.start_us) as f64;
-        self.kernel_in.record(rec.kernel_in_us as f64);
-        self.user.record(rec.user_us as f64);
-        self.kernel_out.record(rec.kernel_out_us as f64);
-        self.blocked.record(rec.blocked_us as f64);
-        self.total.record(total);
+        let times = [
+            rec.kernel_in_us as f64,
+            rec.user_us as f64,
+            rec.kernel_out_us as f64,
+            rec.blocked_us as f64,
+            total,
+        ];
+        self.count += 1;
+        let n = self.count as f64;
+        for (mean, x) in self.means.iter_mut().zip(times) {
+            *mean += (x - *mean) / n;
+        }
         self.total_hist.record(total);
     }
 
-    /// Adds every interaction `other` holds: counts and histogram bins
+    /// Adds every interaction `other` holds: the count and histogram bins
     /// exactly, means by parallel Welford.
     pub(crate) fn merge(&mut self, other: &ClassStats) {
-        self.kernel_in.merge(&other.kernel_in);
-        self.user.merge(&other.user);
-        self.kernel_out.merge(&other.kernel_out);
-        self.blocked.merge(&other.blocked);
-        self.total.merge(&other.total);
         self.total_hist.merge(&other.total_hist);
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            (self.count, self.means) = (other.count, other.means);
+            return;
+        }
+        let total = self.count + other.count;
+        for (mean, theirs) in self.means.iter_mut().zip(other.means) {
+            *mean += (theirs - *mean) * other.count as f64 / total as f64;
+        }
+        self.count = total;
     }
 
     /// The statistic as `class_port`'s on `node`; all zeros when empty.
     pub(crate) fn summary(&self, node: NodeId, class_port: Port) -> ClassSummary {
         let total_at = |p| self.total_hist.percentile(p).unwrap_or(0.0);
+        let [kernel_in, user, kernel_out, blocked, total] = self.means;
         ClassSummary {
             node,
             class_port,
-            count: self.total.count(),
-            mean_kernel_in_us: self.kernel_in.mean(),
-            mean_user_us: self.user.mean(),
-            mean_kernel_out_us: self.kernel_out.mean(),
-            mean_blocked_us: self.blocked.mean(),
-            mean_total_us: self.total.mean(),
+            count: self.count,
+            mean_kernel_in_us: kernel_in,
+            mean_user_us: user,
+            mean_kernel_out_us: kernel_out,
+            mean_blocked_us: blocked,
+            mean_total_us: total,
             p50_total_us: total_at(50.0),
             p95_total_us: total_at(95.0),
             p99_total_us: total_at(99.0),
@@ -325,6 +345,7 @@ impl ClassStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::stats::OnlineStats;
 
     fn sample() -> InteractionRecord {
         InteractionRecord {
@@ -420,33 +441,129 @@ mod tests {
         assert_eq!(row[2], 0.83f64.to_bits() as i64);
     }
 
+    fn bins(h: &Histogram) -> Option<serde_json::Value> {
+        let json: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string(h).unwrap()).unwrap();
+        json.get("bins").cloned()
+    }
+
+    /// Seeded stream `seed` and the points it is cut at: up to three
+    /// random ones (repeats allowed) plus both ends, sorted.
+    fn seeded_stream(seed: u64) -> (Vec<InteractionRecord>, Vec<usize>) {
+        let mut rng = simcore::SimRng::seed(seed);
+        let len = rng.index(200);
+        let mut stream = Vec::with_capacity(len);
+        for _ in 0..len {
+            let mut rec = sample();
+            rec.start_us = rng.uniform_u64(0, 1_000_000);
+            rec.end_us = rec.start_us + rng.uniform_u64(0, 100_000);
+            rec.kernel_in_us = rng.uniform_u64(0, 5_000);
+            rec.user_us = rng.uniform_u64(0, 50_000);
+            rec.kernel_out_us = rng.uniform_u64(0, 500);
+            rec.blocked_us = rng.uniform_u64(0, 20_000);
+            stream.push(rec);
+        }
+        let mut cuts: Vec<usize> = (0..rng.index(4)).map(|_| rng.index(len + 1)).collect();
+        cuts.extend([0, len]);
+        cuts.sort_unstable();
+        (stream, cuts)
+    }
+
+    /// The form `ClassStats` had: an `OnlineStats` per time plus the
+    /// histogram. What its summaries must equal bit for bit.
+    #[derive(Default)]
+    struct FiveOnlineStats {
+        times: [OnlineStats; 5],
+        total_hist: Histogram,
+    }
+
+    impl FiveOnlineStats {
+        fn record(&mut self, rec: &InteractionRecord) {
+            let total = rec.end_us.saturating_sub(rec.start_us) as f64;
+            let times = [
+                rec.kernel_in_us,
+                rec.user_us,
+                rec.kernel_out_us,
+                rec.blocked_us,
+            ];
+            for (stats, x) in self.times.iter_mut().zip(times.map(|t| t as f64)) {
+                stats.record(x);
+            }
+            self.times[4].record(total);
+            self.total_hist.record(total);
+        }
+
+        fn merge(&mut self, other: &FiveOnlineStats) {
+            for (stats, theirs) in self.times.iter_mut().zip(&other.times) {
+                stats.merge(theirs);
+            }
+            self.total_hist.merge(&other.total_hist);
+        }
+
+        /// `ClassSummary`'s numbers, as raw bits, then the bins.
+        fn summary(&self) -> ([u64; 9], Option<serde_json::Value>) {
+            let means = self.times.each_ref().map(|s| s.mean().to_bits());
+            let at = |p| self.total_hist.percentile(p).unwrap_or(0.0).to_bits();
+            let (count, [a, b, c, d, e]) = (self.times[4].count(), means);
+            let numbers = [count, a, b, c, d, e, at(50.0), at(95.0), at(99.0)];
+            (numbers, bins(&self.total_hist))
+        }
+    }
+
+    /// A `ClassStats`' summary in [`FiveOnlineStats::summary`]'s form.
+    fn summary_bits(stats: &ClassStats) -> ([u64; 9], Option<serde_json::Value>) {
+        let s = stats.summary(NodeId(1), Port(80));
+        let numbers = [
+            s.count,
+            s.mean_kernel_in_us.to_bits(),
+            s.mean_user_us.to_bits(),
+            s.mean_kernel_out_us.to_bits(),
+            s.mean_blocked_us.to_bits(),
+            s.mean_total_us.to_bits(),
+            s.p50_total_us.to_bits(),
+            s.p95_total_us.to_bits(),
+            s.p99_total_us.to_bits(),
+        ];
+        (numbers, bins(&stats.total_hist))
+    }
+
+    /// On 300 seeded streams, recorded whole and merged from their cut
+    /// pieces (an empty piece first and last, so merges into an empty
+    /// and of an empty both run), `ClassStats` is the five-`OnlineStats`
+    /// form bit for bit: every summary field and every histogram bin.
+    #[test]
+    fn class_stats_is_the_five_online_stats_form_bit_for_bit() {
+        for seed in 0..300u64 {
+            let (stream, mut cuts) = seeded_stream(seed);
+            cuts.insert(0, 0);
+            cuts.push(stream.len());
+            let mut sequential = (ClassStats::default(), FiveOnlineStats::default());
+            let mut merged = (ClassStats::default(), FiveOnlineStats::default());
+            for piece in cuts.windows(2) {
+                let mut part = (ClassStats::default(), FiveOnlineStats::default());
+                for rec in &stream[piece[0]..piece[1]] {
+                    sequential.0.record(rec);
+                    sequential.1.record(rec);
+                    part.0.record(rec);
+                    part.1.record(rec);
+                }
+                merged.0.merge(&part.0);
+                merged.1.merge(&part.1);
+            }
+            for (got, want) in [sequential, merged] {
+                assert_eq!(summary_bits(&got), want.summary(), "seed {seed}");
+            }
+        }
+    }
+
     /// 300 seeded streams, each cut at up to three random points: the
     /// pieces' statistics merged in order are the whole stream's, counts
     /// and histogram bins exactly and means to rounding.
     #[test]
     fn merged_class_stats_match_the_sequential_record() {
-        let bins = |h: &Histogram| {
-            let json: serde_json::Value =
-                serde_json::from_str(&serde_json::to_string(h).unwrap()).unwrap();
-            json.get("bins").cloned()
-        };
         for seed in 0..300u64 {
-            let mut rng = simcore::SimRng::seed(seed);
-            let len = rng.index(200);
-            let mut stream = Vec::with_capacity(len);
-            for _ in 0..len {
-                let mut rec = sample();
-                rec.start_us = rng.uniform_u64(0, 1_000_000);
-                rec.end_us = rec.start_us + rng.uniform_u64(0, 100_000);
-                rec.kernel_in_us = rng.uniform_u64(0, 5_000);
-                rec.user_us = rng.uniform_u64(0, 50_000);
-                rec.kernel_out_us = rng.uniform_u64(0, 500);
-                rec.blocked_us = rng.uniform_u64(0, 20_000);
-                stream.push(rec);
-            }
-            let mut cuts: Vec<usize> = (0..rng.index(4)).map(|_| rng.index(len + 1)).collect();
-            cuts.extend([0, len]);
-            cuts.sort_unstable();
+            let (stream, cuts) = seeded_stream(seed);
+            let len = stream.len();
             let (mut sequential, mut merged) = (ClassStats::default(), ClassStats::default());
             for piece in cuts.windows(2) {
                 let mut part = ClassStats::default();

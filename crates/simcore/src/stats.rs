@@ -128,6 +128,17 @@ impl Default for OnlineStats {
 /// relative error on percentile estimates over a huge dynamic range with a
 /// few hundred bins — the same trick HdrHistogram-style recorders use.
 ///
+/// A value `v ≥ 1` lands in bin `1 + ⌊4·log2(v)⌋` *as libm computes
+/// `log2`*, and binning reproduces that exactly without calling libm on
+/// almost every value: with `v = m · 2^e` (`1 ≤ m < 2`), the bin is `1 +
+/// 4e + #{k ∈ 1..=3 : m ≥ 2^(k/4)}`, read off the float's exponent and
+/// mantissa bits. Where the two can disagree is where libm's rounding
+/// decides — a mantissa within 2^-29 of a quarter-octave step, of 1 or of
+/// 2 (`8 − ulp` is in bin 13, not 12, because `log2` rounds it to 3) —
+/// and there the bin is computed with `log2` itself. A test holds the
+/// two equal on every integer below 2^20, ±64 ulps around every step and
+/// 10^6 random bit patterns.
+///
 /// # Example
 ///
 /// ```
@@ -147,18 +158,44 @@ pub struct Histogram {
 
 const BINS_PER_OCTAVE: f64 = 4.0;
 
+/// The fraction field of an `f64`: the mantissa `m` without its leading 1.
+const FRACTION: u64 = (1 << 52) - 1;
+/// The fraction fields of the quarter-octave steps `2^(1/4)`, `2^(1/2)`
+/// and `2^(3/4)`, to within an ulp: [`GUARD`] covers the difference.
+const STEPS: [u64; 3] = [
+    1.189_207_115_002_721_f64.to_bits() & FRACTION,
+    std::f64::consts::SQRT_2.to_bits() & FRACTION,
+    1.681_792_830_507_429_f64.to_bits() & FRACTION,
+];
+/// A fraction field this close to a step, to 0 or to 2^52 (2^-29 of the
+/// mantissa) is binned by libm's `log2`: that rounding decides it.
+const GUARD: u64 = 1 << 23;
+
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram::default()
     }
 
+    /// The bin of a finite, non-negative `value` (see the type's docs).
     fn bin_index(value: f64) -> usize {
         if value < 1.0 {
-            0
-        } else {
-            1 + (value.log2() * BINS_PER_OCTAVE).floor() as usize
+            return 0;
         }
+        let bits = value.to_bits();
+        let fraction = bits & FRACTION;
+        if !(GUARD..=FRACTION - GUARD).contains(&fraction)
+            || STEPS.iter().any(|&step| fraction.abs_diff(step) < GUARD)
+        {
+            return Self::log2_bin(value);
+        }
+        let octave = (bits >> 52) as usize - 1023;
+        1 + 4 * octave + STEPS.iter().filter(|&&step| fraction >= step).count()
+    }
+
+    /// The bin of a finite `value ≥ 1` by libm, which defines it.
+    fn log2_bin(value: f64) -> usize {
+        1 + (value.log2() * BINS_PER_OCTAVE).floor() as usize
     }
 
     fn bin_upper_bound(index: usize) -> f64 {
@@ -402,6 +439,37 @@ mod tests {
     #[test]
     fn histogram_empty_percentile_none() {
         assert_eq!(Histogram::new().percentile(50.0), None);
+    }
+
+    /// Binning from the exponent and mantissa is libm's binning: on every
+    /// integer below 2^20, ±64 ulps around every finite quarter-octave
+    /// step 2^(k/4), and 10^6 seeded random bit patterns (sign cleared;
+    /// those below 1 or not finite are skipped).
+    #[test]
+    fn fast_bin_is_the_libm_bin() {
+        let check = |v: f64| {
+            if v.is_finite() && v >= 1.0 {
+                let (fast, libm) = (Histogram::bin_index(v), Histogram::log2_bin(v));
+                assert_eq!(fast, libm, "{v:e} ({:#x})", v.to_bits());
+            }
+        };
+        for i in 0..1u32 << 20 {
+            check(f64::from(i));
+        }
+        for k in 0..4 * 1024 {
+            let step = 2f64.powf(f64::from(k) / BINS_PER_OCTAVE).to_bits();
+            for bits in step - 64..=step + 64 {
+                check(f64::from_bits(bits));
+            }
+        }
+        let mut rng = crate::SimRng::seed(0xB1A5);
+        for _ in 0..1_000_000 {
+            check(f64::from_bits(rng.uniform_u64(0, u64::MAX) & !(1 << 63)));
+        }
+        // libm rounds log2(8 − ulp) up to 3: bin 13, as 8's, not 12.
+        let below_eight = f64::from_bits(8f64.to_bits() - 1);
+        assert_eq!(Histogram::bin_index(below_eight), 13);
+        assert_eq!(Histogram::bin_index(8.0), 13);
     }
 
     #[test]
