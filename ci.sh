@@ -14,6 +14,7 @@
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
 #   ./ci.sh --ingest     only the GPA's ingest path: histogram binning, class statistic, store, receiver, hostile bytes, gpa_wire fingerprints
+#   ./ci.sh --bench-history  append the full-size sysbench suite results under benchmark/results/ to BENCH_history.jsonl
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -258,6 +259,42 @@ check_gpa_wire_fingerprints() {
     done
 }
 
+# The committed perf trajectory: one line per workload of every full-size
+# sysbench suite result under benchmark/results/ (git-ignored;
+# `benchmark/run.sh [--seed N]` writes sysbench.seed<N>.json there, and
+# `--quick` a sysbench.quick.seed<N>.json this skips) appended to
+# BENCH_history.jsonl: work_per_s's median, quartiles, minimum and run
+# count, the host's nproc, the commit measured (`-dirty` when tracked
+# files differ from it), and `noisy` when the quartile spread exceeds 10 %
+# of the median, else `quiet`. Reads benchmark/ and writes nothing there.
+bench_history() {
+    local commit file found=0
+    if ! command -v jq >/dev/null; then
+        echo "--bench-history needs jq" >&2
+        return 1
+    fi
+    commit="$(git rev-parse --short HEAD)"
+    if ! git diff --quiet HEAD; then
+        commit="$commit-dirty"
+    fi
+    for file in benchmark/results/sysbench.seed*.json; do
+        [[ -e "$file" ]] || continue
+        found=1
+        jq -c --arg commit "$commit" --arg source "$(basename "$file")" '
+            . as $doc | .workloads | to_entries[] | .value.metrics.work_per_s as $m | {
+                commit: $commit, source: $source, workload: .key, seed: $doc.seed,
+                size: $doc.size, metric: "work_per_s", unit: $m.unit, median: $m.median,
+                q1: $m.q1, q3: $m.q3, min: $m.min, n: $m.n, nproc: $doc.nproc,
+                host: (if $m.q3 - $m.q1 > 0.10 * $m.median then "noisy" else "quiet" end)
+            }' "$file" >>BENCH_history.jsonl
+        echo "appended $file"
+    done
+    if [[ $found == 0 ]]; then
+        echo "no full-size sysbench suite result under benchmark/results/: run benchmark/run.sh first" >&2
+        return 1
+    fi
+}
+
 # Fast paths for iterating on one slice of the system: each runs only
 # the steps listed for its flag below — skipping fmt/clippy and the
 # full suite — then prints "<LABEL> OK". A step that starts with "==>"
@@ -317,7 +354,7 @@ case "${1:-}" in
     fast_path LPA \
         "==> one switch (LpaConfig::level; open-window counts change in Window only)" \
         check_one_switch \
-        "==> LPA unit tests, proptests and seeded corpus (release)" \
+        "==> LPA unit tests (service ports pruned in Kprof), proptests and seeded corpus (release)" \
         "cargo test -q --release -p sysprof lpa::" \
         "==> ARM hints, overhead control, the LPA rungs" \
         "cargo test -q --test arm_hints" \
@@ -406,6 +443,9 @@ case "${1:-}" in
         "cargo test -q --test untrusted_bytes" \
         "==> sysbench quick fingerprints (gpa_wire, gpa_wire_large; seeds 7, 11)" \
         check_gpa_wire_fingerprints
+    ;;
+--bench-history)
+    fast_path BENCH_HISTORY bench_history
     ;;
 --merge)
     # The merge-lattice analysis and the sharded evaluation path: the

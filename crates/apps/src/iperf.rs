@@ -18,7 +18,7 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{LinkSpec, Port};
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::{MonitorConfig, SysProf};
+use sysprof::SysProf;
 
 use crate::scenario::{Diagnosis, Placement, ScenarioRun, ScenarioSpec};
 
@@ -184,10 +184,6 @@ impl ScenarioSpec for IperfScenario {
                 gpa: NodeId(2),
             },
         )
-    }
-
-    fn monitor_config(&self) -> MonitorConfig {
-        MonitorConfig::default()
     }
 
     fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) {

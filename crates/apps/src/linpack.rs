@@ -16,7 +16,7 @@ use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simos::programs::ComputeLoop;
 use simos::{World, WorldBuilder};
-use sysprof::{MonitorConfig, SysProf};
+use sysprof::SysProf;
 
 use crate::scenario::{on_gigabit_lan, Diagnosis, Placement, ScenarioRun, ScenarioSpec};
 
@@ -56,10 +56,6 @@ impl ScenarioSpec for LinpackScenario {
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
         let nodes = nodes.node("bench").node("peer");
         on_gigabit_lan(nodes, vec![NodeId(0), NodeId(1)], NodeId(2))
-    }
-
-    fn monitor_config(&self) -> MonitorConfig {
-        MonitorConfig::default()
     }
 
     fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> Pid {

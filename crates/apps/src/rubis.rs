@@ -24,14 +24,14 @@ use std::rc::Rc;
 
 use dwcs::ra::{RaDispatcher, ServerLoad};
 use dwcs::{Scheduler, StreamId, StreamSpec, WindowConstraint};
-use pubsub::reliable::Receiver;
+use pubsub::reliable::{Receiver, GAP_NACK_LIMIT};
 use serde::Serialize;
 use simcore::stats::RateMeter;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, FaultPlan, Port};
 use simos::programs::ComputeLoop;
 use simos::{KernelOutput, KernelSink, Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::{GpaConfig, LoadRecord, MonitorConfig, SysProf, LOAD_TOPIC};
+use sysprof::{LoadRecord, MonitorConfig, SysProf, LOAD_TOPIC};
 
 use crate::scenario::{on_gigabit_lan, Diagnosis, Placement, ScenarioRun, ScenarioSpec};
 
@@ -455,10 +455,7 @@ impl ScenarioSpec for RubisScenario {
                 RA_FEED_PORT,
                 Box::new(LoadFeed {
                     loads: loads.clone(),
-                    rx: Receiver::new(
-                        vec![LoadRecord::schema()],
-                        GpaConfig::default().gap_nack_limit,
-                    ),
+                    rx: Receiver::new(vec![LoadRecord::schema()], GAP_NACK_LIMIT),
                     self_ep: reply_to,
                     applied: applied.clone(),
                 }),

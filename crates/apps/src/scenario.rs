@@ -39,7 +39,7 @@ use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FaultPlan, LinkSpec, Port};
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::detect::Finding;
-use sysprof::{GpaConfig, MonitorConfig, SysProf};
+use sysprof::{MonitorConfig, SysProf};
 
 /// A finished scenario run: the simulation, the deployed monitor, and
 /// the scenario's own measured output. Tests read application truth from
@@ -154,17 +154,9 @@ pub trait ScenarioSpec: Sized {
     /// included) and places the monitor on them.
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement);
 
-    /// The monitor configuration the scenario deploys with. The default
-    /// turns delivery logging on, so the testkit's in-order/exactly-once
-    /// invariants can audit the run.
+    /// The monitor configuration the scenario deploys with.
     fn monitor_config(&self) -> MonitorConfig {
-        MonitorConfig {
-            gpa: GpaConfig {
-                log_deliveries: true,
-                ..GpaConfig::default()
-            },
-            ..MonitorConfig::default()
-        }
+        MonitorConfig::default()
     }
 
     /// Spawns the scenario's programs into the built world. `monitor` is

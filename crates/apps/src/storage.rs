@@ -26,7 +26,7 @@ use std::rc::Rc;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::Port;
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
-use sysprof::{MonitorConfig, SysProf};
+use sysprof::SysProf;
 
 use crate::scenario::{
     named_nodes, on_gigabit_lan, Diagnosis, Placement, ScenarioRun, ScenarioSpec,
@@ -284,10 +284,6 @@ impl ScenarioSpec for StorageScenario {
         monitored.extend(self.backend_nodes());
         // The GPA takes the id after the last back-end's.
         on_gigabit_lan(nodes, monitored, self.backend_node(self.backends))
-    }
-
-    fn monitor_config(&self) -> MonitorConfig {
-        MonitorConfig::default()
     }
 
     fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> Rc<Cell<u64>> {

@@ -238,3 +238,39 @@ impl SysProf {
         world.kernel_send(from_node, DAEMON_SRC_PORT, ctl_ep, 0, msg.encode());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use simcore::SimDuration;
+
+    use super::*;
+    use crate::lpa::MonitorLevel;
+
+    /// A deployment's settable values, all seven, destructured with no
+    /// `..`: a new field fails to compile here until this test and the
+    /// count in DESIGN §3, item 2, name it.
+    #[test]
+    fn monitor_config_has_seven_settable_values() {
+        let MonitorConfig {
+            lpa:
+                LpaConfig {
+                    window,
+                    level,
+                    service_ports,
+                },
+            daemon: DaemonConfig { flush_interval },
+            gpa:
+                GpaConfig {
+                    clock_error_bound,
+                    max_records,
+                },
+            interaction_filter,
+        } = MonitorConfig::default();
+        assert_eq!((window, level), (256, MonitorLevel::Full));
+        assert_eq!(service_ports, None);
+        assert_eq!(flush_interval, SimDuration::from_millis(100));
+        assert_eq!(clock_error_bound, SimDuration::from_millis(1));
+        assert_eq!(max_records, 1_000_000);
+        assert_eq!(interaction_filter, None);
+    }
+}

@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use pubsub::control::ControlMsg;
 use pubsub::digest::{DigestStats, ShardedDigest};
-use pubsub::reliable::Receiver;
+use pubsub::reliable::{Receiver, GAP_NACK_LIMIT};
 use pubsub::PubSubError;
 use serde::{Deserialize, Serialize};
 use simcore::stats::OnlineStats;
@@ -41,14 +41,6 @@ pub struct GpaConfig {
     /// load reports (oldest evicted first, each eviction counted in
     /// [`GpaStats::records_evicted`]).
     pub max_records: usize,
-    /// How many NACKs to send for one gap before abandoning it (the
-    /// sender has evicted the range, or the path is dead). Abandoned
-    /// gaps are counted in [`GpaStats::gaps_abandoned`], never silent.
-    pub gap_nack_limit: u32,
-    /// Record every in-order batch delivery `(source, seq)` for
-    /// test-harness monotonicity assertions. Off by default; when on, the
-    /// log keeps the last [`max_records`](GpaConfig::max_records) entries.
-    pub log_deliveries: bool,
 }
 
 impl Default for GpaConfig {
@@ -56,8 +48,6 @@ impl Default for GpaConfig {
         GpaConfig {
             clock_error_bound: SimDuration::from_millis(1),
             max_records: 1_000_000,
-            gap_nack_limit: 5,
-            log_deliveries: false,
         }
     }
 }
@@ -80,8 +70,8 @@ pub struct GpaStats {
     pub gaps_detected: u64,
     /// Gaps closed by a retransmission arriving.
     pub gaps_recovered: u64,
-    /// Gaps given up on after [`GpaConfig::gap_nack_limit`] unanswered
-    /// NACKs; the stream skipped past them.
+    /// Gaps given up on after [`pubsub::reliable::GAP_NACK_LIMIT`]
+    /// unanswered NACKs; the stream skipped past them.
     pub gaps_abandoned: u64,
     /// Data NACKs sent back to daemons.
     pub nacks_sent: u64,
@@ -227,6 +217,8 @@ pub struct Gpa {
     rx: Receiver,
     /// The store's own counters; [`Gpa::gpa_stats`] adds the receiver's.
     gstats: GpaStats,
+    /// Every in-order batch delivery `(source, seq)`, the last
+    /// [`GpaConfig::max_records`] of them: what the in-order audit reads.
     delivery_log: Window<(EndPoint, u64)>,
     ingested: u64,
     subscription_failures: Window<SubscriptionFailure>,
@@ -263,7 +255,7 @@ impl Gpa {
             load_history: Window::new(),
             rx: Receiver::new(
                 TOPICS.iter().map(|(_, schema)| schema()).collect(),
-                config.gap_nack_limit,
+                GAP_NACK_LIMIT,
             ),
             gstats: GpaStats::default(),
             delivery_log: Window::new(),
@@ -400,8 +392,9 @@ impl Gpa {
         self.rx.converged()
     }
 
-    /// In-order `(source, seq)` deliveries, when
-    /// [`GpaConfig::log_deliveries`] is set.
+    /// In-order `(source, seq)` batch deliveries, oldest first: the
+    /// last [`GpaConfig::max_records`] of them (the older ones are counted
+    /// in [`GpaStats::deliveries_evicted`]).
     pub fn delivery_log(&self) -> &[(EndPoint, u64)] {
         self.delivery_log.as_slice()
     }
@@ -411,10 +404,8 @@ impl Gpa {
     /// contiguous buffer: each becomes a typed record for the store, and
     /// the buffer itself goes to the digest in one call.
     fn ingest_batch(&mut self, src: EndPoint, seq: u64, rows: &[Vec<i64>]) {
-        if self.config.log_deliveries {
-            let evicted = self.delivery_log.push((src, seq), self.config.max_records);
-            self.gstats.deliveries_evicted += u64::from(evicted);
-        }
+        let evicted = self.delivery_log.push((src, seq), self.config.max_records);
+        self.gstats.deliveries_evicted += u64::from(evicted);
         self.keys.clear();
         for rec in InteractionRecord::from_raw_rows(&rows[INTERACTION]) {
             if self.digest.is_some() {
@@ -1354,7 +1345,6 @@ mod tests {
         use pubsub::reliable::encode_batch;
         let mut g = Gpa::new(GpaConfig {
             max_records: 8,
-            log_deliveries: true,
             ..GpaConfig::default()
         });
         // A daemon that rejects every subscribe, 100 times over.
@@ -1442,7 +1432,6 @@ mod tests {
             let mut g = Gpa::new(GpaConfig {
                 clock_error_bound: SimDuration::from_micros(eps),
                 max_records: cap.unwrap_or(usize::MAX),
-                ..GpaConfig::default()
             });
             g.ingest_records(&records);
             let held = records.len().min(cap.unwrap_or(usize::MAX));

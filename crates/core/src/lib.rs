@@ -9,7 +9,7 @@
 //!   and *interactions* (request/response message pairs) from raw network
 //!   events, attributes per-interaction kernel time, user time, and
 //!   blocked time from scheduling events, and stages finished
-//!   [`InteractionRecord`]s in per-CPU double buffers,
+//!   [`InteractionRecord`]s in a double buffer,
 //! * [`CpaAnalyzer`] — **Custom Performance Analyzers**: E-Code programs
 //!   installed at runtime, fuel-metered, run against every matching event,
 //! * [`Daemon`] — the **dissemination daemon**, one per node: woken on
@@ -40,8 +40,8 @@
 //!   [`simos::World`] in one call, and the controller:
 //!   [`SysProf::reconfigure`] changes a node's [`LpaConfig`] at run time —
 //!   its [`MonitorLevel`] (off / per-class / per-interaction / full, which
-//!   is also what the LPA asks Kprof for), window and buffer sizes,
-//!   service ports.
+//!   is also what the LPA asks Kprof for), window and buffer sizes, and
+//!   service ports (the port predicate of that same Kprof interest).
 //!
 //! # Example
 //!
@@ -97,5 +97,3 @@ pub use lpa::{Lpa, LpaConfig, MonitorLevel};
 pub use pubsub::split_frames;
 pub use query::{GpaAnswer, GpaQuery, GpaQuerySink, QueryClient, QUERY_PORT, QUERY_REPLY_PORT};
 pub use records::{ClassSummary, InteractionRecord, LoadRecord, INTERACTION_TOPIC, LOAD_TOPIC};
-/// The fixed-hasher tables; `LpaConfig::service_ports` is this module's `HashSet`.
-pub use simcore::hash;

@@ -13,13 +13,13 @@
 //! requests on one flow collapse into a single message, so their
 //! interactions cannot be separated without domain knowledge.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use kprof::{
-    Analyzer, AnalyzerOutcome, BlockReason, Event, EventMask, EventPayload, Interest, NetPoint,
-    PerCpuBuffers, Pid,
+    Analyzer, AnalyzerOutcome, BlockReason, DoubleBuffer, Event, EventMask, EventPayload, Interest,
+    NetPoint, Pid, Predicate,
 };
-use simcore::hash::{HashMap, HashSet};
+use simcore::hash::HashMap;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FlowKey, Ip, Port};
 
@@ -57,27 +57,27 @@ pub enum MonitorLevel {
 /// ([`SysProf::reconfigure`](crate::SysProf::reconfigure)).
 #[derive(Debug, Clone)]
 pub struct LpaConfig {
-    /// Per-CPU double-buffer side capacity, in records, and the length of
-    /// the recent-interaction window ("window size").
+    /// Double-buffer side capacity, in records, and the length of the
+    /// recent-interaction window ("window size").
     pub window: usize,
-    /// CPUs on the node (one double buffer each).
-    pub cpus: usize,
     /// What the LPA watches and keeps: its Kprof interest and whether it
     /// stages per-interaction records (the controller's "statistics for
     /// some client class rather than for individual interactions" is
     /// [`MonitorLevel::ClassAggregates`]).
     pub level: MonitorLevel,
-    /// Only diagnose flows whose responder port is in this set (None =
-    /// all). Probed per completed interaction, which is why it is a
-    /// [`crate::hash::HashSet`] (fixed hasher) and not std's.
-    pub service_ports: Option<HashSet<Port>>,
+    /// Only diagnose flows touching one of these ports (None = all). It is
+    /// the port dimension of the LPA's Kprof [`Predicate`], so a network
+    /// event of any other flow is pruned before the LPA runs and counted
+    /// in `KprofStats::predicate_rejections`; scheduling events are not
+    /// pruned. A flow passes if either endpoint uses a listed port: one
+    /// whose ephemeral port is listed passes too.
+    pub service_ports: Option<BTreeSet<Port>>,
 }
 
 impl Default for LpaConfig {
     fn default() -> Self {
         LpaConfig {
             window: 256,
-            cpus: 1,
             level: MonitorLevel::Full,
             service_ports: None,
         }
@@ -355,7 +355,7 @@ pub struct Lpa {
     /// response not yet started). Used to fair-share run-time attribution
     /// across concurrently served requests; only [`Window`] changes it.
     open_windows: HashMap<Pid, u32>,
-    buffers: PerCpuBuffers<InteractionRecord>,
+    buffers: DoubleBuffer<InteractionRecord>,
     /// Losses counted by buffers that `reconfigure` has since replaced.
     overwritten_before: u64,
     /// ARM correlators evicted idle without a response.
@@ -380,9 +380,9 @@ impl Lpa {
     ///
     /// # Panics
     ///
-    /// Panics if the window size or CPU count is zero.
+    /// Panics if the window size is zero.
     pub fn new(node: NodeId, node_ip: Ip, config: LpaConfig) -> Self {
-        let buffers = PerCpuBuffers::new(config.cpus, config.window);
+        let buffers = DoubleBuffer::new(config.window);
         Lpa {
             node,
             node_ip,
@@ -403,19 +403,19 @@ impl Lpa {
         }
     }
 
-    /// Reconfigures at run time; a zero window clamps to 1. Buffer sizes
-    /// apply to newly created buffers; staged records move to the new
-    /// ones, and those a smaller buffer cannot hold are counted as
-    /// overwritten there. The caller re-reads [`Analyzer::interest`]
-    /// (`SysProf::reconfigure` does both).
+    /// Reconfigures at run time; a zero window clamps to 1. A new window
+    /// size applies to a new buffer; staged records move to it, and those
+    /// a smaller buffer cannot hold are counted as overwritten there. The
+    /// caller re-reads [`Analyzer::interest`] (`SysProf::reconfigure` does
+    /// both), which carries `service_ports` to Kprof.
     pub(crate) fn reconfigure(&mut self, mut config: LpaConfig) {
         config.window = config.window.max(1);
-        if config.window != self.config.window || config.cpus != self.config.cpus {
+        if config.window != self.config.window {
             let staged = self.buffers.drain_all();
             self.overwritten_before += self.buffers.overwritten();
-            let mut fresh = PerCpuBuffers::new(config.cpus, config.window);
+            let mut fresh = DoubleBuffer::new(config.window);
             for r in staged {
-                fresh.cpu_mut(0).push(r);
+                fresh.push(r);
             }
             self.buffers = fresh;
         }
@@ -443,13 +443,13 @@ impl Lpa {
         for canon in idle_keys(&self.flows, now, |st| st.cur.as_ref().map(|c| c.last_wall)) {
             if let Some(acc) = self.flows.get_mut(&canon).and_then(|st| st.cur.take()) {
                 closed += 1;
-                self.close_message(canon, acc, 0);
+                self.close_message(canon, acc);
             }
         }
         // An idle correlator with both halves completes; one without a
         // response is dropped (and counted).
         for key in idle_keys(&self.arm_flows, now, |st| Some(st.last_wall)) {
-            if self.arm_finish(key, 0) {
+            if self.arm_finish(key) {
                 closed += 1;
             }
         }
@@ -533,13 +533,6 @@ impl Lpa {
         monitor(flow.src.port) || monitor(flow.dst.port)
     }
 
-    fn matches_service(&self, class_port: Port) -> bool {
-        match &self.config.service_ports {
-            Some(ports) => ports.contains(&class_port),
-            None => true,
-        }
-    }
-
     fn pid_snapshot(&self, pid: Option<Pid>, now: SimTime) -> Option<Snap> {
         // A process with no scheduling history yet has a zero clock (it
         // simply has not run since monitoring started) — that is a valid
@@ -555,7 +548,6 @@ impl Lpa {
         wall: SimTime,
         size: u32,
         pid: Option<Pid>,
-        cpu: u16,
     ) -> bool {
         let dir = self.dir_of(&flow);
         let canon = flow.canonical();
@@ -566,7 +558,7 @@ impl Lpa {
             }
             // Direction change (or first packet): close current, start new.
             cur => match cur.replace(MsgAcc::start(dir, flow, wall, size, pid)) {
-                Some(ended) => self.close_message(canon, ended, cpu),
+                Some(ended) => self.close_message(canon, ended),
                 None => false,
             },
         }
@@ -575,7 +567,7 @@ impl Lpa {
     /// The flow's message `acc` just ended, and its window with it. Pair
     /// it with the previous opposite message into an interaction, or hold
     /// it as the next candidate. Returns whether a record was completed.
-    fn close_message(&mut self, canon: FlowKey, acc: MsgAcc, cpu: u16) -> bool {
+    fn close_message(&mut self, canon: FlowKey, acc: MsgAcc) -> bool {
         let state = self.flows.get_mut(&canon).expect("state exists");
         let closed = ClosedMsg {
             acc,
@@ -584,7 +576,7 @@ impl Lpa {
         };
         match state.prev.take() {
             Some(first) if first.acc.dir != closed.acc.dir => {
-                self.complete_interaction(first, closed, cpu);
+                self.complete_interaction(first, closed);
                 true
             }
             // No candidate yet, or two same-direction messages in a row
@@ -600,16 +592,12 @@ impl Lpa {
 
     /// Builds and stages the interaction record for a (first, second)
     /// message pair.
-    fn complete_interaction(&mut self, first: ClosedMsg, second: ClosedMsg, cpu: u16) {
+    fn complete_interaction(&mut self, first: ClosedMsg, second: ClosedMsg) {
         let responder_side = first.acc.dir == Dir::In;
         let request = &first.acc;
         let response = &second.acc;
 
         let class_port = request.flow.dst.port;
-        if !self.matches_service(class_port) {
-            return;
-        }
-
         let start = request.first_wall;
         let mut resp_end = response
             .tx_last_nic
@@ -704,8 +692,7 @@ impl Lpa {
             .record(&record);
 
         if self.config.level != MonitorLevel::ClassAggregates {
-            let cpu = (cpu as usize % self.buffers.cpus()) as u16;
-            self.pending_switch |= self.buffers.cpu_mut(cpu).push(record);
+            self.pending_switch |= self.buffers.push(record);
         }
     }
 
@@ -757,7 +744,7 @@ impl Lpa {
         if let Some(arm) = arm {
             return match point {
                 NetPoint::RxNic | NetPoint::TxFromUser => {
-                    self.arm_packet(flow, ev.wall, size, pid, arm, ev.cpu)
+                    self.arm_packet(flow, ev.wall, size, pid, arm)
                 }
                 NetPoint::TxDeviceQueue | NetPoint::Drop => false,
                 _ => {
@@ -767,9 +754,7 @@ impl Lpa {
             };
         }
         match point {
-            NetPoint::RxNic | NetPoint::TxFromUser => {
-                self.observe_packet(flow, ev.wall, size, pid, ev.cpu)
-            }
+            NetPoint::RxNic | NetPoint::TxFromUser => self.observe_packet(flow, ev.wall, size, pid),
             NetPoint::RxSocketBuffer => {
                 let snap = self.pid_snapshot(pid, ev.wall);
                 if let Some((cur, window)) = self
@@ -821,11 +806,10 @@ impl Lpa {
         size: u32,
         pid: Option<Pid>,
         arm: u64,
-        cpu: u16,
     ) -> bool {
         let dir = self.dir_of(&flow);
         let canon = flow.canonical();
-        let completed = self.arm_complete_others(canon, arm, cpu);
+        let completed = self.arm_complete_others(canon, arm);
         let st = self
             .arm_flows
             .entry((canon, arm))
@@ -907,7 +891,7 @@ impl Lpa {
     /// Completes every *other* correlator on `canon` that already has a
     /// response (a packet of a different id means their response run is
     /// over). Returns whether any record completed.
-    fn arm_complete_others(&mut self, canon: FlowKey, current: u64, cpu: u16) -> bool {
+    fn arm_complete_others(&mut self, canon: FlowKey, current: u64) -> bool {
         let mut ready: Vec<(FlowKey, u64)> = self
             .arm_flows
             .iter()
@@ -920,14 +904,14 @@ impl Lpa {
         ready.sort();
         let mut any = false;
         for key in ready {
-            any |= self.arm_finish(key, cpu);
+            any |= self.arm_finish(key);
         }
         any
     }
 
     /// Ends a correlator's state: emits its interaction record if it has
     /// both halves, else drops it (counted in `arm_dropped`).
-    fn arm_finish(&mut self, key: (FlowKey, u64), cpu: u16) -> bool {
+    fn arm_finish(&mut self, key: (FlowKey, u64)) -> bool {
         let Some(mut st) = self.arm_flows.remove(&key) else {
             return false;
         };
@@ -947,7 +931,7 @@ impl Lpa {
             snap: None,
             share: 1,
         };
-        self.complete_interaction(first, second, cpu);
+        self.complete_interaction(first, second);
         true
     }
 }
@@ -958,11 +942,16 @@ impl Analyzer for Lpa {
     }
 
     fn interest(&self) -> Interest {
-        Interest::mask(match self.config.level {
+        let mask = match self.config.level {
             MonitorLevel::Off => EventMask::NONE,
             MonitorLevel::ClassAggregates | MonitorLevel::Interactions => EventMask::NETWORK,
             MonitorLevel::Full => EventMask::NETWORK | EventMask::SCHEDULING,
-        })
+        };
+        let predicate = match &self.config.service_ports {
+            Some(ports) => Predicate::new().ports(ports.iter().copied()),
+            None => Predicate::new(),
+        };
+        Interest { mask, predicate }
     }
 
     fn on_event(&mut self, event: &Event) -> AnalyzerOutcome {
@@ -1034,33 +1023,42 @@ mod tests {
 
     /// Feeds one full request/response exchange whose request runs on `rf`.
     fn exchange_on(l: &mut Lpa, rf: FlowKey, base_us: u64) {
+        for e in exchange_events(rf, base_us) {
+            l.on_event(&e);
+        }
+    }
+
+    /// The events of one full request/response exchange on `rf`.
+    fn exchange_events(rf: FlowKey, base_us: u64) -> Vec<Event> {
         let tf = rf.reversed();
         let pid = Some(Pid(7));
-        // Request: two packets arrive, get buffered, get delivered.
-        l.on_event(&net(base_us, NetPoint::RxNic, rf, 1500, None));
-        l.on_event(&net(base_us + 12, NetPoint::RxNic, rf, 600, None));
-        l.on_event(&net(base_us + 20, NetPoint::RxSocketBuffer, rf, 1500, pid));
-        l.on_event(&net(base_us + 25, NetPoint::RxSocketBuffer, rf, 600, pid));
-        l.on_event(&net(base_us + 300, NetPoint::RxDeliverUser, rf, 1500, pid));
-        l.on_event(&net(base_us + 305, NetPoint::RxDeliverUser, rf, 600, pid));
-        // Server computes 100 µs (scheduling events drive the pid clock).
-        l.on_event(&ev(
-            base_us + 310,
-            EventPayload::ContextSwitch {
-                from: None,
-                to: pid,
-            },
-        ));
-        l.on_event(&ev(
-            base_us + 410,
-            EventPayload::ContextSwitch {
-                from: pid,
-                to: None,
-            },
-        ));
-        // Response: one packet out.
-        l.on_event(&net(base_us + 420, NetPoint::TxFromUser, tf, 200, pid));
-        l.on_event(&net(base_us + 440, NetPoint::TxNicDone, tf, 200, None));
+        vec![
+            // Request: two packets arrive, get buffered, get delivered.
+            net(base_us, NetPoint::RxNic, rf, 1500, None),
+            net(base_us + 12, NetPoint::RxNic, rf, 600, None),
+            net(base_us + 20, NetPoint::RxSocketBuffer, rf, 1500, pid),
+            net(base_us + 25, NetPoint::RxSocketBuffer, rf, 600, pid),
+            net(base_us + 300, NetPoint::RxDeliverUser, rf, 1500, pid),
+            net(base_us + 305, NetPoint::RxDeliverUser, rf, 600, pid),
+            // Server computes 100 µs (scheduling events drive the pid clock).
+            ev(
+                base_us + 310,
+                EventPayload::ContextSwitch {
+                    from: None,
+                    to: pid,
+                },
+            ),
+            ev(
+                base_us + 410,
+                EventPayload::ContextSwitch {
+                    from: pid,
+                    to: None,
+                },
+            ),
+            // Response: one packet out.
+            net(base_us + 420, NetPoint::TxFromUser, tf, 200, pid),
+            net(base_us + 440, NetPoint::TxNicDone, tf, 200, None),
+        ]
     }
 
     #[test]
@@ -1193,16 +1191,49 @@ mod tests {
         assert_eq!(l.records_completed(), 0, "own traffic never diagnosed");
     }
 
+    /// `service_ports` prunes in Kprof: one stream of exchanges on two
+    /// ports, emitted through one Kprof, reaches the LPA restricted to
+    /// port 2049 as that port's network events plus every scheduling
+    /// event; Kprof rejects the rest, and the restricted LPA records
+    /// port 2049 exactly as the unrestricted one does.
     #[test]
-    fn service_port_predicate_filters_classes() {
-        let cfg = LpaConfig {
-            service_ports: Some([Port(80)].into_iter().collect()),
+    fn service_ports_prune_in_kprof() {
+        let mut kprof = kprof::Kprof::new(NodeId(1));
+        let restricted = LpaConfig {
+            service_ports: Some([Port(2049)].into_iter().collect()),
             ..Default::default()
         };
-        let mut l = Lpa::new(NodeId(1), ME, cfg);
-        one_exchange(&mut l, 1_000); // class 2049: filtered out
-        l.on_event(&net(5_000, NetPoint::RxNic, req_flow(), 800, None));
-        assert_eq!(l.records_completed(), 0);
+        let only = kprof.register(Box::new(Lpa::new(NodeId(1), ME, restricted)));
+        let all = kprof.register(Box::new(lpa()));
+        let other = FlowKey::new(
+            EndPoint::new(CLIENT, Port(40_001)),
+            EndPoint::new(ME, Port(80)),
+        );
+        let (mut listed, mut pruned, mut sched) = (0, 0, 0);
+        for i in 0..10u64 {
+            let flow = if i % 2 == 0 { req_flow() } else { other };
+            for e in exchange_events(flow, 1_000 + i * 10_000) {
+                match e.class() {
+                    kprof::EventClass::Network if flow == other => pruned += 1,
+                    kprof::EventClass::Network => listed += 1,
+                    _ => sched += 1,
+                }
+                kprof.emit(&e);
+            }
+        }
+        assert_eq!(kprof.stats().predicate_rejections, pruned);
+        let mut seen_and_drained = |id| {
+            let l = kprof.analyzer_as_mut::<Lpa>(id).unwrap();
+            l.flush_idle(SimTime::from_secs(1));
+            (l.events_seen(), l.drain())
+        };
+        let (seen, records) = seen_and_drained(only);
+        let (seen_all, mut records_all) = seen_and_drained(all);
+        assert_eq!(seen, listed + sched);
+        assert_eq!(seen_all, listed + pruned + sched);
+        assert_eq!(records.len(), 5);
+        records_all.retain(|r| r.class_port == Port(2049));
+        assert_eq!(records, records_all);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-CPU double buffering.
+//! Double buffering.
 //!
 //! "Each LPA maintains two per-CPU buffers to store captured data, and when
 //! one of them has been filled, the dissemination daemon is notified, and
@@ -6,7 +6,8 @@
 //! interrupts to be disabled locally to avoid data corruption." (§2)
 //!
 //! [`DoubleBuffer::push`] reports each switch so the caller can notify the
-//! daemon; the interrupt-disable window itself is not charged.
+//! daemon; the interrupt-disable window itself is not charged. A simulated
+//! node has one CPU, so an LPA holds one `DoubleBuffer`.
 
 /// Which of the two buffers is currently active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,54 +119,6 @@ impl<T> DoubleBuffer<T> {
     }
 }
 
-/// One [`DoubleBuffer`] per CPU, as the paper prescribes for LPAs on
-/// multiprocessor nodes.
-#[derive(Debug, Clone)]
-pub struct PerCpuBuffers<T> {
-    buffers: Vec<DoubleBuffer<T>>,
-}
-
-impl<T> PerCpuBuffers<T> {
-    /// Creates buffers for `cpus` CPUs, each side holding `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` or `capacity` is zero.
-    pub fn new(cpus: usize, capacity: usize) -> Self {
-        assert!(cpus > 0, "need at least one CPU");
-        PerCpuBuffers {
-            buffers: (0..cpus).map(|_| DoubleBuffer::new(capacity)).collect(),
-        }
-    }
-
-    /// The mutable buffer for a CPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    pub fn cpu_mut(&mut self, cpu: u16) -> &mut DoubleBuffer<T> {
-        &mut self.buffers[cpu as usize]
-    }
-
-    /// Number of CPUs covered.
-    pub fn cpus(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// Drains every side of every CPU buffer.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        self.buffers
-            .iter_mut()
-            .flat_map(|b| b.drain_all())
-            .collect()
-    }
-
-    /// Total records lost to overwrites across CPUs.
-    pub fn overwritten(&self) -> u64 {
-        self.buffers.iter().map(|b| b.overwritten()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,17 +160,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = DoubleBuffer::<u8>::new(0);
-    }
-
-    #[test]
-    fn per_cpu_buffers_are_independent() {
-        let mut pc = PerCpuBuffers::new(2, 2);
-        pc.cpu_mut(0).push(10);
-        pc.cpu_mut(1).push(20);
-        assert_eq!(pc.cpus(), 2);
-        let mut all = pc.drain_all();
-        all.sort_unstable();
-        assert_eq!(all, vec![10, 20]);
     }
 
     proptest! {

@@ -17,8 +17,9 @@
 //! * [`Kprof`] — the per-node registry that dispatches events to
 //!   subscribed analyzers and accounts for every nanosecond of monitoring
 //!   overhead (priced by the constants in [`cost`]),
-//! * [`DoubleBuffer`] / [`PerCpuBuffers`] — the per-CPU double-buffering
-//!   scheme LPAs use to hand data to the dissemination daemon.
+//! * [`DoubleBuffer`] — the double-buffering scheme an LPA uses to hand
+//!   data to the dissemination daemon (one per node: a simulated node has
+//!   one CPU).
 //!
 //! When no analyzer subscribes to an event kind, the instrumentation point
 //! costs only [`cost::DISABLED_HOOK`] — "almost negligible
@@ -55,7 +56,7 @@ mod registry;
 mod trace;
 
 pub use analyzer::{Analyzer, AnalyzerId, AnalyzerOutcome, CountingAnalyzer, Interest};
-pub use buffer::{DoubleBuffer, PerCpuBuffers};
+pub use buffer::DoubleBuffer;
 pub use event::{Event, EventClass, EventKind, EventMask, EventPayload, NetPoint};
 pub use ids::{BlockReason, DiskId, Fd, FileId, GroupId, Pid, SyscallKind};
 pub use predicate::Predicate;

@@ -467,6 +467,12 @@ impl Reassembler {
 /// RTTs.
 const NACK_PACE: SimDuration = SimDuration::from_millis(5);
 
+/// How many NACKs a subscriber sends for one gap before abandoning it
+/// (the sender has evicted the range, or the path is dead): what the GPA
+/// and RA-DWCS's load feed build their [`Receiver`]s with. Abandoned
+/// gaps are counted in [`Receiver::gaps_abandoned`], never silent.
+pub const GAP_NACK_LIMIT: u32 = 5;
+
 /// Receive-side state of one source's stream.
 #[derive(Default)]
 struct SourceRx {

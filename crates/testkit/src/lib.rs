@@ -179,8 +179,15 @@ pub fn assert_streams_converged(gpa: &Gpa) {
 }
 
 /// Runs every delivery invariant in one call; returns the number of
-/// distinct interaction records seen, for scenario-level assertions.
+/// distinct interaction records seen, for scenario-level assertions. A
+/// GPA that received batches must have logged deliveries, so the
+/// in-order audit never passes without reading one.
 pub fn check_invariants(gpa: &Gpa) -> usize {
+    let received = gpa.gpa_stats().batches_received;
+    assert!(
+        received == 0 || !gpa.delivery_log().is_empty(),
+        "{received} batches received and no delivery logged"
+    );
     assert_monotonic_delivery(gpa);
     assert_streams_converged(gpa);
     assert_no_duplicate_interactions(gpa)
@@ -331,7 +338,7 @@ mod tests {
     use simnet::{LinkSpec, Port};
     use simos::programs::{EchoServer, OneShotSender};
     use simos::WorldBuilder;
-    use sysprof::MonitorConfig;
+    use sysprof::{GpaConfig, MonitorConfig};
 
     fn run(seed: u64) -> String {
         let mut world = WorldBuilder::new(seed)
@@ -374,6 +381,23 @@ mod tests {
         let a = run(7);
         assert!(a.contains("faults"), "report has a fault section:\n{a}");
         assert_eq!(a, run(7), "same seed, same report");
+    }
+
+    /// A GPA that received a batch and logged no delivery (a cap of 0
+    /// keeps none) fails the audit instead of passing it unread.
+    #[test]
+    #[should_panic(expected = "no delivery logged")]
+    fn an_unlogged_delivery_fails_the_audit() {
+        let mut gpa = Gpa::new(GpaConfig {
+            max_records: 0,
+            ..GpaConfig::default()
+        });
+        let daemon = simnet::EndPoint::new(simnet::Ip(1), Port(9997));
+        // The stream's first batch: sequence number 1 (one varint byte),
+        // no records.
+        gpa.ingest_wire(SimTime::ZERO, daemon, daemon, &[1]);
+        assert_eq!(gpa.gpa_stats().batches_received, 1);
+        check_invariants(&gpa);
     }
 
     #[test]

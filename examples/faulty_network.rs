@@ -12,7 +12,7 @@ use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FaultPlan, LinkFaults, LinkSpec, Port};
 use simos::programs::EchoServer;
 use simos::{Message, ProcCtx, Program, SocketId, WorldBuilder};
-use sysprof::{GpaConfig, MonitorConfig, SysProf};
+use sysprof::{MonitorConfig, SysProf};
 
 /// A client that fires a request every 4 ms.
 struct PeriodicClient {
@@ -81,18 +81,7 @@ fn main() {
         .build()
         .expect("valid topology");
 
-    let sysprof = SysProf::deploy(
-        &mut world,
-        &[server],
-        monitor,
-        MonitorConfig {
-            gpa: GpaConfig {
-                log_deliveries: true,
-                ..GpaConfig::default()
-            },
-            ..MonitorConfig::default()
-        },
-    );
+    let sysprof = SysProf::deploy(&mut world, &[server], monitor, MonitorConfig::default());
 
     world.spawn(
         server,

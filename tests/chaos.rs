@@ -107,14 +107,12 @@ fn proxy_under_chaos(seed: u64) -> String {
         .faults(plan)
         .build()
         .unwrap();
-    let mc = MonitorConfig {
-        gpa: GpaConfig {
-            log_deliveries: true,
-            ..GpaConfig::default()
-        },
-        ..MonitorConfig::default()
-    };
-    let sysprof = SysProf::deploy(&mut world, &[relay, backend], gpa_node, mc);
+    let sysprof = SysProf::deploy(
+        &mut world,
+        &[relay, backend],
+        gpa_node,
+        MonitorConfig::default(),
+    );
 
     world.spawn(
         backend,
@@ -246,14 +244,7 @@ fn crashed_and_restarted_node_resumes_publishing() {
             .faults(plan)
             .build()
             .unwrap();
-        let mc = MonitorConfig {
-            gpa: GpaConfig {
-                log_deliveries: true,
-                ..GpaConfig::default()
-            },
-            ..MonitorConfig::default()
-        };
-        let sysprof = SysProf::deploy(&mut world, &[server], gpa_node, mc);
+        let sysprof = SysProf::deploy(&mut world, &[server], gpa_node, MonitorConfig::default());
         world.spawn(
             server,
             "echo",

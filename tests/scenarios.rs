@@ -10,10 +10,10 @@
 
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FaultPlan, LinkFaults};
-use sysprof::{GpaConfig, LpaConfig, MonitorConfig, MonitorLevel};
+use sysprof::{LpaConfig, MonitorConfig, MonitorLevel};
 use sysprof_apps::{
     AllreduceScenario, CdnScenario, FanoutScenario, IperfScenario, KvStoreScenario,
-    LinpackScenario, RubisScenario, ScenarioRun, ScenarioSpec, StorageScenario,
+    LinpackScenario, RubisScenario, ScenarioSpec, StorageScenario,
 };
 use testkit::{
     assert_path_completeness, assert_tier_latency_budget, check_invariants, scenario_matrix,
@@ -182,44 +182,20 @@ fn cdn_survives_the_fault_matrix() {
     scenario_matrix!(quick_cdn());
 }
 
-/// A paper workload with delivery logging switched on through the
-/// runner's configuration override. Its own configuration deploys without
-/// the log, and `check_invariants`' in-order/exactly-once audit would
-/// pass on it without looking at a single delivery.
-struct Logged<S>(S);
-
-impl<S: ScenarioSpec> Logged<S> {
-    fn run_under(&self, seed: u64, faults: FaultPlan) -> ScenarioRun<S::Output> {
-        let config = MonitorConfig {
-            gpa: GpaConfig {
-                log_deliveries: true,
-                ..GpaConfig::default()
-            },
-            ..self.0.monitor_config()
-        };
-        let run = self.0.run_with(seed, faults, config);
-        assert!(
-            !run.sysprof.gpa().borrow().delivery_log().is_empty(),
-            "the override reached the GPA"
-        );
-        run
-    }
-}
-
 #[test]
 fn storage_survives_the_fault_matrix() {
-    scenario_matrix!(Logged(StorageScenario {
+    scenario_matrix!(StorageScenario {
         duration: SimDuration::from_secs(1),
         ..StorageScenario::default()
-    }));
+    });
 }
 
 #[test]
 fn iperf_survives_the_fault_matrix() {
-    scenario_matrix!(Logged(IperfScenario {
+    scenario_matrix!(IperfScenario {
         duration: SimDuration::from_millis(300),
         ..IperfScenario::default()
-    }));
+    });
 }
 
 // ---------------------------------------------------------------------
