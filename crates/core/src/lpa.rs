@@ -268,6 +268,81 @@ impl FlowState {
     }
 }
 
+/// The black-box tracker's flow states: a slab addressed through one keyed
+/// index, with the last flow looked up and its slot remembered. A
+/// conversation's packets arrive in runs (a message is "a series of
+/// packets … without any intervening packets in the opposite direction",
+/// and its stack events follow it), so most lookups repeat the previous
+/// one and cost a key compare, not a probe; any other costs one probe.
+#[derive(Debug, Default)]
+struct FlowTable {
+    index: HashMap<FlowKey, usize>,
+    /// A slot that no key indexes holds an empty state, ready for reuse.
+    slots: Vec<FlowState>,
+    free: Vec<usize>,
+    last: Option<(FlowKey, usize)>,
+    /// Lookups, and those the remembered slot answered without a probe.
+    lookups: u64,
+    hits: u64,
+}
+
+impl FlowTable {
+    /// The remembered slot, if the last lookup was of `canon`. Counts the
+    /// lookup either way.
+    fn remembered(&mut self, canon: FlowKey) -> Option<usize> {
+        self.lookups += 1;
+        let (_, slot) = self.last.filter(|(key, _)| *key == canon)?;
+        self.hits += 1;
+        Some(slot)
+    }
+
+    /// `canon`'s slot and state, created empty if absent.
+    fn state(&mut self, canon: FlowKey) -> (usize, &mut FlowState) {
+        let slot = match self.remembered(canon) {
+            Some(slot) => slot,
+            None => {
+                let (slots, free) = (&mut self.slots, &mut self.free);
+                let slot = *self.index.entry(canon).or_insert_with(|| {
+                    free.pop().unwrap_or_else(|| {
+                        slots.push(FlowState::default());
+                        slots.len() - 1
+                    })
+                });
+                self.last = Some((canon, slot));
+                slot
+            }
+        };
+        (slot, &mut self.slots[slot])
+    }
+
+    /// `canon`'s state, if it has one.
+    fn get_mut(&mut self, canon: FlowKey) -> Option<&mut FlowState> {
+        let slot = match self.remembered(canon) {
+            Some(slot) => slot,
+            None => {
+                let slot = *self.index.get(&canon)?;
+                self.last = Some((canon, slot));
+                slot
+            }
+        };
+        Some(&mut self.slots[slot])
+    }
+
+    /// Frees every empty state: a first packet recreates exactly that
+    /// state, so no record changes.
+    fn sweep(&mut self) {
+        let (slots, free) = (&self.slots, &mut self.free);
+        self.index.retain(|_, slot| {
+            let live = !slots[*slot].is_empty();
+            if !live {
+                free.push(*slot);
+            }
+            live
+        });
+        self.last = None;
+    }
+}
+
 /// Per-correlator tracking state for events that carry an ARM-style
 /// application correlator (their process opted in via
 /// `World::enable_arm`): the request and response accumulate
@@ -347,7 +422,7 @@ pub struct Lpa {
     node_ip: Ip,
     config: LpaConfig,
     /// Black-box tracking, keyed by canonical flow.
-    flows: HashMap<FlowKey, FlowState>,
+    flows: FlowTable,
     /// ARM-correlated tracking, keyed by (canonical flow, correlator).
     arm_flows: HashMap<(FlowKey, u64), ArmState>,
     pids: HashMap<Pid, PidClock>,
@@ -387,7 +462,7 @@ impl Lpa {
             node,
             node_ip,
             config,
-            flows: HashMap::default(),
+            flows: FlowTable::default(),
             arm_flows: HashMap::default(),
             pids: HashMap::default(),
             open_windows: HashMap::default(),
@@ -440,10 +515,15 @@ impl Lpa {
     /// some time" behavior of §2).
     pub fn flush_idle(&mut self, now: SimTime) -> usize {
         let mut closed = 0;
-        for canon in idle_keys(&self.flows, now, |st| st.cur.as_ref().map(|c| c.last_wall)) {
-            if let Some(acc) = self.flows.get_mut(&canon).and_then(|st| st.cur.take()) {
+        let slots = &self.flows.slots;
+        let idle = idle_keys(&self.flows.index, now, |&slot| {
+            slots[slot].cur.as_ref().map(|c| c.last_wall)
+        });
+        for canon in idle {
+            let slot = self.flows.index[&canon];
+            if let Some(acc) = self.flows.slots[slot].cur.take() {
                 closed += 1;
-                self.close_message(canon, acc);
+                self.close_message(slot, acc);
             }
         }
         // An idle correlator with both halves completes; one without a
@@ -454,11 +534,11 @@ impl Lpa {
             }
         }
         // A flow that ended leaves an empty state behind, and a window
-        // count that reached zero a dead entry; `or_default()` /
+        // count that reached zero a dead entry; a first packet and
         // `or_insert` recreate exactly those, so dropping them changes no
         // record while keeping both tables (and this scan) at the size of
         // the live conversations rather than of every port ever seen.
-        self.flows.retain(|_, state| !state.is_empty());
+        self.flows.sweep();
         Window::sweep(&mut self.open_windows);
         closed
     }
@@ -485,6 +565,13 @@ impl Lpa {
     /// Total events this analyzer processed.
     pub fn events_seen(&self) -> u64 {
         self.events_seen
+    }
+
+    /// Flow-state lookups of the black-box tracker, and how many of them
+    /// the remembered slot of the previous lookup answered without a
+    /// probe of the flow index.
+    pub fn flow_lookups(&self) -> (u64, u64) {
+        (self.flows.lookups, self.flows.hits)
     }
 
     /// The recent-interaction window (most recent last).
@@ -550,25 +637,26 @@ impl Lpa {
         pid: Option<Pid>,
     ) -> bool {
         let dir = self.dir_of(&flow);
-        let canon = flow.canonical();
-        match &mut self.flows.entry(canon).or_default().cur {
+        let (slot, state) = self.flows.state(flow.canonical());
+        match &mut state.cur {
             Some(cur) if cur.dir == dir => {
                 cur.extend(wall, size, pid);
                 false
             }
             // Direction change (or first packet): close current, start new.
             cur => match cur.replace(MsgAcc::start(dir, flow, wall, size, pid)) {
-                Some(ended) => self.close_message(canon, ended),
+                Some(ended) => self.close_message(slot, ended),
                 None => false,
             },
         }
     }
 
-    /// The flow's message `acc` just ended, and its window with it. Pair
-    /// it with the previous opposite message into an interaction, or hold
-    /// it as the next candidate. Returns whether a record was completed.
-    fn close_message(&mut self, canon: FlowKey, acc: MsgAcc) -> bool {
-        let state = self.flows.get_mut(&canon).expect("state exists");
+    /// The message `acc` of the flow in `slot` just ended, and its window
+    /// with it. Pair it with the previous opposite message into an
+    /// interaction, or hold it as the next candidate. Returns whether a
+    /// record was completed.
+    fn close_message(&mut self, slot: usize, acc: MsgAcc) -> bool {
+        let state = &mut self.flows.slots[slot];
         let closed = ClosedMsg {
             acc,
             snap: state.window.snap.take(),
@@ -759,7 +847,7 @@ impl Lpa {
                 let snap = self.pid_snapshot(pid, ev.wall);
                 if let Some((cur, window)) = self
                     .flows
-                    .get_mut(&flow.canonical())
+                    .get_mut(flow.canonical())
                     .and_then(FlowState::inbound)
                 {
                     // The black-box tracker keeps the last snapshot.
@@ -771,7 +859,7 @@ impl Lpa {
                 let snap = self.pid_snapshot(pid, ev.wall);
                 if let Some((cur, window)) = self
                     .flows
-                    .get_mut(&flow.canonical())
+                    .get_mut(flow.canonical())
                     .and_then(FlowState::inbound)
                 {
                     // Inbound is the request here and the response at an
@@ -783,7 +871,7 @@ impl Lpa {
             NetPoint::TxNicDone => {
                 let cur = self
                     .flows
-                    .get_mut(&flow.canonical())
+                    .get_mut(flow.canonical())
                     .and_then(|state| state.cur.as_mut());
                 if let Some(cur) = cur.filter(|c| c.dir == Dir::Out) {
                     cur.tx_last_nic = Some(ev.wall);
@@ -1690,6 +1778,55 @@ mod tests {
         h
     }
 
+    /// A conversation's events after its first reach its state without a
+    /// probe: one exchange is eight network events on one flow, so seven
+    /// of its eight lookups are answered by the remembered slot, and a
+    /// second flow's exchange costs one probe more.
+    #[test]
+    fn a_continuing_conversation_is_not_probed() {
+        let mut l = lpa();
+        one_exchange(&mut l, 1_000);
+        assert_eq!(l.flow_lookups(), (8, 7));
+        let other = FlowKey::new(
+            EndPoint::new(CLIENT, Port(40_001)),
+            EndPoint::new(ME, Port(2049)),
+        );
+        exchange_on(&mut l, other, 2_000);
+        assert_eq!(l.flow_lookups(), (16, 14));
+        // The four scheduling events look up nothing.
+        assert_eq!(l.events_seen(), 20);
+    }
+
+    /// A wake frees an ended flow's slot and forgets the remembered one:
+    /// the same flow's next request gets a fresh state through the index,
+    /// and the next new flow does not inherit it. (Remembering a freed
+    /// slot would leave A's new request in it, unindexed, for B's first
+    /// packet to extend: B's exchange would be recorded under A's flow.)
+    #[test]
+    fn a_freed_slot_is_not_remembered() {
+        let b = FlowKey::new(
+            EndPoint::new(CLIENT, Port(40_001)),
+            EndPoint::new(ME, Port(2049)),
+        );
+        let mut alone = lpa();
+        exchange_on(&mut alone, b, 200_000);
+        alone.flush_idle(SimTime::from_secs(1));
+        let want = alone.drain();
+
+        let mut l = lpa();
+        one_exchange(&mut l, 1_000);
+        l.flush_idle(SimTime::from_millis(100));
+        assert_eq!(l.drain().len(), 1);
+        assert!(l.flows.index.is_empty(), "the ended flow's slot is free");
+        l.on_event(&net(150_000, NetPoint::RxNic, req_flow(), 100, None));
+        exchange_on(&mut l, b, 200_000);
+        l.flush_idle(SimTime::from_secs(1));
+        let mut got = l.drain();
+        got.retain(|r| r.flow == b);
+        assert_eq!(got, want);
+        assert_eq!(l.flows.index.len(), 1, "A's lone request is still held");
+    }
+
     #[test]
     fn ended_flows_leave_the_table_and_records_do_not_change() {
         let mut l = lpa();
@@ -1706,7 +1843,7 @@ mod tests {
                 let records = l.drain();
                 count += records.len();
                 print = fingerprint(&records, print);
-                peak = peak.max(l.flows.len());
+                peak = peak.max(l.flows.index.len());
             }
         }
         // Only conversations younger than `IDLE_CLOSE` (50 ms = 50 of
@@ -1722,7 +1859,7 @@ mod tests {
         let records = l.drain();
         count += records.len();
         print = fingerprint(&records, print);
-        assert_eq!(l.flows.len(), 3, "the live flows, nothing else");
+        assert_eq!(l.flows.index.len(), 3, "the live flows, nothing else");
         assert!(l.open_windows.is_empty());
         // The same stream through the parent commit's table, which never
         // forgot a flow, gives this count and this fingerprint.

@@ -49,6 +49,7 @@ pub fn render_classes(lpa: &Lpa) -> String {
 /// Renders `/proc/sysprof/status`: monitoring-layer health for one node.
 pub fn render_status(node: NodeId, kprof: &Kprof, lpa: &Lpa) -> String {
     let s = kprof.stats();
+    let (lookups, remembered) = lpa.flow_lookups();
     format!(
         "node: {node}\n\
          effective_mask_kinds: {}\n\
@@ -60,7 +61,9 @@ pub fn render_status(node: NodeId, kprof: &Kprof, lpa: &Lpa) -> String {
          lpa_events: {}\n\
          lpa_records: {}\n\
          lpa_overwritten: {}\n\
-         lpa_arm_dropped: {}\n",
+         lpa_arm_dropped: {}\n\
+         lpa_flow_lookups: {lookups}\n\
+         lpa_flow_remembered: {remembered}\n",
         kprof.effective_mask().len(),
         s.events_generated,
         s.events_delivered,
@@ -240,7 +243,9 @@ mod tests {
         assert!(render_interactions(&lpa).starts_with("# flow"));
         assert_eq!(render_classes(&lpa), render_gpa_summary(&gpa));
         assert!(render_classes(&lpa).starts_with("# node"));
-        assert!(render_status(NodeId(0), &kprof, &lpa).contains("events_generated: 0"));
+        let status = render_status(NodeId(0), &kprof, &lpa);
+        assert!(status.contains("events_generated: 0"));
+        assert!(status.ends_with("lpa_flow_lookups: 0\nlpa_flow_remembered: 0\n"));
         assert!(render_gpa_summary(&gpa).starts_with("# node"));
         assert_eq!(render_digest(&gpa), "digest: none\n");
         assert_eq!(render_streams(None, Some(gpa.receiver())), "");
