@@ -5,6 +5,7 @@
 #
 #   ./ci.sh              full pipeline
 #   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch/one-daemon checks (fast pre-commit check)
+#   ./ci.sh --kprof      only Kprof: its unit tests, matcher equivalence + zero-alloc, CPA dispatch, node_hotpath fingerprints
 #   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
 #   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat checks, golden diagnoses + chaos matrix
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
@@ -246,6 +247,21 @@ check_gpa_query_fingerprints() {
     done
 }
 
+# Kprof's hook and dispatch: sysbench's quick node_hotpath on the seed
+# and the held-out seed pins every Kprof counter, the overhead it charged
+# and what the LPA, the CPA and the send side made of the events, byte
+# for byte. The bench build rewrites benchmark/Cargo.lock, which is put
+# back as committed whether or not a fingerprint held.
+check_node_hotpath_fingerprints() {
+    local seed status=0
+    for seed in 7 11; do
+        benchmark/run.sh --quick --workload node_hotpath --seed "$seed" --seconds 1 --trace 0 \
+            >/dev/null || status=$?
+    done
+    git checkout -q -- benchmark/Cargo.lock
+    return "$status"
+}
+
 # The GPA's ingest path: sysbench's quick gpa_wire and gpa_wire_large on
 # the seed and the held-out seed pin what wire batches become (records
 # held, batch and gap counters, the reply hash, the digest's bits) byte
@@ -346,6 +362,19 @@ case "${1:-}" in
         "cargo test -q --test chaos" \
         "==> sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)" \
         check_cluster_fingerprints
+    ;;
+--kprof)
+    # Kprof: the registry's unit tests (the hook's bookkeeping order and
+    # cost accounting), the compiled matcher against the predicate, the
+    # zero-allocation emit loops, the CPA behind the dispatch (release),
+    # then the node_hotpath fingerprints.
+    fast_path KPROF \
+        "==> kprof: unit tests, matcher equivalence, zero-alloc (emit and suppressed hits)" \
+        "cargo test -q -p kprof" \
+        "==> CPA dispatch (core, release)" \
+        "cargo test -q --release -p sysprof cpa::" \
+        "==> sysbench quick fingerprints (node_hotpath; seeds 7, 11)" \
+        check_node_hotpath_fingerprints
     ;;
 --lpa)
     # The LPA: both trackers' unit tests, the proptests and the seeded
@@ -513,6 +542,9 @@ check_cluster_fingerprints
 
 echo "==> GPA: sysbench quick fingerprints (gpa_query; seeds 7, 11)"
 check_gpa_query_fingerprints
+
+echo "==> Kprof: sysbench quick fingerprints (node_hotpath; seeds 7, 11)"
+check_node_hotpath_fingerprints
 
 echo "==> GPA ingest: sysbench quick fingerprints (gpa_wire, gpa_wire_large; seeds 7, 11)"
 check_gpa_wire_fingerprints

@@ -44,8 +44,10 @@ pub const DAEMON_SRC_PORT: Port = Port(9997);
 /// subscriptions and its streams together. A Subscribe is free to name
 /// any `reply_to`, and each new one costs the daemon a subscription, a
 /// framed copy of every record and a stream whose un-acked batches it
-/// retransmits; past this many, a new endpoint is refused. Fault-free
-/// deployments have one or two.
+/// retransmits; past this many, a new endpoint is refused. An endpoint
+/// that holds no subscription any more gives its slot back once its
+/// stream holds no un-acked batch (checked at its Unsubscribe and on
+/// every periodic wake). Fault-free deployments have one or two.
 const MAX_ENDPOINTS: usize = 64;
 
 /// Daemon tuning knobs. What a wake costs is not one of them: see
@@ -326,6 +328,8 @@ impl simos::DaemonHook for Daemon {
                     cost += cost::DAEMON_RETRANSMIT;
                     sends.push(dstats.data_send(dst, wire, true));
                 }
+                let hub = self.hub.borrow();
+                tx.release_idle(|ep| hub.serves(ep));
             }
             dstats.resend_evictions = tx.evictions();
         }
@@ -404,6 +408,7 @@ impl simos::DaemonHook for Daemon {
             ControlMsg::Unsubscribe { topic, reply_to } => {
                 if let Some((t, _)) = self.topic(&topic) {
                     hub.unsubscribe(*t, reply_to);
+                    tx.release_idle(|ep| hub.serves(ep));
                 }
             }
             // A stray NACK addressed to the control port is not ours to
@@ -489,6 +494,18 @@ mod tests {
             (self.daemon)
                 .on_wake(now, NodeId(1), None, &mut self.kprof, &stats)
                 .sends
+        }
+
+        /// Each stream's un-acked bytes, by endpoint.
+        fn buffered(&self) -> BTreeMap<EndPoint, u64> {
+            let streams = self.daemon.tx.borrow().streams();
+            streams
+                .into_iter()
+                .map(|(ep, state)| {
+                    assert_eq!(state[1].0, "buffered_bytes");
+                    (ep, state[1].1)
+                })
+                .collect()
         }
 
         /// The endpoints the daemon serves: subscribed, streamed.
@@ -596,11 +613,14 @@ mod tests {
         }
         assert_eq!(n.served().1, MAX_ENDPOINTS, "one stream per subscriber");
 
-        // Unsubscribing empties the hub but not the streams, which the
-        // cap counts: fresh endpoints are still refused.
+        // Unsubscribing empties the hub, but no subscriber has acked a
+        // batch, so every stream still holds one to retransmit and keeps
+        // its slot: fresh endpoints are still refused.
         for i in 0..MAX_ENDPOINTS as u32 {
             assert!(n.deliver(&unsubscribe(endpoint(i))).is_empty());
         }
+        let unacked = |n: &Node| n.buffered().values().all(|&bytes| bytes > 0);
+        assert!(unacked(&n));
         for i in 10_000..20_000u32 {
             let sends = n.deliver(&subscribe(endpoint(i)));
             refuse(&sends, endpoint(i));
@@ -612,14 +632,81 @@ mod tests {
             assert!(n.served().0.is_empty());
         }
         assert_eq!(n.served().1, MAX_ENDPOINTS);
+        assert!(unacked(&n));
 
         // A served endpoint subscribes again.
         assert!(n.deliver(&subscribe(endpoint(0))).is_empty());
         assert_eq!(n.served(), ([endpoint(0)].into(), MAX_ENDPOINTS));
+
         let stats = n.stats.borrow();
         assert_eq!(stats.subscribes_ok, MAX_ENDPOINTS as u64 + 1);
         assert_eq!(stats.subscribes_rejected, refused);
         assert_eq!(refused, 20_000 - MAX_ENDPOINTS as u64);
+    }
+
+    /// An endpoint that unsubscribed gives its slot to a fresh one as
+    /// soon as its stream holds no un-acked batch: at its Unsubscribe if
+    /// it acked first, else at the first wake after its ACK. Until then
+    /// the daemon stays full.
+    #[test]
+    fn an_unsubscribed_acked_endpoint_gives_its_slot_to_a_fresh_one() {
+        let mut n = node();
+        let load = TOPICS[LOAD].0;
+        let endpoint = |i: u32| EndPoint::new(simnet::Ip(1_000 + i), DATA_PORT);
+        let subscribe = |i| ControlMsg::Subscribe {
+            topic: load.to_owned(),
+            reply_to: endpoint(i),
+            filter: None,
+        };
+        let unsubscribe = |i| ControlMsg::Unsubscribe {
+            topic: load.to_owned(),
+            reply_to: endpoint(i),
+        };
+        let ack = |i| ControlMsg::DataAck {
+            subscriber: endpoint(i),
+            upto: u64::MAX,
+        };
+        for i in 0..MAX_ENDPOINTS as u32 {
+            assert!(n.deliver(&subscribe(i)).is_empty());
+        }
+        // One load report each: every endpoint has a stream holding
+        // batch 1.
+        let mut now = SimTime::from_millis(100);
+        assert_eq!(n.wake(now).len(), MAX_ENDPOINTS);
+        assert_eq!(n.served().1, MAX_ENDPOINTS);
+        let fresh = MAX_ENDPOINTS as u32;
+        assert_eq!(nack(&n.deliver(&subscribe(fresh))).1, endpoint(fresh));
+
+        // Unsubscribed, un-acked: the stream keeps the slot through a
+        // wake, which retransmits its batch.
+        assert!(n.deliver(&unsubscribe(0)).is_empty());
+        now += SimDuration::from_millis(100);
+        let resent = n.wake(now).iter().filter(|s| s.dst == endpoint(0)).count();
+        assert_eq!(resent, 1);
+        assert_eq!(n.served().1, MAX_ENDPOINTS);
+        nack(&n.deliver(&subscribe(fresh)));
+
+        // Acked after its Unsubscribe: released on the next wake.
+        assert!(n.deliver(&ack(0)).is_empty());
+        assert_eq!(n.buffered()[&endpoint(0)], 0);
+        assert_eq!(n.served().1, MAX_ENDPOINTS);
+        now += SimDuration::from_millis(100);
+        n.wake(now);
+        assert_eq!(n.served().1, MAX_ENDPOINTS - 1);
+        assert!(n.deliver(&subscribe(fresh)).is_empty());
+
+        // Acked before its Unsubscribe: released at the Unsubscribe.
+        assert!(n.deliver(&ack(1)).is_empty());
+        assert_eq!(n.buffered()[&endpoint(1)], 0);
+        let streams = n.served().1;
+        assert!(n.deliver(&unsubscribe(1)).is_empty());
+        assert_eq!(n.served().1, streams - 1);
+        assert!(n.deliver(&subscribe(fresh + 1)).is_empty());
+
+        let stats = n.stats.borrow();
+        assert_eq!(stats.subscribes_ok, MAX_ENDPOINTS as u64 + 2);
+        assert_eq!(stats.subscribes_rejected, 2);
+        assert_eq!(stats.resend_evictions, 0);
     }
 
     /// 1,500 seeded control messages through one daemon: wire text grows

@@ -177,10 +177,18 @@ impl Kprof {
     /// plus any buffer-full notifications.
     ///
     /// Also maintains the pid→group table from `ProcessCreate` /
-    /// `ProcessExit` events (needed by group-id predicates).
+    /// `ProcessExit` events (needed by group-id predicates), whether or
+    /// not any analyzer wants them.
+    ///
+    /// This is the hook itself, and it is `#[inline(always)]` so every
+    /// caller's event loop compiles it in: a hit whose kind nobody wants
+    /// costs a mask test and two counter bumps, not a call. Delivery to
+    /// the interested analyzers is the private `dispatch` behind it.
+    #[inline(always)]
     pub fn emit(&mut self, event: &Event) -> EmitResult {
         // Bookkeeping reads are free: they model state the kernel already
-        // maintains.
+        // maintains. It comes before the mask test because group
+        // predicates read the table for events that are delivered later.
         match event.payload {
             EventPayload::ProcessCreate { pid, gid, .. } => {
                 self.pid_groups.insert(pid, gid);
@@ -200,7 +208,15 @@ impl Kprof {
                 buffer_full: Vec::new(),
             };
         }
+        self.dispatch(event, kind)
+    }
 
+    /// Delivers an enabled event of `kind` to every analyzer interested
+    /// in it, in registration order, and accounts the cost. `#[inline]`
+    /// lets a caller's hot loop take it in with the hook; out of line
+    /// it read slower on `node_hotpath` (EXPERIMENTS S11).
+    #[inline]
+    fn dispatch(&mut self, event: &Event, kind: EventKind) -> EmitResult {
         let mut cost = cost::ENABLED_HOOK;
         self.stats.events_generated += 1;
 
@@ -474,6 +490,74 @@ mod tests {
         assert_eq!(kprof.stats().events_delivered, 2);
         wake(&mut kprof, 2); // unknown pid -> rejected
         assert_eq!(kprof.stats().predicate_rejections, 1);
+    }
+
+    /// The hook keeps the pid→group table before it tests the mask: a
+    /// process's create and exit change what a group predicate admits
+    /// even when no analyzer subscribes to scheduling events.
+    #[test]
+    fn suppressed_create_and_exit_still_move_group_predicates() {
+        struct NetGid;
+        impl Analyzer for NetGid {
+            fn name(&self) -> &str {
+                "net-gid"
+            }
+            fn interest(&self) -> Interest {
+                Interest {
+                    mask: EventMask::NETWORK,
+                    predicate: Predicate::new().gids([GroupId(7)]),
+                }
+            }
+            fn on_event(&mut self, _e: &Event) -> AnalyzerOutcome {
+                AnalyzerOutcome::default()
+            }
+        }
+        fn net(kprof: &mut Kprof) -> EmitResult {
+            let flow = simnet::FlowKey::new(
+                simnet::EndPoint::new(simnet::Ip(1), simnet::Port(5000)),
+                simnet::EndPoint::new(simnet::Ip(2), simnet::Port(80)),
+            );
+            let ev = kprof.make_event(
+                SimTime::ZERO,
+                0,
+                EventPayload::Net {
+                    point: crate::NetPoint::RxNic,
+                    flow,
+                    packet: simnet::PacketId(1),
+                    size: 64,
+                    pid: Some(Pid(5)),
+                    arm: None,
+                },
+            );
+            kprof.emit(&ev)
+        }
+        let mut kprof = Kprof::new(NodeId(0));
+        kprof.register(Box::new(NetGid));
+        let create = kprof.make_event(
+            SimTime::ZERO,
+            0,
+            EventPayload::ProcessCreate {
+                pid: Pid(5),
+                parent: None,
+                gid: GroupId(7),
+            },
+        );
+        assert_eq!(kprof.emit(&create).cost, cost::DISABLED_HOOK);
+        let delivered = net(&mut kprof);
+        assert_eq!(kprof.stats().events_delivered, 1);
+
+        let exit = kprof.make_event(SimTime::ZERO, 0, EventPayload::ProcessExit { pid: Pid(5) });
+        assert_eq!(kprof.emit(&exit).cost, cost::DISABLED_HOOK);
+        let rejected = net(&mut kprof);
+        let stats = *kprof.stats();
+        assert_eq!((stats.events_delivered, stats.predicate_rejections), (1, 1));
+        assert_eq!((stats.events_suppressed, stats.events_generated), (2, 2));
+        assert_eq!(delivered.cost, cost::ENABLED_HOOK + cost::PER_DELIVERY);
+        assert_eq!(rejected.cost, cost::ENABLED_HOOK + cost::PER_DELIVERY);
+        assert_eq!(
+            stats.total_overhead,
+            cost::DISABLED_HOOK * 2 + (cost::ENABLED_HOOK + cost::PER_DELIVERY) * 2
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Regression test for the zero-allocation emit hot path: after warmup,
+//! Regression tests for the zero-allocation emit hot path: after warmup,
 //! pushing a million events through `Kprof::emit` — mask dispatch,
 //! predicate checks, analyzer callbacks, and `EmitResult`
-//! construction — must never touch the heap.
+//! construction — must never touch the heap, and neither may a million
+//! hits that the hook suppresses.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! observes only this test.
@@ -10,7 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kprof::{CountingAnalyzer, EventMask, EventPayload, FileId, Kprof, NetPoint, Pid, Predicate};
+use kprof::{
+    cost, CountingAnalyzer, EventMask, EventPayload, FileId, Kprof, NetPoint, Pid, Predicate,
+};
 use simcore::{NodeId, SimTime};
 use simnet::{EndPoint, FlowKey, Ip, PacketId, Port};
 
@@ -149,4 +152,34 @@ fn million_event_emit_loop_allocates_nothing_after_warmup() {
     assert!(stats.events_delivered > 0);
     assert!(stats.predicate_rejections > 0);
     assert!(stats.events_suppressed > 0);
+}
+
+/// A hit whose kind no analyzer wants is the hook alone: no allocation,
+/// no event generated, and exactly `DISABLED_HOOK` of overhead each.
+#[test]
+fn million_suppressed_hits_allocate_nothing_and_cost_the_disabled_hook() {
+    let mut kprof = Kprof::new(NodeId(0));
+    kprof.register(Box::new(CountingAnalyzer::new(EventMask::FILESYSTEM)));
+    // Scheduling and network payloads only: `payload_for` minus its
+    // file reads, none of which the FILESYSTEM analyzer wants.
+    let unwanted = |i: u64| match payload_for(i) {
+        EventPayload::FileRead { pid, .. } => EventPayload::ProcessWake { pid },
+        other => other,
+    };
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    TRACK.with(|t| t.set(true));
+    for i in 0..1_000_000u64 {
+        let ev = kprof.make_event(SimTime::from_micros(i), 0, unwanted(i));
+        let result = kprof.emit(&ev);
+        assert!(result.buffer_full.is_empty());
+    }
+    TRACK.with(|t| t.set(false));
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(after - before, 0, "suppressed hits allocated");
+    let stats = kprof.stats();
+    assert_eq!(stats.events_generated, 0);
+    assert_eq!(stats.events_suppressed, 1_000_000);
+    assert_eq!(stats.total_overhead, cost::DISABLED_HOOK * 1_000_000);
 }

@@ -396,6 +396,11 @@ impl Hub {
         before - subs.len()
     }
 
+    /// Whether `endpoint` holds a subscription on any topic.
+    pub fn serves(&self, endpoint: EndPoint) -> bool {
+        self.subs.values().flatten().any(|s| s.endpoint == endpoint)
+    }
+
     /// Encodes and fans a record out to every passing subscriber. Returns
     /// `(endpoint, wire bytes)` pairs the caller hands to the kernel
     /// transport. The first delivery of a schema to a subscriber inlines

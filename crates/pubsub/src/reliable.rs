@@ -213,6 +213,9 @@ impl ResendBuffer {
 pub struct Sender {
     config: ResendConfig,
     streams: BTreeMap<EndPoint, StreamTx>,
+    /// Evictions of the streams [`Sender::release_idle`] let go, so
+    /// [`Sender::evictions`] never goes down.
+    released_evictions: u64,
 }
 
 struct StreamTx {
@@ -229,6 +232,7 @@ impl Sender {
         Sender {
             config,
             streams: BTreeMap::new(),
+            released_evictions: 0,
         }
     }
 
@@ -284,9 +288,26 @@ impl Sender {
         out
     }
 
-    /// Total un-acked batches evicted across all streams.
+    /// Total un-acked batches evicted across all streams, released
+    /// ones included.
     pub fn evictions(&self) -> u64 {
-        self.streams.values().map(|s| s.buffer.evictions()).sum()
+        let live: u64 = self.streams.values().map(|s| s.buffer.evictions()).sum();
+        self.released_evictions + live
+    }
+
+    /// Lets go of every stream whose endpoint `wanted` refuses and whose
+    /// resend buffer holds no un-acked batch, so nothing it sent can
+    /// still need a retransmit. An endpoint released and sealed to again
+    /// starts a new stream at sequence number 1.
+    pub fn release_idle(&mut self, wanted: impl Fn(EndPoint) -> bool) {
+        let released = &mut self.released_evictions;
+        self.streams.retain(|ep, st| {
+            let keep = wanted(*ep) || !st.buffer.is_empty();
+            if !keep {
+                *released += st.buffer.evictions();
+            }
+            keep
+        });
     }
 
     /// Where each stream stands, by subscriber endpoint: its state as
@@ -1002,6 +1023,32 @@ mod tests {
         ] {
             assert_eq!(state_of(&streams, ep, key), want, "{ep} {key}");
         }
+    }
+
+    /// Only a stream that is unwanted *and* fully acked is let go, and
+    /// the evictions it counted stay counted.
+    #[test]
+    fn release_idle_drops_only_unwanted_acked_streams_and_keeps_evictions() {
+        let mut tx = Sender::new(ResendConfig {
+            cap_bytes: 16,
+            ..ResendConfig::default()
+        });
+        for _ in 0..3 {
+            tx.seal(SimTime::ZERO, A, &[0; 16]);
+            tx.seal(SimTime::ZERO, B, &[0; 16]);
+        }
+        assert_eq!(tx.evictions(), 4, "two per stream at a 16-byte cap");
+        tx.ack(A, u64::MAX);
+        tx.release_idle(|ep| ep == B);
+        tx.release_idle(|_| false);
+        let streams = tx.streams();
+        assert_eq!(
+            streams.iter().map(|(ep, _)| *ep).collect::<Vec<_>>(),
+            [B],
+            "A released; B still holds batch 3"
+        );
+        assert_eq!(tx.evictions(), 4);
+        assert_eq!(decode_batch(&tx.seal(t(1), A, b"x")).unwrap().0, 1);
     }
 
     #[test]
