@@ -7,7 +7,7 @@
 #   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch/one-daemon checks (fast pre-commit check)
 #   ./ci.sh --kprof      only Kprof: its unit tests, matcher equivalence + zero-alloc, CPA dispatch, node_hotpath fingerprints
 #   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
-#   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat checks, golden diagnoses + chaos matrix
+#   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat checks, golden diagnoses + chaos matrix, cluster_kv/cluster_iperf/gpa_query fingerprints
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
@@ -225,54 +225,28 @@ substrate_steps=(
     "cargo test -q --test determinism"
     "cargo test -q --test chaos"
     "==> substrate: sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)"
-    check_cluster_fingerprints
+    "check_fingerprints cluster_kv cluster_iperf"
 )
 
-check_cluster_fingerprints() {
-    local wl seed
-    for wl in cluster_kv cluster_iperf; do
+# The sysbench quick fingerprints of each named workload on the seed and
+# the held-out seed, byte for byte (the harness exits nonzero on a
+# mismatch): cluster_kv and cluster_iperf pin every simulated outcome of
+# the scenario defaults they run; gpa_query pins correlate()'s paths and
+# the dump; node_hotpath every Kprof counter and what the LPA, the CPA
+# and the send side made of the events; gpa_wire and gpa_wire_large what
+# wire batches become in the store and the digest. Every seed runs even
+# after one fails, and benchmark/Cargo.lock, which the bench build
+# rewrites, is put back as committed either way.
+check_fingerprints() {
+    local wl seed status=0
+    for wl in "$@"; do
         for seed in 7 11; do
-            benchmark/run.sh --quick --workload "$wl" --seed "$seed" --seconds 1 --trace 0 >/dev/null
+            benchmark/run.sh --quick --workload "$wl" --seed "$seed" --seconds 1 --trace 0 \
+                >/dev/null || status=$?
         done
-    done
-}
-
-# The GPA read the other way: sysbench's quick gpa_query on the seed and
-# the held-out seed pins correlate()'s paths (`correlate.paths_hash`,
-# `correlate.children`) and the dump (`dump_json.hash`) byte for byte.
-check_gpa_query_fingerprints() {
-    local seed
-    for seed in 7 11; do
-        benchmark/run.sh --quick --workload gpa_query --seed "$seed" --seconds 1 --trace 0 >/dev/null
-    done
-}
-
-# Kprof's hook and dispatch: sysbench's quick node_hotpath on the seed
-# and the held-out seed pins every Kprof counter, the overhead it charged
-# and what the LPA, the CPA and the send side made of the events, byte
-# for byte. The bench build rewrites benchmark/Cargo.lock, which is put
-# back as committed whether or not a fingerprint held.
-check_node_hotpath_fingerprints() {
-    local seed status=0
-    for seed in 7 11; do
-        benchmark/run.sh --quick --workload node_hotpath --seed "$seed" --seconds 1 --trace 0 \
-            >/dev/null || status=$?
     done
     git checkout -q -- benchmark/Cargo.lock
     return "$status"
-}
-
-# The GPA's ingest path: sysbench's quick gpa_wire and gpa_wire_large on
-# the seed and the held-out seed pin what wire batches become (records
-# held, batch and gap counters, the reply hash, the digest's bits) byte
-# for byte.
-check_gpa_wire_fingerprints() {
-    local wl seed
-    for wl in gpa_wire gpa_wire_large; do
-        for seed in 7 11; do
-            benchmark/run.sh --quick --workload "$wl" --seed "$seed" --seconds 1 --trace 0 >/dev/null
-        done
-    done
 }
 
 # The committed perf trajectory: one line per workload of every full-size
@@ -361,7 +335,7 @@ case "${1:-}" in
         "cargo test -q --test verifier_integration" \
         "cargo test -q --test chaos" \
         "==> sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)" \
-        check_cluster_fingerprints
+        "check_fingerprints cluster_kv cluster_iperf"
     ;;
 --kprof)
     # Kprof: the registry's unit tests (the hook's bookkeeping order and
@@ -374,7 +348,7 @@ case "${1:-}" in
         "==> CPA dispatch (core, release)" \
         "cargo test -q --release -p sysprof cpa::" \
         "==> sysbench quick fingerprints (node_hotpath; seeds 7, 11)" \
-        check_node_hotpath_fingerprints
+        "check_fingerprints node_hotpath"
     ;;
 --lpa)
     # The LPA: both trackers' unit tests, the proptests and the seeded
@@ -400,7 +374,9 @@ case "${1:-}" in
         check_one_class_stat \
         "==> scenario tests (golden diagnoses + chaos matrix)" \
         "cargo test -q -p sysprof-apps" \
-        "cargo test -q --test scenarios"
+        "cargo test -q --test scenarios" \
+        "==> sysbench quick fingerprints of the scenario defaults (cluster_kv, cluster_iperf, gpa_query; seeds 7, 11)" \
+        "check_fingerprints cluster_kv cluster_iperf gpa_query"
     ;;
 --digest)
     # The digest engine: the fold and the K-replica differential against
@@ -455,7 +431,7 @@ case "${1:-}" in
         "cargo test -q --test gpa_query" \
         "cargo test -q --test end_to_end" \
         "==> sysbench quick fingerprints (gpa_query; seeds 7, 11)" \
-        check_gpa_query_fingerprints
+        "check_fingerprints gpa_query"
     ;;
 --ingest)
     # The GPA's ingest path: exact histogram binning against libm, the
@@ -471,7 +447,7 @@ case "${1:-}" in
         "cargo test -q -p pubsub reliable" \
         "cargo test -q --test untrusted_bytes" \
         "==> sysbench quick fingerprints (gpa_wire, gpa_wire_large; seeds 7, 11)" \
-        check_gpa_wire_fingerprints
+        "check_fingerprints gpa_wire gpa_wire_large"
     ;;
 --bench-history)
     fast_path BENCH_HISTORY bench_history
@@ -538,16 +514,16 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir
 
 echo "==> substrate: sysbench quick fingerprints (cluster_kv, cluster_iperf; seeds 7, 11)"
 # The workspace test runs above already cover the rest of --substrate.
-check_cluster_fingerprints
+check_fingerprints cluster_kv cluster_iperf
 
 echo "==> GPA: sysbench quick fingerprints (gpa_query; seeds 7, 11)"
-check_gpa_query_fingerprints
+check_fingerprints gpa_query
 
 echo "==> Kprof: sysbench quick fingerprints (node_hotpath; seeds 7, 11)"
-check_node_hotpath_fingerprints
+check_fingerprints node_hotpath
 
 echo "==> GPA ingest: sysbench quick fingerprints (gpa_wire, gpa_wire_large; seeds 7, 11)"
-check_gpa_wire_fingerprints
+check_fingerprints gpa_wire gpa_wire_large
 
 echo "==> examples"
 cargo build -q --examples

@@ -36,61 +36,50 @@ pub const RING_PORT: Port = Port(9000);
 const KIND_CHUNK_BASE: u32 = 10_000;
 const RESP_OFFSET: u32 = 1_000_000;
 
-/// Parameters of the allreduce scenario.
+/// Ranks in the ring.
+const RANKS: usize = 4;
+/// Ring steps per iteration: reduce-scatter + allgather.
+const STEPS_PER_ITERATION: usize = 2 * (RANKS - 1);
+/// Bytes per chunk (one ring hop's payload).
+const CHUNK_BYTES: u64 = 16 * 1024;
+/// Baseline reduce compute per received chunk.
+const REDUCE_COMPUTE: SimDuration = SimDuration::from_micros(40);
+/// The compute-straggler rank.
+pub const STRAGGLER: usize = 2;
+/// Per-chunk retransmit timeout (loss tolerance).
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(20);
+/// Wall-clock cap on the run (the collective normally finishes far
+/// earlier; the cap bounds hostile-network runs).
+const DEADLINE: SimDuration = SimDuration::from_secs(4);
+
+/// The allreduce scenario: the ring is the constants above; the length
+/// of the run and the straggler's degree are parameters.
 #[derive(Debug, Clone)]
 pub struct AllreduceScenario {
-    /// Ranks in the ring.
-    pub ranks: usize,
     /// Allreduce iterations to run back to back.
     pub iterations: usize,
-    /// Bytes per chunk (one ring hop's payload).
-    pub chunk_bytes: u64,
-    /// Baseline reduce compute per received chunk.
-    pub reduce_compute: SimDuration,
-    /// The compute-straggler rank.
-    pub straggler: usize,
     /// Compute multiplier applied to the straggler's reduce.
     pub straggler_multiplier: f64,
-    /// Per-chunk retransmit timeout (loss tolerance).
-    pub retry_after: SimDuration,
-    /// Wall-clock cap on the run (the collective normally finishes far
-    /// earlier; the cap bounds hostile-network runs).
-    pub deadline: SimDuration,
 }
 
 impl Default for AllreduceScenario {
     fn default() -> Self {
         AllreduceScenario {
-            ranks: 4,
             iterations: 8,
-            chunk_bytes: 16 * 1024,
-            reduce_compute: SimDuration::from_micros(40),
-            straggler: 2,
             straggler_multiplier: 6.0,
-            retry_after: SimDuration::from_millis(20),
-            deadline: SimDuration::from_secs(4),
         }
     }
 }
 
 impl AllreduceScenario {
-    /// Ring steps per iteration: reduce-scatter + allgather.
-    pub fn steps_per_iteration(&self) -> usize {
-        2 * (self.ranks - 1)
-    }
-
-    fn total_steps(&self) -> u64 {
-        (self.iterations * self.steps_per_iteration()) as u64
-    }
-
-    /// Node id of rank `r` (ranks occupy nodes 0..ranks, GPA last).
+    /// Node id of rank `r` (ranks occupy nodes 0..RANKS, GPA last).
     pub fn rank_node(&self, r: usize) -> NodeId {
         NodeId(r as u32)
     }
 
     /// The GPA's node id.
     pub fn gpa_node(&self) -> NodeId {
-        NodeId(self.ranks as u32)
+        NodeId(RANKS as u32)
     }
 }
 
@@ -131,9 +120,7 @@ struct RingRank {
     rank: usize,
     next: Link,
     reduce: SimDuration,
-    chunk_bytes: u64,
     total_steps: u64,
-    retry_after: SimDuration,
     send_step: u64,
     recv_step: u64,
     shared: Rc<RefCell<RingShared>>,
@@ -149,7 +136,7 @@ impl RingRank {
             return;
         }
         let kind = KIND_CHUNK_BASE + self.send_step as u32;
-        self.next.send(ctx, self.chunk_bytes, kind, ());
+        self.next.send(ctx, CHUNK_BYTES, kind, ());
         self.send_step += 1;
     }
 
@@ -171,7 +158,7 @@ impl Program for RingRank {
     fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.listen(RING_PORT);
         self.next.connect(ctx);
-        arm_retry(ctx, self.retry_after);
+        arm_retry(ctx, RETRY_AFTER);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
@@ -211,7 +198,7 @@ impl Program for RingRank {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        let retries = retry_tick(ctx, token, self.retry_after, [&mut self.next]);
+        let retries = retry_tick(ctx, token, RETRY_AFTER, [&mut self.next]);
         self.shared.borrow_mut().retries += retries;
     }
 }
@@ -229,38 +216,30 @@ impl ScenarioSpec for AllreduceScenario {
     }
 
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
-        let ranks = (0..self.ranks).map(|r| self.rank_node(r)).collect();
-        on_gigabit_lan(
-            named_nodes(nodes, "rank", self.ranks),
-            ranks,
-            self.gpa_node(),
-        )
+        let ranks = (0..RANKS).map(|r| self.rank_node(r)).collect();
+        on_gigabit_lan(named_nodes(nodes, "rank", RANKS), ranks, self.gpa_node())
     }
 
     fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> Rc<RefCell<RingShared>> {
         let shared = Rc::new(RefCell::new(RingShared {
-            chunks_reduced: vec![0; self.ranks],
-            finished_at_us: vec![None; self.ranks],
+            chunks_reduced: vec![0; RANKS],
+            finished_at_us: vec![None; RANKS],
             retries: 0,
         }));
-        for r in 0..self.ranks {
-            let reduce = if r == self.straggler {
-                SimDuration::from_secs_f64(
-                    self.reduce_compute.as_secs_f64() * self.straggler_multiplier,
-                )
+        for r in 0..RANKS {
+            let reduce = if r == STRAGGLER {
+                SimDuration::from_secs_f64(REDUCE_COMPUTE.as_secs_f64() * self.straggler_multiplier)
             } else {
-                self.reduce_compute
+                REDUCE_COMPUTE
             };
             world.spawn(
                 self.rank_node(r),
                 &format!("rank{r}"),
                 Box::new(RingRank {
                     rank: r,
-                    next: Link::new(self.rank_node((r + 1) % self.ranks), RING_PORT),
+                    next: Link::new(self.rank_node((r + 1) % RANKS), RING_PORT),
                     reduce,
-                    chunk_bytes: self.chunk_bytes,
-                    total_steps: self.total_steps(),
-                    retry_after: self.retry_after,
+                    total_steps: (self.iterations * STEPS_PER_ITERATION) as u64,
                     send_step: 0,
                     recv_step: 0,
                     shared: shared.clone(),
@@ -271,7 +250,7 @@ impl ScenarioSpec for AllreduceScenario {
     }
 
     fn stop_at(&self) -> SimTime {
-        SimTime::ZERO + self.deadline
+        SimTime::ZERO + DEADLINE
     }
 
     fn collect(
@@ -281,7 +260,7 @@ impl ScenarioSpec for AllreduceScenario {
         shared: &Rc<RefCell<RingShared>>,
     ) -> AllreduceResult {
         let sh = shared.borrow();
-        let spi = self.steps_per_iteration() as u64;
+        let spi = STEPS_PER_ITERATION as u64;
         let iterations_completed = sh
             .chunks_reduced
             .iter()
@@ -311,7 +290,7 @@ impl ScenarioSpec for AllreduceScenario {
     }
 
     fn diagnose(&self, run: &ScenarioRun<AllreduceResult>) -> Diagnosis {
-        let ranks = (0..self.ranks).map(|r| (self.rank_node(r), RING_PORT));
+        let ranks = (0..RANKS).map(|r| (self.rank_node(r), RING_PORT));
         let tier = run.sysprof.gpa().borrow().tier(ranks);
         Diagnosis::of([detect::user(&tier)], |[straggler]| {
             format!(
@@ -340,9 +319,8 @@ mod tests {
         assert_eq!(r.iterations_completed, 4, "{r:?}");
         assert!(r.finished_at_us > 0, "{r:?}");
         assert_eq!(r.retries, 0, "clean network needs no retries");
-        let spi = quick().steps_per_iteration() as u64;
         for (rank, &c) in r.chunks_reduced.iter().enumerate() {
-            assert_eq!(c, 4 * spi, "rank {rank} reduced {c}");
+            assert_eq!(c, 4 * STEPS_PER_ITERATION as u64, "rank {rank} reduced {c}");
         }
     }
 
@@ -353,7 +331,7 @@ mod tests {
         let d = spec.diagnose(&run);
         assert!(
             d.verdict
-                .starts_with(&format!("straggler rank {}", spec.straggler)),
+                .starts_with(&format!("straggler rank {STRAGGLER}")),
             "verdict {:?}",
             d.verdict
         );

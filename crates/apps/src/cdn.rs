@@ -39,47 +39,41 @@ pub const ORIGIN_PORT: Port = Port(6100);
 const REQ_BASE: u32 = 1_000;
 const RESP_OFFSET: u32 = 100_000;
 
-/// Parameters of the CDN scenario.
+/// Closed-loop client nodes.
+const CLIENTS: usize = 2;
+/// Distinct objects.
+const KEYS: usize = 64;
+/// Zipf skew of object popularity.
+const SKEW: f64 = 1.1;
+/// Object payload bytes (edge→client and origin→edge).
+const OBJECT_BYTES: u64 = 2_048;
+/// Bytes the origin reads from disk per fetch.
+const ORIGIN_READ_BYTES: u64 = 16 * 1024;
+/// Positioning time of the origin's disk: a striped/cached origin store
+/// (~1 ms) rather than the substrate's stock 8 ms SATA drive, which
+/// would saturate the single origin flow and hide TTL-driven demand
+/// behind queueing.
+const ORIGIN_SEEK: SimDuration = SimDuration::from_millis(1);
+/// Per-request cache-lookup compute at the edge.
+const EDGE_LOOKUP: SimDuration = SimDuration::from_micros(15);
+/// Retransmit timeout (loss tolerance).
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(50);
+
+/// The CDN scenario: the workload's shape is the constants above; the
+/// cache TTL and the run's length are parameters.
 #[derive(Debug, Clone)]
 pub struct CdnScenario {
-    /// Closed-loop client nodes.
-    pub clients: usize,
-    /// Distinct objects.
-    pub keys: usize,
-    /// Zipf skew of object popularity.
-    pub skew: f64,
     /// Cache TTL: a filled entry expires this long after the fill.
     pub ttl: SimDuration,
-    /// Object payload bytes (edge→client and origin→edge).
-    pub object_bytes: u64,
-    /// Bytes the origin reads from disk per fetch.
-    pub origin_read_bytes: u64,
-    /// Positioning time of the origin's disk. The default models a
-    /// striped/cached origin store (~1 ms) rather than the substrate's
-    /// stock 8 ms SATA drive, which would saturate the single origin
-    /// flow and hide TTL-driven demand behind queueing.
-    pub origin_seek: SimDuration,
-    /// Per-request cache-lookup compute at the edge.
-    pub edge_lookup: SimDuration,
     /// How long clients keep issuing requests.
     pub duration: SimDuration,
-    /// Retransmit timeout (loss tolerance).
-    pub retry_after: SimDuration,
 }
 
 impl Default for CdnScenario {
     fn default() -> Self {
         CdnScenario {
-            clients: 2,
-            keys: 64,
-            skew: 1.1,
             ttl: SimDuration::from_millis(150),
-            object_bytes: 2_048,
-            origin_read_bytes: 16 * 1024,
-            origin_seek: SimDuration::from_millis(1),
-            edge_lookup: SimDuration::from_micros(15),
             duration: SimDuration::from_secs(1),
-            retry_after: SimDuration::from_millis(50),
         }
     }
 }
@@ -126,9 +120,6 @@ struct EdgeCache {
     /// The flow to the origin, tagged with the key being fetched.
     origin: Link<u32>,
     ttl: SimDuration,
-    object_bytes: u64,
-    lookup_cost: SimDuration,
-    retry_after: SimDuration,
     /// key → expiry time of the cached copy.
     cache: BTreeMap<u32, SimTime>,
     /// key → clients waiting on the in-flight or queued fetch.
@@ -154,7 +145,7 @@ impl Program for EdgeCache {
     fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.listen(EDGE_PORT);
         self.origin.connect(ctx);
-        arm_retry(ctx, self.retry_after);
+        arm_retry(ctx, RETRY_AFTER);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
@@ -171,12 +162,7 @@ impl Program for EdgeCache {
                 self.cache.insert(key, ctx.now() + self.ttl);
                 for (client, req_id) in self.waiters.remove(&key).unwrap_or_default() {
                     ctx.compute(SimDuration::from_micros(5));
-                    ctx.send_with_id(
-                        client,
-                        self.object_bytes,
-                        REQ_BASE + key + RESP_OFFSET,
-                        req_id,
-                    );
+                    ctx.send_with_id(client, OBJECT_BYTES, REQ_BASE + key + RESP_OFFSET, req_id);
                 }
                 self.pump(ctx);
             }
@@ -187,10 +173,10 @@ impl Program for EdgeCache {
             return;
         }
         let key = msg.kind - REQ_BASE;
-        ctx.compute(self.lookup_cost);
+        ctx.compute(EDGE_LOOKUP);
         if self.cache.get(&key).is_some_and(|&exp| ctx.now() < exp) {
             self.shared.borrow_mut().hits += 1;
-            ctx.send_with_id(sock, self.object_bytes, msg.kind + RESP_OFFSET, msg.msg_id);
+            ctx.send_with_id(sock, OBJECT_BYTES, msg.kind + RESP_OFFSET, msg.msg_id);
             return;
         }
         // Miss (cold or TTL-expired): coalesce with any fetch already
@@ -215,7 +201,7 @@ impl Program for EdgeCache {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        let retries = retry_tick(ctx, token, self.retry_after, [&mut self.origin]);
+        let retries = retry_tick(ctx, token, RETRY_AFTER, [&mut self.origin]);
         self.shared.borrow_mut().retries += retries;
     }
 }
@@ -223,8 +209,6 @@ impl Program for EdgeCache {
 /// The origin: every fetch pays a synchronous disk read before the
 /// response — the blocked time the GPA sees behind every miss.
 struct OriginServer {
-    read_bytes: u64,
-    object_bytes: u64,
     next_token: u64,
     inflight: BTreeMap<u64, (SocketId, u64, u32)>,
 }
@@ -242,13 +226,13 @@ impl Program for OriginServer {
         self.next_token += 1;
         self.inflight.insert(token, (sock, msg.msg_id, msg.kind));
         let key = msg.kind - REQ_BASE;
-        ctx.read_file(FileId(key as u64), self.read_bytes, token);
+        ctx.read_file(FileId(key as u64), ORIGIN_READ_BYTES, token);
     }
 
     fn on_io_done(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
         if let Some((sock, req_id, kind)) = self.inflight.remove(&token) {
             ctx.compute(SimDuration::from_micros(20));
-            ctx.send_with_id(sock, self.object_bytes, kind + RESP_OFFSET, req_id);
+            ctx.send_with_id(sock, OBJECT_BYTES, kind + RESP_OFFSET, req_id);
         }
     }
 }
@@ -260,15 +244,15 @@ impl Program for OriginServer {
 impl CdnScenario {
     /// The edge cache's node id (spawn order: clients, edge, origin, GPA).
     pub fn edge_node(&self) -> NodeId {
-        NodeId(self.clients as u32)
+        NodeId(CLIENTS as u32)
     }
     /// The origin server's node id.
     pub fn origin_node(&self) -> NodeId {
-        NodeId((self.clients + 1) as u32)
+        NodeId((CLIENTS + 1) as u32)
     }
     /// The GPA's node id.
     pub fn gpa_node(&self) -> NodeId {
-        NodeId((self.clients + 2) as u32)
+        NodeId((CLIENTS + 2) as u32)
     }
 }
 
@@ -290,12 +274,12 @@ impl ScenarioSpec for CdnScenario {
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
         let origin_config = NodeConfig {
             disk: DiskSpec {
-                seek: self.origin_seek,
+                seek: ORIGIN_SEEK,
                 ..DiskSpec::default()
             },
             ..NodeConfig::default()
         };
-        let nodes = named_nodes(nodes, "cdn-client", self.clients)
+        let nodes = named_nodes(nodes, "cdn-client", CLIENTS)
             .node("cdn-edge")
             .node_with("cdn-origin", origin_config, simnet::ClockSpec::PERFECT);
         let monitored = vec![self.edge_node(), self.origin_node()];
@@ -310,9 +294,6 @@ impl ScenarioSpec for CdnScenario {
             Box::new(EdgeCache {
                 origin: Link::new(self.origin_node(), ORIGIN_PORT),
                 ttl: self.ttl,
-                object_bytes: self.object_bytes,
-                lookup_cost: self.edge_lookup,
-                retry_after: self.retry_after,
                 cache: BTreeMap::new(),
                 waiters: BTreeMap::new(),
                 fetch_queue: VecDeque::new(),
@@ -323,25 +304,23 @@ impl ScenarioSpec for CdnScenario {
             self.origin_node(),
             "cdn-origin",
             Box::new(OriginServer {
-                read_bytes: self.origin_read_bytes,
-                object_bytes: self.object_bytes,
                 next_token: 0,
                 inflight: BTreeMap::new(),
             }),
         );
         let clients = spawn_zipf_clients(
             world,
-            self.clients,
+            CLIENTS,
             "cdn-client",
             ZipfLoad {
                 server: self.edge_node(),
                 port: EDGE_PORT,
-                keys: self.keys,
-                skew: self.skew,
+                keys: KEYS,
+                skew: SKEW,
                 req_bytes: 128,
                 kind_base: REQ_BASE,
                 deadline: SimTime::ZERO + self.duration,
-                retry_after: self.retry_after,
+                retry_after: RETRY_AFTER,
             },
         );
         CdnProbes { edge, clients }

@@ -40,53 +40,41 @@ const KIND_MID: u32 = 2_000;
 const KIND_LEAF: u32 = 3_000;
 const RESP_OFFSET: u32 = 100_000;
 
-/// Parameters of the fan-out scenario.
+/// Closed-loop client nodes.
+const CLIENTS: usize = 2;
+/// Mid-tier services.
+pub const MIDS: usize = 2;
+/// Leaves per mid-tier service.
+pub const LEAVES_PER_MID: usize = 3;
+/// Leaves in all (global leaf indices are mid-major).
+const LEAVES: usize = MIDS * LEAVES_PER_MID;
+/// Sequential request rounds each mid issues to each of its leaves.
+const ROUNDS: usize = 2;
+/// Internal RPCs triggered by one user request.
+const RPCS_PER_REQUEST: usize = MIDS + LEAVES * ROUNDS;
+/// Baseline per-RPC compute at a leaf.
+const LEAF_SERVICE: SimDuration = SimDuration::from_micros(60);
+/// Global index (mid-major order) of the slow leaf.
+pub const SLOW_LEAF: usize = 4;
+/// Retransmit timeout on every tier (loss tolerance).
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(30);
+
+/// The fan-out scenario: the topology is the constants above; the slow
+/// leaf's degree and the run's length are parameters.
 #[derive(Debug, Clone)]
 pub struct FanoutScenario {
-    /// Closed-loop client nodes.
-    pub clients: usize,
-    /// Mid-tier services.
-    pub mids: usize,
-    /// Leaves per mid-tier service.
-    pub leaves_per_mid: usize,
-    /// Sequential request rounds each mid issues to each of its leaves.
-    pub rounds: usize,
-    /// Baseline per-RPC compute at a leaf.
-    pub leaf_service: SimDuration,
-    /// Global index (mid-major order) of the slow leaf.
-    pub slow_leaf: usize,
     /// Compute multiplier applied to the slow leaf.
     pub slow_multiplier: f64,
     /// How long clients keep issuing requests.
     pub duration: SimDuration,
-    /// Retransmit timeout on every tier (loss tolerance).
-    pub retry_after: SimDuration,
 }
 
 impl Default for FanoutScenario {
     fn default() -> Self {
         FanoutScenario {
-            clients: 2,
-            mids: 2,
-            leaves_per_mid: 3,
-            rounds: 2,
-            leaf_service: SimDuration::from_micros(60),
-            slow_leaf: 4,
             slow_multiplier: 8.0,
             duration: SimDuration::from_millis(800),
-            retry_after: SimDuration::from_millis(30),
         }
-    }
-}
-
-impl FanoutScenario {
-    /// Internal RPCs triggered by one user request.
-    pub fn rpcs_per_request(&self) -> usize {
-        self.mids + self.mids * self.leaves_per_mid * self.rounds
-    }
-
-    fn leaf_count(&self) -> usize {
-        self.mids * self.leaves_per_mid
     }
 }
 
@@ -117,7 +105,6 @@ struct Frontend {
     waiting: usize,                   // mids still outstanding
     queue: std::collections::VecDeque<(SocketId, u64)>,
     merge_cost: SimDuration,
-    retry_after: SimDuration,
     /// Retransmits across both inner tiers.
     retries: Rc<Cell<u64>>,
 }
@@ -144,7 +131,7 @@ impl Program for Frontend {
         for m in &mut self.mids {
             m.connect(ctx);
         }
-        arm_retry(ctx, self.retry_after);
+        arm_retry(ctx, RETRY_AFTER);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
@@ -182,7 +169,7 @@ impl Program for Frontend {
     }
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
-        let retries = retry_tick(ctx, token, self.retry_after, &mut self.mids);
+        let retries = retry_tick(ctx, token, RETRY_AFTER, &mut self.mids);
         self.retries.set(self.retries.get() + retries);
     }
 }
@@ -199,12 +186,10 @@ struct Leaf {
 /// leaf are serial), then a merge compute and the response.
 struct MidService {
     leaves: Vec<Leaf>,
-    rounds: usize,
     current: Option<(SocketId, u64)>,
     pending_start: bool,
     last_done: Option<(SocketId, u64)>,
     merge_cost: SimDuration,
-    retry_after: SimDuration,
     retries: Rc<Cell<u64>>,
 }
 
@@ -212,7 +197,7 @@ impl MidService {
     fn outstanding(&self) -> usize {
         self.leaves
             .iter()
-            .filter(|l| l.link.busy() || l.rounds_done < self.rounds)
+            .filter(|l| l.link.busy() || l.rounds_done < ROUNDS)
             .count()
     }
 
@@ -240,7 +225,7 @@ impl Program for MidService {
         for l in &mut self.leaves {
             l.link.connect(ctx);
         }
-        arm_retry(ctx, self.retry_after);
+        arm_retry(ctx, RETRY_AFTER);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
@@ -256,7 +241,7 @@ impl Program for MidService {
                 return;
             }
             self.leaves[idx].rounds_done += 1;
-            if self.leaves[idx].rounds_done < self.rounds {
+            if self.leaves[idx].rounds_done < ROUNDS {
                 self.send_round(ctx, idx);
             } else if self.outstanding() == 0 {
                 let (fe_sock, fe_id) = self.current.take().expect("in service");
@@ -285,7 +270,7 @@ impl Program for MidService {
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
         let links = self.leaves.iter_mut().map(|l| &mut l.link);
-        let retries = retry_tick(ctx, token, self.retry_after, links);
+        let retries = retry_tick(ctx, token, RETRY_AFTER, links);
         self.retries.set(self.retries.get() + retries);
     }
 }
@@ -317,19 +302,19 @@ impl FanoutScenario {
     /// The frontend's node id (spawn order: clients, frontend, mids,
     /// leaves, GPA).
     pub fn frontend_node(&self) -> NodeId {
-        NodeId(self.clients as u32)
+        NodeId(CLIENTS as u32)
     }
     /// Node id of mid-tier service `m`.
     pub fn mid_node(&self, m: usize) -> NodeId {
-        NodeId((self.clients + 1 + m) as u32)
+        NodeId((CLIENTS + 1 + m) as u32)
     }
     /// Node id of leaf `l` (mid-major order).
     pub fn leaf_node(&self, l: usize) -> NodeId {
-        NodeId((self.clients + 1 + self.mids + l) as u32)
+        NodeId((CLIENTS + 1 + MIDS + l) as u32)
     }
     /// The GPA's node id.
     pub fn gpa_node(&self) -> NodeId {
-        NodeId((self.clients + 1 + self.mids + self.leaf_count()) as u32)
+        NodeId((CLIENTS + 1 + MIDS + LEAVES) as u32)
     }
 }
 
@@ -349,22 +334,22 @@ impl ScenarioSpec for FanoutScenario {
     }
 
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
-        let nodes = named_nodes(nodes, "fo-client", self.clients).node("fo-frontend");
-        let nodes = named_nodes(nodes, "fo-mid", self.mids);
-        let nodes = named_nodes(nodes, "fo-leaf", self.leaf_count());
+        let nodes = named_nodes(nodes, "fo-client", CLIENTS).node("fo-frontend");
+        let nodes = named_nodes(nodes, "fo-mid", MIDS);
+        let nodes = named_nodes(nodes, "fo-leaf", LEAVES);
         let mut monitored = vec![self.frontend_node()];
-        monitored.extend((0..self.mids).map(|m| self.mid_node(m)));
-        monitored.extend((0..self.leaf_count()).map(|l| self.leaf_node(l)));
+        monitored.extend((0..MIDS).map(|m| self.mid_node(m)));
+        monitored.extend((0..LEAVES).map(|l| self.leaf_node(l)));
         on_gigabit_lan(nodes, monitored, self.gpa_node())
     }
 
     fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> FanoutProbes {
         let tier_retries = Rc::new(Cell::new(0));
-        for l in 0..self.leaf_count() {
-            let service = if l == self.slow_leaf {
-                SimDuration::from_secs_f64(self.leaf_service.as_secs_f64() * self.slow_multiplier)
+        for l in 0..LEAVES {
+            let service = if l == SLOW_LEAF {
+                SimDuration::from_secs_f64(LEAF_SERVICE.as_secs_f64() * self.slow_multiplier)
             } else {
-                self.leaf_service
+                LEAF_SERVICE
             };
             world.spawn(
                 self.leaf_node(l),
@@ -372,10 +357,10 @@ impl ScenarioSpec for FanoutScenario {
                 Box::new(LeafService { service }),
             );
         }
-        for m in 0..self.mids {
-            let leaves = (0..self.leaves_per_mid)
+        for m in 0..MIDS {
+            let leaves = (0..LEAVES_PER_MID)
                 .map(|i| Leaf {
-                    link: Link::new(self.leaf_node(m * self.leaves_per_mid + i), LEAF_PORT),
+                    link: Link::new(self.leaf_node(m * LEAVES_PER_MID + i), LEAF_PORT),
                     rounds_done: 0,
                 })
                 .collect();
@@ -384,12 +369,10 @@ impl ScenarioSpec for FanoutScenario {
                 &format!("fo-mid{m}"),
                 Box::new(MidService {
                     leaves,
-                    rounds: self.rounds,
                     current: None,
                     pending_start: false,
                     last_done: None,
                     merge_cost: SimDuration::from_micros(40),
-                    retry_after: self.retry_after,
                     retries: tier_retries.clone(),
                 }),
             );
@@ -398,20 +381,19 @@ impl ScenarioSpec for FanoutScenario {
             self.frontend_node(),
             "fo-frontend",
             Box::new(Frontend {
-                mids: (0..self.mids)
+                mids: (0..MIDS)
                     .map(|m| Link::new(self.mid_node(m), MID_PORT))
                     .collect(),
                 current: None,
                 waiting: 0,
                 queue: std::collections::VecDeque::new(),
                 merge_cost: SimDuration::from_micros(50),
-                retry_after: self.retry_after,
                 retries: tier_retries.clone(),
             }),
         );
         let clients = spawn_zipf_clients(
             world,
-            self.clients,
+            CLIENTS,
             "fo-client",
             ZipfLoad {
                 server: self.frontend_node(),
@@ -421,7 +403,7 @@ impl ScenarioSpec for FanoutScenario {
                 req_bytes: 256,
                 kind_base: KIND_USER,
                 deadline: SimTime::ZERO + self.duration,
-                retry_after: self.retry_after,
+                retry_after: RETRY_AFTER,
             },
         );
         FanoutProbes {
@@ -438,7 +420,7 @@ impl ScenarioSpec for FanoutScenario {
         let mut st = probes.clients.borrow_mut();
         FanoutResult {
             requests_completed: st.completed,
-            rpcs_per_request: self.rpcs_per_request(),
+            rpcs_per_request: RPCS_PER_REQUEST,
             p50_us: percentile_us(&mut st.latencies_us, 50.0),
             p99_us: percentile_us(&mut st.latencies_us, 99.0),
             retries: st.retries + probes.tier_retries.get(),
@@ -450,7 +432,7 @@ impl ScenarioSpec for FanoutScenario {
         let gpa = gpa.borrow();
         // Leaf-tier user time per node, and how much of the frontend's
         // latency its correlated paths spend downstream at the mid tier.
-        let leaves = gpa.tier((0..self.leaf_count()).map(|l| (self.leaf_node(l), LEAF_PORT)));
+        let leaves = gpa.tier((0..LEAVES).map(|l| (self.leaf_node(l), LEAF_PORT)));
         let front = gpa.tier([(self.frontend_node(), FRONT_PORT)]);
         let signals = [
             detect::user(&leaves),
@@ -496,8 +478,7 @@ mod tests {
         let run = spec.run(7);
         let d = spec.diagnose(&run);
         assert!(
-            d.verdict
-                .starts_with(&format!("slow leaf {}", spec.slow_leaf)),
+            d.verdict.starts_with(&format!("slow leaf {SLOW_LEAF}")),
             "verdict {:?}",
             d.verdict
         );

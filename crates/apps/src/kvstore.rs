@@ -38,41 +38,37 @@ pub const SHARD_PORT: Port = Port(7100);
 const REQ_BASE: u32 = 1_000;
 const RESP_OFFSET: u32 = 100_000;
 
-/// Parameters of the sharded KV scenario.
+/// Closed-loop client nodes.
+const CLIENTS: usize = 2;
+/// Shard nodes; key `k` lives on shard `k % SHARDS`.
+pub const SHARDS: usize = 4;
+/// Distinct keys.
+const KEYS: usize = 64;
+/// Zipf skew of the key popularity distribution.
+const SKEW: f64 = 1.2;
+/// Request payload bytes.
+const REQ_BYTES: u64 = 128;
+/// Value payload bytes returned by shards.
+const VALUE_BYTES: u64 = 512;
+/// Per-lookup compute at a shard.
+const SHARD_SERVICE: SimDuration = SimDuration::from_micros(80);
+/// Per-request routing compute at the router.
+const ROUTE_COST: SimDuration = SimDuration::from_micros(10);
+/// Client/router retransmit timeout (loss tolerance).
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(50);
+
+/// The sharded KV scenario: the workload's shape is the constants
+/// above; only its length is a parameter.
 #[derive(Debug, Clone)]
 pub struct KvStoreScenario {
-    /// Closed-loop client nodes.
-    pub clients: usize,
-    /// Shard nodes.
-    pub shards: usize,
-    /// Distinct keys; key `k` lives on shard `k % shards`.
-    pub keys: usize,
-    /// Zipf skew of the key popularity distribution.
-    pub skew: f64,
-    /// Request payload bytes.
-    pub req_bytes: u64,
-    /// Value payload bytes returned by shards.
-    pub value_bytes: u64,
-    /// Per-lookup compute at a shard.
-    pub shard_service: SimDuration,
     /// How long clients keep issuing requests.
     pub duration: SimDuration,
-    /// Client/router retransmit timeout (loss tolerance).
-    pub retry_after: SimDuration,
 }
 
 impl Default for KvStoreScenario {
     fn default() -> Self {
         KvStoreScenario {
-            clients: 2,
-            shards: 4,
-            keys: 64,
-            skew: 1.2,
-            req_bytes: 128,
-            value_bytes: 512,
-            shard_service: SimDuration::from_micros(80),
             duration: SimDuration::from_millis(800),
-            retry_after: SimDuration::from_millis(50),
         }
     }
 }
@@ -127,8 +123,6 @@ struct RouterShared {
 /// front of it — the per-shard queues the hot shard backs up.
 struct KvRouter {
     shards: Vec<ShardConn>,
-    route_cost: SimDuration,
-    retry_after: SimDuration,
     shared: Rc<RefCell<RouterShared>>,
 }
 
@@ -155,7 +149,7 @@ impl Program for KvRouter {
         for s in &mut self.shards {
             s.link.connect(ctx);
         }
-        arm_retry(ctx, self.retry_after);
+        arm_retry(ctx, RETRY_AFTER);
     }
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
@@ -183,7 +177,7 @@ impl Program for KvRouter {
         // Client request: key is encoded in the kind.
         let key = msg.kind.saturating_sub(REQ_BASE) as usize;
         let idx = key % self.shards.len();
-        ctx.compute(self.route_cost);
+        ctx.compute(ROUTE_COST);
         self.shards[idx].queue.push_back(ClientReq {
             sock,
             msg_id: msg.msg_id,
@@ -200,7 +194,7 @@ impl Program for KvRouter {
 
     fn on_timer(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
         let links = self.shards.iter_mut().map(|s| &mut s.link);
-        self.shared.borrow_mut().retries += retry_tick(ctx, token, self.retry_after, links);
+        self.shared.borrow_mut().retries += retry_tick(ctx, token, RETRY_AFTER, links);
     }
 }
 
@@ -208,8 +202,6 @@ impl Program for KvRouter {
 /// retransmitted requests are simply answered again.
 struct KvShard {
     idx: usize,
-    service: SimDuration,
-    value_bytes: u64,
     ops: Rc<RefCell<Vec<u64>>>,
 }
 
@@ -222,9 +214,9 @@ impl Program for KvShard {
         if msg.kind < REQ_BASE || msg.kind >= REQ_BASE + RESP_OFFSET {
             return;
         }
-        ctx.compute(self.service);
+        ctx.compute(SHARD_SERVICE);
         self.ops.borrow_mut()[self.idx] += 1;
-        ctx.send_with_id(sock, self.value_bytes, msg.kind + RESP_OFFSET, msg.msg_id);
+        ctx.send_with_id(sock, VALUE_BYTES, msg.kind + RESP_OFFSET, msg.msg_id);
     }
 }
 
@@ -235,15 +227,15 @@ impl Program for KvShard {
 impl KvStoreScenario {
     /// The router's node id (spawn order: clients, router, shards, GPA).
     pub fn router_node(&self) -> NodeId {
-        NodeId(self.clients as u32)
+        NodeId(CLIENTS as u32)
     }
     /// Node id of shard `s`.
     pub fn shard_node(&self, s: usize) -> NodeId {
-        NodeId((self.clients + 1 + s) as u32)
+        NodeId((CLIENTS + 1 + s) as u32)
     }
     /// The GPA's node id.
     pub fn gpa_node(&self) -> NodeId {
-        NodeId((self.clients + 1 + self.shards) as u32)
+        NodeId((CLIENTS + 1 + SHARDS) as u32)
     }
 }
 
@@ -264,59 +256,55 @@ impl ScenarioSpec for KvStoreScenario {
     }
 
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
-        let nodes = named_nodes(nodes, "kv-client", self.clients).node("kv-router");
-        let nodes = named_nodes(nodes, "kv-shard", self.shards);
+        let nodes = named_nodes(nodes, "kv-client", CLIENTS).node("kv-router");
+        let nodes = named_nodes(nodes, "kv-shard", SHARDS);
         let mut monitored = vec![self.router_node()];
-        monitored.extend((0..self.shards).map(|s| self.shard_node(s)));
+        monitored.extend((0..SHARDS).map(|s| self.shard_node(s)));
         on_gigabit_lan(nodes, monitored, self.gpa_node())
     }
 
     fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> KvProbes {
-        let ops = Rc::new(RefCell::new(vec![0u64; self.shards]));
-        for i in 0..self.shards {
+        let ops = Rc::new(RefCell::new(vec![0u64; SHARDS]));
+        for i in 0..SHARDS {
             world.spawn(
                 self.shard_node(i),
                 &format!("kv-shard{i}"),
                 Box::new(KvShard {
                     idx: i,
-                    service: self.shard_service,
-                    value_bytes: self.value_bytes,
                     ops: ops.clone(),
                 }),
             );
         }
         let router = Rc::new(RefCell::new(RouterShared {
-            max_queue_depth: vec![0; self.shards],
+            max_queue_depth: vec![0; SHARDS],
             retries: 0,
         }));
         world.spawn(
             self.router_node(),
             "kv-router",
             Box::new(KvRouter {
-                shards: (0..self.shards)
+                shards: (0..SHARDS)
                     .map(|s| ShardConn {
                         link: Link::new(self.shard_node(s), SHARD_PORT),
                         queue: VecDeque::new(),
                     })
                     .collect(),
-                route_cost: SimDuration::from_micros(10),
-                retry_after: self.retry_after,
                 shared: router.clone(),
             }),
         );
         let clients = spawn_zipf_clients(
             world,
-            self.clients,
+            CLIENTS,
             "kv-client",
             ZipfLoad {
                 server: self.router_node(),
                 port: ROUTER_PORT,
-                keys: self.keys,
-                skew: self.skew,
-                req_bytes: self.req_bytes,
+                keys: KEYS,
+                skew: SKEW,
+                req_bytes: REQ_BYTES,
                 kind_base: REQ_BASE,
                 deadline: SimTime::ZERO + self.duration,
-                retry_after: self.retry_after,
+                retry_after: RETRY_AFTER,
             },
         );
         KvProbes {
@@ -360,7 +348,7 @@ impl ScenarioSpec for KvStoreScenario {
     fn diagnose(&self, run: &ScenarioRun<KvStoreResult>) -> Diagnosis {
         // The GPA's view: responder-side interaction counts per shard
         // node — no application counters consulted.
-        let shards = (0..self.shards).map(|s| (self.shard_node(s), SHARD_PORT));
+        let shards = (0..SHARDS).map(|s| (self.shard_node(s), SHARD_PORT));
         let tier = run.sysprof.gpa().borrow().tier(shards);
         Diagnosis::of([detect::share(&tier)], |[hot]| {
             let (share, count, total) = (hot.value, tier[hot.member].count, hot.baseline);
@@ -379,7 +367,6 @@ mod tests {
     fn quick() -> KvStoreScenario {
         KvStoreScenario {
             duration: SimDuration::from_millis(400),
-            ..KvStoreScenario::default()
         }
     }
 

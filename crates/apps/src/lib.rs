@@ -69,3 +69,47 @@ pub use linpack::{LinpackResult, LinpackScenario};
 pub use rubis::{RubisResult, RubisScenario};
 pub use scenario::{Diagnosis, Placement, ScenarioRun, ScenarioSpec, Staged};
 pub use storage::{StorageResult, StorageScenario};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::SimDuration;
+    use simnet::LinkSpec;
+
+    /// Every settable value of the scenario library, destructured with
+    /// no `..`: a new field does not compile here until it is counted.
+    /// A workload's shape is a constant in its module, not a field.
+    #[test]
+    fn scenarios_have_thirteen_settable_values() {
+        let KvStoreScenario { duration: kv } = KvStoreScenario::default();
+        let FanoutScenario {
+            slow_multiplier,
+            duration: fanout,
+        } = FanoutScenario::default();
+        let CdnScenario { ttl, duration: cdn } = CdnScenario::default();
+        let AllreduceScenario {
+            iterations,
+            straggler_multiplier,
+        } = AllreduceScenario::default();
+        let StorageScenario {
+            threads_per_client,
+            duration: storage,
+        } = StorageScenario::default();
+        let RubisScenario {
+            resource_aware,
+            duration: rubis,
+        } = RubisScenario::default();
+        let IperfScenario {
+            link,
+            duration: iperf,
+        } = IperfScenario::default();
+        let ms = SimDuration::from_millis;
+        assert_eq!(kv, ms(800));
+        assert_eq!((slow_multiplier, fanout), (8.0, ms(800)));
+        assert_eq!((ttl, cdn), (ms(150), ms(1_000)));
+        assert_eq!((iterations, straggler_multiplier), (8, 6.0));
+        assert_eq!((threads_per_client, storage), (4, ms(5_000)));
+        assert_eq!((resource_aware, rubis), (false, ms(20_000)));
+        assert_eq!((link, iperf), (LinkSpec::gigabit_lan(), ms(2_000)));
+    }
+}

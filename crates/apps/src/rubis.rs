@@ -44,10 +44,13 @@ const KIND_BID: u32 = 1;
 const KIND_COMMENT: u32 = 2;
 const RESP_OFFSET: u32 = 100;
 
-/// RUBiS as a [`ScenarioSpec`]: the mid-run background load lands on
-/// servlet-a, and the GPA's load reports must indict it. Run monitored,
-/// SysProf sits on the two servlet servers; Figure 6's plain DWCS is the
-/// unmonitored run.
+/// Offered load per class, requests/second.
+const RATE_PER_CLASS: f64 = 150.0;
+
+/// RUBiS as a [`ScenarioSpec`]: the background load lands on servlet-a
+/// halfway through the run, and the GPA's load reports must indict it.
+/// Run monitored, SysProf sits on the two servlet servers; Figure 6's
+/// plain DWCS is the unmonitored run.
 #[derive(Debug, Clone)]
 pub struct RubisScenario {
     /// Use resource-aware dispatch (Figure 7) instead of round-robin
@@ -56,10 +59,6 @@ pub struct RubisScenario {
     pub resource_aware: bool,
     /// Run length.
     pub duration: SimDuration,
-    /// Offered load per class, requests/second.
-    pub rate_per_class: f64,
-    /// When the background load starts (defaults to half the duration).
-    pub disturbance_at: Option<SimDuration>,
 }
 
 impl Default for RubisScenario {
@@ -67,8 +66,6 @@ impl Default for RubisScenario {
         RubisScenario {
             resource_aware: false,
             duration: SimDuration::from_secs(20),
-            rate_per_class: 150.0,
-            disturbance_at: None,
         }
     }
 }
@@ -168,7 +165,6 @@ struct RubisDriver {
     sched: Scheduler<Req>,
     /// The DWCS stream of each class, in [`CLASSES`] order.
     streams: [StreamId; 2],
-    rate: f64,
     duration: SimDuration,
     outstanding: HashMap<NodeId, usize>,
     resource_aware: bool,
@@ -183,7 +179,7 @@ impl RubisDriver {
     fn arm_arrival(&mut self, ctx: &mut ProcCtx<'_>, token: u64) {
         let gap = ctx
             .rng()
-            .exponential_duration(SimDuration::from_secs_f64(1.0 / self.rate));
+            .exponential_duration(SimDuration::from_secs_f64(1.0 / RATE_PER_CLASS));
         ctx.sleep(gap, token);
     }
 
@@ -399,13 +395,6 @@ impl Program for DisturbanceSpawner {
 const CLIENT: NodeId = NodeId(0);
 const SERVERS: [NodeId; 2] = [NodeId(1), NodeId(2)];
 
-impl RubisScenario {
-    fn disturbance_at(&self) -> SimDuration {
-        self.disturbance_at
-            .unwrap_or(SimDuration::from_nanos(self.duration.as_nanos() / 2))
-    }
-}
-
 /// What a RUBiS run leaves behind besides its result.
 pub struct RubisProbes {
     driver: Rc<RefCell<DriverShared>>,
@@ -493,7 +482,6 @@ impl ScenarioSpec for RubisScenario {
                 connected: 0,
                 sched,
                 streams: [bidding, comments],
-                rate: self.rate_per_class,
                 duration: self.duration,
                 outstanding: HashMap::new(),
                 resource_aware: self.resource_aware,
@@ -510,7 +498,7 @@ impl ScenarioSpec for RubisScenario {
             SERVERS[0],
             "disturbance",
             Box::new(DisturbanceSpawner {
-                delay: self.disturbance_at(),
+                delay: self.duration / 2,
                 // Enough CPU-bound work to stay saturating past the run's end.
                 work: self.duration,
             }),
@@ -529,7 +517,7 @@ impl ScenarioSpec for RubisScenario {
         probes: &RubisProbes,
     ) -> RubisResult {
         let sh = probes.driver.borrow();
-        let half_sec = self.disturbance_at().as_secs_f64();
+        let half_sec = (self.duration / 2).as_secs_f64();
         let duration_s = self.duration.as_secs_f64();
         let outcome = |class: &ClassShared| {
             let series: Vec<(f64, f64)> = class
@@ -707,7 +695,6 @@ mod tests {
             RubisScenario {
                 resource_aware: true,
                 duration: SimDuration::from_secs(10),
-                ..RubisScenario::default()
             },
             3,
             FaultPlan::default(),

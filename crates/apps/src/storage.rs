@@ -40,20 +40,22 @@ pub const BACKEND_PORT: Port = Port(2050);
 const KIND_WRITE_REQ: u32 = 1;
 const KIND_WRITE_RESP: u32 = 2;
 
+/// Client nodes (the paper uses two).
+const CLIENTS: usize = 2;
+/// Back-end NFS servers.
+pub const BACKENDS: usize = 2;
+/// Iozone record size (bytes written per request).
+const RECORD_BYTES: u64 = 8 * 1024;
+
 /// The §3.2 storage service as a [`ScenarioSpec`]: the GPA must put the
 /// bottleneck behind the proxy, in the back-end's kernel (the disk).
 /// Node layout: clients, then the proxy, then the back-ends, then the
-/// GPA; the proxy and every back-end are monitored.
+/// GPA; the proxy and every back-end are monitored. The offered load
+/// (writer threads) and the run's length are the parameters.
 #[derive(Debug, Clone)]
 pub struct StorageScenario {
     /// Iozone writer threads per client node.
     pub threads_per_client: usize,
-    /// Client nodes (the paper uses two).
-    pub clients: usize,
-    /// Back-end NFS servers.
-    pub backends: usize,
-    /// Iozone record size (bytes written per request).
-    pub record_bytes: u64,
     /// Measurement duration.
     pub duration: SimDuration,
 }
@@ -62,9 +64,6 @@ impl Default for StorageScenario {
     fn default() -> Self {
         StorageScenario {
             threads_per_client: 4,
-            clients: 2,
-            backends: 2,
-            record_bytes: 8 * 1024,
             duration: SimDuration::from_secs(5),
         }
     }
@@ -101,7 +100,6 @@ pub struct StorageResult {
 /// One Iozone writer thread: a closed loop of write requests to the proxy.
 struct IozoneThread {
     proxy: NodeId,
-    record_bytes: u64,
     sock: Option<SocketId>,
     completed: Rc<Cell<u64>>,
     deadline: SimTime,
@@ -114,7 +112,7 @@ impl Program for IozoneThread {
 
     fn on_connected(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId) {
         self.sock = Some(sock);
-        ctx.send(sock, self.record_bytes, KIND_WRITE_REQ);
+        ctx.send(sock, RECORD_BYTES, KIND_WRITE_REQ);
     }
 
     fn on_message(&mut self, ctx: &mut ProcCtx<'_>, sock: SocketId, _msg: Message) {
@@ -124,7 +122,7 @@ impl Program for IozoneThread {
             return;
         }
         // Write/re-write: immediately issue the next record.
-        ctx.send(sock, self.record_bytes, KIND_WRITE_REQ);
+        ctx.send(sock, RECORD_BYTES, KIND_WRITE_REQ);
     }
 }
 
@@ -148,11 +146,10 @@ struct NfsProxy {
     parse_cost: SimDuration,
     /// Per-response relay compute at user level.
     relay_cost: SimDuration,
-    record_bytes: u64,
 }
 
 impl NfsProxy {
-    fn new(backends: Vec<NodeId>, record_bytes: u64) -> Self {
+    fn new(backends: Vec<NodeId>) -> Self {
         NfsProxy {
             backends,
             to_backend: HashMap::new(),
@@ -162,7 +159,6 @@ impl NfsProxy {
             next_backend: 0,
             parse_cost: SimDuration::from_micros(300),
             relay_cost: SimDuration::from_micros(100),
-            record_bytes,
         }
     }
 }
@@ -182,7 +178,7 @@ impl Program for NfsProxy {
         if let Some(queued) = self.awaiting_conn.remove(&client) {
             for _req in queued {
                 ctx.compute(self.parse_cost);
-                ctx.send(sock, self.record_bytes, KIND_WRITE_REQ);
+                ctx.send(sock, RECORD_BYTES, KIND_WRITE_REQ);
             }
         }
     }
@@ -257,14 +253,14 @@ impl Program for NfsServer {
 impl StorageScenario {
     /// The proxy's node id.
     pub fn proxy_node(&self) -> NodeId {
-        NodeId(self.clients as u32)
+        NodeId(CLIENTS as u32)
     }
     /// Node id of back-end NFS server `b`.
     pub fn backend_node(&self, b: usize) -> NodeId {
-        NodeId((self.clients + 1 + b) as u32)
+        NodeId((CLIENTS + 1 + b) as u32)
     }
     fn backend_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.backends).map(|b| self.backend_node(b))
+        (0..BACKENDS).map(|b| self.backend_node(b))
     }
 }
 
@@ -278,35 +274,31 @@ impl ScenarioSpec for StorageScenario {
     }
 
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
-        let nodes = named_nodes(nodes, "client", self.clients).node("proxy");
-        let nodes = named_nodes(nodes, "nfs", self.backends);
+        let nodes = named_nodes(nodes, "client", CLIENTS).node("proxy");
+        let nodes = named_nodes(nodes, "nfs", BACKENDS);
         let mut monitored = vec![self.proxy_node()];
         monitored.extend(self.backend_nodes());
         // The GPA takes the id after the last back-end's.
-        on_gigabit_lan(nodes, monitored, self.backend_node(self.backends))
+        on_gigabit_lan(nodes, monitored, self.backend_node(BACKENDS))
     }
 
     fn spawn(&self, world: &mut World, _monitor: Option<&SysProf>) -> Rc<Cell<u64>> {
         world.spawn(
             self.proxy_node(),
             "nfs-proxy",
-            Box::new(NfsProxy::new(
-                self.backend_nodes().collect(),
-                self.record_bytes,
-            )),
+            Box::new(NfsProxy::new(self.backend_nodes().collect())),
         );
         for b in self.backend_nodes() {
             world.spawn_kernel_daemon(b, "nfsd", Box::new(NfsServer::new()));
         }
         let completed = Rc::new(Cell::new(0u64));
-        for c in 0..self.clients {
+        for c in 0..CLIENTS {
             for t in 0..self.threads_per_client {
                 world.spawn(
                     NodeId(c as u32),
                     &format!("iozone-{c}-{t}"),
                     Box::new(IozoneThread {
                         proxy: self.proxy_node(),
-                        record_bytes: self.record_bytes,
                         sock: None,
                         completed: completed.clone(),
                         deadline: SimTime::ZERO + self.duration,

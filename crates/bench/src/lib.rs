@@ -204,7 +204,6 @@ pub fn exp_f4_f5_storage(duration: SimDuration, seed: u64) -> Vec<StorageRow> {
             let spec = StorageScenario {
                 threads_per_client: threads,
                 duration,
-                ..StorageScenario::default()
             };
             StorageRow {
                 threads,
@@ -218,7 +217,6 @@ fn rubis(resource_aware: bool, duration: SimDuration) -> RubisScenario {
     RubisScenario {
         resource_aware,
         duration,
-        ..RubisScenario::default()
     }
 }
 

@@ -39,6 +39,11 @@ pub const EVENT_INPUTS: [(&str, Type); 7] = [
     ("port_dst", Type::Int),
 ];
 
+/// Fuel a CPA program may spend per event: the verifier rejects a
+/// program whose proven worst case exceeds it, and a run that traps is
+/// charged all of it.
+const FUEL_BUDGET: u64 = 2_000;
+
 /// Error installing a CPA: the program failed static verification. Carries
 /// the full diagnostic list — nothing touches Kprof when this is returned.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +63,6 @@ pub struct CpaAnalyzer {
     pub(crate) instance: Instance,
     mask: EventMask,
     predicate: Predicate,
-    fuel_budget: u64,
     report: VerifyReport,
     /// Events whose program run returned nonzero.
     flagged: u64,
@@ -82,8 +86,7 @@ impl CpaAnalyzer {
     /// static verification (compile error, guaranteed trap, out-of-range
     /// output slot, or worst-case fuel above the budget).
     pub fn compile(name: &str, source: &str, mask: EventMask) -> Result<CpaAnalyzer, CpaError> {
-        let fuel_budget = 2_000;
-        let limits = VerifyLimits::with_max_fuel(fuel_budget);
+        let limits = VerifyLimits::with_max_fuel(FUEL_BUDGET);
         let verified = ecode::verify(source, &EVENT_INPUTS, &limits).map_err(CpaError)?;
         let (program, report) = verified.into_parts();
         Ok(CpaAnalyzer {
@@ -91,7 +94,6 @@ impl CpaAnalyzer {
             instance: Instance::new(&program),
             mask,
             predicate: Predicate::new(),
-            fuel_budget,
             report,
             flagged: 0,
             events: 0,
@@ -105,13 +107,6 @@ impl CpaAnalyzer {
     #[must_use]
     pub fn with_predicate(mut self, predicate: Predicate) -> Self {
         self.predicate = predicate;
-        self
-    }
-
-    /// Overrides the per-event fuel budget (default 2000 instructions).
-    #[must_use]
-    pub fn with_fuel_budget(mut self, fuel: u64) -> Self {
-        self.fuel_budget = fuel;
         self
     }
 
@@ -204,7 +199,7 @@ impl Analyzer for CpaAnalyzer {
         let inputs = Self::inputs_for(event);
         // The outcome borrows the instance's output arena; fold it into
         // the persistent per-slot map before the next run overwrites it.
-        let fuel_used = match self.instance.run_raw(&inputs, self.fuel_budget) {
+        let fuel_used = match self.instance.run_raw(&inputs, FUEL_BUDGET) {
             Ok(out) => {
                 if out.ret != 0 {
                     self.flagged += 1;
@@ -216,7 +211,7 @@ impl Analyzer for CpaAnalyzer {
             }
             Err(_) => {
                 self.aborted += 1;
-                self.fuel_budget
+                FUEL_BUDGET
             }
         };
         self.fuel_spent += fuel_used;
@@ -316,19 +311,18 @@ mod tests {
     }
 
     #[test]
-    fn fuel_exhaustion_is_counted_not_fatal() {
-        // A program that costs more than 3 instructions.
-        let mut cpa = CpaAnalyzer::compile(
-            "hungry",
-            "int a = 1; int b = 2; int c = a + b; return c;",
-            EventMask::NETWORK,
-        )
-        .unwrap()
-        .with_fuel_budget(3);
-        let out = cpa.on_event(&net_event(1, 1));
+    fn runtime_trap_is_counted_not_fatal() {
+        // Division by an input verifies (with a warning) and traps when
+        // the input is zero.
+        let mut cpa =
+            CpaAnalyzer::compile("divider", "return 100 / size;", EventMask::NETWORK).unwrap();
+        assert!(!cpa.report().warnings.is_empty(), "{:?}", cpa.report());
+        cpa.on_event(&net_event(4, 1));
+        let out = cpa.on_event(&net_event(0, 1));
         assert_eq!(cpa.aborted(), 1);
-        // The wasted fuel is still charged.
-        assert_eq!(out.cost, SimDuration::from_nanos(6));
+        assert_eq!(cpa.events(), 2);
+        // An aborted run is charged the whole budget.
+        assert_eq!(out.cost, cost::ecode(FUEL_BUDGET));
     }
 
     #[test]

@@ -423,8 +423,9 @@ pub struct Lpa {
     config: LpaConfig,
     /// Black-box tracking, keyed by canonical flow.
     flows: FlowTable,
-    /// ARM-correlated tracking, keyed by (canonical flow, correlator).
-    arm_flows: HashMap<(FlowKey, u64), ArmState>,
+    /// ARM-correlated tracking, keyed by (canonical flow, correlator):
+    /// a flow's correlators are one contiguous range, in record order.
+    arm_flows: BTreeMap<(FlowKey, u64), ArmState>,
     pids: HashMap<Pid, PidClock>,
     /// Interaction windows currently open per pid (request delivered,
     /// response not yet started). Used to fair-share run-time attribution
@@ -463,7 +464,7 @@ impl Lpa {
             node_ip,
             config,
             flows: FlowTable::default(),
-            arm_flows: HashMap::default(),
+            arm_flows: BTreeMap::new(),
             pids: HashMap::default(),
             open_windows: HashMap::default(),
             buffers,
@@ -494,6 +495,8 @@ impl Lpa {
             }
             self.buffers = fresh;
         }
+        let excess = self.window.len().saturating_sub(config.window);
+        self.window.drain(..excess);
         self.config = config;
     }
 
@@ -528,7 +531,13 @@ impl Lpa {
         }
         // An idle correlator with both halves completes; one without a
         // response is dropped (and counted).
-        for key in idle_keys(&self.arm_flows, now, |st| Some(st.last_wall)) {
+        let idle_arm: Vec<(FlowKey, u64)> = self
+            .arm_flows
+            .iter()
+            .filter(|(_, st)| now.saturating_since(st.last_wall) >= IDLE_CLOSE)
+            .map(|(k, _)| *k)
+            .collect();
+        for key in idle_arm {
             if self.arm_finish(key) {
                 closed += 1;
             }
@@ -980,16 +989,14 @@ impl Lpa {
     /// response (a packet of a different id means their response run is
     /// over). Returns whether any record completed.
     fn arm_complete_others(&mut self, canon: FlowKey, current: u64) -> bool {
-        let mut ready: Vec<(FlowKey, u64)> = self
+        // Only this flow's range, already in key order (the order
+        // arm_finish must emit records in).
+        let ready: Vec<(FlowKey, u64)> = self
             .arm_flows
-            .iter()
-            .filter(|((f, id), st)| {
-                *f == canon && *id != current && st.req.is_some() && st.resp.is_some()
-            })
+            .range((canon, 0)..=(canon, u64::MAX))
+            .filter(|((_, id), st)| *id != current && st.req.is_some() && st.resp.is_some())
             .map(|(k, _)| *k)
             .collect();
-        // arm_finish emits records; finish in key order, not hash order.
-        ready.sort();
         let mut any = false;
         for key in ready {
             any |= self.arm_finish(key);
@@ -1750,6 +1757,11 @@ mod tests {
         assert!(
             l.overwritten() > lost,
             "staged records met a smaller buffer"
+        );
+        // The recent-interaction history shrinks with it, at once.
+        assert!(
+            l.window_snapshot().count() <= 1,
+            "history longer than the window"
         );
         let mut drained = l.drain().len() as u64;
         assert_eq!(drained + l.overwritten(), 20);

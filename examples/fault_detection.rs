@@ -10,7 +10,7 @@
 
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::FaultPlan;
-use sysprof_apps::storage::BACKEND_PORT;
+use sysprof_apps::storage::{BACKENDS, BACKEND_PORT};
 use sysprof_apps::{ScenarioSpec, StorageScenario};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     // Staged, not run: the example drives the world itself so it can
     // break a disk halfway through.
     let mut sw = spec.stage(1, FaultPlan::default(), spec.monitor_config());
-    let backend_nodes: Vec<NodeId> = (0..spec.backends).map(|b| spec.backend_node(b)).collect();
+    let backend_nodes: Vec<NodeId> = (0..BACKENDS).map(|b| spec.backend_node(b)).collect();
     let victim = backend_nodes[1];
     let healthy = backend_nodes[0];
 

@@ -31,7 +31,6 @@ fn main() {
         let spec = StorageScenario {
             threads_per_client: threads,
             duration,
-            ..StorageScenario::default()
         };
         let r = spec.run(1).output;
         println!(

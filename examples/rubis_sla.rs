@@ -26,7 +26,6 @@ fn main() {
     let spec = |resource_aware| RubisScenario {
         resource_aware,
         duration,
-        ..RubisScenario::default()
     };
     // Plain DWCS needs no monitor; RA-DWCS dispatches on a deployed
     // SysProf's load reports.

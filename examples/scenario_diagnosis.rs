@@ -8,7 +8,10 @@
 //! cargo run --example scenario_diagnosis
 //! ```
 
-use sysprof_apps::{AllreduceScenario, CdnScenario, FanoutScenario, KvStoreScenario, ScenarioSpec};
+use sysprof_apps::{
+    allreduce, fanout, AllreduceScenario, CdnScenario, FanoutScenario, KvStoreScenario,
+    ScenarioSpec,
+};
 
 const SEED: u64 = 7;
 
@@ -31,14 +34,19 @@ fn main() {
     });
     show(&FanoutScenario::default(), |r| {
         format!(
-            "slow leaf is index 4; {} requests, p50 {}µs, p99 {}µs",
-            r.requests_completed, r.p50_us, r.p99_us
+            "slow leaf is index {}; {} requests, p50 {}µs, p99 {}µs",
+            fanout::SLOW_LEAF,
+            r.requests_completed,
+            r.p50_us,
+            r.p99_us
         )
     });
     show(&AllreduceScenario::default(), |r| {
         format!(
-            "straggler is rank 2; {} iterations, mean {:.0}µs each",
-            r.iterations_completed, r.mean_iteration_us
+            "straggler is rank {}; {} iterations, mean {:.0}µs each",
+            allreduce::STRAGGLER,
+            r.iterations_completed,
+            r.mean_iteration_us
         )
     });
     show(&CdnScenario::default(), |r| {

@@ -329,7 +329,6 @@ fn ra_dwcs_load_feed_survives_reordering_duplication_and_a_partition() {
     let config = |resource_aware| RubisScenario {
         resource_aware,
         duration: SimDuration::from_secs(10),
-        ..RubisScenario::default()
     };
 
     for (name, plan) in [("mix", mixed), ("partition", partitioned)] {

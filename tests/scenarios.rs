@@ -12,8 +12,8 @@ use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{FaultPlan, LinkFaults};
 use sysprof::{LpaConfig, MonitorConfig, MonitorLevel};
 use sysprof_apps::{
-    AllreduceScenario, CdnScenario, FanoutScenario, IperfScenario, KvStoreScenario,
-    LinpackScenario, RubisScenario, ScenarioSpec, StorageScenario,
+    allreduce, fanout, kvstore, AllreduceScenario, CdnScenario, FanoutScenario, IperfScenario,
+    KvStoreScenario, LinpackScenario, RubisScenario, ScenarioSpec, StorageScenario,
 };
 use testkit::{
     assert_path_completeness, assert_tier_latency_budget, check_invariants, scenario_matrix,
@@ -46,7 +46,11 @@ fn fanout_golden_diagnosis() {
         d.verdict,
         "slow leaf 4 (node 9): mean user 487µs vs leaf-tier median 66µs"
     );
-    assert_eq!(spec.slow_leaf, 4, "the verdict names the configured leaf");
+    assert_eq!(
+        fanout::SLOW_LEAF,
+        4,
+        "the verdict names the configured leaf"
+    );
 }
 
 #[test]
@@ -58,7 +62,11 @@ fn allreduce_golden_diagnosis() {
         d.verdict,
         "straggler rank 2: mean reduce 88µs vs ring median 63µs"
     );
-    assert_eq!(spec.straggler, 2, "the verdict names the configured rank");
+    assert_eq!(
+        allreduce::STRAGGLER,
+        2,
+        "the verdict names the configured rank"
+    );
 }
 
 #[test]
@@ -137,7 +145,6 @@ fn iperf_and_linpack_scenarios_run_monitored() {
 fn quick_kv() -> KvStoreScenario {
     KvStoreScenario {
         duration: SimDuration::from_millis(300),
-        ..KvStoreScenario::default()
     }
 }
 
@@ -389,22 +396,17 @@ fn fanout_paths_are_complete_and_healthy_leaves_meet_budget() {
     assert_path_completeness(
         &gpa,
         spec.frontend_node(),
-        sysprof_apps::fanout::FRONT_PORT,
-        spec.mids,
+        fanout::FRONT_PORT,
+        fanout::MIDS,
         0.95,
     );
     // Healthy leaves answer well under a millisecond on average; the
     // configured slow leaf blows that budget by design.
-    for l in 0..spec.mids * spec.leaves_per_mid {
-        if l == spec.slow_leaf {
+    for l in 0..fanout::MIDS * fanout::LEAVES_PER_MID {
+        if l == fanout::SLOW_LEAF {
             continue;
         }
-        assert_tier_latency_budget(
-            &gpa,
-            spec.leaf_node(l),
-            sysprof_apps::fanout::LEAF_PORT,
-            1_000.0,
-        );
+        assert_tier_latency_budget(&gpa, spec.leaf_node(l), fanout::LEAF_PORT, 1_000.0);
     }
 }
 
@@ -414,13 +416,8 @@ fn kvstore_shard_tier_meets_its_latency_budget() {
     let run = spec.run(7);
     let gpa = run.sysprof.gpa();
     let gpa = gpa.borrow();
-    for s in 0..spec.shards {
-        assert_tier_latency_budget(
-            &gpa,
-            spec.shard_node(s),
-            sysprof_apps::kvstore::SHARD_PORT,
-            1_000.0,
-        );
+    for s in 0..kvstore::SHARDS {
+        assert_tier_latency_budget(&gpa, spec.shard_node(s), kvstore::SHARD_PORT, 1_000.0);
     }
 }
 
@@ -434,7 +431,7 @@ fn kvstore_shard_tier_meets_its_latency_budget() {
 #[test]
 fn fanout_diagnosis_survives_a_monitoring_partition() {
     let spec = quick_fanout();
-    let leaves: Vec<NodeId> = (0..spec.mids * spec.leaves_per_mid)
+    let leaves: Vec<NodeId> = (0..fanout::MIDS * fanout::LEAVES_PER_MID)
         .map(|l| spec.leaf_node(l))
         .collect();
     let plan = uniform_loss(0.01).with_partition(
@@ -494,7 +491,7 @@ fn allreduce_diagnosis_survives_monitoring_chaos() {
     let spec = quick_allreduce();
     let plan = uniform_loss(0.0)
         .with_link(
-            spec.rank_node(spec.straggler),
+            spec.rank_node(allreduce::STRAGGLER),
             spec.gpa_node(),
             LinkFaults {
                 loss: 0.05,
