@@ -4,14 +4,14 @@
 # pipeline would do.
 #
 #   ./ci.sh              full pipeline
-#   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch/one-daemon checks (fast pre-commit check)
+#   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch/one-daemon/one-price-list checks (fast pre-commit check)
 #   ./ci.sh --kprof      only Kprof: its unit tests, matcher equivalence + zero-alloc, CPA dispatch, node_hotpath fingerprints
 #   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
 #   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat checks, golden diagnoses + chaos matrix, cluster_kv/cluster_iperf/gpa_query fingerprints
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
-#   ./ci.sh --substrate  only the simulator under the monitor: calendar, simos, fingerprints
+#   ./ci.sh --substrate  only the simulator under the monitor: one-price-list check, calendar, simos, fingerprints
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
 #   ./ci.sh --ingest     only the GPA's ingest path: histogram binning, class statistic, store, receiver, hostile bytes, gpa_wire fingerprints
@@ -210,12 +210,36 @@ check_one_daemon() {
     fi
 }
 
+check_one_price_list() {
+    # `simos::cost` is the simulated machine's one price list: outside
+    # their unit tests and comments, the kernel's files (node.rs, world.rs,
+    # world/) name no `SimDuration::from_*` literal and no `costs.` path,
+    # so a new charge or wait is a named constant there, not a per-node
+    # field or a literal at its call site.
+    local f found=0
+    for f in crates/simos/src/node.rs crates/simos/src/world.rs \
+        $(find crates/simos/src/world -name '*.rs' | sort); do
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E 'SimDuration::from_|\bcosts\.'; then
+            found=1
+        fi
+    done
+    if [[ $found == 1 ]]; then
+        echo "the simulated kernel charges and waits what simos::cost names: no" \
+            "SimDuration literal or costs. path in simos's node.rs, world.rs or world/" >&2
+        return 1
+    fi
+}
+
 # The substrate's own gates, shared by --substrate and the full run: the
 # calendar's model proptests and simos, the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
 # the sysbench quick fingerprints of both cluster workloads on the seed
 # and the held-out seed (byte-identical or the harness exits nonzero).
 substrate_steps=(
+    "==> one price list (the kernel's charges and waits are simos::cost constants)"
+    "check_one_price_list"
     "==> substrate: calendar + simos (defer vs the linear model, crash after a stretch)"
     "cargo test -q -p simcore -p simos"
     "==> substrate: allocations per packet, heap pushes per hit (counts, not clocks)"
@@ -319,7 +343,9 @@ case "${1:-}" in
         "==> one switch (LpaConfig::level; open-window counts change in Window only)" \
         check_one_switch \
         "==> one daemon (Daemon answers CONTROL_PORT; topics are records::TOPICS)" \
-        check_one_daemon
+        check_one_daemon \
+        "==> one price list (the kernel's charges and waits are simos::cost constants)" \
+        check_one_price_list
     ;;
 --daemon)
     # The dissemination daemon: its wakes and its control port, the
@@ -496,6 +522,9 @@ check_one_class_stat
 
 echo "==> one daemon (Daemon answers CONTROL_PORT; topics are records::TOPICS)"
 check_one_daemon
+
+echo "==> one price list (the kernel's charges and waits are simos::cost constants)"
+check_one_price_list
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode

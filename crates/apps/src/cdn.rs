@@ -23,7 +23,7 @@ use kprof::FileId;
 use serde::Serialize;
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::Port;
-use simos::{DiskSpec, Message, NodeConfig, ProcCtx, Program, SocketId, World, WorldBuilder};
+use simos::{DiskSpec, Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::{detect, SysProf};
 
 use crate::scenario::{
@@ -272,16 +272,13 @@ impl ScenarioSpec for CdnScenario {
     }
 
     fn topology(&self, nodes: WorldBuilder) -> (WorldBuilder, Placement) {
-        let origin_config = NodeConfig {
-            disk: DiskSpec {
-                seek: ORIGIN_SEEK,
-                ..DiskSpec::default()
-            },
-            ..NodeConfig::default()
+        let origin_disk = DiskSpec {
+            seek: ORIGIN_SEEK,
+            ..DiskSpec::default()
         };
         let nodes = named_nodes(nodes, "cdn-client", CLIENTS)
             .node("cdn-edge")
-            .node_with("cdn-origin", origin_config, simnet::ClockSpec::PERFECT);
+            .node_with("cdn-origin", origin_disk, simnet::ClockSpec::PERFECT);
         let monitored = vec![self.edge_node(), self.origin_node()];
         on_gigabit_lan(nodes, monitored, self.gpa_node())
     }

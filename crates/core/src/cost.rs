@@ -1,8 +1,10 @@
 //! What each step of the monitor's own path costs in simulated CPU time.
 //!
-//! Together with [`kprof::cost`] this is the whole overhead model: every
-//! nanosecond of `CpuUsage::monitor` on a monitored node, and of kernel
-//! time the monitor spends on the GPA node, is a sum of these constants.
+//! Together with [`kprof::cost`] and [`simos::cost::TX_STACK`] (what the
+//! kernel charges per packet it sends for the monitor) this is the whole
+//! overhead model: every nanosecond of `CpuUsage::monitor` on a monitored
+//! node, and of kernel time the monitor spends on the GPA node, is a sum
+//! of these constants.
 //! Each is named after the sysbench per-layer stage whose *simulated*
 //! counterpart it is (`benchmark/README.md` lists the stages), so the
 //! wall-clock ledger and the modelled overhead read against one

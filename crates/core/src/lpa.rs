@@ -58,7 +58,7 @@ pub enum MonitorLevel {
 #[derive(Debug, Clone)]
 pub struct LpaConfig {
     /// Double-buffer side capacity, in records, and the length of the
-    /// recent-interaction window ("window size").
+    /// recent-interaction window ("window size"); zero clamps to 1.
     pub window: usize,
     /// What the LPA watches and keeps: its Kprof interest and whether it
     /// stages per-interaction records (the controller's "statistics for
@@ -452,12 +452,10 @@ pub struct Lpa {
 }
 
 impl Lpa {
-    /// Creates an LPA for `node` (whose interfaces carry `node_ip`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window size is zero.
-    pub fn new(node: NodeId, node_ip: Ip, config: LpaConfig) -> Self {
+    /// Creates an LPA for `node` (whose interfaces carry `node_ip`); a
+    /// zero window clamps to 1, as it does at run time.
+    pub fn new(node: NodeId, node_ip: Ip, mut config: LpaConfig) -> Self {
+        config.window = config.window.max(1);
         let buffers = DoubleBuffer::new(config.window);
         Lpa {
             node,
@@ -1443,16 +1441,22 @@ mod tests {
 
     #[test]
     fn window_is_bounded() {
-        let cfg = LpaConfig {
-            window: 3,
-            ..Default::default()
+        let run = |window| {
+            let cfg = LpaConfig {
+                window,
+                ..Default::default()
+            };
+            let mut l = Lpa::new(NodeId(1), ME, cfg);
+            for i in 0..10 {
+                one_exchange(&mut l, 1_000 + i * 10_000);
+            }
+            l.flush_idle(SimTime::from_secs(1));
+            let history = l.window_snapshot().count();
+            (l.config().window, history, l.overwritten(), l.drain())
         };
-        let mut l = Lpa::new(NodeId(1), ME, cfg);
-        for i in 0..10 {
-            one_exchange(&mut l, 1_000 + i * 10_000);
-        }
-        l.flush_idle(SimTime::from_secs(1));
-        assert_eq!(l.window_snapshot().count(), 3, "window keeps the last N");
+        assert_eq!(run(3).1, 3, "window keeps the last N");
+        // A zero window is a window of 1, at creation as at reconfigure.
+        assert_eq!(run(0), run(1));
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! order-of-magnitude-higher per-interaction kernel time (Figure 5) is
 //! produced by this queue.
 
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
 /// Static parameters of a disk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskSpec {
     /// Average positioning (seek + rotational) time per request.
     pub seek: SimDuration,
@@ -40,6 +39,7 @@ impl DiskSpec {
 /// A disk with a FIFO request queue, modeled by a busy-until horizon.
 #[derive(Debug, Clone)]
 pub struct Disk {
+    nominal: DiskSpec,
     spec: DiskSpec,
     busy_until: SimTime,
     requests: u64,
@@ -50,6 +50,7 @@ impl Disk {
     /// Creates an idle disk.
     pub fn new(spec: DiskSpec) -> Self {
         Disk {
+            nominal: spec,
             spec,
             busy_until: SimTime::ZERO,
             requests: 0,
@@ -57,17 +58,14 @@ impl Disk {
         }
     }
 
-    /// The disk parameters.
-    pub fn spec(&self) -> &DiskSpec {
-        &self.spec
-    }
-
-    /// Replaces the disk's service parameters at runtime (fault
-    /// injection: a degrading drive, a failing controller). Queued
-    /// requests already admitted keep their old completion times; new
-    /// submissions pay the new costs.
-    pub fn set_spec(&mut self, spec: DiskSpec) {
-        self.spec = spec;
+    /// Serves new requests `factor` times slower than nominal; admitted ones
+    /// keep their completion times ([`World::degrade_disk`](crate::World::degrade_disk)).
+    pub(crate) fn degrade(&mut self, factor: f64) {
+        self.spec = DiskSpec {
+            seek: self.nominal.seek.mul_f64(factor),
+            transfer_bps: ((self.nominal.transfer_bps as f64 / factor) as u64).max(1),
+            overhead: self.nominal.overhead.mul_f64(factor),
+        };
     }
 
     /// Submits a request at `now`; returns when it completes (after all

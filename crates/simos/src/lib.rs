@@ -46,7 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod config;
+pub mod cost;
 mod disk;
 mod node;
 mod process;
@@ -56,7 +56,6 @@ mod socket;
 mod world;
 
 pub use bytes::Bytes;
-pub use config::{CostConfig, NodeConfig};
 pub use disk::{Disk, DiskSpec};
 pub use node::{CpuUsage, NodeStats};
 pub use process::{PendingWork, ProcState, Process};

@@ -9,7 +9,7 @@ use simnet::{EndPoint, FlowKey, Port};
 
 use crate::process::Process;
 use crate::socket::{Socket, SocketId};
-use crate::{Disk, NodeConfig};
+use crate::{cost, Disk, DiskSpec};
 
 /// Cumulative CPU time by category. The categories add up to total busy
 /// time; `monitor` is the perturbation SysProf itself causes — the paper's
@@ -78,7 +78,6 @@ pub(crate) struct RunningQuantum {
 /// One simulated machine: kernel state + instrumentation.
 pub(crate) struct Node {
     pub id: NodeId,
-    pub config: NodeConfig,
     pub kprof: Kprof,
     pub disk: Disk,
     pub procs: HashMap<Pid, Process>,
@@ -120,12 +119,11 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    pub fn new(id: NodeId, config: NodeConfig) -> Self {
+    pub fn new(id: NodeId, disk: DiskSpec) -> Self {
         Node {
             id,
-            config,
             kprof: Kprof::new(id),
-            disk: Disk::new(config.disk),
+            disk: Disk::new(disk),
             procs: HashMap::default(),
             arm_procs: 0,
             runq: VecDeque::new(),
@@ -152,7 +150,7 @@ impl Node {
 
     /// Creates a socket for `owner`, carrying the owner's ARM opt-in.
     pub fn new_socket(&self, id: SocketId, owner: Pid, local: EndPoint, peer: EndPoint) -> Socket {
-        let mut s = Socket::new(id, owner, local, peer, self.config.costs.socket_rx_bytes);
+        let mut s = Socket::new(id, owner, local, peer, cost::SOCKET_RX_BYTES);
         s.owner_arm = self.arm_procs > 0 && self.procs.get(&owner).is_some_and(|p| p.arm_enabled);
         s
     }

@@ -65,8 +65,7 @@ pub struct Process {
     /// NFS server): all its CPU time is accounted as kernel time and its
     /// message handling never pays the user-copy step.
     pub kernel_daemon: bool,
-    /// Sockets blocked on tx backpressure resume sending this action when
-    /// woken (the un-finished send is re-queued at the front).
+    /// What is left of the `Action::Compute` being run.
     pub remaining_compute: SimDuration,
     /// When the process exited, if it has.
     pub exited_at: Option<simcore::SimTime>,

@@ -1,5 +1,4 @@
-//! Sockets: kernel receive buffers, message reassembly, transmit
-//! backpressure state.
+//! Sockets: kernel receive buffers and message reassembly.
 //!
 //! The receive buffer is byte-accounted: packets of in-flight messages
 //! occupy buffer space until the owning process `recv`s the completed
@@ -59,11 +58,6 @@ pub struct Socket {
     pub local: EndPoint,
     /// Remote `{ip, port}`.
     pub peer: EndPoint,
-    /// Bytes currently queued in the transmit path (device queue share);
-    /// the sender blocks when this exceeds the configured limit.
-    pub tx_inflight: u64,
-    /// Whether the owner is blocked waiting for tx space.
-    pub tx_blocked: bool,
     /// True once closed; late packets are dropped.
     pub closed: bool,
     /// The owner's `arm_enabled`, kept in step by the kernel so a packet
@@ -92,8 +86,6 @@ impl Socket {
             owner,
             local,
             peer,
-            tx_inflight: 0,
-            tx_blocked: false,
             closed: false,
             owner_arm: false,
             rx_capacity: rx_capacity_bytes,

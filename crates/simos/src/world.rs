@@ -26,7 +26,7 @@ use crate::node::{Node, NodeStats};
 use crate::process::PendingWork;
 use crate::program::{Action, Message};
 use crate::socket::SocketId;
-use crate::NodeConfig;
+use crate::DiskSpec;
 
 mod calendar;
 mod lifecycle;
@@ -199,7 +199,7 @@ pub trait DaemonHook {
     }
 }
 
-/// Builds a [`World`]: topology plus per-node OS configuration.
+/// Builds a [`World`]: topology plus each node's disk and clock.
 ///
 /// # Example
 ///
@@ -219,7 +219,7 @@ pub trait DaemonHook {
 pub struct WorldBuilder {
     seed: u64,
     net: NetworkBuilder,
-    configs: Vec<NodeConfig>,
+    disks: Vec<DiskSpec>,
     faults: Option<FaultPlan>,
 }
 
@@ -229,7 +229,7 @@ impl WorldBuilder {
         WorldBuilder {
             seed,
             net: NetworkBuilder::new(),
-            configs: Vec::new(),
+            disks: Vec::new(),
             faults: None,
         }
     }
@@ -244,19 +244,17 @@ impl WorldBuilder {
         self
     }
 
-    /// Adds a node with default OS config and a perfect clock.
+    /// Adds a node with the default disk and a perfect clock.
     #[must_use]
-    pub fn node(mut self, name: &str) -> Self {
-        self.net = self.net.node(name);
-        self.configs.push(NodeConfig::default());
-        self
+    pub fn node(self, name: &str) -> Self {
+        self.node_with(name, DiskSpec::default(), ClockSpec::PERFECT)
     }
 
-    /// Adds a node with explicit OS config and clock model.
+    /// Adds a node with its own disk and clock; the rest is [`crate::cost`].
     #[must_use]
-    pub fn node_with(mut self, name: &str, config: NodeConfig, clock: ClockSpec) -> Self {
+    pub fn node_with(mut self, name: &str, disk: DiskSpec, clock: ClockSpec) -> Self {
         self.net = self.net.node_with_clock(name, clock);
-        self.configs.push(config);
+        self.disks.push(disk);
         self
     }
 
@@ -282,10 +280,10 @@ impl WorldBuilder {
     pub fn build(self) -> Result<World, TopologyError> {
         let mut net = self.net.build()?;
         let nodes: Vec<Node> = self
-            .configs
+            .disks
             .into_iter()
             .enumerate()
-            .map(|(i, cfg)| Node::new(NodeId(i as u32), cfg))
+            .map(|(i, disk)| Node::new(NodeId(i as u32), disk))
             .collect();
         let mut rng = SimRng::seed(self.seed);
         let mut queue = EventQueue::new();
@@ -314,7 +312,6 @@ impl WorldBuilder {
             daemon_hooks: HashMap::default(),
             inflight_data: HashMap::default(),
             actions: Vec::new(),
-            conn_setup_delay: SimDuration::from_micros(200),
         })
     }
 }
@@ -338,7 +335,6 @@ pub struct World {
     inflight_data: HashMap<(FlowKey, u64), Bytes>,
     /// Scratch for the actions one program callback queues.
     actions: Vec<Action>,
-    conn_setup_delay: SimDuration,
 }
 
 impl World {
@@ -486,13 +482,7 @@ impl World {
             factor.is_finite() && factor > 0.0,
             "bad degradation factor {factor}"
         );
-        let nominal = self.nodes[node.0 as usize].config.disk;
-        let disk = &mut self.nodes[node.0 as usize].disk;
-        disk.set_spec(crate::DiskSpec {
-            seek: nominal.seek.mul_f64(factor),
-            transfer_bps: ((nominal.transfer_bps as f64 / factor) as u64).max(1),
-            overhead: nominal.overhead.mul_f64(factor),
-        });
+        self.nodes[node.0 as usize].disk.degrade(factor);
     }
 }
 
@@ -514,13 +504,32 @@ mod tests {
             .expect("valid topology")
     }
 
+    /// A node's settable values, all five (a disk's three, a clock's two),
+    /// destructured with no `..`: a sixth fails to compile here until this
+    /// test and DESIGN §3, item 2, count it.
+    #[test]
+    fn a_node_has_five_settable_values() {
+        let DiskSpec {
+            seek,
+            transfer_bps,
+            overhead,
+        } = DiskSpec::default();
+        let ClockSpec {
+            offset_ns,
+            drift_ppm,
+        } = ClockSpec::PERFECT;
+        assert_eq!((seek.as_millis(), overhead.as_micros()), (8, 200));
+        assert_eq!(transfer_bps, 55_000_000);
+        assert_eq!((offset_ns, drift_ppm), (0, 0.0));
+    }
+
     #[test]
     fn wall_clocks_differ_with_skew() {
         let mut w = WorldBuilder::new(14)
             .node("sync")
             .node_with(
                 "skewed",
-                NodeConfig::default(),
+                DiskSpec::default(),
                 ClockSpec {
                     offset_ns: 300_000,
                     drift_ppm: 0.0,

@@ -6,6 +6,7 @@ use kprof::EventPayload;
 use simcore::{CalendarStats, NodeId, SimDuration, SimTime};
 
 use super::{CpuCat, Ev, World};
+use crate::cost;
 use crate::process::PendingWork;
 
 impl World {
@@ -53,7 +54,7 @@ impl World {
         self.steal(node, now, result.cost, CpuCat::Monitor);
         for analyzer in result.buffer_full {
             self.queue.schedule(
-                now + SimDuration::from_micros(10),
+                now + cost::BUFFER_FULL_WAKE,
                 Ev::DaemonWake {
                     node,
                     analyzer: Some(analyzer),

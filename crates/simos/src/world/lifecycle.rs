@@ -5,6 +5,7 @@ use kprof::{EventPayload, GroupId, Pid};
 use simcore::{NodeId, SimDuration, SimTime};
 
 use super::{Ev, World};
+use crate::cost;
 use crate::process::{ProcState, Process};
 use crate::program::Program;
 
@@ -143,7 +144,7 @@ impl World {
         // after a short boot delay so dissemination resumes.
         if self.daemon_hooks.contains_key(&node) {
             self.queue.schedule(
-                now + SimDuration::from_millis(1),
+                now + cost::RESTART_BOOT,
                 Ev::DaemonWake {
                     node,
                     analyzer: None,

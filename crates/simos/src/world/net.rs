@@ -4,10 +4,11 @@
 
 use bytes::Bytes;
 use kprof::{EventPayload, NetPoint, Pid};
-use simcore::{NodeId, SimDuration, SimTime};
+use simcore::{NodeId, SimTime};
 use simnet::{EndPoint, FlowKey, NetOutcome, Packet, PacketId, PayloadTag, Port};
 
 use super::{CpuCat, Ev, KernelOutput, World};
+use crate::cost;
 use crate::process::PendingWork;
 use crate::socket::{Socket, SocketId};
 
@@ -89,8 +90,7 @@ impl World {
         let arm = pid.and_then(|pid| self.arm_of_proc(node, pid, msg_id));
         let mut remaining = bytes;
         if kernel {
-            let tx_stack = self.nodes[node.0 as usize].config.costs.tx_stack;
-            self.steal(node, now, tx_stack * npackets, CpuCat::Monitor);
+            self.steal(node, now, cost::TX_STACK * npackets, CpuCat::Monitor);
         }
         for _ in 0..npackets {
             let payload = remaining.min(Packet::MAX_PAYLOAD as u64) as u32;
@@ -130,10 +130,8 @@ impl World {
 
             if dst_node == node {
                 // Loopback: deliver after a tiny fixed delay.
-                self.queue.schedule(
-                    now + SimDuration::from_micros(5),
-                    Ev::PacketArrival { node, packet },
-                );
+                self.queue
+                    .schedule(now + cost::LOOPBACK, Ev::PacketArrival { node, packet });
                 self.queue.schedule(now, Ev::NicTxDone { node, packet });
                 self.nodes[node.0 as usize].tx_queue_bytes += packet.size as u64;
                 continue;
@@ -196,7 +194,7 @@ impl World {
         );
         let n = &mut self.nodes[node.0 as usize];
         n.tx_queue_bytes = n.tx_queue_bytes.saturating_sub(packet.size as u64);
-        if n.tx_queue_bytes < n.config.costs.socket_tx_bytes / 2 && !n.tx_waiters.is_empty() {
+        if n.tx_queue_bytes < cost::SOCKET_TX_BYTES / 2 && !n.tx_waiters.is_empty() {
             for pid in std::mem::take(&mut n.tx_waiters) {
                 self.wake(node, pid, now);
             }
@@ -205,9 +203,8 @@ impl World {
 
     pub(super) fn packet_arrival(&mut self, node: NodeId, packet: Packet, now: SimTime) {
         let n = &mut self.nodes[node.0 as usize];
-        let (rx_irq, rx_stack) = (n.config.costs.rx_irq, n.config.costs.rx_stack);
         n.stats.packets_in += 1;
-        if n.rx_backlog >= n.config.costs.rx_ring_packets {
+        if n.rx_backlog >= cost::RX_RING_PACKETS {
             n.stats.ring_drops += 1;
             // NIC ring overflow: silently dropped by hardware — the
             // kernel never sees it, so no Kprof event fires. This is
@@ -227,12 +224,12 @@ impl World {
                 arm,
             },
         );
-        self.steal(node, now, rx_irq, CpuCat::Irq);
+        self.steal(node, now, cost::RX_IRQ, CpuCat::Irq);
         // Softirq protocol processing pipeline.
         let n = &mut self.nodes[node.0 as usize];
-        let done = now.max(n.softirq_busy_until) + rx_stack;
+        let done = now.max(n.softirq_busy_until) + cost::RX_STACK;
         n.softirq_busy_until = done;
-        self.steal(node, now, rx_stack, CpuCat::Irq);
+        self.steal(node, now, cost::RX_STACK, CpuCat::Irq);
         self.queue.schedule(done, Ev::RxStackDone { node, packet });
     }
 
@@ -335,9 +332,9 @@ impl World {
         );
         let wall = self.wall(node);
         let n = &mut self.nodes[node.0 as usize];
-        let rx_capacity = n.config.costs.socket_rx_bytes.max(16 * 1024 * 1024);
         let sock = n.sink_socks.entry(flow).or_insert_with(|| {
-            Socket::new(SocketId(u64::MAX), Pid(0), flow.dst, flow.src, rx_capacity)
+            let (id, owner) = (SocketId(u64::MAX), Pid(0));
+            Socket::new(id, owner, flow.dst, flow.src, cost::SINK_RX_BYTES)
         });
         if !sock.offer(packet, wall) {
             n.stats.socket_drops += 1;
@@ -378,6 +375,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use kprof::{AnalyzerId, Kprof};
+    use simcore::SimDuration;
     use simnet::LinkSpec;
 
     use super::super::tests::*;
@@ -759,7 +757,9 @@ mod tests {
             w.kernel_send(NodeId(0), Port(9997), to(9998), 42, vec![0u8; 5000]);
             w.kernel_send(NodeId(0), Port(9997), to(9996), 43, vec![0u8; 50]);
             w.run_until(SimTime::from_secs(1));
-            let monitor = w.node_stats(NodeId(1)).cpu.monitor;
+            // Monitor time beside what the node's Kprof charged.
+            let kprof = w.kprof(NodeId(1)).stats().total_overhead;
+            let monitor = w.node_stats(NodeId(1)).cpu.monitor - kprof;
             (log.take(), replies.get(), monitor)
         };
 
@@ -774,15 +774,17 @@ mod tests {
         );
         assert_eq!(replies, 1, "the hook's output was applied");
 
-        // The hook's wakes are what they are without a port; only the
-        // message's 2 µs (plus its reply's transmit) were added.
+        // The hook's wakes are what they are without a port; beside Kprof,
+        // exactly the message's 2 µs and its one-packet reply's transmit
+        // were added.
         let (bare, no_replies, bare_monitor) = run(None);
         let wakes: Vec<&String> = log.iter().filter(|l| l.starts_with("wake")).collect();
         assert_eq!(wakes, bare.iter().collect::<Vec<_>>());
         assert_eq!(wakes.len(), 3);
         assert!(wakes.iter().all(|l| l.ends_with("None on NodeId(1)")));
         assert_eq!(no_replies, 0);
-        assert!(monitor >= bare_monitor + SimDuration::from_micros(2));
+        let added = SimDuration::from_micros(2) + cost::TX_STACK;
+        assert_eq!(monitor, bare_monitor + added);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{EndPoint, Packet, Port};
 
 use super::{Ev, QuantumKind, World};
+use crate::cost;
 use crate::node::RunningQuantum;
 use crate::process::{PendingWork, ProcState};
 use crate::program::{Action, Callback, ProcCtx};
@@ -82,9 +83,8 @@ impl World {
         let switching = from != Some(pid);
         let mut total = work;
         if switching {
-            let context_switch = n.config.costs.context_switch;
-            total += context_switch;
-            n.stats.cpu.kernel += context_switch;
+            total += cost::CONTEXT_SWITCH;
+            n.stats.cpu.kernel += cost::CONTEXT_SWITCH;
             n.stats.context_switches += 1;
             n.last_pid = Some(pid);
         }
@@ -122,19 +122,18 @@ impl World {
         pid: Pid,
     ) -> Option<(QuantumKind, SimDuration, Option<SyscallKind>)> {
         let n = &mut self.nodes[node.0 as usize];
-        let cfg = &n.config.costs;
         let p = n.procs.get_mut(&pid).filter(|p| !p.is_exited())?;
         let blocked_on = loop {
             // Resume preempted compute first.
             if !p.remaining_compute.is_zero() {
                 p.state = ProcState::Running;
-                let work = p.remaining_compute.min(cfg.timeslice);
+                let work = p.remaining_compute.min(cost::TIMESLICE);
                 return Some((QuantumKind::Compute, work, None));
             }
 
             // Next queued op. Sends block first on tx backpressure.
             if matches!(p.ops.front(), Some(Action::Send { .. }))
-                && n.tx_queue_bytes >= cfg.socket_tx_bytes
+                && n.tx_queue_bytes >= cost::SOCKET_TX_BYTES
             {
                 n.tx_waiters.push(pid);
                 break BlockReason::SocketSend;
@@ -148,22 +147,24 @@ impl World {
                     Action::Send { bytes, .. } => {
                         let packets = Packet::count_for_payload(*bytes);
                         (
-                            cfg.syscall_base + cfg.copy_cost(*bytes) + cfg.tx_stack * packets,
+                            cost::SYSCALL_BASE + cost::copy_cost(*bytes) + cost::TX_STACK * packets,
                             SyscallKind::Send,
                         )
                     }
-                    Action::Listen { .. } => (cfg.syscall_base, SyscallKind::Open),
-                    Action::Connect { .. } => (cfg.syscall_base * 2, SyscallKind::Open),
-                    Action::Close { .. } => (cfg.syscall_base, SyscallKind::Close),
-                    Action::FileRead { bytes, .. } => {
-                        (cfg.syscall_base + cfg.copy_cost(*bytes), SyscallKind::Read)
-                    }
-                    Action::FileWrite { bytes, .. } => {
-                        (cfg.syscall_base + cfg.copy_cost(*bytes), SyscallKind::Write)
-                    }
-                    Action::Sleep { .. } => (cfg.syscall_base, SyscallKind::Sleep),
-                    Action::Spawn { .. } => (SimDuration::from_micros(50), SyscallKind::Fork),
-                    Action::Exit => (cfg.syscall_base, SyscallKind::Exit),
+                    Action::Listen { .. } => (cost::SYSCALL_BASE, SyscallKind::Open),
+                    Action::Connect { .. } => (cost::SYSCALL_BASE * 2, SyscallKind::Open),
+                    Action::Close { .. } => (cost::SYSCALL_BASE, SyscallKind::Close),
+                    Action::FileRead { bytes, .. } => (
+                        cost::SYSCALL_BASE + cost::copy_cost(*bytes),
+                        SyscallKind::Read,
+                    ),
+                    Action::FileWrite { bytes, .. } => (
+                        cost::SYSCALL_BASE + cost::copy_cost(*bytes),
+                        SyscallKind::Write,
+                    ),
+                    Action::Sleep { .. } => (cost::SYSCALL_BASE, SyscallKind::Sleep),
+                    Action::Spawn { .. } => (cost::SPAWN, SyscallKind::Fork),
+                    Action::Exit => (cost::SYSCALL_BASE, SyscallKind::Exit),
                 };
                 p.state = ProcState::Running;
                 return Some((QuantumKind::Syscall(op), work, Some(syscall)));
@@ -175,14 +176,14 @@ impl World {
                     PendingWork::MsgReady(sock) => {
                         match n.sockets.get(&sock).and_then(|s| s.peek_ready()) {
                             Some((msg, npackets)) => {
-                                let cost = if p.kernel_daemon {
-                                    cfg.syscall_base
+                                let work = if p.kernel_daemon {
+                                    cost::SYSCALL_BASE
                                 } else {
-                                    cfg.syscall_base
-                                        + cfg.rx_deliver * npackets as u64
-                                        + cfg.copy_cost(msg.bytes)
+                                    cost::SYSCALL_BASE
+                                        + cost::RX_DELIVER * npackets as u64
+                                        + cost::copy_cost(msg.bytes)
                                 };
-                                (cost, Some(SyscallKind::Recv))
+                                (work, Some(SyscallKind::Recv))
                             }
                             // Stale notification (socket closed or message
                             // already consumed): skip it and look again.
@@ -192,7 +193,7 @@ impl World {
                     PendingWork::Start
                     | PendingWork::Connected(_)
                     | PendingWork::IoDone(_)
-                    | PendingWork::Timer(_) => (cfg.syscall_base, None),
+                    | PendingWork::Timer(_) => (cost::SYSCALL_BASE, None),
                 };
                 p.state = ProcState::Running;
                 return Some((QuantumKind::Deliver(item), work, syscall));
@@ -406,7 +407,7 @@ impl World {
                 "connect to {remote_ep}: nothing is listening after {attempt} SYN retries"
             );
             self.queue.schedule(
-                now + SimDuration::from_millis(5),
+                now + cost::SYN_RETRY,
                 Ev::ConnRetry {
                     node,
                     pid,
@@ -444,7 +445,7 @@ impl World {
         let delay = self
             .net
             .estimated_rtt(node, remote)
-            .unwrap_or(self.conn_setup_delay);
+            .unwrap_or(cost::CONN_SETUP);
         self.queue
             .schedule(now + delay, Ev::ConnEstablished { node, pid, sock });
     }

@@ -4,7 +4,7 @@
 use simcore::{NodeId, SimDuration, SimTime};
 use simnet::{ClockSpec, LinkSpec, Port};
 use simos::programs::EchoServer;
-use simos::{Message, NodeConfig, ProcCtx, Program, SocketId, World, WorldBuilder};
+use simos::{DiskSpec, Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::{procfs, GpaConfig, MonitorConfig, SysProf};
 
 /// In a happy-path run on an uncongested LAN no link queue should ever
@@ -145,9 +145,9 @@ fn gpa_correlates_across_tiers_with_clock_skew() {
         drift_ppm: 0.5,
     };
     let mut world = WorldBuilder::new(9)
-        .node_with("client", NodeConfig::default(), clock(150_000))
-        .node_with("relay", NodeConfig::default(), clock(-200_000))
-        .node_with("backend", NodeConfig::default(), clock(80_000))
+        .node_with("client", DiskSpec::default(), clock(150_000))
+        .node_with("relay", DiskSpec::default(), clock(-200_000))
+        .node_with("backend", DiskSpec::default(), clock(80_000))
         .node("gpa")
         .full_mesh(LinkSpec::gigabit_lan())
         .build()
