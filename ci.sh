@@ -7,11 +7,11 @@
 #   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch/one-daemon/one-price-list checks (fast pre-commit check)
 #   ./ci.sh --kprof      only Kprof: its unit tests, matcher equivalence + zero-alloc, CPA dispatch, node_hotpath fingerprints
 #   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
-#   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat checks, golden diagnoses + chaos matrix, cluster_kv/cluster_iperf/gpa_query fingerprints
+#   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat + one-draw checks, golden diagnoses + chaos matrix, cluster_kv/cluster_iperf/gpa_query fingerprints
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
-#   ./ci.sh --substrate  only the simulator under the monitor: one-price-list check, calendar, simos, fingerprints
+#   ./ci.sh --substrate  only the simulator under the monitor: one-price-list + one-draw checks, calendar, simos, fingerprints
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
 #   ./ci.sh --ingest     only the GPA's ingest path: histogram binning, class statistic, store, receiver, hostile bytes, gpa_wire fingerprints
@@ -232,6 +232,27 @@ check_one_price_list() {
     fi
 }
 
+check_one_draw() {
+    # Shaped random draws live in `simcore::rng`, where whatever a
+    # distribution needs once is prepared once (a `Zipf` table): outside
+    # their unit tests and comments, the scenario library, the kernel and
+    # the network call no `powf`, `powi`, `.ln()` or `.exp()`, so a
+    # transcendental per request or per packet cannot come back unseen.
+    local f found=0
+    for f in $(find crates/apps/src crates/simos/src crates/simnet/src -name '*.rs' | sort); do
+        if awk '/#\[cfg\(test\)\]/ { exit }
+                !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\bpow[fi]\b|\.(ln|exp)\(\)'; then
+            found=1
+        fi
+    done
+    if [[ $found == 1 ]]; then
+        echo "one draw: apps, simos and simnet take shaped draws from simcore::rng" \
+            "(SimRng::exponential, SimRng::zipf over a prepared Zipf), not powf/powi/ln/exp" >&2
+        return 1
+    fi
+}
+
 # The substrate's own gates, shared by --substrate and the full run: the
 # calendar's model proptests and simos, the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
@@ -240,6 +261,8 @@ check_one_price_list() {
 substrate_steps=(
     "==> one price list (the kernel's charges and waits are simos::cost constants)"
     "check_one_price_list"
+    "==> one draw (no powf/powi/ln/exp in apps, simos or simnet; shaped draws are simcore::rng's)"
+    "check_one_draw"
     "==> substrate: calendar + simos (defer vs the linear model, crash after a stretch)"
     "cargo test -q -p simcore -p simos"
     "==> substrate: allocations per packet, heap pushes per hit (counts, not clocks)"
@@ -280,9 +303,12 @@ check_fingerprints() {
 # BENCH_history.jsonl: work_per_s's median, quartiles, minimum and run
 # count, the host's nproc, the commit measured (`-dirty` when tracked
 # files differ from it), and `noisy` when the quartile spread exceeds 10 %
-# of the median, else `quiet`. Reads benchmark/ and writes nothing there.
+# of the median, else `quiet`. Each appended line's median is printed as
+# a ratio to the last line for the same workload, seed and size in the
+# committed BENCH_history.jsonl, with both lines' host flags. Reads
+# benchmark/ and writes nothing there.
 bench_history() {
-    local commit file found=0
+    local commit file lines committed found=0
     if ! command -v jq >/dev/null; then
         echo "--bench-history needs jq" >&2
         return 1
@@ -291,18 +317,31 @@ bench_history() {
     if ! git diff --quiet HEAD; then
         commit="$commit-dirty"
     fi
+    committed="$(mktemp)"
+    git show HEAD:BENCH_history.jsonl >"$committed" 2>/dev/null || true
     for file in benchmark/results/sysbench.seed*.json; do
         [[ -e "$file" ]] || continue
         found=1
-        jq -c --arg commit "$commit" --arg source "$(basename "$file")" '
+        lines="$(jq -c --arg commit "$commit" --arg source "$(basename "$file")" '
             . as $doc | .workloads | to_entries[] | .value.metrics.work_per_s as $m | {
                 commit: $commit, source: $source, workload: .key, seed: $doc.seed,
                 size: $doc.size, metric: "work_per_s", unit: $m.unit, median: $m.median,
                 q1: $m.q1, q3: $m.q3, min: $m.min, n: $m.n, nproc: $doc.nproc,
                 host: (if $m.q3 - $m.q1 > 0.10 * $m.median then "noisy" else "quiet" end)
-            }' "$file" >>BENCH_history.jsonl
+            }' "$file")"
+        printf '%s\n' "$lines" >>BENCH_history.jsonl
         echo "appended $file"
+        printf '%s\n' "$lines" | jq -r --slurpfile old "$committed" '
+            . as $new
+            | [$old[] | select(.workload == $new.workload and .seed == $new.seed
+                and .size == $new.size)] | last as $prev
+            | "  \($new.workload) seed \($new.seed) \($new.size): median \($new.median) (\($new.host))"
+              + (if $prev == null then ", no committed line to compare"
+                else " = \($new.median / $prev.median * 1000 | round / 1000)"
+                    + " x \($prev.commit)'"'"'s \($prev.median) (\($prev.host // "unflagged"))"
+                end)'
     done
+    rm -f "$committed"
     if [[ $found == 0 ]]; then
         echo "no full-size sysbench suite result under benchmark/results/: run benchmark/run.sh first" >&2
         return 1
@@ -398,6 +437,8 @@ case "${1:-}" in
         check_one_runner \
         "==> one class statistic (ClassStats; indictments through sysprof::detect)" \
         check_one_class_stat \
+        "==> one draw (no powf/powi/ln/exp in apps, simos or simnet; shaped draws are simcore::rng's)" \
+        check_one_draw \
         "==> scenario tests (golden diagnoses + chaos matrix)" \
         "cargo test -q -p sysprof-apps" \
         "cargo test -q --test scenarios" \
@@ -525,6 +566,9 @@ check_one_daemon
 
 echo "==> one price list (the kernel's charges and waits are simos::cost constants)"
 check_one_price_list
+
+echo "==> one draw (no powf/powi/ln/exp in apps, simos or simnet; shaped draws are simcore::rng's)"
+check_one_draw
 
 echo "==> cargo doc (ecode's docs are its design: no stale links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p ecode

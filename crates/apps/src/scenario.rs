@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use serde::Serialize;
-use simcore::{NodeId, SimDuration, SimTime};
+use simcore::{NodeId, SimDuration, SimTime, Zipf};
 use simnet::{FaultPlan, LinkSpec, Port};
 use simos::{Message, ProcCtx, Program, SocketId, World, WorldBuilder};
 use sysprof::detect::Finding;
@@ -424,13 +424,17 @@ pub(crate) struct ZipfLoad {
 /// loop survives loss.
 struct ZipfClient {
     load: ZipfLoad,
+    /// The fleet's one table of `load.keys` weights at `load.skew`.
+    keys: Rc<Zipf>,
     /// Tagged with when the request was first sent.
     link: Link<SimTime>,
     shared: Rc<RefCell<ClientStats>>,
 }
 
 /// Spawns one [`ZipfClient`] on each of nodes `0..clients`, named
-/// `{name}{i}`; returns the counters they share.
+/// `{name}{i}`; returns the counters they share. The clients share one
+/// [`Zipf`] table, prepared here, so a request's key costs a walk over
+/// its weights and no `powf`.
 pub(crate) fn spawn_zipf_clients(
     world: &mut World,
     clients: usize,
@@ -438,11 +442,13 @@ pub(crate) fn spawn_zipf_clients(
     load: ZipfLoad,
 ) -> Rc<RefCell<ClientStats>> {
     let shared = Rc::new(RefCell::new(ClientStats::default()));
+    let keys = Rc::new(Zipf::new(load.keys, load.skew));
     for c in 0..clients {
         world.spawn(
             NodeId(c as u32),
             &format!("{name}{c}"),
             Box::new(ZipfClient {
+                keys: keys.clone(),
                 link: Link::new(load.server, load.port),
                 load: load.clone(),
                 shared: shared.clone(),
@@ -454,7 +460,7 @@ pub(crate) fn spawn_zipf_clients(
 
 impl ZipfClient {
     fn issue(&mut self, ctx: &mut ProcCtx<'_>) {
-        let key = ctx.rng().zipf(self.load.keys, self.load.skew);
+        let key = ctx.rng().zipf(&self.keys);
         let kind = self.load.kind_base + key as u32;
         let first_tx = ctx.now();
         self.link.send(ctx, self.load.req_bytes, kind, first_tx);

@@ -5,7 +5,8 @@
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution virtual clock,
 //! * [`EventQueue`] — a deterministic event calendar with FIFO tie-breaking,
 //! * [`SimRng`] — seeded randomness with the distributions the workloads need
-//!   (exponential, Zipf) implemented from first principles,
+//!   (exponential, and Zipf over a [`Zipf`] table prepared once) implemented
+//!   from first principles,
 //! * [`stats`] — online statistics (Welford mean/variance, log-scale
 //!   histograms with percentile queries, windowed rates),
 //! * [`hash`] — `HashMap`/`HashSet` on one fixed, seedless hash function, for
@@ -38,7 +39,7 @@ pub mod stats;
 mod time;
 
 pub use event_queue::{CalendarStats, EventHandle, EventQueue};
-pub use rng::SimRng;
+pub use rng::{SimRng, Zipf};
 pub use time::{SimDuration, SimTime};
 
 /// Identifier of a simulated machine in a topology.

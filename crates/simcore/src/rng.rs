@@ -1,8 +1,12 @@
 //! Seeded randomness for deterministic simulations.
 //!
-//! Only `rand`'s uniform primitives are used; the shaped distributions
-//! (exponential, Zipf) are implemented here so the workspace
-//! does not need `rand_distr`.
+//! Only `rand`'s uniform primitives are used. The shaped distributions
+//! are implemented here, so the workspace does not need `rand_distr`:
+//! [`SimRng::exponential`] by inversion, and a Zipf rank by walking a
+//! [`Zipf`] table that is prepared once per key space. A shaped draw
+//! takes one uniform from the stream, and what a distribution can
+//! compute ahead of time is computed once: scenario clients draw once
+//! per request.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,29 +99,20 @@ impl SimRng {
         SimDuration::from_secs_f64(self.exponential(mean.as_secs_f64()))
     }
 
-    /// Zipf-distributed rank in `[0, n)` with skew `s`, via rejection-free
-    /// inversion on the precomputed harmonic weights is overkill for the
-    /// sizes we use, so this computes the CDF walk directly. `O(n)` worst
-    /// case; intended for small `n` (request-class and item popularity).
+    /// A Zipf-distributed rank in `[0, n)` for a table of `n` ranks: one
+    /// [`unit_f64`] scaled by the table's norm, less each rank's weight
+    /// in turn until it is used up. `O(n)` worst case, with no `powf`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `s` is negative/not finite.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf requires n > 0");
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "zipf skew must be non-negative, got {s}"
-        );
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut target = self.unit_f64() * norm;
-        for k in 1..=n {
-            target -= 1.0 / (k as f64).powf(s);
+    /// [`unit_f64`]: SimRng::unit_f64
+    pub fn zipf(&mut self, table: &Zipf) -> usize {
+        let mut target = self.unit_f64() * table.norm;
+        for (rank, w) in table.weights.iter().enumerate() {
+            target -= w;
             if target <= 0.0 {
-                return k - 1;
+                return rank;
             }
         }
-        n - 1
+        table.weights.len() - 1
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -129,10 +124,67 @@ impl SimRng {
     }
 }
 
+/// The weights of a Zipf distribution over ranks `0..n` with skew `s`:
+/// rank `k - 1` weighs `1 / k^s`. Build one per key space and draw from
+/// it with [`SimRng::zipf`].
+///
+/// # Example
+///
+/// ```
+/// use simcore::{SimRng, Zipf};
+/// let keys = Zipf::new(64, 1.2);
+/// let mut rng = SimRng::seed(7);
+/// assert!(rng.zipf(&keys) < 64);
+/// ```
+#[derive(Debug)]
+pub struct Zipf {
+    weights: Box<[f64]>,
+    /// The weights' sum, added up in rank order.
+    norm: f64,
+}
+
+impl Zipf {
+    /// Prepares the weights for `n` ranks with skew `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or `s` is negative/not finite.
+    pub fn new(n: usize, s: f64) -> Zipf {
+        assert!(n > 0, "zipf requires n > 0");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "zipf skew must be non-negative, got {s}"
+        );
+        let weights: Box<[f64]> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let norm = weights.iter().sum();
+        Zipf { weights, norm }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The sampler before [`Zipf`], verbatim: it recomputed the norm and
+    /// every weight with `powf` on each draw. The table must give the
+    /// same rank from the same stream position.
+    fn reference_zipf(rng: &mut SimRng, n: usize, s: f64) -> usize {
+        assert!(n > 0, "zipf requires n > 0");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "zipf skew must be non-negative, got {s}"
+        );
+        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+        let mut target = rng.unit_f64() * norm;
+        for k in 1..=n {
+            target -= 1.0 / (k as f64).powf(s);
+            if target <= 0.0 {
+                return k - 1;
+            }
+        }
+        n - 1
+    }
 
     #[test]
     fn seeded_streams_are_deterministic() {
@@ -171,9 +223,10 @@ mod tests {
     #[test]
     fn zipf_rank_zero_most_popular() {
         let mut rng = SimRng::seed(10);
+        let table = Zipf::new(5, 1.0);
         let mut counts = [0usize; 5];
         for _ in 0..10_000 {
-            counts[rng.zipf(5, 1.0)] += 1;
+            counts[rng.zipf(&table)] += 1;
         }
         assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
     }
@@ -181,13 +234,26 @@ mod tests {
     #[test]
     fn zipf_zero_skew_is_uniformish() {
         let mut rng = SimRng::seed(11);
+        let table = Zipf::new(4, 0.0);
         let mut counts = [0usize; 4];
         for _ in 0..8_000 {
-            counts[rng.zipf(4, 0.0)] += 1;
+            counts[rng.zipf(&table)] += 1;
         }
         for c in counts {
             assert!((c as i64 - 2000).abs() < 300, "{counts:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf requires n > 0")]
+    fn zipf_rejects_an_empty_key_space() {
+        Zipf::new(0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf skew must be non-negative")]
+    fn zipf_rejects_a_non_finite_skew() {
+        Zipf::new(4, f64::NAN);
     }
 
     #[test]
@@ -217,7 +283,26 @@ mod tests {
         #[test]
         fn prop_zipf_in_range(seed in any::<u64>(), n in 1usize..200, s in 0.0f64..3.0) {
             let mut rng = SimRng::seed(seed);
-            prop_assert!(rng.zipf(n, s) < n);
+            prop_assert!(rng.zipf(&Zipf::new(n, s)) < n);
+        }
+
+        #[test]
+        fn prop_zipf_table_is_the_old_sampler(
+            seed in any::<u64>(),
+            n in 1usize..200,
+            s in 0.0f64..3.0,
+        ) {
+            // n = 1 is a single key (fanout's): it still takes its draw.
+            for n in [1, n] {
+                let table = Zipf::new(n, s);
+                let mut a = SimRng::seed(seed);
+                let mut b = SimRng::seed(seed);
+                for _ in 0..8 {
+                    prop_assert_eq!(a.zipf(&table), reference_zipf(&mut b, n, s));
+                    // One uniform per draw: both streams stand at the same place.
+                    prop_assert_eq!(a.unit_f64().to_bits(), b.unit_f64().to_bits());
+                }
+            }
         }
 
         #[test]

@@ -35,6 +35,9 @@ pub enum TopologyError {
     DuplicateLink(NodeId, NodeId),
     /// A link connected a node to itself.
     SelfLink(NodeId),
+    /// A node's clock drifts at a rate that is not a finite number: a NaN
+    /// rate would read as a perfect clock and an infinite one as zero.
+    BadClock(NodeId),
 }
 
 impl fmt::Display for TopologyError {
@@ -43,6 +46,7 @@ impl fmt::Display for TopologyError {
             TopologyError::UnknownNode(n) => write!(f, "link references unknown {n}"),
             TopologyError::DuplicateLink(a, b) => write!(f, "duplicate link between {a} and {b}"),
             TopologyError::SelfLink(n) => write!(f, "self-link on {n}"),
+            TopologyError::BadClock(n) => write!(f, "non-finite clock drift on {n}"),
         }
     }
 }
@@ -136,10 +140,17 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError`] on dangling node references, self-links or
-    /// duplicate links.
+    /// Returns [`TopologyError`] on a non-finite clock drift, dangling node
+    /// references, self-links or duplicate links.
     pub fn build(self) -> Result<Network, TopologyError> {
         let n = self.nodes.len() as u32;
+        if let Some(i) = self
+            .nodes
+            .iter()
+            .position(|(_, clock)| !clock.drift_ppm.is_finite())
+        {
+            return Err(TopologyError::BadClock(NodeId(i as u32)));
+        }
         let mut link_map = HashMap::default();
         for (a, b, spec) in self.link_list {
             if a == b {
@@ -422,6 +433,25 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, TopologyError::DuplicateLink(NodeId(0), NodeId(1)));
+    }
+
+    #[test]
+    fn build_rejects_a_non_finite_clock_drift() {
+        for drift_ppm in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = NetworkBuilder::new()
+                .node("sync")
+                .node_with_clock(
+                    "skewed",
+                    ClockSpec {
+                        offset_ns: 0,
+                        drift_ppm,
+                    },
+                )
+                .link(NodeId(0), NodeId(1), LinkSpec::gigabit_lan())
+                .build()
+                .err();
+            assert_eq!(err, Some(TopologyError::BadClock(NodeId(1))), "{drift_ppm}");
+        }
     }
 
     #[test]
