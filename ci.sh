@@ -11,7 +11,7 @@
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
-#   ./ci.sh --substrate  only the simulator under the monitor: one-price-list + one-draw checks, calendar, simos, fingerprints
+#   ./ci.sh --substrate  only the simulator under the monitor: one-price-list + one-draw checks, calendar, simnet (clock), simos, fingerprints
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
 #   ./ci.sh --ingest     only the GPA's ingest path: histogram binning, class statistic, store, receiver, hostile bytes, gpa_wire fingerprints
@@ -254,7 +254,8 @@ check_one_draw() {
 }
 
 # The substrate's own gates, shared by --substrate and the full run: the
-# calendar's model proptests and simos, the two count-not-clock pins
+# calendar's model proptests, simnet (the clock's perfect-rate fast path
+# against the general formula) and simos, the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
 # the sysbench quick fingerprints of both cluster workloads on the seed
 # and the held-out seed (byte-identical or the harness exits nonzero).
@@ -263,8 +264,8 @@ substrate_steps=(
     "check_one_price_list"
     "==> one draw (no powf/powi/ln/exp in apps, simos or simnet; shaped draws are simcore::rng's)"
     "check_one_draw"
-    "==> substrate: calendar + simos (defer vs the linear model, crash after a stretch)"
-    "cargo test -q -p simcore -p simos"
+    "==> substrate: calendar + simnet + simos (defer and pop_until vs the linear model, the clock's fast path, crash after a stretch)"
+    "cargo test -q -p simcore -p simnet -p simos"
     "==> substrate: allocations per packet, heap pushes per hit (counts, not clocks)"
     "cargo test -q --release -p simos --test alloc_budget"
     "cargo test -q --test calendar_count"

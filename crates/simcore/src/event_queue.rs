@@ -1,9 +1,11 @@
 //! The event calendar: a priority queue of `(SimTime, event)` pairs with
 //! deterministic FIFO ordering for simultaneous events, cancellation, and
 //! in-place deferral of a pending event to a later time.
-
-use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+//!
+//! Pending events live in a slot table; a 4-ary min-heap orders small keys
+//! that name them, each ranked by one 128-bit `(time, seq)` integer. The
+//! run loop takes events with [`EventQueue::pop_until`], which settles the
+//! heap's top once per event and fires it only if it is due.
 
 use crate::SimTime;
 
@@ -55,26 +57,103 @@ pub struct CalendarStats {
     pub max_pending: u64,
 }
 
-/// What the heap orders: 24 bytes, so a sift moves keys and the events
-/// stay put in the slot table.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// What the heap orders: the event's `(time, seq)` as one rank, time in
+/// the high half, so a compare is one 128-bit compare and the earliest
+/// `(time, seq)` is the smallest rank. `seq` breaks ties FIFO, which keeps
+/// runs deterministic, and is unique, so no two keys tie. A sift moves
+/// keys; the events stay put in the slot table.
+#[derive(Clone, Copy)]
 struct Key {
-    time: SimTime,
-    seq: u64,
+    rank: u128,
     slot: u32,
 }
 
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Key {
+    fn new(time: SimTime, seq: u64, slot: u32) -> Key {
+        Key {
+            rank: (u128::from(time.as_nanos()) << 64) | u128::from(seq),
+            slot,
+        }
+    }
+
+    fn time(self) -> SimTime {
+        SimTime::from_nanos((self.rank >> 64) as u64)
+    }
+
+    fn seq(self) -> u64 {
+        self.rank as u64
     }
 }
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. seq breaks ties FIFO, which keeps runs deterministic (and,
-        // being unique, decides before `slot` is ever compared).
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+
+/// Children per node: four halve a binary heap's depth for two more
+/// compares per level, and sit side by side in memory. Not a knob
+/// (DESIGN §3 item 8 has the arities measured).
+const ARITY: usize = 4;
+
+/// A min-heap of [`Key`]s by rank: node `i`'s children are
+/// `ARITY * i + 1 ..= ARITY * i + ARITY`. Sifts carry the moving key in a
+/// hole and write it once, where it stops.
+#[derive(Default)]
+struct Heap {
+    keys: Vec<Key>,
+}
+
+impl Heap {
+    fn peek(&self) -> Option<Key> {
+        self.keys.first().copied()
+    }
+
+    fn push(&mut self, key: Key) {
+        let mut hole = self.keys.len();
+        self.keys.push(key);
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            if self.keys[parent].rank <= key.rank {
+                break;
+            }
+            self.keys[hole] = self.keys[parent];
+            hole = parent;
+        }
+        self.keys[hole] = key;
+    }
+
+    /// Removes the smallest key.
+    fn pop(&mut self) {
+        if let Some(last) = self.keys.pop() {
+            if !self.keys.is_empty() {
+                self.sift_down(last);
+            }
+        }
+    }
+
+    /// Replaces the smallest key with `key`, which must rank no lower.
+    fn replace_top(&mut self, key: Key) {
+        debug_assert!(self.keys[0].rank <= key.rank);
+        self.sift_down(key);
+    }
+
+    /// Settles `key` into the hole at the root.
+    fn sift_down(&mut self, key: Key) {
+        let len = self.keys.len();
+        let mut hole = 0;
+        loop {
+            let first = ARITY * hole + 1;
+            if first >= len {
+                break;
+            }
+            let mut least = first;
+            for child in first + 1..(first + ARITY).min(len) {
+                if self.keys[child].rank < self.keys[least].rank {
+                    least = child;
+                }
+            }
+            if key.rank <= self.keys[least].rank {
+                break;
+            }
+            self.keys[hole] = self.keys[least];
+            hole = least;
+        }
+        self.keys[hole] = key;
     }
 }
 
@@ -98,7 +177,7 @@ impl Ord for Key {
 /// ```
 #[derive(Default)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Key>,
+    heap: Heap,
     next_seq: u64,
     // A heap key stands for the event in `slots[key.slot]` while
     // `slot.key == key.seq`. Firing or cancelling vacates the slot and
@@ -116,7 +195,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Heap::default(),
             next_seq: 0,
             slots: Vec::new(),
             free: Vec::new(),
@@ -164,7 +243,7 @@ impl<E> EventQueue<E> {
         self.pending += 1;
         self.stats.scheduled += 1;
         self.stats.max_pending = self.stats.max_pending.max(self.pending as u64);
-        self.heap.push(Key { time, seq, slot });
+        self.heap.push(Key::new(time, seq, slot));
         EventHandle { seq, slot }
     }
 
@@ -207,7 +286,7 @@ impl<E> EventQueue<E> {
     /// the heap keeps standing for the event; because `time` is no earlier
     /// than the event's current due time and sequence numbers only grow,
     /// that key orders before the event's new place, so it surfaces in
-    /// `pop`/`peek_time` before anything ordered after the new place can
+    /// `pop`/`pop_until` before anything ordered after the new place can
     /// pop, and is re-keyed there then.
     ///
     /// Deferring to an *earlier* time is a simulation bug; this panics in
@@ -231,44 +310,56 @@ impl<E> EventQueue<E> {
     }
 
     /// Clears the top of the heap until it stands for a live event at its
-    /// own `(time, seq)`: keys of cancelled events are dropped, and the
-    /// stale key of a deferred event is replaced by the event's recorded
-    /// place (one sift down, not a pop and a push).
-    fn settle(&mut self) {
-        while let Some(mut top) = self.heap.peek_mut() {
+    /// own `(time, seq)`, and returns that key: keys of cancelled events
+    /// are dropped, and the stale key of a deferred event is replaced by
+    /// the event's recorded place (one sift down, not a pop and a push).
+    fn settle(&mut self) -> Option<Key> {
+        while let Some(top) = self.heap.peek() {
             let slot = &mut self.slots[top.slot as usize];
-            if slot.key == top.seq && slot.live == top.seq {
-                return;
+            if slot.key == top.seq() && slot.live == top.seq() {
+                return Some(top);
             }
             self.stats.stale_popped += 1;
-            if slot.key == top.seq && slot.live != VACANT {
+            if slot.key == top.seq() && slot.live != VACANT {
                 slot.key = slot.live;
-                top.time = slot.time;
-                top.seq = slot.live;
+                self.heap
+                    .replace_top(Key::new(slot.time, slot.live, top.slot));
                 self.stats.rekeyed += 1;
             } else {
-                PeekMut::pop(top);
+                self.heap.pop();
             }
         }
+        None
+    }
+
+    /// Fires the event `key` stands for: `key` was the settled top, and
+    /// leaves the heap now.
+    fn fire(&mut self, key: Key) -> (SimTime, E) {
+        self.heap.pop();
+        let event = self
+            .release(key.slot)
+            .expect("a live key's slot holds its event");
+        self.stats.fired += 1;
+        self.now = key.time();
+        (self.now, event)
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.settle();
-        let key = self.heap.pop()?;
-        let event = self
-            .release(key.slot)
-            .expect("a live key's slot holds its event");
-        self.stats.fired += 1;
-        self.now = key.time;
-        Some((key.time, event))
+        let key = self.settle()?;
+        Some(self.fire(key))
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.settle();
-        self.heap.peek().map(|key| key.time)
+    /// Like [`pop`](Self::pop), but only if the earliest pending event is
+    /// due at or before `t`; otherwise returns `None` and leaves the clock
+    /// where it was. One settle answers both "is it due?" and "which?".
+    pub fn pop_until(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        let key = self.settle()?;
+        if key.time() > t {
+            return None;
+        }
+        Some(self.fire(key))
     }
 
     /// What the calendar has done so far.
@@ -372,12 +463,34 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn pop_until_skips_cancelled() {
         let mut q = EventQueue::new();
         let h = q.schedule(SimTime::from_micros(1), "a");
         q.schedule(SimTime::from_micros(9), "b");
         q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
+        assert_eq!(q.pop_until(SimTime::from_micros(8)), None);
+        assert_eq!(
+            q.pop_until(SimTime::from_micros(9)),
+            Some((SimTime::from_micros(9), "b"))
+        );
+    }
+
+    #[test]
+    fn pop_until_fires_an_event_due_exactly_at_t() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_micros(5), "a");
+        q.schedule(SimTime::from_micros(6), "b");
+        assert_eq!(q.pop_until(SimTime::from_nanos(4_999)), None);
+        assert_eq!(
+            q.now(),
+            SimTime::ZERO,
+            "a refused pop never advances the clock"
+        );
+        let t = SimTime::from_micros(5);
+        assert_eq!(q.pop_until(t), Some((t, "a")));
+        assert_eq!(q.pop_until(t), None);
+        assert_eq!(q.now(), t);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -461,7 +574,7 @@ mod tests {
         let c = q.schedule(SimTime::from_micros(9), "c");
         assert_eq!(c.slot, a.slot, "slot reused again");
         q.schedule(SimTime::from_micros(5), "d");
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
+        assert_eq!(q.pop_until(SimTime::from_micros(4)), None);
         assert_eq!(q.pop().unwrap(), (SimTime::from_micros(5), "d"));
         assert_eq!(q.pop().unwrap(), (SimTime::from_micros(9), "c"));
         assert!(q.pop().is_none());
@@ -469,15 +582,24 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reports_the_deferred_due_time_not_the_stale_key() {
+    fn pop_until_does_not_fire_a_stale_key_deferred_past_t() {
         // The `run_until(t)` shape: a stale key at or before `t` whose
         // event is really due after `t` must not look runnable.
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_micros(1), "a");
         q.defer(a, SimTime::from_micros(50)).unwrap();
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(50)));
-        assert_eq!(q.now(), SimTime::ZERO, "peeking never advances the clock");
-        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(50), "a"));
+        for t in [1, 2, 49] {
+            assert_eq!(q.pop_until(SimTime::from_micros(t)), None);
+            assert_eq!(
+                q.now(),
+                SimTime::ZERO,
+                "a refused pop never advances the clock"
+            );
+        }
+        let t = SimTime::from_micros(50);
+        assert_eq!(q.pop_until(t), Some((t, "a")));
+        let s = q.stats();
+        assert_eq!((s.rekeyed, s.stale_popped, s.fired), (1, 1, 1));
     }
 
     #[test]
@@ -525,15 +647,51 @@ mod tests {
             }
         }
 
+        /// Up to ~1,000 pending keys, six 4-ary levels, a third of them
+        /// deferred in place: the pops come out in `(time, seq)` order,
+        /// a deferred event ranking at its new time with the seq its
+        /// `defer` consumed.
+        #[test]
+        fn prop_deep_heap_pops_in_rank_order(
+            events in proptest::collection::vec((0u64..500, 0u8..3, 0u64..200), 300..1_100),
+        ) {
+            let mut q = EventQueue::new();
+            let mut want = Vec::new();
+            let handles: Vec<_> = events
+                .iter()
+                .enumerate()
+                .map(|(id, &(t, _, _))| {
+                    want.push((t, id as u64, id));
+                    q.schedule(SimTime::from_nanos(t), id)
+                })
+                .collect();
+            let mut seq = events.len() as u64;
+            for (id, &(t, defer, dt)) in events.iter().enumerate() {
+                if defer == 0 {
+                    q.defer(handles[id], SimTime::from_nanos(t + dt)).expect("pending");
+                    want[id] = (t + dt, seq, id);
+                    seq += 1;
+                }
+            }
+            want.sort_unstable();
+            let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let want: Vec<_> = want
+                .into_iter()
+                .map(|(t, _, id)| (SimTime::from_nanos(t), id))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+
         /// Any mix of schedule, cancel, defer (of live, fired, cancelled
-        /// and already replaced handles) and pop agrees with a list that
-        /// is searched linearly: same events out in the same order, same
-        /// `cancel`/`defer` answers, same `len()` and `peek_time()` after
-        /// every step. A twin queue that spells every `defer` as cancel +
-        /// schedule must hand out the same handles and pops.
+        /// and already replaced handles), pop and `pop_until` agrees with
+        /// a list that is searched linearly: same events out in the same
+        /// order, same `cancel`/`defer` answers, same `len()` and earliest
+        /// due time after every step. A twin queue that spells every
+        /// `defer` as cancel + schedule must hand out the same handles and
+        /// pops.
         #[test]
         fn prop_matches_linear_model(
-            ops in proptest::collection::vec((0u8..8, 0u64..40, 0usize..64), 1..300),
+            ops in proptest::collection::vec((0u8..9, 0u64..40, 0usize..64), 1..300),
         ) {
             let mut q = EventQueue::new();
             let mut twin = EventQueue::new();
@@ -585,24 +743,42 @@ mod tests {
                         prop_assert_eq!(q.defer(dead, q.now() + dt), None);
                     }
                     _ => {
-                        // Earliest time, first scheduled among equals.
+                        // Earliest time, first scheduled among equals;
+                        // op 7 pops it only if it is due by `now + dt`.
+                        let until = (op == 7).then(|| q.now() + dt);
                         let first = model
                             .iter()
                             .enumerate()
                             .min_by_key(|&(at, &(t, _))| (t, at))
+                            .filter(|&(_, &(t, _))| until.is_none_or(|until| t <= until))
                             .map(|(at, _)| at);
                         let want = first.map(|at| model.remove(at));
-                        prop_assert_eq!(q.pop(), want);
-                        prop_assert_eq!(twin.pop(), want);
+                        match until {
+                            Some(until) => {
+                                let now = q.now();
+                                prop_assert_eq!(q.pop_until(until), want);
+                                prop_assert_eq!(twin.pop_until(until), want);
+                                if want.is_none() {
+                                    prop_assert_eq!(q.now(), now);
+                                }
+                            }
+                            None => {
+                                prop_assert_eq!(q.pop(), want);
+                                prop_assert_eq!(twin.pop(), want);
+                            }
+                        }
                     }
                 }
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(q.is_empty(), model.is_empty());
-                prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+                prop_assert_eq!(
+                    q.settle().map(Key::time),
+                    model.iter().map(|&(t, _)| t).min()
+                );
                 let s = q.stats();
                 prop_assert_eq!(
                     s.scheduled + s.rekeyed,
-                    s.fired + s.stale_popped + q.heap.len() as u64,
+                    s.fired + s.stale_popped + q.heap.keys.len() as u64,
                     "every key pushed is popped or still in the heap"
                 );
                 prop_assert_eq!(s.scheduled, s.fired + s.cancelled + q.len() as u64);

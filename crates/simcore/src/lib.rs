@@ -3,7 +3,9 @@
 //! This crate provides the foundation the rest of the workspace is built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution virtual clock,
-//! * [`EventQueue`] — a deterministic event calendar with FIFO tie-breaking,
+//! * [`EventQueue`] — a deterministic event calendar with FIFO tie-breaking:
+//!   a slot table of pending events under a 4-ary heap of `(time, seq)`
+//!   ranks, with in-place deferral and a bounded [`EventQueue::pop_until`],
 //! * [`SimRng`] — seeded randomness with the distributions the workloads need
 //!   (exponential, and Zipf over a [`Zipf`] table prepared once) implemented
 //!   from first principles,

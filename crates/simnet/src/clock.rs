@@ -51,7 +51,13 @@ impl NtpClock {
     /// near simulation start rather than underflowing.
     pub fn wall(&self, t: SimTime) -> SimTime {
         let true_ns = t.as_nanos() as i128;
-        let drift_ns = (true_ns as f64 * self.spec.drift_ppm / 1e6) as i128;
+        // A drift of ±0.0 makes the drift term exactly 0: skip the float
+        // round trip, whose f64 → i128 conversion is a libcall.
+        let drift_ns = if self.spec.drift_ppm == 0.0 {
+            0
+        } else {
+            (true_ns as f64 * self.spec.drift_ppm / 1e6) as i128
+        };
         let wall = true_ns + self.spec.offset_ns as i128 + drift_ns;
         SimTime::from_nanos(wall.clamp(0, u64::MAX as i128) as u64)
     }
@@ -66,6 +72,40 @@ impl Default for NtpClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `wall` before its perfect-rate fast path, verbatim: every drift,
+    /// zero included, goes through the float.
+    fn reference_wall(spec: &ClockSpec, t: SimTime) -> SimTime {
+        let true_ns = t.as_nanos() as i128;
+        let drift_ns = (true_ns as f64 * spec.drift_ppm / 1e6) as i128;
+        let wall = true_ns + spec.offset_ns as i128 + drift_ns;
+        SimTime::from_nanos(wall.clamp(0, u64::MAX as i128) as u64)
+    }
+
+    proptest! {
+        /// A drift of `0.0` or `-0.0` reads exactly what the float formula
+        /// reads, over the whole time range and offsets of either sign,
+        /// including negative ones that saturate at 0 and positive ones
+        /// that saturate at `u64::MAX`.
+        #[test]
+        fn prop_perfect_rate_fast_path_is_the_general_formula(
+            near_t in 0u64..10_000_000_000,
+            any_t in any::<u64>(),
+            near_offset in -10_000_000_000i64..10_000_000_000,
+            any_offset in any::<i64>(),
+        ) {
+            for t in [near_t, any_t, u64::MAX] {
+                for offset_ns in [near_offset, any_offset, i64::MIN, i64::MAX] {
+                    for drift_ppm in [0.0, -0.0] {
+                        let spec = ClockSpec { offset_ns, drift_ppm };
+                        let t = SimTime::from_nanos(t);
+                        prop_assert_eq!(NtpClock::new(spec).wall(t), reference_wall(&spec, t));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn perfect_clock_is_identity() {

@@ -302,6 +302,7 @@ impl WorldBuilder {
         let down = vec![false; nodes.len()];
         Ok(World {
             queue,
+            reached: SimTime::ZERO,
             net,
             nodes,
             down,
@@ -319,6 +320,9 @@ impl WorldBuilder {
 /// The running simulation: topology, kernels, processes, calendar.
 pub struct World {
     queue: EventQueue<Ev>,
+    /// The latest instant a `run_until` ran to; where `run_for` measures
+    /// from. [`World::now`] stays the time of the last event fired.
+    reached: SimTime,
     net: Network,
     nodes: Vec<Node>,
     /// Per-node crashed flag; events targeting a down node are discarded.

@@ -27,18 +27,17 @@ impl World {
     /// Runs the simulation until (true) time `t`. Events at exactly `t`
     /// are processed.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked");
+        while let Some((now, ev)) = self.queue.pop_until(t) {
             self.handle(now, ev);
         }
+        self.reached = self.reached.max(t);
     }
 
-    /// Runs for a further duration of simulated time.
+    /// Runs for a further duration of simulated time, measured from the
+    /// instant the previous run reached (or from [`World::now`], if an
+    /// event past that has fired since), not from the last event fired.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now() + d;
+        let t = self.reached.max(self.now()) + d;
         self.run_until(t);
     }
 
@@ -279,6 +278,34 @@ mod tests {
         );
         w.run_until(SimTime::from_secs(1));
         assert!(wakes.get() > 5, "daemon woke {} times", wakes.get());
+    }
+
+    #[test]
+    fn run_for_measures_from_where_the_last_run_stopped() {
+        let bulk = || {
+            let mut w = two_nodes(3);
+            w.spawn(NodeId(1), "sink", Box::new(SinkServer::new(Port(5001))));
+            w.spawn(
+                NodeId(0),
+                "iperf",
+                Box::new(BulkSender::new(
+                    NodeId(1),
+                    Port(5001),
+                    32 * 1024,
+                    SimDuration::from_millis(200),
+                )),
+            );
+            w
+        };
+        let mut stepped = bulk();
+        for _ in 0..10 {
+            stepped.run_for(SimDuration::from_millis(3));
+        }
+        let mut once = bulk();
+        once.run_until(SimTime::from_millis(30));
+        assert!(once.calendar_stats().fired > 1_000);
+        assert_eq!(stepped.calendar_stats(), once.calendar_stats());
+        assert_eq!(stepped.now(), once.now());
     }
 
     #[test]
