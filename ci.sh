@@ -5,13 +5,13 @@
 #
 #   ./ci.sh              full pipeline
 #   ./ci.sh --analyze    only the static gates: analyzer + one-receiver/one-switch/one-daemon/one-price-list checks (fast pre-commit check)
-#   ./ci.sh --kprof      only Kprof: its unit tests, matcher equivalence + zero-alloc, CPA dispatch, node_hotpath fingerprints
+#   ./ci.sh --kprof      only Kprof: its unit tests, matcher equivalence + zero-alloc, CPA dispatch, node_hotpath + cluster_kv/cluster_iperf fingerprints
 #   ./ci.sh --lpa        only the LPA: one-switch check, unit tests + proptests + corpus, ARM/level tests
 #   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat + one-draw checks, golden diagnoses + chaos matrix, cluster_kv/cluster_iperf/gpa_query fingerprints
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
 #   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
-#   ./ci.sh --substrate  only the simulator under the monitor: one-price-list + one-draw checks, calendar, simnet (clock), simos, fingerprints
+#   ./ci.sh --substrate  only the simulator under the monitor: one-price-list + one-draw checks, calendar, simnet (clock, link), kprof + simos (the hit), fingerprints
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
 #   ./ci.sh --ingest     only the GPA's ingest path: histogram binning, class statistic, store, receiver, hostile bytes, gpa_wire fingerprints
@@ -255,7 +255,9 @@ check_one_draw() {
 
 # The substrate's own gates, shared by --substrate and the full run: the
 # calendar's model proptests, simnet (the clock's perfect-rate fast path
-# against the general formula) and simos, the two count-not-clock pins
+# and the link's u64 arithmetic against the general formulas), kprof and
+# simos (a hit is built in simos and handed to kprof's hook, and simos
+# pins the event stream that hand-off delivers), the two count-not-clock pins
 # (heap pushes per hit, allocations per packet), the replay referees, and
 # the sysbench quick fingerprints of both cluster workloads on the seed
 # and the held-out seed (byte-identical or the harness exits nonzero).
@@ -264,8 +266,8 @@ substrate_steps=(
     "check_one_price_list"
     "==> one draw (no powf/powi/ln/exp in apps, simos or simnet; shaped draws are simcore::rng's)"
     "check_one_draw"
-    "==> substrate: calendar + simnet + simos (defer and pop_until vs the linear model, the clock's fast path, crash after a stretch)"
-    "cargo test -q -p simcore -p simnet -p simos"
+    "==> substrate: calendar + simnet + kprof + simos (defer and pop_until vs the linear model, the clock's and the link's fast paths, the hook, the pinned event stream, crash after a stretch)"
+    "cargo test -q -p simcore -p simnet -p kprof -p simos"
     "==> substrate: allocations per packet, heap pushes per hit (counts, not clocks)"
     "cargo test -q --release -p simos --test alloc_budget"
     "cargo test -q --test calendar_count"
@@ -407,14 +409,15 @@ case "${1:-}" in
     # Kprof: the registry's unit tests (the hook's bookkeeping order and
     # cost accounting), the compiled matcher against the predicate, the
     # zero-allocation emit loops, the CPA behind the dispatch (release),
-    # then the node_hotpath fingerprints.
+    # then the node_hotpath fingerprints, and the cluster ones, whose
+    # every hit simos builds and hands to the hook.
     fast_path KPROF \
         "==> kprof: unit tests, matcher equivalence, zero-alloc (emit and suppressed hits)" \
         "cargo test -q -p kprof" \
         "==> CPA dispatch (core, release)" \
         "cargo test -q --release -p sysprof cpa::" \
-        "==> sysbench quick fingerprints (node_hotpath; seeds 7, 11)" \
-        "check_fingerprints node_hotpath"
+        "==> sysbench quick fingerprints (node_hotpath, cluster_kv, cluster_iperf; seeds 7, 11)" \
+        "check_fingerprints node_hotpath cluster_kv cluster_iperf"
     ;;
 --lpa)
     # The LPA: both trackers' unit tests, the proptests and the seeded

@@ -3,15 +3,26 @@
 //! under `results/`.
 //!
 //! ```text
-//! figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all] [--quick] [--seed N]
+//! figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall] [--quick] [--seed N]
 //! ```
 //!
 //! `--quick` shortens run durations ~4× (for CI); default durations match
 //! the experiment configs used in EXPERIMENTS.md.
+//!
+//! `--exp wall` is not a paper artifact and not part of `all`: it times
+//! the host, not the model. It runs sysbench's two cluster shapes,
+//! monitored and unmonitored, [`WALL_ROUNDS`] times interleaved, and
+//! prints each one's minimum, lower quartile and median wall time with
+//! the hit rates they give: an in-process best-of for an effect the
+//! host's process-to-process noise hides.
 
 use std::io::Write;
+use std::time::Instant;
 
-use simcore::SimDuration;
+use simcore::{NodeId, SimDuration};
+use simnet::LinkSpec;
+use simos::World;
+use sysprof_apps::{IperfScenario, KvStoreScenario, ScenarioSpec};
 use sysprof_bench::*;
 
 struct Opts {
@@ -35,7 +46,7 @@ fn parse_args() -> Opts {
             other => {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
-                    "usage: figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all] [--quick] [--seed N]"
+                    "usage: figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall] [--quick] [--seed N]"
                 );
                 std::process::exit(2);
             }
@@ -202,6 +213,94 @@ fn main() {
         );
         save_json("cost_rubis", &(off, on));
         println!();
+    }
+
+    if opts.exp == "wall" {
+        wall(opts.seed);
+    }
+}
+
+/// Rounds of `--exp wall`. Each round runs every case once, in the same
+/// order, so a host that changes speed part-way slows every case alike.
+/// Odd, so the median and the lower quartile are single runs.
+const WALL_ROUNDS: usize = 21;
+
+/// Instrumentation-point hits in a finished world: every hook call,
+/// suppressed or not, on every node (sysbench's cluster unit).
+fn hits(world: &World) -> u64 {
+    (0..world.node_count())
+        .map(|n| {
+            let s = world.kprof(NodeId(n as u32)).stats();
+            s.events_generated + s.events_suppressed
+        })
+        .sum()
+}
+
+/// One case of `--exp wall`: a scenario run monitored (the default
+/// deployment, as sysbench runs it) or unmonitored. Returns the wall
+/// time of the run in ns and its hits; the finished world is dropped
+/// after the clock stops.
+fn timed<S: ScenarioSpec>(spec: &S, seed: u64, monitored: bool) -> (u64, u64) {
+    let start = Instant::now();
+    if monitored {
+        let run = spec.run(seed);
+        let ns = start.elapsed().as_nanos() as u64;
+        (ns, hits(&run.world))
+    } else {
+        let (world, _) = spec.run_unmonitored(seed);
+        let ns = start.elapsed().as_nanos() as u64;
+        (ns, hits(&world))
+    }
+}
+
+fn wall(seed: u64) {
+    let kv = KvStoreScenario {
+        duration: SimDuration::from_millis(1_000),
+    };
+    let iperf = IperfScenario {
+        link: LinkSpec::gigabit_lan(),
+        duration: SimDuration::from_millis(500),
+    };
+    let cases = [
+        "cluster_kv (kv 1000 ms)",
+        "  unmonitored",
+        "cluster_iperf (gigabit 500 ms)",
+        "  unmonitored",
+    ];
+    let mut ns = vec![Vec::with_capacity(WALL_ROUNDS); cases.len()];
+    let mut hit_counts = [0u64; 4];
+    for _ in 0..WALL_ROUNDS {
+        let runs = [
+            timed(&kv, seed, true),
+            timed(&kv, seed, false),
+            timed(&iperf, seed, true),
+            timed(&iperf, seed, false),
+        ];
+        for (i, (t, h)) in runs.into_iter().enumerate() {
+            ns[i].push(t);
+            hit_counts[i] = h;
+        }
+    }
+    println!("== wall: in-process best-of, seed {seed}, {WALL_ROUNDS} rounds interleaved ==");
+    println!(
+        "  {:<32} {:>10} {:>8} {:>8} {:>8} {:>12} {:>12}",
+        "case", "hits", "min ms", "q1 ms", "med ms", "M hits/s@min", "M hits/s@med"
+    );
+    for ((name, times), hits) in cases.iter().zip(&mut ns).zip(hit_counts) {
+        times.sort_unstable();
+        let (min, q1, med) = (times[0], times[WALL_ROUNDS / 4], times[WALL_ROUNDS / 2]);
+        let ms = |t: u64| t as f64 / 1e6;
+        let rate = |t: u64| hits as f64 / t as f64 * 1e3;
+        println!(
+            "  {:<32} {:>10} {:>8.2} {:>8.2} {:>8.2} {:>12.2} {:>12.2}",
+            name,
+            hits,
+            ms(min),
+            ms(q1),
+            ms(med),
+            rate(min),
+            rate(med)
+        );
     }
 }
 

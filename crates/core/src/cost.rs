@@ -26,11 +26,13 @@ pub const LPA_RECORD: SimDuration = SimDuration::from_nanos(500);
 /// `core.cpa.on_event` and the filter share of `pubsub.hub.publish_raw`:
 /// nanoseconds per E-Code instruction (unit of fuel) a CPA or a
 /// subscription filter burns.
-pub const NS_PER_ECODE_INSTR: f64 = 2.0;
+pub const NS_PER_ECODE_INSTR: u64 = 2;
 
-/// What `fuel` E-Code instructions cost.
+/// What `fuel` E-Code instructions cost: an integer product, saturating.
+/// It equals the float price it replaced, `(fuel as f64 * 2.0) as u64`,
+/// for every fuel up to 2⁵³, far past any fuel budget.
 pub(crate) fn ecode(fuel: u64) -> SimDuration {
-    SimDuration::from_nanos((fuel as f64 * NS_PER_ECODE_INSTR) as u64)
+    SimDuration::from_nanos(fuel.saturating_mul(NS_PER_ECODE_INSTR))
 }
 
 /// `core.daemon.on_wake`: fixed cost of a wake (context switch + buffer
@@ -68,3 +70,21 @@ pub const GPA_QUERY: SimDuration = SimDuration::from_micros(10);
 /// Query plane on the asking node (no sysbench stage): decoding one
 /// answer.
 pub const QUERY_ANSWER: SimDuration = SimDuration::from_micros(3);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cpa::FUEL_BUDGET;
+
+    /// The E-Code price before it was an integer product, verbatim.
+    fn float_price(fuel: u64) -> SimDuration {
+        SimDuration::from_nanos((fuel as f64 * 2.0) as u64)
+    }
+
+    #[test]
+    fn integer_ecode_price_is_the_float_price_up_to_2_pow_53() {
+        for fuel in [0, 1, FUEL_BUDGET, 1 << 52, 1 << 53] {
+            assert_eq!(ecode(fuel), float_price(fuel), "fuel {fuel}");
+        }
+    }
+}

@@ -42,7 +42,7 @@ pub const EVENT_INPUTS: [(&str, Type); 7] = [
 /// Fuel a CPA program may spend per event: the verifier rejects a
 /// program whose proven worst case exceeds it, and a run that traps is
 /// charged all of it.
-const FUEL_BUDGET: u64 = 2_000;
+pub(crate) const FUEL_BUDGET: u64 = 2_000;
 
 /// Error installing a CPA: the program failed static verification. Carries
 /// the full diagnostic list — nothing touches Kprof when this is returned.

@@ -160,6 +160,10 @@ impl Kprof {
     /// Builds an event stamped with this node's identity and the given
     /// wall-clock time. (The caller — the simulated kernel — converts true
     /// time to wall time via the node clock before calling.)
+    ///
+    /// `#[inline(always)]`, so the event is built where the caller keeps
+    /// it and the payload is written once, in place.
+    #[inline(always)]
     pub fn make_event(&mut self, wall: SimTime, cpu: u16, payload: EventPayload) -> Event {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -215,7 +215,22 @@ impl<E> EventQueue<E> {
     ///
     /// Scheduling in the past is a simulation bug; this panics in debug
     /// builds and clamps to `now` in release builds.
+    ///
+    /// `#[inline(always)]` around an out-of-line [`claim`](Self::claim):
+    /// the caller's event is written straight into its slot, not passed
+    /// down a call and copied there (DESIGN §3, decision 9).
+    #[inline(always)]
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
+        let handle = self.claim(time);
+        self.slots[handle.slot as usize].event = Some(event);
+        handle
+    }
+
+    /// Everything [`schedule`](Self::schedule) does but the event's write:
+    /// takes a sequence number and a slot (a freed one first), and pushes
+    /// the slot's key. The slot's event is left empty for the caller.
+    #[inline(never)]
+    fn claim(&mut self, time: SimTime) -> EventHandle {
         debug_assert!(
             time >= self.now,
             "scheduled event in the past: {time} < now {}",
@@ -224,19 +239,22 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let fresh = Slot {
-            live: seq,
-            key: seq,
-            time,
-            event: Some(event),
-        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = fresh;
+                let claimed = &mut self.slots[slot as usize];
+                debug_assert!(claimed.event.is_none());
+                claimed.live = seq;
+                claimed.key = seq;
+                claimed.time = time;
                 slot
             }
             None => {
-                self.slots.push(fresh);
+                self.slots.push(Slot {
+                    live: seq,
+                    key: seq,
+                    time,
+                    event: None,
+                });
                 u32::try_from(self.slots.len() - 1).expect("under 2^32 events pending at once")
             }
         };

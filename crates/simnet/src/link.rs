@@ -42,9 +42,31 @@ impl LinkSpec {
     /// Panics if the spec has zero bandwidth.
     pub fn serialization_delay(&self, bytes: u64) -> SimDuration {
         assert!(self.bandwidth_bps > 0, "link must have non-zero bandwidth");
-        // ns = bits * 1e9 / bps, computed in u128 to avoid overflow.
-        let ns = (bytes as u128 * 8 * 1_000_000_000) / self.bandwidth_bps as u128;
-        SimDuration::from_nanos(ns as u64)
+        SimDuration::from_nanos(serialization_ns(bytes, self.bandwidth_bps))
+    }
+}
+
+/// Nanoseconds per second times bits per byte: the one constant both
+/// conversions between bytes and wire time divide or multiply by.
+const NS_BITS_PER_S_BYTE: u64 = 8 * 1_000_000_000;
+
+/// `bytes × 8 × 10⁹ / bps` ns, truncated. In `u64` when the product fits
+/// (every packet a scenario sends), else in `u128`; the same quotient
+/// either way, so the wide path only keeps huge inputs from overflowing.
+fn serialization_ns(bytes: u64, bps: u64) -> u64 {
+    match bytes.checked_mul(NS_BITS_PER_S_BYTE) {
+        Some(product) => product / bps,
+        None => ((bytes as u128 * 8 * 1_000_000_000) / bps as u128) as u64,
+    }
+}
+
+/// The bytes a link of `bps` serializes in `ns`: `⌊ns × bps / 8 / 10⁹⌋`,
+/// in `u64` when the product fits, else in `u128`. One division by
+/// `8 × 10⁹` is exact, since `⌊⌊x / 8⌋ / 10⁹⌋ = ⌊x / (8 × 10⁹)⌋`.
+fn backlog_bytes(ns: u64, bps: u64) -> u64 {
+    match ns.checked_mul(bps) {
+        Some(product) => product / NS_BITS_PER_S_BYTE,
+        None => (ns as u128 * bps as u128 / 8 / 1_000_000_000) as u64,
     }
 }
 
@@ -97,9 +119,7 @@ impl Direction {
         // Bytes already committed but not yet serialized as of `now` — the
         // queue occupancy a drop-tail check sees.
         let backlog_time = start.saturating_since(now);
-        let backlog_bytes = (backlog_time.as_nanos() as u128 * spec.bandwidth_bps as u128
-            / 8
-            / 1_000_000_000) as u64;
+        let backlog_bytes = backlog_bytes(backlog_time.as_nanos(), spec.bandwidth_bps);
         if backlog_bytes.saturating_add(bytes) > spec.queue_bytes.max(bytes) {
             self.drops += 1;
             return TransmitOutcome::Dropped;
@@ -343,7 +363,46 @@ mod tests {
         }
     }
 
+    /// The two conversions as they were before their `u64` fast path,
+    /// verbatim: everything in `u128`.
+    fn reference_serialization_ns(bytes: u64, bps: u64) -> u64 {
+        ((bytes as u128 * 8 * 1_000_000_000) / bps as u128) as u64
+    }
+
+    fn reference_backlog_bytes(ns: u64, bps: u64) -> u64 {
+        (ns as u128 * bps as u128 / 8 / 1_000_000_000) as u64
+    }
+
+    /// Inputs around the point where `a × b` leaves `u64`: the largest
+    /// `a` whose product with `b` fits, and the next one up (if any).
+    fn at_overflow_boundary(b: u64) -> [u64; 2] {
+        let a = u64::MAX / b;
+        [a, a.saturating_add(1)]
+    }
+
     proptest! {
+        /// Both conversions read exactly what the all-`u128` formulas
+        /// read: on scenario-sized inputs (the `u64` path), on any input,
+        /// and on both sides of each product's overflow boundary, at the
+        /// drawn rates and at the extreme ones.
+        #[test]
+        fn prop_u64_conversions_are_the_u128_formulas(
+            bytes in 0u64..1_000_000,
+            ns in 0u64..100_000_000_000,
+            bps in 1u64..100_000_000_000,
+            any_a in any::<u64>(),
+            any_bps in 1u64..=u64::MAX,
+        ) {
+            for b in [bps, any_bps, 1, 7, u64::MAX] {
+                for n in [bytes, any_a].into_iter().chain(at_overflow_boundary(NS_BITS_PER_S_BYTE)) {
+                    prop_assert_eq!(serialization_ns(n, b), reference_serialization_ns(n, b));
+                }
+                for t in [ns, any_a].into_iter().chain(at_overflow_boundary(b)) {
+                    prop_assert_eq!(backlog_bytes(t, b), reference_backlog_bytes(t, b));
+                }
+            }
+        }
+
         /// Arrivals in one direction are monotone in submission order (FIFO
         /// — no reordering on a point-to-point link).
         #[test]

@@ -2,7 +2,7 @@
 //! calendar event to its handler, and the two places every handler charges
 //! CPU time through — [`World::emit_ev`] and [`World::steal`].
 
-use kprof::EventPayload;
+use kprof::{Event, EventPayload};
 use simcore::{CalendarStats, NodeId, SimDuration, SimTime};
 
 use super::{CpuCat, Ev, World};
@@ -41,15 +41,27 @@ impl World {
         self.run_until(t);
     }
 
-    /// Emits a Kprof event on `node` at the current instant: wall-stamps
-    /// it, dispatches to analyzers, charges the cost, and schedules daemon
-    /// wakes for any buffer-full notifications.
+    /// Emits a Kprof event on `node` at the current instant. This front
+    /// half is compiled into every instrumentation point: it wall-stamps
+    /// the hit and builds the [`Event`] in the caller's frame, where the
+    /// caller writes the payload, and hands the hook a reference to it
+    /// (DESIGN §3, decision 9).
+    #[inline(always)]
     pub(super) fn emit_ev(&mut self, node: NodeId, payload: EventPayload) {
         let now = self.now();
         let wall = self.net.clock(node).wall(now);
-        let n = &mut self.nodes[node.0 as usize];
-        let ev = n.kprof.make_event(wall, 0, payload);
-        let result = n.kprof.emit(&ev);
+        let ev = self.nodes[node.0 as usize]
+            .kprof
+            .make_event(wall, 0, payload);
+        self.deliver_ev(node, now, &ev);
+    }
+
+    /// The back half of [`World::emit_ev`], one copy out of line: runs
+    /// the Kprof hook on `ev`, charges its cost, and schedules daemon
+    /// wakes for any buffer-full notifications.
+    #[inline(never)]
+    fn deliver_ev(&mut self, node: NodeId, now: SimTime, ev: &Event) {
+        let result = self.nodes[node.0 as usize].kprof.emit(ev);
         self.steal(node, now, result.cost, CpuCat::Monitor);
         for analyzer in result.buffer_full {
             self.queue.schedule(
@@ -64,6 +76,9 @@ impl World {
 
     /// Charges `cost` of CPU time on `node` at `now`: stretches the
     /// running quantum (preemption) or extends the idle-CPU busy horizon.
+    /// Inlined, so the hook's charge in [`World::deliver_ev`] costs no
+    /// call of its own.
+    #[inline(always)]
     pub(super) fn steal(&mut self, node: NodeId, now: SimTime, cost: SimDuration, cat: CpuCat) {
         if cost.is_zero() {
             return;
@@ -166,7 +181,7 @@ impl World {
 
 #[cfg(test)]
 mod tests {
-    use kprof::{AnalyzerId, Kprof};
+    use kprof::{AnalyzerId, Kprof, KprofStats};
     use simnet::Port;
 
     use super::super::tests::*;
@@ -278,6 +293,99 @@ mod tests {
         );
         w.run_until(SimTime::from_secs(1));
         assert!(wakes.get() > 5, "daemon woke {} times", wakes.get());
+    }
+
+    /// FNV-1a over `bytes`, continuing from `h`.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// Folds every delivered event's `(seq, node, cpu, wall, payload)`
+    /// into one FNV-1a hash, and reports a full buffer every 64th event,
+    /// so the hook's buffer-full wakes are on the pinned path too.
+    struct Recorder {
+        hash: std::rc::Rc<std::cell::Cell<u64>>,
+        seen: u64,
+    }
+    impl kprof::Analyzer for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn interest(&self) -> kprof::Interest {
+            kprof::Interest::mask(EventMask::ALL)
+        }
+        fn on_event(&mut self, e: &kprof::Event) -> kprof::AnalyzerOutcome {
+            let mut h = self.hash.get();
+            h = fnv(h, &e.seq.to_le_bytes());
+            h = fnv(h, &e.node.0.to_le_bytes());
+            h = fnv(h, &e.cpu.to_le_bytes());
+            h = fnv(h, &e.wall.as_nanos().to_le_bytes());
+            h = fnv(h, format!("{:?}", e.payload).as_bytes());
+            self.hash.set(h);
+            self.seen += 1;
+            kprof::AnalyzerOutcome {
+                cost: SimDuration::from_nanos(100),
+                buffer_full: self.seen.is_multiple_of(64),
+            }
+        }
+    }
+
+    /// Pins the whole event stream a small world emits, so a change to
+    /// how a hit is built or handed to the hook (`emit_ev`, `make_event`,
+    /// `Kprof::emit`) must keep every stamp and payload, every charge and
+    /// every count. The sender's node gates scheduling and file events
+    /// off globally: those hits are suppressed but still take a sequence
+    /// number, so the delivered seqs have gaps that an event built only
+    /// after the mask test would close.
+    #[test]
+    fn the_event_stream_is_pinned() {
+        let hash = std::rc::Rc::new(std::cell::Cell::new(0xcbf2_9ce4_8422_2325));
+        let mut w = two_nodes(3);
+        for node in [NodeId(0), NodeId(1)] {
+            w.kprof_mut(node).register(Box::new(Recorder {
+                hash: hash.clone(),
+                seen: 0,
+            }));
+        }
+        w.kprof_mut(NodeId(0))
+            .set_global_mask(EventMask::NETWORK | EventMask::SYSCALL);
+        w.spawn(NodeId(1), "sink", Box::new(SinkServer::new(Port(5001))));
+        w.spawn(
+            NodeId(0),
+            "iperf",
+            Box::new(BulkSender::new(
+                NodeId(1),
+                Port(5001),
+                32 * 1024,
+                SimDuration::from_millis(200),
+            )),
+        );
+        w.run_until(SimTime::from_millis(30));
+        assert_eq!(hash.get(), 0x5a64_aa91_33fc_f445);
+        assert_eq!(
+            *w.kprof(NodeId(0)).stats(),
+            KprofStats {
+                events_generated: 7_977,
+                events_delivered: 7_977,
+                events_suppressed: 114,
+                predicate_rejections: 0,
+                total_overhead: SimDuration::from_nanos(2_792_520),
+            }
+        );
+        assert_eq!(
+            *w.kprof(NodeId(1)).stats(),
+            KprofStats {
+                events_generated: 6_589,
+                events_delivered: 6_589,
+                events_suppressed: 0,
+                predicate_rejections: 0,
+                total_overhead: SimDuration::from_nanos(2_306_150),
+            }
+        );
     }
 
     #[test]
