@@ -306,16 +306,24 @@ check_fingerprints() {
 # BENCH_history.jsonl: work_per_s's median, quartiles, minimum and run
 # count, the host's nproc, the commit measured (`-dirty` when tracked
 # files differ from it), and `noisy` when the quartile spread exceeds 10 %
-# of the median, else `quiet`. Each appended line's median is printed as
-# a ratio to the last line for the same workload, seed and size in the
-# committed BENCH_history.jsonl, with both lines' host flags. Reads
-# benchmark/ and writes nothing there.
+# of the median, else `quiet`. Each line also records `calib_ns`, the
+# host's speed when it was appended (`figures --exp calib`: ns per
+# iteration of a fixed integer loop, best of 21). Each appended line's
+# median is printed as a ratio to the last line for the same workload,
+# seed and size in the committed BENCH_history.jsonl, with both lines'
+# host flags: raw, and normalised by the two lines' calibration figures
+# (median × calib_ns, so a host that ran slower does not read as slower
+# code) when the committed line has one. Reads benchmark/ and writes
+# nothing there.
 bench_history() {
-    local commit file lines committed found=0
+    local commit file lines committed calib found=0
     if ! command -v jq >/dev/null; then
         echo "--bench-history needs jq" >&2
         return 1
     fi
+    cargo build -q --release --offline -p sysprof-bench --bin figures
+    calib="$(target/release/figures --exp calib | awk '/^calib_ns_per_iter/ { print $2 }')"
+    echo "host calibration: $calib ns per iteration"
     commit="$(git rev-parse --short HEAD)"
     if ! git diff --quiet HEAD; then
         commit="$commit-dirty"
@@ -325,12 +333,14 @@ bench_history() {
     for file in benchmark/results/sysbench.seed*.json; do
         [[ -e "$file" ]] || continue
         found=1
-        lines="$(jq -c --arg commit "$commit" --arg source "$(basename "$file")" '
+        lines="$(jq -c --arg commit "$commit" --arg source "$(basename "$file")" \
+            --argjson calib "$calib" '
             . as $doc | .workloads | to_entries[] | .value.metrics.work_per_s as $m | {
                 commit: $commit, source: $source, workload: .key, seed: $doc.seed,
                 size: $doc.size, metric: "work_per_s", unit: $m.unit, median: $m.median,
                 q1: $m.q1, q3: $m.q3, min: $m.min, n: $m.n, nproc: $doc.nproc,
-                host: (if $m.q3 - $m.q1 > 0.10 * $m.median then "noisy" else "quiet" end)
+                host: (if $m.q3 - $m.q1 > 0.10 * $m.median then "noisy" else "quiet" end),
+                calib_ns: $calib
             }' "$file")"
         printf '%s\n' "$lines" >>BENCH_history.jsonl
         echo "appended $file"
@@ -342,6 +352,11 @@ bench_history() {
               + (if $prev == null then ", no committed line to compare"
                 else " = \($new.median / $prev.median * 1000 | round / 1000)"
                     + " x \($prev.commit)'"'"'s \($prev.median) (\($prev.host // "unflagged"))"
+                    + (if $prev.calib_ns == null then ", no host marker on that line"
+                        else ", \($new.median * $new.calib_ns / ($prev.median * $prev.calib_ns)
+                            * 1000 | round / 1000) normalised by host speed"
+                            + " (\($new.calib_ns) vs \($prev.calib_ns) ns/iter)"
+                        end)
                 end)'
     done
     rm -f "$committed"
@@ -464,7 +479,8 @@ case "${1:-}" in
     # partition + path-fuel check and bail reasons, the jit unit +
     # fallback tests, the generative sweeps (compiled vs reference, and
     # the column backend vs the scalar row loop), the hostile-source
-    # limits, the allocation-discipline proof, and the CPA dispatch wiring.
+    # limits, the allocation-discipline proofs, the CPA dispatch wiring
+    # and the node ledger's pipeline cuts.
     fast_path JIT \
         "==> one lowering (no stack ops in the backends; IR partition, path fuel, bails)" \
         check_one_lowering \
@@ -479,11 +495,13 @@ case "${1:-}" in
         "env RUST_MIN_STACK=262144 cargo test -q -p ecode --test verifier hostile" \
         "cargo test -q --test verifier_integration hostile" \
         "env RUST_MIN_STACK=262144 cargo test -q --test gpa_query hostile" \
-        "==> allocation discipline (counting allocator, release)" \
+        "==> allocation discipline (counting allocator, release; the run and the CPA host)" \
         "cargo test -q --release -p ecode --test zero_alloc" \
-        "==> CPA dispatch + filter wiring (core, pubsub)" \
+        "cargo test -q --release -p sysprof --test cpa_zero_alloc" \
+        "==> CPA dispatch + filter wiring (core, pubsub) and the node ledger's cuts (bench)" \
         "cargo test -q -p sysprof cpa" \
-        "cargo test -q -p pubsub publish"
+        "cargo test -q -p pubsub publish" \
+        "cargo test -q -p sysprof-bench node"
     ;;
 --substrate)
     fast_path SUBSTRATE "${substrate_steps[@]}"

@@ -3,7 +3,7 @@
 //! under `results/`.
 //!
 //! ```text
-//! figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall] [--quick] [--seed N]
+//! figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall|node|calib] [--quick] [--seed N]
 //! ```
 //!
 //! `--quick` shortens run durations ~4× (for CI); default durations match
@@ -15,6 +15,15 @@
 //! prints each one's minimum, lower quartile and median wall time with
 //! the hit rates they give: an in-process best-of for an effect the
 //! host's process-to-process noise hides.
+//!
+//! `--exp node` and `--exp calib` time the host too, and are not in
+//! `all` either. `node` is the per-layer ledger of one node's monitor
+//! ([`sysprof_bench::node`]): every cut of the pipeline run
+//! [`NODE_ROUNDS`] times interleaved, the fastest pass of each in ns per
+//! emitted event, and the layer rows that difference gives. `calib`
+//! prints one host-speed figure, the fastest of [`CALIB_ROUNDS`] passes
+//! of a fixed integer loop in ns per iteration, which
+//! `ci.sh --bench-history` records beside each benchmark line.
 
 use std::io::Write;
 use std::time::Instant;
@@ -46,7 +55,7 @@ fn parse_args() -> Opts {
             other => {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
-                    "usage: figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall] [--quick] [--seed N]"
+                    "usage: figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall|node|calib] [--quick] [--seed N]"
                 );
                 std::process::exit(2);
             }
@@ -215,9 +224,61 @@ fn main() {
         println!();
     }
 
-    if opts.exp == "wall" {
-        wall(opts.seed);
+    match opts.exp.as_str() {
+        "wall" => wall(opts.seed),
+        "node" => node(opts.seed),
+        "calib" => println!("calib_ns_per_iter {:.4}", calib()),
+        _ => {}
     }
+}
+
+/// Rounds of `--exp node`; each runs every cut once, in the same order.
+const NODE_ROUNDS: usize = 30;
+
+fn node(seed: u64) {
+    use sysprof_bench::node::{event_ring, ledger_rows, Cut, NodePipeline, NODE_EVENTS};
+    let ring = event_ring(seed);
+    let events = NODE_EVENTS - NODE_EVENTS % ring.len() as u64;
+    let mut best = [f64::MAX; 8];
+    for _ in 0..NODE_ROUNDS {
+        for (i, cut) in Cut::ALL.into_iter().enumerate() {
+            let mut pipeline = NodePipeline::new(cut);
+            let start = Instant::now();
+            std::hint::black_box(pipeline.run(&ring, events));
+            let ns = start.elapsed().as_nanos() as f64 / events as f64;
+            best[i] = best[i].min(ns);
+        }
+    }
+    println!(
+        "== node: in-process ledger, seed {seed}, {events} events per pass, fastest of {NODE_ROUNDS} =="
+    );
+    for (cut, ns) in Cut::ALL.iter().zip(best) {
+        println!("  pass {:<48} {ns:>7.2} ns/event", format!("{cut:?}"));
+    }
+    for (row, ns) in ledger_rows(&best) {
+        println!("  row  {row:<48} {ns:>7.2} ns/event");
+    }
+}
+
+/// Passes of `--exp calib`.
+const CALIB_ROUNDS: usize = 21;
+/// Iterations of one calibration pass.
+const CALIB_ITERS: u64 = 20_000_000;
+
+/// The fastest pass of a fixed, latency-bound integer loop, in ns per
+/// iteration: a figure of the host's speed at the time, not of the code.
+fn calib() -> f64 {
+    let mut best = f64::MAX;
+    for _ in 0..CALIB_ROUNDS {
+        let start = Instant::now();
+        let mut x = std::hint::black_box(0x9E37_79B9_7F4A_7C15u64);
+        for i in 0..std::hint::black_box(CALIB_ITERS) {
+            x = (x ^ i).wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(17);
+        }
+        std::hint::black_box(x);
+        best = best.min(start.elapsed().as_nanos() as f64 / CALIB_ITERS as f64);
+    }
+    best
 }
 
 /// Rounds of `--exp wall`. Each round runs every case once, in the same

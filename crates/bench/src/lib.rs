@@ -10,9 +10,14 @@
 //! | F5 | Figure 5: back-end kernel time vs Iozone threads | [`exp_f4_f5_storage`] |
 //! | F6 | Figure 6: plain DWCS throughput | [`exp_f6_dwcs`] |
 //! | F7 | Figure 7: RA-DWCS throughput | [`exp_f7_ra_dwcs`] |
+//!
+//! [`node`] is not a paper artifact: it builds the per-layer ledger of
+//! one node's monitor that `figures --exp node` times.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod node;
 
 use kprof::EventMask;
 use serde::Serialize;

@@ -70,8 +70,54 @@ pub struct CpaAnalyzer {
     /// Fuel charged over all events (the whole budget for an aborted run).
     pub(crate) fuel_spent: u64,
     aborted: u64,
+    /// Which of [`EVENT_INPUTS`] the program reads; the rest are never
+    /// computed and stay 0.
+    reads: [bool; 7],
     /// Latest value written to each output slot.
-    outputs: std::collections::BTreeMap<i64, f64>,
+    outputs: Outputs,
+}
+
+/// Output slots kept in an array: `0..=max_out_slot` of the default
+/// [`VerifyLimits`], the limit [`CpaAnalyzer::compile`] verifies with.
+const OUT_SLOTS: usize = 64;
+
+/// The latest value of each output slot a program has written.
+struct Outputs {
+    /// Slots `0..=63`, valid where `written` has the bit.
+    slots: [f64; OUT_SLOTS],
+    written: u64,
+    /// Any other slot: one the verifier only warned could fall outside
+    /// `0..=63`, and did.
+    stray: std::collections::BTreeMap<i64, f64>,
+}
+
+impl Outputs {
+    fn new() -> Outputs {
+        Outputs {
+            slots: [0.0; OUT_SLOTS],
+            written: 0,
+            stray: Default::default(),
+        }
+    }
+
+    fn set(&mut self, slot: i64, value: f64) {
+        match usize::try_from(slot) {
+            Ok(s) if s < OUT_SLOTS => {
+                self.slots[s] = value;
+                self.written |= 1 << s;
+            }
+            _ => {
+                self.stray.insert(slot, value);
+            }
+        }
+    }
+
+    fn get(&self, slot: i64) -> Option<f64> {
+        match usize::try_from(slot) {
+            Ok(s) if s < OUT_SLOTS => (self.written >> s & 1 != 0).then_some(self.slots[s]),
+            _ => self.stray.get(&slot).copied(),
+        }
+    }
 }
 
 impl CpaAnalyzer {
@@ -89,6 +135,8 @@ impl CpaAnalyzer {
         let limits = VerifyLimits::with_max_fuel(FUEL_BUDGET);
         let verified = ecode::verify(source, &EVENT_INPUTS, &limits).map_err(CpaError)?;
         let (program, report) = verified.into_parts();
+        let mut reads = [false; 7];
+        reads.copy_from_slice(&program.used_inputs());
         Ok(CpaAnalyzer {
             name: name.to_owned(),
             instance: Instance::new(&program),
@@ -99,7 +147,8 @@ impl CpaAnalyzer {
             events: 0,
             fuel_spent: 0,
             aborted: 0,
-            outputs: Default::default(),
+            reads,
+            outputs: Outputs::new(),
         })
     }
 
@@ -139,7 +188,7 @@ impl CpaAnalyzer {
 
     /// Latest value published to an output slot.
     pub fn output(&self, slot: i64) -> Option<f64> {
-        self.outputs.get(&slot).copied()
+        self.outputs.get(slot)
     }
 
     /// A static variable's current value.
@@ -157,28 +206,47 @@ impl CpaAnalyzer {
         self.instance.tier()
     }
 
-    fn inputs_for(event: &Event) -> [i64; 7] {
-        let kind = event.kind() as u8 as i64;
-        let pid = event.payload.pid().map(|p| p.0 as i64).unwrap_or(0);
-        let wall = event.wall.as_micros() as i64;
-        let (size, ports) = match &event.payload {
-            EventPayload::Net { size, flow, .. } => (
-                *size as i64,
-                (flow.src.port.0 as i64, flow.dst.port.0 as i64),
-            ),
-            _ => (0, (0, 0)),
-        };
-        let aux = match &event.payload {
-            EventPayload::SyscallExit { kernel_time, .. } => kernel_time.as_micros() as i64,
-            EventPayload::FileRead { bytes, .. }
-            | EventPayload::FileWrite { bytes, .. }
-            | EventPayload::BlockIoStart { bytes, .. }
-            | EventPayload::BlockIoComplete { bytes, .. } => *bytes as i64,
-            _ => 0,
-        };
-        // Every entry in EVENT_INPUTS is Type::Int, so the raw input bits
-        // are the values themselves — no Value boxing on the hot path.
-        [kind, pid, wall, size, aux, ports.0, ports.1]
+    /// The event's row of [`EVENT_INPUTS`], with only the columns the
+    /// program reads computed. Every entry is `Type::Int`, so the raw
+    /// input bits are the values themselves — no `Value` boxing on the
+    /// hot path.
+    fn inputs_for(&self, event: &Event) -> [i64; 7] {
+        let [kind, pid, wall, size, aux, port_src, port_dst] = self.reads;
+        let mut row = [0i64; 7];
+        if kind {
+            row[0] = event.kind() as u8 as i64;
+        }
+        if pid {
+            row[1] = event.payload.pid().map_or(0, |p| p.0 as i64);
+        }
+        if wall {
+            row[2] = event.wall.as_micros() as i64;
+        }
+        if let EventPayload::Net {
+            size: bytes, flow, ..
+        } = &event.payload
+        {
+            if size {
+                row[3] = *bytes as i64;
+            }
+            if port_src {
+                row[5] = flow.src.port.0 as i64;
+            }
+            if port_dst {
+                row[6] = flow.dst.port.0 as i64;
+            }
+        }
+        if aux {
+            row[4] = match &event.payload {
+                EventPayload::SyscallExit { kernel_time, .. } => kernel_time.as_micros() as i64,
+                EventPayload::FileRead { bytes, .. }
+                | EventPayload::FileWrite { bytes, .. }
+                | EventPayload::BlockIoStart { bytes, .. }
+                | EventPayload::BlockIoComplete { bytes, .. } => *bytes as i64,
+                _ => 0,
+            };
+        }
+        row
     }
 }
 
@@ -196,16 +264,16 @@ impl Analyzer for CpaAnalyzer {
 
     fn on_event(&mut self, event: &Event) -> AnalyzerOutcome {
         self.events += 1;
-        let inputs = Self::inputs_for(event);
+        let inputs = self.inputs_for(event);
         // The outcome borrows the instance's output arena; fold it into
-        // the persistent per-slot map before the next run overwrites it.
+        // the persistent slots before the next run overwrites it.
         let fuel_used = match self.instance.run_raw(&inputs, FUEL_BUDGET) {
             Ok(out) => {
                 if out.ret != 0 {
                     self.flagged += 1;
                 }
                 for &(slot, value) in out.outputs {
-                    self.outputs.insert(slot, value);
+                    self.outputs.set(slot, value);
                 }
                 out.fuel_used
             }
@@ -293,6 +361,31 @@ mod tests {
         cpa.on_event(&net_event(300, 1));
         assert_eq!(cpa.output(0), Some(200.0));
         assert_eq!(cpa.output(1), None);
+    }
+
+    /// `output` is what the per-slot map gave: `None` for a slot never
+    /// written, else the latest value — for the array's slots `0..=63`
+    /// and for a slot the verifier only warned about, negative or past
+    /// 63, alike.
+    #[test]
+    fn output_is_the_latest_value_of_each_written_slot() {
+        let src = "out(63, size); out(port_dst - 100, size + 1); return 0;";
+        let mut cpa = CpaAnalyzer::compile("slots", src, EventMask::NETWORK).unwrap();
+        assert!(!cpa.report().warnings.is_empty(), "{:?}", cpa.report());
+        for slot in [-1, 0, 62, 63, 64, i64::MIN, i64::MAX] {
+            assert_eq!(cpa.output(slot), None, "slot {slot} before any event");
+        }
+        cpa.on_event(&net_event(10, 99)); // slot -1
+        cpa.on_event(&net_event(20, 164)); // slot 64
+        cpa.on_event(&net_event(30, 100)); // slot 0
+        cpa.on_event(&net_event(40, 164)); // slot 64 again
+        assert_eq!(cpa.output(63), Some(40.0));
+        assert_eq!(cpa.output(-1), Some(11.0));
+        assert_eq!(cpa.output(0), Some(31.0));
+        assert_eq!(cpa.output(64), Some(41.0));
+        for slot in [1, 62, 65, -2, i64::MIN, i64::MAX] {
+            assert_eq!(cpa.output(slot), None, "slot {slot} was never written");
+        }
     }
 
     #[test]

@@ -638,12 +638,12 @@ impl Lpa {
     /// Handles a packet observation that can open/extend/close messages.
     fn observe_packet(
         &mut self,
-        flow: FlowKey,
+        flow: &FlowKey,
         wall: SimTime,
         size: u32,
         pid: Option<Pid>,
     ) -> bool {
-        let dir = self.dir_of(&flow);
+        let dir = self.dir_of(flow);
         let (slot, state) = self.flows.state(flow.canonical());
         match &mut state.cur {
             Some(cur) if cur.dir == dir => {
@@ -651,7 +651,7 @@ impl Lpa {
                 false
             }
             // Direction change (or first packet): close current, start new.
-            cur => match cur.replace(MsgAcc::start(dir, flow, wall, size, pid)) {
+            cur => match cur.replace(MsgAcc::start(dir, *flow, wall, size, pid)) {
                 Some(ended) => self.close_message(slot, ended),
                 None => false,
             },
@@ -822,9 +822,11 @@ impl Lpa {
     }
 
     fn net_event(&mut self, ev: &Event) -> bool {
+        // Matched by reference: each field is read where the event lies,
+        // when it is needed, not copied out of the payload first.
         let EventPayload::Net {
             point,
-            flow,
+            ref flow,
             size,
             pid,
             arm,
@@ -833,7 +835,7 @@ impl Lpa {
         else {
             return false;
         };
-        if Self::excluded(&flow) {
+        if Self::excluded(flow) {
             return false;
         }
         if let Some(arm) = arm {
@@ -896,13 +898,13 @@ impl Lpa {
     /// interaction record completed.
     fn arm_packet(
         &mut self,
-        flow: FlowKey,
+        flow: &FlowKey,
         wall: SimTime,
         size: u32,
         pid: Option<Pid>,
         arm: u64,
     ) -> bool {
-        let dir = self.dir_of(&flow);
+        let dir = self.dir_of(flow);
         let canon = flow.canonical();
         let completed = self.arm_complete_others(canon, arm);
         let st = self
@@ -928,7 +930,7 @@ impl Lpa {
         match slot {
             Some(acc) => acc.extend(wall, size, pid),
             None => {
-                *slot = Some(MsgAcc::start(dir, flow, wall, size, pid));
+                *slot = Some(MsgAcc::start(dir, *flow, wall, size, pid));
                 // The response starting closes this correlator's
                 // attribution window.
                 if responding {

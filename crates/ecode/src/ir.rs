@@ -552,19 +552,13 @@ fn lower_block(
     })
 }
 
-// The sweeps' generators live with the integration tests; the IR is
-// crate-private, so its checks over the same programs live here.
-#[cfg(test)]
-#[path = "../tests/gen/mod.rs"]
-mod gen;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::GlobalInit;
     use crate::{Instance, Type, Value};
 
-    use super::gen;
+    use crate::gen;
 
     const INPUTS: [(&str, Type); 2] = [("size", Type::Int), ("port", Type::Int)];
 

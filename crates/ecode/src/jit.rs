@@ -6,12 +6,16 @@
 //! opcode. This module removes the tax for the shapes analyzers are
 //! actually written in: the IR's basic blocks are merged back into
 //! straight-line spans, and every span that fits a small universe of
-//! **monomorphized forms** — constant operands baked in, a whole
-//! `acc = acc + size;` as one update instead of five dispatches —
-//! becomes a node of a graph the driver walks without touching
-//! bytecode. A program whose nodes form the canonical guarded-reporter
-//! shape is additionally assembled, from those same nodes, into one
-//! straight-line structure with its fuel totals precomputed (`Whole`).
+//! forms — constant operands baked in, a whole `acc = acc + size;` as
+//! one update instead of five dispatches — is recognized once
+//! ([`spec_node`]) and built into closures monomorphized over those
+//! forms: the code was generated when this crate was compiled, and
+//! building a program wires it up. Such a block becomes a node of a
+//! graph the driver walks without touching bytecode. A program whose
+//! nodes form the canonical guarded-reporter shape is additionally
+//! assembled, from those same forms, into a few closures with its
+//! per-path fuel totals baked in ([`Whole`]), entered on the caller's
+//! own input slice. No run matches on a recognized form.
 //!
 //! # Tier selection and fallback
 //!
@@ -36,7 +40,9 @@
 //! integer division by a runtime value), so every trap is raised by the
 //! interpreter, at the interpreter's point.
 //! The generative sweeps in `tests/verifier.rs` assert this equivalence
-//! against the reference for hundreds of programs.
+//! against the reference for hundreds of programs, and this module's
+//! differential test holds the whole-program closures to it at and
+//! just below their fuel gate.
 
 use std::fmt;
 
@@ -122,17 +128,9 @@ impl CompiledProgram {
     ) -> (u64, Exit) {
         let mut extra = 0u64;
         loop {
-            run_fsteps(&node.fsteps, ctx);
-            let next = match &node.term {
-                SpecTerm::RetC(c) => return (extra, Exit::Ret(*c)),
-                SpecTerm::RetV(v) => return (extra, Exit::Ret(v.get(ctx))),
-                SpecTerm::Br { cond, f, t } => {
-                    if cond.truthy(ctx) {
-                        *t
-                    } else {
-                        *f
-                    }
-                }
+            let next = match (node.run)(ctx) {
+                Exit::Jump(next) => next,
+                ret => return (extra, ret),
             };
             let b = &self.blocks[next as usize];
             match &b.spec {
@@ -347,17 +345,6 @@ enum Scal {
     C(i64),
 }
 
-impl Scal {
-    #[inline(always)]
-    fn get(self, ctx: &Ctx<'_>) -> i64 {
-        match self {
-            Scal::In(i) => ctx.inputs[i as usize],
-            Scal::Gl(g) => ctx.globals[g as usize],
-            Scal::C(c) => c,
-        }
-    }
-}
-
 fn as_scal(ex: &Ex) -> Option<Scal> {
     Some(match ex {
         Ex::Input(i) => Scal::In(*i),
@@ -369,7 +356,8 @@ fn as_scal(ex: &Ex) -> Option<Scal> {
 
 /// A trap-free int value: a scalar, an integer comparison of two
 /// scalars (producing 0/1), or a strength-reduced divisibility test.
-/// Serves as branch condition (`truthy`) and return value (`get`).
+/// Serves as branch condition and return value; [`cond`] and [`leaf`]
+/// turn it into code.
 #[derive(Debug, Clone, Copy)]
 enum ValK {
     S(Scal),
@@ -392,39 +380,6 @@ enum ValK {
         /// `u64::MAX / odd_part` — divisibility threshold.
         thr: u64,
     },
-}
-
-impl ValK {
-    #[inline(always)]
-    fn get(self, ctx: &Ctx<'_>) -> i64 {
-        match self {
-            ValK::S(s) => s.get(ctx),
-            ValK::Cmp(cmp, l, r) => cmp.eval(l.get(ctx), r.get(ctx)) as i64,
-            ValK::DivC { .. } => self.truthy(ctx) as i64,
-        }
-    }
-
-    #[inline(always)]
-    fn truthy(self, ctx: &Ctx<'_>) -> bool {
-        match self {
-            ValK::S(s) => s.get(ctx) != 0,
-            ValK::Cmp(cmp, l, r) => cmp.eval(l.get(ctx), r.get(ctx)),
-            ValK::DivC {
-                g,
-                ne,
-                mask,
-                inv,
-                thr,
-            } => {
-                // Truncated `%` makes divisibility sign-independent, so
-                // test the magnitude (`unsigned_abs` is exact even for
-                // i64::MIN).
-                let n = ctx.globals[g as usize].unsigned_abs();
-                let divisible = n & mask == 0 && n.wrapping_mul(inv) <= thr;
-                divisible != ne
-            }
-        }
-    }
 }
 
 /// Builds the divisibility test for constant divisor `c` (`None` only
@@ -480,18 +435,6 @@ enum OutK {
     IntGl(u16),
 }
 
-impl OutK {
-    #[inline(always)]
-    fn value(self, ctx: &Ctx<'_>) -> f64 {
-        match self {
-            OutK::RatioFI { num, den } => {
-                f64_of(ctx.globals[num as usize]) / ctx.globals[den as usize] as f64
-            }
-            OutK::IntGl(g) => ctx.globals[g as usize] as f64,
-        }
-    }
-}
-
 fn as_outk(ex: &Ex) -> Option<OutK> {
     Some(match ex {
         Ex::Un(Un::I2F, inner) => match &**inner {
@@ -520,22 +463,9 @@ enum FStep {
     Pub { slot: i64, out: OutK },
 }
 
-#[inline(always)]
-fn run_fsteps(fsteps: &[FStep], ctx: &mut Ctx<'_>) {
-    for s in fsteps {
-        match *s {
-            FStep::U(u) => u.apply(ctx),
-            FStep::Pub { slot, out } => {
-                let v = out.value(ctx);
-                ctx.outputs.push((slot, v));
-            }
-        }
-    }
-}
-
 /// Classifies every step as a packable trap-free statement, or refuses
-/// the specialization (`None` → interpreted). Capped so the `Vec`
-/// stays small; longer runs are rare and the generic path handles them.
+/// the specialization (`None` → interpreted). Capped so a run stays a
+/// few closures; longer runs are rare and the generic path handles them.
 fn as_fsteps(steps: &[Step]) -> Option<Vec<FStep>> {
     if steps.len() > 6 {
         return None;
@@ -552,16 +482,64 @@ fn as_fsteps(steps: &[Step]) -> Option<Vec<FStep>> {
         .collect()
 }
 
-/// A fully-monomorphized block body plus terminator. Everything in a
-/// node is trap-free by construction ([`FStep`]/[`ValK`]/[`OutK`] admit
-/// no int div/mod), so [`Exit`] has no trap case. Terminator targets
-/// are block indices; control flows
-/// from node to node inside [`CompiledProgram::run_spec`]'s loop
-/// instead of bouncing back to the driver at every block boundary.
-#[derive(Debug)]
+/// A trap-free single-global update statement. These are the
+/// statements CPAs spend their lives in. Fields are the updated
+/// global's slot, then the operands.
+#[derive(Debug, Clone, Copy)]
+enum GUpd {
+    /// `g = g + c` (int).
+    IncC(u16, i64),
+    /// `g = g + input` (int input promoted into a double global).
+    AccInF(u16, u16),
+    /// `g = min(g, input)` / `g = max(g, input)` (int).
+    MinIn(u16, u16),
+    MaxIn(u16, u16),
+    /// `g = a - b` over two globals (int) — span/delta folds like
+    /// `span = hi - lo`.
+    SubGG(u16, u16, u16),
+}
+
+fn as_gupd(step: &Step) -> Option<GUpd> {
+    let Step::StoreGlobal(g, Ex::Bin(op, l, r)) = step else {
+        return None;
+    };
+    let g = *g;
+    Some(match (op, &**l, &**r) {
+        (Bin::SubI, Ex::Global(a), Ex::Global(b)) => GUpd::SubGG(g, *a, *b),
+        // Everything else updates `g` from its own old value.
+        (_, old, _) if *old != Ex::Global(g) => return None,
+        (Bin::AddI, _, Ex::ConstI(c)) => GUpd::IncC(g, *c),
+        (Bin::MinI, _, Ex::Input(i)) => GUpd::MinIn(g, *i),
+        (Bin::MaxI, _, Ex::Input(i)) => GUpd::MaxIn(g, *i),
+        (Bin::AddF, _, Ex::Un(Un::I2F, inner)) => match &**inner {
+            Ex::Input(i) => GUpd::AccInF(g, *i),
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
+
+/// A specialized block: what [`spec_node`] recognized (`fsteps`,
+/// `term`; read again by [`Whole::assemble`], and by `Debug`) and the
+/// code built from it once (`run`), which the driver calls. Everything
+/// in a node is trap-free by construction ([`FStep`]/[`ValK`]/[`OutK`]
+/// admit no int div/mod), so [`Exit`] has no trap case. Terminator
+/// targets are block indices; control flows from node to node inside
+/// [`CompiledProgram::run_spec`]'s loop instead of bouncing back to the
+/// driver at every block boundary.
 pub(crate) struct SpecNode {
     fsteps: Vec<FStep>,
     term: SpecTerm,
+    run: NodeFn,
+}
+
+impl fmt::Debug for SpecNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpecNode")
+            .field("fsteps", &self.fsteps)
+            .field("term", &self.term)
+            .finish()
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -608,7 +586,485 @@ fn spec_node(b: &ir::Block) -> Option<SpecNode> {
         },
         Term::Jmp(_) => return None,
     };
-    Some(SpecNode { fsteps, term })
+    let steps = seq(&fsteps, (0, 0));
+    let run = match term {
+        SpecTerm::RetC(c) => leaf(ValK::S(Scal::C(c)), NodeRet(steps)),
+        SpecTerm::RetV(v) => leaf(v, NodeRet(steps)),
+        SpecTerm::Br { cond: c, f, t } => cond(c, NodeBr { steps, f, t }),
+    };
+    Some(SpecNode { fsteps, term, run })
+}
+
+// ---------------------------------------------------------------------
+// The code: closures built once per program from the recognized forms.
+//
+// Each form below is a small `Copy` struct whose `run`/`test`/`get` is
+// the form's whole meaning, with its operands (slot indices, constants,
+// a comparison folded into a range or an ordering set) captured at
+// build time. A visitor (`stmt`, `cond`, `leaf`) is the one `match`
+// from a recognized form to its struct; it runs when the program is
+// built, and what it hands back is a closure monomorphized over the
+// struct — so a run executes the statements and tests themselves, and
+// an indirect call at each closure boundary, with no form dispatch.
+// ---------------------------------------------------------------------
+
+/// A specialized block: its statements, then where control goes.
+type NodeFn = Box<dyn Fn(&mut Ctx<'_>) -> Exit + Send + Sync>;
+/// A whole-program path from some point to its return: `(ret,
+/// fuel_used)`, the path's fuel total baked in.
+type PathFn = Box<dyn Fn(&mut Ctx<'_>) -> (i64, u64) + Send + Sync>;
+/// A straight-line run of specialized statements ending in a constant
+/// `(ret, fuel_used)`: the whole path when its path returns that
+/// constant, else run for its effects and the result ignored.
+type Seq = PathFn;
+/// A return value.
+type LeafFn = Box<dyn Fn(&Ctx<'_>) -> i64 + Send + Sync>;
+
+/// A specialized statement.
+trait Stmt: Copy + Send + Sync + 'static {
+    fn run(self, ctx: &mut Ctx<'_>);
+}
+
+/// `g = g + c` (int).
+#[derive(Clone, Copy)]
+struct Inc(usize, i64);
+/// `g = g + input` into a double global.
+#[derive(Clone, Copy)]
+struct AccF(usize, usize);
+/// `g = min(g, input)`.
+#[derive(Clone, Copy)]
+struct MinIn(usize, usize);
+/// `g = max(g, input)`.
+#[derive(Clone, Copy)]
+struct MaxIn(usize, usize);
+/// `g = a - b` over two int globals.
+#[derive(Clone, Copy)]
+struct Sub(usize, usize, usize);
+/// `out(slot, num / den)`: a double global over an int global.
+#[derive(Clone, Copy)]
+struct OutRatio(i64, usize, usize);
+/// `out(slot, g)`: an int global, promoted.
+#[derive(Clone, Copy)]
+struct OutInt(i64, usize);
+
+impl Stmt for Inc {
+    #[inline(always)]
+    fn run(self, ctx: &mut Ctx<'_>) {
+        let p = &mut ctx.globals[self.0];
+        *p = p.wrapping_add(self.1);
+    }
+}
+
+impl Stmt for AccF {
+    #[inline(always)]
+    fn run(self, ctx: &mut Ctx<'_>) {
+        let v = ctx.inputs[self.1] as f64;
+        let p = &mut ctx.globals[self.0];
+        *p = bits_of(f64_of(*p) + v);
+    }
+}
+
+impl Stmt for MinIn {
+    #[inline(always)]
+    fn run(self, ctx: &mut Ctx<'_>) {
+        let v = ctx.inputs[self.1];
+        let p = &mut ctx.globals[self.0];
+        *p = (*p).min(v);
+    }
+}
+
+impl Stmt for MaxIn {
+    #[inline(always)]
+    fn run(self, ctx: &mut Ctx<'_>) {
+        let v = ctx.inputs[self.1];
+        let p = &mut ctx.globals[self.0];
+        *p = (*p).max(v);
+    }
+}
+
+impl Stmt for Sub {
+    #[inline(always)]
+    fn run(self, ctx: &mut Ctx<'_>) {
+        ctx.globals[self.0] = ctx.globals[self.1].wrapping_sub(ctx.globals[self.2]);
+    }
+}
+
+impl Stmt for OutRatio {
+    #[inline(always)]
+    fn run(self, ctx: &mut Ctx<'_>) {
+        let v = f64_of(ctx.globals[self.1]) / ctx.globals[self.2] as f64;
+        ctx.outputs.push((self.0, v));
+    }
+}
+
+impl Stmt for OutInt {
+    #[inline(always)]
+    fn run(self, ctx: &mut Ctx<'_>) {
+        let v = ctx.globals[self.1] as f64;
+        ctx.outputs.push((self.0, v));
+    }
+}
+
+/// What to build once a statement's form is known.
+trait WithStmt {
+    type Out;
+    fn with<S: Stmt>(self, s: S) -> Self::Out;
+}
+
+/// The one dispatch from a recognized statement to its form.
+fn stmt<W: WithStmt>(step: FStep, w: W) -> W::Out {
+    let u = |x: u16| x as usize;
+    match step {
+        FStep::U(GUpd::IncC(g, c)) => w.with(Inc(u(g), c)),
+        FStep::U(GUpd::AccInF(g, i)) => w.with(AccF(u(g), u(i))),
+        FStep::U(GUpd::MinIn(g, i)) => w.with(MinIn(u(g), u(i))),
+        FStep::U(GUpd::MaxIn(g, i)) => w.with(MaxIn(u(g), u(i))),
+        FStep::U(GUpd::SubGG(g, a, b)) => w.with(Sub(u(g), u(a), u(b))),
+        FStep::Pub {
+            slot,
+            out: OutK::RatioFI { num, den },
+        } => w.with(OutRatio(slot, u(num), u(den))),
+        FStep::Pub {
+            slot,
+            out: OutK::IntGl(g),
+        } => w.with(OutInt(slot, u(g))),
+    }
+}
+
+/// The code of a statement run ending in `out`, `None` when the run is
+/// empty: one closure per two statements, monomorphized over both,
+/// chained when the run is longer. The canonical CPAs' runs are one or
+/// two statements long, so each is one closure — and a path that runs
+/// statements and returns a constant is that one closure.
+fn seq(steps: &[FStep], out: (i64, u64)) -> Option<Seq> {
+    let mut chunks = steps.chunks(2).map(|chunk| match *chunk {
+        [a] => stmt(a, One(out)),
+        [a, b] => stmt(a, First(b, out)),
+        _ => unreachable!("chunks of two"),
+    });
+    let first = chunks.next()?;
+    Some(chunks.fold(first, |run, next| {
+        Box::new(move |ctx| {
+            run(ctx);
+            next(ctx)
+        })
+    }))
+}
+
+/// Runs `steps`, if there are any.
+#[inline(always)]
+fn run_seq(steps: &Option<Seq>, ctx: &mut Ctx<'_>) {
+    if let Some(steps) = steps {
+        steps(ctx);
+    }
+}
+
+struct One((i64, u64));
+
+impl WithStmt for One {
+    type Out = Seq;
+    fn with<S: Stmt>(self, a: S) -> Seq {
+        let out = self.0;
+        Box::new(move |ctx| {
+            a.run(ctx);
+            out
+        })
+    }
+}
+
+/// The first of two statements known; the second is dispatched next.
+struct First(FStep, (i64, u64));
+
+impl WithStmt for First {
+    type Out = Seq;
+    fn with<S: Stmt>(self, a: S) -> Seq {
+        stmt(self.0, Second(a, self.1))
+    }
+}
+
+struct Second<A>(A, (i64, u64));
+
+impl<A: Stmt> WithStmt for Second<A> {
+    type Out = Seq;
+    fn with<S: Stmt>(self, b: S) -> Seq {
+        let Second(a, out) = self;
+        Box::new(move |ctx| {
+            a.run(ctx);
+            b.run(ctx);
+            out
+        })
+    }
+}
+
+/// A specialized, trap-free condition.
+trait Cond: Copy + Send + Sync + 'static {
+    fn test(self, ctx: &Ctx<'_>) -> bool;
+}
+
+/// An int value a form reads: an input, a static, a constant, or a
+/// condition's truth (0/1).
+trait Val: Copy + Send + Sync + 'static {
+    fn get(self, ctx: &Ctx<'_>) -> i64;
+}
+
+#[derive(Clone, Copy)]
+struct In(usize);
+#[derive(Clone, Copy)]
+struct Gl(usize);
+#[derive(Clone, Copy)]
+struct K(i64);
+#[derive(Clone, Copy)]
+struct Truth<C>(C);
+
+impl Val for In {
+    #[inline(always)]
+    fn get(self, ctx: &Ctx<'_>) -> i64 {
+        ctx.inputs[self.0]
+    }
+}
+
+impl Val for Gl {
+    #[inline(always)]
+    fn get(self, ctx: &Ctx<'_>) -> i64 {
+        ctx.globals[self.0]
+    }
+}
+
+impl Val for K {
+    #[inline(always)]
+    fn get(self, _: &Ctx<'_>) -> i64 {
+        self.0
+    }
+}
+
+impl<C: Cond> Val for Truth<C> {
+    #[inline(always)]
+    fn get(self, ctx: &Ctx<'_>) -> i64 {
+        self.0.test(ctx) as i64
+    }
+}
+
+/// `(x, lo, span, neg)`: `lo <= x <= lo + span`, negated when `neg` —
+/// what a comparison against a constant (and a scalar's truth,
+/// `x != 0`) becomes. One unsigned compare of the offset, whichever
+/// comparison it was.
+#[derive(Clone, Copy)]
+struct Range<X>(X, i64, u64, bool);
+
+impl<X: Val> Cond for Range<X> {
+    #[inline(always)]
+    fn test(self, ctx: &Ctx<'_>) -> bool {
+        let Range(x, lo, span, neg) = self;
+        (x.get(ctx).wrapping_sub(lo) as u64 <= span) != neg
+    }
+}
+
+/// `(l, r, accept)`: `l op r` over two runtime operands, the comparison
+/// as the set of orderings it accepts (bit 0 less, bit 1 equal, bit 2
+/// greater).
+#[derive(Clone, Copy)]
+struct Ord2<L, R>(L, R, u8);
+
+impl<L: Val, R: Val> Cond for Ord2<L, R> {
+    #[inline(always)]
+    fn test(self, ctx: &Ctx<'_>) -> bool {
+        let Ord2(l, r, accept) = self;
+        accept >> (l.get(ctx).cmp(&r.get(ctx)) as i8 + 1) & 1 != 0
+    }
+}
+
+/// The divisibility test of [`ValK::DivC`].
+#[derive(Clone, Copy)]
+struct Div {
+    g: usize,
+    ne: bool,
+    mask: u64,
+    inv: u64,
+    thr: u64,
+}
+
+impl Cond for Div {
+    #[inline(always)]
+    fn test(self, ctx: &Ctx<'_>) -> bool {
+        // Truncated `%` makes divisibility sign-independent, so test
+        // the magnitude (`unsigned_abs` is exact even for i64::MIN).
+        let n = ctx.globals[self.g].unsigned_abs();
+        let divisible = n & self.mask == 0 && n.wrapping_mul(self.inv) <= self.thr;
+        divisible != self.ne
+    }
+}
+
+/// A condition the build already decided (two constants compared, a
+/// constant's truth, a range no value falls in).
+#[derive(Clone, Copy)]
+struct Known(bool);
+
+impl Cond for Known {
+    #[inline(always)]
+    fn test(self, _: &Ctx<'_>) -> bool {
+        self.0
+    }
+}
+
+/// What to build once a condition's form is known.
+trait WithCond {
+    type Out;
+    fn with<C: Cond>(self, c: C) -> Self::Out;
+}
+
+/// A condition, normalized: what [`cond`] dispatches on.
+#[derive(Clone, Copy)]
+enum CondForm {
+    Range(Scal, i64, u64, bool),
+    Ord2(Scal, Scal, u8),
+    Div(Div),
+    Known(bool),
+}
+
+/// Normalizes a recognized condition: a constant operand goes to the
+/// right, a comparison against it becomes a [`Range`], one between two
+/// runtime operands an [`Ord2`].
+fn cond_form(v: ValK) -> CondForm {
+    let (cmp, l, r) = match v {
+        ValK::S(s) => (Cmp::Ne, s, Scal::C(0)),
+        ValK::Cmp(cmp, l, r) => (cmp, l, r),
+        ValK::DivC {
+            g,
+            ne,
+            mask,
+            inv,
+            thr,
+        } => {
+            let g = g as usize;
+            return CondForm::Div(Div {
+                g,
+                ne,
+                mask,
+                inv,
+                thr,
+            });
+        }
+    };
+    let (cmp, x, c) = match (l, r) {
+        (Scal::C(a), Scal::C(b)) => return CondForm::Known(cmp.eval(a, b)),
+        (x, Scal::C(c)) => (cmp, x, c),
+        (Scal::C(c), x) => (mirror(cmp), x, c),
+        (l, r) => {
+            let accept = match cmp {
+                Cmp::Lt => 0b001,
+                Cmp::Eq => 0b010,
+                Cmp::Le => 0b011,
+                Cmp::Gt => 0b100,
+                Cmp::Ne => 0b101,
+                Cmp::Ge => 0b110,
+            };
+            return CondForm::Ord2(l, r, accept);
+        }
+    };
+    // `x cmp c` as `x ∈ [lo, hi]` (negated for `!=`); an empty range is
+    // a known `false`.
+    let (lo, hi, neg) = match cmp {
+        Cmp::Eq => (c, c, false),
+        Cmp::Ne => (c, c, true),
+        Cmp::Le => (i64::MIN, c, false),
+        Cmp::Ge => (c, i64::MAX, false),
+        Cmp::Lt => match c.checked_sub(1) {
+            Some(hi) => (i64::MIN, hi, false),
+            None => return CondForm::Known(false),
+        },
+        Cmp::Gt => match c.checked_add(1) {
+            Some(lo) => (lo, i64::MAX, false),
+            None => return CondForm::Known(false),
+        },
+    };
+    CondForm::Range(x, lo, hi.wrapping_sub(lo) as u64, neg)
+}
+
+/// The one dispatch from a recognized condition to its form.
+fn cond<W: WithCond>(v: ValK, w: W) -> W::Out {
+    let u = |x: u16| x as usize;
+    match cond_form(v) {
+        CondForm::Range(Scal::In(i), lo, span, neg) => w.with(Range(In(u(i)), lo, span, neg)),
+        CondForm::Range(Scal::Gl(g), lo, span, neg) => w.with(Range(Gl(u(g)), lo, span, neg)),
+        CondForm::Ord2(Scal::In(a), Scal::In(b), k) => w.with(Ord2(In(u(a)), In(u(b)), k)),
+        CondForm::Ord2(Scal::In(a), Scal::Gl(b), k) => w.with(Ord2(In(u(a)), Gl(u(b)), k)),
+        CondForm::Ord2(Scal::Gl(a), Scal::In(b), k) => w.with(Ord2(Gl(u(a)), In(u(b)), k)),
+        CondForm::Ord2(Scal::Gl(a), Scal::Gl(b), k) => w.with(Ord2(Gl(u(a)), Gl(u(b)), k)),
+        CondForm::Div(d) => w.with(d),
+        CondForm::Known(k) => w.with(Known(k)),
+        CondForm::Range(Scal::C(_), ..) | CondForm::Ord2(..) => {
+            unreachable!("constant operands are folded by cond_form")
+        }
+    }
+}
+
+/// `c op x` as `x op' c`.
+fn mirror(cmp: Cmp) -> Cmp {
+    match cmp {
+        Cmp::Lt => Cmp::Gt,
+        Cmp::Le => Cmp::Ge,
+        Cmp::Gt => Cmp::Lt,
+        Cmp::Ge => Cmp::Le,
+        eq_or_ne => eq_or_ne,
+    }
+}
+
+/// What to build once a return value's form is known.
+trait WithLeaf {
+    type Out;
+    fn with<L: Val>(self, l: L) -> Self::Out;
+}
+
+/// The one dispatch from a recognized return value to its form.
+fn leaf<W: WithLeaf>(v: ValK, w: W) -> W::Out {
+    match v {
+        ValK::S(Scal::C(c)) => w.with(K(c)),
+        ValK::S(Scal::In(i)) => w.with(In(i as usize)),
+        ValK::S(Scal::Gl(g)) => w.with(Gl(g as usize)),
+        cmp_or_div => cond(cmp_or_div, AsLeaf(w)),
+    }
+}
+
+/// Hands a condition on as the 0/1 leaf it returns.
+struct AsLeaf<W>(W);
+
+impl<W: WithLeaf> WithCond for AsLeaf<W> {
+    type Out = W::Out;
+    fn with<C: Cond>(self, c: C) -> W::Out {
+        self.0.with(Truth(c))
+    }
+}
+
+/// A block that runs its statements and returns.
+struct NodeRet(Option<Seq>);
+
+impl WithLeaf for NodeRet {
+    type Out = NodeFn;
+    fn with<L: Val>(self, l: L) -> NodeFn {
+        let steps = self.0;
+        Box::new(move |ctx| {
+            run_seq(&steps, ctx);
+            Exit::Ret(l.get(ctx))
+        })
+    }
+}
+
+/// A block that runs its statements and branches.
+struct NodeBr {
+    steps: Option<Seq>,
+    f: u32,
+    t: u32,
+}
+
+impl WithCond for NodeBr {
+    type Out = NodeFn;
+    fn with<C: Cond>(self, c: C) -> NodeFn {
+        let NodeBr { steps, f, t } = self;
+        Box::new(move |ctx| {
+            run_seq(&steps, ctx);
+            Exit::Jump(if c.test(ctx) { t } else { f })
+        })
+    }
 }
 
 /// Whole-program fast path: the "guarded reporter" shape canonical CPAs
@@ -620,11 +1076,15 @@ fn spec_node(b: &ir::Block) -> Option<SpecNode> {
 /// return <const | scalar | cond ? a : b>;
 /// ```
 ///
-/// — assembled from the specialized nodes ([`Whole::assemble`]) into
-/// one straight-line structure with **per-path fuel totals baked in at
-/// compile time**. Executing it costs a couple of predictable branches
-/// and the statements themselves: no per-block dispatch, no driver
-/// round-trips, no fuel bookkeeping.
+/// — assembled from the specialized nodes ([`Whole::assemble`]) into a
+/// handful of closures, with **per-path fuel totals baked in at compile
+/// time**: the prologue is one statement run ([`seq`]), the guard's one
+/// or two legs are one closure, and each way out of the guard is one
+/// closure that returns its path's result (a run of statements that
+/// returns a constant is the run itself). A run costs the statements
+/// themselves, the guard's compares and two or three indirect calls: no
+/// per-block dispatch, no driver round-trips, no fuel bookkeeping, no
+/// match on a recognized form.
 ///
 /// That last elision is only sound because `exec` is gated: the driver
 /// takes this path **only when the caller's budget covers `max_fuel`**,
@@ -636,138 +1096,22 @@ fn spec_node(b: &ir::Block) -> Option<SpecNode> {
 /// tiers. Budgets below `max_fuel` (and graphs of another shape) run
 /// the per-block driver with its exact abort semantics instead.
 pub(crate) struct Whole {
-    pro: Box<[FStep]>,
-    kind: WKind,
+    /// The statements before the guard; `None` when there are none or
+    /// there is no guard (then `run` covers block 0 itself).
+    pro: Option<Seq>,
+    /// The guard and the ways out of it, or the one path when there is
+    /// no guard.
+    run: PathFn,
     /// Worst-case path fuel; `exec` requires `budget >= max_fuel`.
     pub(crate) max_fuel: u64,
-}
-
-/// A return leaf: the value the program exits with.
-#[derive(Clone, Copy)]
-enum WLeaf {
-    C(i64),
-    V(ValK),
-}
-
-impl WLeaf {
-    #[inline(always)]
-    fn get(self, ctx: &Ctx<'_>) -> i64 {
-        match self {
-            WLeaf::C(c) => c,
-            WLeaf::V(v) => v.get(ctx),
-        }
-    }
-}
-
-/// How a continuation ends. `Cond` is one conditional-return level —
-/// the shape short-circuit return joins (`return a && b;`) lower to —
-/// with each side's remaining block fuel baked in.
-enum WTail {
-    Leaf(WLeaf),
-    Cond {
-        c: ValK,
-        t: WLeaf,
-        ft: u64,
-        f: WLeaf,
-        ff: u64,
-    },
-}
-
-impl WTail {
-    #[inline(always)]
-    fn exec(&self, ctx: &mut Ctx<'_>, base: u64) -> (i64, u64) {
-        match self {
-            WTail::Leaf(l) => (l.get(ctx), base),
-            WTail::Cond { c, t, ft, f, ff } => {
-                if c.truthy(ctx) {
-                    (t.get(ctx), base + ft)
-                } else {
-                    (f.get(ctx), base + ff)
-                }
-            }
-        }
-    }
-
-    fn max_fuel(&self) -> u64 {
-        match self {
-            WTail::Leaf(_) => 0,
-            WTail::Cond { ft, ff, .. } => (*ft).max(*ff),
-        }
-    }
-}
-
-/// One straight-line continuation: statements, then a tail. `fuel` is
-/// the block-span total of every block the continuation covers (minus
-/// `Cond`'s per-side extras, which the tail adds itself).
-struct WCont {
-    steps: Box<[FStep]>,
-    tail: WTail,
-    fuel: u64,
-}
-
-impl WCont {
-    #[inline(always)]
-    fn exec(&self, ctx: &mut Ctx<'_>, base: u64) -> (i64, u64) {
-        run_fsteps(&self.steps, ctx);
-        self.tail.exec(ctx, base + self.fuel)
-    }
-
-    fn max_fuel(&self) -> u64 {
-        self.fuel + self.tail.max_fuel()
-    }
-}
-
-/// The second leg of a short-circuit guard (`… && c`): its condition,
-/// the fuel of the blocks the leg traverses, and where a false lands.
-struct WLeg {
-    c: ValK,
-    fuel: u64,
-    els: WCont,
-}
-
-// The size skew between the two variants is fine: one `WKind` exists
-// per compiled program, not per run.
-#[allow(clippy::large_enum_variant)]
-enum WKind {
-    /// No guard: prologue flows straight into the tail.
-    Plain { tail: WTail, fuel: u64 },
-    /// `if (c1 [&& leg2.c]) { then } else { els }` — the guard shape.
-    Guard {
-        b0_fuel: u64,
-        c1: ValK,
-        leg2: Option<WLeg>,
-        then: WCont,
-        els: WCont,
-    },
 }
 
 impl Whole {
     /// Runs the whole program. Caller must hold `budget >= max_fuel`.
     #[inline(always)]
     pub(crate) fn exec(&self, ctx: &mut Ctx<'_>) -> (i64, u64) {
-        run_fsteps(&self.pro, ctx);
-        match &self.kind {
-            WKind::Plain { tail, fuel } => tail.exec(ctx, *fuel),
-            WKind::Guard {
-                b0_fuel,
-                c1,
-                leg2,
-                then,
-                els,
-            } => {
-                if !c1.truthy(ctx) {
-                    return els.exec(ctx, *b0_fuel);
-                }
-                let mut pre = *b0_fuel;
-                if let Some(leg) = leg2 {
-                    pre += leg.fuel;
-                    if !leg.c.truthy(ctx) {
-                        return leg.els.exec(ctx, pre);
-                    }
-                }
-                then.exec(ctx, pre)
-            }
-        }
+        run_seq(&self.pro, ctx);
+        (self.run)(ctx)
     }
 
     /// Assembles the whole-program shape from the classified nodes,
@@ -784,43 +1128,39 @@ impl Whole {
             t: on_true,
         } = n0.term
         else {
-            let WCont { steps, tail, fuel } = cont(blocks, 0)?;
+            let (run, max_fuel) = path(blocks, 0, 0)?;
             return Some(Whole {
-                pro: steps,
-                max_fuel: fuel + tail.max_fuel(),
-                kind: WKind::Plain { tail, fuel },
+                pro: None,
+                run,
+                max_fuel,
             });
         };
-        let els = cont(blocks, on_false)?;
+        let (els, els_max) = path(blocks, on_false, b0_fuel)?;
         // The true edge is either the guard's second short-circuit leg
         // (the folded `&&` join: a bare re-branch before any statement
         // runs) or the then-block itself.
         let (tn, t_fuel) = node(blocks, on_true)?;
-        let (leg2, then) = match tn.term {
-            SpecTerm::Br { cond, f, t } if tn.fsteps.is_empty() => (
-                Some(WLeg {
-                    c: cond,
-                    fuel: t_fuel,
-                    els: cont(blocks, f)?,
-                }),
-                cont(blocks, t)?,
-            ),
-            _ => (None, cont(blocks, on_true)?),
+        let (run, max_fuel) = match tn.term {
+            SpecTerm::Br { cond: c2, f, t } if tn.fsteps.is_empty() => {
+                let pre = b0_fuel + t_fuel;
+                let (leg_els, leg_max) = path(blocks, f, pre)?;
+                let (then, then_max) = path(blocks, t, pre)?;
+                let ways = Guard2 {
+                    c2,
+                    els,
+                    leg_els,
+                    then,
+                };
+                (cond(c1, ways), els_max.max(leg_max).max(then_max))
+            }
+            _ => {
+                let (then, then_max) = path(blocks, on_true, b0_fuel)?;
+                (cond(c1, Guard1 { els, then }), els_max.max(then_max))
+            }
         };
-        let inner = match &leg2 {
-            Some(leg) => leg.fuel + then.max_fuel().max(leg.els.max_fuel()),
-            None => then.max_fuel(),
-        };
-        let max_fuel = b0_fuel + els.max_fuel().max(inner);
         Some(Whole {
-            pro: n0.fsteps.clone().into_boxed_slice(),
-            kind: WKind::Guard {
-                b0_fuel,
-                c1,
-                leg2,
-                then,
-                els,
-            },
+            pro: seq(&n0.fsteps, (0, 0)),
+            run,
             max_fuel,
         })
     }
@@ -833,114 +1173,173 @@ fn node(blocks: &[Block], j: u32) -> Option<(&SpecNode, u64)> {
 }
 
 /// A return leaf at block `j`: a node that only returns.
-fn ret_leaf(blocks: &[Block], j: u32) -> Option<(WLeaf, u64)> {
+fn ret_leaf(blocks: &[Block], j: u32) -> Option<(ValK, u64)> {
     let (n, fuel) = node(blocks, j)?;
     match n.term {
-        SpecTerm::RetC(c) if n.fsteps.is_empty() => Some((WLeaf::C(c), fuel)),
-        SpecTerm::RetV(v) if n.fsteps.is_empty() => Some((WLeaf::V(v), fuel)),
-        _ => None,
+        _ if !n.fsteps.is_empty() => None,
+        SpecTerm::RetC(c) => Some((ValK::S(Scal::C(c)), fuel)),
+        SpecTerm::RetV(v) => Some((v, fuel)),
+        SpecTerm::Br { .. } => None,
     }
 }
 
-/// A continuation starting at block `j`: statements plus a return tail,
-/// where the tail may be one conditional-return level.
-fn cont(blocks: &[Block], j: u32) -> Option<WCont> {
+/// The path from block `j`, entered having spent `base` fuel:
+/// statements plus a return, where the return may be one
+/// conditional-return level (the shape short-circuit return joins,
+/// `return a && b;`, lower to). Returns the path's code and its
+/// worst-case fuel total.
+fn path(blocks: &[Block], j: u32, base: u64) -> Option<(PathFn, u64)> {
     let (n, fuel) = node(blocks, j)?;
-    let tail = match n.term {
-        SpecTerm::RetC(c) => WTail::Leaf(WLeaf::C(c)),
-        SpecTerm::RetV(v) => WTail::Leaf(WLeaf::V(v)),
-        SpecTerm::Br { cond, f, t } => {
+    let at = base + fuel;
+    Some(match n.term {
+        SpecTerm::RetC(c) => match seq(&n.fsteps, (c, at)) {
+            Some(run) => (run, at),
+            None => (
+                leaf(
+                    ValK::S(Scal::C(c)),
+                    PathRet {
+                        steps: None,
+                        fuel: at,
+                    },
+                ),
+                at,
+            ),
+        },
+        SpecTerm::RetV(v) => {
+            let steps = seq(&n.fsteps, (0, 0));
+            (leaf(v, PathRet { steps, fuel: at }), at)
+        }
+        SpecTerm::Br { cond: c, f, t } => {
             let (f, ff) = ret_leaf(blocks, f)?;
             let (t, ft) = ret_leaf(blocks, t)?;
-            WTail::Cond {
-                c: cond,
-                t,
-                ft,
-                f,
-                ff,
-            }
+            let tail = PathCond {
+                steps: seq(&n.fsteps, (0, 0)),
+                t: leaf(t, Boxed),
+                ft: at + ft,
+                f: leaf(f, Boxed),
+                ff: at + ff,
+            };
+            (cond(c, tail), at + ft.max(ff))
         }
-    };
-    Some(WCont {
-        steps: n.fsteps.clone().into_boxed_slice(),
-        tail,
-        fuel,
     })
 }
 
-/// A trap-free single-global update statement, monomorphized. These are
-/// the statements CPAs spend their lives in; `apply` is branchless
-/// straight-line code over validated indices. Fields are the updated
-/// global's slot, then the operands.
-#[derive(Debug, Clone, Copy)]
-enum GUpd {
-    /// `g = g + c` (int).
-    IncC(u16, i64),
-    /// `g = g + input` (int input promoted into a double global).
-    AccInF(u16, u16),
-    /// `g = min(g, input)` / `g = max(g, input)` (int).
-    MinIn(u16, u16),
-    MaxIn(u16, u16),
-    /// `g = a - b` over two globals (int) — span/delta folds like
-    /// `span = hi - lo`.
-    SubGG(u16, u16, u16),
-}
+/// A leaf as a closure of its own.
+struct Boxed;
 
-impl GUpd {
-    #[inline(always)]
-    fn apply(self, ctx: &mut Ctx<'_>) {
-        match self {
-            GUpd::IncC(g, c) => {
-                let p = &mut ctx.globals[g as usize];
-                *p = p.wrapping_add(c);
-            }
-            GUpd::AccInF(g, i) => {
-                let v = ctx.inputs[i as usize] as f64;
-                let p = &mut ctx.globals[g as usize];
-                *p = bits_of(f64_of(*p) + v);
-            }
-            GUpd::MinIn(g, i) => {
-                let v = ctx.inputs[i as usize];
-                let p = &mut ctx.globals[g as usize];
-                *p = (*p).min(v);
-            }
-            GUpd::MaxIn(g, i) => {
-                let v = ctx.inputs[i as usize];
-                let p = &mut ctx.globals[g as usize];
-                *p = (*p).max(v);
-            }
-            GUpd::SubGG(g, a, b) => {
-                let v = ctx.globals[a as usize].wrapping_sub(ctx.globals[b as usize]);
-                ctx.globals[g as usize] = v;
-            }
-        }
+impl WithLeaf for Boxed {
+    type Out = LeafFn;
+    fn with<L: Val>(self, l: L) -> LeafFn {
+        Box::new(move |ctx| l.get(ctx))
     }
 }
 
-fn as_gupd(step: &Step) -> Option<GUpd> {
-    let Step::StoreGlobal(g, Ex::Bin(op, l, r)) = step else {
-        return None;
-    };
-    let g = *g;
-    Some(match (op, &**l, &**r) {
-        (Bin::SubI, Ex::Global(a), Ex::Global(b)) => GUpd::SubGG(g, *a, *b),
-        // Everything else updates `g` from its own old value.
-        (_, old, _) if *old != Ex::Global(g) => return None,
-        (Bin::AddI, _, Ex::ConstI(c)) => GUpd::IncC(g, *c),
-        (Bin::MinI, _, Ex::Input(i)) => GUpd::MinIn(g, *i),
-        (Bin::MaxI, _, Ex::Input(i)) => GUpd::MaxIn(g, *i),
-        (Bin::AddF, _, Ex::Un(Un::I2F, inner)) => match &**inner {
-            Ex::Input(i) => GUpd::AccInF(g, *i),
-            _ => return None,
-        },
-        _ => return None,
-    })
+/// A path that runs its statements and returns one value.
+struct PathRet {
+    steps: Option<Seq>,
+    fuel: u64,
+}
+
+impl WithLeaf for PathRet {
+    type Out = PathFn;
+    fn with<L: Val>(self, l: L) -> PathFn {
+        let PathRet { steps, fuel } = self;
+        Box::new(move |ctx| {
+            run_seq(&steps, ctx);
+            (l.get(ctx), fuel)
+        })
+    }
+}
+
+/// A path that runs its statements and returns one of two values.
+struct PathCond {
+    steps: Option<Seq>,
+    t: LeafFn,
+    ft: u64,
+    f: LeafFn,
+    ff: u64,
+}
+
+impl WithCond for PathCond {
+    type Out = PathFn;
+    fn with<C: Cond>(self, c: C) -> PathFn {
+        let PathCond {
+            steps,
+            t,
+            ft,
+            f,
+            ff,
+        } = self;
+        Box::new(move |ctx| {
+            run_seq(&steps, ctx);
+            if c.test(ctx) {
+                (t(ctx), ft)
+            } else {
+                (f(ctx), ff)
+            }
+        })
+    }
+}
+
+/// `if (c1) { then } else { els }`.
+struct Guard1 {
+    els: PathFn,
+    then: PathFn,
+}
+
+impl WithCond for Guard1 {
+    type Out = PathFn;
+    fn with<C: Cond>(self, c1: C) -> PathFn {
+        let Guard1 { els, then } = self;
+        Box::new(move |ctx| if c1.test(ctx) { then(ctx) } else { els(ctx) })
+    }
+}
+
+/// `if (c1 && c2) { then }`, with the ways out of each leg: the first
+/// leg's form is known here, the second's is dispatched next.
+struct Guard2 {
+    c2: ValK,
+    els: PathFn,
+    leg_els: PathFn,
+    then: PathFn,
+}
+
+impl WithCond for Guard2 {
+    type Out = PathFn;
+    fn with<C: Cond>(self, c1: C) -> PathFn {
+        let c2 = self.c2;
+        cond(c2, Legs(c1, self))
+    }
+}
+
+/// Both legs' forms known: the guard as one closure.
+struct Legs<A>(A, Guard2);
+
+impl<A: Cond> WithCond for Legs<A> {
+    type Out = PathFn;
+    fn with<B: Cond>(self, c2: B) -> PathFn {
+        let Legs(
+            c1,
+            Guard2 {
+                els, leg_els, then, ..
+            },
+        ) = self;
+        Box::new(move |ctx| {
+            if !c1.test(ctx) {
+                els(ctx)
+            } else if !c2.test(ctx) {
+                leg_els(ctx)
+            } else {
+                then(ctx)
+            }
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::ir::MAX_OPS;
-    use crate::{ExecTier, Instance, Program, Type, Value};
+    use crate::{ExecTier, Instance, Program, RunOutcome, Type, Value};
 
     const INPUTS: [(&str, Type); 2] = [("size", Type::Int), ("port", Type::Int)];
 
@@ -1219,6 +1618,189 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rows that cross every threshold the generated programs use, plus
+    /// the extremes a range or an ordering could get wrong.
+    fn edge_rows(width: usize) -> Vec<Vec<Value>> {
+        let vals = [
+            0,
+            1,
+            -1,
+            7,
+            79,
+            80,
+            81,
+            800,
+            801,
+            1000,
+            2049,
+            -9_000,
+            i64::MAX,
+            i64::MIN,
+            i64::MAX - 1,
+            i64::MIN + 1,
+        ];
+        (0..64usize)
+            .map(|k| {
+                (0..width)
+                    .map(|j| Value::Int(vals[(k * (j + 3) + j * 5 + k / 7) % vals.len()]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A guarded reporter drawn from `seed`: prologue statements, a
+    /// one- or two-leg guard, then-statements that may return, and a
+    /// final return of any leaf form — every statement form, every
+    /// comparison, operand kind and constant extreme the closures
+    /// specialize over.
+    fn reporter(seed: u64) -> String {
+        let mut rng = crate::gen::Rng::new(seed);
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        // Negative literals and `i64::MIN` become constants once the
+        // verifier folds them.
+        const OPD: [&str; 10] = [
+            "size",
+            "port",
+            "s0",
+            "s1",
+            "800",
+            "-3",
+            "0",
+            "9223372036854775807",
+            "-9223372036854775807",
+            "(-9223372036854775807 - 1)",
+        ];
+        const CMP: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
+        let leg = |pick: &mut dyn FnMut(usize) -> usize| match pick(5) {
+            0 => format!(
+                "s{} % {} {} 0",
+                pick(2),
+                [3, 8, 1000, -6][pick(4)],
+                ["==", "!="][pick(2)]
+            ),
+            _ => format!("{} {} {}", OPD[pick(10)], CMP[pick(6)], OPD[pick(10)]),
+        };
+        let stmt = |pick: &mut dyn FnMut(usize) -> usize| match pick(7) {
+            0 => format!("s{} = s{} + {};", pick(2), 0, [1, -1, 5][pick(3)]),
+            1 => "d = d + size;".to_owned(),
+            2 => format!("s{0} = min(s{0}, {1});", pick(2), ["size", "port"][pick(2)]),
+            3 => format!("s{0} = max(s{0}, {1});", pick(2), ["size", "port"][pick(2)]),
+            4 => "s1 = s0 - s1;".to_owned(),
+            5 => format!("out({}, d / s{});", pick(3), pick(2)),
+            _ => format!("out({}, s{});", pick(3), pick(2)),
+        };
+        let mut src =
+            String::from("static int s0 = 5;\nstatic int s1 = -2;\nstatic double d = 0.5;\n");
+        // Self-updates only on the statement's own static: `s0 = s0 + c`.
+        let fix = |st: String| st.replace("s1 = s0 + ", "s1 = s1 + ");
+        for _ in 0..pick(4) {
+            src.push_str(&fix(stmt(&mut pick)));
+            src.push('\n');
+        }
+        let guard = match pick(2) {
+            0 => leg(&mut pick),
+            _ => format!("{} && {}", leg(&mut pick), leg(&mut pick)),
+        };
+        src.push_str(&format!("if ({guard}) {{\n"));
+        for _ in 0..pick(3) {
+            src.push_str(&fix(stmt(&mut pick)));
+            src.push('\n');
+        }
+        if pick(2) == 0 {
+            src.push_str(&format!("return {};\n", [1, 0, -7][pick(3)]));
+        }
+        src.push_str("}\n");
+        let ret = match pick(4) {
+            0 => format!("{}", [0, 1, 42][pick(3)]),
+            1 => ["s0", "size", "s1"][pick(3)].to_owned(),
+            2 => leg(&mut pick),
+            _ => format!("{} && {}", leg(&mut pick), leg(&mut pick)),
+        };
+        src.push_str(&format!("return {ret};\n"));
+        src
+    }
+
+    /// The closure path against the reference on every observable, for
+    /// `src` as compiled and as the verifier optimizes it (which folds
+    /// negative literals into constants): at a budget of `max_fuel` a
+    /// program with a whole path runs its closures, and at
+    /// `max_fuel - 1` it must take the per-block driver and stop where
+    /// the reference stops. Returns how many of the two had a whole
+    /// path.
+    fn whole_agrees_with_per_op(src: &str) -> usize {
+        let limits = crate::VerifyLimits::default();
+        let verified = crate::verify(src, &INPUTS, &limits).ok();
+        let optimized = verified.map(|v| v.into_parts().0);
+        [Some(program(src)), optimized]
+            .iter()
+            .flatten()
+            .filter(|p| agrees(p, src))
+            .count()
+    }
+
+    fn agrees(p: &Program, src: &str) -> bool {
+        let Some(cp) = p.lowered().compiled.clone() else {
+            return false;
+        };
+        let Some(max_fuel) = cp.whole.as_ref().map(|w| w.max_fuel) else {
+            return false;
+        };
+        // The bound also counts paths a folded branch made unreachable.
+        assert!(max_fuel <= p.static_fuel_bound(), "{src}");
+        for budget in [max_fuel, max_fuel - 1] {
+            let mut closures = Instance::new(p);
+            let mut reference = Instance::new(p);
+            for (i, row) in edge_rows(INPUTS.len()).iter().enumerate() {
+                // Outputs bitwise, so a NaN compares equal to itself.
+                let observe = |o: RunOutcome<'_>| {
+                    let outs: Vec<_> = o.outputs.iter().map(|(s, v)| (*s, v.to_bits())).collect();
+                    (o.ret, o.fuel_used, outs)
+                };
+                let a = closures.run(row, budget).map(observe);
+                let b = reference.run_per_op(row, budget).map(observe);
+                assert_eq!(a, b, "budget {budget}, row {i} of\n{src}");
+                assert_eq!(closures.raw_globals(), reference.raw_globals(), "{src}");
+            }
+        }
+        true
+    }
+
+    /// The closure path is held to the per-op reference: the three
+    /// canonical shapes, 400 generated guarded reporters and the
+    /// sweeps' generated programs that assemble a whole path.
+    #[test]
+    fn closure_path_matches_per_op_at_and_below_max_fuel() {
+        for (src, inputs) in [
+            (RATIO_SRC, &EVENT_INPUTS[..]),
+            (GATED_COUNTER_SRC, &EVENT_INPUTS[..]),
+            (LATENCY_MINMAX_SRC, &EVENT_INPUTS[..]),
+        ] {
+            // The canonical shapes read the event inputs; rename the two
+            // the rows drive onto this module's pair.
+            let _ = inputs;
+            let src = src.replace("port_dst", "port").replace("wall", "size");
+            assert_eq!(whole_agrees_with_per_op(&src), 2, "{src}");
+        }
+        let reporters: usize = (0..400)
+            .map(|seed| whole_agrees_with_per_op(&reporter(seed)))
+            .sum();
+        assert!(
+            reporters >= 400,
+            "only {reporters} of 800 reporter builds assemble a whole path"
+        );
+        let generated: usize = (0..300u64)
+            .flat_map(|seed| {
+                [
+                    crate::gen::Gen::new(seed).program(),
+                    crate::gen::MergeGen::new(seed).program(),
+                ]
+            })
+            .map(|src| whole_agrees_with_per_op(&src))
+            .sum();
+        eprintln!("whole paths checked: {reporters} reporter builds, {generated} generated");
+        assert!(generated > 0, "no generated program assembles a whole path");
     }
 
     /// Every string the repo actually installs: the raw-string and

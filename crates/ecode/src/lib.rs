@@ -71,7 +71,13 @@
 
 mod analysis;
 mod batch;
+// The sweeps' generators live with the integration tests; the IR and
+// the compiled forms are crate-private, so their checks over the same
+// programs are unit tests here.
 mod compile;
+#[cfg(test)]
+#[path = "../tests/gen/mod.rs"]
+mod gen;
 mod ir;
 pub mod jit;
 mod lexer;

@@ -263,7 +263,8 @@ pub enum ExecTier {
 }
 
 /// Per-analyzer program state: the persistent `static` variables plus
-/// the reusable run arenas (operand stack, locals, raw inputs, outputs).
+/// the reusable run arenas (operand stack, locals, the inputs
+/// [`run`](Instance::run) marshals, outputs).
 /// Create one instance per installed CPA; run it once per event — after
 /// the first run the hot path never allocates.
 #[derive(Debug, Clone)]
@@ -464,7 +465,7 @@ impl Instance {
     /// * [`EcodeError::DivideByZero`] on integer division/modulo by zero.
     pub fn run(&mut self, inputs: &[Value], fuel: u64) -> Result<RunOutcome<'_>, EcodeError> {
         self.marshal(inputs)?;
-        self.execute(fuel, false)
+        self.execute(None, fuel, false)
     }
 
     /// Reference path: the checked interpreter on every block, whatever
@@ -477,7 +478,7 @@ impl Instance {
         fuel: u64,
     ) -> Result<RunOutcome<'_>, EcodeError> {
         self.marshal(inputs)?;
-        self.execute(fuel, true)
+        self.execute(None, fuel, true)
     }
 
     /// Runs the program over pre-marshalled raw input bits, skipping the
@@ -485,7 +486,8 @@ impl Instance {
     /// [`run`](Instance::run) enforces dynamically: `raw[i]` must hold
     /// the bit pattern of declared input `i` (ints/bools as-is, doubles
     /// via `f64::to_bits`). Hot ingest paths that produce columns of raw
-    /// bits use this to avoid building `Value`s per record.
+    /// bits use this to avoid building `Value`s per record. The run
+    /// reads `raw` where it lies: nothing is copied into the instance.
     ///
     /// # Errors
     ///
@@ -494,34 +496,16 @@ impl Instance {
     #[inline]
     pub fn run_raw(&mut self, raw: &[i64], fuel: u64) -> Result<RunOutcome<'_>, EcodeError> {
         if raw.len() != self.program.inputs.len() {
-            return Err(EcodeError::BadInputs(format!(
-                "expected {} inputs, got {}",
-                self.program.inputs.len(),
-                raw.len()
-            )));
+            return Err(bad_arity(self.program.inputs.len(), raw.len()));
         }
-        // Steady-state ingest replays the same arity every event, so the
-        // arena is already sized: take the pure-`memcpy` path instead of
-        // `clear` + `extend_from_slice` (whose growth check and length
-        // bookkeeping cost real time at per-event rates).
-        if self.raw_inputs.len() == raw.len() {
-            self.raw_inputs.copy_from_slice(raw);
-        } else {
-            self.raw_inputs.clear();
-            self.raw_inputs.extend_from_slice(raw);
-        }
-        self.execute(fuel, false)
+        self.execute(Some(raw), fuel, false)
     }
 
     /// One pass validates input types and marshals the raw bits into the
     /// reusable `raw_inputs` arena.
     fn marshal(&mut self, inputs: &[Value]) -> Result<(), EcodeError> {
         if inputs.len() != self.program.inputs.len() {
-            return Err(EcodeError::BadInputs(format!(
-                "expected {} inputs, got {}",
-                self.program.inputs.len(),
-                inputs.len()
-            )));
+            return Err(bad_arity(self.program.inputs.len(), inputs.len()));
         }
         self.raw_inputs.clear();
         for (v, (name, ty)) in inputs.iter().zip(self.program.inputs.iter()) {
@@ -543,12 +527,18 @@ impl Instance {
         &mut self.globals
     }
 
-    /// One marshalled event on the tier selected at creation, or — for
-    /// the `per_op` reference — on the checked interpreter regardless.
-    /// Arenas are reused, so post-warmup this performs no heap
-    /// allocation.
+    /// One event on the tier selected at creation, or — for the
+    /// `per_op` reference — on the checked interpreter regardless. The
+    /// inputs are `raw` when the caller holds them, else the ones
+    /// [`marshal`](Instance::marshal) left in the arena. Arenas are
+    /// reused, so post-warmup this performs no heap allocation.
     #[inline]
-    fn execute(&mut self, fuel: u64, per_op: bool) -> Result<RunOutcome<'_>, EcodeError> {
+    fn execute(
+        &mut self,
+        raw: Option<&[i64]>,
+        fuel: u64,
+        per_op: bool,
+    ) -> Result<RunOutcome<'_>, EcodeError> {
         let Instance {
             program,
             globals,
@@ -559,28 +549,26 @@ impl Instance {
             outputs,
         } = self;
         let cp = compiled.as_deref().filter(|_| !per_op);
-        locals.clear();
-        locals.resize(program.n_locals as usize, 0);
+        let inputs = raw.unwrap_or(raw_inputs);
         outputs.clear();
-        // One context for the whole run; each block reborrows it.
-        let mut ctx = jit::Ctx {
-            globals,
-            locals,
-            inputs: raw_inputs,
-            outputs,
-        };
         // Whole-program fast path: valid only when the budget covers the
         // worst-case path, so no fuel abort is reachable anywhere and the
-        // per-block bookkeeping can be skipped outright.
+        // per-block bookkeeping can be skipped outright. Its forms read
+        // and write no locals, so there are none to reset.
         let whole = cp.and_then(|cp| cp.whole.as_ref());
         let (ret, fuel_used) = match whole.filter(|w| fuel >= w.max_fuel) {
-            Some(w) => w.exec(&mut ctx),
-            None => drive(cp, &program.code, stack, &mut ctx, fuel)?,
+            Some(w) => w.exec(&mut jit::Ctx {
+                globals,
+                locals: &mut [],
+                inputs,
+                outputs: &mut *outputs,
+            }),
+            None => run_blocks(cp, program, stack, locals, globals, inputs, outputs, fuel)?,
         };
         Ok(RunOutcome {
             ret,
             fuel_used,
-            outputs: ctx.outputs,
+            outputs,
         })
     }
 
@@ -653,9 +641,6 @@ impl Instance {
             if fuel >= w.max_fuel {
                 for row in rows.chunks_exact(stride) {
                     ctx.inputs = row;
-                    if n_locals > 0 {
-                        ctx.locals.iter_mut().for_each(|l| *l = 0);
-                    }
                     ctx.outputs.clear();
                     let (ret, fuel_used) = w.exec(&mut ctx);
                     sink(RunOutcome {
@@ -682,6 +667,43 @@ impl Instance {
         }
         Ok(())
     }
+}
+
+/// The error for `got` inputs where the program declares `expected`:
+/// kept out of line, so a run's fast path does not carry its formatting.
+#[cold]
+#[inline(never)]
+fn bad_arity(expected: usize, got: usize) -> EcodeError {
+    EcodeError::BadInputs(format!("expected {expected} inputs, got {got}"))
+}
+
+/// One scalar run on the per-block driver, kept out of line so the
+/// whole-program path's caller carries none of it: the locals reset (a
+/// program without locals never sizes the arena, so it has nothing to
+/// reset), one context, then [`drive`].
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn run_blocks(
+    cp: Option<&jit::CompiledProgram>,
+    program: &Program,
+    stack: &mut Vec<i64>,
+    locals: &mut Vec<i64>,
+    globals: &mut [i64],
+    inputs: &[i64],
+    outputs: &mut Vec<(i64, f64)>,
+    fuel: u64,
+) -> Result<(i64, u64), EcodeError> {
+    if program.n_locals > 0 {
+        locals.clear();
+        locals.resize(program.n_locals as usize, 0);
+    }
+    let mut ctx = jit::Ctx {
+        globals,
+        locals,
+        inputs,
+        outputs,
+    };
+    drive(cp, &program.code, stack, &mut ctx, fuel)
 }
 
 /// One event, block by block: the loop shared by [`Instance::execute`]
