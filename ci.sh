@@ -10,7 +10,7 @@
 #   ./ci.sh --scenarios  only the scenario library: one-runner + one-class-stat + one-draw checks, golden diagnoses + chaos matrix, cluster_kv/cluster_iperf/gpa_query fingerprints
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
 #   ./ci.sh --digest     only the digest engine: fold + replica differential + GPA wiring
-#   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer checks, tier sweeps
+#   ./ci.sh --jit        only the compiled execution tier: lowering + one-recognizer + borrowed-names checks, tier sweeps, verifier transcript
 #   ./ci.sh --substrate  only the simulator under the monitor: one-price-list + one-draw checks, calendar, simnet (clock, link), kprof + simos (the hit), fingerprints
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
@@ -34,6 +34,24 @@ check_one_lowering() {
         echo "jit.rs / batch.rs / analysis/merge.rs must consume ecode::ir, not stack" \
             "bytecode; the only Op walkers are the interpreter + validate (vm.rs)," \
             "ir::lower, analysis/fuel.rs, Program::used_inputs and the emitter (compile.rs)" >&2
+        return 1
+    fi
+}
+
+check_borrowed_names() {
+    # The E-Code front end works on names borrowed from the program text
+    # (inputs resolve through the host's own slice): a token, expression
+    # or statement owning a `String` copies every identifier it carries,
+    # once per pass, and an install pays for its names, not its program.
+    if ! awk '
+        /#\[cfg\(test\)\]/ { nextfile }
+        /^pub (enum|struct) (Tok|Token|Expr|Stmt)[^A-Za-z0-9_]/ { inside = 1 }
+        inside && /(^|[^A-Za-z0-9_])String([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        inside && /^}/ { inside = 0 }
+        END { exit bad }
+    ' crates/ecode/src/lexer.rs crates/ecode/src/parser.rs; then
+        echo "lexer.rs's Tok/Token and parser.rs's Expr/Stmt borrow names from the source" \
+            "(&'src str); an owned String there copies every identifier per pass" >&2
         return 1
     fi
 }
@@ -487,15 +505,20 @@ case "${1:-}" in
         "cargo test -q -p ecode ir::" \
         "==> one recognizer (forms are classified in spec_node; no carries past merge_chains)" \
         check_one_recognizer \
+        "==> borrowed names (the front end's tokens and AST own no String)" \
+        check_borrowed_names \
         "==> compiled-tier lowering + fallback tests (ecode)" \
         "cargo test -q -p ecode jit" \
         "==> generative sweeps (compiled vs per-op reference, batch vs scalar rows)" \
         "cargo test -q -p ecode --test verifier generated" \
+        "==> the verifier's transcript (FNV over every sweep outcome) and unused-static order" \
+        "cargo test -q -p ecode --test verifier transcript" \
+        "cargo test -q -p ecode --test verifier w0003" \
         "==> hostile source (parse error, not a stack overflow; NACK, not an abort)" \
         "env RUST_MIN_STACK=262144 cargo test -q -p ecode --test verifier hostile" \
         "cargo test -q --test verifier_integration hostile" \
         "env RUST_MIN_STACK=262144 cargo test -q --test gpa_query hostile" \
-        "==> allocation discipline (counting allocator, release; the run and the CPA host)" \
+        "==> allocation discipline (counting allocator, release; the run, verify per input, the CPA host)" \
         "cargo test -q --release -p ecode --test zero_alloc" \
         "cargo test -q --release -p sysprof --test cpa_zero_alloc" \
         "==> CPA dispatch + filter wiring (core, pubsub) and the node ledger's cuts (bench)" \
@@ -570,6 +593,9 @@ check_one_lowering
 
 echo "==> one recognizer (jit.rs classifies forms in spec_node only)"
 check_one_recognizer
+
+echo "==> borrowed names (ecode's tokens and AST own no String)"
+check_borrowed_names
 
 echo "==> one receiver (core and apps reach the stream through Sender/Receiver)"
 check_one_receiver

@@ -190,29 +190,33 @@ impl AbsVal {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VarKind {
-    Input,
     Static,
     Local,
 }
 
-#[derive(Debug, Clone)]
+/// A declared variable. Inputs are not entered: they are all unknown
+/// and never assigned, so a read resolves them through the host's slice.
+#[derive(Debug, Clone, Copy)]
 struct Var {
     kind: VarKind,
     ty: Type,
     val: AbsVal,
     /// For locals: has any assignment (or initializer) executed yet?
     assigned: bool,
-    /// Declaration line (0 for inputs).
+    /// Declaration line.
     line: u32,
 }
 
-struct Checker {
+struct Checker<'s, 'i> {
     diags: Vec<Diagnostic>,
-    env: HashMap<String, Var>,
-    /// Variables whose value was ever read.
-    reads: HashSet<String>,
+    /// Declared variables, by the name the source spells.
+    env: HashMap<&'s str, Var>,
+    /// The host's inputs, in position order.
+    inputs: &'i [(&'i str, Type)],
+    /// Variables (inputs too) whose value was ever read.
+    reads: HashSet<&'s str>,
     /// Locals already warned about reading-before-assignment.
-    warned_uninit: HashSet<String>,
+    warned_uninit: HashSet<&'s str>,
     max_out_slot: i64,
     value_return_lines: Vec<u32>,
     void_return_lines: Vec<u32>,
@@ -221,33 +225,22 @@ struct Checker {
 /// Runs every safety check and lint. Assumes the program already
 /// compiled (well-typed); stays total on anything else.
 pub(crate) fn check(
-    stmts: &[Stmt],
+    stmts: &[Stmt<'_>],
     inputs: &[(&str, Type)],
     limits: &VerifyLimits,
 ) -> Vec<Diagnostic> {
     let mut c = Checker {
         diags: Vec::new(),
         env: HashMap::new(),
+        inputs,
         reads: HashSet::new(),
         warned_uninit: HashSet::new(),
         max_out_slot: limits.max_out_slot,
         value_return_lines: Vec::new(),
         void_return_lines: Vec::new(),
     };
-    for (name, ty) in inputs {
-        c.env.insert(
-            (*name).to_owned(),
-            Var {
-                kind: VarKind::Input,
-                ty: *ty,
-                val: AbsVal::top(*ty),
-                assigned: true,
-                line: 0,
-            },
-        );
-    }
     let returns = c.block(stmts);
-    c.finish(inputs, returns);
+    c.finish(stmts, returns);
     c.diags
 }
 
@@ -270,7 +263,7 @@ fn cmp_int(a: Interval, b: Interval, is_eq: bool) -> AbsVal {
     })
 }
 
-fn stmt_line(s: &Stmt) -> u32 {
+fn stmt_line(s: &Stmt<'_>) -> u32 {
     match s {
         Stmt::Decl { line, .. }
         | Stmt::Assign { line, .. }
@@ -280,9 +273,9 @@ fn stmt_line(s: &Stmt) -> u32 {
     }
 }
 
-impl Checker {
+impl<'s> Checker<'s, '_> {
     /// Analyzes a statement list; returns whether it definitely returns.
-    fn block(&mut self, stmts: &[Stmt]) -> bool {
+    fn block(&mut self, stmts: &[Stmt<'s>]) -> bool {
         let mut returned = false;
         for s in stmts {
             if returned {
@@ -303,7 +296,7 @@ impl Checker {
 
     /// Registers declarations from skipped (dead/unreachable) statements
     /// without analyzing them, so later references still resolve.
-    fn declare_only(&mut self, stmts: &[Stmt]) {
+    fn declare_only(&mut self, stmts: &[Stmt<'s>]) {
         for s in stmts {
             match s {
                 Stmt::Decl {
@@ -314,7 +307,7 @@ impl Checker {
                     ..
                 } => {
                     let ty = Type::from(*ty);
-                    self.env.entry(name.clone()).or_insert(Var {
+                    self.env.entry(*name).or_insert(Var {
                         kind: if *is_static {
                             VarKind::Static
                         } else {
@@ -346,7 +339,7 @@ impl Checker {
         }
     }
 
-    fn stmt(&mut self, s: &Stmt) -> bool {
+    fn stmt(&mut self, s: &Stmt<'s>) -> bool {
         match s {
             Stmt::Decl {
                 is_static,
@@ -370,7 +363,7 @@ impl Checker {
                     }
                 };
                 self.env.insert(
-                    name.clone(),
+                    *name,
                     Var {
                         kind: if *is_static {
                             VarKind::Static
@@ -459,17 +452,17 @@ impl Checker {
     /// Merges the then-branch environment (moved out) with the current
     /// else-branch environment. A branch that returned contributes no
     /// fall-through state.
-    fn join_envs(&mut self, then_env: HashMap<String, Var>, then_ret: bool, else_ret: bool) {
+    fn join_envs(&mut self, then_env: HashMap<&'s str, Var>, then_ret: bool, else_ret: bool) {
         if then_ret && !else_ret {
             return; // only the else state survives
         }
         // Merge in name order: join() is commutative today, but keeping
         // the walk deterministic means future diagnostics emitted from
         // here can never depend on hash-map iteration order.
-        let mut merged: Vec<(String, Var)> = then_env.into_iter().collect();
-        merged.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut merged: Vec<(&str, Var)> = then_env.into_iter().collect();
+        merged.sort_by(|a, b| a.0.cmp(b.0));
         for (name, t_var) in merged {
-            match self.env.get_mut(&name) {
+            match self.env.get_mut(name) {
                 Some(e_var) => {
                     if else_ret {
                         // Only the then state survives.
@@ -488,18 +481,18 @@ impl Checker {
         }
     }
 
-    fn eval(&mut self, e: &Expr, line: u32) -> AbsVal {
+    fn eval(&mut self, e: &Expr<'s>, line: u32) -> AbsVal {
         match e {
             Expr::Int(v) => AbsVal::Int(Interval::exact(*v)),
             Expr::Double(v) => AbsVal::Dbl(Some(*v)),
             Expr::Bool(v) => AbsVal::Bool(Some(*v)),
             Expr::Var(name) => {
-                self.reads.insert(name.clone());
+                self.reads.insert(*name);
                 match self.env.get(name) {
                     Some(var) => {
                         if var.kind == VarKind::Local
                             && !var.assigned
-                            && self.warned_uninit.insert(name.clone())
+                            && self.warned_uninit.insert(*name)
                         {
                             self.diags.push(Diagnostic::warning(
                                 "W0007",
@@ -511,7 +504,10 @@ impl Checker {
                         }
                         var.val
                     }
-                    None => AbsVal::Int(Interval::TOP),
+                    None => match self.inputs.iter().rfind(|(n, _)| n == name) {
+                        Some((_, ty)) => AbsVal::top(*ty),
+                        None => AbsVal::Int(Interval::TOP),
+                    },
                 }
             }
             Expr::Un { op, expr, line } => {
@@ -533,7 +529,7 @@ impl Checker {
         }
     }
 
-    fn eval_bin(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr, line: u32) -> AbsVal {
+    fn eval_bin(&mut self, op: BinOp, lhs: &Expr<'s>, rhs: &Expr<'s>, line: u32) -> AbsVal {
         // Short-circuit operators mirror the VM: a constant-false `&&`
         // lhs (or constant-true `||` lhs) means the rhs never evaluates,
         // so don't analyze it (its diagnostics would be phantoms).
@@ -657,7 +653,7 @@ impl Checker {
         }
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], line: u32) -> AbsVal {
+    fn eval_call(&mut self, name: &str, args: &[Expr<'s>], line: u32) -> AbsVal {
         let vals: Vec<AbsVal> = args.iter().map(|a| self.eval(a, line)).collect();
         match (name, vals.as_slice()) {
             ("abs", [AbsVal::Int(i)]) => AbsVal::Int(i.abs()),
@@ -701,34 +697,55 @@ impl Checker {
         }
     }
 
-    fn finish(&mut self, inputs: &[(&str, Type)], program_returns: bool) {
-        // Unused statics: one warning each, at the declaration.
-        let mut statics: Vec<(&String, &Var)> = self
-            .env
-            .iter()
-            .filter(|(name, v)| v.kind == VarKind::Static && !self.reads.contains(*name))
-            .collect();
-        statics.sort_by_key(|(_, v)| v.line);
-        let unused_statics: Vec<Diagnostic> = statics
-            .into_iter()
-            .map(|(name, v)| {
-                Diagnostic::warning(
-                    "W0003",
-                    v.line,
-                    format!("static variable {name:?} is never read"),
-                )
-            })
-            .collect();
-        self.diags.extend(unused_statics);
+    /// Warns once per static the analysis still knows of that nothing
+    /// read, walking the declarations in source order.
+    fn unused_statics(&mut self, stmts: &[Stmt<'s>]) {
+        for s in stmts {
+            match s {
+                Stmt::Decl {
+                    is_static: true,
+                    name,
+                    ..
+                } => {
+                    let Some(v) = self.env.get(name) else {
+                        continue;
+                    };
+                    if v.kind == VarKind::Static && !self.reads.contains(name) {
+                        self.diags.push(Diagnostic::warning(
+                            "W0003",
+                            v.line,
+                            format!("static variable {name:?} is never read"),
+                        ));
+                    }
+                }
+                Stmt::If {
+                    then_block,
+                    else_block,
+                    ..
+                } => {
+                    self.unused_statics(then_block);
+                    self.unused_statics(else_block);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn finish(&mut self, stmts: &[Stmt<'s>], program_returns: bool) {
+        // Unused statics: one warning each, at the declaration, in source
+        // order (line, then position on the line). The rendered text
+        // reaches the wire in a NACK, so it must not follow hash order.
+        self.unused_statics(stmts);
 
         // Unused inputs: one combined warning (filters routinely ignore
         // most record fields, so per-input warnings would drown signal).
-        let unused: Vec<&str> = inputs
+        let unused: Vec<&str> = self
+            .inputs
             .iter()
             .map(|(n, _)| *n)
-            .filter(|n| !self.reads.contains(*n))
+            .filter(|n| !self.reads.contains(n))
             .collect();
-        if !unused.is_empty() && unused.len() < inputs.len() {
+        if !unused.is_empty() && unused.len() < self.inputs.len() {
             self.diags.push(Diagnostic::warning(
                 "W0004",
                 0,

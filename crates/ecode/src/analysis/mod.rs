@@ -241,12 +241,16 @@ pub fn verify(
     // recompile, fall back to the unoptimized program rather than
     // rejecting a valid one.
     let (program, fuel_bound, code_len) = match compile_stmts(&opt::optimize(&stmts), inputs) {
-        Ok(p) => {
-            let b = fuel::max_fuel(&p.code);
-            let l = p.code.len();
-            (p, b, l)
+        Ok(optimized) => {
+            let b = fuel::max_fuel(&optimized.code);
+            let l = optimized.code.len();
+            (optimized.program(inputs), b, l)
         }
-        Err(_) => (unoptimized, unoptimized_fuel_bound, unoptimized_code_len),
+        Err(_) => (
+            unoptimized.program(inputs),
+            unoptimized_fuel_bound,
+            unoptimized_code_len,
+        ),
     };
 
     // Pass 4: the fuel bound must fit the host budget. Checked against

@@ -16,14 +16,14 @@
 use crate::parser::{BinOp, Expr, Stmt, UnOp};
 
 /// Optimizes a whole program (statement list).
-pub(crate) fn optimize(stmts: &[Stmt]) -> Vec<Stmt> {
+pub(crate) fn optimize<'s>(stmts: &[Stmt<'s>]) -> Vec<Stmt<'s>> {
     let mut out = Vec::with_capacity(stmts.len());
     block(stmts, &mut out);
     out
 }
 
 /// Optimizes one block into `out`, handling unreachable-after-return.
-fn block(stmts: &[Stmt], out: &mut Vec<Stmt>) {
+fn block<'s>(stmts: &[Stmt<'s>], out: &mut Vec<Stmt<'s>>) {
     let mut returned = false;
     for s in stmts {
         if returned {
@@ -37,7 +37,7 @@ fn block(stmts: &[Stmt], out: &mut Vec<Stmt>) {
 
 /// Optimizes one statement into `out`; returns whether it definitely
 /// returns (so the caller can prune what follows).
-fn stmt(s: &Stmt, out: &mut Vec<Stmt>) -> bool {
+fn stmt<'s>(s: &Stmt<'s>, out: &mut Vec<Stmt<'s>>) -> bool {
     match s {
         Stmt::Decl {
             is_static,
@@ -49,7 +49,7 @@ fn stmt(s: &Stmt, out: &mut Vec<Stmt>) -> bool {
             out.push(Stmt::Decl {
                 is_static: *is_static,
                 ty: *ty,
-                name: name.clone(),
+                name,
                 init: init.as_ref().map(fold),
                 line: *line,
             });
@@ -57,7 +57,7 @@ fn stmt(s: &Stmt, out: &mut Vec<Stmt>) -> bool {
         }
         Stmt::Assign { name, expr, line } => {
             out.push(Stmt::Assign {
-                name: name.clone(),
+                name,
                 expr: fold(expr),
                 line: *line,
             });
@@ -132,7 +132,7 @@ fn stmt(s: &Stmt, out: &mut Vec<Stmt>) -> bool {
 /// lose their initializer (they are zero-initialized either way, and the
 /// initializer never ran); statics keep theirs (it is a compile-time
 /// constant registered whether or not the code executes).
-fn hoist_decls(stmts: &[Stmt], out: &mut Vec<Stmt>) {
+fn hoist_decls<'s>(stmts: &[Stmt<'s>], out: &mut Vec<Stmt<'s>>) {
     for s in stmts {
         match s {
             Stmt::Decl {
@@ -144,7 +144,7 @@ fn hoist_decls(stmts: &[Stmt], out: &mut Vec<Stmt>) {
             } => out.push(Stmt::Decl {
                 is_static: *is_static,
                 ty: *ty,
-                name: name.clone(),
+                name,
                 init: if *is_static { init.clone() } else { None },
                 line: *line,
             }),
@@ -164,20 +164,20 @@ fn hoist_decls(stmts: &[Stmt], out: &mut Vec<Stmt>) {
 /// Could evaluating this expression be observed? `out()` publishes;
 /// `/` and `%` can trap (the optimizer has no type information here, so
 /// it conservatively treats even float division as effectful).
-fn has_effect(e: &Expr) -> bool {
+fn has_effect(e: &Expr<'_>) -> bool {
     match e {
         Expr::Int(_) | Expr::Double(_) | Expr::Bool(_) | Expr::Var(_) => false,
         Expr::Un { expr, .. } => has_effect(expr),
         Expr::Bin { op, lhs, rhs, .. } => {
             matches!(op, BinOp::Div | BinOp::Mod) || has_effect(lhs) || has_effect(rhs)
         }
-        Expr::Call { name, args, .. } => name == "out" || args.iter().any(has_effect),
+        Expr::Call { name, args, .. } => *name == "out" || args.iter().any(has_effect),
     }
 }
 
 /// Constant-folds an expression bottom-up. Only all-literal subtrees are
 /// rewritten, with the VM's exact semantics; anything else is preserved.
-fn fold(e: &Expr) -> Expr {
+fn fold<'s>(e: &Expr<'s>) -> Expr<'s> {
     match e {
         Expr::Int(_) | Expr::Double(_) | Expr::Bool(_) | Expr::Var(_) => e.clone(),
         Expr::Un { op, expr, line } => {
@@ -195,13 +195,13 @@ fn fold(e: &Expr) -> Expr {
         }
         Expr::Bin { op, lhs, rhs, line } => fold_bin(*op, lhs, rhs, *line),
         Expr::Call { name, args, line } => {
-            let args: Vec<Expr> = args.iter().map(fold).collect();
+            let args: Vec<Expr<'s>> = args.iter().map(fold).collect();
             fold_call(name, args, *line)
         }
     }
 }
 
-fn fold_bin(op: BinOp, lhs: &Expr, rhs: &Expr, line: u32) -> Expr {
+fn fold_bin<'s>(op: BinOp, lhs: &Expr<'s>, rhs: &Expr<'s>, line: u32) -> Expr<'s> {
     let l = fold(lhs);
 
     // Short-circuit operators: the VM never evaluates the rhs when the
@@ -211,17 +211,27 @@ fn fold_bin(op: BinOp, lhs: &Expr, rhs: &Expr, line: u32) -> Expr {
             (BinOp::And, Expr::Bool(false)) => Expr::Bool(false),
             (BinOp::Or, Expr::Bool(true)) => Expr::Bool(true),
             (BinOp::And, Expr::Bool(true)) | (BinOp::Or, Expr::Bool(false)) => fold(rhs),
-            _ => Expr::Bin {
-                op,
-                lhs: Box::new(l),
-                rhs: Box::new(fold(rhs)),
-                line,
+            _ => match (op, fold(rhs)) {
+                // A literal rhs that decides the result makes the lhs
+                // matter only for what evaluating it does; a leg that
+                // cannot trap or publish folds away with it.
+                (BinOp::And, r @ Expr::Bool(false)) | (BinOp::Or, r @ Expr::Bool(true))
+                    if !has_effect(&l) =>
+                {
+                    r
+                }
+                (_, r) => Expr::Bin {
+                    op,
+                    lhs: Box::new(l),
+                    rhs: Box::new(r),
+                    line,
+                },
             },
         };
     }
 
     let r = fold(rhs);
-    let keep = |l: Expr, r: Expr| Expr::Bin {
+    let keep = |l: Expr<'s>, r: Expr<'s>| Expr::Bin {
         op,
         lhs: Box::new(l),
         rhs: Box::new(r),
@@ -279,7 +289,7 @@ fn fold_bin(op: BinOp, lhs: &Expr, rhs: &Expr, line: u32) -> Expr {
 }
 
 /// Numeric literal as f64, for mixed-type folding.
-fn as_f64(e: &Expr) -> Option<f64> {
+fn as_f64(e: &Expr<'_>) -> Option<f64> {
     match e {
         Expr::Int(v) => Some(*v as f64),
         Expr::Double(v) => Some(*v),
@@ -287,7 +297,7 @@ fn as_f64(e: &Expr) -> Option<f64> {
     }
 }
 
-fn fold_call(name: &str, args: Vec<Expr>, line: u32) -> Expr {
+fn fold_call<'s>(name: &'s str, args: Vec<Expr<'s>>, line: u32) -> Expr<'s> {
     // `out` and anything unexpected fall through to `None` untouched.
     let folded = match (name, args.as_slice()) {
         ("abs", [Expr::Int(v)]) => Some(Expr::Int(v.wrapping_abs())),
@@ -304,11 +314,7 @@ fn fold_call(name: &str, args: Vec<Expr>, line: u32) -> Expr {
         },
         _ => None,
     };
-    folded.unwrap_or_else(|| Expr::Call {
-        name: name.to_owned(),
-        args,
-        line,
-    })
+    folded.unwrap_or(Expr::Call { name, args, line })
 }
 
 #[cfg(test)]
@@ -316,7 +322,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn opt(src: &str) -> Vec<Stmt> {
+    fn opt(src: &str) -> Vec<Stmt<'_>> {
         optimize(&parse(src).unwrap())
     }
 
@@ -357,9 +363,9 @@ mod tests {
                 init: None,
                 is_static: false,
                 ..
-            } if name == "x"
+            } if *name == "x"
         ));
-        assert!(matches!(&stmts[1], Stmt::Assign { name, .. } if name == "x"));
+        assert!(matches!(&stmts[1], Stmt::Assign { name, .. } if *name == "x"));
         assert!(matches!(&stmts[2], Stmt::Return { .. }));
     }
 
@@ -386,6 +392,34 @@ mod tests {
     }
 
     #[test]
+    fn a_literal_rhs_folds_a_pure_lhs_but_keeps_a_trapping_one() {
+        let stmts = opt("bool a = x > 0 && 1 > 2; bool b = x > 0 || 2 > 1; return 0;");
+        assert!(matches!(
+            &stmts[0],
+            Stmt::Decl {
+                init: Some(Expr::Bool(false)),
+                ..
+            }
+        ));
+        assert!(matches!(
+            &stmts[1],
+            Stmt::Decl {
+                init: Some(Expr::Bool(true)),
+                ..
+            }
+        ));
+        // `x / y` may trap, so it is still evaluated.
+        let stmts = opt("bool b = x / y > 0 && false; return 0;");
+        assert!(matches!(
+            &stmts[0],
+            Stmt::Decl {
+                init: Some(Expr::Bin { op: BinOp::And, .. }),
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn unreachable_code_after_return_is_dropped() {
         let stmts = opt("return 1; 2 + 2; int y = 9;");
         assert_eq!(stmts.len(), 2, "expr dropped, decl hoisted: {stmts:?}");
@@ -396,7 +430,7 @@ mod tests {
                 name,
                 init: None,
                 ..
-            } if name == "y"
+            } if *name == "y"
         ));
     }
 
@@ -409,7 +443,7 @@ mod tests {
             Stmt::Expr {
                 expr: Expr::Call { name, .. },
                 ..
-            } if name == "out"
+            } if *name == "out"
         ));
     }
 

@@ -65,11 +65,37 @@ pub(crate) enum GlobalInit {
     Bool(bool),
 }
 
-struct Compiler {
+/// What the emitter produced for one statement list: bytecode plus the
+/// static layout, named by the source's own text. [`Emitted::program`]
+/// copies the names once, into the [`Program`] that keeps them.
+pub(crate) struct Emitted<'s> {
+    pub(crate) code: Vec<Op>,
+    globals: Vec<(&'s str, Type, GlobalInit)>,
+    n_locals: u16,
+}
+
+impl Emitted<'_> {
+    /// The program this output is, against the inputs it was emitted for.
+    pub(crate) fn program(self, inputs: &[(&str, Type)]) -> Program {
+        Program::from_parts(
+            self.code,
+            inputs.iter().map(|(n, t)| ((*n).to_owned(), *t)).collect(),
+            self.globals
+                .into_iter()
+                .map(|(n, t, init)| (n.to_owned(), t, init))
+                .collect(),
+            self.n_locals,
+        )
+    }
+}
+
+struct Compiler<'s, 'i> {
     code: Vec<Op>,
-    vars: HashMap<String, VarSlot>,
-    inputs: Vec<(String, Type)>,
-    globals: Vec<(String, Type, GlobalInit)>,
+    /// Declared statics and locals. An input resolves through `inputs`,
+    /// the host's own slice, so no pass copies the host's names.
+    vars: HashMap<&'s str, VarSlot>,
+    inputs: &'i [(&'i str, Type)],
+    globals: Vec<(&'s str, Type, GlobalInit)>,
     n_locals: u16,
 }
 
@@ -80,7 +106,7 @@ impl Program {
     ///
     /// Lex, parse, or type errors, each carrying a source line.
     pub fn compile(src: &str, inputs: &[(&str, Type)]) -> Result<Program, EcodeError> {
-        compile_stmts(&parse(src)?, inputs)
+        Ok(compile_stmts(&parse(src)?, inputs)?.program(inputs))
     }
 
     /// Assembles a program from compiler (or hand-written test) output.
@@ -149,26 +175,25 @@ impl Program {
 
 /// Type-checks and code-generates an already-parsed program. Shared by
 /// [`Program::compile`] and the verifier (which compiles both the
-/// original and the optimized AST).
-pub(crate) fn compile_stmts(
-    stmts: &[Stmt],
+/// original and the optimized AST, and keeps one as a [`Program`]).
+pub(crate) fn compile_stmts<'s>(
+    stmts: &[Stmt<'s>],
     inputs: &[(&str, Type)],
-) -> Result<Program, EcodeError> {
+) -> Result<Emitted<'s>, EcodeError> {
     let mut c = Compiler {
         code: Vec::new(),
         vars: HashMap::new(),
-        inputs: Vec::new(),
+        inputs,
         globals: Vec::new(),
         n_locals: 0,
     };
-    for (i, (name, ty)) in inputs.iter().enumerate() {
-        c.inputs.push(((*name).to_owned(), *ty));
-        c.vars
-            .insert((*name).to_owned(), VarSlot::Input(i as u16, *ty));
-    }
     c.stmts(stmts)?;
     c.code.push(Op::RetVoid);
-    Ok(Program::from_parts(c.code, c.inputs, c.globals, c.n_locals))
+    Ok(Emitted {
+        code: c.code,
+        globals: c.globals,
+        n_locals: c.n_locals,
+    })
 }
 
 fn terr(line: u32, msg: impl Into<String>) -> EcodeError {
@@ -178,15 +203,24 @@ fn terr(line: u32, msg: impl Into<String>) -> EcodeError {
     }
 }
 
-impl Compiler {
-    fn stmts(&mut self, stmts: &[Stmt]) -> Result<(), EcodeError> {
+impl<'s> Compiler<'s, '_> {
+    /// The slot `name` names: a declared variable, else a host input. A
+    /// name the host lists twice resolves to its last position.
+    fn slot(&self, name: &str) -> Option<VarSlot> {
+        self.vars.get(name).copied().or_else(|| {
+            let i = self.inputs.iter().rposition(|(n, _)| *n == name)?;
+            Some(VarSlot::Input(i as u16, self.inputs[i].1))
+        })
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt<'s>]) -> Result<(), EcodeError> {
         for s in stmts {
             self.stmt(s)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), EcodeError> {
+    fn stmt(&mut self, s: &Stmt<'s>) -> Result<(), EcodeError> {
         match s {
             Stmt::Decl {
                 is_static,
@@ -196,7 +230,7 @@ impl Compiler {
                 line,
             } => {
                 let ty = Type::from(*ty);
-                if self.vars.contains_key(name) {
+                if self.slot(name).is_some() {
                     return Err(terr(*line, format!("{name:?} is already declared")));
                 }
                 if *is_static {
@@ -209,12 +243,12 @@ impl Compiler {
                         Some(e) => const_init(e, ty, *line)?,
                     };
                     let idx = self.globals.len() as u16;
-                    self.globals.push((name.clone(), ty, init));
-                    self.vars.insert(name.clone(), VarSlot::Global(idx, ty));
+                    self.globals.push((*name, ty, init));
+                    self.vars.insert(*name, VarSlot::Global(idx, ty));
                 } else {
                     let idx = self.n_locals;
                     self.n_locals += 1;
-                    self.vars.insert(name.clone(), VarSlot::Local(idx, ty));
+                    self.vars.insert(*name, VarSlot::Local(idx, ty));
                     if let Some(e) = init {
                         let et = self.expr(e)?;
                         self.coerce(et, ty, *line)?;
@@ -230,9 +264,8 @@ impl Compiler {
                 Ok(())
             }
             Stmt::Assign { name, expr, line } => {
-                let slot = *self
-                    .vars
-                    .get(name)
+                let slot = self
+                    .slot(name)
                     .ok_or_else(|| terr(*line, format!("{name:?} is not declared")))?;
                 let et = self.expr(expr)?;
                 self.coerce(et, slot.ty(), *line)?;
@@ -312,7 +345,7 @@ impl Compiler {
     }
 
     /// Compiles an expression; returns its type, value left on stack.
-    fn expr(&mut self, e: &Expr) -> Result<Type, EcodeError> {
+    fn expr(&mut self, e: &Expr<'s>) -> Result<Type, EcodeError> {
         match e {
             Expr::Int(v) => {
                 self.code.push(Op::ConstI(*v));
@@ -327,9 +360,8 @@ impl Compiler {
                 Ok(Type::Bool)
             }
             Expr::Var(name) => {
-                let slot = *self
-                    .vars
-                    .get(name)
+                let slot = self
+                    .slot(name)
                     .ok_or_else(|| terr(0, format!("{name:?} is not declared")))?;
                 self.code.push(match slot {
                     VarSlot::Input(i, _) => Op::LoadInput(i),
@@ -366,7 +398,13 @@ impl Compiler {
         }
     }
 
-    fn bin(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr, line: u32) -> Result<Type, EcodeError> {
+    fn bin(
+        &mut self,
+        op: BinOp,
+        lhs: &Expr<'s>,
+        rhs: &Expr<'s>,
+        line: u32,
+    ) -> Result<Type, EcodeError> {
         // Short-circuit logical operators compile to jumps.
         if matches!(op, BinOp::And | BinOp::Or) {
             let lt = self.expr(lhs)?;
@@ -483,7 +521,7 @@ impl Compiler {
         Ok(result)
     }
 
-    fn call(&mut self, name: &str, args: &[Expr], line: u32) -> Result<Type, EcodeError> {
+    fn call(&mut self, name: &str, args: &[Expr<'s>], line: u32) -> Result<Type, EcodeError> {
         match name {
             "abs" => {
                 if args.len() != 1 {
@@ -552,7 +590,7 @@ impl Compiler {
     }
 }
 
-fn const_init(e: &Expr, ty: Type, line: u32) -> Result<GlobalInit, EcodeError> {
+fn const_init(e: &Expr<'_>, ty: Type, line: u32) -> Result<GlobalInit, EcodeError> {
     let fail = || {
         terr(
             line,

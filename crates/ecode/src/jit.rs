@@ -8,13 +8,13 @@
 //! straight-line spans, and every span that fits a small universe of
 //! forms — constant operands baked in, a whole `acc = acc + size;` as
 //! one update instead of five dispatches — is recognized once
-//! ([`spec_node`]) and built into closures monomorphized over those
+//! (`spec_node`) and built into closures monomorphized over those
 //! forms: the code was generated when this crate was compiled, and
 //! building a program wires it up. Such a block becomes a node of a
 //! graph the driver walks without touching bytecode. A program whose
 //! nodes form the canonical guarded-reporter shape is additionally
 //! assembled, from those same forms, into a few closures with its
-//! per-path fuel totals baked in ([`Whole`]), entered on the caller's
+//! per-path fuel totals baked in (`Whole`), entered on the caller's
 //! own input slice. No run matches on a recognized form.
 //!
 //! # Tier selection and fallback

@@ -2,13 +2,14 @@
 
 use crate::EcodeError;
 
-/// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// Token kinds. An identifier borrows its text from the source, so a
+/// token is a plain copyable value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'src> {
     // Literals and identifiers
     Int(i64),
     Double(f64),
-    Ident(String),
+    Ident(&'src str),
     // Keywords
     KwInt,
     KwDouble,
@@ -46,14 +47,14 @@ pub enum Tok {
 }
 
 /// A token with its source line (for error messages).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub tok: Tok,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
+    pub tok: Tok<'src>,
     pub line: u32,
 }
 
 /// Tokenizes a whole program.
-pub fn lex(src: &str) -> Result<Vec<Token>, EcodeError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, EcodeError> {
     let mut out = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;
@@ -142,7 +143,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, EcodeError> {
                     "return" => Tok::KwReturn,
                     "true" => Tok::KwTrue,
                     "false" => Tok::KwFalse,
-                    _ => Tok::Ident(word.to_owned()),
+                    _ => Tok::Ident(word),
                 };
                 out.push(Token { tok, line });
             }
@@ -201,7 +202,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, EcodeError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -211,7 +212,7 @@ mod tests {
             kinds("int x = 3;"),
             vec![
                 Tok::KwInt,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Assign,
                 Tok::Int(3),
                 Tok::Semi,
@@ -233,20 +234,20 @@ mod tests {
         assert_eq!(
             kinds("a == b != c <= d >= e && f || !g"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::EqEq,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::NotEq,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::LtEq,
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
                 Tok::GtEq,
-                Tok::Ident("e".into()),
+                Tok::Ident("e"),
                 Tok::AndAnd,
-                Tok::Ident("f".into()),
+                Tok::Ident("f"),
                 Tok::OrOr,
                 Tok::Not,
-                Tok::Ident("g".into()),
+                Tok::Ident("g"),
                 Tok::Eof
             ]
         );
@@ -271,7 +272,7 @@ mod tests {
 
     #[test]
     fn keywords_vs_identifiers() {
-        assert_eq!(kinds("iffy")[0], Tok::Ident("iffy".into()));
+        assert_eq!(kinds("iffy")[0], Tok::Ident("iffy"));
         assert_eq!(kinds("if")[0], Tok::KwIf);
         assert_eq!(kinds("static")[0], Tok::KwStatic);
     }

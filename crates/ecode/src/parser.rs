@@ -16,7 +16,7 @@ pub(crate) const MAX_AST_DEPTH: u32 = 32;
 
 /// Lexes and parses a whole program: the one entry for program text, so
 /// the limits hold for `Program::compile` and `verify` alike.
-pub fn parse(src: &str) -> Result<Vec<Stmt>, EcodeError> {
+pub fn parse(src: &str) -> Result<Vec<Stmt<'_>>, EcodeError> {
     if src.len() > MAX_SOURCE_BYTES {
         return Err(EcodeError::Parse {
             line: 1,
@@ -62,64 +62,64 @@ pub enum UnOp {
     Not,
 }
 
-/// Expressions.
+/// Expressions. Names borrow the program text they were parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'src> {
     Int(i64),
     Double(f64),
     Bool(bool),
-    Var(String),
+    Var(&'src str),
     Un {
         op: UnOp,
-        expr: Box<Expr>,
+        expr: Box<Expr<'src>>,
         line: u32,
     },
     Bin {
         op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: Box<Expr<'src>>,
+        rhs: Box<Expr<'src>>,
         line: u32,
     },
     Call {
-        name: String,
-        args: Vec<Expr>,
+        name: &'src str,
+        args: Vec<Expr<'src>>,
         line: u32,
     },
 }
 
-/// Statements.
+/// Statements, with names borrowed like [`Expr`]'s.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     Decl {
         is_static: bool,
         ty: AstType,
-        name: String,
-        init: Option<Expr>,
+        name: &'src str,
+        init: Option<Expr<'src>>,
         line: u32,
     },
     Assign {
-        name: String,
-        expr: Expr,
+        name: &'src str,
+        expr: Expr<'src>,
         line: u32,
     },
     If {
-        cond: Expr,
-        then_block: Vec<Stmt>,
-        else_block: Vec<Stmt>,
+        cond: Expr<'src>,
+        then_block: Vec<Stmt<'src>>,
+        else_block: Vec<Stmt<'src>>,
         line: u32,
     },
     Return {
-        expr: Option<Expr>,
+        expr: Option<Expr<'src>>,
         line: u32,
     },
     Expr {
-        expr: Expr,
+        expr: Expr<'src>,
         line: u32,
     },
 }
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'src> {
+    toks: Vec<Token<'src>>,
     pos: usize,
     /// Current recursion depth, bounded by [`MAX_AST_DEPTH`].
     depth: u32,
@@ -127,7 +127,7 @@ struct Parser {
 
 /// The binary operator `tok` spells and its precedence level, loosest
 /// first: `||` < `&&` < `== !=` < relational < additive < multiplicative.
-fn bin_op(tok: &Tok) -> Option<(BinOp, u32)> {
+fn bin_op(tok: Tok<'_>) -> Option<(BinOp, u32)> {
     Some(match tok {
         Tok::OrOr => (BinOp::Or, 0),
         Tok::AndAnd => (BinOp::And, 1),
@@ -146,8 +146,8 @@ fn bin_op(tok: &Tok) -> Option<(BinOp, u32)> {
     })
 }
 
-impl Parser {
-    fn new(toks: Vec<Token>) -> Self {
+impl<'src> Parser<'src> {
+    fn new(toks: Vec<Token<'src>>) -> Self {
         Parser {
             toks,
             pos: 0,
@@ -164,16 +164,16 @@ impl Parser {
         Ok(())
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn peek(&self) -> Tok<'src> {
+        self.toks[self.pos].tok
     }
 
     fn line(&self) -> u32 {
         self.toks[self.pos].line
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -187,8 +187,8 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: Tok, what: &str) -> Result<(), EcodeError> {
-        if *self.peek() == want {
+    fn expect(&mut self, want: Tok<'src>, what: &str) -> Result<(), EcodeError> {
+        if self.peek() == want {
             self.bump();
             Ok(())
         } else {
@@ -197,9 +197,9 @@ impl Parser {
     }
 
     /// Parses a whole program (a statement list up to EOF).
-    fn program(&mut self) -> Result<Vec<Stmt>, EcodeError> {
+    fn program(&mut self) -> Result<Vec<Stmt<'src>>, EcodeError> {
         let mut stmts = Vec::new();
-        while *self.peek() != Tok::Eof {
+        while self.peek() != Tok::Eof {
             stmts.push(self.stmt()?);
         }
         Ok(stmts)
@@ -216,9 +216,9 @@ impl Parser {
         Some(t)
     }
 
-    fn stmt(&mut self) -> Result<Stmt, EcodeError> {
+    fn stmt(&mut self) -> Result<Stmt<'src>, EcodeError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::KwStatic => {
                 self.bump();
                 let ty = self
@@ -233,7 +233,7 @@ impl Parser {
             Tok::KwIf => self.if_stmt(),
             Tok::KwReturn => {
                 self.bump();
-                let expr = if *self.peek() == Tok::Semi {
+                let expr = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(self.expr()?)
@@ -258,12 +258,17 @@ impl Parser {
         }
     }
 
-    fn finish_decl(&mut self, is_static: bool, ty: AstType, line: u32) -> Result<Stmt, EcodeError> {
+    fn finish_decl(
+        &mut self,
+        is_static: bool,
+        ty: AstType,
+        line: u32,
+    ) -> Result<Stmt<'src>, EcodeError> {
         let name = match self.bump() {
             Tok::Ident(n) => n,
             other => return Err(self.err(format!("expected identifier, found {other:?}"))),
         };
-        let init = if *self.peek() == Tok::Assign {
+        let init = if self.peek() == Tok::Assign {
             self.bump();
             Some(self.expr()?)
         } else {
@@ -279,7 +284,7 @@ impl Parser {
         })
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, EcodeError> {
+    fn if_stmt(&mut self) -> Result<Stmt<'src>, EcodeError> {
         let line = self.line();
         self.descend()?;
         self.expect(Tok::KwIf, "'if'")?;
@@ -287,9 +292,9 @@ impl Parser {
         let cond = self.expr()?;
         self.expect(Tok::RParen, "')'")?;
         let then_block = self.block()?;
-        let else_block = if *self.peek() == Tok::KwElse {
+        let else_block = if self.peek() == Tok::KwElse {
             self.bump();
-            if *self.peek() == Tok::KwIf {
+            if self.peek() == Tok::KwIf {
                 vec![self.if_stmt()?]
             } else {
                 self.block()?
@@ -306,11 +311,11 @@ impl Parser {
         })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, EcodeError> {
+    fn block(&mut self) -> Result<Vec<Stmt<'src>>, EcodeError> {
         self.expect(Tok::LBrace, "'{'")?;
         let mut stmts = Vec::new();
-        while *self.peek() != Tok::RBrace {
-            if *self.peek() == Tok::Eof {
+        while self.peek() != Tok::RBrace {
+            if self.peek() == Tok::Eof {
                 return Err(self.err("unexpected end of input inside block"));
             }
             stmts.push(self.stmt()?);
@@ -319,14 +324,14 @@ impl Parser {
         Ok(stmts)
     }
 
-    fn expr(&mut self) -> Result<Expr, EcodeError> {
+    fn expr(&mut self) -> Result<Expr<'src>, EcodeError> {
         self.binary(0)
     }
 
     /// Precedence climbing: a chain of left-associative operators at
     /// `min` level or tighter; unary and primary expressions bind
     /// tightest.
-    fn binary(&mut self, min: u32) -> Result<Expr, EcodeError> {
+    fn binary(&mut self, min: u32) -> Result<Expr<'src>, EcodeError> {
         let mut lhs = self.unary_expr()?;
         let entry = self.depth;
         while let Some((op, level)) = bin_op(self.peek()).filter(|&(_, level)| level >= min) {
@@ -345,7 +350,7 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, EcodeError> {
+    fn unary_expr(&mut self) -> Result<Expr<'src>, EcodeError> {
         let line = self.line();
         let op = match self.peek() {
             Tok::Minus => UnOp::Neg,
@@ -359,7 +364,7 @@ impl Parser {
         Ok(Expr::Un { op, expr, line })
     }
 
-    fn primary(&mut self) -> Result<Expr, EcodeError> {
+    fn primary(&mut self) -> Result<Expr<'src>, EcodeError> {
         let line = self.line();
         match self.bump() {
             Tok::Int(v) => Ok(Expr::Int(v)),
@@ -367,14 +372,14 @@ impl Parser {
             Tok::KwTrue => Ok(Expr::Bool(true)),
             Tok::KwFalse => Ok(Expr::Bool(false)),
             Tok::Ident(name) => {
-                if *self.peek() == Tok::LParen {
+                if self.peek() == Tok::LParen {
                     self.bump();
                     let mut args = Vec::new();
                     self.descend()?;
-                    if *self.peek() != Tok::RParen {
+                    if self.peek() != Tok::RParen {
                         loop {
                             args.push(self.expr()?);
-                            if *self.peek() == Tok::Comma {
+                            if self.peek() == Tok::Comma {
                                 self.bump();
                             } else {
                                 break;
@@ -413,7 +418,7 @@ mod tests {
         assert_eq!(stmts.len(), 3);
         assert!(matches!(
             &stmts[0],
-            Stmt::Decl { is_static: true, ty: AstType::Int, name, .. } if name == "n"
+            Stmt::Decl { is_static: true, ty: AstType::Int, name, .. } if *name == "n"
         ));
         assert!(matches!(
             &stmts[1],
@@ -474,7 +479,7 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(name, "out");
+        assert_eq!(*name, "out");
         assert_eq!(args.len(), 2);
     }
 

@@ -139,6 +139,25 @@ fn w0003_unused_static() {
     assert_eq!(d.message, "static variable \"n\" is never read");
 }
 
+/// Unused statics sharing a line come out in declaration order, every
+/// time: the rendered text reaches a `SubscribeNack`'s wire bytes, so
+/// it may not follow a hash map's per-process iteration order.
+#[test]
+fn w0003_same_line_statics_keep_declaration_order() {
+    let src = "static int a = 0; static int b = 0; static int c = 0; static int d = 0; return 0;";
+    for _ in 0..50 {
+        let names: Vec<String> = diags(src)
+            .into_iter()
+            .filter(|d| d.code == "W0003")
+            .map(|d| d.message)
+            .collect();
+        assert_eq!(
+            names,
+            ["a", "b", "c", "d"].map(|n| format!("static variable \"{n}\" is never read")),
+        );
+    }
+}
+
 #[test]
 fn w0004_unused_inputs_combined() {
     let ds = diags("return size;");
@@ -236,6 +255,27 @@ fn report_shows_optimization_shrinking_the_bound() {
         "dead-branch elimination should shrink the bound: {r:#?}"
     );
     assert!(r.code_len < r.unoptimized_code_len, "{r:#?}");
+}
+
+/// A guard leg that folds to `false` under `&&` decides the branch: a
+/// pure other leg folds away with it, and so does the dead body, so the
+/// bound is the fuel a run can actually spend, not that plus the guard
+/// and a body no run reaches.
+#[test]
+fn a_folded_false_leg_takes_its_branch_out_of_the_bound() {
+    let src = "static int s0 = 5;\nstatic int s1 = -2;\nstatic double d = 0.5;\n\
+               d = d + size;\ns1 = port;\n\
+               if (-9223372036854775807 != port && 0 == 9223372036854775807) {\n\
+               s0 = s0 + -1;\nout(0, d / s1);\nreturn 1;\n}\nreturn 800 < s0;\n";
+    let v = verify(src, &INPUTS, &VerifyLimits::default()).expect("verifies");
+    let report = v.report();
+    let mut most = 0;
+    let mut inst = Instance::new(v.get());
+    for (size, port) in [(0, 0), (1, -9223372036854775807), (7, 9), (-1, i64::MAX)] {
+        let run = inst.run(&[Value::Int(size), Value::Int(port)], report.fuel_bound);
+        most = most.max(run.expect("runs within its bound").fuel_used);
+    }
+    assert_eq!((report.fuel_bound, most), (11, 11));
 }
 
 // ---------------------------------------------------------------------
@@ -937,13 +977,10 @@ fn mutate(tokens: &mut Vec<String>, rng: &mut Rng) {
 }
 
 /// 64 seeds × 2 generators × 16 mutants, each a sweep program with one
-/// or two token-level edits. A panic anywhere fails the test; the floor
-/// keeps it from going vacuous (mutants that no longer parse exercise
-/// nothing past the parser).
-#[test]
-fn generated_programs_mutated_never_panic_the_verifier() {
+/// or two token-level edits, in sweep order.
+fn mutants() -> Vec<String> {
     let mut rng = Rng::new(0x6d75_7461_7465);
-    let (mut cases, mut compiled) = (0u32, 0u32);
+    let mut out = Vec::with_capacity(2048);
     for seed in 0..64u64 {
         let per = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 1;
         for base in [Gen::new(per).program(), MergeGen::new(per).program()] {
@@ -953,17 +990,99 @@ fn generated_programs_mutated_never_panic_the_verifier() {
                 for _ in 0..1 + rng.below(2) {
                     mutate(&mut mutant, &mut rng);
                 }
-                let src = mutant.join(" ");
-                let _ = verify(&src, &INPUTS, &VerifyLimits::default().require_mergeable());
-                cases += 1;
-                compiled += Program::compile(&src, &INPUTS).is_ok() as u32;
+                out.push(mutant.join(" "));
             }
         }
+    }
+    out
+}
+
+/// A panic anywhere fails the test; the floor keeps it from going
+/// vacuous (mutants that no longer parse exercise nothing past the
+/// parser).
+#[test]
+fn generated_programs_mutated_never_panic_the_verifier() {
+    let (mut cases, mut compiled) = (0u32, 0u32);
+    for src in mutants() {
+        let _ = verify(&src, &INPUTS, &VerifyLimits::default().require_mergeable());
+        cases += 1;
+        compiled += Program::compile(&src, &INPUTS).is_ok() as u32;
     }
     assert_eq!(cases, 2048);
     assert!(
         compiled >= 200,
         "only {compiled} of {cases} mutants compiled"
+    );
+}
+
+/// FNV-1a, 64-bit, over a sequence of strings (each closed by a 0xff
+/// byte, which UTF-8 never contains).
+struct Fnv(u64);
+
+impl Fnv {
+    fn add(&mut self, s: &str) {
+        for b in s.bytes().chain([0xff]) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// What `verify` says about `src`: the rendered rejection, or the whole
+/// report (fuel bounds, code lengths, merge plan, warnings) and the
+/// admitted program's `Debug` (its bytecode, input and static layout).
+fn verify_outcome(src: &str, limits: &VerifyLimits) -> String {
+    match verify(src, &INPUTS, limits) {
+        Ok(v) => {
+            let (program, report) = v.into_parts();
+            format!("ok {report:?}\n{program:?}")
+        }
+        Err(e) => format!("err {e}"),
+    }
+}
+
+/// What `Program::compile` says about `src`.
+fn compile_outcome(src: &str) -> String {
+    match Program::compile(src, &INPUTS) {
+        Ok(p) => format!("ok {p:?}"),
+        Err(e) => format!("err {e}"),
+    }
+}
+
+/// The verifier's whole transcript over the sweep corpus, as one hash:
+/// the 2,048 mutants (verified as the never-panic sweep does) and the
+/// generators' 600 programs (under default limits), each also through
+/// `Program::compile`. A front-end change that keeps every diagnostic,
+/// bound and bytecode keeps this value; one that moves any of them
+/// states why here.
+///
+/// Pinned with the unused-static order fixed (declaration order), then
+/// re-pinned once for the optimizer's `e && false` / `e || true` fold,
+/// which changed the admitted bytecode of 6 of these programs (and the
+/// outcome of no `Program::compile`).
+#[test]
+fn verifier_transcript_is_pinned() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut programs = 0u32;
+    let require = VerifyLimits::default().require_mergeable();
+    for src in mutants() {
+        h.add(&verify_outcome(&src, &require));
+        h.add(&compile_outcome(&src));
+        programs += 1;
+    }
+    for seed in 0..300u64 {
+        let per = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 1;
+        for src in [Gen::new(per).program(), MergeGen::new(per).program()] {
+            h.add(&verify_outcome(&src, &VerifyLimits::default()));
+            h.add(&compile_outcome(&src));
+            programs += 1;
+        }
+    }
+    assert_eq!(programs, 2648);
+    assert_eq!(
+        h.0, 0x7983_1eff_de2b_c284,
+        "verifier transcript moved: {:#018x}",
+        h.0
     );
 }
 

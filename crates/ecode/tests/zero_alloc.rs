@@ -1,39 +1,44 @@
-//! Regression test for the compiled execution tier's allocation
-//! discipline: after warmup, running a compiled E-Code program a million
-//! times — block closures, cross-block carries, fuel precharge, output
-//! publication, and the starved-budget per-op fallback — must never
-//! touch the heap. The closures borrow the instance's reusable arenas
-//! (`ecode::jit::Ctx`); a stray `Vec`/`Box` in a block body would break
-//! always-on monitoring budgets exactly like one in `Kprof::emit`.
+//! Regression tests for E-Code's allocation discipline. After warmup,
+//! running a compiled E-Code program a million times — block closures,
+//! cross-block carries, fuel precharge, output publication, and the
+//! starved-budget per-op fallback — must never touch the heap. The
+//! closures borrow the instance's reusable arenas (`ecode::jit::Ctx`); a
+//! stray `Vec`/`Box` in a block body would break always-on monitoring
+//! budgets exactly like one in `Kprof::emit`. And an install's
+//! allocations may grow with the host's input count only by the names
+//! the admitted program keeps, not by a copy per pass.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
-//! observes only this test.
+//! observes only these tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use ecode::{ExecTier, Instance, Program, Type};
+use ecode::{verify, ExecTier, Instance, Program, Type, VerifyLimits};
 
-/// Counts every allocation and every (re)allocation on the test thread
-/// while [`TRACK`] is set; frees — and libtest's harness threads, which
+/// Counts every allocation and every (re)allocation on a thread while
+/// its [`TRACK`] is set; frees — and the other test threads, which
 /// allocate at their own pace — are not interesting here.
 struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // const-initialized so the first access inside `alloc` itself never
     // allocates.
     static TRACK: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_if_tracking() {
     TRACK.with(|t| {
         if t.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
         }
     });
+}
+
+/// This thread's tracked allocations so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 // SAFETY: pure pass-through to `System`, which upholds the GlobalAlloc
@@ -97,7 +102,7 @@ fn million_compiled_runs_allocate_nothing_after_warmup() {
         inst.run_raw(&raw, fuel).unwrap();
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACK.with(|t| t.set(true));
     let mut flagged = 0u64;
     for i in 10_000..1_010_000i64 {
@@ -130,7 +135,7 @@ fn million_compiled_runs_allocate_nothing_after_warmup() {
     })
     .unwrap();
     TRACK.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -140,4 +145,37 @@ fn million_compiled_runs_allocate_nothing_after_warmup() {
     );
     // Sanity: the loop really did take the accumulate-and-flag path.
     assert!(flagged > 0);
+}
+
+/// Allocations one `verify` of `src` makes against `n` int inputs named
+/// `f0`, `f1`, ….
+fn verify_allocations(src: &str, n: usize) -> u64 {
+    let names: Vec<String> = (0..n).map(|i| format!("f{i}")).collect();
+    let inputs: Vec<(&str, Type)> = names.iter().map(|n| (n.as_str(), Type::Int)).collect();
+    let limits = VerifyLimits::default();
+    let before = allocations();
+    TRACK.with(|t| t.set(true));
+    let verified = verify(src, &inputs, &limits);
+    TRACK.with(|t| t.set(false));
+    let after = allocations();
+    verified.expect("the filter verifies");
+    after - before
+}
+
+/// A subscription filter verified against 8 and against 64 host inputs:
+/// each extra input may cost the admitted program its name (and the
+/// combined unused-inputs warning a little), not a map entry per pass.
+#[test]
+fn verify_allocates_at_most_two_and_a_half_per_extra_input() {
+    const FILTER: &str = "return f0 > 5;";
+    let (few, many) = (
+        verify_allocations(FILTER, 8),
+        verify_allocations(FILTER, 64),
+    );
+    let per_input = (many as f64 - few as f64) / 56.0;
+    assert!(
+        per_input <= 2.5,
+        "verify allocated {few} times against 8 inputs and {many} against 64: \
+         {per_input:.2} per extra input"
+    );
 }
