@@ -514,7 +514,9 @@ case "${1:-}" in
         "==> the verifier's transcript (FNV over every sweep outcome) and unused-static order" \
         "cargo test -q -p ecode --test verifier transcript" \
         "cargo test -q -p ecode --test verifier w0003" \
-        "==> hostile source (parse error, not a stack overflow; NACK, not an abort)" \
+        "==> hostile source (parse error, not a stack overflow; NACK, not an abort); built first, so the small stack reaches the tests and not rustc" \
+        "cargo test -q --no-run -p ecode --test verifier" \
+        "cargo test -q --no-run --test gpa_query" \
         "env RUST_MIN_STACK=262144 cargo test -q -p ecode --test verifier hostile" \
         "cargo test -q --test verifier_integration hostile" \
         "env RUST_MIN_STACK=262144 cargo test -q --test gpa_query hostile" \

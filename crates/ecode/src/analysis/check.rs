@@ -11,6 +11,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::analysis::diag::Diagnostic;
+use crate::analysis::opt::has_effect;
 use crate::analysis::VerifyLimits;
 use crate::compile::Type;
 use crate::parser::{BinOp, Expr, Stmt, UnOp};
@@ -203,8 +204,6 @@ struct Var {
     val: AbsVal,
     /// For locals: has any assignment (or initializer) executed yet?
     assigned: bool,
-    /// Declaration line.
-    line: u32,
 }
 
 struct Checker<'s, 'i> {
@@ -303,7 +302,6 @@ impl<'s> Checker<'s, '_> {
                     is_static,
                     ty,
                     name,
-                    line,
                     ..
                 } => {
                     let ty = Type::from(*ty);
@@ -323,7 +321,6 @@ impl<'s> Checker<'s, '_> {
                             AbsVal::zero(ty)
                         },
                         assigned: false,
-                        line: *line,
                     });
                 }
                 Stmt::If {
@@ -373,7 +370,6 @@ impl<'s> Checker<'s, '_> {
                         ty,
                         val,
                         assigned,
-                        line: *line,
                     },
                 );
                 false
@@ -541,10 +537,19 @@ impl<'s> Checker<'s, '_> {
                 (BinOp::And, AbsVal::Bool(Some(true))) | (BinOp::Or, AbsVal::Bool(Some(false))) => {
                     self.eval(rhs, line)
                 }
-                _ => {
-                    let _ = self.eval(rhs, line);
-                    AbsVal::Bool(None)
-                }
+                // A rhs that decides the result leaves the lhs only what
+                // evaluating it does: the optimizer's own rule
+                // (`opt::has_effect`) says when that is nothing, so the
+                // lint and the optimizer agree on what is dead.
+                _ => match (op, self.eval(rhs, line)) {
+                    (BinOp::And, r @ AbsVal::Bool(Some(false)))
+                    | (BinOp::Or, r @ AbsVal::Bool(Some(true)))
+                        if !has_effect(lhs) =>
+                    {
+                        r
+                    }
+                    _ => AbsVal::Bool(None),
+                },
             };
         }
 
@@ -697,26 +702,24 @@ impl<'s> Checker<'s, '_> {
         }
     }
 
-    /// Warns once per static the analysis still knows of that nothing
-    /// read, walking the declarations in source order.
+    /// Warns once per declared static that nothing read, walking the
+    /// declarations in source order. "Never read" is the declaration
+    /// against `reads` alone: the environment forgets a static declared
+    /// in a branch that returns, and the program still declares it.
     fn unused_statics(&mut self, stmts: &[Stmt<'s>]) {
         for s in stmts {
             match s {
                 Stmt::Decl {
                     is_static: true,
                     name,
+                    line,
                     ..
-                } => {
-                    let Some(v) = self.env.get(name) else {
-                        continue;
-                    };
-                    if v.kind == VarKind::Static && !self.reads.contains(name) {
-                        self.diags.push(Diagnostic::warning(
-                            "W0003",
-                            v.line,
-                            format!("static variable {name:?} is never read"),
-                        ));
-                    }
+                } if !self.reads.contains(name) => {
+                    self.diags.push(Diagnostic::warning(
+                        "W0003",
+                        *line,
+                        format!("static variable {name:?} is never read"),
+                    ));
                 }
                 Stmt::If {
                     then_block,

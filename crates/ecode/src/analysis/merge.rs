@@ -35,8 +35,11 @@
 //! join reached via a static-influenced edge only identical constants
 //! and identical whole-global cells survive untainted.
 //!
-//! The result is a [`MergePlan`] carried in the `VerifyReport`; the VM
-//! consumes it in `Instance::merge_from`. Soundness is enforced
+//! The result is a [`MergePlan`] the program keeps beside its lowering
+//! (`Program::merge_plan`, classified once on first ask; the
+//! `VerifyReport` carries a copy). The VM folds by it in
+//! `Instance::merge_from` and the column backend vectorizes against it
+//! in `BatchEval::compile`, each reading the program's own. Soundness is enforced
 //! differentially by the generative sweep in `tests/verifier.rs`: every
 //! program classified fully mergeable is run sequentially and as K
 //! shards over random event partitions, and the folded statics must be
@@ -659,7 +662,8 @@ fn plan(program: &Program, mut slot: impl FnMut(usize) -> (MergeClass, bool)) ->
 
 /// Classifies every static slot of `program` on its lowering
 /// ([`Program::lowered`], so stack discipline and operand indices are
-/// already proven). One rule for a program the lowering refused: not
+/// already proven). Called once per program, by
+/// [`Program::merge_plan`], which keeps the result. One rule for a program the lowering refused: not
 /// lowered ⇒ checked interpreter, never vectorized, never sharded —
 /// every slot is [`MergeClass::Opaque`] with the [`Bail`](crate::Bail)
 /// as the reason.

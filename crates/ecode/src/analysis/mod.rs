@@ -30,6 +30,8 @@
 //!    every static slot into the merge lattice ([`MergeClass`]; all
 //!    `Opaque` when the lowering refused the program), producing the
 //!    [`MergePlan`] the sharded GPA uses to fold replica instances.
+//!    The plan belongs to the program ([`Program::merge_plan`], computed
+//!    once and shared by every clone); the report carries a copy.
 //!    Advisory by default (`W0009` for write-only mergeable state);
 //!    with [`VerifyLimits::require_mergeable`] a non-mergeable slot
 //!    rejects the program with `M0001`.
@@ -103,7 +105,8 @@ pub struct VerifyReport {
     pub code_len: usize,
     /// Instruction count before optimization.
     pub unoptimized_code_len: usize,
-    /// Shard-safety classification of every static slot, in slot order.
+    /// Shard-safety classification of every static slot, in slot order:
+    /// a copy of the admitted program's own [`Program::merge_plan`].
     /// [`MergePlan::fully_mergeable`] decides whether the program may be
     /// evaluated as replicas and folded with `Instance::merge_from`.
     pub merge_plan: MergePlan,
@@ -266,11 +269,11 @@ pub fn verify(
         ));
     }
 
-    // Pass 5: shard-safety. Classified on the program that would
-    // actually be installed (its lowering, which `Instance::new` then
-    // finds cached), so optimizations (constant folding, dead branches)
-    // can only make slots *more* mergeable, never less.
-    let merge_plan = merge::classify(&program);
+    // Pass 5: shard-safety, read off the program that would actually
+    // be installed (which classifies its lowering once and keeps the
+    // plan beside it), so optimizations (constant folding, dead
+    // branches) can only make slots *more* mergeable, never less.
+    let merge_plan = program.merge_plan().clone();
     for slot in &merge_plan.slots {
         match &slot.class {
             MergeClass::Opaque { reason, .. } if limits.require_mergeable => {

@@ -164,7 +164,7 @@ fn hoist_decls<'s>(stmts: &[Stmt<'s>], out: &mut Vec<Stmt<'s>>) {
 /// Could evaluating this expression be observed? `out()` publishes;
 /// `/` and `%` can trap (the optimizer has no type information here, so
 /// it conservatively treats even float division as effectful).
-fn has_effect(e: &Expr<'_>) -> bool {
+pub(super) fn has_effect(e: &Expr<'_>) -> bool {
     match e {
         Expr::Int(_) | Expr::Double(_) | Expr::Bool(_) | Expr::Var(_) => false,
         Expr::Un { expr, .. } => has_effect(expr),

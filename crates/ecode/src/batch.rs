@@ -14,16 +14,17 @@
 //! Vectorization reorders evaluation: all lanes execute vector op `i`
 //! before any lane executes op `i + 1`, where the scalar VM runs each
 //! record to completion before the next. The merge analysis
-//! ([`MergePlan`], DESIGN.md §10) is what makes that reordering
-//! invisible. In a fully-mergeable program every read of mutable static
-//! state occurs *only* inside that static's own accumulation pattern
-//! (`g = g + d`, `g = min(g, v)`, gated constant writes), every delta
-//! and every branch condition is input-only, and each accumulation
-//! fold is associative and commutative on the bit level (`wrapping_add`,
-//! `i64::min`/`max`, "any lane stored the constant"). So per-lane
-//! computations depend only on that lane's inputs — they evaluate
-//! full-width with no cross-lane hazard — and static updates become
-//! masked *reductions* whose fold order cannot change the result.
+//! ([`Program::merge_plan`], DESIGN.md §10) is what makes that
+//! reordering invisible. In a fully-mergeable program every read of
+//! mutable static state occurs *only* inside that static's own
+//! accumulation pattern (`g = g + d`, `g = min(g, v)`, gated constant
+//! writes), every delta and every branch condition is input-only, and
+//! each accumulation fold is associative and commutative on the bit
+//! level (`wrapping_add`, `i64::min`/`max`, "any lane stored the
+//! constant"). So per-lane computations depend only on that lane's
+//! inputs — they evaluate full-width with no cross-lane hazard — and
+//! static updates become masked *reductions* whose fold order cannot
+//! change the result.
 //! Anything outside that shape makes [`BatchEval::compile`] refuse with
 //! a [`BatchBail`] saying what and where, and the caller falls back to
 //! the scalar VM.
@@ -33,15 +34,16 @@
 //! For a batch of `n` rows, [`BatchEval::run`] leaves the instance's
 //! statics bit-identical to `n` scalar [`Instance::run_raw`] calls in
 //! row order, and returns the exact total `fuel_used` those calls would
-//! have reported. Control flow is compiled to 0/1 lane masks (a branch
-//! splits a mask, joins OR them back and blend divergent carried
-//! values), and fuel is metered exactly: each IR block charges its
-//! `fuel` — the ops it covers — once per lane that enters it, as
-//! `fuel × popcount(mask)`. Programs whose verified worst-case fuel
-//! bound exceeds the host's budget are not vectorized at all, so the
-//! vector path can never hit `OutOfFuel` mid-batch — and because
-//! non-constant divisors bail at compile time it can never trap — which
-//! is why it needs no per-lane abort story. Return values and `out()`
+//! have reported with a budget that covers the program's proven
+//! worst case ([`Program::static_fuel_bound`], the `fuel_bound` the
+//! verifier reports) — the budget every host passes. Control flow is
+//! compiled to 0/1 lane masks (a branch splits a mask, joins OR them
+//! back and blend divergent carried values), and fuel is metered
+//! exactly: each IR block charges its `fuel` — the ops it covers — once
+//! per lane that enters it, as `fuel × popcount(mask)`. Under a covering
+//! budget no row can run out of fuel, and because non-constant divisors
+//! bail at compile time no row can trap, so the vector path needs no
+//! per-lane abort story and takes no budget. Return values and `out()`
 //! are *not* produced: the digest only observes statics and fuel.
 
 use std::collections::HashMap;
@@ -57,12 +59,9 @@ use crate::vm::Instance;
 /// the offending construct sits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchBail {
-    /// The merge plan is not fully shard-safe (or is not this
-    /// program's): lanes could observe each other through a static.
+    /// The program's merge plan is not fully shard-safe: lanes could
+    /// observe each other through a static.
     NotMergeable,
-    /// The verified worst-case fuel exceeds the per-row budget, so a
-    /// lane could abort mid-batch.
-    FuelOverBudget,
     /// The program was not lowered at all; the reason is the scalar
     /// tier's too.
     NotLowered(Bail),
@@ -98,7 +97,6 @@ impl fmt::Display for BatchBail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BatchBail::NotMergeable => f.write_str("merge plan is not fully shard-safe"),
-            BatchBail::FuelOverBudget => f.write_str("worst-case fuel exceeds the row budget"),
             BatchBail::NotLowered(b) => write!(f, "not lowered: {b}"),
             BatchBail::Out { pc } => write!(f, "out() in the block at pc {pc}"),
             BatchBail::NonConstDivisor { pc } => {
@@ -268,33 +266,29 @@ pub struct BatchEval {
 }
 
 impl BatchEval {
-    /// Compiles `program` for batch evaluation, or says why it is
-    /// outside the vectorizable class — the caller must then evaluate
-    /// rows with the scalar VM. `fuel_budget` is the per-row budget the
-    /// host would pass to [`Instance::run_raw`]; programs whose
-    /// statically-proven worst-case fuel exceeds it are rejected here so
-    /// the batch path never needs a per-lane abort.
-    pub fn compile(
-        program: &Program,
-        plan: &MergePlan,
-        fuel_budget: u64,
-    ) -> Result<BatchEval, BatchBail> {
+    /// Compiles `program` for batch evaluation against its own
+    /// [`Program::merge_plan`], or says why it is outside the
+    /// vectorizable class — the caller must then evaluate rows with the
+    /// scalar VM. [`run`](BatchEval::run) matches rows run with a budget
+    /// that covers the program's proven worst case (module docs).
+    pub fn compile(program: &Program) -> Result<BatchEval, BatchBail> {
         // First, so the refusal names the cause: an unlowered program's
         // plan is all-`Opaque` *because* it did not lower.
         let ir = program.lowered().ir.as_ref();
         let ir = ir.map_err(|b| BatchBail::NotLowered(*b))?;
-        if !plan.fully_mergeable() || plan.slots.len() != program.globals.len() {
+        if !program.merge_plan().fully_mergeable() {
             return Err(BatchBail::NotMergeable);
         }
-        if program.static_fuel_bound() > fuel_budget {
-            return Err(BatchBail::FuelOverBudget);
-        }
-        Vectorizer::new(program, plan).compile(ir)
+        Vectorizer::new(program).compile(ir)
     }
 
-    /// [`compile`](BatchEval::compile) without the reason.
+    /// [`compile`](BatchEval::compile) without the reason, in the form
+    /// the benchmark harness calls with the verifier's report for
+    /// `program`. `None` also when `plan` is not the program's own or
+    /// `fuel_budget` does not cover its worst case.
     pub fn try_compile(program: &Program, plan: &MergePlan, fuel_budget: u64) -> Option<BatchEval> {
-        Self::compile(program, plan, fuel_budget).ok()
+        let own = plan == program.merge_plan() && fuel_budget >= program.static_fuel_bound();
+        own.then(|| Self::compile(program).ok()).flatten()
     }
 
     /// Evaluates `rows` lanes against `inst`'s statics and returns the
@@ -461,6 +455,8 @@ fn fold(v: &[i64], m: Option<&[i64]>, mut acc: i64, id: i64, f: impl Fn(i64, i64
 /// parked before it is reached).
 struct Vectorizer<'a> {
     program: &'a Program,
+    /// The program's own plan: which statics are read-only, and the
+    /// fold each mutable one promises.
     plan: &'a MergePlan,
     vops: Vec<VOp>,
     n_regs: u16,
@@ -479,10 +475,10 @@ struct Vectorizer<'a> {
 }
 
 impl<'a> Vectorizer<'a> {
-    fn new(program: &'a Program, plan: &'a MergePlan) -> Self {
+    fn new(program: &'a Program) -> Self {
         Vectorizer {
             program,
-            plan,
+            plan: program.merge_plan(),
             vops: Vec::new(),
             n_regs: 0,
             pool_init: Vec::new(),
@@ -668,8 +664,8 @@ impl<'a> Vectorizer<'a> {
                     {
                         self.vops.push(VOp::GatedStore { slot: s, bits, m })
                     }
-                    // A store the plan did not promise: not this
-                    // program's plan.
+                    // A store whose shape is not the fold its class
+                    // promises on the lanes.
                     _ => {
                         return Err(BatchBail::MutableRead {
                             slot: s,
@@ -888,18 +884,16 @@ mod tests {
 
     const BUDGET: u64 = 10_000;
 
-    fn compiled(src: &str, inputs: &[(&str, Type)]) -> (Program, MergePlan) {
+    fn compiled(src: &str, inputs: &[(&str, Type)]) -> Program {
         let v = verify(src, inputs, &VerifyLimits::default()).expect("verifies");
-        let (program, report) = v.into_parts();
-        (program, report.merge_plan)
+        v.into_parts().0
     }
 
     /// Runs `rows` through both engines and asserts statics + fuel match
     /// bit-for-bit.
     fn differential(src: &str, inputs: &[(&str, Type)], rows: &[Vec<i64>]) {
-        let (program, plan) = compiled(src, inputs);
-        let mut be =
-            BatchEval::try_compile(&program, &plan, BUDGET).expect("program should vectorize");
+        let program = compiled(src, inputs);
+        let mut be = BatchEval::compile(&program).expect("program should vectorize");
 
         let mut scalar = Instance::new(&program);
         let mut scalar_fuel = 0u64;
@@ -1027,8 +1021,11 @@ mod tests {
     /// Why `src` (which verifies) is refused by the column backend.
     fn bail(src: &str, inputs: &[(&str, Type)]) -> BatchBail {
         let limits = VerifyLimits::with_max_fuel(BUDGET);
-        let (p, report) = verify(src, inputs, &limits).expect("verifies").into_parts();
-        BatchEval::compile(&p, &report.merge_plan, BUDGET).expect_err("must not vectorize")
+        let p = verify(src, inputs, &limits)
+            .expect("verifies")
+            .into_parts()
+            .0;
+        BatchEval::compile(&p).expect_err("must not vectorize")
     }
 
     // One test per `BatchBail` variant: a refusal always says why.
@@ -1050,17 +1047,20 @@ mod tests {
         assert_eq!(why, BatchBail::NonConstDivisor { pc: 0 });
     }
 
+    /// The harness's form answers for the program's own plan and a
+    /// covering budget only: a budget a row could run out of, or
+    /// another program's plan, gets no evaluator.
     #[test]
-    fn bail_fuel_over_budget_instead_of_aborting_mid_batch() {
-        let (p, plan) = compiled(
+    fn try_compile_takes_only_the_programs_own_plan_and_bound() {
+        let p = compiled(
             "static int n = 0; n = n + 1; return n;",
             &[("x", Type::Int)],
         );
-        assert_eq!(
-            BatchEval::compile(&p, &plan, 2).unwrap_err(),
-            BatchBail::FuelOverBudget
-        );
-        assert!(BatchEval::try_compile(&p, &plan, BUDGET).is_some());
+        let bound = p.static_fuel_bound();
+        assert!(BatchEval::try_compile(&p, p.merge_plan(), bound).is_some());
+        assert!(BatchEval::try_compile(&p, p.merge_plan(), bound - 1).is_none());
+        let other = compiled("return x;", &[("x", Type::Int)]);
+        assert!(BatchEval::try_compile(&p, other.merge_plan(), bound).is_none());
     }
 
     #[test]
@@ -1071,16 +1071,6 @@ mod tests {
             &[("x", Type::Int)],
         );
         assert_eq!(why, BatchBail::NotMergeable);
-        // Someone else's plan is not a plan for this program either.
-        let (p, _) = compiled(
-            "static int n = 0; n = n + 1; return n;",
-            &[("x", Type::Int)],
-        );
-        let (_, other) = compiled("return x;", &[("x", Type::Int)]);
-        assert_eq!(
-            BatchEval::compile(&p, &other, BUDGET).unwrap_err(),
-            BatchBail::NotMergeable
-        );
     }
 
     #[test]
@@ -1112,11 +1102,11 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let (p, plan) = compiled(
+        let p = compiled(
             "static int n = 0; n = n + 1; return n;",
             &[("x", Type::Int)],
         );
-        let mut be = BatchEval::try_compile(&p, &plan, BUDGET).unwrap();
+        let mut be = BatchEval::compile(&p).unwrap();
         let mut inst = Instance::new(&p);
         let empty: &[i64] = &[];
         assert_eq!(be.run(&mut inst, &[empty], 0), 0);

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use crate::analysis::MergePlan;
 use crate::ir::Lowered;
 use crate::parser::{parse, AstType, BinOp, Expr, Stmt, UnOp};
 use crate::vm::Op;
@@ -52,8 +53,9 @@ pub struct Program {
     pub(crate) inputs: Vec<(String, Type)>,
     pub(crate) globals: Vec<(String, Type, GlobalInit)>,
     pub(crate) n_locals: u16,
-    /// Validation, lowering and compiled graph, derived from `code` on
-    /// first use and shared by every clone (see [`Program::lowered`]).
+    /// Validation, lowering, compiled graph and merge plan, derived
+    /// from `code` on first use and shared by every clone (see
+    /// [`Program::lowered`]).
     lowered: Arc<OnceLock<Lowered>>,
 }
 
@@ -136,6 +138,25 @@ impl Program {
     /// `Program` cannot be built outside this crate.
     pub(crate) fn lowered(&self) -> &Lowered {
         self.lowered.get_or_init(|| Lowered::new(self))
+    }
+
+    /// The shard-safety class of every static, proven on this program's
+    /// lowering once, on first ask, and shared by every clone. It is
+    /// what [`Instance::merge_from`](crate::Instance::merge_from) folds
+    /// by and what [`BatchEval::compile`](crate::BatchEval::compile)
+    /// vectorizes against; [`verify`](crate::verify) reports it as
+    /// [`VerifyReport::merge_plan`](crate::VerifyReport::merge_plan).
+    pub fn merge_plan(&self) -> &MergePlan {
+        let lowered = self.lowered();
+        lowered
+            .merge_plan
+            .get_or_init(|| crate::analysis::merge::classify(self))
+    }
+
+    /// Whether `other` is this program or a clone of it: the two share
+    /// one lowering, and so one merge plan.
+    pub(crate) fn is(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.lowered, &other.lowered)
     }
 
     /// The declared inputs (name, type) in positional order.

@@ -36,8 +36,9 @@
 //! from the same table rows.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::analysis::MergePlan;
 use crate::compile::Program;
 use crate::jit;
 use crate::vm::Op;
@@ -358,14 +359,16 @@ pub(crate) struct Ir {
 }
 
 /// Everything derived from a program's bytecode at first use: the
-/// load-time validation result, the lowering (or why there is none) and
-/// the compiled graph built from it.
+/// load-time validation result, the lowering (or why there is none),
+/// the compiled graph built from it and, on first ask, the shard-safety
+/// proof over it ([`Program::merge_plan`]).
 #[derive(Debug)]
 pub(crate) struct Lowered {
     /// Maximum operand-stack depth (`validate`).
     pub(crate) max_stack: usize,
     pub(crate) ir: Result<Ir, Bail>,
     pub(crate) compiled: Option<Arc<jit::CompiledProgram>>,
+    pub(crate) merge_plan: OnceLock<MergePlan>,
 }
 
 impl Lowered {
@@ -377,6 +380,7 @@ impl Lowered {
             max_stack,
             ir,
             compiled,
+            merge_plan: OnceLock::new(),
         }
     }
 }
@@ -625,22 +629,30 @@ mod tests {
 
     #[test]
     fn column_backend_bails_on_an_unblendable_join() {
-        use crate::analysis::{MergeClass, MergePlan, SlotPlan};
         use crate::{BatchBail, BatchEval};
-        // Hand-assembled: the two arms of a branch leave *different*
-        // mutable statics on the stack for the join to pick from — a
-        // value that depends on the path, which no lane blend can
-        // express. (The compiler never emits this; the vectorizer must
-        // still refuse it rather than trust that.)
-        let code = vec![
+        // Hand-assembled: two counters, then the two arms of a branch
+        // leave *different* mutable statics on the stack for the join
+        // to pick from — a value that depends on the path, which no
+        // lane blend can express. (The compiler never emits this; the
+        // vectorizer must still refuse it rather than trust that.)
+        let mut code = Vec::new();
+        for g in 0..2 {
+            code.extend([
+                Op::LoadGlobal(g),
+                Op::ConstI(1),
+                Op::AddI,
+                Op::StoreGlobal(g),
+            ]);
+        }
+        code.extend([
             Op::LoadInput(0),
-            Op::JmpIfFalse(4),
+            Op::JmpIfFalse(12),
             Op::LoadGlobal(0),
-            Op::Jmp(5),
+            Op::Jmp(13),
             Op::LoadGlobal(1),
             Op::Pop,
             Op::RetVoid,
-        ];
+        ]);
         let global = |n: &str| (n.to_owned(), Type::Int, GlobalInit::Int(0));
         let p = Program::from_parts(
             code,
@@ -648,17 +660,10 @@ mod tests {
             vec![global("a"), global("b")],
             0,
         );
-        let slot = |n: &str| SlotPlan {
-            name: n.to_owned(),
-            class: MergeClass::Counter,
-            escapes: false,
-        };
-        let plan = MergePlan {
-            slots: vec![slot("a"), slot("b")],
-        };
+        assert!(p.merge_plan().fully_mergeable());
         assert_eq!(
-            BatchEval::compile(&p, &plan, 1_000).unwrap_err(),
-            BatchBail::JoinShape { pc: 5 }
+            BatchEval::compile(&p).unwrap_err(),
+            BatchBail::JoinShape { pc: 13 }
         );
     }
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::analysis::{MergeClass, MergePlan, MinMaxOp};
+use crate::analysis::{MergeClass, MinMaxOp};
 use crate::compile::{GlobalInit, Program, Type};
 use crate::ir::Bail;
 use crate::jit;
@@ -20,14 +20,10 @@ fn init_raw(init: &GlobalInit) -> i64 {
 /// Why [`Instance::merge_from`] refused to fold two replicas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
-    /// The plan or the other instance has a different slot layout than
-    /// this instance — they were built from different programs.
-    PlanMismatch {
-        /// Slots in the supplied [`MergePlan`].
-        plan_slots: usize,
-        /// Static slots in this instance.
-        instance_slots: usize,
-    },
+    /// The other instance runs a different program (one not built from
+    /// this instance's [`Program`] or a clone of it), so its slots are
+    /// not this program's slots.
+    OtherProgram,
     /// A slot is classified `LastWriteWins` or `Opaque`; the program
     /// must be evaluated on a single instance instead.
     NotShardSafe {
@@ -41,13 +37,7 @@ pub enum MergeError {
 impl std::fmt::Display for MergeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MergeError::PlanMismatch {
-                plan_slots,
-                instance_slots,
-            } => write!(
-                f,
-                "merge plan has {plan_slots} slots but the instance has {instance_slots}"
-            ),
+            MergeError::OtherProgram => f.write_str("the other instance runs a different program"),
             MergeError::NotShardSafe { slot, name } => {
                 write!(f, "static \"{name}\" (slot {slot}) is not shard-safe")
             }
@@ -367,9 +357,11 @@ impl Instance {
         &self.globals
     }
 
-    /// Folds another replica's statics into this instance per `plan` —
-    /// the "spend the proof" half of the shard-safety analysis. Both
-    /// instances must run the same program `plan` was computed for.
+    /// Folds another replica's statics into this instance per the
+    /// program's own [`Program::merge_plan`] — the "spend the proof"
+    /// half of the shard-safety analysis. Both instances must be built
+    /// from one [`Program`] (or clones of it), so the plan that proves
+    /// the fold is the one both replicas ran.
     ///
     /// The folds are exact, not approximate: `Counter` sums deltas with
     /// wrapping arithmetic, `MinMax` takes the integer min/max,
@@ -382,18 +374,15 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// * [`MergeError::PlanMismatch`] if `plan`/`other` don't match this
-    ///   instance's slot layout.
+    /// * [`MergeError::OtherProgram`] if `other` runs a different
+    ///   program, even one with the same static layout.
     /// * [`MergeError::NotShardSafe`] if any slot is `LastWriteWins` or
     ///   `Opaque` — callers must fall back to single-instance evaluation.
-    pub fn merge_from(&mut self, other: &Instance, plan: &MergePlan) -> Result<(), MergeError> {
-        let n = self.globals.len();
-        if plan.slots.len() != n || other.globals.len() != n {
-            return Err(MergeError::PlanMismatch {
-                plan_slots: plan.slots.len(),
-                instance_slots: n,
-            });
+    pub fn merge_from(&mut self, other: &Instance) -> Result<(), MergeError> {
+        if !self.program.is(&other.program) {
+            return Err(MergeError::OtherProgram);
         }
+        let plan = self.program.merge_plan();
         // Validate everything before mutating anything: a failed merge
         // must not leave `self` half-folded.
         for (slot, sp) in plan.slots.iter().enumerate() {
@@ -574,16 +563,10 @@ impl Instance {
 
     /// Runs the program once per row of a row-major window of raw input
     /// bits (`stride` = the declared input count, rows back to back),
-    /// invoking `sink` with each run's outcome in row order. Semantics
-    /// are *exactly* `rows.chunks_exact(stride)` fed one at a time to
-    /// [`run_raw`](Instance::run_raw) — same per-row fuel budget, same
-    /// trap points, same statics evolution, bit-identical outcomes — but
-    /// the per-call setup (input marshalling, arena resets, driver
-    /// entry) is hoisted out of the row loop, which is where a scalar
-    /// call spends a large fraction of its time on small CPAs. Hot
-    /// ingest paths that already hold row batches (the bench rings)
-    /// use this; one-event-at-a-time hosts keep
-    /// calling `run_raw`.
+    /// invoking `sink` with each run's outcome in row order: a loop of
+    /// [`run_raw`](Instance::run_raw) over `rows.chunks_exact(stride)`,
+    /// each row through the one execution path with the same per-row
+    /// fuel budget, trap points and statics evolution.
     ///
     /// # Errors
     ///
@@ -611,59 +594,8 @@ impl Instance {
                 stride
             )));
         }
-        let Instance {
-            program,
-            globals,
-            compiled,
-            stack,
-            locals,
-            outputs,
-            ..
-        } = self;
-        let cp = compiled.as_deref();
-        let code = &program.code;
-        let n_locals = program.n_locals as usize;
-        locals.clear();
-        locals.resize(n_locals, 0);
-        // One context for the whole window; per row only the input
-        // pointer moves (and the arenas reset), so the driver's setup
-        // cost amortizes across the batch.
-        let mut ctx = jit::Ctx {
-            globals,
-            locals,
-            inputs: &[],
-            outputs,
-        };
-        // Whole-program fast path: the budget is fixed across the
-        // window, so the `max_fuel` gate hoists out of the loop — each
-        // row is one straight-line call with baked fuel constants.
-        if let Some(w) = cp.and_then(|cp| cp.whole.as_ref()) {
-            if fuel >= w.max_fuel {
-                for row in rows.chunks_exact(stride) {
-                    ctx.inputs = row;
-                    ctx.outputs.clear();
-                    let (ret, fuel_used) = w.exec(&mut ctx);
-                    sink(RunOutcome {
-                        ret,
-                        fuel_used,
-                        outputs: ctx.outputs,
-                    });
-                }
-                return Ok(());
-            }
-        }
         for row in rows.chunks_exact(stride) {
-            ctx.inputs = row;
-            if n_locals > 0 {
-                ctx.locals.iter_mut().for_each(|l| *l = 0);
-            }
-            ctx.outputs.clear();
-            let (ret, fuel_used) = drive(cp, code, stack, &mut ctx, fuel)?;
-            sink(RunOutcome {
-                ret,
-                fuel_used,
-                outputs: ctx.outputs,
-            });
+            sink(self.execute(Some(row), fuel, false)?);
         }
         Ok(())
     }
@@ -706,9 +638,9 @@ fn run_blocks(
     drive(cp, &program.code, stack, &mut ctx, fuel)
 }
 
-/// One event, block by block: the loop shared by [`Instance::execute`]
-/// (one context per scalar call) and [`Instance::run_raw_batch`] (one
-/// context per row, arenas hoisted across the window). Returns
+/// One event, block by block: the loop behind every run that does not
+/// take the whole-program path (its one caller is [`run_blocks`], the
+/// out-of-line half of [`Instance::execute`]). Returns
 /// `(ret, fuel_used)`; `out()` values land in `ctx.outputs`.
 ///
 /// With a compiled program this is direct-threaded block chaining with
@@ -1195,6 +1127,29 @@ mod tests {
             let r = inst.run(&[Value::Int(0)], 1_000).unwrap();
             assert_eq!((r.ret, r.outputs), (1, &[(0, 1.0)][..]));
         }
+    }
+
+    /// Another program's instance is refused even when its static layout
+    /// matches slot for slot: its statics mean something else, so no
+    /// fold of them is this program's.
+    #[test]
+    fn merge_from_refuses_another_programs_instance() {
+        let counter = Program::compile("static int n = 0; n = n + 1; return n;", &[]).unwrap();
+        let max = Program::compile("static int n = 0; n = max(n, 7); return n;", &[]).unwrap();
+        let (mut a, mut b) = (Instance::new(&counter), Instance::new(&max));
+        a.run(&[], 100).unwrap();
+        b.run(&[], 100).unwrap();
+        assert_eq!(a.merge_from(&b), Err(MergeError::OtherProgram));
+        assert_eq!(
+            a.raw_globals(),
+            &[1],
+            "a refused merge leaves the statics alone"
+        );
+        // A clone of the program is the same program.
+        let mut c = Instance::new(&counter.clone());
+        c.run(&[], 100).unwrap();
+        a.merge_from(&c).unwrap();
+        assert_eq!(a.raw_globals(), &[2]);
     }
 
     /// The load-time validator rejects bytecode whose control flow leaves

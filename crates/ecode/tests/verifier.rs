@@ -158,6 +158,16 @@ fn w0003_same_line_statics_keep_declaration_order() {
     }
 }
 
+/// A static declared in a branch that returns is still declared: the
+/// join forgets the branch's state, not the declaration.
+#[test]
+fn w0003_static_in_a_returning_branch() {
+    let ds = diags("if (size > 0) {\nstatic int a = 0;\nreturn 1;\n}\nreturn 0;");
+    let d = find(&ds, "W0003");
+    assert_eq!(d.line, 2);
+    assert_eq!(d.message, "static variable \"a\" is never read");
+}
+
 #[test]
 fn w0004_unused_inputs_combined() {
     let ds = diags("return size;");
@@ -187,6 +197,25 @@ fn w0005_dead_branch() {
         d.message,
         "condition is always false: the then branch never runs"
     );
+}
+
+/// A literal leg that decides `&&` / `||` makes the branch dead when
+/// the other leg cannot trap or publish: the optimizer deletes it, and
+/// the lint says so. A leg that can trap keeps its evaluation, and the
+/// lint stays quiet as the optimizer keeps the branch.
+#[test]
+fn w0005_a_deciding_literal_leg_beside_a_pure_one() {
+    let dead = |src: &str| diags(src).iter().any(|d| d.code == "W0005");
+    assert!(dead("if (size > 0 && 1 > 2) { out(0, size); }\nreturn 0;"));
+    assert!(dead(
+        "if (size > 0 || 2 > 1) { return 1; } else { return 2; }"
+    ));
+    assert!(!dead(
+        "if (size / port > 0 && 1 > 2) { out(0, size); }\nreturn 0;"
+    ));
+    assert!(!dead(
+        "if (size > 0 && port > 2) { out(0, size); }\nreturn 0;"
+    ));
 }
 
 #[test]
@@ -757,7 +786,7 @@ fn check_shard_exactness(src: &str, history: &[(i64, i64)], rng: &mut Rng) -> ec
         let mut merged = Instance::new(&program);
         for i in 0..k {
             merged
-                .merge_from(&shards[(start + i) % k], plan)
+                .merge_from(&shards[(start + i) % k])
                 .unwrap_or_else(|e| panic!("mergeable plan refused to fold: {e}\n{src}"));
         }
         assert_eq!(
@@ -839,8 +868,7 @@ fn check_batch_exactness(src: &str, history: &[[i64; 2]]) -> bool {
     let verified = verify(src, &INPUTS, &limits)
         .unwrap_or_else(|e| panic!("generator tripped the verifier: {e}\n{src}"));
     let (program, report) = verified.into_parts();
-    let Some(mut be) = BatchEval::try_compile(&program, &report.merge_plan, report.fuel_bound)
-    else {
+    let Ok(mut be) = BatchEval::compile(&program) else {
         return false;
     };
     let mut scalar = Instance::new(&program);
@@ -1059,7 +1087,14 @@ fn compile_outcome(src: &str) -> String {
 /// Pinned with the unused-static order fixed (declaration order), then
 /// re-pinned once for the optimizer's `e && false` / `e || true` fold,
 /// which changed the admitted bytecode of 6 of these programs (and the
-/// outcome of no `Program::compile`).
+/// outcome of no `Program::compile`). Re-pinned once more when the
+/// checker took the optimizer's pure-leg rule (`W0005` on 4 programs;
+/// 2 of them also lost the `W0001`s of a body now known dead, and one
+/// of those gained a `W0007` for a local that body declared) and
+/// `W0003` came to read declarations (no program here moved): no
+/// bytecode, bound, plan or accept/reject outcome changed.
+/// Every admitted program's `Debug` now also prints the merge plan the
+/// program keeps beside its lowering.
 #[test]
 fn verifier_transcript_is_pinned() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
@@ -1080,7 +1115,7 @@ fn verifier_transcript_is_pinned() {
     }
     assert_eq!(programs, 2648);
     assert_eq!(
-        h.0, 0x7983_1eff_de2b_c284,
+        h.0, 0x8d8b_0100_ede7_c46b,
         "verifier transcript moved: {:#018x}",
         h.0
     );
@@ -1111,9 +1146,9 @@ mod merge_props {
         ),
     ];
 
-    fn fold(a: &Instance, b: &Instance, plan: &ecode::MergePlan) -> Instance {
+    fn fold(a: &Instance, b: &Instance) -> Instance {
         let mut x = a.clone();
-        x.merge_from(b, plan).expect("shard-safe plan folds");
+        x.merge_from(b).expect("shard-safe plan folds");
         x
     }
 
@@ -1130,7 +1165,6 @@ mod merge_props {
                 let v = verify(src, &INPUTS, &VerifyLimits::default().require_mergeable())
                     .expect(label);
                 let (program, report) = v.into_parts();
-                let plan = &report.merge_plan;
                 let mut insts =
                     [Instance::new(&program), Instance::new(&program), Instance::new(&program)];
                 for &(x, y, which) in &events {
@@ -1139,15 +1173,15 @@ mod merge_props {
                         .expect("lattice programs never trap");
                 }
                 let [a, b, c] = &insts;
-                let ab = fold(a, b, plan);
-                let ba = fold(b, a, plan);
+                let ab = fold(a, b);
+                let ba = fold(b, a);
                 prop_assert_eq!(ab.raw_globals(), ba.raw_globals(), "{} commutes", label);
-                let ab_c = fold(&ab, c, plan);
-                let bc = fold(b, c, plan);
-                let a_bc = fold(a, &bc, plan);
+                let ab_c = fold(&ab, c);
+                let bc = fold(b, c);
+                let a_bc = fold(a, &bc);
                 prop_assert_eq!(ab_c.raw_globals(), a_bc.raw_globals(), "{} associates", label);
                 let fresh = Instance::new(&program);
-                let a_id = fold(a, &fresh, plan);
+                let a_id = fold(a, &fresh);
                 prop_assert_eq!(a_id.raw_globals(), a.raw_globals(), "{} identity", label);
             }
         }

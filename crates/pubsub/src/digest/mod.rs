@@ -1,6 +1,6 @@
 //! Sharded digest evaluation: K replica instances of one E-Code
-//! program, partitioned by flow key, folded back with the program's
-//! [`MergePlan`].
+//! program, partitioned by flow key, folded back with the program's own
+//! [`MergePlan`] ([`ecode::Program::merge_plan`]).
 //!
 //! A *digest* is an E-Code program whose statics accumulate across
 //! every ingested record — unlike a subscription [`Filter`](crate::Hub),
@@ -20,14 +20,17 @@
 //! one replica — correctness never depends on the caller checking the
 //! plan first.
 //!
+//! The plan lives on the program: the replica count, the column
+//! evaluator (`BatchEval::compile(&program)`) and every `merge_from`
+//! fold read the same one, and the evaluator's fuel is exact for the
+//! program's own bound, the budget every scalar row here runs with.
+//!
 //! Replicas buy no speed on one thread; they exist because the merge
 //! proof needs a runtime differential: the same stream through K
 //! replicas and through one must fold to the same bits
 //! (`tests/sharded_gpa.rs`, sysbench's `gpa_wire`). DESIGN.md §11.
 
-use ecode::{
-    BatchEval, Instance, MergeError, MergePlan, Value as EValue, VerifyLimits, VerifyReport,
-};
+use ecode::{BatchEval, Instance, MergeError, MergePlan, Value as EValue, VerifyLimits};
 use pbio::Schema;
 
 use crate::PubSubError;
@@ -88,7 +91,6 @@ struct Replica {
 /// string/bytes fields are skipped.
 pub struct ShardedDigest {
     program: ecode::Program,
-    plan: MergePlan,
     replicas: Vec<Replica>,
     /// The column evaluator every replica's rows go through; `None`
     /// when the vectorizer refused the program (see `batch_bail`).
@@ -162,17 +164,12 @@ impl ShardedDigest {
         let limits = VerifyLimits::with_max_fuel(DIGEST_FUEL_BUDGET);
         let verified = ecode::verify(src, &inputs, &limits).map_err(PubSubError::BadFilter)?;
         let (program, report) = verified.into_parts();
-        let VerifyReport {
-            fuel_bound,
-            merge_plan,
-            ..
-        } = report;
-        let running = if merge_plan.fully_mergeable() {
+        let running = if program.merge_plan().fully_mergeable() {
             shards.clamp(1, MAX_SHARDS)
         } else {
             1
         };
-        let (batch, batch_bail) = match BatchEval::compile(&program, &merge_plan, fuel_bound) {
+        let (batch, batch_bail) = match BatchEval::compile(&program) {
             Ok(batch) => (Some(batch), None),
             Err(bail) => (None, Some(bail)),
         };
@@ -194,7 +191,6 @@ impl ShardedDigest {
         Ok(ShardedDigest {
             tier: replicas[0].inst.tier(),
             program,
-            plan: merge_plan,
             replicas,
             batch,
             requested_shards: shards,
@@ -205,7 +201,7 @@ impl ShardedDigest {
             scratch_rows: 0,
             shard_ids: Vec::new(),
             raw_row: Vec::new(),
-            fuel_bound,
+            fuel_bound: report.fuel_bound,
             batch_bail,
             skipped: 0,
             fuel_spent: 0,
@@ -213,9 +209,10 @@ impl ShardedDigest {
         })
     }
 
-    /// The shard-safety classification the replica count was decided by.
+    /// The shard-safety classification the replica count was decided by:
+    /// the program's own.
     pub fn plan(&self) -> &MergePlan {
-        &self.plan
+        self.program.merge_plan()
     }
 
     /// Statically proven worst-case fuel per record.
@@ -383,7 +380,8 @@ impl ShardedDigest {
         }
     }
 
-    /// Folds every replica's statics into a fresh instance per the plan.
+    /// Folds every replica's statics into a fresh instance of the same
+    /// program, per that program's plan.
     ///
     /// A fresh instance (statics at their declared initial values) is
     /// the identity element of each shard-safe fold, so folding the
@@ -396,7 +394,7 @@ impl ShardedDigest {
         }
         let mut acc = Instance::new(&self.program);
         for replica in &self.replicas {
-            acc.merge_from(&replica.inst, &self.plan)?;
+            acc.merge_from(&replica.inst)?;
         }
         Ok(acc)
     }

@@ -53,14 +53,14 @@ const DEEP_JOIN: &str =
     "return size > 0 == (pid > 0 == (size > 1 == (pid > 1 == (size > 2 && pid > 2))));";
 
 /// Prints which execution path the loader chose for `program`, and why.
-fn explain_paths(name: &str, program: &Program, report: &ecode::VerifyReport) {
+fn explain_paths(name: &str, program: &Program) {
     let inst = Instance::new(program);
     match (inst.tier(), inst.compile_bail()) {
         (ExecTier::Compiled, _) => println!("  {name}: compiled tier"),
         (ExecTier::Fused, Some(why)) => println!("  {name}: interpreter — {why}"),
         (ExecTier::Fused, None) => println!("  {name}: interpreter (by request)"),
     }
-    match BatchEval::compile(program, &report.merge_plan, report.fuel_bound) {
+    match BatchEval::compile(program) {
         Ok(_) => println!("  {name}: a digest would evaluate it column-wise"),
         Err(why) => println!("  {name}: no column evaluation — {why}"),
     }
@@ -104,9 +104,7 @@ fn main() {
         ("deep join", DEEP_JOIN),
         ("gated counter", counter),
     ] {
-        let (program, report) = verify(src, &EVENT_INPUTS, &limits)
-            .expect("admitted")
-            .into_parts();
-        explain_paths(name, &program, &report);
+        let verified = verify(src, &EVENT_INPUTS, &limits).expect("admitted");
+        explain_paths(name, verified.get());
     }
 }
