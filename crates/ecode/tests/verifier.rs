@@ -1057,24 +1057,39 @@ impl Fnv {
 }
 
 /// What `verify` says about `src`: the rendered rejection, or the whole
-/// report (fuel bounds, code lengths, merge plan, warnings) and the
-/// admitted program's `Debug` (its bytecode, input and static layout).
+/// report (fuel bounds, code lengths, merge plan, warnings), the
+/// admitted program's `Debug` (its bytecode, input and static layout)
+/// and what its executors are built as ([`executors`]).
 fn verify_outcome(src: &str, limits: &VerifyLimits) -> String {
     match verify(src, &INPUTS, limits) {
         Ok(v) => {
             let (program, report) = v.into_parts();
-            format!("ok {report:?}\n{program:?}")
+            format!("ok {report:?}\n{program:?}\n{}", executors(&program))
         }
         Err(e) => format!("err {e}"),
     }
 }
 
-/// What `Program::compile` says about `src`.
+/// What `Program::compile` says about `src`, and for a program it
+/// accepts what its executors are built as.
 fn compile_outcome(src: &str) -> String {
     match Program::compile(src, &INPUTS) {
-        Ok(p) => format!("ok {p:?}"),
+        Ok(p) => format!("ok {p:?}\n{}", executors(&p)),
         Err(e) => format!("err {e}"),
     }
+}
+
+/// The executors an install builds from `program`: the compiled tier's
+/// shape (whole path, specialized and reachable blocks) and bail, and
+/// the column backend's vector ops and pools, or why it refused.
+fn executors(program: &Program) -> String {
+    let inst = Instance::new(program);
+    format!(
+        "{:?} {:?} {:?}",
+        inst.compiled_shape(),
+        inst.compile_bail(),
+        BatchEval::compile(program)
+    )
 }
 
 /// The verifier's whole transcript over the sweep corpus, as one hash:
@@ -1093,8 +1108,12 @@ fn compile_outcome(src: &str) -> String {
 /// of those gained a `W0007` for a local that body declared) and
 /// `W0003` came to read declarations (no program here moved): no
 /// bytecode, bound, plan or accept/reject outcome changed.
-/// Every admitted program's `Debug` now also prints the merge plan the
-/// program keeps beside its lowering.
+/// Re-based when `Program`'s `Debug` stopped printing its cached
+/// lowering (IR, compiled graph, merge plan) and the transcript took
+/// each accepted program's executors instead ([`executors`]): a
+/// per-program dump before and after showed no diagnostic, bytecode,
+/// bound or merge plan moved. A change to the lowering that keeps the
+/// compiled shapes, bails and column ops keeps this value.
 #[test]
 fn verifier_transcript_is_pinned() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
@@ -1115,7 +1134,7 @@ fn verifier_transcript_is_pinned() {
     }
     assert_eq!(programs, 2648);
     assert_eq!(
-        h.0, 0x8d8b_0100_ede7_c46b,
+        h.0, 0xa21c_1e98_2399_6cf4,
         "verifier transcript moved: {:#018x}",
         h.0
     );
