@@ -39,7 +39,7 @@ mod tests {
 
     fn bound_of(src: &str, inputs: &[(&str, Type)]) -> (Program, u64) {
         let p = Program::compile(src, inputs).expect("compiles");
-        let b = max_fuel(&p.code);
+        let b = max_fuel(p.code());
         (p, b)
     }
 

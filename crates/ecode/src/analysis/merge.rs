@@ -48,7 +48,7 @@
 //! leaves statics partially updated, sequentially or sharded).
 
 use crate::compile::Program;
-use crate::ir::{bits_of, Bin, Block, Ex, Step, Term, Un, MAX_BLOCKS};
+use crate::ir::{bits_of, Bin, Block, Node, NodeId, Step, Term, Un, MAX_BLOCKS};
 
 /// Which fold a [`MergeClass::MinMax`] slot uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,6 +296,8 @@ fn postdominators(blocks: &[Block]) -> Vec<BlockSet> {
 // ---------------------------------------------------------------------
 
 struct Pass<'a> {
+    /// The lowering's node table, which the blocks' trees index.
+    nodes: &'a [Node],
     blocks: &'a [Block],
     /// Static names, for the reasons.
     names: Vec<&'a str>,
@@ -318,16 +320,17 @@ struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    fn new(program: &'a Program, blocks: &'a [Block]) -> Pass<'a> {
+    fn new(program: &'a Program, nodes: &'a [Node], blocks: &'a [Block]) -> Pass<'a> {
         Pass {
+            nodes,
             blocks,
-            names: program.globals.iter().map(|(n, _, _)| &n[..]).collect(),
+            names: program.globals().iter().map(|(n, _, _)| &n[..]).collect(),
             pd: postdominators(blocks),
             in_state: vec![None; blocks.len()],
             ctrl_tainted: vec![false; blocks.len()],
             edge_tainted: vec![false; blocks.len()],
-            escapes: vec![false; program.globals.len()],
-            sites: vec![Vec::new(); program.globals.len()],
+            escapes: vec![false; program.globals().len()],
+            sites: vec![Vec::new(); program.globals().len()],
         }
     }
 
@@ -371,15 +374,15 @@ impl<'a> Pass<'a> {
     }
 
     /// Abstract value of the tree `e` in state `st`.
-    fn eval(&mut self, e: &Ex, st: &State) -> Abs {
-        match e {
-            Ex::Carry(i) => st.carries[*i as usize],
-            Ex::ConstI(k) => Abs::Const(*k),
-            Ex::ConstF(v) => Abs::Const(bits_of(*v)),
-            Ex::Input(_) => Abs::Mixed { tainted: false },
-            Ex::Global(g) => Abs::Global(*g),
-            Ex::Local(i) => st.locals[*i as usize],
-            Ex::Bin(op, l, r) => {
+    fn eval(&mut self, e: NodeId, st: &State) -> Abs {
+        match self.nodes[e as usize] {
+            Node::Carry(i) => st.carries[i as usize],
+            Node::ConstI(k) => Abs::Const(k),
+            Node::ConstF(v) => Abs::Const(bits_of(v)),
+            Node::Input(_) => Abs::Mixed { tainted: false },
+            Node::Global(g) => Abs::Global(g),
+            Node::Local(i) => st.locals[i as usize],
+            Node::Bin(op, l, r) => {
                 let (a, b) = (self.eval(l, st), self.eval(r, st));
                 let (fam, rhs_may_acc) = match op {
                     Bin::AddI => (Upd::Add, true),
@@ -404,7 +407,7 @@ impl<'a> Pass<'a> {
                     _ => self.upd2(a, b, fam, rhs_may_acc),
                 }
             }
-            Ex::Un(op, e) => match (op, self.eval(e, st)) {
+            Node::Un(op, e) => match (op, self.eval(e, st)) {
                 (Un::NegI | Un::I2F, Abs::Const(k)) => Abs::Const(op.apply(k)),
                 (_, v) => {
                     self.observe(v);
@@ -537,12 +540,12 @@ impl<'a> Pass<'a> {
             let Some(mut st) = self.in_state[b].take() else {
                 continue;
             };
-            for step in &block.steps {
+            for &step in &block.steps {
                 match step {
-                    Step::StoreLocal(i, e) => st.locals[*i as usize] = self.eval(e, &st),
+                    Step::StoreLocal(i, e) => st.locals[i as usize] = self.eval(e, &st),
                     Step::StoreGlobal(g, e) => {
                         let v = self.eval(e, &st);
-                        self.store_global(b, *g, v);
+                        self.store_global(b, g, v);
                     }
                     Step::Out(slot, value) => {
                         let (slot, value) = (self.eval(slot, &st), self.eval(value, &st));
@@ -556,8 +559,8 @@ impl<'a> Pass<'a> {
             }
             // `carry_out` and the terminator's operand both read the
             // *incoming* carries; only the out-edges see the new ones.
-            let carries = block.carry_out.iter().map(|e| self.eval(e, &st)).collect();
-            match &block.term {
+            let carries = block.carry_out.iter().map(|&e| self.eval(e, &st)).collect();
+            match block.term {
                 Term::Br { cond, .. } => {
                     let cond = self.eval(cond, &st);
                     self.observe(cond);
@@ -646,7 +649,7 @@ impl<'a> Pass<'a> {
 
 /// A plan with `slot(i)` as the class and `escapes` of static `i`.
 fn plan(program: &Program, mut slot: impl FnMut(usize) -> (MergeClass, bool)) -> MergePlan {
-    let slots = program.globals.iter().enumerate();
+    let slots = program.globals().iter().enumerate();
     let slots = slots.map(|(i, (name, _, _))| {
         let (class, escapes) = slot(i);
         SlotPlan {
@@ -685,7 +688,7 @@ pub(crate) fn classify(program: &Program) -> MergePlan {
             return opaque_all("control flow is not a forward DAG".to_owned());
         }
     }
-    let mut pass = Pass::new(program, &ir.blocks);
-    pass.run(program.n_locals as usize);
+    let mut pass = Pass::new(program, &ir.nodes, &ir.blocks);
+    pass.run(program.n_locals() as usize);
     plan(program, |i| (pass.combine(i), pass.escapes[i]))
 }

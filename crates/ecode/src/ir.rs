@@ -27,9 +27,19 @@
 //! (left subtree, right subtree, operator) and statements flush in
 //! program order. Values still on the operand stack at the terminator
 //! are `carry_out`, evaluated before the branch condition or return
-//! value; the successor reads them back as [`Ex::Carry`]. `fuel` is the
-//! number of `Op`s the block covers — what the interpreter charges one
-//! op at a time — so fuels summed along any path equal `fuel_used`.
+//! value; the successor reads them back as [`Node::Carry`]. `fuel` is
+//! the number of `Op`s the block covers — what the interpreter charges
+//! one op at a time — so fuels summed along any path equal `fuel_used`.
+//!
+//! # One node table
+//!
+//! The trees of every block live in one table per lowering,
+//! [`Ir::nodes`]: a [`Node`] names its operands, and a statement, a
+//! terminator or a carry names its tree, by [`NodeId`]. A lowering so
+//! allocates per table and per block, not per expression node, and a
+//! backend reads the trees where they lie: the compiled tier merges
+//! jump chains over this table, adding only the nodes a carry
+//! substitution creates (`jit::compile`).
 //!
 //! Operators get their single scalar meaning here too: [`Bin::apply`],
 //! [`Un::apply`] and [`Cmp::eval`], with a lane-wise `sweep` generated
@@ -251,9 +261,12 @@ impl Cmp {
     }
 }
 
-/// Expression tree for one stack value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Ex {
+/// Index of a [`Node`] in its table.
+pub(crate) type NodeId = u32;
+
+/// One node of an expression tree; operands are ids in the same table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Node {
     /// Value carried in from the predecessor block (slot of its
     /// `carry_out`).
     Carry(u8),
@@ -262,62 +275,72 @@ pub(crate) enum Ex {
     Input(u16),
     Global(u16),
     Local(u16),
-    Bin(Bin, Box<Ex>, Box<Ex>),
-    Un(Un, Box<Ex>),
+    Bin(Bin, NodeId, NodeId),
+    Un(Un, NodeId),
 }
 
-impl Ex {
-    /// Whether evaluating the tree can raise a trap.
-    pub(crate) fn can_trap(&self) -> bool {
-        match self {
-            Ex::Bin(op, l, r) => op.can_trap() || l.can_trap() || r.can_trap(),
-            Ex::Un(_, e) => e.can_trap(),
-            Ex::Carry(_)
-            | Ex::ConstI(_)
-            | Ex::ConstF(_)
-            | Ex::Input(_)
-            | Ex::Global(_)
-            | Ex::Local(_) => false,
+/// Read access to a node table: the lowering's own, or a backend's view
+/// of it with the nodes it added.
+pub(crate) trait Nodes {
+    fn node(&self, id: NodeId) -> Node;
+
+    /// Whether evaluating the tree at `id` can raise a trap.
+    fn can_trap(&self, id: NodeId) -> bool {
+        match self.node(id) {
+            Node::Bin(op, l, r) => op.can_trap() || self.can_trap(l) || self.can_trap(r),
+            Node::Un(_, e) => self.can_trap(e),
+            Node::Carry(_)
+            | Node::ConstI(_)
+            | Node::ConstF(_)
+            | Node::Input(_)
+            | Node::Global(_)
+            | Node::Local(_) => false,
         }
     }
 }
 
+impl Nodes for [Node] {
+    fn node(&self, id: NodeId) -> Node {
+        self[id as usize]
+    }
+}
+
 /// One statement's effect, in program order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Step {
-    StoreGlobal(u16, Ex),
-    StoreLocal(u16, Ex),
+    StoreGlobal(u16, NodeId),
+    StoreLocal(u16, NodeId),
     /// `out(slot, value)` — slot evaluates first (it was pushed first).
-    Out(Ex, Ex),
+    Out(NodeId, NodeId),
     /// Expression statement that can trap: evaluate for effect, discard.
-    Eval(Ex),
+    Eval(NodeId),
 }
 
 /// Block terminator. Targets are block indices.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Term {
     Jmp(u32),
     /// `if (cond == 0) goto on_false else goto on_true` — `JmpIfFalse`
     /// with the fall-through edge made explicit (`on_true` is always the
     /// next block in pc order).
     Br {
-        cond: Ex,
+        cond: NodeId,
         on_false: u32,
         on_true: u32,
     },
-    Ret(Ex),
+    Ret(NodeId),
     RetC(i64),
 }
 
 impl Term {
-    /// A conditional branch, folded when the condition is a literal:
-    /// `push 0; jump-if-false` is the `&&` false arm feeding an `if` —
-    /// an unconditional jump.
-    pub(crate) fn br(cond: Ex, on_false: u32, on_true: u32) -> Term {
-        match cond {
-            Ex::ConstI(0) => Term::Jmp(on_false),
-            Ex::ConstI(_) => Term::Jmp(on_true),
-            cond => Term::Br {
+    /// A conditional branch on the tree `cond`, whose root is `node`,
+    /// folded when the condition is a literal: `push 0; jump-if-false`
+    /// is the `&&` false arm feeding an `if` — an unconditional jump.
+    pub(crate) fn br(cond: NodeId, node: Node, on_false: u32, on_true: u32) -> Term {
+        match node {
+            Node::ConstI(0) => Term::Jmp(on_false),
+            Node::ConstI(_) => Term::Jmp(on_true),
+            _ => Term::Br {
                 cond,
                 on_false,
                 on_true,
@@ -325,15 +348,16 @@ impl Term {
         }
     }
 
-    pub(crate) fn ret(e: Ex) -> Term {
-        match e {
-            Ex::ConstI(c) => Term::RetC(c),
-            e => Term::Ret(e),
+    /// A return of the tree `e`, whose root is `node`.
+    pub(crate) fn ret(e: NodeId, node: Node) -> Term {
+        match node {
+            Node::ConstI(c) => Term::RetC(c),
+            _ => Term::Ret(e),
         }
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Block {
     /// Bytecode pc of the block entry.
     pub(crate) entry_pc: u32,
@@ -343,45 +367,60 @@ pub(crate) struct Block {
     /// Stack values live across the terminator, bottom-up. For
     /// `Jmp`/`Br` they become the successor's carries; for returns they
     /// are evaluated for traps and discarded.
-    pub(crate) carry_out: Vec<Ex>,
+    pub(crate) carry_out: Vec<NodeId>,
     pub(crate) term: Term,
     /// `Op`s covered — the fuel the interpreter charges for the block.
     pub(crate) fuel: u64,
 }
 
 /// A lowered program: blocks in ascending `entry_pc` order, block 0 at
-/// pc 0.
+/// pc 0, over one node table.
 #[derive(Debug)]
 pub(crate) struct Ir {
+    /// Every block's expression nodes.
+    pub(crate) nodes: Vec<Node>,
     pub(crate) blocks: Vec<Block>,
     /// Bytecode pc → block index (`u32::MAX` where no block starts).
     pub(crate) pc2block: Vec<u32>,
 }
 
 /// Everything derived from a program's bytecode at first use: the
-/// load-time validation result, the lowering (or why there is none),
-/// the compiled graph built from it and, on first ask, the shard-safety
-/// proof over it ([`Program::merge_plan`]).
+/// load-time validation result and the lowering (or why there is
+/// none), then on first ask the compiled graph built from it
+/// ([`Lowered::compiled`]) and the shard-safety proof over it
+/// ([`Program::merge_plan`]).
 #[derive(Debug)]
 pub(crate) struct Lowered {
     /// Maximum operand-stack depth (`validate`).
     pub(crate) max_stack: usize,
     pub(crate) ir: Result<Ir, Bail>,
-    pub(crate) compiled: Option<Arc<jit::CompiledProgram>>,
+    compiled: OnceLock<Option<Arc<jit::CompiledProgram>>>,
     pub(crate) merge_plan: OnceLock<MergePlan>,
 }
 
 impl Lowered {
     pub(crate) fn new(program: &Program) -> Lowered {
         let (max_stack, depth_at) = crate::vm::validate(program);
-        let ir = lower(program, &depth_at);
-        let compiled = ir.as_ref().ok().map(|ir| Arc::new(jit::compile(ir)));
         Lowered {
             max_stack,
-            ir,
-            compiled,
+            ir: lower(program, &depth_at),
+            compiled: OnceLock::new(),
             merge_plan: OnceLock::new(),
         }
+    }
+
+    /// The compiled graph, `None` when the program did not lower. Built
+    /// by the first [`Instance::new`](crate::Instance::new) and shared by
+    /// every instance after it, so a program that only the verifier
+    /// saw — one it refused — never builds closures.
+    pub(crate) fn compiled(&self) -> Option<&Arc<jit::CompiledProgram>> {
+        let build = || {
+            let ir = self.ir.as_ref().ok()?;
+            #[cfg(test)]
+            BUILT.with(|n| n.set(n.get() + 1));
+            Some(Arc::new(jit::compile(ir)))
+        };
+        self.compiled.get_or_init(build).as_ref()
     }
 }
 
@@ -389,7 +428,7 @@ impl Lowered {
 /// the operand-stack depth on entry to `pc` computed by `validate`
 /// (−1 = unreachable: dead code is never entered, never lowered).
 pub(crate) fn lower(program: &Program, depth_at: &[i32]) -> Result<Ir, Bail> {
-    let code = &program.code;
+    let code = program.code();
     if code.len() > MAX_OPS {
         return Err(Bail::TooManyOps);
     }
@@ -423,137 +462,186 @@ pub(crate) fn lower(program: &Program, depth_at: &[i32]) -> Result<Ir, Bail> {
     if entries.len() > MAX_BLOCKS {
         return Err(Bail::TooManyBlocks);
     }
+    // Each op adds at most one node, and each block entry its carries.
+    let carries: usize = entries.iter().map(|&e| depth_at[e] as usize).sum();
+    let mut lowering = Lowering {
+        code,
+        pc2block: &pc2block,
+        nodes: Vec::with_capacity(code.len() + carries),
+        sym: Vec::new(),
+    };
     let blocks = entries
         .iter()
-        .map(|&entry| lower_block(code, entry, depth_at[entry] as usize, &pc2block))
+        .map(|&entry| lowering.block(entry, depth_at[entry] as usize))
         .collect::<Result<_, _>>()?;
-    Ok(Ir { blocks, pc2block })
-}
-
-fn pop(sym: &mut Vec<Ex>) -> Ex {
-    sym.pop().expect("validate proved no stack underflow")
-}
-
-fn node2(sym: &mut Vec<Ex>, op: Bin) {
-    let r = Box::new(pop(sym));
-    let l = Box::new(pop(sym));
-    sym.push(Ex::Bin(op, l, r));
-}
-
-fn node1(sym: &mut Vec<Ex>, op: Un) {
-    let e = Box::new(pop(sym));
-    sym.push(Ex::Un(op, e));
-}
-
-/// Symbolically executes one block, reconstructing per-statement
-/// expression trees from the stack code.
-fn lower_block(
-    code: &[Op],
-    entry: usize,
-    carry_in: usize,
-    pc2block: &[u32],
-) -> Result<Block, Bail> {
-    let mut sym: Vec<Ex> = (0..carry_in).map(|i| Ex::Carry(i as u8)).collect();
-    let sym = &mut sym;
-    let mut steps = Vec::new();
-    let mut pc = entry;
-    let term = loop {
-        if pc > entry && pc2block[pc] != u32::MAX {
-            break Term::Jmp(pc2block[pc]); // fall-through: costs no fuel
-        }
-        let at = pc as u32;
-        let op = code[pc];
-        pc += 1;
-        // A statement must leave only entry carries pending beneath it:
-        // anything else would evaluate *after* the store where the
-        // bytecode ran it before. The compiler's statement discipline
-        // guarantees this; bail, don't trust.
-        let mut stmt = |sym: &[Ex], step: Option<Step>| {
-            if !sym.iter().all(|e| matches!(e, Ex::Carry(_))) {
-                return Err(Bail::StackResidue { pc: at });
-            }
-            steps.extend(step);
-            Ok(())
-        };
-        match op {
-            Op::ConstI(v) => sym.push(Ex::ConstI(v)),
-            Op::ConstF(v) => sym.push(Ex::ConstF(v)),
-            Op::LoadInput(i) => sym.push(Ex::Input(i)),
-            Op::LoadGlobal(i) => sym.push(Ex::Global(i)),
-            Op::LoadLocal(i) => sym.push(Ex::Local(i)),
-            Op::StoreGlobal(g) => {
-                let e = pop(sym);
-                stmt(sym, Some(Step::StoreGlobal(g, e)))?;
-            }
-            Op::StoreLocal(l) => {
-                let e = pop(sym);
-                stmt(sym, Some(Step::StoreLocal(l, e)))?;
-            }
-            Op::Out => {
-                let value = pop(sym);
-                let slot = pop(sym);
-                stmt(sym, Some(Step::Out(slot, value)))?;
-            }
-            Op::Pop => {
-                // A discarded `1 / x` still traps; a trap-free discard
-                // is dropped outright — nothing can observe it, and its
-                // ops stay in the block's fuel either way.
-                let e = pop(sym);
-                stmt(sym, e.can_trap().then_some(Step::Eval(e)))?;
-            }
-            Op::I2FUnder => {
-                let top = pop(sym);
-                node1(sym, Un::I2F);
-                sym.push(top);
-            }
-            Op::I2F => node1(sym, Un::I2F),
-            Op::NegI => node1(sym, Un::NegI),
-            Op::NegF => node1(sym, Un::NegF),
-            Op::NotB => node1(sym, Un::NotB),
-            Op::AbsI => node1(sym, Un::AbsI),
-            Op::AbsF => node1(sym, Un::AbsF),
-            Op::AddI => node2(sym, Bin::AddI),
-            Op::SubI => node2(sym, Bin::SubI),
-            Op::MulI => node2(sym, Bin::MulI),
-            Op::DivI => node2(sym, Bin::DivI),
-            Op::ModI => node2(sym, Bin::ModI),
-            Op::AddF => node2(sym, Bin::AddF),
-            Op::SubF => node2(sym, Bin::SubF),
-            Op::MulF => node2(sym, Bin::MulF),
-            Op::DivF => node2(sym, Bin::DivF),
-            Op::MinI => node2(sym, Bin::MinI),
-            Op::MinF => node2(sym, Bin::MinF),
-            Op::MaxI => node2(sym, Bin::MaxI),
-            Op::MaxF => node2(sym, Bin::MaxF),
-            Op::EqI => node2(sym, Bin::EqI),
-            Op::NeI => node2(sym, Bin::NeI),
-            Op::LtI => node2(sym, Bin::LtI),
-            Op::LeI => node2(sym, Bin::LeI),
-            Op::GtI => node2(sym, Bin::GtI),
-            Op::GeI => node2(sym, Bin::GeI),
-            Op::EqF => node2(sym, Bin::EqF),
-            Op::NeF => node2(sym, Bin::NeF),
-            Op::LtF => node2(sym, Bin::LtF),
-            Op::LeF => node2(sym, Bin::LeF),
-            Op::GtF => node2(sym, Bin::GtF),
-            Op::GeF => node2(sym, Bin::GeF),
-            Op::Jmp(t) => break Term::Jmp(pc2block[t as usize]),
-            Op::JmpIfFalse(t) => break Term::br(pop(sym), pc2block[t as usize], pc2block[pc]),
-            Op::Ret => break Term::ret(pop(sym)),
-            Op::RetVoid => break Term::RetC(0),
-        }
-    };
-    if sym.len() > MAX_CARRY {
-        return Err(Bail::CarryOverflow { pc: pc as u32 });
-    }
-    Ok(Block {
-        entry_pc: entry as u32,
-        carry_in: carry_in as u8,
-        steps,
-        carry_out: std::mem::take(sym),
-        term,
-        fuel: (pc - entry) as u64,
+    let nodes = lowering.nodes;
+    Ok(Ir {
+        nodes,
+        blocks,
+        pc2block,
     })
+}
+
+/// The state of one lowering: the node table every block's trees go
+/// into, and the symbolic operand stack, reused block after block.
+struct Lowering<'a> {
+    code: &'a [Op],
+    pc2block: &'a [u32],
+    nodes: Vec<Node>,
+    sym: Vec<NodeId>,
+}
+
+impl Lowering<'_> {
+    fn push(&mut self, n: Node) {
+        let id = self.nodes.len() as NodeId;
+        self.nodes.push(n);
+        self.sym.push(id);
+    }
+
+    fn pop(&mut self) -> NodeId {
+        self.sym.pop().expect("validate proved no stack underflow")
+    }
+
+    fn node2(&mut self, op: Bin) {
+        let r = self.pop();
+        let l = self.pop();
+        self.push(Node::Bin(op, l, r));
+    }
+
+    fn node1(&mut self, op: Un) {
+        let e = self.pop();
+        self.push(Node::Un(op, e));
+    }
+
+    /// Symbolically executes one block, reconstructing per-statement
+    /// expression trees from the stack code.
+    fn block(&mut self, entry: usize, carry_in: usize) -> Result<Block, Bail> {
+        let (code, pc2block) = (self.code, self.pc2block);
+        self.sym.clear();
+        for i in 0..carry_in {
+            self.push(Node::Carry(i as u8));
+        }
+        let mut steps = Vec::new();
+        let mut pc = entry;
+        let term = loop {
+            if pc > entry && pc2block[pc] != u32::MAX {
+                break Term::Jmp(pc2block[pc]); // fall-through: costs no fuel
+            }
+            let at = pc as u32;
+            let op = code[pc];
+            pc += 1;
+            // A statement must leave only entry carries pending beneath
+            // it: anything else would evaluate *after* the store where
+            // the bytecode ran it before. The compiler's statement
+            // discipline guarantees this; bail, don't trust.
+            let mut stmt = |this: &Self, step: Option<Step>| {
+                let nodes = &this.nodes;
+                if !this
+                    .sym
+                    .iter()
+                    .all(|&e| matches!(nodes[e as usize], Node::Carry(_)))
+                {
+                    return Err(Bail::StackResidue { pc: at });
+                }
+                steps.extend(step);
+                Ok(())
+            };
+            match op {
+                Op::ConstI(v) => self.push(Node::ConstI(v)),
+                Op::ConstF(v) => self.push(Node::ConstF(v)),
+                Op::LoadInput(i) => self.push(Node::Input(i)),
+                Op::LoadGlobal(i) => self.push(Node::Global(i)),
+                Op::LoadLocal(i) => self.push(Node::Local(i)),
+                Op::StoreGlobal(g) => {
+                    let e = self.pop();
+                    stmt(self, Some(Step::StoreGlobal(g, e)))?;
+                }
+                Op::StoreLocal(l) => {
+                    let e = self.pop();
+                    stmt(self, Some(Step::StoreLocal(l, e)))?;
+                }
+                Op::Out => {
+                    let value = self.pop();
+                    let slot = self.pop();
+                    stmt(self, Some(Step::Out(slot, value)))?;
+                }
+                Op::Pop => {
+                    // A discarded `1 / x` still traps; a trap-free
+                    // discard is dropped outright — nothing can observe
+                    // it, and its ops stay in the block's fuel either
+                    // way.
+                    let e = self.pop();
+                    let traps = self.nodes[..].can_trap(e);
+                    stmt(self, traps.then_some(Step::Eval(e)))?;
+                }
+                Op::I2FUnder => {
+                    let top = self.pop();
+                    self.node1(Un::I2F);
+                    self.sym.push(top);
+                }
+                Op::I2F => self.node1(Un::I2F),
+                Op::NegI => self.node1(Un::NegI),
+                Op::NegF => self.node1(Un::NegF),
+                Op::NotB => self.node1(Un::NotB),
+                Op::AbsI => self.node1(Un::AbsI),
+                Op::AbsF => self.node1(Un::AbsF),
+                Op::AddI => self.node2(Bin::AddI),
+                Op::SubI => self.node2(Bin::SubI),
+                Op::MulI => self.node2(Bin::MulI),
+                Op::DivI => self.node2(Bin::DivI),
+                Op::ModI => self.node2(Bin::ModI),
+                Op::AddF => self.node2(Bin::AddF),
+                Op::SubF => self.node2(Bin::SubF),
+                Op::MulF => self.node2(Bin::MulF),
+                Op::DivF => self.node2(Bin::DivF),
+                Op::MinI => self.node2(Bin::MinI),
+                Op::MinF => self.node2(Bin::MinF),
+                Op::MaxI => self.node2(Bin::MaxI),
+                Op::MaxF => self.node2(Bin::MaxF),
+                Op::EqI => self.node2(Bin::EqI),
+                Op::NeI => self.node2(Bin::NeI),
+                Op::LtI => self.node2(Bin::LtI),
+                Op::LeI => self.node2(Bin::LeI),
+                Op::GtI => self.node2(Bin::GtI),
+                Op::GeI => self.node2(Bin::GeI),
+                Op::EqF => self.node2(Bin::EqF),
+                Op::NeF => self.node2(Bin::NeF),
+                Op::LtF => self.node2(Bin::LtF),
+                Op::LeF => self.node2(Bin::LeF),
+                Op::GtF => self.node2(Bin::GtF),
+                Op::GeF => self.node2(Bin::GeF),
+                Op::Jmp(t) => break Term::Jmp(pc2block[t as usize]),
+                Op::JmpIfFalse(t) => {
+                    let cond = self.pop();
+                    let node = self.nodes[cond as usize];
+                    break Term::br(cond, node, pc2block[t as usize], pc2block[pc]);
+                }
+                Op::Ret => {
+                    let e = self.pop();
+                    break Term::ret(e, self.nodes[e as usize]);
+                }
+                Op::RetVoid => break Term::RetC(0),
+            }
+        };
+        if self.sym.len() > MAX_CARRY {
+            return Err(Bail::CarryOverflow { pc: pc as u32 });
+        }
+        Ok(Block {
+            entry_pc: entry as u32,
+            carry_in: carry_in as u8,
+            steps,
+            carry_out: self.sym.clone(),
+            term,
+            fuel: (pc - entry) as u64,
+        })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Compiled graphs this thread has built, for the unit tests that
+    /// pin when an install builds one.
+    pub(crate) static BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -588,7 +676,7 @@ mod tests {
         // 130 guarded bumps: ~1,200 ops (under the op limit), 261 blocks.
         let body = "if (size > 3) { n = n + 1; }\n".repeat(130);
         let p = lowered(&format!("static int n = 0;\n{body}return n;"));
-        assert!(p.code.len() <= MAX_OPS);
+        assert!(p.code().len() <= MAX_OPS);
         assert_eq!(Instance::new(&p).compile_bail(), Some(Bail::TooManyBlocks));
     }
 
@@ -685,16 +773,17 @@ mod tests {
             inputs: &'a [i64],
             carry: Vec<i64>,
         }
-        fn eval(e: &Ex, env: &Env<'_>) -> Option<i64> {
-            Some(match e {
-                Ex::Carry(i) => env.carry[*i as usize],
-                Ex::ConstI(v) => *v,
-                Ex::ConstF(v) => bits_of(*v),
-                Ex::Input(i) => env.inputs[*i as usize],
-                Ex::Global(i) => env.globals[*i as usize],
-                Ex::Local(i) => env.locals[*i as usize],
-                Ex::Bin(op, l, r) => op.apply(eval(l, env)?, eval(r, env)?)?,
-                Ex::Un(op, e) => op.apply(eval(e, env)?),
+        fn eval(nodes: &[Node], e: NodeId, env: &Env<'_>) -> Option<i64> {
+            let eval = |e| eval(nodes, e, env);
+            Some(match nodes[e as usize] {
+                Node::Carry(i) => env.carry[i as usize],
+                Node::ConstI(v) => v,
+                Node::ConstF(v) => bits_of(v),
+                Node::Input(i) => env.inputs[i as usize],
+                Node::Global(i) => env.globals[i as usize],
+                Node::Local(i) => env.locals[i as usize],
+                Node::Bin(op, l, r) => op.apply(eval(l)?, eval(r)?)?,
+                Node::Un(op, e) => op.apply(eval(e)?),
             })
         }
         let mut env = Env {
@@ -712,34 +801,35 @@ mod tests {
                 "carry depth at block {bi}"
             );
             fuel += b.fuel;
+            let n = &ir.nodes[..];
             for s in &b.steps {
-                match s {
-                    Step::StoreGlobal(g, e) => env.globals[*g as usize] = eval(e, &env)?,
-                    Step::StoreLocal(l, e) => env.locals[*l as usize] = eval(e, &env)?,
-                    Step::Out(slot, value) => drop((eval(slot, &env)?, eval(value, &env)?)),
-                    Step::Eval(e) => drop(eval(e, &env)?),
+                match *s {
+                    Step::StoreGlobal(g, e) => env.globals[g as usize] = eval(n, e, &env)?,
+                    Step::StoreLocal(l, e) => env.locals[l as usize] = eval(n, e, &env)?,
+                    Step::Out(slot, value) => drop((eval(n, slot, &env)?, eval(n, value, &env)?)),
+                    Step::Eval(e) => drop(eval(n, e, &env)?),
                 }
             }
             let carries = b
                 .carry_out
                 .iter()
-                .map(|e| eval(e, &env))
+                .map(|&e| eval(n, e, &env))
                 .collect::<Option<Vec<_>>>()?;
-            bi = match &b.term {
-                Term::Jmp(t) => *t,
+            bi = match b.term {
+                Term::Jmp(t) => t,
                 Term::Br {
                     cond,
                     on_false,
                     on_true,
                 } => {
-                    if eval(cond, &env)? == 0 {
-                        *on_false
+                    if eval(n, cond, &env)? == 0 {
+                        on_false
                     } else {
-                        *on_true
+                        on_true
                     }
                 }
-                Term::Ret(e) => return Some((eval(e, &env)?, fuel)),
-                Term::RetC(c) => return Some((*c, fuel)),
+                Term::Ret(e) => return Some((eval(n, e, &env)?, fuel)),
+                Term::RetC(c) => return Some((c, fuel)),
             } as usize;
             env.carry = carries;
         }
@@ -774,7 +864,7 @@ mod tests {
 
             // Partition: walking each block's span marks every reachable
             // pc exactly once, and nothing unreachable.
-            let mut owner = vec![u32::MAX; p.code.len()];
+            let mut owner = vec![u32::MAX; p.code().len()];
             for (bi, b) in ir.blocks.iter().enumerate() {
                 assert_eq!(ir.pc2block[b.entry_pc as usize], bi as u32, "{src}");
                 let end = b.entry_pc as usize + b.fuel as usize;
@@ -802,7 +892,7 @@ mod tests {
                     .run_per_op(&[Value::Int(a), Value::Int(b)], u64::MAX)
                     .ok()
                     .map(|o| (o.ret, o.fuel_used));
-                let got = walk(ir, &mut globals, p.n_locals as usize, &[a, b]);
+                let got = walk(ir, &mut globals, p.n_locals() as usize, &[a, b]);
                 assert_eq!(got, want, "inputs ({a}, {b}) on\n{src}");
                 if want.is_none() {
                     break; // a trap leaves statics mid-statement

@@ -44,9 +44,12 @@
 //! differential test holds the whole-program closures to it at and
 //! just below their fuel gate.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::ir::{self, bits_of, f64_of, Bin, Cmp, Ex, Ir, Step, Term, Un, MAX_CARRY};
+use crate::ir::{
+    self, bits_of, f64_of, Bin, Cmp, Ir, Node, NodeId, Nodes, Step, Term, Un, MAX_CARRY,
+};
 
 /// Mutable run state specialized code — or the interpreter, on a block
 /// the driver hands it — executes against. Borrows the instance's
@@ -162,29 +165,34 @@ impl fmt::Debug for CompiledProgram {
 /// into the whole-program path when they form its shape
 /// ([`Whole::assemble`]).
 pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
-    // The IR itself stays unmerged — the column backend wants the
-    // partition — so merging rewrites a copy.
-    let mut merged = ir.blocks.clone();
-    merge_chains(&mut merged);
-    let blocks: Vec<Block> = merged
+    // The IR stays unmerged — the column backend wants the partition —
+    // so merging works on spans that borrow it, and adds to its node
+    // table only the trees a carry substitution rewrites.
+    let mut nodes = Table {
+        ir: &ir.nodes,
+        added: Vec::new(),
+    };
+    let mut spans: Vec<Span<'_>> = ir.blocks.iter().map(Span::of).collect();
+    merge_chains(&mut spans, &mut nodes);
+    let blocks: Vec<Block> = spans
         .iter()
         .map(|b| Block {
             entry_pc: b.entry_pc,
             fuel: b.fuel,
-            spec: spec_node(b),
+            spec: spec_node(&nodes, b),
         })
         .collect();
     // What a run with a covering budget can enter: the merged graph
     // from block 0.
-    let mut reached = vec![false; merged.len()];
+    let mut reached = vec![false; spans.len()];
     let mut work = vec![0u32];
     while let Some(i) = work.pop() {
         if !std::mem::replace(&mut reached[i as usize], true) {
-            match &merged[i as usize].term {
-                Term::Jmp(t) => work.push(*t),
+            match spans[i as usize].term {
+                Term::Jmp(t) => work.push(t),
                 Term::Br {
                     on_false, on_true, ..
-                } => work.extend([*on_false, *on_true]),
+                } => work.extend([on_false, on_true]),
                 Term::Ret(_) | Term::RetC(_) => {}
             }
         }
@@ -200,9 +208,60 @@ pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
     }
 }
 
+/// The IR's node table as the compiled tier reads it: the lowering's
+/// own nodes in place, then the ones carry substitution added while
+/// merging (their ids continue the lowering's).
+struct Table<'a> {
+    ir: &'a [Node],
+    added: Vec<Node>,
+}
+
+impl Nodes for Table<'_> {
+    fn node(&self, id: NodeId) -> Node {
+        let i = id as usize;
+        match self.ir.get(i) {
+            Some(n) => *n,
+            None => self.added[i - self.ir.len()],
+        }
+    }
+}
+
+impl Table<'_> {
+    fn add(&mut self, n: Node) -> NodeId {
+        self.added.push(n);
+        (self.ir.len() + self.added.len() - 1) as NodeId
+    }
+}
+
+/// One block of the compiled graph before it is specialized: an IR
+/// block read in place, or the span [`merge_chains`] made of it and its
+/// jump successors, which owns its step and carry ids (never the trees
+/// they name).
+struct Span<'a> {
+    entry_pc: u32,
+    carry_in: u8,
+    steps: Cow<'a, [Step]>,
+    carry_out: Cow<'a, [NodeId]>,
+    term: Term,
+    fuel: u64,
+}
+
+impl<'a> Span<'a> {
+    fn of(b: &'a ir::Block) -> Span<'a> {
+        Span {
+            entry_pc: b.entry_pc,
+            carry_in: b.carry_in,
+            steps: Cow::Borrowed(&b.steps),
+            carry_out: Cow::Borrowed(&b.carry_out),
+            term: b.term,
+            fuel: b.fuel,
+        }
+    }
+}
+
 /// Inlines unconditional-jump chains: a block ending in `Jmp(T)` runs
-/// `T` unconditionally, so `T`'s statements and terminator are copied
-/// into the predecessor and the two blocks become one — the
+/// `T` unconditionally, so `T`'s statements and terminator are appended
+/// to the predecessor's span and the two blocks become one — the
 /// short-circuit lowering's trampoline blocks (`[] → Jmp`, carry-compute
 /// → join, `Jmp → RetC`) collapse into their destinations, saving an
 /// indirect call per hop on every event.
@@ -220,53 +279,57 @@ pub(crate) fn compile(ir: &Ir) -> CompiledProgram {
 /// delays the evaluation, sound only when the expression is invariant
 /// over anything a statement can write ([`invariant`]). Merging is
 /// skipped otherwise.
-fn merge_chains(lowered: &mut [ir::Block]) {
+fn merge_chains(spans: &mut [Span<'_>], nodes: &mut Table<'_>) {
     // Reverse order makes single-pass transitive: forward jump targets
     // are fully merged before their predecessors consider them.
-    for i in (0..lowered.len()).rev() {
+    for i in (0..spans.len()).rev() {
         // A cycle of empty blocks could ping-pong; the fuse cap bounds
         // the work (and any real chain is far shorter).
         for _ in 0..8 {
-            let Term::Jmp(j) = lowered[i].term else {
+            let Term::Jmp(j) = spans[i].term else {
                 break;
             };
             let j = j as usize;
-            if j == i
-                || !(movable(&lowered[i].carry_out, &lowered[j])
-                    || lowered[i].carry_out.iter().all(invariant))
-                || lowered[i].steps.len() + lowered[j].steps.len() > 8
+            if j == i {
+                break;
+            }
+            let (pred, succ) = if i < j {
+                let (head, tail) = spans.split_at_mut(j);
+                (&mut head[i], &tail[0])
+            } else {
+                let (head, tail) = spans.split_at_mut(i);
+                (&mut tail[0], &head[j])
+            };
+            let carries = &pred.carry_out;
+            if !(movable(nodes, carries, succ) || carries.iter().all(|&c| invariant(nodes, c)))
+                || pred.steps.len() + succ.steps.len() > 8
             {
                 break;
             }
-            debug_assert_eq!(lowered[j].carry_in as usize, lowered[i].carry_out.len());
-            let carries = std::mem::take(&mut lowered[i].carry_out);
-            let steps: Vec<Step> = lowered[j]
-                .steps
-                .iter()
-                .map(|s| subst_step(s, &carries))
-                .collect();
-            let carry_out: Vec<Ex> = lowered[j]
-                .carry_out
-                .iter()
-                .map(|e| subst(e, &carries))
-                .collect();
+            debug_assert_eq!(succ.carry_in as usize, carries.len());
+            let carries = std::mem::take(&mut pred.carry_out);
+            let steps = pred.steps.to_mut();
+            steps.extend(succ.steps.iter().map(|&s| subst_step(nodes, s, &carries)));
+            let carry_out = succ.carry_out.iter().map(|&e| subst(nodes, e, &carries));
+            pred.carry_out = Cow::Owned(carry_out.collect());
             // A substituted literal folds the branch, as it did when one
             // symbolic run covered both spans.
-            let term = match &lowered[j].term {
+            pred.term = match succ.term {
                 Term::Br {
                     cond,
                     on_false,
                     on_true,
-                } => Term::br(subst(cond, &carries), *on_false, *on_true),
-                Term::Ret(e) => Term::ret(subst(e, &carries)),
-                t => t.clone(),
+                } => {
+                    let cond = subst(nodes, cond, &carries);
+                    Term::br(cond, nodes.node(cond), on_false, on_true)
+                }
+                Term::Ret(e) => {
+                    let e = subst(nodes, e, &carries);
+                    Term::ret(e, nodes.node(e))
+                }
+                t => t,
             };
-            let fuel = lowered[j].fuel;
-            let lb = &mut lowered[i];
-            lb.steps.extend(steps);
-            lb.carry_out = carry_out;
-            lb.term = term;
-            lb.fuel += fuel;
+            pred.fuel += succ.fuel;
         }
     }
 }
@@ -277,62 +340,77 @@ fn merge_chains(lowered: &mut [ir::Block]) {
 /// without reordering it against any store, whatever the carry reads. A
 /// stack value is read at most once; one that is never read folds only
 /// if it cannot trap, because dropping it would drop the trap.
-fn movable(carries: &[Ex], succ: &ir::Block) -> bool {
+fn movable(nodes: &Table<'_>, carries: &[NodeId], succ: &Span<'_>) -> bool {
     if !succ.steps.is_empty() {
         return false;
     }
-    fn count(ex: &Ex, reads: &mut [u8; MAX_CARRY]) {
-        match ex {
-            Ex::Carry(i) => reads[*i as usize] += 1,
-            Ex::Bin(_, l, r) => {
-                count(l, reads);
-                count(r, reads);
+    fn count(nodes: &Table<'_>, e: NodeId, reads: &mut [u8; MAX_CARRY]) {
+        match nodes.node(e) {
+            Node::Carry(i) => reads[i as usize] += 1,
+            Node::Bin(_, l, r) => {
+                count(nodes, l, reads);
+                count(nodes, r, reads);
             }
-            Ex::Un(_, e) => count(e, reads),
+            Node::Un(_, e) => count(nodes, e, reads),
             _ => {}
         }
     }
     let mut reads = [0u8; MAX_CARRY];
-    succ.carry_out.iter().for_each(|e| count(e, &mut reads));
-    if let Term::Br { cond: e, .. } | Term::Ret(e) = &succ.term {
-        count(e, &mut reads);
+    succ.carry_out
+        .iter()
+        .for_each(|&e| count(nodes, e, &mut reads));
+    if let Term::Br { cond: e, .. } | Term::Ret(e) = succ.term {
+        count(nodes, e, &mut reads);
     }
     let mut folds = carries.iter().zip(reads);
-    folds.all(|(c, n)| n == 1 || (n == 0 && !c.can_trap()))
+    folds.all(|(&c, n)| n == 1 || (n == 0 && !nodes.can_trap(c)))
 }
 
-/// Whether delaying `ex`'s evaluation past arbitrary statements is
+/// Whether delaying `e`'s evaluation past arbitrary statements is
 /// unobservable: only inputs and constants (inputs never change within
 /// a run), combined trap-free.
-fn invariant(ex: &Ex) -> bool {
-    match ex {
-        Ex::Input(_) | Ex::ConstI(_) | Ex::ConstF(_) => true,
-        Ex::Global(_) | Ex::Local(_) | Ex::Carry(_) => false,
-        Ex::Bin(op, l, r) => !matches!(op, Bin::DivI | Bin::ModI) && invariant(l) && invariant(r),
-        Ex::Un(_, e) => invariant(e),
+fn invariant(nodes: &Table<'_>, e: NodeId) -> bool {
+    match nodes.node(e) {
+        Node::Input(_) | Node::ConstI(_) | Node::ConstF(_) => true,
+        Node::Global(_) | Node::Local(_) | Node::Carry(_) => false,
+        Node::Bin(op, l, r) => {
+            !matches!(op, Bin::DivI | Bin::ModI) && invariant(nodes, l) && invariant(nodes, r)
+        }
+        Node::Un(_, e) => invariant(nodes, e),
     }
 }
 
-/// Replaces `Carry(i)` with the predecessor's carried expression.
-fn subst(ex: &Ex, carries: &[Ex]) -> Ex {
-    match ex {
-        Ex::Carry(i) => carries[*i as usize].clone(),
-        Ex::Bin(op, l, r) => Ex::Bin(
-            *op,
-            Box::new(subst(l, carries)),
-            Box::new(subst(r, carries)),
-        ),
-        Ex::Un(op, e) => Ex::Un(*op, Box::new(subst(e, carries))),
-        other => other.clone(),
+/// Replaces `Carry(i)` with the predecessor's carried expression. A
+/// subtree that reads no carry is kept as it is; only the nodes above a
+/// carry are rewritten, as new nodes.
+fn subst(nodes: &mut Table<'_>, e: NodeId, carries: &[NodeId]) -> NodeId {
+    match nodes.node(e) {
+        Node::Carry(i) => carries[i as usize],
+        Node::Bin(op, l, r) => {
+            let (l2, r2) = (subst(nodes, l, carries), subst(nodes, r, carries));
+            if (l2, r2) == (l, r) {
+                e
+            } else {
+                nodes.add(Node::Bin(op, l2, r2))
+            }
+        }
+        Node::Un(op, a) => match subst(nodes, a, carries) {
+            a2 if a2 == a => e,
+            a2 => nodes.add(Node::Un(op, a2)),
+        },
+        _ => e,
     }
 }
 
-fn subst_step(s: &Step, carries: &[Ex]) -> Step {
+fn subst_step(nodes: &mut Table<'_>, s: Step, carries: &[NodeId]) -> Step {
     match s {
-        Step::StoreGlobal(g, e) => Step::StoreGlobal(*g, subst(e, carries)),
-        Step::StoreLocal(l, e) => Step::StoreLocal(*l, subst(e, carries)),
-        Step::Out(slot, value) => Step::Out(subst(slot, carries), subst(value, carries)),
-        Step::Eval(e) => Step::Eval(subst(e, carries)),
+        Step::StoreGlobal(g, e) => Step::StoreGlobal(g, subst(nodes, e, carries)),
+        Step::StoreLocal(l, e) => Step::StoreLocal(l, subst(nodes, e, carries)),
+        Step::Out(slot, value) => {
+            let slot = subst(nodes, slot, carries);
+            Step::Out(slot, subst(nodes, value, carries))
+        }
+        Step::Eval(e) => Step::Eval(subst(nodes, e, carries)),
     }
 }
 
@@ -345,11 +423,11 @@ enum Scal {
     C(i64),
 }
 
-fn as_scal(ex: &Ex) -> Option<Scal> {
-    Some(match ex {
-        Ex::Input(i) => Scal::In(*i),
-        Ex::Global(g) => Scal::Gl(*g),
-        Ex::ConstI(c) => Scal::C(*c),
+fn as_scal(n: Node) -> Option<Scal> {
+    Some(match n {
+        Node::Input(i) => Scal::In(i),
+        Node::Global(g) => Scal::Gl(g),
+        Node::ConstI(c) => Scal::C(c),
         _ => return None,
     })
 }
@@ -407,19 +485,20 @@ fn div_test(g: u16, c: i64, ne: bool) -> Option<ValK> {
     })
 }
 
-fn as_valk(ex: &Ex) -> Option<ValK> {
-    let Ex::Bin(op, l, r) = ex else {
-        return Some(ValK::S(as_scal(ex)?));
+fn as_valk(nodes: &Table<'_>, e: NodeId) -> Option<ValK> {
+    let Node::Bin(op, l, r) = nodes.node(e) else {
+        return Some(ValK::S(as_scal(nodes.node(e))?));
     };
     let cmp = op.int_cmp()?;
+    let (l, r) = (nodes.node(l), nodes.node(r));
     // Strength-reduce `g % c == 0` / `!= 0` to a multiply-and-mask
     // divisibility test (either operand order; `c == 0` is left to the
     // generic path, which raises the trap).
-    if let (Cmp::Eq | Cmp::Ne, (Ex::ConstI(0), Ex::Bin(Bin::ModI, g, c)))
-    | (Cmp::Eq | Cmp::Ne, (Ex::Bin(Bin::ModI, g, c), Ex::ConstI(0))) = (cmp, (&**l, &**r))
+    if let (Cmp::Eq | Cmp::Ne, (Node::ConstI(0), Node::Bin(Bin::ModI, g, c)))
+    | (Cmp::Eq | Cmp::Ne, (Node::Bin(Bin::ModI, g, c), Node::ConstI(0))) = (cmp, (l, r))
     {
-        if let (Ex::Global(g), Ex::ConstI(c)) = (&**g, &**c) {
-            return div_test(*g, *c, cmp == Cmp::Ne);
+        if let (Node::Global(g), Node::ConstI(c)) = (nodes.node(g), nodes.node(c)) {
+            return div_test(g, c, cmp == Cmp::Ne);
         }
     }
     Some(ValK::Cmp(cmp, as_scal(l)?, as_scal(r)?))
@@ -435,20 +514,16 @@ enum OutK {
     IntGl(u16),
 }
 
-fn as_outk(ex: &Ex) -> Option<OutK> {
-    Some(match ex {
-        Ex::Un(Un::I2F, inner) => match &**inner {
-            Ex::Global(g) => OutK::IntGl(*g),
-            _ => return None,
-        },
-        Ex::Bin(Bin::DivF, l, r) => match (&**l, &**r) {
-            (Ex::Global(num), Ex::Un(Un::I2F, d)) => match &**d {
-                Ex::Global(den) => OutK::RatioFI {
-                    num: *num,
-                    den: *den,
-                },
-                _ => return None,
-            },
+fn as_outk(nodes: &Table<'_>, e: NodeId) -> Option<OutK> {
+    // The operand of an int-to-double promotion, when `e` is one.
+    let promoted = |e: NodeId| match nodes.node(e) {
+        Node::Un(Un::I2F, inner) => Some(nodes.node(inner)),
+        _ => None,
+    };
+    Some(match (nodes.node(e), promoted(e)) {
+        (_, Some(Node::Global(g))) => OutK::IntGl(g),
+        (Node::Bin(Bin::DivF, l, r), _) => match (nodes.node(l), promoted(r)) {
+            (Node::Global(num), Some(Node::Global(den))) => OutK::RatioFI { num, den },
             _ => return None,
         },
         _ => return None,
@@ -466,17 +541,18 @@ enum FStep {
 /// Classifies every step as a packable trap-free statement, or refuses
 /// the specialization (`None` → interpreted). Capped so a run stays a
 /// few closures; longer runs are rare and the generic path handles them.
-fn as_fsteps(steps: &[Step]) -> Option<Vec<FStep>> {
+fn as_fsteps(nodes: &Table<'_>, steps: &[Step]) -> Option<Vec<FStep>> {
     if steps.len() > 6 {
         return None;
     }
     steps
         .iter()
-        .map(|s| match s {
-            Step::StoreGlobal(..) => as_gupd(s).map(FStep::U),
-            Step::Out(Ex::ConstI(slot), value) => {
-                as_outk(value).map(|out| FStep::Pub { slot: *slot, out })
-            }
+        .map(|&s| match s {
+            Step::StoreGlobal(..) => as_gupd(nodes, s).map(FStep::U),
+            Step::Out(slot, value) => match nodes.node(slot) {
+                Node::ConstI(slot) => as_outk(nodes, value).map(|out| FStep::Pub { slot, out }),
+                _ => None,
+            },
             _ => None,
         })
         .collect()
@@ -499,20 +575,22 @@ enum GUpd {
     SubGG(u16, u16, u16),
 }
 
-fn as_gupd(step: &Step) -> Option<GUpd> {
-    let Step::StoreGlobal(g, Ex::Bin(op, l, r)) = step else {
+fn as_gupd(nodes: &Table<'_>, step: Step) -> Option<GUpd> {
+    let Step::StoreGlobal(g, e) = step else {
         return None;
     };
-    let g = *g;
-    Some(match (op, &**l, &**r) {
-        (Bin::SubI, Ex::Global(a), Ex::Global(b)) => GUpd::SubGG(g, *a, *b),
+    let Node::Bin(op, l, r) = nodes.node(e) else {
+        return None;
+    };
+    Some(match (op, nodes.node(l), nodes.node(r)) {
+        (Bin::SubI, Node::Global(a), Node::Global(b)) => GUpd::SubGG(g, a, b),
         // Everything else updates `g` from its own old value.
-        (_, old, _) if *old != Ex::Global(g) => return None,
-        (Bin::AddI, _, Ex::ConstI(c)) => GUpd::IncC(g, *c),
-        (Bin::MinI, _, Ex::Input(i)) => GUpd::MinIn(g, *i),
-        (Bin::MaxI, _, Ex::Input(i)) => GUpd::MaxIn(g, *i),
-        (Bin::AddF, _, Ex::Un(Un::I2F, inner)) => match &**inner {
-            Ex::Input(i) => GUpd::AccInF(g, *i),
+        (_, old, _) if old != Node::Global(g) => return None,
+        (Bin::AddI, _, Node::ConstI(c)) => GUpd::IncC(g, c),
+        (Bin::MinI, _, Node::Input(i)) => GUpd::MinIn(g, i),
+        (Bin::MaxI, _, Node::Input(i)) => GUpd::MaxIn(g, i),
+        (Bin::AddF, _, Node::Un(Un::I2F, inner)) => match nodes.node(inner) {
+            Node::Input(i) => GUpd::AccInF(g, i),
             _ => return None,
         },
         _ => return None,
@@ -567,22 +645,22 @@ enum SpecTerm {
 /// after [`merge_chains`] a join is entered with live carries only from
 /// a predecessor it could not fold into, and both then run on the
 /// interpreter with the values kept on its operand stack.
-fn spec_node(b: &ir::Block) -> Option<SpecNode> {
+fn spec_node(nodes: &Table<'_>, b: &Span<'_>) -> Option<SpecNode> {
     if b.carry_in > 0 || !b.carry_out.is_empty() {
         return None;
     }
-    let fsteps = as_fsteps(&b.steps)?;
-    let term = match &b.term {
-        Term::RetC(c) => SpecTerm::RetC(*c),
-        Term::Ret(e) => SpecTerm::RetV(as_valk(e)?),
+    let fsteps = as_fsteps(nodes, &b.steps)?;
+    let term = match b.term {
+        Term::RetC(c) => SpecTerm::RetC(c),
+        Term::Ret(e) => SpecTerm::RetV(as_valk(nodes, e)?),
         Term::Br {
             cond,
             on_false,
             on_true,
         } => SpecTerm::Br {
-            cond: as_valk(cond)?,
-            f: *on_false,
-            t: *on_true,
+            cond: as_valk(nodes, cond)?,
+            f: on_false,
+            t: on_true,
         },
         Term::Jmp(_) => return None,
     };
@@ -1462,7 +1540,7 @@ mod tests {
     /// Debug dump of every specialized node of `src`'s compiled graph.
     fn nodes_of(src: &str, inputs: &[(&str, Type)]) -> String {
         let p = Program::compile(src, inputs).unwrap();
-        let cp = p.lowered().compiled.clone().expect("compiles");
+        let cp = p.lowered().compiled().cloned().expect("compiles");
         let nodes: Vec<_> = cp.blocks.iter().map(|b| b.spec.as_ref()).collect();
         format!("{nodes:?}")
     }
@@ -1548,7 +1626,7 @@ mod tests {
         }
         src.push_str("return n;");
         let p = program(&src);
-        assert!(p.code.len() > MAX_OPS);
+        assert!(p.code().len() > MAX_OPS);
         let mut inst = Instance::new(&p);
         assert_eq!(inst.tier(), ExecTier::Fused);
         let mut reference = Instance::new(&p);
@@ -1741,7 +1819,7 @@ mod tests {
     }
 
     fn agrees(p: &Program, src: &str) -> bool {
-        let Some(cp) = p.lowered().compiled.clone() else {
+        let Some(cp) = p.lowered().compiled().cloned() else {
             return false;
         };
         let Some(max_fuel) = cp.whole.as_ref().map(|w| w.max_fuel) else {
@@ -1891,8 +1969,8 @@ mod tests {
             let cp = v
                 .get()
                 .lowered()
-                .compiled
-                .clone()
+                .compiled()
+                .cloned()
                 .expect("traffic compiles");
             let nodes: Vec<_> = cp.blocks.iter().filter_map(|b| b.spec.as_ref()).collect();
             // Variant names as the derived `Debug` spells them.

@@ -184,11 +184,11 @@ fn stack_effect(op: Op) -> (u32, i32) {
 /// Also returns the per-pc entry depths (`-1` = unreachable): the
 /// compiled tier seeds its cross-block carry tracking from them.
 pub(crate) fn validate(program: &Program) -> (usize, Vec<i32>) {
-    let code = &program.code;
+    let code = program.code();
     assert!(!code.is_empty(), "E-Code compiler emitted no code");
-    let n_inputs = program.inputs.len();
-    let n_globals = program.globals.len();
-    let n_locals = program.n_locals as usize;
+    let n_inputs = program.n_inputs();
+    let n_globals = program.globals().len();
+    let n_locals = program.n_locals() as usize;
     // depth_at[pc]: operand-stack depth on entry to pc (-1 = not yet seen).
     let mut depth_at = vec![-1i32; code.len()];
     let mut work = vec![(0usize, 0i32)];
@@ -263,7 +263,8 @@ pub struct Instance {
     globals: Vec<i64>,
     /// The compiled tier, when the program lowered
     /// ([`Program::lowered`]) — `None` means every run uses the checked
-    /// interpreter. One graph per program, shared by every instance.
+    /// interpreter. One graph per program, built by its first instance
+    /// and shared by every instance.
     compiled: Option<Arc<jit::CompiledProgram>>,
     stack: Vec<i64>,
     locals: Vec<i64>,
@@ -273,7 +274,9 @@ pub struct Instance {
 
 impl Instance {
     /// Creates an instance with statics at their declared initial values.
-    /// The program is cheap to clone (bytecode + layout tables).
+    /// The instance shares the program (a clone is a reference count),
+    /// and the first instance of a program builds the compiled graph
+    /// every later one shares.
     ///
     /// Every program the lowering accepts runs on the compiled
     /// tier; the rest run on the checked per-op interpreter. Both are
@@ -294,7 +297,7 @@ impl Instance {
 
     fn build(program: &Program, compile: bool) -> Self {
         let globals = program
-            .globals
+            .globals()
             .iter()
             .map(|(_, _, i)| init_raw(i))
             .collect();
@@ -302,7 +305,11 @@ impl Instance {
         Instance {
             program: program.clone(),
             globals,
-            compiled: lowered.compiled.clone().filter(|_| compile),
+            compiled: if compile {
+                lowered.compiled().cloned()
+            } else {
+                None
+            },
             stack: Vec::with_capacity(lowered.max_stack),
             locals: Vec::new(),
             raw_inputs: Vec::new(),
@@ -345,7 +352,7 @@ impl Instance {
     /// program or arenas. Hosts that want fresh statics per evaluation
     /// (e.g. subscription data filters) call this before each run.
     pub fn reset_globals(&mut self) {
-        for (g, (_, _, init)) in self.globals.iter_mut().zip(self.program.globals.iter()) {
+        for (g, (_, _, init)) in self.globals.iter_mut().zip(self.program.globals().iter()) {
             *g = init_raw(init);
         }
     }
@@ -396,7 +403,7 @@ impl Instance {
         for (slot, sp) in plan.slots.iter().enumerate() {
             let a = self.globals[slot];
             let b = other.globals[slot];
-            let init = init_raw(&self.program.globals[slot].2);
+            let init = init_raw(&self.program.globals()[slot].2);
             self.globals[slot] = match &sp.class {
                 MergeClass::ReadOnly => a,
                 // a and b each hold init + (their shard's delta sum).
@@ -425,10 +432,10 @@ impl Instance {
     pub fn global(&self, name: &str) -> Option<Value> {
         let idx = self
             .program
-            .globals
+            .globals()
             .iter()
             .position(|(n, _, _)| n == name)?;
-        let (_, ty, _) = &self.program.globals[idx];
+        let (_, ty, _) = &self.program.globals()[idx];
         let raw = self.globals[idx];
         Some(match ty {
             Type::Int => Value::Int(raw),
@@ -484,8 +491,8 @@ impl Instance {
     /// a length mismatch.
     #[inline]
     pub fn run_raw(&mut self, raw: &[i64], fuel: u64) -> Result<RunOutcome<'_>, EcodeError> {
-        if raw.len() != self.program.inputs.len() {
-            return Err(bad_arity(self.program.inputs.len(), raw.len()));
+        if raw.len() != self.program.n_inputs() {
+            return Err(bad_arity(self.program.n_inputs(), raw.len()));
         }
         self.execute(Some(raw), fuel, false)
     }
@@ -493,12 +500,12 @@ impl Instance {
     /// One pass validates input types and marshals the raw bits into the
     /// reusable `raw_inputs` arena.
     fn marshal(&mut self, inputs: &[Value]) -> Result<(), EcodeError> {
-        if inputs.len() != self.program.inputs.len() {
-            return Err(bad_arity(self.program.inputs.len(), inputs.len()));
+        if inputs.len() != self.program.n_inputs() {
+            return Err(bad_arity(self.program.n_inputs(), inputs.len()));
         }
         self.raw_inputs.clear();
-        for (v, (name, ty)) in inputs.iter().zip(self.program.inputs.iter()) {
-            if v.ty() != *ty {
+        for (v, (name, ty)) in inputs.iter().zip(self.program.inputs()) {
+            if v.ty() != ty {
                 return Err(EcodeError::BadInputs(format!(
                     "input {name:?} expects {ty:?}, got {:?}",
                     v.ty()
@@ -586,7 +593,7 @@ impl Instance {
     where
         F: FnMut(RunOutcome<'_>),
     {
-        let stride = self.program.inputs.len();
+        let stride = self.program.n_inputs();
         if stride == 0 || !rows.len().is_multiple_of(stride) {
             return Err(EcodeError::BadInputs(format!(
                 "batch of {} raw values is not rows of {} inputs",
@@ -625,9 +632,9 @@ fn run_blocks(
     outputs: &mut Vec<(i64, f64)>,
     fuel: u64,
 ) -> Result<(i64, u64), EcodeError> {
-    if program.n_locals > 0 {
+    if program.n_locals() > 0 {
         locals.clear();
-        locals.resize(program.n_locals as usize, 0);
+        locals.resize(program.n_locals() as usize, 0);
     }
     let mut ctx = jit::Ctx {
         globals,
@@ -635,7 +642,7 @@ fn run_blocks(
         inputs,
         outputs,
     };
-    drive(cp, &program.code, stack, &mut ctx, fuel)
+    drive(cp, program.code(), stack, &mut ctx, fuel)
 }
 
 /// One event, block by block: the loop behind every run that does not
@@ -1150,6 +1157,31 @@ mod tests {
         c.run(&[], 100).unwrap();
         a.merge_from(&c).unwrap();
         assert_eq!(a.raw_globals(), &[2]);
+    }
+
+    /// The compiled graph is built by a program's first instance, not by
+    /// the verifier: a program `verify` refuses (here `E0003`, after its
+    /// lowering and merge plan) builds no closures, and every instance
+    /// of an admitted one shares the one graph its first instance built.
+    #[test]
+    fn closures_are_built_once_by_the_first_instance_and_never_for_a_refusal() {
+        let built = || crate::ir::BUILT.with(std::cell::Cell::get);
+        let inputs = [("size", Type::Int), ("port", Type::Int)];
+        let src = "static int n = 0; if (size > 3) { n = n + port; } return n;";
+        let before = built();
+        let refused = crate::verify(src, &inputs, &crate::VerifyLimits::with_max_fuel(3));
+        let err = refused.expect_err("over a budget of 3");
+        assert!(err.errors().any(|d| d.code == "E0003"), "{err}");
+        assert_eq!(built(), before, "a refused program built closures");
+
+        let admitted = crate::verify(src, &inputs, &crate::VerifyLimits::default()).unwrap();
+        let program = admitted.get();
+        assert_eq!(built(), before, "the verifier built closures");
+        let (a, b) = (Instance::new(program), Instance::new(&program.clone()));
+        assert_eq!(built(), before + 1, "one graph per program");
+        let (a, b) = (a.compiled.expect("lowers"), b.compiled.expect("lowers"));
+        assert!(Arc::ptr_eq(&a, &b), "two instances, two graphs");
+        assert!(Instance::new_fused(program).compiled.is_none());
     }
 
     /// The load-time validator rejects bytecode whose control flow leaves

@@ -6,7 +6,9 @@
 //! stray `Vec`/`Box` in a block body would break always-on monitoring
 //! budgets exactly like one in `Kprof::emit`. And an install's
 //! allocations may grow with the host's input count only by the names
-//! the admitted program keeps, not by a copy per pass.
+//! the admitted program keeps, not by a copy per pass; with the
+//! program's length only by its blocks, not per statement; and a
+//! second instance of one program shares what the first one built.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! observes only these tests.
@@ -177,5 +179,63 @@ fn verify_allocates_at_most_two_and_a_half_per_extra_input() {
         per_input <= 2.5,
         "verify allocated {few} times against 8 inputs and {many} against 64: \
          {per_input:.2} per extra input"
+    );
+}
+
+/// Allocations of the first `Instance::new` of a fresh straight-line
+/// program of `n` counter statements: the lowering and the compiled
+/// graph, built on first use.
+fn first_instance_allocations(n: usize) -> u64 {
+    let src = format!(
+        "static int n = 0;\n{}return n;",
+        "n = n + size;\n".repeat(n)
+    );
+    let program = Program::compile(&src, &INPUTS).unwrap();
+    let before = allocations();
+    TRACK.with(|t| t.set(true));
+    let inst = Instance::new(&program);
+    TRACK.with(|t| t.set(false));
+    let after = allocations();
+    assert_eq!(inst.tier(), ExecTier::Compiled, "{n} statements lower");
+    after - before
+}
+
+/// The IR is one node table per lowering and the compiled tier merges
+/// without copying it, so a longer block grows a few tables, not an
+/// allocation per expression node.
+#[test]
+fn first_instance_allocates_per_block_not_per_statement() {
+    let (short, long) = (
+        first_instance_allocations(10),
+        first_instance_allocations(700),
+    );
+    eprintln!("first Instance::new: {short} allocations at 10 statements, {long} at 700");
+    assert!(
+        long <= short + 48,
+        "the first Instance::new allocated {short} times for 10 statements and {long} for 700"
+    );
+}
+
+/// A second instance shares the program (bytecode, names, lowering and
+/// compiled graph behind one `Arc`): it allocates its statics and its
+/// operand stack, nothing else.
+#[test]
+fn repeat_instance_allocates_at_most_twice() {
+    let program = Program::compile(CPA_SRC, &INPUTS).unwrap();
+    let first = Instance::new(&program);
+    let before = allocations();
+    TRACK.with(|t| t.set(true));
+    let second = Instance::new(&program);
+    TRACK.with(|t| t.set(false));
+    let after = allocations();
+    eprintln!("repeat Instance::new: {} allocations", after - before);
+    assert_eq!(
+        (first.tier(), second.tier()),
+        (ExecTier::Compiled, ExecTier::Compiled)
+    );
+    assert!(
+        after - before <= 2,
+        "a repeat Instance::new allocated {} times",
+        after - before
     );
 }
