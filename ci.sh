@@ -14,7 +14,7 @@
 #   ./ci.sh --substrate  only the simulator under the monitor: one-price-list + one-draw checks, calendar, simnet (clock, link), kprof + simos (the hit), fingerprints
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
-#   ./ci.sh --ingest     only the GPA's ingest path: histogram binning, class statistic, store, receiver, hostile bytes, gpa_wire fingerprints
+#   ./ci.sh --ingest     only the GPA's ingest path: one-varint-reader check, varint reader, histogram binning, class statistic, store, receiver + its allocations, hostile bytes, receive ledger cuts, gpa_wire fingerprints
 #   ./ci.sh --bench-history  append the full-size sysbench suite results under benchmark/results/ to BENCH_history.jsonl
 #   ./ci.sh --bench-history --pairs DIR [PARENT]  append alternating parent/change single-workload runs (DIR/<parent|change>.<workload>.seed<N>.<k>.json) instead, with a per-metric pair summary
 set -euo pipefail
@@ -73,6 +73,25 @@ check_flat_ir() {
         crates/ecode/src/analysis/merge.rs; then
         echo "ecode's IR is one node table (ir::Node, ids into Ir::nodes): ir.rs, jit.rs," \
             "batch.rs and analysis/merge.rs hold no Box<Ex>/Box<Node> outside their tests" >&2
+        return 1
+    fi
+}
+
+check_one_varint_reader() {
+    # PBIO has one LEB128 reader, `pbio::varint::read_u64` (straight-line
+    # for one to three bytes, a checked loop past them), and every
+    # decoder reads through it. A `& 0x7f` outside varint.rs and the
+    # tests is a second shift-accumulate loop: a reader whose errors and
+    # speed drift from the one the proptests pin.
+    if ! awk '
+        FNR == 1 { skip = 0 }
+        /^#\[cfg\(test\)\]/ { skip = 1 }
+        skip || /^[[:space:]]*\/\// { next }
+        /&[[:space:]]*0[xX]7[fF]([^0-9a-fA-F_]|$)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit bad }
+    ' $(find crates -path '*/src/*' -name '*.rs' ! -path crates/pbio/src/varint.rs | sort); then
+        echo "LEB128 is decoded by pbio::varint::read_u64 only: no '& 0x7f' in non-test" \
+            "code under crates/ outside crates/pbio/src/varint.rs" >&2
         return 1
     fi
 }
@@ -672,16 +691,23 @@ case "${1:-}" in
 --ingest)
     # The GPA's ingest path: exact histogram binning against libm, the
     # class statistic against its five-accumulator reference, the store's
-    # caps, the receiver's in-order path, mutated wire bytes,
-    # then the gpa_wire fingerprints.
+    # caps, the one varint reader, the receiver's in-order path and its
+    # allocations, mutated wire bytes, the receive ledger's cuts, then the
+    # gpa_wire fingerprints.
     fast_path INGEST \
+        check_one_varint_reader \
+        "==> varint reader against its per-byte reference (pbio)" \
+        "cargo test -q -p pbio varint" \
         "==> histogram binning (simcore)" \
         "cargo test -q -p simcore stats" \
         "==> class statistic and store (core)" \
         "cargo test -q -p sysprof -- records:: gpa::" \
         "==> receiver (pubsub) and hostile bytes" \
         "cargo test -q -p pubsub reliable" \
+        "cargo test -q --release -p pubsub --test zero_alloc" \
         "cargo test -q --test untrusted_bytes" \
+        "==> the receive ledger's cuts (bench)" \
+        "cargo test -q --release -p sysprof-bench gpa" \
         "==> sysbench quick fingerprints (gpa_wire, gpa_wire_large; seeds 7, 11)" \
         "check_fingerprints gpa_wire gpa_wire_large"
     ;;
@@ -726,6 +752,9 @@ check_borrowed_names
 
 echo "==> flat IR (ecode's lowering is one node table; no Box<Ex> in ir/jit/batch/merge)"
 check_flat_ir
+
+echo "==> one varint reader (LEB128 is decoded by pbio::varint::read_u64 only)"
+check_one_varint_reader
 
 echo "==> one receiver (core and apps reach the stream through Sender/Receiver)"
 check_one_receiver

@@ -3,7 +3,7 @@
 //! under `results/`.
 //!
 //! ```text
-//! figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall|node|calib] [--quick] [--seed N]
+//! figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall|node|gpa|calib] [--quick] [--seed N]
 //! ```
 //!
 //! `--quick` shortens run durations ~4× (for CI); default durations match
@@ -16,11 +16,14 @@
 //! the hit rates they give: an in-process best-of for an effect the
 //! host's process-to-process noise hides.
 //!
-//! `--exp node` and `--exp calib` time the host too, and are not in
-//! `all` either. `node` is the per-layer ledger of one node's monitor
-//! ([`sysprof_bench::node`]): every cut of the pipeline run
+//! `--exp node`, `--exp gpa` and `--exp calib` time the host too, and
+//! are not in `all` either. `node` is the per-layer ledger of one node's
+//! monitor ([`sysprof_bench::node`]): every cut of the pipeline run
 //! [`NODE_ROUNDS`] times interleaved, the fastest pass of each in ns per
-//! emitted event, and the layer rows that difference gives. `calib`
+//! emitted event, and the layer rows that difference gives. `gpa` is the
+//! same for the GPA's receive half ([`sysprof_bench::gpa`]) in ns per
+//! record, on `gpa_wire`'s shape and then on `gpa_wire_large`'s.
+//! `calib`
 //! prints one host-speed figure, the fastest of [`CALIB_ROUNDS`] passes
 //! of a fixed integer loop in ns per iteration, which
 //! `ci.sh --bench-history` records beside each benchmark line.
@@ -32,6 +35,7 @@ use simcore::{NodeId, SimDuration};
 use simnet::LinkSpec;
 use simos::World;
 use sysprof_apps::{IperfScenario, KvStoreScenario, ScenarioSpec};
+use sysprof_bench::gpa::Shape;
 use sysprof_bench::*;
 
 struct Opts {
@@ -55,7 +59,7 @@ fn parse_args() -> Opts {
             other => {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
-                    "usage: figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall|node|calib] [--quick] [--seed N]"
+                    "usage: figures [--exp e1|e2|t0|f4|f5|f6|f7|cost|all|wall|node|gpa|calib] [--quick] [--seed N]"
                 );
                 std::process::exit(2);
             }
@@ -227,6 +231,7 @@ fn main() {
     match opts.exp.as_str() {
         "wall" => wall(opts.seed),
         "node" => node(opts.seed),
+        "gpa" => gpa(opts.seed),
         "calib" => println!("calib_ns_per_iter {:.4}", calib()),
         _ => {}
     }
@@ -257,6 +262,37 @@ fn node(seed: u64) {
     }
     for (row, ns) in ledger_rows(&best) {
         println!("  row  {row:<48} {ns:>7.2} ns/event");
+    }
+}
+
+/// `--exp gpa`'s shapes and the rounds each runs; a round runs every
+/// cut once, in the same order.
+const GPA_SHAPES: [(Shape, usize); 2] = [(Shape::Wire, 30), (Shape::Large, 12)];
+
+fn gpa(seed: u64) {
+    use sysprof_bench::gpa::{ledger_rows, Cut, GpaPipeline, Stream};
+    for (shape, rounds) in GPA_SHAPES {
+        let stream = Stream::new(seed, shape);
+        let records = stream.records();
+        let mut best = [f64::MAX; 9];
+        for _ in 0..rounds {
+            for (i, cut) in Cut::ALL.into_iter().enumerate() {
+                let mut pipeline = GpaPipeline::new(cut, &stream);
+                let start = Instant::now();
+                std::hint::black_box(pipeline.run());
+                let ns = start.elapsed().as_nanos() as f64 / records as f64;
+                best[i] = best[i].min(ns);
+            }
+        }
+        println!(
+            "== gpa: in-process ledger, {shape:?} shape, seed {seed}, {records} records per pass, fastest of {rounds} =="
+        );
+        for (cut, ns) in Cut::ALL.iter().zip(best) {
+            println!("  pass {:<52} {ns:>7.2} ns/record", format!("{cut:?}"));
+        }
+        for (row, ns) in ledger_rows(&best) {
+            println!("  row  {row:<52} {ns:>7.2} ns/record");
+        }
     }
 }
 

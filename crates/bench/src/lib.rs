@@ -11,12 +11,14 @@
 //! | F6 | Figure 6: plain DWCS throughput | [`exp_f6_dwcs`] |
 //! | F7 | Figure 7: RA-DWCS throughput | [`exp_f7_ra_dwcs`] |
 //!
-//! [`node`] is not a paper artifact: it builds the per-layer ledger of
-//! one node's monitor that `figures --exp node` times.
+//! [`node`] and [`gpa`] are not paper artifacts: they build the
+//! per-layer ledgers of one node's monitor and of the GPA's receive
+//! half that `figures --exp node` and `figures --exp gpa` time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gpa;
 pub mod node;
 
 use kprof::EventMask;

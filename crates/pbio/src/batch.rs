@@ -19,6 +19,10 @@
 //!   reserving the row's worst case up front.
 //! * All-`U64` schemas — the interaction-record hot case — take a
 //!   monomorphic inner loop with no per-field kind dispatch at all.
+//! * Decoding reads every varint through
+//!   [`read_u64`](crate::varint::read_u64), PBIO's one reader (straight
+//!   line for one to three bytes), and writes a row by index into the
+//!   slot one `resize` made for it, cut off again on error.
 //!
 //! Bytes are **identical** to a `RecordWriter`'s, and rows,
 //! accept/reject and errors identical to a `RecordReader`'s (the tests
@@ -135,25 +139,26 @@ impl BatchEncoder {
     /// `out` is left as it was.
     pub fn decode_row_into(&self, buf: &[u8], out: &mut Vec<i64>) -> Result<(), PbioError> {
         let start = out.len();
-        out.reserve(self.stride());
-        let decoded = self.decode_fields(buf, out);
+        out.resize(start + self.stride(), 0);
+        let decoded = self.decode_fields(buf, &mut out[start..]);
         if decoded.is_err() {
             out.truncate(start);
         }
         decoded
     }
 
-    fn decode_fields(&self, mut buf: &[u8], out: &mut Vec<i64>) -> Result<(), PbioError> {
+    /// Decodes one record's fields into `row`, one stride long, by index.
+    fn decode_fields(&self, mut buf: &[u8], row: &mut [i64]) -> Result<(), PbioError> {
         if self.all_u64 {
-            for _ in 0..self.stride() {
-                out.push(get_varint(&mut buf)? as i64);
+            for v in row {
+                *v = read_u64(&mut buf)? as i64;
             }
             return Ok(());
         }
-        for &k in self.kinds.iter() {
-            out.push(match k {
-                Kind::U64 => get_varint(&mut buf)? as i64,
-                Kind::I64 => zigzag_decode(get_varint(&mut buf)?),
+        for (v, &k) in row.iter_mut().zip(self.kinds.iter()) {
+            *v = match k {
+                Kind::U64 => read_u64(&mut buf)? as i64,
+                Kind::I64 => zigzag_decode(read_u64(&mut buf)?),
                 Kind::F64 => {
                     let (bits, rest) = buf
                         .split_first_chunk::<8>()
@@ -166,7 +171,7 @@ impl BatchEncoder {
                     buf = rest;
                     (b != 0) as i64
                 }
-            });
+            };
         }
         Ok(())
     }
@@ -192,19 +197,6 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
     scratch[i] = v as u8;
     out.extend_from_slice(&scratch[..=i]);
-}
-
-/// LEB128 read mirroring [`put_varint`]: one-byte values short-circuit,
-/// longer ones take [`read_u64`] (so errors are its errors).
-#[inline]
-fn get_varint(buf: &mut &[u8]) -> Result<u64, PbioError> {
-    match buf.split_first() {
-        Some((&b, rest)) if b < 0x80 => {
-            *buf = rest;
-            Ok(b as u64)
-        }
-        _ => read_u64(buf),
-    }
 }
 
 #[cfg(test)]

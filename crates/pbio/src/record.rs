@@ -228,6 +228,14 @@ pub struct RecordReader<'s, 'b> {
     next_field: usize,
 }
 
+/// A length-prefixed byte string from the front of `buf`.
+fn read_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, PbioError> {
+    let len = read_u64(buf)? as usize;
+    let (bytes, rest) = buf.split_at_checked(len).ok_or(PbioError::UnexpectedEof)?;
+    *buf = rest;
+    Ok(bytes.to_vec())
+}
+
 impl<'s, 'b> RecordReader<'s, 'b> {
     /// Starts decoding `buf` against `schema`.
     pub fn new(schema: &'s Schema, buf: &'b [u8]) -> Self {
@@ -265,23 +273,9 @@ impl<'s, 'b> RecordReader<'s, 'b> {
                 Value::Bool(buf.get_u8() != 0)
             }
             FieldType::Str => {
-                let len = read_u64(buf)? as usize;
-                if buf.remaining() < len {
-                    return Err(PbioError::UnexpectedEof);
-                }
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                Value::Str(String::from_utf8(bytes).map_err(|_| PbioError::BadUtf8)?)
+                Value::Str(String::from_utf8(read_bytes(buf)?).map_err(|_| PbioError::BadUtf8)?)
             }
-            FieldType::Bytes => {
-                let len = read_u64(buf)? as usize;
-                if buf.remaining() < len {
-                    return Err(PbioError::UnexpectedEof);
-                }
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                Value::Bytes(bytes)
-            }
+            FieldType::Bytes => Value::Bytes(read_bytes(buf)?),
         };
         Ok(Some(v))
     }

@@ -113,15 +113,14 @@ impl Schema {
     /// # Errors
     ///
     /// [`PbioError::BadSchemaEncoding`] on malformed input.
-    pub fn decode(buf: &mut impl Buf) -> Result<Schema, PbioError> {
-        fn read_string(buf: &mut impl Buf) -> Result<String, PbioError> {
+    pub fn decode(buf: &mut &[u8]) -> Result<Schema, PbioError> {
+        fn read_string(buf: &mut &[u8]) -> Result<String, PbioError> {
             let len = read_u64(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(PbioError::BadSchemaEncoding);
-            }
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            String::from_utf8(bytes).map_err(|_| PbioError::BadSchemaEncoding)
+            let (head, rest) = buf
+                .split_at_checked(len)
+                .ok_or(PbioError::BadSchemaEncoding)?;
+            *buf = rest;
+            String::from_utf8(head.to_vec()).map_err(|_| PbioError::BadSchemaEncoding)
         }
         let name = read_string(buf)?;
         let nfields = read_u64(buf)? as usize;

@@ -1,6 +1,6 @@
 //! LEB128 varints and zigzag mapping for signed integers.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::PbioError;
 
@@ -17,29 +17,48 @@ pub fn write_u64(buf: &mut impl BufMut, mut v: u64) {
     }
 }
 
-/// Reads an LEB128 varint.
+/// Reads an LEB128 varint from the front of `buf` and advances past it:
+/// PBIO's one varint reader. One- to three-byte varints (in an
+/// interaction record, every field but the timestamps) decode in
+/// straight-line code; longer ones, and a buffer that ends mid-varint,
+/// take a checked loop.
 ///
 /// # Errors
 ///
-/// [`PbioError::UnexpectedEof`] if the buffer ends mid-varint;
-/// [`PbioError::BadVarint`] if the encoding exceeds 10 bytes.
-pub fn read_u64(buf: &mut impl Buf) -> Result<u64, PbioError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(PbioError::UnexpectedEof);
+/// [`PbioError::UnexpectedEof`] if the buffer ends mid-varint (it is
+/// left empty); [`PbioError::BadVarint`] if the encoding exceeds 10
+/// bytes (the 11th is consumed).
+#[inline]
+pub fn read_u64(buf: &mut &[u8]) -> Result<u64, PbioError> {
+    let low = |b: u8| u64::from(b & 0x7F);
+    let (v, rest) = match **buf {
+        [b0, ref rest @ ..] if b0 < 0x80 => (u64::from(b0), rest),
+        [b0, b1, ref rest @ ..] if b1 < 0x80 => (low(b0) | u64::from(b1) << 7, rest),
+        [b0, b1, b2, ref rest @ ..] if b2 < 0x80 => {
+            (low(b0) | low(b1) << 7 | u64::from(b2) << 14, rest)
         }
-        let byte = buf.get_u8();
-        if shift >= 64 {
+        _ => return read_long(buf),
+    };
+    *buf = rest;
+    Ok(v)
+}
+
+/// [`read_u64`]'s checked loop, for what its straight-line cases leave.
+#[cold]
+fn read_long<'a>(buf: &mut &'a [u8]) -> Result<u64, PbioError> {
+    let bytes: &'a [u8] = buf;
+    let mut v = 0u64;
+    for (i, &byte) in bytes.iter().enumerate() {
+        *buf = &bytes[i + 1..];
+        if i == 10 {
             return Err(PbioError::BadVarint);
         }
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
+        v |= u64::from(byte & 0x7F) << (7 * i);
+        if byte < 0x80 {
             return Ok(v);
         }
-        shift += 7;
     }
+    Err(PbioError::UnexpectedEof)
 }
 
 /// Maps a signed integer onto an unsigned one so small magnitudes encode
@@ -56,7 +75,72 @@ pub fn zigzag_decode(v: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
     use proptest::prelude::*;
+
+    /// The per-byte LEB128 reader `read_u64` replaced: its value, the
+    /// bytes it consumed and its error are what `read_u64` must give.
+    fn reference(buf: &mut &[u8]) -> Result<u64, PbioError> {
+        let (mut v, mut shift) = (0u64, 0u32);
+        loop {
+            let (&byte, rest) = buf.split_first().ok_or(PbioError::UnexpectedEof)?;
+            *buf = rest;
+            if shift >= 64 {
+                return Err(PbioError::BadVarint);
+            }
+            v |= ((byte & 0x7F) as u64) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// `read_u64` and the reference on `bytes`: same result, same rest.
+    fn agree(bytes: &[u8]) -> Result<(), String> {
+        let (mut got, mut want) = (bytes, bytes);
+        prop_assert_eq!(read_u64(&mut got), reference(&mut want), "{:02x?}", bytes);
+        prop_assert_eq!(got.len(), want.len(), "consumed, {:02x?}", bytes);
+        Ok(())
+    }
+
+    /// Varint-shaped bytes: a run of continuation bytes (past the
+    /// 10-byte limit at times), maybe a final byte, then anything.
+    fn varint_like() -> impl Strategy<Value = Vec<u8>> {
+        let run = vec(0x80u8..=0xFF, 0..=12);
+        let last = proptest::option::of(0u8..0x80);
+        (run, last, vec(any::<u8>(), 0..4)).prop_map(|(mut bytes, last, tail)| {
+            bytes.extend(last);
+            bytes.extend(tail);
+            bytes
+        })
+    }
+
+    #[test]
+    fn window_edges_and_long_runs_match_the_reference() {
+        // Every length boundary, cut at every byte (a buffer that ends
+        // inside or just past the 3-byte window), with a byte after.
+        let mut probes = vec![0u64, 1, 0x7F, 0x80, u64::MAX];
+        for shift in 1..10u32 {
+            probes.extend([(1u64 << (7 * shift)) - 1, 1u64 << (7 * shift)]);
+        }
+        for v in probes {
+            let mut bytes = Vec::new();
+            write_u64(&mut bytes, v);
+            bytes.push(0x2A);
+            for cut in 0..=bytes.len() {
+                agree(&bytes[..cut]).unwrap();
+            }
+        }
+        // 10- and 11-byte continuation runs, ended and unended.
+        for run in 9..=12 {
+            for last in [None, Some(0x00), Some(0x01), Some(0x7F)] {
+                let mut bytes = vec![0xFF; run];
+                bytes.extend(last);
+                agree(&bytes).unwrap();
+            }
+        }
+    }
 
     #[test]
     fn small_values_encode_in_one_byte() {
@@ -98,6 +182,19 @@ mod tests {
     }
 
     proptest! {
+        /// On arbitrary and varint-shaped byte strings, `read_u64` agrees
+        /// with the per-byte reference on the value, the bytes consumed
+        /// and the error.
+        #[test]
+        fn prop_read_u64_matches_the_per_byte_reference(
+            shaped in vec(varint_like(), 32),
+            junk in vec(vec(any::<u8>(), 0..16), 32),
+        ) {
+            for bytes in shaped.iter().chain(&junk) {
+                agree(bytes)?;
+            }
+        }
+
         #[test]
         fn prop_varint_round_trip(v in any::<u64>()) {
             let mut buf = Vec::new();

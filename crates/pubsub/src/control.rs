@@ -73,15 +73,10 @@ fn write_string(buf: &mut Vec<u8>, s: &str) {
 
 fn read_string(buf: &mut &[u8]) -> Result<String, PbioError> {
     let len = read_u64(buf)? as usize;
-    if buf.len() < len {
-        return Err(PbioError::UnexpectedEof);
-    }
-    let (head, rest) = buf.split_at(len);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| PbioError::BadUtf8)?
-        .to_owned();
+    let (head, rest) = buf.split_at_checked(len).ok_or(PbioError::UnexpectedEof)?;
+    let s = std::str::from_utf8(head).map_err(|_| PbioError::BadUtf8)?;
     *buf = rest;
-    Ok(s)
+    Ok(s.to_owned())
 }
 
 fn write_endpoint(buf: &mut Vec<u8>, ep: EndPoint) {

@@ -4,7 +4,8 @@
 //! the schema and its compiled row codec are borrowed, and rows append
 //! into the caller's buffer. (The `Value` path it replaced allocated a
 //! vector per record.) Likewise a digest whose column scratch has grown
-//! to the caller's batch size ingests without allocating.
+//! to the caller's batch size ingests without allocating, and a warm
+//! receiver allocates only the replies it returns.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! observes only this test. Same pattern as `crates/{kprof,ecode}/tests/
@@ -16,7 +17,9 @@ use std::cell::Cell;
 
 use pbio::{FieldType, Schema};
 use pubsub::digest::ShardedDigest;
-use pubsub::{ChannelDecoder, Hub};
+use pubsub::reliable::{encode_batch, Receiver, GAP_NACK_LIMIT};
+use pubsub::{frame_into, ChannelDecoder, Hub};
+use simcore::SimTime;
 use simnet::{EndPoint, Ip, Port};
 
 struct CountingAlloc;
@@ -154,4 +157,62 @@ fn warm_digest_ingest_never_allocates() {
     ALLOCATIONS.with(|a| a.set(Some(0)));
     cold.ingest_raw_rows(&keys, &rows);
     assert!(ALLOCATIONS.with(|a| a.replace(None)).unwrap() > 0);
+}
+
+/// The whole receive half at `gpa_wire`'s batch size: once a stream's
+/// schema is learned and the row buffer has grown, `Receiver::ingest`
+/// of an in-order 64-frame batch (sequence header, frame walk, decode,
+/// delivery, cumulative ACK) allocates exactly one vector, the replies
+/// it returns.
+#[test]
+fn warm_receiver_ingest_allocates_only_its_replies() {
+    let schema = Schema::build("rec")
+        .field("a", FieldType::U64)
+        .field("b", FieldType::U64)
+        .field("c", FieldType::U64)
+        .field("d", FieldType::U64)
+        .finish()
+        .unwrap();
+    let (gpa, src) = (EndPoint::new(Ip(9), Port(7)), EndPoint::new(Ip(1), Port(5)));
+    let mut hub = Hub::new();
+    let topic = hub.topic("t");
+    hub.subscribe(topic, gpa).unwrap();
+    const BATCHES: u64 = 101;
+    let batches: Vec<Vec<u8>> = (1..=BATCHES)
+        .map(|seq| {
+            let mut payload = Vec::new();
+            for i in 0..64i64 {
+                // One-, two-, three- and ten-byte varints.
+                let row = [i, i << 10, (seq as i64) << 16, -i];
+                let (_, wire) = hub.publish_raw(topic, &schema, &row).unwrap().remove(0);
+                frame_into(&mut payload, &wire);
+            }
+            encode_batch(seq, &payload)
+        })
+        .collect();
+
+    let mut rx = Receiver::new(vec![schema], GAP_NACK_LIMIT);
+    let mut delivered = 0usize;
+    let mut ingest = |rx: &mut Receiver, k: usize| {
+        let now = SimTime::from_micros(k as u64);
+        let on_batch = &mut |_: u64, rows: &[Vec<i64>]| delivered += rows[0].len();
+        rx.ingest(now, gpa, src, &batches[k], on_batch)
+    };
+    // Warm-up: the first batch announces the schema and sizes the rows.
+    assert_eq!(ingest(&mut rx, 0).0, 64);
+
+    ALLOCATIONS.with(|a| a.set(Some(0)));
+    for k in 1..BATCHES as usize {
+        let (count, replies) = ingest(&mut rx, k);
+        assert_eq!((count, replies.len()), (64, 1));
+    }
+    let allocations = ALLOCATIONS.with(|a| a.replace(None)).unwrap();
+
+    assert_eq!(delivered, BATCHES as usize * 64 * 4);
+    assert_eq!(rx.decode_failures, 0);
+    assert_eq!(
+        allocations,
+        BATCHES - 1,
+        "a warm in-order batch allocates its replies and nothing else"
+    );
 }
