@@ -15,6 +15,7 @@
 #   ./ci.sh --gpa        only the GPA's query side: correlation + detector tests, gpa_query fingerprints
 #   ./ci.sh --daemon     only the dissemination daemon: one-daemon check, daemon + simos tests, chaos, cluster fingerprints
 #   ./ci.sh --ingest     only the GPA's ingest path: one-varint-reader check, varint reader, histogram binning, class statistic, store, receiver + its allocations, hostile bytes, receive ledger cuts, gpa_wire fingerprints
+#   ./ci.sh --send       only the daemon's send half: one-varint-writer check, varint writer, row codec, hub publish, double buffer, daemon, allocations on a warm wake, cluster ledger cuts, cluster_kv/cluster_iperf/node_hotpath fingerprints
 #   ./ci.sh --bench-history  append the full-size sysbench suite results under benchmark/results/ to BENCH_history.jsonl
 #   ./ci.sh --bench-history --pairs DIR [PARENT]  append alternating parent/change single-workload runs (DIR/<parent|change>.<workload>.seed<N>.<k>.json) instead, with a per-metric pair summary
 set -euo pipefail
@@ -92,6 +93,25 @@ check_one_varint_reader() {
     ' $(find crates -path '*/src/*' -name '*.rs' ! -path crates/pbio/src/varint.rs | sort); then
         echo "LEB128 is decoded by pbio::varint::read_u64 only: no '& 0x7f' in non-test" \
             "code under crates/ outside crates/pbio/src/varint.rs" >&2
+        return 1
+    fi
+}
+
+check_one_varint_writer() {
+    # PBIO has one LEB128 writer, `pbio::varint::write_u64` (straight-line
+    # for one to three bytes, a loop past them), and every encoder, the
+    # row codec included, writes through it. A `| 0x80` or a `>>= 7`
+    # outside varint.rs and the tests is a second write loop: bytes and
+    # speed the proptest against the per-byte reference does not pin.
+    if ! awk '
+        FNR == 1 { skip = 0 }
+        /^#\[cfg\(test\)\]/ { skip = 1 }
+        skip || /^[[:space:]]*\/\// { next }
+        /\|[[:space:]]*0[xX]80([^0-9a-fA-F_]|$)|>>=[[:space:]]*7([^0-9_]|$)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit bad }
+    ' $(find crates -path '*/src/*' -name '*.rs' ! -path crates/pbio/src/varint.rs | sort); then
+        echo "LEB128 is encoded by pbio::varint::write_u64 only: no '| 0x80' or '>>= 7' in" \
+            "non-test code under crates/ outside crates/pbio/src/varint.rs" >&2
         return 1
     fi
 }
@@ -711,6 +731,30 @@ case "${1:-}" in
         "==> sysbench quick fingerprints (gpa_wire, gpa_wire_large; seeds 7, 11)" \
         "check_fingerprints gpa_wire gpa_wire_large"
     ;;
+--send)
+    # The daemon's send half: the one varint writer against its per-byte
+    # reference, the row codec against RecordWriter, one publish per
+    # wake against a publish_raw per row, the drain, the daemon's wakes
+    # and their allocations, the cluster ledger's cuts, then the
+    # fingerprints of every workload that publishes.
+    fast_path SEND \
+        "==> one varint writer (LEB128 is encoded by pbio::varint::write_u64 only)" \
+        check_one_varint_writer \
+        "==> varint writer and reader against their per-byte references, row codec (pbio)" \
+        "cargo test -q -p pbio varint" \
+        "cargo test -q -p pbio batch" \
+        "==> hub publish (pubsub), the LPA's double buffer (kprof), daemon (core)" \
+        "cargo test -q -p pubsub publish" \
+        "cargo test -q -p kprof buffer" \
+        "cargo test -q -p sysprof daemon::" \
+        "==> allocations (counting allocator, release): warm publishes, warm wakes" \
+        "cargo test -q --release -p pubsub --test zero_alloc" \
+        "cargo test -q --release -p sysprof --test daemon_alloc" \
+        "==> the cluster ledger's cuts (bench)" \
+        "cargo test -q --release -p sysprof-bench cluster" \
+        "==> sysbench quick fingerprints (cluster_kv, cluster_iperf, node_hotpath; seeds 7, 11)" \
+        "check_fingerprints cluster_kv cluster_iperf node_hotpath"
+    ;;
 --bench-history)
     if [[ "${2:-}" == --pairs ]]; then
         fast_path BENCH_HISTORY "bench_history_pairs ${3:-} ${4:-}"
@@ -755,6 +799,9 @@ check_flat_ir
 
 echo "==> one varint reader (LEB128 is decoded by pbio::varint::read_u64 only)"
 check_one_varint_reader
+
+echo "==> one varint writer (LEB128 is encoded by pbio::varint::write_u64 only)"
+check_one_varint_writer
 
 echo "==> one receiver (core and apps reach the stream through Sender/Receiver)"
 check_one_receiver

@@ -10,11 +10,13 @@
 //! the experiment configs used in EXPERIMENTS.md.
 //!
 //! `--exp wall` is not a paper artifact and not part of `all`: it times
-//! the host, not the model. It runs sysbench's two cluster shapes,
-//! monitored and unmonitored, [`WALL_ROUNDS`] times interleaved, and
-//! prints each one's minimum, lower quartile and median wall time with
-//! the hit rates they give: an in-process best-of for an effect the
-//! host's process-to-process noise hides.
+//! the host, not the model. It is the cluster ledger
+//! ([`sysprof_bench::cluster`]) on sysbench's two cluster shapes: the
+//! whole run, the scenario's own unmonitored world, three monitor
+//! rungs, the run's records through the send half and its batches
+//! through the GPA, [`WALL_ROUNDS`] times interleaved; it prints each
+//! pass's fastest and median wall time and the rows the fastest passes
+//! give, with what they leave unexplained.
 //!
 //! `--exp node`, `--exp gpa` and `--exp calib` time the host too, and
 //! are not in `all` either. `node` is the per-layer ledger of one node's
@@ -22,7 +24,9 @@
 //! [`NODE_ROUNDS`] times interleaved, the fastest pass of each in ns per
 //! emitted event, and the layer rows that difference gives. `gpa` is the
 //! same for the GPA's receive half ([`sysprof_bench::gpa`]) in ns per
-//! record, on `gpa_wire`'s shape and then on `gpa_wire_large`'s.
+//! record, on `gpa_wire`'s shape and then on `gpa_wire_large`'s, with
+//! the minor page faults per record of the passes that fill a store
+//! (read from `/proc/self/stat`, as the clock is read here).
 //! `calib`
 //! prints one host-speed figure, the fastest of [`CALIB_ROUNDS`] passes
 //! of a fixed integer loop in ns per iteration, which
@@ -31,10 +35,9 @@
 use std::io::Write;
 use std::time::Instant;
 
-use simcore::{NodeId, SimDuration};
-use simnet::LinkSpec;
-use simos::World;
-use sysprof_apps::{IperfScenario, KvStoreScenario, ScenarioSpec};
+use simcore::SimDuration;
+use sysprof_apps::ScenarioSpec;
+use sysprof_bench::cluster::{self, ledger_rows, Cluster, Cut};
 use sysprof_bench::gpa::Shape;
 use sysprof_bench::*;
 
@@ -275,25 +278,50 @@ fn gpa(seed: u64) {
         let stream = Stream::new(seed, shape);
         let records = stream.records();
         let mut best = [f64::MAX; 9];
+        let mut faults = [u64::MAX; 9];
         for _ in 0..rounds {
             for (i, cut) in Cut::ALL.into_iter().enumerate() {
                 let mut pipeline = GpaPipeline::new(cut, &stream);
+                let before = minor_faults();
                 let start = Instant::now();
                 std::hint::black_box(pipeline.run());
                 let ns = start.elapsed().as_nanos() as f64 / records as f64;
                 best[i] = best[i].min(ns);
+                faults[i] = faults[i].min(minor_faults().saturating_sub(before));
             }
         }
         println!(
             "== gpa: in-process ledger, {shape:?} shape, seed {seed}, {records} records per pass, fastest of {rounds} =="
         );
-        for (cut, ns) in Cut::ALL.iter().zip(best) {
-            println!("  pass {:<52} {ns:>7.2} ns/record", format!("{cut:?}"));
+        for ((cut, ns), faults) in Cut::ALL.iter().zip(best).zip(faults) {
+            print!("  pass {:<52} {ns:>7.2} ns/record", format!("{cut:?}"));
+            // The store's first touch of fresh pages: the passes that
+            // fill one.
+            if matches!(cut, Cut::Store | Cut::Whole) {
+                print!(
+                    "  {:.4} minor faults/record",
+                    faults as f64 / records as f64
+                );
+            }
+            println!();
         }
         for (row, ns) in ledger_rows(&best) {
             println!("  row  {row:<52} {ns:>7.2} ns/record");
         }
     }
+}
+
+/// This process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, or 0 where it cannot be read.
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // The command name, field 2, may hold spaces; it ends at the last ')'.
+    let fields = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    fields
+        .split_whitespace()
+        .nth(7)
+        .and_then(|f| f.parse().ok())
+        .unwrap_or(0)
 }
 
 /// Passes of `--exp calib`.
@@ -317,88 +345,88 @@ fn calib() -> f64 {
     best
 }
 
-/// Rounds of `--exp wall`. Each round runs every case once, in the same
-/// order, so a host that changes speed part-way slows every case alike.
-/// Odd, so the median and the lower quartile are single runs.
-const WALL_ROUNDS: usize = 21;
+/// Rounds of `--exp wall`. Each round runs every cut of both shapes
+/// once, in the same order, so a host that changes speed part-way slows
+/// every cut alike. Odd, so the median is a single pass.
+const WALL_ROUNDS: usize = 15;
 
-/// Instrumentation-point hits in a finished world: every hook call,
-/// suppressed or not, on every node (sysbench's cluster unit).
-fn hits(world: &World) -> u64 {
-    (0..world.node_count())
-        .map(|n| {
-            let s = world.kprof(NodeId(n as u32)).stats();
-            s.events_generated + s.events_suppressed
-        })
-        .sum()
+/// One shape's passes of `--exp wall`: every cut's times and hits.
+struct WallShape<S: ScenarioSpec> {
+    name: &'static str,
+    cluster: Cluster<S>,
+    ns: Vec<Vec<u64>>,
+    hits: [u64; 7],
 }
 
-/// One case of `--exp wall`: a scenario run monitored (the default
-/// deployment, as sysbench runs it) or unmonitored. Returns the wall
-/// time of the run in ns and its hits; the finished world is dropped
-/// after the clock stops.
-fn timed<S: ScenarioSpec>(spec: &S, seed: u64, monitored: bool) -> (u64, u64) {
-    let start = Instant::now();
-    if monitored {
-        let run = spec.run(seed);
-        let ns = start.elapsed().as_nanos() as u64;
-        (ns, hits(&run.world))
-    } else {
-        let (world, _) = spec.run_unmonitored(seed);
-        let ns = start.elapsed().as_nanos() as u64;
-        (ns, hits(&world))
-    }
-}
-
-fn wall(seed: u64) {
-    let kv = KvStoreScenario {
-        duration: SimDuration::from_millis(1_000),
-    };
-    let iperf = IperfScenario {
-        link: LinkSpec::gigabit_lan(),
-        duration: SimDuration::from_millis(500),
-    };
-    let cases = [
-        "cluster_kv (kv 1000 ms)",
-        "  unmonitored",
-        "cluster_iperf (gigabit 500 ms)",
-        "  unmonitored",
-    ];
-    let mut ns = vec![Vec::with_capacity(WALL_ROUNDS); cases.len()];
-    let mut hit_counts = [0u64; 4];
-    for _ in 0..WALL_ROUNDS {
-        let runs = [
-            timed(&kv, seed, true),
-            timed(&kv, seed, false),
-            timed(&iperf, seed, true),
-            timed(&iperf, seed, false),
-        ];
-        for (i, (t, h)) in runs.into_iter().enumerate() {
-            ns[i].push(t);
-            hit_counts[i] = h;
+impl<S: ScenarioSpec> WallShape<S> {
+    fn new(name: &'static str, spec: S, seed: u64) -> WallShape<S> {
+        WallShape {
+            name,
+            cluster: Cluster::new(spec, seed),
+            ns: vec![Vec::with_capacity(WALL_ROUNDS); Cut::ALL.len()],
+            hits: [0; 7],
         }
     }
-    println!("== wall: in-process best-of, seed {seed}, {WALL_ROUNDS} rounds interleaved ==");
-    println!(
-        "  {:<32} {:>10} {:>8} {:>8} {:>8} {:>12} {:>12}",
-        "case", "hits", "min ms", "q1 ms", "med ms", "M hits/s@min", "M hits/s@med"
-    );
-    for ((name, times), hits) in cases.iter().zip(&mut ns).zip(hit_counts) {
-        times.sort_unstable();
-        let (min, q1, med) = (times[0], times[WALL_ROUNDS / 4], times[WALL_ROUNDS / 2]);
-        let ms = |t: u64| t as f64 / 1e6;
-        let rate = |t: u64| hits as f64 / t as f64 * 1e3;
+
+    /// Runs every cut once; a finished world is dropped after the clock
+    /// stops.
+    fn round(&mut self) {
+        for (i, cut) in Cut::ALL.into_iter().enumerate() {
+            let mut pass = self.cluster.pass(cut);
+            let start = Instant::now();
+            let done = pass.run();
+            self.ns[i].push(start.elapsed().as_nanos() as u64);
+            self.hits[i] = done.hits();
+        }
+    }
+
+    fn print(&mut self) {
+        let (records, wakes) = (self.cluster.records(), self.cluster.wakes());
         println!(
-            "  {:<32} {:>10} {:>8.2} {:>8.2} {:>8.2} {:>12.2} {:>12.2}",
-            name,
-            hits,
-            ms(min),
-            ms(q1),
-            ms(med),
-            rate(min),
-            rate(med)
+            "-- {}: {} hits, {records} interaction records in {wakes} wakes",
+            self.name, self.hits[0]
+        );
+        let mut best = [0f64; 7];
+        for (i, times) in self.ns.iter_mut().enumerate() {
+            times.sort_unstable();
+            let (min, med) = (times[0], times[times.len() / 2]);
+            best[i] = min as f64;
+            println!(
+                "  pass {:<20} {:>9.3} ms min {:>9.3} ms med {:>10} hits",
+                format!("{:?}", Cut::ALL[i]),
+                min as f64 / 1e6,
+                med as f64 / 1e6,
+                self.hits[i]
+            );
+        }
+        let whole = best[0] / 1e6;
+        for (row, ms) in ledger_rows(&best, &self.hits) {
+            println!(
+                "  row  {row:<50} {ms:>9.3} ms {:>7.2} %",
+                ms / whole * 100.0
+            );
+        }
+        let per_record = |ns: f64| ns / records.max(1) as f64;
+        println!(
+            "  send side {:.1} ns/record, GPA ingest {:.1} ns/record",
+            per_record(best[5]),
+            per_record(best[6])
         );
     }
+}
+
+/// `--exp wall`: the cluster ledger ([`sysprof_bench::cluster`]) on both
+/// of sysbench's cluster shapes, their rounds interleaved.
+fn wall(seed: u64) {
+    let mut kv = WallShape::new("cluster_kv (kv 1000 ms)", cluster::kv(), seed);
+    let mut iperf = WallShape::new("cluster_iperf (gigabit 500 ms)", cluster::iperf(), seed);
+    for _ in 0..WALL_ROUNDS {
+        kv.round();
+        iperf.round();
+    }
+    println!("== wall: cluster ledger, seed {seed}, {WALL_ROUNDS} rounds interleaved ==");
+    kv.print();
+    iperf.print();
 }
 
 fn print_rubis(name: &str, r: &sysprof_apps::RubisResult) {

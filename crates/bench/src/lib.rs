@@ -11,13 +11,15 @@
 //! | F6 | Figure 6: plain DWCS throughput | [`exp_f6_dwcs`] |
 //! | F7 | Figure 7: RA-DWCS throughput | [`exp_f7_ra_dwcs`] |
 //!
-//! [`node`] and [`gpa`] are not paper artifacts: they build the
-//! per-layer ledgers of one node's monitor and of the GPA's receive
-//! half that `figures --exp node` and `figures --exp gpa` time.
+//! [`cluster`], [`node`] and [`gpa`] are not paper artifacts: they
+//! build the per-layer ledgers of a whole cluster run, of one node's
+//! monitor and of the GPA's receive half that `figures --exp wall`,
+//! `--exp node` and `--exp gpa` time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cluster;
 pub mod gpa;
 pub mod node;
 

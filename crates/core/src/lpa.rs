@@ -485,7 +485,7 @@ impl Lpa {
     pub(crate) fn reconfigure(&mut self, mut config: LpaConfig) {
         config.window = config.window.max(1);
         if config.window != self.config.window {
-            let staged = self.buffers.drain_all();
+            let staged = self.drain();
             self.overwritten_before += self.buffers.overwritten();
             let mut fresh = DoubleBuffer::new(config.window);
             for r in staged {
@@ -503,10 +503,23 @@ impl Lpa {
         &self.config
     }
 
-    /// Drains every staged record (what the dissemination daemon copies
-    /// out on a wake).
+    /// Drains every staged record, oldest first, into a new `Vec`.
     pub fn drain(&mut self) -> Vec<InteractionRecord> {
-        self.buffers.drain_all()
+        let mut out = Vec::new();
+        self.buffers.drain_each(|r| out.push(r));
+        out
+    }
+
+    /// Drains every staged record, oldest first, as raw rows appended to
+    /// `rows` (what the dissemination daemon copies out on a wake, into
+    /// a buffer it reuses); returns how many.
+    pub fn drain_rows_into(&mut self, rows: &mut Vec<i64>) -> u64 {
+        let mut n = 0;
+        self.buffers.drain_each(|r| {
+            rows.extend_from_slice(&r.raw_row());
+            n += 1;
+        });
+        n
     }
 
     /// Closes messages that have been idle for at least `IDLE_CLOSE`
@@ -1202,6 +1215,22 @@ mod tests {
         assert_eq!(l.records_completed(), 10);
         let drained = l.drain();
         assert_eq!(drained.len(), 10);
+    }
+
+    #[test]
+    fn drain_rows_into_appends_what_drain_returns_as_raw_rows() {
+        let (mut a, mut b) = (lpa(), lpa());
+        for l in [&mut a, &mut b] {
+            for i in 0..7 {
+                one_exchange(l, 1_000 + i * 10_000);
+            }
+            l.flush_idle(SimTime::from_secs(1));
+        }
+        let mut rows = vec![-1];
+        assert_eq!(a.drain_rows_into(&mut rows), 7);
+        let want: Vec<i64> = b.drain().iter().flat_map(|r| r.raw_row()).collect();
+        assert_eq!(rows[1..], want);
+        assert_eq!(a.drain_rows_into(&mut rows), 0, "drained");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! interrupts to be disabled locally to avoid data corruption." (§2)
 //!
 //! [`DoubleBuffer::push`] reports each switch so the caller can notify the
-//! daemon; the interrupt-disable window itself is not charged. A simulated
+//! daemon; the interrupt-disable window itself is not charged.
+//! [`DoubleBuffer::drain_each`] hands both sides' records out in order
+//! (the daemon turns them straight into raw rows in a buffer of its
+//! own), so neither side is ever given away and regrown. A simulated
 //! node has one CPU, so an LPA holds one `DoubleBuffer`.
 
 /// Which of the two buffers is currently active.
@@ -95,12 +98,14 @@ impl<T> DoubleBuffer<T> {
         }
     }
 
-    /// Drains both sides, the full one first — what the daemon copies out
-    /// on a wake.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out = std::mem::take(self.side_mut(self.active.other()));
-        out.append(self.side_mut(self.active));
-        out
+    /// Hands every record to `f`, the full side first, and leaves both
+    /// sides empty — what the daemon copies out on a wake. Both sides
+    /// keep their allocations, so a buffer that has filled once never
+    /// grows again.
+    pub fn drain_each(&mut self, mut f: impl FnMut(T)) {
+        let active = self.active;
+        self.side_mut(active.other()).drain(..).for_each(&mut f);
+        self.side_mut(active).drain(..).for_each(f);
     }
 
     /// Per-side capacity.
@@ -124,6 +129,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn drain_all<T>(db: &mut DoubleBuffer<T>) -> Vec<T> {
+        let mut out = Vec::new();
+        db.drain_each(|r| out.push(r));
+        out
+    }
+
     #[test]
     fn push_until_switch() {
         let mut db = DoubleBuffer::new(3);
@@ -131,7 +142,7 @@ mod tests {
         assert!(!db.push(2));
         assert!(db.push(3), "third push fills and switches");
         assert_eq!(db.switches(), 1);
-        assert_eq!(db.drain_all(), vec![1, 2, 3]);
+        assert_eq!(drain_all(&mut db), vec![1, 2, 3]);
     }
 
     #[test]
@@ -142,7 +153,7 @@ mod tests {
         db.push(3);
         db.push(4); // switch #2: A not drained -> overwritten
         assert_eq!(db.overwritten(), 2);
-        assert_eq!(db.drain_all(), vec![3, 4]);
+        assert_eq!(drain_all(&mut db), vec![3, 4]);
     }
 
     #[test]
@@ -152,8 +163,18 @@ mod tests {
             db.push(i);
         }
         // Side A filled with 0,1,2 (switched), active B holds 3,4.
-        assert_eq!(db.drain_all(), vec![0, 1, 2, 3, 4]);
-        assert!(db.drain_all().is_empty());
+        assert_eq!(drain_all(&mut db), vec![0, 1, 2, 3, 4]);
+        assert!(drain_all(&mut db).is_empty());
+    }
+
+    #[test]
+    fn drain_each_keeps_both_sides_allocated() {
+        let mut db = DoubleBuffer::new(4);
+        for i in 0..6 {
+            db.push(i);
+        }
+        assert_eq!(drain_all(&mut db), [0, 1, 2, 3, 4, 5]);
+        assert!(db.a.capacity() >= 4 && db.b.capacity() >= 4);
     }
 
     #[test]
@@ -171,10 +192,10 @@ mod tests {
             for i in 0..n {
                 if db.push(i) && i % 3 == 0 {
                     // Daemon keeps up only sometimes.
-                    drained += db.drain_all().len() as u64;
+                    drained += drain_all(&mut db).len() as u64;
                 }
             }
-            drained += db.drain_all().len() as u64;
+            drained += drain_all(&mut db).len() as u64;
             prop_assert_eq!(drained + db.overwritten(), n as u64);
         }
     }

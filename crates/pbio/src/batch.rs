@@ -17,6 +17,10 @@
 //!   `f64::to_bits`, a `Bool` field is nonzero-for-true (decoded as
 //!   0/1). Both directions append to a caller-owned, reusable buffer,
 //!   reserving the row's worst case up front.
+//! * Encoding writes every varint through
+//!   [`write_u64`](crate::varint::write_u64), PBIO's one writer: a
+//!   one- to three-byte value is one fixed-size append, a longer one a
+//!   loop into a stack scratch.
 //! * All-`U64` schemas — the interaction-record hot case — take a
 //!   monomorphic inner loop with no per-field kind dispatch at all.
 //! * Decoding reads every varint through
@@ -29,7 +33,7 @@
 //! pin both), so neither peer can tell which path coded a record.
 
 use crate::schema::{FieldType, Schema};
-use crate::varint::{read_u64, zigzag_decode, zigzag_encode};
+use crate::varint::{read_u64, write_u64, zigzag_decode, zigzag_encode};
 use crate::PbioError;
 
 /// Per-field wire kind with the schema validation already spent.
@@ -109,14 +113,14 @@ impl BatchEncoder {
         out.reserve(row.len() * MAX_VALUE_BYTES);
         if self.all_u64 {
             for &v in row {
-                put_varint(out, v as u64);
+                write_u64(out, v as u64);
             }
             return Ok(());
         }
         for (&k, &v) in self.kinds.iter().zip(row) {
             match k {
-                Kind::U64 => put_varint(out, v as u64),
-                Kind::I64 => put_varint(out, zigzag_encode(v)),
+                Kind::U64 => write_u64(out, v as u64),
+                Kind::I64 => write_u64(out, zigzag_encode(v)),
                 // Raw bits are already `f64::to_bits`; LE bytes match
                 // `RecordWriter::push_f64`'s `put_f64_le`.
                 Kind::F64 => out.extend_from_slice(&(v as u64).to_le_bytes()),
@@ -177,33 +181,10 @@ impl BatchEncoder {
     }
 }
 
-/// LEB128 append tuned for the row loop: one-byte values (the common
-/// case for monitoring metrics) short-circuit; longer ones fill a stack
-/// scratch and land in a single `extend_from_slice` instead of a
-/// checked push per byte. Byte output is identical to
-/// [`write_u64`](crate::varint::write_u64).
-#[inline]
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    if v < 0x80 {
-        out.push(v as u8);
-        return;
-    }
-    let mut scratch = [0u8; MAX_VALUE_BYTES];
-    let mut i = 0usize;
-    while v >= 0x80 {
-        scratch[i] = (v as u8) | 0x80;
-        v >>= 7;
-        i += 1;
-    }
-    scratch[i] = v as u8;
-    out.extend_from_slice(&scratch[..=i]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::{row_to_values, RecordReader, RecordWriter};
-    use crate::varint::write_u64;
     use proptest::prelude::*;
 
     fn numeric_schema() -> Schema {
@@ -303,22 +284,6 @@ mod tests {
             Err(PbioError::MissingFields { got: 2, want: 4 })
         );
         assert_eq!(out.len(), len, "nothing is written on error");
-    }
-
-    #[test]
-    fn put_varint_matches_write_u64_at_length_edges() {
-        // Every varint length boundary: 7-bit steps plus the extremes.
-        let mut probes = vec![0u64, 1, 0x7F, 0x80, u64::MAX];
-        for shift in 1..10u32 {
-            probes.push((1u64 << (7 * shift)) - 1);
-            probes.push(1u64 << (7 * shift));
-        }
-        for v in probes {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            put_varint(&mut a, v);
-            write_u64(&mut b, v);
-            assert_eq!(a, b, "divergence at {v}");
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
+use bytes::Buf;
 
 use crate::varint::{read_u64, write_u64};
 use crate::PbioError;
@@ -97,14 +97,14 @@ impl Schema {
     }
 
     /// Serializes the schema description (for the registry handshake).
-    pub fn encode(&self, buf: &mut impl BufMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         write_u64(buf, self.name.len() as u64);
-        buf.put_slice(self.name.as_bytes());
+        buf.extend_from_slice(self.name.as_bytes());
         write_u64(buf, self.fields.len() as u64);
         for f in self.fields.iter() {
             write_u64(buf, f.name.len() as u64);
-            buf.put_slice(f.name.as_bytes());
-            buf.put_u8(f.ty.code());
+            buf.extend_from_slice(f.name.as_bytes());
+            buf.push(f.ty.code());
         }
     }
 

@@ -1,20 +1,45 @@
-//! LEB128 varints and zigzag mapping for signed integers.
-
-use bytes::BufMut;
+//! LEB128 varints and zigzag mapping for signed integers: PBIO's one
+//! varint writer and one varint reader.
+//!
+//! Both are straight-line for the lengths an interaction record's
+//! fields take (one to three bytes: every field but the timestamps)
+//! and loop only past them. [`write_u64`] appends a short varint as one
+//! fixed-size append (no per-byte grow check, no `memcpy` call);
+//! [`read_u64`] decodes one from a three-byte window. Every PBIO coder
+//! writes and reads through these two, the row codec included.
 
 use crate::PbioError;
 
-/// Appends `v` as an LEB128 varint (1–10 bytes).
-pub fn write_u64(buf: &mut impl BufMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+/// Appends `v` as an LEB128 varint (1–10 bytes): PBIO's one varint
+/// writer. Values under 2^21 (one to three bytes) are written in
+/// straight-line code as one fixed-size append; longer ones take a
+/// loop into a stack scratch and one append.
+#[inline]
+pub fn write_u64(buf: &mut Vec<u8>, v: u64) {
+    let more = |v: u64| v as u8 | 0x80;
+    if v < 1 << 7 {
+        buf.push(v as u8);
+    } else if v < 1 << 14 {
+        buf.extend_from_slice(&[more(v), (v >> 7) as u8]);
+    } else if v < 1 << 21 {
+        buf.extend_from_slice(&[more(v), more(v >> 7), (v >> 14) as u8]);
+    } else {
+        write_long(buf, v);
     }
+}
+
+/// [`write_u64`]'s loop, for values of four bytes and more.
+#[inline(never)]
+fn write_long(buf: &mut Vec<u8>, mut v: u64) {
+    let mut scratch = [0u8; 10];
+    let mut i = 0;
+    while v >= 0x80 {
+        scratch[i] = v as u8 | 0x80;
+        v >>= 7;
+        i += 1;
+    }
+    scratch[i] = v as u8;
+    buf.extend_from_slice(&scratch[..=i]);
 }
 
 /// Reads an LEB128 varint from the front of `buf` and advances past it:
@@ -96,6 +121,39 @@ mod tests {
         }
     }
 
+    /// A per-byte LEB128 writer: the bytes `write_u64` must give.
+    fn reference_write(buf: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                buf.push(byte);
+                return;
+            }
+            buf.push(byte | 0x80);
+        }
+    }
+
+    /// `write_u64` and the reference writer on `v`, appended after a
+    /// marker byte: same bytes.
+    fn writes_agree(v: u64) -> Result<(), String> {
+        let (mut got, mut want) = (vec![0xA5], vec![0xA5]);
+        write_u64(&mut got, v);
+        reference_write(&mut want, v);
+        prop_assert_eq!(got, want, "{:#x}", v);
+        Ok(())
+    }
+
+    /// Every 7-bit length boundary: 2^(7k) − 1 and 2^(7k) for k = 1..9,
+    /// plus the extremes.
+    fn boundaries() -> Vec<u64> {
+        let mut probes = vec![0u64, 1, 0x7F, 0x80, u64::MAX];
+        for k in 1..10u32 {
+            probes.extend([(1u64 << (7 * k)) - 1, 1u64 << (7 * k)]);
+        }
+        probes
+    }
+
     /// `read_u64` and the reference on `bytes`: same result, same rest.
     fn agree(bytes: &[u8]) -> Result<(), String> {
         let (mut got, mut want) = (bytes, bytes);
@@ -120,11 +178,7 @@ mod tests {
     fn window_edges_and_long_runs_match_the_reference() {
         // Every length boundary, cut at every byte (a buffer that ends
         // inside or just past the 3-byte window), with a byte after.
-        let mut probes = vec![0u64, 1, 0x7F, 0x80, u64::MAX];
-        for shift in 1..10u32 {
-            probes.extend([(1u64 << (7 * shift)) - 1, 1u64 << (7 * shift)]);
-        }
-        for v in probes {
+        for v in boundaries() {
             let mut bytes = Vec::new();
             write_u64(&mut bytes, v);
             bytes.push(0x2A);
@@ -181,7 +235,33 @@ mod tests {
         assert_eq!(zigzag_decode(4294967294), 2147483647);
     }
 
+    #[test]
+    fn the_writer_matches_the_per_byte_reference_at_every_boundary() {
+        for v in boundaries() {
+            writes_agree(v).unwrap();
+            writes_agree(v.wrapping_neg()).unwrap();
+        }
+    }
+
     proptest! {
+        /// The row writer's bytes equal the per-byte reference writer's
+        /// on arbitrary `u64`s, on each 7-bit length boundary and one
+        /// either side of it, and on negative raw `i64`s (10 bytes).
+        #[test]
+        fn prop_write_u64_matches_the_per_byte_reference(
+            v in any::<u64>(),
+            k in 1u32..10,
+            d in 0u64..3,
+            neg in i64::MIN..0,
+        ) {
+            writes_agree(v)?;
+            writes_agree(((1u64 << (7 * k)) - 1).wrapping_add(d))?;
+            writes_agree(neg as u64)?;
+            let mut bytes = Vec::new();
+            write_u64(&mut bytes, neg as u64);
+            prop_assert_eq!(bytes.len(), 10);
+        }
+
         /// On arbitrary and varint-shaped byte strings, `read_u64` agrees
         /// with the per-byte reference on the value, the bytes consumed
         /// and the error.

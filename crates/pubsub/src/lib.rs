@@ -10,7 +10,9 @@
 //!
 //! * [`Hub`] — the publisher side: topics, per-topic subscriber lists,
 //!   per-subscription **dynamic data filters** written in E-Code (the
-//!   paper's "dynamic data filters"), and PBIO encoding of records,
+//!   paper's "dynamic data filters"), and PBIO encoding of records —
+//!   a daemon's whole wake in one [`Hub::publish_rows`], each
+//!   delivered record framed straight into its subscriber's batch,
 //! * [`ChannelDecoder`] — the subscriber side: learns schemas from the
 //!   stream (self-describing) and decodes records,
 //! * [`frame_into`] / [`split_frames`] — the frame layer that packs
@@ -63,7 +65,7 @@ pub mod control;
 pub mod digest;
 pub mod reliable;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use ecode::{Instance, Type, VerifyLimits};
@@ -224,43 +226,124 @@ struct Subscription {
     filtered: u64,
 }
 
-/// The fan-out behind both publish entry points: runs each subscriber's
-/// filter over `row` (adding its cost to `filter_fuel`) and frames the
-/// already-encoded `record` for those that pass. Subscriptions for one
-/// topic are a slice: delivery walks them in registration order, never
-/// in hash order.
-fn deliver(
+/// Where the delivery core writes each subscriber's messages.
+trait Outbox {
+    /// Whether each message is length-prefixed, as [`frame_into`] frames
+    /// it.
+    const FRAMED: bool;
+    /// The buffer `endpoint`'s `messages` of this call go into, opened
+    /// once per call at its first delivery; `bytes` is what their
+    /// records take, headers not counted.
+    fn open(&mut self, endpoint: EndPoint, messages: usize, bytes: usize) -> &mut Vec<u8>;
+}
+
+/// The most a frame's length, topic, schema id and schema flag add to
+/// a record: a 3-byte length (under 2 MiB), two 5-byte ids and a byte.
+const MESSAGE_OVERHEAD: usize = 14;
+
+/// One unframed message per delivery, for the one-record entry points
+/// ([`Hub::publish`], [`Hub::publish_raw`]): a subscriber is opened at
+/// most once per call because the call carries one record.
+impl Outbox for Vec<(EndPoint, Vec<u8>)> {
+    const FRAMED: bool = false;
+    fn open(&mut self, endpoint: EndPoint, _messages: usize, bytes: usize) -> &mut Vec<u8> {
+        self.push((endpoint, Vec::with_capacity(bytes + 8)));
+        &mut self.last_mut().expect("just pushed").1
+    }
+}
+
+/// Every delivered record framed into its subscriber's batch
+/// ([`Hub::publish_rows`]), reserved once for the whole call.
+impl Outbox for BTreeMap<EndPoint, Vec<u8>> {
+    const FRAMED: bool = true;
+    fn open(&mut self, endpoint: EndPoint, messages: usize, bytes: usize) -> &mut Vec<u8> {
+        let batch = self.entry(endpoint).or_default();
+        batch.reserve(bytes + messages * MESSAGE_OVERHEAD);
+        batch
+    }
+}
+
+/// The records of one publish call: one schema on one topic, each as
+/// its raw row (what filters read) and its encoded bytes.
+struct Records<'a> {
+    schema: &'a Schema,
+    schema_id: SchemaId,
+    /// The message header every record shares: topic and schema id.
+    head: &'a [u8],
+    /// Raw rows back to back, one stride each.
+    rows: &'a [i64],
+    /// The encoded records back to back; record `i` ends at `ends[i]`.
+    bytes: &'a [u8],
+    ends: &'a [usize],
+}
+
+impl Records<'_> {
+    fn record(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+}
+
+/// The delivery core behind every publish entry point. For each
+/// subscription in registration order (never hash order), runs its
+/// filter over every row (adding the cost to `filter_fuel`), then
+/// writes a message for each record that passed into the buffer `out`
+/// opens for that subscriber: the shared header, whether the schema is
+/// inlined (only in the first message a subscriber gets under it), the
+/// schema if so, and the record. `passed` is reusable scratch. Returns
+/// the deliveries made.
+///
+/// Subscribers' filters share no state, so deciding one subscriber's
+/// records before the next subscriber's gives what deciding record by
+/// record would.
+fn deliver<O: Outbox>(
     topic_subs: &mut [Subscription],
     filter_fuel: &mut u64,
-    topic: TopicId,
-    schema: &Schema,
-    schema_id: SchemaId,
-    row: &[i64],
-    record: &[u8],
-) -> Vec<(EndPoint, Vec<u8>)> {
-    let mut out = Vec::new();
+    recs: &Records<'_>,
+    passed: &mut Vec<usize>,
+    out: &mut O,
+) -> u64 {
+    let stride = recs.schema.len();
+    let mut delivered = 0;
     for sub in topic_subs {
-        if let Some(filter) = sub.filter.as_mut() {
-            let (pass, fuel) = filter.passes(schema_id, row);
-            *filter_fuel += fuel;
-            if !pass {
-                sub.filtered += 1;
-                continue;
+        passed.clear();
+        for (i, row) in recs.rows.chunks_exact(stride).enumerate() {
+            if let Some(filter) = sub.filter.as_mut() {
+                let (pass, fuel) = filter.passes(recs.schema_id, row);
+                *filter_fuel += fuel;
+                if !pass {
+                    sub.filtered += 1;
+                    continue;
+                }
             }
+            passed.push(i);
         }
-        let include_schema = sub.sent_schemas.insert(schema_id.0);
-        let mut wire = Vec::with_capacity(record.len() + 8);
-        write_u64(&mut wire, topic.0 as u64);
-        write_u64(&mut wire, schema_id.0 as u64);
-        wire.push(include_schema as u8);
-        if include_schema {
-            schema.encode(&mut wire);
+        if passed.is_empty() {
+            continue;
         }
-        wire.extend_from_slice(record);
-        sub.delivered += 1;
-        out.push((sub.endpoint, wire));
+        let bytes = passed.iter().map(|&i| recs.record(i).len()).sum();
+        let buf = out.open(sub.endpoint, passed.len(), bytes);
+        // The schema rides in the first message only, once per subscriber.
+        let mut schema = Vec::new();
+        if sub.sent_schemas.insert(recs.schema_id.0) {
+            recs.schema.encode(&mut schema);
+        }
+        for &i in passed.iter() {
+            let record = recs.record(i);
+            if O::FRAMED {
+                let len = recs.head.len() + 1 + schema.len() + record.len();
+                write_u64(buf, len as u64);
+            }
+            buf.extend_from_slice(recs.head);
+            buf.push(!schema.is_empty() as u8);
+            buf.extend_from_slice(&schema);
+            buf.extend_from_slice(record);
+            schema.clear();
+        }
+        sub.delivered += passed.len() as u64;
+        delivered += passed.len() as u64;
     }
-    out
+    delivered
 }
 
 /// The publisher half of a node's monitoring channels.
@@ -275,8 +358,13 @@ pub struct Hub {
     /// registered schema id (schema validation is loop-invariant; spend
     /// it once).
     raw_encoders: simcore::hash::HashMap<u32, BatchEncoder>,
-    /// Reusable record-bytes scratch for `publish_raw`.
-    raw_record: Vec<u8>,
+    /// Reusable scratch for one publish call: the message header, the
+    /// encoded records and where each ends, and one subscriber's
+    /// passing records.
+    head: Vec<u8>,
+    records: Vec<u8>,
+    ends: Vec<usize>,
+    passed: Vec<usize>,
 }
 
 impl Default for Hub {
@@ -295,7 +383,10 @@ impl Hub {
             next_topic: 0,
             filter_fuel: 0,
             raw_encoders: Default::default(),
-            raw_record: Vec::new(),
+            head: Vec::new(),
+            records: Vec::new(),
+            ends: Vec::new(),
+            passed: Vec::new(),
         }
     }
 
@@ -418,33 +509,35 @@ impl Hub {
         schema: &Schema,
         values: &[Value],
     ) -> Result<Vec<(EndPoint, Vec<u8>)>, PubSubError> {
-        let schema_id = self.admit(topic, schema, values.len())?;
+        let schema_id = self.admit(topic, schema, values.len(), 1)?;
         let mut rw = RecordWriter::new(schema);
         for v in values {
             rw.push_value(v)?;
         }
-        let record = rw.finish()?;
+        self.records.clear();
+        self.records.extend_from_slice(&rw.finish()?);
+        self.ends.clear();
+        self.ends.push(self.records.len());
         // Filters read the raw row; string/bytes slots are placeholders
         // no filter column points at.
         let row: Vec<i64> = values.iter().map(|v| v.to_raw().unwrap_or(0)).collect();
-        let topic_subs = self.subs.get_mut(&topic).expect("admitted topic");
-        let fuel = &mut self.filter_fuel;
-        Ok(deliver(
-            topic_subs, fuel, topic, schema, schema_id, &row, &record,
-        ))
+        let mut out = Vec::new();
+        self.fan_out(topic, schema, schema_id, &row, &mut out);
+        Ok(out)
     }
 
     /// [`publish`](Hub::publish) over a raw numeric row (one `i64` per
     /// schema field, digest raw-row bit convention: integers hold the
-    /// value, doubles hold `f64::to_bits`, bools are nonzero-for-true) —
-    /// the daemon's per-record hot path.
+    /// value, doubles hold `f64::to_bits`, bools are nonzero-for-true).
     ///
     /// Wire bytes, filter decisions, fuel accounting, and delivery
     /// counters are **identical** to `publish` with the equivalent
     /// [`Value`]s; the difference is purely cost: the schema is compiled
     /// to a [`BatchEncoder`] once (cached per schema id) and the record
-    /// encodes through the vectorized bounds-check-hoisted loop into a
-    /// reusable scratch.
+    /// encodes into a reusable scratch. It is
+    /// [`publish_rows`](Hub::publish_rows) for one row, with each
+    /// subscriber's message returned on its own instead of framed into
+    /// a batch.
     ///
     /// # Errors
     ///
@@ -457,36 +550,110 @@ impl Hub {
         schema: &Schema,
         row: &[i64],
     ) -> Result<Vec<(EndPoint, Vec<u8>)>, PubSubError> {
-        let schema_id = self.admit(topic, schema, row.len())?;
+        let mut out = Vec::new();
+        self.publish_into(topic, schema, row, 1, &mut out)?;
+        Ok(out)
+    }
+
+    /// Publishes a wake's records on one topic, `rows` holding their raw
+    /// rows back to back ([`publish_raw`](Hub::publish_raw)'s bit
+    /// convention). Each record a subscriber's filter passes is framed
+    /// ([`frame_into`]'s frame) straight into that subscriber's batch in
+    /// `batches`, created at its first delivery. Returns the deliveries
+    /// made, over every subscriber.
+    ///
+    /// The schema is admitted, and its encoder and the topic's
+    /// subscriptions looked up, once per call; filters run once per
+    /// record with the same fuel. Bytes, decisions, fuel and counters
+    /// are those of one `publish_raw` per row, each message framed into
+    /// its subscriber's batch. No rows is no call: nothing is admitted.
+    ///
+    /// # Errors
+    ///
+    /// As `publish_raw`; [`PubSubError::SchemaMismatch`] if `rows` is
+    /// not a whole number of rows. Nothing is delivered on error.
+    pub fn publish_rows(
+        &mut self,
+        topic: TopicId,
+        schema: &Schema,
+        rows: &[i64],
+        batches: &mut BTreeMap<EndPoint, Vec<u8>>,
+    ) -> Result<u64, PubSubError> {
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        let n_rows = rows.len() / schema.len().max(1);
+        self.publish_into(topic, schema, rows, n_rows, batches)
+    }
+
+    /// Encodes `n_rows` raw rows and hands them to the delivery core.
+    fn publish_into(
+        &mut self,
+        topic: TopicId,
+        schema: &Schema,
+        rows: &[i64],
+        n_rows: usize,
+        out: &mut impl Outbox,
+    ) -> Result<u64, PubSubError> {
+        let schema_id = self.admit(topic, schema, rows.len(), n_rows)?;
         let enc = match self.raw_encoders.entry(schema_id.0) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => v.insert(BatchEncoder::new(schema)?),
         };
-        self.raw_record.clear();
-        enc.encode_row_into(row, &mut self.raw_record)?;
+        self.records.clear();
+        self.ends.clear();
+        for row in rows.chunks_exact(enc.stride()) {
+            enc.encode_row_into(row, &mut self.records)?;
+            self.ends.push(self.records.len());
+        }
+        Ok(self.fan_out(topic, schema, schema_id, rows, out))
+    }
+
+    /// Hands the records in the scratch, and their `rows`, to the
+    /// delivery core.
+    fn fan_out(
+        &mut self,
+        topic: TopicId,
+        schema: &Schema,
+        schema_id: SchemaId,
+        rows: &[i64],
+        out: &mut impl Outbox,
+    ) -> u64 {
+        let recs = Records {
+            schema,
+            schema_id,
+            head: &self.head,
+            rows,
+            bytes: &self.records,
+            ends: &self.ends,
+        };
         let topic_subs = self.subs.get_mut(&topic).expect("admitted topic");
-        let (fuel, record) = (&mut self.filter_fuel, &self.raw_record);
-        Ok(deliver(
-            topic_subs, fuel, topic, schema, schema_id, row, record,
-        ))
+        let (fuel, passed) = (&mut self.filter_fuel, &mut self.passed);
+        deliver(topic_subs, fuel, &recs, passed, out)
     }
 
     /// What every publish does before encoding: the topic must exist,
-    /// the record must have one entry per field, and the schema gets its
-    /// wire id.
+    /// the values must be `n_rows` records of one entry per field, and
+    /// the schema gets its wire id, which with the topic makes the
+    /// message header.
     fn admit(
         &mut self,
         topic: TopicId,
         schema: &Schema,
-        n_fields: usize,
+        n_values: usize,
+        n_rows: usize,
     ) -> Result<SchemaId, PubSubError> {
         if !self.subs.contains_key(&topic) {
             return Err(PubSubError::UnknownTopic(topic));
         }
-        if n_fields != schema.len() {
+        if n_values != schema.len() * n_rows {
             return Err(PubSubError::SchemaMismatch);
         }
-        Ok(self.schemas.register(schema))
+        let schema_id = self.schemas.register(schema);
+        self.head.clear();
+        write_u64(&mut self.head, topic.0 as u64);
+        write_u64(&mut self.head, schema_id.0 as u64);
+        Ok(schema_id)
     }
 
     /// Total E-Code fuel burned by subscription filters so far (the host
@@ -1181,6 +1348,86 @@ mod tests {
                 .collect();
             hub_matches_model("generated", &ops);
         }
+    }
+
+    /// Two hubs with the same subscriptions: one unfiltered, one with a
+    /// threshold, one whose filter traps on a zero latency (and so fails
+    /// open at its bound), and one compiled for another schema.
+    fn wake_hubs() -> [(Hub, TopicId); 2] {
+        let numeric = numeric_schema();
+        let other = Schema::build("other").field("z", FieldType::U64);
+        let other = other.finish().unwrap();
+        [(); 2].map(|()| {
+            let mut hub = Hub::new();
+            let t = hub.topic("m");
+            hub.subscribe(t, ep(1)).unwrap();
+            let filters = [
+                (2, "return latency_us > 300;", &numeric),
+                (3, "return 1000 / latency_us > 5;", &numeric),
+                (4, "return z > 1;", &other),
+            ];
+            for (host, src, schema) in filters {
+                hub.subscribe_with_schema(t, ep(host), Some(src), schema)
+                    .unwrap();
+            }
+            (hub, t)
+        })
+    }
+
+    proptest! {
+        /// One `publish_rows` per wake makes exactly the batches, filter
+        /// fuel and counters of one `publish_raw` per row with each
+        /// message framed into its subscriber's batch.
+        #[test]
+        fn prop_publish_rows_is_publish_raw_per_row_framed(
+            wakes in prop::collection::vec(
+                prop::collection::vec((0i64..400, any::<i64>(), any::<i64>(), 0i64..3), 0..12),
+                1..5,
+            ),
+        ) {
+            let numeric = numeric_schema();
+            let [(mut rows_hub, t), (mut raw_hub, _)] = wake_hubs();
+            for wake in &wakes {
+                let rows: Vec<i64> = wake.iter().flat_map(|&(a, b, c, d)| [a, b, c, d]).collect();
+                let mut got = BTreeMap::new();
+                let n = rows_hub.publish_rows(t, &numeric, &rows, &mut got).unwrap();
+                let mut want: BTreeMap<EndPoint, Vec<u8>> = BTreeMap::new();
+                let mut sends = 0;
+                for row in rows.chunks_exact(4) {
+                    for (to, wire) in raw_hub.publish_raw(t, &numeric, row).unwrap() {
+                        frame_into(want.entry(to).or_default(), &wire);
+                        sends += 1;
+                    }
+                }
+                prop_assert_eq!(n, sends);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(rows_hub.filter_fuel(), raw_hub.filter_fuel());
+                for host in 1..5 {
+                    prop_assert_eq!(
+                        rows_hub.delivery_stats(t, ep(host)),
+                        raw_hub.delivery_stats(t, ep(host))
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn publish_rows_rejects_partial_rows_and_admits_nothing_for_none() {
+        let numeric = numeric_schema();
+        let [(mut hub, t), _] = wake_hubs();
+        let mut batches = BTreeMap::new();
+        assert_eq!(
+            hub.publish_rows(t, &numeric, &[1, 2, 3, 1, 5], &mut batches),
+            Err(PubSubError::SchemaMismatch)
+        );
+        assert_eq!(
+            hub.publish_rows(TopicId(9), &numeric, &[1, 2, 3, 1], &mut batches),
+            Err(PubSubError::UnknownTopic(TopicId(9)))
+        );
+        assert_eq!(hub.publish_rows(t, &numeric, &[], &mut batches), Ok(0));
+        assert!(batches.is_empty());
+        assert_eq!(hub.filter_fuel(), 0);
     }
 
     #[test]

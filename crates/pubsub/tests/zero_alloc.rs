@@ -216,3 +216,52 @@ fn warm_receiver_ingest_allocates_only_its_replies() {
         "a warm in-order batch allocates its replies and nothing else"
     );
 }
+
+/// The send half's two entry points on a warm hub (schema announced,
+/// encoder compiled, scratch grown). `publish_raw` allocates what it
+/// returns and nothing else: the list and one message per subscriber
+/// (two subscribers here, one filtered). `publish_rows` allocates only
+/// each subscriber's batch, once, whether the call carries 10 rows or
+/// 100: nothing per record.
+#[test]
+fn warm_publishes_allocate_only_what_they_return() {
+    let schema = Schema::build("rec")
+        .field("a", FieldType::U64)
+        .field("b", FieldType::U64)
+        .field("c", FieldType::I64)
+        .finish()
+        .unwrap();
+    let (gpa, other) = (EndPoint::new(Ip(9), Port(7)), EndPoint::new(Ip(8), Port(7)));
+    let mut hub = Hub::new();
+    let topic = hub.topic("t");
+    hub.subscribe(topic, gpa).unwrap();
+    hub.subscribe_with_schema(topic, other, Some("return a > 50;"), &schema)
+        .unwrap();
+    let rows: Vec<i64> = (0..100i64).flat_map(|i| [i, i << 12, -i]).collect();
+    let mut batches = std::collections::BTreeMap::new();
+    hub.publish_rows(topic, &schema, &rows, &mut batches)
+        .unwrap();
+
+    ALLOCATIONS.with(|a| a.set(Some(0)));
+    for row in rows.chunks_exact(3) {
+        std::hint::black_box(hub.publish_raw(topic, &schema, row).unwrap());
+    }
+    let raw = ALLOCATIONS.with(|a| a.replace(None)).unwrap();
+    // 100 lists and 100 messages to `gpa`, 49 to `other` (a > 50).
+    assert_eq!(raw, 100 + 100 + 49, "publish_raw's allocations");
+
+    let mut wake = |n: usize| {
+        let mut batches = std::collections::BTreeMap::new();
+        ALLOCATIONS.with(|a| a.set(Some(0)));
+        let delivered = hub
+            .publish_rows(topic, &schema, &rows[..n * 3], &mut batches)
+            .unwrap();
+        let allocations = ALLOCATIONS.with(|a| a.replace(None)).unwrap();
+        (delivered, allocations)
+    };
+    let (few, many) = (wake(60), wake(100));
+    assert_eq!((few.0, many.0), (60 + 9, 100 + 49));
+    assert_eq!(few.1, many.1, "publish_rows allocated per record");
+    // Two batches: a map node and one reservation each.
+    assert_eq!(many.1, 3);
+}
